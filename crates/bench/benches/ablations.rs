@@ -12,141 +12,45 @@
 //!   C. Stall-detector retransmit threshold (§3.2, default 2 intervals):
 //!      thresholds 1/2/4 under 1% loss trade spurious retransmissions
 //!      against recovery latency.
+//!
+//! The runners live in `tas_bench::scenarios::ablations` so this harness
+//! and the `bench-report` regression gate measure the exact same runs.
 
-use tas::{CcAlgo, TasConfig, TasHost};
-use tas_apps::bulk::{BulkReceiver, BulkSender};
-use tas_bench::report::{Metric, Report};
-use tas_bench::{fmt_mops, scaled, section, Kind, RpcScenario, TasOverrides};
-use tas_netsim::app::App;
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{FaultSpec, NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, Sim, SimTime};
+use tas_bench::scenarios::ablations::{self, BulkRun, STATE_VARIANTS};
+use tas_bench::{fmt_mops, section};
 
-/// Ablation A: echo throughput vs. per-flow state footprint.
-fn ablate_state_footprint(rep: &mut Report) {
+fn bulk_row(label: &str, width: usize, r: &BulkRun) {
+    println!(
+        "{label:<width$} {:>10.2} {:>14} {:>16}",
+        r.gbps, r.fast_rexmits, r.timeout_rexmits
+    );
+}
+
+fn main() {
+    let o = ablations::run();
+
     section(
         "Ablation A: per-flow state footprint (lines touched per request)",
         "design choice: 102 B compact state (Table 3); fat state thrashes the cache",
     );
-    let conns_list: Vec<u32> = scaled(vec![16_000, 64_000], vec![16_000, 64_000, 96_000]);
-    // 2 lines = TAS's 102 B; 8 = a 512 B state; 30 = a ~1.9 KB Linux
-    // tcp_sock-like state.
-    let variants: [(&str, u64); 3] = [("102B (TAS)", 2), ("512B", 8), ("1.9KB", 30)];
     println!(
         "{:<8}{}",
         "conns",
-        variants.map(|(n, _)| format!("{n:>14}")).join("")
+        STATE_VARIANTS.map(|(n, _, _)| format!("{n:>14}")).join("")
     );
-    let mut at_max = [0f64; 3];
-    for &conns in &conns_list {
-        let mut row = format!("{conns:<8}");
-        for (i, (_, lines)) in variants.iter().enumerate() {
-            let mut sc = RpcScenario::echo(Kind::TasSockets, (10, 10), conns);
-            sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
-            sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
-            sc.seed = 7_000 + conns as u64;
-            sc.tas_overrides = TasOverrides {
-                cache_lines_per_req: Some(*lines),
-                ..TasOverrides::default()
-            };
-            let r = tas_bench::run_rpc(&sc);
-            row += &format!("{:>14}", fmt_mops(r.mops));
-            at_max[i] = r.mops;
-        }
-        println!("{row}");
+    for (conns, mops) in &o.state {
+        let cells = mops.map(|m| format!("{:>14}", fmt_mops(m)));
+        println!("{conns:<8}{}", cells.join(""));
     }
     println!();
+    let at_max = o.state.last().expect("rows").1;
     println!(
         "at max conns: fat state costs {:.0}% (512B) / {:.0}% (1.9KB) of the compact-state \
          throughput",
         100.0 * (1.0 - at_max[1] / at_max[0]),
         100.0 * (1.0 - at_max[2] / at_max[0]),
     );
-    for (i, name) in ["state_102b", "state_512b", "state_1900b"].iter().enumerate() {
-        rep.push(Metric::value(name, "mops", at_max[i]));
-    }
-}
 
-/// Outcome of one bulk fan-in run.
-struct BulkRun {
-    gbps: f64,
-    fast_rexmits: u64,
-    timeout_rexmits: u64,
-}
-
-/// Runs `senders` bulk hosts with `flows` connections each into one
-/// receiver over a shared 10G star.
-fn bulk_fan_in(cc: CcAlgo, stall_intervals: u32, loss: f64, senders: usize, seed: u64) -> BulkRun {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let recv_ip = host_ip(0);
-    let flows = 25u32;
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let mut cfg = TasConfig::rpc_bench(2, 2);
-        cfg.rx_buf = 128 * 1024;
-        cfg.tx_buf = 128 * 1024;
-        cfg.cc = cc;
-        cfg.initial_rate_bps = 500_000_000;
-        cfg.control_interval = SimTime::from_us(200);
-        cfg.stall_intervals_for_rexmit = stall_intervals;
-        cfg.max_core_backlog = SimTime::from_ms(50);
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(BulkReceiver::new(9))
-        } else {
-            Box::new(BulkSender::new(recv_ip, 9, flows))
-        };
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            cfg,
-            spec.uplink,
-            app,
-        )))
-    };
-    let mut port = PortConfig::tengig();
-    if loss > 0.0 {
-        // Seeded drops via the fault injector (the deprecated `loss`
-        // shim would also work, but the injector is the mechanism).
-        port.fault = FaultSpec::uniform_loss(loss, seed);
-    }
-    let topo = build_star(
-        &mut sim,
-        1 + senders,
-        move |_| port,
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    let warmup = SimTime::from_ms(50);
-    let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
-    sim.run_until(warmup);
-    let b0 = sim
-        .agent::<TasHost>(topo.hosts[0])
-        .app_as::<BulkReceiver>()
-        .total;
-    sim.run_until(warmup + window);
-    let b1 = sim
-        .agent::<TasHost>(topo.hosts[0])
-        .app_as::<BulkReceiver>()
-        .total;
-    let mut fast = 0;
-    let mut timeout = 0;
-    for &h in &topo.hosts[1..] {
-        let host = sim.agent::<TasHost>(h);
-        fast += host.fp_stats().fast_rexmits;
-        timeout += host.sp_stats().timeout_rexmits;
-    }
-    BulkRun {
-        gbps: (b1 - b0) as f64 * 8.0 / window.as_secs_f64() / 1e9,
-        fast_rexmits: fast,
-        timeout_rexmits: timeout,
-    }
-}
-
-/// Ablation B: fast-path rate enforcement on/off under fan-in.
-fn ablate_rate_enforcement(rep: &mut Report) {
     section(
         "Ablation B: fast-path per-flow rate enforcement (4x25 bulk flows -> one 10G port)",
         "design choice: slow-path CC enforced by fast-path rate limiters; off = queue collapse",
@@ -155,38 +59,22 @@ fn ablate_rate_enforcement(rep: &mut Report) {
         "{:<22} {:>10} {:>14} {:>16}",
         "enforcement", "Gbps", "fast rexmits", "timeout rexmits"
     );
-    let on = bulk_fan_in(CcAlgo::DctcpRate, 2, 0.0, 4, 300);
-    let off = bulk_fan_in(CcAlgo::None, 2, 0.0, 4, 300);
-    for (name, r) in [("DCTCP rate buckets", &on), ("none (window only)", &off)] {
-        println!(
-            "{name:<22} {:>10.2} {:>14} {:>16}",
-            r.gbps, r.fast_rexmits, r.timeout_rexmits
-        );
-    }
+    bulk_row("DCTCP rate buckets", 22, &o.enforced);
+    bulk_row("none (window only)", 22, &o.unenforced);
     println!();
+    let (on, off) = (
+        o.enforced.fast_rexmits + o.enforced.timeout_rexmits,
+        o.unenforced.fast_rexmits + o.unenforced.timeout_rexmits,
+    );
     println!(
         "retransmissions without enforcement: {}x the enforced run",
-        if on.fast_rexmits + on.timeout_rexmits > 0 {
-            format!(
-                "{:.0}",
-                (off.fast_rexmits + off.timeout_rexmits) as f64
-                    / (on.fast_rexmits + on.timeout_rexmits) as f64
-            )
+        if on > 0 {
+            format!("{:.0}", off as f64 / on as f64)
         } else {
-            format!("inf ({} vs 0", off.fast_rexmits + off.timeout_rexmits) + ")"
+            format!("inf ({off} vs 0)")
         }
     );
-    for (name, r) in [("enforced", &on), ("unenforced", &off)] {
-        rep.push(
-            Metric::value(&format!("{name}_gbps"), "gbps", r.gbps)
-                .with_component("fast_rexmits", r.fast_rexmits as f64)
-                .with_component("timeout_rexmits", r.timeout_rexmits as f64),
-        );
-    }
-}
 
-/// Ablation C: slow-path stall-detector threshold under loss.
-fn ablate_stall_threshold(rep: &mut Report) {
     section(
         "Ablation C: stall-detector retransmit threshold (1% loss, 25 bulk flows)",
         "design choice: retransmit after 2 stalled control intervals (paper §3.2)",
@@ -195,30 +83,17 @@ fn ablate_stall_threshold(rep: &mut Report) {
         "{:<12} {:>10} {:>14} {:>16}",
         "intervals", "Gbps", "fast rexmits", "timeout rexmits"
     );
-    for intervals in [1u32, 2, 4] {
-        let r = bulk_fan_in(CcAlgo::DctcpRate, intervals, 0.01, 1, 400);
-        println!(
-            "{intervals:<12} {:>10.2} {:>14} {:>16}",
-            r.gbps, r.fast_rexmits, r.timeout_rexmits
-        );
-        rep.push(
-            Metric::value(&format!("stall_{intervals}_gbps"), "gbps", r.gbps)
-                .with_component("fast_rexmits", r.fast_rexmits as f64)
-                .with_component("timeout_rexmits", r.timeout_rexmits as f64),
-        );
+    for (intervals, r) in &o.stall {
+        bulk_row(&intervals.to_string(), 12, r);
     }
     println!();
     println!(
         "expectation: threshold 1 fires spuriously (more timeout rexmits, go-back-N waste); \
          threshold 4 recovers tail losses slowly; 2 balances both"
     );
-}
 
-fn main() {
-    let mut rep = Report::new("ablations", "Design-choice ablations", 300);
-    ablate_state_footprint(&mut rep);
-    ablate_rate_enforcement(&mut rep);
-    ablate_stall_threshold(&mut rep);
-    let path = rep.write().expect("write BENCH_ablations.json");
+    let path = ablations::report_from(&o)
+        .write()
+        .expect("write BENCH_ablations.json");
     println!("report: {}", path.display());
 }

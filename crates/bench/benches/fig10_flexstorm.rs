@@ -5,112 +5,30 @@
 //! 1.3 mt/s, mTCP ≈ 2.8 (2.1×), TAS ≈ 3.0 (+8%); per-tuple time is
 //! dominated by the mux output queue: Linux 20 ms, mTCP 14+4 ms, TAS 8 ms
 //! (TAS needs no stack batching).
+//!
+//! The runner lives in `tas_bench::scenarios::fig10` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas_apps::flexstorm::{FlexStormNode, TUPLE_SIZE};
-use tas_bench::{make_server, scaled, section, Bufs, Kind};
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, Sim, SimTime};
-
-struct NodeStats {
-    input_us: f64,
-    proc_us: f64,
-    output_ms: f64,
-}
-
-fn run(kind: Kind, spout_rate: u64, seed: u64) -> (f64, NodeStats) {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let nodes = 3usize;
-    let workers = 2u16;
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let next = if (spec.index as usize) < nodes - 1 {
-            Some((host_ip(spec.index + 1), 7_000))
-        } else {
-            None
-        };
-        let mut node = FlexStormNode::new(7_000, workers, next);
-        if spec.index == 0 {
-            node.spout_rate = spout_rate;
-        }
-        // Cores: demux + workers + mux = 4 contexts.
-        let bufs = Bufs {
-            rx: 256 * 1024,
-            tx: 256 * 1024,
-        };
-        make_server(sim, spec, kind, (2, 4), bufs, Box::new(node))
-    };
-    let topo = build_star(
-        &mut sim,
-        nodes,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    let warmup = SimTime::from_ms(100);
-    let window = scaled(SimTime::from_ms(300), SimTime::from_secs(2));
-    sim.run_until(warmup);
-    let p0 = node_of(&sim, topo.hosts[2], kind).stats.tuples_processed;
-    for &h in &topo.hosts {
-        // Gate stats.
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                sim.agent_mut::<tas::TasHost>(h)
-                    .app_as_mut::<FlexStormNode>()
-                    .measure_from = warmup;
-            }
-            _ => {
-                sim.agent_mut::<tas_baselines::StackHost>(h)
-                    .app_as_mut::<FlexStormNode>()
-                    .measure_from = warmup;
-            }
-        }
-    }
-    sim.run_until(warmup + window);
-    let sink = node_of(&sim, topo.hosts[2], kind);
-    let p1 = sink.stats.tuples_processed;
-    // Table 8 measures the middle node (fully loaded in and out).
-    let mid = node_of(&sim, topo.hosts[1], kind);
-    let stats = NodeStats {
-        input_us: mid.input_delay_us.mean(),
-        proc_us: mid.proc_us.mean(),
-        output_ms: mid.output_delay_us.mean() / 1000.0,
-    };
-    let mtps = (p1 - p0) as f64 / window.as_secs_f64() / 1e6;
-    (mtps, stats)
-}
-
-fn node_of(sim: &Sim<NetMsg>, id: AgentId, kind: Kind) -> &FlexStormNode {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            sim.agent::<tas::TasHost>(id).app_as::<FlexStormNode>()
-        }
-        _ => sim
-            .agent::<tas_baselines::StackHost>(id)
-            .app_as::<FlexStormNode>(),
-    }
-}
+use tas_apps::flexstorm::TUPLE_SIZE;
+use tas_bench::scenarios::fig10;
+use tas_bench::section;
 
 fn main() {
     section(
         "Figure 10 + Table 8: FlexStorm throughput and tuple latency breakdown",
         "raw mt/s: Linux 1.3, mTCP 2.8, TAS 3.0; tuple time: 20ms / 18ms / 8ms",
     );
-    let rate = scaled(1_500_000, 4_000_000);
     println!(
         "(offered spout rate: {} tuples/s, 3 nodes, 2 workers each)",
-        rate
+        fig10::spout_rate()
     );
     println!();
     println!(
         "{:<8} {:>10} {:>12} {:>12} {:>12} {:>12}",
         "stack", "mt/s", "input us", "proc us", "output ms", "total ms"
     );
-    let mut results = Vec::new();
-    for (kind, seed) in [(Kind::Linux, 1u64), (Kind::Mtcp, 2), (Kind::TasSockets, 3)] {
-        let (mtps, st) = run(kind, rate, seed);
+    let rows = fig10::sweep();
+    for (_, kind, mtps, st) in &rows {
         println!(
             "{:<8} {:>10.3} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
             kind.label(),
@@ -120,29 +38,14 @@ fn main() {
             st.output_ms,
             st.input_us / 1000.0 + st.proc_us / 1000.0 + st.output_ms,
         );
-        results.push((kind, mtps, st));
     }
     println!();
     println!(
         "tuple wire size {} B; paper reference: Linux 6.96us/0.37us/20ms; mTCP 4ms/0.33us/14ms; TAS 7.47us/0.36us/8ms",
         TUPLE_SIZE
     );
-    let mut rep =
-        tas_bench::report::Report::new("fig10", "FlexStorm throughput and tuple latency", 1);
-    rep.param("spout_rate", rate).param("nodes", 3);
-    for (kind, mtps, st) in &results {
-        let name = match kind {
-            Kind::Linux => "linux",
-            Kind::Mtcp => "mtcp",
-            _ => "tas",
-        };
-        rep.push(
-            tas_bench::report::Metric::value(&format!("{name}_mtps"), "mops", *mtps)
-                .with_component("input_us", st.input_us)
-                .with_component("proc_us", st.proc_us)
-                .with_component("output_ms", st.output_ms),
-        );
-    }
-    let path = rep.write().expect("write BENCH_fig10.json");
+    let path = fig10::report_from(&rows)
+        .write()
+        .expect("write BENCH_fig10.json");
     println!("report: {}", path.display());
 }

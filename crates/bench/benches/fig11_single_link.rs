@@ -6,219 +6,47 @@
 //! converges slowly; the average bottleneck queue stays near DCTCP's and
 //! grows slowly with τ. Plain TCP (NewReno) sits above both with a much
 //! larger queue.
+//!
+//! The runner lives in `tas_bench::scenarios::fig11` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas::{CcAlgo, TasConfig, TasHost};
-use tas_apps::flows::{FlowGen, FlowSink};
-use tas_baselines::{profiles, StackHost, StackHostConfig, ThreadModel};
-use tas_bench::{scaled, section};
-use tas_netsim::app::App;
-use tas_netsim::switch::TIMER_SAMPLE_QUEUE;
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{NetMsg, NicConfig, PortConfig, Switch};
-use tas_sim::{AgentId, Sim, SimTime};
-use tas_tcp::{CcKind, TcpConfig};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Cc {
-    Tcp,
-    Dctcp,
-    TasRate { tau_us: u64 },
-    TasTimely,
-}
-
-/// Runs the single-link experiment; returns (mean FCT ms, mean queue pkts).
-fn run(cc: Cc, seed: u64) -> (f64, f64) {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let senders = 8usize;
-    let sink_ip = host_ip(0);
-    // 75% of 10G split over the senders; bounded-Pareto flow sizes with
-    // the generator's parameters (use the analytic mean so the offered
-    // load is exact).
-    let size_dist = tas_sim::dist::BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, 1.2);
-    let mean_size_bytes = size_dist.mean();
-    let per_sender_bps = 0.75 * 10e9 / senders as f64;
-    let gap = SimTime::from_secs_f64(mean_size_bytes * 8.0 / per_sender_bps);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let is_sink = spec.index == 0;
-        match cc {
-            Cc::TasRate { .. } | Cc::TasTimely => {
-                let (algo, tau_us) = match cc {
-                    Cc::TasRate { tau_us } => (CcAlgo::DctcpRate, tau_us),
-                    _ => (CcAlgo::Timely, 200),
-                };
-                let mut cfg = TasConfig::rpc_bench(2, 2);
-                cfg.cc = algo;
-                cfg.control_interval = SimTime::from_us(tau_us);
-                cfg.initial_rate_bps = 500_000_000;
-                cfg.rx_buf = 256 * 1024;
-                cfg.tx_buf = 256 * 1024;
-                cfg.max_core_backlog = SimTime::from_ms(50);
-                let app: Box<dyn App> = if is_sink {
-                    Box::new(FlowSink::new(5001))
-                } else {
-                    let mut g = FlowGen::new(vec![(sink_ip, 5001)], gap, seed + spec.index as u64);
-                    g.size_alpha = 1.2;
-                    Box::new(g)
-                };
-                sim.add_agent(Box::new(TasHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            }
-            _ => {
-                // Protocol-focused nodes: IX-like cheap stack so the CPU
-                // never interferes with the CC comparison (the paper's
-                // ns-3 nodes have no CPU model at all).
-                let mut cfg = StackHostConfig::ix(4);
-                cfg.model = ThreadModel::RunToCompletion;
-                cfg.tcp = TcpConfig {
-                    cc: if cc == Cc::Tcp {
-                        CcKind::NewReno
-                    } else {
-                        CcKind::Dctcp
-                    },
-                    ecn: cc != Cc::Tcp,
-                    recv_buf: 256 * 1024,
-                    send_buf: 256 * 1024,
-                    rto_min: SimTime::from_ms(5),
-                    ..TcpConfig::default()
-                };
-                cfg.max_core_backlog = SimTime::from_ms(50);
-                let app: Box<dyn App> = if is_sink {
-                    Box::new(FlowSink::new(5001))
-                } else {
-                    let mut g = FlowGen::new(vec![(sink_ip, 5001)], gap, seed + spec.index as u64);
-                    g.size_alpha = 1.2;
-                    Box::new(g)
-                };
-                sim.add_agent(Box::new(StackHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    profiles::ix(),
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            }
-        }
-    };
-    // RTT 100us: 25us one-way on the sink port, ~0 on sender links.
-    let sink_port = PortConfig {
-        prop_delay: SimTime::from_us(25),
-        ..PortConfig::tengig()
-    };
-    let sender_port = PortConfig {
-        prop_delay: SimTime::from_us(25),
-        ..PortConfig::tengig()
-    };
-    let topo = build_star(
-        &mut sim,
-        1 + senders,
-        move |i| if i == 0 { sink_port } else { sender_port },
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    // Monitor the bottleneck (switch port 0 toward the sink).
-    sim.agent_mut::<Switch>(topo.switch)
-        .monitor_port(0, SimTime::from_us(20));
-    let warmup = SimTime::from_ms(30);
-    sim.inject_timer(warmup, topo.switch, TIMER_SAMPLE_QUEUE, 0);
-    sim.run_until(warmup);
-    set_gate(&mut sim, topo.hosts[0], cc, warmup);
-    let window = scaled(SimTime::from_ms(150), SimTime::from_ms(500));
-    sim.run_until(warmup + window);
-    let sink = sink_of(&sim, topo.hosts[0], cc);
-    let fct_ms = sink.fct_all.mean() / 1e6;
-    let q = sim.agent::<Switch>(topo.switch).mean_queue_depth();
-    (fct_ms, q)
-}
-
-fn set_gate(sim: &mut Sim<NetMsg>, id: AgentId, cc: Cc, t: SimTime) {
-    match cc {
-        Cc::TasRate { .. } | Cc::TasTimely => {
-            sim.agent_mut::<TasHost>(id)
-                .app_as_mut::<FlowSink>()
-                .measure_from = t
-        }
-        _ => {
-            sim.agent_mut::<StackHost>(id)
-                .app_as_mut::<FlowSink>()
-                .measure_from = t
-        }
-    }
-}
-
-fn sink_of(sim: &Sim<NetMsg>, id: AgentId, cc: Cc) -> &FlowSink {
-    match cc {
-        Cc::TasRate { .. } | Cc::TasTimely => sim.agent::<TasHost>(id).app_as::<FlowSink>(),
-        _ => sim.agent::<StackHost>(id).app_as::<FlowSink>(),
-    }
-}
+use tas_bench::scenarios::fig11;
+use tas_bench::section;
 
 fn main() {
     section(
         "Figure 11: single 10G link at 75% load — FCT and queue vs. control interval",
         "TAS ~ DCTCP for tau >= RTT (100us); small tau converges slowly; queue grows mildly with tau",
     );
-    let (tcp_fct, tcp_q) = run(Cc::Tcp, 11);
-    let (dctcp_fct, dctcp_q) = run(Cc::Dctcp, 12);
-    println!("reference lines:   TCP: FCT {tcp_fct:.2} ms, queue {tcp_q:.1} pkts");
-    println!("                 DCTCP: FCT {dctcp_fct:.2} ms, queue {dctcp_q:.1} pkts");
+    let o = fig11::sweep();
+    println!(
+        "reference lines:   TCP: FCT {:.2} ms, queue {:.1} pkts",
+        o.tcp.0, o.tcp.1
+    );
+    println!(
+        "                 DCTCP: FCT {:.2} ms, queue {:.1} pkts",
+        o.dctcp.0, o.dctcp.1
+    );
     println!();
     println!(
         "{:<10} {:>12} {:>14}",
         "tau [us]", "TAS FCT ms", "TAS queue pkts"
     );
-    let taus: Vec<u64> = scaled(
-        vec![50, 100, 400, 1000],
-        vec![25, 50, 100, 200, 400, 600, 800, 1000],
-    );
-    let mut tas_rows = Vec::new();
-    for &tau in &taus {
-        let (fct, q) = run(Cc::TasRate { tau_us: tau }, 13 + tau);
+    for (tau, fct, q) in &o.tas {
         println!("{tau:<10} {fct:>12.2} {q:>14.1}");
-        tas_rows.push((tau, fct, q));
     }
     println!();
-    let (timely_fct, timely_q) = run(Cc::TasTimely, 29);
     println!(
-        "extension — TAS running TIMELY (tau 200us): FCT {timely_fct:.2} ms, queue {timely_q:.1} \
-         pkts (the paper names TIMELY as a pluggable policy but does not evaluate it)"
+        "extension — TAS running TIMELY (tau 200us): FCT {:.2} ms, queue {:.1} \
+         pkts (the paper names TIMELY as a pluggable policy but does not evaluate it)",
+        o.timely.0, o.timely.1
     );
     println!();
     println!(
         "paper shape: TAS FCT ~= DCTCP's for tau > RTT; TCP's queue is much larger than DCTCP/TAS"
     );
-    let mut rep = tas_bench::report::Report::new(
-        "fig11",
-        "Single-link CC fidelity: FCT and bottleneck queue",
-        11,
-    );
-    rep.param("load", "0.75").param("senders", 8);
-    let fct_us = |ms: f64| ms * 1000.0;
-    rep.push(tas_bench::report::Metric::value("tcp_fct", "us", fct_us(tcp_fct)).with_tol(0.20));
-    rep.push(tas_bench::report::Metric::value("dctcp_fct", "us", fct_us(dctcp_fct)).with_tol(0.20));
-    rep.push(tas_bench::report::Metric::value("tcp_queue_pkts", "pkts", tcp_q));
-    rep.push(tas_bench::report::Metric::value("dctcp_queue_pkts", "pkts", dctcp_q));
-    for &(tau, fct, q) in &tas_rows {
-        rep.push(
-            tas_bench::report::Metric::value(&format!("tas_tau{tau}_fct"), "us", fct_us(fct))
-                .with_tol(0.20),
-        );
-        rep.push(tas_bench::report::Metric::value(
-            &format!("tas_tau{tau}_queue_pkts"),
-            "pkts",
-            q,
-        ));
-    }
-    let path = rep.write().expect("write BENCH_fig11.json");
+    let path = fig11::report_from(&o)
+        .write()
+        .expect("write BENCH_fig11.json");
     println!("report: {}", path.display());
 }

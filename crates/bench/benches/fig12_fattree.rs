@@ -5,171 +5,33 @@
 //! both short (≤50 packets) and long flows; TCP's tail is worse. We run a
 //! scaled-down k = 4 (quick) / k = 8 (TAS_FULL) FatTree with the same
 //! 1:4 core oversubscription — documented in EXPERIMENTS.md.
+//!
+//! The runner lives in `tas_bench::scenarios::fig12` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas::{CcAlgo, TasConfig, TasHost};
-use tas_apps::flows::{FlowGen, FlowSink};
-use tas_baselines::{profiles, StackHost, StackHostConfig};
-use tas_bench::{scaled, section};
-use tas_netsim::app::App;
-use tas_netsim::topo::{build_fattree, FatTreeConfig, HostSpec};
-use tas_netsim::NetMsg;
-use tas_sim::{AgentId, Histogram, Sim, SimTime};
-use tas_tcp::{CcKind, TcpConfig};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Cc {
-    Tcp,
-    Dctcp,
-    TasRate,
-}
-
-/// Returns (short-flow FCT histogram, long-flow FCT histogram) in ns.
-fn run(cc: Cc, seed: u64) -> (Histogram, Histogram) {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let k = scaled(4usize, 8);
-    let n_hosts = k * k * k / 4;
-    // On-off flow generation toward random other hosts; with the 1:4
-    // oversubscribed core, ~0.5 of the host link loads the core to ~30%+.
-    let size_dist = tas_sim::dist::BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, 1.2);
-    let mean_size = size_dist.mean();
-    let per_host_bps = 0.5 * 10e9;
-    let gap = SimTime::from_secs_f64(mean_size * 8.0 / per_host_bps);
-    let all_dests: Vec<(std::net::Ipv4Addr, u16)> = (0..n_hosts as u32)
-        .map(|i| (tas_netsim::topo::host_ip(i), 5001))
-        .collect();
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        // Every host runs both a sink and a generator; the App trait takes
-        // one app, so hosts run a generator and sinks live on every host
-        // via... combine: FlowGen connects out; FlowSink listens. We give
-        // even hosts generators and odd hosts sinks to keep one app per
-        // host (documented scale-down).
-        let dests: Vec<_> = all_dests
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| i % 2 == 1 && *i as u32 != spec.index)
-            .map(|(_, d)| d)
-            .collect();
-        let app: Box<dyn App> = if spec.index.is_multiple_of(2) {
-            let mut g = FlowGen::new(dests, gap, seed + spec.index as u64);
-            g.size_alpha = 1.2;
-            Box::new(g)
-        } else {
-            Box::new(FlowSink::new(5001))
-        };
-        match cc {
-            Cc::TasRate => {
-                let mut cfg = TasConfig::rpc_bench(1, 1);
-                cfg.cc = CcAlgo::DctcpRate;
-                cfg.control_interval = SimTime::from_us(100);
-                cfg.initial_rate_bps = 500_000_000;
-                cfg.rx_buf = 128 * 1024;
-                cfg.tx_buf = 128 * 1024;
-                cfg.max_core_backlog = SimTime::from_ms(50);
-                sim.add_agent(Box::new(TasHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            }
-            _ => {
-                let mut cfg = StackHostConfig::ix(2);
-                cfg.tcp = TcpConfig {
-                    cc: if cc == Cc::Tcp {
-                        CcKind::NewReno
-                    } else {
-                        CcKind::Dctcp
-                    },
-                    ecn: cc != Cc::Tcp,
-                    recv_buf: 128 * 1024,
-                    send_buf: 128 * 1024,
-                    rto_min: SimTime::from_ms(5),
-                    ..TcpConfig::default()
-                };
-                cfg.max_core_backlog = SimTime::from_ms(50);
-                sim.add_agent(Box::new(StackHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    profiles::ix(),
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            }
-        }
-    };
-    let cfg = FatTreeConfig {
-        k,
-        ..FatTreeConfig::paper_scaled()
-    };
-    let topo = build_fattree(&mut sim, cfg, &mut factory);
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    let warmup = SimTime::from_ms(30);
-    sim.run_until(warmup);
-    for (i, &h) in topo.hosts.iter().enumerate() {
-        if i % 2 == 1 {
-            match cc {
-                Cc::TasRate => {
-                    sim.agent_mut::<TasHost>(h)
-                        .app_as_mut::<FlowSink>()
-                        .measure_from = warmup
-                }
-                _ => {
-                    sim.agent_mut::<StackHost>(h)
-                        .app_as_mut::<FlowSink>()
-                        .measure_from = warmup
-                }
-            }
-        }
-    }
-    let window = scaled(SimTime::from_ms(120), SimTime::from_ms(400));
-    sim.run_until(warmup + window);
-    let mut short = Histogram::new();
-    let mut long = Histogram::new();
-    for (i, &h) in topo.hosts.iter().enumerate() {
-        if i % 2 == 1 {
-            let sink = match cc {
-                Cc::TasRate => sim.agent::<TasHost>(h).app_as::<FlowSink>(),
-                _ => sim.agent::<StackHost>(h).app_as::<FlowSink>(),
-            };
-            short.merge(&sink.fct_short);
-            long.merge(&sink.fct_long);
-        }
-    }
-    (short, long)
-}
+use tas_bench::scenarios::fig12;
+use tas_bench::section;
 
 fn main() {
     section(
         "Figure 12: FatTree FCT distributions (short <=50 pkts / long flows)",
         "TAS ~ DCTCP in both CDFs; TCP worse in the tail (scaled k-ary tree)",
     );
+    let k = fig12::k();
     println!(
-        "(k = {}, {} hosts, 1:4 oversubscribed core, tau = 100us)",
-        scaled(4, 8),
-        scaled(16, 128)
+        "(k = {k}, {} hosts, 1:4 oversubscribed core, tau = 100us)",
+        k * k * k / 4
     );
-    let runs = [(Cc::Tcp, "TCP"), (Cc::Dctcp, "DCTCP"), (Cc::TasRate, "TAS")];
-    let mut results = Vec::new();
-    for (cc, name) in runs {
-        let (s, l) = run(cc, 21);
-        results.push((name, s, l));
-    }
-    for (which, pick) in [("short flows (<=50 pkts)", 0usize), ("long flows", 1)] {
+    let rows = fig12::sweep();
+    for (which, short) in [("short flows (<=50 pkts)", true), ("long flows", false)] {
         println!();
         println!("{which}: FCT percentiles [ms]");
         println!(
             "{:<8} {:>8} {:>8} {:>8} {:>8} {:>8}",
             "cc", "p50", "p90", "p99", "mean", "flows"
         );
-        for (name, s, l) in &results {
-            let h = if pick == 0 { s } else { l };
+        for (name, s, l) in &rows {
+            let h = if short { s } else { l };
             println!(
                 "{:<8} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8}",
                 name,
@@ -183,19 +45,8 @@ fn main() {
     }
     println!();
     println!("paper shape: TAS's distribution tracks DCTCP's; TCP has the heavier tail");
-    let mut rep = tas_bench::report::Report::new("fig12", "FatTree flow completion times", 21);
-    rep.param("k", scaled(4, 8)).param("hosts", scaled(16, 128));
-    for (name, s, l) in &results {
-        let tag = name.to_lowercase();
-        rep.push(
-            tas_bench::report::Metric::quantiles(&format!("{tag}_short_fct"), "ns", s)
-                .with_tol(0.20),
-        );
-        rep.push(
-            tas_bench::report::Metric::quantiles(&format!("{tag}_long_fct"), "ns", l)
-                .with_tol(0.20),
-        );
-    }
-    let path = rep.write().expect("write BENCH_fig12.json");
+    let path = fig12::report_from(&rows)
+        .write()
+        .expect("write BENCH_fig12.json");
     println!("report: {}", path.display());
 }

@@ -5,111 +5,35 @@
 //! two fast-path cores + partial slow path). With ≥4 RPCs/connection TAS
 //! outperforms Linux; with 256 RPCs/connection TAS reaches 95% of its
 //! persistent-connection throughput.
+//!
+//! The runner lives in `tas_bench::scenarios::fig5` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas_apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_bench::{full_scale, make_server, scaled, section, Bufs, Kind};
-use tas_netsim::app::App;
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, Sim, SimTime};
-
-/// Runs short-lived echo with `msgs_per_conn` and returns mOps.
-fn run(kind: Kind, msgs_per_conn: u32, conns: u32, measure: SimTime) -> f64 {
-    let mut sim: Sim<NetMsg> = Sim::new(7 + msgs_per_conn as u64);
-    let server_ip = host_ip(0);
-    let client_hosts = 4usize;
-    let per_client = conns / client_hosts as u32;
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 0 {
-            let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300));
-            make_server(sim, spec, kind, (2, 1), Bufs::tiny(), app)
-        } else {
-            // Clients run on TAS so they are never the bottleneck.
-            let lifetime = if msgs_per_conn == u32::MAX {
-                Lifetime::Persistent
-            } else {
-                Lifetime::ShortLived { msgs_per_conn }
-            };
-            let app: Box<dyn App> =
-                Box::new(RpcClient::new(server_ip, 7, per_client, 1, 64, lifetime));
-            make_server(sim, spec, Kind::TasSockets, (2, 2), Bufs::tiny(), app)
-        }
-    };
-    let topo = build_star(
-        &mut sim,
-        1 + client_hosts,
-        |i| {
-            if i == 0 {
-                PortConfig::fortygig()
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    let warmup = SimTime::from_ms(30);
-    sim.run_until(warmup);
-    let t0_msgs = server_msgs(&sim, topo.hosts[0], kind);
-    sim.run_until(warmup + measure);
-    let t1_msgs = server_msgs(&sim, topo.hosts[0], kind);
-    (t1_msgs - t0_msgs) as f64 / measure.as_secs_f64() / 1e6
-}
-
-fn server_msgs(sim: &Sim<NetMsg>, id: AgentId, kind: Kind) -> u64 {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            sim.agent::<tas::TasHost>(id)
-                .app_as::<EchoServer>()
-                .messages
-        }
-        _ => {
-            sim.agent::<tas_baselines::StackHost>(id)
-                .app_as::<EchoServer>()
-                .messages
-        }
-    }
-}
+use tas_bench::scenarios::fig5;
+use tas_bench::section;
 
 fn main() {
     section(
         "Figure 5: throughput with short-lived connections",
         "TAS beats Linux from ~4 RPCs/conn; 95% of line throughput at 256",
     );
-    let conns = scaled(128, 1_024);
-    let measure = scaled(SimTime::from_ms(30), SimTime::from_ms(100));
-    let sweep: Vec<u32> = if full_scale() {
-        vec![1, 2, 4, 16, 64, 256, 1_024, 4_096]
-    } else {
-        vec![1, 4, 16, 64, 256]
-    };
-    println!("({conns} concurrent connections)");
+    let o = fig5::sweep();
+    println!("({} concurrent connections)", o.conns);
     println!(
         "{:<12} {:>10} {:>10}",
         "msgs/conn", "TAS mOps", "Linux mOps"
     );
-    let mut tas_results = Vec::new();
-    for &m in &sweep {
-        let t = run(Kind::TasSockets, m, conns, measure);
-        let l = run(Kind::Linux, m, conns, measure);
-        tas_results.push((m, t, l));
+    for (m, t, l) in &o.rows {
         println!("{m:<12} {t:>10.3} {l:>10.3}");
     }
-    let t_inf = run(Kind::TasSockets, u32::MAX, conns, measure);
-    println!("{:<12} {t_inf:>10.3} {:>10}", "persistent", "-");
+    println!(
+        "{:<12} {:>10.3} {:>10}",
+        "persistent", o.tas_persistent, "-"
+    );
     println!();
     // Shape checks: throughput grows with msgs/conn; TAS wins at >= 4.
-    let first = tas_results.first().expect("rows");
-    let last = tas_results.last().expect("rows");
+    let first = o.rows.first().expect("rows");
+    let last = o.rows.last().expect("rows");
     println!(
         "TAS grows {:.2} -> {:.2} mOps; at {} msgs/conn TAS/Linux = {:.1}x",
         first.1,
@@ -118,25 +42,8 @@ fn main() {
         last.1 / last.2
     );
     println!("paper: TAS outperforms Linux with >=4 RPCs/conn; 95% utilization at 256");
-    let mut rep = tas_bench::report::Report::new("fig5", "Short-lived connection throughput", 7);
-    rep.param("conns", conns);
-    for &(m, t, l) in &tas_results {
-        rep.push(tas_bench::report::Metric::value(
-            &format!("tas_{m}mpc"),
-            "mops",
-            t,
-        ));
-        rep.push(tas_bench::report::Metric::value(
-            &format!("linux_{m}mpc"),
-            "mops",
-            l,
-        ));
-    }
-    rep.push(tas_bench::report::Metric::value(
-        "tas_persistent",
-        "mops",
-        t_inf,
-    ));
-    let path = rep.write().expect("write BENCH_fig5.json");
+    let path = fig5::report_from(&o)
+        .write()
+        .expect("write BENCH_fig5.json");
     println!("report: {}", path.display());
 }

@@ -4,83 +4,47 @@
 //! Paper: 32k connections; TAS LL up to 9.6× Linux and 1.9× IX; TAS SO up
 //! to 7.0× Linux and 1.3× IX. Table 6 gives the app/TAS core split used
 //! at each total core count.
+//!
+//! The runner lives in `tas_bench::scenarios::fig8` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas_bench::{fmt_mops, full_scale, scaled, section, Kind, RpcScenario};
-use tas_sim::SimTime;
-
-/// Table 6 core splits (app, TAS) per total core count.
-fn split(kind: Kind, total: usize) -> (usize, usize) {
-    // Paper Table 6: Sockets — app 1/2/5/7/9, TAS 1/2/3/5/7 at 2/4/8/12/16.
-    // Lowlevel — even split. We map (fp, app) = (TAS, app).
-    let so_app = [(2, 1), (4, 2), (8, 5), (12, 7), (16, 9)];
-    match kind {
-        Kind::TasSockets => {
-            let app = so_app
-                .iter()
-                .find(|(t, _)| *t == total)
-                .map(|(_, a)| *a)
-                .unwrap_or(total / 2);
-            (total - app, app)
-        }
-        Kind::TasLowLevel => (total / 2, total - total / 2),
-        // Baselines use all cores as one pool.
-        _ => (total / 2, total - total / 2),
-    }
-}
+use tas_bench::scenarios::fig8;
+use tas_bench::{fmt_mops, section, Kind};
 
 fn main() {
     section(
         "Figure 8 + Table 6: KV-store throughput vs. total server cores",
         "TAS LL up to 9.6x Linux / 1.9x IX; TAS SO 7.0x / 1.3x (32k conns)",
     );
-    let conns = scaled(4_000, 32_000);
-    let totals: Vec<usize> = scaled(vec![2, 4, 8, 16], vec![2, 4, 8, 12, 16]);
-    println!("(connections: {conns})");
+    println!("(connections: {})", fig8::conns());
     println!(
         "{:<7} {:>9} {:>9} {:>9} {:>9}",
         "cores", "TAS LL", "TAS SO", "IX", "Linux"
     );
-    let mut at_max = [0.0f64; 4];
-    for &total in &totals {
-        let mut row = format!("{total:<7}");
-        for (i, kind) in [Kind::TasLowLevel, Kind::TasSockets, Kind::Ix, Kind::Linux]
-            .into_iter()
-            .enumerate()
-        {
-            let cores = split(kind, total);
-            let mut sc = RpcScenario::kv(kind, cores, conns);
-            sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
-            sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
-            sc.seed = 7 + total as u64;
-            let r = tas_bench::run_rpc(&sc);
-            row += &format!(" {:>8}", fmt_mops(r.mops));
-            at_max[i] = r.mops;
-        }
-        println!("{row}");
+    let rows = fig8::sweep();
+    for (total, mops) in &rows {
+        let cells = mops.map(|m| format!(" {:>8}", fmt_mops(m)));
+        println!("{total:<7}{}", cells.join(""));
     }
     println!();
     println!("Table 6 core splits used (app/TAS):");
-    for &total in &totals {
-        let (fp, app) = split(Kind::TasSockets, total);
-        let (fpl, appl) = split(Kind::TasLowLevel, total);
+    for (total, _) in &rows {
+        let (fp, app) = fig8::split(Kind::TasSockets, *total);
+        let (fpl, appl) = fig8::split(Kind::TasLowLevel, *total);
         println!("  {total} cores: sockets {app}/{fp}, lowlevel {appl}/{fpl}");
     }
     println!();
+    let [ll, so, ix, linux] = rows.last().expect("rows").1;
     println!(
         "at max cores: TAS LL/Linux = {:.1}x, TAS LL/IX = {:.1}x, TAS SO/Linux = {:.1}x, TAS SO/IX = {:.1}x",
-        at_max[0] / at_max[3],
-        at_max[0] / at_max[2],
-        at_max[1] / at_max[3],
-        at_max[1] / at_max[2],
+        ll / linux,
+        ll / ix,
+        so / linux,
+        so / ix,
     );
     println!("paper: 9.6x, 1.9x, 7.0x, 1.3x");
-    let _ = full_scale();
-    let mut rep =
-        tas_bench::report::Report::new("fig8", "KV throughput scalability at max cores", 7);
-    rep.param("conns", conns).param("cores", *totals.last().expect("totals"));
-    for (i, name) in ["tas_ll", "tas_so", "ix", "linux"].iter().enumerate() {
-        rep.push(tas_bench::report::Metric::value(name, "mops", at_max[i]));
-    }
-    let path = rep.write().expect("write BENCH_fig8.json");
+    let path = fig8::report_from(&rows)
+        .write()
+        .expect("write BENCH_fig8.json");
     println!("report: {}", path.display());
 }

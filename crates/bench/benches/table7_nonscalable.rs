@@ -5,27 +5,12 @@
 //! TAS SO 2.4/3.1/3.1; IX 1.5/2.5/2.8/2.8 at 1–4; Linux 0.3/0.4/0.6/0.8.
 //! TAS scales the *stack* even when the app cannot scale: in the limit
 //! 1.6× IX and 5.7× Linux.
+//!
+//! The runner lives in `tas_bench::scenarios::table7` so this harness and
+//! the `bench-report` regression gate measure the exact same scenario.
 
-use tas_bench::{fmt_mops, scaled, section, Kind, RpcScenario};
-use tas_sim::SimTime;
-
-fn run(kind: Kind, total: usize) -> f64 {
-    // TAS keeps ONE app core and grows fast-path cores; baselines grow
-    // the shared pool.
-    let cores = match kind {
-        Kind::TasSockets | Kind::TasLowLevel => (total.saturating_sub(1).max(1), 1),
-        _ => (total / 2, total - total / 2),
-    };
-    let mut sc = RpcScenario::kv(kind, cores, 256);
-    // Single hot key: every operation contends on the update lock. The
-    // contention charge scales with the number of app cores.
-    sc.kv_contention = 1_200;
-    sc.warmup = SimTime::from_ms(15);
-    sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
-    sc.client_hosts = 4;
-    sc.seed = 99 + total as u64;
-    tas_bench::run_rpc(&sc).mops
-}
+use tas_bench::scenarios::table7;
+use tas_bench::{fmt_mops, section};
 
 fn main() {
     section(
@@ -36,31 +21,20 @@ fn main() {
         "{:<9} {:>9} {:>9} {:>9} {:>9}",
         "cores", "TAS LL", "TAS SO", "IX", "Linux"
     );
-    let mut last = [0.0f64; 4];
-    for total in [2usize, 3, 4] {
-        let mut row = format!("{total:<9}");
-        for (i, kind) in [Kind::TasLowLevel, Kind::TasSockets, Kind::Ix, Kind::Linux]
-            .into_iter()
-            .enumerate()
-        {
-            let m = run(kind, total);
-            row += &format!(" {:>8}", fmt_mops(m));
-            last[i] = m;
-        }
-        println!("{row}");
+    let rows = table7::sweep();
+    for (total, mops) in &rows {
+        let cells = mops.map(|m| format!(" {:>8}", fmt_mops(m)));
+        println!("{total:<9}{}", cells.join(""));
     }
     println!();
+    let [ll, _, ix, linux] = rows.last().expect("rows").1;
     println!(
         "in the limit: TAS LL/IX = {:.1}x, TAS LL/Linux = {:.1}x (paper: 1.6x, 5.7x)",
-        last[0] / last[2],
-        last[0] / last[3]
+        ll / ix,
+        ll / linux
     );
-    let mut rep =
-        tas_bench::report::Report::new("table7", "Non-scalable KV workload at 4 cores", 99);
-    rep.param("conns", 256).param("cores", 4);
-    for (i, name) in ["tas_ll", "tas_so", "ix", "linux"].iter().enumerate() {
-        rep.push(tas_bench::report::Metric::value(name, "mops", last[i]));
-    }
-    let path = rep.write().expect("write BENCH_table7.json");
+    let path = table7::report_from(&rows)
+        .write()
+        .expect("write BENCH_table7.json");
     println!("report: {}", path.display());
 }

@@ -1,142 +1,6 @@
-//! Machine-readable bench report generator and regression gate.
-//!
-//! ```text
-//! bench-report            # generate all gated reports, then check
-//! bench-report generate   # run every gated scenario, write BENCH_*.json
-//! bench-report check      # compare BENCH_*.json against baselines/
-//! bench-report pin        # copy current BENCH_*.json into baselines/
-//! ```
-//!
-//! `check` exits nonzero on any tolerance violation, which is what CI
-//! gates on. `UPDATE_BASELINE=1 bench-report` (or `pin`) re-pins the
-//! checked-in baselines from a fresh run. Reports compare only within
-//! the same scale mode (`TAS_FULL=1` selects paper scale), so a quick CI
-//! run never gates against a full-scale baseline.
+//! `bench-report [generate|check|pin|selftest] [name…]` — the one driver
+//! over the report catalogue; see [`tas_bench::gate`] for the modes.
 
-use std::process::ExitCode;
-use tas_bench::report::{self, compare, Report};
-use tas_bench::scenarios;
-
-fn generate() -> Vec<Report> {
-    let mut out = Vec::new();
-    for (name, build) in scenarios::gated_reports() {
-        eprintln!("bench-report: running {name} ...");
-        let r = build();
-        let path = r.write().expect("write report");
-        // Round-trip through the schema so a generator bug fails here,
-        // not in CI's separate validation step.
-        let body = std::fs::read_to_string(&path).expect("read back");
-        report::validate(&body).expect("generated report must be schema-valid");
-        println!("wrote {}", path.display());
-        out.push(r);
-    }
-    out
-}
-
-fn load_current() -> Vec<Report> {
-    let mut out = Vec::new();
-    for (name, _) in scenarios::gated_reports() {
-        let path = report::repo_root().join(format!("BENCH_{name}.json"));
-        match std::fs::read_to_string(&path) {
-            Ok(body) => match Report::from_json(&body) {
-                Ok(r) => out.push(r),
-                Err(e) => eprintln!("bench-report: {}: {e}", path.display()),
-            },
-            Err(_) => eprintln!(
-                "bench-report: missing {} (run `bench-report generate`)",
-                path.display()
-            ),
-        }
-    }
-    out
-}
-
-fn check(current: &[Report]) -> ExitCode {
-    let dir = report::baselines_dir();
-    let mut regressions = Vec::new();
-    let mut compared = 0usize;
-    for r in current {
-        let base_path = dir.join(format!("BENCH_{}.json", r.fig));
-        let Ok(body) = std::fs::read_to_string(&base_path) else {
-            println!("{}: no baseline, skipping", r.fig);
-            continue;
-        };
-        let base = match Report::from_json(&body) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("bench-report: bad baseline {}: {e}", base_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let regs = compare(r, &base);
-        if regs.iter().any(|x| x.field == "scale") {
-            println!(
-                "{}: scale mismatch (current {}, baseline {}), skipping",
-                r.fig, r.scale, base.scale
-            );
-            continue;
-        }
-        compared += 1;
-        if regs.is_empty() {
-            println!("{}: OK ({} metrics)", r.fig, base.metrics.len());
-        }
-        regressions.extend(regs);
-    }
-    if !regressions.is_empty() {
-        eprintln!();
-        eprintln!("REGRESSIONS ({}):", regressions.len());
-        for reg in &regressions {
-            eprintln!("  {reg}");
-        }
-        return ExitCode::FAILURE;
-    }
-    println!("bench-report: gate passed ({compared} reports compared)");
-    ExitCode::SUCCESS
-}
-
-fn pin(current: &[Report]) -> ExitCode {
-    let dir = report::baselines_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("bench-report: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    for r in current {
-        let path = dir.join(format!("BENCH_{}.json", r.fig));
-        std::fs::write(&path, r.to_json()).expect("write baseline");
-        println!("pinned {}", path.display());
-    }
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let mode = std::env::args().nth(1).unwrap_or_default();
-    let repin = std::env::var("UPDATE_BASELINE").map(|v| v == "1").unwrap_or(false);
-    match mode.as_str() {
-        "generate" => {
-            let cur = generate();
-            if repin {
-                return pin(&cur);
-            }
-            ExitCode::SUCCESS
-        }
-        "check" => check(&load_current()),
-        "pin" => {
-            let cur = load_current();
-            if cur.is_empty() {
-                return pin(&generate());
-            }
-            pin(&cur)
-        }
-        "" => {
-            let cur = generate();
-            if repin {
-                return pin(&cur);
-            }
-            check(&cur)
-        }
-        other => {
-            eprintln!("usage: bench-report [generate|check|pin]  (got {other:?})");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    tas_bench::gate::main()
 }

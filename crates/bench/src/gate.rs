@@ -1,0 +1,266 @@
+//! The one gate over the report catalogue ([`crate::scenarios::catalogue`]):
+//! the whole of the `bench-report` binary.
+//!
+//! ```text
+//! bench-report [name…]            # generate, then check
+//! bench-report generate [name…]   # run the builders, write BENCH_<name>.* at the repo root
+//! bench-report check [name…]      # gate the files at the repo root against baselines/
+//! bench-report pin [name…]        # copy the files at the repo root into baselines/
+//! bench-report selftest [name…]   # prove the gate trips
+//! ```
+//!
+//! Without names a mode covers every modelled entry this build can
+//! produce (`fig6spans` needs `--features trace`, `cpuprof` needs
+//! `--features profile`); the wall-clock `simspeed` entry runs only when
+//! named, because its pin is a property of the machine that wrote it.
+//!
+//! A modelled pin is a behavioural contract: `check` compares it
+//! byte-for-byte, and on a mismatch prints the tolerance comparator's
+//! per-metric classification as the explanation. Wall-clock entries are
+//! gated by that comparator alone. Every entry's invariants are checked
+//! on the current report either way. `UPDATE_BASELINE=1 bench-report
+//! [name…]` (or `pin`) re-pins deliberately. Reports are compared only
+//! within one scale mode (`TAS_FULL=1` selects paper scale), so a
+//! full-scale run never gates against a quick pin.
+
+use crate::report::{self, compare, MetricData, Report};
+use crate::scenarios::{catalogue, Build, Entry};
+use std::path::PathBuf;
+use std::process::ExitCode;
+
+/// `BENCH_<name>.<ext>` at the repo root, where generated files land.
+fn current(name: &str, ext: &str) -> PathBuf {
+    report::repo_root().join(format!("BENCH_{name}.{ext}"))
+}
+
+/// The pinned copy of [`current`].
+fn pinned(name: &str, ext: &str) -> PathBuf {
+    report::baselines_dir().join(format!("BENCH_{name}.{ext}"))
+}
+
+fn read(path: PathBuf, hint: &str) -> Result<String, String> {
+    std::fs::read_to_string(&path).map_err(|_| format!("missing {} ({hint})", path.display()))
+}
+
+fn write(path: PathBuf, body: &str) -> Result<(), String> {
+    std::fs::write(&path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+/// The files an entry produces: its report, then any side artefact.
+fn exts(e: &Entry) -> Vec<&'static str> {
+    match e.build {
+        Build::WithSide(ext, _) => vec!["json", ext],
+        _ => vec!["json"],
+    }
+}
+
+/// Runs the builder: the report and its side artefact, if it has one.
+fn build(e: &Entry) -> Result<(Report, Option<String>), String> {
+    eprintln!("bench-report: running {} ...", e.name);
+    match e.build {
+        Build::Report(f) => Ok((f(), None)),
+        Build::WithSide(_, f) => {
+            let (r, side) = f();
+            Ok((r, Some(side)))
+        }
+        Build::Needs(feature) => Err(format!("rebuild with --features {feature}")),
+    }
+}
+
+fn generate(e: &Entry) -> Result<(), String> {
+    let (r, side) = build(e)?;
+    let body = r.to_json();
+    // Round-trip through the schema so a generator bug fails here, not
+    // at the next check.
+    report::validate(&body)?;
+    let bodies = [Some(body), side];
+    let mut files = exts(e).into_iter().zip(bodies.iter().flatten());
+    files.try_for_each(|(ext, body)| write(current(e.name, ext), body))
+}
+
+/// What the tolerance gate holds against `cur`: violated invariants, and
+/// every regression beyond tolerance relative to `base`.
+fn objections(e: &Entry, cur: &Report, base: &Report) -> Vec<String> {
+    let mut out: Vec<String> = (e.invariants)(cur)
+        .into_iter()
+        .filter(|(_, pass)| !pass)
+        .map(|(what, _)| format!("invariant VIOLATED: {what}"))
+        .collect();
+    out.extend(compare(cur, base).iter().map(|r| format!("REGRESSION {r}")));
+    out
+}
+
+/// Gates one entry's current report text against its pin's: `Ok` carries
+/// the one-line verdict, `Err` the objections.
+pub fn check_texts(e: &Entry, cur_text: &str, pin_text: &str) -> Result<String, String> {
+    let cur = Report::from_json(cur_text)?;
+    let pin = Report::from_json(pin_text).map_err(|err| format!("bad pin: {err}"))?;
+    let same_scale = cur.scale == pin.scale;
+    let mut problems = objections(e, &cur, if same_scale { &pin } else { &cur });
+    if same_scale && !e.wall_clock && cur_text != pin_text {
+        problems.insert(0, "differs from its pin; per metric:".into());
+        problems.extend(report::explain(&cur, &pin));
+    }
+    if !problems.is_empty() {
+        return Err(problems.join("\n  "));
+    }
+    let held = match (e.invariants)(&cur).len() {
+        0 => String::new(),
+        n => format!(", {n} invariants hold"),
+    };
+    Ok(if !same_scale {
+        format!(
+            "scale mismatch (current {}, pin {}): pin not compared{held}",
+            cur.scale, pin.scale
+        )
+    } else {
+        let how = if e.wall_clock {
+            "within tolerance of"
+        } else {
+            "byte-identical to"
+        };
+        format!("OK ({} metrics {how} the pin{held})", pin.metrics.len())
+    })
+}
+
+fn check(e: &Entry) -> Result<(), String> {
+    let texts = |ext| -> Result<(String, String), String> {
+        Ok((
+            read(current(e.name, ext), "run `bench-report generate`")?,
+            read(pinned(e.name, ext), "run `bench-report pin`")?,
+        ))
+    };
+    let (cur, pin) = texts("json")?;
+    println!("{}: {}", e.name, check_texts(e, &cur, &pin)?);
+    for ext in exts(e).into_iter().skip(1) {
+        let (cur, pin) = texts(ext)?;
+        if cur != pin {
+            return Err(format!("BENCH_{}.{ext} differs from its pin", e.name));
+        }
+    }
+    Ok(())
+}
+
+fn pin(e: &Entry) -> Result<(), String> {
+    for ext in exts(e) {
+        let body = read(current(e.name, ext), "run `bench-report generate`")?;
+        write(pinned(e.name, ext), &body)?;
+    }
+    Ok(())
+}
+
+/// `pin_text` with one value nudged: the first metric the tolerance
+/// comparator never gates if there is one (a drift only a byte-exact
+/// gate can see), else the first metric.
+pub fn perturbed(pin_text: &str) -> Result<String, String> {
+    let mut r = Report::from_json(pin_text)?;
+    let ungated = |m: &report::Metric| report::higher_is_worse(&m.unit).is_none();
+    let i = r.metrics.iter().position(ungated).unwrap_or(0);
+    match &mut r.metrics[i].data {
+        MetricData::Value(v) => *v += 1.0,
+        MetricData::Quantiles(q) => q.p50 += 1,
+    }
+    Ok(r.to_json())
+}
+
+/// Proves the gate gates. For every modelled entry, its own pin with one
+/// value nudged must fail `check`. For entries with a sabotage, a fresh
+/// report must pass the tolerance gate against itself and its sabotaged
+/// twin must not.
+fn selftest(e: &Entry) -> Result<(), String> {
+    if !e.wall_clock {
+        let pin = read(pinned(e.name, "json"), "run `bench-report pin`")?;
+        if check_texts(e, &pin, &perturbed(&pin)?).is_ok() {
+            return Err("a pin with one value nudged still passes check".into());
+        }
+        println!("{} selftest: nudged pin rejected", e.name);
+    }
+    let Some(sabotage) = e.sabotage else {
+        return Ok(());
+    };
+    let (fresh, _) = build(e)?;
+    let clean = objections(e, &fresh, &fresh);
+    if !clean.is_empty() {
+        return Err(format!("fresh report must pass: {}", clean.join("; ")));
+    }
+    let caught = objections(e, &sabotage(&fresh), &fresh);
+    if caught.is_empty() {
+        return Err("sabotaged report NOT caught".into());
+    }
+    println!(
+        "{} selftest: sabotage caught ({} objections, first: {})",
+        e.name,
+        caught.len(),
+        caught[0]
+    );
+    Ok(())
+}
+
+/// One mode's action on one entry.
+type Step = fn(&Entry) -> Result<(), String>;
+
+const USAGE: &str = "usage: bench-report [generate|check|pin|selftest] [name…]";
+
+/// The `bench-report` entry point.
+pub fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mode, names) = match args.split_first() {
+        Some((m, rest)) if ["generate", "check", "pin", "selftest"].contains(&m.as_str()) => {
+            (m.as_str(), rest)
+        }
+        _ => ("", &args[..]),
+    };
+    let repin = std::env::var("UPDATE_BASELINE").is_ok_and(|v| v == "1");
+    let steps: &[Step] = match (mode, repin) {
+        ("", false) => &[generate, check],
+        ("", true) | ("generate", true) => &[generate, pin],
+        ("generate", false) => &[generate],
+        ("check", _) => &[check],
+        ("pin", _) => &[pin],
+        _ => &[selftest],
+    };
+    let all = catalogue();
+    let mut selected: Vec<&Entry> = Vec::new();
+    for name in names {
+        match all.iter().find(|e| e.name == name) {
+            Some(e) => selected.push(e),
+            None => {
+                let known: Vec<&str> = all.iter().map(|e| e.name).collect();
+                eprintln!(
+                    "{USAGE}\nunknown report {name:?}; known: {}",
+                    known.join(" ")
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    if names.is_empty() {
+        for e in &all {
+            match e.build {
+                Build::Needs(feature) => {
+                    println!("{}: skipped (needs --features {feature})", e.name);
+                }
+                _ if e.wall_clock => {}
+                _ => selected.push(e),
+            }
+        }
+    }
+    let mut failed = 0;
+    for e in &selected {
+        if let Err(why) = steps.iter().try_for_each(|step| step(e)) {
+            eprintln!("{}: FAILED: {why}", e.name);
+            failed += 1;
+        }
+    }
+    if failed > 0 {
+        eprintln!(
+            "bench-report: {failed} of {} reports failed",
+            selected.len()
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("bench-report: {} reports passed", selected.len());
+    ExitCode::SUCCESS
+}

@@ -1,0 +1,240 @@
+//! One view over both host types.
+//!
+//! `TasHost` and `StackHost` expose the same harness observables under
+//! different names; [`Host`] is that common surface, and [`host`],
+//! [`host_mut`], [`app`] and [`app_mut`] find the concrete type behind
+//! an agent id themselves. Harness code therefore never needs to know
+//! which stack a host runs: [`crate::Kind`] only decides what
+//! [`crate::make_server`] constructs.
+
+use tas::{TasConfig, TasHost};
+use tas_baselines::{StackHost, StackHostConfig, StackProfile};
+use tas_cpusim::{CoreClass, CycleAccount};
+use tas_netsim::app::App;
+use tas_netsim::topo::{build_star, HostFactory, HostSpec, StarTopo};
+use tas_netsim::{NetMsg, NicConfig, PortConfig};
+use tas_sim::{AgentId, CoreUtilSeries, Registry, Scope, Sim, SimTime};
+
+/// What the harnesses read from (and switch on in) a host, whichever
+/// stack it runs.
+pub trait Host {
+    /// Cycle/instruction account (Tables 1–2).
+    fn account(&self) -> &CycleAccount;
+    /// The host's metric registry.
+    fn registry(&self) -> &Registry;
+    /// Connections established since creation.
+    fn established(&self) -> u64;
+    /// Exact busy cycles per core since creation, labelled like the
+    /// profiler's core labels (`fp0`, `sp0`, `app0`, … or `core0`, …) so
+    /// captures can be checked for exact conservation.
+    fn busy(&self) -> Vec<(String, u64)>;
+    /// Busy cycles on *host-class* cores. Differs from the sum of
+    /// [`Host::busy`] only for the off-path SmartNIC model, whose NIC
+    /// cores run the TCP stack, so the value is directly comparable
+    /// across stacks (the paper's "host CPU per request").
+    fn host_cycles(&self) -> u64;
+    /// Segments handled so far (rx + tx).
+    fn packets(&self) -> u64;
+    /// The per-core utilization series on the 1 ms grid and the label
+    /// prefix of the cores it covers.
+    fn core_util(&self) -> (&'static str, &CoreUtilSeries);
+    /// Opts this host into cycle-attribution profiling.
+    #[cfg(feature = "profile")]
+    fn enable_profiling(&mut self);
+
+    /// Backlog drops at the host's NIC.
+    fn drops(&self) -> u64 {
+        self.registry()
+            .counter_value("host.drop_backlog", Scope::Global)
+    }
+}
+
+fn labelled(prefix: &str, cycles: Vec<u64>) -> impl Iterator<Item = (String, u64)> + '_ {
+    cycles
+        .into_iter()
+        .enumerate()
+        .map(move |(i, c)| (format!("{prefix}{i}"), c))
+}
+
+impl Host for TasHost {
+    fn account(&self) -> &CycleAccount {
+        TasHost::account(self)
+    }
+    fn registry(&self) -> &Registry {
+        TasHost::registry(self)
+    }
+    fn established(&self) -> u64 {
+        self.sp_stats().established
+    }
+    fn busy(&self) -> Vec<(String, u64)> {
+        labelled("fp", self.fp_busy_cycles())
+            .chain([("sp0".to_string(), self.sp_busy_cycles())])
+            .chain(labelled("app", self.app_busy_cycles()))
+            .collect()
+    }
+    fn host_cycles(&self) -> u64 {
+        // Fast-path, slow-path and app cores are all host silicon.
+        let (fp, app) = (self.fp_busy_cycles(), self.app_busy_cycles());
+        fp.iter().chain(&app).sum::<u64>() + self.sp_busy_cycles()
+    }
+    fn packets(&self) -> u64 {
+        let fp = self.fp_stats();
+        fp.pkts_rx + fp.segs_tx + fp.acks_tx
+    }
+    fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
+        ("fp", self.fp_util_series())
+    }
+    #[cfg(feature = "profile")]
+    fn enable_profiling(&mut self) {
+        TasHost::enable_profiling(self)
+    }
+}
+
+impl Host for StackHost {
+    fn account(&self) -> &CycleAccount {
+        StackHost::account(self)
+    }
+    fn registry(&self) -> &Registry {
+        StackHost::registry(self)
+    }
+    fn established(&self) -> u64 {
+        StackHost::registry(self).counter_value("host.established", Scope::Global)
+    }
+    fn busy(&self) -> Vec<(String, u64)> {
+        labelled("core", self.busy_cycles()).collect()
+    }
+    fn host_cycles(&self) -> u64 {
+        self.busy_cycles_by_class(CoreClass::Host)
+    }
+    fn packets(&self) -> u64 {
+        let t = self.tcp_stats();
+        t.segs_in + t.segs_out
+    }
+    fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
+        ("core", self.core_util_series())
+    }
+    #[cfg(feature = "profile")]
+    fn enable_profiling(&mut self) {
+        StackHost::enable_profiling(self)
+    }
+}
+
+/// The host behind `id`, whichever stack it runs.
+///
+/// # Panics
+///
+/// Panics if `id` is neither a `TasHost` nor a `StackHost`.
+pub fn host(sim: &Sim<NetMsg>, id: AgentId) -> &dyn Host {
+    match sim.try_agent::<TasHost>(id) {
+        Some(h) => h,
+        None => sim.agent::<StackHost>(id),
+    }
+}
+
+/// Mutable form of [`host`].
+pub fn host_mut(sim: &mut Sim<NetMsg>, id: AgentId) -> &mut dyn Host {
+    if sim.try_agent::<TasHost>(id).is_some() {
+        sim.agent_mut::<TasHost>(id)
+    } else {
+        sim.agent_mut::<StackHost>(id)
+    }
+}
+
+/// The application running on host `id`, downcast to `T`.
+///
+/// # Panics
+///
+/// Panics if `id` is not a host or its application is not a `T`.
+pub fn app<T: 'static>(sim: &Sim<NetMsg>, id: AgentId) -> &T {
+    match sim.try_agent::<TasHost>(id) {
+        Some(h) => h.app_as(),
+        None => sim.agent::<StackHost>(id).app_as(),
+    }
+}
+
+/// Mutable form of [`app`].
+pub fn app_mut<T: 'static>(sim: &mut Sim<NetMsg>, id: AgentId) -> &mut T {
+    if sim.try_agent::<TasHost>(id).is_some() {
+        sim.agent_mut::<TasHost>(id).app_as_mut()
+    } else {
+        sim.agent_mut::<StackHost>(id).app_as_mut()
+    }
+}
+
+/// A fully configured stack, ready to be placed on a [`HostSpec`].
+pub enum HostCfg {
+    /// A TAS host.
+    Tas(TasConfig),
+    /// One of the baseline stack models.
+    Model(StackProfile, StackHostConfig),
+}
+
+/// Adds a host running `app` on the stack `cfg` describes.
+pub fn add_host(sim: &mut Sim<NetMsg>, spec: HostSpec, cfg: HostCfg, app: Box<dyn App>) -> AgentId {
+    match cfg {
+        HostCfg::Tas(cfg) => sim.add_agent(Box::new(TasHost::new(
+            spec.ip,
+            spec.mac,
+            spec.nic,
+            cfg,
+            spec.uplink,
+            app,
+        ))),
+        HostCfg::Model(profile, cfg) => sim.add_agent(Box::new(StackHost::new(
+            spec.ip,
+            spec.mac,
+            spec.nic,
+            profile,
+            cfg,
+            spec.uplink,
+            app,
+        ))),
+    }
+}
+
+/// The paper's testbed star: host 0 (the server) behind a 40G port and
+/// NIC, every other host on 10G.
+pub fn testbed_star(sim: &mut Sim<NetMsg>, n: usize, make_host: &mut HostFactory<'_>) -> StarTopo {
+    build_star(
+        sim,
+        n,
+        |i| {
+            if i == 0 {
+                PortConfig::fortygig()
+            } else {
+                PortConfig::tengig()
+            }
+        },
+        |i| {
+            if i == 0 {
+                NicConfig::server_40g(1)
+            } else {
+                NicConfig::client_10g(1)
+            }
+        },
+        make_host,
+    )
+}
+
+/// A star of `n` 10G hosts behind switch ports that all share `port`.
+pub fn uniform_star(
+    sim: &mut Sim<NetMsg>,
+    n: usize,
+    port: PortConfig,
+    make_host: &mut HostFactory<'_>,
+) -> StarTopo {
+    build_star(
+        sim,
+        n,
+        move |_| port,
+        |_| NicConfig::client_10g(1),
+        make_host,
+    )
+}
+
+/// Starts every host at t = 0 (timer kind 0 is INIT for all host types).
+pub fn start_all(sim: &mut Sim<NetMsg>, hosts: &[AgentId]) {
+    for &h in hosts {
+        sim.inject_timer(SimTime::ZERO, h, 0, 0);
+    }
+}

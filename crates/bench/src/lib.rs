@@ -9,22 +9,29 @@
 //! configuration sized to finish in seconds; setting `TAS_FULL=1` selects
 //! the paper-scale parameters (more connections, longer windows).
 
-use tas::{ApiKind, CcAlgo, TasConfig, TasHost};
+use tas::{ApiKind, CcAlgo, TasConfig};
 use tas_apps::echo::{EchoServer, ServerMode};
 use tas_apps::kv::KvServer;
 use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
-use tas_baselines::{profiles, StackHost, StackHostConfig};
-use tas_cpusim::{CoreClass, CycleAccount, Module, MODULE_COUNT};
+use tas_baselines::{profiles, StackHostConfig};
+use tas_cpusim::{CycleAccount, Module, MODULE_COUNT};
 use tas_netsim::app::App;
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{NetMsg, NicConfig, PortConfig};
+use tas_netsim::topo::{host_ip, HostSpec};
+use tas_netsim::NetMsg;
 use tas_sim::{AgentId, Sim, SimTime};
 
 pub use tas_sim::Histogram;
 
+pub mod gate;
+mod host;
 pub mod report;
 pub mod scenario;
 pub mod scenarios;
+pub mod simspeed;
+
+pub use host::{
+    add_host, app, app_mut, host, host_mut, start_all, testbed_star, uniform_star, Host, HostCfg,
+};
 
 /// True when `TAS_FULL=1` requests paper-scale runs.
 pub fn full_scale() -> bool {
@@ -163,7 +170,8 @@ pub fn make_server_with(
     app: Box<dyn App>,
     overrides: TasOverrides,
 ) -> AgentId {
-    match kind {
+    let total = cores.0 + cores.1;
+    let (profile, mut cfg) = match kind {
         Kind::TasSockets | Kind::TasLowLevel => {
             let mut cfg = TasConfig::rpc_bench(cores.0, cores.1);
             cfg.api = if kind == Kind::TasLowLevel {
@@ -184,48 +192,26 @@ pub fn make_server_with(
             // clients "wait in a closed loop" with up to 96k in flight).
             cfg.max_core_backlog = SimTime::from_ms(50);
             overrides.apply(&mut cfg);
-            sim.add_agent(Box::new(TasHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                cfg,
-                spec.uplink,
-                app,
-            )))
+            return add_host(sim, spec, HostCfg::Tas(cfg), app);
         }
-        Kind::Linux | Kind::Ix | Kind::Mtcp | Kind::Mpk | Kind::Pno => {
-            let total = cores.0 + cores.1;
-            let (profile, mut cfg) = match kind {
-                Kind::Linux => (profiles::linux(), StackHostConfig::linux(total)),
-                Kind::Ix => (profiles::ix(), StackHostConfig::ix(total)),
-                Kind::Mtcp => {
-                    let stack = (total / 3).max(1).min(total.saturating_sub(1)).max(1);
-                    (profiles::mtcp(), StackHostConfig::mtcp(total.max(2), stack))
-                }
-                Kind::Mpk => (profiles::mpk(), StackHostConfig::mpk(total)),
-                Kind::Pno => {
-                    // cores.0 maps to the on-NIC stack cores, cores.1 to
-                    // host app cores (mirroring TAS's fastpath/app split).
-                    let nic = cores.0.max(1);
-                    let host = cores.1.max(1);
-                    (profiles::pno(), StackHostConfig::pno(host, nic))
-                }
-                _ => unreachable!(),
-            };
-            cfg.tcp.recv_buf = bufs.rx;
-            cfg.tcp.send_buf = bufs.tx;
-            cfg.max_core_backlog = SimTime::from_ms(50);
-            sim.add_agent(Box::new(StackHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                profile,
-                cfg,
-                spec.uplink,
-                app,
-            )))
+        Kind::Linux => (profiles::linux(), StackHostConfig::linux(total)),
+        Kind::Ix => (profiles::ix(), StackHostConfig::ix(total)),
+        Kind::Mtcp => {
+            let stack = (total / 3).max(1).min(total.saturating_sub(1)).max(1);
+            (profiles::mtcp(), StackHostConfig::mtcp(total.max(2), stack))
         }
-    }
+        Kind::Mpk => (profiles::mpk(), StackHostConfig::mpk(total)),
+        Kind::Pno => {
+            // cores.0 maps to the on-NIC stack cores, cores.1 to host
+            // app cores (mirroring TAS's fastpath/app split).
+            let (host, nic) = (cores.1.max(1), cores.0.max(1));
+            (profiles::pno(), StackHostConfig::pno(host, nic))
+        }
+    };
+    cfg.tcp.recv_buf = bufs.rx;
+    cfg.tcp.send_buf = bufs.tx;
+    cfg.max_core_backlog = SimTime::from_ms(50);
+    add_host(sim, spec, HostCfg::Model(profile, cfg), app)
 }
 
 /// An RPC-echo throughput scenario: one server, a bank of load-generator
@@ -478,16 +464,16 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
                 sc2.tas_overrides,
             )
         } else {
-            let mut cfg = LoadGenConfig {
+            let cfg = LoadGenConfig {
                 server: server_ip,
                 port: 7,
                 conns: per_client + u32::from(spec.index <= remainder),
                 req_size: sc2.req_size,
                 resp_size: resp,
                 connects_per_ms: 400,
+                req_template: sc2.req_template.clone(),
                 ..LoadGenConfig::default()
             };
-            cfg.req_template = sc2.req_template.clone();
             sim.add_agent(Box::new(LoadGenHost::new(
                 spec.ip,
                 spec.mac,
@@ -497,178 +483,71 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
             )))
         }
     };
-    let topo = build_star(
-        &mut sim,
-        1 + sc.client_hosts,
-        |i| {
-            if i == 0 {
-                PortConfig::fortygig()
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0); // INIT for all host types.
-    }
+    let topo = testbed_star(&mut sim, 1 + sc.client_hosts, &mut factory);
+    start_all(&mut sim, &topo.hosts);
+    let server = topo.hosts[0];
+    let messages = |sim: &Sim<NetMsg>| match sc.server_app {
+        ServerApp::Echo => app::<EchoServer>(sim, server).messages,
+        ServerApp::Kv => {
+            let kv = app::<KvServer>(sim, server);
+            kv.gets + kv.sets
+        }
+    };
     // Ramp-up: connections plus warmup.
     let ramp = SimTime::from_ms((sc.conns as u64 / 400).max(1) + 2);
     let t0 = ramp + sc.warmup;
     sim.run_until(t0);
     // Snapshot counters, gate latency recording.
-    let (messages_t0, established) = server_messages(&sim, topo.hosts[0], sc.kind);
-    let acct0 = server_account(&sim, topo.hosts[0], sc.kind);
-    let host0 = server_host_cycles(&sim, topo.hosts[0], sc.kind);
+    let messages_t0 = messages(&sim);
+    let srv = host(&sim, server);
+    let established = srv.established();
+    let acct0 = srv.account().clone();
+    let host0 = srv.host_cycles();
     #[cfg(feature = "profile")]
-    let prof_t0 = if sc.profile {
-        match sc.kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                sim.agent_mut::<TasHost>(topo.hosts[0]).enable_profiling();
-            }
-            _ => sim.agent_mut::<StackHost>(topo.hosts[0]).enable_profiling(),
-        }
+    let prof_t0 = sc.profile.then(|| {
+        host_mut(&mut sim, server).enable_profiling();
         tas_telemetry::profile::start();
-        Some((
-            server_busy(&sim, topo.hosts[0], sc.kind),
-            server_packets(&sim, topo.hosts[0], sc.kind),
-        ))
-    } else {
-        None
-    };
+        let srv = host(&sim, server);
+        (srv.busy(), srv.packets())
+    });
     for &h in &topo.hosts[1..] {
         sim.agent_mut::<LoadGenHost>(h).measure_from = t0;
     }
     sim.run_until(t0 + sc.measure);
-    let (messages_t1, _) = server_messages(&sim, topo.hosts[0], sc.kind);
-    let acct1 = server_account(&sim, topo.hosts[0], sc.kind);
+    let requests = messages(&sim) - messages_t0;
+    let srv = host(&sim, server);
     #[cfg(feature = "profile")]
-    let profile = if let Some((busy0, pkts0)) = prof_t0 {
+    let profile = prof_t0.map(|(busy0, pkts0)| {
         let tree = tas_telemetry::profile::take();
         tas_telemetry::profile::stop();
-        let busy: Vec<(String, u64)> = server_busy(&sim, topo.hosts[0], sc.kind)
+        let busy = srv
+            .busy()
             .into_iter()
             .zip(busy0)
             .map(|((label, b1), (_, b0))| (label, b1 - b0))
             .collect();
-        let packets = server_packets(&sim, topo.hosts[0], sc.kind) - pkts0;
-        let core_util = match sc.kind {
-            Kind::TasSockets | Kind::TasLowLevel => util_window(
-                sim.agent::<TasHost>(topo.hosts[0]).fp_util_series(),
-                "fp",
-                t0,
-            ),
-            _ => util_window(
-                sim.agent::<StackHost>(topo.hosts[0]).core_util_series(),
-                "core",
-                t0,
-            ),
-        };
-        Some(ProfileCapture {
+        let (prefix, series) = srv.core_util();
+        ProfileCapture {
             profile: tree,
-            requests: messages_t1 - messages_t0,
-            packets,
+            requests,
+            packets: srv.packets() - pkts0,
             busy,
-            core_util,
-        })
-    } else {
-        None
-    };
+            core_util: util_window(series, prefix, t0),
+        }
+    });
     let mut latency = Histogram::new();
     for &h in &topo.hosts[1..] {
         latency.merge(&sim.agent::<LoadGenHost>(h).latency);
     }
-    let drops = match sc.kind {
-        Kind::TasSockets | Kind::TasLowLevel => sim
-            .agent::<TasHost>(topo.hosts[0])
-            .registry()
-            .counter_value("host.drop_backlog", tas_sim::Scope::Global),
-        _ => sim
-            .agent::<StackHost>(topo.hosts[0])
-            .registry()
-            .counter_value("host.drop_backlog", tas_sim::Scope::Global),
-    };
     RpcResult {
-        mops: (messages_t1 - messages_t0) as f64 / sc.measure.as_secs_f64() / 1e6,
+        mops: requests as f64 / sc.measure.as_secs_f64() / 1e6,
         latency,
         established,
-        drops,
-        per_request: per_request(&acct0, &acct1, messages_t1 - messages_t0),
-        host_cycles: server_host_cycles(&sim, topo.hosts[0], sc.kind) - host0,
+        drops: srv.drops(),
+        per_request: per_request(&acct0, srv.account(), requests),
+        host_cycles: srv.host_cycles() - host0,
         #[cfg(feature = "profile")]
         profile,
-    }
-}
-
-/// Busy cycles the server has burned on host-class cores so far. TAS
-/// hosts are all-host (fastpath + slowpath + app cores); `StackHost`
-/// splits by [`CoreClass`], which only differs from the total for the
-/// off-path SmartNIC thread model.
-fn server_host_cycles(sim: &Sim<NetMsg>, server: AgentId, kind: Kind) -> u64 {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let h = sim.agent::<TasHost>(server);
-            h.fp_busy_cycles().iter().sum::<u64>()
-                + h.sp_busy_cycles()
-                + h.app_busy_cycles().iter().sum::<u64>()
-        }
-        _ => sim
-            .agent::<StackHost>(server)
-            .busy_cycles_by_class(CoreClass::Host),
-    }
-}
-
-/// Per-core busy-cycle totals of the server, labelled like the profiler's
-/// core labels so captures can be checked for exact conservation.
-#[cfg(feature = "profile")]
-fn server_busy(sim: &Sim<NetMsg>, server: AgentId, kind: Kind) -> Vec<(String, u64)> {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let h = sim.agent::<TasHost>(server);
-            let mut out: Vec<(String, u64)> = h
-                .fp_busy_cycles()
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (format!("fp{i}"), c))
-                .collect();
-            out.push(("sp0".to_string(), h.sp_busy_cycles()));
-            out.extend(
-                h.app_busy_cycles()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| (format!("app{i}"), c)),
-            );
-            out
-        }
-        _ => sim
-            .agent::<StackHost>(server)
-            .busy_cycles()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (format!("core{i}"), c))
-            .collect(),
-    }
-}
-
-/// Packets the server handled so far (rx + tx segments).
-#[cfg(feature = "profile")]
-fn server_packets(sim: &Sim<NetMsg>, server: AgentId, kind: Kind) -> u64 {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let fp = sim.agent::<TasHost>(server).fp_stats();
-            fp.pkts_rx + fp.segs_tx + fp.acks_tx
-        }
-        _ => {
-            let t = sim.agent::<StackHost>(server).tcp_stats();
-            t.segs_in + t.segs_out
-        }
     }
 }
 
@@ -695,51 +574,7 @@ fn util_window(
         .collect()
 }
 
-fn server_account(sim: &Sim<NetMsg>, server: AgentId, kind: Kind) -> CycleAccount {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => sim.agent::<TasHost>(server).account().clone(),
-        _ => sim.agent::<StackHost>(server).account().clone(),
-    }
-}
-
-fn server_messages(sim: &Sim<NetMsg>, server: AgentId, kind: Kind) -> (u64, u64) {
-    match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let h = sim.agent::<TasHost>(server);
-            // Try both app types (echo and KV servers).
-            let m = if let Some(e) = h.try_app::<EchoServer>() {
-                e.messages
-            } else if let Some(k) = h.try_app::<KvServer>() {
-                k.gets + k.sets
-            } else {
-                0
-            };
-            (m, h.sp_stats().established)
-        }
-        _ => {
-            let h = sim.agent::<StackHost>(server);
-            let m = if let Some(e) = h.try_app::<EchoServer>() {
-                e.messages
-            } else if let Some(k) = h.try_app::<KvServer>() {
-                k.gets + k.sets
-            } else {
-                0
-            };
-            (
-                m,
-                h.registry()
-                    .counter_value("host.established", tas_sim::Scope::Global),
-            )
-        }
-    }
-}
-
 /// Formats ops/s as the paper does (mOps).
 pub fn fmt_mops(v: f64) -> String {
     format!("{v:.2}")
-}
-
-/// Formats a throughput in Gbit/s.
-pub fn fmt_gbps(bits_per_sec: f64) -> String {
-    format!("{:.2}", bits_per_sec / 1e9)
 }

@@ -27,12 +27,14 @@
 //! (`{:.6}`), no timestamps — two same-seed runs produce byte-identical
 //! files, which `tests/determinism.rs` pins.
 //!
-//! The comparator diffs a generated report against the checked-in
-//! baseline in `crates/bench/baselines/` with per-metric tolerances and
-//! is direction-aware per unit: for latency-like units (ns/us/cycles) a
-//! *higher* current value regresses; for throughput-like units
-//! (mops/kops/gbps) a *lower* one does. Counting units (count, cores,
-//! bytes) are informational and never gate. `UPDATE_BASELINE=1` re-pins.
+//! The tolerance comparator diffs a report against a baseline with
+//! per-metric tolerances and is direction-aware per unit: for
+//! latency-like units (ns/us/cycles) a *higher* current value regresses;
+//! for throughput-like units (mops/kops/gbps) a *lower* one does;
+//! counting units (count, cores, bytes) never trip it. It gates the
+//! wall-clock reports; modelled reports are gated byte-for-byte against
+//! their pin in `crates/bench/baselines/` (see [`crate::gate`]), with
+//! [`explain`] classifying each difference through the comparator.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -174,6 +176,19 @@ impl Report {
         self
     }
 
+    /// The metric called `name`.
+    pub fn metric(&self, name: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.name == name)
+    }
+
+    /// The scalar value of the metric called `name`.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        match self.metric(name)?.data {
+            MetricData::Value(v) => Some(v),
+            MetricData::Quantiles(_) => None,
+        }
+    }
+
     /// Renders the canonical JSON (fixed key order, `{:.6}` floats).
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(1024);
@@ -183,8 +198,13 @@ impl Report {
         let _ = writeln!(o, "  \"title\": {},", json_str(&self.title));
         let _ = writeln!(o, "  \"seed\": {},", self.seed);
         let _ = writeln!(o, "  \"scale\": {},", json_str(&self.scale));
+        // Canonical key order, like the breakdowns below: a freshly
+        // generated report and its from_json round-trip (which parses
+        // objects into a BTreeMap) are byte-identical.
+        let mut params: Vec<&(String, String)> = self.params.iter().collect();
+        params.sort_by(|a, b| a.0.cmp(&b.0));
         o.push_str("  \"params\": {");
-        for (i, (k, v)) in self.params.iter().enumerate() {
+        for (i, (k, v)) in params.into_iter().enumerate() {
             if i > 0 {
                 o.push_str(", ");
             }
@@ -215,10 +235,7 @@ impl Report {
                 let _ = write!(o, ", \"tol\": {}", json_f64(t));
             }
             if !m.breakdown.is_empty() {
-                // Canonical key order: breakdowns serialize sorted so a
-                // freshly generated report and its from_json round-trip
-                // (which parses objects into a BTreeMap) are
-                // byte-identical.
+                // Canonical key order (see params above).
                 let mut parts: Vec<&(String, f64)> = m.breakdown.iter().collect();
                 parts.sort_by(|a, b| a.0.cmp(&b.0));
                 o.push_str(", \"breakdown\": {");
@@ -627,31 +644,17 @@ impl std::fmt::Display for Regression {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_field(
-    out: &mut Vec<Regression>,
-    fig: &str,
-    metric: &str,
-    field: &'static str,
-    base: f64,
-    cur: f64,
-    tol: f64,
-    up_is_worse: bool,
-) {
-    let bad = if up_is_worse {
-        cur > base * (1.0 + tol) && cur - base > 1.0
-    } else {
-        cur < base * (1.0 - tol)
-    };
-    if bad {
-        out.push(Regression {
+impl Regression {
+    /// A structural violation (`scale`, `missing`, `shape`): no values.
+    fn structural(fig: &str, metric: &str, field: &'static str) -> Regression {
+        Regression {
             fig: fig.to_string(),
             metric: metric.to_string(),
             field,
-            baseline: base,
-            current: cur,
-            tol,
-        });
+            baseline: 0.0,
+            current: 0.0,
+            tol: 0.0,
+        }
     }
 }
 
@@ -662,64 +665,95 @@ fn check_field(
 /// violation, empty when the gate passes. Reports from different scale
 /// modes are never compared (returns a single `scale` pseudo-regression).
 pub fn compare(current: &Report, baseline: &Report) -> Vec<Regression> {
-    let mut out = Vec::new();
+    let fig = &baseline.fig;
     if current.scale != baseline.scale {
-        out.push(Regression {
-            fig: baseline.fig.clone(),
-            metric: "<report>".into(),
-            field: "scale",
-            baseline: 0.0,
-            current: 0.0,
-            tol: 0.0,
-        });
-        return out;
+        return vec![Regression::structural(fig, "<report>", "scale")];
     }
+    let mut out = Vec::new();
     for bm in &baseline.metrics {
-        let Some(cm) = current.metrics.iter().find(|m| m.name == bm.name) else {
-            out.push(Regression {
-                fig: baseline.fig.clone(),
-                metric: bm.name.clone(),
-                field: "missing",
-                baseline: 0.0,
-                current: 0.0,
-                tol: 0.0,
-            });
+        let Some(cm) = current.metric(&bm.name) else {
+            out.push(Regression::structural(fig, &bm.name, "missing"));
             continue;
         };
-        let Some(up) = higher_is_worse(&bm.unit) else {
+        let Some(up_is_worse) = higher_is_worse(&bm.unit) else {
             continue;
         };
         let tol = bm.tol.unwrap_or(DEFAULT_TOL);
-        match (&bm.data, &cm.data) {
-            (MetricData::Value(b), MetricData::Value(c)) => {
-                check_field(&mut out, &baseline.fig, &bm.name, "value", *b, *c, tol, up);
+        let fields = match (&bm.data, &cm.data) {
+            (MetricData::Value(b), MetricData::Value(c)) => vec![("value", *b, *c)],
+            (MetricData::Quantiles(b), MetricData::Quantiles(c)) => vec![
+                ("p50", b.p50 as f64, c.p50 as f64),
+                ("p90", b.p90 as f64, c.p90 as f64),
+                ("p99", b.p99 as f64, c.p99 as f64),
+            ],
+            _ => {
+                out.push(Regression::structural(fig, &bm.name, "shape"));
+                continue;
             }
-            (MetricData::Quantiles(b), MetricData::Quantiles(c)) => {
-                for (field, bv, cv) in [
-                    ("p50", b.p50, c.p50),
-                    ("p90", b.p90, c.p90),
-                    ("p99", b.p99, c.p99),
-                ] {
-                    check_field(
-                        &mut out,
-                        &baseline.fig,
-                        &bm.name,
-                        field,
-                        bv as f64,
-                        cv as f64,
-                        tol,
-                        up,
-                    );
-                }
+        };
+        for (field, base, cur) in fields {
+            let bad = if up_is_worse {
+                cur > base * (1.0 + tol) && cur - base > 1.0
+            } else {
+                cur < base * (1.0 - tol)
+            };
+            if bad {
+                out.push(Regression {
+                    field,
+                    baseline: base,
+                    current: cur,
+                    tol,
+                    ..Regression::structural(fig, &bm.name, field)
+                });
             }
-            _ => out.push(Regression {
-                fig: baseline.fig.clone(),
-                metric: bm.name.clone(),
-                field: "shape",
-                baseline: 0.0,
-                current: 0.0,
-                tol: 0.0,
-            }),
+        }
+    }
+    out
+}
+
+/// Explains a byte mismatch between `current` and `baseline`: one line
+/// per header field or metric that differs, each metric classified the
+/// way [`compare`] sees it (regression beyond tolerance, inside
+/// tolerance, or a unit the comparator never gates).
+pub fn explain(current: &Report, baseline: &Report) -> Vec<String> {
+    let mut out = Vec::new();
+    let header = |r: &Report| (r.fig.clone(), r.title.clone(), r.seed, r.params.clone());
+    if header(current) != header(baseline) {
+        out.push("header (fig/title/seed/params) differs".to_string());
+    }
+    let regressions = compare(current, baseline);
+    let show = |m: &Metric| match &m.data {
+        MetricData::Value(v) => format!("{v:.6}"),
+        MetricData::Quantiles(q) => format!("p50 {} p90 {} p99 {}", q.p50, q.p90, q.p99),
+    };
+    for bm in &baseline.metrics {
+        let Some(cm) = current.metric(&bm.name) else {
+            out.push(format!("{}: missing from the current report", bm.name));
+            continue;
+        };
+        if cm == bm {
+            continue;
+        }
+        let class = if regressions.iter().any(|r| r.metric == bm.name) {
+            "REGRESSION beyond tolerance".to_string()
+        } else if higher_is_worse(&bm.unit).is_none() {
+            format!("unit `{}` never gates under tolerance", bm.unit)
+        } else if cm.data == bm.data {
+            "breakdown/tolerance only".to_string()
+        } else {
+            let tol = bm.tol.unwrap_or(DEFAULT_TOL);
+            format!("within {:.0}% tolerance", tol * 100.0)
+        };
+        out.push(format!(
+            "{}: pinned {} -> current {} ({class})",
+            bm.name,
+            show(bm),
+            show(cm)
+        ));
+    }
+    for cm in &current.metrics {
+        if baseline.metric(&cm.name).is_none() {
+            out.push(format!("{}: not in the pin", cm.name));
         }
     }
     out

@@ -11,7 +11,7 @@
 //! nothing).
 //!
 //! Enforcement is deliberately *not* a panic in the report path: the
-//! verdicts are data; the `scenario-suite` binary exits non-zero on a
+//! verdicts are data; `bench-report scenarios` exits non-zero on a
 //! failed verdict, and `crates/bench/tests/isolation_gate.rs` asserts
 //! both directions (clean config passes, deliberately unfair config
 //! trips).
@@ -72,8 +72,8 @@ pub struct Verdict {
 }
 
 impl Verdict {
-    /// One-line human rendering for the suite binary (two lines when
-    /// the cycle-attribution note is present).
+    /// One-line human rendering (two lines when the cycle-attribution
+    /// note is present).
     pub fn render(&self) -> String {
         let mut s = format!(
             "{:<14} {:<8} {:<10} p99 {:>9} -> {:>9} ns ({:>5.2}x <= {:.2}x)  ops {:>7} -> {:>7} ({:>4.2} >= {:.2})  {}",

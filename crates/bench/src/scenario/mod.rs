@@ -16,9 +16,9 @@
 //! with ECN, Gilbert–Elliott WAN loss, a zipf-skewed flash crowd, and
 //! three adversarial clients (slow reader, ACK division, window
 //! stuffing; see `tas_apps::adversary`). [`run_suite`] produces both the
-//! pass/fail verdicts (enforced by the `scenario-suite` binary and CI)
-//! and the byte-deterministic `BENCH_scenarios.json` report riding the
-//! regression gate. Runs under `cargo test` (and `--features tas/audit`)
+//! pass/fail verdicts and the byte-deterministic `BENCH_scenarios.json`
+//! report; `bench-report scenarios` gates the report byte-for-byte and
+//! re-derives the verdicts from it ([`isolation_checks`]). Runs under `cargo test` (and `--features tas/audit`)
 //! are additionally checked by the per-flow invariant auditors compiled
 //! into those builds.
 //!
@@ -35,8 +35,9 @@
 //! bounds    := p99_ratio_max goodput_frac_min     (per stack family)
 //! ```
 
-use crate::report::{Metric, Report};
-use crate::{scaled, Kind};
+use crate::report::{Metric, MetricData, Report};
+use crate::scenarios::Check;
+use crate::{scaled, Kind, TasOverrides};
 use tas_sim::SimTime;
 
 pub mod generators;
@@ -325,18 +326,26 @@ pub struct SuiteOutcome {
 /// Runs every scenario on both stacks (baseline + contended passes) and
 /// assembles verdicts and the report in one sweep.
 pub fn run_suite() -> SuiteOutcome {
+    run_specs(&suite(), &stacks(), TasOverrides::default())
+}
+
+fn run_specs(
+    specs: &[ScenarioSpec],
+    stacks: &[(&'static str, Kind)],
+    overrides: TasOverrides,
+) -> SuiteOutcome {
     let mut verdicts: Vec<Verdict> = Vec::new();
     let mut r = Report::new(
         "scenarios",
         "Multi-tenant datacenter day: per-tenant isolation suite",
         9000,
     );
-    let specs = suite();
     r.param("scenarios", specs.len());
-    r.param("stacks", "tas,linux");
-    for spec in &specs {
-        for (sname, kind) in stacks() {
-            let vs = isolation::evaluate(spec, kind);
+    let names: Vec<&str> = stacks.iter().map(|s| s.0).collect();
+    r.param("stacks", names.join(","));
+    for spec in specs {
+        for &(sname, kind) in stacks {
+            let vs = isolation::evaluate_with(spec, kind, overrides);
             for v in &vs {
                 let prefix = format!("{}_{}_{}", spec.name, sname, v.victim_name);
                 // Gated, with generous tolerances: multi-tenant tails are
@@ -386,7 +395,59 @@ pub fn run_suite() -> SuiteOutcome {
     }
 }
 
-/// The gated report builder (`bench-report` entry).
+/// The gated report builder: runs the suite, printing one verdict line
+/// per scenario × stack × victim as it goes.
 pub fn report() -> Report {
-    run_suite().report
+    let outcome = run_suite();
+    for v in &outcome.verdicts {
+        eprintln!("{}", v.render());
+    }
+    outcome.report
+}
+
+/// The gate's self-test input: `r` as it would read had the TAS server
+/// run the incast scenario deliberately unfair
+/// ([`isolation::unfair_overrides`]) — which must violate
+/// [`isolation_checks`].
+pub fn with_unfair_incast(r: &Report) -> Report {
+    let unfair = run_specs(
+        &[generators::incast_ecn()],
+        &[("tas", Kind::TasSockets)],
+        isolation::unfair_overrides(),
+    )
+    .report;
+    let mut out = r.clone();
+    for m in &mut out.metrics {
+        if let Some(u) = unfair.metrics.iter().find(|u| u.name == m.name) {
+            *m = u.clone();
+        }
+    }
+    out
+}
+
+/// The isolation verdicts, read back from a suite report: every victim's
+/// contended/baseline p99 ratio and goodput fraction against the bound
+/// recorded beside it, and the suite's own pass count.
+pub fn isolation_checks(r: &Report) -> Vec<Check> {
+    let mut checks: Vec<Check> = Vec::new();
+    for m in &r.metrics {
+        let (Some(&(_, bound)), MetricData::Value(v)) =
+            (m.breakdown.iter().find(|(k, _)| k == "bound"), &m.data)
+        else {
+            continue;
+        };
+        if m.name.ends_with("_p99_ratio") {
+            checks.push((format!("{} {v:.2} <= {bound:.2}", m.name), *v <= bound));
+        } else if m.name.ends_with("_goodput_frac") {
+            checks.push((format!("{} {v:.2} >= {bound:.2}", m.name), *v >= bound));
+        }
+    }
+    // An unbounded ratio serializes as 0, so the suite's own tally must
+    // agree that every verdict passed.
+    let (passes, total) = (r.value("isolation_passes"), r.value("isolation_checks"));
+    checks.push((
+        format!("isolation verdicts passed: {passes:?} of {total:?}"),
+        passes.is_some() && passes == total,
+    ));
+    checks
 }

@@ -4,12 +4,11 @@
 //! measurement window.
 
 use super::{ScenarioSpec, Tenant, TrafficShape};
-use crate::{make_server_with, Bufs, Kind, TasOverrides};
+use crate::{app, app_mut, host, make_server, make_server_with, Bufs, Kind, TasOverrides};
 use std::collections::BTreeMap;
 use tas::TasHost;
 use tas_apps::adversary::{AdvMode, AdversaryConfig, AdversaryHost, SlowReader};
 use tas_apps::kv::{KvClient, KvLoad, KvServer};
-use tas_baselines::StackHost;
 use tas_netsim::app::App;
 use tas_netsim::topo::{build_star_tenants, host_ip, HostSpec};
 use tas_netsim::{DropModel, FaultSpec, NetMsg, NicConfig, PortConfig};
@@ -42,28 +41,10 @@ pub struct Outcome {
     pub server_established: u64,
 }
 
-/// Per-host construction plan, flattened from the tenant list.
-#[derive(Clone, Debug)]
-struct HostPlan {
-    tenant_id: u32,
-    shape: TrafficShape,
-    start: SimTime,
-    wan: Option<super::WanProfile>,
-}
-
-fn plans(spec: &ScenarioSpec) -> Vec<HostPlan> {
-    let mut v = Vec::new();
-    for t in &spec.tenants {
-        for _ in 0..t.hosts {
-            v.push(HostPlan {
-                tenant_id: t.id,
-                shape: t.shape.clone(),
-                start: t.start,
-                wan: t.wan,
-            });
-        }
-    }
-    v
+/// One entry per client host, in host order: the tenant it belongs to.
+fn plans(spec: &ScenarioSpec) -> Vec<Tenant> {
+    let per_tenant = |t: &Tenant| std::iter::repeat_n(t.clone(), t.hosts);
+    spec.tenants.iter().flat_map(per_tenant).collect()
 }
 
 fn wan_port(w: &super::WanProfile, seed: u64) -> PortConfig {
@@ -140,119 +121,38 @@ fn build(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Built {
             // Unreachable by construction (n = 1 + hosts.len()); a
             // degenerate host keeps the factory total without panicking.
             let app: Box<dyn App> = Box::new(KvServer::new(9));
-            return make_server_with(
-                sim,
-                spec_h,
-                Kind::TasSockets,
-                (1, 1),
-                Bufs::tiny(),
-                app,
-                TasOverrides::default(),
-            );
+            return make_server(sim, spec_h, Kind::TasSockets, (1, 1), Bufs::tiny(), app);
         };
         let host_seed = seed + spec_h.index as u64;
-        match &plan.shape {
+        let kv = |conns, load| KvClient::new(server_ip, 7, conns, 100_000, load, host_seed);
+        // Raw header-level adversaries: no stack underneath.
+        let raw = |sim: &mut Sim<NetMsg>, h: HostSpec, conns, mode| {
+            let cfg = AdversaryConfig::kv(server_ip, 7, conns, mode);
+            sim.add_agent(Box::new(AdversaryHost::new(
+                h.ip, h.mac, h.nic, h.uplink, cfg,
+            )))
+        };
+        let app: Box<dyn App> = match &plan.shape {
             TrafficShape::KvOpen { per_sec, conns } => {
-                let app: Box<dyn App> = Box::new(KvClient::new(
-                    server_ip,
-                    7,
-                    *conns,
-                    100_000,
-                    KvLoad::OpenRate { per_sec: *per_sec },
-                    host_seed,
-                ));
-                make_server_with(
-                    sim,
-                    spec_h,
-                    Kind::TasSockets,
-                    (2, 2),
-                    Bufs::small(),
-                    app,
-                    TasOverrides::default(),
-                )
+                Box::new(kv(*conns, KvLoad::OpenRate { per_sec: *per_sec }))
             }
-            TrafficShape::KvClosed { conns } => {
-                let app: Box<dyn App> = Box::new(KvClient::new(
-                    server_ip,
-                    7,
-                    *conns,
-                    100_000,
-                    KvLoad::Closed,
-                    host_seed,
-                ));
-                make_server_with(
-                    sim,
-                    spec_h,
-                    Kind::TasSockets,
-                    (2, 2),
-                    Bufs::small(),
-                    app,
-                    TasOverrides::default(),
-                )
-            }
+            TrafficShape::KvClosed { conns } => Box::new(kv(*conns, KvLoad::Closed)),
             TrafficShape::KvChurn {
                 conns,
                 msgs_per_conn,
-            } => {
-                let app: Box<dyn App> = Box::new(
-                    KvClient::new(server_ip, 7, *conns, 100_000, KvLoad::Closed, host_seed)
-                        .short_lived(*msgs_per_conn),
-                );
-                make_server_with(
-                    sim,
-                    spec_h,
-                    Kind::TasSockets,
-                    (2, 2),
-                    Bufs::small(),
-                    app,
-                    TasOverrides::default(),
-                )
-            }
+            } => Box::new(kv(*conns, KvLoad::Closed).short_lived(*msgs_per_conn)),
             TrafficShape::SlowRead { conns, burst } => {
-                let app: Box<dyn App> = Box::new(SlowReader::new(server_ip, 7, *conns, *burst));
-                make_server_with(
-                    sim,
-                    spec_h,
-                    Kind::TasSockets,
-                    (2, 2),
-                    Bufs::small(),
-                    app,
-                    TasOverrides::default(),
-                )
+                Box::new(SlowReader::new(server_ip, 7, *conns, *burst))
             }
             TrafficShape::AckDivision { conns, chunk } => {
-                let cfg = AdversaryConfig::kv(
-                    server_ip,
-                    7,
-                    *conns,
-                    AdvMode::AckDivision { chunk: *chunk },
-                );
-                sim.add_agent(Box::new(AdversaryHost::new(
-                    spec_h.ip,
-                    spec_h.mac,
-                    spec_h.nic,
-                    spec_h.uplink,
-                    cfg,
-                )))
+                return raw(sim, spec_h, *conns, AdvMode::AckDivision { chunk: *chunk });
             }
             TrafficShape::WindowStuff { conns, pattern } => {
-                let cfg = AdversaryConfig::kv(
-                    server_ip,
-                    7,
-                    *conns,
-                    AdvMode::WindowStuff {
-                        pattern: pattern.clone(),
-                    },
-                );
-                sim.add_agent(Box::new(AdversaryHost::new(
-                    spec_h.ip,
-                    spec_h.mac,
-                    spec_h.nic,
-                    spec_h.uplink,
-                    cfg,
-                )))
+                let pattern = pattern.clone();
+                return raw(sim, spec_h, *conns, AdvMode::WindowStuff { pattern });
             }
-        }
+        };
+        make_server(sim, spec_h, Kind::TasSockets, (2, 2), Bufs::small(), app)
     };
     let hosts_p = hosts.clone();
     let ecn = spec.ecn_threshold_pkts;
@@ -264,10 +164,7 @@ fn build(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Built {
             if i == 0 {
                 0
             } else {
-                hosts_p
-                    .get(i as usize - 1)
-                    .map(|p| p.tenant_id)
-                    .unwrap_or(0)
+                hosts_p.get(i as usize - 1).map(|p| p.id).unwrap_or(0)
             }
         },
         |i| {
@@ -304,9 +201,9 @@ fn build(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Built {
         // Tag stack-backed client hosts with their tenant so registry
         // snapshots and spans carry the tenant dimension.
         if !plan.shape.is_raw() {
-            sim.agent_mut::<TasHost>(h).set_tenant(plan.tenant_id);
+            sim.agent_mut::<TasHost>(h).set_tenant(plan.id);
         }
-        clients.push((plan.tenant_id, plan.shape.clone(), h));
+        clients.push((plan.id, plan.shape.clone(), h));
     }
     Built {
         sim,
@@ -325,7 +222,7 @@ fn is_kv(shape: &TrafficShape) -> bool {
 /// Completed-exchange counter for one client host.
 fn host_done(sim: &Sim<NetMsg>, shape: &TrafficShape, h: AgentId) -> u64 {
     match shape {
-        s if is_kv(s) => sim.agent::<TasHost>(h).app_as::<KvClient>().done,
+        s if is_kv(s) => app::<KvClient>(sim, h).done,
         TrafficShape::SlowRead { .. } => 0,
         _ => sim.agent::<AdversaryHost>(h).done,
     }
@@ -333,8 +230,8 @@ fn host_done(sim: &Sim<NetMsg>, shape: &TrafficShape, h: AgentId) -> u64 {
 
 fn host_sent(sim: &Sim<NetMsg>, shape: &TrafficShape, h: AgentId) -> u64 {
     match shape {
-        s if is_kv(s) => sim.agent::<TasHost>(h).app_as::<KvClient>().sent,
-        TrafficShape::SlowRead { .. } => sim.agent::<TasHost>(h).app_as::<SlowReader>().sent,
+        s if is_kv(s) => app::<KvClient>(sim, h).sent,
+        TrafficShape::SlowRead { .. } => app::<SlowReader>(sim, h).sent,
         _ => sim.agent::<AdversaryHost>(h).sent,
     }
 }
@@ -346,9 +243,7 @@ fn apply_phase(sim: &mut Sim<NetMsg>, clients: &[(u32, TrafficShape, AgentId)], 
     };
     for (tid, shape, h) in clients {
         if *tid == tenant && is_kv(shape) {
-            sim.agent_mut::<TasHost>(*h)
-                .app_as_mut::<KvClient>()
-                .set_load(load);
+            app_mut::<KvClient>(sim, *h).set_load(load);
         }
     }
 }
@@ -370,20 +265,13 @@ pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Out
     sim.run_until(spec.warmup);
     #[cfg(feature = "profile")]
     {
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                sim.agent_mut::<TasHost>(server).enable_profiling();
-            }
-            _ => sim.agent_mut::<StackHost>(server).enable_profiling(),
-        }
+        crate::host_mut(&mut sim, server).enable_profiling();
         tas_telemetry::profile::start();
     }
     // Gate latency measurement to the window.
     for (_, shape, h) in &clients {
         if is_kv(shape) {
-            sim.agent_mut::<TasHost>(*h)
-                .app_as_mut::<KvClient>()
-                .measure_from = spec.warmup;
+            app_mut::<KvClient>(&mut sim, *h).measure_from = spec.warmup;
         }
     }
     let mut done0: BTreeMap<u32, u64> = BTreeMap::new();
@@ -413,7 +301,7 @@ pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Out
             m.ops += host_done(&sim, shape, *h);
             m.requests_sent += host_sent(&sim, shape, *h);
             if is_kv(shape) {
-                let c = sim.agent::<TasHost>(*h).app_as::<KvClient>();
+                let c = app::<KvClient>(&sim, *h);
                 hist.merge(&c.latency);
                 m.conns_completed += c.conns_completed;
             }
@@ -426,27 +314,9 @@ pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Out
         m.p99_ns = hist.p99();
         out.tenants.insert(t.id, m);
     }
-    let (drops, established) = match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let h = sim.agent::<TasHost>(server);
-            (
-                h.registry()
-                    .counter_value("host.drop_backlog", tas_sim::Scope::Global),
-                h.sp_stats().established,
-            )
-        }
-        _ => {
-            let h = sim.agent::<StackHost>(server);
-            (
-                h.registry()
-                    .counter_value("host.drop_backlog", tas_sim::Scope::Global),
-                h.registry()
-                    .counter_value("host.established", tas_sim::Scope::Global),
-            )
-        }
-    };
-    out.server_drops = drops;
-    out.server_established = established;
+    let server = host(&sim, server);
+    out.server_drops = server.drops();
+    out.server_established = server.established();
     out
 }
 

@@ -1,19 +1,103 @@
-//! Canonical scenario runners shared by the bench harnesses and the
-//! `bench-report` binary.
+//! The report catalogue: every paper figure and table, and every other
+//! gated artefact, as one scenario module plus one [`catalogue`] entry.
 //!
-//! Each paper figure that participates in the CI regression gate has its
-//! runner lifted here so the human-readable harness and the
-//! machine-readable report are produced by the *same* code with the same
-//! parameters and seeds: a baseline pinned from `bench-report pin` stays
-//! valid for the harness run and vice versa. Figures outside the gate
-//! keep their logic in `benches/` and only write an inline report.
+//! Each module owns its runner, parameters, seeds and `report()`; the
+//! human-readable harness in `benches/` prints the module's outcome and
+//! the `bench-report` driver ([`crate::gate`]) gates the same report
+//! against its pin in `crates/bench/baselines/`, so a baseline pinned
+//! from one stays valid for the other.
 
-use crate::report::{Metric, Report};
-use crate::{make_server, scaled, Bufs, Kind, RpcScenario};
+use crate::report::{Metric, MetricData, Report};
+use crate::{
+    add_host, app, app_mut, host, make_server, scaled, start_all, testbed_star, uniform_star, Bufs,
+    HostCfg, Kind, RpcScenario,
+};
+use tas::{CcAlgo, TasConfig, TasHost};
+use tas_apps::bulk::{BulkReceiver, BulkSender};
+use tas_baselines::{profiles, StackHostConfig};
 use tas_netsim::app::App;
-use tas_netsim::topo::{build_star, host_ip, HostSpec};
-use tas_netsim::{NetMsg, NicConfig, PortConfig};
+use tas_netsim::topo::{host_ip, HostSpec};
+use tas_netsim::{NetMsg, PortConfig};
 use tas_sim::{AgentId, Histogram, Sim, SimTime};
+
+/// TAS as the paper's testbed runs bulk transfers: DCTCP rate control at
+/// τ = 200 µs over `buf`-byte socket buffers, 2 fast-path + 2 app cores.
+fn bulk_tas(buf: usize, initial_rate_bps: u64) -> TasConfig {
+    let mut cfg = TasConfig::rpc_bench(2, 2);
+    cfg.rx_buf = buf;
+    cfg.tx_buf = buf;
+    cfg.cc = CcAlgo::DctcpRate;
+    cfg.initial_rate_bps = initial_rate_bps;
+    cfg.control_interval = SimTime::from_us(200);
+    cfg.max_core_backlog = SimTime::from_ms(50);
+    cfg
+}
+
+/// The 4-core Linux model with `buf`-byte socket buffers.
+fn bulk_linux(buf: usize) -> StackHostConfig {
+    let mut cfg = StackHostConfig::linux(4);
+    cfg.tcp.recv_buf = buf;
+    cfg.tcp.send_buf = buf;
+    cfg.max_core_backlog = SimTime::from_ms(50);
+    cfg
+}
+
+/// The stack a bulk-transfer host runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BulkStack {
+    /// Linux model (full SACK-style out-of-order buffering).
+    Linux,
+    /// TAS; `ooo: false` selects simple go-back-N recovery.
+    Tas {
+        /// Whether the single out-of-order interval is enabled.
+        ooo: bool,
+    },
+}
+
+impl BulkStack {
+    /// TAS as deployed (out-of-order interval on).
+    pub const TAS: BulkStack = BulkStack::Tas { ooo: true };
+
+    fn cfg(self, buf: usize, tas_initial_rate_bps: u64) -> HostCfg {
+        match self {
+            BulkStack::Linux => HostCfg::Model(profiles::linux(), bulk_linux(buf)),
+            BulkStack::Tas { ooo } => {
+                let mut cfg = bulk_tas(buf, tas_initial_rate_bps);
+                cfg.ooo_rx = ooo;
+                HostCfg::Tas(cfg)
+            }
+        }
+    }
+}
+
+/// A 10G port whose fault injector drops a seeded uniform `loss`
+/// fraction of packets (a clean port at 0).
+fn lossy_tengig(loss: f64, seed: u64) -> PortConfig {
+    let mut port = PortConfig::tengig();
+    if loss > 0.0 {
+        port.fault = tas_netsim::FaultSpec::uniform_loss(loss, seed);
+    }
+    port
+}
+
+/// The bulk-transfer application of host `index`: host 0 receives on
+/// port 9, every other host sends `flows` flows at it.
+fn bulk_app(index: u32, flows: u32) -> Box<dyn App> {
+    if index == 0 {
+        Box::new(BulkReceiver::new(9))
+    } else {
+        Box::new(BulkSender::new(host_ip(0), 9, flows))
+    }
+}
+
+/// Goodput (bits/s) of the bulk receiver on host `recv` over `window`
+/// after `warmup`.
+fn bulk_goodput(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> f64 {
+    sim.run_until(warmup);
+    let b0 = app::<BulkReceiver>(sim, recv).total;
+    sim.run_until(warmup + window);
+    (app::<BulkReceiver>(sim, recv).total - b0) as f64 * 8.0 / window.as_secs_f64()
+}
 
 /// Figure 6: pipelined RPC throughput for a single-threaded server.
 pub mod fig6 {
@@ -83,48 +167,17 @@ pub mod fig6 {
                 make_server(sim, spec, Kind::TasSockets, (2, 2), bufs, app)
             }
         };
-        let topo = build_star(
-            &mut sim,
-            1 + clients,
-            |i| {
-                if i == 0 {
-                    PortConfig::fortygig()
-                } else {
-                    PortConfig::tengig()
-                }
-            },
-            |i| {
-                if i == 0 {
-                    NicConfig::server_40g(1)
-                } else {
-                    NicConfig::client_10g(1)
-                }
-            },
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
+        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
+        start_all(&mut sim, &topo.hosts);
         (sim, topo.hosts)
     }
 
-    fn server_bytes(sim: &Sim<NetMsg>, id: AgentId, kind: Kind, dir: Dir) -> u64 {
-        let (bin, bout) = match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                let a = sim.agent::<tas::TasHost>(id).app_as::<EchoServer>();
-                (a.bytes_in, a.bytes_out)
-            }
-            _ => {
-                let a = sim
-                    .agent::<tas_baselines::StackHost>(id)
-                    .app_as::<EchoServer>();
-                (a.bytes_in, a.bytes_out)
-            }
-        };
+    fn server_bytes(sim: &Sim<NetMsg>, id: AgentId, dir: Dir) -> u64 {
+        let a = app::<EchoServer>(sim, id);
         if dir == Dir::Rx {
-            bin
+            a.bytes_in
         } else {
-            bout
+            a.bytes_out
         }
     }
 
@@ -134,9 +187,9 @@ pub mod fig6 {
         let warmup = SimTime::from_ms(20);
         let window = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
         sim.run_until(warmup);
-        let b0 = server_bytes(&sim, hosts[0], kind, dir);
+        let b0 = server_bytes(&sim, hosts[0], dir);
         sim.run_until(warmup + window);
-        let b1 = server_bytes(&sim, hosts[0], kind, dir);
+        let b1 = server_bytes(&sim, hosts[0], dir);
         (b1 - b0) as f64 * 8.0 / window.as_secs_f64() / 1e9
     }
 
@@ -218,107 +271,26 @@ pub mod fig6 {
 /// Figure 7: throughput penalty under induced packet loss.
 pub mod fig7 {
     use super::*;
-    use tas::{CcAlgo, TasConfig, TasHost};
-    use tas_apps::bulk::{BulkReceiver, BulkSender};
-    use tas_baselines::{profiles, StackHost, StackHostConfig};
-    use tas_netsim::FaultSpec;
 
-    /// The stack under loss.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Stack {
-        /// Linux model (full SACK-style out-of-order buffering).
-        Linux,
-        /// TAS; `ooo: false` selects simple go-back-N recovery.
-        Tas {
-            /// Whether the single out-of-order interval is enabled.
-            ooo: bool,
-        },
-    }
+    pub use super::BulkStack as Stack;
 
     /// Runs 100 bulk flows over a lossy 10G link; returns receiver
     /// goodput in bits/s.
     pub fn goodput(stack: Stack, loss: f64, seed: u64) -> f64 {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let recv_ip = host_ip(0);
         let flows = 100; // The paper's flow count (loss dynamics depend on it).
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let is_recv = spec.index == 0;
-            match stack {
-                Stack::Tas { ooo } => {
-                    let mut cfg = TasConfig::rpc_bench(2, 2);
-                    cfg.rx_buf = 128 * 1024;
-                    cfg.tx_buf = 128 * 1024;
-                    cfg.ooo_rx = ooo;
-                    cfg.cc = CcAlgo::DctcpRate; // The paper's testbed runs DCTCP.
-                    cfg.initial_rate_bps = 500_000_000;
-                    cfg.control_interval = SimTime::from_us(200);
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    let app: Box<dyn App> = if is_recv {
-                        Box::new(BulkReceiver::new(9))
-                    } else {
-                        Box::new(BulkSender::new(recv_ip, 9, flows))
-                    };
-                    sim.add_agent(Box::new(TasHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-                Stack::Linux => {
-                    let mut cfg = StackHostConfig::linux(4);
-                    cfg.tcp.recv_buf = 128 * 1024;
-                    cfg.tcp.send_buf = 128 * 1024;
-                    cfg.tcp.rto_min = SimTime::from_ms(2);
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    let app: Box<dyn App> = if is_recv {
-                        Box::new(BulkReceiver::new(9))
-                    } else {
-                        Box::new(BulkSender::new(recv_ip, 9, flows))
-                    };
-                    sim.add_agent(Box::new(StackHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        profiles::linux(),
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
+            let mut cfg = stack.cfg(128 * 1024, 500_000_000);
+            if let HostCfg::Model(_, linux) = &mut cfg {
+                linux.tcp.rto_min = SimTime::from_ms(2);
             }
+            let app = bulk_app(spec.index, flows);
+            add_host(sim, spec, cfg, app)
         };
-        let mut port = PortConfig::tengig();
-        if loss > 0.0 {
-            // Seeded uniform drops via the fault injector.
-            port.fault = FaultSpec::uniform_loss(loss, seed);
-        }
-        let topo = build_star(
-            &mut sim,
-            2,
-            move |_| port,
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
-        let warmup = SimTime::from_ms(50);
+        let topo = uniform_star(&mut sim, 2, lossy_tengig(loss, seed), &mut factory);
+        start_all(&mut sim, &topo.hosts);
         let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
-        sim.run_until(warmup);
-        let b0 = bytes(&sim, topo.hosts[0], stack);
-        sim.run_until(warmup + window);
-        let b1 = bytes(&sim, topo.hosts[0], stack);
-        (b1 - b0) as f64 * 8.0 / window.as_secs_f64()
-    }
-
-    fn bytes(sim: &Sim<NetMsg>, id: AgentId, stack: Stack) -> u64 {
-        match stack {
-            Stack::Tas { .. } => sim.agent::<TasHost>(id).app_as::<BulkReceiver>().total,
-            Stack::Linux => sim.agent::<StackHost>(id).app_as::<BulkReceiver>().total,
-        }
+        bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(50), window)
     }
 
     /// The gated report: lossless goodput plus the throughput penalty at
@@ -355,6 +327,20 @@ pub mod fig9 {
     /// Runs the KV latency scenario; returns the merged client latency
     /// histogram (ns).
     pub fn run(server: Kind, client: Kind, seed: u64) -> Histogram {
+        run_on(
+            |sim, spec, app| make_server(sim, spec, server, (1, 1), Bufs::small(), app),
+            client,
+            seed,
+        )
+    }
+
+    /// [`run`] with the server host built by `add_server` (the
+    /// design-space sweeps place hand-configured stacks there).
+    pub fn run_on(
+        mut add_server: impl FnMut(&mut Sim<NetMsg>, HostSpec, Box<dyn App>) -> AgentId,
+        client: Kind,
+        seed: u64,
+    ) -> Histogram {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let server_ip = host_ip(0);
         let clients = 2usize;
@@ -363,8 +349,7 @@ pub mod fig9 {
         let conns_per_client = scaled(32, 128);
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
             if spec.index == 0 {
-                let app: Box<dyn App> = Box::new(KvServer::new(7));
-                make_server(sim, spec, server, (1, 1), Bufs::small(), app)
+                add_server(sim, spec, Box::new(KvServer::new(7)))
             } else {
                 let app: Box<dyn App> = Box::new(KvClient::new(
                     server_ip,
@@ -379,71 +364,20 @@ pub mod fig9 {
                 make_server(sim, spec, client, (2, 2), Bufs::small(), app)
             }
         };
-        let topo = build_star(
-            &mut sim,
-            1 + clients,
-            |i| {
-                if i == 0 {
-                    PortConfig::fortygig()
-                } else {
-                    PortConfig::tengig()
-                }
-            },
-            |i| {
-                if i == 0 {
-                    NicConfig::server_40g(1)
-                } else {
-                    NicConfig::client_10g(1)
-                }
-            },
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
+        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
+        start_all(&mut sim, &topo.hosts);
         let warmup = SimTime::from_ms(20);
         let window = scaled(SimTime::from_ms(60), SimTime::from_ms(300));
         sim.run_until(warmup);
         for &h in &topo.hosts[1..] {
-            set_gate(&mut sim, h, client, warmup);
+            app_mut::<KvClient>(&mut sim, h).measure_from = warmup;
         }
         sim.run_until(warmup + window);
         let mut hist = Histogram::new();
         for &h in &topo.hosts[1..] {
-            hist.merge(client_hist(&sim, h, client));
+            hist.merge(&app::<KvClient>(&sim, h).latency);
         }
         hist
-    }
-
-    /// Starts latency measurement at `t` on a client host.
-    pub fn set_gate(sim: &mut Sim<NetMsg>, id: AgentId, kind: Kind, t: SimTime) {
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                sim.agent_mut::<tas::TasHost>(id)
-                    .app_as_mut::<KvClient>()
-                    .measure_from = t;
-            }
-            _ => {
-                // StackHost has no app_as_mut; reach through the agent.
-                sim.agent_mut::<tas_baselines::StackHost>(id)
-                    .app_as_mut::<KvClient>()
-                    .measure_from = t;
-            }
-        }
-    }
-
-    /// A client host's measured request-latency histogram.
-    pub fn client_hist(sim: &Sim<NetMsg>, id: AgentId, kind: Kind) -> &Histogram {
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                &sim.agent::<tas::TasHost>(id).app_as::<KvClient>().latency
-            }
-            _ => {
-                &sim.agent::<tas_baselines::StackHost>(id)
-                    .app_as::<KvClient>()
-                    .latency
-            }
-        }
     }
 
     /// The gated report: latency quantiles for TAS/TAS and Linux/TAS.
@@ -463,7 +397,7 @@ pub mod fig9 {
 pub mod fig14 {
     use super::*;
     use tas::host::timers as tas_timers;
-    use tas::{ApiKind, CcAlgo, TasConfig, TasHost};
+    use tas::ApiKind;
     use tas_apps::kv::KvServer;
     use tas_apps::loadgen::{timers as lg_timers, LoadGenConfig, LoadGenHost};
 
@@ -487,15 +421,7 @@ pub mod fig14 {
                     max_core_backlog: SimTime::from_ms(50),
                     ..TasConfig::default()
                 };
-                let app: Box<dyn App> = Box::new(KvServer::new(7));
-                sim.add_agent(Box::new(TasHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
+                add_host(sim, spec, HostCfg::Tas(cfg), Box::new(KvServer::new(7)))
             } else {
                 let mut template = vec![0u8; tas_apps::kv::REQ_HDR + tas_apps::kv::VAL_SIZE];
                 template[0] = tas_apps::kv::OP_GET;
@@ -521,25 +447,7 @@ pub mod fig14 {
                 )))
             }
         };
-        let topo = build_star(
-            &mut sim,
-            1 + clients,
-            |i| {
-                if i == 0 {
-                    PortConfig::fortygig()
-                } else {
-                    PortConfig::tengig()
-                }
-            },
-            |i| {
-                if i == 0 {
-                    NicConfig::server_40g(1)
-                } else {
-                    NicConfig::client_10g(1)
-                }
-            },
-            &mut factory,
-        );
+        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
         sim.inject_timer(SimTime::ZERO, topo.hosts[0], tas_timers::INIT, 0);
         // Staggered starts; mirrored stops.
         let total = step * (2 * clients as u64 + 1);
@@ -672,7 +580,6 @@ pub mod fig14 {
 /// Figure 15: request latency across fast-path core additions.
 pub mod fig15 {
     use super::*;
-    use tas::TasHost;
     use tas_apps::loadgen::LoadGenHost;
 
     /// One latency/core sample.
@@ -756,8 +663,7 @@ pub mod fig15 {
         } else {
             pre.iter().sum::<f64>() / pre.len() as f64
         };
-        let scale_events = sim
-            .agent::<TasHost>(server)
+        let scale_events = host(&sim, server)
             .registry()
             .counter_value("host.scale_events", tas_sim::Scope::Global);
         Outcome {
@@ -855,25 +761,19 @@ pub mod table1 {
             ("ix", Kind::Ix),
             ("tas", Kind::TasSockets),
         ] {
-            let res = measure(kind);
-            let p = &res.per_request;
-            let mut m = Metric::value(&format!("cycles_{kname}"), "cycles", p.total_cycles());
-            for module in [
-                Module::Driver,
-                Module::Ip,
-                Module::Tcp,
-                Module::Api,
-                Module::Other,
-                Module::App,
-            ] {
-                m = m.with_component(
-                    &format!("{module:?}").to_lowercase(),
-                    p.cycles[module as usize],
-                );
-            }
-            r.push(m);
+            let p = measure(kind).per_request;
+            r.push(cycles_metric(&format!("cycles_{kname}"), &p));
         }
         r
+    }
+
+    /// Total cycles/request as a metric with the per-module breakdown.
+    pub fn cycles_metric(name: &str, p: &crate::PerRequest) -> Metric {
+        let total = Metric::value(name, "cycles", p.total_cycles());
+        Module::ALL.iter().fold(total, |m, &module| {
+            let component = format!("{module:?}").to_lowercase();
+            m.with_component(&component, p.cycles[module as usize])
+        })
     }
 }
 
@@ -881,9 +781,6 @@ pub mod table1 {
 /// receiver at line rate, sweeping total connections.
 pub mod fig13 {
     use super::*;
-    use tas::{CcAlgo, TasConfig, TasHost};
-    use tas_apps::bulk::{BulkReceiver, BulkSender};
-    use tas_baselines::{profiles, StackHost, StackHostConfig};
 
     /// Sender hosts incasting the single receiver (the paper's 4 -> 1).
     pub const SENDERS: usize = 4;
@@ -899,7 +796,7 @@ pub mod fig13 {
 
     /// One sweep point: (median, p99, fair share) of per-connection
     /// bytes received per sampling interval.
-    pub fn run(kind: Kind, conns_total: u32, seed: u64) -> (f64, f64, f64) {
+    pub fn run(stack: BulkStack, conns_total: u32, seed: u64) -> (f64, f64, f64) {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let per_sender = conns_total / SENDERS as u32;
         let recv_ip = host_ip(0);
@@ -911,65 +808,15 @@ pub mod fig13 {
             } else {
                 Box::new(BulkSender::new(recv_ip, 9, per_sender))
             };
-            match kind {
-                Kind::TasSockets | Kind::TasLowLevel => {
-                    let mut cfg = TasConfig::rpc_bench(2, 2);
-                    cfg.cc = CcAlgo::DctcpRate;
-                    cfg.initial_rate_bps = 200_000_000;
-                    cfg.control_interval = SimTime::from_us(200);
-                    cfg.rx_buf = 64 * 1024;
-                    cfg.tx_buf = 64 * 1024;
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    sim.add_agent(Box::new(TasHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-                _ => {
-                    let mut cfg = StackHostConfig::linux(4);
-                    cfg.tcp.recv_buf = 64 * 1024;
-                    cfg.tcp.send_buf = 64 * 1024;
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    sim.add_agent(Box::new(StackHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        profiles::linux(),
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-            }
+            add_host(sim, spec, stack.cfg(64 * 1024, 200_000_000), app)
         };
-        let topo = build_star(
-            &mut sim,
-            1 + SENDERS,
-            |_| PortConfig::tengig(),
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
+        let topo = uniform_star(&mut sim, 1 + SENDERS, PortConfig::tengig(), &mut factory);
+        start_all(&mut sim, &topo.hosts);
         let window = scaled(SimTime::from_ms(200), SimTime::from_secs(1));
         sim.run_until(warmup + window);
-        let mut samples: Vec<u64> = match kind {
-            Kind::TasSockets | Kind::TasLowLevel => sim
-                .agent::<TasHost>(topo.hosts[0])
-                .app_as::<BulkReceiver>()
-                .interval_samples
-                .clone(),
-            _ => sim
-                .agent::<StackHost>(topo.hosts[0])
-                .app_as::<BulkReceiver>()
-                .interval_samples
-                .clone(),
-        };
+        let mut samples = app::<BulkReceiver>(&sim, topo.hosts[0])
+            .interval_samples
+            .clone();
         samples.sort_unstable();
         if samples.is_empty() {
             return (0.0, 0.0, 0.0);
@@ -1002,8 +849,8 @@ pub mod fig13 {
         conn_counts()
             .into_iter()
             .map(|n| {
-                let (tm, tp, fair) = run(Kind::TasSockets, n, TAS_SEED);
-                let (lm, _, _) = run(Kind::Linux, n, LINUX_SEED);
+                let (tm, tp, fair) = run(BulkStack::TAS, n, TAS_SEED);
+                let (lm, _, _) = run(BulkStack::Linux, n, LINUX_SEED);
                 Row {
                     conns: n,
                     tas_median: tm,
@@ -1039,11 +886,6 @@ pub mod fig13 {
             ));
         }
         r
-    }
-
-    /// The gated report: runs the sweep.
-    pub fn report() -> Report {
-        report_from(&sweep())
     }
 }
 
@@ -1167,107 +1009,40 @@ pub mod cpuprof {
         }
         (r, folded)
     }
-
-    /// The gated report builder (`bench-report` / `cpuprof` entry).
-    pub fn report() -> Report {
-        report_and_folded().0
-    }
 }
 
 /// Table 4: sender/receiver compatibility — 100 bulk flows over a 10G
 /// link for every Linux/TAS combination (paper: 9.4 Gbps in all four).
 pub mod table4 {
     use super::*;
-    use tas::{CcAlgo, TasConfig, TasHost};
-    use tas_apps::bulk::{BulkReceiver, BulkSender};
-    use tas_baselines::{profiles, StackHost, StackHostConfig};
 
     /// The four sender/receiver cells with their pinned seeds.
-    pub fn cells() -> [(&'static str, Kind, &'static str, Kind, u64); 4] {
+    pub fn cells() -> [(&'static str, BulkStack, &'static str, BulkStack, u64); 4] {
+        let (l, t) = (BulkStack::Linux, BulkStack::TAS);
         [
-            ("linux", Kind::Linux, "linux", Kind::Linux, 1),
-            ("linux", Kind::Linux, "tas", Kind::TasSockets, 2),
-            ("tas", Kind::TasSockets, "linux", Kind::Linux, 3),
-            ("tas", Kind::TasSockets, "tas", Kind::TasSockets, 4),
+            ("linux", l, "linux", l, 1),
+            ("linux", l, "tas", t, 2),
+            ("tas", t, "linux", l, 3),
+            ("tas", t, "tas", t, 4),
         ]
     }
 
     /// Goodput of the bulk-transfer scenario: `scaled(50,100)` flows from
     /// one sending machine to one receiving machine, both on 10G.
-    pub fn goodput_gbps(sender: Kind, receiver: Kind, seed: u64) -> f64 {
+    pub fn goodput_gbps(sender: BulkStack, receiver: BulkStack, seed: u64) -> f64 {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let recv_ip = host_ip(0);
         let flows = scaled(50, 100);
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let is_recv = spec.index == 0;
-            let kind = if is_recv { receiver } else { sender };
-            let app: Box<dyn App> = if is_recv {
-                Box::new(BulkReceiver::new(9))
-            } else {
-                Box::new(BulkSender::new(recv_ip, 9, flows))
-            };
+            let stack = if spec.index == 0 { receiver } else { sender };
             // Both stacks run DCTCP, as the paper's testbed does.
-            match kind {
-                Kind::TasSockets | Kind::TasLowLevel => {
-                    let mut cfg = TasConfig::rpc_bench(2, 2);
-                    cfg.rx_buf = 256 * 1024;
-                    cfg.tx_buf = 256 * 1024;
-                    cfg.cc = CcAlgo::DctcpRate;
-                    cfg.initial_rate_bps = 500_000_000;
-                    cfg.control_interval = SimTime::from_us(200);
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    sim.add_agent(Box::new(TasHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-                _ => {
-                    let mut cfg = StackHostConfig::linux(4);
-                    cfg.tcp.recv_buf = 256 * 1024;
-                    cfg.tcp.send_buf = 256 * 1024;
-                    cfg.max_core_backlog = SimTime::from_ms(50);
-                    sim.add_agent(Box::new(StackHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        profiles::linux(),
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-            }
+            let cfg = stack.cfg(256 * 1024, 500_000_000);
+            let app = bulk_app(spec.index, flows);
+            add_host(sim, spec, cfg, app)
         };
-        let topo = build_star(
-            &mut sim,
-            2,
-            |_| PortConfig::tengig(),
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
-        let warmup = SimTime::from_ms(20);
+        let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
+        start_all(&mut sim, &topo.hosts);
         let window = scaled(SimTime::from_ms(30), SimTime::from_ms(100));
-        sim.run_until(warmup);
-        let b0 = receiver_bytes(&sim, topo.hosts[0], receiver);
-        sim.run_until(warmup + window);
-        let b1 = receiver_bytes(&sim, topo.hosts[0], receiver);
-        (b1 - b0) as f64 * 8.0 / window.as_secs_f64()
-    }
-
-    fn receiver_bytes(sim: &Sim<NetMsg>, id: AgentId, kind: Kind) -> u64 {
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => {
-                sim.agent::<TasHost>(id).app_as::<BulkReceiver>().total
-            }
-            _ => sim.agent::<StackHost>(id).app_as::<BulkReceiver>().total,
-        }
+        bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(20), window)
     }
 
     /// The gated report: goodput for all four cells.
@@ -1294,9 +1069,8 @@ pub mod table4 {
 /// latency).
 pub mod designspace {
     use super::*;
-    use tas_apps::kv::{KvClient, KvLoad, KvServer};
-    use tas_baselines::{profiles, StackHost, StackHostConfig, StackProfile, ThreadModel};
-    use tas_cpusim::{Crossing, CrossingKind, Module};
+    use tas_baselines::{StackProfile, ThreadModel};
+    use tas_cpusim::{Crossing, CrossingKind};
 
     /// Seed shared by every per-stack run, so cross-stack differences
     /// come from the stack model alone.
@@ -1358,71 +1132,11 @@ pub mod designspace {
     /// [`StackHost`] server. This is the sweep entry point and the
     /// determinism probe used by `tests/proptest_designspace.rs`.
     pub fn run_custom(profile: StackProfile, cfg: StackHostConfig, seed: u64) -> Histogram {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip = host_ip(0);
-        let clients = 2usize;
-        let rate_per_client = scaled(60_000, 110_000);
-        let conns_per_client = scaled(32, 128);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                let app: Box<dyn App> = Box::new(KvServer::new(7));
-                sim.add_agent(Box::new(StackHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    profile,
-                    cfg.clone(),
-                    spec.uplink,
-                    app,
-                )))
-            } else {
-                let app: Box<dyn App> = Box::new(KvClient::new(
-                    server_ip,
-                    7,
-                    conns_per_client,
-                    100_000,
-                    KvLoad::OpenRate {
-                        per_sec: rate_per_client,
-                    },
-                    seed + spec.index as u64,
-                ));
-                make_server(sim, spec, Kind::TasSockets, (2, 2), Bufs::small(), app)
-            }
-        };
-        let topo = build_star(
-            &mut sim,
-            1 + clients,
-            |i| {
-                if i == 0 {
-                    PortConfig::fortygig()
-                } else {
-                    PortConfig::tengig()
-                }
-            },
-            |i| {
-                if i == 0 {
-                    NicConfig::server_40g(1)
-                } else {
-                    NicConfig::client_10g(1)
-                }
-            },
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
-        let warmup = SimTime::from_ms(20);
-        let window = scaled(SimTime::from_ms(60), SimTime::from_ms(300));
-        sim.run_until(warmup);
-        for &h in &topo.hosts[1..] {
-            fig9::set_gate(&mut sim, h, Kind::TasSockets, warmup);
-        }
-        sim.run_until(warmup + window);
-        let mut hist = Histogram::new();
-        for &h in &topo.hosts[1..] {
-            hist.merge(fig9::client_hist(&sim, h, Kind::TasSockets));
-        }
-        hist
+        fig9::run_on(
+            |sim, spec, app| add_host(sim, spec, HostCfg::Model(profile, cfg.clone()), app),
+            Kind::TasSockets,
+            seed,
+        )
     }
 
     /// The gated report: per-stack latency quantiles (Fig. 9 shape),
@@ -1444,25 +1158,12 @@ pub mod designspace {
         for (name, kind) in stacks() {
             let res = cycles(kind);
             let p = &res.per_request;
-            let mut m = Metric::value(&format!("cycles_{name}"), "cycles", p.total_cycles());
-            for module in [
-                Module::Driver,
-                Module::Ip,
-                Module::Tcp,
-                Module::Api,
-                Module::Other,
-                Module::App,
-            ] {
-                m = m.with_component(
-                    &format!("{module:?}").to_lowercase(),
-                    p.cycles[module as usize],
-                );
-            }
-            m = m.with_component(
-                "host_per_req",
-                res.host_cycles as f64 / p.requests.max(1) as f64,
+            r.push(
+                table1::cycles_metric(&format!("cycles_{name}"), p).with_component(
+                    "host_per_req",
+                    res.host_cycles as f64 / p.requests.max(1) as f64,
+                ),
             );
-            r.push(m);
         }
         for c in MPK_SWEEP {
             let (p, cfg) = mpk_host(c);
@@ -1482,36 +1183,883 @@ pub mod designspace {
         }
         r
     }
+
+    /// The paper-shaped invariants the head-to-head must reproduce:
+    /// protection cost orders Linux > MPK dataplane > TAS at the tail, the
+    /// off-path stack pays PCIe latency TAS does not, and in exchange its
+    /// host-CPU cycles/request undercut Linux by a wide margin.
+    pub fn orderings(r: &Report) -> Vec<Check> {
+        let quantiles = |name: &str| match r.metric(name).map(|m| &m.data) {
+            Some(MetricData::Quantiles(q)) => (q.p50, q.p99),
+            _ => (0, 0),
+        };
+        let host_per_req = |name: &str| {
+            r.metric(name)
+                .and_then(|m| m.breakdown.iter().find(|(n, _)| n == "host_per_req"))
+                .map_or(0.0, |&(_, v)| v)
+        };
+        let (linux, mpk, pno, tas) = (
+            quantiles("lat_linux"),
+            quantiles("lat_mpk"),
+            quantiles("lat_pno"),
+            quantiles("lat_tas"),
+        );
+        vec![
+            ("p99 latency: linux > mpk".into(), linux.1 > mpk.1),
+            ("p99 latency: mpk > tas".into(), mpk.1 > tas.1),
+            (
+                "median latency: pno > tas (PCIe boundary)".into(),
+                pno.0 > tas.0,
+            ),
+            (
+                "host cycles/req: pno < linux / 2".into(),
+                host_per_req("cycles_pno") < host_per_req("cycles_linux") / 2.0,
+            ),
+        ]
+    }
 }
 
-/// A named report builder, as listed by [`gated_reports`].
-pub type ReportFn = (&'static str, fn() -> Report);
+/// Figure 5: throughput with short-lived connections (messages per
+/// connection swept), TAS vs. Linux.
+pub mod fig5 {
+    use super::*;
+    use tas_apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 
-/// Every gated report builder, in output order. The `bench-report`
-/// binary runs these; the comparator gates them against
-/// `crates/bench/baselines/`.
-pub fn gated_reports() -> Vec<ReportFn> {
-    #[cfg_attr(
-        not(any(feature = "trace", feature = "profile")),
-        allow(unused_mut)
-    )]
-    let mut v: Vec<ReportFn> = vec![
-        ("fig4", fig4::report),
-        ("fig6", fig6::report),
-        ("fig7", fig7::report),
-        ("fig9", fig9::report),
-        ("fig13", fig13::report),
-        ("fig14", fig14::report),
-        ("fig15", fig15::report),
-        ("table1", table1::report),
-        ("table3", table3::report),
-        ("table4", table4::report),
-        ("designspace", designspace::report),
-        ("scenarios", crate::scenario::report),
+    /// Runs short-lived echo with `msgs_per_conn` requests per connection
+    /// (`u32::MAX` = persistent connections); returns server mOps.
+    pub fn run(kind: Kind, msgs_per_conn: u32, conns: u32, measure: SimTime) -> f64 {
+        let mut sim: Sim<NetMsg> = Sim::new(7 + msgs_per_conn as u64);
+        let server_ip = host_ip(0);
+        let client_hosts = 4usize;
+        let per_client = conns / client_hosts as u32;
+        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            if spec.index == 0 {
+                let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300));
+                make_server(sim, spec, kind, (2, 1), Bufs::tiny(), app)
+            } else {
+                let lifetime = if msgs_per_conn == u32::MAX {
+                    Lifetime::Persistent
+                } else {
+                    Lifetime::ShortLived { msgs_per_conn }
+                };
+                let app: Box<dyn App> =
+                    Box::new(RpcClient::new(server_ip, 7, per_client, 1, 64, lifetime));
+                // Clients run on TAS so they are never the bottleneck.
+                make_server(sim, spec, Kind::TasSockets, (2, 2), Bufs::tiny(), app)
+            }
+        };
+        let topo = testbed_star(&mut sim, 1 + client_hosts, &mut factory);
+        start_all(&mut sim, &topo.hosts);
+        let warmup = SimTime::from_ms(30);
+        sim.run_until(warmup);
+        let m0 = app::<EchoServer>(&sim, topo.hosts[0]).messages;
+        sim.run_until(warmup + measure);
+        let m1 = app::<EchoServer>(&sim, topo.hosts[0]).messages;
+        (m1 - m0) as f64 / measure.as_secs_f64() / 1e6
+    }
+
+    /// The msgs/conn sweep's observables.
+    pub struct Outcome {
+        /// Concurrent connections.
+        pub conns: u32,
+        /// (msgs/conn, TAS mOps, Linux mOps) per sweep point.
+        pub rows: Vec<(u32, f64, f64)>,
+        /// TAS mOps with persistent connections.
+        pub tas_persistent: f64,
+    }
+
+    /// Runs the sweep on both stacks plus the persistent-connection
+    /// reference.
+    pub fn sweep() -> Outcome {
+        let conns = scaled(128, 1_024);
+        let measure = scaled(SimTime::from_ms(30), SimTime::from_ms(100));
+        let points = scaled(
+            vec![1, 4, 16, 64, 256],
+            vec![1, 2, 4, 16, 64, 256, 1_024, 4_096],
+        );
+        let rows = points
+            .into_iter()
+            .map(|m| {
+                let t = run(Kind::TasSockets, m, conns, measure);
+                (m, t, run(Kind::Linux, m, conns, measure))
+            })
+            .collect();
+        Outcome {
+            conns,
+            rows,
+            tas_persistent: run(Kind::TasSockets, u32::MAX, conns, measure),
+        }
+    }
+
+    /// Builds the gated report from a sweep.
+    pub fn report_from(o: &Outcome) -> Report {
+        let mut r = Report::new("fig5", "Short-lived connection throughput", 7);
+        r.param("conns", o.conns);
+        for &(m, t, l) in &o.rows {
+            r.push(Metric::value(&format!("tas_{m}mpc"), "mops", t));
+            r.push(Metric::value(&format!("linux_{m}mpc"), "mops", l));
+        }
+        r.push(Metric::value("tas_persistent", "mops", o.tas_persistent));
+        r
+    }
+}
+
+/// The four stacks of the KV core-count sweeps (Fig. 8, Table 7), in
+/// column order, with their report metric names.
+pub const KV_STACKS: [(&str, Kind); 4] = [
+    ("tas_ll", Kind::TasLowLevel),
+    ("tas_so", Kind::TasSockets),
+    ("ix", Kind::Ix),
+    ("linux", Kind::Linux),
+];
+
+/// One row per total core count: mOps per [`KV_STACKS`] column.
+pub type CoreSweep = Vec<(usize, [f64; 4])>;
+
+fn core_sweep(totals: &[usize], measure: impl Fn(Kind, usize) -> f64) -> CoreSweep {
+    totals
+        .iter()
+        .map(|&total| (total, KV_STACKS.map(|(_, kind)| measure(kind, total))))
+        .collect()
+}
+
+/// Pushes the sweep's last (max-cores) row, one metric per stack.
+fn push_at_max_cores(r: &mut Report, rows: &CoreSweep) {
+    if let Some((total, mops)) = rows.last() {
+        r.param("cores", total);
+        for ((name, _), &v) in KV_STACKS.iter().zip(mops) {
+            r.push(Metric::value(name, "mops", v));
+        }
+    }
+}
+
+/// Figure 8 + Table 6: key-value store throughput scalability with
+/// server cores, for TAS LL, TAS SO, IX, and Linux.
+pub mod fig8 {
+    use super::*;
+
+    /// Table 6 core splits per total core count, as `(fast-path, app)`
+    /// for TAS and as two halves of one pool for the baselines.
+    pub fn split(kind: Kind, total: usize) -> (usize, usize) {
+        // Paper Table 6: Sockets — app 1/2/5/7/9, TAS 1/2/3/5/7 at
+        // 2/4/8/12/16. Lowlevel — even split.
+        let so_app = [(2, 1), (4, 2), (8, 5), (12, 7), (16, 9)];
+        let app = match kind {
+            Kind::TasSockets => so_app
+                .iter()
+                .find(|(t, _)| *t == total)
+                .map_or(total / 2, |(_, a)| *a),
+            _ => total - total / 2,
+        };
+        (total - app, app)
+    }
+
+    /// Client connections.
+    pub fn conns() -> u32 {
+        scaled(4_000, 32_000)
+    }
+
+    /// Runs the sweep over core counts and stacks.
+    pub fn sweep() -> CoreSweep {
+        let totals = scaled(vec![2, 4, 8, 16], vec![2, 4, 8, 12, 16]);
+        core_sweep(&totals, |kind, total| {
+            let mut sc = RpcScenario::kv(kind, split(kind, total), conns());
+            sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
+            sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
+            sc.seed = 7 + total as u64;
+            crate::run_rpc(&sc).mops
+        })
+    }
+
+    /// Builds the gated report (throughput at max cores) from a sweep.
+    pub fn report_from(rows: &CoreSweep) -> Report {
+        let mut r = Report::new("fig8", "KV throughput scalability at max cores", 7);
+        r.param("conns", conns());
+        push_at_max_cores(&mut r, rows);
+        r
+    }
+}
+
+/// Table 7: throughput for the non-scalable key-value workload — a
+/// single contended key whose updates serialize on a lock.
+pub mod table7 {
+    use super::*;
+
+    /// Runs the contended-key workload on `total` server cores.
+    pub fn run(kind: Kind, total: usize) -> f64 {
+        // TAS keeps ONE app core and grows fast-path cores; baselines grow
+        // the shared pool.
+        let cores = match kind {
+            Kind::TasSockets | Kind::TasLowLevel => (total.saturating_sub(1).max(1), 1),
+            _ => (total / 2, total - total / 2),
+        };
+        let mut sc = RpcScenario::kv(kind, cores, 256);
+        // Single hot key: every operation contends on the update lock. The
+        // contention charge scales with the number of app cores.
+        sc.kv_contention = 1_200;
+        sc.warmup = SimTime::from_ms(15);
+        sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
+        sc.client_hosts = 4;
+        sc.seed = 99 + total as u64;
+        crate::run_rpc(&sc).mops
+    }
+
+    /// Runs 2, 3 and 4 total cores on every stack.
+    pub fn sweep() -> CoreSweep {
+        core_sweep(&[2, 3, 4], run)
+    }
+
+    /// Builds the gated report (throughput at 4 cores) from a sweep.
+    pub fn report_from(rows: &CoreSweep) -> Report {
+        let mut r = Report::new("table7", "Non-scalable KV workload at 4 cores", 99);
+        r.param("conns", 256);
+        push_at_max_cores(&mut r, rows);
+        r
+    }
+}
+
+/// Table 2: per-request app/stack overheads — cycles, instructions, CPI.
+pub mod table2 {
+    use super::*;
+    use crate::PerRequest;
+    use tas_cpusim::Module;
+
+    /// Per-request accounting for Linux, IX and TAS on the Table 1
+    /// scenario (one source of cycle truth with Table 1 and `cpuprof`).
+    pub fn rows() -> Vec<(Kind, PerRequest)> {
+        [Kind::Linux, Kind::Ix, Kind::TasSockets]
+            .into_iter()
+            .map(|kind| (kind, table1::measure(kind).per_request))
+            .collect()
+    }
+
+    /// Application cycles per request.
+    pub fn app_cycles(p: &PerRequest) -> f64 {
+        p.cycles[Module::App as usize]
+    }
+
+    /// Builds the gated report from measured rows.
+    pub fn report_from(rows: &[(Kind, PerRequest)]) -> Report {
+        let mut r = Report::new("table2", "Per-request cycles, instructions, CPI", 0);
+        r.param("conns", scaled(2_000, 32_000));
+        for (kind, p) in rows {
+            let tag = kind.label().to_lowercase().replace(' ', "_");
+            r.push(
+                Metric::value(&format!("stack_cycles_{tag}"), "cycles", p.stack_cycles())
+                    .with_component("app_cycles", app_cycles(p))
+                    .with_component("instr", p.total_instr())
+                    .with_component("cpi", p.cpi()),
+            );
+        }
+        r
+    }
+}
+
+/// Figure 10 + Table 8: FlexStorm real-time analytics on Linux, mTCP,
+/// TAS — three nodes in a processing chain streaming tuples over TCP.
+pub mod fig10 {
+    use super::*;
+    use tas_apps::flexstorm::FlexStormNode;
+
+    /// The middle node's mean per-tuple delays (Table 8).
+    pub struct NodeStats {
+        /// Input-queue delay, µs.
+        pub input_us: f64,
+        /// Processing time, µs.
+        pub proc_us: f64,
+        /// Output (batching mux) delay, ms.
+        pub output_ms: f64,
+    }
+
+    /// Runs the chain on `kind`; returns (sink million tuples/s, middle
+    /// node stats).
+    pub fn run(kind: Kind, spout_rate: u64, seed: u64) -> (f64, NodeStats) {
+        let mut sim: Sim<NetMsg> = Sim::new(seed);
+        let nodes = 3usize;
+        let workers = 2u16;
+        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            let next = if (spec.index as usize) < nodes - 1 {
+                Some((host_ip(spec.index + 1), 7_000))
+            } else {
+                None
+            };
+            let mut node = FlexStormNode::new(7_000, workers, next);
+            if spec.index == 0 {
+                node.spout_rate = spout_rate;
+            }
+            // Cores: demux + workers + mux = 4 contexts.
+            let bufs = Bufs {
+                rx: 256 * 1024,
+                tx: 256 * 1024,
+            };
+            make_server(sim, spec, kind, (2, 4), bufs, Box::new(node))
+        };
+        let topo = uniform_star(&mut sim, nodes, PortConfig::tengig(), &mut factory);
+        start_all(&mut sim, &topo.hosts);
+        let warmup = SimTime::from_ms(100);
+        let window = scaled(SimTime::from_ms(300), SimTime::from_secs(2));
+        sim.run_until(warmup);
+        let p0 = app::<FlexStormNode>(&sim, topo.hosts[2])
+            .stats
+            .tuples_processed;
+        for &h in &topo.hosts {
+            app_mut::<FlexStormNode>(&mut sim, h).measure_from = warmup;
+        }
+        sim.run_until(warmup + window);
+        let p1 = app::<FlexStormNode>(&sim, topo.hosts[2])
+            .stats
+            .tuples_processed;
+        // Table 8 measures the middle node (fully loaded in and out).
+        let mid = app::<FlexStormNode>(&sim, topo.hosts[1]);
+        let stats = NodeStats {
+            input_us: mid.input_delay_us.mean(),
+            proc_us: mid.proc_us.mean(),
+            output_ms: mid.output_delay_us.mean() / 1000.0,
+        };
+        ((p1 - p0) as f64 / window.as_secs_f64() / 1e6, stats)
+    }
+
+    /// Offered spout rate, tuples/s.
+    pub fn spout_rate() -> u64 {
+        scaled(1_500_000, 4_000_000)
+    }
+
+    /// Runs the three stacks: (metric tag, stack, mt/s, middle node).
+    pub fn sweep() -> Vec<(&'static str, Kind, f64, NodeStats)> {
+        [
+            ("linux", Kind::Linux, 1u64),
+            ("mtcp", Kind::Mtcp, 2),
+            ("tas", Kind::TasSockets, 3),
+        ]
+        .into_iter()
+        .map(|(tag, kind, seed)| {
+            let (mtps, st) = run(kind, spout_rate(), seed);
+            (tag, kind, mtps, st)
+        })
+        .collect()
+    }
+
+    /// Builds the gated report from a sweep.
+    pub fn report_from(rows: &[(&'static str, Kind, f64, NodeStats)]) -> Report {
+        let mut r = Report::new("fig10", "FlexStorm throughput and tuple latency", 1);
+        r.param("spout_rate", spout_rate()).param("nodes", 3);
+        for (tag, _, mtps, st) in rows {
+            r.push(
+                Metric::value(&format!("{tag}_mtps"), "mops", *mtps)
+                    .with_component("input_us", st.input_us)
+                    .with_component("proc_us", st.proc_us)
+                    .with_component("output_ms", st.output_ms),
+            );
+        }
+        r
+    }
+}
+
+/// Figure 11: congestion-control fidelity on a single 10 Gbps link at
+/// 75% load, sweeping TAS's slow-path control interval τ.
+pub mod fig11 {
+    use super::*;
+    use tas_apps::flows::{FlowGen, FlowSink};
+    use tas_netsim::switch::TIMER_SAMPLE_QUEUE;
+    use tas_netsim::Switch;
+    use tas_tcp::{CcKind, TcpConfig};
+
+    /// The congestion-control variant every node runs.
+    #[derive(Clone, Copy, PartialEq)]
+    pub enum Cc {
+        /// Window-based NewReno, no ECN.
+        Tcp,
+        /// Window-based DCTCP.
+        Dctcp,
+        /// TAS rate-based DCTCP with control interval τ.
+        TasRate {
+            /// Control interval τ, µs.
+            tau_us: u64,
+        },
+        /// TAS running TIMELY (τ = 200 µs).
+        TasTimely,
+    }
+
+    /// A protocol-focused node with `cores` + `cores` cores and
+    /// `buf`-byte socket buffers running `cc`.
+    pub fn node_cfg(cc: Cc, cores: usize, buf: usize) -> HostCfg {
+        let (algo, tau_us) = match cc {
+            Cc::TasRate { tau_us } => (CcAlgo::DctcpRate, tau_us),
+            Cc::TasTimely => (CcAlgo::Timely, 200),
+            Cc::Tcp | Cc::Dctcp => {
+                // IX-like cheap stack so the CPU never interferes with
+                // the CC comparison (the paper's ns-3 nodes have no CPU
+                // model at all).
+                let mut cfg = StackHostConfig::ix(2 * cores);
+                cfg.tcp = TcpConfig {
+                    cc: if cc == Cc::Tcp {
+                        CcKind::NewReno
+                    } else {
+                        CcKind::Dctcp
+                    },
+                    ecn: cc != Cc::Tcp,
+                    recv_buf: buf,
+                    send_buf: buf,
+                    rto_min: SimTime::from_ms(5),
+                    ..TcpConfig::default()
+                };
+                cfg.max_core_backlog = SimTime::from_ms(50);
+                return HostCfg::Model(profiles::ix(), cfg);
+            }
+        };
+        HostCfg::Tas(TasConfig {
+            max_fp_cores: cores,
+            initial_fp_cores: cores,
+            app_cores: cores,
+            cc: algo,
+            control_interval: SimTime::from_us(tau_us),
+            ..bulk_tas(buf, 500_000_000)
+        })
+    }
+
+    /// A generator of bounded-Pareto-sized flows toward `dests` offering
+    /// `load_bps` (the analytic mean size makes the offered load exact).
+    pub fn flow_gen(dests: Vec<(std::net::Ipv4Addr, u16)>, load_bps: f64, seed: u64) -> FlowGen {
+        let alpha = 1.2;
+        let mean = tas_sim::dist::BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, alpha).mean();
+        let gap = SimTime::from_secs_f64(mean * 8.0 / load_bps);
+        let mut g = FlowGen::new(dests, gap, seed);
+        g.size_alpha = alpha;
+        g
+    }
+
+    /// Runs the single-link experiment; returns (mean FCT ms, mean
+    /// bottleneck queue pkts).
+    pub fn run(cc: Cc, seed: u64) -> (f64, f64) {
+        let mut sim: Sim<NetMsg> = Sim::new(seed);
+        let senders = 8usize;
+        let sink_ip = host_ip(0);
+        // 75% of 10G split over the senders.
+        let per_sender_bps = 0.75 * 10e9 / senders as f64;
+        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            let app: Box<dyn App> = if spec.index == 0 {
+                Box::new(FlowSink::new(5001))
+            } else {
+                Box::new(flow_gen(
+                    vec![(sink_ip, 5001)],
+                    per_sender_bps,
+                    seed + spec.index as u64,
+                ))
+            };
+            add_host(sim, spec, node_cfg(cc, 2, 256 * 1024), app)
+        };
+        // RTT 100us: 25us one-way on every port.
+        let port = PortConfig {
+            prop_delay: SimTime::from_us(25),
+            ..PortConfig::tengig()
+        };
+        let topo = uniform_star(&mut sim, 1 + senders, port, &mut factory);
+        start_all(&mut sim, &topo.hosts);
+        // Monitor the bottleneck (switch port 0 toward the sink).
+        sim.agent_mut::<Switch>(topo.switch)
+            .monitor_port(0, SimTime::from_us(20));
+        let warmup = SimTime::from_ms(30);
+        sim.inject_timer(warmup, topo.switch, TIMER_SAMPLE_QUEUE, 0);
+        sim.run_until(warmup);
+        app_mut::<FlowSink>(&mut sim, topo.hosts[0]).measure_from = warmup;
+        let window = scaled(SimTime::from_ms(150), SimTime::from_ms(500));
+        sim.run_until(warmup + window);
+        let fct_ms = app::<FlowSink>(&sim, topo.hosts[0]).fct_all.mean() / 1e6;
+        (fct_ms, sim.agent::<Switch>(topo.switch).mean_queue_depth())
+    }
+
+    /// The whole figure: reference lines, the τ sweep, and the TIMELY
+    /// extension, each as (mean FCT ms, mean queue pkts).
+    pub struct Outcome {
+        /// Plain TCP (NewReno).
+        pub tcp: (f64, f64),
+        /// Window DCTCP.
+        pub dctcp: (f64, f64),
+        /// (τ µs, FCT ms, queue pkts) per sweep point.
+        pub tas: Vec<(u64, f64, f64)>,
+        /// TAS running TIMELY.
+        pub timely: (f64, f64),
+    }
+
+    /// Runs every line of the figure.
+    pub fn sweep() -> Outcome {
+        let taus = scaled(
+            vec![50, 100, 400, 1000],
+            vec![25, 50, 100, 200, 400, 600, 800, 1000],
+        );
+        Outcome {
+            tcp: run(Cc::Tcp, 11),
+            dctcp: run(Cc::Dctcp, 12),
+            tas: taus
+                .into_iter()
+                .map(|tau| {
+                    let (fct, q) = run(Cc::TasRate { tau_us: tau }, 13 + tau);
+                    (tau, fct, q)
+                })
+                .collect(),
+            timely: run(Cc::TasTimely, 29),
+        }
+    }
+
+    /// Builds the gated report from a sweep.
+    pub fn report_from(o: &Outcome) -> Report {
+        let mut r = Report::new(
+            "fig11",
+            "Single-link CC fidelity: FCT and bottleneck queue",
+            11,
+        );
+        r.param("load", "0.75").param("senders", 8);
+        let fct = |name: &str, ms: f64| Metric::value(name, "us", ms * 1000.0).with_tol(0.20);
+        r.push(fct("tcp_fct", o.tcp.0));
+        r.push(fct("dctcp_fct", o.dctcp.0));
+        r.push(Metric::value("tcp_queue_pkts", "pkts", o.tcp.1));
+        r.push(Metric::value("dctcp_queue_pkts", "pkts", o.dctcp.1));
+        for &(tau, ms, q) in &o.tas {
+            r.push(fct(&format!("tas_tau{tau}_fct"), ms));
+            let queue = format!("tas_tau{tau}_queue_pkts");
+            r.push(Metric::value(&queue, "pkts", q));
+        }
+        r
+    }
+}
+
+/// Figure 12: flow completion times in a FatTree cluster at ~30% core
+/// load, for TCP (NewReno), DCTCP, and TAS (rate-based DCTCP, τ =
+/// 100 µs), on a scaled-down k = 4 (quick) / k = 8 (full) tree with the
+/// paper's 1:4 core oversubscription.
+pub mod fig12 {
+    use super::fig11::{flow_gen, node_cfg, Cc};
+    use super::*;
+    use tas_apps::flows::FlowSink;
+    use tas_netsim::topo::{build_fattree, FatTreeConfig};
+
+    /// FatTree arity.
+    pub fn k() -> usize {
+        scaled(4, 8)
+    }
+
+    /// Returns (short-flow FCT histogram, long-flow FCT histogram) in ns.
+    pub fn run(cc: Cc, seed: u64) -> (Histogram, Histogram) {
+        let mut sim: Sim<NetMsg> = Sim::new(seed);
+        let n_hosts = k() * k() * k() / 4;
+        let all_dests: Vec<(std::net::Ipv4Addr, u16)> =
+            (0..n_hosts as u32).map(|i| (host_ip(i), 5001)).collect();
+        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            // One app per host: even hosts generate toward the odd hosts,
+            // which sink (documented scale-down). With the 1:4
+            // oversubscribed core, ~0.5 of the host link loads the core
+            // to ~30%+.
+            let app: Box<dyn App> = if spec.index.is_multiple_of(2) {
+                let dests = all_dests
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|(i, _)| i % 2 == 1 && *i as u32 != spec.index)
+                    .map(|(_, d)| d)
+                    .collect();
+                Box::new(flow_gen(dests, 0.5 * 10e9, seed + spec.index as u64))
+            } else {
+                Box::new(FlowSink::new(5001))
+            };
+            add_host(sim, spec, node_cfg(cc, 1, 128 * 1024), app)
+        };
+        let cfg = FatTreeConfig {
+            k: k(),
+            ..FatTreeConfig::paper_scaled()
+        };
+        let topo = build_fattree(&mut sim, cfg, &mut factory);
+        start_all(&mut sim, &topo.hosts);
+        let sinks: Vec<AgentId> = topo.hosts.iter().copied().skip(1).step_by(2).collect();
+        let warmup = SimTime::from_ms(30);
+        sim.run_until(warmup);
+        for &h in &sinks {
+            app_mut::<FlowSink>(&mut sim, h).measure_from = warmup;
+        }
+        let window = scaled(SimTime::from_ms(120), SimTime::from_ms(400));
+        sim.run_until(warmup + window);
+        let mut short = Histogram::new();
+        let mut long = Histogram::new();
+        for &h in &sinks {
+            let sink = app::<FlowSink>(&sim, h);
+            short.merge(&sink.fct_short);
+            long.merge(&sink.fct_long);
+        }
+        (short, long)
+    }
+
+    /// Runs the three variants: (name, short FCTs, long FCTs).
+    pub fn sweep() -> Vec<(&'static str, Histogram, Histogram)> {
+        [
+            ("TCP", Cc::Tcp),
+            ("DCTCP", Cc::Dctcp),
+            ("TAS", Cc::TasRate { tau_us: 100 }),
+        ]
+        .into_iter()
+        .map(|(name, cc)| {
+            let (s, l) = run(cc, 21);
+            (name, s, l)
+        })
+        .collect()
+    }
+
+    /// Builds the gated report from a sweep.
+    pub fn report_from(rows: &[(&'static str, Histogram, Histogram)]) -> Report {
+        let mut r = Report::new("fig12", "FatTree flow completion times", 21);
+        r.param("k", k()).param("hosts", k() * k() * k() / 4);
+        for (name, s, l) in rows {
+            let tag = name.to_lowercase();
+            r.push(Metric::quantiles(&format!("{tag}_short_fct"), "ns", s).with_tol(0.20));
+            r.push(Metric::quantiles(&format!("{tag}_long_fct"), "ns", l).with_tol(0.20));
+        }
+        r
+    }
+}
+
+/// Ablation studies for the TAS design choices DESIGN.md calls out (not
+/// a paper figure): each removes or degrades one mechanism the paper
+/// argues for and measures the cost of losing it.
+pub mod ablations {
+    use super::*;
+    use crate::TasOverrides;
+
+    /// Ablation A's per-flow state footprints: (table label, metric
+    /// name, cache lines touched per request). 2 lines = TAS's 102 B; 8 =
+    /// a 512 B state; 30 = a ~1.9 KB Linux `tcp_sock`-like state.
+    pub const STATE_VARIANTS: [(&str, &str, u64); 3] = [
+        ("102B (TAS)", "state_102b", 2),
+        ("512B", "state_512b", 8),
+        ("1.9KB", "state_1900b", 30),
     ];
+
+    /// Ablation A: echo mOps per [`STATE_VARIANTS`] column at each
+    /// connection count.
+    pub fn state_footprint() -> Vec<(u32, [f64; 3])> {
+        scaled(vec![16_000, 64_000], vec![16_000, 64_000, 96_000])
+            .into_iter()
+            .map(|conns| {
+                let mops = STATE_VARIANTS.map(|(_, _, lines)| {
+                    let mut sc = RpcScenario::echo(Kind::TasSockets, (10, 10), conns);
+                    sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
+                    sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
+                    sc.seed = 7_000 + conns as u64;
+                    sc.tas_overrides = TasOverrides {
+                        cache_lines_per_req: Some(lines),
+                        ..TasOverrides::default()
+                    };
+                    crate::run_rpc(&sc).mops
+                });
+                (conns, mops)
+            })
+            .collect()
+    }
+
+    /// Outcome of one bulk fan-in run.
+    pub struct BulkRun {
+        /// Receiver goodput.
+        pub gbps: f64,
+        /// Fast retransmits across the senders.
+        pub fast_rexmits: u64,
+        /// Slow-path timeout retransmits across the senders.
+        pub timeout_rexmits: u64,
+    }
+
+    /// Runs `senders` TAS bulk hosts with 25 connections each into one
+    /// receiver over a shared 10G star.
+    pub fn bulk_fan_in(
+        cc: CcAlgo,
+        stall_intervals: u32,
+        loss: f64,
+        senders: usize,
+        seed: u64,
+    ) -> BulkRun {
+        let mut sim: Sim<NetMsg> = Sim::new(seed);
+        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            let cfg = TasConfig {
+                cc,
+                stall_intervals_for_rexmit: stall_intervals,
+                ..bulk_tas(128 * 1024, 500_000_000)
+            };
+            let app = bulk_app(spec.index, 25);
+            add_host(sim, spec, HostCfg::Tas(cfg), app)
+        };
+        let port = lossy_tengig(loss, seed);
+        let topo = uniform_star(&mut sim, 1 + senders, port, &mut factory);
+        start_all(&mut sim, &topo.hosts);
+        let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
+        let bps = bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(50), window);
+        let mut run = BulkRun {
+            gbps: bps / 1e9,
+            fast_rexmits: 0,
+            timeout_rexmits: 0,
+        };
+        for &h in &topo.hosts[1..] {
+            let sender = sim.agent::<TasHost>(h);
+            run.fast_rexmits += sender.fp_stats().fast_rexmits;
+            run.timeout_rexmits += sender.sp_stats().timeout_rexmits;
+        }
+        run
+    }
+
+    /// All three ablations.
+    pub struct Outcome {
+        /// A: per-flow state footprint.
+        pub state: Vec<(u32, [f64; 3])>,
+        /// B: 4x25 bulk flows with fast-path rate enforcement on.
+        pub enforced: BulkRun,
+        /// B: the same fan-in with congestion control disabled.
+        pub unenforced: BulkRun,
+        /// C: (stalled intervals before retransmit, run) under 1% loss.
+        pub stall: Vec<(u32, BulkRun)>,
+    }
+
+    /// Runs all three ablations.
+    pub fn run() -> Outcome {
+        Outcome {
+            state: state_footprint(),
+            enforced: bulk_fan_in(CcAlgo::DctcpRate, 2, 0.0, 4, 300),
+            unenforced: bulk_fan_in(CcAlgo::None, 2, 0.0, 4, 300),
+            stall: [1u32, 2, 4]
+                .into_iter()
+                .map(|n| (n, bulk_fan_in(CcAlgo::DctcpRate, n, 0.01, 1, 400)))
+                .collect(),
+        }
+    }
+
+    /// Builds the gated report from an outcome.
+    pub fn report_from(o: &Outcome) -> Report {
+        let mut r = Report::new("ablations", "Design-choice ablations", 300);
+        if let Some((_, at_max)) = o.state.last() {
+            for ((_, name, _), &mops) in STATE_VARIANTS.iter().zip(at_max) {
+                r.push(Metric::value(name, "mops", mops));
+            }
+        }
+        let bulk = |name: String, b: &BulkRun| {
+            Metric::value(&name, "gbps", b.gbps)
+                .with_component("fast_rexmits", b.fast_rexmits as f64)
+                .with_component("timeout_rexmits", b.timeout_rexmits as f64)
+        };
+        r.push(bulk("enforced_gbps".into(), &o.enforced));
+        r.push(bulk("unenforced_gbps".into(), &o.unenforced));
+        for (n, b) in &o.stall {
+            r.push(bulk(format!("stall_{n}_gbps"), b));
+        }
+        r
+    }
+}
+
+/// One named pass/fail statement about a report.
+pub type Check = (String, bool);
+
+/// How an entry's report is produced.
+pub enum Build {
+    /// Builds the report.
+    Report(fn() -> Report),
+    /// Builds the report plus a side artefact, written (and pinned)
+    /// next to it as `BENCH_<name>.<ext>`.
+    WithSide(&'static str, fn() -> (Report, String)),
+    /// Only builds with the named cargo feature, which this build lacks.
+    Needs(&'static str),
+}
+
+/// One gated artefact: everything the `bench-report` driver
+/// ([`crate::gate`]) needs to generate, check, pin and self-test it.
+pub struct Entry {
+    /// Report name: `BENCH_<name>.json`, and the prefix (up to the first
+    /// `_`) of the bench target in `benches/` that prints it, if any.
+    pub name: &'static str,
+    /// The builder.
+    pub build: Build,
+    /// Wall-clock reports are gated by tolerance and only run when named;
+    /// every other report is modelled — a pure function of its seeds —
+    /// and gated byte-for-byte against its pin.
+    pub wall_clock: bool,
+    /// Invariants any instance of the report must satisfy.
+    pub invariants: fn(&Report) -> Vec<Check>,
+    /// Self-test: turns a fresh report into one the gate must reject.
+    pub sabotage: Option<fn(&Report) -> Report>,
+}
+
+impl Entry {
+    fn new(name: &'static str, build: Build) -> Entry {
+        Entry {
+            name,
+            build,
+            wall_clock: false,
+            invariants: |_| Vec::new(),
+            sabotage: None,
+        }
+    }
+
+    fn report(name: &'static str, build: fn() -> Report) -> Entry {
+        Entry::new(name, Build::Report(build))
+    }
+}
+
+/// `r` with every scalar metric whose name starts with one of `prefixes`
+/// scaled by `factor` (the injected regression of the self-tests).
+pub fn inflate(r: &Report, prefixes: &[&str], factor: f64) -> Report {
+    let mut out = r.clone();
+    for m in &mut out.metrics {
+        if prefixes.iter().any(|p| m.name.starts_with(p)) {
+            if let MetricData::Value(v) = &mut m.data {
+                *v *= factor;
+            }
+        }
+    }
+    out
+}
+
+/// Every gated artefact, in output order: the paper's figures and tables,
+/// the ablations, and the cross-cutting reports.
+pub fn catalogue() -> Vec<Entry> {
     #[cfg(feature = "trace")]
-    v.push(("fig6spans", fig6::spans_report));
+    let fig6spans = Build::Report(fig6::spans_report);
+    #[cfg(not(feature = "trace"))]
+    let fig6spans = Build::Needs("trace");
     #[cfg(feature = "profile")]
-    v.push(("cpuprof", cpuprof::report));
-    v
+    let cpuprof = Build::WithSide("folded", cpuprof::report_and_folded);
+    #[cfg(not(feature = "profile"))]
+    let cpuprof = Build::Needs("profile");
+    vec![
+        Entry::report("fig4", fig4::report),
+        Entry::report("fig5", || fig5::report_from(&fig5::sweep())),
+        Entry::report("fig6", fig6::report),
+        Entry::report("fig7", fig7::report),
+        Entry::report("fig8", || fig8::report_from(&fig8::sweep())),
+        Entry::report("fig9", fig9::report),
+        Entry::report("fig10", || fig10::report_from(&fig10::sweep())),
+        Entry::report("fig11", || fig11::report_from(&fig11::sweep())),
+        Entry::report("fig12", || fig12::report_from(&fig12::sweep())),
+        Entry::report("fig13", || fig13::report_from(&fig13::sweep())),
+        Entry::report("fig14", fig14::report),
+        Entry::report("fig15", fig15::report),
+        Entry::report("table1", table1::report),
+        Entry::report("table2", || table2::report_from(&table2::rows())),
+        Entry::report("table3", table3::report),
+        Entry::report("table4", table4::report),
+        Entry::report("table7", || table7::report_from(&table7::sweep())),
+        Entry::report("ablations", || ablations::report_from(&ablations::run())),
+        Entry {
+            invariants: designspace::orderings,
+            // The regression an MPK/PCIe model bug would produce.
+            sabotage: Some(|r| inflate(r, &["mpk_xcost_", "pno_pcie_"], 1.30)),
+            ..Entry::report("designspace", designspace::report)
+        },
+        Entry {
+            invariants: crate::scenario::isolation_checks,
+            sabotage: Some(crate::scenario::with_unfair_incast),
+            ..Entry::report("scenarios", crate::scenario::report)
+        },
+        Entry::new("fig6spans", fig6spans),
+        Entry {
+            // A CPU-efficiency regression no throughput metric would catch.
+            sabotage: Some(|r| inflate(r, &["cycles_per_req_"], 1.25)),
+            ..Entry::new("cpuprof", cpuprof)
+        },
+        Entry {
+            wall_clock: true,
+            invariants: crate::simspeed::checks,
+            ..Entry::report("simspeed", crate::simspeed::report)
+        },
+    ]
 }

@@ -65,7 +65,7 @@ pub struct RuleConfig {
     /// workspace.
     pub paths: Vec<String>,
     /// Extra rule-specific identifier lists (R3 seq names, R4 index
-    /// receivers, R6 banned tokens).
+    /// receivers).
     pub idents: Vec<String>,
     /// Whether the rule also runs inside `#[cfg(test)]` items and
     /// `tests/`/`benches/`/`examples/` targets. Default false.
@@ -146,7 +146,7 @@ impl ComponentGroup {
 /// A path-scoped allow entry from `lint.toml`.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
-    /// Rule id (`R1`..`R6`) or `*`.
+    /// Rule id (`R1`..`R8`) or `*`.
     pub rule: String,
     /// Repo-relative path prefix the allow covers.
     pub path: String,

@@ -258,7 +258,7 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         // Integration tests, benches, and examples are test code by
         // target kind: mark via a synthetic rule-config check inside
         // scan by pre-filtering — rules with include_test_code=false
-        // skip these files wholesale for R1..R4/R6.
+        // skip these files wholesale for R1..R4.
         let findings = if is_test_target(rel) {
             scan_test_target(rel, &src, cfg)
         } else {

@@ -15,7 +15,6 @@
 //! | R3 | seq-space-arithmetic | u32 sequence-number wraparound |
 //! | R4 | fastpath-panic-freedom | packet-path panics |
 //! | R5 | trace-gate-hygiene | telemetry outside the `trace` feature gate |
-//! | R6 | deny-deprecated | resurrecting removed compat surfaces |
 //!
 //! Three consumers share this one core: the `tas-lint` binary, the
 //! root `tests/lint_workspace.rs` tier-1 test, and the CI `lint` job.

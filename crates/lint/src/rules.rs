@@ -16,7 +16,7 @@ pub struct RawFinding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Rule id (`R1`..`R6`, or `allow-syntax`).
+    /// Rule id (`R1`..`R8`, or `allow-syntax`).
     pub rule: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -64,11 +64,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "R5",
         "trace-gate-hygiene",
         "trace emit site outside the per-crate `trace` feature gate",
-    ),
-    (
-        "R6",
-        "deny-deprecated",
-        "use of a removed compat surface",
     ),
     (
         "R7",
@@ -625,43 +620,6 @@ pub fn r5(lexed: &Lexed, flags: &[TokFlags], rc: &RuleConfig) -> Vec<RawFinding>
 }
 
 // ---------------------------------------------------------------------
-// R6: deny-deprecated.
-
-/// Compat surfaces deleted in this PR; `idents` in `lint.toml` can
-/// extend the list as future PRs retire more API.
-const R6_BANNED: &[&str] = &[
-    "tx_loss",
-    "HostStats",
-    "FaultCounters",
-    "host_stats",
-    "tx_fault_counters",
-    "port_fault_counters",
-];
-
-/// R6: no resurrecting removed compat surfaces.
-pub fn r6(lexed: &Lexed, flags: &[TokFlags], rc: &RuleConfig) -> Vec<RawFinding> {
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || skip(&flags[i], rc) {
-            continue;
-        }
-        if R6_BANNED.contains(&t.text.as_str()) || rc.idents.contains(&t.text) {
-            out.push(finding(
-                t,
-                "R6",
-                format!(
-                    "`{}` is a removed compat surface; use the registry/injector \
-                     replacement named in DESIGN.md §11",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
 // R7: profile-site-hygiene.
 
 /// R7: every profiler call site (`profile::guard`, `profile::charge`,
@@ -1129,7 +1087,6 @@ pub fn run_rule(
         "R3" => r3(lexed, flags, rc),
         "R4" => r4(lexed, flags, rc),
         "R5" => r5(lexed, flags, rc),
-        "R6" => r6(lexed, flags, rc),
         "R7" => r7(lexed, flags, rc),
         "R8" => r8(lexed, flags, rc, rel, cfg),
         _ => Vec::new(),
@@ -1226,14 +1183,6 @@ mod tests {
         assert!(run("R7", any).is_empty());
         let field = "fn f(inner: &Inner) { inner.profile.record(1); sc.profile = true; }";
         assert!(run("R7", field).is_empty(), "fields named `profile` are unrelated");
-    }
-
-    #[test]
-    fn r6_bans_removed_surfaces() {
-        assert_eq!(run("R6", "let s = host.host_stats();").len(), 1);
-        assert_eq!(run("R6", "cfg.tx_loss = 0.5;").len(), 1);
-        assert!(run("R6", "let s = host.telemetry_snapshot();").is_empty());
-        assert!(run("R6", "// mentions tx_loss in prose only").is_empty());
     }
 
     fn r8_cfg() -> Config {

@@ -152,24 +152,6 @@ fn r7_fires_on_ungated_profiler_sites_and_accepts_the_gate() {
 }
 
 #[test]
-fn r6_fires_on_removed_surfaces_and_accepts_replacements() {
-    let bad = scan(
-        "crates/netsim/src/nic.rs",
-        include_str!("fixtures/r6_deprecated_bad.rs"),
-    );
-    assert_eq!(
-        rules_of(&bad),
-        vec!["R6", "R6", "R6"],
-        "tx_loss, FaultCounters, tx_fault_counters each fire: {bad:?}"
-    );
-    let good = scan(
-        "crates/netsim/src/nic.rs",
-        include_str!("fixtures/r6_deprecated_fixed.rs"),
-    );
-    assert!(good.is_empty(), "{good:?}");
-}
-
-#[test]
 fn r8_fires_on_cross_component_writes_and_map_drift() {
     let bad = scan(
         "crates/tas/src/slowpath.rs",

@@ -262,18 +262,35 @@ impl<M: 'static> Sim<M> {
         self.queue.cancel(id)
     }
 
+    /// A concrete agent, or `None` if `id` is unknown, the agent is
+    /// checked out for dispatch, or it is not a `T`.
+    pub fn try_agent<T: 'static>(&self, id: AgentId) -> Option<&T> {
+        self.agents
+            .get(id as usize)?
+            .as_ref()?
+            .as_any()
+            .downcast_ref::<T>()
+    }
+
+    /// Mutable form of [`Sim::try_agent`].
+    pub fn try_agent_mut<T: 'static>(&mut self, id: AgentId) -> Option<&mut T> {
+        self.agents
+            .get_mut(id as usize)?
+            .as_mut()?
+            .as_any_mut()
+            .downcast_mut::<T>()
+    }
+
     /// Immutable access to a concrete agent.
     ///
     /// # Panics
     ///
     /// Panics if `id` is unknown or the agent is not a `T`.
     pub fn agent<T: 'static>(&self, id: AgentId) -> &T {
-        self.agents[id as usize]
-            .as_ref()
-            .expect("agent checked out")
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("agent type mismatch")
+        match self.try_agent(id) {
+            Some(a) => a,
+            None => self.agent_miss(id),
+        }
     }
 
     /// Mutable access to a concrete agent.
@@ -282,12 +299,21 @@ impl<M: 'static> Sim<M> {
     ///
     /// Panics if `id` is unknown or the agent is not a `T`.
     pub fn agent_mut<T: 'static>(&mut self, id: AgentId) -> &mut T {
-        self.agents[id as usize]
-            .as_mut()
-            .expect("agent checked out")
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("agent type mismatch")
+        // Checked up front: returning the `Some` borrow from a `match`
+        // would keep `self` mutably borrowed in the miss arm.
+        if self.try_agent::<T>(id).is_none() {
+            self.agent_miss(id);
+        }
+        self.try_agent_mut(id).expect("agent type mismatch")
+    }
+
+    /// Names why `try_agent` came back empty.
+    #[cold]
+    fn agent_miss(&self, id: AgentId) -> ! {
+        let _ = self.agents[id as usize]
+            .as_ref()
+            .expect("agent checked out");
+        panic!("agent type mismatch")
     }
 
     /// Next event to dispatch: the head of the current batch, refilled by
@@ -441,6 +467,24 @@ mod tests {
         sim.run_until(SimTime::from_ms(1));
         let p = sim.agent::<Ping>(ping);
         assert_eq!(p.pongs, vec![(SimTime::from_us(25), 42)]);
+    }
+
+    #[test]
+    fn try_agent_hits_and_misses() {
+        let (mut sim, ping) = build();
+        assert!(sim.try_agent::<Ping>(ping).is_some());
+        assert!(sim.try_agent_mut::<Ping>(ping).is_some());
+        assert!(sim.try_agent::<Pong>(ping).is_none(), "wrong type");
+        assert!(sim.try_agent_mut::<Pong>(ping).is_none(), "wrong type");
+        assert!(sim.try_agent::<Ping>(99).is_none(), "unknown id");
+        assert!(sim.try_agent_mut::<Ping>(99).is_none(), "unknown id");
+    }
+
+    #[test]
+    #[should_panic(expected = "agent type mismatch")]
+    fn agent_mut_keeps_its_mismatch_message() {
+        let (mut sim, ping) = build();
+        sim.agent_mut::<Pong>(ping);
     }
 
     #[test]

@@ -40,9 +40,9 @@ fn every_crate_source_file_is_scoped_or_explicitly_unscoped() {
     // Catalog-coverage self-check: each `.rs` file under `crates/*/src`
     // must fall inside at least one rule's path scope, an `exclude`
     // prefix, or the explicit allowlist below — so a new crate cannot
-    // silently dodge the rule catalog. (R6 is whole-workspace and would
-    // make the check vacuous, so only rules with a non-empty scope
-    // count.)
+    // silently dodge the rule catalog. (A rule without a path scope is
+    // whole-workspace and would make the check vacuous, so only rules
+    // with a non-empty scope count.)
     const ALLOWED_UNSCOPED: &[&str] = &[
         // The linter itself names every banned identifier in its rule
         // tables; scoping any ident rule over it would be self-defeating.
