@@ -257,13 +257,6 @@ impl KvClient {
         }
     }
 
-    /// Uses a single hot key (Table 7's contended workload).
-    pub fn single_key(mut self) -> Self {
-        self.zipf = Zipf::new(1, 0.9);
-        self.keys = 1;
-        self
-    }
-
     /// Short-lived connections: tear down and re-establish each
     /// connection after `msgs_per_conn` completed requests (the scenario
     /// suite's connection-churn storm; stresses slow-path handshakes and

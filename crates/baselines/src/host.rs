@@ -415,11 +415,6 @@ impl StackHost {
         self.inner.ip
     }
 
-    /// The stack profile name.
-    pub fn stack_name(&self) -> &'static str {
-        self.inner.profile.name
-    }
-
     /// Opts this host into cycle-attribution profiling: its core runs
     /// arm the thread-local profiler with `core<i>` identities. Hosts
     /// never enabled disarm the profiler before running instead, so
@@ -442,24 +437,11 @@ impl StackHost {
             .collect()
     }
 
-    /// Silicon class of each core, in core order (all host-class except
-    /// under the off-path model, whose NIC cores come first).
-    pub fn core_classes(&self) -> Vec<CoreClass> {
-        (0..self.inner.cores.len())
-            .map(|i| self.inner.cores.class(i))
-            .collect()
-    }
-
     /// Total cycles submitted to cores of `class` — the off-path
     /// model's headline currency is *host*-class cycles per request
     /// (NIC-core cycles are the SmartNIC's, not the server's).
     pub fn busy_cycles_by_class(&self, class: CoreClass) -> u64 {
         self.inner.cores.busy_cycles_by_class(class)
-    }
-
-    /// Mutable account access.
-    pub fn account_mut(&mut self) -> &mut CycleAccount {
-        &mut self.inner.acct
     }
 
     /// The host's metric registry.
@@ -505,11 +487,6 @@ impl StackHost {
         &self.inner.nic
     }
 
-    /// Live connection count.
-    pub fn conn_count(&self) -> usize {
-        self.inner.by_key.len()
-    }
-
     /// Aggregated TCP stats: live connections plus counters folded in
     /// from connections whose slots were already dropped, so the totals
     /// cover the whole run.
@@ -539,13 +516,6 @@ impl StackHost {
             .take(n)
             .map(|s| s.conn.debug_state())
             .collect()
-    }
-
-    /// Downcasts the application if it is a `T`.
-    pub fn try_app<T: 'static>(&self) -> Option<&T> {
-        self.app
-            .as_ref()
-            .and_then(|a| a.as_any().downcast_ref::<T>())
     }
 
     /// Downcasts the application.

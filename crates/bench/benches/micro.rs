@@ -53,7 +53,7 @@ fn bench_flow_table(c: &mut Criterion) {
     let mut keys = Vec::new();
     for p in 0..20_000u16 {
         let f = make_flow(p);
-        keys.push(f.conn.key);
+        keys.push(f.conn.key());
         table.insert(f);
     }
     let mut i = 0usize;

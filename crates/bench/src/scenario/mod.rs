@@ -207,12 +207,6 @@ impl Tenant {
         self
     }
 
-    /// Sets the stop phase.
-    pub fn stopping_at(mut self, t: SimTime) -> Tenant {
-        self.stop = Some(t);
-        self
-    }
-
     /// Adds a flash crowd.
     pub fn with_flash(mut self, f: Flash) -> Tenant {
         self.flash = Some(f);

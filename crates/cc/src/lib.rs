@@ -227,6 +227,159 @@ mod tests {
         assert_eq!(cc.rate_iteration(&mut st, fb, 250_000_000, 2e-4), 250_000_000);
     }
 
+    // Rate facet: the slow-path control laws over an external `CcState`.
+
+    const INTERVAL: f64 = 200e-6;
+    /// Bytes acknowledged in one interval when sending flat out at 1 Gbps.
+    const GBPS_ACKB: u64 = (1e9 * INTERVAL / 8.0) as u64;
+
+    fn fb(ackb: u64, ecnb: u64, frexmits: u8, rtt_est_us: u32) -> RateFeedback {
+        RateFeedback {
+            ackb,
+            ecnb,
+            frexmits,
+            rtt_est_us,
+        }
+    }
+
+    fn past_slow_start() -> CcState {
+        CcState {
+            slow_start: false,
+            ..CcState::new()
+        }
+    }
+
+    fn dctcp_rate(st: &mut CcState, f: RateFeedback, current_bps: u64) -> u64 {
+        Dctcp::with_rate_params(MSS, DctcpRateParams::default()).rate_iteration(
+            st,
+            f,
+            current_bps,
+            INTERVAL,
+        )
+    }
+
+    fn timely_rate(st: &mut CcState, rtt_est_us: u32, current_bps: u64) -> u64 {
+        // TIMELY is interval-free: the gradient normalizes by RTT, not τ.
+        Timely::with_params(MSS, TimelyParams::default()).rate_iteration(
+            st,
+            fb(1000, 0, 0, rtt_est_us),
+            current_bps,
+            0.0,
+        )
+    }
+
+    #[test]
+    fn dctcp_rate_slow_start_doubles() {
+        let mut st = CcState::new();
+        // Sending flat out: measured rate matches current.
+        let r = dctcp_rate(&mut st, fb(GBPS_ACKB, 0, 0, 100), 1_000_000_000);
+        assert_eq!(r, 2_000_000_000);
+        assert!(st.slow_start);
+    }
+
+    #[test]
+    fn dctcp_rate_congestion_exits_slow_start_and_reduces() {
+        let mut st = CcState::new();
+        // Fully marked: alpha stays 1.0 -> rate halves.
+        let r = dctcp_rate(&mut st, fb(GBPS_ACKB, GBPS_ACKB, 0, 100), 1_000_000_000);
+        assert!(!st.slow_start);
+        assert!((r as f64 - 0.5e9).abs() / 0.5e9 < 0.01, "rate {r}");
+    }
+
+    #[test]
+    fn dctcp_rate_reduction_proportional_to_alpha() {
+        let mut st = CcState {
+            alpha: 0.0,
+            ..past_slow_start()
+        };
+        // 10% of bytes marked: alpha moves to g*0.1, reduction tiny.
+        let r = dctcp_rate(&mut st, fb(1_000_000, 100_000, 0, 100), 1_000_000_000);
+        // Measured = 1e6*8/200us = 40 Gbps, no cap. Reduction by alpha/2
+        // where alpha = 0.1/16.
+        let want = 1e9 * (1.0 - 0.1 / 16.0 / 2.0);
+        assert!(
+            (r as f64 - want).abs() / want < 0.01,
+            "rate {r} want {want}"
+        );
+    }
+
+    #[test]
+    fn dctcp_rate_additive_increase_when_clean() {
+        let r = dctcp_rate(
+            &mut past_slow_start(),
+            fb(GBPS_ACKB, 0, 0, 100),
+            1_000_000_000,
+        );
+        assert_eq!(r, 1_000_000_000 + 10_000_000);
+    }
+
+    #[test]
+    fn dctcp_rate_caps_at_measured_rate() {
+        // Flow only achieved 100 Mbps although the rate allows 1 Gbps.
+        let ackb = (100e6 * INTERVAL / 8.0) as u64;
+        let r = dctcp_rate(&mut past_slow_start(), fb(ackb, 0, 0, 100), 1_000_000_000);
+        // Capped to 1.2 * 100 Mbps, then additive increase.
+        assert!(r <= 130_000_000, "rate {r} must be capped near 120 Mbps");
+    }
+
+    #[test]
+    fn dctcp_rate_loss_halves() {
+        let r = dctcp_rate(
+            &mut past_slow_start(),
+            fb(GBPS_ACKB, 0, 2, 100),
+            1_000_000_000,
+        );
+        assert_eq!(r, 500_000_000);
+    }
+
+    #[test]
+    fn dctcp_rate_idle_flow_holds_rate_via_clamp() {
+        // No feedback at all: no measured rate, no increase.
+        let r = dctcp_rate(&mut past_slow_start(), fb(0, 0, 0, 100), 500_000_000);
+        assert_eq!(r, 500_000_000);
+    }
+
+    #[test]
+    fn timely_rate_low_rtt_additive_increase() {
+        // Below t_low.
+        let r = timely_rate(&mut past_slow_start(), 30, 1_000_000_000);
+        assert_eq!(r, 1_010_000_000);
+    }
+
+    #[test]
+    fn timely_rate_high_rtt_multiplicative_decrease() {
+        // Above t_high.
+        let r = timely_rate(&mut past_slow_start(), 1000, 1_000_000_000);
+        let want = 1e9 * (1.0 - 0.8 * (1.0 - 0.5));
+        assert!((r as f64 - want).abs() / want < 0.01, "rate {r}");
+    }
+
+    #[test]
+    fn timely_rate_gradient_response() {
+        let mut st = CcState {
+            prev_rtt_us: 100,
+            ..past_slow_start()
+        };
+        // Rising RTT between thresholds.
+        let r = timely_rate(&mut st, 120, 1_000_000_000);
+        assert!(r < 1_000_000_000, "rising gradient must decrease: {r}");
+        // Falling RTT: increase.
+        st.prev_rtt_us = 120;
+        let r2 = timely_rate(&mut st, 100, r);
+        assert!(r2 > r);
+    }
+
+    #[test]
+    fn timely_rate_slow_start_until_rtt_rises() {
+        let mut st = CcState::new();
+        let r = timely_rate(&mut st, 30, 100_000_000);
+        assert_eq!(r, 200_000_000);
+        assert!(st.slow_start);
+        // Above t_low: exit slow start.
+        timely_rate(&mut st, 80, r);
+        assert!(!st.slow_start);
+    }
+
     #[test]
     fn dctcp_alpha_tracks_mark_fraction() {
         let mut cc = Dctcp::new(MSS);

@@ -67,9 +67,6 @@ pub struct RuleConfig {
     /// Extra rule-specific identifier lists (R3 seq names, R4 index
     /// receivers).
     pub idents: Vec<String>,
-    /// Whether the rule also runs inside `#[cfg(test)]` items and
-    /// `tests/`/`benches/`/`examples/` targets. Default false.
-    pub include_test_code: bool,
 }
 
 impl Default for RuleConfig {
@@ -78,75 +75,14 @@ impl Default for RuleConfig {
             severity: Severity::Deny,
             paths: Vec::new(),
             idents: Vec::new(),
-            include_test_code: false,
         }
-    }
-}
-
-/// One component's slice of a decomposed state struct (R8).
-#[derive(Clone, Debug, Default)]
-pub struct Component {
-    /// The component struct's type name — the only impl target whose
-    /// methods may write the component's fields.
-    pub strukt: String,
-    /// The aggregate field through which the component is reached
-    /// (`flow.snd`, `conn.cc`, …).
-    pub accessor: String,
-    /// The leaf fields the component owns. Must match the component
-    /// struct's declaration exactly (R8's drift check enforces this).
-    pub fields: Vec<String>,
-}
-
-/// A decomposed state struct and its field-ownership map (R8).
-#[derive(Clone, Debug, Default)]
-pub struct ComponentGroup {
-    /// The aggregate struct's type name (`TcpConn`, `FlowState`).
-    pub strukt: String,
-    /// Repo-relative path prefixes where this map is enforced.
-    pub paths: Vec<String>,
-    /// Aggregate fields with no owner, writable from any impl (staging
-    /// buffers, counters, config).
-    pub shared: Vec<String>,
-    /// Components keyed by the `[components.<group>.<name>]` key.
-    pub components: BTreeMap<String, Component>,
-}
-
-impl ComponentGroup {
-    /// True when the map is enforced at `rel_path`.
-    pub fn in_scope(&self, rel_path: &str) -> bool {
-        self.paths.is_empty() || self.paths.iter().any(|p| rel_path.starts_with(p.as_str()))
-    }
-
-    /// The component (name, entry) reached through aggregate field
-    /// `accessor`, if any.
-    pub fn by_accessor(&self, accessor: &str) -> Option<(&str, &Component)> {
-        self.components
-            .iter()
-            .find(|(_, c)| c.accessor == accessor)
-            .map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// The component (name, entry) owning leaf field `field`, if any.
-    pub fn by_field(&self, field: &str) -> Option<(&str, &Component)> {
-        self.components
-            .iter()
-            .find(|(_, c)| c.fields.iter().any(|f| f == field))
-            .map(|(n, c)| (n.as_str(), c))
-    }
-
-    /// The component (name, entry) whose struct is `name`, if any.
-    pub fn by_struct(&self, name: &str) -> Option<(&str, &Component)> {
-        self.components
-            .iter()
-            .find(|(_, c)| c.strukt == name)
-            .map(|(n, c)| (n.as_str(), c))
     }
 }
 
 /// A path-scoped allow entry from `lint.toml`.
 #[derive(Clone, Debug)]
 pub struct AllowEntry {
-    /// Rule id (`R1`..`R8`) or `*`.
+    /// Rule id (`R1`..`R4`) or `*`.
     pub rule: String,
     /// Repo-relative path prefix the allow covers.
     pub path: String,
@@ -163,8 +99,6 @@ pub struct Config {
     pub rules: BTreeMap<String, RuleConfig>,
     /// Path-scoped allows.
     pub allows: Vec<AllowEntry>,
-    /// R8 field-ownership maps, keyed by group name.
-    pub components: BTreeMap<String, ComponentGroup>,
 }
 
 impl Config {
@@ -207,8 +141,6 @@ enum Section {
     Top,
     Rule(String),
     Allow,
-    Group(String),
-    Component(String, String),
 }
 
 /// Parses the `lint.toml` text.
@@ -256,29 +188,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                 section = Section::Rule(rule.to_string());
                 continue;
             }
-            if let Some(rest) = name.strip_prefix("components.") {
-                section = match rest.split_once('.') {
-                    None => {
-                        cfg.components.entry(rest.to_string()).or_default();
-                        Section::Group(rest.to_string())
-                    }
-                    Some((group, comp)) => {
-                        if comp.contains('.') {
-                            return Err(err(format!(
-                                "component tables nest at most once: [{name}]"
-                            )));
-                        }
-                        cfg.components
-                            .entry(group.to_string())
-                            .or_default()
-                            .components
-                            .entry(comp.to_string())
-                            .or_default();
-                        Section::Component(group.to_string(), comp.to_string())
-                    }
-                };
-                continue;
-            }
             return Err(err(format!("unknown table [{name}]")));
         }
         let Some(eq) = line.find('=') else {
@@ -303,13 +212,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     }
                     "paths" => rc.paths = parse_string_array(val).map_err(err)?,
                     "idents" => rc.idents = parse_string_array(val).map_err(err)?,
-                    "include_test_code" => {
-                        rc.include_test_code = match val {
-                            "true" => true,
-                            "false" => false,
-                            _ => return Err(err(format!("expected true/false, got `{val}`"))),
-                        }
-                    }
                     _ => return Err(err(format!("unknown rule key `{key}`"))),
                 }
             }
@@ -324,32 +226,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     "path" => entry.path = s,
                     "reason" => entry.reason = s,
                     _ => return Err(err(format!("unknown allow key `{key}`"))),
-                }
-            }
-            Section::Group(g) => {
-                let group = cfg.components.get_mut(g.as_str()).unwrap_or_else(|| {
-                    unreachable!("group entry inserted when the header was parsed")
-                });
-                match key {
-                    "struct" => group.strukt = parse_string(val).map_err(err)?,
-                    "paths" => group.paths = parse_string_array(val).map_err(err)?,
-                    "shared" => group.shared = parse_string_array(val).map_err(err)?,
-                    _ => return Err(err(format!("unknown component-group key `{key}`"))),
-                }
-            }
-            Section::Component(g, c) => {
-                let comp = cfg
-                    .components
-                    .get_mut(g.as_str())
-                    .and_then(|gr| gr.components.get_mut(c.as_str()))
-                    .unwrap_or_else(|| {
-                        unreachable!("component entry inserted when the header was parsed")
-                    });
-                match key {
-                    "struct" => comp.strukt = parse_string(val).map_err(err)?,
-                    "accessor" => comp.accessor = parse_string(val).map_err(err)?,
-                    "fields" => comp.fields = parse_string_array(val).map_err(err)?,
-                    _ => return Err(err(format!("unknown component key `{key}`"))),
                 }
             }
         }
@@ -373,48 +249,6 @@ pub fn parse(text: &str) -> Result<Config, ConfigError> {
                     a.path
                 ),
             });
-        }
-    }
-    // Validate component groups: every group names its aggregate struct,
-    // every component names its struct + accessor + fields, and within a
-    // group no accessor or leaf field has two owners — an ambiguous map
-    // would make R8's verdicts depend on iteration order.
-    for (gname, g) in &cfg.components {
-        let gerr = |msg: String| ConfigError { line: 0, msg };
-        if g.strukt.is_empty() {
-            return Err(gerr(format!("[components.{gname}] is missing `struct`")));
-        }
-        let mut accessors: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut owners: BTreeMap<&str, &str> = BTreeMap::new();
-        for (cname, c) in &g.components {
-            if c.strukt.is_empty() || c.accessor.is_empty() || c.fields.is_empty() {
-                return Err(gerr(format!(
-                    "[components.{gname}.{cname}] needs `struct`, `accessor`, and `fields`"
-                )));
-            }
-            if let Some(prev) = accessors.insert(c.accessor.as_str(), cname.as_str()) {
-                return Err(gerr(format!(
-                    "[components.{gname}]: accessor `{}` claimed by both `{prev}` and `{cname}`",
-                    c.accessor
-                )));
-            }
-            for f in &c.fields {
-                if let Some(prev) = owners.insert(f.as_str(), cname.as_str()) {
-                    return Err(gerr(format!(
-                        "[components.{gname}]: field `{f}` owned by both `{prev}` and `{cname}`"
-                    )));
-                }
-            }
-        }
-        if let Some(s) = g.shared.iter().find(|s| accessors.contains_key(s.as_str())) {
-            return Err(gerr(format!(
-                "[components.{gname}]: `{s}` is both shared and a component accessor"
-            )));
-        }
-        if g.components.is_empty() {
-            return Err(gerr(format!(
-                "[components.{gname}] declares no components"
-            )));
         }
     }
     Ok(cfg)
@@ -506,7 +340,6 @@ paths = ["crates/tas/src/", "crates/tcp/src/"]
 [rules.R3]
 severity = "warn"
 idents = ["seq", "ack"]
-include_test_code = true
 
 [[allow]]
 rule = "R1"
@@ -518,7 +351,7 @@ reason = "point-lookup only, never iterated"
         assert_eq!(cfg.exclude, vec!["vendor/", "target/"]);
         assert_eq!(cfg.rule("R1").severity, Severity::Deny);
         assert_eq!(cfg.rule("R3").severity, Severity::Warn);
-        assert!(cfg.rule("R3").include_test_code);
+        assert_eq!(cfg.rule("R3").idents, vec!["seq", "ack"]);
         assert!(cfg.in_scope("R1", "crates/tcp/src/conn.rs"));
         assert!(!cfg.in_scope("R1", "crates/apps/src/kv.rs"));
         assert!(cfg.in_scope("R2", "anything/at/all.rs"), "no entry = everywhere");

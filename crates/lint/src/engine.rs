@@ -165,12 +165,13 @@ pub fn scan_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let (mut inline, malformed) = parse_inline_allows(&lexed.comments, &code_lines);
 
     let mut raw: Vec<RawFinding> = malformed;
-    for (id, _, _) in RULES {
+    let rules = if is_test_target(rel) { &[][..] } else { RULES };
+    for (id, _, _) in rules {
         if !cfg.in_scope(id, rel) || cfg.allowed(id, rel) {
             continue;
         }
         let rc = cfg.rule(id);
-        raw.extend(run_rule(id, &lexed, &flags, &rc, rel, cfg));
+        raw.extend(run_rule(id, &lexed, &flags, &rc));
     }
 
     let mut out = Vec::new();
@@ -255,15 +256,7 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     let mut report = Report::default();
     for (rel, path) in &files {
         let src = fs::read_to_string(path)?;
-        // Integration tests, benches, and examples are test code by
-        // target kind: mark via a synthetic rule-config check inside
-        // scan by pre-filtering — rules with include_test_code=false
-        // skip these files wholesale for R1..R4.
-        let findings = if is_test_target(rel) {
-            scan_test_target(rel, &src, cfg)
-        } else {
-            scan_source(rel, &src, cfg)
-        };
+        let findings = scan_source(rel, &src, cfg);
         report.findings.extend(findings);
         report.files_scanned += 1;
     }
@@ -272,35 +265,15 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> std::io::Result<Report> {
 }
 
 /// True for files that are test-only compilation targets: integration
-/// tests, benches, examples, and build scripts.
+/// tests, benches, examples, and build scripts. No rule runs over them
+/// (R1–R4 police shipped simulation code); their pragmas are still
+/// checked, so a stale `lint:allow` there is reported.
 fn is_test_target(rel: &str) -> bool {
     rel.contains("/tests/")
         || rel.starts_with("tests/")
         || rel.contains("/benches/")
         || rel.contains("/examples/")
         || rel.ends_with("build.rs")
-}
-
-/// Scan for a test-kind target: only rules with `include_test_code`
-/// apply (plus allow-syntax hygiene).
-fn scan_test_target(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let mut narrowed = cfg.clone();
-    let active: Vec<String> = RULES
-        .iter()
-        .map(|(id, _, _)| id.to_string())
-        .filter(|id| cfg.rule(id).include_test_code)
-        .collect();
-    // Scope out inactive rules by pointing them at an impossible path.
-    for (id, _, _) in RULES {
-        if !active.iter().any(|a| a == id) {
-            narrowed
-                .rules
-                .entry(id.to_string())
-                .or_default()
-                .paths = vec!["\u{0}/nowhere/".to_string()];
-        }
-    }
-    scan_source(rel, src, &narrowed)
 }
 
 /// Renders the human-readable report.

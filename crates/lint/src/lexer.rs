@@ -36,8 +36,7 @@ pub struct Tok {
     pub kind: TokKind,
     /// The token's text. `Str`/`Char` tokens carry the raw literal
     /// including quotes; rules match on `kind`, so identifier-shaped
-    /// rules can never fire inside literals, while the attribute
-    /// classifier can still read `#[cfg(feature = "trace")]`.
+    /// rules can never fire inside literals.
     pub text: String,
     /// 1-based line.
     pub line: u32,

@@ -14,7 +14,11 @@
 //! | R2 | ambient-nondeterminism | wall-clock time / OS rng / unordered maps in sim code |
 //! | R3 | seq-space-arithmetic | u32 sequence-number wraparound |
 //! | R4 | fastpath-panic-freedom | packet-path panics |
-//! | R5 | trace-gate-hygiene | telemetry outside the `trace` feature gate |
+//!
+//! What the compiler can see is left to it: component write scopes are
+//! module privacy (DESIGN.md §16), and an ungated trace or profile site
+//! fails the default build because `tas-telemetry` is an optional
+//! dependency.
 //!
 //! Three consumers share this one core: the `tas-lint` binary, the
 //! root `tests/lint_workspace.rs` tier-1 test, and the CI `lint` job.

@@ -16,7 +16,7 @@ fn usage() -> &'static str {
      \n\
      Scans every .rs file under DIR (default: the workspace root found by\n\
      walking up from the current directory to the nearest lint.toml or\n\
-     Cargo.toml) against the determinism rule catalog (R1-R5, R7, R8).\n\
+     Cargo.toml) against the determinism rule catalog (R1-R4).\n\
      \n\
      exit codes: 0 clean, 1 deny findings, 2 error"
 }

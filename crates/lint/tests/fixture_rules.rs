@@ -113,96 +113,6 @@ fn r4_fires_on_fastpath_panics_and_accepts_let_else() {
 }
 
 #[test]
-fn r5_fires_on_ungated_emit_and_accepts_the_gate() {
-    let bad = scan(
-        "crates/tas/src/host.rs",
-        include_str!("fixtures/r5_trace_bad.rs"),
-    );
-    assert_eq!(
-        rules_of(&bad),
-        vec!["R5", "R5"],
-        "`emit` and `TraceRecord` each fire: {bad:?}"
-    );
-    let good = scan(
-        "crates/tas/src/host.rs",
-        include_str!("fixtures/r5_trace_fixed.rs"),
-    );
-    assert!(good.is_empty(), "{good:?}");
-}
-
-#[test]
-fn r7_fires_on_ungated_profiler_sites_and_accepts_the_gate() {
-    let bad = scan(
-        "crates/tas/src/fastpath.rs",
-        include_str!("fixtures/r7_profile_bad.rs"),
-    );
-    assert_eq!(
-        rules_of(&bad),
-        vec!["R7", "R7"],
-        "the guard and the charge each fire: {bad:?}"
-    );
-    let good = scan(
-        "crates/tas/src/fastpath.rs",
-        include_str!("fixtures/r7_profile_fixed.rs"),
-    );
-    assert!(
-        good.is_empty(),
-        "gated sites and `profile` fields must be clean: {good:?}"
-    );
-}
-
-#[test]
-fn r8_fires_on_cross_component_writes_and_map_drift() {
-    let bad = scan(
-        "crates/tas/src/slowpath.rs",
-        include_str!("fixtures/r8_ownership_bad.rs"),
-    );
-    assert_eq!(
-        rules_of(&bad),
-        vec!["R8", "R8", "R8", "R8"],
-        "plain write, compound write, &mut borrow, and drift each fire: {bad:?}"
-    );
-    assert!(
-        bad.iter().any(|f| f.message.contains("write to `flow.snd.tx_sent`")),
-        "{bad:?}"
-    );
-    assert!(
-        bad.iter().any(|f| f.message.contains("exclusive borrow of `flow.rcv.rx`")),
-        "{bad:?}"
-    );
-    assert!(
-        bad.iter()
-            .any(|f| f.message.contains("probe_hint") && f.message.contains("drifted")),
-        "the undeclared field is reported as map drift: {bad:?}"
-    );
-}
-
-#[test]
-fn r8_silent_on_owner_method_dispatch() {
-    let good = scan(
-        "crates/tas/src/slowpath.rs",
-        include_str!("fixtures/r8_ownership_fixed.rs"),
-    );
-    assert!(
-        good.is_empty(),
-        "owner-impl writes, method dispatch, and reads must be clean: {good:?}"
-    );
-}
-
-#[test]
-fn r8_reports_stale_map_entries_too() {
-    // The reverse drift direction: the map claims a field the struct no
-    // longer has. A trimmed FpFlowCtrl is missing `win_closed`.
-    let src = "pub struct FpFlowCtrl { pub snd_wnd: u64, pub peer_wscale: u8 }\n";
-    let f = scan("crates/tas/src/flow.rs", src);
-    assert!(
-        f.iter()
-            .any(|f| f.rule == "R8" && f.message.contains("win_closed")),
-        "stale ownership-map entries must be reported: {f:?}"
-    );
-}
-
-#[test]
 fn findings_carry_deny_severity_from_repo_config() {
     let f = scan(
         "crates/tas/src/fastpath.rs",

@@ -71,30 +71,6 @@ fn deny_findings_exit_one() {
 }
 
 #[test]
-fn r8_findings_are_byte_identical_across_processes() {
-    // A tree that trips R8 four ways (cross-component writes, &mut
-    // borrow, ownership-map drift): two fresh processes must agree on
-    // every byte of the JSON, and the findings must gate.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("lint-r8-identity");
-    let src_dir = dir.join("crates/tas/src");
-    std::fs::create_dir_all(&src_dir).expect("mkdir");
-    std::fs::copy(repo_root().join("lint.toml"), dir.join("lint.toml")).expect("copy config");
-    std::fs::copy(
-        repo_root().join("crates/lint/tests/fixtures/r8_ownership_bad.rs"),
-        src_dir.join("slowpath.rs"),
-    )
-    .expect("copy fixture");
-    let root = dir.to_str().expect("utf-8 path");
-    let a = run_lint(&["--root", root, "--json"]);
-    let b = run_lint(&["--root", root, "--json"]);
-    assert_eq!(a.stdout, b.stdout, "R8 output must be byte-deterministic");
-    assert_eq!(a.status.code(), Some(1), "R8 findings gate at deny");
-    let text = String::from_utf8(a.stdout).expect("json is utf-8");
-    assert_eq!(text.matches("\"rule\":\"R8\"").count(), 4, "{text}");
-    assert!(text.contains("write-scope boundary"), "{text}");
-}
-
-#[test]
 fn unknown_flag_exits_two() {
     let out = run_lint(&["--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));

@@ -109,11 +109,6 @@ impl HostNic {
         &self.cfg
     }
 
-    /// Number of receive queues.
-    pub fn rx_queue_count(&self) -> usize {
-        self.rx_queues.len()
-    }
-
     /// Read access to the RSS redirection table.
     pub fn rss(&self) -> &RssTable {
         &self.rss
@@ -142,11 +137,6 @@ impl HostNic {
     /// Dequeues the next packet from receive queue `q`.
     pub fn rx_dequeue(&mut self, q: usize) -> Option<Segment> {
         self.rx_queues[q].pop_front()
-    }
-
-    /// Occupancy of receive queue `q`.
-    pub fn rx_depth(&self, q: usize) -> usize {
-        self.rx_queues[q].len()
     }
 
     /// Total packets waiting across all receive queues.
@@ -225,16 +215,6 @@ impl HostNic {
     /// Deterministic ordered dump of the transmit injector's metrics.
     pub fn tx_fault_snapshot(&self) -> tas_sim::Snapshot {
         self.fault.snapshot()
-    }
-
-    /// Releases a packet the injector still holds for reordering (e2e
-    /// harness teardown).
-    pub fn flush_faults(&mut self, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        self.fault.flush(now, &mut self.fault_out);
-        for (t, s) in self.fault_out.drain(..) {
-            Self::trace_tx(t, &s);
-            ctx.send_at(self.uplink, t, NetMsg::Packet(s));
-        }
     }
 }
 

@@ -102,11 +102,6 @@ impl RssTable {
         }
     }
 
-    /// Sets one entry directly.
-    pub fn set_entry(&mut self, index: usize, queue: u16) {
-        self.entries[index % RSS_TABLE_SIZE] = queue;
-    }
-
     /// Number of distinct queues currently referenced.
     pub fn active_queues(&self) -> usize {
         let mut seen = std::collections::BTreeSet::new();

@@ -213,16 +213,6 @@ impl Switch {
         self.ports.iter().map(|p| p.marked).sum()
     }
 
-    /// Forwarded packet count on a port.
-    pub fn port_forwarded(&self, port: usize) -> u64 {
-        self.ports[port].forwarded
-    }
-
-    /// Forwarded wire bytes on a port.
-    pub fn port_bytes(&self, port: usize) -> u64 {
-        self.ports[port].bytes
-    }
-
     fn forward(&mut self, now: SimTime, mut seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
         let ports = match self.routes.get(&seg.ip.dst) {
             Some(p) => p,

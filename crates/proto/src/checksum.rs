@@ -26,12 +26,6 @@ impl Checksum {
         self.sum += v as u32;
     }
 
-    /// Adds a 32-bit value as two 16-bit words.
-    pub fn add_u32(&mut self, v: u32) {
-        self.add_u16((v >> 16) as u16);
-        self.add_u16(v as u16);
-    }
-
     /// Adds a byte slice, padding an odd trailing byte with zero.
     pub fn add_bytes(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(2);

@@ -178,7 +178,7 @@ impl ByteRing {
     /// Copies `len` bytes starting at absolute offset `pos` out of the
     /// committed region into a fresh `Vec` (harness/app-edge convenience;
     /// packet-path readers use [`Self::read_into`]).
-    pub fn copy_out(&mut self, pos: u64, len: usize) -> Result<Vec<u8>, RingError> {
+    pub fn copy_out(&self, pos: u64, len: usize) -> Result<Vec<u8>, RingError> {
         let mut out = vec![0u8; len];
         self.read_into(pos, &mut out)?;
         Ok(out)

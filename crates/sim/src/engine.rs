@@ -225,11 +225,6 @@ impl<M: 'static> Sim<M> {
         self.events_processed
     }
 
-    /// Number of registered agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// The simulation PRNG (for harness-side draws between runs).
     pub fn rng(&mut self) -> &mut Rng {
         &mut self.rng

@@ -252,11 +252,6 @@ impl MeanVar {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// A monotonically increasing event counter with a rate helper.
@@ -617,16 +612,6 @@ pub enum MetricValue {
     },
 }
 
-impl MetricValue {
-    /// The counter value, or 0 for non-counters (convenient in asserts).
-    pub fn as_counter(&self) -> u64 {
-        match *self {
-            MetricValue::Counter(v) => v,
-            _ => 0,
-        }
-    }
-}
-
 /// Handle to a registered counter (O(1) increments after registration).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
@@ -763,11 +748,6 @@ impl Registry {
         self.gauges[id.0] += d;
     }
 
-    /// Current value of a gauge handle.
-    pub fn gauge_value_of(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0]
-    }
-
     /// Records a histogram sample.
     pub fn record(&mut self, id: HistId, v: u64) {
         self.hists[id.0].record(v);
@@ -786,14 +766,6 @@ impl Registry {
         match self.index.get(&MetricKey { name, scope }) {
             Some(MetricSlot::Gauge(i)) => self.gauges[*i],
             _ => 0,
-        }
-    }
-
-    /// Borrow of a histogram by key.
-    pub fn histogram_ref(&self, name: &'static str, scope: Scope) -> Option<&Histogram> {
-        match self.index.get(&MetricKey { name, scope }) {
-            Some(MetricSlot::Hist(i)) => Some(&self.hists[*i]),
-            _ => None,
         }
     }
 

@@ -65,57 +65,57 @@ pub fn check_flow(fid: u32, f: &FlowState) {
     // buffered unacked window, and stay far below the 2^31 wraparound
     // horizon that seq comparison arithmetic needs.
     audit_assert!(
-        f.snd.tx_sent <= f.snd.tx.len() as u64,
+        f.snd.tx_sent() <= f.snd.tx.len() as u64,
         fid,
         "tx_sent {} exceeds buffered unacked bytes {}",
-        f.snd.tx_sent,
+        f.snd.tx_sent(),
         f.snd.tx.len()
     );
     audit_assert!(
-        f.snd.tx_sent < 1 << 31,
+        f.snd.tx_sent() < 1 << 31,
         fid,
         "tx_sent {} crosses the sequence-comparison horizon",
-        f.snd.tx_sent
+        f.snd.tx_sent()
     );
     audit_assert!(
-        f.snd.max_sent_off >= f.nxt_off(),
+        f.snd.max_sent_off() >= f.nxt_off(),
         fid,
         "max_sent_off {} behind next-to-send offset {}",
-        f.snd.max_sent_off,
+        f.snd.max_sent_off(),
         f.nxt_off()
     );
     // Duplicate-ACK counter: fast recovery resets at 3, so the counter
     // can never be observed above it between operations.
-    audit_assert!(f.snd.dupack_cnt <= 3, fid, "dupack_cnt {} ran away", f.snd.dupack_cnt);
+    audit_assert!(f.snd.dupack_cnt() <= 3, fid, "dupack_cnt {} ran away", f.snd.dupack_cnt());
     // Single out-of-order interval: when tracked, it must sit strictly
     // beyond the in-order frontier (a closed gap merges immediately) and
     // within the receive-buffer horizon.
-    if f.rcv.ooo_len > 0 {
+    if f.rcv.ooo_len() > 0 {
         audit_assert!(
-            f.rcv.ooo_start > f.rcv.rx.end_offset(),
+            f.rcv.ooo_start() > f.rcv.rx.end_offset(),
             fid,
             "ooo interval start {} not beyond in-order frontier {}",
-            f.rcv.ooo_start,
+            f.rcv.ooo_start(),
             f.rcv.rx.end_offset()
         );
         audit_assert!(
-            f.rcv.ooo_start + f.rcv.ooo_len as u64 <= f.rcv.rx.start_offset() + f.rcv.rx.capacity() as u64,
+            f.rcv.ooo_start() + f.rcv.ooo_len() as u64 <= f.rcv.rx.start_offset() + f.rcv.rx.capacity() as u64,
             fid,
             "ooo interval [{}, {}) exceeds rx horizon {}",
-            f.rcv.ooo_start,
-            f.rcv.ooo_start + f.rcv.ooo_len as u64,
+            f.rcv.ooo_start(),
+            f.rcv.ooo_start() + f.rcv.ooo_len() as u64,
             f.rcv.rx.start_offset() + f.rcv.rx.capacity() as u64
         );
     }
     // Rate-bucket credit conservation: credit never exceeds the burst
     // cap, whatever sequence of refill/set_rate_bps/consume ran.
-    if !f.cc.bucket.is_unlimited() {
+    if !f.cc.bucket().is_unlimited() {
         audit_assert!(
-            f.cc.bucket.tokens <= f.cc.bucket.burst,
+            f.cc.bucket().tokens <= f.cc.bucket().burst,
             fid,
             "rate bucket tokens {} exceed burst {}",
-            f.cc.bucket.tokens,
-            f.cc.bucket.burst
+            f.cc.bucket().tokens,
+            f.cc.bucket().burst
         );
     }
 }
@@ -135,10 +135,10 @@ pub fn check_fastpath(fp: &FastPath, now: SimTime) {
         check_flow(fid, flow);
         // Table agreement: the 4-tuple index must point back at this slot.
         audit_assert!(
-            fp.flows.lookup(&flow.conn.key) == Some(fid),
+            fp.flows.lookup(&flow.conn.key()) == Some(fid),
             fid,
             "flow-table index diverged for key {}",
-            flow.conn.key
+            flow.conn.key()
         );
         seen += 1;
     }
@@ -155,7 +155,7 @@ pub fn check_fastpath(fp: &FastPath, now: SimTime) {
             panic!("audit violation: pacing timer staged for unknown flow {fid}");
         };
         audit_assert!(
-            flow.snd.tx_timer_armed,
+            flow.snd.tx_timer_armed(),
             fid,
             "pacing timer staged at {at:?} but tx_timer_armed is clear"
         );
@@ -204,7 +204,7 @@ mod tests {
     #[should_panic(expected = "tx_sent")]
     fn tx_sent_beyond_buffer_caught() {
         let mut f = flow(1);
-        f.snd.tx_sent = 10; // Nothing buffered.
+        f.snd.note_sent(10); // Nothing buffered.
         check_flow(0, &f);
     }
 
@@ -212,8 +212,7 @@ mod tests {
     #[should_panic(expected = "ooo interval start")]
     fn ooo_interval_at_frontier_caught() {
         let mut f = flow(1);
-        f.rcv.ooo_len = 5;
-        f.rcv.ooo_start = f.rcv.rx.end_offset(); // No gap: should have merged.
+        f.rcv.set_ooo(f.rcv.rx.end_offset(), 5); // No gap: should have merged.
         check_flow(0, &f);
     }
 
@@ -221,8 +220,10 @@ mod tests {
     #[should_panic(expected = "exceed burst")]
     fn bucket_over_burst_caught() {
         let mut f = flow(1);
-        f.cc.bucket = RateBucket::limited(8_000_000, 1_000, tas_sim::SimTime::ZERO);
-        f.cc.bucket.tokens = 2_000;
+        f.cc = FpCongCtrl::new(RateBucket {
+            tokens: 2_000,
+            ..RateBucket::limited(8_000_000, 1_000, tas_sim::SimTime::ZERO)
+        });
         check_flow(0, &f);
     }
 

@@ -195,13 +195,13 @@ impl FastPath {
             let una_seq = flow.seq_of(flow.snd.tx.start_offset());
             // Accept cumulative ACKs up to the highest byte ever sent —
             // recovery may have rewound `tx_sent` below data the peer has.
-            let hi_seq = flow.seq_of(flow.snd.max_sent_off.max(flow.nxt_off()));
+            let hi_seq = flow.seq_of(flow.snd.max_sent_off().max(flow.nxt_off()));
             let ack = seg.tcp.ack;
-            let new_wnd = (seg.tcp.window as u64) << flow.fc.peer_wscale;
+            let new_wnd = (seg.tcp.window as u64) << flow.fc.peer_wscale();
             // Window growth marks a window update, not a duplicate; a
             // shrinking window accompanies held out-of-order data and is
             // a genuine loss signal.
-            let wnd_unchanged = new_wnd <= flow.fc.snd_wnd;
+            let wnd_unchanged = new_wnd <= flow.fc.snd_wnd();
             flow.fc.update_wnd(new_wnd);
             if seq::gt(ack, una_seq) && seq::le(ack, hi_seq) {
                 let newly = seq::sub(ack, una_seq) as u64;
@@ -215,7 +215,7 @@ impl FastPath {
                 flow.snd.reset_dupacks();
                 acked_notice = newly as u32;
                 want_tx = true;
-            } else if ack == una_seq && !has_payload && flow.snd.tx_sent > 0 && wnd_unchanged {
+            } else if ack == una_seq && !has_payload && flow.snd.tx_sent() > 0 && wnd_unchanged {
                 // Fast-path exception #1: duplicate ACK counting and fast
                 // recovery — reset the sender as if unacked segments were
                 // never sent (§3.1). Window updates are not duplicates
@@ -234,7 +234,7 @@ impl FastPath {
                     trace_fp(
                         now,
                         tas_telemetry::TraceEvent::Retransmit {
-                            flow: flow.conn.key,
+                            flow: flow.conn.key(),
                             kind: "fast",
                             seq: flow.seq_of(flow.snd.tx.start_offset()),
                         },
@@ -252,11 +252,11 @@ impl FastPath {
                 return cycles;
             };
             let notice = RxNotice {
-                opaque: flow.conn.opaque,
+                opaque: flow.conn.opaque(),
                 rx_bytes: 0,
                 tx_acked: acked_notice,
             };
-            self.out.notices.push((flow.conn.context, notice));
+            self.out.notices.push((flow.conn.context(), notice));
         }
         if want_tx {
             cycles += self.try_tx(now, fid, acct);
@@ -308,8 +308,8 @@ impl FastPath {
                     notify_bytes = data.len() as u64;
                     // Merge the tracked out-of-order interval if the gap
                     // just closed ("as if one big segment arrived").
-                    if flow.rcv.ooo_len > 0 && flow.rcv.ooo_start <= flow.rcv.rx.end_offset() {
-                        let int_end = flow.rcv.ooo_start + flow.rcv.ooo_len as u64;
+                    if flow.rcv.ooo_len() > 0 && flow.rcv.ooo_start() <= flow.rcv.rx.end_offset() {
+                        let int_end = flow.rcv.ooo_start() + flow.rcv.ooo_len() as u64;
                         let end = flow.rcv.rx.end_offset();
                         if int_end > end {
                             if flow.rcv.rx.advance_end(int_end - end).is_ok() {
@@ -332,22 +332,22 @@ impl FastPath {
                 let off = flow.rcv.rx.end_offset() + seq::sub(seg_seq, expected) as u64;
                 let horizon = flow.rcv.rx.start_offset() + flow.rcv.rx.capacity() as u64;
                 let fits = off + data.len() as u64 <= horizon;
-                let int_end = flow.rcv.ooo_start + flow.rcv.ooo_len as u64;
+                let int_end = flow.rcv.ooo_start() + flow.rcv.ooo_len() as u64;
                 if !self.ooo_rx {
                     // Go-back-N mode: drop everything out of order.
                     self.stats.drop_ooo += 1;
                 } else if !fits {
                     self.stats.drop_ooo += 1;
-                } else if flow.rcv.ooo_len == 0 {
+                } else if flow.rcv.ooo_len() == 0 {
                     if flow.rcv.rx.write_at(off, data).is_ok() {
                         flow.rcv.set_ooo(off, data.len() as u32);
                         #[cfg(feature = "trace")]
                         trace_fp(
                             now,
                             tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key,
-                                start: flow.rcv.ooo_start,
-                                len: flow.rcv.ooo_len as u64,
+                                flow: flow.conn.key(),
+                                start: flow.rcv.ooo_start(),
+                                len: flow.rcv.ooo_len() as u64,
                             },
                         );
                     } else {
@@ -356,7 +356,7 @@ impl FastPath {
                         debug_assert!(false, "ooo write fits by horizon check");
                         self.stats.drop_ooo += 1;
                     }
-                } else if off >= flow.rcv.ooo_start && off + data.len() as u64 <= int_end {
+                } else if off >= flow.rcv.ooo_start() && off + data.len() as u64 <= int_end {
                     // Duplicate of data already staged.
                 } else if off == int_end {
                     if flow.rcv.rx.write_at(off, data).is_ok() {
@@ -365,25 +365,25 @@ impl FastPath {
                         trace_fp(
                             now,
                             tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key,
-                                start: flow.rcv.ooo_start,
-                                len: flow.rcv.ooo_len as u64,
+                                flow: flow.conn.key(),
+                                start: flow.rcv.ooo_start(),
+                                len: flow.rcv.ooo_len() as u64,
                             },
                         );
                     } else {
                         debug_assert!(false, "ooo write fits by horizon check");
                         self.stats.drop_ooo += 1;
                     }
-                } else if off + data.len() as u64 == flow.rcv.ooo_start {
+                } else if off + data.len() as u64 == flow.rcv.ooo_start() {
                     if flow.rcv.rx.write_at(off, data).is_ok() {
                         flow.rcv.grow_ooo_head(off, data.len() as u32);
                         #[cfg(feature = "trace")]
                         trace_fp(
                             now,
                             tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key,
-                                start: flow.rcv.ooo_start,
-                                len: flow.rcv.ooo_len as u64,
+                                flow: flow.conn.key(),
+                                start: flow.rcv.ooo_start(),
+                                len: flow.rcv.ooo_len() as u64,
                             },
                         );
                     } else {
@@ -404,9 +404,9 @@ impl FastPath {
                 return cycles;
             };
             self.out.notices.push((
-                flow.conn.context,
+                flow.conn.context(),
                 RxNotice {
-                    opaque: flow.conn.opaque,
+                    opaque: flow.conn.opaque(),
                     rx_bytes: notify_bytes as u32,
                     tx_acked: 0,
                 },
@@ -436,23 +436,23 @@ impl FastPath {
             return cycles;
         };
         let mut h = TcpHeader::new(
-            flow.conn.key.local_port,
-            flow.conn.key.remote_port,
+            flow.conn.key().local_port,
+            flow.conn.key().remote_port,
             flow.seq_of(flow.nxt_off()),
             flow.rcv_seq_of(flow.rcv.rx.end_offset()),
             TcpFlags::ACK,
         );
-        if flow.cc.last_seg_ce {
+        if flow.cc.last_seg_ce() {
             // DCTCP-accurate per-packet ECN echo.
             h.flags |= TcpFlags::ECE;
         }
         h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent));
+        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
         let seg = Segment::tcp(
             self.local_mac,
-            flow.conn.peer_mac,
+            flow.conn.peer_mac(),
             self.local_ip,
-            flow.conn.key.remote_ip,
+            flow.conn.key().remote_ip,
             h,
             PayloadBuf::empty(),
             false,
@@ -483,7 +483,7 @@ impl FastPath {
         let _prof = tas_telemetry::profile::guard("rx_bump");
         let mut cycles = self.charge(acct, Module::Tcp, self.costs.rx_bump);
         let emit = match self.flows.get_mut(fid) {
-            Some(flow) => flow.fc.win_closed && flow.adv_window() >= self.mss as u64,
+            Some(flow) => flow.fc.win_closed() && flow.adv_window() >= self.mss as u64,
             None => false,
         };
         if emit {
@@ -530,30 +530,30 @@ impl FastPath {
             let Some(flow) = self.flows.get_mut(fid) else {
                 return 0;
             };
-            flow.cc.bucket.refill(now);
+            flow.cc.refill_bucket(now);
             loop {
                 let avail = flow.snd.tx.end_offset().saturating_sub(flow.nxt_off());
-                let wnd = flow.fc.snd_wnd.min(flow.cc.cwnd);
-                let budget = wnd.saturating_sub(flow.snd.tx_sent);
+                let wnd = flow.fc.snd_wnd().min(flow.cc.cwnd());
+                let budget = wnd.saturating_sub(flow.snd.tx_sent());
                 let mut n = avail.min(budget).min(mss);
                 if n == 0 {
                     break;
                 }
-                if !flow.cc.bucket.is_unlimited() {
-                    if flow.cc.bucket.tokens == 0
-                        || (flow.cc.bucket.tokens < n && flow.cc.bucket.tokens < mss)
+                if !flow.cc.bucket().is_unlimited() {
+                    if flow.cc.bucket().tokens == 0
+                        || (flow.cc.bucket().tokens < n && flow.cc.bucket().tokens < mss)
                     {
                         // Paced out: arm a timer for when one segment's
                         // credit accrues.
                         let need = n.min(mss);
-                        let wait = flow.cc.bucket.time_until(need, now);
-                        if wait < SimTime::MAX && !flow.snd.tx_timer_armed {
+                        let wait = flow.cc.bucket().time_until(need, now);
+                        if wait < SimTime::MAX && !flow.snd.tx_timer_armed() {
                             flow.snd.arm_tx_timer();
                             arm_at = Some(now + wait.max(SimTime::from_ns(500)));
                         }
                         break;
                     }
-                    n = n.min(flow.cc.bucket.tokens);
+                    n = n.min(flow.cc.bucket().tokens);
                 }
                 let off = flow.nxt_off();
                 // Pooled buffer filled straight from the ring: the per-
@@ -568,29 +568,29 @@ impl FastPath {
                     break;
                 }
                 let mut h = TcpHeader::new(
-                    flow.conn.key.local_port,
-                    flow.conn.key.remote_port,
+                    flow.conn.key().local_port,
+                    flow.conn.key().remote_port,
                     flow.seq_of(off),
                     flow.rcv_seq_of(flow.rcv.rx.end_offset()),
                     TcpFlags::ACK | TcpFlags::PSH,
                 );
-                if flow.cc.last_seg_ce {
+                if flow.cc.last_seg_ce() {
                     h.flags |= TcpFlags::ECE;
                 }
                 h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-                h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent));
+                h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
                 let mut seg = Segment::tcp(
                     self.local_mac,
-                    flow.conn.peer_mac,
+                    flow.conn.peer_mac(),
                     self.local_ip,
-                    flow.conn.key.remote_ip,
+                    flow.conn.key().remote_ip,
                     h,
                     payload,
                     false,
                 );
                 seg.ip.ecn = Ecn::Ect0;
                 flow.snd.note_sent(n);
-                flow.cc.bucket.consume(n);
+                flow.cc.consume_credit(n);
                 sent_segments += 1;
                 self.out.packets.push(seg);
                 self.stats.segs_tx += 1;
@@ -656,19 +656,19 @@ impl FastPath {
             return cycles;
         }
         let mut h = TcpHeader::new(
-            flow.conn.key.local_port,
-            flow.conn.key.remote_port,
+            flow.conn.key().local_port,
+            flow.conn.key().remote_port,
             flow.seq_of(off),
             flow.rcv_seq_of(flow.rcv.rx.end_offset()),
             TcpFlags::ACK | TcpFlags::PSH,
         );
         h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent));
+        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
         let mut seg = Segment::tcp(
             self.local_mac,
-            flow.conn.peer_mac,
+            flow.conn.peer_mac(),
             self.local_ip,
-            flow.conn.key.remote_ip,
+            flow.conn.key().remote_ip,
             h,
             payload,
             false,
@@ -690,7 +690,7 @@ impl FastPath {
             trace_fp(
                 now,
                 tas_telemetry::TraceEvent::Retransmit {
-                    flow: flow.conn.key,
+                    flow: flow.conn.key(),
                     kind: "timeout",
                     seq: flow.seq_of(flow.snd.tx.start_offset()),
                 },
@@ -860,15 +860,15 @@ mod tests {
         fp.rx_segment(SimTime::ZERO, data_seg(20_006, b"WORLD", false), &mut acct);
         {
             let flow = fp.flows.get(fid).unwrap();
-            assert_eq!(flow.rcv.ooo_len, 5);
-            assert_eq!(flow.rcv.ooo_start, 5);
+            assert_eq!(flow.rcv.ooo_len(), 5);
+            assert_eq!(flow.rcv.ooo_start(), 5);
         }
         // The dup-ACK still asks for 20_001.
         assert_eq!(fp.out.packets[0].tcp.ack, 20_001);
         // Gap fills: both chunks delivered, one merged notice.
         fp.rx_segment(SimTime::ZERO, data_seg(20_001, b"HELLO", false), &mut acct);
         let flow = fp.flows.get_mut(fid).unwrap();
-        assert_eq!(flow.rcv.ooo_len, 0);
+        assert_eq!(flow.rcv.ooo_len(), 0);
         assert_eq!(flow.rcv.rx.pop(16), b"HELLOWORLD");
         assert_eq!(fp.out.packets[1].tcp.ack, 20_011);
         let last = fp.out.notices.last().unwrap();
@@ -890,7 +890,7 @@ mod tests {
         fp.rx_segment(SimTime::ZERO, data_seg(20_009, b"bb", false), &mut acct);
         {
             let flow = fp.flows.get(fid).unwrap();
-            assert_eq!((flow.rcv.ooo_start, flow.rcv.ooo_len), (8, 6));
+            assert_eq!((flow.rcv.ooo_start(), flow.rcv.ooo_len()), (8, 6));
         }
         // A second, disjoint interval is dropped.
         fp.rx_segment(SimTime::ZERO, data_seg(20_050, b"zz", false), &mut acct);
@@ -943,7 +943,7 @@ mod tests {
         assert_eq!(fp.out.packets[2].payload.len(), 3000 - 2 * MSS as usize);
         assert_eq!(fp.out.packets[0].ip.ecn, Ecn::Ect0, "data is ECT(0)");
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.snd.tx_sent, 3000);
+        assert_eq!(flow.snd.tx_sent(), 3000);
         // Peer acks the first 1448: buffer space freed, notice posted.
         fp.rx_segment(
             t + SimTime::from_us(50),
@@ -951,12 +951,30 @@ mod tests {
             &mut acct,
         );
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.snd.tx_sent, 3000 - MSS as u64);
+        assert_eq!(flow.snd.tx_sent(), 3000 - MSS as u64);
         assert_eq!(flow.snd.tx.len(), 3000 - MSS as usize);
         let last = fp.out.notices.last().unwrap();
         assert_eq!(last.1.tx_acked, MSS);
         // RTT estimated from the timestamp echo (tsecr=5 -> 55us).
-        assert_eq!(flow.conn.rtt_est_us, 55);
+        assert_eq!(flow.conn.rtt_est_us(), 55);
+    }
+
+    #[test]
+    fn tsecr_ahead_of_the_clock_cannot_overflow_the_rtt_estimate() {
+        // TSecr is peer-controlled: echoing a value ahead of our clock
+        // wraps the sample to ~2^32 µs, and the second such sample used to
+        // overflow the u32 EWMA (debug panic, silent wrap in release).
+        let mut fp = fp();
+        let fid = install(&mut fp);
+        let mut acct = CycleAccount::new();
+        for seq in [20_001, 20_002] {
+            let mut seg = data_seg(seq, b"x", false);
+            seg.tcp.options.timestamp = Some((777, 5));
+            fp.rx_segment(SimTime::from_us(4), seg, &mut acct);
+        }
+        let flow = fp.flows.get(fid).unwrap();
+        assert_eq!(flow.conn.rtt_est_us(), u32::MAX, "saturated, not wrapped");
+        assert_eq!(flow.rcv.rx.len(), 2, "both segments still delivered");
     }
 
     #[test]
@@ -978,8 +996,8 @@ mod tests {
             &mut acct,
         );
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.cc.cnt_ackb, 1448);
-        assert_eq!(flow.cc.cnt_ecnb, 1448);
+        assert_eq!(flow.cc.cnt_ackb(), 1448);
+        assert_eq!(flow.cc.cnt_ecnb(), 1448);
     }
 
     #[test]
@@ -989,7 +1007,7 @@ mod tests {
         let mut acct = CycleAccount::new();
         // Duplicate-ACK counting requires an unchanged window (RFC 5681);
         // make the flow's view match the ACKs the test sends.
-        fp.flows.get_mut(fid).unwrap().fc.snd_wnd = 60_000;
+        fp.flows.get_mut(fid).unwrap().fc.update_wnd(60_000);
         fp.flows
             .get_mut(fid)
             .unwrap()
@@ -1010,7 +1028,7 @@ mod tests {
         }
         assert_eq!(fp.stats.fast_rexmits, 1);
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.cc.cnt_frexmits, 1);
+        assert_eq!(flow.cc.cnt_frexmits(), 1);
         // Retransmission resent everything from the left edge.
         assert!(fp.out.packets.len() > first_sent);
         assert_eq!(fp.out.packets[first_sent].tcp.seq, 10_001);
@@ -1020,7 +1038,7 @@ mod tests {
     fn peer_window_limits_tx() {
         let mut fp = fp();
         let fid = install(&mut fp);
-        fp.flows.get_mut(fid).unwrap().fc.snd_wnd = 2000;
+        fp.flows.get_mut(fid).unwrap().fc.update_wnd(2000);
         let mut acct = CycleAccount::new();
         fp.flows
             .get_mut(fid)
@@ -1031,7 +1049,7 @@ mod tests {
             .unwrap();
         fp.tx_command(SimTime::ZERO, fid, &mut acct);
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.snd.tx_sent, 2000, "limited by peer window");
+        assert_eq!(flow.snd.tx_sent(), 2000, "limited by peer window");
         assert_eq!(fp.out.packets.len(), 2);
     }
 
@@ -1043,8 +1061,10 @@ mod tests {
         {
             let flow = fp.flows.get_mut(fid).unwrap();
             // 8 Mbps = 1 MB/s; bucket starts with exactly one MSS credit.
-            flow.cc.bucket = RateBucket::limited(8_000_000, 1 << 20, t0);
-            flow.cc.bucket.tokens = MSS as u64;
+            flow.cc = FpCongCtrl::new(RateBucket {
+                tokens: MSS as u64,
+                ..RateBucket::limited(8_000_000, 1 << 20, t0)
+            });
             flow.snd.tx.append(&[2u8; 5000]).unwrap();
         }
         let mut acct = CycleAccount::new();
@@ -1091,7 +1111,7 @@ mod tests {
         let fid = install(&mut fp);
         fp.set_rate(fid, 100_000_000, 1 << 16, SimTime::ZERO);
         let flow = fp.flows.get(fid).unwrap();
-        assert!(!flow.cc.bucket.is_unlimited());
-        assert_eq!(flow.cc.bucket.rate_bps, 12_500_000);
+        assert!(!flow.cc.bucket().is_unlimited());
+        assert_eq!(flow.cc.bucket().rate_bps, 12_500_000);
     }
 }

@@ -1,0 +1,159 @@
+//! `FpSendRel`: the transmit ring, in-flight accounting, duplicate-ACK
+//! recovery, pacing-timer arming and stall detection. Apart from the ring
+//! (the shared-memory surface libTAS appends to), the fields are private
+//! to this module: writes go through the `&mut self` methods here, reads
+//! through getters.
+
+use tas_shm::ByteRing;
+
+/// Send-reliability component: the transmit ring, in-flight accounting,
+/// duplicate-ACK recovery, pacing-timer arming, and stall detection.
+#[derive(Debug)]
+pub struct FpSendRel {
+    /// Per-flow transmit payload buffer (tx_start|size|head|tail).
+    /// `start_offset` is the unacknowledged base; the application appends
+    /// at `end_offset`. Public by design: the ring lives in memory shared
+    /// with the application, which writes it without entering TAS (§3.1).
+    pub tx: ByteRing,
+    /// Sent-but-unacknowledged bytes from the TX base (tx_sent).
+    tx_sent: u64,
+    /// Highest TX stream offset ever transmitted (recovery resets
+    /// `tx_sent` "as if those segments had not been sent", but cumulative
+    /// ACKs for them must still be accepted).
+    max_sent_off: u64,
+    /// Local initial sequence number; local seq = iss + 1 + tx offset.
+    iss: u32,
+    /// Duplicate ACK count (dupack_cnt).
+    dupack_cnt: u8,
+    /// A TX-poll timer is armed for this flow (rate pacing).
+    tx_timer_armed: bool,
+    /// Slow-path stall detection: `seq` sampled at the last control loop.
+    last_una_off: u64,
+    /// Control intervals the left edge has been stalled with data out.
+    stall_intervals: u32,
+}
+
+impl FpSendRel {
+    /// Component state at flow installation.
+    pub fn new(tx: ByteRing, iss: u32) -> FpSendRel {
+        FpSendRel {
+            tx,
+            tx_sent: 0,
+            max_sent_off: 0,
+            iss,
+            dupack_cnt: 0,
+            tx_timer_armed: false,
+            last_una_off: 0,
+            stall_intervals: 0,
+        }
+    }
+
+    /// Sent-but-unacknowledged bytes from the TX base (tx_sent).
+    #[inline]
+    pub fn tx_sent(&self) -> u64 {
+        self.tx_sent
+    }
+
+    /// Highest TX stream offset ever transmitted.
+    #[inline]
+    pub fn max_sent_off(&self) -> u64 {
+        self.max_sent_off
+    }
+
+    /// Local initial sequence number; local seq = iss + 1 + tx offset.
+    #[inline]
+    pub fn iss(&self) -> u32 {
+        self.iss
+    }
+
+    /// Duplicate ACK count (dupack_cnt).
+    #[inline]
+    pub fn dupack_cnt(&self) -> u8 {
+        self.dupack_cnt
+    }
+
+    /// A TX-poll timer is armed for this flow (rate pacing).
+    #[inline]
+    pub fn tx_timer_armed(&self) -> bool {
+        self.tx_timer_armed
+    }
+
+    /// The left edge sampled at the last control loop.
+    #[inline]
+    pub fn last_una_off(&self) -> u64 {
+        self.last_una_off
+    }
+
+    /// Absolute TX offset of the next unsent byte.
+    #[inline]
+    pub fn nxt_off(&self) -> u64 {
+        self.tx.start_offset() + self.tx_sent
+    }
+
+    /// Releases `newly` cumulatively acknowledged bytes from the ring and
+    /// the in-flight count; false on ring-accounting failure (the caller
+    /// degrades by ignoring the ACK).
+    pub fn consume_acked(&mut self, newly: u64) -> bool {
+        if self.tx.consume(newly).is_err() {
+            return false;
+        }
+        self.tx_sent = self.tx_sent.saturating_sub(newly);
+        true
+    }
+
+    /// Progress at the left edge: restart duplicate-ACK counting.
+    pub fn reset_dupacks(&mut self) {
+        self.dupack_cnt = 0;
+    }
+
+    /// Counts one duplicate ACK; returns the new count.
+    pub fn count_dupack(&mut self) -> u8 {
+        self.dupack_cnt = self.dupack_cnt.saturating_add(1);
+        self.dupack_cnt
+    }
+
+    /// Fast recovery: reset the sender as if unacked segments were never
+    /// sent (§3.1).
+    pub fn reset_for_fast_rexmit(&mut self) {
+        self.dupack_cnt = 0;
+        self.tx_sent = 0;
+    }
+
+    /// Slow-path-triggered go-back-N: rewind everything in flight.
+    pub fn rewind_for_retransmit(&mut self) {
+        self.tx_sent = 0;
+        self.dupack_cnt = 0;
+    }
+
+    /// Records `n` freshly transmitted bytes.
+    pub fn note_sent(&mut self, n: u64) {
+        self.tx_sent += n;
+        self.max_sent_off = self.max_sent_off.max(self.nxt_off());
+    }
+
+    /// A pacing timer was armed for this flow.
+    pub fn arm_tx_timer(&mut self) {
+        self.tx_timer_armed = true;
+    }
+
+    /// The pacing timer fired (or was consumed).
+    pub fn clear_tx_timer(&mut self) {
+        self.tx_timer_armed = false;
+    }
+
+    /// Counts one stalled control interval; returns the new count.
+    pub fn bump_stall(&mut self) -> u32 {
+        self.stall_intervals += 1;
+        self.stall_intervals
+    }
+
+    /// The left edge moved (or nothing is outstanding): clear the stall.
+    pub fn clear_stall(&mut self) {
+        self.stall_intervals = 0;
+    }
+
+    /// Samples the left edge for the next control-loop stall check.
+    pub fn sample_una(&mut self) {
+        self.last_una_off = self.tx.start_offset();
+    }
+}

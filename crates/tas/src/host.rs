@@ -352,11 +352,6 @@ impl TasHost {
         &self.inner.acct
     }
 
-    /// Mutable account access (harnesses reset between warmup/measure).
-    pub fn account_mut(&mut self) -> &mut CycleAccount {
-        &mut self.inner.acct
-    }
-
     /// Fast-path counters.
     pub fn fp_stats(&self) -> crate::fastpath::FpStats {
         self.inner.fp.stats
@@ -459,28 +454,6 @@ impl TasHost {
         &self.inner.nic
     }
 
-    /// Dumps per-flow diagnostic tuples (diagnostics).
-    pub fn dump_flows(&self, n: usize) -> Vec<(u32, u64, u64, u64, u64, u32, u64)> {
-        let mut out = Vec::new();
-        for id in 0..65_535u32 {
-            if out.len() >= n {
-                break;
-            }
-            if let Some(f) = self.inner.fp.flows.get(id) {
-                out.push((
-                    id,
-                    f.snd.tx.len() as u64,
-                    f.snd.tx_sent,
-                    f.cc.bucket.rate_bps.saturating_mul(8),
-                    f.fc.snd_wnd,
-                    f.conn.rtt_est_us,
-                    f.snd.stall_intervals as u64,
-                ));
-            }
-        }
-        out
-    }
-
     /// Sampled flow RTT estimates in microseconds (diagnostics).
     pub fn sample_rtts(&self, n: usize) -> Vec<u32> {
         let mut out = Vec::new();
@@ -489,24 +462,10 @@ impl TasHost {
                 break;
             }
             if let Some(f) = self.inner.fp.flows.get(id) {
-                out.push(f.conn.rtt_est_us);
+                out.push(f.conn.rtt_est_us());
             }
         }
         out
-    }
-
-    /// Busy time accumulated per fast-path core (diagnostics).
-    pub fn fp_busy(&self) -> Vec<tas_sim::SimTime> {
-        (0..self.inner.fp_cores.len())
-            .map(|i| self.inner.fp_cores.core_ref(i).busy_total())
-            .collect()
-    }
-
-    /// Busy time accumulated per app core (diagnostics).
-    pub fn app_busy(&self) -> Vec<tas_sim::SimTime> {
-        (0..self.inner.app_cores.len())
-            .map(|i| self.inner.app_cores.core_ref(i).busy_total())
-            .collect()
     }
 
     /// Exact cycles submitted per fast-path core since creation (the
@@ -544,13 +503,6 @@ impl TasHost {
         app
     }
 
-    /// Downcasts the application if it is a `T`.
-    pub fn try_app<T: 'static>(&self) -> Option<&T> {
-        self.app
-            .as_ref()
-            .and_then(|a| a.as_any().downcast_ref::<T>())
-    }
-
     /// Mutable downcast of the application.
     ///
     /// # Panics
@@ -578,7 +530,7 @@ impl TasHost {
         };
         // Hash exactly as the NIC would hash the *incoming* direction of
         // this flow, so RX and TX of a connection share a core.
-        let k = flow.conn.key;
+        let k = flow.conn.key();
         let h = hash_tuple(k.remote_ip, k.local_ip, k.remote_port, k.local_port);
         inner.nic.rss().queue_for_hash(h)
     }
@@ -952,7 +904,7 @@ impl TasHost {
                     "host",
                     t,
                     tas_telemetry::Stage::ShmDoorbell,
-                    flow.conn.key.reversed(),
+                    flow.conn.key().reversed(),
                     flow.rcv_seq_of(off0),
                     notice.rx_bytes,
                     SimTime::ZERO,
@@ -1273,7 +1225,7 @@ impl StackApi for Api<'_> {
                 "app",
                 self.inner.frame.now,
                 tas_telemetry::Stage::AppSend,
-                flow.conn.key,
+                flow.conn.key(),
                 flow.seq_of(off0),
                 n as u32,
                 SimTime::ZERO,
@@ -1308,7 +1260,7 @@ impl StackApi for Api<'_> {
                 "app",
                 self.inner.frame.now,
                 tas_telemetry::Stage::AppDeliver,
-                flow.conn.key.reversed(),
+                flow.conn.key().reversed(),
                 flow.rcv_seq_of(off0),
                 out.len() as u32,
                 SimTime::ZERO,

@@ -400,13 +400,13 @@ impl SlowPath {
     fn start_teardown(&mut self, now: SimTime, fid: u32, fp: &mut FastPath) -> Option<ByteRing> {
         let flow = fp.remove_flow(fid)?;
         self.out.events.push(SpAppEvent::Detached {
-            opaque: flow.conn.opaque,
+            opaque: flow.conn.opaque(),
             fid,
         });
         // Existing peer-FIN state (remote closed first)?
         let peer_fin = self
             .teardowns
-            .get(&flow.conn.key)
+            .get(&flow.conn.key())
             .map(|t| t.peer_fin)
             .unwrap_or(false);
         let fin_seq = flow.seq_of(flow.nxt_off());
@@ -415,19 +415,19 @@ impl SlowPath {
             rcv_ack = rcv_ack.wrapping_add(1);
         }
         let td = Teardown {
-            key: flow.conn.key,
-            peer_mac: flow.conn.peer_mac,
-            opaque: flow.conn.opaque,
+            key: flow.conn.key(),
+            peer_mac: flow.conn.peer_mac(),
+            opaque: flow.conn.opaque(),
             fin_seq,
             rcv_ack,
-            ts_recent: flow.conn.ts_recent,
+            ts_recent: flow.conn.ts_recent(),
             fin_acked: false,
             peer_fin,
             deadline: now + RETRY_AFTER,
             attempts: 0,
         };
         self.send_fin(now, &td);
-        self.teardowns.insert(flow.conn.key, td);
+        self.teardowns.insert(flow.conn.key(), td);
         Some(flow.rcv.rx)
     }
 
@@ -662,13 +662,13 @@ impl SlowPath {
                 }
             }
             let rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset()).wrapping_add(1);
-            let peer_mac = flow.conn.peer_mac;
+            let peer_mac = flow.conn.peer_mac();
             let seq_no = flow.seq_of(flow.nxt_off());
             // Record the peer FIN so a later local close skips its wait.
             let td = Teardown {
                 key,
                 peer_mac,
-                opaque: flow.conn.opaque,
+                opaque: flow.conn.opaque(),
                 fin_seq: 0,
                 rcv_ack,
                 ts_recent: ts,
@@ -802,15 +802,15 @@ impl SlowPath {
             cycles += 60; // Per-flow control work.
                           // Stall detection (paper: unacked data with constant sequence
                           // number for 2 control intervals → retransmit).
-            if flow.snd.tx_sent > 0 {
-                if flow.snd.tx.start_offset() == flow.snd.last_una_off {
+            if flow.snd.tx_sent() > 0 {
+                if flow.snd.tx.start_offset() == flow.snd.last_una_off() {
                     let stalls = flow.snd.bump_stall();
                     // Retransmit after the configured number of intervals,
                     // but never before several RTTs have elapsed (the flow's
                     // own timescale; avoids spurious go-back-N when RTTs
                     // inflate under load).
                     let stalled_for = effective.as_ps().saturating_mul(stalls as u64);
-                    let rtt_floor = (flow.conn.rtt_est_us as u64)
+                    let rtt_floor = (flow.conn.rtt_est_us() as u64)
                         .saturating_mul(3_000_000) // 3 RTTs in ps.
                         .max(effective.as_ps());
                     if stalls >= self.stall_intervals_for_rexmit && stalled_for >= rtt_floor {
@@ -822,8 +822,8 @@ impl SlowPath {
                 } else {
                     flow.snd.clear_stall();
                 }
-            } else if flow.snd.tx.len() > flow.snd.tx_sent as usize
-                && flow.fc.snd_wnd < self.mss as u64
+            } else if flow.snd.tx.len() > flow.snd.tx_sent() as usize
+                && flow.fc.snd_wnd() < self.mss as u64
             {
                 // Zero-window persist: pending data, nothing in flight,
                 // shut window — probe so a lost window update cannot
@@ -840,14 +840,14 @@ impl SlowPath {
             match self.cc {
                 CcAlgo::None => {}
                 CcAlgo::DctcpRate => {
-                    let cur = flow.cc.bucket.rate_bps.saturating_mul(8);
+                    let cur = flow.cc.bucket().rate_bps.saturating_mul(8);
                     let newr = dctcp_rate_iteration(flow, cur, interval_secs, &self.dctcp);
                     if newr != cur {
                         rate_updates.push((fid, newr));
                     }
                 }
                 CcAlgo::Timely => {
-                    let cur = flow.cc.bucket.rate_bps.saturating_mul(8);
+                    let cur = flow.cc.bucket().rate_bps.saturating_mul(8);
                     let newr = timely_iteration(flow, cur, &self.timely);
                     if newr != cur {
                         rate_updates.push((fid, newr));
@@ -855,7 +855,7 @@ impl SlowPath {
                 }
             }
             // Deferred close once drained.
-            if flow.conn.closing && flow.snd.tx.is_empty() {
+            if flow.conn.closing() && flow.snd.tx.is_empty() {
                 to_close.push(fid);
             }
         }
@@ -866,7 +866,7 @@ impl SlowPath {
                 trace_sp(
                     now,
                     tas_telemetry::TraceEvent::CcRate {
-                        flow: flow.conn.key,
+                        flow: flow.conn.key(),
                         rate: bps,
                     },
                 );

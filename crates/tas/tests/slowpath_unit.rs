@@ -94,9 +94,9 @@ fn passive_handshake_installs_flow() {
     let (mut sp, mut fp) = server_pair(CcAlgo::None);
     let fid = establish(&mut sp, &mut fp, 4000);
     let flow = fp.flows.get(fid).expect("installed");
-    assert_eq!(flow.rcv.irs, 5000);
-    assert_eq!(flow.conn.opaque, 77);
-    assert_eq!(flow.fc.peer_wscale, 7);
+    assert_eq!(flow.rcv.irs(), 5000);
+    assert_eq!(flow.conn.opaque(), 77);
+    assert_eq!(flow.fc.peer_wscale(), 7);
     assert_eq!(sp.stats.established, 1);
 }
 
@@ -171,7 +171,7 @@ fn peer_fin_acks_and_notifies() {
     let mut fin = plain_ack(4000, 5001, 1);
     fin.tcp.flags = TcpFlags::FIN | TcpFlags::ACK;
     // Patch the ACK to the server's actual sequence space.
-    let iss = fp.flows.get(fid).expect("flow").snd.iss;
+    let iss = fp.flows.get(fid).expect("flow").snd.iss();
     fin.tcp.ack = iss.wrapping_add(1);
     sp.on_exception(SimTime::from_ms(1), fin, &mut fp, 0, 0, 0, &mut acct);
     let ack = sp.out.packets.pop().expect("FIN must be ACKed");
@@ -216,19 +216,18 @@ fn control_loop_runs_rate_cc_and_updates_buckets() {
     // Pretend the fast path accumulated clean feedback.
     {
         let flow = fp.flows.get_mut(fid).expect("flow");
-        flow.cc.state.slow_start = false;
-        flow.cc.cnt_ackb = 1_000_000;
-        flow.conn.rtt_est_us = 50;
+        flow.cc.count_acked(1_000_000, false);
+        flow.conn.rtt_sample(50);
     }
-    let before = fp.flows.get(fid).expect("flow").cc.bucket.rate_bps;
+    let before = fp.flows.get(fid).expect("flow").cc.bucket().rate_bps;
     sp.control_loop(SimTime::from_ms(1), &mut fp, &mut acct);
-    let after = fp.flows.get(fid).expect("flow").cc.bucket.rate_bps;
+    let after = fp.flows.get(fid).expect("flow").cc.bucket().rate_bps;
     assert!(
         after > before,
         "clean interval must raise the rate: {before} -> {after}"
     );
     // Feedback counters were consumed.
-    assert_eq!(fp.flows.get(fid).expect("flow").cc.cnt_ackb, 0);
+    assert_eq!(fp.flows.get(fid).expect("flow").cc.cnt_ackb(), 0);
 }
 
 #[test]
@@ -240,9 +239,8 @@ fn stall_detector_triggers_retransmit() {
     {
         let flow = fp.flows.get_mut(fid).expect("flow");
         flow.snd.tx.append(&[1u8; 1448]).expect("fits");
-        flow.snd.tx_sent = 1448;
-        flow.snd.max_sent_off = 1448;
-        flow.conn.rtt_est_us = 50;
+        flow.snd.note_sent(1448);
+        flow.conn.rtt_sample(50);
     }
     // Needs the configured number of stalled iterations.
     let mut retransmitted = false;
@@ -256,7 +254,7 @@ fn stall_detector_triggers_retransmit() {
     assert!(retransmitted, "stall detector must go-back-N");
     assert!(sp.stats.timeout_rexmits >= 1);
     let flow = fp.flows.get(fid).expect("flow");
-    assert_eq!(flow.cc.cnt_frexmits, 1, "loss signalled to CC");
+    assert_eq!(flow.cc.cnt_frexmits(), 1, "loss signalled to CC");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! `CongCtrl`: congestion control and ECN — the pluggable algorithm
 //! (shared `tas-cc` trait object) plus the ECN negotiation/echo state
-//! that feeds it. All mutation goes through `&mut self` methods here
-//! (lint rule R8).
+//! that feeds it. The fields are private to this module: all mutation
+//! goes through `&mut self` methods here, everything else reads through
+//! getters.
 
 use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
 
@@ -9,18 +10,18 @@ use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
 #[derive(Debug)]
 pub struct CongCtrl {
     /// The congestion-control algorithm (window facet of `tas_cc`).
-    pub(crate) algo: Box<dyn CongestionControl>,
+    algo: Box<dyn CongestionControl>,
     /// ECN negotiated on this connection.
-    pub(crate) ecn_active: bool,
+    ecn_active: bool,
     /// RFC 3168 latched receiver echo (NewReno); cleared by sender CWR.
-    pub(crate) ece_latched: bool,
+    ece_latched: bool,
     /// DCTCP-style per-packet echo: the last data segment was CE-marked.
-    pub(crate) last_seg_ce: bool,
+    last_seg_ce: bool,
     /// Set CWR on the next outgoing data segment.
-    pub(crate) cwr_pending: bool,
+    cwr_pending: bool,
     /// NewReno ECE guard: ignore further ECE until `una_off` passes this
     /// offset (at most one window reduction per RTT, RFC 3168 §6.1.2).
-    pub(crate) ece_guard_off: u64,
+    ece_guard_off: u64,
 }
 
 impl CongCtrl {
@@ -33,6 +34,30 @@ impl CongCtrl {
             cwr_pending: false,
             ece_guard_off: 0,
         }
+    }
+
+    /// The algorithm's current congestion window in bytes.
+    #[inline]
+    pub fn cwnd(&self) -> u32 {
+        self.algo.cwnd()
+    }
+
+    /// ECN negotiated on this connection.
+    #[inline]
+    pub fn ecn_active(&self) -> bool {
+        self.ecn_active
+    }
+
+    /// RFC 3168 latched receiver echo (NewReno); cleared by sender CWR.
+    #[inline]
+    pub fn ece_latched(&self) -> bool {
+        self.ece_latched
+    }
+
+    /// The last data segment was CE-marked (DCTCP per-packet echo).
+    #[inline]
+    pub fn last_seg_ce(&self) -> bool {
+        self.last_seg_ce
     }
 
     /// Records the ECN negotiation outcome from the handshake.

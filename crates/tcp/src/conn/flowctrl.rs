@@ -1,20 +1,21 @@
 //! `FlowCtrl`: flow control — the peer's advertised send window (with
 //! its negotiated scale and MSS) and our own advertised-window
-//! bookkeeping for window-update ACKs. All mutation goes through
-//! `&mut self` methods here (lint rule R8).
+//! bookkeeping for window-update ACKs. The fields are private to this
+//! module: all mutation goes through `&mut self` methods here, everything
+//! else reads through getters.
 
 /// Flow-control component: owns both directions' window accounting.
 #[derive(Debug)]
 pub struct FlowCtrl {
     /// Peer's advertised window in bytes (already scaled).
-    pub(crate) snd_wnd: u64,
+    snd_wnd: u64,
     /// Peer's window-scale shift from the SYN.
-    pub(crate) peer_wscale: u8,
+    peer_wscale: u8,
     /// Peer's MSS from the SYN.
-    pub(crate) peer_mss: u32,
+    peer_mss: u32,
     /// The advertised window we last put on the wire; a window update is
     /// emitted when the application reopens a previously-tight window.
-    pub(crate) last_adv_window: u64,
+    last_adv_window: u64,
 }
 
 impl FlowCtrl {
@@ -25,6 +26,30 @@ impl FlowCtrl {
             peer_mss: mss,
             last_adv_window: recv_buf as u64,
         }
+    }
+
+    /// Peer's advertised window in bytes (already scaled).
+    #[inline]
+    pub fn snd_wnd(&self) -> u64 {
+        self.snd_wnd
+    }
+
+    /// Peer's window-scale shift from the SYN.
+    #[inline]
+    pub fn peer_wscale(&self) -> u8 {
+        self.peer_wscale
+    }
+
+    /// Peer's MSS from the SYN.
+    #[inline]
+    pub fn peer_mss(&self) -> u32 {
+        self.peer_mss
+    }
+
+    /// The advertised window we last put on the wire.
+    #[inline]
+    pub fn last_adv_window(&self) -> u64 {
+        self.last_adv_window
     }
 
     /// Applies the peer's SYN options: MSS, window scale, and the

@@ -1,7 +1,8 @@
 //! `ConnMgmt`: connection lifecycle state — the RFC 793 state machine,
 //! open/close progress (FIN bookkeeping on both sides), the TIME_WAIT
-//! timer, and the timestamp echo. All mutation goes through `&mut self`
-//! methods here; everything else holds `&` views (lint rule R8).
+//! timer, and the timestamp echo. The fields are private to this module:
+//! all mutation goes through `&mut self` methods here, everything else
+//! reads through getters.
 
 use tas_sim::SimTime;
 
@@ -12,25 +13,25 @@ use super::{EndpointInfo, TcpState};
 #[derive(Debug)]
 pub struct ConnMgmt {
     /// Current RFC 793 state.
-    pub(crate) state: TcpState,
+    state: TcpState,
     /// Local addressing.
-    pub(crate) local: EndpointInfo,
+    local: EndpointInfo,
     /// Remote addressing.
-    pub(crate) remote: EndpointInfo,
+    remote: EndpointInfo,
     /// TIME_WAIT expiry, when in TIME_WAIT.
-    pub(crate) time_wait_deadline: Option<SimTime>,
+    time_wait_deadline: Option<SimTime>,
     /// Application requested close; FIN goes out once data drains.
-    pub(crate) fin_queued: bool,
+    fin_queued: bool,
     /// Our FIN has been transmitted.
-    pub(crate) fin_sent: bool,
+    fin_sent: bool,
     /// Our FIN has been acknowledged.
-    pub(crate) fin_acked: bool,
+    fin_acked: bool,
     /// Stream offset of the peer's FIN, once seen.
-    pub(crate) peer_fin_off: Option<u64>,
+    peer_fin_off: Option<u64>,
     /// The peer FIN has been delivered to the application.
-    pub(crate) peer_fin_done: bool,
+    peer_fin_done: bool,
     /// Most recent peer TSval, echoed in our timestamps.
-    pub(crate) ts_recent: u32,
+    ts_recent: u32,
 }
 
 impl ConnMgmt {
@@ -47,6 +48,60 @@ impl ConnMgmt {
             peer_fin_done: false,
             ts_recent: 0,
         }
+    }
+
+    /// Current RFC 793 state.
+    #[inline]
+    pub fn state(&self) -> TcpState {
+        self.state
+    }
+
+    /// Local addressing.
+    #[inline]
+    pub fn local(&self) -> EndpointInfo {
+        self.local
+    }
+
+    /// Remote addressing.
+    #[inline]
+    pub fn remote(&self) -> EndpointInfo {
+        self.remote
+    }
+
+    /// TIME_WAIT expiry, when in TIME_WAIT.
+    #[inline]
+    pub fn time_wait_deadline(&self) -> Option<SimTime> {
+        self.time_wait_deadline
+    }
+
+    /// The application requested close.
+    #[inline]
+    pub fn fin_queued(&self) -> bool {
+        self.fin_queued
+    }
+
+    /// Our FIN has been transmitted.
+    #[inline]
+    pub fn fin_sent(&self) -> bool {
+        self.fin_sent
+    }
+
+    /// Our FIN has been acknowledged.
+    #[inline]
+    pub fn fin_acked(&self) -> bool {
+        self.fin_acked
+    }
+
+    /// Stream offset of the peer's FIN, once seen.
+    #[inline]
+    pub fn peer_fin_off(&self) -> Option<u64> {
+        self.peer_fin_off
+    }
+
+    /// Most recent peer TSval.
+    #[inline]
+    pub fn ts_recent(&self) -> u32 {
+        self.ts_recent
     }
 
     /// Transitions the state machine.

@@ -10,25 +10,21 @@
 //! * [`FlowCtrl`](flowctrl::FlowCtrl) — both directions' window
 //!   accounting;
 //! * [`CongCtrl`](congctrl::CongCtrl) — the pluggable algorithm
-//!   (shared `tas-cc`) plus ECN state;
+//!   (shared `tas-cc`) plus ECN state.
 //!
-//! plus the stateless [`Demux`](demux::Demux). [`TcpConn`] is the
-//! orchestrator: it owns one instance of each component and drives the
-//! protocol, reading across components freely but mutating each
-//! component's fields only through that component's `&mut self` methods.
-//! The boundary is enforced two ways: `pub(crate)` fields keep external
-//! crates out, and tas-lint rule R8 (the `[components]` ownership map in
-//! `lint.toml`) keeps in-crate code honest.
+//! [`TcpConn`] is the orchestrator: it owns one instance of each
+//! component and drives the protocol. Each component's fields are private
+//! to its own module, so `TcpConn` (like everything else) reads them
+//! through getters and can mutate them only through that component's
+//! `&mut self` methods — a foreign write does not compile.
 
 pub mod congctrl;
-pub mod demux;
 pub mod flowctrl;
 pub mod mgmt;
 pub mod recv;
 pub mod send;
 
 pub use congctrl::CongCtrl;
-pub use demux::{Demux, DemuxDecision};
 pub use flowctrl::FlowCtrl;
 pub use mgmt::ConnMgmt;
 pub use recv::RecvRel;
@@ -195,15 +191,15 @@ pub struct ConnStats {
 pub struct TcpConn {
     cfg: TcpConfig,
     /// Lifecycle component.
-    pub(crate) mgmt: ConnMgmt,
+    mgmt: ConnMgmt,
     /// Send-reliability component.
-    pub(crate) snd: SendRel,
+    snd: SendRel,
     /// Receive-reliability component.
-    pub(crate) rcv: RecvRel,
+    rcv: RecvRel,
     /// Flow-control component.
-    pub(crate) fc: FlowCtrl,
+    fc: FlowCtrl,
     /// Congestion-control + ECN component.
-    pub(crate) cc: CongCtrl,
+    cc: CongCtrl,
 
     out: Vec<Segment>,
     events: Vec<TcpEvent>,
@@ -244,7 +240,7 @@ impl TcpConn {
         conn.set_syn_options(&mut h);
         conn.trace_state_sync();
         conn.push_segment(h, Vec::new(), false);
-        let rto = now + conn.snd.rtt.rto();
+        let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
         conn
     }
@@ -272,13 +268,13 @@ impl TcpConn {
         let mut h = conn.header(TcpFlags::SYN | TcpFlags::ACK, now);
         h.seq = iss;
         h.ack = syn.tcp.seq.wrapping_add(1);
-        if conn.cc.ecn_active {
+        if conn.cc.ecn_active() {
             h.flags |= TcpFlags::ECE;
         }
         conn.set_syn_options(&mut h);
         conn.trace_state_sync();
         conn.push_segment(h, Vec::new(), false);
-        let rto = now + conn.snd.rtt.rto();
+        let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
         conn
     }
@@ -307,10 +303,10 @@ impl TcpConn {
     /// The connection's flow key (local perspective).
     pub fn flow_key(&self) -> FlowKey {
         FlowKey::new(
-            self.mgmt.local.ip,
-            self.mgmt.local.port,
-            self.mgmt.remote.ip,
-            self.mgmt.remote.port,
+            self.mgmt.local().ip,
+            self.mgmt.local().port,
+            self.mgmt.remote().ip,
+            self.mgmt.remote().port,
         )
     }
 
@@ -326,15 +322,15 @@ impl TcpConn {
     /// Emits one State record if the state changed since last sync.
     #[cfg(feature = "trace")]
     fn trace_state_sync(&mut self) {
-        if self.traced_state != self.mgmt.state {
+        if self.traced_state != self.mgmt.state() {
             let (t, flow) = (self.trace_now, self.flow_key());
-            let (from, to) = (self.traced_state.name(), self.mgmt.state.name());
+            let (from, to) = (self.traced_state.name(), self.mgmt.state().name());
             tas_telemetry::emit(|| tas_telemetry::TraceRecord {
                 t,
                 site: "conn",
                 ev: tas_telemetry::TraceEvent::State { flow, from, to },
             });
-            self.traced_state = self.mgmt.state;
+            self.traced_state = self.mgmt.state();
         }
     }
 
@@ -400,58 +396,58 @@ impl TcpConn {
 
     /// Current state.
     pub fn state(&self) -> TcpState {
-        self.mgmt.state
+        self.mgmt.state()
     }
 
     /// Local endpoint.
     pub fn local(&self) -> EndpointInfo {
-        self.mgmt.local
+        self.mgmt.local()
     }
 
     /// Remote endpoint.
     pub fn remote(&self) -> EndpointInfo {
-        self.mgmt.remote
+        self.mgmt.remote()
     }
 
     /// Whether ECN was negotiated.
     pub fn ecn_active(&self) -> bool {
-        self.cc.ecn_active
+        self.cc.ecn_active()
     }
 
     /// Current congestion window in bytes.
     pub fn cwnd(&self) -> u32 {
-        self.cc.algo.cwnd()
+        self.cc.cwnd()
     }
 
     /// Smoothed RTT, if measured.
     pub fn srtt(&self) -> Option<SimTime> {
-        self.snd.rtt.srtt()
+        self.snd.rtt().srtt()
     }
 
     /// Bytes readable by the application.
     pub fn readable(&self) -> usize {
-        self.rcv.rx.len()
+        self.rcv.rx().len()
     }
 
     /// Free space in the send buffer.
     pub fn send_space(&self) -> usize {
-        self.snd.tx.free()
+        self.snd.tx().free()
     }
 
     /// Occupied bytes in the send buffer (queued + unacknowledged). The
     /// queue-depth time series samples this per connection.
     pub fn send_buffered(&self) -> usize {
-        self.snd.tx.len()
+        self.snd.tx().len()
     }
 
     /// Unacknowledged payload bytes in flight.
     pub fn in_flight(&self) -> u64 {
-        self.snd.nxt_off - self.snd.una_off
+        self.snd.nxt_off() - self.snd.una_off()
     }
 
     /// The connection is fully closed and its state can be dropped.
     pub fn is_closed(&self) -> bool {
-        self.mgmt.state == TcpState::Closed
+        self.mgmt.state() == TcpState::Closed
     }
 
     /// Diagnostic snapshot: (una_off, nxt_off, tx_end, cwnd, snd_wnd,
@@ -459,22 +455,22 @@ impl TcpConn {
     #[allow(clippy::type_complexity)] // A flat diagnostic tuple.
     pub fn debug_state(&self) -> (u64, u64, u64, u32, u64, bool, u32, u64, usize, usize) {
         (
-            self.snd.una_off,
-            self.snd.nxt_off,
-            self.snd.tx.end_offset(),
-            self.cc.algo.cwnd(),
-            self.fc.snd_wnd,
-            self.snd.in_recovery,
-            self.snd.dupacks,
-            self.snd.rto_deadline.map(|t| t.as_ps()).unwrap_or(0),
-            self.rcv.rx.len(),
-            self.rcv.reasm.held(),
+            self.snd.una_off(),
+            self.snd.nxt_off(),
+            self.snd.tx().end_offset(),
+            self.cc.cwnd(),
+            self.fc.snd_wnd(),
+            self.snd.in_recovery(),
+            self.snd.dupacks(),
+            self.snd.rto_deadline().map(|t| t.as_ps()).unwrap_or(0),
+            self.rcv.rx().len(),
+            self.rcv.reasm().held(),
         )
     }
 
     /// When [`TcpConn::on_timer`] next needs to run, if ever.
     pub fn next_timer(&self) -> Option<SimTime> {
-        match (self.snd.rto_deadline, self.mgmt.time_wait_deadline) {
+        match (self.snd.rto_deadline(), self.mgmt.time_wait_deadline()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (Some(a), None) => Some(a),
             (None, b) => b,
@@ -502,8 +498,8 @@ impl TcpConn {
     /// Buffers application data for transmission; returns bytes accepted
     /// (bounded by send-buffer space). Call [`TcpConn::poll`] afterwards.
     pub fn send(&mut self, data: &[u8]) -> usize {
-        if self.mgmt.fin_queued
-            || matches!(self.mgmt.state, TcpState::Closed | TcpState::TimeWait)
+        if self.mgmt.fin_queued()
+            || matches!(self.mgmt.state(), TcpState::Closed | TcpState::TimeWait)
         {
             return 0;
         }
@@ -520,7 +516,7 @@ impl TcpConn {
         if !self.mgmt.queue_fin() {
             return;
         }
-        match self.mgmt.state {
+        match self.mgmt.state() {
             TcpState::Established | TcpState::SynRcvd => {
                 self.mgmt.set_state(TcpState::FinWait1);
             }
@@ -532,9 +528,9 @@ impl TcpConn {
     /// Aborts: stages an RST and closes immediately.
     pub fn abort(&mut self, now: SimTime) {
         self.trace_mark(now);
-        if !matches!(self.mgmt.state, TcpState::Closed) {
+        if !matches!(self.mgmt.state(), TcpState::Closed) {
             let mut h = self.header(TcpFlags::RST | TcpFlags::ACK, now);
-            h.seq = self.seq_of(self.snd.nxt_off);
+            h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
             self.push_segment(h, Vec::new(), false);
             self.enter_closed();
@@ -546,18 +542,18 @@ impl TcpConn {
     // Sequence/offset mapping.
 
     fn seq_of(&self, off: u64) -> u32 {
-        self.snd.iss.wrapping_add(1).wrapping_add(off as u32)
+        self.snd.iss().wrapping_add(1).wrapping_add(off as u32)
     }
 
     fn rcv_seq_of(&self, off: u64) -> u32 {
-        self.rcv.irs.wrapping_add(1).wrapping_add(off as u32)
+        self.rcv.irs().wrapping_add(1).wrapping_add(off as u32)
     }
 
     fn ack_value(&self) -> u32 {
         // ACK covers the peer FIN once all data before it is consumed.
-        let mut a = self.rcv_seq_of(self.rcv.rcv_off);
-        if let Some(fo) = self.mgmt.peer_fin_off {
-            if self.rcv.rcv_off >= fo {
+        let mut a = self.rcv_seq_of(self.rcv.rcv_off());
+        if let Some(fo) = self.mgmt.peer_fin_off() {
+            if self.rcv.rcv_off() >= fo {
                 a = a.wrapping_add(1);
             }
         }
@@ -568,9 +564,9 @@ impl TcpConn {
     // Segment construction.
 
     fn header(&self, flags: TcpFlags, now: SimTime) -> TcpHeader {
-        let mut h = TcpHeader::new(self.mgmt.local.port, self.mgmt.remote.port, 0, 0, flags);
+        let mut h = TcpHeader::new(self.mgmt.local().port, self.mgmt.remote().port, 0, 0, flags);
         if self.cfg.timestamps {
-            h.options.timestamp = Some((now.as_micros() as u32, self.mgmt.ts_recent));
+            h.options.timestamp = Some((now.as_micros() as u32, self.mgmt.ts_recent()));
         }
         let adv = self.adv_window();
         h.window = (adv >> self.cfg.window_scale).min(u16::MAX as u64) as u16;
@@ -579,7 +575,7 @@ impl TcpConn {
 
     fn adv_window(&self) -> u64 {
         // Conservative: space that in-order data can always use.
-        self.rcv.rx.free().saturating_sub(self.rcv.reasm.held()) as u64
+        self.rcv.rx().free().saturating_sub(self.rcv.reasm().held()) as u64
     }
 
     fn set_syn_options(&self, h: &mut TcpHeader) {
@@ -603,16 +599,16 @@ impl TcpConn {
 
     fn push_segment(&mut self, tcp: TcpHeader, payload: Vec<u8>, data_ect: bool) {
         let mut seg = Segment::tcp(
-            self.mgmt.local.mac,
-            self.mgmt.remote.mac,
-            self.mgmt.local.ip,
-            self.mgmt.remote.ip,
+            self.mgmt.local().mac,
+            self.mgmt.remote().mac,
+            self.mgmt.local().ip,
+            self.mgmt.remote().ip,
             tcp,
             payload,
             false,
         );
         // ECT(0) only on data segments of ECN connections.
-        if data_ect && self.cc.ecn_active {
+        if data_ect && self.cc.ecn_active() {
             seg.ip.ecn = Ecn::Ect0;
         }
         self.stats.segs_out += 1;
@@ -623,10 +619,10 @@ impl TcpConn {
     /// Stages a pure ACK reflecting current receive state.
     fn emit_ack(&mut self, now: SimTime) {
         let mut h = self.header(TcpFlags::ACK, now);
-        h.seq = self.seq_of(self.snd.nxt_off.min(self.fin_off_or_max()));
+        h.seq = self.seq_of(self.snd.nxt_off().min(self.fin_off_or_max()));
         h.ack = self.ack_value();
         if self.cfg.keep_ooo {
-            if let Some((off, len)) = self.rcv.reasm.first_range() {
+            if let Some((off, len)) = self.rcv.reasm().first_range() {
                 h.options.sack_block = Some((self.rcv_seq_of(off), self.rcv_seq_of(off + len)));
             }
         }
@@ -643,14 +639,14 @@ impl TcpConn {
     }
 
     fn echo_ece(&self) -> bool {
-        if !self.cc.ecn_active {
+        if !self.cc.ecn_active() {
             return false;
         }
         match self.cfg.cc {
             // DCTCP: accurate per-packet echo.
-            CcKind::Dctcp => self.cc.last_seg_ce,
+            CcKind::Dctcp => self.cc.last_seg_ce(),
             // Classic (and delay-based TIMELY): latched until CWR.
-            CcKind::NewReno | CcKind::Timely => self.cc.ece_latched,
+            CcKind::NewReno | CcKind::Timely => self.cc.ece_latched(),
         }
     }
 
@@ -659,13 +655,13 @@ impl TcpConn {
     #[cfg(any(test, debug_assertions, feature = "audit"))]
     fn audit_invariants(&self) {
         crate::audit::check_conn(&crate::audit::ConnView {
-            una_off: self.snd.una_off,
-            nxt_off: self.snd.nxt_off,
-            max_sent_off: self.snd.max_sent_off,
-            tx: &self.snd.tx,
-            rcv_off: self.rcv.rcv_off,
-            rx: &self.rcv.rx,
-            reasm: &self.rcv.reasm,
+            una_off: self.snd.una_off(),
+            nxt_off: self.snd.nxt_off(),
+            max_sent_off: self.snd.max_sent_off(),
+            tx: self.snd.tx(),
+            rcv_off: self.rcv.rcv_off(),
+            rx: self.rcv.rx(),
+            reasm: self.rcv.reasm(),
         });
     }
 
@@ -685,39 +681,39 @@ impl TcpConn {
         self.trace_mark(now);
         self.trace_state_sync();
         if matches!(
-            self.mgmt.state,
+            self.mgmt.state(),
             TcpState::SynSent | TcpState::SynRcvd | TcpState::Closed
         ) {
             return;
         }
         // Window update after the app freed a previously-tight window.
         let adv = self.adv_window();
-        if self.fc.last_adv_window < self.cfg.mss as u64 && adv >= 2 * self.cfg.mss as u64 {
+        if self.fc.last_adv_window() < self.cfg.mss as u64 && adv >= 2 * self.cfg.mss as u64 {
             self.emit_ack(now);
         }
-        let mut wnd = self.fc.snd_wnd.min(self.cc.algo.cwnd() as u64);
-        if self.snd.in_recovery {
+        let mut wnd = self.fc.snd_wnd().min(self.cc.cwnd() as u64);
+        if self.snd.in_recovery() {
             // NewReno window inflation: each duplicate ACK signals a
             // departed segment; sending new data keeps the ACK clock
             // alive through recovery.
-            wnd = wnd.saturating_add(self.snd.dupacks as u64 * self.cfg.mss as u64);
+            wnd = wnd.saturating_add(self.snd.dupacks() as u64 * self.cfg.mss as u64);
         }
         loop {
-            let avail = self.snd.tx.end_offset().saturating_sub(self.snd.nxt_off);
-            let in_flight = self.snd.nxt_off - self.snd.una_off;
+            let avail = self.snd.tx().end_offset().saturating_sub(self.snd.nxt_off());
+            let in_flight = self.snd.nxt_off() - self.snd.una_off();
             let budget = wnd.saturating_sub(in_flight);
             let n = avail
                 .min(budget)
-                .min(self.fc.peer_mss.min(self.cfg.mss) as u64);
+                .min(self.fc.peer_mss().min(self.cfg.mss) as u64);
             if n == 0 {
                 break;
             }
-            let Ok(payload) = self.snd.tx.copy_out(self.snd.nxt_off, n as usize) else {
+            let Ok(payload) = self.snd.tx().copy_out(self.snd.nxt_off(), n as usize) else {
                 debug_assert!(false, "nxt_off within tx ring");
                 break;
             };
             let mut h = self.header(TcpFlags::ACK, now);
-            h.seq = self.seq_of(self.snd.nxt_off);
+            h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
             if avail == n {
                 h.flags |= TcpFlags::PSH;
@@ -731,35 +727,35 @@ impl TcpConn {
             self.snd.note_sent(n);
             self.stats.bytes_sent += n;
             self.push_segment(h, payload, true);
-            let rto = now + self.snd.rtt.rto();
+            let rto = now + self.snd.rtt().rto();
             self.snd.arm_rto_if_unarmed(rto);
         }
         // Zero-window persist: data is waiting but the advertised window
         // is shut and nothing is in flight — without a probe, a lost
         // window update deadlocks the connection. Arm the RTO as a
         // persist timer; on_timer sends a probe segment.
-        if self.snd.tx.end_offset() > self.snd.nxt_off
+        if self.snd.tx().end_offset() > self.snd.nxt_off()
             && self.in_flight() == 0
-            && self.snd.rto_deadline.is_none()
+            && self.snd.rto_deadline().is_none()
         {
-            let rto = now + self.snd.rtt.rto();
+            let rto = now + self.snd.rtt().rto();
             self.snd.arm_rto(rto);
         }
         // FIN once everything buffered has been transmitted.
-        if self.mgmt.fin_queued
-            && !self.mgmt.fin_sent
-            && self.snd.nxt_off == self.snd.tx.end_offset()
+        if self.mgmt.fin_queued()
+            && !self.mgmt.fin_sent()
+            && self.snd.nxt_off() == self.snd.tx().end_offset()
             && matches!(
-                self.mgmt.state,
+                self.mgmt.state(),
                 TcpState::FinWait1 | TcpState::LastAck | TcpState::Closing
             )
         {
             let mut h = self.header(TcpFlags::FIN | TcpFlags::ACK, now);
-            h.seq = self.seq_of(self.snd.nxt_off);
+            h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
             self.mgmt.set_fin_sent(true);
             self.push_segment(h, Vec::new(), false);
-            let rto = now + self.snd.rtt.rto();
+            let rto = now + self.snd.rtt().rto();
             self.snd.arm_rto_if_unarmed(rto);
         }
         self.trace_state_sync();
@@ -768,12 +764,12 @@ impl TcpConn {
 
     /// Retransmits one MSS of payload starting at stream offset `off`.
     fn retransmit_at(&mut self, now: SimTime, off: u64) {
-        let end = self.snd.tx.end_offset();
+        let end = self.snd.tx().end_offset();
         if off >= end {
             return;
         }
-        let n = (end - off).min(self.fc.peer_mss.min(self.cfg.mss) as u64);
-        let Ok(payload) = self.snd.tx.copy_out(off, n as usize) else {
+        let n = (end - off).min(self.fc.peer_mss().min(self.cfg.mss) as u64);
+        let Ok(payload) = self.snd.tx().copy_out(off, n as usize) else {
             return;
         };
         let mut h = self.header(TcpFlags::ACK | TcpFlags::PSH, now);
@@ -786,26 +782,26 @@ impl TcpConn {
     /// Retransmits one segment from the left window edge (fast retransmit
     /// or RTO-driven go-back-N start).
     fn retransmit_head(&mut self, now: SimTime) {
-        let avail = self.snd.tx.end_offset().saturating_sub(self.snd.una_off);
-        let n = avail.min(self.fc.peer_mss.min(self.cfg.mss) as u64);
+        let avail = self.snd.tx().end_offset().saturating_sub(self.snd.una_off());
+        let n = avail.min(self.fc.peer_mss().min(self.cfg.mss) as u64);
         if n > 0 {
-            let Ok(payload) = self.snd.tx.copy_out(self.snd.una_off, n as usize) else {
+            let Ok(payload) = self.snd.tx().copy_out(self.snd.una_off(), n as usize) else {
                 debug_assert!(false, "una_off within tx ring");
                 return;
             };
             let mut h = self.header(TcpFlags::ACK | TcpFlags::PSH, now);
-            h.seq = self.seq_of(self.snd.una_off);
+            h.seq = self.seq_of(self.snd.una_off());
             h.ack = self.ack_value();
             self.stats.retransmits += 1;
             self.push_segment(h, payload, true);
-        } else if self.mgmt.fin_sent && !self.mgmt.fin_acked {
+        } else if self.mgmt.fin_sent() && !self.mgmt.fin_acked() {
             let mut h = self.header(TcpFlags::FIN | TcpFlags::ACK, now);
-            h.seq = self.seq_of(self.snd.una_off);
+            h.seq = self.seq_of(self.snd.una_off());
             h.ack = self.ack_value();
             self.stats.retransmits += 1;
             self.push_segment(h, Vec::new(), false);
         }
-        let rto = now + self.snd.rtt.rto();
+        let rto = now + self.snd.rtt().rto();
         self.snd.arm_rto_if_unarmed(rto);
     }
 
@@ -817,26 +813,26 @@ impl TcpConn {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("tcp_timer");
         self.trace_mark(now);
-        if let Some(tw) = self.mgmt.time_wait_deadline {
+        if let Some(tw) = self.mgmt.time_wait_deadline() {
             if now >= tw {
                 self.enter_closed();
                 self.trace_state_sync();
                 return;
             }
         }
-        let Some(deadline) = self.snd.rto_deadline else {
+        let Some(deadline) = self.snd.rto_deadline() else {
             return;
         };
         if now < deadline {
             return;
         }
         self.snd.disarm_rto();
-        match self.mgmt.state {
+        match self.mgmt.state() {
             TcpState::SynSent | TcpState::SynRcvd => {
                 // Retransmit the handshake segment.
                 self.snd.rtt_backoff();
                 self.stats.timeouts += 1;
-                let flags = if self.mgmt.state == TcpState::SynSent {
+                let flags = if self.mgmt.state() == TcpState::SynSent {
                     let mut f = TcpFlags::SYN;
                     if self.cfg.ecn {
                         f |= TcpFlags::ECE | TcpFlags::CWR;
@@ -846,34 +842,34 @@ impl TcpConn {
                     TcpFlags::SYN | TcpFlags::ACK
                 };
                 let mut h = self.header(flags, now);
-                h.seq = self.snd.iss;
-                h.ack = if self.mgmt.state == TcpState::SynRcvd {
-                    self.rcv.irs.wrapping_add(1)
+                h.seq = self.snd.iss();
+                h.ack = if self.mgmt.state() == TcpState::SynRcvd {
+                    self.rcv.irs().wrapping_add(1)
                 } else {
                     0
                 };
                 self.set_syn_options(&mut h);
                 self.stats.retransmits += 1;
-                self.trace_rexmit("handshake", self.snd.iss);
+                self.trace_rexmit("handshake", self.snd.iss());
                 self.push_segment(h, Vec::new(), false);
-                let rto = now + self.snd.rtt.rto();
+                let rto = now + self.snd.rtt().rto();
                 self.snd.arm_rto(rto);
             }
             TcpState::Closed => {}
             _ => {
                 let outstanding = self.in_flight() > 0
-                    || (self.mgmt.fin_sent && !self.mgmt.fin_acked)
-                    || self.snd.tx.end_offset() > self.snd.nxt_off;
+                    || (self.mgmt.fin_sent() && !self.mgmt.fin_acked())
+                    || self.snd.tx().end_offset() > self.snd.nxt_off();
                 if outstanding {
                     // Go-back-N: rewind to the left edge.
                     self.snd.rtt_backoff();
                     self.stats.timeouts += 1;
-                    self.trace_rexmit("timeout", self.seq_of(self.snd.una_off));
+                    self.trace_rexmit("timeout", self.seq_of(self.snd.una_off()));
                     self.cc.on_timeout();
                     self.snd.rewind_to_una();
                     self.snd.exit_recovery();
                     self.snd.reset_dupacks();
-                    if self.mgmt.fin_sent && self.snd.nxt_off == self.snd.tx.end_offset() {
+                    if self.mgmt.fin_sent() && self.snd.nxt_off() == self.snd.tx().end_offset() {
                         // Only the FIN is outstanding.
                         self.mgmt.set_fin_sent(true);
                         self.retransmit_head(now);
@@ -881,7 +877,7 @@ impl TcpConn {
                         self.mgmt.set_fin_sent(false);
                         self.retransmit_head(now);
                     }
-                    let rto = now + self.snd.rtt.rto();
+                    let rto = now + self.snd.rtt().rto();
                     self.snd.arm_rto(rto);
                     self.poll(now);
                 }
@@ -912,7 +908,7 @@ impl TcpConn {
             // most recent value for echo.
             self.mgmt.note_ts(tsval);
         }
-        match self.mgmt.state {
+        match self.mgmt.state() {
             TcpState::SynSent => self.on_segment_syn_sent(now, seg),
             TcpState::SynRcvd => self.on_segment_syn_rcvd(now, seg),
             TcpState::Closed => {}
@@ -927,7 +923,7 @@ impl TcpConn {
         if !f.contains(TcpFlags::SYN | TcpFlags::ACK) {
             return;
         }
-        if seg.tcp.ack != self.snd.iss.wrapping_add(1) {
+        if seg.tcp.ack != self.snd.iss().wrapping_add(1) {
             return;
         }
         self.rcv.init_irs(seg.tcp.seq);
@@ -953,7 +949,7 @@ impl TcpConn {
             // Duplicate SYN: retransmit SYN-ACK via timer path; ignore here.
             return;
         }
-        if f.contains(TcpFlags::ACK) && seg.tcp.ack == self.snd.iss.wrapping_add(1) {
+        if f.contains(TcpFlags::ACK) && seg.tcp.ack == self.snd.iss().wrapping_add(1) {
             self.mgmt.set_state(TcpState::Established);
             self.snd.disarm_rto();
             self.fc.update_wnd(seg.tcp.window);
@@ -988,25 +984,25 @@ impl TcpConn {
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
         let ack = seg.tcp.ack;
-        let una_seq = self.seq_of(self.snd.una_off);
+        let una_seq = self.seq_of(self.snd.una_off());
         // Highest valid ack: the highest byte ever sent (+1 if FIN sent) —
         // recovery may have rewound nxt below data the peer holds.
-        let mut max_seq = self.seq_of(self.snd.max_sent_off.max(self.snd.nxt_off));
-        if self.mgmt.fin_sent {
+        let mut max_seq = self.seq_of(self.snd.max_sent_off().max(self.snd.nxt_off()));
+        if self.mgmt.fin_sent() {
             max_seq = max_seq.wrapping_add(1);
         }
-        let ece = self.cc.ecn_active && seg.tcp.flags.contains(TcpFlags::ECE);
+        let ece = self.cc.ecn_active() && seg.tcp.flags.contains(TcpFlags::ECE);
         if ece {
             self.stats.ece_in += 1;
         }
         if seq::gt(ack, una_seq) && seq::le(ack, max_seq) {
             let mut newly = seq::sub(ack, una_seq) as u64;
             // Does the ack cover our FIN?
-            if self.mgmt.fin_sent && ack == max_seq {
+            if self.mgmt.fin_sent() && ack == max_seq {
                 self.mgmt.mark_fin_acked();
                 newly -= 1;
             }
-            let payload_acked = newly.min(self.snd.tx.len() as u64);
+            let payload_acked = newly.min(self.snd.tx().len() as u64);
             if !self.snd.advance_una(newly, payload_acked) {
                 debug_assert!(false, "acked bytes are in the ring");
             }
@@ -1027,18 +1023,18 @@ impl TcpConn {
                 CcKind::Dctcp => ece,
                 CcKind::NewReno | CcKind::Timely => {
                     self.cc
-                        .classic_ece_gate(ece, self.snd.una_off, self.snd.nxt_off)
+                        .classic_ece_gate(ece, self.snd.una_off(), self.snd.nxt_off())
                 }
             };
             self.cc.on_ack(AckInfo {
                 acked: payload_acked as u32,
                 ece: cc_ece,
                 now,
-                srtt: self.snd.rtt.srtt(),
+                srtt: self.snd.rtt().srtt(),
             });
             // Recovery bookkeeping.
-            if self.snd.in_recovery {
-                if self.snd.una_off >= self.snd.recover_off {
+            if self.snd.in_recovery() {
+                if self.snd.una_off() >= self.snd.recover_off() {
                     self.snd.exit_recovery();
                 } else {
                     // NewReno partial ack: retransmit the next hole.
@@ -1047,9 +1043,9 @@ impl TcpConn {
             }
             // Rearm or disarm the RTO.
             let outstanding =
-                self.in_flight() > 0 || (self.mgmt.fin_sent && !self.mgmt.fin_acked);
+                self.in_flight() > 0 || (self.mgmt.fin_sent() && !self.mgmt.fin_acked());
             if outstanding {
-                let rto = now + self.snd.rtt.rto();
+                let rto = now + self.snd.rtt().rto();
                 self.snd.arm_rto(rto);
             } else {
                 self.snd.disarm_rto();
@@ -1059,7 +1055,7 @@ impl TcpConn {
             && seg.payload.is_empty()
             && !seg.tcp.flags.contains(TcpFlags::FIN)
             && self.in_flight() > 0
-            && (seg.tcp.window as u64) << self.fc.peer_wscale <= self.fc.snd_wnd
+            && (seg.tcp.window as u64) << self.fc.peer_wscale() <= self.fc.snd_wnd()
         {
             // Duplicate ACK.
             self.stats.dupacks_in += 1;
@@ -1069,29 +1065,29 @@ impl TcpConn {
                     acked: 0,
                     ece,
                     now,
-                    srtt: self.snd.rtt.srtt(),
+                    srtt: self.snd.rtt().srtt(),
                 });
             }
-            if dups == 3 && !self.snd.in_recovery {
+            if dups == 3 && !self.snd.in_recovery() {
                 self.snd.enter_recovery(self.cfg.mss);
                 self.stats.fast_retransmits += 1;
-                self.trace_rexmit("fast", self.seq_of(self.snd.una_off));
+                self.trace_rexmit("fast", self.seq_of(self.snd.una_off()));
                 self.cc.on_fast_retransmit();
                 self.retransmit_head(now);
-            } else if self.snd.in_recovery && dups > 3 && self.cfg.keep_ooo {
+            } else if self.snd.in_recovery() && dups > 3 && self.cfg.keep_ooo {
                 // SACK-guided recovery: retransmit only the hole between
                 // the cumulative ACK and the receiver's first held block.
                 let hole_end = match seg.tcp.options.sack_block {
                     Some((l, _)) => {
-                        let una = self.seq_of(self.snd.una_off);
-                        self.snd.una_off + seq::sub(l, una) as u64
+                        let una = self.seq_of(self.snd.una_off());
+                        self.snd.una_off() + seq::sub(l, una) as u64
                     }
-                    None => self.snd.recover_off,
+                    None => self.snd.recover_off(),
                 };
                 self.snd.clamp_cursor_to_una();
-                if self.snd.recovery_cursor_off < hole_end.min(self.snd.recover_off) {
-                    self.trace_rexmit("fast", self.seq_of(self.snd.recovery_cursor_off));
-                    self.retransmit_at(now, self.snd.recovery_cursor_off);
+                if self.snd.recovery_cursor_off() < hole_end.min(self.snd.recover_off()) {
+                    self.trace_rexmit("fast", self.seq_of(self.snd.recovery_cursor_off()));
+                    self.retransmit_at(now, self.snd.recovery_cursor_off());
                     self.snd.advance_cursor(self.cfg.mss);
                 }
             }
@@ -1101,7 +1097,7 @@ impl TcpConn {
     }
 
     fn process_data(&mut self, now: SimTime, seg: &Segment) {
-        let rcv_nxt = self.rcv_seq_of(self.rcv.rcv_off);
+        let rcv_nxt = self.rcv_seq_of(self.rcv.rcv_off());
         let seg_seq = seg.tcp.seq;
         self.cc.note_ce(seg.is_ce_marked());
         if seg.tcp.flags.contains(TcpFlags::CWR) {
@@ -1129,10 +1125,10 @@ impl TcpConn {
             }
         } else {
             // Out of order: ahead of rcv_nxt.
-            let off = self.rcv.rcv_off + seq::sub(seg_seq, rcv_nxt) as u64;
+            let off = self.rcv.rcv_off() + seq::sub(seg_seq, rcv_nxt) as u64;
             if self.cfg.keep_ooo {
                 // Bound by the receive window horizon.
-                let horizon = self.rcv.rcv_off + self.rcv.rx.free() as u64;
+                let horizon = self.rcv.rcv_off() + self.rcv.rx().free() as u64;
                 if off < horizon {
                     let room = (horizon - off) as usize;
                     let d = data[..data.len().min(room)].to_vec();
@@ -1146,9 +1142,9 @@ impl TcpConn {
     }
 
     fn process_fin(&mut self, now: SimTime, seg: &Segment) {
-        let rcv_nxt = self.rcv_seq_of(self.rcv.rcv_off);
+        let rcv_nxt = self.rcv_seq_of(self.rcv.rcv_off());
         let fin_seq = seg.tcp.seq.wrapping_add(seg.payload.len() as u32);
-        let fin_off = self.rcv.rcv_off + seq::sub(fin_seq, rcv_nxt) as u64;
+        let fin_off = self.rcv.rcv_off() + seq::sub(fin_seq, rcv_nxt) as u64;
         if seq::gt(fin_seq, rcv_nxt) {
             // FIN beyond in-order data we hold: remember and ack what we
             // have (the gap will be retransmitted).
@@ -1156,15 +1152,15 @@ impl TcpConn {
             self.emit_ack(now);
             return;
         }
-        self.mgmt.set_peer_fin(self.rcv.rcv_off);
+        self.mgmt.set_peer_fin(self.rcv.rcv_off());
         if self.mgmt.mark_peer_fin_done() {
             self.events.push(TcpEvent::PeerFin);
-            match self.mgmt.state {
+            match self.mgmt.state() {
                 TcpState::Established | TcpState::SynRcvd => {
                     self.mgmt.set_state(TcpState::CloseWait);
                 }
                 TcpState::FinWait1 => {
-                    if self.mgmt.fin_acked {
+                    if self.mgmt.fin_acked() {
                         self.enter_time_wait(now);
                         self.mgmt.set_state(TcpState::TimeWait);
                     } else {
@@ -1183,8 +1179,8 @@ impl TcpConn {
     }
 
     fn advance_close_states(&mut self, now: SimTime) {
-        if self.mgmt.fin_acked {
-            match self.mgmt.state {
+        if self.mgmt.fin_acked() {
+            match self.mgmt.state() {
                 TcpState::FinWait1 => self.mgmt.set_state(TcpState::FinWait2),
                 TcpState::Closing => {
                     self.enter_time_wait(now);

@@ -1,7 +1,8 @@
 //! `RecvRel`: receive-side reliability and ordered delivery — the
 //! in-order receive ring, the out-of-order reassembler, and the receive
-//! frontier (`rcv_nxt` as a stream offset). All mutation goes through
-//! `&mut self` methods here (lint rule R8).
+//! frontier (`rcv_nxt` as a stream offset). The fields are private to
+//! this module: all mutation goes through `&mut self` methods here,
+//! everything else reads through getters.
 
 use crate::reasm::Reassembler;
 use tas_shm::ByteRing;
@@ -11,13 +12,13 @@ use tas_shm::ByteRing;
 #[derive(Debug)]
 pub struct RecvRel {
     /// Initial receive sequence number (peer's ISS).
-    pub(crate) irs: u32,
+    irs: u32,
     /// Stream offset of the next in-order byte expected (`rcv_nxt`).
-    pub(crate) rcv_off: u64,
+    rcv_off: u64,
     /// In-order receive buffer the application reads from.
-    pub(crate) rx: ByteRing,
+    rx: ByteRing,
     /// Out-of-order segment store (SACK-style receiver).
-    pub(crate) reasm: Reassembler,
+    reasm: Reassembler,
 }
 
 impl RecvRel {
@@ -28,6 +29,30 @@ impl RecvRel {
             rx: ByteRing::new(recv_buf),
             reasm: Reassembler::new(if keep_ooo { recv_buf } else { 0 }),
         }
+    }
+
+    /// Initial receive sequence number (peer's ISS).
+    #[inline]
+    pub fn irs(&self) -> u32 {
+        self.irs
+    }
+
+    /// Stream offset of the next in-order byte expected (`rcv_nxt`).
+    #[inline]
+    pub fn rcv_off(&self) -> u64 {
+        self.rcv_off
+    }
+
+    /// Read view of the in-order receive buffer.
+    #[inline]
+    pub fn rx(&self) -> &ByteRing {
+        &self.rx
+    }
+
+    /// Read view of the out-of-order segment store.
+    #[inline]
+    pub fn reasm(&self) -> &Reassembler {
+        &self.reasm
     }
 
     /// Latches the peer's ISS and resets the frontier (handshake).

@@ -1,7 +1,8 @@
 //! `SendRel`: send-side reliability — the transmit ring and its offsets
 //! (`snd_una`/`snd_nxt` as stream offsets), duplicate-ACK counting, fast
-//! recovery state, RTT estimation, and the retransmission timer. All
-//! mutation goes through `&mut self` methods here (lint rule R8).
+//! recovery state, RTT estimation, and the retransmission timer. The
+//! fields are private to this module: all mutation goes through `&mut
+//! self` methods here, everything else reads through getters.
 
 use crate::rtt::RttEstimator;
 use tas_shm::ByteRing;
@@ -9,33 +10,48 @@ use tas_sim::SimTime;
 
 /// Send-reliability component: owns everything the sender needs to get
 /// bytes delivered exactly once, in order.
+///
+/// The write scope is the compiler's: outside this module the state is
+/// readable through getters only.
+///
+/// ```
+/// fn in_flight(snd: &tas_tcp::conn::SendRel) -> u64 {
+///     snd.nxt_off() - snd.una_off()
+/// }
+/// ```
+///
+/// ```compile_fail,E0616
+/// fn rewind(snd: &mut tas_tcp::conn::SendRel) {
+///     snd.nxt_off = 0; // private field: only `SendRel`'s own methods write it
+/// }
+/// ```
 #[derive(Debug)]
 pub struct SendRel {
     /// Initial send sequence number.
-    pub(crate) iss: u32,
+    iss: u32,
     /// Stream offset of the first unacknowledged byte (`snd_una`).
-    pub(crate) una_off: u64,
+    una_off: u64,
     /// Stream offset of the next byte to transmit (`snd_nxt`).
-    pub(crate) nxt_off: u64,
+    nxt_off: u64,
     /// Highest offset ever transmitted; go-back-N rewinds `nxt_off`, but
     /// cumulative ACKs up to this mark must still be accepted.
-    pub(crate) max_sent_off: u64,
+    max_sent_off: u64,
     /// Send buffer (unacknowledged + queued bytes).
-    pub(crate) tx: ByteRing,
+    tx: ByteRing,
     /// Consecutive duplicate ACKs at the current left edge.
-    pub(crate) dupacks: u32,
+    dupacks: u32,
     /// In NewReno fast recovery.
-    pub(crate) in_recovery: bool,
+    in_recovery: bool,
     /// Recovery ends when `una_off` reaches this offset.
-    pub(crate) recover_off: u64,
+    recover_off: u64,
     /// SACK-style recovery sweep: next offset to retransmit on further
     /// duplicate ACKs (the receiver holds out-of-order data, so sweeping
     /// the window fills holes without waiting for an RTO).
-    pub(crate) recovery_cursor_off: u64,
+    recovery_cursor_off: u64,
     /// RTT estimator (Jacobson/Karels via timestamps).
-    pub(crate) rtt: RttEstimator,
+    rtt: RttEstimator,
     /// Retransmission (and zero-window persist) timer.
-    pub(crate) rto_deadline: Option<SimTime>,
+    rto_deadline: Option<SimTime>,
 }
 
 impl SendRel {
@@ -53,6 +69,72 @@ impl SendRel {
             rtt: RttEstimator::new(rto_min, rto_max),
             rto_deadline: None,
         }
+    }
+
+    /// Initial send sequence number.
+    #[inline]
+    pub fn iss(&self) -> u32 {
+        self.iss
+    }
+
+    /// Stream offset of the first unacknowledged byte (`snd_una`).
+    #[inline]
+    pub fn una_off(&self) -> u64 {
+        self.una_off
+    }
+
+    /// Stream offset of the next byte to transmit (`snd_nxt`).
+    #[inline]
+    pub fn nxt_off(&self) -> u64 {
+        self.nxt_off
+    }
+
+    /// Highest offset ever transmitted.
+    #[inline]
+    pub fn max_sent_off(&self) -> u64 {
+        self.max_sent_off
+    }
+
+    /// Read view of the send buffer.
+    #[inline]
+    pub fn tx(&self) -> &ByteRing {
+        &self.tx
+    }
+
+    /// Consecutive duplicate ACKs at the current left edge.
+    #[inline]
+    pub fn dupacks(&self) -> u32 {
+        self.dupacks
+    }
+
+    /// In NewReno fast recovery.
+    #[inline]
+    pub fn in_recovery(&self) -> bool {
+        self.in_recovery
+    }
+
+    /// Recovery ends when `una_off` reaches this offset.
+    #[inline]
+    pub fn recover_off(&self) -> u64 {
+        self.recover_off
+    }
+
+    /// Next offset the SACK-style recovery sweep retransmits.
+    #[inline]
+    pub fn recovery_cursor_off(&self) -> u64 {
+        self.recovery_cursor_off
+    }
+
+    /// Read view of the RTT estimator.
+    #[inline]
+    pub fn rtt(&self) -> &RttEstimator {
+        &self.rtt
+    }
+
+    /// Retransmission (and persist) timer deadline.
+    #[inline]
+    pub fn rto_deadline(&self) -> Option<SimTime> {
+        self.rto_deadline
     }
 
     /// Buffers application bytes; returns how many fit.

@@ -31,21 +31,27 @@ impl Lcg {
     }
 }
 
+/// Connection-management state whose RTT estimate is exactly `rtt_est_us`
+/// (the first sample seeds the EWMA).
+fn conn_with_rtt(rtt_est_us: u32) -> FpConnMgmt {
+    let mut conn = FpConnMgmt::new(
+        0,
+        0,
+        FlowKey::new(Ipv4Addr::UNSPECIFIED, 1, Ipv4Addr::UNSPECIFIED, 2),
+        MacAddr::for_host(1),
+        0,
+    );
+    conn.rtt_sample(rtt_est_us);
+    conn
+}
+
 fn flow() -> FlowState {
-    let mut cc = FpCongCtrl::new(RateBucket::unlimited());
-    cc.cwnd = 14480;
     FlowState {
-        conn: FpConnMgmt::new(
-            0,
-            0,
-            FlowKey::new(Ipv4Addr::UNSPECIFIED, 1, Ipv4Addr::UNSPECIFIED, 2),
-            MacAddr::for_host(1),
-            0,
-        ),
+        conn: conn_with_rtt(0),
         snd: FpSendRel::new(ByteRing::new(65536), 0),
         rcv: FpRecvRel::new(ByteRing::new(65536), 0),
         fc: FpFlowCtrl::new(65536, 7),
-        cc,
+        cc: FpCongCtrl::new(RateBucket::unlimited()),
     }
 }
 
@@ -248,21 +254,25 @@ fn dctcp_rate_trajectory_is_bit_identical() {
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
     for _ in 0..48 {
-        f.cc.cnt_ackb = lcg.next() % 200_000;
-        f.cc.cnt_ecnb = if lcg.next().is_multiple_of(3) {
-            lcg.next() % (f.cc.cnt_ackb + 1)
+        let ackb = lcg.next() % 200_000;
+        let ecnb = if lcg.next().is_multiple_of(3) {
+            lcg.next() % (ackb + 1)
         } else {
             0
         };
-        f.cc.cnt_frexmits = if lcg.next().is_multiple_of(8) { 1 } else { 0 };
+        f.cc.count_acked(ackb - ecnb, false);
+        f.cc.count_acked(ecnb, true);
+        if lcg.next().is_multiple_of(8) {
+            f.cc.count_fast_rexmit();
+        }
         rate = dctcp_rate_iteration(&mut f, rate, 0.0005, &p);
         out.push(rate);
     }
     assert_eq!(out, golden);
     // The f64 EWMA state must come out bit-exact, not merely close.
-    assert_eq!(f.cc.state.alpha.to_bits(), 0x3fc471714228e5e6);
-    assert_eq!(f.cc.state.rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
-    assert!(!f.cc.state.slow_start);
+    assert_eq!(f.cc.state().alpha.to_bits(), 0x3fc471714228e5e6);
+    assert_eq!(f.cc.state().rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
+    assert!(!f.cc.state().slow_start);
 }
 
 #[test]
@@ -281,12 +291,12 @@ fn timely_rate_trajectory_is_bit_identical() {
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
     for _ in 0..48 {
-        f.cc.cnt_ackb = lcg.next() % 200_000;
-        f.conn.rtt_est_us = (20 + lcg.next() % 700) as u32;
+        f.cc.count_acked(lcg.next() % 200_000, false);
+        f.conn = conn_with_rtt((20 + lcg.next() % 700) as u32);
         rate = timely_iteration(&mut f, rate, &p);
         out.push(rate);
     }
     assert_eq!(out, golden);
-    assert_eq!(f.cc.state.prev_rtt_us, 230);
-    assert!(!f.cc.state.slow_start);
+    assert_eq!(f.cc.state().prev_rtt_us, 230);
+    assert!(!f.cc.state().slow_start);
 }

@@ -162,7 +162,7 @@ proptest! {
         }
         let flow = fp.flows.get_mut(fid).expect("installed");
         prop_assert_eq!(flow.rcv.rx.pop(usize::MAX - 1), stream);
-        prop_assert_eq!(flow.rcv.ooo_len, 0, "interval fully merged");
+        prop_assert_eq!(flow.rcv.ooo_len(), 0, "interval fully merged");
     }
 
     /// The architectural state constant matches the paper regardless of

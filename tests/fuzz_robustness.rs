@@ -45,9 +45,51 @@ fn arb_hostile_segment() -> impl Strategy<Value = Segment> {
         })
 }
 
+/// Source port of the live client's one connection (a `StackHost`
+/// allocates ephemeral ports from 40 000).
+const LIVE_CLIENT_PORT: u16 = 40_000;
+
+/// TSecr is peer-controlled: a value ahead of the host clock (the sims
+/// here end well before one second), the largest value, and the smallest
+/// one the fast path does not ignore.
+fn arb_hostile_tsecr() -> impl Strategy<Value = u32> {
+    prop_oneof![1_000_000u32..2_000_000, Just(u32::MAX), Just(1u32)]
+}
+
+/// An ACK on the live client's 4-tuple, so it passes the flow lookup and
+/// reaches the fast path's timestamp and ACK processing.
+fn on_flow_ack(seq: u32, ack: u32, tsecr: u32) -> Segment {
+    let mut h = TcpHeader::new(LIVE_CLIENT_PORT, 7, seq, ack, TcpFlags::ACK);
+    h.window = 1000;
+    h.options.timestamp = Some((seq, tsecr));
+    Segment::tcp(
+        MacAddr::for_host(2),
+        MacAddr::for_host(1),
+        host_ip(1),
+        host_ip(0),
+        h,
+        Vec::new(),
+        false,
+    )
+}
+
+/// A TAS echo server with one established flow from a Linux-model client
+/// that connects and then stays silent.
 fn build_tas() -> (Sim<NetMsg>, AgentId) {
+    use tas_repro::apps::echo::SinkClient;
     let mut sim: Sim<NetMsg> = Sim::new(11);
     let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        if spec.index == 1 {
+            return sim.add_agent(Box::new(StackHost::new(
+                spec.ip,
+                spec.mac,
+                spec.nic,
+                profiles::linux(),
+                StackHostConfig::linux(1),
+                spec.uplink,
+                Box::new(SinkClient::new(host_ip(0), 7, 1)),
+            )));
+        }
         let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 100));
         sim.add_agent(Box::new(TasHost::new(
             spec.ip,
@@ -60,13 +102,15 @@ fn build_tas() -> (Sim<NetMsg>, AgentId) {
     };
     let topo = build_star(
         &mut sim,
-        1,
+        2,
         |_| PortConfig::tengig(),
         |_| NicConfig::client_10g(1),
         &mut factory,
     );
-    sim.inject_timer(SimTime::ZERO, topo.hosts[0], 0, 0);
-    sim.run_until(SimTime::from_us(100));
+    for &h in &topo.hosts {
+        sim.inject_timer(SimTime::ZERO, h, 0, 0);
+    }
+    sim.run_until(SimTime::from_us(500));
     (sim, topo.hosts[0])
 }
 
@@ -100,12 +144,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A TAS host fed arbitrary garbage (SYN floods, bogus ACKs, random
-    /// flags, fragments) keeps running and never panics.
+    /// flags, fragments) from a stranger, and ACKs with hostile timestamp
+    /// echoes on an established flow, keeps running and never panics.
     #[test]
-    fn tas_host_survives_garbage(segs in proptest::collection::vec(arb_hostile_segment(), 1..40)) {
+    fn tas_host_survives_garbage(
+        segs in proptest::collection::vec(arb_hostile_segment(), 1..40),
+        on_flow in proptest::collection::vec((any::<u32>(), any::<u32>(), arb_hostile_tsecr()), 2..8),
+    ) {
         let (mut sim, host) = build_tas();
-        let mut t = SimTime::from_us(200);
-        for seg in segs {
+        prop_assert_eq!(sim.agent::<TasHost>(host).flow_count(), 1, "the client connected");
+        let fast_path_before = sim.agent::<TasHost>(host).fp_stats().pkts_rx;
+        let mut t = SimTime::from_us(600);
+        let on_flow_count = on_flow.len() as u64;
+        let on_flow = on_flow.into_iter().map(|(seq, ack, tsecr)| on_flow_ack(seq, ack, tsecr));
+        for seg in segs.into_iter().chain(on_flow) {
             sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
@@ -114,6 +166,10 @@ proptest! {
         let h = sim.agent::<TasHost>(host);
         // Sanity: state is still consistent enough to accept a real SYN.
         prop_assert!(h.sp_stats().exceptions > 0);
+        prop_assert!(
+            h.fp_stats().pkts_rx - fast_path_before >= on_flow_count,
+            "the on-flow ACKs reached the fast path"
+        );
     }
 
     /// Same for a Linux-model host.

@@ -1,5 +1,5 @@
 //! Tier-1 gate: the workspace must be clean under the determinism lint
-//! (`tas-lint`, rules R1–R8, configured by the repo's `lint.toml`).
+//! (`tas-lint`, rules R1–R4, configured by the repo's `lint.toml`).
 //!
 //! This is the same scan CI's `lint` job runs via the binary; keeping
 //! it in the default test suite means a plain `cargo test` catches a
@@ -47,8 +47,8 @@ fn every_crate_source_file_is_scoped_or_explicitly_unscoped() {
         // The linter itself names every banned identifier in its rule
         // tables; scoping any ident rule over it would be self-defeating.
         "crates/lint/src/",
-        // IS the trace/profile implementation R5/R7 police the rest of
-        // the workspace for.
+        // Observes the simulation but never feeds it; only its per-charge
+        // path (`profile.rs`, under R4) is held to a rule.
         "crates/telemetry/src/",
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -78,8 +78,8 @@ fn every_crate_source_file_is_scoped_or_explicitly_unscoped() {
                 .to_str()
                 .expect("utf-8 path")
                 .replace('\\', "/");
-            // Only library sources: tests/fixtures/benches of each crate
-            // are covered by include_test_code rules where it matters.
+            // Only library sources: no rule runs over a crate's tests,
+            // fixtures or benches.
             let in_src = rel
                 .split('/')
                 .nth(2)
