@@ -1018,9 +1018,6 @@ impl StackHost {
         }
         inner
             .series
-            .record("nic.rx_pending", inner.nic.rx_pending() as f64);
-        inner
-            .series
             .record("conns.live", inner.by_key.len() as f64);
         let (mut tx_buf, mut rx_ready) = (0u64, 0u64);
         for slot in inner.slots.iter().flatten() {
@@ -1052,8 +1049,7 @@ impl StackHost {
     fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
         let now = ctx.now();
         self.sample_series(now);
-        let q = self.inner.nic.rx_enqueue(seg);
-        let seg = self.inner.nic.rx_dequeue(q).expect("just enqueued");
+        self.inner.nic.rx_steer(&seg);
         let key = seg.flow_key();
         let is_data = !seg.payload.is_empty();
         if let Some(&slot) = self.inner.by_key.get(&key) {

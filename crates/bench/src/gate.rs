@@ -18,8 +18,8 @@
 //! byte-for-byte, and on a mismatch prints the tolerance comparator's
 //! per-metric classification as the explanation. Wall-clock entries are
 //! gated by that comparator alone. Every entry's invariants are checked
-//! on the current report either way. `UPDATE_BASELINE=1 bench-report
-//! [name…]` (or `pin`) re-pins deliberately. Reports are compared only
+//! on the current report either way. `bench-report pin [name…]` after a
+//! `generate` re-pins deliberately. Reports are compared only
 //! within one scale mode (`TAS_FULL=1` selects paper scale), so a
 //! full-scale run never gates against a quick pin.
 
@@ -212,13 +212,11 @@ pub fn main() -> ExitCode {
         }
         _ => ("", &args[..]),
     };
-    let repin = std::env::var("UPDATE_BASELINE").is_ok_and(|v| v == "1");
-    let steps: &[Step] = match (mode, repin) {
-        ("", false) => &[generate, check],
-        ("", true) | ("generate", true) => &[generate, pin],
-        ("generate", false) => &[generate],
-        ("check", _) => &[check],
-        ("pin", _) => &[pin],
+    let steps: &[Step] = match mode {
+        "" => &[generate, check],
+        "generate" => &[generate],
+        "check" => &[check],
+        "pin" => &[pin],
         _ => &[selftest],
     };
     let all = catalogue();

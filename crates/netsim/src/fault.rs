@@ -12,10 +12,9 @@
 //! injector perturbs host→network traffic, the switch-port injector
 //! perturbs network→host traffic, and the two carry independent specs.
 //!
-//! The legacy `tx_loss`/`loss` probability knobs on
-//! [`crate::NicConfig`]/[`crate::PortConfig`] are retained as thin compat
-//! shims: a non-zero value is folded into the injector as a uniform drop
-//! model at construction.
+//! A device's schedule is the `FaultSpec` in its configuration
+//! (`NicConfig::tx_fault`, `PortConfig::fault`); plain
+//! induced loss is [`FaultSpec::uniform_loss`].
 
 use tas_proto::{Segment, TcpFlags};
 use tas_sim::{CounterId, Registry, Rng, Scope, SimTime};

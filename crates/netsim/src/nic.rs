@@ -3,7 +3,6 @@
 use crate::fault::{FaultInjector, FaultSpec};
 use crate::rss::{hash_tuple, RssTable};
 use crate::NetMsg;
-use std::collections::VecDeque;
 use tas_proto::{MacAddr, Segment};
 use tas_sim::time::transmission_time;
 use tas_sim::{AgentId, Ctx, SimTime};
@@ -46,9 +45,10 @@ impl NicConfig {
 
 /// A multi-queue NIC owned by a host agent.
 ///
-/// Receive: [`HostNic::rx_enqueue`] hashes the 4-tuple, consults the RSS
-/// redirection table, and appends to the selected queue; the host's stack
-/// drains queues from its (fast-path) cores. Transmit: [`HostNic::tx`]
+/// Receive: [`HostNic::rx_steer`] hashes the 4-tuple and consults the RSS
+/// redirection table for the queue (= fast-path core) the packet belongs
+/// to; the host processes it at once, so the NIC buffers nothing on this
+/// side. Transmit: [`HostNic::tx`]
 /// serializes packets onto the uplink — departure times respect the link
 /// rate, so host-side output queueing emerges when the stack produces
 /// faster than the wire drains.
@@ -59,7 +59,6 @@ pub struct HostNic {
     cfg: NicConfig,
     uplink: AgentId,
     rss: RssTable,
-    rx_queues: Vec<VecDeque<Segment>>,
     tx_busy_until: SimTime,
     /// Transmit-direction fault injector (inert unless configured).
     fault: FaultInjector,
@@ -71,7 +70,7 @@ pub struct HostNic {
     pub tx_count: u64,
     /// Bytes transmitted (wire bytes).
     pub tx_bytes: u64,
-    /// Packets received into queues.
+    /// Packets received.
     pub rx_count: u64,
 }
 
@@ -80,7 +79,6 @@ impl HostNic {
     /// or peer host).
     pub fn new(mac: MacAddr, cfg: NicConfig, uplink: AgentId) -> Self {
         let rss = RssTable::new(cfg.rx_queues);
-        let rx_queues = (0..cfg.rx_queues).map(|_| VecDeque::new()).collect();
         // Derive the default injector stream from the MAC so distinct
         // NICs never share a fault schedule.
         let mut dev = 0u64;
@@ -93,7 +91,6 @@ impl HostNic {
             cfg,
             uplink,
             rss,
-            rx_queues,
             tx_busy_until: SimTime::ZERO,
             fault,
             fault_out: Vec::new(),
@@ -120,28 +117,16 @@ impl HostNic {
         &mut self.rss
     }
 
-    /// Enqueues an arriving packet, returning the receive queue chosen by
-    /// RSS.
-    pub fn rx_enqueue(&mut self, seg: Segment) -> usize {
-        let q = self.rss.queue_for_hash(hash_tuple(
+    /// Counts an arriving packet and returns the receive queue RSS steers
+    /// it to.
+    pub fn rx_steer(&mut self, seg: &Segment) -> usize {
+        self.rx_count += 1;
+        self.rss.queue_for_hash(hash_tuple(
             seg.ip.src,
             seg.ip.dst,
             seg.tcp.src_port,
             seg.tcp.dst_port,
-        ));
-        self.rx_count += 1;
-        self.rx_queues[q].push_back(seg);
-        q
-    }
-
-    /// Dequeues the next packet from receive queue `q`.
-    pub fn rx_dequeue(&mut self, q: usize) -> Option<Segment> {
-        self.rx_queues[q].pop_front()
-    }
-
-    /// Total packets waiting across all receive queues.
-    pub fn rx_pending(&self) -> usize {
-        self.rx_queues.iter().map(|q| q.len()).sum()
+        ))
     }
 
     /// Transmits a packet onto the uplink no earlier than `ready` (when the
@@ -240,30 +225,16 @@ mod tests {
     #[test]
     fn rss_steers_flows_stably() {
         let mut nic = HostNic::new(MacAddr::for_host(2), NicConfig::server_40g(4), 0);
-        let q1 = nic.rx_enqueue(seg(1000));
-        let q2 = nic.rx_enqueue(seg(1000));
+        let q1 = nic.rx_steer(&seg(1000));
+        let q2 = nic.rx_steer(&seg(1000));
         assert_eq!(q1, q2, "same flow must hit the same queue");
         // Many flows spread across queues.
         let mut used = std::collections::BTreeSet::new();
         for p in 0..64 {
-            used.insert(nic.rx_enqueue(seg(2000 + p)));
+            used.insert(nic.rx_steer(&seg(2000 + p)));
         }
         assert!(used.len() >= 3, "flows should spread: {used:?}");
-        assert_eq!(nic.rx_pending(), 66);
-    }
-
-    #[test]
-    fn rx_queues_are_fifo() {
-        let mut nic = HostNic::new(MacAddr::for_host(2), NicConfig::server_40g(1), 0);
-        let mut a = seg(1);
-        a.tcp.seq = 111;
-        let mut b = seg(1);
-        b.tcp.seq = 222;
-        nic.rx_enqueue(a);
-        nic.rx_enqueue(b);
-        assert_eq!(nic.rx_dequeue(0).unwrap().tcp.seq, 111);
-        assert_eq!(nic.rx_dequeue(0).unwrap().tcp.seq, 222);
-        assert!(nic.rx_dequeue(0).is_none());
+        assert_eq!(nic.rx_count, 66);
     }
 
     /// A sink agent recording packet arrival times.

@@ -3,8 +3,8 @@
 //! The paper reports medians, high percentiles (90th/99th/max), means, and
 //! time series (e.g. cores and throughput over time in Fig. 14). This module
 //! provides an HDR-style log-linear histogram with bounded relative error,
-//! a Welford mean/variance accumulator, a monotonic counter, and a sampled
-//! time series.
+//! a Welford mean/variance accumulator, a sampled time series, and a
+//! registry of scoped counters with a deterministic snapshot.
 
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -250,36 +250,6 @@ impl MeanVar {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
-        }
-    }
-}
-
-/// A monotonically increasing event counter with a rate helper.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Count divided by a time window, as events/second.
-    pub fn rate(&self, window: SimTime) -> f64 {
-        if window == SimTime::ZERO {
-            0.0
-        } else {
-            self.0 as f64 / window.as_secs_f64()
         }
     }
 }
@@ -591,48 +561,16 @@ pub enum MetricValue {
     Counter(u64),
     /// Instantaneous level (may go down).
     Gauge(i64),
-    /// Histogram summary (count/min/p50/p90/p99/p999/max) — the digest the
-    /// paper's tables and the bench report schema use; full distributions
-    /// stay with the owning harness.
-    Histogram {
-        /// Recorded samples.
-        count: u64,
-        /// Smallest sample.
-        min: u64,
-        /// Median.
-        p50: u64,
-        /// 90th percentile.
-        p90: u64,
-        /// 99th percentile.
-        p99: u64,
-        /// 99.9th percentile.
-        p999: u64,
-        /// Largest sample.
-        max: u64,
-    },
 }
 
 /// Handle to a registered counter (O(1) increments after registration).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
 
-/// Handle to a registered gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistId(usize);
-
-#[derive(Clone, Copy, Debug)]
-enum MetricSlot {
-    Counter(usize),
-    Gauge(usize),
-    Hist(usize),
-}
-
-/// A registry of named counters, gauges, and histograms with per-core and
-/// per-flow scoping and a deterministic, ordered [`Registry::snapshot`].
+/// A registry of named counters with per-core and per-flow scoping and a
+/// deterministic, ordered [`Registry::snapshot`]. (Instantaneous levels
+/// are not registered: a host inserts them into the [`Snapshot`] from
+/// live state with [`Snapshot::insert_gauge`].)
 ///
 /// Registration is get-or-create and returns a stable handle; updates
 /// through a handle are an array index, so hot paths pay no map lookup.
@@ -654,10 +592,8 @@ enum MetricSlot {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
-    index: BTreeMap<MetricKey, MetricSlot>,
+    index: BTreeMap<MetricKey, usize>,
     counters: Vec<u64>,
-    gauges: Vec<i64>,
-    hists: Vec<Histogram>,
 }
 
 impl Registry {
@@ -667,60 +603,13 @@ impl Registry {
     }
 
     /// Registers (or finds) a counter, returning its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
     pub fn counter(&mut self, name: &'static str, scope: Scope) -> CounterId {
-        let key = MetricKey { name, scope };
-        match self.index.get(&key) {
-            Some(MetricSlot::Counter(i)) => CounterId(*i),
-            Some(_) => panic!("metric {key} already registered as a non-counter"),
-            None => {
-                let i = self.counters.len();
-                self.counters.push(0);
-                self.index.insert(key, MetricSlot::Counter(i));
-                CounterId(i)
-            }
-        }
-    }
-
-    /// Registers (or finds) a gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    pub fn gauge(&mut self, name: &'static str, scope: Scope) -> GaugeId {
-        let key = MetricKey { name, scope };
-        match self.index.get(&key) {
-            Some(MetricSlot::Gauge(i)) => GaugeId(*i),
-            Some(_) => panic!("metric {key} already registered as a non-gauge"),
-            None => {
-                let i = self.gauges.len();
-                self.gauges.push(0);
-                self.index.insert(key, MetricSlot::Gauge(i));
-                GaugeId(i)
-            }
-        }
-    }
-
-    /// Registers (or finds) a histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key is already registered as a different kind.
-    pub fn histogram(&mut self, name: &'static str, scope: Scope) -> HistId {
-        let key = MetricKey { name, scope };
-        match self.index.get(&key) {
-            Some(MetricSlot::Hist(i)) => HistId(*i),
-            Some(_) => panic!("metric {key} already registered as a non-histogram"),
-            None => {
-                let i = self.hists.len();
-                self.hists.push(Histogram::new());
-                self.index.insert(key, MetricSlot::Hist(i));
-                HistId(i)
-            }
-        }
+        let counters = &mut self.counters;
+        let slot = self.index.entry(MetricKey { name, scope }).or_insert_with(|| {
+            counters.push(0);
+            counters.len() - 1
+        });
+        CounterId(*slot)
     }
 
     /// Increments a counter by one.
@@ -738,34 +627,11 @@ impl Registry {
         self.counters[id.0]
     }
 
-    /// Sets a gauge.
-    pub fn set(&mut self, id: GaugeId, v: i64) {
-        self.gauges[id.0] = v;
-    }
-
-    /// Adjusts a gauge by a signed delta.
-    pub fn adjust(&mut self, id: GaugeId, d: i64) {
-        self.gauges[id.0] += d;
-    }
-
-    /// Records a histogram sample.
-    pub fn record(&mut self, id: HistId, v: u64) {
-        self.hists[id.0].record(v);
-    }
-
     /// Value of a counter by key (0 when absent — asserts read naturally).
     pub fn counter_value(&self, name: &'static str, scope: Scope) -> u64 {
         match self.index.get(&MetricKey { name, scope }) {
-            Some(MetricSlot::Counter(i)) => self.counters[*i],
-            _ => 0,
-        }
-    }
-
-    /// Value of a gauge by key (0 when absent).
-    pub fn gauge_value(&self, name: &'static str, scope: Scope) -> i64 {
-        match self.index.get(&MetricKey { name, scope }) {
-            Some(MetricSlot::Gauge(i)) => self.gauges[*i],
-            _ => 0,
+            Some(i) => self.counters[*i],
+            None => 0,
         }
     }
 
@@ -782,23 +648,8 @@ impl Registry {
     /// Captures a deterministic, ordered dump of every metric.
     pub fn snapshot(&self) -> Snapshot {
         let mut snap = Snapshot::default();
-        for (key, slot) in &self.index {
-            let v = match *slot {
-                MetricSlot::Counter(i) => MetricValue::Counter(self.counters[i]),
-                MetricSlot::Gauge(i) => MetricValue::Gauge(self.gauges[i]),
-                MetricSlot::Hist(i) => {
-                    let h = &self.hists[i];
-                    MetricValue::Histogram {
-                        count: h.count(),
-                        min: h.min(),
-                        p50: h.p50(),
-                        p90: h.p90(),
-                        p99: h.p99(),
-                        p999: h.p999(),
-                        max: h.max(),
-                    }
-                }
-            };
+        for (key, i) in &self.index {
+            let v = MetricValue::Counter(self.counters[*i]);
             snap.entries.insert(*key, v);
         }
         snap
@@ -884,19 +735,6 @@ impl Snapshot {
             match v {
                 MetricValue::Counter(c) => writeln!(out, "{key} {c}").expect("string write"),
                 MetricValue::Gauge(g) => writeln!(out, "{key} {g}").expect("string write"),
-                MetricValue::Histogram {
-                    count,
-                    min,
-                    p50,
-                    p90,
-                    p99,
-                    p999,
-                    max,
-                } => writeln!(
-                    out,
-                    "{key} count={count} min={min} p50={p50} p90={p90} p99={p99} p999={p999} max={max}"
-                )
-                .expect("string write"),
             }
         }
         out
@@ -1026,15 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_rate() {
-        let mut c = Counter::default();
-        c.add(1000);
-        assert_eq!(c.get(), 1000);
-        assert!((c.rate(SimTime::from_ms(100)) - 10_000.0).abs() < 1e-6);
-        assert_eq!(c.rate(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
     fn timeseries_window_mean() {
         let mut ts = TimeSeries::new();
         for i in 0..10 {
@@ -1151,35 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_gauges_and_histograms() {
-        let mut r = Registry::new();
-        let g = r.gauge("cores.active", Scope::Global);
-        r.set(g, 4);
-        r.adjust(g, -1);
-        assert_eq!(r.gauge_value("cores.active", Scope::Global), 3);
-        let h = r.histogram("rtt_ns", Scope::Flow(7));
-        for v in 1..=100 {
-            r.record(h, v);
-        }
-        let snap = r.snapshot();
-        match snap.get("rtt_ns", Scope::Flow(7)) {
-            Some(MetricValue::Histogram { count, min, max, .. }) => {
-                assert_eq!((count, min, max), (100, 1, 100));
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        assert_eq!(snap.gauge("cores.active", Scope::Global), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn registry_kind_conflict_panics() {
-        let mut r = Registry::new();
-        r.counter("x", Scope::Global);
-        r.gauge("x", Scope::Global);
-    }
-
-    #[test]
     fn snapshot_monotonicity_check() {
         let mut r = Registry::new();
         let c = r.counter("n", Scope::Global);
@@ -1190,12 +990,10 @@ mod tests {
         assert!(late.counters_monotone_since(&early));
         assert!(!early.counters_monotone_since(&late));
         // Gauges may move either way without violating monotonicity.
-        let mut r2 = Registry::new();
-        let g = r2.gauge("lvl", Scope::Global);
-        r2.set(g, 5);
-        let e2 = r2.snapshot();
-        r2.set(g, 1);
-        assert!(r2.snapshot().counters_monotone_since(&e2));
+        let (mut e2, mut l2) = (Snapshot::default(), Snapshot::default());
+        e2.insert_gauge("lvl", Scope::Global, 5);
+        l2.insert_gauge("lvl", Scope::Global, 1);
+        assert!(l2.counters_monotone_since(&e2));
     }
 
     #[test]

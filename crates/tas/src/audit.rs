@@ -212,7 +212,11 @@ mod tests {
     #[should_panic(expected = "ooo interval start")]
     fn ooo_interval_at_frontier_caught() {
         let mut f = flow(1);
-        f.rcv.set_ooo(f.rcv.rx.end_offset(), 5); // No gap: should have merged.
+        // Stage offsets 5..10 (irs 2: offset 0 is seq 3), then commit up to
+        // the interval through the shared ring without the component —
+        // what a buggy libTAS could do. No gap: it should have merged.
+        f.rcv.place(8, b"later", true);
+        f.rcv.rx.append(b"early").unwrap();
         check_flow(0, &f);
     }
 

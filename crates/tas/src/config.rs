@@ -136,8 +136,6 @@ pub struct TasConfig {
     /// the core is further behind than this are dropped (models a finite
     /// RX descriptor ring).
     pub max_core_backlog: SimTime,
-    /// Context queue capacity in descriptors.
-    pub ctx_queue_cap: usize,
     /// Track one out-of-order interval in the fast path (§3.1). Disabled
     /// = pure go-back-N ("TAS simple recovery" in Fig. 7).
     pub ooo_rx: bool,
@@ -173,7 +171,6 @@ impl Default for TasConfig {
             ai_rate_bps: 10_000_000,
             initial_rate_bps: 1_000_000_000,
             max_core_backlog: SimTime::from_us(500),
-            ctx_queue_cap: 1024,
             ooo_rx: true,
             costs: TasCosts::default(),
             cache_per_core: 2 << 20,

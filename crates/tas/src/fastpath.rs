@@ -11,17 +11,22 @@
 //! The fast path is sans-IO: methods stage packets, context-queue notices,
 //! slow-path exceptions, and pacing-timer requests into [`FpOut`]; the host
 //! drains them and charges the returned cycle cost to the owning core.
+//!
+//! This file is the orchestrator of DESIGN.md §16 and nothing more: every
+//! public entry point resolves its `&mut FlowState` once and hands it,
+//! beside a `Pipe` split-borrowed from the rest of [`FastPath`], to the
+//! steps below. A step that touches one component is that component's
+//! method (`crate::flow`); what stays here is the sequencing and the
+//! logic that spans components — an ACK advancing `snd`, feeding `cc` and
+//! updating `fc`; `try_tx` reading all five.
 
 use crate::config::TasCosts;
-use crate::flow::{FlowState, FlowTable};
+use crate::flow::{FlowState, FlowTable, Placed};
 use std::net::Ipv4Addr;
 use tas_cpusim::{CycleAccount, Module};
 use tas_proto::tcp::seq;
-use tas_proto::{Ecn, MacAddr, PayloadBuf, Segment, TcpFlags, TcpHeader};
+use tas_proto::{MacAddr, PayloadBuf, Segment, TcpFlags};
 use tas_sim::SimTime;
-
-/// TAS's receive window scale shift (negotiated by the slow path).
-pub const TAS_WSCALE: u8 = 7;
 
 /// Emits a flight-recorder record at site `"fp"`.
 #[cfg(feature = "trace")]
@@ -98,6 +103,19 @@ pub struct FastPath {
     pub stats: FpStats,
 }
 
+/// Everything a per-packet step needs besides the flow itself,
+/// split-borrowed from [`FastPath`] so that one `&mut FlowState` can live
+/// beside it for the whole packet.
+struct Pipe<'a> {
+    out: &'a mut FpOut,
+    stats: &'a mut FpStats,
+    costs: &'a TasCosts,
+    local_ip: Ipv4Addr,
+    local_mac: MacAddr,
+    mss: u64,
+    ooo_rx: bool,
+}
+
 impl FastPath {
     /// Creates a fast path for a host.
     pub fn new(local_ip: Ipv4Addr, local_mac: MacAddr, mss: u32, costs: TasCosts) -> Self {
@@ -113,352 +131,58 @@ impl FastPath {
         }
     }
 
-    fn charge(&self, acct: &mut CycleAccount, module: Module, cycles: u64) -> u64 {
-        let instr = cycles * self.costs.ipc_times_100 / 100;
-        acct.charge(module, cycles, instr);
-        // Every fast-path cycle flows through this funnel, so the
-        // attribution profiler sees the exact cost the host will run.
-        #[cfg(feature = "profile")]
-        tas_telemetry::profile::charge(cycles);
-        cycles
+    fn split(&mut self) -> (&mut FlowTable, Pipe<'_>) {
+        let pipe = Pipe {
+            out: &mut self.out,
+            stats: &mut self.stats,
+            costs: &self.costs,
+            local_ip: self.local_ip,
+            local_mac: self.local_mac,
+            mss: self.mss as u64,
+            ooo_rx: self.ooo_rx,
+        };
+        (&mut self.flows, pipe)
     }
 
     /// Processes one received packet. Returns the cycle cost.
     pub fn rx_segment(&mut self, now: SimTime, seg: Segment, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("rx");
-        let mut cycles = self.charge(acct, Module::Driver, self.costs.drv_rx);
+        let (flows, mut p) = self.split();
+        let mut cycles = p.charge(acct, Module::Driver, p.costs.drv_rx);
         // Exception filter: connection control, unusual flags, fragments,
         // unknown flows — all slow-path work.
         let f = seg.tcp.flags;
         let exceptional = f
             .intersects(TcpFlags::SYN | TcpFlags::FIN | TcpFlags::RST | TcpFlags::URG)
             || seg.ip.is_fragment();
-        let flow_id = if exceptional {
+        let fid = if exceptional {
             None
         } else {
-            self.flows.lookup(&seg.flow_key())
+            flows.lookup(&seg.flow_key())
         };
-        let Some(fid) = flow_id else {
-            self.stats.exceptions += 1;
-            cycles += self.charge(acct, Module::Tcp, 40);
-            self.out.exceptions.push(seg);
+        let Some((fid, flow)) = fid.and_then(|fid| flows.get_mut(fid).map(|fl| (fid, fl))) else {
+            p.stats.exceptions += 1;
+            cycles += p.charge(acct, Module::Tcp, 40);
+            p.out.exceptions.push(seg);
             return cycles;
         };
-        self.stats.pkts_rx += 1;
+        p.stats.pkts_rx += 1;
         let has_payload = !seg.payload.is_empty();
         // Timestamp echo bookkeeping.
-        if let (Some((tsval, tsecr)), Some(flow)) =
-            (seg.tcp.options.timestamp, self.flows.get_mut(fid))
-        {
+        if let Some((tsval, tsecr)) = seg.tcp.options.timestamp {
             flow.conn.note_ts(tsval);
             if f.contains(TcpFlags::ACK) && tsecr != 0 {
                 let sample = now.as_micros().wrapping_sub(tsecr as u64).max(1) as u32;
-                // EWMA 7/8, like the kernel's SRTT.
                 flow.conn.rtt_sample(sample);
             }
         }
         if f.contains(TcpFlags::ACK) {
-            cycles += self.process_ack(now, fid, &seg, has_payload, acct);
+            cycles += p.process_ack(now, fid, flow, &seg, has_payload, acct);
         }
         if has_payload {
-            cycles += self.process_data(now, fid, seg, acct);
+            cycles += p.process_data(now, flow, &seg, acct);
         }
-        cycles
-    }
-
-    fn process_ack(
-        &mut self,
-        now: SimTime,
-        fid: u32,
-        seg: &Segment,
-        has_payload: bool,
-        acct: &mut CycleAccount,
-    ) -> u64 {
-        #[cfg(feature = "profile")]
-        let _prof = tas_telemetry::profile::guard("ack");
-        let cost = if has_payload {
-            // Piggybacked ACK: the data-path cost covers it.
-            30
-        } else {
-            self.costs.tcp_rx_ack
-        };
-        let mut cycles = self.charge(acct, Module::Tcp, cost);
-        let mut acked_notice = 0u32;
-        let mut want_tx = false;
-        {
-            let Some(flow) = self.flows.get_mut(fid) else {
-                debug_assert!(false, "process_ack: flow {fid} not installed");
-                return cycles;
-            };
-            let ece = seg.tcp.flags.contains(TcpFlags::ECE);
-            let una_seq = flow.seq_of(flow.snd.tx.start_offset());
-            // Accept cumulative ACKs up to the highest byte ever sent —
-            // recovery may have rewound `tx_sent` below data the peer has.
-            let hi_seq = flow.seq_of(flow.snd.max_sent_off().max(flow.nxt_off()));
-            let ack = seg.tcp.ack;
-            let new_wnd = (seg.tcp.window as u64) << flow.fc.peer_wscale();
-            // Window growth marks a window update, not a duplicate; a
-            // shrinking window accompanies held out-of-order data and is
-            // a genuine loss signal.
-            let wnd_unchanged = new_wnd <= flow.fc.snd_wnd();
-            flow.fc.update_wnd(new_wnd);
-            if seq::gt(ack, una_seq) && seq::le(ack, hi_seq) {
-                let newly = seq::sub(ack, una_seq) as u64;
-                if !flow.snd.consume_acked(newly) {
-                    // ACK range validated against hi_seq above; degrade by
-                    // ignoring the ACK rather than corrupting the ring.
-                    debug_assert!(false, "acked bytes within the tx ring");
-                    return cycles;
-                }
-                flow.cc.count_acked(newly, ece);
-                flow.snd.reset_dupacks();
-                acked_notice = newly as u32;
-                want_tx = true;
-            } else if ack == una_seq && !has_payload && flow.snd.tx_sent() > 0 && wnd_unchanged {
-                // Fast-path exception #1: duplicate ACK counting and fast
-                // recovery — reset the sender as if unacked segments were
-                // never sent (§3.1). Window updates are not duplicates
-                // (RFC 5681's "no window change" condition).
-                let dupacks = flow.snd.count_dupack();
-                if ece {
-                    // Count a nominal MSS of marked bytes so the slow path
-                    // sees congestion feedback even without progress.
-                    flow.cc.count_nominal_mark(self.mss as u64);
-                }
-                if dupacks >= 3 {
-                    flow.snd.reset_for_fast_rexmit();
-                    flow.cc.count_fast_rexmit();
-                    self.stats.fast_rexmits += 1;
-                    #[cfg(feature = "trace")]
-                    trace_fp(
-                        now,
-                        tas_telemetry::TraceEvent::Retransmit {
-                            flow: flow.conn.key(),
-                            kind: "fast",
-                            seq: flow.seq_of(flow.snd.tx.start_offset()),
-                        },
-                    );
-                    want_tx = true;
-                }
-            } else if !wnd_unchanged {
-                // A pure window update may unblock transmission.
-                want_tx = true;
-            }
-        }
-        if acked_notice > 0 {
-            let Some(flow) = self.flows.get(fid) else {
-                debug_assert!(false, "flow {fid} vanished mid-ack");
-                return cycles;
-            };
-            let notice = RxNotice {
-                opaque: flow.conn.opaque(),
-                rx_bytes: 0,
-                tx_acked: acked_notice,
-            };
-            self.out.notices.push((flow.conn.context(), notice));
-        }
-        if want_tx {
-            cycles += self.try_tx(now, fid, acct);
-        }
-        cycles
-    }
-
-    fn process_data(
-        &mut self,
-        now: SimTime,
-        fid: u32,
-        seg: Segment,
-        acct: &mut CycleAccount,
-    ) -> u64 {
-        #[cfg(feature = "profile")]
-        let _prof = tas_telemetry::profile::guard("data");
-        let mut cycles = self.charge(acct, Module::Tcp, self.costs.tcp_rx_data);
-        let mut notify_bytes = 0u64;
-        {
-            let Some(flow) = self.flows.get_mut(fid) else {
-                debug_assert!(false, "process_data: flow {fid} not installed");
-                return cycles;
-            };
-            flow.cc.note_ce(seg.is_ce_marked());
-            let expected = flow.rcv_seq_of(flow.rcv.rx.end_offset());
-            let mut seg_seq = seg.tcp.seq;
-            let mut data: &[u8] = &seg.payload;
-            // Trim a partially-old segment.
-            if seq::lt(seg_seq, expected) {
-                let old = seq::sub(expected, seg_seq) as usize;
-                if old >= data.len() {
-                    data = &[];
-                } else {
-                    data = &data[old..];
-                    seg_seq = expected;
-                }
-            }
-            if data.is_empty() {
-                // Entirely duplicate: ACK to resynchronize the peer.
-            } else if seg_seq == expected {
-                // Common case: in-order deposit directly into the
-                // user-space payload buffer.
-                if flow.rcv.rx.free() >= data.len() {
-                    if flow.rcv.rx.append(data).is_err() {
-                        debug_assert!(false, "append within checked free space");
-                        self.stats.drop_buf_full += 1;
-                        return cycles;
-                    }
-                    notify_bytes = data.len() as u64;
-                    // Merge the tracked out-of-order interval if the gap
-                    // just closed ("as if one big segment arrived").
-                    if flow.rcv.ooo_len() > 0 && flow.rcv.ooo_start() <= flow.rcv.rx.end_offset() {
-                        let int_end = flow.rcv.ooo_start() + flow.rcv.ooo_len() as u64;
-                        let end = flow.rcv.rx.end_offset();
-                        if int_end > end {
-                            if flow.rcv.rx.advance_end(int_end - end).is_ok() {
-                                notify_bytes += int_end - end;
-                            } else {
-                                debug_assert!(false, "ooo interval within the ring");
-                            }
-                        }
-                        flow.rcv.clear_ooo();
-                    }
-                } else {
-                    // Payload buffer full: drop the packet (§3.1) — TCP
-                    // flow control makes this uncommon.
-                    self.stats.drop_buf_full += 1;
-                    return cycles;
-                }
-            } else {
-                // Fast-path exception #2: one tracked out-of-order
-                // interval within the receive buffer.
-                let off = flow.rcv.rx.end_offset() + seq::sub(seg_seq, expected) as u64;
-                let horizon = flow.rcv.rx.start_offset() + flow.rcv.rx.capacity() as u64;
-                let fits = off + data.len() as u64 <= horizon;
-                let int_end = flow.rcv.ooo_start() + flow.rcv.ooo_len() as u64;
-                if !self.ooo_rx {
-                    // Go-back-N mode: drop everything out of order.
-                    self.stats.drop_ooo += 1;
-                } else if !fits {
-                    self.stats.drop_ooo += 1;
-                } else if flow.rcv.ooo_len() == 0 {
-                    if flow.rcv.rx.write_at(off, data).is_ok() {
-                        flow.rcv.set_ooo(off, data.len() as u32);
-                        #[cfg(feature = "trace")]
-                        trace_fp(
-                            now,
-                            tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key(),
-                                start: flow.rcv.ooo_start(),
-                                len: flow.rcv.ooo_len() as u64,
-                            },
-                        );
-                    } else {
-                        // `fits` was checked against the horizon; degrade
-                        // by dropping rather than panicking mid-packet.
-                        debug_assert!(false, "ooo write fits by horizon check");
-                        self.stats.drop_ooo += 1;
-                    }
-                } else if off >= flow.rcv.ooo_start() && off + data.len() as u64 <= int_end {
-                    // Duplicate of data already staged.
-                } else if off == int_end {
-                    if flow.rcv.rx.write_at(off, data).is_ok() {
-                        flow.rcv.grow_ooo_tail(data.len() as u32);
-                        #[cfg(feature = "trace")]
-                        trace_fp(
-                            now,
-                            tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key(),
-                                start: flow.rcv.ooo_start(),
-                                len: flow.rcv.ooo_len() as u64,
-                            },
-                        );
-                    } else {
-                        debug_assert!(false, "ooo write fits by horizon check");
-                        self.stats.drop_ooo += 1;
-                    }
-                } else if off + data.len() as u64 == flow.rcv.ooo_start() {
-                    if flow.rcv.rx.write_at(off, data).is_ok() {
-                        flow.rcv.grow_ooo_head(off, data.len() as u32);
-                        #[cfg(feature = "trace")]
-                        trace_fp(
-                            now,
-                            tas_telemetry::TraceEvent::OooPlace {
-                                flow: flow.conn.key(),
-                                start: flow.rcv.ooo_start(),
-                                len: flow.rcv.ooo_len() as u64,
-                            },
-                        );
-                    } else {
-                        debug_assert!(false, "ooo write fits by horizon check");
-                        self.stats.drop_ooo += 1;
-                    }
-                } else {
-                    // Not mergeable with the single interval: drop; the
-                    // ACK below triggers fast retransmission at the peer.
-                    self.stats.drop_ooo += 1;
-                }
-            }
-            self.stats.bytes_rx += notify_bytes;
-        }
-        if notify_bytes > 0 {
-            let Some(flow) = self.flows.get(fid) else {
-                debug_assert!(false, "flow {fid} vanished mid-data");
-                return cycles;
-            };
-            self.out.notices.push((
-                flow.conn.context(),
-                RxNotice {
-                    opaque: flow.conn.opaque(),
-                    rx_bytes: notify_bytes as u32,
-                    tx_acked: 0,
-                },
-            ));
-        }
-        cycles += self.emit_ack(now, fid, acct);
-        cycles
-    }
-
-    /// Stages a pure ACK for a flow.
-    fn emit_ack(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
-        let _prof = tas_telemetry::profile::guard("ack_tx");
-        let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_ack_gen)
-            + self.charge(acct, Module::Driver, self.costs.drv_tx);
-        let mss = self.mss as u64;
-        {
-            let Some(flow) = self.flows.get_mut(fid) else {
-                debug_assert!(false, "emit_ack: flow {fid} not installed");
-                return cycles;
-            };
-            let closed = flow.adv_window() < mss;
-            flow.fc.set_win_closed(closed);
-        }
-        let Some(flow) = self.flows.get(fid) else {
-            debug_assert!(false, "emit_ack: flow {fid} not installed");
-            return cycles;
-        };
-        let mut h = TcpHeader::new(
-            flow.conn.key().local_port,
-            flow.conn.key().remote_port,
-            flow.seq_of(flow.nxt_off()),
-            flow.rcv_seq_of(flow.rcv.rx.end_offset()),
-            TcpFlags::ACK,
-        );
-        if flow.cc.last_seg_ce() {
-            // DCTCP-accurate per-packet ECN echo.
-            h.flags |= TcpFlags::ECE;
-        }
-        h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
-        let seg = Segment::tcp(
-            self.local_mac,
-            flow.conn.peer_mac(),
-            self.local_ip,
-            flow.conn.key().remote_ip,
-            h,
-            PayloadBuf::empty(),
-            false,
-        );
-        self.stats.acks_tx += 1;
-        self.out.packets.push(seg);
         cycles
     }
 
@@ -468,9 +192,10 @@ impl FastPath {
     pub fn tx_command(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("tx_cmd");
-        let mut cycles = self.charge(acct, Module::Tcp, self.costs.tcp_tx_cmd);
-        if self.flows.get(fid).is_some() {
-            cycles += self.try_tx(now, fid, acct);
+        let (flows, mut p) = self.split();
+        let mut cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_cmd);
+        if let Some(flow) = flows.get_mut(fid) {
+            cycles += p.try_tx(now, fid, flow, acct);
         }
         cycles
     }
@@ -481,13 +206,12 @@ impl FastPath {
     pub fn rx_bump(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("rx_bump");
-        let mut cycles = self.charge(acct, Module::Tcp, self.costs.rx_bump);
-        let emit = match self.flows.get_mut(fid) {
-            Some(flow) => flow.fc.win_closed() && flow.adv_window() >= self.mss as u64,
-            None => false,
-        };
-        if emit {
-            cycles += self.emit_ack(now, fid, acct);
+        let (flows, mut p) = self.split();
+        let mut cycles = p.charge(acct, Module::Tcp, p.costs.rx_bump);
+        if let Some(flow) = flows.get_mut(fid) {
+            if flow.fc.win_closed() && flow.adv_window() >= p.mss {
+                cycles += p.emit_ack(now, flow, acct);
+            }
         }
         cycles
     }
@@ -496,115 +220,24 @@ impl FastPath {
     /// timer (used by the slow path after rate updates — the pending
     /// timer, if any, stays valid).
     pub fn poke_tx(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        if self.flows.get(fid).is_none() {
-            return 0;
+        let (flows, mut p) = self.split();
+        match flows.get_mut(fid) {
+            Some(flow) => p.try_tx(now, fid, flow, acct),
+            None => 0,
         }
-        self.try_tx(now, fid, acct)
     }
 
     /// Handles a pacing-timer expiration for a flow.
     pub fn tx_poll(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("tx_poll");
-        self.stats.tx_polls += 1;
-        if let Some(flow) = self.flows.get_mut(fid) {
-            flow.snd.clear_tx_timer();
-        } else {
+        let (flows, mut p) = self.split();
+        p.stats.tx_polls += 1;
+        let Some(flow) = flows.get_mut(fid) else {
             return 0;
-        }
-        self.try_tx(now, fid, acct)
-    }
-
-    /// Transmits whatever the rate bucket, congestion window, and peer
-    /// window currently allow.
-    fn try_tx(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
-        let _prof = tas_telemetry::profile::guard("tx");
-        let mut cycles = 0;
-        let mut arm_at: Option<SimTime> = None;
-        let mut sent_segments = 0u64;
-        {
-            let mss = self.mss as u64;
-            // The flow may have been torn down between the triggering
-            // event and this deferred execution.
-            let Some(flow) = self.flows.get_mut(fid) else {
-                return 0;
-            };
-            flow.cc.refill_bucket(now);
-            loop {
-                let avail = flow.snd.tx.end_offset().saturating_sub(flow.nxt_off());
-                let wnd = flow.fc.snd_wnd().min(flow.cc.cwnd());
-                let budget = wnd.saturating_sub(flow.snd.tx_sent());
-                let mut n = avail.min(budget).min(mss);
-                if n == 0 {
-                    break;
-                }
-                if !flow.cc.bucket().is_unlimited() {
-                    if flow.cc.bucket().tokens == 0
-                        || (flow.cc.bucket().tokens < n && flow.cc.bucket().tokens < mss)
-                    {
-                        // Paced out: arm a timer for when one segment's
-                        // credit accrues.
-                        let need = n.min(mss);
-                        let wait = flow.cc.bucket().time_until(need, now);
-                        if wait < SimTime::MAX && !flow.snd.tx_timer_armed() {
-                            flow.snd.arm_tx_timer();
-                            arm_at = Some(now + wait.max(SimTime::from_ns(500)));
-                        }
-                        break;
-                    }
-                    n = n.min(flow.cc.bucket().tokens);
-                }
-                let off = flow.nxt_off();
-                // Pooled buffer filled straight from the ring: the per-
-                // packet tx path never touches the allocator in steady
-                // state.
-                let mut ok = true;
-                let payload = PayloadBuf::with(n as usize, |dst| {
-                    ok = flow.snd.tx.read_into(off, dst).is_ok();
-                });
-                if !ok {
-                    debug_assert!(false, "tx offset within ring");
-                    break;
-                }
-                let mut h = TcpHeader::new(
-                    flow.conn.key().local_port,
-                    flow.conn.key().remote_port,
-                    flow.seq_of(off),
-                    flow.rcv_seq_of(flow.rcv.rx.end_offset()),
-                    TcpFlags::ACK | TcpFlags::PSH,
-                );
-                if flow.cc.last_seg_ce() {
-                    h.flags |= TcpFlags::ECE;
-                }
-                h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-                h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
-                let mut seg = Segment::tcp(
-                    self.local_mac,
-                    flow.conn.peer_mac(),
-                    self.local_ip,
-                    flow.conn.key().remote_ip,
-                    h,
-                    payload,
-                    false,
-                );
-                seg.ip.ecn = Ecn::Ect0;
-                flow.snd.note_sent(n);
-                flow.cc.consume_credit(n);
-                sent_segments += 1;
-                self.out.packets.push(seg);
-                self.stats.segs_tx += 1;
-            }
-        }
-        if sent_segments > 0 {
-            cycles += self.charge(acct, Module::Tcp, self.costs.tcp_tx_seg * sent_segments);
-            cycles += self.charge(acct, Module::Driver, self.costs.drv_tx * sent_segments);
-        }
-        if let Some(at) = arm_at {
-            self.stats.timers_armed += 1;
-            self.out.tx_timers.push((fid, at));
-        }
-        cycles
+        };
+        flow.snd.clear_tx_timer();
+        p.try_tx(now, fid, flow, acct)
     }
 
     // ------------------------------------------------------------------
@@ -635,48 +268,16 @@ impl FastPath {
     pub fn window_probe(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("probe");
-        let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_tx_seg)
-            + self.charge(acct, Module::Driver, self.costs.drv_tx);
-        let mss = self.mss as u64;
-        let Some(flow) = self.flows.get_mut(fid) else {
+        let (flows, mut p) = self.split();
+        let cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_seg)
+            + p.charge(acct, Module::Driver, p.costs.drv_tx);
+        let Some(flow) = flows.get_mut(fid) else {
             return 0;
         };
-        let off = flow.nxt_off();
-        let avail = flow.snd.tx.end_offset().saturating_sub(off);
-        let n = avail.min(mss);
-        if n == 0 {
-            return cycles;
+        let n = flow.snd.unsent().min(p.mss);
+        if n > 0 {
+            p.send_data(now, flow, n);
         }
-        let mut ok = true;
-        let payload = PayloadBuf::with(n as usize, |dst| {
-            ok = flow.snd.tx.read_into(off, dst).is_ok();
-        });
-        if !ok {
-            debug_assert!(false, "probe offset within tx ring");
-            return cycles;
-        }
-        let mut h = TcpHeader::new(
-            flow.conn.key().local_port,
-            flow.conn.key().remote_port,
-            flow.seq_of(off),
-            flow.rcv_seq_of(flow.rcv.rx.end_offset()),
-            TcpFlags::ACK | TcpFlags::PSH,
-        );
-        h.window = (flow.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
-        h.options.timestamp = Some((now.as_micros() as u32, flow.conn.ts_recent()));
-        let mut seg = Segment::tcp(
-            self.local_mac,
-            flow.conn.peer_mac(),
-            self.local_ip,
-            flow.conn.key().remote_ip,
-            h,
-            payload,
-            false,
-        );
-        seg.ip.ecn = Ecn::Ect0;
-        flow.snd.note_sent(n);
-        self.stats.segs_tx += 1;
-        self.out.packets.push(seg);
         cycles
     }
 
@@ -685,21 +286,236 @@ impl FastPath {
     pub fn trigger_retransmit(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
         #[cfg(feature = "profile")]
         let _prof = tas_telemetry::profile::guard("rexmit");
-        if let Some(flow) = self.flows.get_mut(fid) {
-            #[cfg(feature = "trace")]
-            trace_fp(
-                now,
-                tas_telemetry::TraceEvent::Retransmit {
-                    flow: flow.conn.key(),
-                    kind: "timeout",
-                    seq: flow.seq_of(flow.snd.tx.start_offset()),
-                },
-            );
-            flow.snd.rewind_for_retransmit();
-            self.try_tx(now, fid, acct)
+        let (flows, mut p) = self.split();
+        let Some(flow) = flows.get_mut(fid) else {
+            return 0;
+        };
+        #[cfg(feature = "trace")]
+        trace_fp(
+            now,
+            tas_telemetry::TraceEvent::Retransmit {
+                flow: flow.conn.key(),
+                kind: "timeout",
+                seq: flow.seq_of(flow.snd.tx.start_offset()),
+            },
+        );
+        flow.snd.rewind();
+        p.try_tx(now, fid, flow, acct)
+    }
+}
+
+/// The per-packet steps. Each takes the flow its entry point resolved;
+/// none looks it up again.
+impl Pipe<'_> {
+    fn charge(&self, acct: &mut CycleAccount, module: Module, cycles: u64) -> u64 {
+        let instr = cycles * self.costs.ipc_times_100 / 100;
+        acct.charge(module, cycles, instr);
+        // Every fast-path cycle flows through this funnel, so the
+        // attribution profiler sees the exact cost the host will run.
+        #[cfg(feature = "profile")]
+        tas_telemetry::profile::charge(cycles);
+        cycles
+    }
+
+    /// Posts one notice to the flow's application context queue.
+    fn notify(&mut self, flow: &FlowState, rx_bytes: u32, tx_acked: u32) {
+        let notice = RxNotice {
+            opaque: flow.conn.opaque(),
+            rx_bytes,
+            tx_acked,
+        };
+        self.out.notices.push((flow.conn.context(), notice));
+    }
+
+    fn process_ack(
+        &mut self,
+        now: SimTime,
+        fid: u32,
+        flow: &mut FlowState,
+        seg: &Segment,
+        has_payload: bool,
+        acct: &mut CycleAccount,
+    ) -> u64 {
+        #[cfg(feature = "profile")]
+        let _prof = tas_telemetry::profile::guard("ack");
+        let cost = if has_payload {
+            // Piggybacked ACK: the data-path cost covers it.
+            30
         } else {
-            0
+            self.costs.tcp_rx_ack
+        };
+        let mut cycles = self.charge(acct, Module::Tcp, cost);
+        let ece = seg.tcp.flags.contains(TcpFlags::ECE);
+        let una_seq = flow.seq_of(flow.snd.tx.start_offset());
+        // Accept cumulative ACKs up to the highest byte ever sent —
+        // recovery may have rewound `tx_sent` below data the peer has.
+        let hi_seq = flow.seq_of(flow.snd.max_sent_off().max(flow.nxt_off()));
+        let ack = seg.tcp.ack;
+        // A pure window update may unblock transmission.
+        let wnd_grew = flow.fc.peer_window(seg.tcp.window);
+        let mut want_tx = wnd_grew;
+        if seq::gt(ack, una_seq) && seq::le(ack, hi_seq) {
+            let newly = seq::sub(ack, una_seq) as u64;
+            if !flow.snd.consume_acked(newly) {
+                // ACK range validated against hi_seq above; degrade by
+                // ignoring the ACK rather than corrupting the ring.
+                debug_assert!(false, "acked bytes within the tx ring");
+                return cycles;
+            }
+            flow.cc.count_acked(newly, ece);
+            self.notify(flow, 0, newly as u32);
+            want_tx = true;
+        } else if ack == una_seq && !has_payload && flow.snd.tx_sent() > 0 && !wnd_grew {
+            // Fast-path exception #1: duplicate ACK counting and fast
+            // recovery (§3.1).
+            if ece {
+                flow.cc.count_nominal_mark(self.mss);
+            }
+            if flow.snd.dupack() {
+                flow.cc.count_fast_rexmit();
+                self.stats.fast_rexmits += 1;
+                #[cfg(feature = "trace")]
+                trace_fp(
+                    now,
+                    tas_telemetry::TraceEvent::Retransmit {
+                        flow: flow.conn.key(),
+                        kind: "fast",
+                        seq: una_seq,
+                    },
+                );
+                want_tx = true;
+            }
         }
+        if want_tx {
+            cycles += self.try_tx(now, fid, flow, acct);
+        }
+        cycles
+    }
+
+    fn process_data(
+        &mut self,
+        now: SimTime,
+        flow: &mut FlowState,
+        seg: &Segment,
+        acct: &mut CycleAccount,
+    ) -> u64 {
+        #[cfg(feature = "profile")]
+        let _prof = tas_telemetry::profile::guard("data");
+        let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_rx_data);
+        flow.cc.note_ce(seg.is_ce_marked());
+        match flow.rcv.place(seg.tcp.seq, &seg.payload, self.ooo_rx) {
+            Placed::InOrder(n) => {
+                self.stats.bytes_rx += n as u64;
+                self.notify(flow, n, 0);
+            }
+            Placed::BufFull => {
+                // Dropped silently: TCP flow control makes this uncommon.
+                self.stats.drop_buf_full += 1;
+                return cycles;
+            }
+            Placed::Staged => {
+                #[cfg(feature = "trace")]
+                trace_fp(
+                    now,
+                    tas_telemetry::TraceEvent::OooPlace {
+                        flow: flow.conn.key(),
+                        start: flow.rcv.ooo_start(),
+                        len: flow.rcv.ooo_len() as u64,
+                    },
+                );
+            }
+            Placed::Dropped => self.stats.drop_ooo += 1,
+            // ACK to resynchronize the peer.
+            Placed::Duplicate => {}
+        }
+        cycles + self.emit_ack(now, flow, acct)
+    }
+
+    /// Stages a pure ACK for a flow.
+    fn emit_ack(&mut self, now: SimTime, flow: &mut FlowState, acct: &mut CycleAccount) -> u64 {
+        #[cfg(feature = "profile")]
+        let _prof = tas_telemetry::profile::guard("ack_tx");
+        let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_ack_gen)
+            + self.charge(acct, Module::Driver, self.costs.drv_tx);
+        flow.fc.set_win_closed(flow.adv_window() < self.mss);
+        let ack = flow.segment(
+            now,
+            self.local_ip,
+            self.local_mac,
+            TcpFlags::ACK,
+            PayloadBuf::empty(),
+            false,
+        );
+        self.stats.acks_tx += 1;
+        self.out.packets.push(ack);
+        cycles
+    }
+
+    /// Cuts `n` bytes at the send frontier into one ECT(0) data segment
+    /// and stages it; false (nothing sent) if the ring cannot supply them.
+    fn send_data(&mut self, now: SimTime, flow: &mut FlowState, n: u64) -> bool {
+        let off = flow.nxt_off();
+        // Pooled buffer filled straight from the ring: the per-packet tx
+        // path never touches the allocator in steady state.
+        let mut ok = true;
+        let payload = PayloadBuf::with(n as usize, |dst| {
+            ok = flow.snd.tx.read_into(off, dst).is_ok();
+        });
+        if !ok {
+            debug_assert!(false, "tx offset within ring");
+            return false;
+        }
+        let flags = TcpFlags::ACK | TcpFlags::PSH;
+        let seg = flow.segment(now, self.local_ip, self.local_mac, flags, payload, true);
+        flow.snd.note_sent(n);
+        self.stats.segs_tx += 1;
+        self.out.packets.push(seg);
+        true
+    }
+
+    /// Transmits whatever the rate bucket, congestion window, and peer
+    /// window currently allow.
+    fn try_tx(
+        &mut self,
+        now: SimTime,
+        fid: u32,
+        flow: &mut FlowState,
+        acct: &mut CycleAccount,
+    ) -> u64 {
+        #[cfg(feature = "profile")]
+        let _prof = tas_telemetry::profile::guard("tx");
+        let mut sent_segments = 0u64;
+        flow.cc.refill_bucket(now);
+        loop {
+            let wnd = flow.fc.snd_wnd().min(flow.cc.cwnd());
+            let budget = wnd.saturating_sub(flow.snd.tx_sent());
+            let n = flow.snd.unsent().min(budget).min(self.mss);
+            if n == 0 {
+                break;
+            }
+            let bucket = flow.cc.bucket();
+            if !bucket.is_unlimited() && bucket.tokens < n {
+                // Paced out: arm a timer for when this segment's credit
+                // accrues.
+                let wait = bucket.time_until(n, now);
+                if wait < SimTime::MAX && flow.snd.arm_tx_timer() {
+                    self.stats.timers_armed += 1;
+                    let at = now + wait.max(SimTime::from_ns(500));
+                    self.out.tx_timers.push((fid, at));
+                }
+                break;
+            }
+            if !self.send_data(now, flow, n) {
+                break;
+            }
+            flow.cc.consume_credit(n);
+            sent_segments += 1;
+        }
+        if sent_segments == 0 {
+            return 0;
+        }
+        self.charge(acct, Module::Tcp, self.costs.tcp_tx_seg * sent_segments)
+            + self.charge(acct, Module::Driver, self.costs.drv_tx * sent_segments)
     }
 }
 
@@ -707,7 +523,7 @@ impl FastPath {
 mod tests {
     use super::*;
     use crate::flow::{FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket};
-    use tas_proto::FlowKey;
+    use tas_proto::{Ecn, FlowKey, TcpHeader};
     use tas_shm::ByteRing;
 
     const MSS: u32 = 1448;
@@ -960,6 +776,49 @@ mod tests {
     }
 
     #[test]
+    fn piggybacked_ack_notifies_ack_then_data_and_acks_once() {
+        let mut fp = fp();
+        let fid = install(&mut fp);
+        let mut acct = CycleAccount::new();
+        let flow = fp.flows.get_mut(fid).unwrap();
+        flow.snd.tx.append(&[9u8; 1000]).unwrap();
+        fp.tx_command(SimTime::ZERO, fid, &mut acct);
+        fp.out.packets.clear();
+        // CE-marked data from the peer that also acknowledges all 1000 bytes.
+        let t = SimTime::from_us(100);
+        let mut seg = data_seg(20_001, b"hello", true);
+        seg.tcp.ack = 10_001 + 1000;
+        fp.rx_segment(t, seg, &mut acct);
+        let notice = |rx_bytes, tx_acked| {
+            let opaque = 42;
+            (
+                3,
+                RxNotice {
+                    opaque,
+                    rx_bytes,
+                    tx_acked,
+                },
+            )
+        };
+        assert_eq!(fp.out.notices, vec![notice(0, 1000), notice(5, 0)]);
+        // One ACK, and it is exactly what the flow's builder assembles.
+        let flow = fp.flows.get(fid).unwrap();
+        let built = flow.segment(
+            t,
+            fp.local_ip,
+            fp.local_mac,
+            TcpFlags::ACK,
+            PayloadBuf::empty(),
+            false,
+        );
+        assert_eq!(fp.out.packets, vec![built]);
+        let h = &fp.out.packets[0].tcp;
+        assert_eq!((h.seq, h.ack), (10_001 + 1000, 20_006));
+        assert_eq!(h.flags, TcpFlags::ACK | TcpFlags::ECE);
+        assert_eq!(h.options.timestamp, Some((100, 777)));
+    }
+
+    #[test]
     fn tsecr_ahead_of_the_clock_cannot_overflow_the_rtt_estimate() {
         // TSecr is peer-controlled: echoing a value ahead of our clock
         // wraps the sample to ~2^32 µs, and the second such sample used to
@@ -1007,7 +866,7 @@ mod tests {
         let mut acct = CycleAccount::new();
         // Duplicate-ACK counting requires an unchanged window (RFC 5681);
         // make the flow's view match the ACKs the test sends.
-        fp.flows.get_mut(fid).unwrap().fc.update_wnd(60_000);
+        fp.flows.get_mut(fid).unwrap().fc.peer_window(60_000);
         fp.flows
             .get_mut(fid)
             .unwrap()
@@ -1038,7 +897,7 @@ mod tests {
     fn peer_window_limits_tx() {
         let mut fp = fp();
         let fid = install(&mut fp);
-        fp.flows.get_mut(fid).unwrap().fc.update_wnd(2000);
+        fp.flows.get_mut(fid).unwrap().fc.peer_window(2000);
         let mut acct = CycleAccount::new();
         fp.flows
             .get_mut(fid)

@@ -43,10 +43,15 @@ impl FpFlowCtrl {
         self.win_closed
     }
 
-    /// Updates the peer window (already scaled by the caller, which reads
-    /// `peer_wscale` from this component).
-    pub fn update_wnd(&mut self, scaled: u64) {
+    /// Records the window field of a received header, scaled here. True
+    /// when the window grew: that marks a window update, not a duplicate
+    /// ACK (RFC 5681's "no window change" condition) — a shrinking window
+    /// accompanies held out-of-order data and is a genuine loss signal.
+    pub fn peer_window(&mut self, raw: u16) -> bool {
+        let scaled = (raw as u64) << self.peer_wscale;
+        let grew = scaled > self.snd_wnd;
         self.snd_wnd = scaled;
+        grew
     }
 
     /// Records whether the advertised window has collapsed below one MSS.

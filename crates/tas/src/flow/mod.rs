@@ -6,7 +6,13 @@
 //! (`fc`) and [`FpCongCtrl`] (`cc`). A component's state is private to
 //! its module — reads by getter, writes by the component's `&mut self`
 //! methods — so a foreign write is a compile error here and in every
-//! downstream crate. Two things stay `pub`: the five slots of
+//! downstream crate. Those methods are whole protocol steps, not
+//! setters: a step that touches one component lives in it
+//! ([`FpRecvRel::place`] is the worked example), and the orchestrator in
+//! `fastpath.rs` holds one `&mut FlowState` per packet and only sequences
+//! components. What reads several components — here, the one header
+//! builder [`FlowState::segment`] — sits on the aggregate. Two things
+//! stay `pub`: the five slots of
 //! [`FlowState`] (harnesses build the aggregate literally from the
 //! components' `new` constructors) and the payload rings
 //! [`FpSendRel::tx`] / [`FpRecvRel::rx`], which are the shared-memory
@@ -21,11 +27,16 @@ mod send;
 pub use congctrl::{FpCongCtrl, RateBucket};
 pub use flowctrl::FpFlowCtrl;
 pub use mgmt::FpConnMgmt;
-pub use recv::FpRecvRel;
+pub use recv::{FpRecvRel, Placed};
 pub use send::FpSendRel;
 
 use crate::slab::{FlowIndex, Slab};
-use tas_proto::FlowKey;
+use std::net::Ipv4Addr;
+use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, TcpFlags, TcpHeader};
+use tas_sim::SimTime;
+
+/// TAS's receive window scale shift (negotiated by the slow path).
+pub const TAS_WSCALE: u8 = 7;
 
 /// The architectural per-flow fast-path state, mirroring the paper's
 /// Table 3 field-for-field. The paper counts 102 bytes; this constant is
@@ -112,6 +123,45 @@ impl FlowState {
     pub fn adv_window(&self) -> u64 {
         // Space past the committed frontier, minus the staged OOO interval.
         (self.rcv.rx.free() as u64).saturating_sub(self.rcv.ooo_len() as u64)
+    }
+
+    /// Builds a segment of this flow at the send frontier — the one place
+    /// a fast-path header is assembled. Ports, addresses, sequence,
+    /// cumulative ACK, advertised window, timestamp echo and the
+    /// DCTCP-accurate per-packet ECN echo come from the flow; the caller
+    /// supplies flags, payload and whether the packet is ECT(0).
+    pub fn segment(
+        &self,
+        now: SimTime,
+        local_ip: Ipv4Addr,
+        local_mac: MacAddr,
+        mut flags: TcpFlags,
+        payload: PayloadBuf,
+        ect: bool,
+    ) -> Segment {
+        let key = self.conn.key();
+        if self.cc.last_seg_ce() {
+            flags |= TcpFlags::ECE;
+        }
+        let mut h = TcpHeader::new(
+            key.local_port,
+            key.remote_port,
+            self.seq_of(self.nxt_off()),
+            self.rcv_seq_of(self.rcv.rx.end_offset()),
+            flags,
+        );
+        h.window = (self.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
+        h.options.timestamp = Some((now.as_micros() as u32, self.conn.ts_recent()));
+        let peer_mac = self.conn.peer_mac();
+        Segment::tcp(
+            local_mac,
+            peer_mac,
+            local_ip,
+            key.remote_ip,
+            h,
+            payload,
+            ect,
+        )
     }
 }
 
@@ -259,7 +309,8 @@ mod tests {
     fn adv_window_excludes_ooo_interval() {
         let mut f = dummy_flow(7);
         assert_eq!(f.adv_window(), 1024);
-        f.rcv.set_ooo(0, 100);
+        // 100 bytes staged 10 past the frontier (irs 200: offset 0 is 201).
+        assert_eq!(f.rcv.place(211, &[7; 100], true), Placed::Staged);
         assert_eq!(f.adv_window(), 924);
     }
 }

@@ -90,37 +90,39 @@ impl FpSendRel {
         self.tx.start_offset() + self.tx_sent
     }
 
-    /// Releases `newly` cumulatively acknowledged bytes from the ring and
-    /// the in-flight count; false on ring-accounting failure (the caller
-    /// degrades by ignoring the ACK).
+    /// Buffered bytes not yet transmitted.
+    #[inline]
+    pub fn unsent(&self) -> u64 {
+        self.tx.end_offset().saturating_sub(self.nxt_off())
+    }
+
+    /// Progress at the left edge: releases `newly` cumulatively
+    /// acknowledged bytes from the ring and the in-flight count and
+    /// restarts duplicate-ACK counting; false on ring-accounting failure
+    /// (the caller degrades by ignoring the ACK).
     pub fn consume_acked(&mut self, newly: u64) -> bool {
         if self.tx.consume(newly).is_err() {
             return false;
         }
         self.tx_sent = self.tx_sent.saturating_sub(newly);
+        self.dupack_cnt = 0;
         true
     }
 
-    /// Progress at the left edge: restart duplicate-ACK counting.
-    pub fn reset_dupacks(&mut self) {
-        self.dupack_cnt = 0;
-    }
-
-    /// Counts one duplicate ACK; returns the new count.
-    pub fn count_dupack(&mut self) -> u8 {
+    /// Counts one duplicate ACK; on the third, fast recovery rewinds the
+    /// sender (§3.1) and this returns true.
+    pub fn dupack(&mut self) -> bool {
         self.dupack_cnt = self.dupack_cnt.saturating_add(1);
-        self.dupack_cnt
+        let recover = self.dupack_cnt >= 3;
+        if recover {
+            self.rewind();
+        }
+        recover
     }
 
-    /// Fast recovery: reset the sender as if unacked segments were never
-    /// sent (§3.1).
-    pub fn reset_for_fast_rexmit(&mut self) {
-        self.dupack_cnt = 0;
-        self.tx_sent = 0;
-    }
-
-    /// Slow-path-triggered go-back-N: rewind everything in flight.
-    pub fn rewind_for_retransmit(&mut self) {
+    /// Go-back-N, for fast recovery and the slow path's timeout alike:
+    /// reset the sender as if unacked segments were never sent (§3.1).
+    pub fn rewind(&mut self) {
         self.tx_sent = 0;
         self.dupack_cnt = 0;
     }
@@ -131,9 +133,9 @@ impl FpSendRel {
         self.max_sent_off = self.max_sent_off.max(self.nxt_off());
     }
 
-    /// A pacing timer was armed for this flow.
-    pub fn arm_tx_timer(&mut self) {
-        self.tx_timer_armed = true;
+    /// Arms the pacing timer; false if one is already pending.
+    pub fn arm_tx_timer(&mut self) -> bool {
+        !std::mem::replace(&mut self.tx_timer_armed, true)
     }
 
     /// The pacing timer fired (or was consumed).

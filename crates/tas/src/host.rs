@@ -109,17 +109,6 @@ enum FpCmd {
     RxBump(u32),
 }
 
-enum SpCmd {
-    Connect {
-        sock: SockId,
-        ip: Ipv4Addr,
-        port: u16,
-    },
-    Close {
-        sock: SockId,
-    },
-}
-
 /// Deferred work collected while an app handler runs.
 #[derive(Default)]
 struct Frame {
@@ -128,7 +117,7 @@ struct Frame {
     api_cycles: u64,
     app_cycles: u64,
     fp_cmds: Vec<FpCmd>,
-    sp_cmds: Vec<SpCmd>,
+    sp_cmds: Vec<SpWork>,
     timers: Vec<(SimTime, u64)>,
     posts: Vec<(u16, u64)>,
 }
@@ -947,11 +936,7 @@ impl TasHost {
             context,
             now: t_eff,
             api_cycles: poll_cost,
-            app_cycles: 0,
-            fp_cmds: Vec::new(),
-            sp_cmds: Vec::new(),
-            timers: Vec::new(),
-            posts: Vec::new(),
+            ..Default::default()
         };
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "nested app delivery");
@@ -1014,11 +999,7 @@ impl TasHost {
             self.inner.fp_q.push_back(cmd);
             ctx.timer_at(end, timers::FP_CMD, 0);
         }
-        for cmd in frame.sp_cmds {
-            let work = match cmd {
-                SpCmd::Connect { sock, ip, port } => SpWork::Connect { sock, ip, port },
-                SpCmd::Close { sock } => SpWork::Close { sock },
-            };
+        for work in frame.sp_cmds {
             self.defer_sp(end, work, ctx);
         }
     }
@@ -1094,9 +1075,6 @@ impl TasHost {
         inner
             .series
             .record("cores.active_fp", inner.active_fp as f64);
-        inner
-            .series
-            .record("nic.rx_pending", inner.nic.rx_pending() as f64);
         let (mut tx_bytes, mut rx_bytes) = (0u64, 0u64);
         for (_, f) in inner.fp.flows.iter() {
             tx_bytes += f.snd.tx.len() as u64;
@@ -1128,14 +1106,8 @@ impl TasHost {
         // Run the app's on_start through the same frame machinery.
         let t = ctx.now();
         self.inner.frame = Frame {
-            context: 0,
             now: t,
-            api_cycles: 0,
-            app_cycles: 0,
-            fp_cmds: Vec::new(),
-            sp_cmds: Vec::new(),
-            timers: Vec::new(),
-            posts: Vec::new(),
+            ..Default::default()
         };
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "app missing at start");
@@ -1199,7 +1171,7 @@ impl StackApi for Api<'_> {
         self.inner
             .frame
             .sp_cmds
-            .push(SpCmd::Connect { sock: id, ip, port });
+            .push(SpWork::Connect { sock: id, ip, port });
         id
     }
 
@@ -1284,7 +1256,7 @@ impl StackApi for Api<'_> {
 
     fn close(&mut self, sock: SockId) {
         self.call_cost(self.inner.cfg.costs.so_conn_op);
-        self.inner.frame.sp_cmds.push(SpCmd::Close { sock });
+        self.inner.frame.sp_cmds.push(SpWork::Close { sock });
     }
 
     fn charge_app_cycles(&mut self, cycles: u64) {
@@ -1315,11 +1287,7 @@ impl Agent<NetMsg> for TasHost {
             } => {
                 let now = ctx.now();
                 self.sample_series(now);
-                let q = self.inner.nic.rx_enqueue(seg);
-                let Some(seg) = self.inner.nic.rx_dequeue(q) else {
-                    debug_assert!(false, "rx_dequeue empty immediately after rx_enqueue");
-                    return;
-                };
+                let q = self.inner.nic.rx_steer(&seg);
                 #[cfg(feature = "trace")]
                 tas_telemetry::emit(|| tas_telemetry::TraceRecord {
                     t: now,

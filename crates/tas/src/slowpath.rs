@@ -13,9 +13,9 @@
 
 use crate::cc::{dctcp_rate_iteration, timely_iteration, DctcpRateParams, TimelyParams};
 use crate::config::{CcAlgo, TasConfig};
-use crate::fastpath::{FastPath, TAS_WSCALE};
+use crate::fastpath::FastPath;
 use crate::flow::{
-    FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket,
+    FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket, TAS_WSCALE,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -280,52 +280,15 @@ impl SlowPath {
     }
 
     fn send_syn(&mut self, now: SimTime, hs: &Handshake) {
-        let mut h = TcpHeader::new(
-            hs.key.local_port,
-            hs.key.remote_port,
-            hs.iss,
-            0,
-            TcpFlags::SYN,
-        );
         // ECN negotiation (TAS runs DCTCP).
-        h.flags |= TcpFlags::ECE | TcpFlags::CWR;
-        h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
-        h.options.wscale = Some(TAS_WSCALE);
-        h.options.timestamp = Some((now.as_micros() as u32, 0));
-        h.window = self.rx_buf.min(u16::MAX as usize) as u16;
-        self.out.packets.push(Segment::tcp(
-            self.local_mac,
-            hs.peer_mac,
-            self.local_ip,
-            hs.key.remote_ip,
-            h,
-            Vec::new(),
-            false,
-        ));
+        let flags = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
+        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, 0, 0);
     }
 
     fn send_synack(&mut self, now: SimTime, hs: &Handshake) {
-        let mut h = TcpHeader::new(
-            hs.key.local_port,
-            hs.key.remote_port,
-            hs.iss,
-            hs.irs.wrapping_add(1),
-            TcpFlags::SYN | TcpFlags::ACK,
-        );
-        h.flags |= TcpFlags::ECE; // Accept ECN.
-        h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
-        h.options.wscale = Some(TAS_WSCALE);
-        h.options.timestamp = Some((now.as_micros() as u32, hs.ts_recent));
-        h.window = self.rx_buf.min(u16::MAX as usize) as u16;
-        self.out.packets.push(Segment::tcp(
-            self.local_mac,
-            hs.peer_mac,
-            self.local_ip,
-            hs.key.remote_ip,
-            h,
-            Vec::new(),
-            false,
-        ));
+        let flags = TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE; // Accept ECN.
+        let ack = hs.irs.wrapping_add(1);
+        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, ack, hs.ts_recent);
     }
 
     /// Builds the established flow state and installs it in the fast path.
@@ -432,37 +395,39 @@ impl SlowPath {
     }
 
     fn send_fin(&mut self, now: SimTime, td: &Teardown) {
-        let mut h = TcpHeader::new(
-            td.key.local_port,
-            td.key.remote_port,
+        let flags = TcpFlags::FIN | TcpFlags::ACK;
+        self.send_ctrl(
+            now,
+            td.key,
+            td.peer_mac,
+            flags,
             td.fin_seq,
             td.rcv_ack,
-            TcpFlags::FIN | TcpFlags::ACK,
+            td.ts_recent,
         );
-        h.options.timestamp = Some((now.as_micros() as u32, td.ts_recent));
-        h.window = self.rx_buf.min(u16::MAX as usize) as u16;
-        self.out.packets.push(Segment::tcp(
-            self.local_mac,
-            td.peer_mac,
-            self.local_ip,
-            td.key.remote_ip,
-            h,
-            Vec::new(),
-            false,
-        ));
     }
 
-    fn send_plain_ack(
+    /// Stages one payload-free control segment — the one place the slow
+    /// path assembles a header. Every such segment advertises the whole
+    /// receive buffer and echoes `ts_ecr`; one that carries SYN also
+    /// offers the MSS and window-scale options.
+    #[allow(clippy::too_many_arguments)]
+    fn send_ctrl(
         &mut self,
         now: SimTime,
         key: FlowKey,
         peer_mac: MacAddr,
+        flags: TcpFlags,
         seq_no: u32,
         ack: u32,
-        ts: u32,
+        ts_ecr: u32,
     ) {
-        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no, ack, TcpFlags::ACK);
-        h.options.timestamp = Some((now.as_micros() as u32, ts));
+        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no, ack, flags);
+        if flags.contains(TcpFlags::SYN) {
+            h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
+            h.options.wscale = Some(TAS_WSCALE);
+        }
+        h.options.timestamp = Some((now.as_micros() as u32, ts_ecr));
         h.window = self.rx_buf.min(u16::MAX as usize) as u16;
         self.out.packets.push(Segment::tcp(
             self.local_mac,
@@ -561,10 +526,11 @@ impl SlowPath {
             hs.peer_win = seg.tcp.window as u64; // SYN windows unscaled.
             hs.ts_recent = ts;
             // Final ACK of the handshake.
-            self.send_plain_ack(
+            self.send_ctrl(
                 now,
                 key,
                 hs.peer_mac,
+                TcpFlags::ACK,
                 hs.iss.wrapping_add(1),
                 hs.irs.wrapping_add(1),
                 hs.ts_recent,
@@ -677,7 +643,7 @@ impl SlowPath {
                 deadline: SimTime::MAX,
                 attempts: 0,
             };
-            self.send_plain_ack(now, key, peer_mac, seq_no, rcv_ack, ts);
+            self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, rcv_ack, ts);
             self.teardowns.insert(key, td);
             self.out.events.push(SpAppEvent::PeerClosed { fid });
             return 0;
@@ -694,7 +660,8 @@ impl SlowPath {
             td.rcv_ack = ack;
             let (peer_mac, fin_seq, fin_acked) = (td.peer_mac, td.fin_seq, td.fin_acked);
             // ACK their FIN; our seq is past our FIN.
-            self.send_plain_ack(now, key, peer_mac, fin_seq.wrapping_add(1), ack, ts);
+            let seq_no = fin_seq.wrapping_add(1);
+            self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, ack, ts);
             if fin_acked
                 || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == fin_seq.wrapping_add(1)
             {
@@ -719,10 +686,11 @@ impl SlowPath {
             return 0;
         }
         // Stray FIN (state already gone): ACK it so the peer stops.
-        self.send_plain_ack(
+        self.send_ctrl(
             now,
             key,
             seg.eth.src,
+            TcpFlags::ACK,
             seg.tcp.ack,
             seg.tcp
                 .seq
