@@ -1,5 +1,6 @@
 //! Processor cores as busy-until timelines.
 
+use tas_sim::time::mul_div;
 use tas_sim::SimTime;
 
 /// The class of silicon a core belongs to.
@@ -92,13 +93,13 @@ impl Core {
 
     /// Converts a cycle count to wall time on this core.
     pub fn cycles_to_time(&self, cycles: u64) -> SimTime {
-        // ps = cycles * 1e12 / freq, in u128 to avoid overflow.
-        SimTime::from_ps(((cycles as u128 * 1_000_000_000_000) / self.freq_hz as u128) as u64)
+        // ps = cycles * 1e12 / freq.
+        SimTime::from_ps(mul_div(cycles, 1_000_000_000_000, self.freq_hz))
     }
 
     /// Converts wall time to cycles on this core.
     pub fn time_to_cycles(&self, t: SimTime) -> u64 {
-        ((t.as_ps() as u128 * self.freq_hz as u128) / 1_000_000_000_000) as u64
+        mul_div(t.as_ps(), self.freq_hz, 1_000_000_000_000)
     }
 
     /// Schedules `cycles` of work arriving at `now`; returns the start and

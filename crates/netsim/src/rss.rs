@@ -15,7 +15,8 @@ pub const TOEPLITZ_KEY: [u8; 40] = [
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
-/// Toeplitz hash over arbitrary input bytes with the given key.
+/// Toeplitz hash over arbitrary input bytes with the given key, one input
+/// bit at a time: the reference [`hash_tuple`]'s table is tested against.
 pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     let mut result: u32 = 0;
     // The hash window is the first 32 bits of the key, shifting left one
@@ -39,15 +40,62 @@ pub fn toeplitz_hash(key: &[u8; 40], input: &[u8]) -> u32 {
     result
 }
 
+/// Key bits `[bit, bit + 32)` of [`TOEPLITZ_KEY`]: the hash window that
+/// input bit `bit` selects.
+const fn key_window(bit: usize) -> u32 {
+    let mut w: u32 = 0;
+    let mut k = 0;
+    while k < 32 {
+        let idx = bit + k;
+        w = (w << 1) | (TOEPLITZ_KEY[idx / 8] >> (7 - idx % 8) & 1) as u32;
+        k += 1;
+    }
+    w
+}
+
+/// `TUPLE_TABLE[i][b]` is the hash of the 12-byte input whose byte `i` is
+/// `b` and whose other bytes are zero. Toeplitz is linear over GF(2), so a
+/// tuple's hash is the XOR of one entry per input byte (12 KiB, built at
+/// compile time).
+static TUPLE_TABLE: [[u32; 256]; 12] = {
+    let mut t = [[0u32; 256]; 12];
+    let mut i = 0;
+    while i < 12 {
+        let mut b = 0;
+        while b < 256 {
+            let mut bit = 0;
+            while bit < 8 {
+                if b >> (7 - bit) & 1 == 1 {
+                    t[i][b] ^= key_window(i * 8 + bit);
+                }
+                bit += 1;
+            }
+            b += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
 /// Hashes an IPv4/TCP 4-tuple as NICs do for RSS (src ip, dst ip, src
-/// port, dst port, all big-endian).
+/// port, dst port, all big-endian): `toeplitz_hash(&TOEPLITZ_KEY, ..)` of
+/// the 12 bytes, computed as one table lookup per byte.
 pub fn hash_tuple(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16) -> u32 {
+    tuple_bytes(src, dst, sport, dport)
+        .iter()
+        .zip(&TUPLE_TABLE)
+        .fold(0, |h, (&b, row)| h ^ row[b as usize])
+}
+
+/// The RSS hash input for a 4-tuple: src ip, dst ip, src port, dst port,
+/// big-endian.
+fn tuple_bytes(src: Ipv4Addr, dst: Ipv4Addr, sport: u16, dport: u16) -> [u8; 12] {
     let mut input = [0u8; 12];
     input[0..4].copy_from_slice(&src.octets());
     input[4..8].copy_from_slice(&dst.octets());
     input[8..10].copy_from_slice(&sport.to_be_bytes());
     input[10..12].copy_from_slice(&dport.to_be_bytes());
-    toeplitz_hash(&TOEPLITZ_KEY, &input)
+    input
 }
 
 /// The NIC's RSS redirection table: hash → receive queue.
@@ -148,6 +196,22 @@ mod tests {
             // The spec orders the tuple (src, dst, sport, dport).
             let got = hash_tuple(src, dst, sport, dport);
             assert_eq!(got, want, "tuple {src}:{sport} -> {dst}:{dport}");
+        }
+    }
+
+    #[test]
+    fn tuple_table_matches_bit_serial_reference() {
+        let mut rng = tas_sim::Rng::new(0x7055);
+        for _ in 0..100_000 {
+            let (a, b) = (rng.next_u64(), rng.next_u64());
+            let src = Ipv4Addr::from(a as u32);
+            let dst = Ipv4Addr::from((a >> 32) as u32);
+            let (sport, dport) = (b as u16, (b >> 16) as u16);
+            assert_eq!(
+                hash_tuple(src, dst, sport, dport),
+                toeplitz_hash(&TOEPLITZ_KEY, &tuple_bytes(src, dst, sport, dport)),
+                "tuple {src}:{sport} -> {dst}:{dport}"
+            );
         }
     }
 

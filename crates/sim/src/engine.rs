@@ -5,13 +5,14 @@
 //! engine is single-threaded and deterministic: effects requested while
 //! handling an event enqueue in call order (and are never observable by the
 //! requesting handler), and ties on timestamps dispatch in insertion order.
-//! Same-timestamp runs are drained from the queue in one batch.
+//! Dispatch is one bounded pop per event ([`EventQueue::pop_due`]): an
+//! event lives in the queue until the moment its handler is called, so it
+//! can be cancelled until then — same-instant timers included.
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::{EventId, EventQueue, QueueStats};
 use crate::rng::Rng;
 use crate::time::SimTime;
 use std::any::Any;
-use std::collections::VecDeque;
 
 /// Identifier of an agent within a [`Sim`].
 pub type AgentId = u32;
@@ -143,11 +144,11 @@ impl<M> Ctx<'_, M> {
 
     /// Cancels a pending timer: it is reclaimed without dispatching.
     ///
-    /// Returns true if the handle was still live. Cancellation is
-    /// guaranteed for timers strictly in the future; a timer at the instant
-    /// currently dispatching may already be in flight (agents keep their
-    /// own generation/liveness guards for that case). Stale handles are a
-    /// safe no-op.
+    /// Returns true if the handle was still live, that is, the timer had
+    /// neither fired nor been cancelled — a timer due at the instant being
+    /// dispatched, but behind the current event in `(time, seq)` order, is
+    /// still pending and is cancelled like any other. A timer that returned
+    /// true never fires. Stale handles are a safe no-op.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.queue.cancel(id)
     }
@@ -188,8 +189,6 @@ pub struct Sim<M> {
     queue: EventQueue<Scheduled<M>>,
     agents: Vec<Option<Box<dyn Agent<M>>>>,
     rng: Rng,
-    /// Same-timestamp run drained from the queue, awaiting dispatch.
-    batch: VecDeque<(SimTime, Scheduled<M>)>,
     events_processed: u64,
     stopped: bool,
 }
@@ -202,7 +201,6 @@ impl<M: 'static> Sim<M> {
             queue: EventQueue::new(),
             agents: Vec::new(),
             rng: Rng::new(seed),
-            batch: VecDeque::new(),
             events_processed: 0,
             stopped: false,
         }
@@ -223,6 +221,11 @@ impl<M: 'static> Sim<M> {
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Exact work counts of the event queue since the simulation began.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// The simulation PRNG (for harness-side draws between runs).
@@ -311,31 +314,14 @@ impl<M: 'static> Sim<M> {
         panic!("agent type mismatch")
     }
 
-    /// Next event to dispatch: the head of the current batch, refilled by
-    /// draining the queue's next same-timestamp run in one go.
-    fn next_event(&mut self) -> Option<(SimTime, Scheduled<M>)> {
-        if let Some(x) = self.batch.pop_front() {
-            return Some(x);
-        }
-        self.queue.pop_batch(&mut self.batch);
-        self.batch.pop_front()
-    }
-
-    /// Timestamp of the next event to dispatch, if any.
-    fn peek_next_time(&mut self) -> Option<SimTime> {
-        match self.batch.front() {
-            Some((t, _)) => Some(*t),
-            None => self.queue.peek_time(),
-        }
-    }
-
-    /// Dispatches the next event. Returns `false` when the queue is empty
-    /// or an agent requested a stop.
-    pub fn step(&mut self) -> bool {
+    /// Dispatches the next event if it is due at or before `deadline`.
+    /// Returns `false` when it is not, the queue is empty, or an agent
+    /// requested a stop.
+    fn dispatch_due(&mut self, deadline: SimTime) -> bool {
         if self.stopped {
             return false;
         }
-        let Some((t, sch)) = self.next_event() else {
+        let Some((t, sch)) = self.queue.pop_due(deadline) else {
             return false;
         };
         debug_assert!(t >= self.now, "time must be monotonic");
@@ -364,18 +350,17 @@ impl<M: 'static> Sim<M> {
         !self.stopped
     }
 
+    /// Dispatches the next event. Returns `false` when the queue is empty
+    /// or an agent requested a stop.
+    pub fn step(&mut self) -> bool {
+        self.dispatch_due(SimTime::MAX)
+    }
+
     /// Runs until the queue is exhausted, `deadline` is reached, or an
     /// agent stops the run. Returns the number of events dispatched.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start = self.events_processed;
-        while let Some(t) = self.peek_next_time() {
-            if t > deadline || self.stopped {
-                break;
-            }
-            if !self.step() {
-                break;
-            }
-        }
+        while self.dispatch_due(deadline) {}
         if self.now < deadline && !self.stopped {
             self.now = deadline;
         }
@@ -556,6 +541,60 @@ mod tests {
     }
 
     #[test]
+    fn same_instant_cancel_succeeds_and_the_timer_never_fires() {
+        // The `Ctx::cancel_timer` contract at the instant being dispatched:
+        // a timer behind the current event is still pending, so cancelling
+        // it returns true and it is not delivered; the event being handled
+        // and the ones before it are gone, so their handles are stale.
+        struct Canceller {
+            ids: Vec<TimerId>,
+            fired: Vec<u64>,
+            results: Vec<(u64, bool)>,
+        }
+        impl Agent<Msg> for Canceller {
+            fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Ctx<'_, Msg>) {
+                let Event::Timer { data, .. } = ev else {
+                    return;
+                };
+                self.fired.push(data);
+                if data == 1 {
+                    for victim in [0, 1, 3, 5] {
+                        let hit = ctx.cancel_timer(self.ids[victim as usize]);
+                        self.results.push((victim, hit));
+                    }
+                    // Armed and cancelled within one handler, same instant.
+                    let own = ctx.timer(SimTime::ZERO, 0, 99);
+                    self.results.push((99, ctx.cancel_timer(own)));
+                }
+            }
+            impl_as_any!();
+        }
+        let mut sim: Sim<Msg> = Sim::new(11);
+        let a = sim.add_agent(Box::new(Canceller {
+            ids: Vec::new(),
+            fired: Vec::new(),
+            results: Vec::new(),
+        }));
+        let t = SimTime::from_us(4);
+        // Timers 0..=3 at `t`, 4 and 5 one tick of the clock later.
+        let ids: Vec<TimerId> = (0..6)
+            .map(|i| sim.inject_timer(t + SimTime::from_ps(i / 4), a, 0, i))
+            .collect();
+        sim.agent_mut::<Canceller>(a).ids = ids;
+        let n = sim.run_until(SimTime::from_ms(1));
+        let c = sim.agent::<Canceller>(a);
+        assert_eq!(
+            c.results,
+            vec![(0, false), (1, false), (3, true), (5, true), (99, true)]
+        );
+        assert_eq!(c.fired, vec![0, 1, 2, 4]);
+        assert_eq!(n, 4, "a cancelled timer is not an event");
+        // All three were already in the sorted ready run (3 and 5 drained
+        // with the slot, 99 pushed inside the drained window).
+        assert_eq!(sim.queue_stats().cancels_ready, 3);
+    }
+
+    #[test]
     fn same_timestamp_batch_preserves_insertion_order() {
         struct Rec {
             got: Vec<u64>,
@@ -564,8 +603,8 @@ mod tests {
             fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Ctx<'_, Msg>) {
                 if let Event::Timer { data, .. } = ev {
                     self.got.push(data);
-                    // Events pushed mid-batch at the same instant dispatch
-                    // after the already-drained run, in push order.
+                    // Events pushed while a same-instant run dispatches go
+                    // behind it, in push order.
                     if data < 3 {
                         ctx.timer(SimTime::ZERO, 0, data + 100);
                     }

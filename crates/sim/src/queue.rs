@@ -9,20 +9,24 @@
 //! Four wheel levels of 256 slots each cover an expanding horizon above the
 //! cursor (the end of the last drained window):
 //!
-//! | level | tick      | horizon  |
-//! |-------|-----------|----------|
-//! | 0     | 1024 ps   | ~262 ns  |
-//! | 1     | ~262 ns   | ~67 us   |
-//! | 2     | ~67 us    | ~17 ms   |
-//! | 3     | ~17 ms    | ~4.4 s   |
+//! | level | tick             | horizon   | what lands there                  |
+//! |-------|------------------|-----------|-----------------------------------|
+//! | 0     | 2^18 ps ~ 262 ns | ~67 us    | wire, switch, core and doorbell hops |
+//! | 1     | 2^26 ps ~ 67 us  | ~17 ms    | think times, pacing, control loop |
+//! | 2     | 2^34 ps ~ 17 ms  | ~4.4 s    | RTOs, handshake retries           |
+//! | 3     | 2^42 ps ~ 4.4 s  | ~1126 s   | idle and harness timers           |
 //!
 //! Events beyond the top horizon park in a small overflow [`BinaryHeap`] and
 //! are pulled into the wheel as the cursor approaches them. Pushing and
 //! popping are O(1) amortised; each event cascades through at most
-//! `LEVELS - 1` slots on its way down. A drained level-0 slot is sorted by
-//! `(time, seq)` into a ready deque, which restores the exact global
-//! dispatch order of the old global binary heap (kept as [`HeapQueue`] for
-//! differential testing and before/after benchmarks).
+//! `LEVELS - 1` slots on its way down, and the finest level is sized so
+//! that the events a scenario actually dispatches are placed exactly once
+//! (see [`G0_SHIFT`]). A drained level-0 slot is sorted by `(time, seq)`
+//! into the ready run, which restores the exact global dispatch order of
+//! the old global binary heap (kept as [`HeapQueue`] for differential
+//! testing and before/after benchmarks); an event pushed inside the window
+//! already drained — less than one tick ahead — is merged into that sorted
+//! run directly. [`EventQueue::stats`] counts each of these steps.
 //!
 //! # Memory layout
 //!
@@ -44,7 +48,9 @@
 //!
 //! [`EventQueue::push`] returns an [`EventId`]; [`EventQueue::cancel`]
 //! resolves it through the generation-checked slab, so a stale handle (the
-//! event already dispatched, or the slot recycled) is a safe no-op. The
+//! event already dispatched, or the slot recycled) is a safe no-op, and a
+//! live handle always cancels — an event stays cancellable until the pop
+//! that returns it, including one due at the instant being dispatched. The
 //! entry records where it lives: an entry still in a wheel slot is
 //! tombstoned in O(1) at cancel time (slot vecs are unsorted until drained,
 //! so this never perturbs dispatch order), while the rare entries already
@@ -57,8 +63,23 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// log2 of the level-0 tick in picoseconds (1024 ps ~= 1 ns).
-const G0_SHIFT: u32 = 10;
+/// log2 of the level-0 tick in picoseconds (2^18 ps ~= 262 ns).
+///
+/// The finest level is where a typical event should land on its one and
+/// only placement, so its reach (256 ticks) has to cover the horizons the
+/// scenarios push, not the resolution of the clock: order inside a tick
+/// comes from the sort at drain time, whatever the tick. Counted over a
+/// whole `rpc64_tas_sim` benchmark run (seed 1, 8 s), 0.14 % of 28.5 M
+/// events were pushed less than 262 ns ahead of the clock (none under
+/// 32 ns; the mode is 1-2 us, and on `kv_linux_sim` nothing is under
+/// 0.5 us), so with the former 1 ns tick every event was placed at level 1
+/// and cascaded: 2.10 placements per event and 1.14 events per drained
+/// slot, against 1.10 and 13.0 with this tick (DESIGN.md §12 has the
+/// histogram for all three simulator workloads). Host time per packet
+/// read flat within noise from 2^16 to 2^20 and ~7 % worse at 2^14
+/// (cascades return) and 2^22 (sorted runs and in-window inserts grow),
+/// which is why this is a constant and not a setting.
+const G0_SHIFT: u32 = 18;
 /// log2 of the slot count per level.
 const LEVEL_BITS: u32 = 8;
 /// Slots per wheel level.
@@ -77,6 +98,44 @@ const HOLE_NONE: u32 = u32::MAX;
 
 const fn level_shift(level: usize) -> u32 {
     G0_SHIFT + LEVEL_BITS * level as u32
+}
+
+/// Exact work counts of an [`EventQueue`] since it was created: how often
+/// each step of the structure ran, not how long it took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Events pushed.
+    pub pushes: u64,
+    /// Events popped (dispatched).
+    pub pops: u64,
+    /// Entries placed into a wheel slot, by level (first placements and
+    /// re-placements alike).
+    pub placed_level: [u64; LEVELS],
+    /// Entries placed into the overflow heap.
+    pub placed_overflow: u64,
+    /// Entries placed into the sorted ready run because they were due
+    /// inside the window already drained.
+    pub placed_ready: u64,
+    /// Of all placements, those that re-placed an entry coming down from
+    /// a coarser slot or from the overflow heap.
+    pub cascaded: u64,
+    /// Level-0 slots drained into the ready run.
+    pub drains: u64,
+    /// Entries those drains moved.
+    pub drained: u64,
+    /// Cancels that found their entry in a wheel slot (reclaimed at once).
+    pub cancels_wheel: u64,
+    /// Cancels that found their entry in the ready run (marked).
+    pub cancels_ready: u64,
+    /// Cancels that found their entry in the overflow heap (marked).
+    pub cancels_overflow: u64,
+}
+
+impl QueueStats {
+    /// Every placement made: `pushes + cascaded`.
+    pub fn placements(&self) -> u64 {
+        self.placed_level.iter().sum::<u64>() + self.placed_overflow + self.placed_ready
+    }
 }
 
 /// Handle to a pending event, returned by [`EventQueue::push`].
@@ -258,7 +317,7 @@ pub struct EventQueue<E> {
     /// Recycled entry slots, LIFO.
     free: Vec<u32>,
     overflow: BinaryHeap<HeapEnt>,
-    /// Entries below `cursor`, sorted by `(at, seq)`, ready to pop.
+    /// The ready run: entries below `cursor`, sorted by `(at, seq)`.
     ready: VecDeque<ReadyEnt>,
     /// Exclusive end of the drained window; wheel entries are all `>= cursor`.
     /// Always a multiple of the level-0 tick.
@@ -272,8 +331,7 @@ pub struct EventQueue<E> {
     /// How many of those sit in the ready run: while zero, peek/pop skip
     /// the per-entry liveness check entirely.
     marked_ready: usize,
-    /// Reusable drain buffer for sorting a level-0 slot.
-    scratch: Vec<ReadyEnt>,
+    stats: QueueStats,
 }
 
 impl<E> EventQueue<E> {
@@ -291,7 +349,7 @@ impl<E> EventQueue<E> {
             resident: 0,
             cancelled_live: 0,
             marked_ready: 0,
-            scratch: Vec::new(),
+            stats: QueueStats::default(),
         }
     }
 
@@ -320,8 +378,14 @@ impl<E> EventQueue<E> {
             EventId { slot, gen: 0 }
         };
         self.resident += 1;
+        self.stats.pushes += 1;
         self.place(id.slot, at.as_ps(), seq);
         id
+    }
+
+    /// Work counts since creation (see [`QueueStats`]).
+    pub fn stats(&self) -> QueueStats {
+        self.stats
     }
 
     /// Bumps an entry slot's generation and returns it to the free list.
@@ -338,10 +402,9 @@ impl<E> EventQueue<E> {
 
     /// Cancels a pending event: it is dropped without dispatching.
     ///
-    /// Returns true if the handle was still live. Stale handles (already
-    /// dispatched or cancelled) are a safe no-op. Cancellation is guaranteed
-    /// for events strictly in the future; an event at the instant currently
-    /// being dispatched may already have left the queue.
+    /// Returns true if the handle was still live: the event had been
+    /// neither popped nor cancelled, whatever its timestamp. Stale handles
+    /// are a safe no-op.
     ///
     /// An entry still in a wheel slot is tombstoned in O(1) (slot vecs are
     /// unsorted until their level-0 drain sorts them, so this is invisible
@@ -371,9 +434,11 @@ impl<E> EventQueue<E> {
                     self.data[id.slot as usize].event = None;
                 }
                 self.resident -= 1;
+                self.stats.cancels_wheel += 1;
                 self.release(id.slot);
             }
             Kind::Ready => {
+                self.stats.cancels_ready += 1;
                 self.data[id.slot as usize].event = None;
                 self.cancelled_live += 1;
                 self.marked_ready += 1;
@@ -382,6 +447,7 @@ impl<E> EventQueue<E> {
                 }
             }
             Kind::Overflow => {
+                self.stats.cancels_overflow += 1;
                 self.data[id.slot as usize].event = None;
                 self.cancelled_live += 1;
                 if self.cancelled_live > self.live_len() + COMPACT_SLACK {
@@ -398,41 +464,28 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// Removes and returns the earliest live event if it is due at or
+    /// before `deadline`; a later one stays queued. This is the engine's
+    /// whole dispatch step: one look at the front, and the payload moves
+    /// from its entry slot to the caller.
+    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if !self.prepare_front() {
             return None;
         }
-        let r = self.ready.pop_front()?;
+        let r = *self.ready.front()?;
+        if r.at > deadline.as_ps() {
+            return None;
+        }
+        self.ready.pop_front();
         self.resident -= 1;
+        self.stats.pops += 1;
         let event = self.data[r.ctl as usize].event.take();
         self.release(r.ctl);
         debug_assert!(event.is_some(), "live ready entry has a payload");
         event.map(|e| (SimTime::from_ps(r.at), e))
-    }
-
-    /// Drains the maximal run of earliest events sharing one timestamp into
-    /// `out` (appending, in dispatch order). Returns the number drained.
-    pub fn pop_batch(&mut self, out: &mut VecDeque<(SimTime, E)>) -> usize {
-        if !self.prepare_front() {
-            return 0;
-        }
-        let t = self.ready.front().map(|r| r.at);
-        let mut n = 0;
-        while let Some(r) = self.ready.front() {
-            if Some(r.at) != t || (self.marked_ready > 0 && self.is_cancelled(r.ctl)) {
-                break;
-            }
-            let r = self.ready.pop_front().expect("front checked");
-            self.resident -= 1;
-            let event = self.data[r.ctl as usize].event.take();
-            self.release(r.ctl);
-            let Some(e) = event else {
-                debug_assert!(false, "live ready entry has a payload");
-                continue;
-            };
-            out.push_back((SimTime::from_ps(r.at), e));
-            n += 1;
-        }
-        n
     }
 
     /// Timestamp of the earliest live event.
@@ -471,6 +524,7 @@ impl<E> EventQueue<E> {
     fn place(&mut self, slot: u32, at: u64, seq: u64) {
         if at < self.cursor {
             // Inside the already-drained window: merge into the ready run.
+            self.stats.placed_ready += 1;
             let r = ReadyEnt { at, seq, ctl: slot };
             if self.ready.back().is_none_or(|b| (b.at, b.seq) < (at, seq)) {
                 self.ready.push_back(r);
@@ -487,6 +541,7 @@ impl<E> EventQueue<E> {
             let shift = level_shift(k);
             if (at >> shift) - (self.cursor >> shift) < SLOTS as u64 {
                 let idx = ((at >> shift) as usize) & (SLOTS - 1);
+                self.stats.placed_level[k] += 1;
                 let lv = &mut self.levels[k];
                 let head = lv.hole_head[idx];
                 let pos = if head != HOLE_NONE {
@@ -515,9 +570,17 @@ impl<E> EventQueue<E> {
                 return;
             }
         }
+        self.stats.placed_overflow += 1;
         self.overflow.push(HeapEnt { at, seq, ctl: slot });
         let c = &mut self.ctl[slot as usize];
         c.meta = (c.meta & META_CANCELLED) | (2 << META_KIND_SHIFT);
+    }
+
+    /// Places an entry again on its way down from a coarser slot or the
+    /// overflow heap.
+    fn place_again(&mut self, slot: u32, at: u64, seq: u64) {
+        self.stats.cascaded += 1;
+        self.place(slot, at, seq);
     }
 
     /// Ensures `ready.front()` is a live entry, cascading the wheel as
@@ -570,32 +633,32 @@ impl<E> EventQueue<E> {
                 (Some((bs, _, _)), Some(ov)) if ov <= bs => self.pull_overflow(),
                 (None, Some(_)) => self.pull_overflow(),
                 (Some((bs, 0, idx)), _) => {
-                    // Drain the level-0 slot: sort by (at, seq) to restore
-                    // global dispatch order within its window, skipping
-                    // holes (their cells were released at cancel).
+                    // Drain the level-0 slot onto the ready run (empty
+                    // here: refill happens only then), skipping holes
+                    // (their cells were released at cancel), and sort what
+                    // was added by (at, seq) to restore global dispatch
+                    // order within its window.
+                    let start = self.ready.len();
                     let mut v = std::mem::take(&mut self.levels[0].slots[idx]);
                     self.levels[0].clear(idx);
                     self.levels[0].hole_head[idx] = HOLE_NONE;
-                    self.scratch.clear();
-                    for &slot in &v {
+                    for slot in v.drain(..) {
                         if slot & HOLE_TAG != 0 {
                             continue;
                         }
                         let d = &self.data[slot as usize];
-                        self.scratch.push(ReadyEnt {
+                        self.ready.push_back(ReadyEnt {
                             at: d.at,
                             seq: d.seq,
                             ctl: slot,
                         });
-                    }
-                    v.clear();
-                    self.levels[0].slots[idx] = v;
-                    self.scratch.sort_unstable_by_key(|r| (r.at, r.seq));
-                    for r in &self.scratch {
-                        let c = &mut self.ctl[r.ctl as usize];
+                        let c = &mut self.ctl[slot as usize];
                         c.meta = (c.meta & META_CANCELLED) | (1 << META_KIND_SHIFT);
                     }
-                    self.ready.extend(self.scratch.drain(..));
+                    self.levels[0].slots[idx] = v;
+                    self.ready.make_contiguous()[start..].sort_unstable_by_key(|r| (r.at, r.seq));
+                    self.stats.drains += 1;
+                    self.stats.drained += (self.ready.len() - start) as u64;
                     self.cursor = bs + (1u64 << G0_SHIFT);
                     // Overflow entries may have drifted inside this window.
                     while self.overflow.peek().is_some_and(|e| e.at < self.cursor) {
@@ -619,7 +682,7 @@ impl<E> EventQueue<E> {
                         }
                         let d = &self.data[slot as usize];
                         let (at, seq) = (d.at, d.seq);
-                        self.place(slot, at, seq);
+                        self.place_again(slot, at, seq);
                     }
                     v.clear();
                     self.levels[k].slots[idx] = v;
@@ -644,7 +707,7 @@ impl<E> EventQueue<E> {
             // below it. Keep the cursor tick-aligned.
             self.cursor = e.at & !((1u64 << G0_SHIFT) - 1);
         }
-        self.place(e.ctl, e.at, e.seq);
+        self.place_again(e.ctl, e.at, e.seq);
     }
 
     /// Re-places an overflow entry that drifted into the drained window,
@@ -653,7 +716,7 @@ impl<E> EventQueue<E> {
         if self.is_cancelled(e.ctl) {
             self.reclaim_overflow(e.ctl);
         } else {
-            self.place(e.ctl, e.at, e.seq);
+            self.place_again(e.ctl, e.at, e.seq);
         }
     }
 
@@ -917,9 +980,9 @@ mod tests {
     #[test]
     fn spans_every_level_and_overflow() {
         let mut q = EventQueue::new();
-        // One event per decade from 1 ns to ~100 s: exercises all four
-        // levels plus the overflow heap.
-        let times: Vec<SimTime> = (0..12).map(|d| SimTime::from_ps(10u64.pow(d + 3))).collect();
+        // One event per decade from 1 ns to 10^4 s: the sub-tick ready
+        // run, all four levels, and (past ~1126 s) the overflow heap.
+        let times: Vec<SimTime> = (0..14).map(|d| SimTime::from_ps(10u64.pow(d + 3))).collect();
         for (i, &t) in times.iter().enumerate().rev() {
             q.push(t, i);
         }
@@ -927,6 +990,9 @@ mod tests {
             assert_eq!(q.pop(), Some((t, i)));
         }
         assert!(q.pop().is_none());
+        let st = q.stats();
+        assert!(st.placed_level.iter().all(|&n| n > 0), "{st:?}");
+        assert!(st.placed_overflow > 0, "{st:?}");
     }
 
     #[test]
@@ -1015,24 +1081,86 @@ mod tests {
     }
 
     #[test]
-    fn batch_drains_same_timestamp_run() {
+    fn pop_due_stops_at_the_deadline() {
         let mut q = EventQueue::new();
         let t = SimTime::from_us(7);
-        for i in 0..10 {
+        for i in 0..3 {
             q.push(t, i);
         }
         q.push(SimTime::from_us(8), 99);
-        let mut out = VecDeque::new();
-        assert_eq!(q.pop_batch(&mut out), 10);
-        assert_eq!(out.len(), 10);
-        for (i, (at, v)) in out.iter().enumerate() {
-            assert_eq!(*at, t);
-            assert_eq!(*v, i as i32);
+        assert_eq!(q.pop_due(SimTime::from_us(6)), None);
+        for i in 0..3 {
+            assert_eq!(q.pop_due(t), Some((t, i)), "due exactly at the deadline");
         }
-        out.clear();
-        assert_eq!(q.pop_batch(&mut out), 1);
-        assert_eq!(out[0], (SimTime::from_us(8), 99));
-        assert_eq!(q.pop_batch(&mut out), 0);
+        assert_eq!(q.pop_due(t), None);
+        assert_eq!(q.len(), 1, "a refused event stays queued");
+        // Looking past the deadline moved the cursor; an earlier push
+        // still dispatches first.
+        q.push(SimTime::from_ns(7_500), 50);
+        assert_eq!(q.pop_due(SimTime::MAX), Some((SimTime::from_ns(7_500), 50)));
+        assert_eq!(q.pop_due(SimTime::MAX), Some((SimTime::from_us(8), 99)));
+        assert_eq!(q.pop_due(SimTime::MAX), None);
+    }
+
+    #[test]
+    fn same_instant_event_stays_cancellable_until_popped() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_us(3);
+        let ids: Vec<EventId> = (0..4).map(|i| q.push(t, i)).collect();
+        assert_eq!(q.pop(), Some((t, 0)));
+        // The rest of the run is in the ready run by now; still live.
+        assert!(q.cancel(ids[2]));
+        assert!(!q.cancel(ids[0]), "already popped");
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop(), Some((t, 3)));
+        assert!(q.pop().is_none());
+        assert_eq!(q.stats().cancels_ready, 1);
+    }
+
+    #[test]
+    fn rpc_shaped_schedule_places_once_and_drains_in_runs() {
+        // What a closed-loop RPC scenario pushes: every connection idles on
+        // a 500 us think timer, then runs a chain of short hops (wire,
+        // switch, core, doorbell: 32 ns - 4 us ahead) that all fire. 2000
+        // connections x 9 events per ~510 us is one event per ~28 ns of
+        // simulated time with ~2000 pending. The bounds pin the mechanism:
+        // the hops must land in level 0 directly (one placement; only the
+        // think timer cascades) and a drained slot must feed a run of
+        // events, not one: this schedule reads 1.12 placements per event
+        // and 7.3 entries per drain, and with a 1 ns level-0 tick 1.73
+        // and 1.02.
+        const CONNS: u64 = 2000;
+        const HOPS: u64 = 8;
+        const THINK_PS: u64 = 500_000_000;
+        let mut rng = Rng::new(0x59c);
+        let mut q: EventQueue<(u64, u64)> = EventQueue::new();
+        for c in 0..CONNS {
+            q.push(SimTime::from_ps(rng.next_u64() % THINK_PS), (c, 0));
+        }
+        let mut now = SimTime::ZERO;
+        for _ in 0..400_000 {
+            let (t, (c, hop)) = q.pop().expect("closed loop never drains");
+            assert!(t >= now);
+            now = t;
+            let (delay, next) = if hop == HOPS {
+                (THINK_PS, 0)
+            } else {
+                // Log-uniform over 2^15 .. 2^22 ps (32 ns .. 4 us).
+                let octave = 15 + rng.next_u64() % 7;
+                ((1 << octave) + rng.next_u64() % (1 << octave), hop + 1)
+            };
+            q.push(t + SimTime::from_ps(delay), (c, next));
+        }
+        let st = q.stats();
+        assert_eq!(st.pushes, st.pops + CONNS);
+        assert_eq!(st.placements(), st.pushes + st.cascaded);
+        let per_event = st.placements() as f64 / st.pops as f64;
+        let per_drain = st.drained as f64 / st.drains as f64;
+        assert!(
+            per_event <= 1.25,
+            "{per_event:.3} placements per event: {st:?}"
+        );
+        assert!(per_drain >= 4.0, "{per_drain:.2} entries per drain: {st:?}");
     }
 
     #[test]
@@ -1048,13 +1176,16 @@ mod tests {
         for step in 0..20_000u64 {
             match rng.next_u64() % 10 {
                 0..=5 => {
-                    // Mixed horizons: same-tick ties through far overflow.
-                    let d = match rng.next_u64() % 5 {
+                    // Mixed horizons: same-instant ties, inside the level-0
+                    // tick, each wheel level, and past the top horizon
+                    // (~1126 s) into the overflow heap.
+                    let d = match rng.next_u64() % 6 {
                         0 => 0,
-                        1 => rng.next_u64() % 1_000,
-                        2 => rng.next_u64() % 1_000_000,
-                        3 => rng.next_u64() % 1_000_000_000,
-                        _ => rng.next_u64() % 10_000_000_000_000,
+                        1 => rng.next_u64() % 200_000,
+                        2 => rng.next_u64() % 50_000_000,
+                        3 => rng.next_u64() % 10_000_000_000,
+                        4 => rng.next_u64() % 3_000_000_000_000,
+                        _ => rng.next_u64() % 4_000_000_000_000_000,
                     };
                     let at = SimTime::from_ps(now + d);
                     wheel_ids.push(wheel.push(at, step));
@@ -1089,6 +1220,17 @@ mod tests {
                 (Some(a), Some(b)) => assert_eq!(a, b),
                 _ => break,
             }
+        }
+        // The schedule reached every place an entry can live.
+        let st = wheel.stats();
+        for n in st.placed_level {
+            assert!(n > 0, "{st:?}");
+        }
+        for n in [st.placed_ready, st.placed_overflow, st.cascaded] {
+            assert!(n > 0, "{st:?}");
+        }
+        for n in [st.cancels_wheel, st.cancels_ready, st.cancels_overflow] {
+            assert!(n > 0, "{st:?}");
         }
     }
 }

@@ -200,6 +200,22 @@ impl fmt::Display for SimTime {
     }
 }
 
+/// `a * b / c`, truncated to `u64`: the per-packet unit conversions
+/// (cycles ↔ time, bytes ↔ time). Divides in `u64` when the product fits —
+/// it does for every per-packet operand — and in `u128` otherwise, so the
+/// result is the `u128` expression's for all inputs.
+///
+/// # Panics
+///
+/// Panics if `c` is zero.
+#[inline]
+pub fn mul_div(a: u64, b: u64, c: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(p) => p / c,
+        None => (a as u128 * b as u128 / c as u128) as u64,
+    }
+}
+
 /// Converts a transfer size and link rate into serialization time.
 ///
 /// # Examples
@@ -211,9 +227,8 @@ impl fmt::Display for SimTime {
 /// ```
 pub fn transmission_time(bytes: u64, bits_per_sec: u64) -> SimTime {
     debug_assert!(bits_per_sec > 0, "link rate must be positive");
-    // ps = bits * 1e12 / bps, computed in u128 to avoid overflow.
-    let ps = (bytes as u128 * 8 * 1_000_000_000_000) / bits_per_sec as u128;
-    SimTime(ps as u64)
+    // ps = bits * 1e12 / bps.
+    SimTime(mul_div(bytes, 8 * 1_000_000_000_000, bits_per_sec))
 }
 
 #[cfg(test)]
@@ -255,6 +270,32 @@ mod tests {
         assert_eq!(transmission_time(64, 40_000_000_000).as_ps(), 12_800);
         // 1500B at 10 Gbps = 1.2 us.
         assert_eq!(transmission_time(1500, 10_000_000_000).as_nanos(), 1_200);
+    }
+
+    #[test]
+    fn mul_div_equals_the_u128_formula() {
+        let wide = |a: u64, b: u64, c: u64| (a as u128 * b as u128 / c as u128) as u64;
+        let mut rng = crate::rng::Rng::new(0xd1f);
+        for _ in 0..200_000 {
+            // Operand widths drawn independently, so products land on both
+            // sides of 2^64 and quotients on both sides of the truncation.
+            let mut draw = || rng.next_u64() >> (rng.next_u64() % 64);
+            let (a, b, c) = (draw(), draw(), draw().max(1));
+            assert_eq!(mul_div(a, b, c), wide(a, b, c), "{a} * {b} / {c}");
+        }
+        // The overflow boundary itself: the last product that fits and the
+        // first that does not, for a power-of-two and an odd factor pair.
+        for (a, b) in [
+            (1u64 << 32, 1u64 << 32),
+            (u64::MAX / 3 + 1, 3),
+            (u64::MAX, 1),
+        ] {
+            for c in [1, 3, 1_000_000_000_000, u64::MAX] {
+                for (a, b) in [(a - 1, b), (a, b), (a, b + 1)] {
+                    assert_eq!(mul_div(a, b, c), wide(a, b, c), "{a} * {b} / {c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! through getters (`bucket()` and `state()` hand out `&` views).
 
 use tas_cc::{CcState, CongCtrl, RateFeedback};
+use tas_sim::time::mul_div;
 use tas_sim::SimTime;
 
 /// Congestion-control component: the rate bucket, the feedback counters
@@ -214,7 +215,7 @@ impl RateBucket {
             return;
         }
         let dt = now - self.last_refill;
-        let add = (self.rate_bps as u128 * dt.as_ps() as u128 / 1_000_000_000_000) as u64;
+        let add = mul_div(self.rate_bps, dt.as_ps(), 1_000_000_000_000);
         if self.tokens.saturating_add(add) >= self.burst {
             self.tokens = self.burst;
             self.last_refill = now;
@@ -223,7 +224,7 @@ impl RateBucket {
         if add > 0 {
             self.tokens += add;
             // Advance only by the time consumed for `add` whole bytes.
-            let used_ps = (add as u128 * 1_000_000_000_000 / self.rate_bps as u128) as u64;
+            let used_ps = mul_div(add, 1_000_000_000_000, self.rate_bps);
             self.last_refill += SimTime::from_ps(used_ps);
         }
         // add == 0: keep last_refill so the fraction keeps accruing.

@@ -109,7 +109,9 @@ enum FpCmd {
     RxBump(u32),
 }
 
-/// Deferred work collected while an app handler runs.
+/// Deferred work collected while an app handler runs. One value serves
+/// every frame: `finish_frame` drains the four buffers and keeps their
+/// capacity, so a steady-state frame allocates nothing.
 #[derive(Default)]
 struct Frame {
     context: u16,
@@ -120,6 +122,23 @@ struct Frame {
     sp_cmds: Vec<SpWork>,
     timers: Vec<(SimTime, u64)>,
     posts: Vec<(u16, u64)>,
+}
+
+impl Frame {
+    /// Opens a frame on `context` at `now`, pre-charged `api_cycles`.
+    fn begin(&mut self, context: u16, now: SimTime, api_cycles: u64) {
+        debug_assert!(
+            self.fp_cmds.is_empty()
+                && self.sp_cmds.is_empty()
+                && self.timers.is_empty()
+                && self.posts.is_empty(),
+            "previous frame was finished"
+        );
+        self.context = context;
+        self.now = now;
+        self.api_cycles = api_cycles;
+        self.app_cycles = 0;
+    }
 }
 
 struct Inner {
@@ -168,13 +187,29 @@ struct Inner {
     fp_q: std::collections::VecDeque<FpCmd>,
     /// Deferred slow-path work (drained by SP_RUN timers).
     sp_q: std::collections::VecDeque<SpWork>,
-    /// Live pacing-timer handle per flow. Cancelled on detach so a torn-
-    /// down (possibly recycled) flow id leaves no ghost FP_TX timer in
-    /// the event queue.
-    fp_tx_timers: BTreeMap<u32, TimerId>,
+    /// Live pacing-timer handle per flow, indexed by (dense slab) flow
+    /// id. Cancelled on detach so a torn-down (possibly recycled) flow id
+    /// leaves no ghost FP_TX timer in the event queue.
+    fp_tx_timers: Vec<Option<TimerId>>,
     /// Recycled flush buffers: capacity survives across flushes so the
     /// steady-state drain path never allocates.
     scratch: FlushScratch,
+}
+
+impl Inner {
+    /// Records `id` as flow `fid`'s armed pacing timer.
+    fn set_tx_timer(&mut self, fid: u32, id: TimerId) {
+        let i = fid as usize;
+        if self.fp_tx_timers.len() <= i {
+            self.fp_tx_timers.resize(i + 1, None);
+        }
+        self.fp_tx_timers[i] = Some(id);
+    }
+
+    /// Forgets (and returns) flow `fid`'s armed pacing timer, if any.
+    fn take_tx_timer(&mut self, fid: u32) -> Option<TimerId> {
+        self.fp_tx_timers.get_mut(fid as usize)?.take()
+    }
 }
 
 #[cfg(feature = "profile")]
@@ -293,7 +328,7 @@ impl TasHost {
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 fp_util: CoreUtilSeries::new(cfg_max_fp),
                 frame: Frame::default(),
-                fp_tx_timers: BTreeMap::new(),
+                fp_tx_timers: Vec::new(),
                 scratch: FlushScratch::default(),
                 app_q: (0..cfg_app_cores)
                     .map(|_| std::collections::VecDeque::new())
@@ -640,7 +675,7 @@ impl TasHost {
         }
         for (fid, at) in tx_timers.drain(..) {
             let id = ctx.timer_at(at.max(end), timers::FP_TX, fid as u64);
-            self.inner.fp_tx_timers.insert(fid, id);
+            self.inner.set_tx_timer(fid, id);
         }
         for (context, notice) in notices.drain(..) {
             self.deliver_notice(end, context, notice, ctx);
@@ -829,7 +864,7 @@ impl TasHost {
                     self.inner.fid_to_sock.remove(&fid);
                     // Reclaim any armed pacing timer: the fid may be
                     // recycled for a new flow before the timer would fire.
-                    if let Some(id) = self.inner.fp_tx_timers.remove(&fid) {
+                    if let Some(id) = self.inner.take_tx_timer(fid) {
                         ctx.cancel_timer(id);
                     }
                     let sock = opaque as SockId;
@@ -932,12 +967,7 @@ impl TasHost {
             ApiKind::LowLevel => self.inner.cfg.costs.ll_op,
         };
         // Prepare the frame, run the handler.
-        self.inner.frame = Frame {
-            context,
-            now: t_eff,
-            api_cycles: poll_cost,
-            ..Default::default()
-        };
+        self.inner.frame.begin(context, t_eff, poll_cost);
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "nested app delivery");
             return;
@@ -953,7 +983,7 @@ impl TasHost {
     }
 
     fn finish_frame(&mut self, t_eff: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let frame = std::mem::take(&mut self.inner.frame);
+        let mut frame = std::mem::take(&mut self.inner.frame);
         let total = frame.api_cycles + frame.app_cycles;
         let ipc = self.inner.cfg.costs.ipc_times_100;
         self.inner
@@ -984,24 +1014,26 @@ impl TasHost {
             .core(frame.context as usize)
             .run(t_eff, total);
         // App timers.
-        for (delay, token) in frame.timers {
+        for (delay, token) in frame.timers.drain(..) {
             let data = ((frame.context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
             ctx.timer_at(end + delay, timers::APP, data);
         }
         // Cross-thread posts: delivered on the target context at `end`.
-        for (context, token) in frame.posts {
+        for (context, token) in frame.posts.drain(..) {
             let data = ((context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
             ctx.timer_at(end, timers::APP, data);
         }
         // Fast-path and slow-path commands issued by the handler become
         // events at `end` (the cores must serve interim work first).
-        for cmd in frame.fp_cmds {
+        for cmd in frame.fp_cmds.drain(..) {
             self.inner.fp_q.push_back(cmd);
             ctx.timer_at(end, timers::FP_CMD, 0);
         }
-        for work in frame.sp_cmds {
+        for work in frame.sp_cmds.drain(..) {
             self.defer_sp(end, work, ctx);
         }
+        // The drained buffers go back for the next frame.
+        self.inner.frame = frame;
     }
 
     fn run_sp_work(&mut self, work: SpWork, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
@@ -1105,10 +1137,7 @@ impl TasHost {
         }
         // Run the app's on_start through the same frame machinery.
         let t = ctx.now();
-        self.inner.frame = Frame {
-            now: t,
-            ..Default::default()
-        };
+        self.inner.frame.begin(0, t, 0);
         let Some(mut app) = self.app.take() else {
             debug_assert!(false, "app missing at start");
             return;
@@ -1372,7 +1401,7 @@ impl Agent<NetMsg> for TasHost {
                     timers::INIT => {}
                     timers::FP_TX => {
                         let fid = data as u32;
-                        self.inner.fp_tx_timers.remove(&fid);
+                        self.inner.take_tx_timer(fid);
                         let core = Self::fp_core_for(&self.inner, fid);
                         self.run_fp(core, now, ctx, 0, |fp, t, acct| fp.tx_poll(t, fid, acct));
                     }

@@ -1,6 +1,8 @@
 //! Property tests for the hierarchical timing-wheel event queue: under
 //! arbitrary push / cancel / pop interleavings — same-timestamp ties,
-//! delays spanning every wheel level and the overflow heap, stale and
+//! delays inside the finest tick (which land in the window already
+//! drained and merge into the sorted ready run), delays spanning every
+//! wheel level and the overflow heap, deadline-bounded pops, stale and
 //! duplicate cancellations — the wheel must dispatch exactly the sequence
 //! of the retained reference implementation, the global binary heap
 //! ([`HeapQueue`]), and agree with it on every observable (peek, length,
@@ -23,20 +25,32 @@ enum QOp {
     Cancel(usize),
     /// Pop up to n events, advancing the clock.
     Pop(u8),
+    /// Pop every event due within `window` of now, the way `Sim::run_until`
+    /// does: the reference is the heap's `peek_time` + `pop`.
+    PopDue(u64),
 }
+
+/// Delay caps, one per place an entry can land: inside the level-0 tick
+/// (2^18 ps), levels 0-3, and past the wheel's top horizon (2^50 ps,
+/// ~1126 s) in the overflow heap.
+const DELAY_CAPS: [u64; 6] = [
+    200_000,
+    50_000_000,
+    10_000_000_000,
+    3_000_000_000_000,
+    1_000_000_000_000_000,
+    4_000_000_000_000_000,
+];
 
 fn arb_ops() -> impl Strategy<Value = Vec<QOp>> {
     proptest::collection::vec(
         prop_oneof![
-            // Mixed horizons: ~ns within level 0 up to seconds-scale
-            // delays that park in the overflow heap.
-            (0u8..4, any::<u64>()).prop_map(|(h, raw)| {
-                let caps = [1_000u64, 1_000_000, 2_000_000_000, 10_000_000_000_000];
-                QOp::Push(raw % caps[h as usize])
-            }),
+            (0usize..DELAY_CAPS.len(), any::<u64>())
+                .prop_map(|(h, raw)| QOp::Push(raw % DELAY_CAPS[h])),
             Just(QOp::PushTie),
             any::<usize>().prop_map(QOp::Cancel),
             (1u8..8).prop_map(QOp::Pop),
+            (0usize..3, any::<u64>()).prop_map(|(h, raw)| QOp::PopDue(raw % DELAY_CAPS[h])),
         ],
         1..400,
     )
@@ -80,6 +94,19 @@ proptest! {
                             None => break,
                         }
                     }
+                }
+                QOp::PopDue(window) => {
+                    let deadline = SimTime::from_ps(now + window);
+                    loop {
+                        let due = heap.peek_time().is_some_and(|t| t <= deadline);
+                        let h = if due { heap.pop() } else { None };
+                        let w = wheel.pop_due(deadline);
+                        prop_assert_eq!(w, h);
+                        if w.is_none() {
+                            break;
+                        }
+                    }
+                    now = deadline.as_ps();
                 }
             }
             prop_assert_eq!(wheel.live_len(), heap.live_len());
