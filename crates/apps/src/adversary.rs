@@ -21,11 +21,11 @@
 //! generator — they are raw host agents crafting TCP segments directly
 //! and consuming no modeled CPU.
 
-use crate::loadgen::mac_for_ip;
 use crate::util::SendBuf;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
+use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, SimTime};

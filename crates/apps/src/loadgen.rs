@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::tcp::seq;
 use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
@@ -389,12 +390,6 @@ impl LoadGenHost {
             self.tx(seg, now, ctx);
         }
     }
-}
-
-/// Deterministic MAC for a simulated host IP.
-pub fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
-    let o = ip.octets();
-    MacAddr::for_host(u32::from_be_bytes([0, o[1], o[2], o[3]]))
 }
 
 impl Agent<NetMsg> for LoadGenHost {

@@ -26,6 +26,7 @@ use std::net::Ipv4Addr;
 use tas_cpusim::{CacheModel, CoreClass, CorePool, Crossing, CycleAccount, Module, PcieModel};
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_netsim::rss::hash_tuple;
+use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags};
 use tas_sim::{
@@ -282,11 +283,11 @@ struct Inner {
     frame: Frame,
     /// True when this host's cycles are attributed by the profiler
     /// (mirrors `TasHost`: only the host under measurement is enabled).
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     prof: bool,
 }
 
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 impl Inner {
     /// Arms cycle attribution for one of this host's cores, or disarms
     /// the thread-local profiler when this host is not being profiled.
@@ -387,7 +388,7 @@ impl StackHost {
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 core_util: CoreUtilSeries::new(app_core_count),
                 frame: Frame::default(),
-                #[cfg(feature = "profile")]
+                #[cfg(feature = "telemetry")]
                 prof: false,
             },
             app: Some(app),
@@ -419,7 +420,7 @@ impl StackHost {
     /// arm the thread-local profiler with `core<i>` identities. Hosts
     /// never enabled disarm the profiler before running instead, so
     /// enabling one host on a thread profiles exactly that host.
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     pub fn enable_profiling(&mut self) {
         self.inner.prof = true;
     }
@@ -577,7 +578,7 @@ impl StackHost {
     }
 
     /// Profiler frame name for this model's boundary primitive.
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     fn crossing_label(inner: &Inner) -> &'static str {
         match inner.cfg.model {
             ThreadModel::MpkDataplane { crossing } => crossing.kind.label(),
@@ -633,7 +634,7 @@ impl StackHost {
     /// the engine, then staged segments are cost-charged and transmitted
     /// and events delivered. `base_cost` is the packet-type processing
     /// cost; `label` names the operation's profile frame.
-    #[cfg_attr(not(feature = "profile"), allow(unused_variables))]
+    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     #[allow(clippy::too_many_arguments)] // One call site per packet class; the tuple is the cost model.
     fn run_conn(
         &mut self,
@@ -646,11 +647,11 @@ impl StackHost {
         f: impl FnOnce(&mut TcpConn, SimTime),
     ) {
         let core_idx = Self::stack_core_of(&self.inner, slot);
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         self.inner.prof_arm(core_idx as u32);
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard(label);
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         tas_telemetry::profile::charge(base_cost);
         let start = t.max(self.inner.cores.core_ref(core_idx).busy_until());
         let (out, events, tx_cost) = {
@@ -679,7 +680,7 @@ impl StackHost {
         // Transmit and stall cycles charge through the account, not a
         // profiled funnel; stage them under their own frames so the
         // core-run drain attributes them.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         {
             if tx_cost > 0 {
                 let _g = tas_telemetry::profile::guard("tx");
@@ -927,7 +928,7 @@ impl StackHost {
         // Application frames charge through the account, not a profiled
         // funnel; stage the API/handler/boundary split explicitly so the
         // core-run drain attributes it.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         {
             self.inner.prof_arm(frame.core as u32);
             {
@@ -1142,12 +1143,6 @@ impl StackHost {
 
 fn inner_send_buf(s: &Slot) -> usize {
     s.conn.send_space() + s.conn.in_flight() as usize
-}
-
-/// Resolves the deterministic MAC for a simulated host IP.
-fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
-    let o = ip.octets();
-    MacAddr::for_host(u32::from_be_bytes([0, o[1], o[2], o[3]]))
 }
 
 // ----------------------------------------------------------------------

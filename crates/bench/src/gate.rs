@@ -9,19 +9,19 @@
 //! bench-report selftest [name…]   # prove the gate trips
 //! ```
 //!
-//! Without names a mode covers every modelled entry this build can
-//! produce (`fig6spans` needs `--features trace`, `cpuprof` needs
-//! `--features profile`); the wall-clock `simspeed` entry runs only when
-//! named, because its pin is a property of the machine that wrote it.
+//! Without names a mode covers every entry this build can produce
+//! (`fig6spans` and `cpuprof` need `--features telemetry`).
 //!
-//! A modelled pin is a behavioural contract: `check` compares it
-//! byte-for-byte, and on a mismatch prints the tolerance comparator's
-//! per-metric classification as the explanation. Wall-clock entries are
-//! gated by that comparator alone. Every entry's invariants are checked
-//! on the current report either way. `bench-report pin [name…]` after a
-//! `generate` re-pins deliberately. Reports are compared only
-//! within one scale mode (`TAS_FULL=1` selects paper scale), so a
-//! full-scale run never gates against a quick pin.
+//! Every report is modelled — a pure function of its seeds — so a pin is
+//! a behavioural contract and there is one comparison mode: `check`
+//! compares byte-for-byte, and on a mismatch prints the tolerance
+//! comparator's per-metric classification as the explanation. Nothing
+//! here reads a clock; host time is measured by `benchmark/` alone.
+//! Every entry's invariants are checked on the current report either
+//! way. `bench-report pin [name…]` after a `generate` re-pins
+//! deliberately. Reports are compared only within one scale mode
+//! (`TAS_FULL=1` selects paper scale), so a full-scale run never gates
+//! against a quick pin.
 
 use crate::report::{self, compare, MetricData, Report};
 use crate::scenarios::{catalogue, Build, Entry};
@@ -65,7 +65,7 @@ fn build(e: &Entry) -> Result<(Report, Option<String>), String> {
             let (r, side) = f();
             Ok((r, Some(side)))
         }
-        Build::Needs(feature) => Err(format!("rebuild with --features {feature}")),
+        Build::NeedsTelemetry => Err("rebuild with --features telemetry".into()),
     }
 }
 
@@ -80,14 +80,19 @@ fn generate(e: &Entry) -> Result<(), String> {
     files.try_for_each(|(ext, body)| write(current(e.name, ext), body))
 }
 
-/// What the tolerance gate holds against `cur`: violated invariants, and
-/// every regression beyond tolerance relative to `base`.
-fn objections(e: &Entry, cur: &Report, base: &Report) -> Vec<String> {
-    let mut out: Vec<String> = (e.invariants)(cur)
+/// The entry's invariants that `cur` violates.
+fn violated(e: &Entry, cur: &Report) -> Vec<String> {
+    (e.invariants)(cur)
         .into_iter()
         .filter(|(_, pass)| !pass)
         .map(|(what, _)| format!("invariant VIOLATED: {what}"))
-        .collect();
+        .collect()
+}
+
+/// What the self-test's sabotage must provoke: violated invariants, and
+/// every regression beyond tolerance relative to `base`.
+fn objections(e: &Entry, cur: &Report, base: &Report) -> Vec<String> {
+    let mut out = violated(e, cur);
     out.extend(compare(cur, base).iter().map(|r| format!("REGRESSION {r}")));
     out
 }
@@ -98,9 +103,9 @@ pub fn check_texts(e: &Entry, cur_text: &str, pin_text: &str) -> Result<String, 
     let cur = Report::from_json(cur_text)?;
     let pin = Report::from_json(pin_text).map_err(|err| format!("bad pin: {err}"))?;
     let same_scale = cur.scale == pin.scale;
-    let mut problems = objections(e, &cur, if same_scale { &pin } else { &cur });
-    if same_scale && !e.wall_clock && cur_text != pin_text {
-        problems.insert(0, "differs from its pin; per metric:".into());
+    let mut problems = violated(e, &cur);
+    if same_scale && cur_text != pin_text {
+        problems.push("differs from its pin; per metric:".into());
         problems.extend(report::explain(&cur, &pin));
     }
     if !problems.is_empty() {
@@ -116,12 +121,10 @@ pub fn check_texts(e: &Entry, cur_text: &str, pin_text: &str) -> Result<String, 
             cur.scale, pin.scale
         )
     } else {
-        let how = if e.wall_clock {
-            "within tolerance of"
-        } else {
-            "byte-identical to"
-        };
-        format!("OK ({} metrics {how} the pin{held})", pin.metrics.len())
+        format!(
+            "OK ({} metrics byte-identical to the pin{held})",
+            pin.metrics.len()
+        )
     })
 }
 
@@ -165,18 +168,15 @@ pub fn perturbed(pin_text: &str) -> Result<String, String> {
     Ok(r.to_json())
 }
 
-/// Proves the gate gates. For every modelled entry, its own pin with one
-/// value nudged must fail `check`. For entries with a sabotage, a fresh
-/// report must pass the tolerance gate against itself and its sabotaged
-/// twin must not.
+/// Proves the gate gates. For every entry, its own pin with one value
+/// nudged must fail `check`. For entries with a sabotage, a fresh report
+/// must raise no objection against itself and its sabotaged twin must.
 fn selftest(e: &Entry) -> Result<(), String> {
-    if !e.wall_clock {
-        let pin = read(pinned(e.name, "json"), "run `bench-report pin`")?;
-        if check_texts(e, &pin, &perturbed(&pin)?).is_ok() {
-            return Err("a pin with one value nudged still passes check".into());
-        }
-        println!("{} selftest: nudged pin rejected", e.name);
+    let pin = read(pinned(e.name, "json"), "run `bench-report pin`")?;
+    if check_texts(e, &pin, &perturbed(&pin)?).is_ok() {
+        return Err("a pin with one value nudged still passes check".into());
     }
+    println!("{} selftest: nudged pin rejected", e.name);
     let Some(sabotage) = e.sabotage else {
         return Ok(());
     };
@@ -237,10 +237,9 @@ pub fn main() -> ExitCode {
     if names.is_empty() {
         for e in &all {
             match e.build {
-                Build::Needs(feature) => {
-                    println!("{}: skipped (needs --features {feature})", e.name);
+                Build::NeedsTelemetry => {
+                    println!("{}: skipped (needs --features telemetry)", e.name);
                 }
-                _ if e.wall_clock => {}
                 _ => selected.push(e),
             }
         }

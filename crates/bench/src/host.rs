@@ -13,7 +13,7 @@ use tas_cpusim::{CoreClass, CycleAccount};
 use tas_netsim::app::App;
 use tas_netsim::topo::{build_star, HostFactory, HostSpec, StarTopo};
 use tas_netsim::{NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, CoreUtilSeries, Registry, Scope, Sim, SimTime};
+use tas_sim::{AgentId, CoreUtilSeries, Registry, Scope, SeriesRecorder, Sim, SimTime, Snapshot};
 
 /// What the harnesses read from (and switch on in) a host, whichever
 /// stack it runs.
@@ -38,8 +38,13 @@ pub trait Host {
     /// The per-core utilization series on the 1 ms grid and the label
     /// prefix of the cores it covers.
     fn core_util(&self) -> (&'static str, &CoreUtilSeries);
+    /// The fixed-cadence queue-depth/occupancy recorder.
+    fn queue_series(&self) -> &SeriesRecorder;
+    /// Every counter and gauge the host can see, as one snapshot whose
+    /// rendering is a pure function of the run.
+    fn telemetry_snapshot(&self) -> Snapshot;
     /// Opts this host into cycle-attribution profiling.
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     fn enable_profiling(&mut self);
 
     /// Backlog drops at the host's NIC.
@@ -84,7 +89,13 @@ impl Host for TasHost {
     fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
         ("fp", self.fp_util_series())
     }
-    #[cfg(feature = "profile")]
+    fn queue_series(&self) -> &SeriesRecorder {
+        TasHost::queue_series(self)
+    }
+    fn telemetry_snapshot(&self) -> Snapshot {
+        TasHost::telemetry_snapshot(self)
+    }
+    #[cfg(feature = "telemetry")]
     fn enable_profiling(&mut self) {
         TasHost::enable_profiling(self)
     }
@@ -113,7 +124,13 @@ impl Host for StackHost {
     fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
         ("core", self.core_util_series())
     }
-    #[cfg(feature = "profile")]
+    fn queue_series(&self) -> &SeriesRecorder {
+        StackHost::queue_series(self)
+    }
+    fn telemetry_snapshot(&self) -> Snapshot {
+        StackHost::telemetry_snapshot(self)
+    }
+    #[cfg(feature = "telemetry")]
     fn enable_profiling(&mut self) {
         StackHost::enable_profiling(self)
     }

@@ -27,7 +27,6 @@ mod host;
 pub mod report;
 pub mod scenario;
 pub mod scenarios;
-pub mod simspeed;
 
 pub use host::{
     add_host, app, app_mut, host, host_mut, start_all, testbed_star, uniform_star, Host, HostCfg,
@@ -250,8 +249,8 @@ pub struct RpcScenario {
     /// RNG seed.
     pub seed: u64,
     /// Capture a cycle-attribution profile over the measurement window
-    /// (profile builds only).
-    #[cfg(feature = "profile")]
+    /// (telemetry builds only).
+    #[cfg(feature = "telemetry")]
     pub profile: bool,
 }
 
@@ -283,7 +282,7 @@ impl RpcScenario {
             kv_contention: 0,
             tas_overrides: TasOverrides::default(),
             seed: 42,
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             profile: false,
         }
     }
@@ -380,13 +379,13 @@ pub struct RpcResult {
     /// comparable across stacks (the paper's "host CPU per request").
     pub host_cycles: u64,
     /// Cycle-attribution capture (when [`RpcScenario::profile`] was set).
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     pub profile: Option<ProfileCapture>,
 }
 
 /// A cycle-attribution profile of the server over the measurement window,
 /// with the per-core busy-cycle deltas it must account for exactly.
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 #[derive(Clone, Debug)]
 pub struct ProfileCapture {
     /// The attribution tree collected between `t0` and the end of the
@@ -403,7 +402,7 @@ pub struct ProfileCapture {
     pub core_util: Vec<(String, Vec<f64>)>,
 }
 
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 impl ProfileCapture {
     /// Total busy cycles across cores over the window.
     pub fn busy_total(&self) -> u64 {
@@ -503,7 +502,7 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
     let established = srv.established();
     let acct0 = srv.account().clone();
     let host0 = srv.host_cycles();
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     let prof_t0 = sc.profile.then(|| {
         host_mut(&mut sim, server).enable_profiling();
         tas_telemetry::profile::start();
@@ -516,7 +515,7 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
     sim.run_until(t0 + sc.measure);
     let requests = messages(&sim) - messages_t0;
     let srv = host(&sim, server);
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     let profile = prof_t0.map(|(busy0, pkts0)| {
         let tree = tas_telemetry::profile::take();
         tas_telemetry::profile::stop();
@@ -546,13 +545,13 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
         drops: srv.drops(),
         per_request: per_request(&acct0, srv.account(), requests),
         host_cycles: srv.host_cycles() - host0,
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         profile,
     }
 }
 
 /// Extracts per-core utilization samples at or after `from`.
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 fn util_window(
     series: &tas_sim::CoreUtilSeries,
     prefix: &str,

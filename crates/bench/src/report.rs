@@ -31,10 +31,10 @@
 //! per-metric tolerances and is direction-aware per unit: for
 //! latency-like units (ns/us/cycles) a *higher* current value regresses;
 //! for throughput-like units (mops/kops/gbps) a *lower* one does;
-//! counting units (count, cores, bytes) never trip it. It gates the
-//! wall-clock reports; modelled reports are gated byte-for-byte against
-//! their pin in `crates/bench/baselines/` (see [`crate::gate`]), with
-//! [`explain`] classifying each difference through the comparator.
+//! counting units (count, cores, bytes) never trip it. Reports are gated
+//! byte-for-byte against their pin in `crates/bench/baselines/` (see
+//! [`crate::gate`]); the comparator classifies each difference
+//! ([`explain`]) and judges the self-test's sabotaged reports.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

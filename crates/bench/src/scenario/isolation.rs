@@ -66,7 +66,7 @@ pub struct Verdict {
     /// Whether both bounds held.
     pub pass: bool,
     /// Where the aggressors' cycles went: top server frames by
-    /// contended-minus-baseline self cycles (profile builds; `None`
+    /// contended-minus-baseline self cycles (telemetry builds; `None`
     /// otherwise).
     pub cycles_note: Option<String>,
 }
@@ -110,14 +110,14 @@ pub fn baseline_spec(spec: &ScenarioSpec) -> ScenarioSpec {
 /// Evaluates the isolation contract for every victim tenant of `spec`
 /// on `kind`, with TAS server overrides (the unfair fixture).
 pub fn evaluate_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Vec<Verdict> {
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     let (base, cont, note) = {
         let (base, base_prof) = runner::run_with_profile(&baseline_spec(spec), kind, overrides);
         let (cont, cont_prof) = runner::run_with_profile(spec, kind, overrides);
         let note = cycles_note(&base_prof, &cont_prof);
         (base, cont, note)
     };
-    #[cfg(not(feature = "profile"))]
+    #[cfg(not(feature = "telemetry"))]
     let (base, cont, note) = (
         runner::run_with(&baseline_spec(spec), kind, overrides),
         runner::run_with(spec, kind, overrides),
@@ -164,7 +164,7 @@ pub fn evaluate_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -
 
 /// Renders "where the aggressors' cycles went": the top server frames
 /// by contended-minus-baseline self cycles, with the net total.
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 fn cycles_note(
     base: &tas_telemetry::profile::Profile,
     cont: &tas_telemetry::profile::Profile,

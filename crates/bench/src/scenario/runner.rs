@@ -251,7 +251,7 @@ fn apply_phase(sim: &mut Sim<NetMsg>, clients: &[(u32, TrafficShape, AgentId)], 
 /// Runs a scenario on `kind` with TAS server overrides (used by the
 /// isolation self-test's deliberately unfair configuration).
 ///
-/// Under the `profile` feature the server's cycles over the measurement
+/// Under the `telemetry` feature the server's cycles over the measurement
 /// window are attributed; [`run_with_profile`] harvests the tree.
 pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Outcome {
     let Built {
@@ -263,7 +263,7 @@ pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Out
     // Phase boundaries between warmup and end, in order.
     let sched = phase_schedule(spec);
     sim.run_until(spec.warmup);
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     {
         crate::host_mut(&mut sim, server).enable_profiling();
         tas_telemetry::profile::start();
@@ -327,7 +327,7 @@ pub fn run(spec: &ScenarioSpec, kind: Kind) -> Outcome {
 
 /// [`run_with`] plus the server's cycle-attribution tree over the
 /// measurement window (profiling is left disabled afterwards).
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 pub fn run_with_profile(
     spec: &ScenarioSpec,
     kind: Kind,

@@ -90,13 +90,24 @@ fn bulk_app(index: u32, flows: u32) -> Box<dyn App> {
     }
 }
 
-/// Goodput (bits/s) of the bulk receiver on host `recv` over `window`
-/// after `warmup`.
-fn bulk_goodput(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> f64 {
+/// Bytes the bulk receiver on host `recv` takes in over `window` after
+/// `warmup`.
+fn bulk_bytes(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> u64 {
     sim.run_until(warmup);
     let b0 = app::<BulkReceiver>(sim, recv).total;
     sim.run_until(warmup + window);
-    (app::<BulkReceiver>(sim, recv).total - b0) as f64 * 8.0 / window.as_secs_f64()
+    app::<BulkReceiver>(sim, recv).total - b0
+}
+
+/// `bytes` delivered over `window` as goodput in bits/s.
+fn bits_per_sec(bytes: u64, window: SimTime) -> f64 {
+    bytes as f64 * 8.0 / window.as_secs_f64()
+}
+
+/// Goodput (bits/s) of the bulk receiver on host `recv` over `window`
+/// after `warmup`.
+fn bulk_goodput(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> f64 {
+    bits_per_sec(bulk_bytes(sim, recv, warmup, window), window)
 }
 
 /// Figure 6: pipelined RPC throughput for a single-threaded server.
@@ -216,7 +227,7 @@ pub mod fig6 {
     /// The per-stage latency observatory on the canonical fig6 RX run
     /// (TAS server, 64 B messages, 250 cycles, seed 1): traces a 5 ms
     /// steady-state slice after warmup and assembles app-to-app spans.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     pub fn span_analysis(cap: usize) -> SpanAnalysis {
         let (mut sim, _hosts) = build(Kind::TasSockets, Dir::Rx, 64, 250, 1);
         sim.run_until(SimTime::from_ms(20));
@@ -231,7 +242,7 @@ pub mod fig6 {
     }
 
     /// The assembled span population for the canonical run.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     pub struct SpanAnalysis {
         /// The assembled spans.
         pub spans: Vec<tas_telemetry::spans::Span>,
@@ -239,10 +250,10 @@ pub mod fig6 {
         pub breakdown: tas_telemetry::spans::Breakdown,
     }
 
-    /// Span-profile report (trace builds only): e2e quantiles plus p50
+    /// Span-profile report (telemetry builds only): e2e quantiles plus p50
     /// and p99 critical-path stage breakdowns with queueing/processing
     /// shares.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     pub fn spans_report() -> Report {
         let a = span_analysis(1 << 20);
         let b = &a.breakdown;
@@ -274,9 +285,13 @@ pub mod fig7 {
 
     pub use super::BulkStack as Stack;
 
-    /// Runs 100 bulk flows over a lossy 10G link; returns receiver
-    /// goodput in bits/s.
-    pub fn goodput(stack: Stack, loss: f64, seed: u64) -> f64 {
+    fn window() -> SimTime {
+        scaled(SimTime::from_ms(100), SimTime::from_ms(300))
+    }
+
+    /// Runs 100 bulk flows over a lossy 10G link; returns the bytes the
+    /// receiver took in over the measurement window.
+    pub fn delivered(stack: Stack, loss: f64, seed: u64) -> u64 {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let flows = 100; // The paper's flow count (loss dynamics depend on it).
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
@@ -289,12 +304,18 @@ pub mod fig7 {
         };
         let topo = uniform_star(&mut sim, 2, lossy_tengig(loss, seed), &mut factory);
         start_all(&mut sim, &topo.hosts);
-        let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
-        bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(50), window)
+        bulk_bytes(&mut sim, topo.hosts[0], SimTime::from_ms(50), window())
+    }
+
+    /// Receiver goodput of [`delivered`] in bits/s.
+    pub fn goodput(stack: Stack, loss: f64, seed: u64) -> f64 {
+        bits_per_sec(delivered(stack, loss, seed), window())
     }
 
     /// The gated report: lossless goodput plus the throughput penalty at
-    /// 1% loss, for Linux and both TAS recovery modes.
+    /// 1% loss, for Linux and both TAS recovery modes, each after the
+    /// exact byte counts it is derived from (Gbps to six decimals resolves
+    /// 12.5 bytes over the quick window; the counts pin every byte).
     pub fn report() -> Report {
         let mut r = Report::new("fig7", "Throughput penalty under 1% packet loss", 100);
         r.param("flows", 100).param("loss", "0.01");
@@ -304,8 +325,20 @@ pub mod fig7 {
             ("tas_simple", Stack::Tas { ooo: false }, 102),
         ];
         for (name, stack, seed) in runs {
-            let base = goodput(stack, 0.0, seed);
-            let lossy = goodput(stack, 0.01, seed);
+            let bytes = delivered(stack, 0.0, seed);
+            let bytes_lossy = delivered(stack, 0.01, seed);
+            r.push(Metric::value(
+                &format!("bytes_{name}"),
+                "bytes",
+                bytes as f64,
+            ));
+            r.push(Metric::value(
+                &format!("bytes_lossy_{name}"),
+                "bytes",
+                bytes_lossy as f64,
+            ));
+            let base = bits_per_sec(bytes, window());
+            let lossy = bits_per_sec(bytes_lossy, window());
             let penalty = 100.0 * (1.0 - lossy / base).max(0.0);
             r.push(Metric::value(&format!("goodput_{name}"), "gbps", base / 1e9));
             r.push(
@@ -912,7 +945,7 @@ pub mod table3 {
 /// `BENCH_cpuprof.json` (cycles/request and cycles/packet with
 /// per-module and top-of-stack breakdowns, p50/p99 per-core
 /// utilization) plus the folded flamegraph export.
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 pub mod cpuprof {
     use super::*;
     use crate::ProfileCapture;
@@ -1957,22 +1990,20 @@ pub enum Build {
     /// Builds the report plus a side artefact, written (and pinned)
     /// next to it as `BENCH_<name>.<ext>`.
     WithSide(&'static str, fn() -> (Report, String)),
-    /// Only builds with the named cargo feature, which this build lacks.
-    Needs(&'static str),
+    /// Only builds with `--features telemetry`, which this build lacks.
+    NeedsTelemetry,
 }
 
 /// One gated artefact: everything the `bench-report` driver
 /// ([`crate::gate`]) needs to generate, check, pin and self-test it.
+/// Every report is modelled — a pure function of its seeds — and gated
+/// byte-for-byte against its pin.
 pub struct Entry {
     /// Report name: `BENCH_<name>.json`, and the prefix (up to the first
     /// `_`) of the bench target in `benches/` that prints it, if any.
     pub name: &'static str,
     /// The builder.
     pub build: Build,
-    /// Wall-clock reports are gated by tolerance and only run when named;
-    /// every other report is modelled — a pure function of its seeds —
-    /// and gated byte-for-byte against its pin.
-    pub wall_clock: bool,
     /// Invariants any instance of the report must satisfy.
     pub invariants: fn(&Report) -> Vec<Check>,
     /// Self-test: turns a fresh report into one the gate must reject.
@@ -1984,7 +2015,6 @@ impl Entry {
         Entry {
             name,
             build,
-            wall_clock: false,
             invariants: |_| Vec::new(),
             sabotage: None,
         }
@@ -2012,14 +2042,13 @@ pub fn inflate(r: &Report, prefixes: &[&str], factor: f64) -> Report {
 /// Every gated artefact, in output order: the paper's figures and tables,
 /// the ablations, and the cross-cutting reports.
 pub fn catalogue() -> Vec<Entry> {
-    #[cfg(feature = "trace")]
-    let fig6spans = Build::Report(fig6::spans_report);
-    #[cfg(not(feature = "trace"))]
-    let fig6spans = Build::Needs("trace");
-    #[cfg(feature = "profile")]
-    let cpuprof = Build::WithSide("folded", cpuprof::report_and_folded);
-    #[cfg(not(feature = "profile"))]
-    let cpuprof = Build::Needs("profile");
+    #[cfg(feature = "telemetry")]
+    let (fig6spans, cpuprof) = (
+        Build::Report(fig6::spans_report),
+        Build::WithSide("folded", cpuprof::report_and_folded),
+    );
+    #[cfg(not(feature = "telemetry"))]
+    let (fig6spans, cpuprof) = (Build::NeedsTelemetry, Build::NeedsTelemetry);
     vec![
         Entry::report("fig4", fig4::report),
         Entry::report("fig5", || fig5::report_from(&fig5::sweep())),
@@ -2055,11 +2084,6 @@ pub fn catalogue() -> Vec<Entry> {
             // A CPU-efficiency regression no throughput metric would catch.
             sabotage: Some(|r| inflate(r, &["cycles_per_req_"], 1.25)),
             ..Entry::new("cpuprof", cpuprof)
-        },
-        Entry {
-            wall_clock: true,
-            invariants: crate::simspeed::checks,
-            ..Entry::report("simspeed", crate::simspeed::report)
         },
     ]
 }

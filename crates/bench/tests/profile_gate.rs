@@ -1,9 +1,9 @@
-//! Acceptance checks for the attribution profiler (profile builds):
+//! Acceptance checks for the attribution profiler (telemetry builds):
 //! every cycle a server core burns inside the measurement window must
 //! land in the profile tree (exact conservation, both stacks), the
 //! folded export must be byte-deterministic for a fixed seed, and
 //! capturing a profile must not perturb the simulation it observes.
-#![cfg(feature = "profile")]
+#![cfg(feature = "telemetry")]
 
 use tas_bench::{run_rpc, Kind, RpcScenario};
 use tas_sim::SimTime;

@@ -34,18 +34,15 @@ fn catalogue_pins_and_bench_targets_cover_each_other() {
     assert_eq!(pins, names, "pins and entries must pair up one to one");
 
     // Every figure/table/ablation harness prints a catalogue report: its
-    // target name up to the first `_` is the entry (`micro` is the
-    // criterion microbenchmark, not a report).
+    // target name up to the first `_` is the entry.
     let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
     let manifest = std::fs::read_to_string(manifest).unwrap();
     let mut printed = BTreeSet::new();
     for section in manifest.split("[[bench]]").skip(1) {
         let target = section.split('"').nth(1).expect("bench target name");
-        if target != "micro" {
-            let entry = target.split('_').next().unwrap();
-            assert!(unique.contains(entry), "{target}: no entry {entry:?}");
-            assert!(printed.insert(entry), "{entry}: printed by two targets");
-        }
+        let entry = target.split('_').next().unwrap();
+        assert!(unique.contains(entry), "{target}: no entry {entry:?}");
+        assert!(printed.insert(entry), "{entry}: printed by two targets");
     }
     assert_eq!(printed.len(), 18, "17 figures and tables + ablations");
 }

@@ -2,7 +2,7 @@
 //! critical-path decomposition must sum to the measured end-to-end
 //! latency within 1%, split each stage into queue + processing exactly,
 //! and see zero truncation at the default ring size.
-#![cfg(feature = "trace")]
+#![cfg(feature = "telemetry")]
 
 use tas_bench::scenarios::fig6;
 use tas_telemetry::spans;

@@ -112,7 +112,7 @@ impl Core {
         self.busy_total += dur;
         self.busy_cycles += cycles;
         self.last_work = end;
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         tas_telemetry::profile::on_core_run(cycles);
         (start, end)
     }

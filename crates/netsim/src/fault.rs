@@ -212,7 +212,7 @@ impl FaultInjector {
         self.reg.snapshot()
     }
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_verdict(&self, verdict: &'static str, when: SimTime, seg: &Segment) {
         let (flow, seq, dev) = (seg.flow_key(), seg.tcp.seq, self.device_id);
         tas_telemetry::emit(|| tas_telemetry::TraceRecord {
@@ -227,7 +227,7 @@ impl FaultInjector {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_verdict(&self, _verdict: &'static str, _when: SimTime, _seg: &Segment) {}
 

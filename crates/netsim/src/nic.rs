@@ -144,7 +144,7 @@ impl HostNic {
         let arrival = depart + self.cfg.prop_delay;
         // Span stamp at serialization completion: even a packet the wire
         // then corrupts did occupy the TX queue and the link.
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         if !seg.payload.is_empty() {
             let (flow, seq, len) = (
                 seg.flow_key().reversed(),
@@ -182,7 +182,7 @@ impl HostNic {
     /// Records a wire transmission in the flight recorder. Site `"nic"`
     /// is the canonical on-the-wire capture point: post-fault, so the
     /// trace (and a pcap built from it) shows what actually went out.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_tx(when: SimTime, seg: &Segment) {
         tas_telemetry::emit(|| tas_telemetry::TraceRecord {
             t: when,
@@ -193,7 +193,7 @@ impl HostNic {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_tx(_when: SimTime, _seg: &Segment) {}
 

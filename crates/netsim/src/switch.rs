@@ -240,7 +240,7 @@ impl Switch {
             if depth >= k && seg.ip.ecn.is_capable() {
                 seg.ip.ecn = Ecn::Ce;
                 port.marked += 1;
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 {
                     let (flow, seq) = (seg.flow_key(), seg.tcp.seq);
                     tas_telemetry::emit(|| tas_telemetry::TraceRecord {
@@ -258,7 +258,7 @@ impl Switch {
         port.forwarded += 1;
         port.bytes += seg.wire_len() as u64;
         let arrival = depart + port.cfg.prop_delay;
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         if !seg.payload.is_empty() {
             let (flow, seq, len) = (
                 seg.flow_key().reversed(),

@@ -44,6 +44,14 @@ pub fn host_mac(index: u32) -> MacAddr {
     MacAddr::for_host(index + 1)
 }
 
+/// The MAC of the simulated host at `ip` — the inverse of [`host_ip`] /
+/// [`host_mac`], and every stack's "ARP table": addressing in the
+/// simulator is 1:1.
+pub fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
+    let o = ip.octets();
+    MacAddr::for_host(u32::from_be_bytes([0, o[1], o[2], o[3]]))
+}
+
 /// A single-switch (star) topology: every host hangs off one switch.
 #[derive(Debug)]
 pub struct StarTopo {

@@ -559,7 +559,7 @@ impl std::fmt::Display for MetricKey {
 pub enum MetricValue {
     /// Monotone counter.
     Counter(u64),
-    /// Instantaneous level (may go down).
+    /// Current level (may go down).
     Gauge(i64),
 }
 
@@ -568,7 +568,7 @@ pub enum MetricValue {
 pub struct CounterId(usize);
 
 /// A registry of named counters with per-core and per-flow scoping and a
-/// deterministic, ordered [`Registry::snapshot`]. (Instantaneous levels
+/// deterministic, ordered [`Registry::snapshot`]. (Current levels
 /// are not registered: a host inserts them into the [`Snapshot`] from
 /// live state with [`Snapshot::insert_gauge`].)
 ///

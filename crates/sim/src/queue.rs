@@ -23,10 +23,11 @@
 //! that the events a scenario actually dispatches are placed exactly once
 //! (see [`G0_SHIFT`]). A drained level-0 slot is sorted by `(time, seq)`
 //! into the ready run, which restores the exact global dispatch order of
-//! the old global binary heap (kept as [`HeapQueue`] for differential
-//! testing and before/after benchmarks); an event pushed inside the window
-//! already drained — less than one tick ahead — is merged into that sorted
-//! run directly. [`EventQueue::stats`] counts each of these steps.
+//! the old global binary heap (kept as the test-only `HeapQueue`, the
+//! reference of the differential tests in this module); an event pushed
+//! inside the window already drained — less than one tick ahead — is
+//! merged into that sorted run directly. [`EventQueue::stats`] counts
+//! each of these steps.
 //!
 //! # Memory layout
 //!
@@ -768,168 +769,155 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Inline entry for [`HeapQueue`], ordered earliest-first by `(time, seq)`.
-struct Entry<E> {
-    at: SimTime,
-    seq: u64,
-    ctl: u32,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Generation-checked liveness slab for [`HeapQueue`].
-#[derive(Clone, Copy, Default)]
-struct GenSlot {
-    gen: u32,
-    cancelled: bool,
-}
-
-/// The pre-wheel global binary-heap queue.
-///
-/// Kept as the reference implementation: the proptest differential harness
-/// checks the wheel dispatches identical `(time, seq)` sequences, and the
-/// `simspeed` bench reports the heap's events/sec as the "before" number.
-/// Cancellation here is lazy-only (skip on pop, no compaction), which is
-/// exactly the ghost-entry growth the wheel fixes.
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-    slots: Vec<GenSlot>,
-    free: Vec<u32>,
-    cancelled_live: usize,
-}
-
-impl<E> HeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            cancelled_live: 0,
-        }
-    }
-
-    /// Schedules `event` at absolute time `at`, returning a cancel handle.
-    pub fn push(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.seq;
-        self.seq += 1;
-        let id = if let Some(slot) = self.free.pop() {
-            EventId {
-                slot,
-                gen: self.slots[slot as usize].gen,
-            }
-        } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(GenSlot::default());
-            EventId { slot, gen: 0 }
-        };
-        self.heap.push(Entry {
-            at,
-            seq,
-            ctl: id.slot,
-            event,
-        });
-        id
-    }
-
-    /// Frees a slot; returns true if it was cancelled.
-    fn release(&mut self, slot: u32) -> bool {
-        let s = &mut self.slots[slot as usize];
-        let was = s.cancelled;
-        s.cancelled = false;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        was
-    }
-
-    /// Cancels a pending event (lazy: reclaimed only when popped over).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.slots.get_mut(id.slot as usize) {
-            Some(s) if s.gen == id.gen && !s.cancelled => {
-                s.cancelled = true;
-                self.cancelled_live += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Removes and returns the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(e) = self.heap.pop() {
-            if self.release(e.ctl) {
-                self.cancelled_live -= 1;
-                continue;
-            }
-            return Some((e.at, e.event));
-        }
-        None
-    }
-
-    /// Timestamp of the earliest live event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.heap.peek() {
-            if self.slots[e.ctl as usize].cancelled {
-                let e = self.heap.pop().expect("peek checked");
-                self.release(e.ctl);
-                self.cancelled_live -= 1;
-                continue;
-            }
-            return Some(e.at);
-        }
-        None
-    }
-
-    /// Number of physically resident entries (live + cancelled ghosts).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Number of live (non-cancelled) pending events.
-    pub fn live_len(&self) -> usize {
-        self.heap.len() - self.cancelled_live
-    }
-
-    /// True when no live events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.live_len() == 0
-    }
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
+
+    /// Inline entry for [`HeapQueue`], ordered earliest-first by `(time, seq)`.
+    struct Entry<E> {
+        at: SimTime,
+        seq: u64,
+        ctl: u32,
+        event: E,
+    }
+
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: BinaryHeap is a max-heap, we want earliest first.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// Generation-checked liveness slab for [`HeapQueue`].
+    #[derive(Clone, Copy, Default)]
+    struct GenSlot {
+        gen: u32,
+        cancelled: bool,
+    }
+
+    /// The pre-wheel global binary-heap queue, kept as the reference
+    /// implementation: the differential tests below check that the wheel
+    /// dispatches identical `(time, seq)` sequences and agrees on every
+    /// observable. Cancellation here is lazy-only (skip on pop, no
+    /// compaction), which is exactly the ghost-entry growth the wheel fixes.
+    struct HeapQueue<E> {
+        heap: BinaryHeap<Entry<E>>,
+        seq: u64,
+        slots: Vec<GenSlot>,
+        free: Vec<u32>,
+        cancelled_live: usize,
+    }
+
+    impl<E> HeapQueue<E> {
+        /// Creates an empty queue.
+        fn new() -> Self {
+            HeapQueue {
+                heap: BinaryHeap::new(),
+                seq: 0,
+                slots: Vec::new(),
+                free: Vec::new(),
+                cancelled_live: 0,
+            }
+        }
+
+        /// Schedules `event` at absolute time `at`, returning a cancel handle.
+        fn push(&mut self, at: SimTime, event: E) -> EventId {
+            let seq = self.seq;
+            self.seq += 1;
+            let id = if let Some(slot) = self.free.pop() {
+                EventId {
+                    slot,
+                    gen: self.slots[slot as usize].gen,
+                }
+            } else {
+                let slot = self.slots.len() as u32;
+                self.slots.push(GenSlot::default());
+                EventId { slot, gen: 0 }
+            };
+            self.heap.push(Entry {
+                at,
+                seq,
+                ctl: id.slot,
+                event,
+            });
+            id
+        }
+
+        /// Frees a slot; returns true if it was cancelled.
+        fn release(&mut self, slot: u32) -> bool {
+            let s = &mut self.slots[slot as usize];
+            let was = s.cancelled;
+            s.cancelled = false;
+            s.gen = s.gen.wrapping_add(1);
+            self.free.push(slot);
+            was
+        }
+
+        /// Cancels a pending event (lazy: reclaimed only when popped over).
+        fn cancel(&mut self, id: EventId) -> bool {
+            match self.slots.get_mut(id.slot as usize) {
+                Some(s) if s.gen == id.gen && !s.cancelled => {
+                    s.cancelled = true;
+                    self.cancelled_live += 1;
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        /// Removes and returns the earliest live event.
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            while let Some(e) = self.heap.pop() {
+                if self.release(e.ctl) {
+                    self.cancelled_live -= 1;
+                    continue;
+                }
+                return Some((e.at, e.event));
+            }
+            None
+        }
+
+        /// Timestamp of the earliest live event.
+        fn peek_time(&mut self) -> Option<SimTime> {
+            while let Some(e) = self.heap.peek() {
+                if self.slots[e.ctl as usize].cancelled {
+                    let e = self.heap.pop().expect("peek checked");
+                    self.release(e.ctl);
+                    self.cancelled_live -= 1;
+                    continue;
+                }
+                return Some(e.at);
+            }
+            None
+        }
+
+        /// Number of live (non-cancelled) pending events.
+        fn live_len(&self) -> usize {
+            self.heap.len() - self.cancelled_live
+        }
+
+        /// True when no live events are pending.
+        fn is_empty(&self) -> bool {
+            self.live_len() == 0
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -1165,8 +1153,8 @@ mod tests {
 
     #[test]
     fn matches_heap_reference_on_random_schedule() {
-        // Seeded differential smoke test; the full proptest harness lives
-        // in tests/proptest_simqueue.rs at the workspace root.
+        // Seeded differential smoke test; `props` below is the full
+        // proptest harness.
         let mut rng = Rng::new(0xF00D);
         let mut wheel = EventQueue::new();
         let mut heap = HeapQueue::new();
@@ -1231,6 +1219,193 @@ mod tests {
         }
         for n in [st.cancels_wheel, st.cancels_ready, st.cancels_overflow] {
             assert!(n > 0, "{st:?}");
+        }
+    }
+
+    #[test]
+    fn matches_heap_reference_on_rto_reset_schedule() {
+        // The terabit-sweep timer loop: the clock advances one packet
+        // arrival per op (one reset sweep of all flows per 10 ms), and each
+        // arrival cancels that flow's retransmission timer and re-arms it
+        // `G` sweeps out, so a timer fires only when its flow went unpicked
+        // for `G` sweeps (~e^-G of them) and the queue's job is absorbing
+        // constant re-arms at 1 k / 10 k / 100 k pending timers. Every live
+        // fire must come out of both engines at the same instant with the
+        // same payload, and every cancel must have the same outcome.
+        const G: u64 = 3;
+        const OPS: u64 = 200_000;
+        const SWEEP_PS: u64 = 10_000_000_000;
+        for flows in [1_000u64, 10_000, 100_000] {
+            let step_ps = SWEEP_PS / flows;
+            let rto = SimTime::from_ps(G * SWEEP_PS);
+            let mut rng = Rng::new(0x5157_5545_5545 ^ flows);
+            let mut wheel = EventQueue::new();
+            let mut heap = HeapQueue::new();
+            let mut ids: Vec<(EventId, EventId)> = (0..flows)
+                .map(|f| {
+                    let at = SimTime::from_ps(1 + f * step_ps) + rto;
+                    (wheel.push(at, f), heap.push(at, f))
+                })
+                .collect();
+            let mut now = flows * step_ps;
+            let mut fired = 0u64;
+            // (G + 1) sweeps fill the steady state before the counted ops.
+            for _ in 0..(G + 1) * flows + OPS {
+                now += step_ps;
+                let deadline = SimTime::from_ps(now);
+                while let Some((at, f)) = wheel.pop_due(deadline) {
+                    assert_eq!(heap.pop(), Some((at, f)), "{flows} flows, fire {fired}");
+                    fired += 1;
+                    // RTO expiry: back off one more period.
+                    ids[f as usize] = (wheel.push(at + rto, f), heap.push(at + rto, f));
+                }
+                assert!(heap.peek_time().is_none_or(|t| t > deadline));
+                let f = rng.below(flows);
+                let (w, h) = ids[f as usize];
+                assert!(wheel.cancel(w) && heap.cancel(h), "a pending timer is live");
+                let at = deadline + rto;
+                ids[f as usize] = (wheel.push(at, f), heap.push(at, f));
+                assert_eq!(wheel.live_len(), flows as usize);
+            }
+            assert_eq!(heap.live_len(), flows as usize);
+            assert!(
+                fired > OPS / 100,
+                "{flows} flows: only {fired} timers fired"
+            );
+            assert!(
+                wheel.stats().cancels_wheel > OPS,
+                "re-arms cancel in the wheel"
+            );
+        }
+    }
+
+    /// Property tests: under arbitrary push / cancel / pop interleavings —
+    /// same-timestamp ties, delays inside the finest tick (which land in the
+    /// window already drained and merge into the sorted ready run), delays
+    /// spanning every wheel level and the overflow heap, deadline-bounded
+    /// pops, stale and duplicate cancellations — the wheel must dispatch
+    /// exactly the sequence of [`HeapQueue`] and agree with it on every
+    /// observable (peek, length, cancel outcome) at every step.
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum QOp {
+            /// Push at `now + delay` (delays drawn from mixed horizons so
+            /// entries land in every wheel level and the overflow heap).
+            Push(u64),
+            /// Push at exactly the previous push's timestamp: a
+            /// dispatch-order tie that must break by insertion order in
+            /// both engines.
+            PushTie,
+            /// Cancel the i-th handle issued so far (mod count): sometimes
+            /// live, sometimes already dispatched or already cancelled —
+            /// both engines must agree on the outcome either way.
+            Cancel(usize),
+            /// Pop up to n events, advancing the clock.
+            Pop(u8),
+            /// Pop every event due within `window` of now, the way
+            /// `Sim::run_until` does: the reference is the heap's
+            /// `peek_time` + `pop`.
+            PopDue(u64),
+        }
+
+        /// Delay caps, one per place an entry can land: inside the level-0
+        /// tick (2^18 ps), levels 0-3, and past the wheel's top horizon
+        /// (2^50 ps, ~1126 s) in the overflow heap.
+        const DELAY_CAPS: [u64; 6] = [
+            200_000,
+            50_000_000,
+            10_000_000_000,
+            3_000_000_000_000,
+            1_000_000_000_000_000,
+            4_000_000_000_000_000,
+        ];
+
+        fn arb_ops() -> impl Strategy<Value = Vec<QOp>> {
+            proptest::collection::vec(
+                prop_oneof![
+                    (0usize..DELAY_CAPS.len(), any::<u64>())
+                        .prop_map(|(h, raw)| QOp::Push(raw % DELAY_CAPS[h])),
+                    Just(QOp::PushTie),
+                    any::<usize>().prop_map(QOp::Cancel),
+                    (1u8..8).prop_map(QOp::Pop),
+                    (0usize..3, any::<u64>()).prop_map(|(h, raw)| QOp::PopDue(raw % DELAY_CAPS[h])),
+                ],
+                1..400,
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The wheel and the heap reference dispatch identical (time,
+            /// payload) sequences and agree on peek/len/cancel at every step.
+            #[test]
+            fn wheel_matches_heap_reference(ops in arb_ops()) {
+                let mut wheel: EventQueue<u64> = EventQueue::new();
+                let mut heap: HeapQueue<u64> = HeapQueue::new();
+                let mut handles = Vec::new();
+                let mut now = 0u64;
+                let mut last_at = 0u64;
+                for (i, op) in ops.into_iter().enumerate() {
+                    match op {
+                        QOp::Push(delay) => {
+                            last_at = now + delay;
+                            let at = SimTime::from_ps(last_at);
+                            handles.push((wheel.push(at, i as u64), heap.push(at, i as u64)));
+                        }
+                        QOp::PushTie => {
+                            let at = SimTime::from_ps(last_at.max(now));
+                            handles.push((wheel.push(at, i as u64), heap.push(at, i as u64)));
+                        }
+                        QOp::Cancel(j) => {
+                            if !handles.is_empty() {
+                                let (w, h) = handles[j % handles.len()];
+                                prop_assert_eq!(wheel.cancel(w), heap.cancel(h));
+                            }
+                        }
+                        QOp::Pop(n) => {
+                            for _ in 0..n {
+                                let (w, h) = (wheel.pop(), heap.pop());
+                                prop_assert_eq!(w, h);
+                                match w {
+                                    Some((t, _)) => now = now.max(t.as_ps()),
+                                    None => break,
+                                }
+                            }
+                        }
+                        QOp::PopDue(window) => {
+                            let deadline = SimTime::from_ps(now + window);
+                            loop {
+                                let due = heap.peek_time().is_some_and(|t| t <= deadline);
+                                let h = if due { heap.pop() } else { None };
+                                let w = wheel.pop_due(deadline);
+                                prop_assert_eq!(w, h);
+                                if w.is_none() {
+                                    break;
+                                }
+                            }
+                            now = deadline.as_ps();
+                        }
+                    }
+                    prop_assert_eq!(wheel.live_len(), heap.live_len());
+                    prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                }
+                // Drain to exhaustion: every remaining live event must come
+                // out of both engines in the same order with the same key
+                // and payload.
+                loop {
+                    let (w, h) = (wheel.pop(), heap.pop());
+                    prop_assert_eq!(w, h);
+                    if w.is_none() {
+                        break;
+                    }
+                }
+                prop_assert!(wheel.is_empty() && heap.is_empty());
+            }
         }
     }
 }

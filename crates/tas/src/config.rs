@@ -119,17 +119,9 @@ pub struct TasConfig {
     /// Control intervals with stalled unacked data before the slow path
     /// triggers a retransmission (paper default: 2).
     pub stall_intervals_for_rexmit: u32,
-    /// Fast-path cores block after this long without packets (§3.4).
-    pub block_after: SimTime,
-    /// Aggregate idle-core threshold to remove a core.
-    pub idle_remove_threshold: f64,
-    /// Aggregate idle-core threshold to add a core.
-    pub idle_add_threshold: f64,
     /// Enable the proportionality controller (off = fixed core count, as
     /// in the fixed-allocation benchmarks).
     pub proportional: bool,
-    /// Additive-increase step for rate-based DCTCP (paper: 10 Mbps).
-    pub ai_rate_bps: u64,
     /// Initial flow rate out of slow start.
     pub initial_rate_bps: u64,
     /// Bound on fast-path dispatch backlog per core; packets arriving when
@@ -141,13 +133,8 @@ pub struct TasConfig {
     pub ooo_rx: bool,
     /// Cost constants.
     pub costs: TasCosts,
-    /// Effective per-core cache available for fast-path flow state
-    /// (≈2 MB L2 + L3 share on the paper's server).
-    pub cache_per_core: u64,
     /// Cache lines of flow state touched per request (102-byte state = 2).
     pub cache_lines_per_req: u64,
-    /// Stall cycles per missed line.
-    pub cache_miss_penalty: f64,
 }
 
 impl Default for TasConfig {
@@ -164,18 +151,12 @@ impl Default for TasConfig {
             cc: CcAlgo::DctcpRate,
             control_interval: SimTime::from_us(200),
             stall_intervals_for_rexmit: 2,
-            block_after: SimTime::from_ms(10),
-            idle_remove_threshold: 1.25,
-            idle_add_threshold: 0.2,
             proportional: false,
-            ai_rate_bps: 10_000_000,
             initial_rate_bps: 1_000_000_000,
             max_core_backlog: SimTime::from_us(500),
             ooo_rx: true,
             costs: TasCosts::default(),
-            cache_per_core: 2 << 20,
             cache_lines_per_req: 2,
-            cache_miss_penalty: 110.0,
         }
     }
 }
@@ -229,7 +210,6 @@ mod tests {
     fn default_config_consistent() {
         let c = TasConfig::default();
         assert!(c.initial_fp_cores <= c.max_fp_cores);
-        assert!(c.idle_add_threshold < c.idle_remove_threshold);
         let r = TasConfig::rpc_bench(2, 3);
         assert_eq!(r.initial_fp_cores, 2);
         assert_eq!(r.app_cores, 3);

@@ -29,7 +29,7 @@ use tas_proto::{MacAddr, PayloadBuf, Segment, TcpFlags};
 use tas_sim::SimTime;
 
 /// Emits a flight-recorder record at site `"fp"`.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn trace_fp(t: SimTime, ev: tas_telemetry::TraceEvent) {
     tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site: "fp", ev });
 }
@@ -146,7 +146,7 @@ impl FastPath {
 
     /// Processes one received packet. Returns the cycle cost.
     pub fn rx_segment(&mut self, now: SimTime, seg: Segment, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("rx");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Driver, p.costs.drv_rx);
@@ -190,7 +190,7 @@ impl FastPath {
     /// data to a flow's transmit buffer). Returns the cycle cost. The flow
     /// may already be gone (teardown raced the queued command).
     pub fn tx_command(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tx_cmd");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_cmd);
@@ -204,7 +204,7 @@ impl FastPath {
     /// pointer. If the advertised window had collapsed below one MSS, an
     /// explicit window-update ACK un-sticks a blocked sender.
     pub fn rx_bump(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("rx_bump");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Tcp, p.costs.rx_bump);
@@ -229,7 +229,7 @@ impl FastPath {
 
     /// Handles a pacing-timer expiration for a flow.
     pub fn tx_poll(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tx_poll");
         let (flows, mut p) = self.split();
         p.stats.tx_polls += 1;
@@ -266,7 +266,7 @@ impl FastPath {
     /// data, nothing in flight, and a shut window (a lost window update
     /// would otherwise deadlock the connection).
     pub fn window_probe(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("probe");
         let (flows, mut p) = self.split();
         let cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_seg)
@@ -284,13 +284,13 @@ impl FastPath {
     /// Slow-path-triggered retransmission: reset the flow's sender state
     /// and retransmit from the left window edge.
     pub fn trigger_retransmit(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("rexmit");
         let (flows, mut p) = self.split();
         let Some(flow) = flows.get_mut(fid) else {
             return 0;
         };
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         trace_fp(
             now,
             tas_telemetry::TraceEvent::Retransmit {
@@ -312,7 +312,7 @@ impl Pipe<'_> {
         acct.charge(module, cycles, instr);
         // Every fast-path cycle flows through this funnel, so the
         // attribution profiler sees the exact cost the host will run.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         tas_telemetry::profile::charge(cycles);
         cycles
     }
@@ -336,7 +336,7 @@ impl Pipe<'_> {
         has_payload: bool,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("ack");
         let cost = if has_payload {
             // Piggybacked ACK: the data-path cost covers it.
@@ -374,7 +374,7 @@ impl Pipe<'_> {
             if flow.snd.dupack() {
                 flow.cc.count_fast_rexmit();
                 self.stats.fast_rexmits += 1;
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 trace_fp(
                     now,
                     tas_telemetry::TraceEvent::Retransmit {
@@ -399,7 +399,7 @@ impl Pipe<'_> {
         seg: &Segment,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("data");
         let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_rx_data);
         flow.cc.note_ce(seg.is_ce_marked());
@@ -414,7 +414,7 @@ impl Pipe<'_> {
                 return cycles;
             }
             Placed::Staged => {
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 trace_fp(
                     now,
                     tas_telemetry::TraceEvent::OooPlace {
@@ -433,7 +433,7 @@ impl Pipe<'_> {
 
     /// Stages a pure ACK for a flow.
     fn emit_ack(&mut self, now: SimTime, flow: &mut FlowState, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("ack_tx");
         let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_ack_gen)
             + self.charge(acct, Module::Driver, self.costs.drv_tx);
@@ -482,7 +482,7 @@ impl Pipe<'_> {
         flow: &mut FlowState,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tx");
         let mut sent_segments = 0u64;
         flow.cc.refill_bucket(now);

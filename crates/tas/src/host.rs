@@ -24,8 +24,9 @@ use std::net::Ipv4Addr;
 use tas_cpusim::{Core, CorePool, CycleAccount, Module};
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_netsim::rss::hash_tuple;
+use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 use tas_proto::FlowKey;
 use tas_proto::{MacAddr, Segment, TcpFlags};
 use tas_shm::ByteRing;
@@ -54,8 +55,19 @@ pub mod timers {
     pub const SP_RUN: u32 = 7;
 }
 
+/// Fast-path cores block after this long without packets (§3.4).
+const BLOCK_AFTER: SimTime = SimTime::from_ms(10);
 /// Latency for waking a blocked fast-path core (eventfd + schedule).
 const FP_WAKE_LATENCY: SimTime = SimTime::from_us(3);
+/// Aggregate idle-core threshold to remove a core (§3.4).
+const IDLE_REMOVE_THRESHOLD: f64 = 1.25;
+/// Aggregate idle-core threshold to add a core (§3.4).
+const IDLE_ADD_THRESHOLD: f64 = 0.2;
+/// Effective per-core cache available for fast-path flow state
+/// (≈2 MB L2 + L3 share on the paper's server).
+const CACHE_PER_CORE: u64 = 2 << 20;
+/// Stall cycles per missed line of flow state.
+const CACHE_MISS_PENALTY: f64 = 110.0;
 /// App cores idle longer than this sleep in epoll and pay a wake.
 const APP_IDLE_SLEEP: SimTime = SimTime::from_us(100);
 /// Latency for waking a sleeping app thread.
@@ -73,7 +85,7 @@ struct SockState {
 }
 
 /// Emits a flight-recorder record.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn trace_host(site: &'static str, t: SimTime, ev: tas_telemetry::TraceEvent) {
     tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site, ev });
 }
@@ -81,7 +93,7 @@ fn trace_host(site: &'static str, t: SimTime, ev: tas_telemetry::TraceEvent) {
 /// Stamps one hop of a payload range's journey for the span profiler.
 /// `flow` must be the data sender's perspective (the canonical span key);
 /// `wait` is the time the unit queued at this hop before service.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn trace_stage(
     site: &'static str,
     t: SimTime,
@@ -162,7 +174,7 @@ struct Inner {
     /// the host under measurement is enabled; all others disarm the
     /// thread-local profiler before running so their work cannot bleed
     /// into the profiled host's tree.
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     prof: bool,
     /// Host-level metric registry.
     reg: Registry,
@@ -212,7 +224,7 @@ impl Inner {
     }
 }
 
-#[cfg(feature = "profile")]
+#[cfg(feature = "telemetry")]
 impl Inner {
     /// Arms cycle attribution for one of this host's cores — or disarms
     /// the thread-local profiler when this host is not the one being
@@ -316,7 +328,7 @@ impl TasHost {
                 next_context: 0,
                 acct: CycleAccount::new(),
                 started: false,
-                #[cfg(feature = "profile")]
+                #[cfg(feature = "telemetry")]
                 prof: false,
                 reg,
                 c_drop_backlog,
@@ -366,7 +378,7 @@ impl TasHost {
     /// identities. Hosts that were never enabled disarm the profiler
     /// before running instead, so enabling exactly one host on a thread
     /// profiles exactly that host.
-    #[cfg(feature = "profile")]
+    #[cfg(feature = "telemetry")]
     pub fn enable_profiling(&mut self) {
         self.inner.prof = true;
     }
@@ -571,14 +583,14 @@ impl TasHost {
     ) -> (SimTime, SimTime) {
         let inner = &mut self.inner;
         let core_idx = core_idx.min(inner.active_fp.saturating_sub(1));
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         inner.prof_arm("fp", core_idx as u32);
         let mut t_eff = t;
         let mut wake_extra = 0;
         {
             let core = inner.fp_cores.core(core_idx);
-            // Blocked-core wake (§3.4): no packets for `block_after`.
-            if core.is_idle(t) && t.saturating_sub(core.last_work_end()) > inner.cfg.block_after {
+            // Blocked-core wake (§3.4): no packets for `BLOCK_AFTER`.
+            if core.is_idle(t) && t.saturating_sub(core.last_work_end()) > BLOCK_AFTER {
                 t_eff = t + FP_WAKE_LATENCY;
                 wake_extra = inner.cfg.costs.wake_cycles;
                 inner.reg.inc(inner.c_fp_wakes);
@@ -599,7 +611,7 @@ impl TasHost {
         // Host-level costs bypass the fast path's charge funnel; stage
         // them under their own frames so the core-run drain below
         // attributes them instead of leaving an anonymous residual.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         {
             if extra_cycles > 0 {
                 let _g = tas_telemetry::profile::guard("cache_stall");
@@ -623,9 +635,9 @@ impl TasHost {
         }
         let per_core = flows / inner.active_fp.max(1) as u64;
         let model = tas_cpusim::CacheModel::new(
-            inner.cfg.cache_per_core,
+            CACHE_PER_CORE,
             inner.cfg.cache_lines_per_req,
-            inner.cfg.cache_miss_penalty,
+            CACHE_MISS_PENALTY,
         );
         // Footprint per flow = the lines the fast path touches (default 2
         // lines = the 102-byte state rounded up; ablations inflate it).
@@ -635,7 +647,7 @@ impl TasHost {
     /// Drains staged fast-path effects at completion time `end`. `wait` is
     /// how long the triggering work queued for its core (span profiling
     /// attributes it to the fp_tx hop); pass zero for untimed flushes.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     fn flush_fp(&mut self, end: SimTime, wait: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let mut packets =
             take_recycled(&mut self.inner.fp.out.packets, &mut self.inner.scratch.fp_packets);
@@ -650,7 +662,7 @@ impl TasHost {
             &mut self.inner.scratch.fp_tx_timers,
         );
         for pkt in packets.drain(..) {
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             {
                 tas_telemetry::emit(|| tas_telemetry::TraceRecord {
                     t: end,
@@ -719,10 +731,10 @@ impl TasHost {
         };
         let iss = ctx.rng().next_u32();
         let start = t.max(self.inner.sp_core.busy_until());
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         let stamp = (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
         let inner = &mut self.inner;
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         inner.prof_arm("sp", 0);
         let cycles = inner.sp.on_exception(
             start,
@@ -736,7 +748,7 @@ impl TasHost {
         #[cfg(any(test, debug_assertions, feature = "audit"))]
         crate::audit::check_fastpath(&inner.fp, start);
         let (_, end) = inner.sp_core.run(t, cycles);
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         {
             let (flow, seq, len) = stamp;
             trace_stage(
@@ -755,7 +767,7 @@ impl TasHost {
             let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
             // Re-arming onto the app core also discards the charges the
             // handshake-ACK's discarded fast-path estimate staged above.
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             {
                 inner.prof_arm("app", accept_ctx as u32);
                 let _g = tas_telemetry::profile::guard("accept");
@@ -764,7 +776,7 @@ impl TasHost {
             let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
             inner.acct.charge(Module::Api, app_cost, app_cost);
             let start2 = app_end.max(inner.sp_core.busy_until());
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             inner.prof_arm("sp", 0);
             inner.sp.accept_pending(start2, &mut inner.acct);
             let cost2 = inner.cfg.costs.sp_conn_op;
@@ -781,7 +793,7 @@ impl TasHost {
     ) -> T {
         let start = t.max(self.inner.sp_core.busy_until());
         let inner = &mut self.inner;
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         inner.prof_arm("sp", 0);
         let (cycles, ret) = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
         #[cfg(any(test, debug_assertions, feature = "audit"))]
@@ -797,7 +809,7 @@ impl TasHost {
         let mut events =
             take_recycled(&mut self.inner.sp.out.events, &mut self.inner.scratch.sp_events);
         for pkt in packets.drain(..) {
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             {
                 tas_telemetry::emit(|| tas_telemetry::TraceRecord {
                     t: end,
@@ -916,7 +928,7 @@ impl TasHost {
             return;
         }
         if notice.rx_bytes > 0 {
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             if let Some(flow) = self.inner.socks[sock as usize]
                 .fid
                 .and_then(|fid| self.inner.fp.flows.get(fid))
@@ -995,7 +1007,7 @@ impl TasHost {
         // Application frames charge through the account, not a profiled
         // funnel; stage the API/handler split explicitly so the app-core
         // drain attributes it.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         {
             self.inner.prof_arm("app", frame.context as u32);
             let _g = tas_telemetry::profile::guard("app");
@@ -1070,16 +1082,16 @@ impl TasHost {
         inner.util_series.push(now, mean_util);
         let idle: f64 = utils.iter().take(active).map(|u| (1.0 - u).max(0.0)).sum();
         let mut changed = false;
-        if idle < inner.cfg.idle_add_threshold && active < inner.cfg.max_fp_cores {
+        if idle < IDLE_ADD_THRESHOLD && active < inner.cfg.max_fp_cores {
             inner.active_fp = active + 1;
             changed = true;
-        } else if idle > inner.cfg.idle_remove_threshold && active > 1 {
+        } else if idle > IDLE_REMOVE_THRESHOLD && active > 1 {
             inner.active_fp = active - 1;
             changed = true;
         }
         if changed {
             inner.reg.inc(inner.c_scale_events);
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_host(
                 "host",
                 now,
@@ -1153,14 +1165,6 @@ impl TasHost {
     }
 }
 
-/// Resolves the deterministic MAC for a simulated host IP (the slow
-/// path's "ARP table": addressing in the simulator is 1:1).
-pub fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
-    let o = ip.octets();
-    let n = u32::from_be_bytes([0, o[1], o[2], o[3]]);
-    MacAddr::for_host(n)
-}
-
 // ----------------------------------------------------------------------
 // The libTAS application API.
 
@@ -1214,14 +1218,14 @@ impl StackApi for Api<'_> {
             return 0;
         };
         // libTAS writes payload directly into the user-space TX ring.
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         let off0 = flow.snd.tx.end_offset();
         let n = flow.snd.tx.append_partial(data);
         if n < data.len() {
             s.want_write = true;
         }
         if n > 0 {
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_stage(
                 "app",
                 self.inner.frame.now,
@@ -1252,11 +1256,11 @@ impl StackApi for Api<'_> {
         let Some(flow) = self.inner.fp.flows.get_mut(fid) else {
             return Vec::new();
         };
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         let off0 = flow.rcv.rx.start_offset();
         let out = flow.rcv.rx.pop(max);
         if !out.is_empty() {
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_stage(
                 "app",
                 self.inner.frame.now,
@@ -1317,7 +1321,7 @@ impl Agent<NetMsg> for TasHost {
                 let now = ctx.now();
                 self.sample_series(now);
                 let q = self.inner.nic.rx_steer(&seg);
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 tas_telemetry::emit(|| tas_telemetry::TraceRecord {
                     t: now,
                     site: "host",
@@ -1325,7 +1329,7 @@ impl Agent<NetMsg> for TasHost {
                         seg: Box::new(seg.clone()),
                     },
                 });
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 let stamp = if seg.payload.is_empty() {
                     None
                 } else {
@@ -1335,7 +1339,7 @@ impl Agent<NetMsg> for TasHost {
                         seg.payload.len() as u32,
                     ))
                 };
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 if let Some((flow, seq, len)) = stamp {
                     trace_stage(
                         "nic",
@@ -1373,7 +1377,7 @@ impl Agent<NetMsg> for TasHost {
                     }
                     c
                 });
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 if let Some((flow, seq, len)) = stamp {
                     trace_stage(
                         "fp",
@@ -1385,7 +1389,7 @@ impl Agent<NetMsg> for TasHost {
                         start.saturating_sub(now),
                     );
                 }
-                #[cfg(not(feature = "trace"))]
+                #[cfg(not(feature = "telemetry"))]
                 let _ = (start, end);
             }
             Event::Msg {

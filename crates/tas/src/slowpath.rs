@@ -177,7 +177,7 @@ pub struct SlowPath {
 }
 
 /// Emits a flight-recorder record at site `"sp"`.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn trace_sp(t: SimTime, ev: tas_telemetry::TraceEvent) {
     tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site: "sp", ev });
 }
@@ -187,6 +187,8 @@ fn trace_sp(t: SimTime, ev: tas_telemetry::TraceEvent) {
 const RETRY_AFTER: SimTime = SimTime::from_ms(2);
 /// Retry attempts before giving up.
 const MAX_ATTEMPTS: u32 = 8;
+/// Additive-increase step for rate-based DCTCP (paper: 10 Mbps).
+const AI_RATE_BPS: u64 = 10_000_000;
 
 impl SlowPath {
     /// Creates a slow path for a host.
@@ -199,7 +201,7 @@ impl SlowPath {
             tx_buf: cfg.tx_buf,
             cc: cfg.cc,
             dctcp: DctcpRateParams {
-                ai_bps: cfg.ai_rate_bps,
+                ai_bps: AI_RATE_BPS,
                 ..DctcpRateParams::default()
             },
             timely: TimelyParams::default(),
@@ -220,7 +222,7 @@ impl SlowPath {
         // Slow-path work bills as "Other" stack cycles (it runs on its own
         // partially-used core; Table 6 counts it there).
         acct.charge(Module::Other, cycles, cycles);
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         tas_telemetry::profile::charge(cycles);
         cycles
     }
@@ -254,7 +256,7 @@ impl SlowPath {
         iss: u32,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("connect");
         let cycles = self.charge(acct, 900);
         let local_port = self.alloc_port();
@@ -309,7 +311,7 @@ impl SlowPath {
             cc: FpCongCtrl::new(bucket),
         };
         self.stats.established += 1;
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "telemetry")]
         trace_sp(
             now,
             tas_telemetry::TraceEvent::State {
@@ -342,7 +344,7 @@ impl SlowPath {
         fp: &mut FastPath,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("close");
         let cycles = self.charge(acct, 700);
         let drained = {
@@ -456,7 +458,7 @@ impl SlowPath {
         context_for_accept: u16,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("exception");
         self.stats.exceptions += 1;
         let cycles = self.charge(acct, 900);
@@ -579,7 +581,7 @@ impl SlowPath {
                             return cycles;
                         };
                         self.stats.closed += 1;
-                        #[cfg(feature = "trace")]
+                        #[cfg(feature = "telemetry")]
                         trace_sp(
                             now,
                             tas_telemetry::TraceEvent::State {
@@ -670,7 +672,7 @@ impl SlowPath {
                     return 0;
                 };
                 self.stats.closed += 1;
-                #[cfg(feature = "trace")]
+                #[cfg(feature = "telemetry")]
                 trace_sp(
                     now,
                     tas_telemetry::TraceEvent::State {
@@ -705,7 +707,7 @@ impl SlowPath {
     /// connection (identified by listen port). Returns the number of
     /// handshakes answered.
     pub fn accept_pending(&mut self, now: SimTime, acct: &mut CycleAccount) -> usize {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("accept");
         self.charge(acct, 900);
         let keys: Vec<FlowKey> = self
@@ -754,12 +756,12 @@ impl SlowPath {
         };
         self.last_loop = now;
         let interval_secs = effective.as_secs_f64();
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("control");
         // Fast-path work driven from this loop charges itself through
         // `FastPath::charge`; track it so the trailing bulk charge below
         // can profile only the loop's own cycles.
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let mut fp_cycles = 0u64;
         let mut cycles = self.charge(acct, 300);
         let mut rexmit: Vec<u32> = Vec::new();
@@ -829,7 +831,7 @@ impl SlowPath {
         }
         for (fid, bps) in rate_updates {
             let burst = self.burst_for(bps);
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             if let Some(flow) = fp.flows.get(fid) {
                 trace_sp(
                     now,
@@ -843,7 +845,7 @@ impl SlowPath {
             // A rate increase may unblock a paced flow immediately (the
             // armed pacing timer, if any, remains valid).
             let c = fp.poke_tx(now, fid, acct);
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             {
                 fp_cycles += c;
             }
@@ -852,7 +854,7 @@ impl SlowPath {
         for fid in rexmit {
             self.stats.timeout_rexmits += 1;
             let c = fp.trigger_retransmit(now, fid, acct);
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             {
                 fp_cycles += c;
             }
@@ -860,7 +862,7 @@ impl SlowPath {
         }
         for fid in probe {
             let c = fp.window_probe(now, fid, acct);
-            #[cfg(feature = "profile")]
+            #[cfg(feature = "telemetry")]
             {
                 fp_cycles += c;
             }
@@ -895,7 +897,7 @@ impl SlowPath {
                 debug_assert!(false, "handshake vanished before SYN resend");
                 continue;
             };
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_sp(
                 now,
                 tas_telemetry::TraceEvent::Retransmit {
@@ -912,7 +914,7 @@ impl SlowPath {
                 debug_assert!(false, "handshake vanished before SYN-ACK resend");
                 continue;
             };
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_sp(
                 now,
                 tas_telemetry::TraceEvent::Retransmit {
@@ -961,7 +963,7 @@ impl SlowPath {
                 continue;
             };
             self.stats.closed += 1;
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_sp(
                 now,
                 tas_telemetry::TraceEvent::State {
@@ -983,7 +985,7 @@ impl SlowPath {
             cycles.saturating_sub(300),
             cycles.saturating_sub(300),
         );
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         tas_telemetry::profile::charge(cycles.saturating_sub(300).saturating_sub(fp_cycles));
         cycles
     }

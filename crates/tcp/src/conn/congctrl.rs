@@ -67,21 +67,21 @@ impl CongCtrl {
 
     /// Feeds one ACK to the algorithm (profiled per algorithm name).
     pub(crate) fn on_ack(&mut self, info: AckInfo) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_ack(info);
     }
 
     /// Algorithm response to a retransmission timeout.
     pub(crate) fn on_timeout(&mut self) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_timeout();
     }
 
     /// Algorithm response to entering fast recovery.
     pub(crate) fn on_fast_retransmit(&mut self) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _cc = tas_telemetry::profile::guard(self.algo.name());
         self.algo.on_fast_retransmit();
     }

@@ -209,12 +209,12 @@ pub struct TcpConn {
     /// Flight-recorder clock: the time of the entry point currently being
     /// processed, so segment construction deep in the call tree can stamp
     /// trace records without threading `now` everywhere.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     trace_now: SimTime,
     /// Last state reported to the flight recorder; transitions are
     /// emitted by diffing at entry-point boundaries (a `close()` between
     /// events is reported at the next poll).
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     traced_state: TcpState,
 }
 
@@ -289,16 +289,16 @@ impl TcpConn {
             out: Vec::new(),
             events: Vec::new(),
             stats: ConnStats::default(),
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             trace_now: SimTime::ZERO,
-            #[cfg(feature = "trace")]
+            #[cfg(feature = "telemetry")]
             traced_state: TcpState::Closed,
             cfg,
         }
     }
 
     // ------------------------------------------------------------------
-    // Flight recorder (all no-ops unless the `trace` feature is on).
+    // Flight recorder (all no-ops unless the `telemetry` feature is on).
 
     /// The connection's flow key (local perspective).
     pub fn flow_key(&self) -> FlowKey {
@@ -310,17 +310,17 @@ impl TcpConn {
         )
     }
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_mark(&mut self, now: SimTime) {
         self.trace_now = now;
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_mark(&mut self, _now: SimTime) {}
 
     /// Emits one State record if the state changed since last sync.
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_state_sync(&mut self) {
         if self.traced_state != self.mgmt.state() {
             let (t, flow) = (self.trace_now, self.flow_key());
@@ -334,11 +334,11 @@ impl TcpConn {
         }
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_state_sync(&mut self) {}
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_seg(&self, rx: bool, seg: &Segment) {
         let t = self.trace_now;
         tas_telemetry::emit(|| {
@@ -355,11 +355,11 @@ impl TcpConn {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_seg(&self, _rx: bool, _seg: &Segment) {}
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_rexmit(&self, kind: &'static str, seq_no: u32) {
         let (t, flow) = (self.trace_now, self.flow_key());
         tas_telemetry::emit(|| tas_telemetry::TraceRecord {
@@ -373,11 +373,11 @@ impl TcpConn {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_rexmit(&self, _kind: &'static str, _seq_no: u32) {}
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "telemetry")]
     fn trace_ooo(&self, start: u64, len: u64) {
         let (t, flow) = (self.trace_now, self.flow_key());
         tas_telemetry::emit(|| tas_telemetry::TraceRecord {
@@ -387,7 +387,7 @@ impl TcpConn {
         });
     }
 
-    #[cfg(not(feature = "trace"))]
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     fn trace_ooo(&self, _start: u64, _len: u64) {}
 
@@ -676,7 +676,7 @@ impl TcpConn {
     /// also emits window updates after the application drained a full
     /// receive buffer. Call after `send`, `recv`, `on_segment`, `on_timer`.
     pub fn poll(&mut self, now: SimTime) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tcp_tx");
         self.trace_mark(now);
         self.trace_state_sync();
@@ -810,7 +810,7 @@ impl TcpConn {
 
     /// Processes timer expirations at `now`.
     pub fn on_timer(&mut self, now: SimTime) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tcp_timer");
         self.trace_mark(now);
         if let Some(tw) = self.mgmt.time_wait_deadline() {
@@ -892,7 +892,7 @@ impl TcpConn {
 
     /// Processes one received segment addressed to this connection.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
-        #[cfg(feature = "profile")]
+        #[cfg(feature = "telemetry")]
         let _prof = tas_telemetry::profile::guard("tcp_rx");
         self.trace_mark(now);
         self.trace_seg(true, &seg);

@@ -12,7 +12,7 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Emit sites across the stack are compiled behind each crate's `trace`
+//! Emit sites across the stack are compiled behind each crate's `telemetry`
 //! feature; a default build contains no tracing code at all. With the
 //! feature on, every emit first checks a thread-local enabled flag, and
 //! the tracer never draws from any simulation RNG nor reorders events, so

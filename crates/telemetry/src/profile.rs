@@ -29,8 +29,8 @@
 //!   `busy_cycles` deltas.
 //!
 //! The profiler is thread-local, never consults any simulation RNG, and
-//! is compiled into stack crates only under their `profile` feature (the
-//! `trace` mold): a default build contains none of this code.
+//! is compiled into stack crates only under their `telemetry` feature: a
+//! default build contains none of this code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -253,7 +253,7 @@ pub fn charge_f64(cycles: f64) {
     charge(cycles.max(0.0).round() as u64);
 }
 
-/// Attribution drain, called by `Core::run` (under the cpusim `profile`
+/// Attribution drain, called by `Core::run` (under the cpusim `telemetry`
 /// feature) with the cycles just submitted. Oldest charges drain first;
 /// any shortfall is attributed to the frame currently on top of the
 /// stack. No-op while disabled or disarmed.

@@ -13,5 +13,5 @@ pub use tas_proto as proto;
 pub use tas_shm as shm;
 pub use tas_sim as sim;
 pub use tas_tcp as tcp;
-#[cfg(any(feature = "trace", feature = "profile"))]
+#[cfg(feature = "telemetry")]
 pub use tas_telemetry as telemetry;

@@ -168,8 +168,9 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
 /// diffable and the CI regression gate meaningful.
 fn run_artifacts(seed: u64, reference: bool) -> String {
     use tas_bench::report::{Metric, Report};
+    use tas_bench::{add_host, app, host, start_all, uniform_star, HostCfg};
     use tas_repro::apps::echo::{EchoServer, ServerMode};
-    use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
+    use tas_repro::baselines::{profiles, StackHostConfig};
     let mut sim: Sim<NetMsg> = Sim::new(seed);
     let server_ip: Ipv4Addr = host_ip(0);
     let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
@@ -180,63 +181,28 @@ fn run_artifacts(seed: u64, reference: bool) -> String {
             c.max_requests = 400;
             Box::new(c)
         };
-        if reference {
-            sim.add_agent(Box::new(StackHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                profiles::linux(),
-                StackHostConfig::linux(2),
-                spec.uplink,
-                app,
-            )))
+        let cfg = if reference {
+            HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
         } else {
-            sim.add_agent(Box::new(TasHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                TasConfig::rpc_bench(1, 1),
-                spec.uplink,
-                app,
-            )))
-        }
+            HostCfg::Tas(TasConfig::rpc_bench(1, 1))
+        };
+        add_host(sim, spec, cfg, app)
     };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
+    start_all(&mut sim, &topo.hosts);
     sim.run_until(SimTime::from_ms(80));
-    let (series, latency, done) = if reference {
-        let s = sim.agent::<StackHost>(topo.hosts[0]);
-        let c = sim.agent::<StackHost>(topo.hosts[1]).app_as::<RpcClient>();
-        (
-            s.queue_series().render_text(),
-            c.latency.clone(),
-            c.done,
-        )
-    } else {
-        let s = sim.agent::<TasHost>(topo.hosts[0]);
-        let c = sim.agent::<TasHost>(topo.hosts[1]).app_as::<RpcClient>();
-        (
-            format!(
-                "{}{}",
-                s.util_series().render_text(),
-                s.queue_series().render_text()
-            ),
-            c.latency.clone(),
-            c.done,
-        )
-    };
+    let mut series = host(&sim, topo.hosts[0]).queue_series().render_text();
+    // The mean fast-path utilization series exists on TAS only.
+    if !reference {
+        let util = sim.agent::<TasHost>(topo.hosts[0]).util_series();
+        series.insert_str(0, &util.render_text());
+    }
+    let client = app::<RpcClient>(&sim, topo.hosts[1]);
+    let (latency, done) = (&client.latency, client.done);
     assert!(done > 0, "the echo workload must actually run");
     let mut rep = Report::new("determinism-probe", "Echo RPC determinism probe", seed);
     rep.param("reference", u64::from(reference));
-    rep.push(Metric::quantiles("rpc_latency", "ns", &latency));
+    rep.push(Metric::quantiles("rpc_latency", "ns", latency));
     rep.push(Metric::value("requests", "count", done as f64));
     format!("{series}\n{}", rep.to_json())
 }

@@ -9,9 +9,9 @@
 //! To refresh after an intentional change:
 //!
 //! ```text
-//! UPDATE_GOLDEN=1 cargo test --features trace --test golden_trace
+//! UPDATE_GOLDEN=1 cargo test --features telemetry --test golden_trace
 //! ```
-#![cfg(feature = "trace")]
+#![cfg(feature = "telemetry")]
 
 use std::net::Ipv4Addr;
 use std::path::PathBuf;

@@ -3,7 +3,7 @@
 //! frame is re-decoded — `wire::parse` verifies both the IP and the TCP
 //! pseudo-header checksum, so a successful round trip proves the capture
 //! is byte-exact Wireshark-readable output of what crossed the wire.
-#![cfg(feature = "trace")]
+#![cfg(feature = "telemetry")]
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;

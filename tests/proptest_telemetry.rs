@@ -1,31 +1,37 @@
 //! Property-based tests for the telemetry layer: counters only ever go
 //! up, snapshots are deterministic functions of the run (same seed ⇒
 //! byte-identical render), registry output is independent of increment
-//! interleaving, and — when the `trace` feature is on — enabling the
+//! interleaving, and — when the `telemetry` feature is on — enabling the
 //! flight recorder never perturbs the simulation it observes.
 
 use proptest::prelude::*;
+use tas_bench::{add_host, host, start_all, uniform_star, HostCfg};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
+use tas_repro::baselines::{profiles, StackHostConfig};
 use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{FaultSpec, NetMsg, NicConfig, PortConfig};
+use tas_repro::netsim::topo::{host_ip, HostSpec};
+use tas_repro::netsim::{FaultSpec, NetMsg, PortConfig};
 use tas_repro::sim::{AgentId, Registry, Scope, Sim, SimTime};
-use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::tas::TasConfig;
 
 const REQ_SIZE: usize = 64;
 
-/// Builds the standard two-host echo topology on TAS hosts, optionally
-/// with a lossy client NIC, and returns (sim, server, client).
-fn build_tas_pair(seed: u64, faulty: bool) -> (Sim<NetMsg>, AgentId, AgentId) {
+fn tas() -> HostCfg {
+    HostCfg::Tas(TasConfig::rpc_bench(1, 1))
+}
+
+/// The reference Linux-model stack.
+fn reference() -> HostCfg {
+    HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
+}
+
+/// Builds the standard two-host echo topology with both hosts on the
+/// stack `cfg` makes, optionally with a lossy client NIC, and returns
+/// (sim, server, client).
+fn build_pair(seed: u64, cfg: fn() -> HostCfg, faulty: bool) -> (Sim<NetMsg>, AgentId, AgentId) {
     let mut sim: Sim<NetMsg> = Sim::new(seed);
     let server_ip = host_ip(0);
-    let nic_fault = if faulty {
-        FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED)
-    } else {
-        FaultSpec::none()
-    };
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+    let mut factory = move |sim: &mut Sim<NetMsg>, mut spec: HostSpec| -> AgentId {
         let app: Box<dyn App> = if spec.index == 0 {
             Box::new(EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300))
         } else {
@@ -33,65 +39,24 @@ fn build_tas_pair(seed: u64, faulty: bool) -> (Sim<NetMsg>, AgentId, AgentId) {
             c.max_requests = 200;
             Box::new(c)
         };
-        let mut nic = spec.nic;
-        if spec.index == 1 {
-            nic.tx_fault = nic_fault;
+        if faulty && spec.index == 1 {
+            spec.nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED);
         }
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            nic,
-            TasConfig::rpc_bench(1, 1),
-            spec.uplink,
-            app,
-        )))
+        add_host(sim, spec, cfg(), app)
     };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
+    start_all(&mut sim, &topo.hosts);
     (sim, topo.hosts[0], topo.hosts[1])
 }
 
-/// Same workload on the reference Linux-model stack.
-fn build_reference_pair(seed: u64) -> (Sim<NetMsg>, AgentId, AgentId) {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300))
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
-            c.max_requests = 200;
-            Box::new(c)
-        };
-        sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profiles::linux(),
-            StackHostConfig::linux(2),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    (sim, topo.hosts[0], topo.hosts[1])
+/// Runs the workload for 150 ms; returns the events processed and both
+/// hosts' rendered snapshots.
+fn run_150ms(seed: u64, cfg: fn() -> HostCfg, faulty: bool) -> (u64, String) {
+    let (mut sim, server, client) = build_pair(seed, cfg, faulty);
+    sim.run_until(SimTime::from_ms(150));
+    let text = |id| host(&sim, id).telemetry_snapshot().render_text();
+    let snap = format!("{}\n{}", text(server), text(client));
+    (sim.events_processed(), snap)
 }
 
 proptest! {
@@ -102,13 +67,13 @@ proptest! {
     /// snapshotting twice must never show a counter go backwards.
     #[test]
     fn counters_are_monotone_over_time(seed in 1u64..10_000, faulty in any::<bool>()) {
-        let (mut sim, server, client) = build_tas_pair(seed, faulty);
-        let mut prev_s = sim.agent::<TasHost>(server).telemetry_snapshot();
-        let mut prev_c = sim.agent::<TasHost>(client).telemetry_snapshot();
+        let (mut sim, server, client) = build_pair(seed, tas, faulty);
+        let mut prev_s = host(&sim, server).telemetry_snapshot();
+        let mut prev_c = host(&sim, client).telemetry_snapshot();
         for ms in [5u64, 20, 60, 150] {
             sim.run_until(SimTime::from_ms(ms));
-            let cur_s = sim.agent::<TasHost>(server).telemetry_snapshot();
-            let cur_c = sim.agent::<TasHost>(client).telemetry_snapshot();
+            let cur_s = host(&sim, server).telemetry_snapshot();
+            let cur_c = host(&sim, client).telemetry_snapshot();
             prop_assert!(
                 cur_s.counters_monotone_since(&prev_s),
                 "server counter went backwards between {ms}ms snapshots"
@@ -127,22 +92,10 @@ proptest! {
     /// output, on the TAS stack and on the reference stack.
     #[test]
     fn same_seed_snapshots_are_byte_identical(seed in 1u64..10_000) {
-        let run_tas = |seed: u64| {
-            let (mut sim, server, client) = build_tas_pair(seed, true);
-            sim.run_until(SimTime::from_ms(150));
-            let s = sim.agent::<TasHost>(server).telemetry_snapshot();
-            let c = sim.agent::<TasHost>(client).telemetry_snapshot();
-            format!("{}\n{}", s.render_text(), c.render_text())
-        };
-        let run_reference = |seed: u64| {
-            let (mut sim, server, client) = build_reference_pair(seed);
-            sim.run_until(SimTime::from_ms(150));
-            let s = sim.agent::<StackHost>(server).telemetry_snapshot();
-            let c = sim.agent::<StackHost>(client).telemetry_snapshot();
-            format!("{}\n{}", s.render_text(), c.render_text())
-        };
-        prop_assert_eq!(run_tas(seed), run_tas(seed));
-        prop_assert_eq!(run_reference(seed), run_reference(seed));
+        let stacks: [(fn() -> HostCfg, bool); 2] = [(tas, true), (reference, false)];
+        for (cfg, faulty) in stacks {
+            prop_assert_eq!(run_150ms(seed, cfg, faulty), run_150ms(seed, cfg, faulty));
+        }
     }
 
     /// Registry snapshots are independent of increment interleaving:
@@ -174,7 +127,7 @@ proptest! {
 /// the traced and untraced runs of the same seed agree on every
 /// observable (event count, all counters), and the trace itself is
 /// reproducible.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 mod trace_transparency {
     use super::*;
     use tas_repro::telemetry;
@@ -183,14 +136,7 @@ mod trace_transparency {
         if traced {
             telemetry::start(65_536);
         }
-        let (mut sim, server, client) = build_tas_pair(seed, true);
-        sim.run_until(SimTime::from_ms(150));
-        let snap = format!(
-            "{}\n{}",
-            sim.agent::<TasHost>(server).telemetry_snapshot().render_text(),
-            sim.agent::<TasHost>(client).telemetry_snapshot().render_text()
-        );
-        let events = sim.events_processed();
+        let (events, snap) = run_150ms(seed, tas, true);
         let trace_len = if traced {
             let n = telemetry::take().len();
             telemetry::stop();
@@ -216,7 +162,7 @@ mod trace_transparency {
             cap_pow in 6u32..13,
         ) {
             telemetry::start(1usize << cap_pow);
-            let (mut sim, _server, _client) = build_tas_pair(seed, false);
+            let (mut sim, _server, _client) = build_pair(seed, tas, false);
             sim.run_until(SimTime::from_ms(60));
             let recs = telemetry::take();
             let evicted = telemetry::evicted();
