@@ -24,14 +24,14 @@ use crate::profiles::StackProfile;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_cpusim::{CacheModel, CoreClass, CorePool, Crossing, CycleAccount, Module, PcieModel};
-use tas_netsim::app::{App, AppEvent, SockId, StackApi};
+use tas_netsim::app::{pack_app_timer, unpack_app_timer, App, AppEvent, SockId, StackApi};
 use tas_netsim::rss::hash_tuple;
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags};
 use tas_sim::{
-    impl_as_any, Agent, CoreUtilSeries, CounterId, Ctx, Event, Registry, Scope, SeriesRecorder,
-    SimTime, TimerId,
+    impl_as_any, probe, prof_charge, prof_scope, Agent, CoreUtilSeries, CounterId, Ctx, Event,
+    Registry, Scope, SeriesRecorder, SimTime, TimerId,
 };
 use tas_tcp::{EndpointInfo, TcpConfig, TcpConn, TcpEvent};
 
@@ -172,7 +172,7 @@ pub mod timers {
     pub const CONN: u32 = 1;
     /// mTCP batch flush; data = app core index.
     pub const BATCH: u32 = 2;
-    /// Application timer; data = (context << 48) | token.
+    /// Application timer; data = `pack_app_timer(context, token)`.
     pub const APP: u32 = 3;
     /// Deferred app-event delivery; data = core index.
     pub const APP_RUN: u32 = 4;
@@ -218,6 +218,9 @@ enum ConnCmd {
     Connect(u32),
 }
 
+/// Deferred work collected while an app handler runs. One value serves
+/// every frame: `finish_frame` drains `ops` and keeps its capacity, so a
+/// steady-state frame allocates nothing.
 #[derive(Default)]
 struct Frame {
     core: usize,
@@ -231,6 +234,20 @@ struct Frame {
     /// (DMA-serialized for the off-path model).
     dma_bytes: u64,
     ops: Vec<ApiOp>,
+}
+
+impl Frame {
+    /// Opens a frame on `core` at `now`, pre-charged `api_cycles`.
+    fn begin(&mut self, core: usize, now: SimTime, api_cycles: u64) {
+        debug_assert!(self.ops.is_empty(), "previous frame was finished");
+        self.core = core;
+        self.now = now;
+        self.api_cycles = api_cycles;
+        self.app_cycles = 0;
+        // The activation itself enters the app's domain once.
+        self.crossings = 1;
+        self.dma_bytes = 0;
+    }
 }
 
 struct Inner {
@@ -633,12 +650,12 @@ impl StackHost {
     /// Runs a connection interaction on its stack core at `t`: `f` drives
     /// the engine, then staged segments are cost-charged and transmitted
     /// and events delivered. `base_cost` is the packet-type processing
-    /// cost; `label` names the operation's profile frame.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+    /// cost; `_label` names the operation's profile frame, which only the
+    /// cycle profiler opens.
     #[allow(clippy::too_many_arguments)] // One call site per packet class; the tuple is the cost model.
     fn run_conn(
         &mut self,
-        label: &'static str,
+        _label: &'static str,
         slot: u32,
         t: SimTime,
         base_cost: u64,
@@ -647,12 +664,9 @@ impl StackHost {
         f: impl FnOnce(&mut TcpConn, SimTime),
     ) {
         let core_idx = Self::stack_core_of(&self.inner, slot);
-        #[cfg(feature = "telemetry")]
-        self.inner.prof_arm(core_idx as u32);
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard(label);
-        #[cfg(feature = "telemetry")]
-        tas_telemetry::profile::charge(base_cost);
+        probe! { self.inner.prof_arm(core_idx as u32); }
+        prof_scope!(_label);
+        prof_charge!(base_cost);
         let start = t.max(self.inner.cores.core_ref(core_idx).busy_until());
         let (out, events, tx_cost) = {
             let inner = &mut self.inner;
@@ -680,17 +694,8 @@ impl StackHost {
         // Transmit and stall cycles charge through the account, not a
         // profiled funnel; stage them under their own frames so the
         // core-run drain attributes them.
-        #[cfg(feature = "telemetry")]
-        {
-            if tx_cost > 0 {
-                let _g = tas_telemetry::profile::guard("tx");
-                tas_telemetry::profile::charge(tx_cost);
-            }
-            if extra > 0 {
-                let _g = tas_telemetry::profile::guard("stalls");
-                tas_telemetry::profile::charge(extra);
-            }
-        }
+        prof_charge!(tx_cost, "tx");
+        prof_charge!(extra, "stalls");
         if extra > 0 {
             // Cache/contention stalls: backend-bound cycles, no retired
             // instructions.
@@ -878,17 +883,11 @@ impl StackHost {
     // Application delivery (same frame pattern as the TAS host).
 
     fn deliver_app(&mut self, t: SimTime, core: usize, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
-        self.inner.frame = Frame {
-            core,
-            now: t,
-            api_cycles: self.inner.profile.api_poll,
-            app_cycles: 0,
-            // The activation itself enters the app's domain once.
-            crossings: 1,
-            dma_bytes: 0,
-            ops: Vec::new(),
+        self.inner.frame.begin(core, t, self.inner.profile.api_poll);
+        let Some(mut app) = self.app.take() else {
+            debug_assert!(false, "nested app delivery");
+            return;
         };
-        let mut app = self.app.take().expect("app present (no nested delivery)");
         {
             let mut api = Api {
                 inner: &mut self.inner,
@@ -901,20 +900,20 @@ impl StackHost {
     }
 
     fn finish_frame(&mut self, t: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let frame = std::mem::take(&mut self.inner.frame);
-        let ipc = self.inner.profile.ipc_times_100;
-        self.inner
-            .acct
-            .charge(Module::Api, frame.api_cycles, frame.api_cycles * ipc / 100);
-        self.inner
-            .acct
-            .charge(Module::App, frame.app_cycles, frame.app_cycles * 120 / 100);
+        let mut frame = std::mem::take(&mut self.inner.frame);
+        probe! { self.inner.prof_arm(frame.core as u32); }
+        self.inner.acct.charge_app_frame(
+            frame.api_cycles,
+            frame.app_cycles,
+            self.inner.profile.ipc_times_100,
+        );
         // Boundary crossings: WRPKRU flips or amortized doorbells, paid
         // on the app core. Pipeline-serializing, so no retired
         // instructions — the same convention as cache/contention stalls.
         let boundary = frame.crossings * Self::crossing_cycles(&self.inner);
         if boundary > 0 {
             self.inner.acct.charge(Module::Api, boundary, 0);
+            prof_charge!(boundary, "boundary", Self::crossing_label(&self.inner));
             let id = self.inner.c_crossings;
             self.inner.reg.add(id, frame.crossings);
         }
@@ -925,29 +924,6 @@ impl StackHost {
             }
         }
         let total = frame.api_cycles + frame.app_cycles + boundary;
-        // Application frames charge through the account, not a profiled
-        // funnel; stage the API/handler/boundary split explicitly so the
-        // core-run drain attributes it.
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.prof_arm(frame.core as u32);
-            {
-                let _g = tas_telemetry::profile::guard("app");
-                if frame.api_cycles > 0 {
-                    let _g2 = tas_telemetry::profile::guard("api");
-                    tas_telemetry::profile::charge(frame.api_cycles);
-                }
-                if frame.app_cycles > 0 {
-                    let _g2 = tas_telemetry::profile::guard("work");
-                    tas_telemetry::profile::charge(frame.app_cycles);
-                }
-            }
-            if boundary > 0 {
-                let _g = tas_telemetry::profile::guard("boundary");
-                let _g2 = tas_telemetry::profile::guard(Self::crossing_label(&self.inner));
-                tas_telemetry::profile::charge(boundary);
-            }
-        }
         let (_, end) = self.inner.cores.core(frame.core).run(t, total);
         // Host→stack commands: under the off-path model the command
         // descriptor (plus any payload the frame staged) must DMA across
@@ -958,7 +934,7 @@ impl StackHost {
             }
             _ => end,
         };
-        for op in frame.ops {
+        for op in frame.ops.drain(..) {
             match op {
                 ApiOp::Touch(slot) => {
                     self.inner.cmd_q.push_back(ConnCmd::Touch(slot));
@@ -969,15 +945,16 @@ impl StackHost {
                     ctx.timer_at(cmd_at, timers::CONN_CMD, 0);
                 }
                 ApiOp::Timer { delay, token } => {
-                    let data = ((frame.core as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
+                    let data = pack_app_timer(frame.core as u16, token);
                     ctx.timer_at(end + delay, timers::APP, data);
                 }
                 ApiOp::Post { context, token } => {
-                    let data = ((context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
-                    ctx.timer_at(end, timers::APP, data);
+                    ctx.timer_at(end, timers::APP, pack_app_timer(context, token));
                 }
             }
         }
+        // The drained buffer goes back for the next frame.
+        self.inner.frame = frame;
     }
 
     fn ensure_started(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
@@ -986,16 +963,13 @@ impl StackHost {
         }
         self.inner.started = true;
         let t = ctx.now();
-        self.inner.frame = Frame {
-            core: Self::first_app_core(&self.inner),
-            now: t,
-            api_cycles: 0,
-            app_cycles: 0,
-            crossings: 1,
-            dma_bytes: 0,
-            ops: Vec::new(),
+        self.inner
+            .frame
+            .begin(Self::first_app_core(&self.inner), t, 0);
+        let Some(mut app) = self.app.take() else {
+            debug_assert!(false, "host started from inside its own app");
+            return;
         };
-        let mut app = self.app.take().expect("app present");
         {
             let mut api = Api {
                 inner: &mut self.inner,
@@ -1338,9 +1312,8 @@ impl Agent<NetMsg> for StackHost {
                         self.flush_batch(core, now, ctx);
                     }
                     timers::APP => {
-                        let core = (data >> 48) as usize;
-                        let token = data & 0xFFFF_FFFF_FFFF;
-                        self.deliver_app(now, core, AppEvent::Timer { token }, ctx);
+                        let (core, token) = unpack_app_timer(data);
+                        self.deliver_app(now, core as usize, AppEvent::Timer { token }, ctx);
                     }
                     timers::APP_RUN => {
                         let core = data as usize;

@@ -1,5 +1,7 @@
 //! Per-module cycle and instruction accounting (paper Tables 1–2).
 
+use tas_sim::{prof_charge, prof_scope};
+
 /// The network-stack modules the paper's Table 1 breaks cycles into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
@@ -82,6 +84,19 @@ impl CycleAccount {
     /// Charges a fractional cycle cost (rounded to nearest).
     pub fn charge_f64(&mut self, module: Module, cycles: f64, instructions: u64) {
         self.charge(module, cycles.max(0.0).round() as u64, instructions);
+    }
+
+    /// Charges one application frame: `api_cycles` of API-layer work (at
+    /// the stack's `ipc_times_100`) and `app_cycles` of handler work (at
+    /// IPC 1.2). Frames charge through the account rather than a profiled
+    /// funnel, so the same split is staged for the cycle profiler — frames
+    /// `app/api` and `app/work` — for the app core's next run to drain.
+    pub fn charge_app_frame(&mut self, api_cycles: u64, app_cycles: u64, ipc_times_100: u64) {
+        prof_scope!("app");
+        self.charge(Module::Api, api_cycles, api_cycles * ipc_times_100 / 100);
+        prof_charge!(api_cycles, "api");
+        self.charge(Module::App, app_cycles, app_cycles * 120 / 100);
+        prof_charge!(app_cycles, "work");
     }
 
     /// Counts one completed request.

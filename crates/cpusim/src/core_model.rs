@@ -1,7 +1,7 @@
 //! Processor cores as busy-until timelines.
 
 use tas_sim::time::mul_div;
-use tas_sim::SimTime;
+use tas_sim::{probe, SimTime};
 
 /// The class of silicon a core belongs to.
 ///
@@ -112,8 +112,7 @@ impl Core {
         self.busy_total += dur;
         self.busy_cycles += cycles;
         self.last_work = end;
-        #[cfg(feature = "telemetry")]
-        tas_telemetry::profile::on_core_run(cycles);
+        probe! { tas_telemetry::profile::on_core_run(cycles); }
         (start, end)
     }
 

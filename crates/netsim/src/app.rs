@@ -91,13 +91,39 @@ pub trait StackApi {
     fn charge_app_cycles(&mut self, cycles: u64);
 
     /// Sets a one-shot application timer delivering
-    /// [`AppEvent::Timer`] after `delay`.
+    /// [`AppEvent::Timer`] after `delay`. `token` must fit in
+    /// [`APP_TOKEN_BITS`] (48) bits: it shares the timer's data word with
+    /// the context it fires on.
     fn set_app_timer(&mut self, delay: SimTime, token: u64);
 
     /// Posts `token` to another application thread's context — an
     /// inter-thread queue hop, delivered as [`AppEvent::Timer`] on that
-    /// context's core (FlexStorm's demux → worker → mux handoffs).
+    /// context's core (FlexStorm's demux → worker → mux handoffs). `token`
+    /// must fit in [`APP_TOKEN_BITS`] (48) bits, as for
+    /// [`StackApi::set_app_timer`].
     fn post(&mut self, context: u16, token: u64);
+}
+
+/// Width of an application timer token. Hosts carry an app timer as one
+/// engine-timer data word: the target context in the top 16 bits, the
+/// token below.
+pub const APP_TOKEN_BITS: u32 = 48;
+const APP_TOKEN_MASK: u64 = (1 << APP_TOKEN_BITS) - 1;
+
+/// Packs an app timer's target `context` and `token` into an engine-timer
+/// data word ([`unpack_app_timer`] reverses it). A wider token is a caller
+/// bug: debug builds assert, release builds keep its low 48 bits.
+pub fn pack_app_timer(context: u16, token: u64) -> u64 {
+    debug_assert!(
+        token <= APP_TOKEN_MASK,
+        "app timer token {token:#x} does not fit in {APP_TOKEN_BITS} bits"
+    );
+    ((context as u64) << APP_TOKEN_BITS) | (token & APP_TOKEN_MASK)
+}
+
+/// Splits an engine-timer data word into `(context, token)`.
+pub fn unpack_app_timer(data: u64) -> (u16, u64) {
+    ((data >> APP_TOKEN_BITS) as u16, data & APP_TOKEN_MASK)
 }
 
 /// An event-driven application running on a host.
@@ -126,4 +152,26 @@ impl App for NullApp {
     fn on_start(&mut self, _api: &mut dyn StackApi) {}
     fn on_event(&mut self, _ev: AppEvent, _api: &mut dyn StackApi) {}
     tas_sim::impl_as_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn app_timer_word_round_trips_at_the_edges() {
+        for context in [0, 1, u16::MAX] {
+            for token in [0, 1, APP_TOKEN_MASK] {
+                let data = pack_app_timer(context, token);
+                assert_eq!(unpack_app_timer(data), (context, token));
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not fit in 48 bits")]
+    fn a_token_wider_than_48_bits_is_caught() {
+        pack_app_timer(0, 1 << APP_TOKEN_BITS);
+    }
 }

@@ -17,7 +17,7 @@
 //! induced loss is [`FaultSpec::uniform_loss`].
 
 use tas_proto::{Segment, TcpFlags};
-use tas_sim::{CounterId, Registry, Rng, Scope, SimTime};
+use tas_sim::{probe, CounterId, Registry, Rng, Scope, SimTime};
 
 /// Packet-drop model.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -214,22 +214,17 @@ impl FaultInjector {
 
     #[cfg(feature = "telemetry")]
     fn trace_verdict(&self, verdict: &'static str, when: SimTime, seg: &Segment) {
-        let (flow, seq, dev) = (seg.flow_key(), seg.tcp.seq, self.device_id);
-        tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-            t: when,
-            site: "fault",
-            ev: tas_telemetry::TraceEvent::Fault {
+        tas_sim::trace!(
+            "fault",
+            when,
+            Fault {
                 verdict,
-                flow,
-                seq,
-                dev,
-            },
-        });
+                flow: seg.flow_key(),
+                seq: seg.tcp.seq,
+                dev: self.device_id,
+            }
+        );
     }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_verdict(&self, _verdict: &'static str, _when: SimTime, _seg: &Segment) {}
 
     /// True when the injector can perturb traffic at all.
     pub fn is_active(&self) -> bool {
@@ -292,7 +287,7 @@ impl FaultInjector {
         self.reg.inc(self.c_seen);
         if self.should_drop() {
             self.reg.inc(self.c_dropped);
-            self.trace_verdict("drop", arrival, &seg);
+            probe! { self.trace_verdict("drop", arrival, &seg); }
             // Dropped packets do not advance the reorder window: held
             // packets reorder relative to traffic actually on the wire.
             return;
@@ -300,14 +295,14 @@ impl FaultInjector {
         if self.spec.corrupt_prob > 0.0 && self.rng.chance(self.spec.corrupt_prob) {
             self.corrupt(&mut seg);
             self.reg.inc(self.c_corrupted);
-            self.trace_verdict("corrupt", arrival, &seg);
+            probe! { self.trace_verdict("corrupt", arrival, &seg); }
         }
         let mut when = arrival;
         if self.spec.jitter > SimTime::ZERO {
             let extra = SimTime::from_ps(self.rng.below(self.spec.jitter.as_ps() + 1));
             if extra > SimTime::ZERO {
                 self.reg.inc(self.c_jittered);
-                self.trace_verdict("jitter", arrival + extra, &seg);
+                probe! { self.trace_verdict("jitter", arrival + extra, &seg); }
             }
             when += extra;
         }
@@ -321,7 +316,7 @@ impl FaultInjector {
                 // The copy travels normally; the original waits.
                 self.reg.inc(self.c_duplicated);
                 self.reg.inc(self.c_delivered);
-                self.trace_verdict("dup", when + SimTime::from_ns(1), &seg);
+                probe! { self.trace_verdict("dup", when + SimTime::from_ns(1), &seg); }
                 out.push((when + SimTime::from_ns(1), seg.clone()));
                 self.release_after(1, when, out);
             }
@@ -332,7 +327,7 @@ impl FaultInjector {
         if duplicate {
             self.reg.inc(self.c_duplicated);
             self.reg.inc(self.c_delivered);
-            self.trace_verdict("dup", when + SimTime::from_ns(1), &seg);
+            probe! { self.trace_verdict("dup", when + SimTime::from_ns(1), &seg); }
             out.push((when + SimTime::from_ns(1), seg.clone()));
         }
         let passed = if duplicate { 2 } else { 1 };
@@ -349,7 +344,7 @@ impl FaultInjector {
                 let (seg, _) = self.held.take().expect("checked above");
                 self.reg.inc(self.c_reordered);
                 self.reg.inc(self.c_delivered);
-                self.trace_verdict("reorder", last_arrival + SimTime::from_ns(1), &seg);
+                probe! { self.trace_verdict("reorder", last_arrival + SimTime::from_ns(1), &seg); }
                 out.push((last_arrival + SimTime::from_ns(1), seg));
             }
         }
@@ -362,7 +357,7 @@ impl FaultInjector {
         if let Some((seg, _)) = self.held.take() {
             self.reg.inc(self.c_reordered);
             self.reg.inc(self.c_delivered);
-            self.trace_verdict("reorder", now, &seg);
+            probe! { self.trace_verdict("reorder", now, &seg); }
             out.push((now, seg));
         }
     }

@@ -5,7 +5,7 @@ use crate::rss::{hash_tuple, RssTable};
 use crate::NetMsg;
 use tas_proto::{MacAddr, Segment};
 use tas_sim::time::transmission_time;
-use tas_sim::{AgentId, Ctx, SimTime};
+use tas_sim::{probe, trace, AgentId, Ctx, SimTime};
 
 /// Static configuration of a host NIC and its uplink.
 #[derive(Clone, Debug)]
@@ -144,58 +144,38 @@ impl HostNic {
         let arrival = depart + self.cfg.prop_delay;
         // Span stamp at serialization completion: even a packet the wire
         // then corrupts did occupy the TX queue and the link.
-        #[cfg(feature = "telemetry")]
-        if !seg.payload.is_empty() {
-            let (flow, seq, len) = (
-                seg.flow_key().reversed(),
-                seg.tcp.seq,
-                seg.payload.len() as u32,
-            );
-            let wait_ns = start.saturating_sub(ready).as_nanos();
-            tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                t: depart,
-                site: "nic",
-                ev: tas_telemetry::TraceEvent::Stage {
-                    stage: tas_telemetry::Stage::NicTx,
-                    flow,
-                    seq,
-                    len,
-                    wait_ns,
-                },
-            });
+        probe! {
+            if !seg.payload.is_empty() {
+                trace!(
+                    "nic",
+                    depart,
+                    Stage {
+                        stage: tas_telemetry::Stage::NicTx,
+                        flow: seg.flow_key().reversed(),
+                        seq: seg.tcp.seq,
+                        len: seg.payload.len() as u32,
+                        wait_ns: start.saturating_sub(ready).as_nanos(),
+                    }
+                );
+            }
         }
+        // Site `"nic"` is the canonical on-the-wire capture point of the
+        // flight recorder: post-fault, so the trace (and a pcap built from
+        // it) shows what actually went out.
         if self.fault.is_active() {
             let before = self.fault.dropped();
             self.fault.apply(arrival, seg, &mut self.fault_out);
             self.tx_dropped += self.fault.dropped() - before;
             for (t, s) in self.fault_out.drain(..) {
-                Self::trace_tx(t, &s);
+                trace!("nic", t, SegTx(s));
                 ctx.send_at(self.uplink, t, NetMsg::Packet(s));
             }
         } else {
-            Self::trace_tx(arrival, &seg);
+            trace!("nic", arrival, SegTx(seg));
             ctx.send_at(self.uplink, arrival, NetMsg::Packet(seg));
         }
         depart
     }
-
-    /// Records a wire transmission in the flight recorder. Site `"nic"`
-    /// is the canonical on-the-wire capture point: post-fault, so the
-    /// trace (and a pcap built from it) shows what actually went out.
-    #[cfg(feature = "telemetry")]
-    fn trace_tx(when: SimTime, seg: &Segment) {
-        tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-            t: when,
-            site: "nic",
-            ev: tas_telemetry::TraceEvent::SegTx {
-                seg: Box::new(seg.clone()),
-            },
-        });
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_tx(_when: SimTime, _seg: &Segment) {}
 
     /// Deterministic ordered dump of the transmit injector's metrics.
     pub fn tx_fault_snapshot(&self) -> tas_sim::Snapshot {

@@ -7,7 +7,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use tas_proto::{Ecn, Segment};
 use tas_sim::time::transmission_time;
-use tas_sim::{impl_as_any, Agent, AgentId, Ctx, Event, MeanVar, SimTime, TimeSeries};
+use tas_sim::{
+    impl_as_any, probe, trace, Agent, AgentId, Ctx, Event, MeanVar, SimTime, TimeSeries,
+};
 
 /// Static configuration of one switch output port.
 #[derive(Clone, Copy, Debug)]
@@ -240,15 +242,14 @@ impl Switch {
             if depth >= k && seg.ip.ecn.is_capable() {
                 seg.ip.ecn = Ecn::Ce;
                 port.marked += 1;
-                #[cfg(feature = "telemetry")]
-                {
-                    let (flow, seq) = (seg.flow_key(), seg.tcp.seq);
-                    tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                        t: now,
-                        site: "switch",
-                        ev: tas_telemetry::TraceEvent::EcnMark { flow, seq },
-                    });
-                }
+                trace!(
+                    "switch",
+                    now,
+                    EcnMark {
+                        flow: seg.flow_key(),
+                        seq: seg.tcp.seq
+                    }
+                );
             }
         }
         let start = now.max(port.busy_until);
@@ -258,25 +259,20 @@ impl Switch {
         port.forwarded += 1;
         port.bytes += seg.wire_len() as u64;
         let arrival = depart + port.cfg.prop_delay;
-        #[cfg(feature = "telemetry")]
-        if !seg.payload.is_empty() {
-            let (flow, seq, len) = (
-                seg.flow_key().reversed(),
-                seg.tcp.seq,
-                seg.payload.len() as u32,
-            );
-            let wait_ns = start.saturating_sub(now).as_nanos();
-            tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                t: depart,
-                site: "switch",
-                ev: tas_telemetry::TraceEvent::Stage {
-                    stage: tas_telemetry::Stage::SwitchFwd,
-                    flow,
-                    seq,
-                    len,
-                    wait_ns,
-                },
-            });
+        probe! {
+            if !seg.payload.is_empty() {
+                trace!(
+                    "switch",
+                    depart,
+                    Stage {
+                        stage: tas_telemetry::Stage::SwitchFwd,
+                        flow: seg.flow_key().reversed(),
+                        seq: seg.tcp.seq,
+                        len: seg.payload.len() as u32,
+                        wait_ns: start.saturating_sub(now).as_nanos(),
+                    }
+                );
+            }
         }
         if port.fault.is_active() {
             // Wire faults strike after serialization, like the NIC's: a

@@ -26,13 +26,7 @@ use std::net::Ipv4Addr;
 use tas_cpusim::{CycleAccount, Module};
 use tas_proto::tcp::seq;
 use tas_proto::{MacAddr, PayloadBuf, Segment, TcpFlags};
-use tas_sim::SimTime;
-
-/// Emits a flight-recorder record at site `"fp"`.
-#[cfg(feature = "telemetry")]
-fn trace_fp(t: SimTime, ev: tas_telemetry::TraceEvent) {
-    tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site: "fp", ev });
-}
+use tas_sim::{prof_charge, prof_scope, trace, SimTime};
 
 /// A descriptor posted to an application's RX context queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,8 +140,7 @@ impl FastPath {
 
     /// Processes one received packet. Returns the cycle cost.
     pub fn rx_segment(&mut self, now: SimTime, seg: Segment, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("rx");
+        prof_scope!("rx");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Driver, p.costs.drv_rx);
         // Exception filter: connection control, unusual flags, fragments,
@@ -190,8 +183,7 @@ impl FastPath {
     /// data to a flow's transmit buffer). Returns the cycle cost. The flow
     /// may already be gone (teardown raced the queued command).
     pub fn tx_command(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tx_cmd");
+        prof_scope!("tx_cmd");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_cmd);
         if let Some(flow) = flows.get_mut(fid) {
@@ -204,8 +196,7 @@ impl FastPath {
     /// pointer. If the advertised window had collapsed below one MSS, an
     /// explicit window-update ACK un-sticks a blocked sender.
     pub fn rx_bump(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("rx_bump");
+        prof_scope!("rx_bump");
         let (flows, mut p) = self.split();
         let mut cycles = p.charge(acct, Module::Tcp, p.costs.rx_bump);
         if let Some(flow) = flows.get_mut(fid) {
@@ -229,8 +220,7 @@ impl FastPath {
 
     /// Handles a pacing-timer expiration for a flow.
     pub fn tx_poll(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tx_poll");
+        prof_scope!("tx_poll");
         let (flows, mut p) = self.split();
         p.stats.tx_polls += 1;
         let Some(flow) = flows.get_mut(fid) else {
@@ -266,8 +256,7 @@ impl FastPath {
     /// data, nothing in flight, and a shut window (a lost window update
     /// would otherwise deadlock the connection).
     pub fn window_probe(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("probe");
+        prof_scope!("probe");
         let (flows, mut p) = self.split();
         let cycles = p.charge(acct, Module::Tcp, p.costs.tcp_tx_seg)
             + p.charge(acct, Module::Driver, p.costs.drv_tx);
@@ -284,20 +273,19 @@ impl FastPath {
     /// Slow-path-triggered retransmission: reset the flow's sender state
     /// and retransmit from the left window edge.
     pub fn trigger_retransmit(&mut self, now: SimTime, fid: u32, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("rexmit");
+        prof_scope!("rexmit");
         let (flows, mut p) = self.split();
         let Some(flow) = flows.get_mut(fid) else {
             return 0;
         };
-        #[cfg(feature = "telemetry")]
-        trace_fp(
+        trace!(
+            "fp",
             now,
-            tas_telemetry::TraceEvent::Retransmit {
+            Retransmit {
                 flow: flow.conn.key(),
                 kind: "timeout",
                 seq: flow.seq_of(flow.snd.tx.start_offset()),
-            },
+            }
         );
         flow.snd.rewind();
         p.try_tx(now, fid, flow, acct)
@@ -312,8 +300,7 @@ impl Pipe<'_> {
         acct.charge(module, cycles, instr);
         // Every fast-path cycle flows through this funnel, so the
         // attribution profiler sees the exact cost the host will run.
-        #[cfg(feature = "telemetry")]
-        tas_telemetry::profile::charge(cycles);
+        prof_charge!(cycles);
         cycles
     }
 
@@ -336,8 +323,7 @@ impl Pipe<'_> {
         has_payload: bool,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("ack");
+        prof_scope!("ack");
         let cost = if has_payload {
             // Piggybacked ACK: the data-path cost covers it.
             30
@@ -374,14 +360,14 @@ impl Pipe<'_> {
             if flow.snd.dupack() {
                 flow.cc.count_fast_rexmit();
                 self.stats.fast_rexmits += 1;
-                #[cfg(feature = "telemetry")]
-                trace_fp(
+                trace!(
+                    "fp",
                     now,
-                    tas_telemetry::TraceEvent::Retransmit {
+                    Retransmit {
                         flow: flow.conn.key(),
                         kind: "fast",
                         seq: una_seq,
-                    },
+                    }
                 );
                 want_tx = true;
             }
@@ -399,8 +385,7 @@ impl Pipe<'_> {
         seg: &Segment,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("data");
+        prof_scope!("data");
         let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_rx_data);
         flow.cc.note_ce(seg.is_ce_marked());
         match flow.rcv.place(seg.tcp.seq, &seg.payload, self.ooo_rx) {
@@ -414,14 +399,14 @@ impl Pipe<'_> {
                 return cycles;
             }
             Placed::Staged => {
-                #[cfg(feature = "telemetry")]
-                trace_fp(
+                trace!(
+                    "fp",
                     now,
-                    tas_telemetry::TraceEvent::OooPlace {
+                    OooPlace {
                         flow: flow.conn.key(),
                         start: flow.rcv.ooo_start(),
                         len: flow.rcv.ooo_len() as u64,
-                    },
+                    }
                 );
             }
             Placed::Dropped => self.stats.drop_ooo += 1,
@@ -433,8 +418,7 @@ impl Pipe<'_> {
 
     /// Stages a pure ACK for a flow.
     fn emit_ack(&mut self, now: SimTime, flow: &mut FlowState, acct: &mut CycleAccount) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("ack_tx");
+        prof_scope!("ack_tx");
         let cycles = self.charge(acct, Module::Tcp, self.costs.tcp_ack_gen)
             + self.charge(acct, Module::Driver, self.costs.drv_tx);
         flow.fc.set_win_closed(flow.adv_window() < self.mss);
@@ -482,8 +466,7 @@ impl Pipe<'_> {
         flow: &mut FlowState,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tx");
+        prof_scope!("tx");
         let mut sent_segments = 0u64;
         flow.cc.refill_bucket(now);
         loop {

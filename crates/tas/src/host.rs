@@ -22,17 +22,14 @@ use crate::slowpath::{SlowPath, SpAppEvent};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_cpusim::{Core, CorePool, CycleAccount, Module};
-use tas_netsim::app::{App, AppEvent, SockId, StackApi};
+use tas_netsim::app::{pack_app_timer, unpack_app_timer, App, AppEvent, SockId, StackApi};
 use tas_netsim::rss::hash_tuple;
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-#[cfg(feature = "telemetry")]
-use tas_proto::FlowKey;
 use tas_proto::{MacAddr, Segment, TcpFlags};
-use tas_shm::ByteRing;
 use tas_sim::{
-    impl_as_any, Agent, CoreUtilSeries, CounterId, Ctx, Event, Registry, Scope, SeriesRecorder,
-    SimTime, TimeSeries, TimerId,
+    impl_as_any, probe, prof_charge, trace, Agent, CoreUtilSeries, CounterId, Ctx, Event, Registry,
+    Scope, SeriesRecorder, SimTime, TimeSeries, TimerId,
 };
 
 /// Timer kinds used by [`TasHost`].
@@ -45,7 +42,7 @@ pub mod timers {
     pub const SP_CTRL: u32 = 2;
     /// Proportionality monitor.
     pub const PROP: u32 = 3;
-    /// Application timer; `data` = (context << 48) | token.
+    /// Application timer; `data` = `pack_app_timer(context, token)`.
     pub const APP: u32 = 4;
     /// Deferred application event delivery; `data` = context.
     pub const APP_RUN: u32 = 5;
@@ -80,40 +77,6 @@ struct SockState {
     peer_closed: bool,
     closed_evt_sent: bool,
     want_write: bool,
-    /// Unread data handed back when the flow detached.
-    spill: Option<ByteRing>,
-}
-
-/// Emits a flight-recorder record.
-#[cfg(feature = "telemetry")]
-fn trace_host(site: &'static str, t: SimTime, ev: tas_telemetry::TraceEvent) {
-    tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site, ev });
-}
-
-/// Stamps one hop of a payload range's journey for the span profiler.
-/// `flow` must be the data sender's perspective (the canonical span key);
-/// `wait` is the time the unit queued at this hop before service.
-#[cfg(feature = "telemetry")]
-fn trace_stage(
-    site: &'static str,
-    t: SimTime,
-    stage: tas_telemetry::Stage,
-    flow: FlowKey,
-    seq: u32,
-    len: u32,
-    wait: SimTime,
-) {
-    tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-        t,
-        site,
-        ev: tas_telemetry::TraceEvent::Stage {
-            stage,
-            flow,
-            seq,
-            len,
-            wait_ns: wait.as_nanos(),
-        },
-    });
 }
 
 enum FpCmd {
@@ -490,18 +453,11 @@ impl TasHost {
         &self.inner.nic
     }
 
-    /// Sampled flow RTT estimates in microseconds (diagnostics).
+    /// RTT estimates, in microseconds, of the first `n` installed flows in
+    /// flow-id order (diagnostics).
     pub fn sample_rtts(&self, n: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        for id in 0..10_000u32 {
-            if out.len() >= n {
-                break;
-            }
-            if let Some(f) = self.inner.fp.flows.get(id) {
-                out.push(f.conn.rtt_est_us());
-            }
-        }
-        out
+        let flows = self.inner.fp.flows.iter();
+        flows.take(n).map(|(_, f)| f.conn.rtt_est_us()).collect()
     }
 
     /// Exact cycles submitted per fast-path core since creation (the
@@ -583,8 +539,7 @@ impl TasHost {
     ) -> (SimTime, SimTime) {
         let inner = &mut self.inner;
         let core_idx = core_idx.min(inner.active_fp.saturating_sub(1));
-        #[cfg(feature = "telemetry")]
-        inner.prof_arm("fp", core_idx as u32);
+        probe! { inner.prof_arm("fp", core_idx as u32); }
         let mut t_eff = t;
         let mut wake_extra = 0;
         {
@@ -611,17 +566,8 @@ impl TasHost {
         // Host-level costs bypass the fast path's charge funnel; stage
         // them under their own frames so the core-run drain below
         // attributes them instead of leaving an anonymous residual.
-        #[cfg(feature = "telemetry")]
-        {
-            if extra_cycles > 0 {
-                let _g = tas_telemetry::profile::guard("cache_stall");
-                tas_telemetry::profile::charge(extra_cycles);
-            }
-            if wake_extra > 0 {
-                let _g = tas_telemetry::profile::guard("wake");
-                tas_telemetry::profile::charge(wake_extra);
-            }
-        }
+        prof_charge!(extra_cycles, "cache_stall");
+        prof_charge!(wake_extra, "wake");
         let (_, end) = inner.fp_cores.core(core_idx).run(t_eff, cycles);
         self.flush_fp(end, start.saturating_sub(t), ctx);
         (start, end)
@@ -644,11 +590,10 @@ impl TasHost {
         model.stall_cycles(64 * inner.cfg.cache_lines_per_req, per_core) as u64
     }
 
-    /// Drains staged fast-path effects at completion time `end`. `wait` is
-    /// how long the triggering work queued for its core (span profiling
-    /// attributes it to the fp_tx hop); pass zero for untimed flushes.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-    fn flush_fp(&mut self, end: SimTime, wait: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+    /// Drains staged fast-path effects at completion time `end`. `_wait` is
+    /// how long the triggering work queued for its core (zero for untimed
+    /// flushes); only the span probe reads it, to attribute the fp_tx hop.
+    fn flush_fp(&mut self, end: SimTime, _wait: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let mut packets =
             take_recycled(&mut self.inner.fp.out.packets, &mut self.inner.scratch.fp_packets);
         let mut notices =
@@ -662,24 +607,19 @@ impl TasHost {
             &mut self.inner.scratch.fp_tx_timers,
         );
         for pkt in packets.drain(..) {
-            #[cfg(feature = "telemetry")]
-            {
-                tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                    t: end,
-                    site: "fp",
-                    ev: tas_telemetry::TraceEvent::SegTx {
-                        seg: Box::new(pkt.clone()),
-                    },
-                });
+            trace!("fp", end, SegTx(pkt));
+            probe! {
                 if !pkt.payload.is_empty() {
-                    trace_stage(
+                    trace!(
                         "fp",
                         end,
-                        tas_telemetry::Stage::FpTx,
-                        pkt.flow_key().reversed(),
-                        pkt.tcp.seq,
-                        pkt.payload.len() as u32,
-                        wait,
+                        Stage {
+                            stage: tas_telemetry::Stage::FpTx,
+                            flow: pkt.flow_key().reversed(),
+                            seq: pkt.tcp.seq,
+                            len: pkt.payload.len() as u32,
+                            wait_ns: _wait.as_nanos(),
+                        }
                     );
                 }
             }
@@ -731,11 +671,12 @@ impl TasHost {
         };
         let iss = ctx.rng().next_u32();
         let start = t.max(self.inner.sp_core.busy_until());
-        #[cfg(feature = "telemetry")]
-        let stamp = (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
+        probe! {
+            let (flow, seq, len) =
+                (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
+        }
         let inner = &mut self.inner;
-        #[cfg(feature = "telemetry")]
-        inner.prof_arm("sp", 0);
+        probe! { inner.prof_arm("sp", 0); }
         let cycles = inner.sp.on_exception(
             start,
             seg,
@@ -748,36 +689,29 @@ impl TasHost {
         #[cfg(any(test, debug_assertions, feature = "audit"))]
         crate::audit::check_fastpath(&inner.fp, start);
         let (_, end) = inner.sp_core.run(t, cycles);
-        #[cfg(feature = "telemetry")]
-        {
-            let (flow, seq, len) = stamp;
-            trace_stage(
-                "sp",
-                end,
-                tas_telemetry::Stage::SpRx,
+        trace!(
+            "sp",
+            end,
+            Stage {
+                stage: tas_telemetry::Stage::SpRx,
                 flow,
                 seq,
                 len,
-                start.saturating_sub(t),
-            );
-        }
+                wait_ns: start.saturating_sub(t).as_nanos(),
+            }
+        );
         // Pending incoming connections: the application's accept path runs
         // on its app core, then the slow path answers with SYN-ACK.
         if inner.sp.has_pending_accepts() {
             let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
             // Re-arming onto the app core also discards the charges the
             // handshake-ACK's discarded fast-path estimate staged above.
-            #[cfg(feature = "telemetry")]
-            {
-                inner.prof_arm("app", accept_ctx as u32);
-                let _g = tas_telemetry::profile::guard("accept");
-                tas_telemetry::profile::charge(app_cost);
-            }
+            probe! { inner.prof_arm("app", accept_ctx as u32); }
+            prof_charge!(app_cost, "accept");
             let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
             inner.acct.charge(Module::Api, app_cost, app_cost);
             let start2 = app_end.max(inner.sp_core.busy_until());
-            #[cfg(feature = "telemetry")]
-            inner.prof_arm("sp", 0);
+            probe! { inner.prof_arm("sp", 0); }
             inner.sp.accept_pending(start2, &mut inner.acct);
             let cost2 = inner.cfg.costs.sp_conn_op;
             inner.sp_core.run(app_end, cost2);
@@ -793,8 +727,7 @@ impl TasHost {
     ) -> T {
         let start = t.max(self.inner.sp_core.busy_until());
         let inner = &mut self.inner;
-        #[cfg(feature = "telemetry")]
-        inner.prof_arm("sp", 0);
+        probe! { inner.prof_arm("sp", 0); }
         let (cycles, ret) = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
         #[cfg(any(test, debug_assertions, feature = "audit"))]
         crate::audit::check_fastpath(&inner.fp, start);
@@ -809,25 +742,18 @@ impl TasHost {
         let mut events =
             take_recycled(&mut self.inner.sp.out.events, &mut self.inner.scratch.sp_events);
         for pkt in packets.drain(..) {
-            #[cfg(feature = "telemetry")]
-            {
-                tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                    t: end,
-                    site: "sp",
-                    ev: tas_telemetry::TraceEvent::SegTx {
-                        seg: Box::new(pkt.clone()),
-                    },
-                });
-                trace_stage(
-                    "sp",
-                    end,
-                    tas_telemetry::Stage::SpTx,
-                    pkt.flow_key().reversed(),
-                    pkt.tcp.seq,
-                    pkt.payload.len() as u32,
-                    SimTime::ZERO,
-                );
-            }
+            trace!("sp", end, SegTx(pkt));
+            trace!(
+                "sp",
+                end,
+                Stage {
+                    stage: tas_telemetry::Stage::SpTx,
+                    flow: pkt.flow_key().reversed(),
+                    seq: pkt.tcp.seq,
+                    len: pkt.payload.len() as u32,
+                    wait_ns: 0,
+                }
+            );
             self.inner.nic.tx(end, pkt, ctx);
         }
         for ev in events.drain(..) {
@@ -928,23 +854,26 @@ impl TasHost {
             return;
         }
         if notice.rx_bytes > 0 {
-            #[cfg(feature = "telemetry")]
-            if let Some(flow) = self.inner.socks[sock as usize]
-                .fid
-                .and_then(|fid| self.inner.fp.flows.get(fid))
-            {
-                // First newly readable byte: the RX ring already holds the
-                // payload this notice announces.
-                let off0 = flow.rcv.rx.end_offset().saturating_sub(notice.rx_bytes as u64);
-                trace_stage(
-                    "host",
-                    t,
-                    tas_telemetry::Stage::ShmDoorbell,
-                    flow.conn.key().reversed(),
-                    flow.rcv_seq_of(off0),
-                    notice.rx_bytes,
-                    SimTime::ZERO,
-                );
+            probe! {
+                if let Some(flow) = self.inner.socks[sock as usize]
+                    .fid
+                    .and_then(|fid| self.inner.fp.flows.get(fid))
+                {
+                    // First newly readable byte: the RX ring already holds
+                    // the payload this notice announces.
+                    let off0 = flow.rcv.rx.end_offset().saturating_sub(notice.rx_bytes as u64);
+                    trace!(
+                        "host",
+                        t,
+                        Stage {
+                            stage: tas_telemetry::Stage::ShmDoorbell,
+                            flow: flow.conn.key().reversed(),
+                            seq: flow.rcv_seq_of(off0),
+                            len: notice.rx_bytes,
+                            wait_ns: 0,
+                        }
+                    );
+                }
             }
             self.defer_app(t, context, AppEvent::Readable { sock }, ctx);
         }
@@ -997,29 +926,12 @@ impl TasHost {
     fn finish_frame(&mut self, t_eff: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let mut frame = std::mem::take(&mut self.inner.frame);
         let total = frame.api_cycles + frame.app_cycles;
-        let ipc = self.inner.cfg.costs.ipc_times_100;
-        self.inner
-            .acct
-            .charge(Module::Api, frame.api_cycles, frame.api_cycles * ipc / 100);
-        self.inner
-            .acct
-            .charge(Module::App, frame.app_cycles, frame.app_cycles * 120 / 100);
-        // Application frames charge through the account, not a profiled
-        // funnel; stage the API/handler split explicitly so the app-core
-        // drain attributes it.
-        #[cfg(feature = "telemetry")]
-        {
-            self.inner.prof_arm("app", frame.context as u32);
-            let _g = tas_telemetry::profile::guard("app");
-            if frame.api_cycles > 0 {
-                let _g2 = tas_telemetry::profile::guard("api");
-                tas_telemetry::profile::charge(frame.api_cycles);
-            }
-            if frame.app_cycles > 0 {
-                let _g2 = tas_telemetry::profile::guard("work");
-                tas_telemetry::profile::charge(frame.app_cycles);
-            }
-        }
+        probe! { self.inner.prof_arm("app", frame.context as u32); }
+        self.inner.acct.charge_app_frame(
+            frame.api_cycles,
+            frame.app_cycles,
+            self.inner.cfg.costs.ipc_times_100,
+        );
         let (_, end) = self
             .inner
             .app_cores
@@ -1027,13 +939,15 @@ impl TasHost {
             .run(t_eff, total);
         // App timers.
         for (delay, token) in frame.timers.drain(..) {
-            let data = ((frame.context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
-            ctx.timer_at(end + delay, timers::APP, data);
+            ctx.timer_at(
+                end + delay,
+                timers::APP,
+                pack_app_timer(frame.context, token),
+            );
         }
         // Cross-thread posts: delivered on the target context at `end`.
         for (context, token) in frame.posts.drain(..) {
-            let data = ((context as u64) << 48) | (token & 0xFFFF_FFFF_FFFF);
-            ctx.timer_at(end, timers::APP, data);
+            ctx.timer_at(end, timers::APP, pack_app_timer(context, token));
         }
         // Fast-path and slow-path commands issued by the handler become
         // events at `end` (the cores must serve interim work first).
@@ -1091,14 +1005,13 @@ impl TasHost {
         }
         if changed {
             inner.reg.inc(inner.c_scale_events);
-            #[cfg(feature = "telemetry")]
-            trace_host(
+            trace!(
                 "host",
                 now,
-                tas_telemetry::TraceEvent::CoreScale {
+                CoreScale {
                     active: inner.active_fp as u32,
                     delta: inner.active_fp as i32 - active as i32,
-                },
+                }
             );
             // Eager RSS redirection-table rewrite.
             inner.nic.rss_mut().rebalance(inner.active_fp);
@@ -1218,22 +1131,22 @@ impl StackApi for Api<'_> {
             return 0;
         };
         // libTAS writes payload directly into the user-space TX ring.
-        #[cfg(feature = "telemetry")]
-        let off0 = flow.snd.tx.end_offset();
+        probe! { let off0 = flow.snd.tx.end_offset(); }
         let n = flow.snd.tx.append_partial(data);
         if n < data.len() {
             s.want_write = true;
         }
         if n > 0 {
-            #[cfg(feature = "telemetry")]
-            trace_stage(
+            trace!(
                 "app",
                 self.inner.frame.now,
-                tas_telemetry::Stage::AppSend,
-                flow.conn.key(),
-                flow.seq_of(off0),
-                n as u32,
-                SimTime::ZERO,
+                Stage {
+                    stage: tas_telemetry::Stage::AppSend,
+                    flow: flow.conn.key(),
+                    seq: flow.seq_of(off0),
+                    len: n as u32,
+                    wait_ns: 0,
+                }
             );
             self.inner.frame.fp_cmds.push(FpCmd::Tx(fid));
         }
@@ -1242,33 +1155,25 @@ impl StackApi for Api<'_> {
 
     fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
         self.call_cost(self.inner.cfg.costs.so_recv);
-        let s = &mut self.inner.socks[sock as usize];
-        if let Some(spill) = &mut s.spill {
-            let out = spill.pop(max);
-            if !out.is_empty() {
-                self.inner.reg.add(self.inner.c_app_bytes, out.len() as u64);
-                return out;
-            }
-        }
-        let Some(fid) = s.fid else {
+        let Some(fid) = self.inner.socks[sock as usize].fid else {
             return Vec::new();
         };
         let Some(flow) = self.inner.fp.flows.get_mut(fid) else {
             return Vec::new();
         };
-        #[cfg(feature = "telemetry")]
-        let off0 = flow.rcv.rx.start_offset();
+        probe! { let off0 = flow.rcv.rx.start_offset(); }
         let out = flow.rcv.rx.pop(max);
         if !out.is_empty() {
-            #[cfg(feature = "telemetry")]
-            trace_stage(
+            trace!(
                 "app",
                 self.inner.frame.now,
-                tas_telemetry::Stage::AppDeliver,
-                flow.conn.key().reversed(),
-                flow.rcv_seq_of(off0),
-                out.len() as u32,
-                SimTime::ZERO,
+                Stage {
+                    stage: tas_telemetry::Stage::AppDeliver,
+                    flow: flow.conn.key().reversed(),
+                    seq: flow.rcv_seq_of(off0),
+                    len: out.len() as u32,
+                    wait_ns: 0,
+                }
             );
             self.inner.reg.add(self.inner.c_app_bytes, out.len() as u64);
             self.inner.frame.fp_cmds.push(FpCmd::RxBump(fid));
@@ -1277,14 +1182,10 @@ impl StackApi for Api<'_> {
     }
 
     fn readable(&self, sock: SockId) -> usize {
-        let s = &self.inner.socks[sock as usize];
-        let mut n = s.spill.as_ref().map(|r| r.len()).unwrap_or(0);
-        if let Some(fid) = s.fid {
-            if let Some(flow) = self.inner.fp.flows.get(fid) {
-                n += flow.rcv.rx.len();
-            }
-        }
-        n
+        self.inner.socks[sock as usize]
+            .fid
+            .and_then(|fid| self.inner.fp.flows.get(fid))
+            .map_or(0, |flow| flow.rcv.rx.len())
     }
 
     fn close(&mut self, sock: SockId) {
@@ -1321,35 +1222,28 @@ impl Agent<NetMsg> for TasHost {
                 let now = ctx.now();
                 self.sample_series(now);
                 let q = self.inner.nic.rx_steer(&seg);
-                #[cfg(feature = "telemetry")]
-                tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                    t: now,
-                    site: "host",
-                    ev: tas_telemetry::TraceEvent::SegRx {
-                        seg: Box::new(seg.clone()),
-                    },
-                });
-                #[cfg(feature = "telemetry")]
-                let stamp = if seg.payload.is_empty() {
-                    None
-                } else {
-                    Some((
-                        seg.flow_key().reversed(),
-                        seg.tcp.seq,
-                        seg.payload.len() as u32,
-                    ))
-                };
-                #[cfg(feature = "telemetry")]
-                if let Some((flow, seq, len)) = stamp {
-                    trace_stage(
-                        "nic",
-                        now,
-                        tas_telemetry::Stage::NicRx,
-                        flow,
-                        seq,
-                        len,
-                        SimTime::ZERO,
-                    );
+                trace!("host", now, SegRx(seg));
+                // The span key of a data segment, captured before the fast
+                // path consumes it.
+                probe! {
+                    let stamp = (!seg.payload.is_empty()).then(|| {
+                        (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32)
+                    });
+                }
+                probe! {
+                    if let Some((flow, seq, len)) = stamp {
+                        trace!(
+                            "nic",
+                            now,
+                            Stage {
+                                stage: tas_telemetry::Stage::NicRx,
+                                flow,
+                                seq,
+                                len,
+                                wait_ns: 0,
+                            }
+                        );
+                    }
                 }
                 let core_idx = q.min(self.inner.active_fp - 1);
                 // Finite RX ring: drop when the core is too far behind.
@@ -1370,27 +1264,30 @@ impl Agent<NetMsg> for TasHost {
                     return;
                 }
                 let stall = Self::cache_stall(&self.inner);
-                let (start, end) = self.run_fp(core_idx, now, ctx, stall, |fp, t, acct| {
+                // Only the span probe below reads the service interval.
+                let _served = self.run_fp(core_idx, now, ctx, stall, |fp, t, acct| {
                     let c = fp.rx_segment(t, seg, acct);
                     if stall > 0 {
                         acct.charge(Module::Tcp, stall, 0);
                     }
                     c
                 });
-                #[cfg(feature = "telemetry")]
-                if let Some((flow, seq, len)) = stamp {
-                    trace_stage(
-                        "fp",
-                        end,
-                        tas_telemetry::Stage::FpRx,
-                        flow,
-                        seq,
-                        len,
-                        start.saturating_sub(now),
-                    );
+                probe! {
+                    if let Some((flow, seq, len)) = stamp {
+                        let (start, end) = _served;
+                        trace!(
+                            "fp",
+                            end,
+                            Stage {
+                                stage: tas_telemetry::Stage::FpRx,
+                                flow,
+                                seq,
+                                len,
+                                wait_ns: start.saturating_sub(now).as_nanos(),
+                            }
+                        );
+                    }
                 }
-                #[cfg(not(feature = "telemetry"))]
-                let _ = (start, end);
             }
             Event::Msg {
                 msg: NetMsg::Ctl { kind, a, b },
@@ -1427,8 +1324,7 @@ impl Agent<NetMsg> for TasHost {
                         ctx.timer(SimTime::from_ms(1), timers::PROP, 0);
                     }
                     timers::APP => {
-                        let context = (data >> 48) as u16;
-                        let token = data & 0xFFFF_FFFF_FFFF;
+                        let (context, token) = unpack_app_timer(data);
                         self.deliver_app(now, context, AppEvent::Timer { token }, ctx);
                     }
                     timers::APP_RUN => {

@@ -23,7 +23,7 @@ use tas_cpusim::{CycleAccount, Module};
 use tas_proto::tcp::seq;
 use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
 use tas_shm::ByteRing;
-use tas_sim::SimTime;
+use tas_sim::{probe, prof_charge, prof_scope, trace, SimTime};
 
 /// Application-facing events produced by the slow path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -176,12 +176,6 @@ pub struct SlowPath {
     pub stats: SpStats,
 }
 
-/// Emits a flight-recorder record at site `"sp"`.
-#[cfg(feature = "telemetry")]
-fn trace_sp(t: SimTime, ev: tas_telemetry::TraceEvent) {
-    tas_telemetry::emit(|| tas_telemetry::TraceRecord { t, site: "sp", ev });
-}
-
 /// Handshake/teardown retry interval (datacenter-scale: a dropped SYN
 /// costs a couple of RTT-magnitudes, not a WAN timeout).
 const RETRY_AFTER: SimTime = SimTime::from_ms(2);
@@ -222,8 +216,7 @@ impl SlowPath {
         // Slow-path work bills as "Other" stack cycles (it runs on its own
         // partially-used core; Table 6 counts it there).
         acct.charge(Module::Other, cycles, cycles);
-        #[cfg(feature = "telemetry")]
-        tas_telemetry::profile::charge(cycles);
+        prof_charge!(cycles);
         cycles
     }
 
@@ -256,8 +249,7 @@ impl SlowPath {
         iss: u32,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("connect");
+        prof_scope!("connect");
         let cycles = self.charge(acct, 900);
         let local_port = self.alloc_port();
         let key = FlowKey::new(self.local_ip, local_port, peer_ip, peer_port);
@@ -311,17 +303,17 @@ impl SlowPath {
             cc: FpCongCtrl::new(bucket),
         };
         self.stats.established += 1;
-        #[cfg(feature = "telemetry")]
-        trace_sp(
+        trace!(
+            "sp",
             now,
-            tas_telemetry::TraceEvent::State {
+            State {
                 flow: hs.key,
                 from: match hs.state {
                     HsState::SynSent => "syn_sent",
                     _ => "syn_rcvd",
                 },
                 to: "established",
-            },
+            }
         );
         fp.install_flow(flow)
     }
@@ -344,8 +336,7 @@ impl SlowPath {
         fp: &mut FastPath,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("close");
+        prof_scope!("close");
         let cycles = self.charge(acct, 700);
         let drained = {
             let Some(flow) = fp.flows.get_mut(fid) else {
@@ -360,10 +351,13 @@ impl SlowPath {
         cycles
     }
 
-    /// Removes the flow from the fast path and sends our FIN. Any unread
-    /// receive data is returned to the host (libTAS keeps the buffer).
-    fn start_teardown(&mut self, now: SimTime, fid: u32, fp: &mut FastPath) -> Option<ByteRing> {
-        let flow = fp.remove_flow(fid)?;
+    /// Removes the flow from the fast path and sends our FIN. Teardown
+    /// starts only after the application's own `close()`, so nobody is
+    /// left to read the receive ring: unread data is dropped with the flow.
+    fn start_teardown(&mut self, now: SimTime, fid: u32, fp: &mut FastPath) {
+        let Some(flow) = fp.remove_flow(fid) else {
+            return;
+        };
         self.out.events.push(SpAppEvent::Detached {
             opaque: flow.conn.opaque(),
             fid,
@@ -393,7 +387,6 @@ impl SlowPath {
         };
         self.send_fin(now, &td);
         self.teardowns.insert(flow.conn.key(), td);
-        Some(flow.rcv.rx)
     }
 
     fn send_fin(&mut self, now: SimTime, td: &Teardown) {
@@ -458,8 +451,7 @@ impl SlowPath {
         context_for_accept: u16,
         acct: &mut CycleAccount,
     ) -> u64 {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("exception");
+        prof_scope!("exception");
         self.stats.exceptions += 1;
         let cycles = self.charge(acct, 900);
         let key = seg.flow_key();
@@ -581,14 +573,14 @@ impl SlowPath {
                             return cycles;
                         };
                         self.stats.closed += 1;
-                        #[cfg(feature = "telemetry")]
-                        trace_sp(
+                        trace!(
+                            "sp",
                             now,
-                            tas_telemetry::TraceEvent::State {
+                            State {
                                 flow: key,
                                 from: "closing",
                                 to: "closed",
-                            },
+                            }
                         );
                         self.out
                             .events
@@ -672,14 +664,14 @@ impl SlowPath {
                     return 0;
                 };
                 self.stats.closed += 1;
-                #[cfg(feature = "telemetry")]
-                trace_sp(
+                trace!(
+                    "sp",
                     now,
-                    tas_telemetry::TraceEvent::State {
+                    State {
                         flow: key,
                         from: "closing",
                         to: "closed",
-                    },
+                    }
                 );
                 self.out
                     .events
@@ -707,8 +699,7 @@ impl SlowPath {
     /// connection (identified by listen port). Returns the number of
     /// handshakes answered.
     pub fn accept_pending(&mut self, now: SimTime, acct: &mut CycleAccount) -> usize {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("accept");
+        prof_scope!("accept");
         self.charge(acct, 900);
         let keys: Vec<FlowKey> = self
             .handshakes
@@ -756,16 +747,14 @@ impl SlowPath {
         };
         self.last_loop = now;
         let interval_secs = effective.as_secs_f64();
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("control");
+        prof_scope!("control");
         // Fast-path work driven from this loop charges itself through
         // `FastPath::charge`; track it so the trailing bulk charge below
         // can profile only the loop's own cycles.
-        #[cfg(feature = "telemetry")]
-        let mut fp_cycles = 0u64;
+        probe! { let mut fp_cycles = 0u64; }
         let mut cycles = self.charge(acct, 300);
         let mut rexmit: Vec<u32> = Vec::new();
-        let mut probe: Vec<u32> = Vec::new();
+        let mut win_probe: Vec<u32> = Vec::new();
         let mut to_close: Vec<u32> = Vec::new();
         let mut rate_updates: Vec<(u32, u64)> = Vec::new();
         for (fid, flow) in fp.flows.iter_mut() {
@@ -800,7 +789,7 @@ impl SlowPath {
                 // deadlock the flow.
                 if flow.snd.bump_stall() >= self.stall_intervals_for_rexmit {
                     flow.snd.clear_stall();
-                    probe.push(fid);
+                    win_probe.push(fid);
                 }
             } else {
                 flow.snd.clear_stall();
@@ -831,41 +820,27 @@ impl SlowPath {
         }
         for (fid, bps) in rate_updates {
             let burst = self.burst_for(bps);
-            #[cfg(feature = "telemetry")]
-            if let Some(flow) = fp.flows.get(fid) {
-                trace_sp(
-                    now,
-                    tas_telemetry::TraceEvent::CcRate {
-                        flow: flow.conn.key(),
-                        rate: bps,
-                    },
-                );
+            probe! {
+                if let Some(flow) = fp.flows.get(fid) {
+                    trace!("sp", now, CcRate { flow: flow.conn.key(), rate: bps });
+                }
             }
             fp.set_rate(fid, bps, burst, now);
             // A rate increase may unblock a paced flow immediately (the
             // armed pacing timer, if any, remains valid).
             let c = fp.poke_tx(now, fid, acct);
-            #[cfg(feature = "telemetry")]
-            {
-                fp_cycles += c;
-            }
+            probe! { fp_cycles += c; }
             cycles += c;
         }
         for fid in rexmit {
             self.stats.timeout_rexmits += 1;
             let c = fp.trigger_retransmit(now, fid, acct);
-            #[cfg(feature = "telemetry")]
-            {
-                fp_cycles += c;
-            }
+            probe! { fp_cycles += c; }
             cycles += c;
         }
-        for fid in probe {
+        for fid in win_probe {
             let c = fp.window_probe(now, fid, acct);
-            #[cfg(feature = "telemetry")]
-            {
-                fp_cycles += c;
-            }
+            probe! { fp_cycles += c; }
             cycles += c;
         }
         for fid in to_close {
@@ -897,14 +872,14 @@ impl SlowPath {
                 debug_assert!(false, "handshake vanished before SYN resend");
                 continue;
             };
-            #[cfg(feature = "telemetry")]
-            trace_sp(
+            trace!(
+                "sp",
                 now,
-                tas_telemetry::TraceEvent::Retransmit {
+                Retransmit {
                     flow: k,
                     kind: "handshake",
                     seq: hs.iss,
-                },
+                }
             );
             self.send_syn(now, &hs);
         }
@@ -914,14 +889,14 @@ impl SlowPath {
                 debug_assert!(false, "handshake vanished before SYN-ACK resend");
                 continue;
             };
-            #[cfg(feature = "telemetry")]
-            trace_sp(
+            trace!(
+                "sp",
                 now,
-                tas_telemetry::TraceEvent::Retransmit {
+                Retransmit {
                     flow: k,
                     kind: "handshake",
                     seq: hs.iss,
-                },
+                }
             );
             self.send_synack(now, &hs);
         }
@@ -963,14 +938,14 @@ impl SlowPath {
                 continue;
             };
             self.stats.closed += 1;
-            #[cfg(feature = "telemetry")]
-            trace_sp(
+            trace!(
+                "sp",
                 now,
-                tas_telemetry::TraceEvent::State {
+                State {
                     flow: k,
                     from: "closing",
                     to: "closed",
-                },
+                }
             );
             self.out
                 .events
@@ -985,8 +960,7 @@ impl SlowPath {
             cycles.saturating_sub(300),
             cycles.saturating_sub(300),
         );
-        #[cfg(feature = "telemetry")]
-        tas_telemetry::profile::charge(cycles.saturating_sub(300).saturating_sub(fp_cycles));
+        prof_charge!(cycles.saturating_sub(300).saturating_sub(fp_cycles));
         cycles
     }
 

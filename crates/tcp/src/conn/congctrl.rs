@@ -5,6 +5,7 @@
 //! getters.
 
 use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
+use tas_sim::prof_scope;
 
 /// Congestion-control component: owns the algorithm and ECN state.
 #[derive(Debug)]
@@ -67,22 +68,19 @@ impl CongCtrl {
 
     /// Feeds one ACK to the algorithm (profiled per algorithm name).
     pub(crate) fn on_ack(&mut self, info: AckInfo) {
-        #[cfg(feature = "telemetry")]
-        let _cc = tas_telemetry::profile::guard(self.algo.name());
+        prof_scope!(self.algo.name());
         self.algo.on_ack(info);
     }
 
     /// Algorithm response to a retransmission timeout.
     pub(crate) fn on_timeout(&mut self) {
-        #[cfg(feature = "telemetry")]
-        let _cc = tas_telemetry::profile::guard(self.algo.name());
+        prof_scope!(self.algo.name());
         self.algo.on_timeout();
     }
 
     /// Algorithm response to entering fast recovery.
     pub(crate) fn on_fast_retransmit(&mut self) {
-        #[cfg(feature = "telemetry")]
-        let _cc = tas_telemetry::profile::guard(self.algo.name());
+        prof_scope!(self.algo.name());
         self.algo.on_fast_retransmit();
     }
 

@@ -34,7 +34,7 @@ use crate::cc::{AckInfo, CcKind};
 use std::net::Ipv4Addr;
 use tas_proto::tcp::seq;
 use tas_proto::{Ecn, FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
-use tas_sim::SimTime;
+use tas_sim::{probe, prof_scope, trace, SimTime};
 
 /// TCP connection states (RFC 793), minus LISTEN which is a host-level
 /// table of pending accepts rather than a connection.
@@ -229,7 +229,7 @@ impl TcpConn {
         iss: u32,
     ) -> TcpConn {
         let mut conn = TcpConn::new_common(cfg, local, remote, iss);
-        conn.trace_mark(now);
+        probe! { conn.trace_now = now; }
         conn.mgmt.set_state(TcpState::SynSent);
         let mut h = conn.header(TcpFlags::SYN, now);
         h.seq = iss;
@@ -238,7 +238,7 @@ impl TcpConn {
             h.flags |= TcpFlags::ECE | TcpFlags::CWR;
         }
         conn.set_syn_options(&mut h);
-        conn.trace_state_sync();
+        probe! { conn.trace_state_sync(); }
         conn.push_segment(h, Vec::new(), false);
         let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
@@ -256,8 +256,8 @@ impl TcpConn {
         iss: u32,
     ) -> TcpConn {
         let mut conn = TcpConn::new_common(cfg, local, remote, iss);
-        conn.trace_mark(now);
-        conn.trace_seg(true, syn);
+        probe! { conn.trace_now = now; }
+        trace!("conn", now, SegRx(syn));
         conn.mgmt.set_state(TcpState::SynRcvd);
         conn.rcv.init_irs(syn.tcp.seq);
         conn.apply_syn_options(syn);
@@ -272,7 +272,7 @@ impl TcpConn {
             h.flags |= TcpFlags::ECE;
         }
         conn.set_syn_options(&mut h);
-        conn.trace_state_sync();
+        probe! { conn.trace_state_sync(); }
         conn.push_segment(h, Vec::new(), false);
         let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
@@ -297,9 +297,6 @@ impl TcpConn {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Flight recorder (all no-ops unless the `telemetry` feature is on).
-
     /// The connection's flow key (local perspective).
     pub fn flow_key(&self) -> FlowKey {
         FlowKey::new(
@@ -310,86 +307,30 @@ impl TcpConn {
         )
     }
 
-    #[cfg(feature = "telemetry")]
-    fn trace_mark(&mut self, now: SimTime) {
-        self.trace_now = now;
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_mark(&mut self, _now: SimTime) {}
-
     /// Emits one State record if the state changed since last sync.
     #[cfg(feature = "telemetry")]
     fn trace_state_sync(&mut self) {
-        if self.traced_state != self.mgmt.state() {
-            let (t, flow) = (self.trace_now, self.flow_key());
-            let (from, to) = (self.traced_state.name(), self.mgmt.state().name());
-            tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-                t,
-                site: "conn",
-                ev: tas_telemetry::TraceEvent::State { flow, from, to },
-            });
-            self.traced_state = self.mgmt.state();
+        let (from, to) = (self.traced_state, self.mgmt.state());
+        if from != to {
+            trace!(
+                "conn",
+                self.trace_now,
+                State {
+                    flow: self.flow_key(),
+                    from: from.name(),
+                    to: to.name(),
+                }
+            );
+            self.traced_state = to;
         }
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_state_sync(&mut self) {}
-
+    /// Emits one Retransmit record for this flow.
     #[cfg(feature = "telemetry")]
-    fn trace_seg(&self, rx: bool, seg: &Segment) {
-        let t = self.trace_now;
-        tas_telemetry::emit(|| {
-            let seg = Box::new(seg.clone());
-            tas_telemetry::TraceRecord {
-                t,
-                site: "conn",
-                ev: if rx {
-                    tas_telemetry::TraceEvent::SegRx { seg }
-                } else {
-                    tas_telemetry::TraceEvent::SegTx { seg }
-                },
-            }
-        });
+    fn trace_rexmit(&self, kind: &'static str, seq: u32) {
+        let flow = self.flow_key();
+        trace!("conn", self.trace_now, Retransmit { flow, kind, seq });
     }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_seg(&self, _rx: bool, _seg: &Segment) {}
-
-    #[cfg(feature = "telemetry")]
-    fn trace_rexmit(&self, kind: &'static str, seq_no: u32) {
-        let (t, flow) = (self.trace_now, self.flow_key());
-        tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-            t,
-            site: "conn",
-            ev: tas_telemetry::TraceEvent::Retransmit {
-                flow,
-                kind,
-                seq: seq_no,
-            },
-        });
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_rexmit(&self, _kind: &'static str, _seq_no: u32) {}
-
-    #[cfg(feature = "telemetry")]
-    fn trace_ooo(&self, start: u64, len: u64) {
-        let (t, flow) = (self.trace_now, self.flow_key());
-        tas_telemetry::emit(|| tas_telemetry::TraceRecord {
-            t,
-            site: "conn",
-            ev: tas_telemetry::TraceEvent::OooPlace { flow, start, len },
-        });
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[inline(always)]
-    fn trace_ooo(&self, _start: u64, _len: u64) {}
 
     // ------------------------------------------------------------------
     // Accessors.
@@ -527,14 +468,14 @@ impl TcpConn {
 
     /// Aborts: stages an RST and closes immediately.
     pub fn abort(&mut self, now: SimTime) {
-        self.trace_mark(now);
+        probe! { self.trace_now = now; }
         if !matches!(self.mgmt.state(), TcpState::Closed) {
             let mut h = self.header(TcpFlags::RST | TcpFlags::ACK, now);
             h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
             self.push_segment(h, Vec::new(), false);
             self.enter_closed();
-            self.trace_state_sync();
+            probe! { self.trace_state_sync(); }
         }
     }
 
@@ -612,7 +553,7 @@ impl TcpConn {
             seg.ip.ecn = Ecn::Ect0;
         }
         self.stats.segs_out += 1;
-        self.trace_seg(false, &seg);
+        trace!("conn", self.trace_now, SegTx(seg));
         self.out.push(seg);
     }
 
@@ -676,10 +617,9 @@ impl TcpConn {
     /// also emits window updates after the application drained a full
     /// receive buffer. Call after `send`, `recv`, `on_segment`, `on_timer`.
     pub fn poll(&mut self, now: SimTime) {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tcp_tx");
-        self.trace_mark(now);
-        self.trace_state_sync();
+        prof_scope!("tcp_tx");
+        probe! { self.trace_now = now; }
+        probe! { self.trace_state_sync(); }
         if matches!(
             self.mgmt.state(),
             TcpState::SynSent | TcpState::SynRcvd | TcpState::Closed
@@ -758,7 +698,7 @@ impl TcpConn {
             let rto = now + self.snd.rtt().rto();
             self.snd.arm_rto_if_unarmed(rto);
         }
-        self.trace_state_sync();
+        probe! { self.trace_state_sync(); }
         self.audit_invariants();
     }
 
@@ -810,13 +750,12 @@ impl TcpConn {
 
     /// Processes timer expirations at `now`.
     pub fn on_timer(&mut self, now: SimTime) {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tcp_timer");
-        self.trace_mark(now);
+        prof_scope!("tcp_timer");
+        probe! { self.trace_now = now; }
         if let Some(tw) = self.mgmt.time_wait_deadline() {
             if now >= tw {
                 self.enter_closed();
-                self.trace_state_sync();
+                probe! { self.trace_state_sync(); }
                 return;
             }
         }
@@ -850,7 +789,7 @@ impl TcpConn {
                 };
                 self.set_syn_options(&mut h);
                 self.stats.retransmits += 1;
-                self.trace_rexmit("handshake", self.snd.iss());
+                probe! { self.trace_rexmit("handshake", self.snd.iss()); }
                 self.push_segment(h, Vec::new(), false);
                 let rto = now + self.snd.rtt().rto();
                 self.snd.arm_rto(rto);
@@ -864,7 +803,7 @@ impl TcpConn {
                     // Go-back-N: rewind to the left edge.
                     self.snd.rtt_backoff();
                     self.stats.timeouts += 1;
-                    self.trace_rexmit("timeout", self.seq_of(self.snd.una_off()));
+                    probe! { self.trace_rexmit("timeout", self.seq_of(self.snd.una_off())); }
                     self.cc.on_timeout();
                     self.snd.rewind_to_una();
                     self.snd.exit_recovery();
@@ -883,7 +822,7 @@ impl TcpConn {
                 }
             }
         }
-        self.trace_state_sync();
+        probe! { self.trace_state_sync(); }
         self.audit_invariants();
     }
 
@@ -892,15 +831,14 @@ impl TcpConn {
 
     /// Processes one received segment addressed to this connection.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) {
-        #[cfg(feature = "telemetry")]
-        let _prof = tas_telemetry::profile::guard("tcp_rx");
-        self.trace_mark(now);
-        self.trace_seg(true, &seg);
+        prof_scope!("tcp_rx");
+        probe! { self.trace_now = now; }
+        trace!("conn", now, SegRx(seg));
         self.stats.segs_in += 1;
         if seg.tcp.flags.contains(TcpFlags::RST) {
             self.events.push(TcpEvent::Reset);
             self.enter_closed();
-            self.trace_state_sync();
+            probe! { self.trace_state_sync(); }
             return;
         }
         if let Some((tsval, _)) = seg.tcp.options.timestamp {
@@ -1071,7 +1009,7 @@ impl TcpConn {
             if dups == 3 && !self.snd.in_recovery() {
                 self.snd.enter_recovery(self.cfg.mss);
                 self.stats.fast_retransmits += 1;
-                self.trace_rexmit("fast", self.seq_of(self.snd.una_off()));
+                probe! { self.trace_rexmit("fast", self.seq_of(self.snd.una_off())); }
                 self.cc.on_fast_retransmit();
                 self.retransmit_head(now);
             } else if self.snd.in_recovery() && dups > 3 && self.cfg.keep_ooo {
@@ -1086,7 +1024,9 @@ impl TcpConn {
                 };
                 self.snd.clamp_cursor_to_una();
                 if self.snd.recovery_cursor_off() < hole_end.min(self.snd.recover_off()) {
-                    self.trace_rexmit("fast", self.seq_of(self.snd.recovery_cursor_off()));
+                    probe! {
+                        self.trace_rexmit("fast", self.seq_of(self.snd.recovery_cursor_off()));
+                    }
                     self.retransmit_at(now, self.snd.recovery_cursor_off());
                     self.snd.advance_cursor(self.cfg.mss);
                 }
@@ -1132,7 +1072,15 @@ impl TcpConn {
                 if off < horizon {
                     let room = (horizon - off) as usize;
                     let d = data[..data.len().min(room)].to_vec();
-                    self.trace_ooo(off, d.len() as u64);
+                    trace!(
+                        "conn",
+                        self.trace_now,
+                        OooPlace {
+                            flow: self.flow_key(),
+                            start: off,
+                            len: d.len() as u64,
+                        }
+                    );
                     self.rcv.insert_ooo(off, d);
                 }
             }
