@@ -3,14 +3,18 @@
 //!
 //! ```text
 //! bench-report [name…]            # generate, then check
-//! bench-report generate [name…]   # run the builders, write BENCH_<name>.* at the repo root
+//! bench-report generate [name…]   # run the builders, write BENCH_<name>.* at the repo root, print each report
 //! bench-report check [name…]      # gate the files at the repo root against baselines/
 //! bench-report pin [name…]        # copy the files at the repo root into baselines/
 //! bench-report selftest [name…]   # prove the gate trips
+//! bench-report show [name…]       # print the pinned reports, simulating nothing
 //! ```
 //!
 //! Without names a mode covers every entry this build can produce
-//! (`fig6spans` and `cpuprof` need `--features telemetry`).
+//! (`fig6spans` and `cpuprof` need `--features telemetry`; `show` reads
+//! pins, so it covers them in any build). `generate` and `show` print
+//! through the one renderer ([`Report::to_markdown`]), so the table a
+//! human reads is the report the gate compares.
 //!
 //! Every report is modelled — a pure function of its seeds — so a pin is
 //! a behavioural contract and there is one comparison mode: `check`
@@ -73,8 +77,8 @@ fn generate(e: &Entry) -> Result<(), String> {
     let (r, side) = build(e)?;
     let body = r.to_json();
     // Round-trip through the schema so a generator bug fails here, not
-    // at the next check.
-    report::validate(&body)?;
+    // at the next check; print what was parsed, as `show` will.
+    render(e, &body)?;
     let bodies = [Some(body), side];
     let mut files = exts(e).into_iter().zip(bodies.iter().flatten());
     files.try_for_each(|(ext, body)| write(current(e.name, ext), body))
@@ -168,6 +172,16 @@ pub fn perturbed(pin_text: &str) -> Result<String, String> {
     Ok(r.to_json())
 }
 
+/// Prints a report's JSON text as the table a human reads.
+fn render(e: &Entry, json: &str) -> Result<(), String> {
+    println!("{}", Report::from_json(json)?.to_markdown(e.paper));
+    Ok(())
+}
+
+fn show(e: &Entry) -> Result<(), String> {
+    render(e, &read(pinned(e.name, "json"), "run `bench-report pin`")?)
+}
+
 /// Proves the gate gates. For every entry, its own pin with one value
 /// nudged must fail `check`. For entries with a sabotage, a fresh report
 /// must raise no objection against itself and its sabotaged twin must.
@@ -201,13 +215,15 @@ fn selftest(e: &Entry) -> Result<(), String> {
 /// One mode's action on one entry.
 type Step = fn(&Entry) -> Result<(), String>;
 
-const USAGE: &str = "usage: bench-report [generate|check|pin|selftest] [name…]";
+const USAGE: &str = "usage: bench-report [generate|check|pin|selftest|show] [name…]";
 
 /// The `bench-report` entry point.
 pub fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, names) = match args.split_first() {
-        Some((m, rest)) if ["generate", "check", "pin", "selftest"].contains(&m.as_str()) => {
+        Some((m, rest))
+            if ["generate", "check", "pin", "selftest", "show"].contains(&m.as_str()) =>
+        {
             (m.as_str(), rest)
         }
         _ => ("", &args[..]),
@@ -217,6 +233,7 @@ pub fn main() -> ExitCode {
         "generate" => &[generate],
         "check" => &[check],
         "pin" => &[pin],
+        "show" => &[show],
         _ => &[selftest],
     };
     let all = catalogue();
@@ -237,7 +254,7 @@ pub fn main() -> ExitCode {
     if names.is_empty() {
         for e in &all {
             match e.build {
-                Build::NeedsTelemetry => {
+                Build::NeedsTelemetry if mode != "show" => {
                     println!("{}: skipped (needs --features telemetry)", e.name);
                 }
                 _ => selected.push(e),

@@ -1,9 +1,12 @@
-//! Shared experiment infrastructure for the paper-reproduction benches.
+//! The paper-reproduction experiments and their one driver.
 //!
-//! Every table and figure of the paper's evaluation has a `harness = false`
-//! bench target in `benches/`; this library provides the common scenario
-//! builders: a server of any stack kind behind a bank of client machines,
-//! warmup/measure windows, and table-formatted output.
+//! Every table and figure of the paper's evaluation is an entry of the
+//! report catalogue ([`scenarios::catalogue`]): one module with one
+//! `report()` that holds every cell the artefact measures. The
+//! `bench-report` binary ([`gate`]) simulates, renders ([`report`]) and
+//! gates them. This root provides the common scenario builders: a server
+//! of any stack kind behind a bank of client machines, with
+//! warmup/measure windows.
 //!
 //! Scale: by default every experiment runs a reduced-but-faithful
 //! configuration sized to finish in seconds; setting `TAS_FULL=1` selects
@@ -33,24 +36,17 @@ pub use host::{
 };
 
 /// True when `TAS_FULL=1` requests paper-scale runs.
-pub fn full_scale() -> bool {
+fn full_scale() -> bool {
     std::env::var("TAS_FULL").map(|v| v == "1").unwrap_or(false)
 }
 
 /// Picks `quick` or `full` by [`full_scale`].
-pub fn scaled<T>(quick: T, full: T) -> T {
+fn scaled<T>(quick: T, full: T) -> T {
     if full_scale() {
         full
     } else {
         quick
     }
-}
-
-/// Prints an experiment header.
-pub fn section(title: &str, paper_ref: &str) {
-    println!();
-    println!("=== {title} ===");
-    println!("paper: {paper_ref}");
 }
 
 /// The server stack under test.
@@ -571,9 +567,4 @@ fn util_window(
             (format!("{prefix}{i}"), vals)
         })
         .collect()
-}
-
-/// Formats ops/s as the paper does (mOps).
-pub fn fmt_mops(v: f64) -> String {
-    format!("{v:.2}")
 }

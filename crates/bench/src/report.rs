@@ -1,9 +1,10 @@
 //! Machine-readable bench reports and the regression comparator.
 //!
-//! Every figure/table harness (and the `bench-report` binary) writes its
-//! headline numbers as `BENCH_<fig>.json` at the repo root using the
-//! shared schema below, so the perf trajectory is tracked in data rather
-//! than hand-copied tables:
+//! The `bench-report` binary writes every catalogue entry — each cell
+//! its figure or table measures — as `BENCH_<fig>.json` at the repo root
+//! using the shared schema below, and prints the same report as Markdown
+//! ([`Report::to_markdown`]), so what a human reads and what the gate
+//! compares are the same numbers:
 //!
 //! ```json
 //! {
@@ -22,6 +23,11 @@
 //!   ]
 //! }
 //! ```
+//!
+//! A sweep cell is one metric; a sampled series (time series, CDF) is
+//! one metric of unit `series_<unit>` whose value is the sample count
+//! and whose `breakdown` holds the samples under zero-padded keys
+//! ([`Metric::series`]).
 //!
 //! Rendering is deterministic: fixed key order, fixed float formatting
 //! (`{:.6}`), no timestamps — two same-seed runs produce byte-identical
@@ -42,6 +48,9 @@ use std::path::{Path, PathBuf};
 
 /// Schema identifier written into (and required from) every report.
 pub const SCHEMA: &str = "tas-bench-report-v1";
+
+/// Unit prefix of a [`Metric::series`].
+const SERIES: &str = "series_";
 
 /// Default relative tolerance when a baseline metric carries none.
 pub const DEFAULT_TOL: f64 = 0.10;
@@ -121,6 +130,31 @@ impl Metric {
         }
     }
 
+    /// A sampled series (time series, CDF): one metric whose value is the
+    /// sample count and whose breakdown is the `(key, value)` samples in
+    /// `unit`. Keys must be zero-padded so they sort in sample order.
+    pub fn series(name: &str, unit: &str, samples: Vec<(String, f64)>) -> Metric {
+        Metric {
+            data: MetricData::Value(samples.len() as f64),
+            breakdown: samples,
+            ..Metric::value(name, &format!("{SERIES}{unit}"), 0.0)
+        }
+    }
+
+    /// The sample unit, if this is a [`Metric::series`].
+    fn series_unit(&self) -> Option<&str> {
+        self.unit.strip_prefix(SERIES)
+    }
+
+    /// The breakdown in the canonical (key) order of the written report,
+    /// so a fresh report and its [`Report::from_json`] round trip (which
+    /// parses objects into a `BTreeMap`) serialize and render alike.
+    fn components(&self) -> Vec<&(String, f64)> {
+        let mut parts: Vec<&(String, f64)> = self.breakdown.iter().collect();
+        parts.sort_by(|a, b| a.0.cmp(&b.0));
+        parts
+    }
+
     /// Sets the per-metric tolerance (builder style).
     pub fn with_tol(mut self, tol: f64) -> Metric {
         self.tol = Some(tol);
@@ -189,6 +223,13 @@ impl Report {
         }
     }
 
+    /// The params in canonical (key) order, like [`Metric::components`].
+    fn sorted_params(&self) -> Vec<&(String, String)> {
+        let mut params: Vec<&(String, String)> = self.params.iter().collect();
+        params.sort_by(|a, b| a.0.cmp(&b.0));
+        params
+    }
+
     /// Renders the canonical JSON (fixed key order, `{:.6}` floats).
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(1024);
@@ -198,13 +239,8 @@ impl Report {
         let _ = writeln!(o, "  \"title\": {},", json_str(&self.title));
         let _ = writeln!(o, "  \"seed\": {},", self.seed);
         let _ = writeln!(o, "  \"scale\": {},", json_str(&self.scale));
-        // Canonical key order, like the breakdowns below: a freshly
-        // generated report and its from_json round-trip (which parses
-        // objects into a BTreeMap) are byte-identical.
-        let mut params: Vec<&(String, String)> = self.params.iter().collect();
-        params.sort_by(|a, b| a.0.cmp(&b.0));
         o.push_str("  \"params\": {");
-        for (i, (k, v)) in params.into_iter().enumerate() {
+        for (i, (k, v)) in self.sorted_params().into_iter().enumerate() {
             if i > 0 {
                 o.push_str(", ");
             }
@@ -235,11 +271,8 @@ impl Report {
                 let _ = write!(o, ", \"tol\": {}", json_f64(t));
             }
             if !m.breakdown.is_empty() {
-                // Canonical key order (see params above).
-                let mut parts: Vec<&(String, f64)> = m.breakdown.iter().collect();
-                parts.sort_by(|a, b| a.0.cmp(&b.0));
                 o.push_str(", \"breakdown\": {");
-                for (j, (k, v)) in parts.into_iter().enumerate() {
+                for (j, (k, v)) in m.components().into_iter().enumerate() {
                     if j > 0 {
                         o.push_str(", ");
                     }
@@ -257,11 +290,42 @@ impl Report {
         o
     }
 
-    /// Writes `BENCH_<fig>.json` at the repo root; returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let path = repo_root().join(format!("BENCH_{}.json", self.fig));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
+    /// Renders the report for a human, under the `paper` reference line
+    /// it is read against: the one printer of every figure and table.
+    /// Consecutive metrics of one shape share a table — a row per metric,
+    /// a column per breakdown component — and consecutive series over
+    /// the same sample keys share a table with a row per sample. Values
+    /// print as the pin stores them (`{:.6}`, trailing zeros dropped).
+    pub fn to_markdown(&self, paper: &str) -> String {
+        let mut o = format!("## {} — {}\n\n", self.fig, self.title);
+        if !paper.is_empty() {
+            let _ = writeln!(o, "paper: {paper}");
+        }
+        let _ = write!(o, "seed {}, scale {}", self.seed, self.scale);
+        for (k, v) in self.sorted_params() {
+            let _ = write!(o, ", {k}={v}");
+        }
+        o.push('\n');
+        let mut rest = &self.metrics[..];
+        while let Some(first) = rest.first() {
+            let same = shape(first);
+            let n = rest.iter().take_while(|m| shape(m) == same).count();
+            let (group, tail) = rest.split_at(n);
+            rest = tail;
+            let rows = if first.series_unit().is_some() {
+                series_rows(group)
+            } else {
+                metric_rows(group)
+            };
+            o.push('\n');
+            for (i, row) in rows.iter().enumerate() {
+                let _ = writeln!(o, "| {} |", row.join(" | "));
+                if i == 0 {
+                    let _ = writeln!(o, "|---|{}", "---:|".repeat(row.len() - 1));
+                }
+            }
+        }
+        o
     }
 
     /// Parses a report back from its canonical (or any equivalent) JSON.
@@ -325,11 +389,6 @@ impl Report {
     }
 }
 
-/// Validates a JSON string against the report schema (parse + shape).
-pub fn validate(s: &str) -> Result<(), String> {
-    Report::from_json(s).map(|_| ())
-}
-
 /// Repo root (two levels above this crate's manifest).
 pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -368,6 +427,60 @@ fn json_f64(v: f64) -> String {
         return "0.000000".into();
     }
     format!("{v:.6}")
+}
+
+/// A value as a table cell: the pinned digits without trailing zeros.
+fn num(v: f64) -> String {
+    let s = json_f64(v);
+    s.trim_end_matches('0').trim_end_matches('.').to_string()
+}
+
+/// What two metrics must share to share a table: series or not, scalar
+/// or quantiles, and the breakdown keys.
+fn shape(m: &Metric) -> (bool, bool, Vec<&str>) {
+    let keys = m.components().iter().map(|c| c.0.as_str()).collect();
+    let quantiles = matches!(m.data, MetricData::Quantiles(_));
+    (m.series_unit().is_some(), quantiles, keys)
+}
+
+/// Table of same-keyed series: a row per sample, a column per series.
+fn series_rows(group: &[Metric]) -> Vec<Vec<String>> {
+    let cols: Vec<Vec<&(String, f64)>> = group.iter().map(Metric::components).collect();
+    let mut head = vec!["sample".to_string()];
+    let unit = |m: &Metric| m.series_unit().unwrap_or_default().to_string();
+    head.extend(group.iter().map(|m| format!("{} [{}]", m.name, unit(m))));
+    let mut rows = vec![head];
+    for (i, (key, _)) in cols[0].iter().enumerate() {
+        let mut row = vec![key.clone()];
+        row.extend(cols.iter().map(|c| num(c[i].1)));
+        rows.push(row);
+    }
+    rows
+}
+
+/// Table of same-shaped metrics: a row per metric, a column per datum
+/// and per breakdown component.
+fn metric_rows(group: &[Metric]) -> Vec<Vec<String>> {
+    let mut head = vec!["metric".to_string(), "unit".to_string()];
+    let data: &[&str] = match group[0].data {
+        MetricData::Quantiles(_) => &["p50", "p90", "p99", "max"],
+        MetricData::Value(_) => &["value"],
+    };
+    head.extend(data.iter().map(|s| s.to_string()));
+    head.extend(group[0].components().iter().map(|c| c.0.clone()));
+    let mut rows = vec![head];
+    for m in group {
+        let mut row = vec![m.name.clone(), m.unit.clone()];
+        match &m.data {
+            MetricData::Value(v) => row.push(num(*v)),
+            MetricData::Quantiles(q) => {
+                row.extend([q.p50, q.p90, q.p99, q.max].map(|v| v.to_string()));
+            }
+        }
+        row.extend(m.components().iter().map(|c| num(c.1)));
+        rows.push(row);
+    }
+    rows
 }
 
 // ----------------------------------------------------------------------
@@ -786,7 +899,6 @@ mod tests {
     fn json_round_trips() {
         let r = sample();
         let j = r.to_json();
-        validate(&j).expect("schema-valid");
         let back = Report::from_json(&j).unwrap();
         assert_eq!(back, r);
     }

@@ -1,11 +1,14 @@
 //! The report catalogue: every paper figure and table, and every other
 //! gated artefact, as one scenario module plus one [`catalogue`] entry.
 //!
-//! Each module owns its runner, parameters, seeds and `report()`; the
-//! human-readable harness in `benches/` prints the module's outcome and
-//! the `bench-report` driver ([`crate::gate`]) gates the same report
-//! against its pin in `crates/bench/baselines/`, so a baseline pinned
-//! from one stays valid for the other.
+//! Each module owns its runner, parameters, seeds and one `report()`
+//! holding every cell the artefact measures — one metric per sweep
+//! point, a sampled series as one [`Metric::series`]; ratios derived
+//! from other cells are left to prose. The `bench-report` driver
+//! ([`crate::gate`]) simulates each report once, prints it through the
+//! one renderer ([`Report::to_markdown`]) and gates it against its pin
+//! in `crates/bench/baselines/`, so the table a human reads and the
+//! bytes CI compares come from the same sweep.
 
 use crate::report::{Metric, MetricData, Report};
 use crate::{
@@ -44,7 +47,7 @@ fn bulk_linux(buf: usize) -> StackHostConfig {
 
 /// The stack a bulk-transfer host runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BulkStack {
+enum BulkStack {
     /// Linux model (full SACK-style out-of-order buffering).
     Linux,
     /// TAS; `ooo: false` selects simple go-back-N recovery.
@@ -56,7 +59,7 @@ pub enum BulkStack {
 
 impl BulkStack {
     /// TAS as deployed (out-of-order interval on).
-    pub const TAS: BulkStack = BulkStack::Tas { ooo: true };
+    const TAS: BulkStack = BulkStack::Tas { ooo: true };
 
     fn cfg(self, buf: usize, tas_initial_rate_bps: u64) -> HostCfg {
         match self {
@@ -110,6 +113,23 @@ fn bulk_goodput(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: S
     bits_per_sec(bulk_bytes(sim, recv, warmup, window), window)
 }
 
+/// The sample key of a time series at `t`: zero-padded so keys sort in
+/// time order.
+fn t_key(t: SimTime) -> String {
+    format!("t{:06}ms", t.as_millis())
+}
+
+/// The name of a sweep cell: the headline cell — the one pinned before
+/// the whole sweep was — keeps the bare `base`, the rest are
+/// `<base>_<point>`.
+fn cell(base: &str, point: impl std::fmt::Display, headline: bool) -> String {
+    if headline {
+        base.to_string()
+    } else {
+        format!("{base}_{point}")
+    }
+}
+
 /// Figure 6: pipelined RPC throughput for a single-threaded server.
 pub mod fig6 {
     use super::*;
@@ -117,7 +137,7 @@ pub mod fig6 {
 
     /// Data direction at the server.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum Dir {
+    enum Dir {
         /// Clients stream requests at the server (receive-bound).
         Rx,
         /// The server streams responses at sink clients (transmit-bound).
@@ -193,7 +213,7 @@ pub mod fig6 {
     }
 
     /// Runs the scenario; returns server-side goodput in Gbps.
-    pub fn run(kind: Kind, dir: Dir, size: usize, delay_cycles: u64, seed: u64) -> f64 {
+    fn run(kind: Kind, dir: Dir, size: usize, delay_cycles: u64, seed: u64) -> f64 {
         let (mut sim, hosts) = build(kind, dir, size, delay_cycles, seed);
         let warmup = SimTime::from_ms(20);
         let window = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
@@ -204,21 +224,36 @@ pub mod fig6 {
         (b1 - b0) as f64 * 8.0 / window.as_secs_f64() / 1e9
     }
 
-    /// The gated report: TAS vs Linux goodput for the small- and
-    /// large-message corners at 250 cycles/message.
+    /// The gated report: TAS, mTCP and Linux goodput per direction and
+    /// message size at 250 cycles/message (bare names) and at 1000
+    /// (`_1000cyc`).
     pub fn report() -> Report {
         let mut r = Report::new(
             "fig6",
             "Pipelined RPC throughput, single-threaded server",
             1,
         );
-        r.param("clients", 4).param("conns", 100).param("delay_cycles", 250);
-        for (dir, dname) in [(Dir::Rx, "rx"), (Dir::Tx, "tx")] {
-            for size in [64usize, 2048] {
-                let t = run(Kind::TasSockets, dir, size, 250, 1);
-                let l = run(Kind::Linux, dir, size, 250, 3);
-                r.push(Metric::value(&format!("{dname}_{size}b_tas"), "gbps", t));
-                r.push(Metric::value(&format!("{dname}_{size}b_linux"), "gbps", l));
+        r.param("clients", 4)
+            .param("conns", 100)
+            .param("delay_cycles", "250, 1000");
+        let sizes = scaled(vec![64, 512, 2048], vec![32, 64, 128, 256, 512, 1024, 2048]);
+        let stacks = [
+            ("tas", Kind::TasSockets, 1),
+            ("mtcp", Kind::Mtcp, 2),
+            ("linux", Kind::Linux, 3),
+        ];
+        for (delay, suffix) in [(250, ""), (1000, "_1000cyc")] {
+            for (dir, dname) in [(Dir::Rx, "rx"), (Dir::Tx, "tx")] {
+                for &size in &sizes {
+                    for (sname, kind, seed) in stacks {
+                        let name = format!("{dname}_{size}b_{sname}{suffix}");
+                        r.push(Metric::value(
+                            &name,
+                            "gbps",
+                            run(kind, dir, size, delay, seed),
+                        ));
+                    }
+                }
             }
         }
         r
@@ -281,9 +316,8 @@ pub mod fig6 {
 
 /// Figure 7: throughput penalty under induced packet loss.
 pub mod fig7 {
+    use super::BulkStack as Stack;
     use super::*;
-
-    pub use super::BulkStack as Stack;
 
     fn window() -> SimTime {
         scaled(SimTime::from_ms(100), SimTime::from_ms(300))
@@ -291,7 +325,7 @@ pub mod fig7 {
 
     /// Runs 100 bulk flows over a lossy 10G link; returns the bytes the
     /// receiver took in over the measurement window.
-    pub fn delivered(stack: Stack, loss: f64, seed: u64) -> u64 {
+    fn delivered(stack: Stack, loss: f64, seed: u64) -> u64 {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let flows = 100; // The paper's flow count (loss dynamics depend on it).
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
@@ -307,47 +341,59 @@ pub mod fig7 {
         bulk_bytes(&mut sim, topo.hosts[0], SimTime::from_ms(50), window())
     }
 
-    /// Receiver goodput of [`delivered`] in bits/s.
-    pub fn goodput(stack: Stack, loss: f64, seed: u64) -> f64 {
-        bits_per_sec(delivered(stack, loss, seed), window())
-    }
-
-    /// The gated report: lossless goodput plus the throughput penalty at
-    /// 1% loss, for Linux and both TAS recovery modes, each after the
-    /// exact byte counts it is derived from (Gbps to six decimals resolves
-    /// 12.5 bytes over the quick window; the counts pin every byte).
+    /// The gated report: per stack (Linux and both TAS recovery modes),
+    /// the lossless goodput and the throughput penalty at each loss rate,
+    /// each beside the exact byte count it is derived from (Gbps to six
+    /// decimals resolves 12.5 bytes over the quick window; the counts pin
+    /// every byte). The headline 1% cell keeps its bare names; the other
+    /// rates follow as `penalty_<stack>_<n>permille`.
     pub fn report() -> Report {
-        let mut r = Report::new("fig7", "Throughput penalty under 1% packet loss", 100);
-        r.param("flows", 100).param("loss", "0.01");
+        let mut r = Report::new("fig7", "Throughput penalty under induced packet loss", 100);
+        r.param("flows", 100);
+        let permille = scaled(vec![1, 10, 50], vec![1, 2, 5, 10, 20, 50]);
         let runs = [
             ("linux", Stack::Linux, 100u64),
             ("tas", Stack::Tas { ooo: true }, 101),
             ("tas_simple", Stack::Tas { ooo: false }, 102),
         ];
+        let mut other_rates = Vec::new();
         for (name, stack, seed) in runs {
             let bytes = delivered(stack, 0.0, seed);
-            let bytes_lossy = delivered(stack, 0.01, seed);
+            let base = bits_per_sec(bytes, window());
             r.push(Metric::value(
                 &format!("bytes_{name}"),
                 "bytes",
                 bytes as f64,
             ));
             r.push(Metric::value(
-                &format!("bytes_lossy_{name}"),
-                "bytes",
-                bytes_lossy as f64,
+                &format!("goodput_{name}"),
+                "gbps",
+                base / 1e9,
             ));
-            let base = bits_per_sec(bytes, window());
-            let lossy = bits_per_sec(bytes_lossy, window());
-            let penalty = 100.0 * (1.0 - lossy / base).max(0.0);
-            r.push(Metric::value(&format!("goodput_{name}"), "gbps", base / 1e9));
-            r.push(
-                Metric::value(&format!("penalty_{name}"), "percent_penalty", penalty)
+            for &pm in &permille {
+                let bytes_lossy = delivered(stack, pm as f64 / 1000.0, seed);
+                let lossy = bits_per_sec(bytes_lossy, window());
+                let penalty = |name: &str| {
+                    Metric::value(
+                        name,
+                        "percent_penalty",
+                        100.0 * (1.0 - lossy / base).max(0.0),
+                    )
                     // Loss penalties are small percentages; allow slack in
                     // absolute terms via a generous relative tolerance.
-                    .with_tol(0.50),
-            );
+                    .with_tol(0.50)
+                };
+                if pm == 10 {
+                    let counted = format!("bytes_lossy_{name}");
+                    r.push(Metric::value(&counted, "bytes", bytes_lossy as f64));
+                    r.push(penalty(&format!("penalty_{name}")));
+                } else {
+                    let cell = penalty(&format!("penalty_{name}_{pm}permille"));
+                    other_rates.push(cell.with_component("bytes_lossy", bytes_lossy as f64));
+                }
+            }
         }
+        r.metrics.extend(other_rates);
         r
     }
 }
@@ -359,7 +405,7 @@ pub mod fig9 {
 
     /// Runs the KV latency scenario; returns the merged client latency
     /// histogram (ns).
-    pub fn run(server: Kind, client: Kind, seed: u64) -> Histogram {
+    pub(super) fn run(server: Kind, client: Kind, seed: u64) -> Histogram {
         run_on(
             |sim, spec, app| make_server(sim, spec, server, (1, 1), Bufs::small(), app),
             client,
@@ -369,7 +415,7 @@ pub mod fig9 {
 
     /// [`run`] with the server host built by `add_server` (the
     /// design-space sweeps place hand-configured stacks there).
-    pub fn run_on(
+    pub(super) fn run_on(
         mut add_server: impl FnMut(&mut Sim<NetMsg>, HostSpec, Box<dyn App>) -> AgentId,
         client: Kind,
         seed: u64,
@@ -413,15 +459,40 @@ pub mod fig9 {
         hist
     }
 
-    /// The gated report: latency quantiles for TAS/TAS and Linux/TAS.
+    /// The gated report: latency quantiles and request counts for every
+    /// server/client pair (Table 5), and the figure's CDF points for the
+    /// two TAS-client curves.
     pub fn report() -> Report {
         let mut r = Report::new("fig9", "KV request latency, 15% utilization", 1);
         r.param("clients", 2);
-        let tas = run(Kind::TasSockets, Kind::TasSockets, 1);
-        let linux = run(Kind::Linux, Kind::TasSockets, 3);
-        r.push(Metric::quantiles("latency_tas_tas", "ns", &tas));
-        r.push(Metric::quantiles("latency_linux_tas", "ns", &linux));
-        r.push(Metric::value("requests_tas_tas", "count", tas.count() as f64));
+        let (tas, ix, linux) = (Kind::TasSockets, Kind::Ix, Kind::Linux);
+        let pairs = [
+            ("tas_tas", tas, tas, 1),
+            ("ix_tas", ix, tas, 2),
+            ("linux_tas", linux, tas, 3),
+            ("tas_linux", tas, linux, 4),
+            ("linux_linux", linux, linux, 5),
+        ]
+        .map(|(name, server, client, seed)| (name, run(server, client, seed)));
+        for (name, h) in &pairs {
+            r.push(Metric::quantiles(&format!("latency_{name}"), "ns", h));
+        }
+        for (name, h) in &pairs {
+            r.push(Metric::value(
+                &format!("requests_{name}"),
+                "count",
+                h.count() as f64,
+            ));
+        }
+        let points = [5, 10, 15, 20, 30, 50, 75, 100, 150, 200, 400].map(|us| us * 1000);
+        let plotted = ["tas_tas", "linux_tas"];
+        for (name, h) in pairs.iter().filter(|p| plotted.contains(&p.0)) {
+            let cdf = h.cdf_points(&points).into_iter();
+            let samples = cdf
+                .map(|(ns, f)| (format!("us{:03}", ns / 1000), f))
+                .collect();
+            r.push(Metric::series(&format!("cdf_{name}"), "fraction", samples));
+        }
         r
     }
 }
@@ -435,7 +506,11 @@ pub mod fig14 {
     use tas_apps::loadgen::{timers as lg_timers, LoadGenConfig, LoadGenHost};
 
     /// Builds the proportionality scenario; returns (sim, server, clients).
-    pub fn build(seed: u64, step: SimTime, clients: usize) -> (Sim<NetMsg>, AgentId, Vec<AgentId>) {
+    pub(super) fn build(
+        seed: u64,
+        step: SimTime,
+        clients: usize,
+    ) -> (Sim<NetMsg>, AgentId, Vec<AgentId>) {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let server_ip = host_ip(0);
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
@@ -493,43 +568,18 @@ pub mod fig14 {
         (sim, topo.hosts[0], topo.hosts[1..].to_vec())
     }
 
-    /// One sampled row of the load staircase.
-    pub struct Row {
-        /// Sample time, ms.
-        pub t_ms: u64,
-        /// Active fast-path cores.
-        pub cores: usize,
-        /// Completed requests per second over the sample, in thousands.
-        pub kops: f64,
-        /// Clients currently issuing load.
-        pub active_clients: usize,
-    }
-
-    /// The full staircase run's observables.
-    pub struct Outcome {
-        /// Per-sample rows.
-        pub rows: Vec<Row>,
-        /// Peak concurrent fast-path cores.
-        pub max_cores: usize,
-        /// Fast-path cores after the last down-step.
-        pub final_cores: usize,
-        /// Controller add/remove events.
-        pub scale_events: u64,
-        /// Mean of the controller's sampled per-core utilization series.
-        pub mean_util: f64,
-        /// Samples captured by the host's queue-depth recorder.
-        pub series_samples: usize,
-    }
-
-    /// Runs the canonical staircase (seed 42, 5 clients) and samples
-    /// cores/throughput each `sample` interval.
-    pub fn run(seed: u64, step: SimTime, clients: usize, sample: SimTime) -> Outcome {
-        let (mut sim, server, client_ids) = build(seed, step, clients);
+    /// The gated report for the canonical staircase (seed 42, 5 clients):
+    /// the headline observables, then fast-path cores, throughput and
+    /// issuing clients sampled each `sample` interval.
+    pub fn report() -> Report {
+        let step = scaled(SimTime::from_ms(400), SimTime::from_secs(2));
+        let sample = SimTime::from_ms(scaled(100, 500));
+        let clients = 5usize;
+        let (mut sim, server, client_ids) = build(42, step, clients);
         let total = step * (2 * clients as u64 + 1);
-        let mut rows = Vec::new();
+        let (mut cores, mut kops, mut active) = (Vec::new(), Vec::new(), Vec::new());
         let mut t = SimTime::ZERO;
         let mut prev_done = 0u64;
-        let mut max_cores = 0usize;
         while t < total {
             t += sample;
             sim.run_until(t);
@@ -537,24 +587,18 @@ pub mod fig14 {
                 .iter()
                 .map(|&c| sim.agent::<LoadGenHost>(c).done)
                 .sum();
-            let cores = sim.agent::<TasHost>(server).active_fp_cores();
-            max_cores = max_cores.max(cores);
-            let kops = (done - prev_done) as f64 / sample.as_secs_f64() / 1e3;
-            let active_clients = client_ids
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    let start = step * *i as u64;
-                    let stop = total - step * (*i as u64 + 1);
-                    t > start && t < stop
-                })
+            let issuing = (0..clients as u64)
+                .filter(|i| t > step * *i && t < total - step * (i + 1))
                 .count();
-            rows.push(Row {
-                t_ms: t.as_millis(),
-                cores,
-                kops,
-                active_clients,
-            });
+            cores.push((
+                t_key(t),
+                sim.agent::<TasHost>(server).active_fp_cores() as f64,
+            ));
+            kops.push((
+                t_key(t),
+                (done - prev_done) as f64 / sample.as_secs_f64() / 1e3,
+            ));
+            active.push((t_key(t), issuing as f64));
             prev_done = done;
         }
         let host = sim.agent::<TasHost>(server);
@@ -567,45 +611,35 @@ pub mod fig14 {
         let series_samples = host
             .queue_series()
             .series("cores.active_fp")
-            .map(|s| s.len())
-            .unwrap_or(0);
-        Outcome {
-            rows,
-            max_cores,
-            final_cores: host.active_fp_cores(),
-            scale_events: host
-                .registry()
-                .counter_value("host.scale_events", tas_sim::Scope::Global),
-            mean_util,
-            series_samples,
-        }
-    }
-
-    /// The canonical staircase parameters: (step, sample interval).
-    pub fn canonical_params() -> (SimTime, SimTime) {
-        (
-            scaled(SimTime::from_ms(400), SimTime::from_secs(2)),
-            SimTime::from_ms(scaled(100, 500)),
-        )
-    }
-
-    /// The gated report for the canonical staircase.
-    pub fn report() -> Report {
-        let (step, sample) = canonical_params();
-        report_from(&run(42, step, 5, sample), step)
-    }
-
-    /// Builds the report from an already-computed canonical run.
-    pub fn report_from(o: &Outcome, step: SimTime) -> Report {
-        let peak_kops = o.rows.iter().map(|r| r.kops).fold(0.0f64, f64::max);
-        let mut r = Report::new("fig14", "Workload proportionality: cores track stepped load", 42);
-        r.param("clients", 5).param("step_ms", step.as_millis());
-        r.push(Metric::value("peak_kops", "kops", peak_kops));
-        r.push(Metric::value("peak_cores", "cores", o.max_cores as f64));
-        r.push(Metric::value("final_cores", "cores", o.final_cores as f64));
-        r.push(Metric::value("scale_events", "count", o.scale_events as f64));
-        r.push(Metric::value("mean_core_util", "fraction", o.mean_util));
-        r.push(Metric::value("series_samples", "count", o.series_samples as f64));
+            .map_or(0, |s| s.len());
+        let scale_events = host
+            .registry()
+            .counter_value("host.scale_events", tas_sim::Scope::Global);
+        let peak = |samples: &[(String, f64)]| samples.iter().map(|s| s.1).fold(0.0, f64::max);
+        let mut r = Report::new(
+            "fig14",
+            "Workload proportionality: cores track stepped load",
+            42,
+        );
+        r.param("clients", clients)
+            .param("step_ms", step.as_millis());
+        r.push(Metric::value("peak_kops", "kops", peak(&kops)));
+        r.push(Metric::value("peak_cores", "cores", peak(&cores)));
+        r.push(Metric::value(
+            "final_cores",
+            "cores",
+            host.active_fp_cores() as f64,
+        ));
+        r.push(Metric::value("scale_events", "count", scale_events as f64));
+        r.push(Metric::value("mean_core_util", "fraction", mean_util));
+        r.push(Metric::value(
+            "series_samples",
+            "count",
+            series_samples as f64,
+        ));
+        r.push(Metric::series("cores", "cores", cores));
+        r.push(Metric::series("throughput", "kops", kops));
+        r.push(Metric::series("active_clients", "count", active));
         r
     }
 }
@@ -615,48 +649,30 @@ pub mod fig15 {
     use super::*;
     use tas_apps::loadgen::LoadGenHost;
 
-    /// One latency/core sample.
-    pub struct Row {
-        /// Sample time, ms.
-        pub t_ms: u64,
-        /// Active fast-path cores.
-        pub cores: usize,
-        /// Mean request latency over the sample window, µs (0 when idle).
-        pub mean_lat_us: f64,
-    }
-
-    /// The scaling-latency run's observables.
-    pub struct Outcome {
-        /// Per-sample rows.
-        pub rows: Vec<Row>,
-        /// Transient spikes: samples whose mean latency jumped >25% over
-        /// the previous non-idle sample.
-        pub spikes: u32,
-        /// Controller add/remove events.
-        pub scale_events: u64,
-        /// Steady-state latency (µs): mean over the pre-step samples.
-        pub steady_lat_us: f64,
-        /// Worst sampled mean latency (µs).
-        pub peak_lat_us: f64,
-    }
-
-    /// Runs the canonical core-acquisition scenario (seed 7, 3 staggered
-    /// clients) sampling windowed latency at fine granularity.
-    pub fn run(seed: u64, clients: usize, step: SimTime, sample: SimTime) -> Outcome {
+    /// The gated report for the canonical core-acquisition run (seed 7, 3
+    /// staggered clients): the headline observables, then fast-path cores
+    /// and windowed mean latency at fine granularity.
+    pub fn report() -> Report {
+        let (clients, step) = (3usize, SimTime::from_ms(300));
+        let sample = SimTime::from_ms(scaled(10, 5));
         // Same reduced-clock proportional server as fig14, but clients
-        // only arrive (no down-steps): build with a large stop time.
-        let (mut sim, server, client_ids) = super::fig14::build(seed, step, clients);
-        // fig14::build staggers stops; clear them (ZERO = never stop) so
-        // the load only steps up, as the paper's fig15 does.
+        // only arrive (no down-steps): fig14::build staggers stops; clear
+        // them (ZERO = never stop) so the load only steps up, as the
+        // paper's fig15 does.
+        let (mut sim, server, client_ids) = super::fig14::build(7, step, clients);
         let total = step * (clients as u64 + 1);
         for &h in &client_ids {
             sim.agent_mut::<LoadGenHost>(h).set_stop_at(SimTime::ZERO);
         }
-        let mut rows = Vec::new();
+        let (mut cores, mut lat_us) = (Vec::new(), Vec::new());
         let mut t = SimTime::ZERO;
+        // Transient spikes: samples whose mean latency jumped >25% over
+        // the previous non-idle sample.
         let mut spikes = 0u32;
         let mut prev_lat = 0.0f64;
         let mut peak = 0.0f64;
+        // Steady state: non-idle samples before the second client arrives.
+        let mut pre = Vec::new();
         while t < total {
             t += sample;
             sim.run_until(t);
@@ -671,26 +687,22 @@ pub mod fig15 {
                 lg.reset_window();
             }
             let mean = if n > 0 { lat / n as f64 } else { 0.0 };
-            let cores = sim.agent::<TasHost>(server).active_fp_cores();
             if prev_lat > 0.0 && mean > prev_lat * 1.25 {
                 spikes += 1;
             }
             if mean > 0.0 {
                 prev_lat = mean;
                 peak = peak.max(mean);
+                if t.as_millis() < step.as_millis() {
+                    pre.push(mean);
+                }
             }
-            rows.push(Row {
-                t_ms: t.as_millis(),
-                cores,
-                mean_lat_us: mean,
-            });
+            cores.push((
+                t_key(t),
+                sim.agent::<TasHost>(server).active_fp_cores() as f64,
+            ));
+            lat_us.push((t_key(t), mean));
         }
-        // Steady state: non-idle samples before the second client arrives.
-        let pre: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.t_ms < step.as_millis() && r.mean_lat_us > 0.0)
-            .map(|r| r.mean_lat_us)
-            .collect();
         let steady = if pre.is_empty() {
             0.0
         } else {
@@ -699,34 +711,20 @@ pub mod fig15 {
         let scale_events = host(&sim, server)
             .registry()
             .counter_value("host.scale_events", tas_sim::Scope::Global);
-        Outcome {
-            rows,
-            spikes,
-            scale_events,
-            steady_lat_us: steady,
-            peak_lat_us: peak,
-        }
-    }
-
-    /// The canonical sampling interval.
-    pub fn canonical_sample() -> SimTime {
-        SimTime::from_ms(scaled(10, 5))
-    }
-
-    /// The gated report for the canonical core-acquisition run.
-    pub fn report() -> Report {
-        report_from(&run(7, 3, SimTime::from_ms(300), canonical_sample()))
-    }
-
-    /// Builds the report from an already-computed canonical run.
-    pub fn report_from(o: &Outcome) -> Report {
-        let mut r = Report::new("fig15", "Request latency across fast-path core additions", 7);
-        r.param("clients", 3).param("step_ms", 300);
-        r.push(Metric::value("steady_lat_us", "us", o.steady_lat_us).with_tol(0.25));
+        let mut r = Report::new(
+            "fig15",
+            "Request latency across fast-path core additions",
+            7,
+        );
+        r.param("clients", clients)
+            .param("step_ms", step.as_millis());
+        r.push(Metric::value("steady_lat_us", "us", steady).with_tol(0.25));
         // The transient peak is inherently spiky; report informationally.
-        r.push(Metric::value("peak_lat_us", "us_info", o.peak_lat_us));
-        r.push(Metric::value("spikes", "count", o.spikes as f64));
-        r.push(Metric::value("scale_events", "count", o.scale_events as f64));
+        r.push(Metric::value("peak_lat_us", "us_info", peak));
+        r.push(Metric::value("spikes", "count", spikes as f64));
+        r.push(Metric::value("scale_events", "count", scale_events as f64));
+        r.push(Metric::series("cores", "cores", cores));
+        r.push(Metric::series("mean_latency", "us", lat_us));
         r
     }
 }
@@ -736,7 +734,7 @@ pub mod fig4 {
     use super::*;
 
     /// Runs the RPC echo scenario at `conns` connections; returns mOps.
-    pub fn measure(kind: Kind, conns: u32) -> f64 {
+    fn measure(kind: Kind, conns: u32) -> f64 {
         let mut sc = RpcScenario::echo(kind, (10, 10), conns);
         sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
         sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
@@ -744,17 +742,21 @@ pub mod fig4 {
         crate::run_rpc(&sc).mops
     }
 
-    /// The gated report: throughput at the low and high connection-count
-    /// corners for each stack.
+    /// The gated report: throughput of each stack at every connection
+    /// count of the sweep.
     pub fn report() -> Report {
         let mut r = Report::new("fig4", "RPC echo throughput vs. connection count", 42);
         r.param("cores", 20);
+        let conn_counts = scaled(
+            vec![1_000, 16_000, 48_000, 96_000],
+            vec![1_000, 16_000, 32_000, 48_000, 64_000, 80_000, 96_000],
+        );
         for (kname, kind) in [
             ("tas", Kind::TasSockets),
             ("ix", Kind::Ix),
             ("linux", Kind::Linux),
         ] {
-            for conns in [1_000u32, 16_000] {
+            for &conns in &conn_counts {
                 let mops = measure(kind, conns);
                 r.push(Metric::value(&format!("{kname}_{conns}c"), "mops", mops));
             }
@@ -771,7 +773,7 @@ pub mod table1 {
     /// The canonical cycle-accounting scenario for one stack. Table 1,
     /// Table 2, and the `cpuprof` observatory all run exactly this
     /// shape, so every cycles-per-request number traces to one source.
-    pub fn scenario(kind: Kind) -> RpcScenario {
+    pub(super) fn scenario(kind: Kind) -> RpcScenario {
         let conns = scaled(2_000, 32_000);
         let mut sc = RpcScenario::kv(kind, (4, 4), conns);
         sc.warmup = scaled(SimTime::from_ms(20), SimTime::from_ms(100));
@@ -780,28 +782,51 @@ pub mod table1 {
     }
 
     /// Runs the KV cycle-accounting scenario for one stack.
-    pub fn measure(kind: Kind) -> crate::RpcResult {
+    pub(super) fn measure(kind: Kind) -> crate::RpcResult {
         crate::run_rpc(&scenario(kind))
     }
 
+    const STACKS: [(&str, Kind); 3] = [
+        ("linux", Kind::Linux),
+        ("ix", Kind::Ix),
+        ("tas", Kind::TasSockets),
+    ];
+
     /// The gated report: total cycles/request per stack with the
-    /// per-module breakdown.
+    /// per-module breakdown, then the requests each average is over.
     pub fn report() -> Report {
         let mut r = Report::new("table1", "Cycles per request by network stack module", 0);
         r.param("conns", scaled(2_000, 32_000)).param("cores", 8);
-        for (kname, kind) in [
-            ("linux", Kind::Linux),
-            ("ix", Kind::Ix),
-            ("tas", Kind::TasSockets),
-        ] {
-            let p = measure(kind).per_request;
-            r.push(cycles_metric(&format!("cycles_{kname}"), &p));
+        let measured = STACKS.map(|(kname, kind)| (kname, measure(kind).per_request));
+        for (kname, p) in &measured {
+            r.push(cycles_metric(&format!("cycles_{kname}"), p));
+        }
+        for (kname, p) in &measured {
+            r.push(Metric::value(
+                &format!("requests_{kname}"),
+                "count",
+                p.requests as f64,
+            ));
         }
         r
     }
 
+    /// Every per-request average must be over a real sample.
+    pub fn enough_requests(r: &Report) -> Vec<Check> {
+        STACKS
+            .iter()
+            .map(|(kname, _)| {
+                let n = r.value(&format!("requests_{kname}")).unwrap_or(0.0);
+                (
+                    format!("{kname}: more than 100 requests measured"),
+                    n > 100.0,
+                )
+            })
+            .collect()
+    }
+
     /// Total cycles/request as a metric with the per-module breakdown.
-    pub fn cycles_metric(name: &str, p: &crate::PerRequest) -> Metric {
+    pub(super) fn cycles_metric(name: &str, p: &crate::PerRequest) -> Metric {
         let total = Metric::value(name, "cycles", p.total_cycles());
         Module::ALL.iter().fold(total, |m, &module| {
             let component = format!("{module:?}").to_lowercase();
@@ -820,16 +845,11 @@ pub mod fig13 {
     /// Canonical seed for the TAS runs (and the report).
     pub const TAS_SEED: u64 = 31;
     /// Canonical seed for the Linux runs.
-    pub const LINUX_SEED: u64 = 32;
-
-    /// Connection-count sweep (quick / paper scale).
-    pub fn conn_counts() -> Vec<u32> {
-        scaled(vec![50, 200, 1000], vec![50, 100, 200, 500, 1000, 2000])
-    }
+    const LINUX_SEED: u64 = 32;
 
     /// One sweep point: (median, p99, fair share) of per-connection
     /// bytes received per sampling interval.
-    pub fn run(stack: BulkStack, conns_total: u32, seed: u64) -> (f64, f64, f64) {
+    fn run(stack: BulkStack, conns_total: u32, seed: u64) -> (f64, f64, f64) {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let per_sender = conns_total / SENDERS as u32;
         let recv_ip = host_ip(0);
@@ -862,60 +882,26 @@ pub mod fig13 {
         (median, p99, fair)
     }
 
-    /// One row of the sweep, for the harness table and the report.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Row {
-        /// Total connections across the senders.
-        pub conns: u32,
-        /// TAS median bytes per interval per connection.
-        pub tas_median: f64,
-        /// TAS p99 bytes per interval per connection.
-        pub tas_p99: f64,
-        /// Linux median bytes per interval per connection.
-        pub linux_median: f64,
-        /// Fair share bytes per interval per connection.
-        pub fair: f64,
-    }
-
-    /// Runs the full sweep on both stacks.
-    pub fn sweep() -> Vec<Row> {
-        conn_counts()
-            .into_iter()
-            .map(|n| {
-                let (tm, tp, fair) = run(BulkStack::TAS, n, TAS_SEED);
-                let (lm, _, _) = run(BulkStack::Linux, n, LINUX_SEED);
-                Row {
-                    conns: n,
-                    tas_median: tm,
-                    tas_p99: tp,
-                    linux_median: lm,
-                    fair,
-                }
-            })
-            .collect()
-    }
-
-    /// Builds the gated report from sweep rows.
-    pub fn report_from(rows: &[Row]) -> Report {
-        let mut r = Report::new(
-            "fig13",
-            "Incast per-connection fairness (4 -> 1)",
-            TAS_SEED,
-        );
+    /// The gated report: per connection count, TAS's median with its p99
+    /// and the fair share, then the Linux model's median.
+    pub fn report() -> Report {
+        let mut r = Report::new("fig13", "Incast per-connection fairness (4 -> 1)", TAS_SEED);
         r.param("senders", SENDERS);
-        for row in rows {
-            let n = row.conns;
-            // Components in key order so the written report round-trips
-            // byte-identically through from_json (which sorts keys).
+        let conn_counts = scaled(vec![50, 200, 1000], vec![50, 100, 200, 500, 1000, 2000]);
+        for &n in &conn_counts {
+            let (median, p99, fair) = run(BulkStack::TAS, n, TAS_SEED);
             r.push(
-                Metric::value(&format!("tas_{n}c_median"), "bytes", row.tas_median)
-                    .with_component("fair_share", row.fair)
-                    .with_component("p99", row.tas_p99),
+                Metric::value(&format!("tas_{n}c_median"), "bytes", median)
+                    .with_component("fair_share", fair)
+                    .with_component("p99", p99),
             );
+        }
+        for &n in &conn_counts {
+            let (median, _, _) = run(BulkStack::Linux, n, LINUX_SEED);
             r.push(Metric::value(
                 &format!("linux_{n}c_median"),
                 "bytes",
-                row.linux_median,
+                median,
             ));
         }
         r
@@ -937,6 +923,18 @@ pub mod table3 {
             ((2u64 << 20) / bytes) as f64,
         ));
         r
+    }
+
+    /// The paper's two statements about the flow state.
+    pub fn paper_claims(r: &Report) -> Vec<Check> {
+        let at = |name| r.value(name).unwrap_or(0.0);
+        vec![
+            ("flow state is 102 bytes".into(), at("flow_state") == 102.0),
+            (
+                "more than 20,000 flows fit a 2 MB core cache".into(),
+                at("flows_per_2mb_cache") > 20_000.0,
+            ),
+        ]
     }
 }
 
@@ -1050,7 +1048,7 @@ pub mod table4 {
     use super::*;
 
     /// The four sender/receiver cells with their pinned seeds.
-    pub fn cells() -> [(&'static str, BulkStack, &'static str, BulkStack, u64); 4] {
+    fn cells() -> [(&'static str, BulkStack, &'static str, BulkStack, u64); 4] {
         let (l, t) = (BulkStack::Linux, BulkStack::TAS);
         [
             ("linux", l, "linux", l, 1),
@@ -1062,7 +1060,7 @@ pub mod table4 {
 
     /// Goodput of the bulk-transfer scenario: `scaled(50,100)` flows from
     /// one sending machine to one receiving machine, both on 10G.
-    pub fn goodput_gbps(sender: BulkStack, receiver: BulkStack, seed: u64) -> f64 {
+    fn goodput_gbps(sender: BulkStack, receiver: BulkStack, seed: u64) -> f64 {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let flows = scaled(50, 100);
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
@@ -1090,6 +1088,18 @@ pub mod table4 {
             ));
         }
         r
+    }
+
+    /// Payload goodput on a 10G wire with TCP/IP/Ethernet overhead tops
+    /// out around 9.4 Gbps; every combination must get close.
+    pub fn line_rate(r: &Report) -> Vec<Check> {
+        cells()
+            .iter()
+            .map(|(sn, _, rn, _, _)| {
+                let gbps = r.value(&format!("{sn}_to_{rn}")).unwrap_or(0.0);
+                (format!("{sn} -> {rn} reaches 8.5 Gbps"), gbps >= 8.5)
+            })
+            .collect()
     }
 }
 
@@ -1260,7 +1270,7 @@ pub mod fig5 {
 
     /// Runs short-lived echo with `msgs_per_conn` requests per connection
     /// (`u32::MAX` = persistent connections); returns server mOps.
-    pub fn run(kind: Kind, msgs_per_conn: u32, conns: u32, measure: SimTime) -> f64 {
+    fn run(kind: Kind, msgs_per_conn: u32, conns: u32, measure: SimTime) -> f64 {
         let mut sim: Sim<NetMsg> = Sim::new(7 + msgs_per_conn as u64);
         let server_ip = host_ip(0);
         let client_hosts = 4usize;
@@ -1291,77 +1301,45 @@ pub mod fig5 {
         (m1 - m0) as f64 / measure.as_secs_f64() / 1e6
     }
 
-    /// The msgs/conn sweep's observables.
-    pub struct Outcome {
-        /// Concurrent connections.
-        pub conns: u32,
-        /// (msgs/conn, TAS mOps, Linux mOps) per sweep point.
-        pub rows: Vec<(u32, f64, f64)>,
-        /// TAS mOps with persistent connections.
-        pub tas_persistent: f64,
-    }
-
-    /// Runs the sweep on both stacks plus the persistent-connection
-    /// reference.
-    pub fn sweep() -> Outcome {
+    /// The gated report: TAS and Linux throughput per messages/connection
+    /// point, plus TAS's persistent-connection reference.
+    pub fn report() -> Report {
         let conns = scaled(128, 1_024);
         let measure = scaled(SimTime::from_ms(30), SimTime::from_ms(100));
         let points = scaled(
             vec![1, 4, 16, 64, 256],
             vec![1, 2, 4, 16, 64, 256, 1_024, 4_096],
         );
-        let rows = points
-            .into_iter()
-            .map(|m| {
-                let t = run(Kind::TasSockets, m, conns, measure);
-                (m, t, run(Kind::Linux, m, conns, measure))
-            })
-            .collect();
-        Outcome {
-            conns,
-            rows,
-            tas_persistent: run(Kind::TasSockets, u32::MAX, conns, measure),
-        }
-    }
-
-    /// Builds the gated report from a sweep.
-    pub fn report_from(o: &Outcome) -> Report {
         let mut r = Report::new("fig5", "Short-lived connection throughput", 7);
-        r.param("conns", o.conns);
-        for &(m, t, l) in &o.rows {
-            r.push(Metric::value(&format!("tas_{m}mpc"), "mops", t));
-            r.push(Metric::value(&format!("linux_{m}mpc"), "mops", l));
+        r.param("conns", conns);
+        for m in points {
+            for (name, kind) in [("tas", Kind::TasSockets), ("linux", Kind::Linux)] {
+                let mops = run(kind, m, conns, measure);
+                r.push(Metric::value(&format!("{name}_{m}mpc"), "mops", mops));
+            }
         }
-        r.push(Metric::value("tas_persistent", "mops", o.tas_persistent));
+        let persistent = run(Kind::TasSockets, u32::MAX, conns, measure);
+        r.push(Metric::value("tas_persistent", "mops", persistent));
         r
     }
 }
 
-/// The four stacks of the KV core-count sweeps (Fig. 8, Table 7), in
-/// column order, with their report metric names.
-pub const KV_STACKS: [(&str, Kind); 4] = [
-    ("tas_ll", Kind::TasLowLevel),
-    ("tas_so", Kind::TasSockets),
-    ("ix", Kind::Ix),
-    ("linux", Kind::Linux),
-];
-
-/// One row per total core count: mOps per [`KV_STACKS`] column.
-pub type CoreSweep = Vec<(usize, [f64; 4])>;
-
-fn core_sweep(totals: &[usize], measure: impl Fn(Kind, usize) -> f64) -> CoreSweep {
-    totals
-        .iter()
-        .map(|&total| (total, KV_STACKS.map(|(_, kind)| measure(kind, total))))
-        .collect()
-}
-
-/// Pushes the sweep's last (max-cores) row, one metric per stack.
-fn push_at_max_cores(r: &mut Report, rows: &CoreSweep) {
-    if let Some((total, mops)) = rows.last() {
-        r.param("cores", total);
-        for ((name, _), &v) in KV_STACKS.iter().zip(mops) {
-            r.push(Metric::value(name, "mops", v));
+/// Pushes a KV core-count sweep (Fig. 8, Table 7): mOps per stack at
+/// every total core count, the last (max-cores) row under the bare stack
+/// names and the rows below it as `<stack>_<n>cores`.
+fn push_core_sweep(r: &mut Report, totals: &[usize], measure: impl Fn(Kind, usize) -> f64) {
+    let stacks = [
+        ("tas_ll", Kind::TasLowLevel),
+        ("tas_so", Kind::TasSockets),
+        ("ix", Kind::Ix),
+        ("linux", Kind::Linux),
+    ];
+    let max = totals.last().copied().unwrap_or(0);
+    r.param("cores", max);
+    for &total in totals {
+        for (stack, kind) in stacks {
+            let name = cell(stack, format_args!("{total}cores"), total == max);
+            r.push(Metric::value(&name, "mops", measure(kind, total)));
         }
     }
 }
@@ -1373,7 +1351,7 @@ pub mod fig8 {
 
     /// Table 6 core splits per total core count, as `(fast-path, app)`
     /// for TAS and as two halves of one pool for the baselines.
-    pub fn split(kind: Kind, total: usize) -> (usize, usize) {
+    fn split(kind: Kind, total: usize) -> (usize, usize) {
         // Paper Table 6: Sockets — app 1/2/5/7/9, TAS 1/2/3/5/7 at
         // 2/4/8/12/16. Lowlevel — even split.
         let so_app = [(2, 1), (4, 2), (8, 5), (12, 7), (16, 9)];
@@ -1387,28 +1365,30 @@ pub mod fig8 {
         (total - app, app)
     }
 
-    /// Client connections.
-    pub fn conns() -> u32 {
-        scaled(4_000, 32_000)
-    }
-
-    /// Runs the sweep over core counts and stacks.
-    pub fn sweep() -> CoreSweep {
+    /// The gated report: throughput per stack and total core count, with
+    /// the Table 6 splits used (`total:app/fast-path`) as parameters.
+    pub fn report() -> Report {
+        let conns = scaled(4_000, 32_000);
         let totals = scaled(vec![2, 4, 8, 16], vec![2, 4, 8, 12, 16]);
-        core_sweep(&totals, |kind, total| {
-            let mut sc = RpcScenario::kv(kind, split(kind, total), conns());
+        let mut r = Report::new("fig8", "KV throughput scalability with server cores", 7);
+        r.param("conns", conns);
+        for (param, kind) in [
+            ("split_so", Kind::TasSockets),
+            ("split_ll", Kind::TasLowLevel),
+        ] {
+            let splits = totals.iter().map(|&total| {
+                let (fp, app) = split(kind, total);
+                format!("{total}:{app}/{fp}")
+            });
+            r.param(param, splits.collect::<Vec<_>>().join(" "));
+        }
+        push_core_sweep(&mut r, &totals, |kind, total| {
+            let mut sc = RpcScenario::kv(kind, split(kind, total), conns);
             sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
             sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
             sc.seed = 7 + total as u64;
             crate::run_rpc(&sc).mops
-        })
-    }
-
-    /// Builds the gated report (throughput at max cores) from a sweep.
-    pub fn report_from(rows: &CoreSweep) -> Report {
-        let mut r = Report::new("fig8", "KV throughput scalability at max cores", 7);
-        r.param("conns", conns());
-        push_at_max_cores(&mut r, rows);
+        });
         r
     }
 }
@@ -1419,7 +1399,7 @@ pub mod table7 {
     use super::*;
 
     /// Runs the contended-key workload on `total` server cores.
-    pub fn run(kind: Kind, total: usize) -> f64 {
+    fn run(kind: Kind, total: usize) -> f64 {
         // TAS keeps ONE app core and grows fast-path cores; baselines grow
         // the shared pool.
         let cores = match kind {
@@ -1437,16 +1417,11 @@ pub mod table7 {
         crate::run_rpc(&sc).mops
     }
 
-    /// Runs 2, 3 and 4 total cores on every stack.
-    pub fn sweep() -> CoreSweep {
-        core_sweep(&[2, 3, 4], run)
-    }
-
-    /// Builds the gated report (throughput at 4 cores) from a sweep.
-    pub fn report_from(rows: &CoreSweep) -> Report {
-        let mut r = Report::new("table7", "Non-scalable KV workload at 4 cores", 99);
+    /// The gated report: throughput per stack at 2, 3 and 4 total cores.
+    pub fn report() -> Report {
+        let mut r = Report::new("table7", "Non-scalable KV workload, 2 to 4 cores", 99);
         r.param("conns", 256);
-        push_at_max_cores(&mut r, rows);
+        push_core_sweep(&mut r, &[2, 3, 4], run);
         r
     }
 }
@@ -1454,32 +1429,20 @@ pub mod table7 {
 /// Table 2: per-request app/stack overheads — cycles, instructions, CPI.
 pub mod table2 {
     use super::*;
-    use crate::PerRequest;
     use tas_cpusim::Module;
 
-    /// Per-request accounting for Linux, IX and TAS on the Table 1
-    /// scenario (one source of cycle truth with Table 1 and `cpuprof`).
-    pub fn rows() -> Vec<(Kind, PerRequest)> {
-        [Kind::Linux, Kind::Ix, Kind::TasSockets]
-            .into_iter()
-            .map(|kind| (kind, table1::measure(kind).per_request))
-            .collect()
-    }
-
-    /// Application cycles per request.
-    pub fn app_cycles(p: &PerRequest) -> f64 {
-        p.cycles[Module::App as usize]
-    }
-
-    /// Builds the gated report from measured rows.
-    pub fn report_from(rows: &[(Kind, PerRequest)]) -> Report {
+    /// The gated report: per-request accounting for Linux, IX and TAS on
+    /// the Table 1 scenario (one source of cycle truth with Table 1 and
+    /// `cpuprof`).
+    pub fn report() -> Report {
         let mut r = Report::new("table2", "Per-request cycles, instructions, CPI", 0);
         r.param("conns", scaled(2_000, 32_000));
-        for (kind, p) in rows {
+        for kind in [Kind::Linux, Kind::Ix, Kind::TasSockets] {
+            let p = table1::measure(kind).per_request;
             let tag = kind.label().to_lowercase().replace(' ', "_");
             r.push(
                 Metric::value(&format!("stack_cycles_{tag}"), "cycles", p.stack_cycles())
-                    .with_component("app_cycles", app_cycles(p))
+                    .with_component("app_cycles", p.cycles[Module::App as usize])
                     .with_component("instr", p.total_instr())
                     .with_component("cpi", p.cpi()),
             );
@@ -1494,19 +1457,9 @@ pub mod fig10 {
     use super::*;
     use tas_apps::flexstorm::FlexStormNode;
 
-    /// The middle node's mean per-tuple delays (Table 8).
-    pub struct NodeStats {
-        /// Input-queue delay, µs.
-        pub input_us: f64,
-        /// Processing time, µs.
-        pub proc_us: f64,
-        /// Output (batching mux) delay, ms.
-        pub output_ms: f64,
-    }
-
-    /// Runs the chain on `kind`; returns (sink million tuples/s, middle
-    /// node stats).
-    pub fn run(kind: Kind, spout_rate: u64, seed: u64) -> (f64, NodeStats) {
+    /// Runs the chain on `kind`; returns the sink's million tuples/s with
+    /// the middle node's mean per-tuple delays (Table 8) as components.
+    fn run(name: &str, kind: Kind, spout_rate: u64, seed: u64) -> Metric {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let nodes = 3usize;
         let workers = 2u16;
@@ -1544,45 +1497,24 @@ pub mod fig10 {
             .tuples_processed;
         // Table 8 measures the middle node (fully loaded in and out).
         let mid = app::<FlexStormNode>(&sim, topo.hosts[1]);
-        let stats = NodeStats {
-            input_us: mid.input_delay_us.mean(),
-            proc_us: mid.proc_us.mean(),
-            output_ms: mid.output_delay_us.mean() / 1000.0,
-        };
-        ((p1 - p0) as f64 / window.as_secs_f64() / 1e6, stats)
+        let mtps = (p1 - p0) as f64 / window.as_secs_f64() / 1e6;
+        Metric::value(name, "mops", mtps)
+            .with_component("input_us", mid.input_delay_us.mean())
+            .with_component("proc_us", mid.proc_us.mean())
+            .with_component("output_ms", mid.output_delay_us.mean() / 1000.0)
     }
 
-    /// Offered spout rate, tuples/s.
-    pub fn spout_rate() -> u64 {
-        scaled(1_500_000, 4_000_000)
-    }
-
-    /// Runs the three stacks: (metric tag, stack, mt/s, middle node).
-    pub fn sweep() -> Vec<(&'static str, Kind, f64, NodeStats)> {
-        [
-            ("linux", Kind::Linux, 1u64),
-            ("mtcp", Kind::Mtcp, 2),
-            ("tas", Kind::TasSockets, 3),
-        ]
-        .into_iter()
-        .map(|(tag, kind, seed)| {
-            let (mtps, st) = run(kind, spout_rate(), seed);
-            (tag, kind, mtps, st)
-        })
-        .collect()
-    }
-
-    /// Builds the gated report from a sweep.
-    pub fn report_from(rows: &[(&'static str, Kind, f64, NodeStats)]) -> Report {
+    /// The gated report: throughput and tuple delays on the three stacks.
+    pub fn report() -> Report {
+        let spout_rate = scaled(1_500_000, 4_000_000);
         let mut r = Report::new("fig10", "FlexStorm throughput and tuple latency", 1);
-        r.param("spout_rate", spout_rate()).param("nodes", 3);
-        for (tag, _, mtps, st) in rows {
-            r.push(
-                Metric::value(&format!("{tag}_mtps"), "mops", *mtps)
-                    .with_component("input_us", st.input_us)
-                    .with_component("proc_us", st.proc_us)
-                    .with_component("output_ms", st.output_ms),
-            );
+        r.param("spout_rate", spout_rate).param("nodes", 3);
+        for (name, kind, seed) in [
+            ("linux_mtps", Kind::Linux, 1),
+            ("mtcp_mtps", Kind::Mtcp, 2),
+            ("tas_mtps", Kind::TasSockets, 3),
+        ] {
+            r.push(run(name, kind, spout_rate, seed));
         }
         r
     }
@@ -1599,7 +1531,7 @@ pub mod fig11 {
 
     /// The congestion-control variant every node runs.
     #[derive(Clone, Copy, PartialEq)]
-    pub enum Cc {
+    pub(super) enum Cc {
         /// Window-based NewReno, no ECN.
         Tcp,
         /// Window-based DCTCP.
@@ -1615,7 +1547,7 @@ pub mod fig11 {
 
     /// A protocol-focused node with `cores` + `cores` cores and
     /// `buf`-byte socket buffers running `cc`.
-    pub fn node_cfg(cc: Cc, cores: usize, buf: usize) -> HostCfg {
+    pub(super) fn node_cfg(cc: Cc, cores: usize, buf: usize) -> HostCfg {
         let (algo, tau_us) = match cc {
             Cc::TasRate { tau_us } => (CcAlgo::DctcpRate, tau_us),
             Cc::TasTimely => (CcAlgo::Timely, 200),
@@ -1652,7 +1584,11 @@ pub mod fig11 {
 
     /// A generator of bounded-Pareto-sized flows toward `dests` offering
     /// `load_bps` (the analytic mean size makes the offered load exact).
-    pub fn flow_gen(dests: Vec<(std::net::Ipv4Addr, u16)>, load_bps: f64, seed: u64) -> FlowGen {
+    pub(super) fn flow_gen(
+        dests: Vec<(std::net::Ipv4Addr, u16)>,
+        load_bps: f64,
+        seed: u64,
+    ) -> FlowGen {
         let alpha = 1.2;
         let mean = tas_sim::dist::BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, alpha).mean();
         let gap = SimTime::from_secs_f64(mean * 8.0 / load_bps);
@@ -1663,7 +1599,7 @@ pub mod fig11 {
 
     /// Runs the single-link experiment; returns (mean FCT ms, mean
     /// bottleneck queue pkts).
-    pub fn run(cc: Cc, seed: u64) -> (f64, f64) {
+    fn run(cc: Cc, seed: u64) -> (f64, f64) {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let senders = 8usize;
         let sink_ip = host_ip(0);
@@ -1701,56 +1637,33 @@ pub mod fig11 {
         (fct_ms, sim.agent::<Switch>(topo.switch).mean_queue_depth())
     }
 
-    /// The whole figure: reference lines, the τ sweep, and the TIMELY
-    /// extension, each as (mean FCT ms, mean queue pkts).
-    pub struct Outcome {
-        /// Plain TCP (NewReno).
-        pub tcp: (f64, f64),
-        /// Window DCTCP.
-        pub dctcp: (f64, f64),
-        /// (τ µs, FCT ms, queue pkts) per sweep point.
-        pub tas: Vec<(u64, f64, f64)>,
-        /// TAS running TIMELY.
-        pub timely: (f64, f64),
-    }
-
-    /// Runs every line of the figure.
-    pub fn sweep() -> Outcome {
-        let taus = scaled(
-            vec![50, 100, 400, 1000],
-            vec![25, 50, 100, 200, 400, 600, 800, 1000],
-        );
-        Outcome {
-            tcp: run(Cc::Tcp, 11),
-            dctcp: run(Cc::Dctcp, 12),
-            tas: taus
-                .into_iter()
-                .map(|tau| {
-                    let (fct, q) = run(Cc::TasRate { tau_us: tau }, 13 + tau);
-                    (tau, fct, q)
-                })
-                .collect(),
-            timely: run(Cc::TasTimely, 29),
-        }
-    }
-
-    /// Builds the gated report from a sweep.
-    pub fn report_from(o: &Outcome) -> Report {
+    /// The gated report: mean FCT and bottleneck queue for the TCP and
+    /// DCTCP reference lines, the τ sweep, and the TIMELY extension (the
+    /// paper names TIMELY as a pluggable policy but does not evaluate it).
+    pub fn report() -> Report {
         let mut r = Report::new(
             "fig11",
             "Single-link CC fidelity: FCT and bottleneck queue",
             11,
         );
         r.param("load", "0.75").param("senders", 8);
-        let fct = |name: &str, ms: f64| Metric::value(name, "us", ms * 1000.0).with_tol(0.20);
-        r.push(fct("tcp_fct", o.tcp.0));
-        r.push(fct("dctcp_fct", o.dctcp.0));
-        r.push(Metric::value("tcp_queue_pkts", "pkts", o.tcp.1));
-        r.push(Metric::value("dctcp_queue_pkts", "pkts", o.dctcp.1));
-        for &(tau, ms, q) in &o.tas {
-            r.push(fct(&format!("tas_tau{tau}_fct"), ms));
-            let queue = format!("tas_tau{tau}_queue_pkts");
-            r.push(Metric::value(&queue, "pkts", q));
+        let taus = scaled(
+            vec![50, 100, 400, 1000],
+            vec![25, 50, 100, 200, 400, 600, 800, 1000],
+        );
+        let mut lines = vec![
+            ("tcp".to_string(), Cc::Tcp, 11),
+            ("dctcp".to_string(), Cc::Dctcp, 12),
+        ];
+        lines.extend(taus.into_iter().map(|tau| {
+            let cc = Cc::TasRate { tau_us: tau };
+            (format!("tas_tau{tau}"), cc, 13 + tau)
+        }));
+        lines.push(("timely".to_string(), Cc::TasTimely, 29));
+        for (name, cc, seed) in lines {
+            let (fct_ms, queue) = run(cc, seed);
+            r.push(Metric::value(&format!("{name}_fct"), "us", fct_ms * 1000.0).with_tol(0.20));
+            r.push(Metric::value(&format!("{name}_queue_pkts"), "pkts", queue));
         }
         r
     }
@@ -1767,12 +1680,12 @@ pub mod fig12 {
     use tas_netsim::topo::{build_fattree, FatTreeConfig};
 
     /// FatTree arity.
-    pub fn k() -> usize {
+    fn k() -> usize {
         scaled(4, 8)
     }
 
     /// Returns (short-flow FCT histogram, long-flow FCT histogram) in ns.
-    pub fn run(cc: Cc, seed: u64) -> (Histogram, Histogram) {
+    fn run(cc: Cc, seed: u64) -> (Histogram, Histogram) {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let n_hosts = k() * k() * k() / 4;
         let all_dests: Vec<(std::net::Ipv4Addr, u16)> =
@@ -1820,29 +1733,29 @@ pub mod fig12 {
         (short, long)
     }
 
-    /// Runs the three variants: (name, short FCTs, long FCTs).
-    pub fn sweep() -> Vec<(&'static str, Histogram, Histogram)> {
-        [
-            ("TCP", Cc::Tcp),
-            ("DCTCP", Cc::Dctcp),
-            ("TAS", Cc::TasRate { tau_us: 100 }),
-        ]
-        .into_iter()
-        .map(|(name, cc)| {
-            let (s, l) = run(cc, 21);
-            (name, s, l)
-        })
-        .collect()
-    }
-
-    /// Builds the gated report from a sweep.
-    pub fn report_from(rows: &[(&'static str, Histogram, Histogram)]) -> Report {
+    /// The gated report: short- and long-flow FCT quantiles per variant,
+    /// then each distribution's mean with its flow count.
+    pub fn report() -> Report {
         let mut r = Report::new("fig12", "FatTree flow completion times", 21);
         r.param("k", k()).param("hosts", k() * k() * k() / 4);
-        for (name, s, l) in rows {
-            let tag = name.to_lowercase();
-            r.push(Metric::quantiles(&format!("{tag}_short_fct"), "ns", s).with_tol(0.20));
-            r.push(Metric::quantiles(&format!("{tag}_long_fct"), "ns", l).with_tol(0.20));
+        let variants = [
+            ("tcp", Cc::Tcp),
+            ("dctcp", Cc::Dctcp),
+            ("tas", Cc::TasRate { tau_us: 100 }),
+        ]
+        .map(|(tag, cc)| (tag, run(cc, 21)));
+        let fcts = variants.iter().flat_map(|(tag, (s, l))| {
+            [
+                (format!("{tag}_short_fct"), s),
+                (format!("{tag}_long_fct"), l),
+            ]
+        });
+        for (name, h) in fcts.clone() {
+            r.push(Metric::quantiles(&name, "ns", h).with_tol(0.20));
+        }
+        for (name, h) in fcts {
+            let mean = Metric::value(&format!("{name}_mean"), "ns", h.mean()).with_tol(0.20);
+            r.push(mean.with_component("flows", h.count() as f64));
         }
         r
     }
@@ -1855,56 +1768,40 @@ pub mod ablations {
     use super::*;
     use crate::TasOverrides;
 
-    /// Ablation A's per-flow state footprints: (table label, metric
-    /// name, cache lines touched per request). 2 lines = TAS's 102 B; 8 =
-    /// a 512 B state; 30 = a ~1.9 KB Linux `tcp_sock`-like state.
-    pub const STATE_VARIANTS: [(&str, &str, u64); 3] = [
-        ("102B (TAS)", "state_102b", 2),
-        ("512B", "state_512b", 8),
-        ("1.9KB", "state_1900b", 30),
-    ];
-
-    /// Ablation A: echo mOps per [`STATE_VARIANTS`] column at each
-    /// connection count.
-    pub fn state_footprint() -> Vec<(u32, [f64; 3])> {
-        scaled(vec![16_000, 64_000], vec![16_000, 64_000, 96_000])
-            .into_iter()
-            .map(|conns| {
-                let mops = STATE_VARIANTS.map(|(_, _, lines)| {
-                    let mut sc = RpcScenario::echo(Kind::TasSockets, (10, 10), conns);
-                    sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
-                    sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
-                    sc.seed = 7_000 + conns as u64;
-                    sc.tas_overrides = TasOverrides {
-                        cache_lines_per_req: Some(lines),
-                        ..TasOverrides::default()
-                    };
-                    crate::run_rpc(&sc).mops
-                });
-                (conns, mops)
-            })
-            .collect()
-    }
-
-    /// Outcome of one bulk fan-in run.
-    pub struct BulkRun {
-        /// Receiver goodput.
-        pub gbps: f64,
-        /// Fast retransmits across the senders.
-        pub fast_rexmits: u64,
-        /// Slow-path timeout retransmits across the senders.
-        pub timeout_rexmits: u64,
+    /// Ablation A: echo mOps at each connection count for three per-flow
+    /// state footprints, as cache lines touched per request: 2 = TAS's
+    /// 102 B; 8 = a 512 B state; 30 = a ~1.9 KB Linux `tcp_sock`-like
+    /// state. The largest count keeps the bare variant names.
+    fn push_state_footprint(r: &mut Report) {
+        let conn_counts = scaled(vec![16_000, 64_000], vec![16_000, 64_000, 96_000]);
+        for &conns in &conn_counts {
+            for (variant, lines) in [("state_102b", 2), ("state_512b", 8), ("state_1900b", 30)] {
+                let mut sc = RpcScenario::echo(Kind::TasSockets, (10, 10), conns);
+                sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
+                sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
+                sc.seed = 7_000 + conns as u64;
+                sc.tas_overrides = TasOverrides {
+                    cache_lines_per_req: Some(lines),
+                    ..TasOverrides::default()
+                };
+                let at_max = Some(&conns) == conn_counts.last();
+                let name = cell(variant, format_args!("{conns}c"), at_max);
+                r.push(Metric::value(&name, "mops", crate::run_rpc(&sc).mops));
+            }
+        }
     }
 
     /// Runs `senders` TAS bulk hosts with 25 connections each into one
-    /// receiver over a shared 10G star.
-    pub fn bulk_fan_in(
+    /// receiver over a shared 10G star; returns the receiver's goodput
+    /// with the senders' fast and slow-path timeout retransmits.
+    fn bulk_fan_in(
+        name: &str,
         cc: CcAlgo,
         stall_intervals: u32,
         loss: f64,
         senders: usize,
         seed: u64,
-    ) -> BulkRun {
+    ) -> Metric {
         let mut sim: Sim<NetMsg> = Sim::new(seed);
         let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
             let cfg = TasConfig {
@@ -1920,61 +1817,33 @@ pub mod ablations {
         start_all(&mut sim, &topo.hosts);
         let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
         let bps = bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(50), window);
-        let mut run = BulkRun {
-            gbps: bps / 1e9,
-            fast_rexmits: 0,
-            timeout_rexmits: 0,
-        };
-        for &h in &topo.hosts[1..] {
-            let sender = sim.agent::<TasHost>(h);
-            run.fast_rexmits += sender.fp_stats().fast_rexmits;
-            run.timeout_rexmits += sender.sp_stats().timeout_rexmits;
-        }
-        run
+        let hosts = || topo.hosts[1..].iter().map(|&h| sim.agent::<TasHost>(h));
+        let fast: u64 = hosts().map(|s| s.fp_stats().fast_rexmits).sum();
+        let timeout: u64 = hosts().map(|s| s.sp_stats().timeout_rexmits).sum();
+        Metric::value(name, "gbps", bps / 1e9)
+            .with_component("fast_rexmits", fast as f64)
+            .with_component("timeout_rexmits", timeout as f64)
     }
 
-    /// All three ablations.
-    pub struct Outcome {
-        /// A: per-flow state footprint.
-        pub state: Vec<(u32, [f64; 3])>,
-        /// B: 4x25 bulk flows with fast-path rate enforcement on.
-        pub enforced: BulkRun,
-        /// B: the same fan-in with congestion control disabled.
-        pub unenforced: BulkRun,
-        /// C: (stalled intervals before retransmit, run) under 1% loss.
-        pub stall: Vec<(u32, BulkRun)>,
-    }
-
-    /// Runs all three ablations.
-    pub fn run() -> Outcome {
-        Outcome {
-            state: state_footprint(),
-            enforced: bulk_fan_in(CcAlgo::DctcpRate, 2, 0.0, 4, 300),
-            unenforced: bulk_fan_in(CcAlgo::None, 2, 0.0, 4, 300),
-            stall: [1u32, 2, 4]
-                .into_iter()
-                .map(|n| (n, bulk_fan_in(CcAlgo::DctcpRate, n, 0.01, 1, 400)))
-                .collect(),
-        }
-    }
-
-    /// Builds the gated report from an outcome.
-    pub fn report_from(o: &Outcome) -> Report {
+    /// The gated report. A: per-flow state footprint. B: 4x25 bulk flows
+    /// with fast-path rate enforcement on, then with congestion control
+    /// disabled. C: stalled control intervals before a slow-path
+    /// retransmit, under 1% loss.
+    pub fn report() -> Report {
         let mut r = Report::new("ablations", "Design-choice ablations", 300);
-        if let Some((_, at_max)) = o.state.last() {
-            for ((_, name, _), &mops) in STATE_VARIANTS.iter().zip(at_max) {
-                r.push(Metric::value(name, "mops", mops));
-            }
-        }
-        let bulk = |name: String, b: &BulkRun| {
-            Metric::value(&name, "gbps", b.gbps)
-                .with_component("fast_rexmits", b.fast_rexmits as f64)
-                .with_component("timeout_rexmits", b.timeout_rexmits as f64)
-        };
-        r.push(bulk("enforced_gbps".into(), &o.enforced));
-        r.push(bulk("unenforced_gbps".into(), &o.unenforced));
-        for (n, b) in &o.stall {
-            r.push(bulk(format!("stall_{n}_gbps"), b));
+        push_state_footprint(&mut r);
+        r.push(bulk_fan_in(
+            "enforced_gbps",
+            CcAlgo::DctcpRate,
+            2,
+            0.0,
+            4,
+            300,
+        ));
+        r.push(bulk_fan_in("unenforced_gbps", CcAlgo::None, 2, 0.0, 4, 300));
+        for n in [1u32, 2, 4] {
+            let name = format!("stall_{n}_gbps");
+            r.push(bulk_fan_in(&name, CcAlgo::DctcpRate, n, 0.01, 1, 400));
         }
         r
     }
@@ -1999,9 +1868,12 @@ pub enum Build {
 /// Every report is modelled — a pure function of its seeds — and gated
 /// byte-for-byte against its pin.
 pub struct Entry {
-    /// Report name: `BENCH_<name>.json`, and the prefix (up to the first
-    /// `_`) of the bench target in `benches/` that prints it, if any.
+    /// Report name: `BENCH_<name>.json`, and what `bench-report` takes.
     pub name: &'static str,
+    /// What the paper reports for this artefact (or the design choice an
+    /// ablation tests): the reference line the rendered report is read
+    /// against. Empty for artefacts the paper has no counterpart of.
+    pub paper: &'static str,
     /// The builder.
     pub build: Build,
     /// Invariants any instance of the report must satisfy.
@@ -2011,17 +1883,18 @@ pub struct Entry {
 }
 
 impl Entry {
-    fn new(name: &'static str, build: Build) -> Entry {
+    fn new(name: &'static str, paper: &'static str, build: Build) -> Entry {
         Entry {
             name,
+            paper,
             build,
             invariants: |_| Vec::new(),
             sabotage: None,
         }
     }
 
-    fn report(name: &'static str, build: fn() -> Report) -> Entry {
-        Entry::new(name, Build::Report(build))
+    fn report(name: &'static str, paper: &'static str, build: fn() -> Report) -> Entry {
+        Entry::new(name, paper, Build::Report(build))
     }
 }
 
@@ -2050,40 +1923,133 @@ pub fn catalogue() -> Vec<Entry> {
     #[cfg(not(feature = "telemetry"))]
     let (fig6spans, cpuprof) = (Build::NeedsTelemetry, Build::NeedsTelemetry);
     vec![
-        Entry::report("fig4", fig4::report),
-        Entry::report("fig5", || fig5::report_from(&fig5::sweep())),
-        Entry::report("fig6", fig6::report),
-        Entry::report("fig7", fig7::report),
-        Entry::report("fig8", || fig8::report_from(&fig8::sweep())),
-        Entry::report("fig9", fig9::report),
-        Entry::report("fig10", || fig10::report_from(&fig10::sweep())),
-        Entry::report("fig11", || fig11::report_from(&fig11::sweep())),
-        Entry::report("fig12", || fig12::report_from(&fig12::sweep())),
-        Entry::report("fig13", || fig13::report_from(&fig13::sweep())),
-        Entry::report("fig14", fig14::report),
-        Entry::report("fig15", fig15::report),
-        Entry::report("table1", table1::report),
-        Entry::report("table2", || table2::report_from(&table2::rows())),
-        Entry::report("table3", table3::report),
-        Entry::report("table4", table4::report),
-        Entry::report("table7", || table7::report_from(&table7::sweep())),
-        Entry::report("ablations", || ablations::report_from(&ablations::run())),
+        Entry::report(
+            "fig4",
+            "TAS ~flat (-7% at 96k); IX peaks then -60%; Linux low and -40%",
+            fig4::report,
+        ),
+        Entry::report(
+            "fig5",
+            "TAS beats Linux from ~4 RPCs/conn; 95% of persistent throughput at 256",
+            fig5::report,
+        ),
+        Entry::report(
+            "fig6",
+            "RX: TAS 4.5x Linux small, 40G at 2KB; TX: TAS 12.4x Linux, 1.5x mTCP small; \
+             gaps shrink at 1000 cycles",
+            fig6::report,
+        ),
+        Entry::report(
+            "fig7",
+            "TAS <=1.5% penalty to 1% loss, 13% at 5%; ~2x Linux; go-back-N ~3x worse",
+            fig7::report,
+        ),
+        Entry::report(
+            "fig8",
+            "at 16 cores TAS LL 9.6x Linux / 1.9x IX; TAS SO 7.0x / 1.3x (32k conns)",
+            fig8::report,
+        ),
+        Entry::report(
+            "fig9",
+            "TAS clients, median/90th/99th/max us: Linux 97/129/177/1319, IX 20/27/30/280, \
+             TAS 17/20/30/122",
+            fig9::report,
+        ),
+        Entry::report(
+            "fig10",
+            "raw mt/s: Linux 1.3, mTCP 2.8, TAS 3.0; input/proc/output per tuple: \
+             Linux 6.96us/0.37us/20ms, mTCP 4ms/0.33us/14ms, TAS 7.47us/0.36us/8ms",
+            fig10::report,
+        ),
+        Entry::report(
+            "fig11",
+            "TAS FCT ~ DCTCP for tau >= RTT (100us); small tau converges slowly; queue grows \
+             mildly with tau; TCP's queue much larger",
+            fig11::report,
+        ),
+        Entry::report(
+            "fig12",
+            "TAS ~ DCTCP in both CDFs (short <=50 pkts, long); TCP worse in the tail",
+            fig12::report,
+        ),
+        Entry::report(
+            "fig13",
+            "TAS p99 within 1.6-2.8x of median; median ~ fair share; Linux fluctuates",
+            fig13::report,
+        ),
+        Entry::report(
+            "fig14",
+            "cores ramp 1 -> 9 -> 1 as clients come and go; throughput tracks",
+            fig14::report,
+        ),
+        Entry::report(
+            "fig15",
+            "latency spikes ~30% (~15us) during each core adjustment, then recovers",
+            fig15::report,
+        ),
+        Entry {
+            invariants: table1::enough_requests,
+            ..Entry::report(
+                "table1",
+                "kc/request driver/IP/TCP/sockets/other/app: Linux 0.73/1.53/3.92/8.00/1.50/1.07 \
+                 = 16.75; IX 0.05/0.12/1.05/0.76/0/0.76 = 2.73; TAS 0.09/0/0.81/0.62/0/0.68 = 2.57",
+                table1::report,
+            )
+        },
+        Entry::report(
+            "table2",
+            "app/stack cycles, instr, CPI: Linux 1.1k/15.7k, 12.7ki, 1.32; IX 0.8k/1.9k, \
+             3.3ki, 0.82; TAS 0.7k/1.9k, 3.9ki, 0.66",
+            table2::report,
+        ),
+        Entry {
+            invariants: table3::paper_claims,
+            ..Entry::report(
+                "table3",
+                "field widths sum to 102 bytes; more than 20,000 flows fit 2 MB per core",
+                table3::report,
+            )
+        },
+        Entry {
+            invariants: table4::line_rate,
+            ..Entry::report(
+                "table4",
+                "9.4 Gbps goodput in all four sender/receiver combinations",
+                table4::report,
+            )
+        },
+        Entry::report(
+            "table7",
+            "mOps at 2/3/4 cores: TAS LL 2.4/3.8/4.6; TAS SO 2.4/3.1/3.1; IX 2.5/2.8/2.8; \
+             Linux 0.4/0.6/0.8; in the limit TAS LL 1.6x IX, 5.7x Linux",
+            table7::report,
+        ),
+        Entry::report(
+            "ablations",
+            "design choices: 102 B compact flow state (Table 3); slow-path CC enforced by \
+             fast-path rate limiters; retransmit after 2 stalled control intervals (§3.2)",
+            ablations::report,
+        ),
         Entry {
             invariants: designspace::orderings,
             // The regression an MPK/PCIe model bug would produce.
             sabotage: Some(|r| inflate(r, &["mpk_xcost_", "pno_pcie_"], 1.30)),
-            ..Entry::report("designspace", designspace::report)
+            ..Entry::report("designspace", "", designspace::report)
         },
         Entry {
             invariants: crate::scenario::isolation_checks,
             sabotage: Some(crate::scenario::with_unfair_incast),
-            ..Entry::report("scenarios", crate::scenario::report)
+            ..Entry::report("scenarios", "", crate::scenario::report)
         },
-        Entry::new("fig6spans", fig6spans),
+        Entry::new(
+            "fig6spans",
+            "§5.2 tail analysis: queueing, not processing, makes the tail",
+            fig6spans,
+        ),
         Entry {
             // A CPU-efficiency regression no throughput metric would catch.
             sabotage: Some(|r| inflate(r, &["cycles_per_req_"], 1.25)),
-            ..Entry::new("cpuprof", cpuprof)
+            ..Entry::new("cpuprof", "", cpuprof)
         },
     ]
 }

@@ -1,8 +1,10 @@
 //! The CI regression gate end to end against the committed baselines:
-//! the catalogue, the pins and the bench targets cover each other
-//! exactly; every pin parses, schema-validates and passes its own gate;
-//! a one-value drift in a unit the tolerance comparator ignores fails
-//! `check`; an injected 20% p99 latency regression trips the comparator.
+//! the catalogue and the pins cover each other exactly and every paper
+//! artefact carries its reference line; every pin parses,
+//! schema-validates and passes its own gate; the renderer names every
+//! pinned metric exactly once; a one-value drift in a unit the tolerance
+//! comparator ignores fails `check`; an injected 20% p99 latency
+//! regression trips the comparator.
 
 use std::collections::BTreeSet;
 use tas_bench::gate;
@@ -15,7 +17,7 @@ fn pin_text(name: &str) -> String {
 }
 
 #[test]
-fn catalogue_pins_and_bench_targets_cover_each_other() {
+fn catalogue_and_pins_cover_each_other_and_paper_artefacts_carry_a_reference() {
     let entries: Vec<&str> = catalogue().iter().map(|e| e.name).collect();
     let unique: BTreeSet<&str> = entries.iter().copied().collect();
     assert_eq!(unique.len(), entries.len(), "duplicate entry: {entries:?}");
@@ -33,18 +35,79 @@ fn catalogue_pins_and_bench_targets_cover_each_other() {
     let names: BTreeSet<String> = entries.iter().map(|n| n.to_string()).collect();
     assert_eq!(pins, names, "pins and entries must pair up one to one");
 
-    // Every figure/table/ablation harness prints a catalogue report: its
-    // target name up to the first `_` is the entry.
-    let manifest = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
-    let manifest = std::fs::read_to_string(manifest).unwrap();
-    let mut printed = BTreeSet::new();
-    for section in manifest.split("[[bench]]").skip(1) {
-        let target = section.split('"').nth(1).expect("bench target name");
-        let entry = target.split('_').next().unwrap();
-        assert!(unique.contains(entry), "{target}: no entry {entry:?}");
-        assert!(printed.insert(entry), "{entry}: printed by two targets");
+    // Every figure, table and ablation is rendered under the paper's
+    // numbers for it.
+    let artefact = |name: &str| {
+        (name.starts_with("fig") && name != "fig6spans")
+            || name.starts_with("table")
+            || name == "ablations"
+    };
+    let artefacts: Vec<_> = catalogue()
+        .into_iter()
+        .filter(|e| artefact(e.name))
+        .collect();
+    assert_eq!(artefacts.len(), 18, "17 figures and tables + ablations");
+    for e in artefacts {
+        assert!(!e.paper.is_empty(), "{}: no paper reference", e.name);
     }
-    assert_eq!(printed.len(), 18, "17 figures and tables + ablations");
+}
+
+/// The one renderer over every committed pin: deterministic, every
+/// metric named exactly once, a series as one row per sample.
+#[test]
+fn renderer_names_every_pinned_metric_once_and_a_series_sample_per_row() {
+    let mut series = 0;
+    for e in catalogue() {
+        let rep = Report::from_json(&pin_text(e.name)).unwrap();
+        let text = rep.to_markdown(e.paper);
+        assert_eq!(
+            text,
+            rep.to_markdown(e.paper),
+            "{}: not deterministic",
+            e.name
+        );
+        assert_eq!(
+            e.paper.is_empty(),
+            !text.contains("\npaper: "),
+            "{}",
+            e.name
+        );
+        // Rows by their first cell; a series is named in a header cell.
+        let rows: Vec<Vec<&str>> = text
+            .lines()
+            .filter(|l| l.starts_with("| "))
+            .map(|l| l.split('|').skip(1).map(str::trim).collect())
+            .collect();
+        let rows_starting = |cell: &str| rows.iter().filter(|r| r[0] == cell).count();
+        for m in &rep.metrics {
+            let Some(unit) = m.unit.strip_prefix("series_") else {
+                assert_eq!(rows_starting(&m.name), 1, "{}: {}", e.name, m.name);
+                continue;
+            };
+            series += 1;
+            let head = format!("{} [{unit}]", m.name);
+            let named = rows.iter().flatten().filter(|c| **c == head).count();
+            assert_eq!(named, 1, "{}: {head} named {named} times", e.name);
+            assert!(m.breakdown.len() > 10, "{head}: a series has samples");
+            for (key, _) in &m.breakdown {
+                assert_eq!(rows_starting(key), 1, "{}: sample {key}", e.name);
+            }
+        }
+    }
+    assert!(series >= 7, "fig9, fig14 and fig15 pin {series} series");
+}
+
+#[test]
+fn show_of_an_unknown_name_exits_non_zero_with_the_usage_line() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench-report"))
+        .args(["show", "fig99"])
+        .output()
+        .expect("run bench-report");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: bench-report "), "{err}");
+    assert!(err.contains("unknown report \"fig99\""), "{err}");
+    assert!(out.stdout.is_empty(), "nothing is shown");
 }
 
 #[test]
