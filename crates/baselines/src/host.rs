@@ -168,7 +168,7 @@ impl StackHostConfig {
 pub mod timers {
     /// Host init.
     pub const INIT: u32 = 0;
-    /// Per-connection TCP timer; data = (slot << 32) | generation.
+    /// Per-connection TCP timer; data = slot.
     pub const CONN: u32 = 1;
     /// mTCP batch flush; data = app core index.
     pub const BATCH: u32 = 2;
@@ -179,10 +179,6 @@ pub mod timers {
     /// Deferred connection command (API send/recv/connect follow-ups).
     pub const CONN_CMD: u32 = 5;
 }
-
-/// Diagnostic snapshot row from [`StackHost::dump_conns`]; see
-/// [`TcpConn::debug_state`](tas_tcp::TcpConn::debug_state) for fields.
-pub type ConnDebug = (u64, u64, u64, u32, u64, bool, u32, u64, usize, usize);
 
 /// Descriptor size DMA'd per app↔NIC notification/command (a cache line,
 /// as real NIC descriptor rings use).
@@ -199,10 +195,9 @@ struct Slot {
     /// syscall per segment).
     rx_notified: bool,
     armed: SimTime,
-    gen: u32,
-    /// Live engine handle for the armed CONN timer; superseded timers are
-    /// cancelled in the queue (the `gen` check remains as a backstop for
-    /// same-instant fires the engine cannot retract).
+    /// Live engine handle for the armed CONN timer; a superseded timer is
+    /// cancelled before its replacement is armed, and close cancels before
+    /// the slot is freed, so a CONN timer that fires is always current.
     timer_id: Option<TimerId>,
 }
 
@@ -423,16 +418,6 @@ impl StackHost {
         self.tenant = Some(tenant);
     }
 
-    /// The tenant identity, if one was assigned.
-    pub fn tenant(&self) -> Option<u32> {
-        self.tenant
-    }
-
-    /// The host's IP.
-    pub fn ip(&self) -> Ipv4Addr {
-        self.inner.ip
-    }
-
     /// Opts this host into cycle-attribution profiling: its core runs
     /// arm the thread-local profiler with `core<i>` identities. Hosts
     /// never enabled disarm the profiler before running instead, so
@@ -511,29 +496,9 @@ impl StackHost {
     pub fn tcp_stats(&self) -> tas_tcp::ConnStats {
         let mut total = self.inner.tcp_cum;
         for s in self.inner.slots.iter().flatten() {
-            let st = s.conn.stats;
-            total.segs_out += st.segs_out;
-            total.segs_in += st.segs_in;
-            total.bytes_sent += st.bytes_sent;
-            total.bytes_received += st.bytes_received;
-            total.retransmits += st.retransmits;
-            total.fast_retransmits += st.fast_retransmits;
-            total.timeouts += st.timeouts;
-            total.dupacks_in += st.dupacks_in;
-            total.ece_in += st.ece_in;
+            total += s.conn.stats;
         }
         total
-    }
-
-    /// Diagnostic: per-connection debug snapshots.
-    pub fn dump_conns(&self, n: usize) -> Vec<ConnDebug> {
-        self.inner
-            .slots
-            .iter()
-            .flatten()
-            .take(n)
-            .map(|s| s.conn.debug_state())
-            .collect()
     }
 
     /// Downcasts the application.
@@ -729,17 +694,7 @@ impl StackHost {
                 s.conn.remote().ip,
                 s.conn.remote().port,
             );
-            let st = s.conn.stats;
-            let cum = &mut self.inner.tcp_cum;
-            cum.segs_out += st.segs_out;
-            cum.segs_in += st.segs_in;
-            cum.bytes_sent += st.bytes_sent;
-            cum.bytes_received += st.bytes_received;
-            cum.retransmits += st.retransmits;
-            cum.fast_retransmits += st.fast_retransmits;
-            cum.timeouts += st.timeouts;
-            cum.dupacks_in += st.dupacks_in;
-            cum.ece_in += st.ece_in;
+            self.inner.tcp_cum += s.conn.stats;
             self.inner.by_key.remove(&key);
             self.inner.slots[slot as usize] = None;
             self.inner.free.push(slot);
@@ -755,13 +710,11 @@ impl StackHost {
             return;
         };
         if next < s.armed {
-            s.gen = s.gen.wrapping_add(1);
             s.armed = next;
-            let data = ((slot as u64) << 32) | s.gen as u64;
             if let Some(tid) = s.timer_id.take() {
                 ctx.cancel_timer(tid);
             }
-            s.timer_id = Some(ctx.timer_at(next, timers::CONN, data));
+            s.timer_id = Some(ctx.timer_at(next, timers::CONN, slot as u64));
         }
     }
 
@@ -1097,7 +1050,6 @@ impl StackHost {
             closed_sent: false,
             rx_notified: false,
             armed: SimTime::MAX,
-            gen: 0,
             timer_id: None,
         };
         let id = match inner.free.pop() {
@@ -1280,24 +1232,19 @@ impl Agent<NetMsg> for StackHost {
                 match kind {
                     timers::INIT => {}
                     timers::CONN => {
-                        let slot = (data >> 32) as u32;
-                        let gen = data as u32;
-                        let stale = self
+                        let slot = data as u32;
+                        let s = self
                             .inner
                             .slots
                             .get_mut(slot as usize)
-                            .and_then(Option::as_mut)
-                            .map(|s| {
-                                if s.gen == gen {
-                                    s.armed = SimTime::MAX;
-                                    s.timer_id = None;
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                            .unwrap_or(true);
-                        if !stale {
+                            .and_then(Option::as_mut);
+                        debug_assert!(
+                            s.as_ref().is_some_and(|s| s.timer_id.is_some()),
+                            "CONN timer of slot {slot} outlived its cancel"
+                        );
+                        if let Some(s) = s {
+                            s.armed = SimTime::MAX;
+                            s.timer_id = None;
                             // Timeout processing costs roughly a data-path
                             // traversal.
                             let cost = self.inner.profile.rx_ack.total();

@@ -307,11 +307,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Largest sampled value (0 when empty).
-    pub fn max_value(&self) -> f64 {
-        self.samples.iter().fold(0.0f64, |m, &(_, v)| m.max(v))
-    }
 }
 
 /// A deterministic fixed-cadence sampler bank: a set of named
@@ -358,13 +353,8 @@ impl SeriesRecorder {
         }
     }
 
-    /// The sampling cadence.
-    pub fn interval(&self) -> SimTime {
-        self.interval
-    }
-
     /// True when the next cadence tick has been reached.
-    pub fn due(&self, now: SimTime) -> bool {
+    fn due(&self, now: SimTime) -> bool {
         now >= self.next_due
     }
 
@@ -493,15 +483,6 @@ impl CoreUtilSeries {
     /// All per-core series, in core order.
     pub fn all(&self) -> &[TimeSeries] {
         &self.series
-    }
-
-    /// Every sampled value across all cores, in (core, time) order —
-    /// the flat pool the bench report's utilization quantiles digest.
-    pub fn flat_values(&self) -> Vec<f64> {
-        self.series
-            .iter()
-            .flat_map(|ts| ts.samples().iter().map(|&(_, v)| v))
-            .collect()
     }
 }
 
@@ -918,7 +899,6 @@ mod tests {
         assert_eq!(c0, vec![0.5, 1.0]);
         assert_eq!(c1, vec![0.0, 1.5]);
         assert_eq!(u.len(), 2);
-        assert_eq!(u.flat_values(), vec![0.5, 1.0, 0.0, 1.5]);
     }
 
     #[test]
@@ -927,7 +907,6 @@ mod tests {
         ts.push(SimTime::from_us(1), 1.5);
         ts.push(SimTime::from_us(2), 2.0);
         assert_eq!(ts.render_text(), "1000 1.5\n2000 2\n");
-        assert_eq!(ts.max_value(), 2.0);
     }
 
     #[test]

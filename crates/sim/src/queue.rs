@@ -31,19 +31,14 @@
 //!
 //! # Memory layout
 //!
-//! Entry state is split by access pattern. A dense 12-byte [`CtlSlot`]
-//! array holds generation + packed location — the only state the hot
-//! cancel → re-push cycle of a timer reset ever *loads* — while keys and
-//! payloads sit in a parallel [`Data`] array that the hot path only
-//! *stores* to (reads happen at drain time), keeping those misses off the
-//! critical path in the store buffer. Wheel slots hold bare `u32` entry
-//! indices; cancellation writes a tagged hole over the entry's cell
-//! instead of moving any other entry, and later pushes into the same slot
-//! reuse holes through an intrusive free list threaded through the hole
-//! cells, so a slot vec's length is bounded by its peak concurrent
-//! entries. The net effect is ~one dependent cache miss per timer reset,
-//! which keeps the event loop fast at terabit-sweep flow counts (100k+
-//! concurrent timers).
+//! Every pending event is one [`Entry`] in a slab — key, generation,
+//! cancel mark and payload together — recycled through a LIFO free list.
+//! Wheel slots hold bare `u32` slab indices, so a cascade moves four bytes
+//! per event; the ready run and the overflow heap carry the `(time, seq)`
+//! key beside the index because they are ordered by it. The simulator
+//! workloads this is sized for hold a few thousand pending events
+//! (`rpc64_tas_sim` peaks at ~5 k, `bulk_loss_tas_sim` ~8 k, `kv_linux_sim`
+//! under 1 k), so the whole slab stays cache-resident.
 //!
 //! # Cancellation
 //!
@@ -51,14 +46,14 @@
 //! resolves it through the generation-checked slab, so a stale handle (the
 //! event already dispatched, or the slot recycled) is a safe no-op, and a
 //! live handle always cancels — an event stays cancellable until the pop
-//! that returns it, including one due at the instant being dispatched. The
-//! entry records where it lives: an entry still in a wheel slot is
-//! tombstoned in O(1) at cancel time (slot vecs are unsorted until drained,
-//! so this never perturbs dispatch order), while the rare entries already
-//! in the sorted ready run or the overflow heap are marked and reclaimed
-//! lazily, with a compaction sweep as backstop. A cancel-heavy workload
-//! therefore keeps the resident size O(live) without sweeping on the hot
-//! path.
+//! that returns it, including one due at the instant being dispatched.
+//! Cancel marks the entry and drops its payload; nothing else moves. The
+//! entry is freed wherever the wheel next meets it — the front of the
+//! ready run, a level-0 drain, a cascade or an overflow pull — so a
+//! cancelled event never perturbs dispatch order. A compaction sweep over
+//! the ready run, the overflow heap and every wheel slot runs once
+//! cancelled entries outnumber live ones by [`COMPACT_SLACK`], which keeps
+//! the resident size O(live) under any cancel pattern.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -89,13 +84,6 @@ const SLOTS: usize = 1 << LEVEL_BITS;
 const LEVELS: usize = 4;
 /// Compaction slack: sweep only once cancelled entries exceed live by this.
 const COMPACT_SLACK: usize = 64;
-/// High bit tags a wheel-slot cell as a hole (cancelled entry); the low 31
-/// bits link to the slot's next hole. Slab indices stay below the tag.
-const HOLE_TAG: u32 = 1 << 31;
-/// "No next hole" in a hole cell's low 31 bits.
-const HOLE_END: u32 = HOLE_TAG - 1;
-/// "No holes" in a slot's free-list head.
-const HOLE_NONE: u32 = u32::MAX;
 
 const fn level_shift(level: usize) -> u32 {
     G0_SHIFT + LEVEL_BITS * level as u32
@@ -124,12 +112,8 @@ pub struct QueueStats {
     pub drains: u64,
     /// Entries those drains moved.
     pub drained: u64,
-    /// Cancels that found their entry in a wheel slot (reclaimed at once).
-    pub cancels_wheel: u64,
-    /// Cancels that found their entry in the ready run (marked).
-    pub cancels_ready: u64,
-    /// Cancels that found their entry in the overflow heap (marked).
-    pub cancels_overflow: u64,
+    /// Live handles cancelled.
+    pub cancels: u64,
 }
 
 impl QueueStats {
@@ -151,84 +135,34 @@ pub struct EventId {
     gen: u32,
 }
 
-/// Where a pending entry physically lives, so cancel can reclaim it.
-///
-/// `meta` bit layout (see [`CtlSlot`]): `[7:0]` slot idx, `[9:8]` level,
-/// `[13:12]` kind code (0 detached, 1 ready, 2 overflow, 3 wheel),
-/// `[15]` cancelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    /// Not position-tracked (slot just allocated, not yet placed).
-    Detached,
-    /// In the sorted ready deque (cancel marks lazily; reclaimed at front).
-    Ready,
-    /// In the overflow heap (cancel marks lazily; reclaimed on pull).
-    Overflow,
-    /// In wheel vec `levels[level], slot idx, position pos`.
-    Wheel { level: usize, idx: usize, pos: usize },
-}
-
-const META_KIND_SHIFT: u32 = 12;
-const META_LEVEL_SHIFT: u32 = 8;
-const META_CANCELLED: u32 = 1 << 15;
-
-/// Per-entry control word: generation plus packed location. This is the
-/// only thing the cancel → re-push cycle of a timer reset has to *load*
-/// (12 bytes per entry keeps the array mostly cache-resident); the key
-/// and payload in [`Data`] are write-only until the entry drains.
-#[derive(Clone, Copy)]
-struct CtlSlot {
-    gen: u32,
-    meta: u32,
-    pos: u32,
-}
-
-/// Per-entry dispatch key and payload, indexed by control slot. Written
-/// at push, read back only when the entry drains toward dispatch — never
-/// loaded on the cancel path, so stores to it stay off the critical path.
-struct Data<E> {
+/// One pending event in the slab.
+struct Entry<E> {
     at: u64,
     seq: u64,
+    /// Bumped each time the entry is freed, so old handles miss.
+    gen: u32,
+    /// Cancelled but not yet freed: the wheel frees it when it next meets
+    /// the entry's cell.
+    cancelled: bool,
+    /// `None` once dispatched or cancelled.
     event: Option<E>,
 }
 
-impl CtlSlot {
-    fn kind(&self) -> Kind {
-        match (self.meta >> META_KIND_SHIFT) & 0b11 {
-            0 => Kind::Detached,
-            1 => Kind::Ready,
-            2 => Kind::Overflow,
-            _ => Kind::Wheel {
-                level: ((self.meta >> META_LEVEL_SHIFT) & 0b11) as usize,
-                idx: (self.meta & 0xff) as usize,
-                pos: self.pos as usize,
-            },
-        }
-    }
-
-    fn cancelled(&self) -> bool {
-        self.meta & META_CANCELLED != 0
-    }
-}
-
-/// A `(time, seq, slot)` key for the sorted ready run.
+/// A `(time, seq, slab index)` key for the sorted ready run and the
+/// overflow heap.
 #[derive(Clone, Copy)]
-struct ReadyEnt {
+struct Keyed {
     at: u64,
     seq: u64,
-    ctl: u32,
+    idx: u32,
 }
 
 /// Overflow-heap entry, ordered earliest-first by `(time, seq)`.
-struct HeapEnt {
-    at: u64,
-    seq: u64,
-    ctl: u32,
-}
+struct HeapEnt(Keyed);
 
 impl PartialEq for HeapEnt {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        (self.0.at, self.0.seq) == (other.0.at, other.0.seq)
     }
 }
 impl Eq for HeapEnt {}
@@ -240,20 +174,13 @@ impl PartialOrd for HeapEnt {
 impl Ord for HeapEnt {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
     }
 }
 
 struct Level {
-    /// Slab indices of the entries in each wheel slot, unordered;
-    /// [`HOLE_TAG`]-tagged cells are holes left by cancellation, linked
-    /// into a per-slot free list and reused by later pushes.
+    /// Slab indices of the entries in each wheel slot, unordered.
     slots: Vec<Vec<u32>>,
-    /// Head of each slot's hole free list ([`HOLE_NONE`] when full).
-    hole_head: [u32; SLOTS],
     /// One bit per slot: set when the slot vec is non-empty.
     occ: [u64; SLOTS / 64],
 }
@@ -262,7 +189,6 @@ impl Level {
     fn new() -> Self {
         Level {
             slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            hole_head: [HOLE_NONE; SLOTS],
             occ: [0; SLOTS / 64],
         }
     }
@@ -311,27 +237,21 @@ impl Level {
 /// ```
 pub struct EventQueue<E> {
     levels: Vec<Level>,
-    /// Control words, one per entry slot (see [`CtlSlot`]).
-    ctl: Vec<CtlSlot>,
-    /// Keys and payloads, parallel to `ctl` (see [`Data`]).
-    data: Vec<Data<E>>,
-    /// Recycled entry slots, LIFO.
+    /// The entry slab (see [`Entry`]).
+    entries: Vec<Entry<E>>,
+    /// Recycled slab indices, LIFO.
     free: Vec<u32>,
     overflow: BinaryHeap<HeapEnt>,
     /// The ready run: entries below `cursor`, sorted by `(at, seq)`.
-    ready: VecDeque<ReadyEnt>,
+    ready: VecDeque<Keyed>,
     /// Exclusive end of the drained window; wheel entries are all `>= cursor`.
     /// Always a multiple of the level-0 tick.
     cursor: u64,
     seq: u64,
-    /// Physical entries resident across ready + wheel + overflow.
+    /// Entries resident across ready + wheel + overflow.
     resident: usize,
-    /// Cancelled entries still physically resident (ready/overflow only;
-    /// wheel holes are already released).
-    cancelled_live: usize,
-    /// How many of those sit in the ready run: while zero, peek/pop skip
-    /// the per-entry liveness check entirely.
-    marked_ready: usize,
+    /// Of those, cancelled ones not yet freed.
+    dead: usize,
     stats: QueueStats,
 }
 
@@ -340,47 +260,43 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            ctl: Vec::new(),
-            data: Vec::new(),
+            entries: Vec::new(),
             free: Vec::new(),
             overflow: BinaryHeap::new(),
             ready: VecDeque::new(),
             cursor: 0,
             seq: 0,
             resident: 0,
-            cancelled_live: 0,
-            marked_ready: 0,
+            dead: 0,
             stats: QueueStats::default(),
         }
     }
 
     /// Schedules `event` at absolute time `at`, returning a cancel handle.
     pub fn push(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.seq;
+        let (at, seq) = (at.as_ps(), self.seq);
         self.seq += 1;
         let id = if let Some(slot) = self.free.pop() {
-            let c = &mut self.ctl[slot as usize];
-            c.meta = 0;
-            let gen = c.gen;
-            self.data[slot as usize] = Data {
-                at: at.as_ps(),
-                seq,
-                event: Some(event),
-            };
-            EventId { slot, gen }
+            let e = &mut self.entries[slot as usize];
+            e.at = at;
+            e.seq = seq;
+            e.cancelled = false;
+            e.event = Some(event);
+            EventId { slot, gen: e.gen }
         } else {
-            let slot = self.ctl.len() as u32;
-            self.ctl.push(CtlSlot { gen: 0, meta: 0, pos: 0 });
-            self.data.push(Data {
-                at: at.as_ps(),
+            let slot = self.entries.len() as u32;
+            self.entries.push(Entry {
+                at,
                 seq,
+                gen: 0,
+                cancelled: false,
                 event: Some(event),
             });
             EventId { slot, gen: 0 }
         };
         self.resident += 1;
         self.stats.pushes += 1;
-        self.place(id.slot, at.as_ps(), seq);
+        self.place(id.slot);
         id
     }
 
@@ -389,76 +305,24 @@ impl<E> EventQueue<E> {
         self.stats
     }
 
-    /// Bumps an entry slot's generation and returns it to the free list.
-    fn release(&mut self, slot: u32) {
-        let c = &mut self.ctl[slot as usize];
-        c.meta = 0;
-        c.gen = c.gen.wrapping_add(1);
-        self.free.push(slot);
-    }
-
-    fn is_cancelled(&self, slot: u32) -> bool {
-        self.ctl[slot as usize].cancelled()
-    }
-
     /// Cancels a pending event: it is dropped without dispatching.
     ///
     /// Returns true if the handle was still live: the event had been
     /// neither popped nor cancelled, whatever its timestamp. Stale handles
-    /// are a safe no-op.
-    ///
-    /// An entry still in a wheel slot is tombstoned in O(1) (slot vecs are
-    /// unsorted until their level-0 drain sorts them, so this is invisible
-    /// to dispatch order) and its cell recycled immediately. Entries already
-    /// in the sorted ready run or the overflow heap are marked and reclaimed
-    /// lazily — the rare cases — so the resident size stays O(live) without
-    /// any sweep on the hot path.
+    /// are a safe no-op. The entry is only marked here; the wheel frees it
+    /// when it next reaches the entry's cell.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let kind = match self.ctl.get_mut(id.slot as usize) {
-            Some(s) if s.gen == id.gen && !s.cancelled() => {
-                s.meta |= META_CANCELLED;
-                s.kind()
+        match self.entries.get_mut(id.slot as usize) {
+            Some(e) if e.gen == id.gen && !e.cancelled => {
+                e.cancelled = true;
+                e.event = None;
             }
             _ => return false,
-        };
-        match kind {
-            Kind::Wheel { level, idx, pos } => {
-                let lv = &mut self.levels[level];
-                debug_assert!(pos < lv.slots[idx].len() && lv.slots[idx][pos] == id.slot);
-                // Turn the cell into a hole linked to the slot's free list;
-                // no other entry moves, so no position fixups anywhere.
-                lv.slots[idx][pos] = HOLE_TAG | (lv.hole_head[idx] & HOLE_END);
-                lv.hole_head[idx] = pos as u32;
-                // The payload is dropped now if dropping does anything;
-                // otherwise the cell's next reuse overwrites it for free.
-                if std::mem::needs_drop::<E>() {
-                    self.data[id.slot as usize].event = None;
-                }
-                self.resident -= 1;
-                self.stats.cancels_wheel += 1;
-                self.release(id.slot);
-            }
-            Kind::Ready => {
-                self.stats.cancels_ready += 1;
-                self.data[id.slot as usize].event = None;
-                self.cancelled_live += 1;
-                self.marked_ready += 1;
-                if self.cancelled_live > self.live_len() + COMPACT_SLACK {
-                    self.compact();
-                }
-            }
-            Kind::Overflow => {
-                self.stats.cancels_overflow += 1;
-                self.data[id.slot as usize].event = None;
-                self.cancelled_live += 1;
-                if self.cancelled_live > self.live_len() + COMPACT_SLACK {
-                    self.compact();
-                }
-            }
-            Kind::Detached => {
-                debug_assert!(false, "pending entry has a location");
-                self.cancelled_live += 1;
-            }
+        }
+        self.dead += 1;
+        self.stats.cancels += 1;
+        if self.len() > 2 * self.live_len() + COMPACT_SLACK {
+            self.compact();
         }
         true
     }
@@ -471,7 +335,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event if it is due at or
     /// before `deadline`; a later one stays queued. This is the engine's
     /// whole dispatch step: one look at the front, and the payload moves
-    /// from its entry slot to the caller.
+    /// from its slab entry to the caller.
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if !self.prepare_front() {
             return None;
@@ -481,10 +345,9 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.ready.pop_front();
-        self.resident -= 1;
         self.stats.pops += 1;
-        let event = self.data[r.ctl as usize].event.take();
-        self.release(r.ctl);
+        let event = self.entries[r.idx as usize].event.take();
+        self.release(r.idx);
         debug_assert!(event.is_some(), "live ready entry has a payload");
         event.map(|e| (SimTime::from_ps(r.at), e))
     }
@@ -501,17 +364,16 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of physically resident entries (live + not-yet-reclaimed
-    /// cancelled). Cancellation reclaims wheel entries immediately and
-    /// ready/overflow marks are bounded by compaction, so this stays
-    /// O(live); see [`Self::live_len`].
+    /// Number of resident entries (live + not-yet-freed cancelled).
+    /// Compaction keeps this within `2 * live_len() + COMPACT_SLACK`; see
+    /// [`Self::live_len`].
     pub fn len(&self) -> usize {
         self.resident
     }
 
     /// Number of live (non-cancelled) pending events.
     pub fn live_len(&self) -> usize {
-        self.resident - self.cancelled_live
+        self.resident - self.dead
     }
 
     /// True when no live events are pending.
@@ -519,86 +381,73 @@ impl<E> EventQueue<E> {
         self.live_len() == 0
     }
 
-    /// Routes an entry to the ready deque, a wheel slot, or the overflow
-    /// heap, based on its distance from the cursor, recording its location
-    /// in the slab so cancellation can find it again.
-    fn place(&mut self, slot: u32, at: u64, seq: u64) {
+    /// Frees a slab entry that has left the structure: bumps its
+    /// generation and returns it to the free list.
+    fn release(&mut self, idx: u32) {
+        let e = &mut self.entries[idx as usize];
+        e.gen = e.gen.wrapping_add(1);
+        if e.cancelled {
+            self.dead -= 1;
+        }
+        self.resident -= 1;
+        self.free.push(idx);
+    }
+
+    /// Routes an entry to the ready run, a wheel slot, or the overflow
+    /// heap, based on its distance from the cursor.
+    fn place(&mut self, idx: u32) {
+        let Entry { at, seq, .. } = self.entries[idx as usize];
         if at < self.cursor {
             // Inside the already-drained window: merge into the ready run.
             self.stats.placed_ready += 1;
-            let r = ReadyEnt { at, seq, ctl: slot };
+            let r = Keyed { at, seq, idx };
             if self.ready.back().is_none_or(|b| (b.at, b.seq) < (at, seq)) {
                 self.ready.push_back(r);
             } else {
                 let i = self.ready.partition_point(|x| (x.at, x.seq) < (at, seq));
                 self.ready.insert(i, r);
             }
-            let c = &mut self.ctl[slot as usize];
-            c.meta = (c.meta & META_CANCELLED) | (1 << META_KIND_SHIFT);
             return;
         }
-        debug_assert!(slot < HOLE_TAG, "entry index fits below the hole tag");
         for k in 0..LEVELS {
             let shift = level_shift(k);
             if (at >> shift) - (self.cursor >> shift) < SLOTS as u64 {
-                let idx = ((at >> shift) as usize) & (SLOTS - 1);
+                let s = ((at >> shift) as usize) & (SLOTS - 1);
                 self.stats.placed_level[k] += 1;
                 let lv = &mut self.levels[k];
-                let head = lv.hole_head[idx];
-                let pos = if head != HOLE_NONE {
-                    // Reuse a hole left by a cancel: the slot vec's length
-                    // stays bounded by its peak concurrent entries.
-                    let p = head as usize;
-                    let next = lv.slots[idx][p] & HOLE_END;
-                    lv.hole_head[idx] = if next == HOLE_END { HOLE_NONE } else { next };
-                    lv.slots[idx][p] = slot;
-                    p
-                } else {
-                    let v = &mut lv.slots[idx];
-                    let pos = v.len();
-                    v.push(slot);
-                    if pos == 0 {
-                        lv.mark(idx);
-                    }
-                    pos
-                };
-                let c = &mut self.ctl[slot as usize];
-                c.meta = (c.meta & META_CANCELLED)
-                    | (3 << META_KIND_SHIFT)
-                    | ((k as u32) << META_LEVEL_SHIFT)
-                    | idx as u32;
-                c.pos = pos as u32;
+                if lv.slots[s].is_empty() {
+                    lv.mark(s);
+                }
+                lv.slots[s].push(idx);
                 return;
             }
         }
         self.stats.placed_overflow += 1;
-        self.overflow.push(HeapEnt { at, seq, ctl: slot });
-        let c = &mut self.ctl[slot as usize];
-        c.meta = (c.meta & META_CANCELLED) | (2 << META_KIND_SHIFT);
+        self.overflow.push(HeapEnt(Keyed { at, seq, idx }));
     }
 
-    /// Places an entry again on its way down from a coarser slot or the
-    /// overflow heap.
-    fn place_again(&mut self, slot: u32, at: u64, seq: u64) {
-        self.stats.cascaded += 1;
-        self.place(slot, at, seq);
+    /// Takes an entry off a coarser slot or the overflow heap: a live one
+    /// is placed again, a cancelled one freed.
+    fn move_down(&mut self, idx: u32) {
+        if self.entries[idx as usize].cancelled {
+            self.release(idx);
+        } else {
+            self.stats.cascaded += 1;
+            self.place(idx);
+        }
     }
 
-    /// Ensures `ready.front()` is a live entry, cascading the wheel as
-    /// needed. Returns false when no live events remain.
+    /// Ensures `ready.front()` is a live entry, freeing cancelled ones and
+    /// cascading the wheel as needed. Returns false when no live events
+    /// remain.
     fn prepare_front(&mut self) -> bool {
         loop {
             match self.ready.front() {
-                // Nothing in the ready run is marked cancelled (the common
-                // case): the front is live without touching its slab cell.
-                Some(_) if self.marked_ready == 0 => return true,
-                Some(r) if !self.is_cancelled(r.ctl) => return true,
-                Some(_) => {
-                    let r = self.ready.pop_front().expect("front checked");
-                    self.resident -= 1;
-                    self.cancelled_live -= 1;
-                    self.marked_ready -= 1;
-                    self.release(r.ctl);
+                Some(r) if !self.entries[r.idx as usize].cancelled => return true,
+                Some(r) => {
+                    let idx = r.idx;
+                    self.ready.pop_front();
+                    self.release(idx);
                 }
                 None => {
                     if self.resident == 0 || !self.refill_ready() {
@@ -610,7 +459,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Advances the cursor to the next non-empty window and drains it into
-    /// the ready deque. Returns false if the wheel and overflow are empty.
+    /// the ready run. Returns false if the wheel and overflow are empty.
     fn refill_ready(&mut self) -> bool {
         loop {
             // Earliest candidate window per level: (window start ps, level,
@@ -629,64 +478,55 @@ impl<E> EventQueue<E> {
                     }
                 }
             }
-            match (best, self.overflow.peek().map(|e| e.at)) {
+            match (best, self.overflow.peek().map(|e| e.0.at)) {
                 (None, None) => return false,
                 (Some((bs, _, _)), Some(ov)) if ov <= bs => self.pull_overflow(),
                 (None, Some(_)) => self.pull_overflow(),
-                (Some((bs, 0, idx)), _) => {
+                (Some((bs, 0, s)), _) => {
                     // Drain the level-0 slot onto the ready run (empty
-                    // here: refill happens only then), skipping holes
-                    // (their cells were released at cancel), and sort what
-                    // was added by (at, seq) to restore global dispatch
-                    // order within its window.
-                    let start = self.ready.len();
-                    let mut v = std::mem::take(&mut self.levels[0].slots[idx]);
-                    self.levels[0].clear(idx);
-                    self.levels[0].hole_head[idx] = HOLE_NONE;
-                    for slot in v.drain(..) {
-                        if slot & HOLE_TAG != 0 {
-                            continue;
+                    // here: refill happens only then), freeing cancelled
+                    // entries, and sort what was added by (at, seq) to
+                    // restore global dispatch order within its window.
+                    debug_assert!(self.ready.is_empty(), "refill only runs dry");
+                    let mut v = std::mem::take(&mut self.levels[0].slots[s]);
+                    self.levels[0].clear(s);
+                    for idx in v.drain(..) {
+                        let e = &self.entries[idx as usize];
+                        if e.cancelled {
+                            self.release(idx);
+                        } else {
+                            self.ready.push_back(Keyed {
+                                at: e.at,
+                                seq: e.seq,
+                                idx,
+                            });
                         }
-                        let d = &self.data[slot as usize];
-                        self.ready.push_back(ReadyEnt {
-                            at: d.at,
-                            seq: d.seq,
-                            ctl: slot,
-                        });
-                        let c = &mut self.ctl[slot as usize];
-                        c.meta = (c.meta & META_CANCELLED) | (1 << META_KIND_SHIFT);
                     }
-                    self.levels[0].slots[idx] = v;
-                    self.ready.make_contiguous()[start..].sort_unstable_by_key(|r| (r.at, r.seq));
+                    self.levels[0].slots[s] = v;
+                    self.ready
+                        .make_contiguous()
+                        .sort_unstable_by_key(|r| (r.at, r.seq));
                     self.stats.drains += 1;
-                    self.stats.drained += (self.ready.len() - start) as u64;
+                    self.stats.drained += self.ready.len() as u64;
                     self.cursor = bs + (1u64 << G0_SHIFT);
                     // Overflow entries may have drifted inside this window.
-                    while self.overflow.peek().is_some_and(|e| e.at < self.cursor) {
+                    while self.overflow.peek().is_some_and(|e| e.0.at < self.cursor) {
                         let e = self.overflow.pop().expect("peek checked");
-                        self.overflow_entry_down(e);
+                        self.move_down(e.0.idx);
                     }
                     return true;
                 }
-                (Some((bs, k, idx)), _) => {
+                (Some((bs, k, s)), _) => {
                     // Cascade: redistribute the winning coarse slot. Every
                     // entry in it is < bs + tick(k), so each lands at a
                     // strictly lower level relative to the advanced cursor.
-                    // Holes are dropped on the floor (already released).
                     self.cursor = self.cursor.max(bs);
-                    let mut v = std::mem::take(&mut self.levels[k].slots[idx]);
-                    self.levels[k].clear(idx);
-                    self.levels[k].hole_head[idx] = HOLE_NONE;
-                    for &slot in &v {
-                        if slot & HOLE_TAG != 0 {
-                            continue;
-                        }
-                        let d = &self.data[slot as usize];
-                        let (at, seq) = (d.at, d.seq);
-                        self.place_again(slot, at, seq);
+                    let mut v = std::mem::take(&mut self.levels[k].slots[s]);
+                    self.levels[k].clear(s);
+                    for idx in v.drain(..) {
+                        self.move_down(idx);
                     }
-                    v.clear();
-                    self.levels[k].slots[idx] = v;
+                    self.levels[k].slots[s] = v;
                 }
             }
         }
@@ -694,13 +534,9 @@ impl<E> EventQueue<E> {
 
     /// Pulls the earliest overflow entry down into the wheel.
     fn pull_overflow(&mut self) {
-        let Some(e) = self.overflow.pop() else {
+        let Some(HeapEnt(e)) = self.overflow.pop() else {
             return;
         };
-        if self.is_cancelled(e.ctl) {
-            self.reclaim_overflow(e.ctl);
-            return;
-        }
         let top = level_shift(LEVELS - 1);
         if (e.at >> top) - (self.cursor >> top) >= SLOTS as u64 {
             // Still beyond the top horizon (wheel was empty): jump the
@@ -708,58 +544,37 @@ impl<E> EventQueue<E> {
             // below it. Keep the cursor tick-aligned.
             self.cursor = e.at & !((1u64 << G0_SHIFT) - 1);
         }
-        self.place_again(e.ctl, e.at, e.seq);
+        self.move_down(e.idx);
     }
 
-    /// Re-places an overflow entry that drifted into the drained window,
-    /// or reclaims it if it was cancelled while parked.
-    fn overflow_entry_down(&mut self, e: HeapEnt) {
-        if self.is_cancelled(e.ctl) {
-            self.reclaim_overflow(e.ctl);
-        } else {
-            self.place_again(e.ctl, e.at, e.seq);
-        }
-    }
-
-    /// Drops a cancelled overflow entry that has left the heap.
-    fn reclaim_overflow(&mut self, slot: u32) {
-        self.release(slot);
-        self.resident -= 1;
-        self.cancelled_live -= 1;
-    }
-
-    /// Physically removes marked-cancelled entries. Only the ready run and
-    /// the overflow heap can hold them (wheel cancels tombstone
-    /// immediately), and both retains preserve survivor order, so dispatch
-    /// order is unaffected.
+    /// Frees every cancelled entry wherever it sits. Survivors keep their
+    /// order in the ready run (wheel slots are unordered until drained,
+    /// and the heap orders itself), so dispatch order is unaffected.
     fn compact(&mut self) {
-        let mut dead_ready = Vec::new();
-        self.ready.retain(|r| {
-            if self.ctl[r.ctl as usize].cancelled() {
-                dead_ready.push(r.ctl);
-                false
-            } else {
-                true
+        let mut dead = Vec::with_capacity(self.dead);
+        let mut keep = |idx: u32| {
+            let live = !self.entries[idx as usize].cancelled;
+            if !live {
+                dead.push(idx);
             }
-        });
-        let heap = std::mem::take(&mut self.overflow);
-        let mut v = heap.into_vec();
-        v.retain(|e| {
-            if self.ctl[e.ctl as usize].cancelled() {
-                dead_ready.push(e.ctl);
-                false
-            } else {
-                true
-            }
-        });
+            live
+        };
+        self.ready.retain(|r| keep(r.idx));
+        let mut v = std::mem::take(&mut self.overflow).into_vec();
+        v.retain(|e| keep(e.0.idx));
         self.overflow = BinaryHeap::from(v);
-        for slot in dead_ready {
-            self.release(slot);
-            self.resident -= 1;
-            self.cancelled_live -= 1;
+        for lv in &mut self.levels {
+            for s in 0..SLOTS {
+                lv.slots[s].retain(|&idx| keep(idx));
+                if lv.slots[s].is_empty() {
+                    lv.clear(s);
+                }
+            }
         }
-        self.marked_ready = 0;
-        debug_assert_eq!(self.cancelled_live, 0, "compaction reclaims all dead");
+        for idx in dead {
+            self.release(idx);
+        }
+        debug_assert_eq!(self.dead, 0, "compaction frees every cancelled entry");
     }
 }
 
@@ -775,27 +590,27 @@ mod tests {
     use crate::rng::Rng;
 
     /// Inline entry for [`HeapQueue`], ordered earliest-first by `(time, seq)`.
-    struct Entry<E> {
+    struct HeapEntry<E> {
         at: SimTime,
         seq: u64,
         ctl: u32,
         event: E,
     }
 
-    impl<E> PartialEq for Entry<E> {
+    impl<E> PartialEq for HeapEntry<E> {
         fn eq(&self, other: &Self) -> bool {
             self.at == other.at && self.seq == other.seq
         }
     }
-    impl<E> Eq for Entry<E> {}
+    impl<E> Eq for HeapEntry<E> {}
 
-    impl<E> PartialOrd for Entry<E> {
+    impl<E> PartialOrd for HeapEntry<E> {
         fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
             Some(self.cmp(other))
         }
     }
 
-    impl<E> Ord for Entry<E> {
+    impl<E> Ord for HeapEntry<E> {
         fn cmp(&self, other: &Self) -> Ordering {
             // Reversed: BinaryHeap is a max-heap, we want earliest first.
             other
@@ -818,11 +633,11 @@ mod tests {
     /// observable. Cancellation here is lazy-only (skip on pop, no
     /// compaction), which is exactly the ghost-entry growth the wheel fixes.
     struct HeapQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
+        heap: BinaryHeap<HeapEntry<E>>,
         seq: u64,
         slots: Vec<GenSlot>,
         free: Vec<u32>,
-        cancelled_live: usize,
+        dead: usize,
     }
 
     impl<E> HeapQueue<E> {
@@ -833,7 +648,7 @@ mod tests {
                 seq: 0,
                 slots: Vec::new(),
                 free: Vec::new(),
-                cancelled_live: 0,
+                dead: 0,
             }
         }
 
@@ -851,7 +666,7 @@ mod tests {
                 self.slots.push(GenSlot::default());
                 EventId { slot, gen: 0 }
             };
-            self.heap.push(Entry {
+            self.heap.push(HeapEntry {
                 at,
                 seq,
                 ctl: id.slot,
@@ -875,7 +690,7 @@ mod tests {
             match self.slots.get_mut(id.slot as usize) {
                 Some(s) if s.gen == id.gen && !s.cancelled => {
                     s.cancelled = true;
-                    self.cancelled_live += 1;
+                    self.dead += 1;
                     true
                 }
                 _ => false,
@@ -886,7 +701,7 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, E)> {
             while let Some(e) = self.heap.pop() {
                 if self.release(e.ctl) {
-                    self.cancelled_live -= 1;
+                    self.dead -= 1;
                     continue;
                 }
                 return Some((e.at, e.event));
@@ -900,7 +715,7 @@ mod tests {
                 if self.slots[e.ctl as usize].cancelled {
                     let e = self.heap.pop().expect("peek checked");
                     self.release(e.ctl);
-                    self.cancelled_live -= 1;
+                    self.dead -= 1;
                     continue;
                 }
                 return Some(e.at);
@@ -910,7 +725,7 @@ mod tests {
 
         /// Number of live (non-cancelled) pending events.
         fn live_len(&self) -> usize {
-            self.heap.len() - self.cancelled_live
+            self.heap.len() - self.dead
         }
 
         /// True when no live events are pending.
@@ -1046,9 +861,10 @@ mod tests {
 
     #[test]
     fn repeated_cancel_into_one_slot_stays_compact() {
-        // Hole pile-up: hammer cancel + re-push at the same far-future
-        // instant so every entry lands in one wheel slot. Hole reuse must
-        // keep the slot vec at its peak concurrent size, not grow per op.
+        // Cancelled pile-up: hammer cancel + re-push at the same far-future
+        // instant so every entry lands in one wheel slot that never drains
+        // meanwhile. Compaction must keep the resident size O(live), not
+        // grow per op.
         let mut q = EventQueue::new();
         let t = SimTime::from_ms(50);
         let mut id = q.push(t, 0u64);
@@ -1057,12 +873,11 @@ mod tests {
             id = q.push(t, i);
         }
         assert_eq!(q.live_len(), 1);
-        let resident_cells: usize = (0..LEVELS)
-            .map(|k| (0..SLOTS).map(|i| q.levels[k].slots[i].len()).sum::<usize>())
-            .sum();
         assert!(
-            resident_cells <= 8,
-            "slot cells {resident_cells} must stay at peak concurrency"
+            q.len() <= 2 * q.live_len() + COMPACT_SLACK,
+            "resident {} must stay O(live {})",
+            q.len(),
+            q.live_len()
         );
         assert_eq!(q.pop(), Some((t, 99_999)));
         assert!(q.pop().is_none());
@@ -1102,7 +917,7 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 1)));
         assert_eq!(q.pop(), Some((t, 3)));
         assert!(q.pop().is_none());
-        assert_eq!(q.stats().cancels_ready, 1);
+        assert_eq!(q.stats().cancels, 1);
     }
 
     #[test]
@@ -1217,9 +1032,7 @@ mod tests {
         for n in [st.placed_ready, st.placed_overflow, st.cascaded] {
             assert!(n > 0, "{st:?}");
         }
-        for n in [st.cancels_wheel, st.cancels_ready, st.cancels_overflow] {
-            assert!(n > 0, "{st:?}");
-        }
+        assert!(st.cancels > 0, "{st:?}");
     }
 
     #[test]
@@ -1272,10 +1085,7 @@ mod tests {
                 fired > OPS / 100,
                 "{flows} flows: only {fired} timers fired"
             );
-            assert!(
-                wheel.stats().cancels_wheel > OPS,
-                "re-arms cancel in the wheel"
-            );
+            assert!(wheel.stats().cancels > OPS, "every re-arm cancels");
         }
     }
 

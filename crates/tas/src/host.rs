@@ -118,7 +118,6 @@ impl Frame {
 
 struct Inner {
     cfg: TasConfig,
-    ip: Ipv4Addr,
     nic: HostNic,
     fp: FastPath,
     sp: SlowPath,
@@ -278,7 +277,6 @@ impl TasHost {
         TasHost {
             inner: Inner {
                 cfg,
-                ip,
                 nic,
                 fp,
                 sp,
@@ -324,16 +322,6 @@ impl TasHost {
     /// so multi-tenant harnesses can attribute flows and work per tenant.
     pub fn set_tenant(&mut self, tenant: u32) {
         self.tenant = Some(tenant);
-    }
-
-    /// The tenant identity, if one was assigned.
-    pub fn tenant(&self) -> Option<u32> {
-        self.tenant
-    }
-
-    /// The host's IP address.
-    pub fn ip(&self) -> Ipv4Addr {
-        self.inner.ip
     }
 
     /// Opts this host into cycle-attribution profiling: its core runs

@@ -179,6 +179,20 @@ pub struct ConnStats {
     pub ece_in: u64,
 }
 
+impl std::ops::AddAssign for ConnStats {
+    fn add_assign(&mut self, o: ConnStats) {
+        self.segs_out += o.segs_out;
+        self.segs_in += o.segs_in;
+        self.bytes_sent += o.bytes_sent;
+        self.bytes_received += o.bytes_received;
+        self.retransmits += o.retransmits;
+        self.fast_retransmits += o.fast_retransmits;
+        self.timeouts += o.timeouts;
+        self.dupacks_in += o.dupacks_in;
+        self.ece_in += o.ece_in;
+    }
+}
+
 /// A sans-IO TCP connection.
 ///
 /// The owner feeds it segments ([`TcpConn::on_segment`]) and time
@@ -389,24 +403,6 @@ impl TcpConn {
     /// The connection is fully closed and its state can be dropped.
     pub fn is_closed(&self) -> bool {
         self.mgmt.state() == TcpState::Closed
-    }
-
-    /// Diagnostic snapshot: (una_off, nxt_off, tx_end, cwnd, snd_wnd,
-    /// in_recovery, dupacks, rto_deadline_ps, readable, reasm_held).
-    #[allow(clippy::type_complexity)] // A flat diagnostic tuple.
-    pub fn debug_state(&self) -> (u64, u64, u64, u32, u64, bool, u32, u64, usize, usize) {
-        (
-            self.snd.una_off(),
-            self.snd.nxt_off(),
-            self.snd.tx().end_offset(),
-            self.cc.cwnd(),
-            self.fc.snd_wnd(),
-            self.snd.in_recovery(),
-            self.snd.dupacks(),
-            self.snd.rto_deadline().map(|t| t.as_ps()).unwrap_or(0),
-            self.rcv.rx().len(),
-            self.rcv.reasm().held(),
-        )
     }
 
     /// When [`TcpConn::on_timer`] next needs to run, if ever.

@@ -34,19 +34,26 @@ struct Wire {
     events_b: Vec<TcpEvent>,
 }
 
+/// The `(a, b)` initial sequence numbers every test runs at: a low pair,
+/// and one whose streams cross 2^32 within the first few kilobytes.
+const ISS_PAIRS: [(u32, u32); 2] = [
+    (1_000_000, 2_000_000),
+    (u32::MAX - 20_000, u32::MAX - 50_000),
+];
+
 impl Wire {
-    fn connect_pair(cfg_a: TcpConfig, cfg_b: TcpConfig) -> Wire {
+    fn connect_pair(cfg_a: TcpConfig, cfg_b: TcpConfig, (iss_a, iss_b): (u32, u32)) -> Wire {
         let ea = ep(1, 4000);
         let eb = ep(2, 80);
         let now = SimTime::from_us(10);
         let delay = SimTime::from_us(25);
-        let mut a = TcpConn::connect(now, cfg_a, ea, eb, 1_000_000);
+        let mut a = TcpConn::connect(now, cfg_a, ea, eb, iss_a);
         // Deliver the SYN to the listener by constructing the acceptor
         // directly from it (the listener-side demux is a host concern).
         let syns = a.take_outgoing();
         assert_eq!(syns.len(), 1);
         assert!(syns[0].tcp.flags.contains(TcpFlags::SYN));
-        let b = TcpConn::accept(now + delay, cfg_b, eb, ea, &syns[0], 2_000_000);
+        let b = TcpConn::accept(now + delay, cfg_b, eb, ea, &syns[0], iss_b);
         Wire {
             a,
             b,
@@ -147,8 +154,8 @@ impl Wire {
     }
 }
 
-fn established_pair() -> Wire {
-    let mut w = Wire::connect_pair(TcpConfig::default(), TcpConfig::default());
+fn established_pair(iss: (u32, u32)) -> Wire {
+    let mut w = Wire::connect_pair(TcpConfig::default(), TcpConfig::default(), iss);
     w.pump();
     assert_eq!(w.a.state(), TcpState::Established);
     assert_eq!(w.b.state(), TcpState::Established);
@@ -157,228 +164,245 @@ fn established_pair() -> Wire {
 
 #[test]
 fn handshake_establishes_and_negotiates_ecn() {
-    let mut w = Wire::connect_pair(TcpConfig::default(), TcpConfig::default());
-    w.pump();
-    assert_eq!(w.a.state(), TcpState::Established);
-    assert_eq!(w.b.state(), TcpState::Established);
-    assert!(w.a.ecn_active(), "client negotiated ECN");
-    assert!(w.b.ecn_active(), "server negotiated ECN");
-    assert!(w.events_a.contains(&TcpEvent::Connected));
-    assert!(w.events_b.contains(&TcpEvent::Connected));
-    // Handshake RTT sample (2 * 25us wire delay).
-    let srtt = w.a.srtt().expect("rtt measured");
-    assert!(
-        srtt >= SimTime::from_us(40) && srtt <= SimTime::from_us(80),
-        "srtt {srtt}"
-    );
+    for iss in ISS_PAIRS {
+        let mut w = Wire::connect_pair(TcpConfig::default(), TcpConfig::default(), iss);
+        w.pump();
+        assert_eq!(w.a.state(), TcpState::Established);
+        assert_eq!(w.b.state(), TcpState::Established);
+        assert!(w.a.ecn_active(), "client negotiated ECN");
+        assert!(w.b.ecn_active(), "server negotiated ECN");
+        assert!(w.events_a.contains(&TcpEvent::Connected));
+        assert!(w.events_b.contains(&TcpEvent::Connected));
+        // Handshake RTT sample (2 * 25us wire delay).
+        let srtt = w.a.srtt().expect("rtt measured");
+        assert!(
+            srtt >= SimTime::from_us(40) && srtt <= SimTime::from_us(80),
+            "srtt {srtt}"
+        );
+    }
 }
 
 #[test]
 fn ecn_not_negotiated_when_one_side_disables() {
-    let cfg_off = TcpConfig {
-        ecn: false,
-        ..TcpConfig::default()
-    };
-    let mut w = Wire::connect_pair(TcpConfig::default(), cfg_off);
-    w.pump();
-    assert!(!w.a.ecn_active());
-    assert!(!w.b.ecn_active());
+    for iss in ISS_PAIRS {
+        let cfg_off = TcpConfig {
+            ecn: false,
+            ..TcpConfig::default()
+        };
+        let mut w = Wire::connect_pair(TcpConfig::default(), cfg_off, iss);
+        w.pump();
+        assert!(!w.a.ecn_active());
+        assert!(!w.b.ecn_active());
+    }
 }
 
 #[test]
 fn bulk_transfer_delivers_bytes_intact() {
-    let mut w = established_pair();
-    let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-    let mut sent = 0;
-    let mut received = Vec::new();
-    while received.len() < data.len() {
-        if sent < data.len() {
-            sent += w.a.send(&data[sent..]);
-            w.a.poll(w.now);
-        }
-        w.pump();
-        received.extend(w.b.recv(usize::MAX));
-        w.b.poll(w.now);
-        assert!(w.now < SimTime::from_secs(30), "transfer stalled");
-    }
-    assert_eq!(received, data);
-    assert_eq!(w.a.stats.retransmits, 0, "lossless wire: no retransmits");
-}
-
-#[test]
-fn bidirectional_transfer() {
-    let mut w = established_pair();
-    let da: Vec<u8> = vec![0xaa; 50_000];
-    let db: Vec<u8> = vec![0xbb; 50_000];
-    let (mut sa, mut sb) = (0, 0);
-    let (mut ra, mut rb) = (Vec::new(), Vec::new());
-    while ra.len() < db.len() || rb.len() < da.len() {
-        if sa < da.len() {
-            sa += w.a.send(&da[sa..]);
-            w.a.poll(w.now);
-        }
-        if sb < db.len() {
-            sb += w.b.send(&db[sb..]);
-            w.b.poll(w.now);
-        }
-        w.pump();
-        ra.extend(w.a.recv(usize::MAX));
-        rb.extend(w.b.recv(usize::MAX));
-        w.a.poll(w.now);
-        w.b.poll(w.now);
-        assert!(w.now < SimTime::from_secs(30), "transfer stalled");
-    }
-    assert!(ra.iter().all(|&b| b == 0xbb));
-    assert!(rb.iter().all(|&b| b == 0xaa));
-}
-
-#[test]
-fn single_drop_recovers_via_fast_retransmit() {
-    let mut w = established_pair();
-    // Drop the 5th data segment toward b, once.
-    let mut dropped = false;
-    w.filter = Box::new(move |seg, to_b, _| {
-        if to_b && !seg.payload.is_empty() && seg.tcp.seq >= 1_000_001 + 4 * 1448 && !dropped {
-            dropped = true;
-            return true;
-        }
-        false
-    });
-    let data: Vec<u8> = (0..100_000u32).map(|i| (i % 127) as u8).collect();
-    let mut sent = 0;
-    let mut received = Vec::new();
-    while received.len() < data.len() {
-        if sent < data.len() {
-            sent += w.a.send(&data[sent..]);
-            w.a.poll(w.now);
-        }
-        w.pump();
-        received.extend(w.b.recv(usize::MAX));
-        w.b.poll(w.now);
-        assert!(w.now < SimTime::from_secs(30), "recovery stalled");
-    }
-    assert_eq!(received, data);
-    assert!(
-        w.a.stats.fast_retransmits >= 1,
-        "expected fast retransmit, stats: {:?}",
-        w.a.stats
-    );
-    assert_eq!(w.a.stats.timeouts, 0, "should recover without RTO");
-}
-
-#[test]
-fn heavy_loss_still_completes_with_timeouts() {
-    let mut w = established_pair();
-    // Pseudorandomly drop ~8% of data segments toward b (deterministic in
-    // the delivery index, but not phase-locked to the window).
-    w.filter = Box::new(|seg, to_b, idx| {
-        to_b && !seg.payload.is_empty() && (idx.wrapping_mul(2_654_435_761) >> 16) % 100 < 8
-    });
-    let data: Vec<u8> = (0..60_000u32).map(|i| (i % 101) as u8).collect();
-    let mut sent = 0;
-    let mut received = Vec::new();
-    while received.len() < data.len() {
-        if sent < data.len() {
-            sent += w.a.send(&data[sent..]);
-            w.a.poll(w.now);
-        }
-        w.pump();
-        received.extend(w.b.recv(usize::MAX));
-        w.b.poll(w.now);
-        assert!(w.now < SimTime::from_secs(60), "lossy transfer stalled");
-    }
-    assert_eq!(received, data);
-    assert!(w.a.stats.retransmits > 0);
-}
-
-#[test]
-fn go_back_n_retransmits_more_than_sack_style() {
-    // Compares total segments on the wire: go-back-N re-sends data the
-    // receiver discarded (counted as fresh sends), so wasted bandwidth is
-    // what distinguishes the modes.
-    let run = |keep_ooo: bool| -> u64 {
-        let cfg = TcpConfig {
-            keep_ooo,
-            ..TcpConfig::default()
-        };
-        let mut w = Wire::connect_pair(cfg.clone(), cfg);
-        w.pump();
-        // Pseudorandomly drop ~3% of to-b data segments (hash-based, so
-        // the pattern cannot phase-lock with retransmission cycles).
-        let mut data_idx = 0u64;
-        w.filter = Box::new(move |seg, to_b, _| {
-            if to_b && !seg.payload.is_empty() {
-                data_idx += 1;
-                return (data_idx.wrapping_mul(2_654_435_761) >> 16) % 1000 < 30;
-            }
-            false
-        });
-        let data: Vec<u8> = vec![7; 300_000];
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        let data: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
         let mut sent = 0;
-        let mut got = 0;
-        while got < data.len() {
+        let mut received = Vec::new();
+        while received.len() < data.len() {
             if sent < data.len() {
                 sent += w.a.send(&data[sent..]);
                 w.a.poll(w.now);
             }
             w.pump();
-            got += w.b.recv(usize::MAX).len();
+            received.extend(w.b.recv(usize::MAX));
             w.b.poll(w.now);
-            assert!(
-                w.now < SimTime::from_secs(60),
-                "stalled (keep_ooo={keep_ooo})"
-            );
+            assert!(w.now < SimTime::from_secs(30), "transfer stalled");
         }
-        w.a.stats.segs_out
-    };
-    let with_sack = run(true);
-    let gbn = run(false);
-    assert!(
-        gbn > with_sack,
-        "go-back-N ({gbn} segs) must send more than SACK-style ({with_sack} segs)"
-    );
+        assert_eq!(received, data);
+        assert_eq!(w.a.stats.retransmits, 0, "lossless wire: no retransmits");
+    }
+}
+
+#[test]
+fn bidirectional_transfer() {
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        let da: Vec<u8> = vec![0xaa; 50_000];
+        let db: Vec<u8> = vec![0xbb; 50_000];
+        let (mut sa, mut sb) = (0, 0);
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        while ra.len() < db.len() || rb.len() < da.len() {
+            if sa < da.len() {
+                sa += w.a.send(&da[sa..]);
+                w.a.poll(w.now);
+            }
+            if sb < db.len() {
+                sb += w.b.send(&db[sb..]);
+                w.b.poll(w.now);
+            }
+            w.pump();
+            ra.extend(w.a.recv(usize::MAX));
+            rb.extend(w.b.recv(usize::MAX));
+            w.a.poll(w.now);
+            w.b.poll(w.now);
+            assert!(w.now < SimTime::from_secs(30), "transfer stalled");
+        }
+        assert!(ra.iter().all(|&b| b == 0xbb));
+        assert!(rb.iter().all(|&b| b == 0xaa));
+    }
+}
+
+#[test]
+fn single_drop_recovers_via_fast_retransmit() {
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        // Drop the 5th data segment toward b, once.
+        let mut dropped = false;
+        w.filter = Box::new(move |seg, to_b, _| {
+            let off = seg.tcp.seq.wrapping_sub(iss.0.wrapping_add(1));
+            if to_b && !seg.payload.is_empty() && off >= 4 * 1448 && !dropped {
+                dropped = true;
+                return true;
+            }
+            false
+        });
+        let data: Vec<u8> = (0..100_000u32).map(|i| (i % 127) as u8).collect();
+        let mut sent = 0;
+        let mut received = Vec::new();
+        while received.len() < data.len() {
+            if sent < data.len() {
+                sent += w.a.send(&data[sent..]);
+                w.a.poll(w.now);
+            }
+            w.pump();
+            received.extend(w.b.recv(usize::MAX));
+            w.b.poll(w.now);
+            assert!(w.now < SimTime::from_secs(30), "recovery stalled");
+        }
+        assert_eq!(received, data);
+        assert!(
+            w.a.stats.fast_retransmits >= 1,
+            "expected fast retransmit, stats: {:?}",
+            w.a.stats
+        );
+        assert_eq!(w.a.stats.timeouts, 0, "should recover without RTO");
+    }
+}
+
+#[test]
+fn heavy_loss_still_completes_with_timeouts() {
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        // Pseudorandomly drop ~8% of data segments toward b (deterministic in
+        // the delivery index, but not phase-locked to the window).
+        w.filter = Box::new(|seg, to_b, idx| {
+            to_b && !seg.payload.is_empty() && (idx.wrapping_mul(2_654_435_761) >> 16) % 100 < 8
+        });
+        let data: Vec<u8> = (0..60_000u32).map(|i| (i % 101) as u8).collect();
+        let mut sent = 0;
+        let mut received = Vec::new();
+        while received.len() < data.len() {
+            if sent < data.len() {
+                sent += w.a.send(&data[sent..]);
+                w.a.poll(w.now);
+            }
+            w.pump();
+            received.extend(w.b.recv(usize::MAX));
+            w.b.poll(w.now);
+            assert!(w.now < SimTime::from_secs(60), "lossy transfer stalled");
+        }
+        assert_eq!(received, data);
+        assert!(w.a.stats.retransmits > 0);
+    }
+}
+
+#[test]
+fn go_back_n_retransmits_more_than_sack_style() {
+    for iss in ISS_PAIRS {
+        // Compares total segments on the wire: go-back-N re-sends data the
+        // receiver discarded (counted as fresh sends), so wasted bandwidth is
+        // what distinguishes the modes.
+        let run = |keep_ooo: bool| -> u64 {
+            let cfg = TcpConfig {
+                keep_ooo,
+                ..TcpConfig::default()
+            };
+            let mut w = Wire::connect_pair(cfg.clone(), cfg, iss);
+            w.pump();
+            // Pseudorandomly drop ~3% of to-b data segments (hash-based, so
+            // the pattern cannot phase-lock with retransmission cycles).
+            let mut data_idx = 0u64;
+            w.filter = Box::new(move |seg, to_b, _| {
+                if to_b && !seg.payload.is_empty() {
+                    data_idx += 1;
+                    return (data_idx.wrapping_mul(2_654_435_761) >> 16) % 1000 < 30;
+                }
+                false
+            });
+            let data: Vec<u8> = vec![7; 300_000];
+            let mut sent = 0;
+            let mut got = 0;
+            while got < data.len() {
+                if sent < data.len() {
+                    sent += w.a.send(&data[sent..]);
+                    w.a.poll(w.now);
+                }
+                w.pump();
+                got += w.b.recv(usize::MAX).len();
+                w.b.poll(w.now);
+                assert!(
+                    w.now < SimTime::from_secs(60),
+                    "stalled (keep_ooo={keep_ooo})"
+                );
+            }
+            w.a.stats.segs_out
+        };
+        let with_sack = run(true);
+        let gbn = run(false);
+        assert!(
+            gbn > with_sack,
+            "go-back-N ({gbn} segs) must send more than SACK-style ({with_sack} segs)"
+        );
+    }
 }
 
 #[test]
 fn flow_control_blocks_and_window_update_unblocks() {
-    let cfg_small = TcpConfig {
-        recv_buf: 8 * 1024,
-        ..TcpConfig::default()
-    };
-    let mut w = Wire::connect_pair(TcpConfig::default(), cfg_small);
-    w.pump();
-    let data = vec![9u8; 64 * 1024];
-    let mut sent = w.a.send(&data);
-    w.a.poll(w.now);
-    w.pump();
-    // Receiver app hasn't read: at most ~recv_buf delivered.
-    assert!(w.b.readable() <= 8 * 1024);
-    let in_flight_stalled = w.a.in_flight();
-    assert!(in_flight_stalled <= 9 * 1024, "sender must respect rwnd");
-    // Now the app reads everything repeatedly; transfer completes.
-    let mut received = Vec::new();
-    while received.len() < data.len() {
-        received.extend(w.b.recv(usize::MAX));
-        w.b.poll(w.now);
-        if sent < data.len() {
-            sent += w.a.send(&data[sent..]);
-            w.a.poll(w.now);
-        }
+    for iss in ISS_PAIRS {
+        let cfg_small = TcpConfig {
+            recv_buf: 8 * 1024,
+            ..TcpConfig::default()
+        };
+        let mut w = Wire::connect_pair(TcpConfig::default(), cfg_small, iss);
         w.pump();
-        assert!(w.now < SimTime::from_secs(30), "window update lost");
+        let data = vec![9u8; 64 * 1024];
+        let mut sent = w.a.send(&data);
+        w.a.poll(w.now);
+        w.pump();
+        // Receiver app hasn't read: at most ~recv_buf delivered.
+        assert!(w.b.readable() <= 8 * 1024);
+        let in_flight_stalled = w.a.in_flight();
+        assert!(in_flight_stalled <= 9 * 1024, "sender must respect rwnd");
+        // Now the app reads everything repeatedly; transfer completes.
+        let mut received = Vec::new();
+        while received.len() < data.len() {
+            received.extend(w.b.recv(usize::MAX));
+            w.b.poll(w.now);
+            if sent < data.len() {
+                sent += w.a.send(&data[sent..]);
+                w.a.poll(w.now);
+            }
+            w.pump();
+            assert!(w.now < SimTime::from_secs(30), "window update lost");
+        }
+        assert_eq!(received.len(), data.len());
     }
-    assert_eq!(received.len(), data.len());
 }
 
 /// Runs a two-stage transfer: grow the window on a clean wire, then
 /// transfer again with every to-b data segment CE-marked. Returns (cwnd
 /// after stage 1, cwnd after stage 2, sender stats).
-fn marked_transfer(cc: CcKind) -> (u32, u32, tas_tcp::ConnStats) {
+fn marked_transfer(cc: CcKind, iss: (u32, u32)) -> (u32, u32, tas_tcp::ConnStats) {
     let cfg = TcpConfig {
         cc,
         ..TcpConfig::default()
     };
-    let mut w = Wire::connect_pair(cfg.clone(), cfg);
+    let mut w = Wire::connect_pair(cfg.clone(), cfg, iss);
     w.pump();
     let stage1: Vec<u8> = vec![1; 100_000];
     let mut sent = 0;
@@ -422,88 +446,100 @@ fn marked_transfer(cc: CcKind) -> (u32, u32, tas_tcp::ConnStats) {
 
 #[test]
 fn ce_marks_echoed_and_dctcp_backs_off() {
-    let (grown, final_cwnd, stats) = marked_transfer(CcKind::Dctcp);
-    assert!(stats.ece_in > 0, "ECE must be echoed: {stats:?}");
-    assert!(
-        final_cwnd < grown,
-        "DCTCP must back off under persistent marking: {final_cwnd} vs {grown}"
-    );
+    for iss in ISS_PAIRS {
+        let (grown, final_cwnd, stats) = marked_transfer(CcKind::Dctcp, iss);
+        assert!(stats.ece_in > 0, "ECE must be echoed: {stats:?}");
+        assert!(
+            final_cwnd < grown,
+            "DCTCP must back off under persistent marking: {final_cwnd} vs {grown}"
+        );
+    }
 }
 
 #[test]
 fn graceful_close_both_directions() {
-    let mut w = established_pair();
-    w.a.send(b"last words");
-    w.a.poll(w.now);
-    w.a.close();
-    w.a.poll(w.now);
-    w.pump();
-    assert_eq!(w.b.recv(usize::MAX), b"last words");
-    assert!(w.events_b.contains(&TcpEvent::PeerFin));
-    assert_eq!(w.b.state(), TcpState::CloseWait);
-    assert_eq!(w.a.state(), TcpState::FinWait2);
-    w.b.close();
-    w.b.poll(w.now);
-    w.pump();
-    assert_eq!(w.b.state(), TcpState::Closed);
-    // a passes through TIME_WAIT and then closes.
-    assert!(matches!(w.a.state(), TcpState::TimeWait | TcpState::Closed));
-    w.pump_until(w.now + SimTime::from_ms(10));
-    assert_eq!(w.a.state(), TcpState::Closed);
-    assert!(w.events_a.contains(&TcpEvent::Closed));
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        w.a.send(b"last words");
+        w.a.poll(w.now);
+        w.a.close();
+        w.a.poll(w.now);
+        w.pump();
+        assert_eq!(w.b.recv(usize::MAX), b"last words");
+        assert!(w.events_b.contains(&TcpEvent::PeerFin));
+        assert_eq!(w.b.state(), TcpState::CloseWait);
+        assert_eq!(w.a.state(), TcpState::FinWait2);
+        w.b.close();
+        w.b.poll(w.now);
+        w.pump();
+        assert_eq!(w.b.state(), TcpState::Closed);
+        // a passes through TIME_WAIT and then closes.
+        assert!(matches!(w.a.state(), TcpState::TimeWait | TcpState::Closed));
+        w.pump_until(w.now + SimTime::from_ms(10));
+        assert_eq!(w.a.state(), TcpState::Closed);
+        assert!(w.events_a.contains(&TcpEvent::Closed));
+    }
 }
 
 #[test]
 fn simultaneous_close() {
-    let mut w = established_pair();
-    w.a.close();
-    w.b.close();
-    w.a.poll(w.now);
-    w.b.poll(w.now);
-    w.pump();
-    w.pump_until(w.now + SimTime::from_ms(10));
-    assert_eq!(w.a.state(), TcpState::Closed);
-    assert_eq!(w.b.state(), TcpState::Closed);
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        w.a.close();
+        w.b.close();
+        w.a.poll(w.now);
+        w.b.poll(w.now);
+        w.pump();
+        w.pump_until(w.now + SimTime::from_ms(10));
+        assert_eq!(w.a.state(), TcpState::Closed);
+        assert_eq!(w.b.state(), TcpState::Closed);
+    }
 }
 
 #[test]
 fn abort_resets_peer() {
-    let mut w = established_pair();
-    w.a.abort(w.now);
-    w.pump();
-    assert_eq!(w.a.state(), TcpState::Closed);
-    assert_eq!(w.b.state(), TcpState::Closed);
-    assert!(w.events_b.contains(&TcpEvent::Reset));
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        w.a.abort(w.now);
+        w.pump();
+        assert_eq!(w.a.state(), TcpState::Closed);
+        assert_eq!(w.b.state(), TcpState::Closed);
+        assert!(w.events_b.contains(&TcpEvent::Reset));
+    }
 }
 
 #[test]
 fn lost_fin_is_retransmitted() {
-    let mut w = established_pair();
-    // Drop the first FIN toward b.
-    let mut dropped = false;
-    w.filter = Box::new(move |seg, to_b, _| {
-        if to_b && seg.tcp.flags.contains(TcpFlags::FIN) && !dropped {
-            dropped = true;
-            return true;
-        }
-        false
-    });
-    w.a.close();
-    w.a.poll(w.now);
-    w.pump();
-    assert!(
-        w.events_b.contains(&TcpEvent::PeerFin),
-        "FIN must arrive after retransmit"
-    );
-    assert!(w.a.stats.retransmits >= 1);
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(iss);
+        // Drop the first FIN toward b.
+        let mut dropped = false;
+        w.filter = Box::new(move |seg, to_b, _| {
+            if to_b && seg.tcp.flags.contains(TcpFlags::FIN) && !dropped {
+                dropped = true;
+                return true;
+            }
+            false
+        });
+        w.a.close();
+        w.a.poll(w.now);
+        w.pump();
+        assert!(
+            w.events_b.contains(&TcpEvent::PeerFin),
+            "FIN must arrive after retransmit"
+        );
+        assert!(w.a.stats.retransmits >= 1);
+    }
 }
 
 #[test]
 fn newreno_reduces_on_ece() {
-    let (grown, final_cwnd, stats) = marked_transfer(CcKind::NewReno);
-    assert!(stats.ece_in > 0, "ECE must be echoed: {stats:?}");
-    assert!(
-        final_cwnd < grown,
-        "NewReno must reduce after ECE: {final_cwnd} vs {grown}"
-    );
+    for iss in ISS_PAIRS {
+        let (grown, final_cwnd, stats) = marked_transfer(CcKind::NewReno, iss);
+        assert!(stats.ece_in > 0, "ECE must be echoed: {stats:?}");
+        assert!(
+            final_cwnd < grown,
+            "NewReno must reduce after ECE: {final_cwnd} vs {grown}"
+        );
+    }
 }

@@ -60,17 +60,24 @@ struct Wire {
     seg_counter: u64,
 }
 
+/// The `(a, b)` initial sequence numbers every test runs at: a low pair,
+/// and one whose streams cross 2^32 within the first few kilobytes.
+const ISS_PAIRS: [(u32, u32); 2] = [
+    (1_000_000, 2_000_000),
+    (u32::MAX - 20_000, u32::MAX - 50_000),
+];
+
 impl Wire {
-    fn connect_pair(cfg_a: TcpConfig, cfg_b: TcpConfig) -> Wire {
+    fn connect_pair(cfg_a: TcpConfig, cfg_b: TcpConfig, (iss_a, iss_b): (u32, u32)) -> Wire {
         let ea = ep(1, 4000);
         let eb = ep(2, 80);
         let now = SimTime::from_us(10);
         let delay = SimTime::from_us(25);
-        let mut a = TcpConn::connect(now, cfg_a, ea, eb, 1_000_000);
+        let mut a = TcpConn::connect(now, cfg_a, ea, eb, iss_a);
         let syns = a.take_outgoing();
         assert_eq!(syns.len(), 1);
         assert!(syns[0].tcp.flags.contains(TcpFlags::SYN));
-        let b = TcpConn::accept(now + delay, cfg_b, eb, ea, &syns[0], 2_000_000);
+        let b = TcpConn::accept(now + delay, cfg_b, eb, ea, &syns[0], iss_b);
         Wire {
             a,
             b,
@@ -157,8 +164,8 @@ impl Wire {
     }
 }
 
-fn established_pair(cfg: TcpConfig) -> Wire {
-    let mut w = Wire::connect_pair(cfg.clone(), cfg);
+fn established_pair(cfg: TcpConfig, iss: (u32, u32)) -> Wire {
+    let mut w = Wire::connect_pair(cfg.clone(), cfg, iss);
     w.pump_until(w.now + SimTime::from_secs(1));
     assert_eq!(w.a.state(), TcpState::Established);
     assert_eq!(w.b.state(), TcpState::Established);
@@ -204,19 +211,26 @@ fn transfer(w: &mut Wire, seed: u64, len: usize) -> Vec<u8> {
 fn recvrel_frontier_is_exactly_once_under_seeded_loss() {
     // Seeded loss + reordering through retransmission: the frontier must
     // deliver the oracle stream exactly once, in order, for every seed.
-    for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {
-        let mut w = established_pair(TcpConfig::default());
+    for (seed, iss) in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003]
+        .into_iter()
+        .flat_map(|seed| ISS_PAIRS.map(|iss| (seed, iss)))
+    {
+        let mut w = established_pair(TcpConfig::default(), iss);
         w.filter = Box::new(move |seg, to_b, idx| {
             // Drop ~3% of a→b data segments; never the handshake or ACKs.
             to_b && !seg.payload.is_empty() && schedule_bits(seed, idx) % 1000 < 30
         });
         let len = 120_000;
         let got = transfer(&mut w, seed, len);
-        assert_eq!(got.len(), len, "seed {seed:#x}: frontier short");
-        assert_eq!(got, oracle_stream(seed, len), "seed {seed:#x}: bytes mangled");
+        assert_eq!(got.len(), len, "seed {seed:#x} iss {iss:?}: frontier short");
+        assert_eq!(
+            got,
+            oracle_stream(seed, len),
+            "seed {seed:#x} iss {iss:?}: bytes mangled"
+        );
         assert_eq!(
             w.b.stats.bytes_received, len as u64,
-            "seed {seed:#x}: duplicate delivery past the frontier"
+            "seed {seed:#x} iss {iss:?}: duplicate delivery past the frontier"
         );
     }
 }
@@ -230,21 +244,26 @@ fn recvrel_frontier_survives_overlapping_retransmits() {
     // reassembler chunks below `rcv_off`, the corner this schedule
     // originally exposed in the reference engine.
     let seed = 0xd0d0_u64;
-    let mut w = established_pair(TcpConfig::default());
-    let dropped: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    let d = Rc::clone(&dropped);
-    w.filter = Box::new(move |seg, to_b, idx| {
-        if to_b && !seg.payload.is_empty() && idx % 40 == 7 {
-            d.set(d.get() + 1);
-            return true;
-        }
-        false
-    });
-    let len = 80_000;
-    let got = transfer(&mut w, seed, len);
-    assert_eq!(got, oracle_stream(seed, len));
-    assert!(dropped.get() > 0, "schedule must exercise the retransmit path");
-    assert_eq!(w.b.stats.bytes_received, len as u64);
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(TcpConfig::default(), iss);
+        let dropped: Rc<Cell<u64>> = Rc::new(Cell::new(0));
+        let d = Rc::clone(&dropped);
+        w.filter = Box::new(move |seg, to_b, idx| {
+            if to_b && !seg.payload.is_empty() && idx % 40 == 7 {
+                d.set(d.get() + 1);
+                return true;
+            }
+            false
+        });
+        let len = 80_000;
+        let got = transfer(&mut w, seed, len);
+        assert_eq!(got, oracle_stream(seed, len), "iss {iss:?}");
+        assert!(
+            dropped.get() > 0,
+            "schedule must exercise the retransmit path"
+        );
+        assert_eq!(w.b.stats.bytes_received, len as u64, "iss {iss:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -253,13 +272,18 @@ fn recvrel_frontier_survives_overlapping_retransmits() {
 
 #[test]
 fn sendrel_clean_pipe_retransmits_nothing() {
-    let mut w = established_pair(TcpConfig::default());
-    let len = 100_000;
-    let got = transfer(&mut w, 0xc1ea0_u64, len);
-    assert_eq!(got.len(), len);
-    assert_eq!(w.a.stats.retransmits, 0, "clean pipe: zero retransmits");
-    assert_eq!(w.a.stats.fast_retransmits, 0);
-    assert_eq!(w.a.stats.timeouts, 0);
+    for iss in ISS_PAIRS {
+        let mut w = established_pair(TcpConfig::default(), iss);
+        let len = 100_000;
+        let got = transfer(&mut w, 0xc1ea0_u64, len);
+        assert_eq!(got.len(), len, "iss {iss:?}");
+        assert_eq!(
+            w.a.stats.retransmits, 0,
+            "iss {iss:?}: clean pipe, zero retransmits"
+        );
+        assert_eq!(w.a.stats.fast_retransmits, 0, "iss {iss:?}");
+        assert_eq!(w.a.stats.timeouts, 0, "iss {iss:?}");
+    }
 }
 
 /// One lossy run reduced to its retransmit schedule.
@@ -272,8 +296,8 @@ struct SendSchedule {
     dropped: u64,
 }
 
-fn lossy_run(seed: u64, len: usize) -> SendSchedule {
-    let mut w = established_pair(TcpConfig::default());
+fn lossy_run(seed: u64, len: usize, iss: (u32, u32)) -> SendSchedule {
+    let mut w = established_pair(TcpConfig::default(), iss);
     let dropped: Rc<Cell<u64>> = Rc::new(Cell::new(0));
     let d = Rc::clone(&dropped);
     w.filter = Box::new(move |seg, to_b, idx| {
@@ -297,27 +321,32 @@ fn lossy_run(seed: u64, len: usize) -> SendSchedule {
 #[test]
 fn sendrel_retransmit_schedule_covers_losses_and_is_reproducible() {
     let len = 120_000;
-    let first = lossy_run(0x1055_u64, len);
-    assert!(first.dropped > 0, "the seeded schedule must actually drop");
-    assert!(
-        first.retransmits >= 1,
-        "dropped data forces retransmission: {first:?}"
-    );
-    assert!(
-        first.retransmits + 4 >= first.dropped / 8,
-        "retransmits must track the drop count: {first:?}"
-    );
-    // Differential re-run: the schedule is a pure function of the seed.
-    let second = lossy_run(0x1055_u64, len);
-    assert_eq!(first, second, "retransmit schedule must be seed-deterministic");
-    // A different seed produces a different schedule (the fault
-    // injection is live, not vacuous).
-    let other = lossy_run(0x2055_u64, len);
-    assert_ne!(
-        (first.retransmits, first.dropped),
-        (other.retransmits, other.dropped),
-        "distinct seeds should yield distinct schedules: {first:?} vs {other:?}"
-    );
+    for iss in ISS_PAIRS {
+        let first = lossy_run(0x1055_u64, len, iss);
+        assert!(first.dropped > 0, "the seeded schedule must actually drop");
+        assert!(
+            first.retransmits >= 1,
+            "dropped data forces retransmission: {first:?}"
+        );
+        assert!(
+            first.retransmits + 4 >= first.dropped / 8,
+            "retransmits must track the drop count: {first:?}"
+        );
+        // Differential re-run: the schedule is a pure function of the seed.
+        let second = lossy_run(0x1055_u64, len, iss);
+        assert_eq!(
+            first, second,
+            "retransmit schedule must be seed-deterministic"
+        );
+        // A different seed produces a different schedule (the fault
+        // injection is live, not vacuous).
+        let other = lossy_run(0x2055_u64, len, iss);
+        assert_ne!(
+            (first.retransmits, first.dropped),
+            (other.retransmits, other.dropped),
+            "distinct seeds should yield distinct schedules: {first:?} vs {other:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -326,13 +355,13 @@ fn sendrel_retransmit_schedule_covers_losses_and_is_reproducible() {
 
 /// Runs an ECN-marked transfer and samples the sender cwnd after every
 /// pump slice: the congestion-control component's observable trajectory.
-fn cwnd_trajectory(kind: CcKind, seed: u64, len: usize) -> Vec<(u64, u32)> {
+fn cwnd_trajectory(kind: CcKind, seed: u64, len: usize, iss: (u32, u32)) -> Vec<(u64, u32)> {
     let cfg = TcpConfig {
         cc: kind,
         ecn: true,
         ..TcpConfig::default()
     };
-    let mut w = established_pair(cfg);
+    let mut w = established_pair(cfg, iss);
     w.filter = Box::new(move |seg, to_b, idx| {
         // CE-mark ~8% of a→b data segments (switch-style marking).
         if to_b
@@ -376,11 +405,17 @@ fn cwnd_trajectory(kind: CcKind, seed: u64, len: usize) -> Vec<(u64, u32)> {
 #[test]
 fn congctrl_trajectories_are_seed_deterministic_per_impl() {
     let len = 400_000;
-    for kind in [CcKind::NewReno, CcKind::Dctcp, CcKind::Timely] {
-        let a = cwnd_trajectory(kind, 0xcc_0001, len);
-        let b = cwnd_trajectory(kind, 0xcc_0001, len);
+    for (kind, iss) in [CcKind::NewReno, CcKind::Dctcp, CcKind::Timely]
+        .into_iter()
+        .flat_map(|kind| ISS_PAIRS.map(|iss| (kind, iss)))
+    {
+        let a = cwnd_trajectory(kind, 0xcc_0001, len, iss);
+        let b = cwnd_trajectory(kind, 0xcc_0001, len, iss);
         assert_eq!(a, b, "{kind:?}: cwnd trajectory must be bit-reproducible");
-        assert!(a.len() > 4, "{kind:?}: trajectory too short to be meaningful: {a:?}");
+        assert!(
+            a.len() > 4,
+            "{kind:?}: trajectory too short to be meaningful: {a:?}"
+        );
     }
 }
 
@@ -390,18 +425,20 @@ fn congctrl_ecn_response_separates_newreno_and_dctcp() {
     // ECE round trip) and DCTCP (alpha-proportional backoff) must
     // produce observably different cwnd trajectories.
     let len = 400_000;
-    let reno = cwnd_trajectory(CcKind::NewReno, 0xcc_0002, len);
-    let dctcp = cwnd_trajectory(CcKind::Dctcp, 0xcc_0002, len);
-    assert_ne!(
-        reno, dctcp,
-        "NewReno and DCTCP must react differently to CE marks"
-    );
-    // Both react to marks at all: neither trajectory is monotone
-    // non-decreasing (a pure slow-start ramp would be).
-    for (name, traj) in [("NewReno", &reno), ("DCTCP", &dctcp)] {
-        assert!(
-            traj.windows(2).any(|w| w[1].1 < w[0].1),
-            "{name}: CE marks must shrink cwnd at least once: {traj:?}"
+    for iss in ISS_PAIRS {
+        let reno = cwnd_trajectory(CcKind::NewReno, 0xcc_0002, len, iss);
+        let dctcp = cwnd_trajectory(CcKind::Dctcp, 0xcc_0002, len, iss);
+        assert_ne!(
+            reno, dctcp,
+            "iss {iss:?}: NewReno and DCTCP must react differently to CE marks"
         );
+        // Both react to marks at all: neither trajectory is monotone
+        // non-decreasing (a pure slow-start ramp would be).
+        for (name, traj) in [("NewReno", &reno), ("DCTCP", &dctcp)] {
+            assert!(
+                traj.windows(2).any(|w| w[1].1 < w[0].1),
+                "iss {iss:?}: {name}: CE marks must shrink cwnd at least once: {traj:?}"
+            );
+        }
     }
 }

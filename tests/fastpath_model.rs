@@ -51,7 +51,7 @@ fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
 }
 
-fn install(fp: &mut FastPath, rx_cap: usize) -> u32 {
+fn install(fp: &mut FastPath, rx_cap: usize, irs: u32) -> u32 {
     fp.install_flow(FlowState {
         conn: FpConnMgmt::new(
             1,
@@ -66,14 +66,14 @@ fn install(fp: &mut FastPath, rx_cap: usize) -> u32 {
             0,
         ),
         snd: FpSendRel::new(ByteRing::new(1024), 100),
-        rcv: FpRecvRel::new(ByteRing::new(rx_cap), 1_000),
+        rcv: FpRecvRel::new(ByteRing::new(rx_cap), irs),
         fc: FpFlowCtrl::new(65_535, 0),
         cc: FpCongCtrl::new(RateBucket::unlimited()),
     })
 }
 
-fn data_seg(offset: u64, payload: &[u8]) -> Segment {
-    let seq = 1_001u32.wrapping_add(offset as u32);
+fn data_seg(irs: u32, offset: u64, payload: &[u8]) -> Segment {
+    let seq = irs.wrapping_add(1).wrapping_add(offset as u32);
     let mut h = TcpHeader::new(7777, 80, seq, 101, TcpFlags::ACK | TcpFlags::PSH);
     h.window = 60_000;
     h.options.timestamp = Some((1, 0));
@@ -94,12 +94,14 @@ proptest! {
     /// Deliver an arbitrarily sliced stream in an arbitrary order with
     /// duplicates; whatever the fast path commits must be a correct
     /// prefix-closed portion of the stream, acks must be monotone, and a
-    /// final in-order sweep must deliver everything.
+    /// final in-order sweep must deliver everything. The IRS is drawn so
+    /// that most streams cross 2^32 in sequence space.
     #[test]
     fn fastpath_rx_is_prefix_correct(
         stream in proptest::collection::vec(any::<u8>(), 32..400),
         cuts in proptest::collection::vec(any::<prop::sample::Index>(), 1..8),
         order_seed in any::<u64>(),
+        irs in prop_oneof![Just(1_000u32), Just(u32::MAX - 150), any::<u32>()],
     ) {
         let mut fp = FastPath::new(
             Ipv4Addr::new(10, 0, 0, 1),
@@ -107,7 +109,7 @@ proptest! {
             1448,
             TasCosts::default(),
         );
-        let fid = install(&mut fp, stream.len() + 64);
+        let fid = install(&mut fp, stream.len() + 64, irs);
         let mut acct = CycleAccount::new();
 
         // Slice and shuffle.
@@ -130,10 +132,10 @@ proptest! {
         let mut t = 0u64;
         for (off, data) in &segs {
             t += 1;
-            fp.rx_segment(SimTime::from_us(t), data_seg(*off, data), &mut acct);
+            fp.rx_segment(SimTime::from_us(t), data_seg(irs, *off, data), &mut acct);
             // Acks are cumulative and monotone.
             for pkt in fp.out.packets.drain(..) {
-                let ack_off = pkt.tcp.ack.wrapping_sub(1_001);
+                let ack_off = pkt.tcp.ack.wrapping_sub(irs.wrapping_add(1));
                 prop_assert!(ack_off >= last_ack, "ack regressed");
                 last_ack = ack_off;
                 // Never acks data that was not sent.
@@ -157,7 +159,7 @@ proptest! {
                 continue;
             }
             t += 1;
-            fp.rx_segment(SimTime::from_us(t), data_seg(off, data), &mut acct);
+            fp.rx_segment(SimTime::from_us(t), data_seg(irs, off, data), &mut acct);
             fp.out.packets.clear();
         }
         let flow = fp.flows.get_mut(fid).expect("installed");
@@ -192,7 +194,7 @@ fn steady_state_rx_does_not_allocate() {
         1448,
         TasCosts::default(),
     );
-    let fid = install(&mut fp, 1 << 16);
+    let fid = install(&mut fp, 1 << 16, 1_000);
     let mut acct = CycleAccount::new();
     let chunk = [0xA5u8; CHUNK];
 
@@ -215,7 +217,7 @@ fn steady_state_rx_does_not_allocate() {
 
     for _ in 0..WARMUP {
         t += 1;
-        deliver(&mut fp, data_seg(off, &chunk), t);
+        deliver(&mut fp, data_seg(1_000, off, &chunk), t);
         off += CHUNK as u64;
     }
 
@@ -225,7 +227,7 @@ fn steady_state_rx_does_not_allocate() {
     let before = thread_allocs();
     for _ in 0..MEASURED {
         t += 1;
-        deliver(&mut fp, data_seg(off, &chunk), t);
+        deliver(&mut fp, data_seg(1_000, off, &chunk), t);
         off += CHUNK as u64;
     }
     let after = thread_allocs();
