@@ -20,6 +20,18 @@
 //! header-level control no socket API grants, so — like the load
 //! generator — they are raw host agents crafting TCP segments directly
 //! and consuming no modeled CPU.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::util::SendBuf;
 use std::collections::BTreeMap;
@@ -27,7 +39,7 @@ use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, SimTime};
 
 /// Builds the KV GET request the adversaries use as bait: a well-formed
@@ -229,8 +241,8 @@ enum AdvState {
 struct AdvConn {
     state: AdvState,
     local_port: u16,
-    iss: u32,
-    irs: u32,
+    iss: Seq,
+    irs: Seq,
     /// Request-stream bytes sent.
     sent_off: u64,
     /// Response-stream bytes received in order.
@@ -330,46 +342,42 @@ impl AdversaryHost {
 
     /// A header whose ACK field is explicit (division mode sends several
     /// per delivery, each a different sliver).
-    fn header_with_ack(&mut self, idx: u32, ack: u32, flags: TcpFlags, now: SimTime) -> TcpHeader {
+    fn header_with_ack(&mut self, idx: u32, ack: Seq, flags: TcpFlags, now: SimTime) -> TcpHeader {
         let window = self.next_window();
         let Some(c) = self.conns.get(idx as usize) else {
             return TcpHeader::new(0, self.cfg.port, 0, 0, flags);
         };
-        let mut h = TcpHeader::new(
-            c.local_port,
-            self.cfg.port,
-            c.iss.wrapping_add(1).wrapping_add(c.sent_off as u32),
-            ack,
-            flags,
-        );
+        let mut h = TcpHeader::new(c.local_port, self.cfg.port, 0, 0, flags);
+        h.seq = c.iss + 1 + c.sent_off as u32;
+        h.ack = ack;
         h.window = window;
         h.options.timestamp = Some((now.as_micros() as u32, c.ts_recent));
         h
     }
 
-    fn cum_ack(&self, idx: u32) -> u32 {
+    fn cum_ack(&self, idx: u32) -> Seq {
         let Some(c) = self.conns.get(idx as usize) else {
-            return 0;
+            return Seq(0);
         };
-        c.irs.wrapping_add(1).wrapping_add(c.rcv_off as u32)
+        c.irs + 1 + c.rcv_off as u32
     }
 
     fn open_connection(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let local_port = 2048 + (idx % 60_000) as u16;
-        let iss = ctx.rng().next_u32();
+        let iss = Seq(ctx.rng().next_u32());
         self.by_port.insert(local_port, self.conns.len() as u32);
         self.conns.push(AdvConn {
             state: AdvState::SynSent,
             local_port,
             iss,
-            irs: 0,
+            irs: Seq(0),
             sent_off: 0,
             rcv_off: 0,
             awaiting: 0,
             ts_recent: 0,
             last_progress: now,
         });
-        let mut h = TcpHeader::new(local_port, self.cfg.port, iss, 0, TcpFlags::SYN);
+        let mut h = TcpHeader::new(local_port, self.cfg.port, iss.0, 0, TcpFlags::SYN);
         h.options.mss = Some(1448);
         // No window scaling: the advertised patterns are raw 16-bit.
         h.options.timestamp = Some((now.as_micros() as u32, 0));
@@ -392,7 +400,7 @@ impl AdversaryHost {
         self.nic.tx(now, seg, ctx);
     }
 
-    fn send_ack(&mut self, idx: u32, ack: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+    fn send_ack(&mut self, idx: u32, ack: Seq, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let h = self.header_with_ack(idx, ack, TcpFlags::ACK, now);
         self.acks_sent += 1;
         let seg = self.seg(h, Vec::new());
@@ -405,7 +413,7 @@ impl AdversaryHost {
             return;
         };
         let mut handshake_done = false;
-        let mut in_order_span: Option<(u32, usize)> = None; // (base ack, len)
+        let mut in_order_span: Option<(Seq, usize)> = None; // (base ack, len)
         let mut dup_ack = false;
         {
             let Some(c) = self.conns.get_mut(idx as usize) else {
@@ -417,7 +425,7 @@ impl AdversaryHost {
             match c.state {
                 AdvState::SynSent => {
                     if seg.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
-                        && seg.tcp.ack == c.iss.wrapping_add(1)
+                        && seg.tcp.ack == c.iss + 1
                     {
                         c.irs = seg.tcp.seq;
                         c.state = AdvState::Established;
@@ -427,7 +435,7 @@ impl AdversaryHost {
                 }
                 AdvState::Established => {
                     if !seg.payload.is_empty() {
-                        let expected = c.irs.wrapping_add(1).wrapping_add(c.rcv_off as u32);
+                        let expected = c.irs + 1 + c.rcv_off as u32;
                         if seg.tcp.seq == expected {
                             let len = seg.payload.len();
                             let base = expected;
@@ -464,7 +472,7 @@ impl AdversaryHost {
                         if self.ack_deltas.len() < LOG_CAP {
                             self.ack_deltas.push(adv);
                         }
-                        let ack = base.wrapping_add(covered);
+                        let ack = base + covered;
                         self.send_ack(idx, ack, now, ctx);
                     }
                 }
@@ -508,10 +516,7 @@ impl AdversaryHost {
             // Rewind to the outstanding request's first byte.
             if let Some(c) = self.conns.get_mut(idx as usize) {
                 c.last_progress = now;
-                h.seq = c
-                    .iss
-                    .wrapping_add(1)
-                    .wrapping_add((c.sent_off.saturating_sub(payload.len() as u64)) as u32);
+                h.seq = c.iss + 1 + c.sent_off.saturating_sub(payload.len() as u64) as u32;
             }
             let seg = self.seg(h, payload);
             self.nic.tx(now, seg, ctx);
@@ -521,7 +526,7 @@ impl AdversaryHost {
                 continue;
             };
             c.last_progress = now;
-            let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss, 0, TcpFlags::SYN);
+            let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss.0, 0, TcpFlags::SYN);
             h.options.mss = Some(1448);
             h.options.timestamp = Some((now.as_micros() as u32, 0));
             h.window = u16::MAX;

@@ -1,7 +1,6 @@
 //! RPC echo server and clients (Figures 4–6).
 
-use crate::util::SendBuf;
-use std::collections::HashMap;
+use crate::util::{PerSock, SendBuf};
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::{impl_as_any, Histogram, SimTime};
@@ -40,7 +39,7 @@ pub struct EchoServer {
     /// Accepted connections.
     pub accepted: u64,
     /// Bytes buffered per socket until a full message is present.
-    partial: HashMap<SockId, usize>,
+    partial: PerSock<usize>,
     out: SendBuf,
 }
 
@@ -56,7 +55,7 @@ impl EchoServer {
             bytes_in: 0,
             bytes_out: 0,
             accepted: 0,
-            partial: HashMap::new(),
+            partial: PerSock::default(),
             out: SendBuf::default(),
         }
     }
@@ -102,7 +101,7 @@ impl App for EchoServer {
             AppEvent::Readable { sock } => {
                 let data = api.recv(sock, usize::MAX);
                 self.bytes_in += data.len() as u64;
-                let have = self.partial.entry(sock).or_insert(0);
+                let have = self.partial.slot(sock);
                 *have += data.len();
                 let full = *have / self.msg_size;
                 *have %= self.msg_size;
@@ -116,7 +115,7 @@ impl App for EchoServer {
                 }
             }
             AppEvent::Closed { sock } => {
-                self.partial.remove(&sock);
+                self.partial.clear(sock);
                 self.out.clear(sock);
                 api.close(sock);
             }
@@ -177,7 +176,7 @@ pub struct RpcClient {
     /// Stop issuing new requests after this many have been sent
     /// (0 = unlimited).
     pub max_requests: u64,
-    sock_index: HashMap<SockId, usize>,
+    sock_index: PerSock<Option<usize>>,
 }
 
 impl RpcClient {
@@ -208,7 +207,7 @@ impl RpcClient {
             out: SendBuf::default(),
             measure_from: SimTime::ZERO,
             max_requests: 0,
-            sock_index: HashMap::new(),
+            sock_index: PerSock::default(),
         }
     }
 
@@ -223,7 +222,7 @@ impl RpcClient {
             msgs_on_conn: 0,
             connected: false,
         });
-        self.sock_index.insert(sock, idx);
+        *self.sock_index.slot(sock) = Some(idx);
     }
 
     fn fire(&mut self, idx: usize, api: &mut dyn StackApi) {
@@ -256,7 +255,7 @@ impl App for RpcClient {
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
             AppEvent::Connected { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
                 self.conns[idx].connected = true;
@@ -279,7 +278,7 @@ impl App for RpcClient {
                 self.out.on_writable(api, sock);
                 // RX-only streaming mode: keep the pipe full.
                 if !self.expect_reply {
-                    if let Some(&idx) = self.sock_index.get(&sock) {
+                    if let Some(&Some(idx)) = self.sock_index.get(sock) {
                         loop {
                             let before = self.sent;
                             self.fire(idx, api);
@@ -291,7 +290,7 @@ impl App for RpcClient {
                 }
             }
             AppEvent::Readable { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
                 let data = api.recv(sock, usize::MAX);
@@ -328,17 +327,17 @@ impl App for RpcClient {
                 }
             }
             AppEvent::Closed { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
-                self.sock_index.remove(&sock);
+                self.sock_index.clear(sock);
                 self.conns_completed += 1;
                 if matches!(self.lifetime, Lifetime::ShortLived { .. }) {
                     // Re-establish (Fig. 5's connection churn).
                     let new_sock = api.connect(self.server, self.port);
                     let c = &mut self.conns[idx];
                     c.sock = new_sock;
-                    self.sock_index.insert(new_sock, idx);
+                    *self.sock_index.slot(new_sock) = Some(idx);
                 }
             }
             _ => {}

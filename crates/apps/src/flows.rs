@@ -7,7 +7,7 @@
 //! size, so the [`FlowSink`] can compute the flow completion time the way
 //! ns-3 scripts do (arrival of the last byte minus flow start).
 
-use std::collections::HashMap;
+use crate::util::PerSock;
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::{impl_as_any, Histogram, Rng, SimTime};
@@ -33,12 +33,12 @@ pub struct FlowGen {
     /// Stop generating new flows after this time (0 = never).
     pub stop_at: SimTime,
     rng: Rng,
-    active: HashMap<SockId, (u64, u64)>, // (size, sent).
+    /// Flows still sending: (size, sent, start).
+    active: PerSock<Option<(u64, u64, SimTime)>>,
     /// Flows started.
     pub started: u64,
     /// Flows whose bytes were fully accepted by the stack.
     pub finished_sending: u64,
-    start_of: HashMap<SockId, SimTime>,
 }
 
 impl FlowGen {
@@ -52,10 +52,9 @@ impl FlowGen {
             size_alpha: 1.2,
             stop_at: SimTime::ZERO,
             rng: Rng::new(seed),
-            active: HashMap::new(),
+            active: PerSock::default(),
             started: 0,
             finished_sending: 0,
-            start_of: HashMap::new(),
         }
     }
 
@@ -72,16 +71,14 @@ impl FlowGen {
             .round() as u64;
         let size = size.max(FLOW_HDR as u64);
         let sock = api.connect(ip, port);
-        self.active.insert(sock, (size, 0));
-        self.start_of.insert(sock, api.now());
+        *self.active.slot(sock) = Some((size, 0, api.now()));
         self.started += 1;
     }
 
     fn pump(&mut self, sock: SockId, api: &mut dyn StackApi) {
-        let Some(&(size, sent)) = self.active.get(&sock) else {
+        let Some(&Some((size, mut sent, start))) = self.active.get(sock) else {
             return;
         };
-        let mut sent = sent;
         loop {
             let left = size - sent;
             if left == 0 {
@@ -91,8 +88,7 @@ impl FlowGen {
             let mut buf = vec![0x33u8; chunk];
             if sent == 0 {
                 // Stamp the header into the first bytes.
-                let start = self.start_of[&sock].as_ps();
-                buf[..8].copy_from_slice(&start.to_be_bytes());
+                buf[..8].copy_from_slice(&start.as_ps().to_be_bytes());
                 buf[8..16].copy_from_slice(&size.to_be_bytes());
             }
             let n = api.send(sock, &buf) as u64;
@@ -101,9 +97,9 @@ impl FlowGen {
                 break;
             }
         }
-        self.active.insert(sock, (size, sent));
+        *self.active.slot(sock) = Some((size, sent, start));
         if sent == size {
-            self.active.remove(&sock);
+            self.active.clear(sock);
             self.finished_sending += 1;
             api.close(sock);
         }
@@ -124,10 +120,7 @@ impl App for FlowGen {
                 self.schedule_next(api);
             }
             AppEvent::Connected { sock } | AppEvent::Writable { sock } => self.pump(sock, api),
-            AppEvent::Closed { sock } => {
-                self.active.remove(&sock);
-                self.start_of.remove(&sock);
-            }
+            AppEvent::Closed { sock } => self.active.clear(sock),
             _ => {}
         }
     }
@@ -139,7 +132,7 @@ impl App for FlowGen {
 pub struct FlowSink {
     /// Listening port.
     pub port: u16,
-    conns: HashMap<SockId, SinkConn>,
+    conns: PerSock<Option<SinkConn>>,
     /// FCTs (ns) of flows at most [`SHORT_FLOW_PKTS`] packets.
     pub fct_short: Histogram,
     /// FCTs (ns) of longer flows.
@@ -164,7 +157,7 @@ impl FlowSink {
     pub fn new(port: u16) -> Self {
         FlowSink {
             port,
-            conns: HashMap::new(),
+            conns: PerSock::default(),
             fct_short: Histogram::new(),
             fct_long: Histogram::new(),
             fct_all: Histogram::new(),
@@ -182,20 +175,17 @@ impl App for FlowSink {
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
             AppEvent::Accepted { sock, .. } => {
-                self.conns.insert(
-                    sock,
-                    SinkConn {
-                        hdr: Vec::new(),
-                        size: 0,
-                        start_ps: 0,
-                        got: 0,
-                    },
-                );
+                *self.conns.slot(sock) = Some(SinkConn {
+                    hdr: Vec::new(),
+                    size: 0,
+                    start_ps: 0,
+                    got: 0,
+                });
             }
             AppEvent::Readable { sock } => {
                 let data = api.recv(sock, usize::MAX);
                 let now = api.now();
-                let Some(c) = self.conns.get_mut(&sock) else {
+                let Some(c) = self.conns.slot(sock) else {
                     return;
                 };
                 let mut data = &data[..];
@@ -215,7 +205,7 @@ impl App for FlowSink {
                     let start = SimTime::from_ps(c.start_ps);
                     let fct = now.saturating_sub(start);
                     let size = c.size;
-                    self.conns.remove(&sock);
+                    self.conns.clear(sock);
                     self.completed += 1;
                     if start >= self.measure_from {
                         self.fct_all.record_time(fct);
@@ -228,7 +218,7 @@ impl App for FlowSink {
                 }
             }
             AppEvent::Closed { sock } => {
-                self.conns.remove(&sock);
+                self.conns.clear(sock);
                 api.close(sock);
             }
             _ => {}

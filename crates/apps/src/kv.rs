@@ -13,8 +13,8 @@
 //! wire sizes match the paper's (request ≈ 39B + pad = 64B framing is the
 //! paper's "small requests").
 
-use crate::util::SendBuf;
-use std::collections::HashMap;
+use crate::util::{PerSock, SendBuf};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::dist::Zipf;
@@ -46,7 +46,9 @@ fn resp_len() -> usize {
 pub struct KvServer {
     /// Listening port.
     pub port: u16,
-    store: HashMap<u32, Vec<u8>>,
+    /// Keyed by the wire's key id: a `BTreeMap`, so a client's key choice
+    /// cannot size an allocation.
+    store: BTreeMap<u32, Vec<u8>>,
     /// Base application cycles per GET (hash + lookup + response build).
     pub get_cycles: u64,
     /// Base application cycles per SET.
@@ -61,7 +63,7 @@ pub struct KvServer {
     pub gets: u64,
     /// SET operations served.
     pub sets: u64,
-    partial: HashMap<SockId, Vec<u8>>,
+    partial: PerSock<Vec<u8>>,
     out: SendBuf,
 }
 
@@ -71,14 +73,14 @@ impl KvServer {
     pub fn new(port: u16) -> Self {
         KvServer {
             port,
-            store: HashMap::new(),
+            store: BTreeMap::new(),
             get_cycles: 650,
             set_cycles: 900,
             lock_contention_cycles: 0,
             app_cores: 1,
             gets: 0,
             sets: 0,
-            partial: HashMap::new(),
+            partial: PerSock::default(),
             out: SendBuf::default(),
         }
     }
@@ -93,7 +95,7 @@ impl KvServer {
 
     fn serve(&mut self, sock: SockId, api: &mut dyn StackApi) {
         let data = api.recv(sock, usize::MAX);
-        let buf = self.partial.entry(sock).or_default();
+        let buf = self.partial.slot(sock);
         buf.extend_from_slice(&data);
         let rl = req_len();
         let mut responses: Vec<u8> = Vec::new();
@@ -150,7 +152,7 @@ impl App for KvServer {
                 self.out.on_writable(api, sock);
             }
             AppEvent::Closed { sock } => {
-                self.partial.remove(&sock);
+                self.partial.clear(sock);
                 self.out.clear(sock);
                 api.close(sock);
             }
@@ -199,7 +201,7 @@ pub struct KvClient {
     /// Fraction of SETs (paper: 0.1).
     pub set_fraction: f64,
     conns: Vec<KvConn>,
-    sock_index: HashMap<SockId, usize>,
+    sock_index: PerSock<Option<usize>>,
     /// Completed requests.
     pub done: u64,
     /// Issued requests.
@@ -242,7 +244,7 @@ impl KvClient {
             load,
             set_fraction: 0.1,
             conns: Vec::new(),
-            sock_index: HashMap::new(),
+            sock_index: PerSock::default(),
             done: 0,
             sent: 0,
             latency: Histogram::new(),
@@ -330,14 +332,14 @@ impl App for KvClient {
                 connected: false,
                 msgs_on_conn: 0,
             });
-            self.sock_index.insert(sock, idx);
+            *self.sock_index.slot(sock) = Some(idx);
         }
     }
 
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
             AppEvent::Connected { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
                 self.conns[idx].connected = true;
@@ -376,7 +378,7 @@ impl App for KvClient {
                 self.schedule_next_open(api);
             }
             AppEvent::Readable { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
                 let data = api.recv(sock, usize::MAX);
@@ -415,10 +417,10 @@ impl App for KvClient {
                 }
             }
             AppEvent::Closed { sock } => {
-                let Some(&idx) = self.sock_index.get(&sock) else {
+                let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
-                self.sock_index.remove(&sock);
+                self.sock_index.clear(sock);
                 self.conns_completed += 1;
                 if self.msgs_per_conn > 0 {
                     // Re-establish (the churn storm's steady connection
@@ -429,7 +431,7 @@ impl App for KvClient {
                     c.pending.clear();
                     c.sent_at.clear();
                     c.connected = false;
-                    self.sock_index.insert(new_sock, idx);
+                    *self.sock_index.slot(new_sock) = Some(idx);
                 }
             }
             _ => {}

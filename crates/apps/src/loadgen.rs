@@ -10,12 +10,10 @@
 //! retransmission). The client consumes no modeled CPU — exactly like the
 //! paper's assumption that clients are never the bottleneck.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::tcp::seq;
-use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, Histogram, SimTime};
 
 /// Timer kinds.
@@ -87,8 +85,8 @@ enum LgState {
 struct LgConn {
     state: LgState,
     local_port: u16,
-    iss: u32,
-    irs: u32,
+    iss: Seq,
+    irs: Seq,
     /// Bytes of request stream sent (stream offset past SYN).
     sent_off: u64,
     /// Bytes of request stream acked by the server.
@@ -103,6 +101,18 @@ struct LgConn {
     last_progress: SimTime,
 }
 
+impl LgConn {
+    /// Our sequence number at request-stream offset `off`.
+    fn seq_of(&self, off: u64) -> Seq {
+        self.iss + 1 + off as u32
+    }
+
+    /// The server's sequence number at response-stream offset `off`.
+    fn rcv_seq_of(&self, off: u64) -> Seq {
+        self.irs + 1 + off as u32
+    }
+}
+
 /// The load-generator host agent.
 pub struct LoadGenHost {
     cfg: LoadGenConfig,
@@ -110,7 +120,9 @@ pub struct LoadGenHost {
     mac: MacAddr,
     nic: HostNic,
     conns: Vec<LgConn>,
-    by_port: HashMap<u16, u32>,
+    /// Connection index by local port, at `port - 1024`. A port reused
+    /// by a later connection maps to that one.
+    by_port: Vec<Option<u32>>,
     /// Completed request/response exchanges.
     pub done: u64,
     /// Requests sent (first transmissions).
@@ -147,7 +159,7 @@ impl LoadGenHost {
             mac,
             nic,
             conns: Vec::new(),
-            by_port: HashMap::new(),
+            by_port: Vec::new(),
             done: 0,
             sent: 0,
             rexmits: 0,
@@ -170,13 +182,9 @@ impl LoadGenHost {
     }
 
     fn header(&self, c: &LgConn, flags: TcpFlags, now: SimTime) -> TcpHeader {
-        let mut h = TcpHeader::new(
-            c.local_port,
-            self.cfg.port,
-            c.iss.wrapping_add(1).wrapping_add(c.sent_off as u32),
-            c.irs.wrapping_add(1).wrapping_add(c.rcv_off as u32),
-            flags,
-        );
+        let mut h = TcpHeader::new(c.local_port, self.cfg.port, 0, 0, flags);
+        h.seq = c.seq_of(c.sent_off);
+        h.ack = c.rcv_seq_of(c.rcv_off);
         h.window = ((self.cfg.adv_window >> self.wscale) as u16).max(1);
         h.options.timestamp = Some((now.as_micros() as u32, c.ts_recent));
         h
@@ -200,12 +208,11 @@ impl LoadGenHost {
 
     fn open_connection(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let local_port = 1024 + (idx % 64_000) as u16;
-        let iss = ctx.rng().next_u32();
         let c = LgConn {
             state: LgState::SynSent,
             local_port,
-            iss,
-            irs: 0,
+            iss: Seq(ctx.rng().next_u32()),
+            irs: Seq(0),
             sent_off: 0,
             acked_off: 0,
             rcv_off: 0,
@@ -214,15 +221,23 @@ impl LoadGenHost {
             ts_recent: 0,
             last_progress: now,
         };
-        let mut h = TcpHeader::new(local_port, self.cfg.port, iss, 0, TcpFlags::SYN);
+        let seg = self.syn(&c, now);
+        let slot = (local_port - 1024) as usize;
+        if slot >= self.by_port.len() {
+            self.by_port.resize(slot + 1, None);
+        }
+        self.by_port[slot] = Some(self.conns.len() as u32);
+        self.conns.push(c);
+        self.tx(seg, now, ctx);
+    }
+
+    fn syn(&self, c: &LgConn, now: SimTime) -> Segment {
+        let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss.0, 0, TcpFlags::SYN);
         h.options.mss = Some(1448);
         h.options.wscale = Some(self.wscale);
         h.options.timestamp = Some((now.as_micros() as u32, 0));
         h.window = u16::MAX;
-        let seg = self.seg(h, Vec::new());
-        self.by_port.insert(local_port, self.conns.len() as u32);
-        self.conns.push(c);
-        self.tx(seg, now, ctx);
+        self.seg(h, Vec::new())
     }
 
     fn request_payload(&self) -> Vec<u8> {
@@ -253,7 +268,8 @@ impl LoadGenHost {
 
     fn on_packet(&mut self, seg: Segment, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let key: FlowKey = seg.flow_key();
-        let Some(&idx) = self.by_port.get(&key.local_port) else {
+        let slot = key.local_port.checked_sub(1024).map(usize::from);
+        let Some(&Some(idx)) = slot.and_then(|s| self.by_port.get(s)) else {
             return;
         };
         // Collect response actions to avoid aliasing.
@@ -268,7 +284,7 @@ impl LoadGenHost {
             match c.state {
                 LgState::SynSent => {
                     if seg.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
-                        && seg.tcp.ack == c.iss.wrapping_add(1)
+                        && seg.tcp.ack == c.iss + 1
                     {
                         c.irs = seg.tcp.seq;
                         c.state = LgState::Established;
@@ -280,16 +296,14 @@ impl LoadGenHost {
                 LgState::Established => {
                     // ACK processing for our requests.
                     if seg.tcp.flags.contains(TcpFlags::ACK) {
-                        let una = c.iss.wrapping_add(1).wrapping_add(c.acked_off as u32);
-                        let nxt = c.iss.wrapping_add(1).wrapping_add(c.sent_off as u32);
-                        if seq::gt(seg.tcp.ack, una) && seq::le(seg.tcp.ack, nxt) {
-                            c.acked_off += seq::sub(seg.tcp.ack, una) as u64;
+                        let una = c.seq_of(c.acked_off);
+                        if seg.tcp.ack.gt(una) && seg.tcp.ack.le(c.seq_of(c.sent_off)) {
+                            c.acked_off += (seg.tcp.ack - una) as u64;
                         }
                     }
                     // Response data.
                     if !seg.payload.is_empty() {
-                        let expected = c.irs.wrapping_add(1).wrapping_add(c.rcv_off as u32);
-                        if seg.tcp.seq == expected {
+                        if seg.tcp.seq == c.rcv_seq_of(c.rcv_off) {
                             c.rcv_off += seg.payload.len() as u64;
                             c.last_progress = now;
                             let got = seg.payload.len().min(c.awaiting);
@@ -355,38 +369,16 @@ impl LoadGenHost {
             // Retransmit the outstanding request from its first byte.
             self.rexmits += 1;
             let payload = self.request_payload();
-            let (h, seg_payload) = {
-                let c = &mut self.conns[idx as usize];
-                c.last_progress = now;
-                let mut h = TcpHeader::new(
-                    c.local_port,
-                    self.cfg.port,
-                    c.iss
-                        .wrapping_add(1)
-                        .wrapping_add((c.sent_off - payload.len() as u64) as u32),
-                    c.irs.wrapping_add(1).wrapping_add(c.rcv_off as u32),
-                    TcpFlags::ACK | TcpFlags::PSH,
-                );
-                h.window = ((self.cfg.adv_window >> self.wscale) as u16).max(1);
-                h.options.timestamp = Some((now.as_micros() as u32, c.ts_recent));
-                (h, payload)
-            };
-            let seg = self.seg(h, seg_payload);
+            self.conns[idx as usize].last_progress = now;
+            let c = &self.conns[idx as usize];
+            let mut h = self.header(c, TcpFlags::ACK | TcpFlags::PSH, now);
+            h.seq = c.seq_of(c.sent_off - payload.len() as u64);
+            let seg = self.seg(h, payload);
             self.tx(seg, now, ctx);
         }
         for idx in to_reconnect {
-            // Re-send the SYN.
-            let (h, _) = {
-                let c = &mut self.conns[idx as usize];
-                c.last_progress = now;
-                let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss, 0, TcpFlags::SYN);
-                h.options.mss = Some(1448);
-                h.options.wscale = Some(self.wscale);
-                h.options.timestamp = Some((now.as_micros() as u32, 0));
-                h.window = u16::MAX;
-                (h, ())
-            };
-            let seg = self.seg(h, Vec::new());
+            self.conns[idx as usize].last_progress = now;
+            let seg = self.syn(&self.conns[idx as usize], now);
             self.tx(seg, now, ctx);
         }
     }

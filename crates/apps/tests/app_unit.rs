@@ -1,7 +1,7 @@
 //! Application-logic tests against a mock stack: framing, carry-over on
 //! short writes, FlexStorm's pipeline bookkeeping — no network involved.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use tas_apps::echo::{EchoServer, ServerMode};
 use tas_apps::flexstorm::{FlexStormNode, TUPLE_SIZE};
@@ -15,11 +15,11 @@ use tas_sim::SimTime;
 struct MockApi {
     now: SimTime,
     /// Bytes each socket will deliver on the next recv.
-    rx: HashMap<SockId, VecDeque<u8>>,
+    rx: BTreeMap<SockId, VecDeque<u8>>,
     /// Everything sent per socket.
-    tx: HashMap<SockId, Vec<u8>>,
+    tx: BTreeMap<SockId, Vec<u8>>,
     /// Remaining send budget per socket (None = unlimited).
-    budget: HashMap<SockId, usize>,
+    budget: BTreeMap<SockId, usize>,
     listens: Vec<u16>,
     connects: Vec<(Ipv4Addr, u16)>,
     next_sock: SockId,

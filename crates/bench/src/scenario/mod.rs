@@ -34,6 +34,18 @@
 //!            | WindowStuff(conns, pattern)
 //! bounds    := p99_ratio_max goodput_frac_min     (per stack family)
 //! ```
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::report::{Metric, MetricData, Report};
 use crate::scenarios::Check;

@@ -18,9 +18,21 @@
 //! `crates/tcp/src/cc.rs` (window NewReno/DCTCP) and `crates/tas/src/cc.rs`
 //! (rate DCTCP/TIMELY); `tests/cc_bitidentity.rs` pins pre-unification
 //! trajectories bit-for-bit to prove the move changed no behavior.
-// Panic-freedom is a stack invariant: unwrap/expect are denied in
-// production code (tests are exempt); see tas-lint rule R4.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Fast-path panic freedom (R4, DESIGN.md §11): the window facet runs per
+// ACK inside both fast paths, so production code here may not unwrap or
+// panic; tests are exempt, and `debug_assert!` is the invariant check.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use tas_sim::SimTime;
 

@@ -12,6 +12,18 @@
 //! Everything here is pure arithmetic on explicit inputs — no ambient
 //! time, no randomness, no panics — so the models stay deterministic and
 //! safe on the per-packet path.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use tas_sim::SimTime;
 

@@ -397,7 +397,7 @@ mod tests {
         }
         inj.flush(SimTime::from_us(n as u64), &mut out);
         (
-            out.into_iter().map(|(t, s)| (t, s.tcp.seq)).collect(),
+            out.into_iter().map(|(t, s)| (t, s.tcp.seq.0)).collect(),
             inj.snapshot(),
         )
     }
@@ -488,7 +488,7 @@ mod tests {
         assert!(duplicated > 300, "got {duplicated}");
         assert_eq!(tr.len() as u64, 1000 + duplicated);
         // Copies carry the same sequence number 1ns apart.
-        let mut by_seq = std::collections::HashMap::new();
+        let mut by_seq = std::collections::BTreeMap::new();
         for (_, sn) in &tr {
             *by_seq.entry(*sn).or_insert(0u32) += 1;
         }

@@ -470,7 +470,7 @@ mod tests {
         assert!(a > 40 && b > 40, "both paths used: {a}/{b}");
         // Flow-stability: each flow's two packets landed on the same sink.
         for (label, sink) in [("a", sink_a), ("b", sink_b)] {
-            let mut counts = std::collections::HashMap::new();
+            let mut counts = std::collections::BTreeMap::new();
             for (_, s) in &sim.agent::<Sink>(sink).pkts {
                 *counts.entry(s.tcp.src_port).or_insert(0) += 1;
             }

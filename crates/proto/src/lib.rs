@@ -26,7 +26,7 @@ pub use eth::{EthHeader, EtherType, MacAddr};
 pub use ipv4::{Ecn, Ipv4Header};
 pub use payload::PayloadBuf;
 pub use segment::{FlowKey, Segment};
-pub use tcp::{TcpFlags, TcpHeader, TcpOptions};
+pub use tcp::{Seq, TcpFlags, TcpHeader, TcpOptions};
 
 /// Errors produced when parsing wire-format packets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

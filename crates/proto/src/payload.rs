@@ -20,6 +20,18 @@
 //! last reference drops; oversized (jumbo) buffers are exact-size one-offs
 //! and simply deallocate. The pool is thread-local because the simulator is
 //! single-threaded by design; `PayloadBuf` is deliberately `!Send`.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::cell::RefCell;
 use std::ops::Deref;

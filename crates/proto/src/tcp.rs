@@ -96,6 +96,16 @@ impl TcpOptions {
         }
         (n + 3) & !3
     }
+
+    /// The RTT sample, in µs, that the timestamp echo yields at `now_us`.
+    /// TSecr is peer-controlled and timestamp time wraps at 2^32, so the
+    /// distance is taken in that space: an echo of 0, or one ahead of the
+    /// clock, is no sample.
+    pub fn echo_rtt_us(&self, now_us: u64) -> Option<u32> {
+        let (_, tsecr) = self.timestamp?;
+        let d = (now_us as u32).wrapping_sub(tsecr);
+        (tsecr != 0 && d as i32 >= 0).then(|| d.max(1))
+    }
 }
 
 /// A TCP header in structured form.
@@ -106,9 +116,9 @@ pub struct TcpHeader {
     /// Destination port.
     pub dst_port: u16,
     /// Sequence number of the first payload byte.
-    pub seq: u32,
+    pub seq: Seq,
     /// Acknowledgment number (next expected byte), valid with ACK.
-    pub ack: u32,
+    pub ack: Seq,
     /// Flags.
     pub flags: TcpFlags,
     /// Receive window (unscaled wire value).
@@ -133,8 +143,8 @@ impl TcpHeader {
         TcpHeader {
             src_port,
             dst_port,
-            seq,
-            ack,
+            seq: Seq(seq),
+            ack: Seq(ack),
             flags,
             window: 0,
             urgent: 0,
@@ -143,36 +153,86 @@ impl TcpHeader {
     }
 }
 
-/// Sequence-number arithmetic (RFC 793 §3.3: all comparisons mod 2^32).
-pub mod seq {
-    /// True when `a < b` in sequence space.
-    pub fn lt(a: u32, b: u32) -> bool {
-        (a.wrapping_sub(b) as i32) < 0
+/// A TCP sequence number: a position in the 2^32 sequence space, where
+/// every comparison is modular (RFC 793 §3.3).
+///
+/// `+ u32` wraps and `Seq - Seq` is the forward distance, so neither can
+/// overflow. There is deliberately no `PartialOrd`: a bare comparison
+/// would mis-order across the wrap, so it does not compile, and the
+/// methods ([`Seq::lt`], [`Seq::in_window`], …) are the only ordering.
+///
+/// ```
+/// use tas_proto::tcp::Seq;
+/// let (a, b) = (Seq(u32::MAX - 1), Seq(1));
+/// assert!(a.lt(b) && b.gt(a));
+/// assert_eq!(b - a, 3);
+/// assert_eq!(a + 3, b);
+/// ```
+///
+/// ```compile_fail,E0369
+/// use tas_proto::tcp::Seq;
+/// let _ = Seq(1) < Seq(2);
+/// ```
+///
+/// ```compile_fail,E0308
+/// use tas_proto::tcp::Seq;
+/// let _ = Seq(1) == 1u32;
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Seq(pub u32);
+
+impl Seq {
+    /// True when `self` comes before `other` in sequence space.
+    pub fn lt(self, other: Seq) -> bool {
+        ((self - other) as i32) < 0
     }
 
-    /// True when `a <= b` in sequence space.
-    pub fn le(a: u32, b: u32) -> bool {
-        a == b || lt(a, b)
+    /// True when `self` is `other` or comes before it.
+    pub fn le(self, other: Seq) -> bool {
+        self == other || self.lt(other)
     }
 
-    /// True when `a > b` in sequence space.
-    pub fn gt(a: u32, b: u32) -> bool {
-        lt(b, a)
+    /// True when `self` comes after `other` in sequence space.
+    pub fn gt(self, other: Seq) -> bool {
+        other.lt(self)
     }
 
-    /// True when `a >= b` in sequence space.
-    pub fn ge(a: u32, b: u32) -> bool {
-        le(b, a)
+    /// True when `self` is `other` or comes after it.
+    pub fn ge(self, other: Seq) -> bool {
+        other.le(self)
     }
 
-    /// `a - b` in sequence space, as a (possibly huge) forward distance.
-    pub fn sub(a: u32, b: u32) -> u32 {
-        a.wrapping_sub(b)
+    /// True when `self` lies in the half-open window `[lo, lo + len)`.
+    pub fn in_window(self, lo: Seq, len: u32) -> bool {
+        self - lo < len
     }
+}
 
-    /// True when `x` lies in the half-open window `[lo, lo+len)`.
-    pub fn in_window(x: u32, lo: u32, len: u32) -> bool {
-        sub(x, lo) < len
+impl std::ops::Add<u32> for Seq {
+    type Output = Seq;
+    fn add(self, n: u32) -> Seq {
+        Seq(self.0.wrapping_add(n))
+    }
+}
+
+impl std::ops::Sub for Seq {
+    type Output = u32;
+    /// The forward distance from `rhs` to `self` (huge when `self` is behind).
+    fn sub(self, rhs: Seq) -> u32 {
+        self.0.wrapping_sub(rhs.0)
+    }
+}
+
+impl std::fmt::Display for Seq {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// The bare number, so traces and `Debug` dumps read as before.
+impl std::fmt::Debug for Seq {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
     }
 }
 
@@ -214,15 +274,30 @@ mod tests {
     }
 
     #[test]
-    fn seq_arithmetic_wraps() {
-        use super::seq::*;
-        assert!(lt(u32::MAX, 0));
-        assert!(gt(0, u32::MAX));
-        assert!(le(5, 5));
-        assert!(ge(5, 5));
-        assert_eq!(sub(2, u32::MAX), 3);
-        assert!(in_window(u32::MAX, u32::MAX - 1, 4));
-        assert!(in_window(1, u32::MAX - 1, 4));
-        assert!(!in_window(3, u32::MAX - 1, 4));
+    fn seq_across_the_wrap() {
+        let (hi, lo, half) = (Seq(u32::MAX - 1), Seq(1), i32::MAX as u32);
+        // (a, b, [a.lt(b), a.le(b), a.gt(b), a.ge(b)], b - a)
+        let table = [
+            (hi, lo, [true, true, false, false], 3),
+            (lo, hi, [false, false, true, true], u32::MAX - 2),
+            (Seq(u32::MAX), Seq(0), [true, true, false, false], 1),
+            (Seq(5), Seq(5), [false, true, false, true], 0),
+            // Half the ring is ahead, half behind (2^31 apart is undefined).
+            (Seq(0), Seq(half), [true, true, false, false], half),
+            (Seq(0), Seq(half + 2), [false, false, true, true], half + 2),
+        ];
+        for (a, b, order, dist) in table {
+            assert_eq!([a.lt(b), a.le(b), a.gt(b), a.ge(b)], order, "{a} vs {b}");
+            assert_eq!(b - a, dist, "{a} to {b}");
+        }
+        assert_eq!(hi + 3, lo);
+        assert_eq!(lo + u32::MAX, Seq(0));
+        // [u32::MAX - 1, u32::MAX - 1 + 4) holds MAX-1, MAX, 0, 1.
+        let max = Seq(u32::MAX);
+        for (x, inside) in [(hi, true), (max, true), (lo, true), (Seq(2), false)] {
+            assert_eq!(x.in_window(hi, 4), inside, "{x}");
+        }
+        assert!(!hi.in_window(hi, 0), "an empty window holds nothing");
+        assert_eq!(format!("{lo} {lo:?}"), "1 1");
     }
 }

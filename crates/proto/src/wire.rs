@@ -8,7 +8,7 @@ use crate::checksum::Checksum;
 use crate::eth::{EthHeader, EtherType, MacAddr};
 use crate::ipv4::{Ecn, Ipv4Header};
 use crate::segment::Segment;
-use crate::tcp::{TcpFlags, TcpHeader, TcpOptions};
+use crate::tcp::{Seq, TcpFlags, TcpHeader, TcpOptions};
 use crate::ParseError;
 use std::net::Ipv4Addr;
 
@@ -50,8 +50,8 @@ pub fn serialize(seg: &Segment) -> Vec<u8> {
     let t = &seg.tcp;
     out.extend_from_slice(&t.src_port.to_be_bytes());
     out.extend_from_slice(&t.dst_port.to_be_bytes());
-    out.extend_from_slice(&t.seq.to_be_bytes());
-    out.extend_from_slice(&t.ack.to_be_bytes());
+    out.extend_from_slice(&t.seq.0.to_be_bytes());
+    out.extend_from_slice(&t.ack.0.to_be_bytes());
     let data_off = (t.wire_len() / 4) as u8;
     out.push(data_off << 4);
     out.push(t.flags.0);
@@ -219,8 +219,8 @@ pub fn parse(bytes: &[u8]) -> Result<Segment, ParseError> {
     let tcp = TcpHeader {
         src_port: u16::from_be_bytes([t[0], t[1]]),
         dst_port: u16::from_be_bytes([t[2], t[3]]),
-        seq: u32::from_be_bytes([t[4], t[5], t[6], t[7]]),
-        ack: u32::from_be_bytes([t[8], t[9], t[10], t[11]]),
+        seq: Seq(u32::from_be_bytes([t[4], t[5], t[6], t[7]])),
+        ack: Seq(u32::from_be_bytes([t[8], t[9], t[10], t[11]])),
         flags: TcpFlags(t[13]),
         window: u16::from_be_bytes([t[14], t[15]]),
         urgent: u16::from_be_bytes([t[18], t[19]]),

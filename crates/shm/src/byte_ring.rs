@@ -61,10 +61,14 @@ impl ByteRing {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[allow(
+        clippy::panic,
+        reason = "documented configuration check: rings are built at connection setup, never per packet"
+    )]
     pub fn new(capacity: usize) -> Self {
-        // lint:allow(R4): construction-time configuration check (documented
-        // panic); rings are built at connection setup, never per packet.
-        assert!(capacity > 0, "ring capacity must be positive");
+        if capacity == 0 {
+            panic!("ring capacity must be positive");
+        }
         ByteRing {
             buf: vec![0u8; capacity].into_boxed_slice(),
             start: 0,

@@ -33,10 +33,14 @@ impl<T> DescQueue<T> {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
+    #[allow(
+        clippy::panic,
+        reason = "documented configuration check: queues are built at host setup, never per packet"
+    )]
     pub fn new(capacity: usize) -> Self {
-        // lint:allow(R4): construction-time configuration check (documented
-        // panic); queues are built at host setup, never per packet.
-        assert!(capacity > 0, "queue capacity must be positive");
+        if capacity == 0 {
+            panic!("queue capacity must be positive");
+        }
         DescQueue {
             items: VecDeque::with_capacity(capacity.min(1024)),
             capacity,

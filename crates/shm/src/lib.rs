@@ -17,10 +17,21 @@
 //! The simulator is single-threaded, so these are plain data structures;
 //! the concurrency of the real system is captured by the explicit queue
 //! discipline (nothing ever bypasses a queue) rather than by atomics.
-// Panic-freedom is a stack invariant: unwrap/expect are denied in
-// production code (tests are exempt). Packet-path code degrades
-// gracefully via let-else + debug_assert; see tas-lint rule R4.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Fast-path panic freedom (R4, DESIGN.md §11): the rings and queues are
+// touched per packet, so production code here may not unwrap or panic;
+// it degrades via let-else + debug_assert. Tests are exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod byte_ring;
 mod desc_queue;

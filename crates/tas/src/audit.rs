@@ -215,7 +215,7 @@ mod tests {
         // Stage offsets 5..10 (irs 2: offset 0 is seq 3), then commit up to
         // the interval through the shared ring without the component —
         // what a buggy libTAS could do. No gap: it should have merged.
-        f.rcv.place(8, b"later", true);
+        f.rcv.place(tas_proto::Seq(8), b"later", true);
         f.rcv.rx.append(b"early").unwrap();
         check_flow(0, &f);
     }

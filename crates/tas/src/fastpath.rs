@@ -19,12 +19,23 @@
 //! method (`crate::flow`); what stays here is the sequencing and the
 //! logic that spans components — an ACK advancing `snd`, feeding `cc` and
 //! updating `fc`; `try_tx` reading all five.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::config::TasCosts;
 use crate::flow::{FlowState, FlowTable, Placed};
 use std::net::Ipv4Addr;
 use tas_cpusim::{CycleAccount, Module};
-use tas_proto::tcp::seq;
 use tas_proto::{MacAddr, PayloadBuf, Segment, TcpFlags};
 use tas_sim::{prof_charge, prof_scope, trace, SimTime};
 
@@ -163,14 +174,13 @@ impl FastPath {
         p.stats.pkts_rx += 1;
         let has_payload = !seg.payload.is_empty();
         // Timestamp echo bookkeeping.
-        if let Some((tsval, tsecr)) = seg.tcp.options.timestamp {
+        if let Some((tsval, _)) = seg.tcp.options.timestamp {
             flow.conn.note_ts(tsval);
-            if f.contains(TcpFlags::ACK) && tsecr != 0 {
-                let sample = now.as_micros().wrapping_sub(tsecr as u64).max(1) as u32;
-                flow.conn.rtt_sample(sample);
-            }
         }
         if f.contains(TcpFlags::ACK) {
+            if let Some(sample) = seg.tcp.options.echo_rtt_us(now.as_micros()) {
+                flow.conn.rtt_sample(sample);
+            }
             cycles += p.process_ack(now, fid, flow, &seg, has_payload, acct);
         }
         if has_payload {
@@ -340,8 +350,8 @@ impl Pipe<'_> {
         // A pure window update may unblock transmission.
         let wnd_grew = flow.fc.peer_window(seg.tcp.window);
         let mut want_tx = wnd_grew;
-        if seq::gt(ack, una_seq) && seq::le(ack, hi_seq) {
-            let newly = seq::sub(ack, una_seq) as u64;
+        if ack.gt(una_seq) && ack.le(hi_seq) {
+            let newly = (ack - una_seq) as u64;
             if !flow.snd.consume_acked(newly) {
                 // ACK range validated against hi_seq above; degrade by
                 // ignoring the ACK rather than corrupting the ring.
@@ -506,7 +516,7 @@ impl Pipe<'_> {
 mod tests {
     use super::*;
     use crate::flow::{FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket};
-    use tas_proto::{Ecn, FlowKey, TcpHeader};
+    use tas_proto::{Ecn, FlowKey, Seq, TcpHeader};
     use tas_shm::ByteRing;
 
     const MSS: u32 = 1448;
@@ -593,7 +603,7 @@ mod tests {
         // One ACK staged, acking 20_006.
         assert_eq!(fp.out.packets.len(), 1);
         let ack = &fp.out.packets[0];
-        assert_eq!(ack.tcp.ack, 20_006);
+        assert_eq!(ack.tcp.ack, Seq(20_006));
         assert!(ack.tcp.flags.contains(TcpFlags::ACK));
         assert!(!ack.tcp.flags.contains(TcpFlags::ECE));
         assert_eq!(ack.tcp.options.timestamp, Some((100, 777)));
@@ -663,13 +673,13 @@ mod tests {
             assert_eq!(flow.rcv.ooo_start(), 5);
         }
         // The dup-ACK still asks for 20_001.
-        assert_eq!(fp.out.packets[0].tcp.ack, 20_001);
+        assert_eq!(fp.out.packets[0].tcp.ack, Seq(20_001));
         // Gap fills: both chunks delivered, one merged notice.
         fp.rx_segment(SimTime::ZERO, data_seg(20_001, b"HELLO", false), &mut acct);
         let flow = fp.flows.get_mut(fid).unwrap();
         assert_eq!(flow.rcv.ooo_len(), 0);
         assert_eq!(flow.rcv.rx.pop(16), b"HELLOWORLD");
-        assert_eq!(fp.out.packets[1].tcp.ack, 20_011);
+        assert_eq!(fp.out.packets[1].tcp.ack, Seq(20_011));
         let last = fp.out.notices.last().unwrap();
         assert_eq!(
             last.1.rx_bytes, 10,
@@ -737,8 +747,8 @@ mod tests {
         fp.tx_command(t, fid, &mut acct);
         assert_eq!(fp.out.packets.len(), 3);
         assert_eq!(fp.out.packets[0].payload.len(), MSS as usize);
-        assert_eq!(fp.out.packets[0].tcp.seq, 10_001);
-        assert_eq!(fp.out.packets[1].tcp.seq, 10_001 + MSS);
+        assert_eq!(fp.out.packets[0].tcp.seq, Seq(10_001));
+        assert_eq!(fp.out.packets[1].tcp.seq, Seq(10_001 + MSS));
         assert_eq!(fp.out.packets[2].payload.len(), 3000 - 2 * MSS as usize);
         assert_eq!(fp.out.packets[0].ip.ecn, Ecn::Ect0, "data is ECT(0)");
         let flow = fp.flows.get(fid).unwrap();
@@ -770,7 +780,7 @@ mod tests {
         // CE-marked data from the peer that also acknowledges all 1000 bytes.
         let t = SimTime::from_us(100);
         let mut seg = data_seg(20_001, b"hello", true);
-        seg.tcp.ack = 10_001 + 1000;
+        seg.tcp.ack = Seq(10_001 + 1000);
         fp.rx_segment(t, seg, &mut acct);
         let notice = |rx_bytes, tx_acked| {
             let opaque = 42;
@@ -796,26 +806,26 @@ mod tests {
         );
         assert_eq!(fp.out.packets, vec![built]);
         let h = &fp.out.packets[0].tcp;
-        assert_eq!((h.seq, h.ack), (10_001 + 1000, 20_006));
+        assert_eq!((h.seq, h.ack), (Seq(10_001 + 1000), Seq(20_006)));
         assert_eq!(h.flags, TcpFlags::ACK | TcpFlags::ECE);
         assert_eq!(h.options.timestamp, Some((100, 777)));
     }
 
     #[test]
-    fn tsecr_ahead_of_the_clock_cannot_overflow_the_rtt_estimate() {
-        // TSecr is peer-controlled: echoing a value ahead of our clock
-        // wraps the sample to ~2^32 µs, and the second such sample used to
-        // overflow the u32 EWMA (debug panic, silent wrap in release).
+    fn tsecr_ahead_of_the_clock_is_not_an_rtt_sample() {
+        // TSecr is peer-controlled: an echo ahead of our clock (here 4 µs)
+        // is, in wrapping timestamp space, almost 2^32 µs behind it. It
+        // used to saturate the estimate; now it is no sample at all.
         let mut fp = fp();
         let fid = install(&mut fp);
         let mut acct = CycleAccount::new();
-        for seq in [20_001, 20_002] {
+        for (seq, tsecr) in [(20_001, 5), (20_002, 1_000_000)] {
             let mut seg = data_seg(seq, b"x", false);
-            seg.tcp.options.timestamp = Some((777, 5));
+            seg.tcp.options.timestamp = Some((777, tsecr));
             fp.rx_segment(SimTime::from_us(4), seg, &mut acct);
         }
         let flow = fp.flows.get(fid).unwrap();
-        assert_eq!(flow.conn.rtt_est_us(), u32::MAX, "saturated, not wrapped");
+        assert_eq!(flow.conn.rtt_est_us(), 0, "no sample taken");
         assert_eq!(flow.rcv.rx.len(), 2, "both segments still delivered");
     }
 
@@ -873,7 +883,7 @@ mod tests {
         assert_eq!(flow.cc.cnt_frexmits(), 1);
         // Retransmission resent everything from the left edge.
         assert!(fp.out.packets.len() > first_sent);
-        assert_eq!(fp.out.packets[first_sent].tcp.seq, 10_001);
+        assert_eq!(fp.out.packets[first_sent].tcp.seq, Seq(10_001));
     }
 
     #[test]

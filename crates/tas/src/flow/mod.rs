@@ -17,6 +17,18 @@
 //! components' `new` constructors) and the payload rings
 //! [`FpSendRel::tx`] / [`FpRecvRel::rx`], which are the shared-memory
 //! surface the application writes and reads without entering TAS.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod congctrl;
 mod flowctrl;
@@ -32,7 +44,7 @@ pub use send::FpSendRel;
 
 use crate::slab::{FlowIndex, Slab};
 use std::net::Ipv4Addr;
-use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, TcpFlags, TcpHeader};
+use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::SimTime;
 
 /// TAS's receive window scale shift (negotiated by the slow path).
@@ -105,13 +117,13 @@ pub struct FlowState {
 
 impl FlowState {
     /// Local sequence number for an absolute TX stream offset.
-    pub fn seq_of(&self, off: u64) -> u32 {
-        self.snd.iss().wrapping_add(1).wrapping_add(off as u32)
+    pub fn seq_of(&self, off: u64) -> Seq {
+        self.snd.iss() + 1 + off as u32
     }
 
     /// Peer sequence number for an absolute RX stream offset.
-    pub fn rcv_seq_of(&self, off: u64) -> u32 {
-        self.rcv.irs().wrapping_add(1).wrapping_add(off as u32)
+    pub fn rcv_seq_of(&self, off: u64) -> Seq {
+        self.rcv.irs() + 1 + off as u32
     }
 
     /// Absolute TX offset of the next unsent byte.
@@ -146,8 +158,8 @@ impl FlowState {
         let mut h = TcpHeader::new(
             key.local_port,
             key.remote_port,
-            self.seq_of(self.nxt_off()),
-            self.rcv_seq_of(self.rcv.rx.end_offset()),
+            self.seq_of(self.nxt_off()).0,
+            self.rcv_seq_of(self.rcv.rx.end_offset()).0,
             flags,
         );
         h.window = (self.adv_window() >> TAS_WSCALE).min(u16::MAX as u64) as u16;
@@ -300,8 +312,8 @@ mod tests {
     #[test]
     fn seq_offset_mapping() {
         let f = dummy_flow(7);
-        assert_eq!(f.seq_of(0), 101);
-        assert_eq!(f.rcv_seq_of(5), 206);
+        assert_eq!(f.seq_of(0), Seq(101));
+        assert_eq!(f.rcv_seq_of(5), Seq(206));
         assert_eq!(f.nxt_off(), 0);
     }
 
@@ -310,7 +322,7 @@ mod tests {
         let mut f = dummy_flow(7);
         assert_eq!(f.adv_window(), 1024);
         // 100 bytes staged 10 past the frontier (irs 200: offset 0 is 201).
-        assert_eq!(f.rcv.place(211, &[7; 100], true), Placed::Staged);
+        assert_eq!(f.rcv.place(Seq(211), &[7; 100], true), Placed::Staged);
         assert_eq!(f.adv_window(), 924);
     }
 }

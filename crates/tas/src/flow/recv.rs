@@ -5,7 +5,7 @@
 //! placement policy (trim, in-order append and merge, the single-interval
 //! decision, horizon) is this component's step, not the orchestrator's.
 
-use tas_proto::tcp::seq;
+use tas_proto::tcp::Seq;
 use tas_shm::ByteRing;
 
 /// What [`FpRecvRel::place`] did with one data segment.
@@ -37,7 +37,7 @@ pub struct FpRecvRel {
     /// consumes it without entering TAS (§3.1).
     pub rx: ByteRing,
     /// Peer initial sequence number; peer seq = irs + 1 + rx offset.
-    irs: u32,
+    irs: Seq,
     /// Out-of-order interval start as an absolute RX stream offset
     /// (ooo_start); meaningful when `ooo_len > 0`.
     ooo_start: u64,
@@ -50,7 +50,7 @@ impl FpRecvRel {
     pub fn new(rx: ByteRing, irs: u32) -> FpRecvRel {
         FpRecvRel {
             rx,
-            irs,
+            irs: Seq(irs),
             ooo_start: 0,
             ooo_len: 0,
         }
@@ -58,7 +58,7 @@ impl FpRecvRel {
 
     /// Peer initial sequence number; peer seq = irs + 1 + rx offset.
     #[inline]
-    pub fn irs(&self) -> u32 {
+    pub fn irs(&self) -> Seq {
         self.irs
     }
 
@@ -77,17 +77,15 @@ impl FpRecvRel {
 
     /// Places one data segment starting at peer sequence number `seg_seq`.
     /// `track_ooo = false` is go-back-N: everything out of order drops.
-    pub fn place(&mut self, seg_seq: u32, mut data: &[u8], track_ooo: bool) -> Placed {
+    pub fn place(&mut self, seg_seq: Seq, mut data: &[u8], track_ooo: bool) -> Placed {
         let frontier = self.rx.end_offset();
-        let expected = self.irs.wrapping_add(1).wrapping_add(frontier as u32);
+        let expected = self.irs + 1 + frontier as u32;
         // Trim a partially-old segment against the frontier.
-        let ahead = if seq::lt(seg_seq, expected) {
-            data = data
-                .get(seq::sub(expected, seg_seq) as usize..)
-                .unwrap_or(&[]);
+        let ahead = if seg_seq.lt(expected) {
+            data = data.get((expected - seg_seq) as usize..).unwrap_or(&[]);
             0
         } else {
-            seq::sub(seg_seq, expected) as u64
+            (seg_seq - expected) as u64
         };
         if data.is_empty() {
             return Placed::Duplicate;
@@ -262,9 +260,9 @@ mod tests {
         for c in cases {
             let mut rcv = FpRecvRel::new(ByteRing::new(16), 999);
             for (seq, data) in c.pre {
-                rcv.place(*seq, data, true);
+                rcv.place(Seq(*seq), data, true);
             }
-            let got = rcv.place(c.seg.0, c.seg.1, true);
+            let got = rcv.place(Seq(c.seg.0), c.seg.1, true);
             assert_eq!(got, c.want, "{}", c.name);
             assert_eq!(rcv.ooo_len(), c.interval.1, "{}: interval length", c.name);
             if c.interval.1 > 0 {
@@ -274,7 +272,7 @@ mod tests {
         }
         // Go-back-N mode: what would have been staged drops, untracked.
         let mut rcv = FpRecvRel::new(ByteRing::new(16), 999);
-        assert_eq!(rcv.place(1004, b"EFGH", false), Placed::Dropped);
+        assert_eq!(rcv.place(Seq(1004), b"EFGH", false), Placed::Dropped);
         assert_eq!((rcv.ooo_len(), rcv.rx.len()), (0, 0));
     }
 }

@@ -4,6 +4,7 @@
 //! to this module: writes go through the `&mut self` methods here, reads
 //! through getters.
 
+use tas_proto::tcp::Seq;
 use tas_shm::ByteRing;
 
 /// Send-reliability component: the transmit ring, in-flight accounting,
@@ -22,7 +23,7 @@ pub struct FpSendRel {
     /// ACKs for them must still be accepted).
     max_sent_off: u64,
     /// Local initial sequence number; local seq = iss + 1 + tx offset.
-    iss: u32,
+    iss: Seq,
     /// Duplicate ACK count (dupack_cnt).
     dupack_cnt: u8,
     /// A TX-poll timer is armed for this flow (rate pacing).
@@ -40,7 +41,7 @@ impl FpSendRel {
             tx,
             tx_sent: 0,
             max_sent_off: 0,
-            iss,
+            iss: Seq(iss),
             dupack_cnt: 0,
             tx_timer_armed: false,
             last_una_off: 0,
@@ -62,7 +63,7 @@ impl FpSendRel {
 
     /// Local initial sequence number; local seq = iss + 1 + tx offset.
     #[inline]
-    pub fn iss(&self) -> u32 {
+    pub fn iss(&self) -> Seq {
         self.iss
     }
 

@@ -25,7 +25,8 @@
 //! path cores, app cores) as one network agent.
 // Panic-freedom is a stack invariant: unwrap/expect are denied in
 // production code (tests are exempt). Packet-path code degrades
-// gracefully via let-else + debug_assert; see tas-lint rule R4.
+// gracefully via let-else + debug_assert; the fast-path modules deny
+// the full R4 list (DESIGN.md §11).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;

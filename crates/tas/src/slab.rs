@@ -17,6 +17,18 @@
 //!
 //! Neither structure allocates on lookup, and the index only allocates on
 //! growth (doubling at 3/4 load).
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use tas_proto::FlowKey;
 

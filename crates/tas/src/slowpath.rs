@@ -20,8 +20,7 @@ use crate::flow::{
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_cpusim::{CycleAccount, Module};
-use tas_proto::tcp::seq;
-use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_shm::ByteRing;
 use tas_sim::{probe, prof_charge, prof_scope, trace, SimTime};
 
@@ -117,8 +116,8 @@ struct Handshake {
     peer_mac: MacAddr,
     opaque: u64,
     context: u16,
-    iss: u32,
-    irs: u32,
+    iss: Seq,
+    irs: Seq,
     peer_wscale: u8,
     peer_win: u64,
     ts_recent: u32,
@@ -135,9 +134,9 @@ struct Teardown {
     peer_mac: MacAddr,
     opaque: u64,
     /// Sequence of our FIN (== snd_nxt at close time).
-    fin_seq: u32,
+    fin_seq: Seq,
     /// What we acknowledge (peer's nxt, +1 once their FIN is in).
-    rcv_ack: u32,
+    rcv_ack: Seq,
     ts_recent: u32,
     fin_acked: bool,
     peer_fin: bool,
@@ -259,8 +258,8 @@ impl SlowPath {
             peer_mac,
             opaque,
             context,
-            iss,
-            irs: 0,
+            iss: Seq(iss),
+            irs: Seq(0),
             peer_wscale: 0,
             peer_win: 0,
             ts_recent: 0,
@@ -276,12 +275,12 @@ impl SlowPath {
     fn send_syn(&mut self, now: SimTime, hs: &Handshake) {
         // ECN negotiation (TAS runs DCTCP).
         let flags = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
-        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, 0, 0);
+        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, Seq(0), 0);
     }
 
     fn send_synack(&mut self, now: SimTime, hs: &Handshake) {
         let flags = TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE; // Accept ECN.
-        let ack = hs.irs.wrapping_add(1);
+        let ack = hs.irs + 1;
         self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, ack, hs.ts_recent);
     }
 
@@ -297,8 +296,8 @@ impl SlowPath {
         };
         let flow = FlowState {
             conn: FpConnMgmt::new(hs.opaque, hs.context, hs.key, hs.peer_mac, hs.ts_recent),
-            snd: FpSendRel::new(ByteRing::new(self.tx_buf), hs.iss),
-            rcv: FpRecvRel::new(ByteRing::new(self.rx_buf), hs.irs),
+            snd: FpSendRel::new(ByteRing::new(self.tx_buf), hs.iss.0),
+            rcv: FpRecvRel::new(ByteRing::new(self.rx_buf), hs.irs.0),
             fc: FpFlowCtrl::new(hs.peer_win, hs.peer_wscale),
             cc: FpCongCtrl::new(bucket),
         };
@@ -371,7 +370,7 @@ impl SlowPath {
         let fin_seq = flow.seq_of(flow.nxt_off());
         let mut rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset());
         if peer_fin {
-            rcv_ack = rcv_ack.wrapping_add(1);
+            rcv_ack = rcv_ack + 1;
         }
         let td = Teardown {
             key: flow.conn.key(),
@@ -413,11 +412,11 @@ impl SlowPath {
         key: FlowKey,
         peer_mac: MacAddr,
         flags: TcpFlags,
-        seq_no: u32,
-        ack: u32,
+        seq_no: Seq,
+        ack: Seq,
         ts_ecr: u32,
     ) {
-        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no, ack, flags);
+        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no.0, ack.0, flags);
         if flags.contains(TcpFlags::SYN) {
             h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
             h.options.wscale = Some(TAS_WSCALE);
@@ -491,7 +490,7 @@ impl SlowPath {
                 peer_mac: seg.eth.src,
                 opaque: fresh_opaque,
                 context: context_for_accept,
-                iss: fresh_iss,
+                iss: Seq(fresh_iss),
                 irs: seg.tcp.seq,
                 peer_wscale: seg.tcp.options.wscale.unwrap_or(0),
                 peer_win: seg.tcp.window as u64,
@@ -511,7 +510,7 @@ impl SlowPath {
                 self.stats.dropped += 1;
                 return cycles;
             };
-            if hs.state != HsState::SynSent || seg.tcp.ack != hs.iss.wrapping_add(1) {
+            if hs.state != HsState::SynSent || seg.tcp.ack != hs.iss + 1 {
                 self.handshakes.insert(key, hs);
                 return cycles;
             }
@@ -525,8 +524,8 @@ impl SlowPath {
                 key,
                 hs.peer_mac,
                 TcpFlags::ACK,
-                hs.iss.wrapping_add(1),
-                hs.irs.wrapping_add(1),
+                hs.iss + 1,
+                hs.irs + 1,
                 hs.ts_recent,
             );
             let fid = self.install(fp, &hs, now);
@@ -544,7 +543,7 @@ impl SlowPath {
             let hs_done = self
                 .handshakes
                 .get(&key)
-                .is_some_and(|hs| hs.state == HsState::SynAckSent && seg.tcp.ack == hs.iss.wrapping_add(1));
+                .is_some_and(|hs| hs.state == HsState::SynAckSent && seg.tcp.ack == hs.iss + 1);
             if hs_done {
                 if let Some(mut hs) = self.handshakes.remove(&key) {
                     hs.ts_recent = ts;
@@ -565,7 +564,7 @@ impl SlowPath {
                 }
             }
             if let Some(td) = self.teardowns.get_mut(&key) {
-                if seg.tcp.ack == td.fin_seq.wrapping_add(1) {
+                if seg.tcp.ack == td.fin_seq + 1 {
                     td.fin_acked = true;
                     if td.peer_fin {
                         let Some(td) = self.teardowns.remove(&key) else {
@@ -614,14 +613,14 @@ impl SlowPath {
             let expected = flow.rcv_seq_of(flow.rcv.rx.end_offset());
             // Deliver any payload carried with the FIN (rare; peers here
             // send pure FINs, but be liberal).
-            let fin_seq = seg.tcp.seq.wrapping_add(seg.payload.len() as u32);
-            if seq::gt(fin_seq, expected) && !seg.payload.is_empty() && seg.tcp.seq == expected {
+            let fin_seq = seg.tcp.seq + seg.payload.len() as u32;
+            if fin_seq.gt(expected) && !seg.payload.is_empty() && seg.tcp.seq == expected {
                 let take = seg.payload.len().min(flow.rcv.rx.free());
                 if flow.rcv.rx.append(&seg.payload[..take]).is_err() {
                     debug_assert!(false, "append is bounded by rx.free()");
                 }
             }
-            let rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset()).wrapping_add(1);
+            let rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset()) + 1;
             let peer_mac = flow.conn.peer_mac();
             let seq_no = flow.seq_of(flow.nxt_off());
             // Record the peer FIN so a later local close skips its wait.
@@ -629,7 +628,7 @@ impl SlowPath {
                 key,
                 peer_mac,
                 opaque: flow.conn.opaque(),
-                fin_seq: 0,
+                fin_seq: Seq(0),
                 rcv_ack,
                 ts_recent: ts,
                 fin_acked: false,
@@ -646,19 +645,13 @@ impl SlowPath {
         if let Some(td) = self.teardowns.get_mut(&key) {
             td.peer_fin = true;
             td.ts_recent = ts;
-            let ack = seg
-                .tcp
-                .seq
-                .wrapping_add(seg.payload.len() as u32)
-                .wrapping_add(1);
+            let ack = seg.tcp.seq + seg.payload.len() as u32 + 1;
             td.rcv_ack = ack;
             let (peer_mac, fin_seq, fin_acked) = (td.peer_mac, td.fin_seq, td.fin_acked);
             // ACK their FIN; our seq is past our FIN.
-            let seq_no = fin_seq.wrapping_add(1);
+            let seq_no = fin_seq + 1;
             self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, ack, ts);
-            if fin_acked
-                || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == fin_seq.wrapping_add(1)
-            {
+            if fin_acked || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == fin_seq + 1 {
                 let Some(td) = self.teardowns.remove(&key) else {
                     debug_assert!(false, "teardown vanished mid-fin");
                     return 0;
@@ -686,10 +679,7 @@ impl SlowPath {
             seg.eth.src,
             TcpFlags::ACK,
             seg.tcp.ack,
-            seg.tcp
-                .seq
-                .wrapping_add(seg.payload.len() as u32)
-                .wrapping_add(1),
+            seg.tcp.seq + seg.payload.len() as u32 + 1,
             ts,
         );
         0

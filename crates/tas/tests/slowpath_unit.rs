@@ -7,7 +7,7 @@ use tas::fastpath::FastPath;
 use tas::slowpath::{SlowPath, SpAppEvent};
 use tas::{CcAlgo, TasConfig, TasCosts};
 use tas_cpusim::CycleAccount;
-use tas_proto::{MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_proto::{MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::SimTime;
 
 fn server_pair(cc: CcAlgo) -> (SlowPath, FastPath) {
@@ -67,11 +67,11 @@ fn establish(sp: &mut SlowPath, fp: &mut FastPath, sport: u16) -> u32 {
     let synack = sp.out.packets.pop().expect("SYN-ACK staged");
     assert!(synack.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
     assert!(synack.tcp.flags.contains(TcpFlags::ECE), "ECN accepted");
-    assert_eq!(synack.tcp.ack, 5001);
+    assert_eq!(synack.tcp.ack, Seq(5001));
     // Final ACK completes the handshake and installs the flow.
     sp.on_exception(
         t + SimTime::from_us(50),
-        plain_ack(sport, 5001, synack.tcp.seq.wrapping_add(1)),
+        plain_ack(sport, 5001, (synack.tcp.seq + 1).0),
         fp,
         0,
         0,
@@ -94,7 +94,7 @@ fn passive_handshake_installs_flow() {
     let (mut sp, mut fp) = server_pair(CcAlgo::None);
     let fid = establish(&mut sp, &mut fp, 4000);
     let flow = fp.flows.get(fid).expect("installed");
-    assert_eq!(flow.rcv.irs(), 5000);
+    assert_eq!(flow.rcv.irs(), Seq(5000));
     assert_eq!(flow.conn.opaque(), 77);
     assert_eq!(flow.fc.peer_wscale(), 7);
     assert_eq!(sp.stats.established, 1);
@@ -172,10 +172,10 @@ fn peer_fin_acks_and_notifies() {
     fin.tcp.flags = TcpFlags::FIN | TcpFlags::ACK;
     // Patch the ACK to the server's actual sequence space.
     let iss = fp.flows.get(fid).expect("flow").snd.iss();
-    fin.tcp.ack = iss.wrapping_add(1);
+    fin.tcp.ack = iss + 1;
     sp.on_exception(SimTime::from_ms(1), fin, &mut fp, 0, 0, 0, &mut acct);
     let ack = sp.out.packets.pop().expect("FIN must be ACKed");
-    assert_eq!(ack.tcp.ack, 5002, "FIN occupies one sequence number");
+    assert_eq!(ack.tcp.ack, Seq(5002), "FIN occupies one sequence number");
     assert!(sp
         .out
         .events
@@ -193,7 +193,7 @@ fn peer_fin_acks_and_notifies() {
     sp.out.events.clear();
     sp.on_exception(
         SimTime::from_ms(3),
-        plain_ack(4000, 5002, our_fin.tcp.seq.wrapping_add(1)),
+        plain_ack(4000, 5002, (our_fin.tcp.seq + 1).0),
         &mut fp,
         0,
         0,

@@ -32,8 +32,7 @@ pub use send::SendRel;
 
 use crate::cc::{AckInfo, CcKind};
 use std::net::Ipv4Addr;
-use tas_proto::tcp::seq;
-use tas_proto::{Ecn, FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_proto::{Ecn, FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{probe, prof_scope, trace, SimTime};
 
 /// TCP connection states (RFC 793), minus LISTEN which is a host-level
@@ -246,8 +245,7 @@ impl TcpConn {
         probe! { conn.trace_now = now; }
         conn.mgmt.set_state(TcpState::SynSent);
         let mut h = conn.header(TcpFlags::SYN, now);
-        h.seq = iss;
-        h.ack = 0;
+        h.seq = Seq(iss);
         if conn.cfg.ecn {
             h.flags |= TcpFlags::ECE | TcpFlags::CWR;
         }
@@ -280,8 +278,8 @@ impl TcpConn {
         let active = conn.cfg.ecn && peer_wants_ecn;
         conn.cc.set_active(active);
         let mut h = conn.header(TcpFlags::SYN | TcpFlags::ACK, now);
-        h.seq = iss;
-        h.ack = syn.tcp.seq.wrapping_add(1);
+        h.seq = Seq(iss);
+        h.ack = syn.tcp.seq + 1;
         if conn.cc.ecn_active() {
             h.flags |= TcpFlags::ECE;
         }
@@ -296,7 +294,7 @@ impl TcpConn {
     fn new_common(cfg: TcpConfig, local: EndpointInfo, remote: EndpointInfo, iss: u32) -> TcpConn {
         TcpConn {
             mgmt: ConnMgmt::new(local, remote),
-            snd: SendRel::new(iss, cfg.send_buf, cfg.rto_min, cfg.rto_max),
+            snd: SendRel::new(Seq(iss), cfg.send_buf, cfg.rto_min, cfg.rto_max),
             rcv: RecvRel::new(cfg.recv_buf, cfg.keep_ooo),
             fc: FlowCtrl::new(cfg.mss, cfg.recv_buf),
             cc: CongCtrl::new(cfg.cc, cfg.mss),
@@ -341,7 +339,7 @@ impl TcpConn {
 
     /// Emits one Retransmit record for this flow.
     #[cfg(feature = "telemetry")]
-    fn trace_rexmit(&self, kind: &'static str, seq: u32) {
+    fn trace_rexmit(&self, kind: &'static str, seq: Seq) {
         let flow = self.flow_key();
         trace!("conn", self.trace_now, Retransmit { flow, kind, seq });
     }
@@ -478,20 +476,20 @@ impl TcpConn {
     // ------------------------------------------------------------------
     // Sequence/offset mapping.
 
-    fn seq_of(&self, off: u64) -> u32 {
-        self.snd.iss().wrapping_add(1).wrapping_add(off as u32)
+    fn seq_of(&self, off: u64) -> Seq {
+        self.snd.iss() + 1 + off as u32
     }
 
-    fn rcv_seq_of(&self, off: u64) -> u32 {
-        self.rcv.irs().wrapping_add(1).wrapping_add(off as u32)
+    fn rcv_seq_of(&self, off: u64) -> Seq {
+        self.rcv.irs() + 1 + off as u32
     }
 
-    fn ack_value(&self) -> u32 {
+    fn ack_value(&self) -> Seq {
         // ACK covers the peer FIN once all data before it is consumed.
         let mut a = self.rcv_seq_of(self.rcv.rcv_off());
         if let Some(fo) = self.mgmt.peer_fin_off() {
             if self.rcv.rcv_off() >= fo {
-                a = a.wrapping_add(1);
+                a = a + 1;
             }
         }
         a
@@ -560,7 +558,7 @@ impl TcpConn {
         h.ack = self.ack_value();
         if self.cfg.keep_ooo {
             if let Some((off, len)) = self.rcv.reasm().first_range() {
-                h.options.sack_block = Some((self.rcv_seq_of(off), self.rcv_seq_of(off + len)));
+                h.options.sack_block = Some((self.rcv_seq_of(off).0, self.rcv_seq_of(off + len).0));
             }
         }
         if self.echo_ece() {
@@ -779,9 +777,9 @@ impl TcpConn {
                 let mut h = self.header(flags, now);
                 h.seq = self.snd.iss();
                 h.ack = if self.mgmt.state() == TcpState::SynRcvd {
-                    self.rcv.irs().wrapping_add(1)
+                    self.rcv.irs() + 1
                 } else {
-                    0
+                    Seq(0)
                 };
                 self.set_syn_options(&mut h);
                 self.stats.retransmits += 1;
@@ -857,7 +855,7 @@ impl TcpConn {
         if !f.contains(TcpFlags::SYN | TcpFlags::ACK) {
             return;
         }
-        if seg.tcp.ack != self.snd.iss().wrapping_add(1) {
+        if seg.tcp.ack != self.snd.iss() + 1 {
             return;
         }
         self.rcv.init_irs(seg.tcp.seq);
@@ -867,12 +865,7 @@ impl TcpConn {
         self.mgmt.set_state(TcpState::Established);
         self.snd.disarm_rto();
         // RTT from the handshake echo.
-        if let Some((_, tsecr)) = seg.tcp.options.timestamp {
-            if tsecr != 0 {
-                let sample = now.as_micros().wrapping_sub(tsecr as u64);
-                self.snd.rtt_update(SimTime::from_us(sample.max(1)));
-            }
-        }
+        self.rtt_from_echo(now, &seg);
         self.events.push(TcpEvent::Connected);
         self.emit_ack(now);
     }
@@ -883,21 +876,24 @@ impl TcpConn {
             // Duplicate SYN: retransmit SYN-ACK via timer path; ignore here.
             return;
         }
-        if f.contains(TcpFlags::ACK) && seg.tcp.ack == self.snd.iss().wrapping_add(1) {
+        if f.contains(TcpFlags::ACK) && seg.tcp.ack == self.snd.iss() + 1 {
             self.mgmt.set_state(TcpState::Established);
             self.snd.disarm_rto();
             self.fc.update_wnd(seg.tcp.window);
-            if let Some((_, tsecr)) = seg.tcp.options.timestamp {
-                if tsecr != 0 {
-                    let sample = now.as_micros().wrapping_sub(tsecr as u64);
-                    self.snd.rtt_update(SimTime::from_us(sample.max(1)));
-                }
-            }
+            self.rtt_from_echo(now, &seg);
             self.events.push(TcpEvent::Connected);
             // The ACK may carry data; fall through.
             if !seg.payload.is_empty() || f.contains(TcpFlags::FIN) {
                 self.on_segment_established(now, seg);
             }
+        }
+    }
+
+    /// Feeds the estimator one RTT sample from the segment's timestamp
+    /// echo, if it carries a valid one.
+    fn rtt_from_echo(&mut self, now: SimTime, seg: &Segment) {
+        if let Some(us) = seg.tcp.options.echo_rtt_us(now.as_micros()) {
+            self.snd.rtt_update(SimTime::from_us(us as u64));
         }
     }
 
@@ -923,14 +919,14 @@ impl TcpConn {
         // recovery may have rewound nxt below data the peer holds.
         let mut max_seq = self.seq_of(self.snd.max_sent_off().max(self.snd.nxt_off()));
         if self.mgmt.fin_sent() {
-            max_seq = max_seq.wrapping_add(1);
+            max_seq = max_seq + 1;
         }
         let ece = self.cc.ecn_active() && seg.tcp.flags.contains(TcpFlags::ECE);
         if ece {
             self.stats.ece_in += 1;
         }
-        if seq::gt(ack, una_seq) && seq::le(ack, max_seq) {
-            let mut newly = seq::sub(ack, una_seq) as u64;
+        if ack.gt(una_seq) && ack.le(max_seq) {
+            let mut newly = (ack - una_seq) as u64;
             // Does the ack cover our FIN?
             if self.mgmt.fin_sent() && ack == max_seq {
                 self.mgmt.mark_fin_acked();
@@ -944,13 +940,7 @@ impl TcpConn {
                 self.events.push(TcpEvent::SendSpaceAvailable);
             }
             self.snd.reset_dupacks();
-            // RTT sample from the timestamp echo.
-            if let Some((_, tsecr)) = seg.tcp.options.timestamp {
-                if tsecr != 0 {
-                    let sample = now.as_micros().wrapping_sub(tsecr as u64);
-                    self.snd.rtt_update(SimTime::from_us(sample.max(1)));
-                }
-            }
+            self.rtt_from_echo(now, seg);
             // Congestion response. NewReno reduces at most once per window
             // in flight; DCTCP consumes every echo for its mark fraction.
             let cc_ece = match self.cfg.cc {
@@ -1014,7 +1004,7 @@ impl TcpConn {
                 let hole_end = match seg.tcp.options.sack_block {
                     Some((l, _)) => {
                         let una = self.seq_of(self.snd.una_off());
-                        self.snd.una_off() + seq::sub(l, una) as u64
+                        self.snd.una_off() + (Seq(l) - una) as u64
                     }
                     None => self.snd.recover_off(),
                 };
@@ -1041,9 +1031,9 @@ impl TcpConn {
         }
         // Offset of the segment start relative to rcv_nxt.
         let data = &seg.payload;
-        if seq::ge(rcv_nxt, seg_seq) {
+        if rcv_nxt.ge(seg_seq) {
             // Starts at or before rcv_nxt: possibly old data.
-            let skip = seq::sub(rcv_nxt, seg_seq) as usize;
+            let skip = (rcv_nxt - seg_seq) as usize;
             if skip >= data.len() {
                 // Entirely old: pure duplicate.
                 self.emit_ack(now);
@@ -1061,7 +1051,7 @@ impl TcpConn {
             }
         } else {
             // Out of order: ahead of rcv_nxt.
-            let off = self.rcv.rcv_off() + seq::sub(seg_seq, rcv_nxt) as u64;
+            let off = self.rcv.rcv_off() + (seg_seq - rcv_nxt) as u64;
             if self.cfg.keep_ooo {
                 // Bound by the receive window horizon.
                 let horizon = self.rcv.rcv_off() + self.rcv.rx().free() as u64;
@@ -1087,9 +1077,9 @@ impl TcpConn {
 
     fn process_fin(&mut self, now: SimTime, seg: &Segment) {
         let rcv_nxt = self.rcv_seq_of(self.rcv.rcv_off());
-        let fin_seq = seg.tcp.seq.wrapping_add(seg.payload.len() as u32);
-        let fin_off = self.rcv.rcv_off() + seq::sub(fin_seq, rcv_nxt) as u64;
-        if seq::gt(fin_seq, rcv_nxt) {
+        let fin_seq = seg.tcp.seq + seg.payload.len() as u32;
+        let fin_off = self.rcv.rcv_off() + (fin_seq - rcv_nxt) as u64;
+        if fin_seq.gt(rcv_nxt) {
             // FIN beyond in-order data we hold: remember and ack what we
             // have (the gap will be retransmitted).
             self.mgmt.set_peer_fin(fin_off);

@@ -5,6 +5,7 @@
 //! everything else reads through getters.
 
 use crate::reasm::Reassembler;
+use tas_proto::tcp::Seq;
 use tas_shm::ByteRing;
 
 /// Receive-reliability component: owns ordered delivery to the
@@ -12,7 +13,7 @@ use tas_shm::ByteRing;
 #[derive(Debug)]
 pub struct RecvRel {
     /// Initial receive sequence number (peer's ISS).
-    irs: u32,
+    irs: Seq,
     /// Stream offset of the next in-order byte expected (`rcv_nxt`).
     rcv_off: u64,
     /// In-order receive buffer the application reads from.
@@ -24,7 +25,7 @@ pub struct RecvRel {
 impl RecvRel {
     pub(crate) fn new(recv_buf: usize, keep_ooo: bool) -> RecvRel {
         RecvRel {
-            irs: 0,
+            irs: Seq(0),
             rcv_off: 0,
             rx: ByteRing::new(recv_buf),
             reasm: Reassembler::new(if keep_ooo { recv_buf } else { 0 }),
@@ -33,7 +34,7 @@ impl RecvRel {
 
     /// Initial receive sequence number (peer's ISS).
     #[inline]
-    pub fn irs(&self) -> u32 {
+    pub fn irs(&self) -> Seq {
         self.irs
     }
 
@@ -56,7 +57,7 @@ impl RecvRel {
     }
 
     /// Latches the peer's ISS and resets the frontier (handshake).
-    pub(crate) fn init_irs(&mut self, irs: u32) {
+    pub(crate) fn init_irs(&mut self, irs: Seq) {
         self.irs = irs;
         self.rcv_off = 0;
     }

@@ -5,6 +5,7 @@
 //! self` methods here, everything else reads through getters.
 
 use crate::rtt::RttEstimator;
+use tas_proto::tcp::Seq;
 use tas_shm::ByteRing;
 use tas_sim::SimTime;
 
@@ -28,7 +29,7 @@ use tas_sim::SimTime;
 #[derive(Debug)]
 pub struct SendRel {
     /// Initial send sequence number.
-    iss: u32,
+    iss: Seq,
     /// Stream offset of the first unacknowledged byte (`snd_una`).
     una_off: u64,
     /// Stream offset of the next byte to transmit (`snd_nxt`).
@@ -55,7 +56,7 @@ pub struct SendRel {
 }
 
 impl SendRel {
-    pub(crate) fn new(iss: u32, send_buf: usize, rto_min: SimTime, rto_max: SimTime) -> SendRel {
+    pub(crate) fn new(iss: Seq, send_buf: usize, rto_min: SimTime, rto_max: SimTime) -> SendRel {
         SendRel {
             iss,
             una_off: 0,
@@ -73,7 +74,7 @@ impl SendRel {
 
     /// Initial send sequence number.
     #[inline]
-    pub fn iss(&self) -> u32 {
+    pub fn iss(&self) -> Seq {
         self.iss
     }
 

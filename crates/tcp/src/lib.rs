@@ -22,7 +22,7 @@
 //! Nagle (datacenter stacks disable it), no urgent data, short TIME_WAIT.
 // Panic-freedom is a stack invariant: unwrap/expect are denied in
 // production code (tests are exempt). Packet-path code degrades
-// gracefully via let-else + debug_assert; see tas-lint rule R4.
+// gracefully via let-else + debug_assert (DESIGN.md §11).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;

@@ -2,7 +2,7 @@
 //! configurable latency and programmable drops.
 
 use std::net::Ipv4Addr;
-use tas_proto::{Ecn, MacAddr, Segment, TcpFlags};
+use tas_proto::{Ecn, MacAddr, Segment, Seq, TcpFlags};
 use tas_sim::SimTime;
 use tas_tcp::{CcKind, TcpConfig, TcpConn, TcpEvent, TcpState};
 
@@ -254,7 +254,7 @@ fn single_drop_recovers_via_fast_retransmit() {
         // Drop the 5th data segment toward b, once.
         let mut dropped = false;
         w.filter = Box::new(move |seg, to_b, _| {
-            let off = seg.tcp.seq.wrapping_sub(iss.0.wrapping_add(1));
+            let off = seg.tcp.seq - (Seq(iss.0) + 1);
             if to_b && !seg.payload.is_empty() && off >= 4 * 1448 && !dropped {
                 dropped = true;
                 return true;

@@ -45,7 +45,7 @@ pub use spans::Stage;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use tas_proto::{FlowKey, Segment, TcpFlags};
+use tas_proto::{FlowKey, Segment, Seq, TcpFlags};
 use tas_sim::SimTime;
 
 /// One structured flow event.
@@ -90,7 +90,7 @@ pub enum TraceEvent {
         /// `"handshake"` (SYN/SYN-ACK/FIN retry).
         kind: &'static str,
         /// First sequence number retransmitted.
-        seq: u32,
+        seq: Seq,
     },
     /// The receiver placed data out of order (the fast path's single
     /// tracked OOO interval).
@@ -117,7 +117,7 @@ pub enum TraceEvent {
         /// The flow, from the far end's perspective.
         flow: FlowKey,
         /// Sequence number of the affected packet.
-        seq: u32,
+        seq: Seq,
         /// Identity of the injecting device (NIC MAC low bits or switch
         /// port index).
         dev: u64,
@@ -127,7 +127,7 @@ pub enum TraceEvent {
         /// The flow, from the receiver's perspective.
         flow: FlowKey,
         /// Sequence number of the marked packet.
-        seq: u32,
+        seq: Seq,
     },
     /// A span hop completed: a payload range finished one stage of its
     /// app-to-app journey (see [`spans`] for the stage taxonomy and the
@@ -140,7 +140,7 @@ pub enum TraceEvent {
         /// recorded it.
         flow: FlowKey,
         /// TCP sequence number of the range's first payload byte.
-        seq: u32,
+        seq: Seq,
         /// Payload bytes covered by this stamp.
         len: u32,
         /// Time the unit spent queued at this hop before service began
@@ -486,7 +486,7 @@ mod tests {
         assert_eq!(recs.len(), 4);
         // Oldest evicted: the survivors are 6..10.
         match &recs[0].ev {
-            TraceEvent::SegRx { seg } => assert_eq!(seg.tcp.seq, 6),
+            TraceEvent::SegRx { seg } => assert_eq!(seg.tcp.seq, Seq(6)),
             _ => panic!("wrong event"),
         }
         stop();
@@ -570,7 +570,7 @@ mod tests {
                 ev: TraceEvent::Retransmit {
                     flow,
                     kind: "fast",
-                    seq: 99,
+                    seq: Seq(99),
                 },
             },
             TraceRecord {
@@ -596,14 +596,14 @@ mod tests {
                 ev: TraceEvent::Fault {
                     verdict: "drop",
                     flow,
-                    seq: 7,
+                    seq: Seq(7),
                     dev: 1,
                 },
             },
             TraceRecord {
                 t: SimTime::from_us(9),
                 site: "switch",
-                ev: TraceEvent::EcnMark { flow, seq: 8 },
+                ev: TraceEvent::EcnMark { flow, seq: Seq(8) },
             },
         ];
         let a = render_jsonl(&records);

@@ -178,10 +178,10 @@ mod tests {
         assert_eq!(pkts[0].t, SimTime::from_us(7));
         assert_eq!(pkts[1].t, SimTime::from_secs(2) + SimTime::from_ns(5));
         let back1 = wire::parse(&pkts[0].frame).unwrap();
-        assert_eq!(back1.tcp.seq, 100);
+        assert_eq!(back1.tcp.seq.0, 100);
         assert_eq!(back1.payload, vec![0x5a; 32]);
         let back2 = wire::parse(&pkts[1].frame).unwrap();
-        assert_eq!(back2.tcp.seq, 132);
+        assert_eq!(back2.tcp.seq.0, 132);
         assert!(back2.payload.is_empty());
     }
 
@@ -211,7 +211,7 @@ mod tests {
         let bytes = from_records(&recs, |s| s == "nic");
         let pkts = parse(&bytes).unwrap();
         assert_eq!(pkts.len(), 1);
-        assert_eq!(wire::parse(&pkts[0].frame).unwrap().tcp.seq, 1);
+        assert_eq!(wire::parse(&pkts[0].frame).unwrap().tcp.seq.0, 1);
     }
 
     #[test]

@@ -31,6 +31,18 @@
 //! The profiler is thread-local, never consults any simulation RNG, and
 //! is compiled into stack crates only under their `telemetry` feature: a
 //! default build contains none of this code.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

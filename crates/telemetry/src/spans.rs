@@ -202,7 +202,7 @@ pub fn assemble(records: &[TraceRecord], evicted: u64) -> Vec<Span> {
             by_flow
                 .entry(flow)
                 .or_default()
-                .push((r.t.as_nanos(), stage, seq, len, wait_ns));
+                .push((r.t.as_nanos(), stage, seq.0, len, wait_ns));
         }
     }
     let mut spans = Vec::new();
@@ -410,7 +410,7 @@ mod tests {
             ev: TraceEvent::Stage {
                 stage,
                 flow: flow(),
-                seq,
+                seq: tas_proto::Seq(seq),
                 len,
                 wait_ns,
             },

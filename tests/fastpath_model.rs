@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
 use tas_repro::cpusim::CycleAccount;
-use tas_repro::proto::{FlowKey, MacAddr, Segment, TcpFlags, TcpHeader};
+use tas_repro::proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_repro::shm::ByteRing;
 use tas_repro::sim::SimTime;
 use tas_repro::tas::fastpath::FastPath;
@@ -135,7 +135,7 @@ proptest! {
             fp.rx_segment(SimTime::from_us(t), data_seg(irs, *off, data), &mut acct);
             // Acks are cumulative and monotone.
             for pkt in fp.out.packets.drain(..) {
-                let ack_off = pkt.tcp.ack.wrapping_sub(irs.wrapping_add(1));
+                let ack_off = pkt.tcp.ack - (Seq(irs) + 1);
                 prop_assert!(ack_off >= last_ack, "ack regressed");
                 last_ack = ack_off;
                 // Never acks data that was not sent.

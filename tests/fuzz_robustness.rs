@@ -10,8 +10,9 @@ use tas_repro::netsim::app::App;
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
 use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
 use tas_repro::proto::{Ecn, MacAddr, Segment, TcpFlags, TcpHeader};
-use tas_repro::sim::{AgentId, Sim, SimTime};
+use tas_repro::sim::{impl_as_any, Agent, AgentId, Ctx, Event, Sim, SimTime};
 use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::tcp::EndpointInfo;
 
 fn arb_hostile_segment() -> impl Strategy<Value = Segment> {
     (
@@ -56,21 +57,36 @@ fn arb_hostile_tsecr() -> impl Strategy<Value = u32> {
     prop_oneof![1_000_000u32..2_000_000, Just(u32::MAX), Just(1u32)]
 }
 
-/// An ACK on the live client's 4-tuple, so it passes the flow lookup and
-/// reaches the fast path's timestamp and ACK processing.
-fn on_flow_ack(seq: u32, ack: u32, tsecr: u32) -> Segment {
-    let mut h = TcpHeader::new(LIVE_CLIENT_PORT, 7, seq, ack, TcpFlags::ACK);
+/// A segment on the live client's 4-tuple (host 1 to the echo server at
+/// host 0), so it passes the server's flow lookup.
+fn on_flow(seq: u32, ack: u32, flags: TcpFlags, tsecr: u32, payload: &[u8]) -> Segment {
+    let mut h = TcpHeader::new(LIVE_CLIENT_PORT, 7, seq, ack, flags);
     h.window = 1000;
     h.options.timestamp = Some((seq, tsecr));
+    let (client, server) = (MacAddr::for_host(2), MacAddr::for_host(1));
     Segment::tcp(
-        MacAddr::for_host(2),
-        MacAddr::for_host(1),
+        client,
+        server,
         host_ip(1),
         host_ip(0),
         h,
-        Vec::new(),
+        payload.to_vec(),
         false,
     )
+}
+
+fn endpoints() -> (EndpointInfo, EndpointInfo) {
+    let a = EndpointInfo {
+        ip: Ipv4Addr::new(10, 0, 0, 1),
+        port: 80,
+        mac: MacAddr::for_host(1),
+    };
+    let b = EndpointInfo {
+        ip: Ipv4Addr::new(10, 0, 0, 9),
+        port: 999,
+        mac: MacAddr::for_host(9),
+    };
+    (a, b)
 }
 
 /// A TAS echo server with one established flow from a Linux-model client
@@ -114,9 +130,67 @@ fn build_tas() -> (Sim<NetMsg>, AgentId) {
     (sim, topo.hosts[0])
 }
 
+/// Records what the host under test sends it, so a test can aim ACKs at
+/// the host's live sequence space.
+#[derive(Default)]
+struct Tap(Vec<Segment>);
+
+impl Agent<NetMsg> for Tap {
+    fn on_event(&mut self, ev: Event<NetMsg>, _: &mut Ctx<'_, NetMsg>) {
+        if let Event::Msg {
+            msg: NetMsg::Packet(seg),
+            ..
+        } = ev
+        {
+            self.0.push(seg);
+        }
+    }
+    impl_as_any!();
+}
+
+/// A Linux-model echo server with one established flow from a raw peer
+/// (the [`Tap`], host 1) that sent one 64-byte request: the echo is in
+/// flight. Returns the server and the ACK number that acknowledges it.
+fn build_linux_with_flow() -> (Sim<NetMsg>, AgentId, u32) {
+    let mut sim: Sim<NetMsg> = Sim::new(13);
+    let hosts = build_linux_star(&mut sim, 2);
+    let (server, tap) = (hosts[0], hosts[1]);
+    sim.run_until(SimTime::from_us(100));
+    let syn = on_flow(500, 0, TcpFlags::SYN, 0, &[]);
+    sim.inject_msg(SimTime::from_us(100), 0, server, NetMsg::Packet(syn));
+    sim.run_until(SimTime::from_us(200));
+    let iss = sim.agent::<Tap>(tap).0[0].tcp.seq.0;
+    let req = on_flow(
+        501,
+        iss.wrapping_add(1),
+        TcpFlags::ACK | TcpFlags::PSH,
+        0,
+        &[7; 64],
+    );
+    sim.inject_msg(SimTime::from_us(200), 0, server, NetMsg::Packet(req));
+    sim.run_until(SimTime::from_us(300));
+    assert_eq!(
+        sim.agent::<Tap>(tap).0.last().map(|s| s.payload.len()),
+        Some(64),
+        "echoed"
+    );
+    (sim, server, iss.wrapping_add(65))
+}
+
 fn build_linux() -> (Sim<NetMsg>, AgentId) {
     let mut sim: Sim<NetMsg> = Sim::new(12);
+    let hosts = build_linux_star(&mut sim, 1);
+    sim.run_until(SimTime::from_us(100));
+    (sim, hosts[0])
+}
+
+/// `n` hosts in a star: a Linux-model echo server on port 7 at host 0,
+/// [`Tap`]s behind it; every host's start timer is injected.
+fn build_linux_star(sim: &mut Sim<NetMsg>, n: usize) -> Vec<AgentId> {
     let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        if spec.index > 0 {
+            return sim.add_agent(Box::new(Tap::default()));
+        }
         let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 100));
         sim.add_agent(Box::new(StackHost::new(
             spec.ip,
@@ -129,15 +203,16 @@ fn build_linux() -> (Sim<NetMsg>, AgentId) {
         )))
     };
     let topo = build_star(
-        &mut sim,
-        1,
+        sim,
+        n,
         |_| PortConfig::tengig(),
         |_| NicConfig::client_10g(1),
         &mut factory,
     );
-    sim.inject_timer(SimTime::ZERO, topo.hosts[0], 0, 0);
-    sim.run_until(SimTime::from_us(100));
-    (sim, topo.hosts[0])
+    for &h in &topo.hosts {
+        sim.inject_timer(SimTime::ZERO, h, 0, 0);
+    }
+    topo.hosts
 }
 
 proptest! {
@@ -149,15 +224,15 @@ proptest! {
     #[test]
     fn tas_host_survives_garbage(
         segs in proptest::collection::vec(arb_hostile_segment(), 1..40),
-        on_flow in proptest::collection::vec((any::<u32>(), any::<u32>(), arb_hostile_tsecr()), 2..8),
+        flow_acks in proptest::collection::vec((any::<u32>(), any::<u32>(), arb_hostile_tsecr()), 2..8),
     ) {
         let (mut sim, host) = build_tas();
         prop_assert_eq!(sim.agent::<TasHost>(host).flow_count(), 1, "the client connected");
         let fast_path_before = sim.agent::<TasHost>(host).fp_stats().pkts_rx;
         let mut t = SimTime::from_us(600);
-        let on_flow_count = on_flow.len() as u64;
-        let on_flow = on_flow.into_iter().map(|(seq, ack, tsecr)| on_flow_ack(seq, ack, tsecr));
-        for seg in segs.into_iter().chain(on_flow) {
+        let on_flow_count = flow_acks.len() as u64;
+        let acks = flow_acks.into_iter().map(|(seq, ack, tsecr)| on_flow(seq, ack, TcpFlags::ACK, tsecr, &[]));
+        for seg in segs.into_iter().chain(acks) {
             sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
@@ -185,13 +260,49 @@ proptest! {
         let _ = sim.agent::<StackHost>(host).telemetry_snapshot();
     }
 
+    /// A Linux-model host fed ACKs with hostile timestamp echoes on an
+    /// established flow, each acknowledging part of its in-flight echo so
+    /// that it reaches the RTT estimator, keeps running and never panics.
+    #[test]
+    fn linux_host_survives_hostile_tsecr_on_flow(
+        acks in proptest::collection::vec((0u32..=64, arb_hostile_tsecr()), 1..8),
+    ) {
+        let (mut sim, host, echo_acked) = build_linux_with_flow();
+        let n = acks.len() as u64;
+        let mut t = SimTime::from_us(300);
+        for (back, tsecr) in acks {
+            let seg = on_flow(565, echo_acked.wrapping_sub(back), TcpFlags::ACK, tsecr, &[]);
+            sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+            t += SimTime::from_us(3);
+        }
+        sim.run_until(t + SimTime::from_ms(50));
+        // The request, then every ACK, reached the connection.
+        prop_assert_eq!(sim.agent::<StackHost>(host).tcp_stats().segs_in, 1 + n);
+    }
+
+    /// A SYN-ACK that acknowledges our SYN but echoes a hostile timestamp
+    /// completes the handshake; an echo ahead of the clock is no RTT sample.
+    #[test]
+    fn tcp_conn_handshake_survives_hostile_tsecr(tsecr in arb_hostile_tsecr()) {
+        use tas_repro::tcp::{TcpConfig, TcpConn, TcpState};
+        let (a, b) = endpoints();
+        let mut conn = TcpConn::connect(SimTime::from_us(1), TcpConfig::default(), a, b, 42);
+        let now = SimTime::from_us(10);
+        let mut h = TcpHeader::new(b.port, a.port, 7_000, 43, TcpFlags::SYN | TcpFlags::ACK);
+        h.options.timestamp = Some((5, tsecr));
+        conn.on_segment(now, Segment::tcp(b.mac, a.mac, b.ip, a.ip, h, Vec::new(), false));
+        prop_assert_eq!(conn.state(), TcpState::Established);
+        // Timestamp time wraps: only an echo less than 2^31 µs behind the
+        // clock is a sample, so no echo can inflate the estimate past that.
+        prop_assert!(conn.srtt().is_none_or(|rtt| rtt < SimTime::from_us(1 << 31)));
+    }
+
     /// A live TcpConn fed arbitrary segments never panics and keeps its
     /// sequence bookkeeping self-consistent.
     #[test]
     fn tcp_conn_survives_garbage(segs in proptest::collection::vec(arb_hostile_segment(), 1..60)) {
-        use tas_repro::tcp::{EndpointInfo, TcpConfig, TcpConn};
-        let a = EndpointInfo { ip: Ipv4Addr::new(10, 0, 0, 1), port: 80, mac: MacAddr::for_host(1) };
-        let b = EndpointInfo { ip: Ipv4Addr::new(10, 0, 0, 9), port: 999, mac: MacAddr::for_host(9) };
+        use tas_repro::tcp::{TcpConfig, TcpConn};
+        let (a, b) = endpoints();
         let mut conn = TcpConn::connect(SimTime::from_us(1), TcpConfig::default(), a, b, 42);
         conn.take_outgoing();
         let mut t = SimTime::from_us(10);

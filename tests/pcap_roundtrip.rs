@@ -11,7 +11,7 @@ use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 use tas_repro::netsim::app::App;
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
 use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::proto::{wire, Segment, TcpFlags};
+use tas_repro::proto::{wire, Segment, Seq, TcpFlags};
 use tas_repro::sim::{AgentId, Sim, SimTime};
 use tas_repro::tas::{TasConfig, TasHost};
 use tas_repro::telemetry::{self, pcap, TraceEvent, TraceRecord};
@@ -120,7 +120,7 @@ fn pcap_capture_is_ordered_and_coherent_per_flow() {
 
     // On a clean network nothing is retransmitted, so within each
     // direction of each flow the sequence numbers never rewind.
-    let mut last_seq: BTreeMap<(Ipv4Addr, u16, Ipv4Addr, u16), u32> = BTreeMap::new();
+    let mut last_seq: BTreeMap<(Ipv4Addr, u16, Ipv4Addr, u16), Seq> = BTreeMap::new();
     let mut flows = 0usize;
     for pkt in &pkts {
         let seg = wire::parse(&pkt.frame).expect("frame decodes");
@@ -134,7 +134,7 @@ fn pcap_capture_is_ordered_and_coherent_per_flow() {
                 );
             }
             Some(&prev) => assert!(
-                seg.tcp.seq.wrapping_sub(prev) < u32::MAX / 2,
+                seg.tcp.seq.ge(prev),
                 "seq rewound on clean network for {key:?}: {prev} -> {}",
                 seg.tcp.seq
             ),

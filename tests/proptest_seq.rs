@@ -1,12 +1,12 @@
 //! Property tests for RFC 793 sequence-number arithmetic.
 //!
 //! Every ACK-acceptance, window, and out-of-order decision in both stacks
-//! reduces to these five functions; a wraparound bug here corrupts
+//! reduces to the methods of `Seq`; a wraparound bug here corrupts
 //! connections only once per 4 GB of stream, which no example-based test
 //! reliably catches.
 
 use proptest::prelude::*;
-use tas_repro::proto::tcp::seq;
+use tas_repro::proto::Seq;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -15,12 +15,12 @@ proptest! {
     /// where the wrap falls.
     #[test]
     fn forward_step_is_greater(a in any::<u32>(), d in 1u32..0x8000_0000) {
-        let b = a.wrapping_add(d);
-        prop_assert!(seq::lt(a, b));
-        prop_assert!(seq::le(a, b));
-        prop_assert!(seq::gt(b, a));
-        prop_assert!(seq::ge(b, a));
-        prop_assert!(!seq::lt(b, a));
+        let (a, b) = (Seq(a), Seq(a) + d);
+        prop_assert!(a.lt(b));
+        prop_assert!(a.le(b));
+        prop_assert!(b.gt(a));
+        prop_assert!(b.ge(a));
+        prop_assert!(!b.lt(a));
     }
 
     /// For distances below the 2^31 ambiguity point, exactly one ordering
@@ -28,27 +28,28 @@ proptest! {
     /// both stacks keep windows far smaller, as TCP must).
     #[test]
     fn ordering_is_antisymmetric(a in any::<u32>(), d in 1u32..0x8000_0000) {
-        let b = a.wrapping_add(d);
-        prop_assert_ne!(seq::lt(a, b), seq::lt(b, a));
-        prop_assert!(!(seq::gt(a, b) && seq::gt(b, a)));
+        let (a, b) = (Seq(a), Seq(a) + d);
+        prop_assert_ne!(a.lt(b), b.lt(a));
+        prop_assert!(!(a.gt(b) && b.gt(a)));
     }
 
     /// Equality is reflexive and excludes strict orderings.
     #[test]
     fn equality_cases(a in any::<u32>()) {
-        prop_assert!(seq::le(a, a));
-        prop_assert!(seq::ge(a, a));
-        prop_assert!(!seq::lt(a, a));
-        prop_assert!(!seq::gt(a, a));
+        let a = Seq(a);
+        prop_assert!(a.le(a));
+        prop_assert!(a.ge(a));
+        prop_assert!(!a.lt(a));
+        prop_assert!(!a.gt(a));
     }
 
-    /// `sub` inverts `wrapping_add` exactly, across the wrap.
+    /// `Seq - Seq` inverts `Seq + u32` exactly, across the wrap.
     #[test]
     fn sub_inverts_add(a in any::<u32>(), d in any::<u32>()) {
-        prop_assert_eq!(seq::sub(a.wrapping_add(d), a), d);
+        prop_assert_eq!((Seq(a) + d) - Seq(a), d);
     }
 
-    /// `in_window(x, lo, len)` holds exactly for the `len` sequence
+    /// `x.in_window(lo, len)` holds exactly for the `len` sequence
     /// numbers starting at `lo`, wherever the window wraps.
     #[test]
     fn window_membership_is_exact(
@@ -56,15 +57,15 @@ proptest! {
         len in 1u32..0x8000_0000,
         probe in any::<u32>(),
     ) {
+        let (lo, probe) = (Seq(lo), Seq(probe));
         // A point chosen inside is always in; the two boundary points
         // behave half-open.
-        let inside = lo.wrapping_add(probe % len);
-        prop_assert!(seq::in_window(inside, lo, len));
-        prop_assert!(seq::in_window(lo, lo, len));
-        prop_assert!(!seq::in_window(lo.wrapping_add(len), lo, len));
+        let inside = lo + probe.0 % len;
+        prop_assert!(inside.in_window(lo, len));
+        prop_assert!(lo.in_window(lo, len));
+        prop_assert!(!(lo + len).in_window(lo, len));
         // An arbitrary probe agrees with the distance definition.
-        let member = seq::sub(probe, lo) < len;
-        prop_assert_eq!(seq::in_window(probe, lo, len), member);
+        prop_assert_eq!(probe.in_window(lo, len), probe - lo < len);
     }
 
     /// Transitivity within a window: if three points sit inside one
@@ -76,10 +77,10 @@ proptest! {
     ) {
         offs.sort_unstable();
         offs.dedup();
-        let pts: Vec<u32> = offs.iter().map(|&o| lo.wrapping_add(o)).collect();
+        let pts: Vec<Seq> = offs.iter().map(|&o| Seq(lo) + o).collect();
         for i in 0..pts.len() {
             for j in (i + 1)..pts.len() {
-                prop_assert!(seq::lt(pts[i], pts[j]), "offsets {offs:?} at base {lo}");
+                prop_assert!(pts[i].lt(pts[j]), "offsets {offs:?} at base {lo}");
             }
         }
     }

@@ -109,11 +109,11 @@ proptest! {
     /// ordering primitives.
     #[test]
     fn seq_window_consistent(lo in any::<u32>(), len in 1u32..1_000_000, delta in 0u32..2_000_000) {
-        use tas_repro::proto::tcp::seq;
-        let x = lo.wrapping_add(delta);
-        prop_assert_eq!(seq::in_window(x, lo, len), delta < len);
+        use tas_repro::proto::Seq;
+        let (lo, x) = (Seq(lo), Seq(lo) + delta);
+        prop_assert_eq!(x.in_window(lo, len), delta < len);
         if delta > 0 && delta < u32::MAX / 2 {
-            prop_assert!(seq::gt(x, lo) || delta == 0);
+            prop_assert!(x.gt(lo) || delta == 0);
         }
     }
 }
