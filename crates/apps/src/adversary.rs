@@ -151,7 +151,8 @@ impl App for SlowReader {
                 self.readable_events += 1;
                 if self.resumed {
                     for i in 0..self.socks.len() {
-                        self.bytes_read += api.recv(self.socks[i], usize::MAX).len() as u64;
+                        self.bytes_read +=
+                            api.recv_with(self.socks[i], usize::MAX, &mut |d| d.len()) as u64;
                     }
                 }
             }
@@ -160,7 +161,8 @@ impl App for SlowReader {
             } => {
                 self.resumed = true;
                 for i in 0..self.socks.len() {
-                    self.bytes_read += api.recv(self.socks[i], usize::MAX).len() as u64;
+                    self.bytes_read +=
+                        api.recv_with(self.socks[i], usize::MAX, &mut |d| d.len()) as u64;
                 }
             }
             _ => {}

@@ -19,6 +19,8 @@ pub struct BulkSender {
     sent: BTreeMap<SockId, u64>,
     /// Total payload bytes accepted by the stack.
     pub total_sent: u64,
+    /// The bytes every write sends; grown to the largest chunk asked for.
+    fill: Vec<u8>,
 }
 
 impl BulkSender {
@@ -32,6 +34,7 @@ impl BulkSender {
             chunk: 8192,
             sent: BTreeMap::new(),
             total_sent: 0,
+            fill: Vec::new(),
         }
     }
 
@@ -47,7 +50,10 @@ impl BulkSender {
                 }
                 want = want.min(left as usize);
             }
-            let n = api.send(sock, &vec![0x6b; want]);
+            if self.fill.len() < want {
+                self.fill.resize(want, 0x6b);
+            }
+            let n = api.send(sock, &self.fill[..want]);
             *self.sent.entry(sock).or_insert(0) += n as u64;
             self.total_sent += n as u64;
             if n < want {
@@ -134,7 +140,7 @@ impl App for BulkReceiver {
                 self.window_bytes.insert(sock, 0);
             }
             AppEvent::Readable { sock } => {
-                let n = api.recv(sock, usize::MAX).len() as u64;
+                let n = api.recv_with(sock, usize::MAX, &mut |data| data.len()) as u64;
                 self.total += n;
                 *self.window_bytes.entry(sock).or_insert(0) += n;
             }

@@ -40,6 +40,8 @@ pub struct EchoServer {
     pub accepted: u64,
     /// Bytes buffered per socket until a full message is present.
     partial: PerSock<usize>,
+    /// Echo mode's copy of one read, kept for its capacity.
+    buf: Vec<u8>,
     out: SendBuf,
 }
 
@@ -56,6 +58,7 @@ impl EchoServer {
             bytes_out: 0,
             accepted: 0,
             partial: PerSock::default(),
+            buf: Vec::new(),
             out: SendBuf::default(),
         }
     }
@@ -99,18 +102,26 @@ impl App for EchoServer {
                 }
             }
             AppEvent::Readable { sock } => {
-                let data = api.recv(sock, usize::MAX);
-                self.bytes_in += data.len() as u64;
+                let echo = self.mode == ServerMode::Echo;
+                let buf = &mut self.buf;
+                buf.clear();
+                let len = api.recv_with(sock, usize::MAX, &mut |data| {
+                    if echo {
+                        buf.extend_from_slice(data);
+                    }
+                    data.len()
+                });
+                self.bytes_in += len as u64;
                 let have = self.partial.slot(sock);
-                *have += data.len();
+                *have += len;
                 let full = *have / self.msg_size;
                 *have %= self.msg_size;
                 for _ in 0..full {
                     self.messages += 1;
                     api.charge_app_cycles(self.app_cycles);
                 }
-                if self.mode == ServerMode::Echo && !data.is_empty() {
-                    let n = self.out.send(api, sock, &data);
+                if echo && len > 0 {
+                    let n = self.out.send(api, sock, &self.buf);
                     self.bytes_out += n as u64;
                 }
             }
@@ -177,6 +188,8 @@ pub struct RpcClient {
     /// (0 = unlimited).
     pub max_requests: u64,
     sock_index: PerSock<Option<usize>>,
+    /// The request every connection sends.
+    req: Vec<u8>,
 }
 
 impl RpcClient {
@@ -208,6 +221,7 @@ impl RpcClient {
             measure_from: SimTime::ZERO,
             max_requests: 0,
             sock_index: PerSock::default(),
+            req: vec![0xab; req_size],
         }
     }
 
@@ -229,7 +243,6 @@ impl RpcClient {
         if self.max_requests > 0 && self.sent >= self.max_requests {
             return;
         }
-        let req = vec![0xabu8; self.req_size];
         let now = api.now();
         let sock = self.conns[idx].sock;
         // Don't launch a request if a previous one is still carried — the
@@ -237,7 +250,7 @@ impl RpcClient {
         if self.out.pending(sock) > 4 * self.req_size {
             return;
         }
-        self.out.send(api, sock, &req);
+        self.out.send(api, sock, &self.req);
         let c = &mut self.conns[idx];
         c.outstanding += 1;
         c.sent_at.push(now);
@@ -293,9 +306,9 @@ impl App for RpcClient {
                 let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
-                let data = api.recv(sock, usize::MAX);
+                let len = api.recv_with(sock, usize::MAX, &mut |data| data.len());
                 let now = api.now();
-                self.conns[idx].pending += data.len();
+                self.conns[idx].pending += len;
                 while self.conns[idx].pending >= self.req_size {
                     self.conns[idx].pending -= self.req_size;
                     self.done += 1;
@@ -378,7 +391,7 @@ impl App for SinkClient {
 
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         if let AppEvent::Readable { sock } = ev {
-            self.bytes += api.recv(sock, usize::MAX).len() as u64;
+            self.bytes += api.recv_with(sock, usize::MAX, &mut |data| data.len()) as u64;
         }
     }
 

@@ -152,6 +152,24 @@ struct SinkConn {
     got: u64,
 }
 
+impl SinkConn {
+    /// Counts received bytes, parsing the flow header from the first
+    /// [`FLOW_HDR`] of them.
+    fn absorb(&mut self, mut data: &[u8]) {
+        if self.hdr.len() < FLOW_HDR {
+            let take = (FLOW_HDR - self.hdr.len()).min(data.len());
+            self.hdr.extend_from_slice(&data[..take]);
+            self.got += take as u64;
+            data = &data[take..];
+            if self.hdr.len() == FLOW_HDR {
+                self.start_ps = u64::from_be_bytes(self.hdr[..8].try_into().expect("sized"));
+                self.size = u64::from_be_bytes(self.hdr[8..16].try_into().expect("sized"));
+            }
+        }
+        self.got += data.len() as u64;
+    }
+}
+
 impl FlowSink {
     /// Creates a sink.
     pub fn new(port: u16) -> Self {
@@ -183,24 +201,17 @@ impl App for FlowSink {
                 });
             }
             AppEvent::Readable { sock } => {
-                let data = api.recv(sock, usize::MAX);
                 let now = api.now();
-                let Some(c) = self.conns.slot(sock) else {
+                let conn = self.conns.slot(sock);
+                api.recv_with(sock, usize::MAX, &mut |data| {
+                    if let Some(c) = conn.as_mut() {
+                        c.absorb(data);
+                    }
+                    data.len()
+                });
+                let Some(c) = conn else {
                     return;
                 };
-                let mut data = &data[..];
-                if c.hdr.len() < FLOW_HDR {
-                    let need = FLOW_HDR - c.hdr.len();
-                    let take = need.min(data.len());
-                    c.hdr.extend_from_slice(&data[..take]);
-                    c.got += take as u64;
-                    data = &data[take..];
-                    if c.hdr.len() == FLOW_HDR {
-                        c.start_ps = u64::from_be_bytes(c.hdr[..8].try_into().expect("sized"));
-                        c.size = u64::from_be_bytes(c.hdr[8..16].try_into().expect("sized"));
-                    }
-                }
-                c.got += data.len() as u64;
                 if c.size > 0 && c.got >= c.size {
                     let start = SimTime::from_ps(c.start_ps);
                     let fct = now.saturating_sub(start);

@@ -32,23 +32,22 @@ pub const OP_GET: u8 = 0;
 /// SET opcode.
 pub const OP_SET: u8 = 1;
 
-fn req_len() -> usize {
-    REQ_HDR + VAL_SIZE // SETs carry a value; GETs carry zero-padding so
-                       // both directions have fixed sizes (keeps framing
-                       // trivial and matches the paper's ~100B requests).
-}
+/// Request bytes: SETs carry a value; GETs carry zero-padding so both
+/// directions have fixed sizes (keeps framing trivial and matches the
+/// paper's ~100B requests).
+const REQ_LEN: usize = REQ_HDR + VAL_SIZE;
 
-fn resp_len() -> usize {
-    RESP_HDR + VAL_SIZE
-}
+/// Response bytes.
+const RESP_LEN: usize = RESP_HDR + VAL_SIZE;
 
 /// The key-value store server.
 pub struct KvServer {
     /// Listening port.
     pub port: u16,
     /// Keyed by the wire's key id: a `BTreeMap`, so a client's key choice
-    /// cannot size an allocation.
-    store: BTreeMap<u32, Vec<u8>>,
+    /// cannot size an allocation. Values are fixed-size, so a SET of a
+    /// stored key overwrites it in place.
+    store: BTreeMap<u32, [u8; VAL_SIZE]>,
     /// Base application cycles per GET (hash + lookup + response build).
     pub get_cycles: u64,
     /// Base application cycles per SET.
@@ -63,7 +62,10 @@ pub struct KvServer {
     pub gets: u64,
     /// SET operations served.
     pub sets: u64,
+    /// Received bytes not yet parsed into a whole request, per socket.
     partial: PerSock<Vec<u8>>,
+    /// One read's responses, sent together; kept for its capacity.
+    responses: Vec<u8>,
     out: SendBuf,
 }
 
@@ -81,6 +83,7 @@ impl KvServer {
             gets: 0,
             sets: 0,
             partial: PerSock::default(),
+            responses: Vec::new(),
             out: SendBuf::default(),
         }
     }
@@ -94,13 +97,13 @@ impl KvServer {
     }
 
     fn serve(&mut self, sock: SockId, api: &mut dyn StackApi) {
-        let data = api.recv(sock, usize::MAX);
         let buf = self.partial.slot(sock);
-        buf.extend_from_slice(&data);
-        let rl = req_len();
-        let mut responses: Vec<u8> = Vec::new();
-        while buf.len() >= rl {
-            let req: Vec<u8> = buf.drain(..rl).collect();
+        api.recv_with(sock, usize::MAX, &mut |data| {
+            buf.extend_from_slice(data);
+            data.len()
+        });
+        let whole = buf.len() / REQ_LEN * REQ_LEN;
+        for req in buf[..whole].chunks_exact(REQ_LEN) {
             let op = req[0];
             let key = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
             let mut cost = if op == OP_SET {
@@ -112,30 +115,29 @@ impl KvServer {
                 cost += self.lock_contention_cycles * (self.app_cores as u64 - 1);
             }
             api.charge_app_cycles(cost);
-            let mut resp = vec![0u8; resp_len()];
+            let mut resp = [0u8; RESP_LEN];
             match op {
                 OP_SET => {
                     self.sets += 1;
-                    self.store.insert(key, req[REQ_HDR..].to_vec());
-                    resp[0] = 0;
+                    let mut value = [0u8; VAL_SIZE];
+                    value.copy_from_slice(&req[REQ_HDR..]);
+                    self.store.insert(key, value);
                 }
                 _ => {
                     self.gets += 1;
                     match self.store.get(&key) {
-                        Some(v) => {
-                            resp[0] = 0;
-                            let n = v.len().min(VAL_SIZE);
-                            resp[RESP_HDR..RESP_HDR + n].copy_from_slice(&v[..n]);
-                        }
+                        Some(v) => resp[RESP_HDR..].copy_from_slice(v),
                         None => resp[0] = 1, // Miss.
                     }
                 }
             }
             resp[1..3].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
-            responses.extend_from_slice(&resp);
+            self.responses.extend_from_slice(&resp);
         }
-        if !responses.is_empty() {
-            self.out.send(api, sock, &responses);
+        buf.drain(..whole);
+        if !self.responses.is_empty() {
+            self.out.send(api, sock, &self.responses);
+            self.responses.clear();
         }
     }
 }
@@ -276,14 +278,14 @@ impl KvClient {
         self.load = load;
     }
 
-    fn build_request(&mut self) -> Vec<u8> {
+    fn build_request(&mut self) -> [u8; REQ_LEN] {
         let key = self.zipf.sample(&mut self.rng) as u32;
         let op = if self.rng.chance(self.set_fraction) {
             OP_SET
         } else {
             OP_GET
         };
-        let mut req = vec![0u8; req_len()];
+        let mut req = [0u8; REQ_LEN];
         req[0] = op;
         req[1..5].copy_from_slice(&key.to_be_bytes());
         req[5..7].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
@@ -347,7 +349,7 @@ impl App for KvClient {
                     self.preloaded = true;
                     // Preload a few hot keys so early GETs hit.
                     for k in 0..self.keys.min(64) as u32 {
-                        let mut req = vec![0u8; req_len()];
+                        let mut req = [0u8; REQ_LEN];
                         req[0] = OP_SET;
                         req[1..5].copy_from_slice(&k.to_be_bytes());
                         req[5..7].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
@@ -381,12 +383,14 @@ impl App for KvClient {
                 let Some(&Some(idx)) = self.sock_index.get(sock) else {
                     return;
                 };
-                let data = api.recv(sock, usize::MAX);
+                let pending = &mut self.conns[idx].pending;
+                api.recv_with(sock, usize::MAX, &mut |data| {
+                    pending.extend_from_slice(data);
+                    data.len()
+                });
                 let now = api.now();
-                let rl = resp_len();
-                self.conns[idx].pending.extend_from_slice(&data);
-                while self.conns[idx].pending.len() >= rl {
-                    self.conns[idx].pending.drain(..rl);
+                while self.conns[idx].pending.len() >= RESP_LEN {
+                    self.conns[idx].pending.drain(..RESP_LEN);
                     self.done += 1;
                     let c = &mut self.conns[idx];
                     c.msgs_on_conn += 1;
@@ -448,15 +452,15 @@ mod tests {
     #[test]
     fn request_sizes_are_paper_scale() {
         // ~100-byte requests (32B key + 64B value + header).
-        assert_eq!(req_len(), 99);
-        assert_eq!(resp_len(), 67);
+        assert_eq!(REQ_LEN, 99);
+        assert_eq!(RESP_LEN, 67);
     }
 
     #[test]
     fn request_encoding_round_trips() {
         let mut c = KvClient::new(Ipv4Addr::new(10, 0, 0, 1), 11211, 1, 100, KvLoad::Closed, 7);
         let req = c.build_request();
-        assert_eq!(req.len(), req_len());
+        assert_eq!(req.len(), REQ_LEN);
         assert!(req[0] == OP_GET || req[0] == OP_SET);
         let key = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
         assert!((key as usize) < 100);

@@ -13,7 +13,7 @@
 use std::net::Ipv4Addr;
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, Histogram, SimTime};
 
 /// Timer kinds.
@@ -194,7 +194,7 @@ impl LoadGenHost {
         self.nic.tx(now, seg, ctx);
     }
 
-    fn seg(&self, h: TcpHeader, payload: Vec<u8>) -> Segment {
+    fn seg(&self, h: TcpHeader, payload: PayloadBuf) -> Segment {
         Segment::tcp(
             self.mac,
             mac_for_ip(self.cfg.server),
@@ -237,13 +237,14 @@ impl LoadGenHost {
         h.options.wscale = Some(self.wscale);
         h.options.timestamp = Some((now.as_micros() as u32, 0));
         h.window = u16::MAX;
-        self.seg(h, Vec::new())
+        self.seg(h, PayloadBuf::empty())
     }
 
-    fn request_payload(&self) -> Vec<u8> {
+    /// The request, built straight into a pooled payload buffer.
+    fn request_payload(&self) -> PayloadBuf {
         match &self.cfg.req_template {
-            Some(t) => t.clone(),
-            None => vec![0x42u8; self.cfg.req_size],
+            Some(t) => PayloadBuf::from_slice(t),
+            None => PayloadBuf::with(self.cfg.req_size, |dst| dst.fill(0x42)),
         }
     }
 
@@ -337,7 +338,7 @@ impl LoadGenHost {
                 // Think, then fire; meanwhile acknowledge the response.
                 ctx.timer(self.cfg.think, timers::FIRE, idx as u64);
                 let h = self.header_for(idx, TcpFlags::ACK, now);
-                let seg = self.seg(h, Vec::new());
+                let seg = self.seg(h, PayloadBuf::empty());
                 self.tx(seg, now, ctx);
             } else {
                 // The next request's data packet carries the cumulative ACK.
@@ -345,7 +346,7 @@ impl LoadGenHost {
             }
         } else if send_ack {
             let h = self.header_for(idx, TcpFlags::ACK, now);
-            let seg = self.seg(h, Vec::new());
+            let seg = self.seg(h, PayloadBuf::empty());
             self.tx(seg, now, ctx);
         }
     }

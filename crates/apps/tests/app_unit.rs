@@ -63,10 +63,17 @@ impl StackApi for MockApi {
             .extend_from_slice(&data[..n]);
         n
     }
-    fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
+    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize {
         let q = self.rx.entry(sock).or_default();
         let n = max.min(q.len());
-        q.drain(..n).collect()
+        let (a, b) = q.as_slices();
+        let (a, b) = (&a[..n.min(a.len())], &b[..n - n.min(a.len())]);
+        let mut taken = if a.is_empty() { 0 } else { f(a).min(a.len()) };
+        if taken == a.len() && !b.is_empty() {
+            taken += f(b).min(b.len());
+        }
+        q.drain(..taken);
+        taken
     }
     fn readable(&self, sock: SockId) -> usize {
         self.rx.get(&sock).map(|q| q.len()).unwrap_or(0)

@@ -28,7 +28,7 @@ use tas_netsim::app::{pack_app_timer, unpack_app_timer, App, AppEvent, SockId, S
 use tas_netsim::rss::hash_tuple;
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowKey, MacAddr, Segment, TcpFlags};
+use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, TcpFlags};
 use tas_sim::{
     impl_as_any, probe, prof_charge, prof_scope, Agent, CoreUtilSeries, CounterId, Ctx, Event,
     Registry, Scope, SeriesRecorder, SimTime, TimerId,
@@ -254,9 +254,9 @@ struct Inner {
     cores: CorePool,
     slots: Vec<Option<Slot>>,
     free: Vec<u32>,
-    /// Flow-key → slot lookup: point lookups only, but BTreeMap so any
-    /// future iteration (teardown sweeps, debug dumps) is deterministic.
-    by_key: BTreeMap<FlowKey, u32>,
+    /// Flow-key → slot lookup, once per received segment. Nothing
+    /// iterates it.
+    by_key: FlowIndex,
     listeners: BTreeMap<u16, ()>,
     next_port: u16,
     acct: CycleAccount,
@@ -293,6 +293,11 @@ struct Inner {
     /// Per-core utilization, sampled on the same 1 ms grid.
     core_util: CoreUtilSeries,
     frame: Frame,
+    /// Recycled `run_conn` buffers for a connection's staged segments and
+    /// events: capacity survives across calls, so the per-packet path
+    /// allocates nothing in steady state.
+    conn_out: Vec<Segment>,
+    conn_events: Vec<TcpEvent>,
     /// True when this host's cycles are attributed by the profiler
     /// (mirrors `TasHost`: only the host under measurement is enabled).
     #[cfg(feature = "telemetry")]
@@ -377,7 +382,7 @@ impl StackHost {
                 cores,
                 slots: Vec::new(),
                 free: Vec::new(),
-                by_key: BTreeMap::new(),
+                by_key: FlowIndex::new(),
                 listeners: BTreeMap::new(),
                 next_port: 40_000,
                 acct: CycleAccount::new(),
@@ -400,6 +405,8 @@ impl StackHost {
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 core_util: CoreUtilSeries::new(app_core_count),
                 frame: Frame::default(),
+                conn_out: Vec::new(),
+                conn_events: Vec::new(),
                 #[cfg(feature = "telemetry")]
                 prof: false,
             },
@@ -633,15 +640,17 @@ impl StackHost {
         prof_scope!(_label);
         prof_charge!(base_cost);
         let start = t.max(self.inner.cores.core_ref(core_idx).busy_until());
-        let (out, events, tx_cost) = {
+        let (mut out, mut events, tx_cost) = {
             let inner = &mut self.inner;
             let Some(s) = inner.slots.get_mut(slot as usize).and_then(Option::as_mut) else {
                 return;
             };
             f(&mut s.conn, start);
             s.conn.poll(start);
-            let out = s.conn.take_outgoing();
-            let events = s.conn.take_events();
+            let mut out = std::mem::take(&mut inner.conn_out);
+            let mut events = std::mem::take(&mut inner.conn_events);
+            s.conn.move_outgoing(&mut out);
+            s.conn.move_events(&mut events);
             // Charge transmit costs per staged segment.
             let mut tx_cost = 0;
             for seg in &out {
@@ -667,10 +676,12 @@ impl StackHost {
             self.inner.acct.charge(Module::Tcp, extra, 0);
         }
         let (_, end) = self.inner.cores.core(core_idx).run(t, total);
-        for seg in out {
+        for seg in out.drain(..) {
             self.inner.nic.tx(end, seg, ctx);
         }
-        self.handle_conn_events(slot, events, end, ctx);
+        self.handle_conn_events(slot, &mut events, end, ctx);
+        self.inner.conn_out = out;
+        self.inner.conn_events = events;
         self.rearm_conn_timer(slot, ctx);
     }
 
@@ -718,14 +729,15 @@ impl StackHost {
         }
     }
 
+    /// Turns a connection's events into app events; drains `events`.
     fn handle_conn_events(
         &mut self,
         slot: u32,
-        events: Vec<TcpEvent>,
+        events: &mut Vec<TcpEvent>,
         t: SimTime,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
-        for ev in events {
+        for ev in events.drain(..) {
             let app_ev = {
                 let Some(s) = self
                     .inner
@@ -957,10 +969,11 @@ impl StackHost {
         let batched: usize = inner.batches.iter().map(Vec::len).sum();
         inner.series.record("app.batched_events", batched as f64);
         let tick = inner.series.current_tick();
-        let busy: Vec<SimTime> = (0..inner.cores.len())
-            .map(|i| inner.cores.core_ref(i).busy_total())
-            .collect();
-        inner.core_util.sample(tick, busy);
+        let cores = &inner.cores;
+        inner.core_util.sample(
+            tick,
+            (0..cores.len()).map(|i| cores.core_ref(i).busy_total()),
+        );
     }
 
     /// Fixed-cadence queue-depth/occupancy time series for this host.
@@ -980,7 +993,7 @@ impl StackHost {
         self.inner.nic.rx_steer(&seg);
         let key = seg.flow_key();
         let is_data = !seg.payload.is_empty();
-        if let Some(&slot) = self.inner.by_key.get(&key) {
+        if let Some(slot) = self.inner.by_key.get(&key) {
             let core_idx = Self::stack_core_of(&self.inner, slot);
             let backlog = self
                 .inner
@@ -1141,7 +1154,7 @@ impl StackApi for Api<'_, '_> {
         n
     }
 
-    fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
+    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize {
         self.inner.frame.api_cycles += self.inner.profile.api_recv;
         self.inner.frame.crossings += 1;
         let Some(s) = self
@@ -1150,16 +1163,16 @@ impl StackApi for Api<'_, '_> {
             .get_mut(sock as usize)
             .and_then(Option::as_mut)
         else {
-            return Vec::new();
+            return 0;
         };
-        let out = s.conn.recv(max);
+        let n = s.conn.recv_with(max, f);
         s.rx_notified = false;
-        if !out.is_empty() {
-            self.inner.reg.add(self.inner.c_app_bytes, out.len() as u64);
-            self.inner.frame.dma_bytes += out.len() as u64;
+        if n > 0 {
+            self.inner.reg.add(self.inner.c_app_bytes, n as u64);
+            self.inner.frame.dma_bytes += n as u64;
             self.inner.frame.ops.push(ApiOp::Touch(sock));
         }
-        out
+        n
     }
 
     fn readable(&self, sock: SockId) -> usize {

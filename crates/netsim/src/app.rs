@@ -77,8 +77,34 @@ pub trait StackApi {
     /// Sends bytes; returns how many were accepted into the send buffer.
     fn send(&mut self, sock: SockId, data: &[u8]) -> usize;
 
-    /// Receives up to `max` bytes.
-    fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8>;
+    /// Receives up to `max` bytes in place, from the stack's receive
+    /// buffer (libTAS's per-flow payload ring, §3.1), without copying
+    /// them into a buffer of the stack's choosing.
+    ///
+    /// The contract:
+    /// * `f` sees the first `min(max, readable)` bytes as at most two
+    ///   contiguous slices, in stream order; it is not called when there
+    ///   is nothing to offer.
+    /// * `f` returns how many bytes of its slice it took, counted from the
+    ///   slice's start. Those bytes are consumed; the rest stay readable.
+    ///   A take shorter than the slice ends the call, and a count above
+    ///   the slice's length takes the whole slice.
+    /// * Returns the total taken. An unknown socket reads as empty.
+    /// * The call charges exactly what [`StackApi::recv`] charges for the
+    ///   same bytes, so the modelled cost of a read does not depend on
+    ///   which of the two an application uses.
+    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize;
+
+    /// Receives up to `max` bytes into a new `Vec` (a [`StackApi::recv_with`]
+    /// that takes everything it is offered).
+    fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.recv_with(sock, max, &mut |s| {
+            out.extend_from_slice(s);
+            s.len()
+        });
+        out
+    }
 
     /// Bytes currently readable on a socket.
     fn readable(&self, sock: SockId) -> usize;

@@ -108,6 +108,9 @@ pub struct Switch {
     /// Full queue-depth time series on the monitored port (same samples
     /// that feed [`Switch::mean_queue_depth`], kept for plotting).
     qlen_series: TimeSeries,
+    /// What a port's fault injector releases for one packet; drained
+    /// before `forward` returns and kept for its capacity.
+    fault_out: Vec<(SimTime, Segment)>,
 }
 
 impl Switch {
@@ -123,6 +126,7 @@ impl Switch {
             monitor_interval: SimTime::from_us(10),
             qlen_stats: MeanVar::new(),
             qlen_series: TimeSeries::new(),
+            fault_out: Vec::new(),
         }
     }
 
@@ -278,10 +282,9 @@ impl Switch {
             // Wire faults strike after serialization, like the NIC's: a
             // dropped packet still occupied the queue and the wire.
             let before = port.fault.dropped();
-            let mut out = Vec::new();
-            port.fault.apply(arrival, seg, &mut out);
+            port.fault.apply(arrival, seg, &mut self.fault_out);
             port.loss_drops += port.fault.dropped() - before;
-            for (t, s) in out {
+            for (t, s) in self.fault_out.drain(..) {
                 ctx.send_at(port.peer, t, NetMsg::Packet(s));
             }
         } else {

@@ -16,6 +16,7 @@
 
 pub mod checksum;
 pub mod eth;
+pub mod flow_index;
 pub mod ipv4;
 pub mod payload;
 pub mod segment;
@@ -23,6 +24,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use eth::{EthHeader, EtherType, MacAddr};
+pub use flow_index::FlowIndex;
 pub use ipv4::{Ecn, Ipv4Header};
 pub use payload::PayloadBuf;
 pub use segment::{FlowKey, Segment};

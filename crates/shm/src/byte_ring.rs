@@ -188,15 +188,37 @@ impl ByteRing {
         Ok(out)
     }
 
+    /// The application's in-place read: hands the first `min(max, len)`
+    /// committed bytes to `f` as at most two contiguous slices, in stream
+    /// order (two only when they wrap the physical end), and consumes what
+    /// `f` reports taking from each. `f` returns how many bytes of its
+    /// slice it took, counted from the slice's start; a short take ends
+    /// the read, and a count above the slice's length takes all of it.
+    /// Returns the bytes consumed. `f` is not called when nothing is
+    /// offered.
+    pub fn read_with(&mut self, max: usize, mut f: impl FnMut(&[u8]) -> usize) -> usize {
+        let len = max.min(self.len());
+        if len == 0 {
+            return 0;
+        }
+        let s = self.slot(self.start);
+        let first = (self.buf.len() - s).min(len);
+        let mut taken = f(&self.buf[s..s + first]).min(first);
+        if taken == first && first < len {
+            taken += f(&self.buf[..len - first]).min(len - first);
+        }
+        self.start += taken as u64;
+        taken
+    }
+
     /// Reads and consumes up to `max` bytes from the front of the committed
-    /// region (the application's `recv()` path).
+    /// region into a fresh `Vec` ([`Self::read_with`] without the borrow).
     pub fn pop(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.len());
-        let Ok(out) = self.copy_out(self.start, n) else {
-            debug_assert!(false, "front of committed region is always valid");
-            return Vec::new();
-        };
-        self.start += n as u64;
+        let mut out = Vec::with_capacity(max.min(self.len()));
+        self.read_with(max, |s| {
+            out.extend_from_slice(s);
+            s.len()
+        });
         out
     }
 
@@ -283,6 +305,58 @@ mod tests {
         r.append(b"abc").unwrap();
         assert_eq!(r.pop(10), b"abc");
         assert!(r.pop(10).is_empty());
+    }
+
+    #[test]
+    fn read_with_offers_at_most_two_slices_and_consumes_what_is_taken() {
+        // An 8-byte ring whose data starts `skip` bytes in: with skip 6,
+        // "ghijk" wraps as "gh" + "ijk". `takes` is what the closure takes
+        // from each slice it is offered.
+        struct Case {
+            name: &'static str,
+            skip: usize,
+            data: &'static [u8],
+            max: usize,
+            takes: &'static [usize],
+            offered: &'static [&'static [u8]],
+            consumed: usize,
+        }
+        let case = |name, skip, data, max, takes, offered, consumed| Case {
+            name,
+            skip,
+            data,
+            max,
+            takes,
+            offered,
+            consumed,
+        };
+        #[rustfmt::skip]
+        let cases = [
+            case("contiguous", 0, b"abcde", 99, &[99], &[b"abcde"], 5),
+            case("wrap-around", 6, b"ghijk", 99, &[99, 99], &[b"gh", b"ijk"], 5),
+            case("a short take ends the read", 6, b"ghijk", 99, &[1], &[b"gh"], 1),
+            case("max below readable", 6, b"ghijk", 3, &[99, 99], &[b"gh", b"i"], 3),
+            case("max within the first slice", 6, b"ghijk", 1, &[99], &[b"g"], 1),
+            case("nothing readable", 3, b"", 99, &[], &[], 0),
+            case("max zero", 0, b"abc", 0, &[], &[], 0),
+        ];
+        for c in cases {
+            let mut r = ByteRing::new(8);
+            r.append(&vec![0; c.skip]).unwrap();
+            r.consume(c.skip as u64).unwrap();
+            r.append(c.data).unwrap();
+            let mut seen: Vec<Vec<u8>> = Vec::new();
+            let n = r.read_with(c.max, |s| {
+                let take = c.takes.get(seen.len()).copied().unwrap_or(0);
+                seen.push(s.to_vec());
+                take
+            });
+            let name = c.name;
+            assert_eq!(seen, c.offered, "{name}: slices offered");
+            assert_eq!(n, c.consumed, "{name}: bytes consumed");
+            assert_eq!(r.start_offset(), (c.skip + n) as u64, "{name}: start");
+            assert_eq!(r.len(), c.data.len() - n, "{name}: the rest stays");
+        }
     }
 
     #[test]

@@ -42,9 +42,9 @@ pub use mgmt::FpConnMgmt;
 pub use recv::{FpRecvRel, Placed};
 pub use send::FpSendRel;
 
-use crate::slab::{FlowIndex, Slab};
+use crate::slab::Slab;
 use std::net::Ipv4Addr;
-use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{FlowIndex, FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::SimTime;
 
 /// TAS's receive window scale shift (negotiated by the slow path).

@@ -965,7 +965,7 @@ impl TasHost {
                 });
             }
             SpWork::Close { sock } => {
-                if let Some(fid) = self.inner.socks[sock as usize].fid {
+                if let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) {
                     self.run_sp(now, ctx, |sp, fp, t, acct| (sp.close(t, fid, fp, acct), ()));
                 }
             }
@@ -1031,10 +1031,11 @@ impl TasHost {
             .series
             .record("sp.queue_depth", inner.sp_q.len() as f64);
         let tick = inner.series.current_tick();
-        let busy: Vec<SimTime> = (0..inner.fp_cores.len())
-            .map(|i| inner.fp_cores.core_ref(i).busy_total())
-            .collect();
-        inner.fp_util.sample(tick, busy);
+        let cores = &inner.fp_cores;
+        inner.fp_util.sample(
+            tick,
+            (0..cores.len()).map(|i| cores.core_ref(i).busy_total()),
+        );
     }
 
     fn ensure_started(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
@@ -1111,7 +1112,9 @@ impl StackApi for Api<'_> {
 
     fn send(&mut self, sock: SockId, data: &[u8]) -> usize {
         self.call_cost(self.inner.cfg.costs.so_send);
-        let s = &mut self.inner.socks[sock as usize];
+        let Some(s) = self.inner.socks.get_mut(sock as usize) else {
+            return 0;
+        };
         let Some(fid) = s.fid else {
             return 0;
         };
@@ -1141,17 +1144,18 @@ impl StackApi for Api<'_> {
         n
     }
 
-    fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
+    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize {
         self.call_cost(self.inner.cfg.costs.so_recv);
-        let Some(fid) = self.inner.socks[sock as usize].fid else {
-            return Vec::new();
+        let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) else {
+            return 0;
         };
         let Some(flow) = self.inner.fp.flows.get_mut(fid) else {
-            return Vec::new();
+            return 0;
         };
         probe! { let off0 = flow.rcv.rx.start_offset(); }
-        let out = flow.rcv.rx.pop(max);
-        if !out.is_empty() {
+        // The application reads the per-flow payload ring in place (§3.1).
+        let n = flow.rcv.rx.read_with(max, f);
+        if n > 0 {
             trace!(
                 "app",
                 self.inner.frame.now,
@@ -1159,19 +1163,21 @@ impl StackApi for Api<'_> {
                     stage: tas_telemetry::Stage::AppDeliver,
                     flow: flow.conn.key().reversed(),
                     seq: flow.rcv_seq_of(off0),
-                    len: out.len() as u32,
+                    len: n as u32,
                     wait_ns: 0,
                 }
             );
-            self.inner.reg.add(self.inner.c_app_bytes, out.len() as u64);
+            self.inner.reg.add(self.inner.c_app_bytes, n as u64);
             self.inner.frame.fp_cmds.push(FpCmd::RxBump(fid));
         }
-        out
+        n
     }
 
     fn readable(&self, sock: SockId) -> usize {
-        self.inner.socks[sock as usize]
-            .fid
+        self.inner
+            .socks
+            .get(sock as usize)
+            .and_then(|s| s.fid)
             .and_then(|fid| self.inner.fp.flows.get(fid))
             .map_or(0, |flow| flow.rcv.rx.len())
     }

@@ -169,6 +169,9 @@ pub struct SlowPath {
     /// self-paces: with many flows an iteration takes longer than the
     /// nominal interval, exactly like the real slow-path thread).
     last_loop: SimTime,
+    /// The rate changes one control-loop iteration applies, drained by it
+    /// and kept for its capacity: the loop runs every interval.
+    rate_updates: Vec<(u32, u64)>,
     /// Staged effects.
     pub out: SpOut,
     /// Counters.
@@ -206,6 +209,7 @@ impl SlowPath {
             teardowns: BTreeMap::new(),
             next_port: 32_768,
             last_loop: SimTime::ZERO,
+            rate_updates: Vec::new(),
             out: SpOut::default(),
             stats: SpStats::default(),
         }
@@ -746,7 +750,7 @@ impl SlowPath {
         let mut rexmit: Vec<u32> = Vec::new();
         let mut win_probe: Vec<u32> = Vec::new();
         let mut to_close: Vec<u32> = Vec::new();
-        let mut rate_updates: Vec<(u32, u64)> = Vec::new();
+        let mut rate_updates = std::mem::take(&mut self.rate_updates);
         for (fid, flow) in fp.flows.iter_mut() {
             cycles += 60; // Per-flow control work.
                           // Stall detection (paper: unacked data with constant sequence
@@ -808,7 +812,7 @@ impl SlowPath {
                 to_close.push(fid);
             }
         }
-        for (fid, bps) in rate_updates {
+        for (fid, bps) in rate_updates.drain(..) {
             let burst = self.burst_for(bps);
             probe! {
                 if let Some(flow) = fp.flows.get(fid) {
@@ -822,6 +826,7 @@ impl SlowPath {
             probe! { fp_cycles += c; }
             cycles += c;
         }
+        self.rate_updates = rate_updates;
         for fid in rexmit {
             self.stats.timeout_rexmits += 1;
             let c = fp.trigger_retransmit(now, fid, acct);

@@ -32,7 +32,7 @@ pub use send::SendRel;
 
 use crate::cc::{AckInfo, CcKind};
 use std::net::Ipv4Addr;
-use tas_proto::{Ecn, FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{Ecn, FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{probe, prof_scope, trace, SimTime};
 
 /// TCP connection states (RFC 793), minus LISTEN which is a host-level
@@ -196,9 +196,9 @@ impl std::ops::AddAssign for ConnStats {
 ///
 /// The owner feeds it segments ([`TcpConn::on_segment`]) and time
 /// ([`TcpConn::on_timer`]), writes with [`TcpConn::send`]/[`TcpConn::close`]
-/// and reads with [`TcpConn::recv`]; staged output segments are drained
-/// with [`TcpConn::take_outgoing`] and application events with
-/// [`TcpConn::take_events`]. [`TcpConn::next_timer`] reports when
+/// and reads with [`TcpConn::recv_with`]; staged output segments are
+/// drained with [`TcpConn::move_outgoing`] and application events with
+/// [`TcpConn::move_events`]. [`TcpConn::next_timer`] reports when
 /// `on_timer` next wants to run.
 #[derive(Debug)]
 pub struct TcpConn {
@@ -251,7 +251,7 @@ impl TcpConn {
         }
         conn.set_syn_options(&mut h);
         probe! { conn.trace_state_sync(); }
-        conn.push_segment(h, Vec::new(), false);
+        conn.push_segment(h, PayloadBuf::empty(), false);
         let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
         conn
@@ -285,7 +285,7 @@ impl TcpConn {
         }
         conn.set_syn_options(&mut h);
         probe! { conn.trace_state_sync(); }
-        conn.push_segment(h, Vec::new(), false);
+        conn.push_segment(h, PayloadBuf::empty(), false);
         let rto = now + conn.snd.rtt().rto();
         conn.snd.arm_rto(rto);
         conn
@@ -412,9 +412,18 @@ impl TcpConn {
         }
     }
 
-    /// Drains staged outgoing segments.
+    /// Drains staged outgoing segments. The connection's buffer goes with
+    /// them, so the next staged segment allocates a new one; a packet
+    /// loop uses [`TcpConn::move_outgoing`].
     pub fn take_outgoing(&mut self) -> Vec<Segment> {
         std::mem::take(&mut self.out)
+    }
+
+    /// Appends the staged outgoing segments to `dst`, in order. Both
+    /// buffers keep their capacity, so an owner that drains `dst` and
+    /// calls this per packet allocates nothing in steady state.
+    pub fn move_outgoing(&mut self, dst: &mut Vec<Segment>) {
+        dst.append(&mut self.out);
     }
 
     /// True when output is staged (lets owners skip the Vec swap).
@@ -422,9 +431,15 @@ impl TcpConn {
         !self.out.is_empty()
     }
 
-    /// Drains pending application events.
+    /// Drains pending application events (see [`TcpConn::move_events`]).
     pub fn take_events(&mut self) -> Vec<TcpEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Appends the pending application events to `dst`, in order,
+    /// keeping both buffers' capacity.
+    pub fn move_events(&mut self, dst: &mut Vec<TcpEvent>) {
+        dst.append(&mut self.events);
     }
 
     // ------------------------------------------------------------------
@@ -441,9 +456,21 @@ impl TcpConn {
         self.snd.buffer(data)
     }
 
-    /// Reads up to `max` bytes of in-order received data.
+    /// Hands up to `max` bytes of in-order received data to `f` in place,
+    /// as at most two slices, and consumes what `f` takes
+    /// ([`tas_shm::ByteRing::read_with`]); returns the bytes taken.
+    pub fn recv_with(&mut self, max: usize, f: impl FnMut(&[u8]) -> usize) -> usize {
+        self.rcv.read_with(max, f)
+    }
+
+    /// Reads up to `max` bytes of in-order received data into a new `Vec`.
     pub fn recv(&mut self, max: usize) -> Vec<u8> {
-        self.rcv.read(max)
+        let mut out = Vec::new();
+        self.recv_with(max, |s| {
+            out.extend_from_slice(s);
+            s.len()
+        });
+        out
     }
 
     /// Initiates close: a FIN is sent once buffered data drains.
@@ -467,7 +494,7 @@ impl TcpConn {
             let mut h = self.header(TcpFlags::RST | TcpFlags::ACK, now);
             h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
-            self.push_segment(h, Vec::new(), false);
+            self.push_segment(h, PayloadBuf::empty(), false);
             self.enter_closed();
             probe! { self.trace_state_sync(); }
         }
@@ -532,7 +559,7 @@ impl TcpConn {
         }
     }
 
-    fn push_segment(&mut self, tcp: TcpHeader, payload: Vec<u8>, data_ect: bool) {
+    fn push_segment(&mut self, tcp: TcpHeader, payload: PayloadBuf, data_ect: bool) {
         let mut seg = Segment::tcp(
             self.mgmt.local().mac,
             self.mgmt.remote().mac,
@@ -551,6 +578,17 @@ impl TcpConn {
         self.out.push(seg);
     }
 
+    /// `n` bytes of the send ring from stream offset `off`, copied
+    /// straight into a pooled payload buffer; `None` if the ring does not
+    /// hold them.
+    fn tx_payload(&self, off: u64, n: u64) -> Option<PayloadBuf> {
+        let mut ok = true;
+        let payload = PayloadBuf::with(n as usize, |dst| {
+            ok = self.snd.tx().read_into(off, dst).is_ok();
+        });
+        ok.then_some(payload)
+    }
+
     /// Stages a pure ACK reflecting current receive state.
     fn emit_ack(&mut self, now: SimTime) {
         let mut h = self.header(TcpFlags::ACK, now);
@@ -566,7 +604,7 @@ impl TcpConn {
         }
         let adv = self.adv_window();
         self.fc.note_advertised(adv);
-        self.push_segment(h, Vec::new(), false);
+        self.push_segment(h, PayloadBuf::empty(), false);
     }
 
     fn fin_off_or_max(&self) -> u64 {
@@ -642,7 +680,7 @@ impl TcpConn {
             if n == 0 {
                 break;
             }
-            let Ok(payload) = self.snd.tx().copy_out(self.snd.nxt_off(), n as usize) else {
+            let Some(payload) = self.tx_payload(self.snd.nxt_off(), n) else {
                 debug_assert!(false, "nxt_off within tx ring");
                 break;
             };
@@ -688,7 +726,7 @@ impl TcpConn {
             h.seq = self.seq_of(self.snd.nxt_off());
             h.ack = self.ack_value();
             self.mgmt.set_fin_sent(true);
-            self.push_segment(h, Vec::new(), false);
+            self.push_segment(h, PayloadBuf::empty(), false);
             let rto = now + self.snd.rtt().rto();
             self.snd.arm_rto_if_unarmed(rto);
         }
@@ -703,7 +741,7 @@ impl TcpConn {
             return;
         }
         let n = (end - off).min(self.fc.peer_mss().min(self.cfg.mss) as u64);
-        let Ok(payload) = self.snd.tx().copy_out(off, n as usize) else {
+        let Some(payload) = self.tx_payload(off, n) else {
             return;
         };
         let mut h = self.header(TcpFlags::ACK | TcpFlags::PSH, now);
@@ -719,7 +757,7 @@ impl TcpConn {
         let avail = self.snd.tx().end_offset().saturating_sub(self.snd.una_off());
         let n = avail.min(self.fc.peer_mss().min(self.cfg.mss) as u64);
         if n > 0 {
-            let Ok(payload) = self.snd.tx().copy_out(self.snd.una_off(), n as usize) else {
+            let Some(payload) = self.tx_payload(self.snd.una_off(), n) else {
                 debug_assert!(false, "una_off within tx ring");
                 return;
             };
@@ -733,7 +771,7 @@ impl TcpConn {
             h.seq = self.seq_of(self.snd.una_off());
             h.ack = self.ack_value();
             self.stats.retransmits += 1;
-            self.push_segment(h, Vec::new(), false);
+            self.push_segment(h, PayloadBuf::empty(), false);
         }
         let rto = now + self.snd.rtt().rto();
         self.snd.arm_rto_if_unarmed(rto);
@@ -784,7 +822,7 @@ impl TcpConn {
                 self.set_syn_options(&mut h);
                 self.stats.retransmits += 1;
                 probe! { self.trace_rexmit("handshake", self.snd.iss()); }
-                self.push_segment(h, Vec::new(), false);
+                self.push_segment(h, PayloadBuf::empty(), false);
                 let rto = now + self.snd.rtt().rto();
                 self.snd.arm_rto(rto);
             }

@@ -101,8 +101,9 @@ impl RecvRel {
         self.reasm.insert(off, data);
     }
 
-    /// Reads up to `max` in-order bytes for the application.
-    pub(crate) fn read(&mut self, max: usize) -> Vec<u8> {
-        self.rx.pop(max)
+    /// Hands up to `max` in-order bytes to the application in place
+    /// ([`ByteRing::read_with`]); returns the bytes it took.
+    pub(crate) fn read_with(&mut self, max: usize, f: impl FnMut(&[u8]) -> usize) -> usize {
+        self.rx.read_with(max, f)
     }
 }

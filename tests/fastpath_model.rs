@@ -2,20 +2,32 @@
 //! an arbitrary interleaving of in-order, out-of-order, duplicate, and
 //! loss-shaped segments must deliver exactly the original stream prefix,
 //! ack monotonically, and never get ahead of the data actually received.
+//!
+//! Beside it, the allocation-free steady state: first of one fast path,
+//! then of whole simulations — hosts, switch, fault injector and apps —
+//! on both stacks.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
+use tas_bench::{add_host, start_all, uniform_star, HostCfg};
+use tas_repro::apps::bulk::{BulkReceiver, BulkSender};
+use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
+use tas_repro::apps::kv::{KvClient, KvLoad, KvServer};
+use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
 use tas_repro::cpusim::CycleAccount;
+use tas_repro::netsim::app::App;
+use tas_repro::netsim::topo::{host_ip, HostSpec};
+use tas_repro::netsim::{FaultSpec, NetMsg, PortConfig};
 use tas_repro::proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_repro::shm::ByteRing;
-use tas_repro::sim::SimTime;
+use tas_repro::sim::{AgentId, Sim, SimTime};
 use tas_repro::tas::fastpath::FastPath;
 use tas_repro::tas::flow::{
     FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket,
 };
-use tas_repro::tas::{TasCosts, FLOW_STATE_BYTES};
+use tas_repro::tas::{CcAlgo, TasConfig, TasCosts, TasHost, FLOW_STATE_BYTES};
 
 /// Counts heap allocations made by the current thread. The counter is
 /// thread-local so the parallel test harness (and proptest cases on other
@@ -238,4 +250,141 @@ fn steady_state_rx_does_not_allocate() {
         after - before,
         MEASURED
     );
+}
+
+/// Runs `sim` to `warm`, then `window` further with the allocation count
+/// open, and returns allocations per segment over the window; `segs`
+/// reads how many segments the hosts under test have handled so far.
+/// Warm-up lets every buffer reach its working capacity, the payload pool
+/// fill and every connection open.
+fn allocs_per_segment(
+    sim: &mut Sim<NetMsg>,
+    warm: SimTime,
+    window: SimTime,
+    segs: impl Fn(&Sim<NetMsg>) -> u64,
+) -> f64 {
+    sim.run_until(warm);
+    let (allocs, seen) = (thread_allocs(), segs(sim));
+    sim.run_until(warm + window);
+    let (allocs, seen) = (thread_allocs() - allocs, segs(sim) - seen);
+    assert!(seen >= 10_000, "only {seen} segments in the window");
+    allocs as f64 / seen as f64
+}
+
+/// Segments the fast paths of `hosts` received, sent and acknowledged.
+fn tas_segments(sim: &Sim<NetMsg>, hosts: &[AgentId]) -> u64 {
+    let fp = |&h: &AgentId| sim.agent::<TasHost>(h).fp_stats();
+    hosts
+        .iter()
+        .map(fp)
+        .map(|fp| fp.pkts_rx + fp.segs_tx + fp.acks_tx)
+        .sum()
+}
+
+/// The Linux-model key-value pair: reference TCP engine, `StackHost`,
+/// `KvServer` and `KvClient` on both ends of a switch.
+#[test]
+fn linux_kv_pair_steady_state_does_not_allocate() {
+    let mut sim: Sim<NetMsg> = Sim::new(5);
+    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        let app: Box<dyn App> = if spec.index == 0 {
+            Box::new(KvServer::new(7))
+        } else {
+            // The client preloads all 64 keys, so no SET in the window
+            // adds one to the store.
+            Box::new(KvClient::new(host_ip(0), 7, 32, 64, KvLoad::Closed, 5))
+        };
+        let linux = HostCfg::Model(profiles::linux(), StackHostConfig::linux(2));
+        add_host(sim, spec, linux, app)
+    };
+    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
+    start_all(&mut sim, &topo.hosts);
+    let hosts = topo.hosts.clone();
+    let segments = |sim: &Sim<NetMsg>| -> u64 {
+        let tcp = |&h: &AgentId| sim.agent::<StackHost>(h).tcp_stats();
+        hosts.iter().map(tcp).map(|t| t.segs_in + t.segs_out).sum()
+    };
+    // The long warm-up is for the event queue: its timing-wheel slots
+    // reach their working capacity only once the coarser levels have
+    // turned over.
+    let per_seg = allocs_per_segment(
+        &mut sim,
+        SimTime::from_ms(100),
+        SimTime::from_ms(20),
+        segments,
+    );
+    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
+}
+
+/// The TAS echo pair: fast path, slow path, libTAS, `EchoServer` and a
+/// closed-loop `RpcClient`.
+#[test]
+fn tas_echo_pair_steady_state_does_not_allocate() {
+    let mut sim: Sim<NetMsg> = Sim::new(6);
+    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        let app: Box<dyn App> = if spec.index == 0 {
+            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
+        } else {
+            Box::new(RpcClient::new(
+                host_ip(0),
+                7,
+                16,
+                1,
+                64,
+                Lifetime::Persistent,
+            ))
+        };
+        add_host(sim, spec, HostCfg::Tas(TasConfig::rpc_bench(1, 1)), app)
+    };
+    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
+    start_all(&mut sim, &topo.hosts);
+    let hosts = topo.hosts.clone();
+    let per_seg = allocs_per_segment(
+        &mut sim,
+        SimTime::from_ms(10),
+        SimTime::from_ms(10),
+        |sim| tas_segments(sim, &hosts),
+    );
+    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
+}
+
+/// A TAS bulk pair through switch ports that drop 1 % of packets: the
+/// fault injector, out-of-order receive and fast retransmit run in the
+/// window.
+#[test]
+fn tas_bulk_pair_through_lossy_port_steady_state_does_not_allocate() {
+    let mut sim: Sim<NetMsg> = Sim::new(7);
+    let port = PortConfig {
+        fault: FaultSpec::uniform_loss(0.01, 7),
+        ..PortConfig::tengig()
+    };
+    let cfg = TasConfig {
+        rx_buf: 128 * 1024,
+        tx_buf: 128 * 1024,
+        ooo_rx: true,
+        cc: CcAlgo::DctcpRate,
+        initial_rate_bps: 500_000_000,
+        control_interval: SimTime::from_us(200),
+        ..TasConfig::rpc_bench(2, 2)
+    };
+    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        let app: Box<dyn App> = if spec.index == 0 {
+            Box::new(BulkReceiver::new(9))
+        } else {
+            Box::new(BulkSender::new(host_ip(0), 9, 8))
+        };
+        add_host(sim, spec, HostCfg::Tas(cfg.clone()), app)
+    };
+    let topo = uniform_star(&mut sim, 2, port, &mut factory);
+    start_all(&mut sim, &topo.hosts);
+    let hosts = topo.hosts.clone();
+    let per_seg = allocs_per_segment(
+        &mut sim,
+        SimTime::from_ms(40),
+        SimTime::from_ms(20),
+        |sim| tas_segments(sim, &hosts),
+    );
+    let sender = sim.agent::<TasHost>(hosts[1]).fp_stats();
+    assert!(sender.fast_rexmits > 0, "the loss was felt");
+    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
 }

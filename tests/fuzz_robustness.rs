@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use tas_repro::apps::echo::{EchoServer, ServerMode};
 use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
-use tas_repro::netsim::app::App;
+use tas_repro::netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
 use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
 use tas_repro::proto::{Ecn, MacAddr, Segment, TcpFlags, TcpHeader};
@@ -213,6 +213,87 @@ fn build_linux_star(sim: &mut Sim<NetMsg>, n: usize) -> Vec<AgentId> {
         sim.inject_timer(SimTime::ZERO, h, 0, 0);
     }
     topo.hosts
+}
+
+/// An application that hands every socket call a socket id its host never
+/// gave out, and records what each call returned.
+#[derive(Default)]
+struct UnknownSockets {
+    returns: Vec<usize>,
+    /// A `recv_with` closure ran.
+    offered: bool,
+}
+
+impl App for UnknownSockets {
+    fn on_start(&mut self, api: &mut dyn StackApi) {
+        for sock in [9_999, SockId::MAX] {
+            self.returns.push(api.send(sock, b"x"));
+            self.returns.push(api.recv(sock, 16).len());
+            let offered = &mut self.offered;
+            let n = api.recv_with(sock, 16, &mut |d| {
+                *offered = true;
+                d.len()
+            });
+            self.returns.push(n);
+            self.returns.push(api.readable(sock));
+            api.close(sock);
+        }
+    }
+    fn on_event(&mut self, _: AppEvent, _: &mut dyn StackApi) {}
+    impl_as_any!();
+}
+
+/// The application side of the trust boundary: a socket id the host never
+/// handed out reads as empty, accepts nothing and closes nothing, on both
+/// hosts, and the host keeps running.
+#[test]
+fn unknown_socket_ids_are_empty_on_both_hosts() {
+    for tas in [true, false] {
+        let mut sim: Sim<NetMsg> = Sim::new(14);
+        let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+            let app: Box<dyn App> = Box::new(UnknownSockets::default());
+            if tas {
+                let cfg = TasConfig::rpc_bench(1, 1);
+                sim.add_agent(Box::new(TasHost::new(
+                    spec.ip,
+                    spec.mac,
+                    spec.nic,
+                    cfg,
+                    spec.uplink,
+                    app,
+                )))
+            } else {
+                let cfg = StackHostConfig::linux(1);
+                sim.add_agent(Box::new(StackHost::new(
+                    spec.ip,
+                    spec.mac,
+                    spec.nic,
+                    profiles::linux(),
+                    cfg,
+                    spec.uplink,
+                    app,
+                )))
+            }
+        };
+        let topo = build_star(
+            &mut sim,
+            1,
+            |_| PortConfig::tengig(),
+            |_| NicConfig::client_10g(1),
+            &mut factory,
+        );
+        let host = topo.hosts[0];
+        sim.inject_timer(SimTime::ZERO, host, 0, 0);
+        // Past the deferred close work both hosts queue.
+        sim.run_until(SimTime::from_ms(5));
+        let app: &UnknownSockets = if tas {
+            sim.agent::<TasHost>(host).app_as()
+        } else {
+            sim.agent::<StackHost>(host).app_as()
+        };
+        assert_eq!(app.returns, [0; 8], "tas {tas}");
+        assert!(!app.offered, "tas {tas}: nothing to offer");
+    }
 }
 
 proptest! {
