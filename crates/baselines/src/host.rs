@@ -699,12 +699,7 @@ impl StackHost {
             // cumulative totals first; retract any armed timer so the
             // queue holds no ghost entry for a dead slot.
             let stale_timer = s.timer_id.take();
-            let key = FlowKey::new(
-                s.conn.local().ip,
-                s.conn.local().port,
-                s.conn.remote().ip,
-                s.conn.remote().port,
-            );
+            let key = s.conn.flow_key();
             self.inner.tcp_cum += s.conn.stats;
             self.inner.by_key.remove(&key);
             self.inner.slots[slot as usize] = None;

@@ -10,9 +10,12 @@
 //! socket table.
 //!
 //! Lookups never allocate; the index allocates only on growth (doubling
-//! at 3/4 load). The lookup path is `#[inline]`: its callers live in other
-//! crates, and without link-time optimisation a non-generic function is
-//! not inlined across a crate boundary unless it says so.
+//! at 3/4 load). The lookup path (`get`, `find`, `bucket_of`, `hash_key`)
+//! is `#[inline(always)]`: its callers live in other crates, and without
+//! link-time optimisation a non-generic function is not inlined across a
+//! crate boundary unless it says so. `always` rather than a hint because
+//! the probe must compile into the fast path's `rx_segment` whatever the
+//! inliner's cost model decides; CI checks that it does (DESIGN.md §12).
 #![cfg_attr(
     not(test),
     deny(
@@ -38,7 +41,7 @@ const INDEX_MIN_BUCKETS: usize = 16;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-#[inline]
+#[inline(always)]
 fn hash_key(key: &FlowKey) -> u64 {
     let mut h = FNV_OFFSET;
     let mut step = |b: u8| {
@@ -112,13 +115,13 @@ impl FlowIndex {
         self.len == 0
     }
 
-    #[inline]
+    #[inline(always)]
     fn bucket_of(&self, key: &FlowKey) -> usize {
         (hash_key(key) as usize) & self.mask
     }
 
     /// Finds the bucket holding `key`, if installed.
-    #[inline]
+    #[inline(always)]
     fn find(&self, key: &FlowKey) -> Option<usize> {
         let mut i = self.bucket_of(key);
         loop {
@@ -134,7 +137,7 @@ impl FlowIndex {
     }
 
     /// Looks up the flow id for `key`.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, key: &FlowKey) -> Option<u32> {
         let i = self.find(key)?;
         self.fids.get(i).copied()

@@ -87,6 +87,7 @@ fn alloc_raw(len: usize) -> Rc<[u8]> {
 
 impl PayloadBuf {
     /// The empty payload. Never allocates: all empties share one buffer.
+    #[inline]
     pub fn empty() -> PayloadBuf {
         PayloadBuf {
             buf: EMPTY.with(Rc::clone),
@@ -106,6 +107,7 @@ impl PayloadBuf {
     ///
     /// This is the zero-copy construction path: ring buffers copy their
     /// bytes straight into the pooled buffer, with no intermediate `Vec`.
+    #[inline]
     pub fn with(len: usize, fill: impl FnOnce(&mut [u8])) -> PayloadBuf {
         if len == 0 {
             return PayloadBuf::empty();

@@ -101,6 +101,7 @@ impl TcpOptions {
     /// TSecr is peer-controlled and timestamp time wraps at 2^32, so the
     /// distance is taken in that space: an echo of 0, or one ahead of the
     /// clock, is no sample.
+    #[inline]
     pub fn echo_rtt_us(&self, now_us: u64) -> Option<u32> {
         let (_, tsecr) = self.timestamp?;
         let d = (now_us as u32).wrapping_sub(tsecr);

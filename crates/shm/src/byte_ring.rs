@@ -110,6 +110,7 @@ impl ByteRing {
         (pos % self.buf.len() as u64) as usize
     }
 
+    #[inline]
     fn copy_in(&mut self, pos: u64, data: &[u8]) {
         let cap = self.buf.len();
         let s = self.slot(pos);
@@ -122,6 +123,7 @@ impl ByteRing {
 
     /// Appends committed data at `end`, failing (without partial writes)
     /// if it does not fit.
+    #[inline]
     pub fn append(&mut self, data: &[u8]) -> Result<(), RingError> {
         if data.len() > self.free() {
             return Err(RingError::Full);
@@ -142,6 +144,7 @@ impl ByteRing {
     /// Writes `data` at absolute offset `pos`, which may lie beyond `end`
     /// (out-of-order staging) but must fit within `start + capacity`.
     /// Does not move `end`.
+    #[inline]
     pub fn write_at(&mut self, pos: u64, data: &[u8]) -> Result<(), RingError> {
         if pos < self.start || pos + data.len() as u64 > self.start + self.capacity() as u64 {
             return Err(RingError::OutOfRange);
@@ -152,6 +155,7 @@ impl ByteRing {
 
     /// Commits `n` bytes past `end` (e.g. after an out-of-order interval
     /// has been filled in).
+    #[inline]
     pub fn advance_end(&mut self, n: u64) -> Result<(), RingError> {
         if self.len() + n as usize > self.capacity() {
             return Err(RingError::Full);
@@ -164,6 +168,7 @@ impl ByteRing {
     /// the committed region into `dst`, without allocating. This is the
     /// packet-path read: the fast path fills a pooled payload buffer
     /// straight from the ring.
+    #[inline]
     pub fn read_into(&self, pos: u64, dst: &mut [u8]) -> Result<(), RingError> {
         let len = dst.len();
         if pos < self.start || pos + len as u64 > self.end {
@@ -196,6 +201,7 @@ impl ByteRing {
     /// the read, and a count above the slice's length takes all of it.
     /// Returns the bytes consumed. `f` is not called when nothing is
     /// offered.
+    #[inline]
     pub fn read_with(&mut self, max: usize, mut f: impl FnMut(&[u8]) -> usize) -> usize {
         let len = max.min(self.len());
         if len == 0 {
@@ -223,6 +229,7 @@ impl ByteRing {
     }
 
     /// Frees `n` bytes from the front (TX-side: acknowledged data).
+    #[inline]
     pub fn consume(&mut self, n: u64) -> Result<(), RingError> {
         if n as usize > self.len() {
             return Err(RingError::OutOfRange);
@@ -286,6 +293,35 @@ mod tests {
         r.append(b"abcde").unwrap();
         r.advance_end(3).unwrap();
         assert_eq!(r.copy_out(0, 8).unwrap(), b"abcdeXYZ");
+    }
+
+    #[test]
+    fn staging_then_commit_across_the_physical_end() {
+        // The same staging, from every start slot of an 8-byte ring: "XYZ"
+        // is staged one byte past the frontier, "a" fills the gap, and
+        // `advance_end` commits the staged run. Starts 5 and 6 split the
+        // staged write across the end, 7 splits gap and run, and from 5
+        // on the committed stream wraps.
+        for skip in 0..8u64 {
+            let mut r = ByteRing::new(8);
+            r.append(&vec![0; skip as usize]).unwrap();
+            r.consume(skip).unwrap();
+            r.write_at(skip + 1, b"XYZ").unwrap();
+            assert_eq!(r.len(), 0, "start {skip}: staged data is not committed");
+            r.append(b"a").unwrap();
+            r.advance_end(3).unwrap();
+            let mut dst = [0u8; 4];
+            r.read_into(skip, &mut dst).unwrap();
+            assert_eq!(&dst, b"aXYZ", "start {skip}: read_into");
+            let mut seen: Vec<Vec<u8>> = Vec::new();
+            let n = r.read_with(99, |s| {
+                seen.push(s.to_vec());
+                s.len()
+            });
+            assert_eq!(seen.concat(), b"aXYZ", "start {skip}: read_with");
+            assert_eq!(seen.len(), if skip + 4 > 8 { 2 } else { 1 }, "start {skip}");
+            assert_eq!((n, r.len()), (4, 0), "start {skip}: all consumed");
+        }
     }
 
     #[test]

@@ -219,6 +219,7 @@ impl FlowTable {
     }
 
     /// Looks up a flow id by 4-tuple.
+    #[inline(always)]
     pub fn lookup(&self, key: &FlowKey) -> Option<u32> {
         self.index.get(key)
     }

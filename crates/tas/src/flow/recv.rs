@@ -77,6 +77,7 @@ impl FpRecvRel {
 
     /// Places one data segment starting at peer sequence number `seg_seq`.
     /// `track_ooo = false` is go-back-N: everything out of order drops.
+    #[inline]
     pub fn place(&mut self, seg_seq: Seq, mut data: &[u8], track_ooo: bool) -> Placed {
         let frontier = self.rx.end_offset();
         let expected = self.irs + 1 + frontier as u32;
@@ -274,5 +275,22 @@ mod tests {
         let mut rcv = FpRecvRel::new(ByteRing::new(16), 999);
         assert_eq!(rcv.place(Seq(1004), b"EFGH", false), Placed::Dropped);
         assert_eq!((rcv.ooo_len(), rcv.rx.len()), (0, 0));
+    }
+
+    #[test]
+    fn staged_interval_and_its_merge_wrap_the_ring() {
+        // The 16-byte ring advanced by 12 bytes first, so sequence 1012
+        // sits at slot 12: "DEFG" is staged across the physical end
+        // (slots 15, 0..2), "H" extends it at slot 3, and "abc" closes the
+        // gap, committing eight bytes that wrap.
+        let mut rcv = FpRecvRel::new(ByteRing::new(16), 999);
+        assert_eq!(rcv.place(Seq(1000), &[0; 12], true), Placed::InOrder(12));
+        rcv.rx.consume(12).unwrap();
+        assert_eq!(rcv.place(Seq(1015), b"DEFG", true), Placed::Staged);
+        assert_eq!(rcv.place(Seq(1019), b"H", true), Placed::Staged);
+        assert_eq!((rcv.ooo_start(), rcv.ooo_len()), (15, 5));
+        assert_eq!(rcv.place(Seq(1012), b"abc", true), Placed::InOrder(8));
+        assert_eq!(rcv.ooo_len(), 0);
+        assert_eq!(rcv.rx.pop(16), b"abcDEFGH");
     }
 }
