@@ -19,19 +19,26 @@
 //!   stack runs on wimpy NIC-resident cores ([`CoreClass::Nic`]); host
 //!   cores only run the app and a descriptor shim, and every app↔NIC
 //!   interaction crosses the modeled PCIe/DMA boundary.
+//!
+//! The application side — frames, deferred delivery, app timers — is the
+//! shared [`AppRuntime`]; this file is the stack under it.
 
 use crate::profiles::StackProfile;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-use tas_cpusim::{CacheModel, CoreClass, CorePool, Crossing, CycleAccount, Module, PcieModel};
-use tas_netsim::app::{pack_app_timer, unpack_app_timer, App, AppEvent, SockId, StackApi};
+use std::ops::{Deref, DerefMut};
+use tas_cpusim::{
+    CacheModel, Core, CoreClass, CorePool, Crossing, CycleAccount, Module, PcieModel,
+};
+use tas_netsim::app::{App, AppEvent, SockId};
 use tas_netsim::rss::hash_tuple;
+use tas_netsim::runtime::{AppRuntime, AppStack, Frame, HostedApp};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, TcpFlags};
 use tas_sim::{
     impl_as_any, probe, prof_charge, prof_scope, Agent, CoreUtilSeries, CounterId, Ctx, Event,
-    Registry, Scope, SeriesRecorder, SimTime, TimerId,
+    Registry, Rng, Scope, SeriesRecorder, SimTime, TimerId,
 };
 use tas_tcp::{EndpointInfo, TcpConfig, TcpConn, TcpEvent};
 
@@ -201,48 +208,11 @@ struct Slot {
     timer_id: Option<TimerId>,
 }
 
-enum ApiOp {
-    Touch(u32),
-    Connect { slot: u32 },
-    Timer { delay: SimTime, token: u64 },
-    Post { context: u16, token: u64 },
-}
-
+/// A socket call's follow-up on the connection's stack core.
 enum ConnCmd {
+    /// Poll the connection for output the call produced.
     Touch(u32),
     Connect(u32),
-}
-
-/// Deferred work collected while an app handler runs. One value serves
-/// every frame: `finish_frame` drains `ops` and keeps its capacity, so a
-/// steady-state frame allocates nothing.
-#[derive(Default)]
-struct Frame {
-    core: usize,
-    now: SimTime,
-    api_cycles: u64,
-    app_cycles: u64,
-    /// Domain crossings this frame performed (activation entry plus one
-    /// per API call); priced by the thread model's boundary primitive.
-    crossings: u64,
-    /// Payload bytes the frame moved across the app↔stack boundary
-    /// (DMA-serialized for the off-path model).
-    dma_bytes: u64,
-    ops: Vec<ApiOp>,
-}
-
-impl Frame {
-    /// Opens a frame on `core` at `now`, pre-charged `api_cycles`.
-    fn begin(&mut self, core: usize, now: SimTime, api_cycles: u64) {
-        debug_assert!(self.ops.is_empty(), "previous frame was finished");
-        self.core = core;
-        self.now = now;
-        self.api_cycles = api_cycles;
-        self.app_cycles = 0;
-        // The activation itself enters the app's domain once.
-        self.crossings = 1;
-        self.dma_bytes = 0;
-    }
 }
 
 struct Inner {
@@ -257,21 +227,22 @@ struct Inner {
     /// Flow-key → slot lookup, once per received segment. Nothing
     /// iterates it.
     by_key: FlowIndex,
-    listeners: BTreeMap<u16, ()>,
+    listeners: BTreeSet<u16>,
     next_port: u16,
     acct: CycleAccount,
     /// Per-app-core pending event batches (mTCP model).
-    batches: Vec<Vec<(SockId, AppEvent)>>,
+    batches: Vec<Vec<AppEvent>>,
     batch_armed: Vec<bool>,
-    /// Deferred app events per core: every cross-component hop is queued
-    /// and woken by a timer at its ready time — executing it inline at a
-    /// future timestamp would reserve the core ahead of interim arrivals.
-    app_q: Vec<std::collections::VecDeque<AppEvent>>,
     /// Deferred connection commands (drained by CONN_CMD timers).
     cmd_q: std::collections::VecDeque<ConnCmd>,
-    started: bool,
-    /// Host-level metric registry (replaces the old ad-hoc `HostStats`
-    /// struct storage; [`StackHost::host_stats`] rebuilds the compat view).
+    /// Domain crossings of the current app frame (its activation plus one
+    /// per socket call), priced by the thread model's boundary primitive.
+    crossings: u64,
+    /// Payload bytes the current app frame moved across the app↔stack
+    /// boundary (DMA-serialized for the off-path model).
+    dma_bytes: u64,
+    /// Host-level metric registry: every host counter is read from here
+    /// (`host.*`, `boundary.*`, `app.bytes_delivered`).
     reg: Registry,
     c_drop_backlog: CounterId,
     c_established: CounterId,
@@ -292,38 +263,31 @@ struct Inner {
     series: SeriesRecorder,
     /// Per-core utilization, sampled on the same 1 ms grid.
     core_util: CoreUtilSeries,
-    frame: Frame,
     /// Recycled `run_conn` buffers for a connection's staged segments and
     /// events: capacity survives across calls, so the per-packet path
     /// allocates nothing in steady state.
     conn_out: Vec<Segment>,
     conn_events: Vec<TcpEvent>,
-    /// True when this host's cycles are attributed by the profiler
-    /// (mirrors `TasHost`: only the host under measurement is enabled).
-    #[cfg(feature = "telemetry")]
-    prof: bool,
 }
 
-#[cfg(feature = "telemetry")]
-impl Inner {
-    /// Arms cycle attribution for one of this host's cores, or disarms
-    /// the thread-local profiler when this host is not being profiled.
-    fn prof_arm(&self, idx: u32) {
-        if self.prof {
-            tas_telemetry::profile::set_core("core", idx);
-        } else {
-            tas_telemetry::profile::disarm();
-        }
+/// A baseline-stack host agent. It dereferences to its [`HostedApp`]
+/// (`app_as`, `set_tenant`, `enable_profiling`).
+pub struct StackHost {
+    inner: Inner,
+    rt: AppRuntime<Inner>,
+}
+
+impl Deref for StackHost {
+    type Target = HostedApp;
+    fn deref(&self) -> &HostedApp {
+        &self.rt.hosted
     }
 }
 
-/// A baseline-stack host agent.
-pub struct StackHost {
-    inner: Inner,
-    app: Option<Box<dyn App>>,
-    /// Tenant identity assigned by a multi-tenant harness; `None` until
-    /// [`StackHost::set_tenant`] tags the host.
-    tenant: Option<u32>,
+impl DerefMut for StackHost {
+    fn deref_mut(&mut self) -> &mut HostedApp {
+        &mut self.rt.hosted
+    }
 }
 
 impl StackHost {
@@ -364,6 +328,7 @@ impl StackHost {
             _ => CorePool::new(cfg.cores, cfg.freq_hz),
         };
         let app_core_count = cfg.cores;
+        let rt = AppRuntime::new(app, app_core_count);
         let mut reg = Registry::new();
         let c_drop_backlog = reg.counter("host.drop_backlog", Scope::Global);
         let c_established = reg.counter("host.established", Scope::Global);
@@ -383,16 +348,14 @@ impl StackHost {
                 slots: Vec::new(),
                 free: Vec::new(),
                 by_key: FlowIndex::new(),
-                listeners: BTreeMap::new(),
+                listeners: BTreeSet::new(),
                 next_port: 40_000,
                 acct: CycleAccount::new(),
                 batches: (0..app_core_count).map(|_| Vec::new()).collect(),
                 batch_armed: vec![false; app_core_count],
-                app_q: (0..app_core_count)
-                    .map(|_| std::collections::VecDeque::new())
-                    .collect(),
                 cmd_q: std::collections::VecDeque::new(),
-                started: false,
+                crossings: 1,
+                dma_bytes: 0,
                 reg,
                 c_drop_backlog,
                 c_established,
@@ -404,35 +367,15 @@ impl StackHost {
                 tcp_cum: tas_tcp::ConnStats::default(),
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 core_util: CoreUtilSeries::new(app_core_count),
-                frame: Frame::default(),
                 conn_out: Vec::new(),
                 conn_events: Vec::new(),
-                #[cfg(feature = "telemetry")]
-                prof: false,
             },
-            app: Some(app),
-            tenant: None,
+            rt,
         }
     }
 
     // ------------------------------------------------------------------
-    // Accessors.
-
-    /// Tags this host with a tenant identity (mirrors
-    /// `TasHost::set_tenant`); tenant-scoped counters are re-emitted in
-    /// [`StackHost::telemetry_snapshot`].
-    pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = Some(tenant);
-    }
-
-    /// Opts this host into cycle-attribution profiling: its core runs
-    /// arm the thread-local profiler with `core<i>` identities. Hosts
-    /// never enabled disarm the profiler before running instead, so
-    /// enabling one host on a thread profiles exactly that host.
-    #[cfg(feature = "telemetry")]
-    pub fn enable_profiling(&mut self) {
-        self.inner.prof = true;
-    }
+    // Accessors. Profiled cores are `core<i>`.
 
     /// Cycle accounting (Tables 1–2).
     pub fn account(&self) -> &CycleAccount {
@@ -442,9 +385,7 @@ impl StackHost {
     /// Exact cycles submitted per core since creation (the integer
     /// ground truth the attribution profiler conserves against).
     pub fn busy_cycles(&self) -> Vec<u64> {
-        (0..self.inner.cores.len())
-            .map(|i| self.inner.cores.core_ref(i).busy_cycles())
-            .collect()
+        self.inner.cores.iter().map(Core::busy_cycles).collect()
     }
 
     /// Total cycles submitted to cores of `class` — the off-path
@@ -479,7 +420,7 @@ impl StackHost {
             snap.insert(k.name, k.scope, *v);
         }
         snap.insert_gauge("conns.live", Scope::Global, self.inner.by_key.len() as i64);
-        if let Some(ten) = self.tenant {
+        if let Some(ten) = self.tenant() {
             let scope = Scope::Tenant(ten);
             snap.insert_gauge("tenant.flows_live", scope, self.inner.by_key.len() as i64);
             snap.insert_counter(
@@ -508,34 +449,6 @@ impl StackHost {
         total
     }
 
-    /// Downcasts the application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not a `T`.
-    pub fn app_as<T: 'static>(&self) -> &T {
-        self.app
-            .as_ref()
-            .expect("app present")
-            .as_any()
-            .downcast_ref::<T>()
-            .expect("app type mismatch")
-    }
-
-    /// Mutable downcast of the application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not a `T`.
-    pub fn app_as_mut<T: 'static>(&mut self) -> &mut T {
-        self.app
-            .as_mut()
-            .expect("app present")
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("app type mismatch")
-    }
-
     // ------------------------------------------------------------------
     // Core assignment.
 
@@ -556,33 +469,11 @@ impl StackHost {
         }
     }
 
-    /// Cycles one app↔stack boundary crossing costs under this thread
-    /// model (zero where the cost is already folded into API constants).
-    fn crossing_cycles(inner: &Inner) -> u64 {
-        match inner.cfg.model {
-            ThreadModel::MpkDataplane { crossing } => crossing.cycles,
-            ThreadModel::OffPathNic { pcie, .. } => pcie.doorbell_amortized(),
-            _ => 0,
-        }
-    }
-
-    /// Profiler frame name for this model's boundary primitive.
-    #[cfg(feature = "telemetry")]
-    fn crossing_label(inner: &Inner) -> &'static str {
-        match inner.cfg.model {
-            ThreadModel::MpkDataplane { crossing } => crossing.kind.label(),
-            ThreadModel::OffPathNic { pcie, .. } => pcie.doorbell.kind.label(),
-            _ => "ctxsw",
-        }
-    }
-
     fn app_core_of(inner: &Inner, slot: u32) -> usize {
         match inner.cfg.model {
-            ThreadModel::SplitBatched { stack_cores, .. } => {
-                stack_cores + (slot as usize % (inner.cfg.cores - stack_cores))
-            }
-            ThreadModel::OffPathNic { nic_cores, .. } => {
-                nic_cores + (slot as usize % (inner.cfg.cores - nic_cores))
+            ThreadModel::SplitBatched { stack_cores: k, .. }
+            | ThreadModel::OffPathNic { nic_cores: k, .. } => {
+                k + (slot as usize % (inner.cfg.cores - k))
             }
             _ => Self::stack_core_of(inner, slot),
         }
@@ -636,7 +527,7 @@ impl StackHost {
         f: impl FnOnce(&mut TcpConn, SimTime),
     ) {
         let core_idx = Self::stack_core_of(&self.inner, slot);
-        probe! { self.inner.prof_arm(core_idx as u32); }
+        probe! { self.rt.hosted.prof_arm("core", core_idx as u32); }
         prof_scope!(_label);
         prof_charge!(base_cost);
         let start = t.max(self.inner.cores.core_ref(core_idx).busy_until());
@@ -732,61 +623,42 @@ impl StackHost {
         t: SimTime,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
+        // Raises `flag` and passes `ev` on, unless `flag` was already up.
+        let once = |flag: &mut bool, ev| (!std::mem::replace(flag, true)).then_some(ev);
         for ev in events.drain(..) {
-            let app_ev = {
-                let Some(s) = self
-                    .inner
-                    .slots
-                    .get_mut(slot as usize)
-                    .and_then(Option::as_mut)
-                else {
-                    return;
-                };
-                match ev {
-                    TcpEvent::Connected => {
-                        if s.connected_sent {
-                            None
-                        } else {
-                            s.connected_sent = true;
-                            self.inner.reg.inc(self.inner.c_established);
-                            if s.accepted {
-                                Some(AppEvent::Accepted {
-                                    sock: slot,
-                                    port: s.conn.local().port,
-                                })
-                            } else {
-                                Some(AppEvent::Connected { sock: slot })
-                            }
-                        }
+            let Some(s) = self.inner.slot_mut(slot) else {
+                return;
+            };
+            let sock = slot;
+            let app_ev = match ev {
+                TcpEvent::Connected => {
+                    let ev = if s.accepted {
+                        let port = s.conn.local().port;
+                        AppEvent::Accepted { sock, port }
+                    } else {
+                        AppEvent::Connected { sock }
+                    };
+                    let ev = once(&mut s.connected_sent, ev);
+                    if ev.is_some() {
+                        self.inner.reg.inc(self.inner.c_established);
                     }
-                    TcpEvent::DataAvailable => {
-                        if s.rx_notified {
-                            None
-                        } else {
-                            s.rx_notified = true;
-                            Some(AppEvent::Readable { sock: slot })
-                        }
-                    }
-                    TcpEvent::SendSpaceAvailable => {
-                        // EPOLLOUT-style coalescing: wake the writer once a
-                        // useful chunk of buffer space is available, not on
-                        // every freed segment.
-                        let threshold = (inner_send_buf(s) / 4).max(8 * 1024);
-                        if s.want_write && s.conn.send_space() >= threshold {
-                            s.want_write = false;
-                            Some(AppEvent::Writable { sock: slot })
-                        } else {
-                            None
-                        }
-                    }
-                    TcpEvent::PeerFin | TcpEvent::Reset | TcpEvent::Closed => {
-                        if s.closed_sent {
-                            None
-                        } else {
-                            s.closed_sent = true;
-                            Some(AppEvent::Closed { sock: slot })
-                        }
-                    }
+                    ev
+                }
+                TcpEvent::DataAvailable => once(&mut s.rx_notified, AppEvent::Readable { sock }),
+                TcpEvent::SendSpaceAvailable => {
+                    // EPOLLOUT-style coalescing: wake the writer once a
+                    // useful chunk of buffer space is available, not on
+                    // every freed segment.
+                    let send_buf = s.conn.send_space() + s.conn.in_flight() as usize;
+                    let threshold = (send_buf / 4).max(8 * 1024);
+                    let ready = s.want_write && s.conn.send_space() >= threshold;
+                    ready.then(|| {
+                        s.want_write = false;
+                        AppEvent::Writable { sock }
+                    })
+                }
+                TcpEvent::PeerFin | TcpEvent::Reset | TcpEvent::Closed => {
+                    once(&mut s.closed_sent, AppEvent::Closed { sock })
                 }
             };
             if let Some(app_ev) = app_ev {
@@ -799,7 +671,7 @@ impl StackHost {
         match self.inner.cfg.model {
             ThreadModel::SplitBatched { batch, flush, .. } => {
                 let app_core = Self::app_core_of(&self.inner, slot);
-                self.inner.batches[app_core].push((slot, ev));
+                self.inner.batches[app_core].push(ev);
                 if self.inner.batches[app_core].len() >= batch {
                     self.flush_batch(app_core, t, ctx);
                 } else if !self.inner.batch_armed[app_core] {
@@ -807,23 +679,17 @@ impl StackHost {
                     ctx.timer_at(t + flush, timers::BATCH, app_core as u64);
                 }
             }
-            ThreadModel::OffPathNic { pcie, .. } => {
-                // NIC→host notification: the event descriptor DMAs
-                // across the PCIe boundary before the app can see it.
-                let core = Self::app_core_of(&self.inner, slot);
-                self.defer_app(t + pcie.one_way(EVENT_DESC_BYTES), core, ev, ctx);
-            }
-            _ => {
-                let core = Self::app_core_of(&self.inner, slot);
-                self.defer_app(t, core, ev, ctx);
+            model => {
+                // Off-path NIC→host notification: the event descriptor
+                // DMAs across the PCIe boundary before the app can see it.
+                let delay = match model {
+                    ThreadModel::OffPathNic { pcie, .. } => pcie.one_way(EVENT_DESC_BYTES),
+                    _ => SimTime::ZERO,
+                };
+                let core = Self::app_core_of(&self.inner, slot) as u16;
+                self.rt.defer(t + delay, core, ev, ctx);
             }
         }
-    }
-
-    /// Queues an app event for delivery at `t` on `core`.
-    fn defer_app(&mut self, t: SimTime, core: usize, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
-        self.inner.app_q[core].push_back(ev);
-        ctx.timer_at(t, timers::APP_RUN, core as u64);
     }
 
     fn flush_batch(&mut self, app_core: usize, t: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
@@ -834,111 +700,10 @@ impl StackHost {
         }
         let id = self.inner.c_batches;
         self.inner.reg.inc(id);
-        for (_slot, ev) in evs {
-            self.deliver_app(t, app_core, ev, ctx);
+        for ev in evs {
+            self.rt
+                .deliver(&mut self.inner, t, app_core as u16, ev, ctx);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Application delivery (same frame pattern as the TAS host).
-
-    fn deliver_app(&mut self, t: SimTime, core: usize, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
-        self.inner.frame.begin(core, t, self.inner.profile.api_poll);
-        let Some(mut app) = self.app.take() else {
-            debug_assert!(false, "nested app delivery");
-            return;
-        };
-        {
-            let mut api = Api {
-                inner: &mut self.inner,
-                ctx,
-            };
-            app.on_event(ev, &mut api);
-        }
-        self.app = Some(app);
-        self.finish_frame(t, ctx);
-    }
-
-    fn finish_frame(&mut self, t: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let mut frame = std::mem::take(&mut self.inner.frame);
-        probe! { self.inner.prof_arm(frame.core as u32); }
-        self.inner.acct.charge_app_frame(
-            frame.api_cycles,
-            frame.app_cycles,
-            self.inner.profile.ipc_times_100,
-        );
-        // Boundary crossings: WRPKRU flips or amortized doorbells, paid
-        // on the app core. Pipeline-serializing, so no retired
-        // instructions — the same convention as cache/contention stalls.
-        let boundary = frame.crossings * Self::crossing_cycles(&self.inner);
-        if boundary > 0 {
-            self.inner.acct.charge(Module::Api, boundary, 0);
-            prof_charge!(boundary, "boundary", Self::crossing_label(&self.inner));
-            let id = self.inner.c_crossings;
-            self.inner.reg.add(id, frame.crossings);
-        }
-        if frame.dma_bytes > 0 {
-            if let ThreadModel::OffPathNic { .. } = self.inner.cfg.model {
-                let id = self.inner.c_dma_bytes;
-                self.inner.reg.add(id, frame.dma_bytes);
-            }
-        }
-        let total = frame.api_cycles + frame.app_cycles + boundary;
-        let (_, end) = self.inner.cores.core(frame.core).run(t, total);
-        // Host→stack commands: under the off-path model the command
-        // descriptor (plus any payload the frame staged) must DMA across
-        // the PCIe boundary before the NIC-side stack can act on it.
-        let cmd_at = match self.inner.cfg.model {
-            ThreadModel::OffPathNic { pcie, .. } => {
-                end + pcie.one_way(EVENT_DESC_BYTES + frame.dma_bytes)
-            }
-            _ => end,
-        };
-        for op in frame.ops.drain(..) {
-            match op {
-                ApiOp::Touch(slot) => {
-                    self.inner.cmd_q.push_back(ConnCmd::Touch(slot));
-                    ctx.timer_at(cmd_at, timers::CONN_CMD, 0);
-                }
-                ApiOp::Connect { slot } => {
-                    self.inner.cmd_q.push_back(ConnCmd::Connect(slot));
-                    ctx.timer_at(cmd_at, timers::CONN_CMD, 0);
-                }
-                ApiOp::Timer { delay, token } => {
-                    let data = pack_app_timer(frame.core as u16, token);
-                    ctx.timer_at(end + delay, timers::APP, data);
-                }
-                ApiOp::Post { context, token } => {
-                    ctx.timer_at(end, timers::APP, pack_app_timer(context, token));
-                }
-            }
-        }
-        // The drained buffer goes back for the next frame.
-        self.inner.frame = frame;
-    }
-
-    fn ensure_started(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.inner.started {
-            return;
-        }
-        self.inner.started = true;
-        let t = ctx.now();
-        self.inner
-            .frame
-            .begin(Self::first_app_core(&self.inner), t, 0);
-        let Some(mut app) = self.app.take() else {
-            debug_assert!(false, "host started from inside its own app");
-            return;
-        };
-        {
-            let mut api = Api {
-                inner: &mut self.inner,
-                ctx,
-            };
-            app.on_start(&mut api);
-        }
-        self.app = Some(app);
-        self.finish_frame(t, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -964,11 +729,9 @@ impl StackHost {
         let batched: usize = inner.batches.iter().map(Vec::len).sum();
         inner.series.record("app.batched_events", batched as f64);
         let tick = inner.series.current_tick();
-        let cores = &inner.cores;
-        inner.core_util.sample(
-            tick,
-            (0..cores.len()).map(|i| cores.core_ref(i).busy_total()),
-        );
+        inner
+            .core_util
+            .sample(tick, inner.cores.iter().map(Core::busy_total));
     }
 
     /// Fixed-cadence queue-depth/occupancy time series for this host.
@@ -1022,7 +785,7 @@ impl StackHost {
         // New inbound connection?
         if seg.tcp.flags.contains(TcpFlags::SYN)
             && !seg.tcp.flags.contains(TcpFlags::ACK)
-            && self.inner.listeners.contains_key(&key.local_port)
+            && self.inner.listeners.contains(&key.local_port)
         {
             let iss = ctx.rng().next_u32();
             let inner = &mut self.inner;
@@ -1075,67 +838,89 @@ impl StackHost {
     }
 }
 
-fn inner_send_buf(s: &Slot) -> usize {
-    s.conn.send_space() + s.conn.in_flight() as usize
-}
-
 // ----------------------------------------------------------------------
-// Application API.
+// Application API: the stack under the app runtime.
 
-struct Api<'a, 'b> {
-    inner: &'a mut Inner,
-    ctx: &'a mut Ctx<'b, NetMsg>,
+impl Inner {
+    fn slot_mut(&mut self, slot: u32) -> Option<&mut Slot> {
+        self.slots.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// Charges one socket call: its API cycles and one boundary crossing.
+    fn call(&mut self, frame: &mut Frame<ConnCmd>, cycles: u64) {
+        frame.api_cycles += cycles;
+        self.crossings += 1;
+    }
+
+    /// Cycles one app↔stack boundary crossing costs under this thread
+    /// model (zero where the cost is already folded into API constants).
+    fn crossing_cycles(&self) -> u64 {
+        match self.cfg.model {
+            ThreadModel::MpkDataplane { crossing } => crossing.cycles,
+            ThreadModel::OffPathNic { pcie, .. } => pcie.doorbell_amortized(),
+            _ => 0,
+        }
+    }
+
+    /// Profiler frame name for this model's boundary primitive.
+    #[cfg(feature = "telemetry")]
+    fn crossing_label(&self) -> &'static str {
+        match self.cfg.model {
+            ThreadModel::MpkDataplane { crossing } => crossing.kind.label(),
+            ThreadModel::OffPathNic { pcie, .. } => pcie.doorbell.kind.label(),
+            _ => "ctxsw",
+        }
+    }
 }
 
-impl StackApi for Api<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.inner.frame.now
+impl AppStack for Inner {
+    type Op = ConnCmd;
+    const APP_TIMER: u32 = timers::APP;
+    const APP_RUN_TIMER: u32 = timers::APP_RUN;
+    const APP_CORE_GROUP: &'static str = "core";
+
+    fn activate(&mut self, _context: u16, t: SimTime) -> (SimTime, u64) {
+        // The activation itself enters the app's domain once.
+        (self.crossings, self.dma_bytes) = (1, 0);
+        (t, self.profile.api_poll)
     }
 
-    fn listen(&mut self, port: u16) {
-        self.inner.frame.api_cycles += self.inner.profile.api_conn;
-        self.inner.frame.crossings += 1;
-        self.inner.listeners.insert(port, ());
+    fn listen(&mut self, frame: &mut Frame<ConnCmd>, port: u16) {
+        self.call(frame, self.profile.api_conn);
+        self.listeners.insert(port);
     }
 
-    fn connect(&mut self, ip: Ipv4Addr, port: u16) -> SockId {
-        self.inner.frame.api_cycles += self.inner.profile.api_conn;
-        self.inner.frame.crossings += 1;
-        let local_port = self.inner.next_port;
-        self.inner.next_port = self.inner.next_port.checked_add(1).unwrap_or(40_000);
+    fn connect(
+        &mut self,
+        frame: &mut Frame<ConnCmd>,
+        ip: Ipv4Addr,
+        port: u16,
+        rng: &mut Rng,
+    ) -> SockId {
+        self.call(frame, self.profile.api_conn);
+        let local_port = self.next_port;
+        self.next_port = self.next_port.checked_add(1).unwrap_or(40_000);
         let local = EndpointInfo {
-            ip: self.inner.ip,
+            ip: self.ip,
             port: local_port,
-            mac: self.inner.mac,
+            mac: self.mac,
         };
         let remote = EndpointInfo {
             ip,
             port,
             mac: mac_for_ip(ip),
         };
-        let iss = self.ctx.rng().next_u32();
-        let conn = TcpConn::connect(
-            self.inner.frame.now,
-            self.inner.cfg.tcp.clone(),
-            local,
-            remote,
-            iss,
-        );
-        let key = FlowKey::new(self.inner.ip, local_port, ip, port);
-        let slot = StackHost::install(self.inner, key, conn, false);
-        self.inner.frame.ops.push(ApiOp::Connect { slot });
+        let iss = rng.next_u32();
+        let conn = TcpConn::connect(frame.now, self.cfg.tcp.clone(), local, remote, iss);
+        let key = FlowKey::new(self.ip, local_port, ip, port);
+        let slot = StackHost::install(self, key, conn, false);
+        frame.push(ConnCmd::Connect(slot));
         slot
     }
 
-    fn send(&mut self, sock: SockId, data: &[u8]) -> usize {
-        self.inner.frame.api_cycles += self.inner.profile.api_send;
-        self.inner.frame.crossings += 1;
-        let Some(s) = self
-            .inner
-            .slots
-            .get_mut(sock as usize)
-            .and_then(Option::as_mut)
-        else {
+    fn send(&mut self, frame: &mut Frame<ConnCmd>, sock: SockId, data: &[u8]) -> usize {
+        self.call(frame, self.profile.api_send);
+        let Some(s) = self.slot_mut(sock) else {
             return 0;
         };
         let n = s.conn.send(data);
@@ -1143,76 +928,90 @@ impl StackApi for Api<'_, '_> {
             s.want_write = true;
         }
         if n > 0 {
-            self.inner.frame.dma_bytes += n as u64;
-            self.inner.frame.ops.push(ApiOp::Touch(sock));
+            self.dma_bytes += n as u64;
+            frame.push(ConnCmd::Touch(sock));
         }
         n
     }
 
-    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize {
-        self.inner.frame.api_cycles += self.inner.profile.api_recv;
-        self.inner.frame.crossings += 1;
-        let Some(s) = self
-            .inner
-            .slots
-            .get_mut(sock as usize)
-            .and_then(Option::as_mut)
-        else {
+    fn recv_with(
+        &mut self,
+        frame: &mut Frame<ConnCmd>,
+        sock: SockId,
+        max: usize,
+        f: &mut dyn FnMut(&[u8]) -> usize,
+    ) -> usize {
+        self.call(frame, self.profile.api_recv);
+        let Some(s) = self.slot_mut(sock) else {
             return 0;
         };
         let n = s.conn.recv_with(max, f);
         s.rx_notified = false;
         if n > 0 {
-            self.inner.reg.add(self.inner.c_app_bytes, n as u64);
-            self.inner.frame.dma_bytes += n as u64;
-            self.inner.frame.ops.push(ApiOp::Touch(sock));
+            self.reg.add(self.c_app_bytes, n as u64);
+            self.dma_bytes += n as u64;
+            frame.push(ConnCmd::Touch(sock));
         }
         n
     }
 
     fn readable(&self, sock: SockId) -> usize {
-        self.inner
-            .slots
+        self.slots
             .get(sock as usize)
             .and_then(Option::as_ref)
             .map(|s| s.conn.readable())
             .unwrap_or(0)
     }
 
-    fn close(&mut self, sock: SockId) {
-        self.inner.frame.api_cycles += self.inner.profile.api_conn;
-        self.inner.frame.crossings += 1;
-        if let Some(s) = self
-            .inner
-            .slots
-            .get_mut(sock as usize)
-            .and_then(Option::as_mut)
-        {
+    fn close(&mut self, frame: &mut Frame<ConnCmd>, sock: SockId) {
+        self.call(frame, self.profile.api_conn);
+        if let Some(s) = self.slot_mut(sock) {
             s.conn.close();
-            self.inner.frame.ops.push(ApiOp::Touch(sock));
+            frame.push(ConnCmd::Touch(sock));
         }
     }
 
-    fn charge_app_cycles(&mut self, cycles: u64) {
-        self.inner.frame.app_cycles += cycles;
+    /// Inter-thread queue hop (pthread queue + wakeup). App threads only
+    /// exist on app cores, so off-path hosts map the context into the
+    /// host-core range above the NIC cores.
+    fn post(&self, context: u16) -> (u64, u16) {
+        let first = StackHost::first_app_core(self);
+        let core = first + context as usize % (self.cfg.cores - first);
+        (180, core as u16)
     }
 
-    fn set_app_timer(&mut self, delay: SimTime, token: u64) {
-        self.inner.frame.ops.push(ApiOp::Timer { delay, token });
+    fn run_frame(&mut self, frame: &Frame<ConnCmd>) -> SimTime {
+        let (api, app) = (frame.api_cycles, frame.app_cycles);
+        self.acct
+            .charge_app_frame(api, app, self.profile.ipc_times_100);
+        // Boundary crossings: WRPKRU flips or amortized doorbells, paid
+        // on the app core. Pipeline-serializing, so no retired
+        // instructions — the same convention as cache/contention stalls.
+        let boundary = self.crossings * self.crossing_cycles();
+        if boundary > 0 {
+            self.acct.charge(Module::Api, boundary, 0);
+            prof_charge!(boundary, "boundary", self.crossing_label());
+            self.reg.add(self.c_crossings, self.crossings);
+        }
+        if matches!(self.cfg.model, ThreadModel::OffPathNic { .. }) && self.dma_bytes > 0 {
+            self.reg.add(self.c_dma_bytes, self.dma_bytes);
+        }
+        let core = frame.context as usize;
+        self.cores.core(core).run(frame.now, api + app + boundary).1
     }
 
-    fn post(&mut self, context: u16, token: u64) {
-        // Inter-thread queue hop (pthread queue + wakeup). App threads
-        // only exist on app cores, so off-path hosts map the context
-        // into the host-core range above the NIC cores.
-        self.inner.frame.api_cycles += 180;
-        let context = match self.inner.cfg.model {
-            ThreadModel::OffPathNic { nic_cores, .. } => {
-                (nic_cores + context as usize % (self.inner.cfg.cores - nic_cores)) as u16
+    /// Host→stack commands: under the off-path model the command
+    /// descriptor (plus any payload the frame staged) must DMA across
+    /// the PCIe boundary before the NIC-side stack can act on it.
+    fn submit(&mut self, op: ConnCmd, end: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+        let at = match self.cfg.model {
+            ThreadModel::OffPathNic { pcie, .. } => {
+                end + pcie.one_way(EVENT_DESC_BYTES + self.dma_bytes)
             }
-            _ => (context as usize % self.inner.cfg.cores) as u16,
+            _ => end,
         };
-        self.inner.frame.ops.push(ApiOp::Post { context, token });
+        self.cmd_q.push_back(op);
+        ctx.timer_at(at, timers::CONN_CMD, 0);
     }
 }
 
@@ -1221,7 +1020,8 @@ impl StackApi for Api<'_, '_> {
 
 impl Agent<NetMsg> for StackHost {
     fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut Ctx<'_, NetMsg>) {
-        self.ensure_started(ctx);
+        let first_app_core = Self::first_app_core(&self.inner) as u16;
+        self.rt.ensure_started(&mut self.inner, first_app_core, ctx);
         match ev {
             Event::Msg {
                 msg: NetMsg::Packet(seg),
@@ -1231,9 +1031,9 @@ impl Agent<NetMsg> for StackHost {
                 msg: NetMsg::Ctl { kind, a, b },
                 ..
             } => {
-                let now = ctx.now();
-                let core = Self::first_app_core(&self.inner);
-                self.deliver_app(now, core, AppEvent::Ctl { kind, a, b }, ctx);
+                let ev = AppEvent::Ctl { kind, a, b };
+                self.rt
+                    .deliver(&mut self.inner, ctx.now(), first_app_core, ev, ctx);
             }
             Event::Timer { kind, data } => {
                 let now = ctx.now();
@@ -1241,11 +1041,7 @@ impl Agent<NetMsg> for StackHost {
                     timers::INIT => {}
                     timers::CONN => {
                         let slot = data as u32;
-                        let s = self
-                            .inner
-                            .slots
-                            .get_mut(slot as usize)
-                            .and_then(Option::as_mut);
+                        let s = self.inner.slot_mut(slot);
                         debug_assert!(
                             s.as_ref().is_some_and(|s| s.timer_id.is_some()),
                             "CONN timer of slot {slot} outlived its cancel"
@@ -1266,30 +1062,21 @@ impl Agent<NetMsg> for StackHost {
                         let core = data as usize;
                         self.flush_batch(core, now, ctx);
                     }
-                    timers::APP => {
-                        let (core, token) = unpack_app_timer(data);
-                        self.deliver_app(now, core as usize, AppEvent::Timer { token }, ctx);
-                    }
-                    timers::APP_RUN => {
-                        let core = data as usize;
-                        if let Some(ev) = self.inner.app_q[core].pop_front() {
-                            self.deliver_app(now, core, ev, ctx);
-                        }
+                    timers::APP | timers::APP_RUN => {
+                        self.rt.on_timer(&mut self.inner, kind, data, ctx);
                     }
                     timers::CONN_CMD => {
-                        if let Some(cmd) = self.inner.cmd_q.pop_front() {
-                            match cmd {
-                                ConnCmd::Touch(slot) => {
-                                    // Poll the connection for output the API
-                                    // call produced (sends, window updates).
-                                    self.run_conn("cmd", slot, now, 0, 0, ctx, |_c, _t| {});
-                                }
-                                ConnCmd::Connect(slot) => {
-                                    let cost = self.inner.profile.api_conn;
-                                    self.run_conn("connect", slot, now, cost, 0, ctx, |_c, _t| {});
-                                }
+                        // Poll the connection for output the API call
+                        // produced (sends, window updates); a connect
+                        // also pays the connect path.
+                        let (label, slot, cost) = match self.inner.cmd_q.pop_front() {
+                            Some(ConnCmd::Touch(slot)) => ("cmd", slot, 0),
+                            Some(ConnCmd::Connect(slot)) => {
+                                ("connect", slot, self.inner.profile.api_conn)
                             }
-                        }
+                            None => return,
+                        };
+                        self.run_conn(label, slot, now, cost, 0, ctx, |_c, _t| {});
                     }
                     _ => {}
                 }

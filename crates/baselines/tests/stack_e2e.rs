@@ -123,6 +123,13 @@ fn linux_echo_round_trips() {
 }
 
 #[test]
+#[should_panic(expected = "application is not a")]
+fn a_wrong_app_downcast_names_the_type_it_wanted() {
+    let (sim, hosts) = build_pair(Kind::Linux, Kind::Linux, 1, 64, Lifetime::Persistent, 1);
+    sim.agent::<StackHost>(hosts[0]).app_as::<RpcClient>();
+}
+
+#[test]
 fn ix_echo_round_trips() {
     let (mut sim, hosts) = build_pair(Kind::Ix, Kind::Ix, 200, 64, Lifetime::Persistent, 2);
     sim.run_until(SimTime::from_ms(500));

@@ -3,21 +3,23 @@
 //! `TasHost` and `StackHost` expose the same harness observables under
 //! different names; [`Host`] is that common surface, and [`host`],
 //! [`host_mut`], [`app`] and [`app_mut`] find the concrete type behind
-//! an agent id themselves. Harness code therefore never needs to know
-//! which stack a host runs: [`crate::Kind`] only decides what
-//! [`crate::make_server`] constructs.
+//! an agent id themselves (the app side is one [`HostedApp`] on both).
+//! Harness code therefore never needs to know which stack a host runs:
+//! [`crate::Kind`] only decides what [`crate::make_server`] constructs.
 
+use std::ops::DerefMut;
 use tas::{TasConfig, TasHost};
 use tas_baselines::{StackHost, StackHostConfig, StackProfile};
 use tas_cpusim::{CoreClass, CycleAccount};
 use tas_netsim::app::App;
+use tas_netsim::runtime::HostedApp;
 use tas_netsim::topo::{build_star, HostFactory, HostSpec, StarTopo};
 use tas_netsim::{NetMsg, NicConfig, PortConfig};
 use tas_sim::{AgentId, CoreUtilSeries, Registry, Scope, SeriesRecorder, Sim, SimTime, Snapshot};
 
 /// What the harnesses read from (and switch on in) a host, whichever
-/// stack it runs.
-pub trait Host {
+/// stack it runs; it dereferences to its application ([`HostedApp`]).
+pub trait Host: DerefMut<Target = HostedApp> {
     /// Cycle/instruction account (Tables 1–2).
     fn account(&self) -> &CycleAccount;
     /// The host's metric registry.
@@ -43,9 +45,6 @@ pub trait Host {
     /// Every counter and gauge the host can see, as one snapshot whose
     /// rendering is a pure function of the run.
     fn telemetry_snapshot(&self) -> Snapshot;
-    /// Opts this host into cycle-attribution profiling.
-    #[cfg(feature = "telemetry")]
-    fn enable_profiling(&mut self);
 
     /// Backlog drops at the host's NIC.
     fn drops(&self) -> u64 {
@@ -95,10 +94,6 @@ impl Host for TasHost {
     fn telemetry_snapshot(&self) -> Snapshot {
         TasHost::telemetry_snapshot(self)
     }
-    #[cfg(feature = "telemetry")]
-    fn enable_profiling(&mut self) {
-        TasHost::enable_profiling(self)
-    }
 }
 
 impl Host for StackHost {
@@ -130,10 +125,6 @@ impl Host for StackHost {
     fn telemetry_snapshot(&self) -> Snapshot {
         StackHost::telemetry_snapshot(self)
     }
-    #[cfg(feature = "telemetry")]
-    fn enable_profiling(&mut self) {
-        StackHost::enable_profiling(self)
-    }
 }
 
 /// The host behind `id`, whichever stack it runs.
@@ -163,19 +154,12 @@ pub fn host_mut(sim: &mut Sim<NetMsg>, id: AgentId) -> &mut dyn Host {
 ///
 /// Panics if `id` is not a host or its application is not a `T`.
 pub fn app<T: 'static>(sim: &Sim<NetMsg>, id: AgentId) -> &T {
-    match sim.try_agent::<TasHost>(id) {
-        Some(h) => h.app_as(),
-        None => sim.agent::<StackHost>(id).app_as(),
-    }
+    host(sim, id).app_as()
 }
 
 /// Mutable form of [`app`].
 pub fn app_mut<T: 'static>(sim: &mut Sim<NetMsg>, id: AgentId) -> &mut T {
-    if sim.try_agent::<TasHost>(id).is_some() {
-        sim.agent_mut::<TasHost>(id).app_as_mut()
-    } else {
-        sim.agent_mut::<StackHost>(id).app_as_mut()
-    }
+    host_mut(sim, id).app_as_mut()
 }
 
 /// A fully configured stack, ready to be placed on a [`HostSpec`].

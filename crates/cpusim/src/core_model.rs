@@ -206,6 +206,11 @@ impl CorePool {
         self.cores.is_empty()
     }
 
+    /// The cores, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &Core> {
+        self.cores.iter()
+    }
+
     /// Access a core.
     pub fn core(&mut self, i: usize) -> &mut Core {
         &mut self.cores[i]

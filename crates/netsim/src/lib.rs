@@ -18,11 +18,14 @@
 //! * [`fault`] — deterministic per-direction fault injection (seeded
 //!   uniform/bursty drops, duplication, reordering, jitter, corruption)
 //!   that NIC uplinks and switch ports apply at their delivery points.
+//! * [`runtime`] — the application half every host shares: the app, its
+//!   handler frame, deferred delivery, app timers and posts.
 
 pub mod app;
 pub mod fault;
 pub mod nic;
 pub mod rss;
+pub mod runtime;
 pub mod switch;
 pub mod topo;
 

@@ -8,7 +8,8 @@
 //!   10 ms and wake with a kernel-notification penalty),
 //! * the slow-path thread on its own (partially used) core,
 //! * application cores, one context queue each, running the [`App`]
-//!   against either the POSIX-sockets or low-level libTAS API,
+//!   against either the POSIX-sockets or low-level libTAS API (the
+//!   app side is the shared [`AppRuntime`]; this file is its stack),
 //! * the workload-proportionality controller (§3.4): utilization
 //!   monitoring, core add/remove, eager RSS redirection-table rewrites.
 //!
@@ -21,15 +22,17 @@ use crate::fastpath::{FastPath, RxNotice};
 use crate::slowpath::{SlowPath, SpAppEvent};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
 use tas_cpusim::{Core, CorePool, CycleAccount, Module};
-use tas_netsim::app::{pack_app_timer, unpack_app_timer, App, AppEvent, SockId, StackApi};
+use tas_netsim::app::{App, AppEvent, SockId};
 use tas_netsim::rss::hash_tuple;
+use tas_netsim::runtime::{AppRuntime, AppStack, Frame, HostedApp};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{MacAddr, Segment, TcpFlags};
 use tas_sim::{
     impl_as_any, probe, prof_charge, trace, Agent, CoreUtilSeries, CounterId, Ctx, Event, Registry,
-    Scope, SeriesRecorder, SimTime, TimeSeries, TimerId,
+    Rng, Scope, SeriesRecorder, SimTime, TimeSeries, TimerId,
 };
 
 /// Timer kinds used by [`TasHost`].
@@ -74,7 +77,6 @@ const APP_WAKE_LATENCY: SimTime = SimTime::from_us(2);
 struct SockState {
     fid: Option<u32>,
     context: u16,
-    peer_closed: bool,
     closed_evt_sent: bool,
     want_write: bool,
 }
@@ -84,36 +86,10 @@ enum FpCmd {
     RxBump(u32),
 }
 
-/// Deferred work collected while an app handler runs. One value serves
-/// every frame: `finish_frame` drains the four buffers and keeps their
-/// capacity, so a steady-state frame allocates nothing.
-#[derive(Default)]
-struct Frame {
-    context: u16,
-    now: SimTime,
-    api_cycles: u64,
-    app_cycles: u64,
-    fp_cmds: Vec<FpCmd>,
-    sp_cmds: Vec<SpWork>,
-    timers: Vec<(SimTime, u64)>,
-    posts: Vec<(u16, u64)>,
-}
-
-impl Frame {
-    /// Opens a frame on `context` at `now`, pre-charged `api_cycles`.
-    fn begin(&mut self, context: u16, now: SimTime, api_cycles: u64) {
-        debug_assert!(
-            self.fp_cmds.is_empty()
-                && self.sp_cmds.is_empty()
-                && self.timers.is_empty()
-                && self.posts.is_empty(),
-            "previous frame was finished"
-        );
-        self.context = context;
-        self.now = now;
-        self.api_cycles = api_cycles;
-        self.app_cycles = 0;
-    }
+/// A libTAS call's follow-up: a fast-path command or slow-path work.
+enum Cmd {
+    Fp(FpCmd),
+    Sp(SpWork),
 }
 
 struct Inner {
@@ -131,13 +107,6 @@ struct Inner {
     fid_to_sock: BTreeMap<u32, SockId>,
     next_context: u16,
     acct: CycleAccount,
-    started: bool,
-    /// True when this host's cycles are attributed by the profiler. Only
-    /// the host under measurement is enabled; all others disarm the
-    /// thread-local profiler before running so their work cannot bleed
-    /// into the profiled host's tree.
-    #[cfg(feature = "telemetry")]
-    prof: bool,
     /// Host-level metric registry.
     reg: Registry,
     c_drop_backlog: CounterId,
@@ -151,12 +120,6 @@ struct Inner {
     series: SeriesRecorder,
     /// Per-fast-path-core utilization, sampled on the same 1 ms grid.
     fp_util: CoreUtilSeries,
-    frame: Frame,
-    /// Deferred app events per context (drained by APP_RUN timers). A
-    /// cross-component hop must not execute at a future timestamp — that
-    /// would reserve a core ahead of time and block earlier arrivals — so
-    /// every hop is queued here and woken by a timer at its ready time.
-    app_q: Vec<std::collections::VecDeque<AppEvent>>,
     /// Deferred fast-path commands (drained by FP_CMD timers).
     fp_q: std::collections::VecDeque<FpCmd>,
     /// Deferred slow-path work (drained by SP_RUN timers).
@@ -184,20 +147,29 @@ impl Inner {
     fn take_tx_timer(&mut self, fid: u32) -> Option<TimerId> {
         self.fp_tx_timers.get_mut(fid as usize)?.take()
     }
-}
 
-#[cfg(feature = "telemetry")]
-impl Inner {
-    /// Arms cycle attribution for one of this host's cores — or disarms
-    /// the thread-local profiler when this host is not the one being
-    /// profiled, so its cycles are dropped rather than misattributed.
-    /// Arming also discards charges staged by code whose work was never
-    /// run (see `tas_telemetry::profile::set_core`).
-    fn prof_arm(&self, group: &'static str, idx: u32) {
-        if self.prof {
-            tas_telemetry::profile::set_core(group, idx);
-        } else {
-            tas_telemetry::profile::disarm();
+    /// Queues slow-path work for its core at `t`.
+    fn defer_sp(&mut self, t: SimTime, work: SpWork, ctx: &mut Ctx<'_, NetMsg>) {
+        self.sp_q.push_back(work);
+        ctx.timer_at(t, timers::SP_RUN, 0);
+    }
+
+    /// Opens a socket on the next app context, round robin.
+    fn alloc_sock(&mut self) -> (SockId, u16) {
+        let context = self.next_context % self.cfg.app_cores.max(1) as u16;
+        self.next_context = self.next_context.wrapping_add(1);
+        self.socks.push(SockState {
+            context,
+            ..SockState::default()
+        });
+        ((self.socks.len() - 1) as SockId, context)
+    }
+
+    /// A libTAS call's cost under the configured API.
+    fn api_cost(&self, sockets_cost: u64) -> u64 {
+        match self.cfg.api {
+            ApiKind::Sockets => sockets_cost,
+            ApiKind::LowLevel => self.cfg.costs.ll_op,
         }
     }
 }
@@ -232,13 +204,24 @@ enum SpWork {
     },
 }
 
-/// A host running TAS (one simulation agent).
+/// A host running TAS (one simulation agent). It dereferences to its
+/// [`HostedApp`] (`app_as`, `set_tenant`, `enable_profiling`).
 pub struct TasHost {
     inner: Inner,
-    app: Option<Box<dyn App>>,
-    /// Tenant identity assigned by a multi-tenant harness; `None` until
-    /// [`TasHost::set_tenant`] tags the host.
-    tenant: Option<u32>,
+    rt: AppRuntime<Inner>,
+}
+
+impl Deref for TasHost {
+    type Target = HostedApp;
+    fn deref(&self) -> &HostedApp {
+        &self.rt.hosted
+    }
+}
+
+impl DerefMut for TasHost {
+    fn deref_mut(&mut self) -> &mut HostedApp {
+        &mut self.rt.hosted
+    }
 }
 
 impl TasHost {
@@ -267,7 +250,7 @@ impl TasHost {
         let app_cores = CorePool::new(cfg.app_cores, cfg.freq_hz);
         let sp_core = Core::new(cfg.freq_hz);
         let active_fp = cfg.initial_fp_cores.clamp(1, cfg.max_fp_cores);
-        let cfg_app_cores = cfg.app_cores;
+        let rt = AppRuntime::new(app, cfg.app_cores);
         let cfg_max_fp = cfg.max_fp_cores;
         let mut reg = Registry::new();
         let c_drop_backlog = reg.counter("host.drop_backlog", Scope::Global);
@@ -288,9 +271,6 @@ impl TasHost {
                 fid_to_sock: BTreeMap::new(),
                 next_context: 0,
                 acct: CycleAccount::new(),
-                started: false,
-                #[cfg(feature = "telemetry")]
-                prof: false,
                 reg,
                 c_drop_backlog,
                 c_fp_wakes,
@@ -300,39 +280,17 @@ impl TasHost {
                 util_series: TimeSeries::new(),
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 fp_util: CoreUtilSeries::new(cfg_max_fp),
-                frame: Frame::default(),
                 fp_tx_timers: Vec::new(),
                 scratch: FlushScratch::default(),
-                app_q: (0..cfg_app_cores)
-                    .map(|_| std::collections::VecDeque::new())
-                    .collect(),
                 fp_q: std::collections::VecDeque::new(),
                 sp_q: std::collections::VecDeque::new(),
             },
-            app: Some(app),
-            tenant: None,
+            rt,
         }
     }
 
     // ------------------------------------------------------------------
-    // Harness accessors.
-
-    /// Tags this host with a tenant identity. Tenant-scoped counters are
-    /// re-emitted under [`Scope::Tenant`] in [`TasHost::telemetry_snapshot`]
-    /// so multi-tenant harnesses can attribute flows and work per tenant.
-    pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = Some(tenant);
-    }
-
-    /// Opts this host into cycle-attribution profiling: its core runs
-    /// arm the thread-local profiler with `fp<i>`/`sp0`/`app<j>`
-    /// identities. Hosts that were never enabled disarm the profiler
-    /// before running instead, so enabling exactly one host on a thread
-    /// profiles exactly that host.
-    #[cfg(feature = "telemetry")]
-    pub fn enable_profiling(&mut self) {
-        self.inner.prof = true;
-    }
+    // Harness accessors. Profiled cores are `fp<i>`, `sp0` and `app<j>`.
 
     /// Cycle/instruction account (Tables 1–2).
     pub fn account(&self) -> &CycleAccount {
@@ -390,7 +348,7 @@ impl TasHost {
         );
         // Tenant-tagged attribution: with one application per host, the
         // host's flow and connection totals are the tenant's.
-        if let Some(t) = self.tenant {
+        if let Some(t) = self.tenant() {
             let scope = Scope::Tenant(t);
             snap.insert_gauge("tenant.flows_live", scope, self.inner.fp.flows.len() as i64);
             snap.insert_counter("tenant.established", scope, sp.established);
@@ -451,9 +409,7 @@ impl TasHost {
     /// Exact cycles submitted per fast-path core since creation (the
     /// integer ground truth the attribution profiler conserves against).
     pub fn fp_busy_cycles(&self) -> Vec<u64> {
-        (0..self.inner.fp_cores.len())
-            .map(|i| self.inner.fp_cores.core_ref(i).busy_cycles())
-            .collect()
+        self.inner.fp_cores.iter().map(Core::busy_cycles).collect()
     }
 
     /// Exact cycles submitted to the slow-path core since creation.
@@ -463,42 +419,7 @@ impl TasHost {
 
     /// Exact cycles submitted per app core since creation.
     pub fn app_busy_cycles(&self) -> Vec<u64> {
-        (0..self.inner.app_cores.len())
-            .map(|i| self.inner.app_cores.core_ref(i).busy_cycles())
-            .collect()
-    }
-
-    /// Downcasts the application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not a `T`.
-    pub fn app_as<T: 'static>(&self) -> &T {
-        let Some(app) = self.app.as_ref() else {
-            panic!("app_as: no application attached");
-        };
-        let Some(app) = app.as_any().downcast_ref::<T>() else {
-            panic!("app_as: application is not a {}", std::any::type_name::<T>());
-        };
-        app
-    }
-
-    /// Mutable downcast of the application.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the app is not a `T`.
-    pub fn app_as_mut<T: 'static>(&mut self) -> &mut T {
-        let Some(app) = self.app.as_mut() else {
-            panic!("app_as_mut: no application attached");
-        };
-        let Some(app) = app.as_any_mut().downcast_mut::<T>() else {
-            panic!(
-                "app_as_mut: application is not a {}",
-                std::any::type_name::<T>()
-            );
-        };
-        app
+        self.inner.app_cores.iter().map(Core::busy_cycles).collect()
     }
 
     // ------------------------------------------------------------------
@@ -527,7 +448,7 @@ impl TasHost {
     ) -> (SimTime, SimTime) {
         let inner = &mut self.inner;
         let core_idx = core_idx.min(inner.active_fp.saturating_sub(1));
-        probe! { inner.prof_arm("fp", core_idx as u32); }
+        probe! { self.rt.hosted.prof_arm("fp", core_idx as u32); }
         let mut t_eff = t;
         let mut wake_extra = 0;
         {
@@ -621,25 +542,12 @@ impl TasHost {
             self.deliver_notice(end, context, notice, ctx);
         }
         for seg in exceptions.drain(..) {
-            self.defer_sp(end, SpWork::Exception(seg), ctx);
+            self.inner.defer_sp(end, SpWork::Exception(seg), ctx);
         }
         self.inner.scratch.fp_packets = packets;
         self.inner.scratch.fp_notices = notices;
         self.inner.scratch.fp_exceptions = exceptions;
         self.inner.scratch.fp_tx_timers = tx_timers;
-    }
-
-    /// Queues app-event delivery at `t` (deferred so interim work on the
-    /// target core is served in time order).
-    fn defer_app(&mut self, t: SimTime, context: u16, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
-        let context = (context as usize % self.inner.app_q.len().max(1)) as u16;
-        self.inner.app_q[context as usize].push_back(ev);
-        ctx.timer_at(t, timers::APP_RUN, context as u64);
-    }
-
-    fn defer_sp(&mut self, t: SimTime, work: SpWork, ctx: &mut Ctx<'_, NetMsg>) {
-        self.inner.sp_q.push_back(work);
-        ctx.timer_at(t, timers::SP_RUN, 0);
     }
 
     // ------------------------------------------------------------------
@@ -649,11 +557,8 @@ impl TasHost {
         // Pre-create a socket for a potential incoming connection.
         let is_syn =
             seg.tcp.flags.contains(TcpFlags::SYN) && !seg.tcp.flags.contains(TcpFlags::ACK);
-        let (fresh_opaque, accept_ctx) = if is_syn {
-            let ctx_id = self.inner.next_context % self.inner.cfg.app_cores.max(1) as u16;
-            self.inner.next_context = self.inner.next_context.wrapping_add(1);
-            let sock = self.alloc_sock(ctx_id);
-            (sock as u64, ctx_id)
+        let (fresh, accept_ctx) = if is_syn {
+            self.inner.alloc_sock()
         } else {
             (0, 0)
         };
@@ -664,13 +569,13 @@ impl TasHost {
                 (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
         }
         let inner = &mut self.inner;
-        probe! { inner.prof_arm("sp", 0); }
+        probe! { self.rt.hosted.prof_arm("sp", 0); }
         let cycles = inner.sp.on_exception(
             start,
             seg,
             &mut inner.fp,
             iss,
-            fresh_opaque,
+            fresh as u64,
             accept_ctx,
             &mut inner.acct,
         );
@@ -694,12 +599,12 @@ impl TasHost {
             let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
             // Re-arming onto the app core also discards the charges the
             // handshake-ACK's discarded fast-path estimate staged above.
-            probe! { inner.prof_arm("app", accept_ctx as u32); }
+            probe! { self.rt.hosted.prof_arm("app", accept_ctx as u32); }
             prof_charge!(app_cost, "accept");
             let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
             inner.acct.charge(Module::Api, app_cost, app_cost);
             let start2 = app_end.max(inner.sp_core.busy_until());
-            probe! { inner.prof_arm("sp", 0); }
+            probe! { self.rt.hosted.prof_arm("sp", 0); }
             inner.sp.accept_pending(start2, &mut inner.acct);
             let cost2 = inner.cfg.costs.sp_conn_op;
             inner.sp_core.run(app_end, cost2);
@@ -707,21 +612,20 @@ impl TasHost {
         self.flush_sp(end, ctx);
     }
 
-    fn run_sp<T>(
+    fn run_sp(
         &mut self,
         t: SimTime,
         ctx: &mut Ctx<'_, NetMsg>,
-        f: impl FnOnce(&mut SlowPath, &mut FastPath, SimTime, &mut CycleAccount) -> (u64, T),
-    ) -> T {
+        f: impl FnOnce(&mut SlowPath, &mut FastPath, SimTime, &mut CycleAccount) -> u64,
+    ) {
         let start = t.max(self.inner.sp_core.busy_until());
         let inner = &mut self.inner;
-        probe! { inner.prof_arm("sp", 0); }
-        let (cycles, ret) = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
+        probe! { self.rt.hosted.prof_arm("sp", 0); }
+        let cycles = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
         #[cfg(any(test, debug_assertions, feature = "audit"))]
         crate::audit::check_fastpath(&inner.fp, start);
         let (_, end) = inner.sp_core.run(t, cycles);
         self.flush_sp(end, ctx);
-        ret
     }
 
     fn flush_sp(&mut self, end: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
@@ -745,19 +649,13 @@ impl TasHost {
             self.inner.nic.tx(end, pkt, ctx);
         }
         for ev in events.drain(..) {
-            match ev {
+            // The socket each event concerns and what its context hears.
+            let (sock, app_ev) = match ev {
                 SpAppEvent::ConnectDone { opaque, fid } => {
                     let sock = opaque as SockId;
                     self.inner.socks[sock as usize].fid = Some(fid);
                     self.inner.fid_to_sock.insert(fid, sock);
-                    let c = self.inner.socks[sock as usize].context;
-                    self.defer_app(end, c, AppEvent::Connected { sock }, ctx);
-                }
-                SpAppEvent::ConnectFailed { opaque } => {
-                    let sock = opaque as SockId;
-                    let c = self.inner.socks[sock as usize].context;
-                    self.mark_closed(sock);
-                    self.defer_app(end, c, AppEvent::Closed { sock }, ctx);
+                    (sock, AppEvent::Connected { sock })
                 }
                 SpAppEvent::AcceptDone {
                     opaque, fid, port, ..
@@ -765,25 +663,23 @@ impl TasHost {
                     let sock = opaque as SockId;
                     self.inner.socks[sock as usize].fid = Some(fid);
                     self.inner.fid_to_sock.insert(fid, sock);
-                    let c = self.inner.socks[sock as usize].context;
-                    self.defer_app(end, c, AppEvent::Accepted { sock, port }, ctx);
+                    (sock, AppEvent::Accepted { sock, port })
+                }
+                SpAppEvent::ConnectFailed { opaque } => {
+                    let sock = opaque as SockId;
+                    (sock, AppEvent::Closed { sock })
                 }
                 SpAppEvent::PeerClosed { fid } => {
-                    if let Some(&sock) = self.inner.fid_to_sock.get(&fid) {
-                        self.inner.socks[sock as usize].peer_closed = true;
-                        let c = self.inner.socks[sock as usize].context;
-                        self.mark_closed(sock);
-                        self.defer_app(end, c, AppEvent::Closed { sock }, ctx);
-                    }
+                    let Some(&sock) = self.inner.fid_to_sock.get(&fid) else {
+                        continue;
+                    };
+                    (sock, AppEvent::Closed { sock })
                 }
                 SpAppEvent::CloseDone { opaque } => {
                     let sock = opaque as SockId;
-                    if (sock as usize) < self.inner.socks.len() {
-                        let c = self.inner.socks[sock as usize].context;
-                        if !self.inner.socks[sock as usize].closed_evt_sent {
-                            self.mark_closed(sock);
-                            self.defer_app(end, c, AppEvent::Closed { sock }, ctx);
-                        }
+                    match self.inner.socks.get(sock as usize) {
+                        Some(s) if !s.closed_evt_sent => (sock, AppEvent::Closed { sock }),
+                        _ => continue,
                     }
                 }
                 SpAppEvent::Detached { opaque, fid } => {
@@ -793,12 +689,16 @@ impl TasHost {
                     if let Some(id) = self.inner.take_tx_timer(fid) {
                         ctx.cancel_timer(id);
                     }
-                    let sock = opaque as SockId;
-                    if (sock as usize) < self.inner.socks.len() {
-                        self.inner.socks[sock as usize].fid = None;
+                    if let Some(s) = self.inner.socks.get_mut(opaque as usize) {
+                        s.fid = None;
                     }
+                    continue;
                 }
-            }
+            };
+            let s = &mut self.inner.socks[sock as usize];
+            s.closed_evt_sent |= matches!(app_ev, AppEvent::Closed { .. });
+            let context = s.context;
+            self.rt.defer(end, context, app_ev, ctx);
         }
         self.inner.scratch.sp_packets = packets;
         self.inner.scratch.sp_events = events;
@@ -811,20 +711,6 @@ impl TasHost {
         {
             self.flush_fp(end, SimTime::ZERO, ctx);
         }
-    }
-
-    fn mark_closed(&mut self, sock: SockId) {
-        let s = &mut self.inner.socks[sock as usize];
-        s.closed_evt_sent = true;
-    }
-
-    fn alloc_sock(&mut self, context: u16) -> SockId {
-        let id = self.inner.socks.len() as SockId;
-        self.inner.socks.push(SockState {
-            context,
-            ..SockState::default()
-        });
-        id
     }
 
     // ------------------------------------------------------------------
@@ -863,7 +749,7 @@ impl TasHost {
                     );
                 }
             }
-            self.defer_app(t, context, AppEvent::Readable { sock }, ctx);
+            self.rt.defer(t, context, AppEvent::Readable { sock }, ctx);
         }
         if notice.tx_acked > 0 && self.inner.socks[sock as usize].want_write {
             // Wake the writer once useful buffer space exists (libTAS's
@@ -875,79 +761,9 @@ impl TasHost {
                 .unwrap_or((usize::MAX, 0));
             if space.0 >= (space.1 / 4).max(8 * 1024).min(space.1) {
                 self.inner.socks[sock as usize].want_write = false;
-                self.defer_app(t, context, AppEvent::Writable { sock }, ctx);
+                self.rt.defer(t, context, AppEvent::Writable { sock }, ctx);
             }
         }
-    }
-
-    /// Invokes the app handler on its context's core at `t`, charging the
-    /// API poll cost, the API call costs it makes, and its own cycles.
-    fn deliver_app(&mut self, t: SimTime, context: u16, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
-        let context = (context as usize % self.inner.app_cores.len().max(1)) as u16;
-        let mut t_eff = t;
-        {
-            let core = self.inner.app_cores.core(context as usize);
-            if core.is_idle(t) && t.saturating_sub(core.last_work_end()) > APP_IDLE_SLEEP {
-                t_eff = t + APP_WAKE_LATENCY;
-            }
-        }
-        let poll_cost = match self.inner.cfg.api {
-            ApiKind::Sockets => self.inner.cfg.costs.so_poll,
-            ApiKind::LowLevel => self.inner.cfg.costs.ll_op,
-        };
-        // Prepare the frame, run the handler.
-        self.inner.frame.begin(context, t_eff, poll_cost);
-        let Some(mut app) = self.app.take() else {
-            debug_assert!(false, "nested app delivery");
-            return;
-        };
-        {
-            let mut api = Api {
-                inner: &mut self.inner,
-            };
-            app.on_event(ev, &mut api);
-        }
-        self.app = Some(app);
-        self.finish_frame(t_eff, ctx);
-    }
-
-    fn finish_frame(&mut self, t_eff: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let mut frame = std::mem::take(&mut self.inner.frame);
-        let total = frame.api_cycles + frame.app_cycles;
-        probe! { self.inner.prof_arm("app", frame.context as u32); }
-        self.inner.acct.charge_app_frame(
-            frame.api_cycles,
-            frame.app_cycles,
-            self.inner.cfg.costs.ipc_times_100,
-        );
-        let (_, end) = self
-            .inner
-            .app_cores
-            .core(frame.context as usize)
-            .run(t_eff, total);
-        // App timers.
-        for (delay, token) in frame.timers.drain(..) {
-            ctx.timer_at(
-                end + delay,
-                timers::APP,
-                pack_app_timer(frame.context, token),
-            );
-        }
-        // Cross-thread posts: delivered on the target context at `end`.
-        for (context, token) in frame.posts.drain(..) {
-            ctx.timer_at(end, timers::APP, pack_app_timer(context, token));
-        }
-        // Fast-path and slow-path commands issued by the handler become
-        // events at `end` (the cores must serve interim work first).
-        for cmd in frame.fp_cmds.drain(..) {
-            self.inner.fp_q.push_back(cmd);
-            ctx.timer_at(end, timers::FP_CMD, 0);
-        }
-        for work in frame.sp_cmds.drain(..) {
-            self.defer_sp(end, work, ctx);
-        }
-        // The drained buffers go back for the next frame.
-        self.inner.frame = frame;
     }
 
     fn run_sp_work(&mut self, work: SpWork, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
@@ -958,15 +774,12 @@ impl TasHost {
                 let context = self.inner.socks[sock as usize].context;
                 let peer_mac = mac_for_ip(ip);
                 self.run_sp(now, ctx, |sp, _fp, t, acct| {
-                    (
-                        sp.connect(t, ip, port, peer_mac, sock as u64, context, iss, acct),
-                        (),
-                    )
+                    sp.connect(t, ip, port, peer_mac, sock as u64, context, iss, acct)
                 });
             }
             SpWork::Close { sock } => {
                 if let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) {
-                    self.run_sp(now, ctx, |sp, fp, t, acct| (sp.close(t, fid, fp, acct), ()));
+                    self.run_sp(now, ctx, |sp, fp, t, acct| sp.close(t, fid, fp, acct));
                 }
             }
         }
@@ -1031,94 +844,59 @@ impl TasHost {
             .series
             .record("sp.queue_depth", inner.sp_q.len() as f64);
         let tick = inner.series.current_tick();
-        let cores = &inner.fp_cores;
-        inner.fp_util.sample(
-            tick,
-            (0..cores.len()).map(|i| cores.core_ref(i).busy_total()),
-        );
-    }
-
-    fn ensure_started(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.inner.started {
-            return;
-        }
-        self.inner.started = true;
-        self.inner.nic.rss_mut().rebalance(self.inner.active_fp);
-        let interval = self.inner.cfg.control_interval;
-        ctx.timer(interval, timers::SP_CTRL, 0);
-        if self.inner.cfg.proportional {
-            ctx.timer(SimTime::from_ms(1), timers::PROP, 0);
-        }
-        // Run the app's on_start through the same frame machinery.
-        let t = ctx.now();
-        self.inner.frame.begin(0, t, 0);
-        let Some(mut app) = self.app.take() else {
-            debug_assert!(false, "app missing at start");
-            return;
-        };
-        {
-            let mut api = Api {
-                inner: &mut self.inner,
-            };
-            app.on_start(&mut api);
-        }
-        self.app = Some(app);
-        self.finish_frame(t, ctx);
+        inner
+            .fp_util
+            .sample(tick, inner.fp_cores.iter().map(Core::busy_total));
     }
 }
 
 // ----------------------------------------------------------------------
-// The libTAS application API.
+// The libTAS application API: the stack under the app runtime.
 
-struct Api<'a> {
-    inner: &'a mut Inner,
-}
+impl AppStack for Inner {
+    type Op = Cmd;
+    const APP_TIMER: u32 = timers::APP;
+    const APP_RUN_TIMER: u32 = timers::APP_RUN;
+    const APP_CORE_GROUP: &'static str = "app";
 
-impl Api<'_> {
-    fn call_cost(&mut self, sockets_cost: u64) {
-        let c = match self.inner.cfg.api {
-            ApiKind::Sockets => sockets_cost,
-            ApiKind::LowLevel => self.inner.cfg.costs.ll_op,
-        };
-        self.inner.frame.api_cycles += c;
-    }
-}
-
-impl StackApi for Api<'_> {
-    fn now(&self) -> SimTime {
-        self.inner.frame.now
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        self.nic.rss_mut().rebalance(self.active_fp);
+        ctx.timer(self.cfg.control_interval, timers::SP_CTRL, 0);
+        if self.cfg.proportional {
+            ctx.timer(SimTime::from_ms(1), timers::PROP, 0);
+        }
     }
 
-    fn listen(&mut self, port: u16) {
-        self.call_cost(self.inner.cfg.costs.so_conn_op);
-        self.inner.sp.listen(port);
+    /// App cores idle for longer than `APP_IDLE_SLEEP` sleep in epoll
+    /// and pay a wake before the handler runs.
+    fn activate(&mut self, context: u16, t: SimTime) -> (SimTime, u64) {
+        let core = self.app_cores.core(context as usize);
+        let asleep = core.is_idle(t) && t.saturating_sub(core.last_work_end()) > APP_IDLE_SLEEP;
+        let start = if asleep { t + APP_WAKE_LATENCY } else { t };
+        (start, self.api_cost(self.cfg.costs.so_poll))
     }
 
-    fn connect(&mut self, ip: Ipv4Addr, port: u16) -> SockId {
-        self.call_cost(self.inner.cfg.costs.so_conn_op);
-        let context = self.inner.next_context % self.inner.cfg.app_cores.max(1) as u16;
-        self.inner.next_context = self.inner.next_context.wrapping_add(1);
-        let id = self.inner.socks.len() as SockId;
-        self.inner.socks.push(SockState {
-            context,
-            ..SockState::default()
-        });
-        self.inner
-            .frame
-            .sp_cmds
-            .push(SpWork::Connect { sock: id, ip, port });
-        id
+    fn listen(&mut self, frame: &mut Frame<Cmd>, port: u16) {
+        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        self.sp.listen(port);
     }
 
-    fn send(&mut self, sock: SockId, data: &[u8]) -> usize {
-        self.call_cost(self.inner.cfg.costs.so_send);
-        let Some(s) = self.inner.socks.get_mut(sock as usize) else {
+    fn connect(&mut self, frame: &mut Frame<Cmd>, ip: Ipv4Addr, port: u16, _: &mut Rng) -> SockId {
+        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        let (sock, _) = self.alloc_sock();
+        frame.push(Cmd::Sp(SpWork::Connect { sock, ip, port }));
+        sock
+    }
+
+    fn send(&mut self, frame: &mut Frame<Cmd>, sock: SockId, data: &[u8]) -> usize {
+        frame.api_cycles += self.api_cost(self.cfg.costs.so_send);
+        let Some(s) = self.socks.get_mut(sock as usize) else {
             return 0;
         };
         let Some(fid) = s.fid else {
             return 0;
         };
-        let Some(flow) = self.inner.fp.flows.get_mut(fid) else {
+        let Some(flow) = self.fp.flows.get_mut(fid) else {
             return 0;
         };
         // libTAS writes payload directly into the user-space TX ring.
@@ -1130,7 +908,7 @@ impl StackApi for Api<'_> {
         if n > 0 {
             trace!(
                 "app",
-                self.inner.frame.now,
+                frame.now,
                 Stage {
                     stage: tas_telemetry::Stage::AppSend,
                     flow: flow.conn.key(),
@@ -1139,17 +917,23 @@ impl StackApi for Api<'_> {
                     wait_ns: 0,
                 }
             );
-            self.inner.frame.fp_cmds.push(FpCmd::Tx(fid));
+            frame.push(Cmd::Fp(FpCmd::Tx(fid)));
         }
         n
     }
 
-    fn recv_with(&mut self, sock: SockId, max: usize, f: &mut dyn FnMut(&[u8]) -> usize) -> usize {
-        self.call_cost(self.inner.cfg.costs.so_recv);
-        let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) else {
+    fn recv_with(
+        &mut self,
+        frame: &mut Frame<Cmd>,
+        sock: SockId,
+        max: usize,
+        f: &mut dyn FnMut(&[u8]) -> usize,
+    ) -> usize {
+        frame.api_cycles += self.api_cost(self.cfg.costs.so_recv);
+        let Some(fid) = self.socks.get(sock as usize).and_then(|s| s.fid) else {
             return 0;
         };
-        let Some(flow) = self.inner.fp.flows.get_mut(fid) else {
+        let Some(flow) = self.fp.flows.get_mut(fid) else {
             return 0;
         };
         probe! { let off0 = flow.rcv.rx.start_offset(); }
@@ -1158,7 +942,7 @@ impl StackApi for Api<'_> {
         if n > 0 {
             trace!(
                 "app",
-                self.inner.frame.now,
+                frame.now,
                 Stage {
                     stage: tas_telemetry::Stage::AppDeliver,
                     flow: flow.conn.key().reversed(),
@@ -1167,38 +951,48 @@ impl StackApi for Api<'_> {
                     wait_ns: 0,
                 }
             );
-            self.inner.reg.add(self.inner.c_app_bytes, n as u64);
-            self.inner.frame.fp_cmds.push(FpCmd::RxBump(fid));
+            self.reg.add(self.c_app_bytes, n as u64);
+            frame.push(Cmd::Fp(FpCmd::RxBump(fid)));
         }
         n
     }
 
     fn readable(&self, sock: SockId) -> usize {
-        self.inner
-            .socks
+        self.socks
             .get(sock as usize)
             .and_then(|s| s.fid)
-            .and_then(|fid| self.inner.fp.flows.get(fid))
+            .and_then(|fid| self.fp.flows.get(fid))
             .map_or(0, |flow| flow.rcv.rx.len())
     }
 
-    fn close(&mut self, sock: SockId) {
-        self.call_cost(self.inner.cfg.costs.so_conn_op);
-        self.inner.frame.sp_cmds.push(SpWork::Close { sock });
+    fn close(&mut self, frame: &mut Frame<Cmd>, sock: SockId) {
+        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        frame.push(Cmd::Sp(SpWork::Close { sock }));
     }
 
-    fn charge_app_cycles(&mut self, cycles: u64) {
-        self.inner.frame.app_cycles += cycles;
+    /// A context-queue hop costs roughly one low-level queue operation.
+    fn post(&self, context: u16) -> (u64, u16) {
+        (self.cfg.costs.ll_op, context)
     }
 
-    fn set_app_timer(&mut self, delay: SimTime, token: u64) {
-        self.inner.frame.timers.push((delay, token));
+    fn run_frame(&mut self, frame: &Frame<Cmd>) -> SimTime {
+        let (api, app) = (frame.api_cycles, frame.app_cycles);
+        self.acct
+            .charge_app_frame(api, app, self.cfg.costs.ipc_times_100);
+        let core = self.app_cores.core(frame.context as usize);
+        core.run(frame.now, api + app).1
     }
 
-    fn post(&mut self, context: u16, token: u64) {
-        // A context-queue hop costs roughly one low-level queue operation.
-        self.inner.frame.api_cycles += self.inner.cfg.costs.ll_op;
-        self.inner.frame.posts.push((context, token));
+    /// Commands become events at the frame's end: the fast- and
+    /// slow-path cores must serve interim work first.
+    fn submit(&mut self, op: Cmd, end: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+        match op {
+            Cmd::Fp(cmd) => {
+                self.fp_q.push_back(cmd);
+                ctx.timer_at(end, timers::FP_CMD, 0);
+            }
+            Cmd::Sp(work) => self.defer_sp(end, work, ctx),
+        }
     }
 }
 
@@ -1207,7 +1001,7 @@ impl StackApi for Api<'_> {
 
 impl Agent<NetMsg> for TasHost {
     fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut Ctx<'_, NetMsg>) {
-        self.ensure_started(ctx);
+        self.rt.ensure_started(&mut self.inner, 0, ctx);
         match ev {
             Event::Msg {
                 msg: NetMsg::Packet(seg),
@@ -1287,8 +1081,8 @@ impl Agent<NetMsg> for TasHost {
                 msg: NetMsg::Ctl { kind, a, b },
                 ..
             } => {
-                let now = ctx.now();
-                self.deliver_app(now, 0, AppEvent::Ctl { kind, a, b }, ctx);
+                let ev = AppEvent::Ctl { kind, a, b };
+                self.rt.deliver(&mut self.inner, ctx.now(), 0, ev, ctx);
             }
             Event::Timer { kind, data } => {
                 let now = ctx.now();
@@ -1302,9 +1096,7 @@ impl Agent<NetMsg> for TasHost {
                     }
                     timers::SP_CTRL => {
                         self.sample_series(now);
-                        self.run_sp(now, ctx, |sp, fp, t, acct| {
-                            (sp.control_loop(t, fp, acct), ())
-                        });
+                        self.run_sp(now, ctx, |sp, fp, t, acct| sp.control_loop(t, fp, acct));
                         // Self-pacing: the next iteration starts when this
                         // one finishes or after the nominal interval,
                         // whichever is later.
@@ -1317,33 +1109,19 @@ impl Agent<NetMsg> for TasHost {
                         self.prop_tick(now);
                         ctx.timer(SimTime::from_ms(1), timers::PROP, 0);
                     }
-                    timers::APP => {
-                        let (context, token) = unpack_app_timer(data);
-                        self.deliver_app(now, context, AppEvent::Timer { token }, ctx);
-                    }
-                    timers::APP_RUN => {
-                        let context = data as u16;
-                        if let Some(ev) = self.inner.app_q[context as usize].pop_front() {
-                            self.deliver_app(now, context, ev, ctx);
-                        }
+                    timers::APP | timers::APP_RUN => {
+                        self.rt.on_timer(&mut self.inner, kind, data, ctx);
                     }
                     timers::FP_CMD => {
-                        if let Some(cmd) = self.inner.fp_q.pop_front() {
-                            match cmd {
-                                FpCmd::Tx(fid) => {
-                                    let core = Self::fp_core_for(&self.inner, fid);
-                                    self.run_fp(core, now, ctx, 0, |fp, t, acct| {
-                                        fp.tx_command(t, fid, acct)
-                                    });
-                                }
-                                FpCmd::RxBump(fid) => {
-                                    let core = Self::fp_core_for(&self.inner, fid);
-                                    self.run_fp(core, now, ctx, 0, |fp, t, acct| {
-                                        fp.rx_bump(t, fid, acct)
-                                    });
-                                }
-                            }
-                        }
+                        let Some(cmd) = self.inner.fp_q.pop_front() else {
+                            return;
+                        };
+                        let (FpCmd::Tx(fid) | FpCmd::RxBump(fid)) = cmd;
+                        let core = Self::fp_core_for(&self.inner, fid);
+                        self.run_fp(core, now, ctx, 0, |fp, t, acct| match cmd {
+                            FpCmd::Tx(_) => fp.tx_command(t, fid, acct),
+                            FpCmd::RxBump(_) => fp.rx_bump(t, fid, acct),
+                        });
                     }
                     timers::SP_RUN => {
                         if let Some(work) = self.inner.sp_q.pop_front() {
