@@ -1,6 +1,6 @@
 //! DCTCP (Alizadeh et al., SIGCOMM 2010): ECN-mark-fraction-proportional
-//! backoff, in both window mode (per-connection) and rate mode (TAS slow
-//! path, paper §3.2 "DCTCP-style rate control").
+//! backoff, as a window algorithm (per-connection) and as the rate law
+//! [`dctcp_rate`] (TAS slow path, paper §3.2 "DCTCP-style rate control").
 
 use tas_sim::SimTime;
 
@@ -33,8 +33,7 @@ impl Default for DctcpRateParams {
     }
 }
 
-/// DCTCP with per-RTT mark-fraction estimation (window mode) and the
-/// slow-path control-interval law (rate mode).
+/// Window-mode DCTCP with per-RTT mark-fraction estimation.
 #[derive(Debug)]
 pub struct Dctcp {
     mss: u32,
@@ -53,8 +52,6 @@ pub struct Dctcp {
     window_end: Option<SimTime>,
     /// Whether we already reduced cwnd in this window.
     reduced_this_window: bool,
-    /// Rate-mode parameters.
-    rate: DctcpRateParams,
 }
 
 impl Dctcp {
@@ -71,13 +68,7 @@ impl Dctcp {
             bytes_marked_win: 0,
             window_end: None,
             reduced_this_window: false,
-            rate: DctcpRateParams::default(),
         }
-    }
-
-    /// Creates a window-mode DCTCP with custom rate-mode parameters.
-    pub fn with_rate_params(mss: u32, rate: DctcpRateParams) -> Self {
-        Dctcp { rate, ..Dctcp::new(mss) }
     }
 
     /// Current alpha estimate (mark-fraction EWMA).
@@ -154,55 +145,54 @@ impl CongCtrl for Dctcp {
         self.ssthresh
     }
 
-    fn rate_iteration(
-        &self,
-        st: &mut CcState,
-        fb: RateFeedback,
-        current_bps: u64,
-        interval_secs: f64,
-    ) -> u64 {
-        let p = &self.rate;
-        let mut rate = current_bps as f64;
-
-        // Track the achieved rate so the target can't run away from
-        // what the flow actually moves (TIMELY-paper-style rate cap).
-        if fb.ackb > 0 {
-            let measured = fb.ackb as f64 * 8.0 / interval_secs;
-            st.rate_ewma = if st.rate_ewma == 0.0 {
-                measured
-            } else {
-                0.8 * st.rate_ewma + 0.2 * measured
-            };
-            rate = rate.min(st.rate_ewma.max(measured) * p.cap_factor);
-        }
-
-        // alpha <- (1-g)*alpha + g*F, F = marked fraction this interval.
-        if fb.ackb > 0 {
-            let f = (fb.ecnb as f64 / fb.ackb as f64).min(1.0);
-            st.alpha = (1.0 - p.gain) * st.alpha + p.gain * f;
-        }
-
-        let congested = fb.ecnb > 0 || fb.frexmits > 0;
-        if congested {
-            st.slow_start = false;
-        }
-
-        if fb.frexmits > 0 {
-            // Loss: multiplicative decrease, classic halving.
-            rate /= 2.0;
-        } else if fb.ecnb > 0 {
-            // Marks only: gentle DCTCP reduction by alpha/2.
-            rate *= 1.0 - st.alpha / 2.0;
-        } else if st.slow_start {
-            rate *= 2.0;
-        } else if fb.ackb > 0 {
-            rate += p.ai_bps as f64;
-        }
-
-        (rate as u64).clamp(p.min_bps, p.max_bps)
-    }
-
     fn name(&self) -> &'static str {
         "dctcp"
     }
+}
+
+/// One DCTCP rate-law iteration (paper §3.2 and §5.5): folds one control
+/// interval's feedback into the flow's `st` and returns its new rate in
+/// bits/second.
+pub fn dctcp_rate(
+    st: &mut CcState,
+    fb: RateFeedback,
+    current_bps: u64,
+    interval_secs: f64,
+    p: &DctcpRateParams,
+) -> u64 {
+    let mut rate = current_bps as f64;
+
+    // Track the achieved rate so the target can't run away from
+    // what the flow actually moves (TIMELY-paper-style rate cap).
+    if fb.ackb > 0 {
+        let measured = fb.ackb as f64 * 8.0 / interval_secs;
+        st.rate_ewma = if st.rate_ewma == 0.0 {
+            measured
+        } else {
+            0.8 * st.rate_ewma + 0.2 * measured
+        };
+        rate = rate.min(st.rate_ewma.max(measured) * p.cap_factor);
+        // alpha <- (1-g)*alpha + g*F, F = marked fraction this interval.
+        let f = (fb.ecnb as f64 / fb.ackb as f64).min(1.0);
+        st.alpha = (1.0 - p.gain) * st.alpha + p.gain * f;
+    }
+
+    let congested = fb.ecnb > 0 || fb.frexmits > 0;
+    if congested {
+        st.slow_start = false;
+    }
+
+    if fb.frexmits > 0 {
+        // Loss: multiplicative decrease, classic halving.
+        rate /= 2.0;
+    } else if fb.ecnb > 0 {
+        // Marks only: gentle DCTCP reduction by alpha/2.
+        rate *= 1.0 - st.alpha / 2.0;
+    } else if st.slow_start {
+        rate *= 2.0;
+    } else if fb.ackb > 0 {
+        rate += p.ai_bps as f64;
+    }
+
+    (rate as u64).clamp(p.min_bps, p.max_bps)
 }

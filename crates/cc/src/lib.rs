@@ -1,25 +1,21 @@
 //! Unified congestion control for both stacks.
 //!
-//! One trait, three algorithms. [`CongCtrl`] carries the two facets a
-//! congestion-control algorithm needs in this workspace:
+//! One trait and two rate laws, split along the paper's line (§3.2):
 //!
-//! * the **window facet** (`on_ack` / `on_timeout` / `on_fast_retransmit`
-//!   / `cwnd`), used per-connection by the reference TCP engine
-//!   (`tas-tcp`) and the baseline stacks — algorithm state lives inside
-//!   the boxed object;
-//! * the **rate facet** (`rate_iteration`), used per-flow by the TAS slow
-//!   path's control loop (§3.2) — per-flow state lives *outside* the
-//!   algorithm in a [`CcState`] (the flow table owns it; the paper's
-//!   Table 3 `cc_*` fields), so one algorithm object can police thousands
-//!   of flows.
+//! * [`CongCtrl`] is the **window algorithm** (`on_ack` / `on_timeout` /
+//!   `on_fast_retransmit` / `cwnd`) the reference TCP engine (`tas-tcp`)
+//!   and the baseline stacks run per connection; its state lives inside
+//!   the boxed object. [`NewReno`], [`Dctcp`] and [`Timely`] implement it.
+//! * [`dctcp_rate`] and [`timely_rate`] are the **rate laws** the TAS slow
+//!   path runs once per flow per control interval. They are plain
+//!   functions over a [`CcState`] the slow path keeps per flow, fed the
+//!   [`RateFeedback`] the fast path's counters accumulated, so one law
+//!   polices thousands of flows.
 //!
-//! [`NewReno`], [`Dctcp`], and [`Timely`] are the three impls. The
-//! arithmetic is the exact code that previously lived duplicated across
-//! `crates/tcp/src/cc.rs` (window NewReno/DCTCP) and `crates/tas/src/cc.rs`
-//! (rate DCTCP/TIMELY); `tests/cc_bitidentity.rs` pins pre-unification
-//! trajectories bit-for-bit to prove the move changed no behavior.
-// Fast-path panic freedom (R4, DESIGN.md §11): the window facet runs per
-// ACK inside both fast paths, so production code here may not unwrap or
+//! `tests/cc_bitidentity.rs` pins trajectories captured before the two
+//! stacks shared this crate bit-for-bit, proving no arithmetic changed.
+// Fast-path panic freedom (R4, DESIGN.md §11): the window algorithms run
+// per ACK inside both fast paths, so production code here may not unwrap or
 // panic; tests are exempt, and `debug_assert!` is the invariant check.
 #![cfg_attr(
     not(test),
@@ -40,9 +36,9 @@ mod dctcp;
 mod newreno;
 mod timely;
 
-pub use dctcp::{Dctcp, DctcpRateParams};
+pub use dctcp::{dctcp_rate, Dctcp, DctcpRateParams};
 pub use newreno::NewReno;
-pub use timely::{Timely, TimelyParams};
+pub use timely::{timely_rate, Timely, TimelyParams};
 
 /// Which congestion-control algorithm a connection runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,7 +51,7 @@ pub enum CcKind {
     Timely,
 }
 
-/// Feedback for one ACK arrival (window facet).
+/// Feedback for one ACK arrival (window algorithm).
 #[derive(Clone, Copy, Debug)]
 pub struct AckInfo {
     /// Newly acknowledged bytes.
@@ -68,9 +64,8 @@ pub struct AckInfo {
     pub srtt: Option<SimTime>,
 }
 
-/// Per-flow congestion-control state for the rate facet: the Table-3
-/// `cc_*` fields. Owned by the flow (the TAS flow table), mutated only by
-/// [`CongCtrl::rate_iteration`].
+/// Per-flow state of a rate law, kept by the TAS slow path and mutated
+/// only by [`dctcp_rate`] / [`timely_rate`].
 #[derive(Clone, Copy, Debug)]
 pub struct CcState {
     /// EWMA of the ECN-marked byte fraction (DCTCP alpha).
@@ -101,8 +96,8 @@ impl Default for CcState {
     }
 }
 
-/// One control interval's accumulated fast-path feedback (rate facet).
-/// The caller (flow owner) reads-and-resets its counters into this.
+/// One control interval's accumulated fast-path feedback, the rate laws'
+/// input: the fast path drains its per-flow counters into this.
 #[derive(Clone, Copy, Debug)]
 pub struct RateFeedback {
     /// Bytes newly acknowledged this interval.
@@ -115,8 +110,7 @@ pub struct RateFeedback {
     pub rtt_est_us: u32,
 }
 
-/// A congestion-control algorithm: window facet for the per-connection
-/// engines, rate facet for the TAS slow path.
+/// A window congestion-control algorithm for the per-connection engines.
 pub trait CongCtrl: std::fmt::Debug {
     /// Processes one (possibly ECN-echoing) ACK.
     fn on_ack(&mut self, info: AckInfo);
@@ -128,16 +122,6 @@ pub trait CongCtrl: std::fmt::Debug {
     fn cwnd(&self) -> u32;
     /// Slow-start threshold in bytes (for inspection/tests).
     fn ssthresh(&self) -> u32;
-    /// One rate-mode control iteration over external per-flow state:
-    /// consumes this interval's feedback and returns the new rate in
-    /// bits/second.
-    fn rate_iteration(
-        &self,
-        st: &mut CcState,
-        fb: RateFeedback,
-        current_bps: u64,
-        interval_secs: f64,
-    ) -> u64;
     /// Algorithm name for experiment output.
     fn name(&self) -> &'static str;
 }
@@ -145,7 +129,7 @@ pub trait CongCtrl: std::fmt::Debug {
 /// Initial window: 10 segments (RFC 6928, what Linux uses).
 pub(crate) const INIT_WINDOW_SEGS: u32 = 10;
 
-/// Creates the window-facet algorithm for `kind` with the given MSS.
+/// Creates the window algorithm for `kind` with the given MSS.
 pub fn make_cc(kind: CcKind, mss: u32) -> Box<dyn CongCtrl> {
     match kind {
         CcKind::NewReno => Box::new(NewReno::new(mss)),
@@ -224,22 +208,7 @@ mod tests {
         assert_eq!(cc.cwnd(), w0 / 2);
     }
 
-    #[test]
-    fn newreno_rate_facet_holds() {
-        // NewReno is window-only: its rate facet holds the configured
-        // rate (the slow path's CcAlgo::None semantics).
-        let cc = NewReno::new(MSS);
-        let mut st = CcState::new();
-        let fb = RateFeedback {
-            ackb: 10_000,
-            ecnb: 10_000,
-            frexmits: 3,
-            rtt_est_us: 900,
-        };
-        assert_eq!(cc.rate_iteration(&mut st, fb, 250_000_000, 2e-4), 250_000_000);
-    }
-
-    // Rate facet: the slow-path control laws over an external `CcState`.
+    // The slow-path rate laws over an external `CcState`.
 
     const INTERVAL: f64 = 200e-6;
     /// Bytes acknowledged in one interval when sending flat out at 1 Gbps.
@@ -261,30 +230,20 @@ mod tests {
         }
     }
 
-    fn dctcp_rate(st: &mut CcState, f: RateFeedback, current_bps: u64) -> u64 {
-        Dctcp::with_rate_params(MSS, DctcpRateParams::default()).rate_iteration(
-            st,
-            f,
-            current_bps,
-            INTERVAL,
-        )
+    fn dctcp(st: &mut CcState, f: RateFeedback, current_bps: u64) -> u64 {
+        dctcp_rate(st, f, current_bps, INTERVAL, &DctcpRateParams::default())
     }
 
-    fn timely_rate(st: &mut CcState, rtt_est_us: u32, current_bps: u64) -> u64 {
-        // TIMELY is interval-free: the gradient normalizes by RTT, not τ.
-        Timely::with_params(MSS, TimelyParams::default()).rate_iteration(
-            st,
-            fb(1000, 0, 0, rtt_est_us),
-            current_bps,
-            0.0,
-        )
+    fn timely(st: &mut CcState, rtt_est_us: u32, current_bps: u64) -> u64 {
+        let f = fb(1000, 0, 0, rtt_est_us);
+        timely_rate(st, f, current_bps, &TimelyParams::default())
     }
 
     #[test]
     fn dctcp_rate_slow_start_doubles() {
         let mut st = CcState::new();
         // Sending flat out: measured rate matches current.
-        let r = dctcp_rate(&mut st, fb(GBPS_ACKB, 0, 0, 100), 1_000_000_000);
+        let r = dctcp(&mut st, fb(GBPS_ACKB, 0, 0, 100), 1_000_000_000);
         assert_eq!(r, 2_000_000_000);
         assert!(st.slow_start);
     }
@@ -293,7 +252,7 @@ mod tests {
     fn dctcp_rate_congestion_exits_slow_start_and_reduces() {
         let mut st = CcState::new();
         // Fully marked: alpha stays 1.0 -> rate halves.
-        let r = dctcp_rate(&mut st, fb(GBPS_ACKB, GBPS_ACKB, 0, 100), 1_000_000_000);
+        let r = dctcp(&mut st, fb(GBPS_ACKB, GBPS_ACKB, 0, 100), 1_000_000_000);
         assert!(!st.slow_start);
         assert!((r as f64 - 0.5e9).abs() / 0.5e9 < 0.01, "rate {r}");
     }
@@ -305,7 +264,7 @@ mod tests {
             ..past_slow_start()
         };
         // 10% of bytes marked: alpha moves to g*0.1, reduction tiny.
-        let r = dctcp_rate(&mut st, fb(1_000_000, 100_000, 0, 100), 1_000_000_000);
+        let r = dctcp(&mut st, fb(1_000_000, 100_000, 0, 100), 1_000_000_000);
         // Measured = 1e6*8/200us = 40 Gbps, no cap. Reduction by alpha/2
         // where alpha = 0.1/16.
         let want = 1e9 * (1.0 - 0.1 / 16.0 / 2.0);
@@ -317,7 +276,7 @@ mod tests {
 
     #[test]
     fn dctcp_rate_additive_increase_when_clean() {
-        let r = dctcp_rate(
+        let r = dctcp(
             &mut past_slow_start(),
             fb(GBPS_ACKB, 0, 0, 100),
             1_000_000_000,
@@ -329,14 +288,14 @@ mod tests {
     fn dctcp_rate_caps_at_measured_rate() {
         // Flow only achieved 100 Mbps although the rate allows 1 Gbps.
         let ackb = (100e6 * INTERVAL / 8.0) as u64;
-        let r = dctcp_rate(&mut past_slow_start(), fb(ackb, 0, 0, 100), 1_000_000_000);
+        let r = dctcp(&mut past_slow_start(), fb(ackb, 0, 0, 100), 1_000_000_000);
         // Capped to 1.2 * 100 Mbps, then additive increase.
         assert!(r <= 130_000_000, "rate {r} must be capped near 120 Mbps");
     }
 
     #[test]
     fn dctcp_rate_loss_halves() {
-        let r = dctcp_rate(
+        let r = dctcp(
             &mut past_slow_start(),
             fb(GBPS_ACKB, 0, 2, 100),
             1_000_000_000,
@@ -347,21 +306,21 @@ mod tests {
     #[test]
     fn dctcp_rate_idle_flow_holds_rate_via_clamp() {
         // No feedback at all: no measured rate, no increase.
-        let r = dctcp_rate(&mut past_slow_start(), fb(0, 0, 0, 100), 500_000_000);
+        let r = dctcp(&mut past_slow_start(), fb(0, 0, 0, 100), 500_000_000);
         assert_eq!(r, 500_000_000);
     }
 
     #[test]
     fn timely_rate_low_rtt_additive_increase() {
         // Below t_low.
-        let r = timely_rate(&mut past_slow_start(), 30, 1_000_000_000);
+        let r = timely(&mut past_slow_start(), 30, 1_000_000_000);
         assert_eq!(r, 1_010_000_000);
     }
 
     #[test]
     fn timely_rate_high_rtt_multiplicative_decrease() {
         // Above t_high.
-        let r = timely_rate(&mut past_slow_start(), 1000, 1_000_000_000);
+        let r = timely(&mut past_slow_start(), 1000, 1_000_000_000);
         let want = 1e9 * (1.0 - 0.8 * (1.0 - 0.5));
         assert!((r as f64 - want).abs() / want < 0.01, "rate {r}");
     }
@@ -373,22 +332,22 @@ mod tests {
             ..past_slow_start()
         };
         // Rising RTT between thresholds.
-        let r = timely_rate(&mut st, 120, 1_000_000_000);
+        let r = timely(&mut st, 120, 1_000_000_000);
         assert!(r < 1_000_000_000, "rising gradient must decrease: {r}");
         // Falling RTT: increase.
         st.prev_rtt_us = 120;
-        let r2 = timely_rate(&mut st, 100, r);
+        let r2 = timely(&mut st, 100, r);
         assert!(r2 > r);
     }
 
     #[test]
     fn timely_rate_slow_start_until_rtt_rises() {
         let mut st = CcState::new();
-        let r = timely_rate(&mut st, 30, 100_000_000);
+        let r = timely(&mut st, 30, 100_000_000);
         assert_eq!(r, 200_000_000);
         assert!(st.slow_start);
         // Above t_low: exit slow start.
-        timely_rate(&mut st, 80, r);
+        timely(&mut st, 80, r);
         assert!(!st.slow_start);
     }
 

@@ -1,6 +1,6 @@
 //! TCP NewReno: classic loss-based AIMD (RFC 6582 flavor).
 
-use crate::{AckInfo, CcState, CongCtrl, RateFeedback, INIT_WINDOW_SEGS};
+use crate::{AckInfo, CongCtrl, INIT_WINDOW_SEGS};
 
 /// Window-based NewReno. ECN echoes are treated like loss (RFC 3168
 /// §6.1.2): one halving per echo, same as a fast retransmit.
@@ -63,20 +63,6 @@ impl CongCtrl for NewReno {
 
     fn ssthresh(&self) -> u32 {
         self.ssthresh
-    }
-
-    fn rate_iteration(
-        &self,
-        _st: &mut CcState,
-        _fb: RateFeedback,
-        current_bps: u64,
-        _interval_secs: f64,
-    ) -> u64 {
-        // NewReno has no rate mode: the slow path's per-flow pacing rate
-        // stays wherever policy set it (the historical CcAlgo::None arm,
-        // which also left the fast-path counters untouched — the caller
-        // owns that choice, not the algorithm).
-        current_bps
     }
 
     fn name(&self) -> &'static str {

@@ -1,11 +1,11 @@
 //! TIMELY (Mittal et al., SIGCOMM 2015): RTT-gradient congestion control,
-//! adapted for TCP by adding slow start. Rate mode is the TAS slow-path
-//! control law; window mode applies the same thresholds/gradient rules to
-//! a congestion window.
+//! adapted for TCP by adding slow start. [`timely_rate`] is the TAS
+//! slow-path rate law; the window algorithm applies the same
+//! thresholds/gradient rules to a congestion window.
 
 use crate::{AckInfo, CcState, CongCtrl, RateFeedback, INIT_WINDOW_SEGS};
 
-/// Parameters for TIMELY, shared by the window and rate facets.
+/// Parameters for TIMELY, shared by the window algorithm and the rate law.
 #[derive(Clone, Copy, Debug)]
 pub struct TimelyParams {
     /// Low RTT threshold: below it, increase additively.
@@ -59,7 +59,7 @@ impl Timely {
         Timely::with_params(mss, TimelyParams::default())
     }
 
-    /// Creates TIMELY with custom thresholds (both facets use them).
+    /// Creates TIMELY with custom thresholds.
     pub fn with_params(mss: u32, params: TimelyParams) -> Self {
         Timely {
             mss,
@@ -134,45 +134,40 @@ impl CongCtrl for Timely {
         self.ssthresh
     }
 
-    fn rate_iteration(
-        &self,
-        st: &mut CcState,
-        fb: RateFeedback,
-        current_bps: u64,
-        _interval_secs: f64,
-    ) -> u64 {
-        let p = &self.params;
-        if fb.ackb == 0 {
-            // No feedback this interval: hold.
-            return current_bps;
-        }
-        let rtt = fb.rtt_est_us.max(1);
-        let prev = if st.prev_rtt_us == 0 { rtt } else { st.prev_rtt_us };
-        st.prev_rtt_us = rtt;
-        let mut rate = current_bps as f64;
-        if st.slow_start {
-            if rtt > p.t_low_us {
-                st.slow_start = false;
-            } else {
-                return ((rate * 2.0) as u64).clamp(p.min_bps, p.max_bps);
-            }
-        }
-        if rtt < p.t_low_us {
-            rate += p.delta_bps as f64;
-        } else if rtt > p.t_high_us {
-            rate *= 1.0 - p.beta * (1.0 - p.t_high_us as f64 / rtt as f64);
-        } else {
-            let gradient = (rtt as f64 - prev as f64) / p.min_rtt_us as f64;
-            if gradient <= 0.0 {
-                rate += p.delta_bps as f64;
-            } else {
-                rate *= 1.0 - p.beta * gradient.min(1.0);
-            }
-        }
-        (rate as u64).clamp(p.min_bps, p.max_bps)
-    }
-
     fn name(&self) -> &'static str {
         "timely"
     }
+}
+
+/// One TIMELY rate-law iteration over the flow's `st`; returns the new
+/// rate in bits/second. Interval-free: the gradient normalizes by RTT.
+pub fn timely_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64, p: &TimelyParams) -> u64 {
+    if fb.ackb == 0 {
+        // No feedback this interval: hold.
+        return current_bps;
+    }
+    let rtt = fb.rtt_est_us.max(1);
+    let prev = if st.prev_rtt_us == 0 { rtt } else { st.prev_rtt_us };
+    st.prev_rtt_us = rtt;
+    let mut rate = current_bps as f64;
+    if st.slow_start {
+        if rtt > p.t_low_us {
+            st.slow_start = false;
+        } else {
+            return ((rate * 2.0) as u64).clamp(p.min_bps, p.max_bps);
+        }
+    }
+    if rtt < p.t_low_us {
+        rate += p.delta_bps as f64;
+    } else if rtt > p.t_high_us {
+        rate *= 1.0 - p.beta * (1.0 - p.t_high_us as f64 / rtt as f64);
+    } else {
+        let gradient = (rtt as f64 - prev as f64) / p.min_rtt_us as f64;
+        if gradient <= 0.0 {
+            rate += p.delta_bps as f64;
+        } else {
+            rate *= 1.0 - p.beta * gradient.min(1.0);
+        }
+    }
+    (rate as u64).clamp(p.min_bps, p.max_bps)
 }

@@ -467,8 +467,8 @@ impl Pipe<'_> {
         true
     }
 
-    /// Transmits whatever the rate bucket, congestion window, and peer
-    /// window currently allow.
+    /// Transmits whatever the rate bucket and the peer window currently
+    /// allow.
     fn try_tx(
         &mut self,
         now: SimTime,
@@ -480,8 +480,7 @@ impl Pipe<'_> {
         let mut sent_segments = 0u64;
         flow.cc.refill_bucket(now);
         loop {
-            let wnd = flow.fc.snd_wnd().min(flow.cc.cwnd());
-            let budget = wnd.saturating_sub(flow.snd.tx_sent());
+            let budget = flow.fc.snd_wnd().saturating_sub(flow.snd.tx_sent());
             let n = flow.snd.unsent().min(budget).min(self.mss);
             if n == 0 {
                 break;

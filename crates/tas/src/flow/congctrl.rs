@@ -1,21 +1,18 @@
-//! `FpCongCtrl`: the rate bucket, the feedback counters the fast path
-//! accumulates for the slow path, and the control law's persistent state
-//! — plus [`RateBucket`] itself. The component's fields are private to
-//! this module: writes go through the `&mut self` methods here, reads
-//! through getters (`bucket()` and `state()` hand out `&` views).
+//! `FpCongCtrl`: the rate bucket and the feedback counters the fast path
+//! accumulates for the slow path — plus [`RateBucket`] itself. The
+//! control law and its per-flow state live in the slow path. The
+//! component's fields are private to this module: writes go through the
+//! `&mut self` methods here, reads through getters (`bucket()` hands out
+//! a `&` view).
 
-use tas_cc::{CcState, CongCtrl, RateFeedback};
+use tas_cc::RateFeedback;
 use tas_sim::time::mul_div;
 use tas_sim::SimTime;
 
-/// Congestion-control component: the rate bucket, the feedback counters
-/// the fast path accumulates for the slow path, and the slow-path control
-/// law's persistent state.
+/// Congestion-control component: the rate bucket and the feedback
+/// counters the fast path accumulates for the slow path.
 #[derive(Debug)]
 pub struct FpCongCtrl {
-    /// Congestion window in bytes when the slow path runs a window-based
-    /// algorithm; `u64::MAX` under pure rate control.
-    cwnd: u64,
     /// Rate bucket (inlined; the paper stores an index into a bucket table).
     bucket: RateBucket,
     /// Acknowledged bytes since the last slow-path control iteration
@@ -28,28 +25,18 @@ pub struct FpCongCtrl {
     /// The last data segment received was CE-marked (drives the DCTCP
     /// per-packet ECN echo).
     last_seg_ce: bool,
-    /// Persistent control-law state (shared `tas-cc` rate facet).
-    state: CcState,
 }
 
 impl FpCongCtrl {
     /// Component state at flow installation.
     pub fn new(bucket: RateBucket) -> FpCongCtrl {
         FpCongCtrl {
-            cwnd: u64::MAX,
             bucket,
             cnt_ackb: 0,
             cnt_ecnb: 0,
             cnt_frexmits: 0,
             last_seg_ce: false,
-            state: CcState::new(),
         }
-    }
-
-    /// Congestion window in bytes; `u64::MAX` under pure rate control.
-    #[inline]
-    pub fn cwnd(&self) -> u64 {
-        self.cwnd
     }
 
     /// Read view of the rate bucket.
@@ -80,12 +67,6 @@ impl FpCongCtrl {
     #[inline]
     pub fn last_seg_ce(&self) -> bool {
         self.last_seg_ce
-    }
-
-    /// Read view of the persistent control-law state.
-    #[inline]
-    pub fn state(&self) -> &CcState {
-        &self.state
     }
 
     /// Accrues bucket credit for the time elapsed up to `now`.
@@ -137,7 +118,7 @@ impl FpCongCtrl {
         }
     }
 
-    /// Drains the accumulated feedback counters into a control-law input.
+    /// Drains the accumulated feedback counters into a rate-law input.
     pub fn take_feedback(&mut self, rtt_est_us: u32) -> RateFeedback {
         let fb = RateFeedback {
             ackb: self.cnt_ackb,
@@ -149,17 +130,6 @@ impl FpCongCtrl {
         self.cnt_ecnb = 0;
         self.cnt_frexmits = 0;
         fb
-    }
-
-    /// Runs one control-law iteration over this flow's persistent state.
-    pub fn rate_iteration(
-        &mut self,
-        algo: &dyn CongCtrl,
-        fb: RateFeedback,
-        current_bps: u64,
-        interval_secs: f64,
-    ) -> u64 {
-        algo.rate_iteration(&mut self.state, fb, current_bps, interval_secs)
     }
 }
 

@@ -84,8 +84,9 @@ pub const FLOW_STATE_BYTES: u64 = {
 /// component; the payload rings own the `rx|tx_start/size/head/tail`
 /// geometry (a [`tas_shm::ByteRing`] *is* that buffer — its
 /// `start_offset`/`end_offset` are the head/tail fields), and a few
-/// simulation-only fields (timer arming, slow-path stall tracking) are
-/// kept outside the architectural byte count.
+/// simulation-only fields (pacing-timer arming, `max_sent_off`) are kept
+/// outside the architectural byte count. The slow path's per-flow
+/// control-law and stall-detector state lives in the slow path.
 ///
 /// Component state changes only through the owning component's methods:
 ///
@@ -105,15 +106,20 @@ pub const FLOW_STATE_BYTES: u64 = {
 pub struct FlowState {
     /// Connection management (identity, timestamps, lifecycle).
     pub conn: FpConnMgmt,
-    /// Send reliability (tx ring, in-flight, recovery, stalls).
+    /// Send reliability (tx ring, in-flight, recovery, pacing timer).
     pub snd: FpSendRel,
     /// Receive reliability (rx ring, out-of-order interval).
     pub rcv: FpRecvRel,
     /// Flow control (peer window, window updates).
     pub fc: FpFlowCtrl,
-    /// Congestion control (bucket, feedback counters, law state).
+    /// Congestion control (bucket, feedback counters).
     pub cc: FpCongCtrl,
 }
+
+// The operational per-flow footprint the fast path touches: slow-path
+// state must not creep back in, and each cut toward Table 3's 102 B
+// tightens this bound.
+const _: () = assert!(std::mem::size_of::<FlowState>() <= 216);
 
 impl FlowState {
     /// Local sequence number for an absolute TX stream offset.

@@ -1,5 +1,5 @@
 //! `FpSendRel`: the transmit ring, in-flight accounting, duplicate-ACK
-//! recovery, pacing-timer arming and stall detection. Apart from the ring
+//! recovery and pacing-timer arming. Apart from the ring
 //! (the shared-memory surface libTAS appends to), the fields are private
 //! to this module: writes go through the `&mut self` methods here, reads
 //! through getters.
@@ -8,7 +8,7 @@ use tas_proto::tcp::Seq;
 use tas_shm::ByteRing;
 
 /// Send-reliability component: the transmit ring, in-flight accounting,
-/// duplicate-ACK recovery, pacing-timer arming, and stall detection.
+/// duplicate-ACK recovery, and pacing-timer arming.
 #[derive(Debug)]
 pub struct FpSendRel {
     /// Per-flow transmit payload buffer (tx_start|size|head|tail).
@@ -28,10 +28,6 @@ pub struct FpSendRel {
     dupack_cnt: u8,
     /// A TX-poll timer is armed for this flow (rate pacing).
     tx_timer_armed: bool,
-    /// Slow-path stall detection: `seq` sampled at the last control loop.
-    last_una_off: u64,
-    /// Control intervals the left edge has been stalled with data out.
-    stall_intervals: u32,
 }
 
 impl FpSendRel {
@@ -44,8 +40,6 @@ impl FpSendRel {
             iss: Seq(iss),
             dupack_cnt: 0,
             tx_timer_armed: false,
-            last_una_off: 0,
-            stall_intervals: 0,
         }
     }
 
@@ -77,12 +71,6 @@ impl FpSendRel {
     #[inline]
     pub fn tx_timer_armed(&self) -> bool {
         self.tx_timer_armed
-    }
-
-    /// The left edge sampled at the last control loop.
-    #[inline]
-    pub fn last_una_off(&self) -> u64 {
-        self.last_una_off
     }
 
     /// Absolute TX offset of the next unsent byte.
@@ -142,21 +130,5 @@ impl FpSendRel {
     /// The pacing timer fired (or was consumed).
     pub fn clear_tx_timer(&mut self) {
         self.tx_timer_armed = false;
-    }
-
-    /// Counts one stalled control interval; returns the new count.
-    pub fn bump_stall(&mut self) -> u32 {
-        self.stall_intervals += 1;
-        self.stall_intervals
-    }
-
-    /// The left edge moved (or nothing is outstanding): clear the stall.
-    pub fn clear_stall(&mut self) {
-        self.stall_intervals = 0;
-    }
-
-    /// Samples the left edge for the next control-loop stall check.
-    pub fn sample_una(&mut self) {
-        self.last_una_off = self.tx.start_offset();
     }
 }

@@ -20,7 +20,6 @@
 use crate::config::{ApiKind, TasConfig};
 use crate::fastpath::{FastPath, RxNotice};
 use crate::slowpath::{SlowPath, SpAppEvent};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
 use tas_cpusim::{Core, CorePool, CycleAccount, Module};
@@ -102,9 +101,6 @@ struct Inner {
     sp_core: Core,
     app_cores: CorePool,
     socks: Vec<SockState>,
-    /// Flow-id → socket lookup: point lookups only, but BTreeMap so any
-    /// future iteration (debug dumps, teardown sweeps) is deterministic.
-    fid_to_sock: BTreeMap<u32, SockId>,
     next_context: u16,
     acct: CycleAccount,
     /// Host-level metric registry.
@@ -113,7 +109,6 @@ struct Inner {
     c_fp_wakes: CounterId,
     c_scale_events: CounterId,
     c_app_bytes: CounterId,
-    core_series: TimeSeries,
     /// Mean fast-path utilization sampled by the proportionality monitor.
     util_series: TimeSeries,
     /// Fixed-cadence queue-depth/occupancy sampler (sim-clock grid).
@@ -268,7 +263,6 @@ impl TasHost {
                 sp_core,
                 app_cores,
                 socks: Vec::new(),
-                fid_to_sock: BTreeMap::new(),
                 next_context: 0,
                 acct: CycleAccount::new(),
                 reg,
@@ -276,7 +270,6 @@ impl TasHost {
                 c_fp_wakes,
                 c_scale_events,
                 c_app_bytes,
-                core_series: TimeSeries::new(),
                 util_series: TimeSeries::new(),
                 series: SeriesRecorder::new(SimTime::from_ms(1)),
                 fp_util: CoreUtilSeries::new(cfg_max_fp),
@@ -360,12 +353,6 @@ impl TasHost {
     /// Currently active fast-path cores.
     pub fn active_fp_cores(&self) -> usize {
         self.inner.active_fp
-    }
-
-    /// Time series of (time, active fast-path cores) from the
-    /// proportionality monitor (Fig. 14).
-    pub fn core_series(&self) -> &TimeSeries {
-        &self.inner.core_series
     }
 
     /// Time series of mean fast-path utilization over the active cores,
@@ -654,7 +641,6 @@ impl TasHost {
                 SpAppEvent::ConnectDone { opaque, fid } => {
                     let sock = opaque as SockId;
                     self.inner.socks[sock as usize].fid = Some(fid);
-                    self.inner.fid_to_sock.insert(fid, sock);
                     (sock, AppEvent::Connected { sock })
                 }
                 SpAppEvent::AcceptDone {
@@ -662,17 +648,10 @@ impl TasHost {
                 } => {
                     let sock = opaque as SockId;
                     self.inner.socks[sock as usize].fid = Some(fid);
-                    self.inner.fid_to_sock.insert(fid, sock);
                     (sock, AppEvent::Accepted { sock, port })
                 }
-                SpAppEvent::ConnectFailed { opaque } => {
+                SpAppEvent::ConnectFailed { opaque } | SpAppEvent::PeerClosed { opaque, .. } => {
                     let sock = opaque as SockId;
-                    (sock, AppEvent::Closed { sock })
-                }
-                SpAppEvent::PeerClosed { fid } => {
-                    let Some(&sock) = self.inner.fid_to_sock.get(&fid) else {
-                        continue;
-                    };
                     (sock, AppEvent::Closed { sock })
                 }
                 SpAppEvent::CloseDone { opaque } => {
@@ -683,7 +662,6 @@ impl TasHost {
                     }
                 }
                 SpAppEvent::Detached { opaque, fid } => {
-                    self.inner.fid_to_sock.remove(&fid);
                     // Reclaim any armed pacing timer: the fid may be
                     // recycled for a new flow before the timer would fire.
                     if let Some(id) = self.inner.take_tx_timer(fid) {
@@ -817,7 +795,6 @@ impl TasHost {
             // Eager RSS redirection-table rewrite.
             inner.nic.rss_mut().rebalance(inner.active_fp);
         }
-        inner.core_series.push(now, inner.active_fp as f64);
     }
 
     /// Samples the queue-depth gauges. Called from packet arrival and the

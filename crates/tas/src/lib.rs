@@ -12,8 +12,9 @@
 //!   fast recovery and one tracked out-of-order interval. Everything else
 //!   is forwarded to the slow path.
 //! * **Slow path** ([`slowpath`]): connection control (handshakes, port
-//!   allocation, neighbour resolution), congestion-control policy (rate-
-//!   based DCTCP and TIMELY, [`cc`]), retransmission-timeout detection, and
+//!   allocation, neighbour resolution), congestion-control policy (the
+//!   `tas_cc` rate laws, DCTCP and TIMELY, over per-flow state the slow
+//!   path keeps itself), retransmission-timeout detection, and
 //!   the workload-proportionality controller that grows and shrinks the set
 //!   of fast-path cores (§3.4: add a core below 0.2 aggregate idle, remove
 //!   above 1.25, block idle cores after 10 ms).
@@ -30,7 +31,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;
-pub mod cc;
 pub mod config;
 pub mod fastpath;
 pub mod flow;

@@ -5,13 +5,14 @@
 //! retry), the congestion-control control loop (rate-based DCTCP or
 //! TIMELY, one iteration per flow per control interval), and detection of
 //! retransmission timeouts (a flow whose left window edge has not moved
-//! for multiple control intervals is told to go-back-N).
+//! for multiple control intervals is told to go-back-N). The state those
+//! two need per flow is the slow path's own (`SpFlow`); the fast path
+//! only accumulates the feedback counters the control loop drains.
 //!
 //! Like the fast path, the slow path is sans-IO: it stages packets and
 //! application events into [`SpOut`]; the host charges the returned cycle
 //! costs to the slow-path core and moves staged items.
 
-use crate::cc::{dctcp_rate_iteration, timely_iteration, DctcpRateParams, TimelyParams};
 use crate::config::{CcAlgo, TasConfig};
 use crate::fastpath::FastPath;
 use crate::flow::{
@@ -19,6 +20,7 @@ use crate::flow::{
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use tas_cc::{dctcp_rate, timely_rate, CcState, DctcpRateParams, TimelyParams};
 use tas_cpusim::{CycleAccount, Module};
 use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_shm::ByteRing;
@@ -50,9 +52,11 @@ pub enum SpAppEvent {
         /// The connection 4-tuple.
         key: FlowKey,
     },
-    /// The peer closed a connection (FIN received).
+    /// The peer closed a connection (FIN or RST received).
     PeerClosed {
-        /// Flow id (still installed until the app closes).
+        /// The opaque of the closed connection.
+        opaque: u64,
+        /// Flow id (after a FIN, still installed until the app closes).
         fid: u32,
     },
     /// A locally-initiated close finished; all state is gone.
@@ -144,6 +148,30 @@ struct Teardown {
     attempts: u32,
 }
 
+/// The slow path's own per-flow state: the rate law's [`CcState`] and
+/// the stall detector's bookkeeping. Policy state stays out of the fast
+/// path's per-flow record (paper §3.2).
+#[derive(Clone, Copy, Debug, Default)]
+struct SpFlow {
+    /// Rate-law state (DCTCP alpha and rate EWMA, TIMELY RTT gradient).
+    law: CcState,
+    /// TX left edge sampled at the previous control-loop iteration.
+    last_una_off: u64,
+    /// Control intervals the left edge has been stalled with data out.
+    stall_intervals: u32,
+}
+
+impl SpFlow {
+    /// Flow `fid`'s record in `flows`, growing the table on first use.
+    fn of(flows: &mut Vec<SpFlow>, fid: u32) -> &mut SpFlow {
+        let i = fid as usize;
+        if i >= flows.len() {
+            flows.resize(i + 1, SpFlow::default());
+        }
+        &mut flows[i]
+    }
+}
+
 /// The slow path.
 #[derive(Debug)]
 pub struct SlowPath {
@@ -153,8 +181,6 @@ pub struct SlowPath {
     rx_buf: usize,
     tx_buf: usize,
     cc: CcAlgo,
-    dctcp: DctcpRateParams,
-    timely: TimelyParams,
     control_interval: SimTime,
     stall_intervals_for_rexmit: u32,
     initial_rate_bps: u64,
@@ -165,6 +191,8 @@ pub struct SlowPath {
     handshakes: BTreeMap<FlowKey, Handshake>,
     teardowns: BTreeMap<FlowKey, Teardown>,
     next_port: u16,
+    /// Per-flow state indexed by fast-path flow id, reset in `install`.
+    flows: Vec<SpFlow>,
     /// Completion time of the previous control-loop iteration (the loop
     /// self-paces: with many flows an iteration takes longer than the
     /// nominal interval, exactly like the real slow-path thread).
@@ -183,8 +211,6 @@ pub struct SlowPath {
 const RETRY_AFTER: SimTime = SimTime::from_ms(2);
 /// Retry attempts before giving up.
 const MAX_ATTEMPTS: u32 = 8;
-/// Additive-increase step for rate-based DCTCP (paper: 10 Mbps).
-const AI_RATE_BPS: u64 = 10_000_000;
 
 impl SlowPath {
     /// Creates a slow path for a host.
@@ -196,11 +222,6 @@ impl SlowPath {
             rx_buf: cfg.rx_buf,
             tx_buf: cfg.tx_buf,
             cc: cfg.cc,
-            dctcp: DctcpRateParams {
-                ai_bps: AI_RATE_BPS,
-                ..DctcpRateParams::default()
-            },
-            timely: TimelyParams::default(),
             control_interval: cfg.control_interval,
             stall_intervals_for_rexmit: cfg.stall_intervals_for_rexmit,
             initial_rate_bps: cfg.initial_rate_bps,
@@ -208,6 +229,7 @@ impl SlowPath {
             handshakes: BTreeMap::new(),
             teardowns: BTreeMap::new(),
             next_port: 32_768,
+            flows: Vec::new(),
             last_loop: SimTime::ZERO,
             rate_updates: Vec::new(),
             out: SpOut::default(),
@@ -318,7 +340,9 @@ impl SlowPath {
                 to: "established",
             }
         );
-        fp.install_flow(flow)
+        let fid = fp.install_flow(flow);
+        *SpFlow::of(&mut self.flows, fid) = SpFlow::default();
+        fid
     }
 
     fn burst_for(&self, rate_bps: u64) -> u64 {
@@ -468,8 +492,11 @@ impl SlowPath {
                     .push(SpAppEvent::ConnectFailed { opaque: hs.opaque });
             }
             if let Some(fid) = fp.flows.lookup(&key) {
-                fp.remove_flow(fid);
-                self.out.events.push(SpAppEvent::PeerClosed { fid });
+                if let Some(flow) = fp.remove_flow(fid) {
+                    let opaque = flow.conn.opaque();
+                    self.out.events.push(SpAppEvent::PeerClosed { opaque, fid });
+                    self.out.events.push(SpAppEvent::Detached { opaque, fid });
+                }
             }
             self.teardowns.remove(&key);
             return cycles;
@@ -626,12 +653,13 @@ impl SlowPath {
             }
             let rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset()) + 1;
             let peer_mac = flow.conn.peer_mac();
+            let opaque = flow.conn.opaque();
             let seq_no = flow.seq_of(flow.nxt_off());
             // Record the peer FIN so a later local close skips its wait.
             let td = Teardown {
                 key,
                 peer_mac,
-                opaque: flow.conn.opaque(),
+                opaque,
                 fin_seq: Seq(0),
                 rcv_ack,
                 ts_recent: ts,
@@ -642,7 +670,7 @@ impl SlowPath {
             };
             self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, rcv_ack, ts);
             self.teardowns.insert(key, td);
-            self.out.events.push(SpAppEvent::PeerClosed { fid });
+            self.out.events.push(SpAppEvent::PeerClosed { opaque, fid });
             return 0;
         }
         // Case 2: we closed first; peer's FIN completes the teardown.
@@ -753,11 +781,13 @@ impl SlowPath {
         let mut rate_updates = std::mem::take(&mut self.rate_updates);
         for (fid, flow) in fp.flows.iter_mut() {
             cycles += 60; // Per-flow control work.
-                          // Stall detection (paper: unacked data with constant sequence
-                          // number for 2 control intervals → retransmit).
+            let sf = SpFlow::of(&mut self.flows, fid);
+            // Stall detection (paper: unacked data with constant sequence
+            // number for 2 control intervals → retransmit).
             if flow.snd.tx_sent() > 0 {
-                if flow.snd.tx.start_offset() == flow.snd.last_una_off() {
-                    let stalls = flow.snd.bump_stall();
+                if flow.snd.tx.start_offset() == sf.last_una_off {
+                    sf.stall_intervals += 1;
+                    let stalls = sf.stall_intervals;
                     // Retransmit after the configured number of intervals,
                     // but never before several RTTs have elapsed (the flow's
                     // own timescale; avoids spurious go-back-N when RTTs
@@ -767,13 +797,13 @@ impl SlowPath {
                         .saturating_mul(3_000_000) // 3 RTTs in ps.
                         .max(effective.as_ps());
                     if stalls >= self.stall_intervals_for_rexmit && stalled_for >= rtt_floor {
-                        flow.snd.clear_stall();
+                        sf.stall_intervals = 0;
                         // Count as loss for the next CC iteration.
                         flow.cc.count_fast_rexmit();
                         rexmit.push(fid);
                     }
                 } else {
-                    flow.snd.clear_stall();
+                    sf.stall_intervals = 0;
                 }
             } else if flow.snd.tx.len() > flow.snd.tx_sent() as usize
                 && flow.fc.snd_wnd() < self.mss as u64
@@ -781,31 +811,33 @@ impl SlowPath {
                 // Zero-window persist: pending data, nothing in flight,
                 // shut window — probe so a lost window update cannot
                 // deadlock the flow.
-                if flow.snd.bump_stall() >= self.stall_intervals_for_rexmit {
-                    flow.snd.clear_stall();
+                sf.stall_intervals += 1;
+                if sf.stall_intervals >= self.stall_intervals_for_rexmit {
+                    sf.stall_intervals = 0;
                     win_probe.push(fid);
                 }
             } else {
-                flow.snd.clear_stall();
+                sf.stall_intervals = 0;
             }
-            flow.snd.sample_una();
-            // Congestion control.
-            match self.cc {
-                CcAlgo::None => {}
+            sf.last_una_off = flow.snd.tx.start_offset();
+            // Congestion control: drain the fast path's feedback into the
+            // configured rate law.
+            let cur = flow.cc.bucket().rate_bps.saturating_mul(8);
+            let rtt = flow.conn.rtt_est_us();
+            let newr = match self.cc {
+                CcAlgo::None => cur,
                 CcAlgo::DctcpRate => {
-                    let cur = flow.cc.bucket().rate_bps.saturating_mul(8);
-                    let newr = dctcp_rate_iteration(flow, cur, interval_secs, &self.dctcp);
-                    if newr != cur {
-                        rate_updates.push((fid, newr));
-                    }
+                    let fb = flow.cc.take_feedback(rtt);
+                    let p = DctcpRateParams::default();
+                    dctcp_rate(&mut sf.law, fb, cur, interval_secs, &p)
                 }
                 CcAlgo::Timely => {
-                    let cur = flow.cc.bucket().rate_bps.saturating_mul(8);
-                    let newr = timely_iteration(flow, cur, &self.timely);
-                    if newr != cur {
-                        rate_updates.push((fid, newr));
-                    }
+                    let fb = flow.cc.take_feedback(rtt);
+                    timely_rate(&mut sf.law, fb, cur, &TimelyParams::default())
                 }
+            };
+            if newr != cur {
+                rate_updates.push((fid, newr));
             }
             // Deferred close once drained.
             if flow.conn.closing() && flow.snd.tx.is_empty() {
@@ -966,5 +998,101 @@ impl SlowPath {
     /// The control-loop interval τ.
     pub fn control_interval(&self) -> SimTime {
         self.control_interval
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::TasCosts;
+
+    // The rate laws are tested beside their code in `tas-cc`; these cover
+    // the control loop's drain — a flow's fast-path counters and RTT
+    // estimate reach the law, whose state the slow path keeps per flow.
+
+    const INTERVAL_US: u64 = 200;
+
+    /// A slow path running `cc` with one installed flow whose RTT estimate
+    /// is `rtt_est_us` and whose bucket starts at the default 1 Gbps.
+    fn installed(cc: CcAlgo, rtt_est_us: u32) -> (SlowPath, FastPath, u32) {
+        let (ip, mac) = (Ipv4Addr::new(10, 0, 0, 1), MacAddr::for_host(1));
+        let cfg = TasConfig {
+            cc,
+            control_interval: SimTime::from_us(INTERVAL_US),
+            ..TasConfig::default()
+        };
+        let mut sp = SlowPath::new(ip, mac, &cfg);
+        let mut fp = FastPath::new(ip, mac, cfg.mss, TasCosts::default());
+        let hs = Handshake {
+            state: HsState::SynAckSent,
+            key: FlowKey::new(ip, 80, Ipv4Addr::new(10, 0, 0, 2), 4000),
+            peer_mac: MacAddr::for_host(2),
+            opaque: 7,
+            context: 0,
+            iss: Seq(1000),
+            irs: Seq(5000),
+            peer_wscale: 0,
+            peer_win: 65_535,
+            ts_recent: 0,
+            listen_port: 80,
+            deadline: SimTime::MAX,
+            attempts: 0,
+        };
+        let fid = sp.install(&mut fp, &hs, SimTime::ZERO);
+        fp.flows
+            .get_mut(fid)
+            .expect("installed")
+            .conn
+            .rtt_sample(rtt_est_us);
+        (sp, fp, fid)
+    }
+
+    fn rate_bps(fp: &FastPath, fid: u32) -> u64 {
+        fp.flows.get(fid).expect("installed").cc.bucket().rate_bps * 8
+    }
+
+    #[test]
+    fn dctcp_iteration_drains_the_flow_counters() {
+        let (mut sp, mut fp, fid) = installed(CcAlgo::DctcpRate, 100);
+        let mut acct = CycleAccount::new();
+        {
+            // Sending flat out at 1 Gbps, every byte marked, one fast rexmit.
+            let f = fp.flows.get_mut(fid).expect("installed");
+            f.cc.count_acked(1_000_000_000 / 8 * INTERVAL_US / 1_000_000, true);
+            f.cc.count_fast_rexmit();
+        }
+        sp.control_loop(SimTime::from_us(INTERVAL_US), &mut fp, &mut acct);
+        assert_eq!(
+            rate_bps(&fp, fid),
+            500_000_000,
+            "the loss signal reached the law"
+        );
+        assert!(!sp.flows[fid as usize].law.slow_start, "so did the marks");
+        let f = fp.flows.get(fid).expect("installed");
+        assert_eq!(
+            (f.cc.cnt_ackb(), f.cc.cnt_ecnb(), f.cc.cnt_frexmits()),
+            (0, 0, 0)
+        );
+        // Drained: the next iteration sees an idle flow and holds the rate.
+        sp.control_loop(SimTime::from_us(2 * INTERVAL_US), &mut fp, &mut acct);
+        assert_eq!(rate_bps(&fp, fid), 500_000_000);
+    }
+
+    #[test]
+    fn timely_iteration_drains_the_counters_and_reads_the_rtt() {
+        let (mut sp, mut fp, fid) = installed(CcAlgo::Timely, 30); // Below t_low.
+        let mut acct = CycleAccount::new();
+        fp.flows
+            .get_mut(fid)
+            .expect("installed")
+            .cc
+            .count_acked(1000, false);
+        sp.control_loop(SimTime::from_us(INTERVAL_US), &mut fp, &mut acct);
+        assert_eq!(rate_bps(&fp, fid), 2_000_000_000, "slow start doubles");
+        assert_eq!(fp.flows.get(fid).expect("installed").cc.cnt_ackb(), 0);
+        assert_eq!(
+            sp.flows[fid as usize].law.prev_rtt_us, 30,
+            "the flow's estimate fed the law"
+        );
     }
 }

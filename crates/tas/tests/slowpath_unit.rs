@@ -159,8 +159,12 @@ fn rst_tears_down_installed_flow() {
     assert!(sp
         .out
         .events
-        .iter()
-        .any(|e| matches!(e, SpAppEvent::PeerClosed { .. })));
+        .contains(&SpAppEvent::PeerClosed { opaque: 77, fid }));
+    // The host must drop the socket's fid before the slab recycles it.
+    assert!(sp
+        .out
+        .events
+        .contains(&SpAppEvent::Detached { opaque: 77, fid }));
 }
 
 #[test]
@@ -179,8 +183,7 @@ fn peer_fin_acks_and_notifies() {
     assert!(sp
         .out
         .events
-        .iter()
-        .any(|e| matches!(e, SpAppEvent::PeerClosed { fid: f } if *f == fid)));
+        .contains(&SpAppEvent::PeerClosed { opaque: 77, fid }));
     // Flow stays installed until the app closes.
     assert!(fp.flows.get(fid).is_some());
     // App closes: teardown detaches the flow and sends our FIN.
@@ -255,6 +258,53 @@ fn stall_detector_triggers_retransmit() {
     assert!(sp.stats.timeout_rexmits >= 1);
     let flow = fp.flows.get(fid).expect("flow");
     assert_eq!(flow.cc.cnt_frexmits(), 1, "loss signalled to CC");
+}
+
+/// The slow path's per-flow control state (rate-law state, stall count)
+/// starts fresh when a torn-down flow's id is handed to a new connection.
+#[test]
+fn recycled_flow_id_starts_in_slow_start_with_no_stalls() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::DctcpRate);
+    let mut acct = CycleAccount::new();
+    let rate = |fp: &FastPath, fid| fp.flows.get(fid).expect("flow").cc.bucket().rate_bps;
+    let a = establish(&mut sp, &mut fp, 4000);
+    let before = rate(&fp, a);
+    {
+        // Marked feedback ends slow start; unacked data with a frozen
+        // left edge counts one stalled interval.
+        let flow = fp.flows.get_mut(a).expect("flow");
+        flow.cc.count_acked(1_000_000, true);
+        flow.snd.tx.append(&[1u8; 1448]).expect("fits");
+        flow.snd.note_sent(1448);
+        flow.conn.rtt_sample(50);
+    }
+    sp.control_loop(SimTime::from_ms(1), &mut fp, &mut acct);
+    assert!(rate(&fp, a) < before, "marks cut the rate");
+    assert_eq!(sp.stats.timeout_rexmits, 0, "one stall is not a timeout");
+    let mut rst = plain_ack(4000, 5001, 1);
+    rst.tcp.flags = TcpFlags::RST;
+    sp.on_exception(SimTime::from_ms(2), rst, &mut fp, 0, 0, 0, &mut acct);
+
+    let b = establish(&mut sp, &mut fp, 4001);
+    assert_eq!(b, a, "the slab recycles the id");
+    let before = rate(&fp, b);
+    {
+        let flow = fp.flows.get_mut(b).expect("flow");
+        flow.cc.count_acked(1_000_000, false);
+        flow.snd.tx.append(&[1u8; 1448]).expect("fits");
+        flow.snd.note_sent(1448);
+        flow.conn.rtt_sample(50);
+    }
+    sp.control_loop(SimTime::from_ms(3), &mut fp, &mut acct);
+    assert_eq!(
+        sp.stats.timeout_rexmits, 0,
+        "the stall count started at zero"
+    );
+    assert_eq!(
+        rate(&fp, b),
+        2 * before,
+        "a clean interval in slow start doubles"
+    );
 }
 
 #[test]

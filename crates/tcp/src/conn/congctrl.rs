@@ -1,17 +1,17 @@
-//! `CongCtrl`: congestion control and ECN — the pluggable algorithm
-//! (shared `tas-cc` trait object) plus the ECN negotiation/echo state
-//! that feeds it. The fields are private to this module: all mutation
-//! goes through `&mut self` methods here, everything else reads through
-//! getters.
+//! `CongCtrl`: congestion control and ECN — the pluggable window
+//! algorithm (a `tas_cc::CongCtrl` trait object) plus the ECN
+//! negotiation/echo state that feeds it. The fields are private to this
+//! module: all mutation goes through `&mut self` methods here, everything
+//! else reads through getters.
 
-use crate::cc::{make_cc, AckInfo, CcKind, CongestionControl};
+use tas_cc::{make_cc, AckInfo, CcKind};
 use tas_sim::prof_scope;
 
 /// Congestion-control component: owns the algorithm and ECN state.
 #[derive(Debug)]
 pub struct CongCtrl {
-    /// The congestion-control algorithm (window facet of `tas_cc`).
-    algo: Box<dyn CongestionControl>,
+    /// The window congestion-control algorithm.
+    algo: Box<dyn tas_cc::CongCtrl>,
     /// ECN negotiated on this connection.
     ecn_active: bool,
     /// RFC 3168 latched receiver echo (NewReno); cleared by sender CWR.

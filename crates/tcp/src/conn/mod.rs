@@ -30,7 +30,7 @@ pub use mgmt::ConnMgmt;
 pub use recv::RecvRel;
 pub use send::SendRel;
 
-use crate::cc::{AckInfo, CcKind};
+use tas_cc::{AckInfo, CcKind};
 use std::net::Ipv4Addr;
 use tas_proto::{Ecn, FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{probe, prof_scope, trace, SimTime};

@@ -26,12 +26,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod audit;
-pub mod cc;
 pub mod conn;
 pub mod reasm;
 pub mod rtt;
 
-pub use cc::{CcKind, CongestionControl, Dctcp, NewReno, Timely};
 pub use conn::{ConnStats, EndpointInfo, TcpConfig, TcpConn, TcpEvent, TcpState};
 pub use reasm::Reassembler;
 pub use rtt::RttEstimator;
+pub use tas_cc::CcKind;

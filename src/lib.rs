@@ -7,6 +7,7 @@
 pub use tas;
 pub use tas_apps as apps;
 pub use tas_baselines as baselines;
+pub use tas_cc as cc;
 pub use tas_cpusim as cpusim;
 pub use tas_netsim as netsim;
 pub use tas_proto as proto;

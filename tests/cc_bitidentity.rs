@@ -1,22 +1,24 @@
-//! Bit-identity anchors for the congestion-control unification.
+//! Bit-identity anchors for the shared congestion-control crate.
 //!
-//! These trajectories were captured from the pre-unification
-//! implementations (`tas_tcp::cc`'s window NewReno/DCTCP and `tas::cc`'s
-//! rate DCTCP/TIMELY) driven by fixed LCG-seeded feedback scripts. The
-//! unified `tas-cc` implementations behind the `CongCtrl` trait must
-//! reproduce every value bit-for-bit — cwnd/ssthresh exactly, rates
-//! exactly, and the f64 EWMA state compared at the bit level — proving
-//! the refactor moved code without changing a single arithmetic step.
+//! These trajectories were captured from the reference TCP engine's
+//! window NewReno/DCTCP and the TAS slow path's rate DCTCP/TIMELY before
+//! both moved into `tas-cc`, driven by fixed LCG-seeded feedback scripts.
+//! The window algorithms behind `tas_cc::CongCtrl` and the rate laws
+//! `tas_cc::{dctcp_rate, timely_rate}`, fed through the fast path's
+//! `FpCongCtrl::take_feedback`, must reproduce every value bit-for-bit —
+//! cwnd/ssthresh exactly, rates exactly, and the f64 EWMA state compared
+//! at the bit level — proving no arithmetic step changed.
 
 use std::net::Ipv4Addr;
+use tas_repro::cc::{
+    dctcp_rate, make_cc, timely_rate, AckInfo, CcKind, CcState, DctcpRateParams, TimelyParams,
+};
 use tas_repro::proto::{FlowKey, MacAddr};
 use tas_repro::shm::ByteRing;
 use tas_repro::sim::SimTime;
-use tas_repro::tas::cc::{dctcp_rate_iteration, timely_iteration, DctcpRateParams, TimelyParams};
 use tas_repro::tas::flow::{
     FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket,
 };
-use tas_repro::tcp::cc::{make_cc, AckInfo, CcKind};
 
 /// The capture harness's deterministic script generator.
 struct Lcg(u64);
@@ -250,6 +252,7 @@ fn dctcp_rate_trajectory_is_bit_identical() {
     ];
     let p = DctcpRateParams::default();
     let mut f = flow();
+    let mut st = CcState::new();
     let mut lcg = Lcg(0x5eed_0002);
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
@@ -265,14 +268,15 @@ fn dctcp_rate_trajectory_is_bit_identical() {
         if lcg.next().is_multiple_of(8) {
             f.cc.count_fast_rexmit();
         }
-        rate = dctcp_rate_iteration(&mut f, rate, 0.0005, &p);
+        let fb = f.cc.take_feedback(f.conn.rtt_est_us());
+        rate = dctcp_rate(&mut st, fb, rate, 0.0005, &p);
         out.push(rate);
     }
     assert_eq!(out, golden);
     // The f64 EWMA state must come out bit-exact, not merely close.
-    assert_eq!(f.cc.state().alpha.to_bits(), 0x3fc471714228e5e6);
-    assert_eq!(f.cc.state().rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
-    assert!(!f.cc.state().slow_start);
+    assert_eq!(st.alpha.to_bits(), 0x3fc471714228e5e6);
+    assert_eq!(st.rate_ewma.to_bits(), 0x41d4e966fc73e9ce);
+    assert!(!st.slow_start);
 }
 
 #[test]
@@ -287,16 +291,18 @@ fn timely_rate_trajectory_is_bit_identical() {
     ];
     let p = TimelyParams::default();
     let mut f = flow();
+    let mut st = CcState::new();
     let mut lcg = Lcg(0x5eed_0003);
     let mut rate: u64 = 10_000_000;
     let mut out = Vec::new();
     for _ in 0..48 {
         f.cc.count_acked(lcg.next() % 200_000, false);
         f.conn = conn_with_rtt((20 + lcg.next() % 700) as u32);
-        rate = timely_iteration(&mut f, rate, &p);
+        let fb = f.cc.take_feedback(f.conn.rtt_est_us());
+        rate = timely_rate(&mut st, fb, rate, &p);
         out.push(rate);
     }
     assert_eq!(out, golden);
-    assert_eq!(f.cc.state().prev_rtt_us, 230);
-    assert!(!f.cc.state().slow_start);
+    assert_eq!(st.prev_rtt_us, 230);
+    assert!(!st.slow_start);
 }

@@ -296,6 +296,111 @@ fn unknown_socket_ids_are_empty_on_both_hosts() {
     }
 }
 
+/// Accepts on port 7, reads everything, and closes the first accepted
+/// socket once a second connection arrives.
+#[derive(Default)]
+struct CloseFirstOnSecond {
+    socks: Vec<SockId>,
+    /// Bytes read on the second socket.
+    second_read: usize,
+}
+
+impl App for CloseFirstOnSecond {
+    fn on_start(&mut self, api: &mut dyn StackApi) {
+        api.listen(7);
+    }
+    fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
+        match ev {
+            AppEvent::Accepted { sock, .. } => {
+                self.socks.push(sock);
+                if self.socks.len() == 2 {
+                    api.close(self.socks[0]);
+                }
+            }
+            AppEvent::Readable { sock } => {
+                let n = api.recv(sock, 4096).len();
+                if self.socks.get(1) == Some(&sock) {
+                    self.second_read += n;
+                }
+            }
+            _ => {}
+        }
+    }
+    impl_as_any!();
+}
+
+/// A peer reset detaches its socket from the flow: once the reset flow's
+/// id is recycled for a new connection, closing the reset socket must not
+/// reach (and tear down) the connection that now holds the id.
+#[test]
+fn closing_a_reset_socket_leaves_the_recycled_flow_alone() {
+    let mut sim: Sim<NetMsg> = Sim::new(15);
+    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
+        if spec.index > 0 {
+            return sim.add_agent(Box::new(Tap::default()));
+        }
+        sim.add_agent(Box::new(TasHost::new(
+            spec.ip,
+            spec.mac,
+            spec.nic,
+            TasConfig::rpc_bench(1, 1),
+            spec.uplink,
+            Box::new(CloseFirstOnSecond::default()),
+        )))
+    };
+    let topo = build_star(
+        &mut sim,
+        2,
+        |_| PortConfig::tengig(),
+        |_| NicConfig::client_10g(1),
+        &mut factory,
+    );
+    let (host, tap) = (topo.hosts[0], topo.hosts[1]);
+    for &h in &topo.hosts {
+        sim.inject_timer(SimTime::ZERO, h, 0, 0);
+    }
+    let mut t = SimTime::from_us(100);
+    let mut send = |sim: &mut Sim<NetMsg>, sport: u16, seq: u32, ack: u32, flags, data: &[u8]| {
+        let mut seg = on_flow(seq, ack, flags, 0, data);
+        seg.tcp.src_port = sport;
+        sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+        t += SimTime::from_us(200);
+        sim.run_until(t);
+    };
+    let synack_seq = |sim: &Sim<NetMsg>, port: u16| {
+        let seg = sim.agent::<Tap>(tap).0.iter().rev().find(|s| {
+            s.tcp.dst_port == port && s.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
+        });
+        seg.expect("SYN-ACK").tcp.seq.0
+    };
+    // Connection A: handshake, then the peer resets it.
+    send(&mut sim, 40_000, 500, 0, TcpFlags::SYN, &[]);
+    let iss_a = synack_seq(&sim, 40_000);
+    send(&mut sim, 40_000, 501, iss_a + 1, TcpFlags::ACK, &[]);
+    assert_eq!(sim.agent::<TasHost>(host).flow_count(), 1);
+    send(&mut sim, 40_000, 501, iss_a + 1, TcpFlags::RST, &[]);
+    assert_eq!(sim.agent::<TasHost>(host).flow_count(), 0);
+    // Connection B takes A's flow id; accepting it makes the app close A.
+    send(&mut sim, 40_001, 900, 0, TcpFlags::SYN, &[]);
+    let iss_b = synack_seq(&sim, 40_001);
+    send(&mut sim, 40_001, 901, iss_b + 1, TcpFlags::ACK, &[]);
+    send(
+        &mut sim,
+        40_001,
+        901,
+        iss_b + 1,
+        TcpFlags::ACK | TcpFlags::PSH,
+        &[7; 64],
+    );
+    let h = sim.agent::<TasHost>(host);
+    assert_eq!(h.flow_count(), 1, "B stays installed");
+    assert_eq!(
+        h.app_as::<CloseFirstOnSecond>().second_read,
+        64,
+        "B delivers"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
