@@ -1173,7 +1173,7 @@ pub mod designspace {
 
     /// Runs the Fig. 9-shape KV latency scenario against a custom-built
     /// [`StackHost`] server. This is the sweep entry point and the
-    /// determinism probe used by `tests/proptest_designspace.rs`.
+    /// determinism probe used by `tests/designspace.rs`.
     pub fn run_custom(profile: StackProfile, cfg: StackHostConfig, seed: u64) -> Histogram {
         fig9::run_on(
             |sim, spec, app| add_host(sim, spec, HostCfg::Model(profile, cfg.clone()), app),

@@ -6,7 +6,7 @@
 //! unresolvable crate, an undeclared variable) or panic if it were
 //! evaluated; the test compiling and passing is the proof that neither
 //! happens. The on side is covered where the feature exists: the golden
-//! trace, the pcap round trip and `proptest_telemetry` in the root crate,
+//! trace, the pcap round trip and `tests/telemetry.rs` in the root crate,
 //! `spans_fig6` and `profile_gate` in `tas-bench`.
 
 // rustc flags the macros' `cfg(feature = "telemetry")` as an unknown

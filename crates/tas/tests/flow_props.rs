@@ -1,136 +1,218 @@
-//! Property tests for the fast-path rate bucket.
+//! Grid checks of the fast-path rate bucket.
 //!
 //! The bucket is the mechanism that turns the slow path's rate decisions
 //! into per-segment admission on the fast path; two historical bug
-//! classes motivate these properties. First, an early version discarded
+//! classes motivate these checks. First, an early version discarded
 //! fractional credit on every refill, so frequent polling at low rates
-//! starved flows completely (credit conservation, tested from both
+//! starved flows completely (credit conservation, checked from both
 //! sides). Second, `time_until` must be sound: sleeping exactly the
 //! returned duration must yield the credit, or the TX pacing timer spins.
+//!
+//! Every check walks a grid of rate × burst × poll schedule, polling
+//! until the elapsed time is worth 32 bytes, and checks every poll.
 
-use proptest::prelude::*;
 use tas::flow::RateBucket;
 use tas_sim::SimTime;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Rates in bit/s, from one byte per 8 ms to 100 Gbit/s.
+const RATES: [u64; 7] = [
+    1_000,
+    8_000,
+    53_112,
+    1_000_000,
+    999_999_937,
+    10_000_000_000,
+    100_000_000_000,
+];
 
-    /// Over any poll/consume schedule the bucket never issues more than
-    /// its initial credit plus rate x elapsed-time: credit is never
-    /// manufactured, no matter how erratically the fast path polls.
-    #[test]
-    fn bucket_never_over_issues(
-        rate_bps in 1_000u64..100_000_000_000,
-        burst in 1u64..1_000_000,
-        steps in proptest::collection::vec((1u64..5_000_000u64, 1u64..100_000u64), 1..60),
-    ) {
-        let t0 = SimTime::from_us(5);
-        let mut b = RateBucket::limited(rate_bps, burst, t0);
-        let initial = b.tokens;
-        let mut now = t0;
-        let mut issued: u128 = 0;
-        for (dt_ns, want) in steps {
-            now += SimTime::from_ps(dt_ns * 1_000);
-            b.refill(now);
-            prop_assert!(b.tokens <= burst, "tokens {} exceed burst {burst}", b.tokens);
-            if b.tokens >= want {
-                b.consume(want);
-                issued += want as u128;
-            }
-        }
-        let elapsed_ps = (now - t0).as_ps() as u128;
-        let earned = (rate_bps as u128 / 8) * elapsed_ps / 1_000_000_000_000;
-        prop_assert!(
-            issued <= initial as u128 + earned,
-            "issued {issued} > initial {initial} + earned {earned}"
-        );
-    }
+/// Burst caps in bytes: one byte, one MSS, 64 KiB, effectively none.
+const BURSTS: [u64; 4] = [1, 1_448, 65_536, u64::MAX / 2];
 
-    /// Polling arbitrarily often never loses credit: an idle bucket ends
-    /// with all the bytes the elapsed time paid for (to within the one
-    /// sub-byte fraction still accruing), regardless of the poll schedule.
-    /// This is the floor-leak regression test.
-    #[test]
-    fn bucket_never_starves_under_frequent_polls(
-        rate_bps in 1_000u64..1_000_000_000,
-        polls in proptest::collection::vec(1u64..200_000u64, 1..80),
-    ) {
-        let t0 = SimTime::ZERO;
-        let mut b = RateBucket::limited(rate_bps, u64::MAX / 2, t0);
-        b.tokens = 0;
-        let mut now = t0;
-        for dt_ns in polls {
-            now += SimTime::from_ps(dt_ns * 1_000);
-            b.refill(now);
-        }
-        b.refill(now);
-        let elapsed_ps = now.as_ps() as u128;
-        let earned = ((rate_bps as u128 / 8) * elapsed_ps / 1_000_000_000_000) as u64;
-        prop_assert!(
-            b.tokens + 1 >= earned,
-            "leaked credit: have {} of {earned} earned bytes",
-            b.tokens
-        );
-        prop_assert!(b.tokens <= earned + 1, "manufactured credit");
-    }
+/// Poll schedules: a fixed interval as a fraction of the time one byte
+/// takes, from 256 polls per byte to one poll per three bytes, and last
+/// an irregular one (intervals of 0 to 2.5 byte-times).
+const SCHEDULES: [(u64, u64); 8] = [
+    (1, 256),
+    (1, 7),
+    (1, 2),
+    (999, 1000),
+    (1, 1),
+    (1001, 1000),
+    (3, 1),
+    (0, 0),
+];
 
-    /// `time_until(n)` is sound and tight: refilling at exactly the
-    /// returned deadline yields at least `n` tokens, and (for a non-zero
-    /// wait) refilling one full byte-time earlier would not have.
-    #[test]
-    fn bucket_time_until_is_sound(
-        rate_bps in 8_000u64..10_000_000_000,
-        tokens in 0u64..10_000,
-        n in 1u64..20_000,
-    ) {
-        let t0 = SimTime::from_us(1);
-        let mut b = RateBucket::limited(rate_bps, 1 << 40, t0);
-        b.tokens = tokens;
-        let wait = b.time_until(n, t0);
-        prop_assert!(wait < SimTime::MAX);
-        b.refill(t0 + wait);
-        prop_assert!(
-            b.tokens >= n,
-            "after waiting {wait:?}: {} tokens < requested {n}",
-            b.tokens
-        );
-        if tokens >= n {
-            prop_assert_eq!(wait, SimTime::ZERO, "credit was already available");
-        }
-    }
+const PS_PER_S: u128 = 1_000_000_000_000;
 
-    /// Changing the rate mid-flight preserves accumulated credit and
-    /// respects the new rate from that instant on. The recorded seed in
-    /// `flow_props.proptest-regressions` shrank into this property; the
-    /// exact shrunk case is replayed by
-    /// [`regression_rate_change_seed_8000_53112_7394`] below.
-    #[test]
-    fn bucket_rate_change_preserves_credit(
-        rate1 in 8_000u64..1_000_000_000,
-        rate2 in 8_000u64..1_000_000_000,
-        idle_us in 1u64..10_000,
-    ) {
-        let t0 = SimTime::ZERO;
-        let mut b = RateBucket::limited(rate1, u64::MAX / 2, t0);
-        b.tokens = 0;
-        let t1 = t0 + SimTime::from_us(idle_us);
-        b.set_rate_bps(rate2, t1);
-        let earned1 = ((rate1 as u128 / 8) * t1.as_ps() as u128 / 1_000_000_000_000) as u64;
-        prop_assert!(b.tokens + 1 >= earned1, "rate change dropped earned credit");
-        // From t1, credit accrues at rate2.
-        let t2 = t1 + SimTime::from_ms(10);
-        let before = b.tokens;
-        b.refill(t2);
-        let earned2 =
-            ((rate2 as u128 / 8) * (t2 - t1).as_ps() as u128 / 1_000_000_000_000) as u64;
-        prop_assert!(b.tokens + 2 >= before + earned2, "new rate under-credits");
-        prop_assert!(b.tokens <= before + earned2 + 2, "new rate over-credits");
-    }
+/// Whole bytes `rate_bps` pays for in `ps`.
+fn earned(rate_bps: u64, ps: u64) -> u64 {
+    ((rate_bps as u128 / 8) * ps as u128 / PS_PER_S) as u64
 }
 
-/// Replays the shrunk case recorded in `flow_props.proptest-regressions`
-/// (`cc 3201b3e5… # shrinks to rate1 = 8000, rate2 = 53112, idle_us =
-/// 7394`) against `bucket_rate_change_preserves_credit`'s assertions.
+/// Walks one grid point from `t0`, polling on `schedule` until the elapsed
+/// time is worth 32 bytes. Spends credit on every poll that has it when
+/// `spend` is set; otherwise starts from zero tokens and never spends.
+/// Returns the number of polls.
+fn walk(rate_bps: u64, burst: u64, schedule: (u64, u64), spend: bool) -> u64 {
+    let t0 = SimTime::from_us(5);
+    let mut b = RateBucket::limited(rate_bps, burst, t0);
+    if !spend {
+        b.tokens = 0;
+    }
+    let initial = b.tokens;
+    let byte_ps = (PS_PER_S / (rate_bps as u128 / 8)) as u64;
+    let (mut now, mut issued, mut polls) = (t0, 0u64, 0u64);
+    while (now - t0).as_ps() < 32 * byte_ps {
+        let dt = match schedule {
+            (0, 0) => byte_ps * (polls * 7 % 11) / 4,
+            (num, den) => byte_ps * num / den,
+        };
+        now += SimTime::from_ps(dt.max(1));
+        polls += 1;
+        b.refill(now);
+        // Messages are formatted only on failure.
+        let point =
+            || format!("rate {rate_bps}, burst {burst}, schedule {schedule:?}, poll {polls}");
+        let earned = earned(rate_bps, (now - t0).as_ps());
+        assert!(
+            b.tokens <= burst,
+            "{}: tokens {} exceed the burst",
+            point(),
+            b.tokens
+        );
+        // Credit is never manufactured, however erratically the fast
+        // path polls ...
+        assert!(
+            issued + b.tokens <= initial + earned + 1,
+            "{}: issued {issued} + held {} > initial {initial} + earned {earned}",
+            point(),
+            b.tokens
+        );
+        // ... and, below the burst cap, never lost (to within the one
+        // sub-byte fraction still accruing).
+        if !spend {
+            let have = b.tokens;
+            assert!(
+                have + 1 >= earned,
+                "{}: leaked credit: have {have} of {earned}",
+                point()
+            );
+        }
+        // Refilling at exactly the deadline `time_until` returns yields
+        // the credit, and credit already held means no wait at all.
+        for n in [1, 1_448].into_iter().filter(|&n| n <= burst) {
+            let wait = b.time_until(n, now);
+            assert!(
+                wait < SimTime::MAX,
+                "{}: no deadline for {n} bytes",
+                point()
+            );
+            let mut later = b;
+            later.refill(now + wait);
+            let got = later.tokens;
+            assert!(
+                got >= n,
+                "{}: {got} tokens < {n} after waiting {wait:?}",
+                point()
+            );
+            assert!(
+                b.tokens < n || wait == SimTime::ZERO,
+                "{}: {n} bytes already held",
+                point()
+            );
+        }
+        let want = 1 + polls % 1_448;
+        if spend && b.tokens >= want {
+            b.consume(want);
+            issued += want;
+        }
+    }
+    polls
+}
+
+/// Over every grid point the bucket never issues more than its initial
+/// credit plus rate × elapsed time, and `time_until` is sound at every
+/// poll.
+#[test]
+fn bucket_never_over_issues() {
+    let mut polls = 0;
+    for rate in RATES {
+        for burst in BURSTS {
+            for schedule in SCHEDULES {
+                polls += walk(rate, burst, schedule, true);
+            }
+        }
+    }
+    assert_eq!(polls, 220_364);
+}
+
+/// Polling at any cadence never loses credit: an idle bucket holds all
+/// the bytes the elapsed time paid for at every poll. This is the
+/// floor-leak regression check.
+#[test]
+fn bucket_never_starves_under_frequent_polls() {
+    let mut polls = 0;
+    for rate in RATES {
+        for schedule in SCHEDULES {
+            polls += walk(rate, u64::MAX / 2, schedule, false);
+        }
+    }
+    assert_eq!(polls, 55_091);
+}
+
+/// Changing the rate mid-flight preserves accumulated credit and
+/// respects the new rate from that instant on, for every pair of grid
+/// rates and idle time. The grid includes the recorded counterexample
+/// replayed by [`regression_rate_change_seed_8000_53112_7394`].
+#[test]
+fn bucket_rate_change_preserves_credit() {
+    const RATES: [u64; 4] = [8_000, 53_112, 1_000_000, 999_999_937];
+    let mut n = 0;
+    for rate1 in RATES {
+        for rate2 in RATES {
+            for idle_us in [1, 7, 7_394, 9_999] {
+                check_rate_change(rate1, rate2, idle_us);
+                n += 1;
+            }
+        }
+    }
+    assert_eq!(n, 64);
+}
+
+/// From zero tokens, `idle_us` at `rate1`, then a change to `rate2` and
+/// 10 ms more: the change keeps the earned credit and the new rate pays
+/// exactly its own.
+fn check_rate_change(rate1: u64, rate2: u64, idle_us: u64) {
+    let point = format!("rate {rate1} -> {rate2} after {idle_us} us");
+    let t0 = SimTime::ZERO;
+    let mut b = RateBucket::limited(rate1, u64::MAX / 2, t0);
+    b.tokens = 0;
+    let t1 = t0 + SimTime::from_us(idle_us);
+    b.set_rate_bps(rate2, t1);
+    let earned1 = earned(rate1, t1.as_ps());
+    assert!(
+        b.tokens + 1 >= earned1,
+        "{point}: dropped earned credit: have {} of {earned1}",
+        b.tokens
+    );
+    let t2 = t1 + SimTime::from_ms(10);
+    let before = b.tokens;
+    b.refill(t2);
+    let earned2 = earned(rate2, (t2 - t1).as_ps());
+    assert!(
+        b.tokens + 2 >= before + earned2,
+        "{point}: new rate under-credits: {} + 2 < {before} + {earned2}",
+        b.tokens
+    );
+    assert!(
+        b.tokens <= before + earned2 + 2,
+        "{point}: new rate over-credits: {} > {before} + {earned2} + 2",
+        b.tokens
+    );
+}
+
+/// The shrunk counterexample `rate1 = 8000, rate2 = 53112, idle_us = 7394`
+/// of [`bucket_rate_change_preserves_credit`].
 ///
 /// The failure class was the `set_rate_bps` credit-rescaling path: the
 /// sub-byte time remainder accruing at the old rate must be re-priced so
@@ -141,32 +223,7 @@ proptest! {
 /// recorded counterexample so the path can never regress silently.
 #[test]
 fn regression_rate_change_seed_8000_53112_7394() {
-    let (rate1, rate2, idle_us) = (8_000u64, 53_112u64, 7_394u64);
-    let t0 = SimTime::ZERO;
-    let mut b = RateBucket::limited(rate1, u64::MAX / 2, t0);
-    b.tokens = 0;
-    let t1 = t0 + SimTime::from_us(idle_us);
-    b.set_rate_bps(rate2, t1);
-    let earned1 = ((rate1 as u128 / 8) * t1.as_ps() as u128 / 1_000_000_000_000) as u64;
-    assert!(
-        b.tokens + 1 >= earned1,
-        "rate change dropped earned credit: have {} of {earned1}",
-        b.tokens
-    );
-    let t2 = t1 + SimTime::from_ms(10);
-    let before = b.tokens;
-    b.refill(t2);
-    let earned2 = ((rate2 as u128 / 8) * (t2 - t1).as_ps() as u128 / 1_000_000_000_000) as u64;
-    assert!(
-        b.tokens + 2 >= before + earned2,
-        "new rate under-credits: {} + 2 < {before} + {earned2}",
-        b.tokens
-    );
-    assert!(
-        b.tokens <= before + earned2 + 2,
-        "new rate over-credits: {} > {before} + {earned2} + 2",
-        b.tokens
-    );
+    check_rate_change(8_000, 53_112, 7_394);
 }
 
 /// The same seed values swept across every poll cadence from 1 µs to
@@ -187,7 +244,7 @@ fn regression_rate_change_seed_is_poll_schedule_independent() {
             now = (now + SimTime::from_us(poll_us)).min(t2);
             b.refill(now);
         }
-        let earned2 = ((53_112u128 / 8) * (t2 - t1).as_ps() as u128 / 1_000_000_000_000) as u64;
+        let earned2 = earned(53_112, (t2 - t1).as_ps());
         assert!(
             b.tokens + 2 >= after_change + earned2 && b.tokens <= after_change + earned2 + 2,
             "poll cadence {poll_us}us perturbed credit: {} vs {} + {earned2}",

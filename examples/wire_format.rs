@@ -44,6 +44,6 @@ fn main() {
     }
 
     // The simulator passes structured segments for speed; this codec is
-    // the proof they are wire-equivalent (see tests/proptest_wire.rs).
+    // the proof they are wire-equivalent (see tests/wire.rs).
     println!("flow key: {}", seg.flow_key());
 }

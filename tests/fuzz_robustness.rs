@@ -2,7 +2,6 @@
 //! live hosts and connections must never panic or corrupt state. A
 //! network stack's first property is surviving hostile input.
 
-use proptest::prelude::*;
 use std::net::Ipv4Addr;
 use tas_repro::apps::echo::{EchoServer, ServerMode};
 use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
@@ -10,40 +9,46 @@ use tas_repro::netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
 use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
 use tas_repro::proto::{Ecn, MacAddr, Segment, TcpFlags, TcpHeader};
-use tas_repro::sim::{impl_as_any, Agent, AgentId, Ctx, Event, Sim, SimTime};
+use tas_repro::sim::{impl_as_any, Agent, AgentId, Ctx, Event, Rng, Sim, SimTime};
 use tas_repro::tas::{TasConfig, TasHost};
 use tas_repro::tcp::EndpointInfo;
 
-fn arb_hostile_segment() -> impl Strategy<Value = Segment> {
-    (
-        any::<u16>(),                                   // src port
-        prop_oneof![Just(7u16), Just(9), any::<u16>()], // dst port (often the listener)
-        any::<u32>(),                                   // seq
-        any::<u32>(),                                   // ack
-        any::<u8>(),                                    // flags
-        any::<u16>(),                                   // window
-        proptest::option::of(any::<(u32, u32)>()),      // ts
-        0u8..=3,                                        // ecn
-        proptest::collection::vec(any::<u8>(), 0..200),
-        any::<bool>(), // fragment bit
-    )
-        .prop_map(|(sp, dp, seq, ack, flags, win, ts, ecn, payload, frag)| {
-            let mut h = TcpHeader::new(sp, dp, seq, ack, TcpFlags(flags));
-            h.window = win;
-            h.options.timestamp = ts;
-            let mut seg = Segment::tcp(
-                MacAddr::for_host(9),
-                MacAddr::for_host(1),
-                Ipv4Addr::new(10, 0, 0, 9),
-                host_ip(0),
-                h,
-                payload,
-                false,
-            );
-            seg.ip.ecn = Ecn::from_bits(ecn);
-            seg.ip.more_fragments = frag;
-            seg
-        })
+/// A random segment from a stranger: any ports (often the listener's),
+/// numbers, flags, window, timestamp, ECN bits, fragment bit, and up to
+/// 199 payload bytes.
+fn hostile_segment(rng: &mut Rng) -> Segment {
+    let any_port = rng.next_u64() as u16;
+    let dst_port = *rng.choose(&[7, 9, any_port]);
+    let mut h = TcpHeader::new(
+        rng.next_u64() as u16,
+        dst_port,
+        rng.next_u32(),
+        rng.next_u32(),
+        TcpFlags(rng.next_u64() as u8),
+    );
+    h.window = rng.next_u64() as u16;
+    h.options.timestamp = (rng.below(4) > 0).then(|| (rng.next_u32(), rng.next_u32()));
+    let ecn = Ecn::from_bits(rng.below(4) as u8);
+    let payload: Vec<u8> = (0..rng.below(200)).map(|_| rng.next_u64() as u8).collect();
+    let mut seg = Segment::tcp(
+        MacAddr::for_host(9),
+        MacAddr::for_host(1),
+        Ipv4Addr::new(10, 0, 0, 9),
+        host_ip(0),
+        h,
+        payload,
+        false,
+    );
+    seg.ip.ecn = ecn;
+    seg.ip.more_fragments = rng.chance(0.5);
+    seg
+}
+
+/// `lo` to `hi - 1` hostile segments.
+fn hostile_segments(rng: &mut Rng, lo: u64, hi: u64) -> Vec<Segment> {
+    (0..rng.range_inclusive(lo, hi - 1))
+        .map(|_| hostile_segment(rng))
+        .collect()
 }
 
 /// Source port of the live client's one connection (a `StackHost`
@@ -53,8 +58,9 @@ const LIVE_CLIENT_PORT: u16 = 40_000;
 /// TSecr is peer-controlled: a value ahead of the host clock (the sims
 /// here end well before one second), the largest value, and the smallest
 /// one the fast path does not ignore.
-fn arb_hostile_tsecr() -> impl Strategy<Value = u32> {
-    prop_oneof![1_000_000u32..2_000_000, Just(u32::MAX), Just(1u32)]
+fn hostile_tsecr(rng: &mut Rng) -> u32 {
+    let ahead = rng.range_inclusive(1_000_000, 1_999_999) as u32;
+    *rng.choose(&[ahead, u32::MAX, 1])
 }
 
 /// A segment on the live client's 4-tuple (host 1 to the echo server at
@@ -401,23 +407,26 @@ fn closing_a_reset_socket_leaves_the_recycled_flow_alone() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// A TAS host fed arbitrary garbage (SYN floods, bogus ACKs, random
-    /// flags, fragments) from a stranger, and ACKs with hostile timestamp
-    /// echoes on an established flow, keeps running and never panics.
-    #[test]
-    fn tas_host_survives_garbage(
-        segs in proptest::collection::vec(arb_hostile_segment(), 1..40),
-        flow_acks in proptest::collection::vec((any::<u32>(), any::<u32>(), arb_hostile_tsecr()), 2..8),
-    ) {
+/// A TAS host fed random garbage (SYN floods, bogus ACKs, random flags,
+/// fragments) from a stranger, and ACKs with hostile timestamp echoes on
+/// an established flow, keeps running and never panics.
+#[test]
+fn tas_host_survives_garbage() {
+    for case in 0..96 {
+        let mut rng = Rng::new(case);
+        let segs = hostile_segments(&mut rng, 1, 40);
+        let acks: Vec<Segment> = (0..rng.range_inclusive(2, 7))
+            .map(|_| {
+                let (seq, ack) = (rng.next_u32(), rng.next_u32());
+                on_flow(seq, ack, TcpFlags::ACK, hostile_tsecr(&mut rng), &[])
+            })
+            .collect();
         let (mut sim, host) = build_tas();
-        prop_assert_eq!(sim.agent::<TasHost>(host).flow_count(), 1, "the client connected");
-        let fast_path_before = sim.agent::<TasHost>(host).fp_stats().pkts_rx;
+        let h = sim.agent::<TasHost>(host);
+        assert_eq!(h.flow_count(), 1, "case {case}: the client connected");
+        let fast_path_before = h.fp_stats().pkts_rx;
+        let on_flow_count = acks.len() as u64;
         let mut t = SimTime::from_us(600);
-        let on_flow_count = flow_acks.len() as u64;
-        let acks = flow_acks.into_iter().map(|(seq, ack, tsecr)| on_flow(seq, ack, TcpFlags::ACK, tsecr, &[]));
         for seg in segs.into_iter().chain(acks) {
             sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
@@ -426,16 +435,19 @@ proptest! {
         sim.run_until(t + SimTime::from_ms(50));
         let h = sim.agent::<TasHost>(host);
         // Sanity: state is still consistent enough to accept a real SYN.
-        prop_assert!(h.sp_stats().exceptions > 0);
-        prop_assert!(
+        assert!(h.sp_stats().exceptions > 0, "case {case}");
+        assert!(
             h.fp_stats().pkts_rx - fast_path_before >= on_flow_count,
-            "the on-flow ACKs reached the fast path"
+            "case {case}: the on-flow ACKs reached the fast path"
         );
     }
+}
 
-    /// Same for a Linux-model host.
-    #[test]
-    fn linux_host_survives_garbage(segs in proptest::collection::vec(arb_hostile_segment(), 1..40)) {
+/// Same for a Linux-model host.
+#[test]
+fn linux_host_survives_garbage() {
+    for case in 0..96 {
+        let segs = hostile_segments(&mut Rng::new(case), 1, 40);
         let (mut sim, host) = build_linux();
         let mut t = SimTime::from_us(200);
         for seg in segs {
@@ -445,49 +457,72 @@ proptest! {
         sim.run_until(t + SimTime::from_ms(50));
         let _ = sim.agent::<StackHost>(host).telemetry_snapshot();
     }
+}
 
-    /// A Linux-model host fed ACKs with hostile timestamp echoes on an
-    /// established flow, each acknowledging part of its in-flight echo so
-    /// that it reaches the RTT estimator, keeps running and never panics.
-    #[test]
-    fn linux_host_survives_hostile_tsecr_on_flow(
-        acks in proptest::collection::vec((0u32..=64, arb_hostile_tsecr()), 1..8),
-    ) {
+/// A Linux-model host fed ACKs with hostile timestamp echoes on an
+/// established flow, each acknowledging part of its in-flight echo so that
+/// it reaches the RTT estimator, keeps running and never panics.
+#[test]
+fn linux_host_survives_hostile_tsecr_on_flow() {
+    for case in 0..96 {
+        let mut rng = Rng::new(case);
         let (mut sim, host, echo_acked) = build_linux_with_flow();
-        let n = acks.len() as u64;
+        let n = rng.range_inclusive(1, 7);
         let mut t = SimTime::from_us(300);
-        for (back, tsecr) in acks {
-            let seg = on_flow(565, echo_acked.wrapping_sub(back), TcpFlags::ACK, tsecr, &[]);
+        for _ in 0..n {
+            let back = rng.range_inclusive(0, 64) as u32;
+            let tsecr = hostile_tsecr(&mut rng);
+            let seg = on_flow(
+                565,
+                echo_acked.wrapping_sub(back),
+                TcpFlags::ACK,
+                tsecr,
+                &[],
+            );
             sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
         sim.run_until(t + SimTime::from_ms(50));
         // The request, then every ACK, reached the connection.
-        prop_assert_eq!(sim.agent::<StackHost>(host).tcp_stats().segs_in, 1 + n);
+        let segs_in = sim.agent::<StackHost>(host).tcp_stats().segs_in;
+        assert_eq!(segs_in, 1 + n, "case {case}");
     }
+}
 
-    /// A SYN-ACK that acknowledges our SYN but echoes a hostile timestamp
-    /// completes the handshake; an echo ahead of the clock is no RTT sample.
-    #[test]
-    fn tcp_conn_handshake_survives_hostile_tsecr(tsecr in arb_hostile_tsecr()) {
-        use tas_repro::tcp::{TcpConfig, TcpConn, TcpState};
+/// A SYN-ACK that acknowledges our SYN but echoes a hostile timestamp
+/// completes the handshake; an echo ahead of the clock is no RTT sample.
+#[test]
+fn tcp_conn_handshake_survives_hostile_tsecr() {
+    use tas_repro::tcp::{TcpConfig, TcpConn, TcpState};
+    for case in 0..96 {
+        let tsecr = hostile_tsecr(&mut Rng::new(case));
         let (a, b) = endpoints();
         let mut conn = TcpConn::connect(SimTime::from_us(1), TcpConfig::default(), a, b, 42);
         let now = SimTime::from_us(10);
         let mut h = TcpHeader::new(b.port, a.port, 7_000, 43, TcpFlags::SYN | TcpFlags::ACK);
         h.options.timestamp = Some((5, tsecr));
-        conn.on_segment(now, Segment::tcp(b.mac, a.mac, b.ip, a.ip, h, Vec::new(), false));
-        prop_assert_eq!(conn.state(), TcpState::Established);
+        conn.on_segment(
+            now,
+            Segment::tcp(b.mac, a.mac, b.ip, a.ip, h, Vec::new(), false),
+        );
+        assert_eq!(conn.state(), TcpState::Established, "case {case}");
         // Timestamp time wraps: only an echo less than 2^31 µs behind the
         // clock is a sample, so no echo can inflate the estimate past that.
-        prop_assert!(conn.srtt().is_none_or(|rtt| rtt < SimTime::from_us(1 << 31)));
+        let srtt = conn.srtt();
+        assert!(
+            srtt.is_none_or(|rtt| rtt < SimTime::from_us(1 << 31)),
+            "case {case}"
+        );
     }
+}
 
-    /// A live TcpConn fed arbitrary segments never panics and keeps its
-    /// sequence bookkeeping self-consistent.
-    #[test]
-    fn tcp_conn_survives_garbage(segs in proptest::collection::vec(arb_hostile_segment(), 1..60)) {
-        use tas_repro::tcp::{TcpConfig, TcpConn};
+/// A live TcpConn fed random segments never panics and keeps its sequence
+/// bookkeeping self-consistent.
+#[test]
+fn tcp_conn_survives_garbage() {
+    use tas_repro::tcp::{TcpConfig, TcpConn};
+    for case in 0..96 {
+        let segs = hostile_segments(&mut Rng::new(case), 1, 60);
         let (a, b) = endpoints();
         let mut conn = TcpConn::connect(SimTime::from_us(1), TcpConfig::default(), a, b, 42);
         conn.take_outgoing();
@@ -496,32 +531,30 @@ proptest! {
             conn.on_segment(t, seg);
             conn.take_outgoing();
             conn.take_events();
-            if let Some(d) = conn.next_timer() {
-                if d <= t {
-                    conn.on_timer(t);
-                }
+            if conn.next_timer().is_some_and(|d| d <= t) {
+                conn.on_timer(t);
             }
             t += SimTime::from_us(7);
         }
         conn.send(b"still alive");
         conn.poll(t);
         // Bookkeeping invariant: in-flight never exceeds what was buffered.
-        prop_assert!(conn.in_flight() as usize <= 256 * 1024);
+        assert!(conn.in_flight() as usize <= 256 * 1024, "case {case}");
     }
 }
 
-proptest! {
-    // Full e2e sims per case: keep the case count moderate.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// A live RPC workload pushed through a corruption-enabled fault
-    /// injector — seeded drops, duplicates, reordering, and header AND
-    /// payload bit-flips in both directions — must never panic the hosts,
-    /// the reference TCP engine, or the invariant auditors.
-    #[test]
-    fn stacks_survive_corrupting_fault_injector(seed in any::<u64>(), corrupt_pm in 0u32..100) {
-        use tas_repro::apps::echo::{Lifetime, RpcClient};
-        use tas_repro::netsim::{DropModel, FaultSpec};
+/// A live RPC workload pushed through a corruption-enabled fault injector
+/// — seeded drops, duplicates, reordering, and header AND payload
+/// bit-flips in both directions — must never panic the hosts, the
+/// reference TCP engine, or the invariant auditors. Full e2e sims per
+/// case: keep the case count moderate.
+#[test]
+fn stacks_survive_corrupting_fault_injector() {
+    use tas_repro::apps::echo::{Lifetime, RpcClient};
+    use tas_repro::netsim::{DropModel, FaultSpec};
+    for case in 0..12 {
+        let mut rng = Rng::new(case);
+        let (seed, corrupt_pm) = (rng.next_u64(), rng.below(100));
         let spec = FaultSpec {
             seed: seed | 1,
             drop: DropModel::Uniform(0.02),
@@ -556,14 +589,17 @@ proptest! {
                 app,
             )))
         };
+        let port = |i| match i {
+            0 => PortConfig {
+                fault: spec,
+                ..PortConfig::tengig()
+            },
+            _ => PortConfig::tengig(),
+        };
         let topo = build_star(
             &mut sim,
             2,
-            |i| if i == 0 {
-                PortConfig { fault: spec, ..PortConfig::tengig() }
-            } else {
-                PortConfig::tengig()
-            },
+            port,
             |_| NicConfig::client_10g(1),
             &mut factory,
         );
@@ -573,10 +609,13 @@ proptest! {
         sim.run_until(SimTime::from_ms(100));
         // Survival is the property; also confirm the injector was live and
         // the hosts are still coherent enough to report state.
-        let nic_snap = sim.agent::<StackHost>(topo.hosts[1]).nic().tx_fault_snapshot();
-        prop_assert!(
+        let nic_snap = sim
+            .agent::<StackHost>(topo.hosts[1])
+            .nic()
+            .tx_fault_snapshot();
+        assert!(
             nic_snap.counter("fault.seen", tas_repro::sim::Scope::Global) > 0,
-            "injector must have seen traffic"
+            "case {case}: injector must have seen traffic"
         );
         let _ = sim.agent::<StackHost>(topo.hosts[0]).telemetry_snapshot();
         let _ = sim.agent::<StackHost>(topo.hosts[1]).telemetry_snapshot();

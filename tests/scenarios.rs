@@ -11,52 +11,57 @@
 //! "identical auditor outcomes on both stacks" part of the property —
 //! both stacks must come out clean for every generated composition.
 
-use proptest::prelude::*;
 use tas_bench::report::{Metric, Report};
+use tas_bench::scenario::Outcome;
 use tas_bench::scenario::{runner, Role, ScenarioSpec, Tenant, TrafficShape};
 use tas_bench::Kind;
-use tas_bench::scenario::Outcome;
-use tas_sim::SimTime;
+use tas_sim::{Rng, SimTime};
 
-/// Aggressor shapes exercised by the property, all sized tiny: windows
-/// are milliseconds, so each case stays cheap even under the auditors.
-fn aggressor_shape() -> impl Strategy<Value = TrafficShape> {
-    prop_oneof![
-        (1u32..3, 1u32..4).prop_map(|(conns, msgs)| TrafficShape::KvChurn {
+/// One of the aggressor shapes exercised by the property, all sized tiny:
+/// windows are milliseconds, so each case stays cheap even under the
+/// auditors.
+fn aggressor_shape(rng: &mut Rng) -> TrafficShape {
+    let conns = rng.range_inclusive(1, 2) as u32;
+    match rng.below(5) {
+        0 => TrafficShape::KvChurn {
             conns,
-            msgs_per_conn: msgs,
-        }),
-        (1u32..4).prop_map(|conns| TrafficShape::KvClosed { conns }),
-        (1u32..3, 4u32..32).prop_map(|(conns, burst)| TrafficShape::SlowRead { conns, burst }),
-        (1u32..3, 8u32..64).prop_map(|(conns, chunk)| TrafficShape::AckDivision { conns, chunk }),
-        (1u32..3).prop_map(|conns| TrafficShape::WindowStuff {
+            msgs_per_conn: rng.range_inclusive(1, 3) as u32,
+        },
+        1 => TrafficShape::KvClosed {
+            conns: rng.range_inclusive(1, 3) as u32,
+        },
+        2 => TrafficShape::SlowRead {
+            conns,
+            burst: rng.range_inclusive(4, 31) as u32,
+        },
+        3 => TrafficShape::AckDivision {
+            conns,
+            chunk: rng.range_inclusive(8, 63) as u32,
+        },
+        _ => TrafficShape::WindowStuff {
             conns,
             pattern: vec![64, 512, 1448],
-        }),
-    ]
+        },
+    }
 }
 
-fn tiny_spec() -> impl Strategy<Value = ScenarioSpec> {
-    (
-        1u64..u64::from(u32::MAX),
-        5_000u64..20_000,
-        1u32..4,
-        aggressor_shape(),
-    )
-        .prop_map(|(seed, per_sec, conns, shape)| {
-            let mut spec = ScenarioSpec::new("prop", "generated composition", seed)
-                .tenant(Tenant::new(
-                    "victim",
-                    Role::Victim,
-                    TrafficShape::KvOpen { per_sec, conns },
-                    1,
-                ))
-                .tenant(Tenant::new("aggressor", Role::Aggressor, shape, 1));
-            spec.warmup = SimTime::from_ms(2);
-            spec.measure = SimTime::from_ms(4);
-            spec.server_cores = (1, 1);
-            spec
-        })
+fn tiny_spec(rng: &mut Rng) -> ScenarioSpec {
+    let seed = rng.range_inclusive(1, u64::from(u32::MAX) - 1);
+    let per_sec = rng.range_inclusive(5_000, 19_999);
+    let conns = rng.range_inclusive(1, 3) as u32;
+    let victim = TrafficShape::KvOpen { per_sec, conns };
+    let mut spec = ScenarioSpec::new("prop", "generated composition", seed)
+        .tenant(Tenant::new("victim", Role::Victim, victim, 1))
+        .tenant(Tenant::new(
+            "aggressor",
+            Role::Aggressor,
+            aggressor_shape(rng),
+            1,
+        ));
+    spec.warmup = SimTime::from_ms(2);
+    spec.measure = SimTime::from_ms(4);
+    spec.server_cores = (1, 1);
+    spec
 }
 
 /// Renders an outcome as a report fragment the way `run_suite` does, so
@@ -82,30 +87,26 @@ fn fragment(spec: &ScenarioSpec, kind: Kind, o: &Outcome) -> String {
     r.to_json()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Same spec, same seed, run twice on each stack: identical
-    /// outcomes, byte-identical report fragments, and the victim made
-    /// progress (the composition is not vacuous).
-    #[test]
-    fn same_seed_scenarios_are_byte_deterministic(spec in tiny_spec()) {
+/// Same spec, same seed, run twice on each stack: identical outcomes,
+/// byte-identical report fragments, and the victim made progress (the
+/// composition is not vacuous).
+#[test]
+fn same_seed_scenarios_are_byte_deterministic() {
+    for case in 0..4 {
+        let spec = tiny_spec(&mut Rng::new(case));
         for kind in [Kind::TasSockets, Kind::Linux] {
             let a = runner::run(&spec, kind);
             let b = runner::run(&spec, kind);
-            prop_assert_eq!(&a, &b, "outcome mismatch on {:?}", kind);
-            prop_assert_eq!(
+            assert_eq!(a, b, "case {case}: outcome mismatch on {kind:?}");
+            assert_eq!(
                 fragment(&spec, kind, &a),
                 fragment(&spec, kind, &b),
-                "report fragment mismatch on {:?}",
-                kind
+                "case {case}: report fragment mismatch on {kind:?}"
             );
             let victim = &a.tenants[&1];
-            prop_assert!(
+            assert!(
                 victim.requests_sent > 0,
-                "victim idle on {:?}: {:?}",
-                kind,
-                victim
+                "case {case}: victim idle on {kind:?}: {victim:?}"
             );
         }
     }
