@@ -28,8 +28,12 @@ use tas_repro::tas::flow::{
 };
 use tas_repro::tas::{CcAlgo, TasConfig, TasCosts, TasHost, FLOW_STATE_BYTES};
 
-// The architectural state constant matches the paper (Table 3: 102 B).
-const _: () = assert!(FLOW_STATE_BYTES == 102);
+/// The architectural state constant matches the paper (Table 3: 102 B).
+/// Checked at compile time; the test names the check in the suite.
+#[test]
+fn flow_state_constant() {
+    const _: () = assert!(FLOW_STATE_BYTES == 102);
+}
 
 /// Counts heap allocations made by the current thread. The counter is
 /// thread-local so the parallel test harness cannot perturb a measurement
