@@ -98,7 +98,7 @@ pub trait StackApi {
     /// Receives up to `max` bytes into a new `Vec` (a [`StackApi::recv_with`]
     /// that takes everything it is offered).
     fn recv(&mut self, sock: SockId, max: usize) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max.min(self.readable(sock)));
         self.recv_with(sock, max, &mut |s| {
             out.extend_from_slice(s);
             s.len()

@@ -38,6 +38,14 @@ impl std::error::Error for RingError {}
 /// Used as TAS's per-flow RX buffer (`rx_start|size`, `rx_head|tail` in the
 /// paper's Table 3) and TX buffer (`tx_head|tail`, `tx_sent`).
 ///
+/// The backing store is demand-backed: [`new`](ByteRing::new) allocates
+/// nothing, and a write that reaches past the store's end grows it to the
+/// next power of two of the span from `start` (at most `capacity`). The
+/// store never shrinks. Byte `pos` lives at slot `pos % store length`, so
+/// the store always holds the window `[start, start + store length)`.
+/// Capacity keeps its meaning: it bounds what may be written, and the
+/// window a flow advertises, whatever is backed.
+///
 /// # Examples
 ///
 /// ```
@@ -52,48 +60,71 @@ impl std::error::Error for RingError {}
 pub struct ByteRing {
     buf: Box<[u8]>,
     start: u64,
-    end: u64,
+    len: u32,
+    cap: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<ByteRing>() == 32);
+
+/// Copies `data` into the circular store `buf` (not empty) at stream
+/// offset `pos`.
+#[inline]
+fn copy_into(buf: &mut [u8], pos: u64, data: &[u8]) {
+    let s = (pos % buf.len() as u64) as usize;
+    let first = (buf.len() - s).min(data.len());
+    buf[s..s + first].copy_from_slice(&data[..first]);
+    if first < data.len() {
+        buf[..data.len() - first].copy_from_slice(&data[first..]);
+    }
 }
 
 impl ByteRing {
-    /// Creates a ring with the given capacity in bytes.
+    /// Creates a ring with the given capacity in bytes. Nothing is
+    /// allocated until the first write.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or above `u32::MAX`.
     #[allow(
         clippy::panic,
         reason = "documented configuration check: rings are built at connection setup, never per packet"
     )]
     pub fn new(capacity: usize) -> Self {
-        if capacity == 0 {
-            panic!("ring capacity must be positive");
-        }
+        let Ok(cap @ 1..) = u32::try_from(capacity) else {
+            panic!("ring capacity must be in 1..=u32::MAX, not {capacity}");
+        };
         ByteRing {
-            buf: vec![0u8; capacity].into_boxed_slice(),
+            buf: Box::default(),
             start: 0,
-            end: 0,
+            len: 0,
+            cap,
         }
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
+        self.cap as usize
+    }
+
+    /// Bytes of backing store allocated so far: 0, a power of two, or
+    /// [`capacity`](Self::capacity). It never shrinks.
+    pub fn backed(&self) -> usize {
         self.buf.len()
     }
 
     /// Committed bytes currently stored (`end - start`).
     pub fn len(&self) -> usize {
-        (self.end - self.start) as usize
+        self.len as usize
     }
 
     /// True when no committed bytes are stored.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// Free space after the committed region.
     pub fn free(&self) -> usize {
-        self.capacity() - self.len()
+        (self.cap - self.len) as usize
     }
 
     /// Absolute offset of the oldest committed byte.
@@ -103,22 +134,49 @@ impl ByteRing {
 
     /// Absolute offset one past the newest committed byte.
     pub fn end_offset(&self) -> u64 {
-        self.end
+        self.start + u64::from(self.len)
     }
 
     fn slot(&self, pos: u64) -> usize {
         (pos % self.buf.len() as u64) as usize
     }
 
+    /// Makes the store cover `[start, start + span)`; `span` is at most
+    /// the capacity.
+    #[inline]
+    fn ensure(&mut self, span: u64) {
+        if span > self.buf.len() as u64 {
+            self.grow(span);
+        }
+    }
+
+    /// Replaces the store with one of `min(capacity, span.next_power_of_two())`
+    /// bytes, carrying the old window `[start, start + old length)` over in
+    /// stream order: committed bytes and any staged ahead of them.
+    #[cold]
+    fn grow(&mut self, span: u64) {
+        let len = span.next_power_of_two().min(u64::from(self.cap)) as usize;
+        let mut buf = vec![0u8; len].into_boxed_slice();
+        if !self.buf.is_empty() {
+            // The window runs from `start`'s slot to the store's end
+            // (`head`), then wraps to slot 0 (`wrapped`).
+            let s = self.slot(self.start);
+            let (wrapped, head) = self.buf.split_at(s);
+            copy_into(&mut buf, self.start, head);
+            copy_into(&mut buf, self.start + head.len() as u64, wrapped);
+        }
+        self.buf = buf;
+    }
+
+    /// Writes `data` at `pos`, which lies in `[start, start + capacity)`
+    /// with the whole of `data`, growing the store to cover it first.
     #[inline]
     fn copy_in(&mut self, pos: u64, data: &[u8]) {
-        let cap = self.buf.len();
-        let s = self.slot(pos);
-        let first = (cap - s).min(data.len());
-        self.buf[s..s + first].copy_from_slice(&data[..first]);
-        if first < data.len() {
-            self.buf[..data.len() - first].copy_from_slice(&data[first..]);
+        if data.is_empty() {
+            return;
         }
+        self.ensure(pos + data.len() as u64 - self.start);
+        copy_into(&mut self.buf, pos, data);
     }
 
     /// Appends committed data at `end`, failing (without partial writes)
@@ -128,16 +186,16 @@ impl ByteRing {
         if data.len() > self.free() {
             return Err(RingError::Full);
         }
-        self.copy_in(self.end, data);
-        self.end += data.len() as u64;
+        self.copy_in(self.end_offset(), data);
+        self.len += data.len() as u32;
         Ok(())
     }
 
     /// Appends as much of `data` as fits, returning the byte count written.
     pub fn append_partial(&mut self, data: &[u8]) -> usize {
         let n = data.len().min(self.free());
-        self.copy_in(self.end, &data[..n]);
-        self.end += n as u64;
+        self.copy_in(self.end_offset(), &data[..n]);
+        self.len += n as u32;
         n
     }
 
@@ -146,7 +204,7 @@ impl ByteRing {
     /// Does not move `end`.
     #[inline]
     pub fn write_at(&mut self, pos: u64, data: &[u8]) -> Result<(), RingError> {
-        if pos < self.start || pos + data.len() as u64 > self.start + self.capacity() as u64 {
+        if pos < self.start || pos + data.len() as u64 > self.start + u64::from(self.cap) {
             return Err(RingError::OutOfRange);
         }
         self.copy_in(pos, data);
@@ -154,13 +212,15 @@ impl ByteRing {
     }
 
     /// Commits `n` bytes past `end` (e.g. after an out-of-order interval
-    /// has been filled in).
+    /// has been filled in). Bytes committed this way that were never
+    /// staged read as unspecified values.
     #[inline]
     pub fn advance_end(&mut self, n: u64) -> Result<(), RingError> {
-        if self.len() + n as usize > self.capacity() {
+        if n > self.free() as u64 {
             return Err(RingError::Full);
         }
-        self.end += n;
+        self.ensure(u64::from(self.len) + n);
+        self.len += n as u32;
         Ok(())
     }
 
@@ -171,8 +231,11 @@ impl ByteRing {
     #[inline]
     pub fn read_into(&self, pos: u64, dst: &mut [u8]) -> Result<(), RingError> {
         let len = dst.len();
-        if pos < self.start || pos + len as u64 > self.end {
+        if pos < self.start || pos + len as u64 > self.end_offset() {
             return Err(RingError::OutOfRange);
+        }
+        if len == 0 {
+            return Ok(());
         }
         let cap = self.buf.len();
         let s = self.slot(pos);
@@ -214,6 +277,7 @@ impl ByteRing {
             taken += f(&self.buf[..len - first]).min(len - first);
         }
         self.start += taken as u64;
+        self.len -= taken as u32;
         taken
     }
 
@@ -231,10 +295,11 @@ impl ByteRing {
     /// Frees `n` bytes from the front (TX-side: acknowledged data).
     #[inline]
     pub fn consume(&mut self, n: u64) -> Result<(), RingError> {
-        if n as usize > self.len() {
+        if n > u64::from(self.len) {
             return Err(RingError::OutOfRange);
         }
         self.start += n;
+        self.len -= n as u32;
         Ok(())
     }
 }
@@ -301,17 +366,22 @@ mod tests {
         // is staged one byte past the frontier, "a" fills the gap, and
         // `advance_end` commits the staged run. Starts 5 and 6 split the
         // staged write across the end, 7 splits gap and run, and from 5
-        // on the committed stream wraps.
+        // on the committed stream wraps. Each ring first backs its whole
+        // store (8 bytes in and out), so the physical end is at 8.
         for skip in 0..8u64 {
             let mut r = ByteRing::new(8);
+            r.append(&[0; 8]).unwrap();
+            r.consume(8).unwrap();
+            assert_eq!(r.backed(), 8);
             r.append(&vec![0; skip as usize]).unwrap();
             r.consume(skip).unwrap();
-            r.write_at(skip + 1, b"XYZ").unwrap();
+            let base = 8 + skip;
+            r.write_at(base + 1, b"XYZ").unwrap();
             assert_eq!(r.len(), 0, "start {skip}: staged data is not committed");
             r.append(b"a").unwrap();
             r.advance_end(3).unwrap();
             let mut dst = [0u8; 4];
-            r.read_into(skip, &mut dst).unwrap();
+            r.read_into(base, &mut dst).unwrap();
             assert_eq!(&dst, b"aXYZ", "start {skip}: read_into");
             let mut seen: Vec<Vec<u8>> = Vec::new();
             let n = r.read_with(99, |s| {
@@ -322,6 +392,18 @@ mod tests {
             assert_eq!(seen.len(), if skip + 4 > 8 { 2 } else { 1 }, "start {skip}");
             assert_eq!((n, r.len()), (4, 0), "start {skip}: all consumed");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity")]
+    fn new_rejects_zero_capacity() {
+        ByteRing::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring capacity")]
+    fn new_rejects_capacity_above_u32() {
+        ByteRing::new(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   offsets, serving as both the RX payload buffer (fast path writes,
 //!   application reads; supports writing one out-of-order interval ahead of
 //!   the in-order frontier) and the TX payload buffer (application appends,
-//!   fast path reads for (re)transmission, ACKs free space).
+//!   fast path reads for (re)transmission, ACKs free space). Its memory is
+//!   backed on demand, up to the span a flow has written, not its capacity.
 //! * [`DescQueue`] — a bounded FIFO of descriptors modeling a cache-
 //!   efficient SPSC shared-memory queue, with occupancy statistics used by
 //!   the CPU cost model.

@@ -465,7 +465,7 @@ impl TcpConn {
 
     /// Reads up to `max` bytes of in-order received data into a new `Vec`.
     pub fn recv(&mut self, max: usize) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(max.min(self.readable()));
         self.recv_with(max, |s| {
             out.extend_from_slice(s);
             s.len()
