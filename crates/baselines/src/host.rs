@@ -37,8 +37,8 @@ use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, TcpFlags};
 use tas_sim::{
-    impl_as_any, probe, prof_charge, prof_scope, Agent, CoreUtilSeries, CounterId, Ctx, Event,
-    Registry, Rng, Scope, SeriesRecorder, SimTime, TimerId,
+    impl_as_any, probe, prof_charge, prof_scope, Agent, CounterId, Ctx, Event, Registry, Rng,
+    Scope, SimTime, TimerId,
 };
 use tas_tcp::{EndpointInfo, TcpConfig, TcpConn, TcpEvent};
 
@@ -257,12 +257,6 @@ struct Inner {
     /// TCP counters folded in from connections whose slots were dropped
     /// (so telemetry keeps the full-run totals, not just live conns).
     tcp_cum: tas_tcp::ConnStats,
-    /// Fixed-cadence queue-depth/occupancy sampler (sim-clock grid); the
-    /// same recorder the TAS host carries, so determinism tests can
-    /// compare both stacks' series byte-for-byte.
-    series: SeriesRecorder,
-    /// Per-core utilization, sampled on the same 1 ms grid.
-    core_util: CoreUtilSeries,
     /// Recycled `run_conn` buffers for a connection's staged segments and
     /// events: capacity survives across calls, so the per-packet path
     /// allocates nothing in steady state.
@@ -365,8 +359,6 @@ impl StackHost {
                 c_crossings,
                 c_dma_bytes,
                 tcp_cum: tas_tcp::ConnStats::default(),
-                series: SeriesRecorder::new(SimTime::from_ms(1)),
-                core_util: CoreUtilSeries::new(app_core_count),
                 conn_out: Vec::new(),
                 conn_events: Vec::new(),
             },
@@ -395,7 +387,9 @@ impl StackHost {
         self.inner.cores.busy_cycles_by_class(class)
     }
 
-    /// The host's metric registry.
+    /// The host's metric registry: host counters plus the 1 ms series —
+    /// `conns.live`, `tcp.tx_buffered`, `tcp.rx_readable`,
+    /// `app.batched_events` and per-core `core.util{core=i}`.
     pub fn registry(&self) -> &Registry {
         &self.inner.reg
     }
@@ -709,40 +703,26 @@ impl StackHost {
     // ------------------------------------------------------------------
     // Packet receive.
 
-    /// Samples the queue-depth gauges onto the fixed sim-clock grid (the
-    /// recorder dedupes re-entries within one interval).
+    /// Samples the queue-depth gauges and per-core utilization into the
+    /// registry's fixed sim-clock grid (which dedupes re-entries within
+    /// one interval).
     fn sample_series(&mut self, now: SimTime) {
         let inner = &mut self.inner;
-        if !inner.series.begin(now) {
+        let reg = &mut inner.reg;
+        if !reg.begin_sample(now) {
             return;
         }
-        inner
-            .series
-            .record("conns.live", inner.by_key.len() as f64);
+        reg.record("conns.live", Scope::Global, inner.by_key.len() as f64);
         let (mut tx_buf, mut rx_ready) = (0u64, 0u64);
         for slot in inner.slots.iter().flatten() {
             tx_buf += slot.conn.send_buffered() as u64;
             rx_ready += slot.conn.readable() as u64;
         }
-        inner.series.record("tcp.tx_buffered", tx_buf as f64);
-        inner.series.record("tcp.rx_readable", rx_ready as f64);
+        reg.record("tcp.tx_buffered", Scope::Global, tx_buf as f64);
+        reg.record("tcp.rx_readable", Scope::Global, rx_ready as f64);
         let batched: usize = inner.batches.iter().map(Vec::len).sum();
-        inner.series.record("app.batched_events", batched as f64);
-        let tick = inner.series.current_tick();
-        inner
-            .core_util
-            .sample(tick, inner.cores.iter().map(Core::busy_total));
-    }
-
-    /// Fixed-cadence queue-depth/occupancy time series for this host.
-    pub fn queue_series(&self) -> &SeriesRecorder {
-        &self.inner.series
-    }
-
-    /// Per-core utilization time series on the 1 ms sampling grid (the
-    /// utilization-attribution series the cpuprof bench digests).
-    pub fn core_util_series(&self) -> &CoreUtilSeries {
-        &self.inner.core_util
+        reg.record("app.batched_events", Scope::Global, batched as f64);
+        reg.record_util("core.util", inner.cores.iter().map(Core::busy_total));
     }
 
     fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {

@@ -15,14 +15,15 @@ use tas_netsim::app::App;
 use tas_netsim::runtime::HostedApp;
 use tas_netsim::topo::{build_star, HostFactory, HostSpec, StarTopo};
 use tas_netsim::{NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, CoreUtilSeries, Registry, Scope, SeriesRecorder, Sim, SimTime, Snapshot};
+use tas_sim::{AgentId, Registry, Scope, Sim, SimTime, Snapshot};
 
 /// What the harnesses read from (and switch on in) a host, whichever
 /// stack it runs; it dereferences to its application ([`HostedApp`]).
 pub trait Host: DerefMut<Target = HostedApp> {
     /// Cycle/instruction account (Tables 1–2).
     fn account(&self) -> &CycleAccount;
-    /// The host's metric registry.
+    /// The host's metric registry, with its 1 ms series (per-core
+    /// utilization is `<label>.util{core=i}`, labelled like [`Host::busy`]).
     fn registry(&self) -> &Registry;
     /// Connections established since creation.
     fn established(&self) -> u64;
@@ -37,11 +38,6 @@ pub trait Host: DerefMut<Target = HostedApp> {
     fn host_cycles(&self) -> u64;
     /// Segments handled so far (rx + tx).
     fn packets(&self) -> u64;
-    /// The per-core utilization series on the 1 ms grid and the label
-    /// prefix of the cores it covers.
-    fn core_util(&self) -> (&'static str, &CoreUtilSeries);
-    /// The fixed-cadence queue-depth/occupancy recorder.
-    fn queue_series(&self) -> &SeriesRecorder;
     /// Every counter and gauge the host can see, as one snapshot whose
     /// rendering is a pure function of the run.
     fn telemetry_snapshot(&self) -> Snapshot;
@@ -85,12 +81,6 @@ impl Host for TasHost {
         let fp = self.fp_stats();
         fp.pkts_rx + fp.segs_tx + fp.acks_tx
     }
-    fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
-        ("fp", self.fp_util_series())
-    }
-    fn queue_series(&self) -> &SeriesRecorder {
-        TasHost::queue_series(self)
-    }
     fn telemetry_snapshot(&self) -> Snapshot {
         TasHost::telemetry_snapshot(self)
     }
@@ -115,12 +105,6 @@ impl Host for StackHost {
     fn packets(&self) -> u64 {
         let t = self.tcp_stats();
         t.segs_in + t.segs_out
-    }
-    fn core_util(&self) -> (&'static str, &CoreUtilSeries) {
-        ("core", self.core_util_series())
-    }
-    fn queue_series(&self) -> &SeriesRecorder {
-        StackHost::queue_series(self)
     }
     fn telemetry_snapshot(&self) -> Snapshot {
         StackHost::telemetry_snapshot(self)

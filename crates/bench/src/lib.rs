@@ -521,13 +521,12 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
             .zip(busy0)
             .map(|((label, b1), (_, b0))| (label, b1 - b0))
             .collect();
-        let (prefix, series) = srv.core_util();
         ProfileCapture {
             profile: tree,
             requests,
             packets: srv.packets() - pkts0,
             busy,
-            core_util: util_window(series, prefix, t0),
+            core_util: util_window(srv.registry(), t0),
         }
     });
     let mut latency = Histogram::new();
@@ -546,25 +545,23 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
     }
 }
 
-/// Extracts per-core utilization samples at or after `from`.
+/// Extracts per-core utilization samples at or after `from`, labelled
+/// by the series name's first segment and the core (`fp0`, `core1`, …).
 #[cfg(feature = "telemetry")]
-fn util_window(
-    series: &tas_sim::CoreUtilSeries,
-    prefix: &str,
-    from: SimTime,
-) -> Vec<(String, Vec<f64>)> {
-    series
-        .all()
-        .iter()
-        .enumerate()
-        .map(|(i, ts)| {
+fn util_window(reg: &tas_sim::Registry, from: SimTime) -> Vec<(String, Vec<f64>)> {
+    reg.series_iter()
+        .filter_map(|(key, ts)| {
+            let tas_sim::Scope::Core(i) = key.scope else {
+                return None;
+            };
+            let prefix = key.name.split('.').next().unwrap_or(key.name);
             let vals = ts
                 .samples()
                 .iter()
                 .filter(|&&(t, _)| t >= from)
                 .map(|&(_, v)| v)
                 .collect();
-            (format!("{prefix}{i}"), vals)
+            Some((format!("{prefix}{i}"), vals))
         })
         .collect()
 }

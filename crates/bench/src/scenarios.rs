@@ -601,20 +601,14 @@ pub mod fig14 {
             active.push((t_key(t), issuing as f64));
             prev_done = done;
         }
-        let host = sim.agent::<TasHost>(server);
-        let utils = host.util_series();
-        let mean_util = if utils.is_empty() {
-            0.0
-        } else {
+        let tas = sim.agent::<TasHost>(server);
+        let reg = tas.registry();
+        let global = tas_sim::Scope::Global;
+        let mean_util = reg.series("fp.util_mean", global).map_or(0.0, |utils| {
             utils.samples().iter().map(|&(_, v)| v).sum::<f64>() / utils.len() as f64
-        };
-        let series_samples = host
-            .queue_series()
-            .series("cores.active_fp")
-            .map_or(0, |s| s.len());
-        let scale_events = host
-            .registry()
-            .counter_value("host.scale_events", tas_sim::Scope::Global);
+        });
+        let series_samples = reg.series("cores.active_fp", global).map_or(0, |s| s.len());
+        let scale_events = reg.counter_value("host.scale_events", global);
         let peak = |samples: &[(String, f64)]| samples.iter().map(|s| s.1).fold(0.0, f64::max);
         let mut r = Report::new(
             "fig14",
@@ -628,7 +622,7 @@ pub mod fig14 {
         r.push(Metric::value(
             "final_cores",
             "cores",
-            host.active_fp_cores() as f64,
+            tas.active_fp_cores() as f64,
         ));
         r.push(Metric::value("scale_events", "count", scale_events as f64));
         r.push(Metric::value("mean_core_util", "fraction", mean_util));

@@ -7,9 +7,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use tas_proto::{Ecn, Segment};
 use tas_sim::time::transmission_time;
-use tas_sim::{
-    impl_as_any, probe, trace, Agent, AgentId, Ctx, Event, MeanVar, SimTime, TimeSeries,
-};
+use tas_sim::{impl_as_any, probe, trace, Agent, AgentId, Ctx, Event, SimTime, TimeSeries};
 
 /// Static configuration of one switch output port.
 #[derive(Clone, Copy, Debug)]
@@ -104,9 +102,7 @@ pub struct Switch {
     pub unroutable: u64,
     monitor_port: Option<usize>,
     monitor_interval: SimTime,
-    qlen_stats: MeanVar,
-    /// Full queue-depth time series on the monitored port (same samples
-    /// that feed [`Switch::mean_queue_depth`], kept for plotting).
+    /// Queue-depth time series on the monitored port.
     qlen_series: TimeSeries,
     /// What a port's fault injector releases for one packet; drained
     /// before `forward` returns and kept for its capacity.
@@ -124,7 +120,6 @@ impl Switch {
             unroutable: 0,
             monitor_port: None,
             monitor_interval: SimTime::from_us(10),
-            qlen_stats: MeanVar::new(),
             qlen_series: TimeSeries::new(),
             fault_out: Vec::new(),
         }
@@ -193,14 +188,25 @@ impl Switch {
     /// Begins periodic queue-depth sampling on `port` (for Fig. 11b). The
     /// harness must also inject a [`TIMER_SAMPLE_QUEUE`] timer to start the
     /// sampling loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is unknown or `interval` is zero (the sampling
+    /// timer would re-arm at the same instant forever).
     pub fn monitor_port(&mut self, port: usize, interval: SimTime) {
+        assert!(port < self.ports.len(), "monitor references unknown port");
+        assert!(
+            interval > SimTime::ZERO,
+            "sampling interval must be positive"
+        );
         self.monitor_port = Some(port);
         self.monitor_interval = interval;
     }
 
-    /// Mean sampled queue depth on the monitored port, in packets.
+    /// Mean sampled queue depth on the monitored port, in packets (the
+    /// mean of [`Switch::queue_depth_series`]).
     pub fn mean_queue_depth(&self) -> f64 {
-        self.qlen_stats.mean()
+        self.qlen_series.mean_between(SimTime::ZERO, SimTime::MAX)
     }
 
     /// The monitored port's sampled queue-depth time series (fixed
@@ -307,7 +313,6 @@ impl Agent<NetMsg> for Switch {
                 if let Some(p) = self.monitor_port {
                     let now = ctx.now();
                     let d = self.ports[p].depth(now);
-                    self.qlen_stats.add(d as f64);
                     self.qlen_series.push(now, d as f64);
                     ctx.timer(self.monitor_interval, TIMER_SAMPLE_QUEUE, 0);
                 }
@@ -501,7 +506,27 @@ mod tests {
             );
         }
         sim.run_until(SimTime::from_us(50));
-        let mean = sim.agent::<Switch>(sw).mean_queue_depth();
+        let sw = sim.agent::<Switch>(sw);
+        let mean = sw.mean_queue_depth();
         assert!(mean > 1.0, "sampled backlog should be visible, got {mean}");
+        let whole = sw
+            .queue_depth_series()
+            .mean_between(SimTime::ZERO, SimTime::MAX);
+        assert_eq!(mean.to_bits(), whole.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "sampling interval must be positive")]
+    fn monitor_port_rejects_zero_interval() {
+        let (mut sim, sw, _sink) = setup(PortConfig::tengig());
+        sim.agent_mut::<Switch>(sw).monitor_port(0, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "monitor references unknown port")]
+    fn monitor_port_rejects_unknown_port() {
+        let (mut sim, sw, _sink) = setup(PortConfig::tengig());
+        sim.agent_mut::<Switch>(sw)
+            .monitor_port(1, SimTime::from_us(1));
     }
 }

@@ -4,7 +4,8 @@
 //! time series (e.g. cores and throughput over time in Fig. 14). This module
 //! provides an HDR-style log-linear histogram with bounded relative error,
 //! a Welford mean/variance accumulator, a sampled time series, and a
-//! registry of scoped counters with a deterministic snapshot.
+//! registry of scoped counters with a deterministic snapshot that is also
+//! each host's fixed-cadence series sampler.
 
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -309,183 +310,6 @@ impl TimeSeries {
     }
 }
 
-/// A deterministic fixed-cadence sampler bank: a set of named
-/// [`TimeSeries`] that all advance on the *simulation* clock at a fixed
-/// interval, regardless of how often (or how jittered) the driving timer
-/// fires. Hosts call [`SeriesRecorder::begin`] from any periodic hook;
-/// when it returns true they [`SeriesRecorder::record`] each gauge for
-/// that tick. Samples are stamped on the cadence grid (multiples of the
-/// interval), never at wall time or at the jittered observation time, so
-/// two same-seed runs produce byte-identical
-/// [`SeriesRecorder::render_text`] output — the property the determinism
-/// tests pin and the Fig. 14-style plots depend on.
-///
-/// # Examples
-///
-/// ```
-/// use tas_sim::{SeriesRecorder, SimTime};
-/// let mut rec = SeriesRecorder::new(SimTime::from_ms(1));
-/// // The driving timer fires late; the sample still lands on the grid.
-/// if rec.begin(SimTime::from_us(1050)) {
-///     rec.record("cores.active", 2.0);
-/// }
-/// assert_eq!(rec.series("cores.active").unwrap().samples()[0].0, SimTime::from_ms(1));
-/// ```
-#[derive(Clone, Debug)]
-pub struct SeriesRecorder {
-    interval: SimTime,
-    next_due: SimTime,
-    cur_tick: SimTime,
-    series: BTreeMap<&'static str, TimeSeries>,
-}
-
-impl SeriesRecorder {
-    /// Creates a recorder sampling every `interval` of simulated time.
-    /// The first tick is at `interval` (not time zero, where gauges are
-    /// all trivially empty).
-    pub fn new(interval: SimTime) -> Self {
-        assert!(interval > SimTime::ZERO, "cadence must be positive");
-        SeriesRecorder {
-            interval,
-            next_due: interval,
-            cur_tick: SimTime::ZERO,
-            series: BTreeMap::new(),
-        }
-    }
-
-    /// True when the next cadence tick has been reached.
-    fn due(&self, now: SimTime) -> bool {
-        now >= self.next_due
-    }
-
-    /// Starts a sample tick if one is due: aligns the tick stamp to the
-    /// largest grid point at or before `now` (ticks the driving timer
-    /// slept through are skipped, not back-filled) and returns true;
-    /// otherwise returns false.
-    pub fn begin(&mut self, now: SimTime) -> bool {
-        if !self.due(now) {
-            return false;
-        }
-        let n = now.as_ps() / self.interval.as_ps();
-        self.cur_tick = SimTime::from_ps(n * self.interval.as_ps());
-        self.next_due = self.cur_tick + self.interval;
-        true
-    }
-
-    /// The grid stamp of the tick started by the last
-    /// [`SeriesRecorder::begin`] (time zero before any tick).
-    pub fn current_tick(&self) -> SimTime {
-        self.cur_tick
-    }
-
-    /// Records `v` for `name` at the tick started by the last
-    /// [`SeriesRecorder::begin`].
-    pub fn record(&mut self, name: &'static str, v: f64) {
-        let t = self.cur_tick;
-        self.series.entry(name).or_default().push(t, v);
-    }
-
-    /// The recorded series for `name`, if any samples exist.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
-    /// Iterates `(name, series)` in deterministic name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&&'static str, &TimeSeries)> {
-        self.series.iter()
-    }
-
-    /// True when no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// Renders every series as text — `name t_ns value` lines, series in
-    /// name order, samples in time order — byte-identical across same-seed
-    /// runs.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for (name, ts) in &self.series {
-            for &(t, v) in ts.samples() {
-                writeln!(out, "{name} {} {}", t.as_nanos(), v).expect("string write");
-            }
-        }
-        out
-    }
-}
-
-/// Per-core utilization time series: one [`TimeSeries`] per core of a
-/// pool, each sample the fraction of the elapsed interval the core spent
-/// busy (the delta of the core's cumulative busy time over the delta of
-/// sim time). Hosts sample it from their fixed-cadence hook so the
-/// stamps land on the same grid as the [`SeriesRecorder`] gauges; unlike
-/// `CorePool::sample_utilization` it owns its own window state, so it
-/// never perturbs the proportionality controller's measurements.
-///
-/// A sample can exceed 1.0: work is charged to a core's timeline when
-/// submitted, so a burst scheduled ahead of the sampling instant books
-/// its cycles into the interval that submitted it.
-#[derive(Clone, Debug)]
-pub struct CoreUtilSeries {
-    last_busy: Vec<SimTime>,
-    last_at: SimTime,
-    series: Vec<TimeSeries>,
-}
-
-impl CoreUtilSeries {
-    /// Creates a series bank for `cores` cores, with the interval state
-    /// starting at time zero.
-    pub fn new(cores: usize) -> Self {
-        CoreUtilSeries {
-            last_busy: vec![SimTime::ZERO; cores],
-            last_at: SimTime::ZERO,
-            series: (0..cores).map(|_| TimeSeries::new()).collect(),
-        }
-    }
-
-    /// Records one utilization sample per core at `now`. `busy` yields
-    /// each core's cumulative busy time (`Core::busy_total`), in core
-    /// order. Out-of-order or zero-width intervals are skipped.
-    pub fn sample<I>(&mut self, now: SimTime, busy: I)
-    where
-        I: IntoIterator<Item = SimTime>,
-    {
-        if now <= self.last_at {
-            return;
-        }
-        let dt = now.saturating_sub(self.last_at).as_nanos() as f64;
-        for (i, b) in busy.into_iter().enumerate() {
-            if i >= self.series.len() {
-                break;
-            }
-            let db = b.saturating_sub(self.last_busy[i]).as_nanos() as f64;
-            self.series[i].push(now, db / dt);
-            self.last_busy[i] = b;
-        }
-        self.last_at = now;
-    }
-
-    /// Number of cores tracked.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when no cores are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
-    /// The utilization series for core `i`.
-    pub fn core(&self, i: usize) -> Option<&TimeSeries> {
-        self.series.get(i)
-    }
-
-    /// All per-core series, in core order.
-    pub fn all(&self) -> &[TimeSeries] {
-        &self.series
-    }
-}
-
 // ----------------------------------------------------------------------
 // Metric registry.
 
@@ -548,6 +372,9 @@ pub enum MetricValue {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
 
+/// Simulated time between two ticks of the [`Registry`] sampling grid.
+pub const SAMPLE_INTERVAL: SimTime = SimTime::from_ms(1);
+
 /// A registry of named counters with per-core and per-flow scoping and a
 /// deterministic, ordered [`Registry::snapshot`]. (Current levels
 /// are not registered: a host inserts them into the [`Snapshot`] from
@@ -558,6 +385,11 @@ pub struct CounterId(usize);
 /// The snapshot iterates a `BTreeMap`, never a hash map, so two same-seed
 /// runs render byte-identical dumps (the determinism the flight-recorder
 /// tests pin).
+///
+/// The registry is also the host's fixed-cadence sampler: time series
+/// keyed by the same `(name, scope)` identity, stamped on a grid of
+/// [`SAMPLE_INTERVAL`] multiples of simulated time (see
+/// [`Registry::begin_sample`]). Series never enter the snapshot.
 ///
 /// # Examples
 ///
@@ -575,6 +407,13 @@ pub struct CounterId(usize);
 pub struct Registry {
     index: BTreeMap<MetricKey, usize>,
     counters: Vec<u64>,
+    /// Sampled series, in deterministic key order.
+    series: BTreeMap<MetricKey, TimeSeries>,
+    /// Grid stamp of the current sample tick (zero before the first).
+    tick: SimTime,
+    /// Per utilisation series name: the tick of its last sample and each
+    /// core's cumulative busy time then.
+    util_last: BTreeMap<&'static str, (SimTime, Vec<SimTime>)>,
 }
 
 impl Registry {
@@ -634,6 +473,109 @@ impl Registry {
             snap.entries.insert(*key, v);
         }
         snap
+    }
+
+    /// True when the next grid tick has been reached.
+    fn due(&self, now: SimTime) -> bool {
+        now >= self.tick + SAMPLE_INTERVAL
+    }
+
+    /// Starts a sample tick if one is due: aligns the tick stamp to the
+    /// largest grid point at or before `now` (ticks the driving event
+    /// slept through are skipped, not back-filled) and returns true;
+    /// otherwise returns false. The first tick is at [`SAMPLE_INTERVAL`],
+    /// not time zero, where every gauge is trivially empty. Hosts call
+    /// this from any frequent hook and, when it returns true,
+    /// [`Registry::record`] each gauge, so two same-seed runs sample the
+    /// same instants however jittered the hook is.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tas_sim::metrics::{Registry, Scope};
+    /// use tas_sim::SimTime;
+    /// let mut reg = Registry::new();
+    /// // The driving timer fires late; the sample still lands on the grid.
+    /// if reg.begin_sample(SimTime::from_us(1050)) {
+    ///     reg.record("cores.active", Scope::Global, 2.0);
+    /// }
+    /// let ts = reg.series("cores.active", Scope::Global).unwrap();
+    /// assert_eq!(ts.samples()[0].0, SimTime::from_ms(1));
+    /// ```
+    pub fn begin_sample(&mut self, now: SimTime) -> bool {
+        if !self.due(now) {
+            return false;
+        }
+        let n = now.as_ps() / SAMPLE_INTERVAL.as_ps();
+        self.tick = SimTime::from_ps(n * SAMPLE_INTERVAL.as_ps());
+        true
+    }
+
+    /// Records `v` for `(name, scope)` at the tick started by the last
+    /// [`Registry::begin_sample`].
+    pub fn record(&mut self, name: &'static str, scope: Scope, v: f64) {
+        let t = self.tick;
+        self.series
+            .entry(MetricKey { name, scope })
+            .or_default()
+            .push(t, v);
+    }
+
+    /// Records one utilisation sample per core, as `name{core=i}`, at the
+    /// current tick: the delta of core `i`'s cumulative busy time (`busy`
+    /// yields `Core::busy_total` in core order) over the time since this
+    /// name's last sample. A tick that is not after that sample is
+    /// skipped. A sample can exceed 1.0: work is charged to a core's
+    /// timeline when submitted, so a burst scheduled ahead of the
+    /// sampling instant books its cycles into the interval that
+    /// submitted it. The window is the registry's own, so sampling never
+    /// perturbs `CorePool::sample_utilization`'s controller window.
+    pub fn record_util<I>(&mut self, name: &'static str, busy: I)
+    where
+        I: IntoIterator<Item = SimTime>,
+    {
+        let now = self.tick;
+        let (last_at, last_busy) = self.util_last.entry(name).or_default();
+        if now <= *last_at {
+            return;
+        }
+        let dt = now.saturating_sub(*last_at).as_nanos() as f64;
+        for (i, b) in busy.into_iter().enumerate() {
+            if i == last_busy.len() {
+                last_busy.push(SimTime::ZERO);
+            }
+            let db = b.saturating_sub(last_busy[i]).as_nanos() as f64;
+            let scope = Scope::Core(i as u32);
+            self.series
+                .entry(MetricKey { name, scope })
+                .or_default()
+                .push(now, db / dt);
+            last_busy[i] = b;
+        }
+        *last_at = now;
+    }
+
+    /// The sampled series for `(name, scope)`, if any sample exists.
+    pub fn series(&self, name: &'static str, scope: Scope) -> Option<&TimeSeries> {
+        self.series.get(&MetricKey { name, scope })
+    }
+
+    /// Iterates every sampled series in deterministic key order.
+    pub fn series_iter(&self) -> impl Iterator<Item = (&MetricKey, &TimeSeries)> {
+        self.series.iter()
+    }
+
+    /// Renders every sampled series as text — `key t_ns value` lines,
+    /// series in key order, samples in time order — byte-identical
+    /// across same-seed runs.
+    pub fn render_series(&self) -> String {
+        let mut out = String::new();
+        for (key, ts) in &self.series {
+            for &(t, v) in ts.samples() {
+                writeln!(out, "{key} {} {}", t.as_nanos(), v).expect("string write");
+            }
+        }
+        out
     }
 }
 
@@ -856,49 +798,59 @@ mod tests {
 
     #[test]
     fn series_recorder_samples_on_the_fixed_grid() {
-        let mut rec = SeriesRecorder::new(SimTime::from_ms(1));
+        let mut rec = Registry::new();
         // Jittered driving timer: fires late, sometimes skipping ticks.
         for (fire_us, v) in [(1_100u64, 1.0), (2_050, 2.0), (5_500, 3.0)] {
             let now = SimTime::from_us(fire_us);
-            assert!(rec.begin(now));
-            rec.record("q.depth", v);
+            assert!(rec.begin_sample(now));
+            rec.record("q.depth", Scope::Global, v);
         }
-        let ts = rec.series("q.depth").unwrap();
+        let ts = rec.series("q.depth", Scope::Global).unwrap();
         let stamps: Vec<u64> = ts.samples().iter().map(|&(t, _)| t.as_nanos()).collect();
         // Stamps land on cadence ticks: 1ms, 2ms, then (after skipping
         // 3–4ms, which the driver slept through) 5ms.
         assert_eq!(stamps, vec![1_000_000, 2_000_000, 5_000_000]);
-        assert!(!rec.begin(SimTime::from_us(5_900)));
+        assert!(!rec.begin_sample(SimTime::from_us(5_900)));
         assert!(rec.due(SimTime::from_ms(6)));
         // Deterministic render.
-        assert_eq!(rec.render_text(), rec.render_text());
-        assert!(rec.render_text().starts_with("q.depth 1000000 1\n"));
+        assert_eq!(rec.render_series(), rec.render_series());
+        assert!(rec.render_series().starts_with("q.depth 1000000 1\n"));
     }
 
     #[test]
     fn core_util_series_tracks_busy_deltas() {
-        let mut u = CoreUtilSeries::new(2);
+        let mut u = Registry::new();
         // Interval 1: core 0 busy 50% of 1 ms, core 1 idle.
-        u.sample(
-            SimTime::from_ms(1),
-            [SimTime::from_us(500), SimTime::ZERO],
-        );
+        assert!(u.begin_sample(SimTime::from_ms(1)));
+        u.record_util("fp.util", [SimTime::from_us(500), SimTime::ZERO]);
         // Interval 2: core 0 fully busy, core 1 over-committed (work
         // scheduled ahead books > 1.0).
-        u.sample(
-            SimTime::from_ms(2),
-            [SimTime::from_us(1500), SimTime::from_us(1500)],
-        );
+        assert!(u.begin_sample(SimTime::from_ms(2)));
+        u.record_util("fp.util", [SimTime::from_us(1500), SimTime::from_us(1500)]);
         // Stale re-sample at the same instant is skipped.
-        u.sample(
-            SimTime::from_ms(2),
-            [SimTime::from_us(9999), SimTime::from_us(9999)],
-        );
-        let c0: Vec<f64> = u.core(0).unwrap().samples().iter().map(|&(_, v)| v).collect();
-        let c1: Vec<f64> = u.core(1).unwrap().samples().iter().map(|&(_, v)| v).collect();
-        assert_eq!(c0, vec![0.5, 1.0]);
-        assert_eq!(c1, vec![0.0, 1.5]);
-        assert_eq!(u.len(), 2);
+        assert!(!u.begin_sample(SimTime::from_ms(2)));
+        u.record_util("fp.util", [SimTime::from_us(9999), SimTime::from_us(9999)]);
+        let vals = |c: u32| -> Vec<f64> {
+            let ts = u.series("fp.util", Scope::Core(c)).unwrap();
+            ts.samples().iter().map(|&(_, v)| v).collect()
+        };
+        assert_eq!(vals(0), vec![0.5, 1.0]);
+        assert_eq!(vals(1), vec![0.0, 1.5]);
+        assert_eq!(u.series_iter().count(), 2);
+    }
+
+    #[test]
+    fn sampled_series_stay_out_of_the_snapshot() {
+        let mut r = Registry::new();
+        let c = r.counter("fp.pkts_rx", Scope::Global);
+        r.inc(c);
+        let before = r.snapshot().render_text();
+        assert!(r.begin_sample(SimTime::from_ms(3)));
+        r.record("fp.util_mean", Scope::Global, 0.25);
+        r.record_util("fp.util", [SimTime::from_us(100)]);
+        assert_eq!(r.series_iter().count(), 2);
+        assert_eq!(r.snapshot().render_text(), before);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{MacAddr, Segment, TcpFlags};
 use tas_sim::{
-    impl_as_any, probe, prof_charge, trace, Agent, CoreUtilSeries, CounterId, Ctx, Event, Registry,
-    Rng, Scope, SeriesRecorder, SimTime, TimeSeries, TimerId,
+    impl_as_any, probe, prof_charge, trace, Agent, CounterId, Ctx, Event, Registry, Rng, Scope,
+    SimTime, TimerId,
 };
 
 /// Timer kinds used by [`TasHost`].
@@ -109,12 +109,6 @@ struct Inner {
     c_fp_wakes: CounterId,
     c_scale_events: CounterId,
     c_app_bytes: CounterId,
-    /// Mean fast-path utilization sampled by the proportionality monitor.
-    util_series: TimeSeries,
-    /// Fixed-cadence queue-depth/occupancy sampler (sim-clock grid).
-    series: SeriesRecorder,
-    /// Per-fast-path-core utilization, sampled on the same 1 ms grid.
-    fp_util: CoreUtilSeries,
     /// Deferred fast-path commands (drained by FP_CMD timers).
     fp_q: std::collections::VecDeque<FpCmd>,
     /// Deferred slow-path work (drained by SP_RUN timers).
@@ -246,7 +240,6 @@ impl TasHost {
         let sp_core = Core::new(cfg.freq_hz);
         let active_fp = cfg.initial_fp_cores.clamp(1, cfg.max_fp_cores);
         let rt = AppRuntime::new(app, cfg.app_cores);
-        let cfg_max_fp = cfg.max_fp_cores;
         let mut reg = Registry::new();
         let c_drop_backlog = reg.counter("host.drop_backlog", Scope::Global);
         let c_fp_wakes = reg.counter("host.fp_wakes", Scope::Global);
@@ -270,9 +263,6 @@ impl TasHost {
                 c_fp_wakes,
                 c_scale_events,
                 c_app_bytes,
-                util_series: TimeSeries::new(),
-                series: SeriesRecorder::new(SimTime::from_ms(1)),
-                fp_util: CoreUtilSeries::new(cfg_max_fp),
                 fp_tx_timers: Vec::new(),
                 scratch: FlushScratch::default(),
                 fp_q: std::collections::VecDeque::new(),
@@ -300,8 +290,10 @@ impl TasHost {
         self.inner.sp.stats
     }
 
-    /// The host's metric registry (registry-backed host counters plus
-    /// whatever per-core/per-flow series the run accumulated).
+    /// The host's metric registry: host counters plus the 1 ms series —
+    /// `cores.active_fp`, `shm.tx_bytes`, `shm.rx_bytes`,
+    /// `sp.queue_depth`, per-core `fp.util{core=i}` and, under the
+    /// proportionality controller, `fp.util_mean`.
     pub fn registry(&self) -> &Registry {
         &self.inner.reg
     }
@@ -353,27 +345,6 @@ impl TasHost {
     /// Currently active fast-path cores.
     pub fn active_fp_cores(&self) -> usize {
         self.inner.active_fp
-    }
-
-    /// Time series of mean fast-path utilization over the active cores,
-    /// sampled by the proportionality monitor at its 1 ms cadence.
-    pub fn util_series(&self) -> &TimeSeries {
-        &self.inner.util_series
-    }
-
-    /// Fixed-cadence queue-depth/occupancy recorder: NIC RX backlog, shm
-    /// ring occupancy, slow-path queue depth, and active core count, all
-    /// stamped on a deterministic sim-clock grid (Fig. 14-style plots are
-    /// built from this, not from ad-hoc prints).
-    pub fn queue_series(&self) -> &SeriesRecorder {
-        &self.inner.series
-    }
-
-    /// Per-fast-path-core utilization time series on the 1 ms sampling
-    /// grid (the utilization-attribution series the cpuprof bench
-    /// digests into per-core quantiles).
-    pub fn fp_util_series(&self) -> &CoreUtilSeries {
-        &self.inner.fp_util
     }
 
     /// Number of installed fast-path flows.
@@ -772,7 +743,7 @@ impl TasHost {
         let active = inner.active_fp;
         let mean_util =
             utils.iter().take(active).sum::<f64>() / active.max(1) as f64;
-        inner.util_series.push(now, mean_util);
+        inner.reg.record("fp.util_mean", Scope::Global, mean_util);
         let idle: f64 = utils.iter().take(active).map(|u| (1.0 - u).max(0.0)).sum();
         let mut changed = false;
         if idle < IDLE_ADD_THRESHOLD && active < inner.cfg.max_fp_cores {
@@ -797,33 +768,28 @@ impl TasHost {
         }
     }
 
-    /// Samples the queue-depth gauges. Called from packet arrival and the
-    /// periodic timers; [`SeriesRecorder::begin`] floors each sample onto
-    /// the fixed grid and drops re-entries within one interval, so the
-    /// output is a deterministic fixed-cadence series regardless of which
-    /// event happened to drive it.
+    /// Samples the queue-depth gauges and per-core utilization into the
+    /// registry. Called from packet arrival and the periodic timers;
+    /// [`Registry::begin_sample`] floors each sample onto the fixed grid
+    /// and drops re-entries within one interval, so the output is a
+    /// deterministic fixed-cadence series regardless of which event
+    /// happened to drive it.
     fn sample_series(&mut self, now: SimTime) {
         let inner = &mut self.inner;
-        if !inner.series.begin(now) {
+        let reg = &mut inner.reg;
+        if !reg.begin_sample(now) {
             return;
         }
-        inner
-            .series
-            .record("cores.active_fp", inner.active_fp as f64);
+        reg.record("cores.active_fp", Scope::Global, inner.active_fp as f64);
         let (mut tx_bytes, mut rx_bytes) = (0u64, 0u64);
         for (_, f) in inner.fp.flows.iter() {
             tx_bytes += f.snd.tx.len() as u64;
             rx_bytes += f.rcv.rx.len() as u64;
         }
-        inner.series.record("shm.tx_bytes", tx_bytes as f64);
-        inner.series.record("shm.rx_bytes", rx_bytes as f64);
-        inner
-            .series
-            .record("sp.queue_depth", inner.sp_q.len() as f64);
-        let tick = inner.series.current_tick();
-        inner
-            .fp_util
-            .sample(tick, inner.fp_cores.iter().map(Core::busy_total));
+        reg.record("shm.tx_bytes", Scope::Global, tx_bytes as f64);
+        reg.record("shm.rx_bytes", Scope::Global, rx_bytes as f64);
+        reg.record("sp.queue_depth", Scope::Global, inner.sp_q.len() as f64);
+        reg.record_util("fp.util", inner.fp_cores.iter().map(Core::busy_total));
     }
 }
 

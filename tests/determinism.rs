@@ -162,8 +162,8 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
 
 /// Runs the standard echo pair on either stack and returns every
 /// machine-readable artifact the observability layer derives from the
-/// run: the fixed-cadence queue-depth series, the TAS utilization
-/// series, and a bench report rendered to JSON. Two same-seed runs must
+/// run: the server registry's fixed-cadence series (queue depths and
+/// utilization), and a bench report rendered to JSON. Two same-seed runs must
 /// agree byte for byte — this is what makes `BENCH_*.json` files
 /// diffable and the CI regression gate meaningful.
 fn run_artifacts(seed: u64, reference: bool) -> String {
@@ -191,12 +191,7 @@ fn run_artifacts(seed: u64, reference: bool) -> String {
     let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
     start_all(&mut sim, &topo.hosts);
     sim.run_until(SimTime::from_ms(80));
-    let mut series = host(&sim, topo.hosts[0]).queue_series().render_text();
-    // The mean fast-path utilization series exists on TAS only.
-    if !reference {
-        let util = sim.agent::<TasHost>(topo.hosts[0]).util_series();
-        series.insert_str(0, &util.render_text());
-    }
+    let series = host(&sim, topo.hosts[0]).registry().render_series();
     let client = app::<RpcClient>(&sim, topo.hosts[1]);
     let (latency, done) = (&client.latency, client.done);
     assert!(done > 0, "the echo workload must actually run");
@@ -217,6 +212,10 @@ fn same_seed_series_and_bench_reports_are_byte_identical() {
             "series + report must be a pure function of the seed (reference={reference})"
         );
         assert!(a.contains("tas-bench-report-v1"), "schema header present");
+        assert!(
+            a.contains(".util{core=0} 1000000 "),
+            "per-core series present"
+        );
     }
     assert_ne!(
         run_artifacts(4321, false),
