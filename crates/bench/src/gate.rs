@@ -6,7 +6,6 @@
 //! bench-report generate [name…]   # run the builders, write BENCH_<name>.* at the repo root, print each report
 //! bench-report check [name…]      # gate the files at the repo root against baselines/
 //! bench-report pin [name…]        # copy the files at the repo root into baselines/
-//! bench-report selftest [name…]   # prove the gate trips
 //! bench-report show [name…]       # print the pinned reports, simulating nothing
 //! ```
 //!
@@ -18,19 +17,38 @@
 //!
 //! Every report is modelled — a pure function of its seeds — so a pin is
 //! a behavioural contract and there is one comparison mode: `check`
-//! compares byte-for-byte, and on a mismatch prints the tolerance
-//! comparator's per-metric classification as the explanation. Nothing
-//! here reads a clock; host time is measured by `benchmark/` alone.
-//! Every entry's invariants are checked on the current report either
-//! way. `bench-report pin [name…]` after a `generate` re-pins
-//! deliberately. Reports are compared only within one scale mode
-//! (`TAS_FULL=1` selects paper scale), so a full-scale run never gates
-//! against a quick pin.
+//! compares byte-for-byte, and on a mismatch lists the metrics that
+//! moved ([`report::explain`]). Nothing here reads a clock; host time is
+//! measured by `benchmark/` alone. Every entry's invariants are checked
+//! on the current report either way. `bench-report pin [name…]` after a
+//! `generate` re-pins deliberately. Pins are quick-scale: `pin` refuses
+//! a `TAS_FULL=1` (paper-scale) report and `check` fails one.
+//!
+//! All standard output goes through [`say`], so `bench-report show |
+//! head` ends quietly; the exit status comes from the verdicts alone.
 
-use crate::report::{self, compare, MetricData, Report};
+use crate::report::{self, Report};
 use crate::scenarios::{catalogue, Build, Entry};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Prints one line to stdout. Once a write fails (a reader that went
+/// away, as `head` does), every later line is dropped instead of
+/// panicking.
+fn say(line: &str) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("bench-report: stdout: {e}");
+        }
+    }
+}
 
 /// `BENCH_<name>.<ext>` at the repo root, where generated files land.
 fn current(name: &str, ext: &str) -> PathBuf {
@@ -48,7 +66,7 @@ fn read(path: PathBuf, hint: &str) -> Result<String, String> {
 
 fn write(path: PathBuf, body: &str) -> Result<(), String> {
     std::fs::write(&path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
-    println!("wrote {}", path.display());
+    say(&format!("wrote {}", path.display()));
     Ok(())
 }
 
@@ -93,22 +111,18 @@ fn violated(e: &Entry, cur: &Report) -> Vec<String> {
         .collect()
 }
 
-/// What the self-test's sabotage must provoke: violated invariants, and
-/// every regression beyond tolerance relative to `base`.
-fn objections(e: &Entry, cur: &Report, base: &Report) -> Vec<String> {
-    let mut out = violated(e, cur);
-    out.extend(compare(cur, base).iter().map(|r| format!("REGRESSION {r}")));
-    out
-}
-
 /// Gates one entry's current report text against its pin's: `Ok` carries
 /// the one-line verdict, `Err` the objections.
 pub fn check_texts(e: &Entry, cur_text: &str, pin_text: &str) -> Result<String, String> {
     let cur = Report::from_json(cur_text)?;
     let pin = Report::from_json(pin_text).map_err(|err| format!("bad pin: {err}"))?;
-    let same_scale = cur.scale == pin.scale;
     let mut problems = violated(e, &cur);
-    if same_scale && cur_text != pin_text {
+    if cur.scale != pin.scale {
+        problems.push(format!(
+            "scale {} against a {} pin: pins and checks are quick-scale (no TAS_FULL)",
+            cur.scale, pin.scale
+        ));
+    } else if cur_text != pin_text {
         problems.push("differs from its pin; per metric:".into());
         problems.extend(report::explain(&cur, &pin));
     }
@@ -119,17 +133,10 @@ pub fn check_texts(e: &Entry, cur_text: &str, pin_text: &str) -> Result<String, 
         0 => String::new(),
         n => format!(", {n} invariants hold"),
     };
-    Ok(if !same_scale {
-        format!(
-            "scale mismatch (current {}, pin {}): pin not compared{held}",
-            cur.scale, pin.scale
-        )
-    } else {
-        format!(
-            "OK ({} metrics byte-identical to the pin{held})",
-            pin.metrics.len()
-        )
-    })
+    Ok(format!(
+        "OK ({} metrics byte-identical to the pin{held})",
+        pin.metrics.len()
+    ))
 }
 
 fn check(e: &Entry) -> Result<(), String> {
@@ -140,7 +147,7 @@ fn check(e: &Entry) -> Result<(), String> {
         ))
     };
     let (cur, pin) = texts("json")?;
-    println!("{}: {}", e.name, check_texts(e, &cur, &pin)?);
+    say(&format!("{}: {}", e.name, check_texts(e, &cur, &pin)?));
     for ext in exts(e).into_iter().skip(1) {
         let (cur, pin) = texts(ext)?;
         if cur != pin {
@@ -150,31 +157,35 @@ fn check(e: &Entry) -> Result<(), String> {
     Ok(())
 }
 
-fn pin(e: &Entry) -> Result<(), String> {
-    for ext in exts(e) {
-        let body = read(current(e.name, ext), "run `bench-report generate`")?;
-        write(pinned(e.name, ext), &body)?;
+/// Whether a report's text may become a pin: it parses and is
+/// quick-scale, the scale CI regenerates and checks.
+pub fn pinnable(text: &str) -> Result<(), String> {
+    let r = Report::from_json(text)?;
+    if r.scale != "quick" {
+        return Err(format!(
+            "a {}-scale report is never pinned: regenerate without TAS_FULL",
+            r.scale
+        ));
     }
     Ok(())
 }
 
-/// `pin_text` with one value nudged: the first metric the tolerance
-/// comparator never gates if there is one (a drift only a byte-exact
-/// gate can see), else the first metric.
-pub fn perturbed(pin_text: &str) -> Result<String, String> {
-    let mut r = Report::from_json(pin_text)?;
-    let ungated = |m: &report::Metric| report::higher_is_worse(&m.unit).is_none();
-    let i = r.metrics.iter().position(ungated).unwrap_or(0);
-    match &mut r.metrics[i].data {
-        MetricData::Value(v) => *v += 1.0,
-        MetricData::Quantiles(q) => q.p50 += 1,
+fn pin(e: &Entry) -> Result<(), String> {
+    let hint = "run `bench-report generate`";
+    let bodies: Vec<String> = exts(e)
+        .into_iter()
+        .map(|ext| read(current(e.name, ext), hint))
+        .collect::<Result<_, _>>()?;
+    pinnable(&bodies[0])?;
+    for (ext, body) in exts(e).into_iter().zip(&bodies) {
+        write(pinned(e.name, ext), body)?;
     }
-    Ok(r.to_json())
+    Ok(())
 }
 
 /// Prints a report's JSON text as the table a human reads.
 fn render(e: &Entry, json: &str) -> Result<(), String> {
-    println!("{}", Report::from_json(json)?.to_markdown(e.paper));
+    say(&Report::from_json(json)?.to_markdown(e.paper));
     Ok(())
 }
 
@@ -182,48 +193,16 @@ fn show(e: &Entry) -> Result<(), String> {
     render(e, &read(pinned(e.name, "json"), "run `bench-report pin`")?)
 }
 
-/// Proves the gate gates. For every entry, its own pin with one value
-/// nudged must fail `check`. For entries with a sabotage, a fresh report
-/// must raise no objection against itself and its sabotaged twin must.
-fn selftest(e: &Entry) -> Result<(), String> {
-    let pin = read(pinned(e.name, "json"), "run `bench-report pin`")?;
-    if check_texts(e, &pin, &perturbed(&pin)?).is_ok() {
-        return Err("a pin with one value nudged still passes check".into());
-    }
-    println!("{} selftest: nudged pin rejected", e.name);
-    let Some(sabotage) = e.sabotage else {
-        return Ok(());
-    };
-    let (fresh, _) = build(e)?;
-    let clean = objections(e, &fresh, &fresh);
-    if !clean.is_empty() {
-        return Err(format!("fresh report must pass: {}", clean.join("; ")));
-    }
-    let caught = objections(e, &sabotage(&fresh), &fresh);
-    if caught.is_empty() {
-        return Err("sabotaged report NOT caught".into());
-    }
-    println!(
-        "{} selftest: sabotage caught ({} objections, first: {})",
-        e.name,
-        caught.len(),
-        caught[0]
-    );
-    Ok(())
-}
-
 /// One mode's action on one entry.
 type Step = fn(&Entry) -> Result<(), String>;
 
-const USAGE: &str = "usage: bench-report [generate|check|pin|selftest|show] [name…]";
+const USAGE: &str = "usage: bench-report [generate|check|pin|show] [name…]";
 
 /// The `bench-report` entry point.
 pub fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mode, names) = match args.split_first() {
-        Some((m, rest))
-            if ["generate", "check", "pin", "selftest", "show"].contains(&m.as_str()) =>
-        {
+        Some((m, rest)) if ["generate", "check", "pin", "show"].contains(&m.as_str()) => {
             (m.as_str(), rest)
         }
         _ => ("", &args[..]),
@@ -233,8 +212,7 @@ pub fn main() -> ExitCode {
         "generate" => &[generate],
         "check" => &[check],
         "pin" => &[pin],
-        "show" => &[show],
-        _ => &[selftest],
+        _ => &[show],
     };
     let all = catalogue();
     let mut selected: Vec<&Entry> = Vec::new();
@@ -255,7 +233,7 @@ pub fn main() -> ExitCode {
         for e in &all {
             match e.build {
                 Build::NeedsTelemetry if mode != "show" => {
-                    println!("{}: skipped (needs --features telemetry)", e.name);
+                    say(&format!("{}: skipped (needs --features telemetry)", e.name));
                 }
                 _ => selected.push(e),
             }
@@ -275,6 +253,6 @@ pub fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("bench-report: {} reports passed", selected.len());
+    say(&format!("bench-report: {} reports passed", selected.len()));
     ExitCode::SUCCESS
 }

@@ -1,4 +1,4 @@
-//! Machine-readable bench reports and the regression comparator.
+//! Machine-readable bench reports.
 //!
 //! The `bench-report` binary writes every catalogue entry — each cell
 //! its figure or table measures — as `BENCH_<fig>.json` at the repo root
@@ -33,14 +33,9 @@
 //! (`{:.6}`), no timestamps — two same-seed runs produce byte-identical
 //! files, which `tests/determinism.rs` pins.
 //!
-//! The tolerance comparator diffs a report against a baseline with
-//! per-metric tolerances and is direction-aware per unit: for
-//! latency-like units (ns/us/cycles) a *higher* current value regresses;
-//! for throughput-like units (mops/kops/gbps) a *lower* one does;
-//! counting units (count, cores, bytes) never trip it. Reports are gated
-//! byte-for-byte against their pin in `crates/bench/baselines/` (see
-//! [`crate::gate`]); the comparator classifies each difference
-//! ([`explain`]) and judges the self-test's sabotaged reports.
+//! Reports are gated byte-for-byte against their pin in
+//! `crates/bench/baselines/` (see [`crate::gate`]); on a mismatch
+//! [`explain`] lists what moved.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -51,9 +46,6 @@ pub const SCHEMA: &str = "tas-bench-report-v1";
 
 /// Unit prefix of a [`Metric::series`].
 const SERIES: &str = "series_";
-
-/// Default relative tolerance when a baseline metric carries none.
-pub const DEFAULT_TOL: f64 = 0.10;
 
 /// Latency/throughput distribution digest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,15 +86,10 @@ pub enum MetricData {
 pub struct Metric {
     /// Stable metric name (snake_case; part of the baseline contract).
     pub name: String,
-    /// Unit tag driving the comparator's direction: `ns`/`us`/`cycles`
-    /// regress upward, `mops`/`kops`/`gbps`/`ops` regress downward,
-    /// anything else is informational.
+    /// Unit tag.
     pub unit: String,
     /// The measurement.
     pub data: MetricData,
-    /// Optional relative tolerance overriding [`DEFAULT_TOL`] when this
-    /// metric is used as a baseline.
-    pub tol: Option<f64>,
     /// Optional named components (per-module cycles, per-stage latency).
     pub breakdown: Vec<(String, f64)>,
 }
@@ -114,7 +101,6 @@ impl Metric {
             name: name.to_string(),
             unit: unit.to_string(),
             data: MetricData::Value(v),
-            tol: None,
             breakdown: Vec::new(),
         }
     }
@@ -125,7 +111,6 @@ impl Metric {
             name: name.to_string(),
             unit: unit.to_string(),
             data: MetricData::Quantiles(Quantiles::of(h)),
-            tol: None,
             breakdown: Vec::new(),
         }
     }
@@ -155,12 +140,6 @@ impl Metric {
         parts
     }
 
-    /// Sets the per-metric tolerance (builder style).
-    pub fn with_tol(mut self, tol: f64) -> Metric {
-        self.tol = Some(tol);
-        self
-    }
-
     /// Attaches a breakdown component (builder style).
     pub fn with_component(mut self, name: &str, v: f64) -> Metric {
         self.breakdown.push((name.to_string(), v));
@@ -177,7 +156,7 @@ pub struct Report {
     pub title: String,
     /// RNG seed the run used.
     pub seed: u64,
-    /// `quick` or `full` (reports only compare within the same scale).
+    /// `quick` or `full`; pins are `quick`, the scale CI regenerates.
     pub scale: String,
     /// Scenario parameters, for provenance.
     pub params: Vec<(String, String)>,
@@ -266,9 +245,6 @@ impl Report {
                 MetricData::Value(v) => {
                     let _ = write!(o, ", \"value\": {}", json_f64(*v));
                 }
-            }
-            if let Some(t) = m.tol {
-                let _ = write!(o, ", \"tol\": {}", json_f64(t));
             }
             if !m.breakdown.is_empty() {
                 o.push_str(", \"breakdown\": {");
@@ -378,7 +354,6 @@ impl Report {
                 name: get_str(mo, "name")?.to_string(),
                 unit: get_str(mo, "unit")?.to_string(),
                 data,
-                tol: mo.get("tol").and_then(Json::as_num),
                 breakdown,
             });
         }
@@ -712,157 +687,35 @@ impl Parser<'_> {
     }
 }
 
-// ----------------------------------------------------------------------
-// Regression comparator.
-
-/// Whether a unit regresses when the current value moves up (`Some(true)`),
-/// down (`Some(false)`), or never gates (`None`).
-pub fn higher_is_worse(unit: &str) -> Option<bool> {
-    match unit {
-        "ns" | "us" | "ms" | "cycles" | "kc" | "percent_penalty" => Some(true),
-        "mops" | "kops" | "ops" | "gbps" | "mbps" => Some(false),
-        _ => None,
-    }
-}
-
-/// One tolerance violation found by [`compare`].
-#[derive(Clone, Debug)]
-pub struct Regression {
-    /// Figure tag.
-    pub fig: String,
-    /// Metric name.
-    pub metric: String,
-    /// Which field regressed (`value`, `p50`, `p90`, `p99`).
-    pub field: &'static str,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Relative tolerance that was applied.
-    pub tol: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{} {}: baseline {:.3} -> current {:.3} (tol {:.0}%)",
-            self.fig,
-            self.metric,
-            self.field,
-            self.baseline,
-            self.current,
-            self.tol * 100.0
-        )
-    }
-}
-
-impl Regression {
-    /// A structural violation (`scale`, `missing`, `shape`): no values.
-    fn structural(fig: &str, metric: &str, field: &'static str) -> Regression {
-        Regression {
-            fig: fig.to_string(),
-            metric: metric.to_string(),
-            field,
-            baseline: 0.0,
-            current: 0.0,
-            tol: 0.0,
-        }
-    }
-}
-
-/// Diffs `current` against `baseline`. A metric present in the baseline
-/// but missing from the current run is itself a regression (reported with
-/// `field = "missing"`). Metrics whose unit never gates are skipped; `max`
-/// quantiles are informational (too noisy to gate). Returns every
-/// violation, empty when the gate passes. Reports from different scale
-/// modes are never compared (returns a single `scale` pseudo-regression).
-pub fn compare(current: &Report, baseline: &Report) -> Vec<Regression> {
-    let fig = &baseline.fig;
-    if current.scale != baseline.scale {
-        return vec![Regression::structural(fig, "<report>", "scale")];
-    }
-    let mut out = Vec::new();
-    for bm in &baseline.metrics {
-        let Some(cm) = current.metric(&bm.name) else {
-            out.push(Regression::structural(fig, &bm.name, "missing"));
-            continue;
-        };
-        let Some(up_is_worse) = higher_is_worse(&bm.unit) else {
-            continue;
-        };
-        let tol = bm.tol.unwrap_or(DEFAULT_TOL);
-        let fields = match (&bm.data, &cm.data) {
-            (MetricData::Value(b), MetricData::Value(c)) => vec![("value", *b, *c)],
-            (MetricData::Quantiles(b), MetricData::Quantiles(c)) => vec![
-                ("p50", b.p50 as f64, c.p50 as f64),
-                ("p90", b.p90 as f64, c.p90 as f64),
-                ("p99", b.p99 as f64, c.p99 as f64),
-            ],
-            _ => {
-                out.push(Regression::structural(fig, &bm.name, "shape"));
-                continue;
-            }
-        };
-        for (field, base, cur) in fields {
-            let bad = if up_is_worse {
-                cur > base * (1.0 + tol) && cur - base > 1.0
-            } else {
-                cur < base * (1.0 - tol)
-            };
-            if bad {
-                out.push(Regression {
-                    field,
-                    baseline: base,
-                    current: cur,
-                    tol,
-                    ..Regression::structural(fig, &bm.name, field)
-                });
-            }
-        }
-    }
-    out
-}
-
 /// Explains a byte mismatch between `current` and `baseline`: one line
-/// per header field or metric that differs, each metric classified the
-/// way [`compare`] sees it (regression beyond tolerance, inside
-/// tolerance, or a unit the comparator never gates).
+/// per header field or metric that differs.
 pub fn explain(current: &Report, baseline: &Report) -> Vec<String> {
     let mut out = Vec::new();
     let header = |r: &Report| (r.fig.clone(), r.title.clone(), r.seed, r.params.clone());
     if header(current) != header(baseline) {
         out.push("header (fig/title/seed/params) differs".to_string());
     }
-    let regressions = compare(current, baseline);
     let show = |m: &Metric| match &m.data {
         MetricData::Value(v) => format!("{v:.6}"),
-        MetricData::Quantiles(q) => format!("p50 {} p90 {} p99 {}", q.p50, q.p90, q.p99),
+        MetricData::Quantiles(q) => {
+            format!("p50 {} p90 {} p99 {} max {}", q.p50, q.p90, q.p99, q.max)
+        }
     };
     for bm in &baseline.metrics {
         let Some(cm) = current.metric(&bm.name) else {
             out.push(format!("{}: missing from the current report", bm.name));
             continue;
         };
-        if cm == bm {
-            continue;
+        if cm.data != bm.data {
+            out.push(format!(
+                "{}: pinned {} -> current {}",
+                bm.name,
+                show(bm),
+                show(cm)
+            ));
+        } else if cm != bm {
+            out.push(format!("{}: unit or breakdown differs", bm.name));
         }
-        let class = if regressions.iter().any(|r| r.metric == bm.name) {
-            "REGRESSION beyond tolerance".to_string()
-        } else if higher_is_worse(&bm.unit).is_none() {
-            format!("unit `{}` never gates under tolerance", bm.unit)
-        } else if cm.data == bm.data {
-            "breakdown/tolerance only".to_string()
-        } else {
-            let tol = bm.tol.unwrap_or(DEFAULT_TOL);
-            format!("within {:.0}% tolerance", tol * 100.0)
-        };
-        out.push(format!(
-            "{}: pinned {} -> current {} ({class})",
-            bm.name,
-            show(bm),
-            show(cm)
-        ));
     }
     for cm in &current.metrics {
         if baseline.metric(&cm.name).is_none() {
@@ -888,7 +741,6 @@ mod tests {
                 p99: 30_000,
                 max: 122_000,
             }),
-            tol: Some(0.15),
             breakdown: vec![("fp_rx".into(), 1200.0)],
         });
         r.push(Metric::value("mops", "mops", 1.234567));
@@ -909,45 +761,27 @@ mod tests {
     }
 
     #[test]
-    fn comparator_passes_identical_and_catches_p99_regression() {
-        let base = sample();
-        assert!(compare(&base, &base).is_empty(), "self-compare must pass");
-        // Inject a 20% p99 regression: must trip the gate.
+    fn explain_lists_one_line_per_difference() {
+        let pin = sample();
+        assert!(explain(&pin, &pin).is_empty());
         let mut cur = sample();
-        if let MetricData::Quantiles(q) = &mut cur.metrics[0].data {
-            q.p99 = (q.p99 as f64 * 1.20) as u64;
-        }
-        let regs = compare(&cur, &base);
-        assert_eq!(regs.len(), 1, "{regs:?}");
-        assert_eq!(regs[0].field, "p99");
-        // And a throughput *increase* is fine, a decrease is not.
-        let mut faster = sample();
-        faster.metrics[1].data = MetricData::Value(2.0);
-        assert!(compare(&faster, &base).is_empty());
-        let mut slower = sample();
-        slower.metrics[1].data = MetricData::Value(1.0);
-        assert_eq!(compare(&slower, &base).len(), 1);
-    }
-
-    #[test]
-    fn comparator_flags_missing_metric_and_scale_mismatch() {
-        let base = sample();
-        let mut cur = sample();
-        cur.metrics.remove(0);
-        let regs = compare(&cur, &base);
-        assert!(regs.iter().any(|r| r.field == "missing"));
-        let mut full = sample();
-        full.scale = "full".into();
-        assert_eq!(compare(&full, &base)[0].field, "scale");
-    }
-
-    #[test]
-    fn latency_within_tolerance_passes() {
-        let base = sample();
-        let mut cur = sample();
-        if let MetricData::Quantiles(q) = &mut cur.metrics[0].data {
-            q.p99 = (q.p99 as f64 * 1.10) as u64; // within the 0.15 tol
-        }
-        assert!(compare(&cur, &base).is_empty());
+        cur.seed += 1;
+        cur.metrics[0].breakdown[0].1 += 1.0;
+        cur.metrics[1] = Metric::value("kops", "kops", 1.0);
+        assert_eq!(
+            explain(&cur, &pin),
+            [
+                "header (fig/title/seed/params) differs",
+                "latency: unit or breakdown differs",
+                "mops: missing from the current report",
+                "kops: not in the pin",
+            ]
+        );
+        cur = sample();
+        cur.metrics[1].data = MetricData::Value(2.0);
+        assert_eq!(
+            explain(&cur, &pin),
+            ["mops: pinned 1.234567 -> current 2.000000"]
+        );
     }
 }

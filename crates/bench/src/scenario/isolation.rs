@@ -206,8 +206,8 @@ pub fn evaluate(spec: &ScenarioSpec, kind: Kind) -> Vec<Verdict> {
 /// A deliberately unfair TAS server configuration: fast-path rate
 /// enforcement disabled (no congestion control), so aggressor floods
 /// collapse the shared switch queue and the victim's tail inflates past
-/// any reasonable bound. The isolation self-test proves the gate trips
-/// on this config and passes on the canonical one.
+/// any reasonable bound. `crates/bench/tests/isolation_gate.rs` proves
+/// the gate trips on this config and passes on the canonical one.
 pub fn unfair_overrides() -> TasOverrides {
     TasOverrides {
         cc: Some(CcAlgo::None),

@@ -379,9 +379,6 @@ pub mod fig7 {
                         "percent_penalty",
                         100.0 * (1.0 - lossy / base).max(0.0),
                     )
-                    // Loss penalties are small percentages; allow slack in
-                    // absolute terms via a generous relative tolerance.
-                    .with_tol(0.50)
                 };
                 if pm == 10 {
                     let counted = format!("bytes_lossy_{name}");
@@ -712,8 +709,8 @@ pub mod fig15 {
         );
         r.param("clients", clients)
             .param("step_ms", step.as_millis());
-        r.push(Metric::value("steady_lat_us", "us", steady).with_tol(0.25));
-        // The transient peak is inherently spiky; report informationally.
+        r.push(Metric::value("steady_lat_us", "us", steady));
+        // The transient peak is inherently spiky.
         r.push(Metric::value("peak_lat_us", "us_info", peak));
         r.push(Metric::value("spikes", "count", spikes as f64));
         r.push(Metric::value("scale_events", "count", scale_events as f64));
@@ -998,8 +995,7 @@ pub mod cpuprof {
                 &format!("cycles_per_req_{name}"),
                 "cycles",
                 cap.cycles_per_request(),
-            )
-            .with_tol(0.10);
+            );
             for (module, cycles) in cap.profile.rollup_depth1() {
                 per_req = per_req.with_component(&module, cycles as f64 / reqs);
             }
@@ -1008,8 +1004,7 @@ pub mod cpuprof {
                 &format!("cycles_per_pkt_{name}"),
                 "cycles",
                 cap.cycles_per_packet(),
-            )
-            .with_tol(0.10);
+            );
             let mut flat: Vec<(String, u64)> = cap.profile.flat_self().into_iter().collect();
             flat.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             for (frame, cycles) in flat.iter().take(6) {
@@ -1656,7 +1651,7 @@ pub mod fig11 {
         lines.push(("timely".to_string(), Cc::TasTimely, 29));
         for (name, cc, seed) in lines {
             let (fct_ms, queue) = run(cc, seed);
-            r.push(Metric::value(&format!("{name}_fct"), "us", fct_ms * 1000.0).with_tol(0.20));
+            r.push(Metric::value(&format!("{name}_fct"), "us", fct_ms * 1000.0));
             r.push(Metric::value(&format!("{name}_queue_pkts"), "pkts", queue));
         }
         r
@@ -1745,10 +1740,10 @@ pub mod fig12 {
             ]
         });
         for (name, h) in fcts.clone() {
-            r.push(Metric::quantiles(&name, "ns", h).with_tol(0.20));
+            r.push(Metric::quantiles(&name, "ns", h));
         }
         for (name, h) in fcts {
-            let mean = Metric::value(&format!("{name}_mean"), "ns", h.mean()).with_tol(0.20);
+            let mean = Metric::value(&format!("{name}_mean"), "ns", h.mean());
             r.push(mean.with_component("flows", h.count() as f64));
         }
         r
@@ -1858,7 +1853,7 @@ pub enum Build {
 }
 
 /// One gated artefact: everything the `bench-report` driver
-/// ([`crate::gate`]) needs to generate, check, pin and self-test it.
+/// ([`crate::gate`]) needs to generate, check, pin and show it.
 /// Every report is modelled — a pure function of its seeds — and gated
 /// byte-for-byte against its pin.
 pub struct Entry {
@@ -1872,8 +1867,6 @@ pub struct Entry {
     pub build: Build,
     /// Invariants any instance of the report must satisfy.
     pub invariants: fn(&Report) -> Vec<Check>,
-    /// Self-test: turns a fresh report into one the gate must reject.
-    pub sabotage: Option<fn(&Report) -> Report>,
 }
 
 impl Entry {
@@ -1883,27 +1876,12 @@ impl Entry {
             paper,
             build,
             invariants: |_| Vec::new(),
-            sabotage: None,
         }
     }
 
     fn report(name: &'static str, paper: &'static str, build: fn() -> Report) -> Entry {
         Entry::new(name, paper, Build::Report(build))
     }
-}
-
-/// `r` with every scalar metric whose name starts with one of `prefixes`
-/// scaled by `factor` (the injected regression of the self-tests).
-pub fn inflate(r: &Report, prefixes: &[&str], factor: f64) -> Report {
-    let mut out = r.clone();
-    for m in &mut out.metrics {
-        if prefixes.iter().any(|p| m.name.starts_with(p)) {
-            if let MetricData::Value(v) = &mut m.data {
-                *v *= factor;
-            }
-        }
-    }
-    out
 }
 
 /// Every gated artefact, in output order: the paper's figures and tables,
@@ -2026,13 +2004,10 @@ pub fn catalogue() -> Vec<Entry> {
         ),
         Entry {
             invariants: designspace::orderings,
-            // The regression an MPK/PCIe model bug would produce.
-            sabotage: Some(|r| inflate(r, &["mpk_xcost_", "pno_pcie_"], 1.30)),
             ..Entry::report("designspace", "", designspace::report)
         },
         Entry {
             invariants: crate::scenario::isolation_checks,
-            sabotage: Some(crate::scenario::with_unfair_incast),
             ..Entry::report("scenarios", "", crate::scenario::report)
         },
         Entry::new(
@@ -2040,10 +2015,6 @@ pub fn catalogue() -> Vec<Entry> {
             "§5.2 tail analysis: queueing, not processing, makes the tail",
             fig6spans,
         ),
-        Entry {
-            // A CPU-efficiency regression no throughput metric would catch.
-            sabotage: Some(|r| inflate(r, &["cycles_per_req_"], 1.25)),
-            ..Entry::new("cpuprof", "", cpuprof)
-        },
+        Entry::new("cpuprof", "", cpuprof),
     ]
 }
