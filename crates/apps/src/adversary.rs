@@ -17,9 +17,9 @@
 //!
 //! The slow reader runs above a real stack as a plain [`App`]: its attack
 //! is *not reading*, which any socket API permits. The other two need
-//! header-level control no socket API grants, so — like the load
-//! generator — they are raw host agents crafting TCP segments directly
-//! and consuming no modeled CPU.
+//! header-level control no socket API grants, so they are raw host
+//! agents on the load generator's `raw` engine, crafting
+//! TCP segments directly and consuming no modeled CPU.
 #![cfg_attr(
     not(test),
     deny(
@@ -33,30 +33,14 @@
     )
 )]
 
+use crate::kv;
+use crate::raw::{Profile, RawClient, Rx};
 use crate::util::SendBuf;
-use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, SocketAddrV4};
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
-use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{MacAddr, PayloadBuf, Segment, Seq};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, SimTime};
-
-/// Builds the KV GET request the adversaries use as bait: a well-formed
-/// request for `key` so the server's normal response path produces the
-/// payload the attack then mishandles.
-pub fn kv_get_request(key: u32) -> Vec<u8> {
-    let mut req = vec![0u8; crate::kv::REQ_HDR + crate::kv::VAL_SIZE];
-    req[0] = crate::kv::OP_GET;
-    req[1..5].copy_from_slice(&key.to_be_bytes());
-    req[5..7].copy_from_slice(&(crate::kv::VAL_SIZE as u16).to_be_bytes());
-    req
-}
-
-/// KV response size matching [`kv_get_request`].
-pub fn kv_resp_size() -> usize {
-    crate::kv::RESP_HDR + crate::kv::VAL_SIZE
-}
 
 // ---------------------------------------------------------------------
 // Slow reader (stack-level App).
@@ -124,12 +108,7 @@ impl App for SlowReader {
             self.socks.push(sock);
         }
         if self.resume_at > SimTime::ZERO {
-            let now = api.now();
-            let delay = if self.resume_at > now {
-                self.resume_at - now
-            } else {
-                SimTime::ZERO
-            };
+            let delay = self.resume_at.saturating_sub(api.now());
             api.set_app_timer(delay, RESUME_TOKEN);
         }
     }
@@ -138,7 +117,7 @@ impl App for SlowReader {
         match ev {
             AppEvent::Connected { sock } => {
                 // Solicit a pipelined burst of responses, then go deaf.
-                let req = kv_get_request(1);
+                let req = kv::get_request(1);
                 for _ in 0..self.burst {
                     self.out.send(api, sock, &req);
                     self.sent += 1;
@@ -209,7 +188,10 @@ pub struct AdversaryConfig {
     pub port: u16,
     /// Connections to open.
     pub conns: u32,
-    /// Request payload (defaults to [`kv_get_request`] for key 1).
+    /// Request payload ([`kv::get_request`] for key 1 in
+    /// [`AdversaryConfig::kv`]): a well-formed request, so the server's
+    /// normal response path produces the payload the attack then
+    /// mishandles.
     pub req_template: Vec<u8>,
     /// Expected response payload bytes per request.
     pub resp_size: usize,
@@ -226,45 +208,28 @@ impl AdversaryConfig {
             server,
             port,
             conns,
-            req_template: kv_get_request(1),
-            resp_size: kv_resp_size(),
+            req_template: kv::get_request(1),
+            resp_size: kv::RESP_LEN,
             mode,
             watchdog: SimTime::from_ms(50),
         }
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AdvState {
-    SynSent,
-    Established,
-}
+/// Local ports 2048 onwards, wrapping after 60,000; no window scaling,
+/// so the advertised patterns are the raw 16-bit windows.
+const PROFILE: Profile = Profile {
+    base: 2048,
+    ports: 60_000,
+    wscale: None,
+};
 
-struct AdvConn {
-    state: AdvState,
-    local_port: u16,
-    iss: Seq,
-    irs: Seq,
-    /// Request-stream bytes sent.
-    sent_off: u64,
-    /// Response-stream bytes received in order.
-    rcv_off: u64,
-    /// Response bytes still expected for the current request.
-    awaiting: usize,
-    ts_recent: u32,
-    last_progress: SimTime,
-}
-
-/// Raw-TCP adversarial client host: minimal-but-correct handshake and
-/// request loop (mirroring the load generator), with the ACK stream
-/// shaped by [`AdvMode`]. Consumes no modeled CPU.
+/// Raw-TCP adversarial client host: the `raw` engine's
+/// handshake and request loop, with a pure ACK before each request and
+/// the ACK stream shaped by [`AdvMode`]. Consumes no modeled CPU.
 pub struct AdversaryHost {
     cfg: AdversaryConfig,
-    ip: Ipv4Addr,
-    mac: MacAddr,
-    nic: HostNic,
-    conns: Vec<AdvConn>,
-    by_port: BTreeMap<u16, u32>,
+    raw: RawClient,
     /// Completed request/response exchanges.
     pub done: u64,
     /// Requests sent.
@@ -285,6 +250,22 @@ pub struct AdversaryHost {
 /// Cap on the diagnostic logs so long scenario runs stay cheap.
 const LOG_CAP: usize = 4096;
 
+/// The next advertised window per the attack `mode`: window stuffing
+/// advances `cursor` through its cycle and logs each window in `history`.
+fn next_window(mode: &AdvMode, cursor: &mut usize, history: &mut Vec<u16>) -> u16 {
+    match mode {
+        AdvMode::WindowStuff { pattern } if !pattern.is_empty() => {
+            let w = pattern[*cursor % pattern.len()];
+            *cursor += 1;
+            if history.len() < LOG_CAP {
+                history.push(w);
+            }
+            w
+        }
+        _ => u16::MAX,
+    }
+}
+
 impl AdversaryHost {
     /// Creates the host; inject [`timers::INIT`] to start it.
     pub fn new(
@@ -295,13 +276,11 @@ impl AdversaryHost {
         cfg: AdversaryConfig,
     ) -> Self {
         let nic = HostNic::new(mac, nic_cfg, uplink);
+        let server = SocketAddrV4::new(cfg.server, cfg.port);
+        let req = PayloadBuf::from_slice(&cfg.req_template);
         AdversaryHost {
+            raw: RawClient::new(ip, mac, nic, server, PROFILE, req, cfg.resp_size),
             cfg,
-            ip,
-            mac,
-            nic,
-            conns: Vec::new(),
-            by_port: BTreeMap::new(),
             done: 0,
             sent: 0,
             established: 0,
@@ -312,228 +291,48 @@ impl AdversaryHost {
         }
     }
 
-    /// The next advertised window per the attack mode.
-    fn next_window(&mut self) -> u16 {
-        match &self.cfg.mode {
-            AdvMode::AckDivision { .. } => u16::MAX,
-            AdvMode::WindowStuff { pattern } => {
-                if pattern.is_empty() {
-                    return u16::MAX;
-                }
-                let w = pattern[self.win_cursor % pattern.len()];
-                self.win_cursor += 1;
-                if self.adv_history.len() < LOG_CAP {
-                    self.adv_history.push(w);
-                }
-                w
-            }
-        }
-    }
-
-    fn seg(&self, h: TcpHeader, payload: Vec<u8>) -> Segment {
-        Segment::tcp(
-            self.mac,
-            mac_for_ip(self.cfg.server),
-            self.ip,
-            self.cfg.server,
-            h,
-            payload,
-            false,
-        )
-    }
-
-    /// A header whose ACK field is explicit (division mode sends several
-    /// per delivery, each a different sliver).
-    fn header_with_ack(&mut self, idx: u32, ack: Seq, flags: TcpFlags, now: SimTime) -> TcpHeader {
-        let window = self.next_window();
-        let Some(c) = self.conns.get(idx as usize) else {
-            return TcpHeader::new(0, self.cfg.port, 0, 0, flags);
-        };
-        let mut h = TcpHeader::new(c.local_port, self.cfg.port, 0, 0, flags);
-        h.seq = c.iss + 1 + c.sent_off as u32;
-        h.ack = ack;
-        h.window = window;
-        h.options.timestamp = Some((now.as_micros() as u32, c.ts_recent));
-        h
-    }
-
-    fn cum_ack(&self, idx: u32) -> Seq {
-        let Some(c) = self.conns.get(idx as usize) else {
-            return Seq(0);
-        };
-        c.irs + 1 + c.rcv_off as u32
-    }
-
-    fn open_connection(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let local_port = 2048 + (idx % 60_000) as u16;
-        let iss = Seq(ctx.rng().next_u32());
-        self.by_port.insert(local_port, self.conns.len() as u32);
-        self.conns.push(AdvConn {
-            state: AdvState::SynSent,
-            local_port,
-            iss,
-            irs: Seq(0),
-            sent_off: 0,
-            rcv_off: 0,
-            awaiting: 0,
-            ts_recent: 0,
-            last_progress: now,
-        });
-        let mut h = TcpHeader::new(local_port, self.cfg.port, iss.0, 0, TcpFlags::SYN);
-        h.options.mss = Some(1448);
-        // No window scaling: the advertised patterns are raw 16-bit.
-        h.options.timestamp = Some((now.as_micros() as u32, 0));
-        h.window = u16::MAX;
-        let seg = self.seg(h, Vec::new());
-        self.nic.tx(now, seg, ctx);
-    }
-
-    fn fire_request(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let payload = self.cfg.req_template.clone();
-        let ack = self.cum_ack(idx);
-        let h = self.header_with_ack(idx, ack, TcpFlags::ACK | TcpFlags::PSH, now);
-        if let Some(c) = self.conns.get_mut(idx as usize) {
-            c.sent_off += payload.len() as u64;
-            c.awaiting = self.cfg.resp_size;
-            c.last_progress = now;
-        }
+    fn fire_request(&mut self, idx: u32, ctx: &mut Ctx<'_, NetMsg>) {
+        let window = next_window(&self.cfg.mode, &mut self.win_cursor, &mut self.adv_history);
+        self.raw.request(idx, window, ctx);
         self.sent += 1;
-        let seg = self.seg(h, payload);
-        self.nic.tx(now, seg, ctx);
     }
 
-    fn send_ack(&mut self, idx: u32, ack: Seq, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let h = self.header_with_ack(idx, ack, TcpFlags::ACK, now);
+    fn send_ack(&mut self, idx: u32, ack: Seq, ctx: &mut Ctx<'_, NetMsg>) {
+        let window = next_window(&self.cfg.mode, &mut self.win_cursor, &mut self.adv_history);
+        self.raw.ack(idx, ack, window, ctx);
         self.acks_sent += 1;
-        let seg = self.seg(h, Vec::new());
-        self.nic.tx(now, seg, ctx);
     }
 
-    fn on_packet(&mut self, seg: Segment, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let key: FlowKey = seg.flow_key();
-        let Some(&idx) = self.by_port.get(&key.local_port) else {
-            return;
-        };
-        let mut handshake_done = false;
-        let mut in_order_span: Option<(Seq, usize)> = None; // (base ack, len)
-        let mut dup_ack = false;
-        {
-            let Some(c) = self.conns.get_mut(idx as usize) else {
-                return;
-            };
-            if let Some((tsval, _)) = seg.tcp.options.timestamp {
-                c.ts_recent = tsval;
+    fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
+        match self.raw.receive(&seg, ctx.now()) {
+            Rx::Established(idx) => {
+                self.established += 1;
+                // Complete the handshake, then bait the first response.
+                self.send_ack(idx, self.raw.cum_ack(idx), ctx);
+                self.fire_request(idx, ctx);
             }
-            match c.state {
-                AdvState::SynSent => {
-                    if seg.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
-                        && seg.tcp.ack == c.iss + 1
-                    {
-                        c.irs = seg.tcp.seq;
-                        c.state = AdvState::Established;
-                        c.last_progress = now;
-                        handshake_done = true;
-                    }
-                }
-                AdvState::Established => {
-                    if !seg.payload.is_empty() {
-                        let expected = c.irs + 1 + c.rcv_off as u32;
-                        if seg.tcp.seq == expected {
-                            let len = seg.payload.len();
-                            let base = expected;
-                            c.rcv_off += len as u64;
-                            c.last_progress = now;
-                            let got = len.min(c.awaiting);
-                            c.awaiting -= got;
-                            in_order_span = Some((base, len));
-                        } else {
-                            dup_ack = true;
-                        }
-                    }
-                }
-            }
-        }
-        if handshake_done {
-            self.established += 1;
-            // Complete the handshake, then bait the first response.
-            let ack = self.cum_ack(idx);
-            self.send_ack(idx, ack, now, ctx);
-            self.fire_request(idx, now, ctx);
-            return;
-        }
-        if let Some((base, len)) = in_order_span {
-            match self.cfg.mode.clone() {
-                AdvMode::AckDivision { chunk } => {
+            Rx::Span { idx, seq, len, .. } => {
+                if let AdvMode::AckDivision { chunk } = self.cfg.mode {
                     // Acknowledge the span in sub-MSS slivers: each pure
                     // ACK advances by at most `chunk` bytes.
-                    let step = chunk.max(1);
-                    let mut covered = 0u32;
-                    while (covered as usize) < len {
-                        let adv = step.min(len as u32 - covered);
-                        covered += adv;
+                    let (step, len) = (chunk.max(1), len as u32);
+                    for start in (0..len).step_by(step as usize) {
+                        let adv = step.min(len - start);
                         if self.ack_deltas.len() < LOG_CAP {
                             self.ack_deltas.push(adv);
                         }
-                        let ack = base + covered;
-                        self.send_ack(idx, ack, now, ctx);
+                        self.send_ack(idx, seq + start + adv, ctx);
                     }
+                } else {
+                    self.send_ack(idx, self.raw.cum_ack(idx), ctx);
                 }
-                AdvMode::WindowStuff { .. } => {
-                    let ack = self.cum_ack(idx);
-                    self.send_ack(idx, ack, now, ctx);
+                if self.raw.conn(idx).is_some_and(|c| c.awaiting == 0) {
+                    self.done += 1;
+                    self.fire_request(idx, ctx);
                 }
             }
-            let fire = self
-                .conns
-                .get(idx as usize)
-                .map(|c| c.awaiting == 0)
-                .unwrap_or(false);
-            if fire {
-                self.done += 1;
-                self.fire_request(idx, now, ctx);
-            }
-        } else if dup_ack {
-            let ack = self.cum_ack(idx);
-            self.send_ack(idx, ack, now, ctx);
-        }
-    }
-
-    fn watchdog(&mut self, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let stall = self.cfg.watchdog;
-        let mut resend: Vec<u32> = Vec::new();
-        let mut resyn: Vec<u32> = Vec::new();
-        for (i, c) in self.conns.iter().enumerate() {
-            match c.state {
-                AdvState::Established if c.awaiting > 0 && now - c.last_progress > stall => {
-                    resend.push(i as u32);
-                }
-                AdvState::SynSent if now - c.last_progress > stall => resyn.push(i as u32),
-                _ => {}
-            }
-        }
-        for idx in resend {
-            let payload = self.cfg.req_template.clone();
-            let ack = self.cum_ack(idx);
-            let mut h = self.header_with_ack(idx, ack, TcpFlags::ACK | TcpFlags::PSH, now);
-            // Rewind to the outstanding request's first byte.
-            if let Some(c) = self.conns.get_mut(idx as usize) {
-                c.last_progress = now;
-                h.seq = c.iss + 1 + c.sent_off.saturating_sub(payload.len() as u64) as u32;
-            }
-            let seg = self.seg(h, payload);
-            self.nic.tx(now, seg, ctx);
-        }
-        for idx in resyn {
-            let Some(c) = self.conns.get_mut(idx as usize) else {
-                continue;
-            };
-            c.last_progress = now;
-            let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss.0, 0, TcpFlags::SYN);
-            h.options.mss = Some(1448);
-            h.options.timestamp = Some((now.as_micros() as u32, 0));
-            h.window = u16::MAX;
-            let seg = self.seg(h, Vec::new());
-            self.nic.tx(now, seg, ctx);
+            Rx::DupAck(idx) => self.send_ack(idx, self.raw.cum_ack(idx), ctx),
+            Rx::Ignored => {}
         }
     }
 }
@@ -545,15 +344,13 @@ impl Agent<NetMsg> for AdversaryHost {
                 msg: NetMsg::Packet(seg),
                 ..
             } => {
-                let now = ctx.now();
-                self.on_packet(seg, now, ctx);
+                self.on_packet(seg, ctx);
             }
             Event::Timer {
                 kind: timers::INIT, ..
             } => {
-                let now = ctx.now();
-                for i in 0..self.cfg.conns {
-                    self.open_connection(i, now, ctx);
+                for _ in 0..self.cfg.conns {
+                    self.raw.open(ctx);
                 }
                 ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
             }
@@ -561,8 +358,10 @@ impl Agent<NetMsg> for AdversaryHost {
                 kind: timers::WATCHDOG,
                 ..
             } => {
-                let now = ctx.now();
-                self.watchdog(now, ctx);
+                let (mode, cursor, log) =
+                    (&self.cfg.mode, &mut self.win_cursor, &mut self.adv_history);
+                self.raw
+                    .watchdog(self.cfg.watchdog, ctx, || next_window(mode, cursor, log));
                 ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
             }
             _ => {}
@@ -577,33 +376,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kv_bait_is_well_formed() {
-        let req = kv_get_request(5);
-        assert_eq!(req.len(), crate::kv::REQ_HDR + crate::kv::VAL_SIZE);
-        assert_eq!(req[0], crate::kv::OP_GET);
-        assert_eq!(u32::from_be_bytes([req[1], req[2], req[3], req[4]]), 5);
-        assert_eq!(kv_resp_size(), crate::kv::RESP_HDR + crate::kv::VAL_SIZE);
-    }
-
-    #[test]
     fn window_pattern_cycles_and_logs() {
-        let cfg = AdversaryConfig::kv(
-            Ipv4Addr::new(10, 0, 0, 1),
-            7,
-            1,
-            AdvMode::WindowStuff {
-                pattern: vec![16, 1, 512],
-            },
-        );
-        let mut h = AdversaryHost::new(
-            Ipv4Addr::new(10, 0, 0, 9),
-            MacAddr::for_host(9),
-            NicConfig::client_10g(1),
-            0,
-            cfg,
-        );
-        let got: Vec<u16> = (0..7).map(|_| h.next_window()).collect();
+        let mode = AdvMode::WindowStuff {
+            pattern: vec![16, 1, 512],
+        };
+        let (mut cursor, mut log) = (0, Vec::new());
+        let got: Vec<u16> = (0..7)
+            .map(|_| next_window(&mode, &mut cursor, &mut log))
+            .collect();
         assert_eq!(got, vec![16, 1, 512, 16, 1, 512, 16]);
-        assert_eq!(h.adv_history, got);
+        assert_eq!(log, got);
     }
 }

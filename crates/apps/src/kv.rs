@@ -38,7 +38,21 @@ pub const OP_SET: u8 = 1;
 const REQ_LEN: usize = REQ_HDR + VAL_SIZE;
 
 /// Response bytes.
-const RESP_LEN: usize = RESP_HDR + VAL_SIZE;
+pub const RESP_LEN: usize = RESP_HDR + VAL_SIZE;
+
+/// A request of `op` for `key` with a zero value.
+fn request(op: u8, key: u32) -> [u8; REQ_LEN] {
+    let mut req = [0u8; REQ_LEN];
+    req[0] = op;
+    req[1..5].copy_from_slice(&key.to_be_bytes());
+    req[5..7].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
+    req
+}
+
+/// The GET request for `key`; its response is [`RESP_LEN`] bytes.
+pub fn get_request(key: u32) -> Vec<u8> {
+    request(OP_GET, key).to_vec()
+}
 
 /// The key-value store server.
 pub struct KvServer {
@@ -285,10 +299,7 @@ impl KvClient {
         } else {
             OP_GET
         };
-        let mut req = [0u8; REQ_LEN];
-        req[0] = op;
-        req[1..5].copy_from_slice(&key.to_be_bytes());
-        req[5..7].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
+        let mut req = request(op, key);
         if op == OP_SET {
             for (i, b) in req[REQ_HDR..].iter_mut().enumerate() {
                 *b = (key as usize + i) as u8;
@@ -349,11 +360,7 @@ impl App for KvClient {
                     self.preloaded = true;
                     // Preload a few hot keys so early GETs hit.
                     for k in 0..self.keys.min(64) as u32 {
-                        let mut req = [0u8; REQ_LEN];
-                        req[0] = OP_SET;
-                        req[1..5].copy_from_slice(&k.to_be_bytes());
-                        req[5..7].copy_from_slice(&(VAL_SIZE as u16).to_be_bytes());
-                        self.out.send(api, sock, &req);
+                        self.out.send(api, sock, &request(OP_SET, k));
                         self.conns[idx].sent_at.push(api.now());
                         self.sent += 1;
                     }
@@ -464,6 +471,9 @@ mod tests {
         assert!(req[0] == OP_GET || req[0] == OP_SET);
         let key = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
         assert!((key as usize) < 100);
+        let get = get_request(5);
+        assert_eq!(get[..7], [OP_GET, 0, 0, 0, 5, 0, VAL_SIZE as u8]);
+        assert_eq!(get.len(), REQ_LEN);
     }
 
     #[test]

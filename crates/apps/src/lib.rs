@@ -19,6 +19,8 @@
 //! * [`adversary`] — misbehaving clients for the isolation scenarios: a
 //!   slow reader that pins its rx byte-ring full, an ACK-division
 //!   client, and a receive-window stuffer.
+//! * `raw` (crate-private) — the raw-TCP connection engine the load
+//!   generator and the header-level adversaries both drive.
 
 pub mod adversary;
 pub mod bulk;
@@ -27,4 +29,5 @@ pub mod flexstorm;
 pub mod flows;
 pub mod kv;
 pub mod loadgen;
+mod raw;
 pub mod util;

@@ -5,15 +5,15 @@
 //! connections, Fig. 8's 32K). Simulating a full per-connection TCP engine
 //! on the client side would cost far more memory than the server under
 //! test; this host instead speaks minimal-but-correct TCP directly
-//! (handshake with options, one outstanding request per connection,
-//! per-packet ACKs with advertised windows, stall-based request
-//! retransmission). The client consumes no modeled CPU — exactly like the
-//! paper's assumption that clients are never the bottleneck.
+//! through the crate's `raw` engine, with one outstanding request
+//! per connection and each ACK piggybacked on the next request. The
+//! client consumes no modeled CPU — exactly like the paper's assumption
+//! that clients are never the bottleneck.
 
-use std::net::Ipv4Addr;
-use tas_netsim::topo::mac_for_ip;
+use crate::raw::{Profile, RawClient, RawConn, Rx};
+use std::net::{Ipv4Addr, SocketAddrV4};
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{MacAddr, PayloadBuf, Segment};
 use tas_sim::{impl_as_any, Agent, Ctx, Event, Histogram, SimTime};
 
 /// Timer kinds.
@@ -76,53 +76,22 @@ impl Default for LoadGenConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LgState {
-    SynSent,
-    Established,
-}
+/// The window-scale shift the generator's SYNs offer.
+const WSCALE: u8 = 7;
 
-struct LgConn {
-    state: LgState,
-    local_port: u16,
-    iss: Seq,
-    irs: Seq,
-    /// Bytes of request stream sent (stream offset past SYN).
-    sent_off: u64,
-    /// Bytes of request stream acked by the server.
-    acked_off: u64,
-    /// Bytes of response stream received in order.
-    rcv_off: u64,
-    /// Response bytes still expected for the current request.
-    awaiting: usize,
-    /// When the current request went out.
-    sent_at: SimTime,
-    ts_recent: u32,
-    last_progress: SimTime,
-}
-
-impl LgConn {
-    /// Our sequence number at request-stream offset `off`.
-    fn seq_of(&self, off: u64) -> Seq {
-        self.iss + 1 + off as u32
-    }
-
-    /// The server's sequence number at response-stream offset `off`.
-    fn rcv_seq_of(&self, off: u64) -> Seq {
-        self.irs + 1 + off as u32
-    }
-}
+/// Local ports 1024 onwards, wrapping after 64,000.
+const PROFILE: Profile = Profile {
+    base: 1024,
+    ports: 64_000,
+    wscale: Some(WSCALE),
+};
 
 /// The load-generator host agent.
 pub struct LoadGenHost {
     cfg: LoadGenConfig,
-    ip: Ipv4Addr,
-    mac: MacAddr,
-    nic: HostNic,
-    conns: Vec<LgConn>,
-    /// Connection index by local port, at `port - 1024`. A port reused
-    /// by a later connection maps to that one.
-    by_port: Vec<Option<u32>>,
+    raw: RawClient,
+    /// The advertised window, scaled by [`WSCALE`].
+    window: u16,
     /// Completed request/response exchanges.
     pub done: u64,
     /// Requests sent (first transmissions).
@@ -138,10 +107,7 @@ pub struct LoadGenHost {
     /// Resettable latency accumulator for time-series sampling (Fig. 15):
     /// harnesses read the mean and call [`LoadGenHost::reset_window`].
     pub window_lat_us: tas_sim::MeanVar,
-    wscale: u8,
 }
-
-const LG_WSCALE: u8 = 7;
 
 impl LoadGenHost {
     /// Creates a load generator; inject [`timers::INIT`] to start it.
@@ -153,13 +119,16 @@ impl LoadGenHost {
         cfg: LoadGenConfig,
     ) -> Self {
         let nic = HostNic::new(mac, nic_cfg, uplink);
+        let req = match &cfg.req_template {
+            Some(t) => PayloadBuf::from_slice(t),
+            None => PayloadBuf::with(cfg.req_size, |dst| dst.fill(0x42)),
+        };
+        let server = SocketAddrV4::new(cfg.server, cfg.port);
+        let raw = RawClient::new(ip, mac, nic, server, PROFILE, req, cfg.resp_size);
         LoadGenHost {
+            window: ((cfg.adv_window >> WSCALE) as u16).max(1),
             cfg,
-            ip,
-            mac,
-            nic,
-            conns: Vec::new(),
-            by_port: Vec::new(),
+            raw,
             done: 0,
             sent: 0,
             rexmits: 0,
@@ -167,7 +136,6 @@ impl LoadGenHost {
             latency: Histogram::new(),
             measure_from: SimTime::ZERO,
             window_lat_us: tas_sim::MeanVar::new(),
-            wscale: LG_WSCALE,
         }
     }
 
@@ -181,206 +149,57 @@ impl LoadGenHost {
         self.cfg.stop_at = t;
     }
 
-    fn header(&self, c: &LgConn, flags: TcpFlags, now: SimTime) -> TcpHeader {
-        let mut h = TcpHeader::new(c.local_port, self.cfg.port, 0, 0, flags);
-        h.seq = c.seq_of(c.sent_off);
-        h.ack = c.rcv_seq_of(c.rcv_off);
-        h.window = ((self.cfg.adv_window >> self.wscale) as u16).max(1);
-        h.options.timestamp = Some((now.as_micros() as u32, c.ts_recent));
-        h
+    /// True until the stop time.
+    fn issuing(&self, now: SimTime) -> bool {
+        self.cfg.stop_at == SimTime::ZERO || now < self.cfg.stop_at
     }
 
-    fn tx(&mut self, seg: Segment, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        self.nic.tx(now, seg, ctx);
-    }
-
-    fn seg(&self, h: TcpHeader, payload: PayloadBuf) -> Segment {
-        Segment::tcp(
-            self.mac,
-            mac_for_ip(self.cfg.server),
-            self.ip,
-            self.cfg.server,
-            h,
-            payload,
-            false,
-        )
-    }
-
-    fn open_connection(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let local_port = 1024 + (idx % 64_000) as u16;
-        let c = LgConn {
-            state: LgState::SynSent,
-            local_port,
-            iss: Seq(ctx.rng().next_u32()),
-            irs: Seq(0),
-            sent_off: 0,
-            acked_off: 0,
-            rcv_off: 0,
-            awaiting: 0,
-            sent_at: now,
-            ts_recent: 0,
-            last_progress: now,
-        };
-        let seg = self.syn(&c, now);
-        let slot = (local_port - 1024) as usize;
-        if slot >= self.by_port.len() {
-            self.by_port.resize(slot + 1, None);
-        }
-        self.by_port[slot] = Some(self.conns.len() as u32);
-        self.conns.push(c);
-        self.tx(seg, now, ctx);
-    }
-
-    fn syn(&self, c: &LgConn, now: SimTime) -> Segment {
-        let mut h = TcpHeader::new(c.local_port, self.cfg.port, c.iss.0, 0, TcpFlags::SYN);
-        h.options.mss = Some(1448);
-        h.options.wscale = Some(self.wscale);
-        h.options.timestamp = Some((now.as_micros() as u32, 0));
-        h.window = u16::MAX;
-        self.seg(h, PayloadBuf::empty())
-    }
-
-    /// The request, built straight into a pooled payload buffer.
-    fn request_payload(&self) -> PayloadBuf {
-        match &self.cfg.req_template {
-            Some(t) => PayloadBuf::from_slice(t),
-            None => PayloadBuf::with(self.cfg.req_size, |dst| dst.fill(0x42)),
-        }
-    }
-
-    fn fire_request(&mut self, idx: u32, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let payload = self.request_payload();
-        let h = self.header_for(idx, TcpFlags::ACK | TcpFlags::PSH, now);
-        {
-            let c = &mut self.conns[idx as usize];
-            c.sent_off += payload.len() as u64;
-            c.awaiting = self.cfg.resp_size;
-            c.sent_at = now;
-            c.last_progress = now;
-        }
+    fn fire_request(&mut self, idx: u32, ctx: &mut Ctx<'_, NetMsg>) {
+        self.raw.request(idx, self.window, ctx);
         self.sent += 1;
-        let seg = self.seg(h, payload);
-        self.tx(seg, now, ctx);
     }
 
-    fn header_for(&self, idx: u32, flags: TcpFlags, now: SimTime) -> TcpHeader {
-        self.header(&self.conns[idx as usize], flags, now)
+    fn ack(&mut self, idx: u32, ctx: &mut Ctx<'_, NetMsg>) {
+        let ack = self.raw.cum_ack(idx);
+        self.raw.ack(idx, ack, self.window, ctx);
     }
 
-    fn on_packet(&mut self, seg: Segment, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let key: FlowKey = seg.flow_key();
-        let slot = key.local_port.checked_sub(1024).map(usize::from);
-        let Some(&Some(idx)) = slot.and_then(|s| self.by_port.get(s)) else {
-            return;
-        };
-        // Collect response actions to avoid aliasing.
-        let mut send_ack = false;
-        let mut fire_next = false;
-        let mut completed_latency: Option<SimTime> = None;
-        {
-            let c = &mut self.conns[idx as usize];
-            if let Some((tsval, _)) = seg.tcp.options.timestamp {
-                c.ts_recent = tsval;
-            }
-            match c.state {
-                LgState::SynSent => {
-                    if seg.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK)
-                        && seg.tcp.ack == c.iss + 1
-                    {
-                        c.irs = seg.tcp.seq;
-                        c.state = LgState::Established;
-                        self.established += 1;
-                        send_ack = true;
-                        fire_next = true;
-                    }
-                }
-                LgState::Established => {
-                    // ACK processing for our requests.
-                    if seg.tcp.flags.contains(TcpFlags::ACK) {
-                        let una = c.seq_of(c.acked_off);
-                        if seg.tcp.ack.gt(una) && seg.tcp.ack.le(c.seq_of(c.sent_off)) {
-                            c.acked_off += (seg.tcp.ack - una) as u64;
-                        }
-                    }
-                    // Response data.
-                    if !seg.payload.is_empty() {
-                        if seg.tcp.seq == c.rcv_seq_of(c.rcv_off) {
-                            c.rcv_off += seg.payload.len() as u64;
-                            c.last_progress = now;
-                            let got = seg.payload.len().min(c.awaiting);
-                            c.awaiting -= got;
-                            if c.awaiting == 0 && got > 0 {
-                                completed_latency = Some(c.sent_at);
-                                fire_next = true;
-                            } else {
-                                send_ack = true;
-                            }
-                        } else {
-                            // Old or out-of-order: plain dup-ACK.
-                            send_ack = true;
-                        }
-                    }
+    fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
+        let now = ctx.now();
+        match self.raw.receive(&seg, now) {
+            Rx::Established(idx) => {
+                self.established += 1;
+                if self.issuing(now) {
+                    self.fire_request(idx, ctx);
+                } else {
+                    self.ack(idx, ctx);
                 }
             }
-        }
-        if let Some(t0) = completed_latency {
-            self.done += 1;
-            if now >= self.measure_from {
-                self.latency.record_time(now - t0);
-                self.window_lat_us.add((now - t0).as_micros_f64());
-            }
-        }
-        if fire_next
-            && self.conns[idx as usize].state == LgState::Established
-            && (self.cfg.stop_at == SimTime::ZERO || now < self.cfg.stop_at)
-        {
-            if self.cfg.think > SimTime::ZERO && completed_latency.is_some() {
-                // Think, then fire; meanwhile acknowledge the response.
-                ctx.timer(self.cfg.think, timers::FIRE, idx as u64);
-                let h = self.header_for(idx, TcpFlags::ACK, now);
-                let seg = self.seg(h, PayloadBuf::empty());
-                self.tx(seg, now, ctx);
-            } else {
-                // The next request's data packet carries the cumulative ACK.
-                self.fire_request(idx, now, ctx);
-            }
-        } else if send_ack {
-            let h = self.header_for(idx, TcpFlags::ACK, now);
-            let seg = self.seg(h, PayloadBuf::empty());
-            self.tx(seg, now, ctx);
-        }
-    }
-
-    fn watchdog(&mut self, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let stall = self.cfg.watchdog;
-        let mut to_resend: Vec<u32> = Vec::new();
-        let mut to_reconnect: Vec<u32> = Vec::new();
-        for (i, c) in self.conns.iter().enumerate() {
-            match c.state {
-                LgState::Established if c.awaiting > 0 && now - c.last_progress > stall => {
-                    to_resend.push(i as u32);
+            Rx::Span { idx, got, .. } => {
+                let sent_at = match self.raw.conn(idx) {
+                    Some(c) if c.awaiting == 0 && got > 0 => c.sent_at,
+                    _ => return self.ack(idx, ctx),
+                };
+                let rtt = now - sent_at;
+                self.done += 1;
+                if now >= self.measure_from {
+                    self.latency.record_time(rtt);
+                    self.window_lat_us.add(rtt.as_micros_f64());
                 }
-                LgState::SynSent if now - c.last_progress > stall => {
-                    to_reconnect.push(i as u32);
+                if !self.issuing(now) {
+                    return;
                 }
-                _ => {}
+                if self.cfg.think > SimTime::ZERO {
+                    // Think, then fire; meanwhile acknowledge the response.
+                    ctx.timer(self.cfg.think, timers::FIRE, idx as u64);
+                    self.ack(idx, ctx);
+                } else {
+                    // The next request's data packet carries the cumulative ACK.
+                    self.fire_request(idx, ctx);
+                }
             }
-        }
-        for idx in to_resend {
-            // Retransmit the outstanding request from its first byte.
-            self.rexmits += 1;
-            let payload = self.request_payload();
-            self.conns[idx as usize].last_progress = now;
-            let c = &self.conns[idx as usize];
-            let mut h = self.header(c, TcpFlags::ACK | TcpFlags::PSH, now);
-            h.seq = c.seq_of(c.sent_off - payload.len() as u64);
-            let seg = self.seg(h, payload);
-            self.tx(seg, now, ctx);
-        }
-        for idx in to_reconnect {
-            self.conns[idx as usize].last_progress = now;
-            let seg = self.syn(&self.conns[idx as usize], now);
-            self.tx(seg, now, ctx);
+            Rx::DupAck(idx) => self.ack(idx, ctx),
+            Rx::Ignored => {}
         }
     }
 }
@@ -392,9 +211,8 @@ impl Agent<NetMsg> for LoadGenHost {
                 msg: NetMsg::Packet(seg),
                 ..
             } => {
-                let now = ctx.now();
                 // No CPU model: the loadgen host processes instantly.
-                self.on_packet(seg, now, ctx);
+                self.on_packet(seg, ctx);
             }
             Event::Timer {
                 kind: timers::INIT, ..
@@ -406,11 +224,10 @@ impl Agent<NetMsg> for LoadGenHost {
                 kind: timers::CONNECT,
                 data,
             } => {
-                let now = ctx.now();
                 let start = data as u32;
                 let end = (start + self.cfg.connects_per_ms).min(self.cfg.conns);
-                for i in start..end {
-                    self.open_connection(i, now, ctx);
+                for _ in start..end {
+                    self.raw.open(ctx);
                 }
                 if end < self.cfg.conns {
                     ctx.timer(SimTime::from_ms(1), timers::CONNECT, end as u64);
@@ -420,22 +237,18 @@ impl Agent<NetMsg> for LoadGenHost {
                 kind: timers::WATCHDOG,
                 ..
             } => {
-                let now = ctx.now();
-                self.watchdog(now, ctx);
+                let window = self.window;
+                self.rexmits += self.raw.watchdog(self.cfg.watchdog, ctx, || window);
                 ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
             }
             Event::Timer {
                 kind: timers::FIRE,
                 data,
             } => {
-                let now = ctx.now();
                 let idx = data as u32;
-                if (idx as usize) < self.conns.len()
-                    && self.conns[idx as usize].state == LgState::Established
-                    && self.conns[idx as usize].awaiting == 0
-                    && (self.cfg.stop_at == SimTime::ZERO || now < self.cfg.stop_at)
-                {
-                    self.fire_request(idx, now, ctx);
+                let idle = |c: &RawConn| c.established && c.awaiting == 0;
+                if self.raw.conn(idx).is_some_and(idle) && self.issuing(ctx.now()) {
+                    self.fire_request(idx, ctx);
                 }
             }
             _ => {}

@@ -6,9 +6,9 @@
 use std::net::Ipv4Addr;
 use tas::{TasConfig, TasHost};
 use tas_apps::adversary::{
-    kv_resp_size, AdvMode, AdversaryConfig, AdversaryHost, SlowReader,
+    AdvMode, AdversaryConfig, AdversaryHost, SlowReader,
 };
-use tas_apps::kv::KvServer;
+use tas_apps::kv::{KvServer, RESP_LEN};
 use tas_netsim::app::App;
 use tas_netsim::topo::{build_star, host_ip, HostSpec};
 use tas_netsim::{NetMsg, NicConfig, PortConfig};
@@ -114,7 +114,7 @@ fn slow_reader_drains_after_resume() {
     );
     sim.run_until(SimTime::from_ms(2000));
     let app = sim.agent::<TasHost>(hosts[1]).app_as::<SlowReader>();
-    let expected = burst as u64 * kv_resp_size() as u64;
+    let expected = burst as u64 * RESP_LEN as u64;
     assert_eq!(
         app.bytes_read, expected,
         "every pent-up response byte is delivered after resume"
@@ -151,7 +151,7 @@ fn ack_division_emits_sub_mss_cadence() {
     // A 67-byte response acked 16 bytes at a time needs 5 ACKs; the ACK
     // count dwarfs the exchange count.
     assert!(
-        adv.acks_sent >= adv.done * (kv_resp_size() as u64).div_ceil(chunk as u64),
+        adv.acks_sent >= adv.done * (RESP_LEN as u64).div_ceil(chunk as u64),
         "ACK amplification: {} acks for {} exchanges",
         adv.acks_sent,
         adv.done

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use tas_apps::echo::{EchoServer, ServerMode};
 use tas_apps::flexstorm::{FlexStormNode, TUPLE_SIZE};
-use tas_apps::kv::{KvServer, OP_GET, OP_SET, REQ_HDR, VAL_SIZE};
+use tas_apps::kv::{get_request, KvServer, OP_SET, REQ_HDR, VAL_SIZE};
 use tas_apps::util::SendBuf;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::SimTime;
@@ -135,9 +135,7 @@ fn kv_server_parses_and_answers() {
     for (i, b) in set[REQ_HDR..].iter_mut().enumerate() {
         *b = i as u8;
     }
-    let mut get = vec![0u8; REQ_HDR + VAL_SIZE];
-    get[0] = OP_GET;
-    get[1..5].copy_from_slice(&9u32.to_be_bytes());
+    let get = get_request(9);
     api.feed(5, &set);
     api.feed(5, &get);
     kv.on_event(AppEvent::Readable { sock: 5 }, &mut api);
@@ -156,10 +154,7 @@ fn kv_server_parses_and_answers() {
 fn kv_get_miss_flagged() {
     let mut api = MockApi::default();
     let mut kv = KvServer::new(11211);
-    let mut get = vec![0u8; REQ_HDR + VAL_SIZE];
-    get[0] = OP_GET;
-    get[1..5].copy_from_slice(&1234u32.to_be_bytes());
-    api.feed(5, &get);
+    api.feed(5, &get_request(1234));
     kv.on_event(AppEvent::Readable { sock: 5 }, &mut api);
     assert_eq!(api.sent(5)[0], 1, "miss status");
 }

@@ -35,7 +35,7 @@ use tas_netsim::rss::hash_tuple;
 use tas_netsim::runtime::{AppRuntime, AppStack, Frame, HostedApp};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
-use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, TcpFlags};
+use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, Slab, TcpFlags};
 use tas_sim::{
     impl_as_any, probe, prof_charge, prof_scope, Agent, CounterId, Ctx, Event, Registry, Rng,
     Scope, SimTime, TimerId,
@@ -222,8 +222,7 @@ struct Inner {
     mac: MacAddr,
     nic: HostNic,
     cores: CorePool,
-    slots: Vec<Option<Slot>>,
-    free: Vec<u32>,
+    slots: Slab<Slot>,
     /// Flow-key → slot lookup, once per received segment. Nothing
     /// iterates it.
     by_key: FlowIndex,
@@ -339,8 +338,7 @@ impl StackHost {
                 mac,
                 nic,
                 cores,
-                slots: Vec::new(),
-                free: Vec::new(),
+                slots: Slab::new(),
                 by_key: FlowIndex::new(),
                 listeners: BTreeSet::new(),
                 next_port: 40_000,
@@ -437,7 +435,7 @@ impl StackHost {
     /// cover the whole run.
     pub fn tcp_stats(&self) -> tas_tcp::ConnStats {
         let mut total = self.inner.tcp_cum;
-        for s in self.inner.slots.iter().flatten() {
+        for (_, s) in self.inner.slots.iter() {
             total += s.conn.stats;
         }
         total
@@ -474,7 +472,7 @@ impl StackHost {
     }
 
     fn stack_core_of(inner: &Inner, slot: u32) -> usize {
-        let Some(s) = inner.slots.get(slot as usize).and_then(Option::as_ref) else {
+        let Some(s) = inner.slots.get(slot) else {
             return 0;
         };
         let k = s.conn.remote();
@@ -527,7 +525,7 @@ impl StackHost {
         let start = t.max(self.inner.cores.core_ref(core_idx).busy_until());
         let (mut out, mut events, tx_cost) = {
             let inner = &mut self.inner;
-            let Some(s) = inner.slots.get_mut(slot as usize).and_then(Option::as_mut) else {
+            let Some(s) = inner.slots.get_mut(slot) else {
                 return;
             };
             f(&mut s.conn, start);
@@ -571,12 +569,7 @@ impl StackHost {
     }
 
     fn rearm_conn_timer(&mut self, slot: u32, ctx: &mut Ctx<'_, NetMsg>) {
-        let Some(s) = self
-            .inner
-            .slots
-            .get_mut(slot as usize)
-            .and_then(Option::as_mut)
-        else {
+        let Some(s) = self.inner.slots.get_mut(slot) else {
             return;
         };
         if s.conn.is_closed() {
@@ -587,8 +580,7 @@ impl StackHost {
             let key = s.conn.flow_key();
             self.inner.tcp_cum += s.conn.stats;
             self.inner.by_key.remove(&key);
-            self.inner.slots[slot as usize] = None;
-            self.inner.free.push(slot);
+            self.inner.slots.remove(slot);
             let id = self.inner.c_closed;
             self.inner.reg.inc(id);
             if let Some(tid) = stale_timer {
@@ -620,7 +612,7 @@ impl StackHost {
         // Raises `flag` and passes `ev` on, unless `flag` was already up.
         let once = |flag: &mut bool, ev| (!std::mem::replace(flag, true)).then_some(ev);
         for ev in events.drain(..) {
-            let Some(s) = self.inner.slot_mut(slot) else {
+            let Some(s) = self.inner.slots.get_mut(slot) else {
                 return;
             };
             let sock = slot;
@@ -714,7 +706,7 @@ impl StackHost {
         }
         reg.record("conns.live", Scope::Global, inner.by_key.len() as f64);
         let (mut tx_buf, mut rx_ready) = (0u64, 0u64);
-        for slot in inner.slots.iter().flatten() {
+        for (_, slot) in inner.slots.iter() {
             tx_buf += slot.conn.send_buffered() as u64;
             rx_ready += slot.conn.readable() as u64;
         }
@@ -803,16 +795,7 @@ impl StackHost {
             armed: SimTime::MAX,
             timer_id: None,
         };
-        let id = match inner.free.pop() {
-            Some(id) => {
-                inner.slots[id as usize] = Some(slot);
-                id
-            }
-            None => {
-                inner.slots.push(Some(slot));
-                (inner.slots.len() - 1) as u32
-            }
-        };
+        let id = inner.slots.insert(slot);
         inner.by_key.insert(key, id);
         id
     }
@@ -822,10 +805,6 @@ impl StackHost {
 // Application API: the stack under the app runtime.
 
 impl Inner {
-    fn slot_mut(&mut self, slot: u32) -> Option<&mut Slot> {
-        self.slots.get_mut(slot as usize)?.as_mut()
-    }
-
     /// Charges one socket call: its API cycles and one boundary crossing.
     fn call(&mut self, frame: &mut Frame<ConnCmd>, cycles: u64) {
         frame.api_cycles += cycles;
@@ -900,7 +879,7 @@ impl AppStack for Inner {
 
     fn send(&mut self, frame: &mut Frame<ConnCmd>, sock: SockId, data: &[u8]) -> usize {
         self.call(frame, self.profile.api_send);
-        let Some(s) = self.slot_mut(sock) else {
+        let Some(s) = self.slots.get_mut(sock) else {
             return 0;
         };
         let n = s.conn.send(data);
@@ -922,7 +901,7 @@ impl AppStack for Inner {
         f: &mut dyn FnMut(&[u8]) -> usize,
     ) -> usize {
         self.call(frame, self.profile.api_recv);
-        let Some(s) = self.slot_mut(sock) else {
+        let Some(s) = self.slots.get_mut(sock) else {
             return 0;
         };
         let n = s.conn.recv_with(max, f);
@@ -936,16 +915,12 @@ impl AppStack for Inner {
     }
 
     fn readable(&self, sock: SockId) -> usize {
-        self.slots
-            .get(sock as usize)
-            .and_then(Option::as_ref)
-            .map(|s| s.conn.readable())
-            .unwrap_or(0)
+        self.slots.get(sock).map_or(0, |s| s.conn.readable())
     }
 
     fn close(&mut self, frame: &mut Frame<ConnCmd>, sock: SockId) {
         self.call(frame, self.profile.api_conn);
-        if let Some(s) = self.slot_mut(sock) {
+        if let Some(s) = self.slots.get_mut(sock) {
             s.conn.close();
             frame.push(ConnCmd::Touch(sock));
         }
@@ -1021,7 +996,7 @@ impl Agent<NetMsg> for StackHost {
                     timers::INIT => {}
                     timers::CONN => {
                         let slot = data as u32;
-                        let s = self.inner.slot_mut(slot);
+                        let s = self.inner.slots.get_mut(slot);
                         debug_assert!(
                             s.as_ref().is_some_and(|s| s.timer_id.is_some()),
                             "CONN timer of slot {slot} outlived its cancel"

@@ -285,13 +285,10 @@ impl RpcScenario {
 
     /// A key-value store scenario: GET requests via the load generators.
     pub fn kv(kind: Kind, cores: (usize, usize), conns: u32) -> RpcScenario {
-        let mut template = vec![0u8; tas_apps::kv::REQ_HDR + tas_apps::kv::VAL_SIZE];
-        template[0] = tas_apps::kv::OP_GET;
-        template[1..5].copy_from_slice(&1u32.to_be_bytes());
-        template[5..7].copy_from_slice(&(tas_apps::kv::VAL_SIZE as u16).to_be_bytes());
+        let template = tas_apps::kv::get_request(1);
         RpcScenario {
             req_size: template.len(),
-            resp_size: Some(tas_apps::kv::RESP_HDR + tas_apps::kv::VAL_SIZE),
+            resp_size: Some(tas_apps::kv::RESP_LEN),
             req_template: Some(template),
             server_app: ServerApp::Kv,
             bufs: Bufs::small(),

@@ -18,9 +18,9 @@
 //! stuffing; see `tas_apps::adversary`). [`run_suite`] produces both the
 //! pass/fail verdicts and the byte-deterministic `BENCH_scenarios.json`
 //! report; `bench-report scenarios` gates the report byte-for-byte and
-//! re-derives the verdicts from it ([`isolation_checks`]). Runs under `cargo test` (and `--features tas/audit`)
-//! are additionally checked by the per-flow invariant auditors compiled
-//! into those builds.
+//! re-derives the verdicts from it ([`isolation_checks`]). Runs under
+//! `cargo test` are additionally checked by the per-flow invariant
+//! auditors compiled into those builds.
 //!
 //! Grammar (DESIGN.md §13):
 //!

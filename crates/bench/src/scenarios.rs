@@ -528,16 +528,14 @@ pub mod fig14 {
                 };
                 add_host(sim, spec, HostCfg::Tas(cfg), Box::new(KvServer::new(7)))
             } else {
-                let mut template = vec![0u8; tas_apps::kv::REQ_HDR + tas_apps::kv::VAL_SIZE];
-                template[0] = tas_apps::kv::OP_GET;
-                template[1..5].copy_from_slice(&1u32.to_be_bytes());
+                let template = tas_apps::kv::get_request(1);
                 let cfg = LoadGenConfig {
                     server: server_ip,
                     port: 7,
                     conns: 80,
                     think: SimTime::from_ms(1),
                     req_size: template.len(),
-                    resp_size: tas_apps::kv::RESP_HDR + tas_apps::kv::VAL_SIZE,
+                    resp_size: tas_apps::kv::RESP_LEN,
                     req_template: Some(template),
                     // Each client stops issuing when its down-step arrives.
                     stop_at: SimTime::ZERO,

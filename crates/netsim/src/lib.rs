@@ -13,7 +13,7 @@
 //!   DCTCP-style ECN threshold marking, ECMP routing by flow hash
 //!   (connection-stable multi-path, as the paper assumes of datacenter
 //!   fabrics), and queue-length sampling for Figure 11b.
-//! * [`topo`] — topology builders (star, dumbbell, FatTree) with
+//! * [`topo`] — topology builders (star, FatTree) with
 //!   shortest-path/ECMP route computation.
 //! * [`fault`] — deterministic per-direction fault injection (seeded
 //!   uniform/bursty drops, duplication, reordering, jitter, corruption)

@@ -1,4 +1,4 @@
-//! Topology builders: star, dumbbell, and k-ary FatTree.
+//! Topology builders: star and k-ary FatTree.
 //!
 //! Builders create and wire [`Switch`] agents, compute routes, and call a
 //! host-factory closure for every host slot — hosts themselves are agents
@@ -108,78 +108,6 @@ pub fn build_star_tenants(
         ips.push(ip);
     }
     StarTopo { switch, hosts, ips }
-}
-
-/// A dumbbell: two switches joined by one bottleneck link, hosts split
-/// between the left and right sides.
-#[derive(Debug)]
-pub struct DumbbellTopo {
-    /// Left-side switch.
-    pub left: AgentId,
-    /// Right-side switch.
-    pub right: AgentId,
-    /// Left-side host agents.
-    pub left_hosts: Vec<AgentId>,
-    /// Right-side host agents.
-    pub right_hosts: Vec<AgentId>,
-    /// All host IPs, left side first.
-    pub ips: Vec<Ipv4Addr>,
-    /// Port index of the bottleneck on the left switch (for monitoring).
-    pub bottleneck_port: usize,
-}
-
-/// Builds a dumbbell with `n_left` and `n_right` hosts and a bottleneck of
-/// `bottleneck` configuration between the switches (left → right direction
-/// carries the monitored queue).
-pub fn build_dumbbell(
-    sim: &mut Sim<NetMsg>,
-    n_left: usize,
-    n_right: usize,
-    host_port: PortConfig,
-    host_nic: NicConfig,
-    bottleneck: PortConfig,
-    make_host: &mut HostFactory<'_>,
-) -> DumbbellTopo {
-    let left = sim.add_agent(Box::new(Switch::new("left")));
-    let right = sim.add_agent(Box::new(Switch::new("right")));
-    let mut ips = Vec::new();
-    let mut left_hosts = Vec::new();
-    let mut right_hosts = Vec::new();
-    for i in 0..(n_left + n_right) as u32 {
-        let ip = host_ip(i);
-        let side = if (i as usize) < n_left { left } else { right };
-        let spec = HostSpec {
-            index: i,
-            ip,
-            mac: host_mac(i),
-            uplink: side,
-            nic: host_nic.clone(),
-            tenant: 0,
-        };
-        let host = make_host(sim, spec);
-        let sw = sim.agent_mut::<Switch>(side);
-        let port = sw.add_port(host, host_port);
-        sw.set_route(ip, vec![port]);
-        if (i as usize) < n_left {
-            left_hosts.push(host);
-        } else {
-            right_hosts.push(host);
-        }
-        ips.push(ip);
-    }
-    // Inter-switch links; unmatched destinations go across.
-    let l2r = sim.agent_mut::<Switch>(left).add_port(right, bottleneck);
-    sim.agent_mut::<Switch>(left).set_default_route(vec![l2r]);
-    let r2l = sim.agent_mut::<Switch>(right).add_port(left, bottleneck);
-    sim.agent_mut::<Switch>(right).set_default_route(vec![r2l]);
-    DumbbellTopo {
-        left,
-        right,
-        left_hosts,
-        right_hosts,
-        ips,
-        bottleneck_port: l2r,
-    }
 }
 
 /// Link-rate configuration of a FatTree (allows modelling the paper's 1:4
@@ -439,31 +367,6 @@ mod tests {
         let h0 = sim.agent::<EchoHost>(topo.hosts[0]);
         assert_eq!(h0.got.len(), 1);
         assert_eq!(h0.got[0].payload, b"pong");
-    }
-
-    #[test]
-    fn dumbbell_crosses_bottleneck() {
-        let mut sim: Sim<NetMsg> = Sim::new(2);
-        let mut f = echo_factory();
-        let topo = build_dumbbell(
-            &mut sim,
-            2,
-            2,
-            PortConfig::tengig(),
-            NicConfig::client_10g(1),
-            PortConfig::tengig(),
-            &mut f,
-        );
-        let seg = ping(topo.ips[0], topo.ips[3], 5);
-        sim.inject_msg(
-            SimTime::ZERO,
-            topo.left_hosts[0],
-            topo.left,
-            NetMsg::Packet(seg),
-        );
-        sim.run_until(SimTime::from_ms(2));
-        assert_eq!(sim.agent::<EchoHost>(topo.right_hosts[1]).got.len(), 1);
-        assert_eq!(sim.agent::<EchoHost>(topo.left_hosts[0]).got.len(), 1);
     }
 
     #[test]

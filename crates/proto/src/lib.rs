@@ -20,6 +20,7 @@ pub mod flow_index;
 pub mod ipv4;
 pub mod payload;
 pub mod segment;
+pub mod slab;
 pub mod tcp;
 pub mod wire;
 
@@ -28,6 +29,7 @@ pub use flow_index::FlowIndex;
 pub use ipv4::{Ecn, Ipv4Header};
 pub use payload::PayloadBuf;
 pub use segment::{FlowKey, Segment};
+pub use slab::Slab;
 pub use tcp::{Seq, TcpFlags, TcpHeader, TcpOptions};
 
 /// Errors produced when parsing wire-format packets.

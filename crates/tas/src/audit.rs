@@ -1,7 +1,6 @@
 //! Per-flow invariant auditing for the fast path and slow path.
 //!
-//! In debug/test builds (and in release builds with the `audit` feature),
-//! the host re-checks structural invariants of every installed flow after
+//! In debug/test builds the host re-checks structural invariants of every installed flow after
 //! each fast-path and slow-path operation: sequence-window sanity,
 //! [`ByteRing`](tas_shm::ByteRing) start/end/capacity accounting,
 //! rate-bucket credit conservation, single-out-of-order-interval
@@ -10,9 +9,9 @@
 //! fault injection turn silent state corruption into immediate, located
 //! failures.
 //!
-//! The hook sites compile away entirely otherwise
-//! (`#[cfg(any(test, debug_assertions, feature = "audit"))]`), so the
-//! release fast-path cost is unchanged.
+//! The hook sites compile away entirely in release builds
+//! (`#[cfg(any(test, debug_assertions))]`), so the release fast-path
+//! cost is unchanged.
 
 use crate::fastpath::FastPath;
 use crate::flow::FlowState;
@@ -30,7 +29,7 @@ pub fn checks_performed() -> u64 {
 
 /// True when audit hooks are compiled in.
 pub const fn enabled() -> bool {
-    cfg!(any(test, debug_assertions, feature = "audit"))
+    cfg!(any(test, debug_assertions))
 }
 
 macro_rules! audit_assert {

@@ -42,9 +42,8 @@ pub use mgmt::FpConnMgmt;
 pub use recv::{FpRecvRel, Placed};
 pub use send::FpSendRel;
 
-use crate::slab::Slab;
 use std::net::Ipv4Addr;
-use tas_proto::{FlowIndex, FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
+use tas_proto::{FlowIndex, FlowKey, MacAddr, PayloadBuf, Segment, Seq, Slab, TcpFlags, TcpHeader};
 use tas_sim::SimTime;
 
 /// TAS's receive window scale shift (negotiated by the slow path).

@@ -424,7 +424,7 @@ impl TasHost {
         }
         let start = t_eff.max(inner.fp_cores.core_ref(core_idx).busy_until());
         let mut cycles = f(&mut inner.fp, start, &mut inner.acct);
-        #[cfg(any(test, debug_assertions, feature = "audit"))]
+        #[cfg(any(test, debug_assertions))]
         crate::audit::check_fastpath(&inner.fp, start);
         cycles += extra_cycles + wake_extra;
         if wake_extra > 0 {
@@ -537,7 +537,7 @@ impl TasHost {
             accept_ctx,
             &mut inner.acct,
         );
-        #[cfg(any(test, debug_assertions, feature = "audit"))]
+        #[cfg(any(test, debug_assertions))]
         crate::audit::check_fastpath(&inner.fp, start);
         let (_, end) = inner.sp_core.run(t, cycles);
         trace!(
@@ -580,7 +580,7 @@ impl TasHost {
         let inner = &mut self.inner;
         probe! { self.rt.hosted.prof_arm("sp", 0); }
         let cycles = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
-        #[cfg(any(test, debug_assertions, feature = "audit"))]
+        #[cfg(any(test, debug_assertions))]
         crate::audit::check_fastpath(&inner.fp, start);
         let (_, end) = inner.sp_core.run(t, cycles);
         self.flush_sp(end, ctx);

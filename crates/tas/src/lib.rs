@@ -35,7 +35,6 @@ pub mod config;
 pub mod fastpath;
 pub mod flow;
 pub mod host;
-pub mod slab;
 pub mod slowpath;
 
 pub use config::{ApiKind, CcAlgo, TasConfig, TasCosts};

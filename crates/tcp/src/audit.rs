@@ -1,9 +1,8 @@
 //! Connection invariant auditing for the baseline TCP stack.
 //!
-//! Sibling of `tas::audit`: in debug/test builds (and with the `audit`
-//! feature), [`TcpConn`](crate::TcpConn) re-checks its structural
-//! invariants at the entry and exit of every segment/timer/poll
-//! operation. `TcpConn`'s fields are private to its module, so the
+//! Sibling of `tas::audit`: in debug/test builds,
+//! [`TcpConn`](crate::TcpConn) re-checks its structural invariants at the
+//! entry and exit of every segment/timer/poll operation. `TcpConn`'s fields are private to its module, so the
 //! connection hands this module a [`ConnView`] of the relevant values.
 
 use crate::reasm::Reassembler;
@@ -20,7 +19,7 @@ pub fn checks_performed() -> u64 {
 
 /// True when audit hooks are compiled in.
 pub const fn enabled() -> bool {
-    cfg!(any(test, debug_assertions, feature = "audit"))
+    cfg!(any(test, debug_assertions))
 }
 
 /// The slice of connection state the auditor inspects.

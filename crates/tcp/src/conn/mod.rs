@@ -624,8 +624,8 @@ impl TcpConn {
     }
 
     /// Re-checks structural invariants (see [`crate::audit`]); compiled
-    /// out of plain release builds.
-    #[cfg(any(test, debug_assertions, feature = "audit"))]
+    /// out of release builds.
+    #[cfg(any(test, debug_assertions))]
     fn audit_invariants(&self) {
         crate::audit::check_conn(&crate::audit::ConnView {
             una_off: self.snd.una_off(),
@@ -638,7 +638,7 @@ impl TcpConn {
         });
     }
 
-    #[cfg(not(any(test, debug_assertions, feature = "audit")))]
+    #[cfg(not(any(test, debug_assertions)))]
     #[inline(always)]
     fn audit_invariants(&self) {}
 

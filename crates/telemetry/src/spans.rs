@@ -372,27 +372,6 @@ pub fn critical_path(spans: &[Span], q: f64) -> Option<CriticalPath> {
     })
 }
 
-/// Groups complete spans' end-to-end latencies per tenant. Tenancy is
-/// keyed by the flow's remote IP (each tenant owns distinct client hosts
-/// in the scenario topologies); spans whose remote IP is unmapped land
-/// under tenant key `u32::MAX` so nothing is silently dropped. The
-/// returned map is ordered, so rendering it is deterministic.
-pub fn by_tenant(
-    spans: &[Span],
-    tenant_of_ip: &BTreeMap<std::net::Ipv4Addr, u32>,
-) -> BTreeMap<u32, Histogram> {
-    let mut out: BTreeMap<u32, Histogram> = BTreeMap::new();
-    for sp in spans {
-        let Some(e2e) = sp.e2e_ns() else { continue };
-        let tenant = tenant_of_ip
-            .get(&sp.flow.remote_ip)
-            .copied()
-            .unwrap_or(u32::MAX);
-        out.entry(tenant).or_default().record(e2e);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,24 +514,5 @@ mod tests {
         assert_eq!(sum, p99.e2e_ns);
         assert!(p99.queue_share() > 0.8, "queue share {}", p99.queue_share());
         assert!(p50.queue_share() < 0.1);
-    }
-
-    #[test]
-    fn by_tenant_groups_complete_spans_by_remote_ip() {
-        // Two units on the canonical flow (remote 10.0.0.2), assembled
-        // into complete spans.
-        let mut recs = chain(0, 1, 100);
-        recs.extend(chain(100, 101, 100));
-        let spans = assemble(&recs, 0);
-        assert!(spans.iter().all(|s| s.complete));
-        let mut map = BTreeMap::new();
-        map.insert(Ipv4Addr::new(10, 0, 0, 2), 7u32);
-        let per = by_tenant(&spans, &map);
-        assert_eq!(per.len(), 1);
-        assert_eq!(per.get(&7).map(|h| h.count()), Some(spans.len() as u64));
-        // Unmapped remote IPs land under the sentinel, not on the floor.
-        let empty = BTreeMap::new();
-        let per = by_tenant(&spans, &empty);
-        assert_eq!(per.get(&u32::MAX).map(|h| h.count()), Some(spans.len() as u64));
     }
 }

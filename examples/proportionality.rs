@@ -53,16 +53,14 @@ fn main() {
                 app,
             )))
         } else {
-            let mut template = vec![0u8; kv::REQ_HDR + kv::VAL_SIZE];
-            template[0] = kv::OP_GET;
-            template[1..5].copy_from_slice(&1u32.to_be_bytes());
+            let template = kv::get_request(1);
             let cfg = LoadGenConfig {
                 server: server_ip,
                 port: 7,
                 conns: 80,
                 think: SimTime::from_ms(1),
                 req_size: template.len(),
-                resp_size: kv::RESP_HDR + kv::VAL_SIZE,
+                resp_size: kv::RESP_LEN,
                 req_template: Some(template),
                 stop_at: SimTime::ZERO,
                 ..LoadGenConfig::default()
