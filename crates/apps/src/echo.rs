@@ -1,9 +1,11 @@
 //! RPC echo server and clients (Figures 4–6).
 
+pub use crate::rpc::Lifetime;
+use crate::rpc::{deref_to_engine, Rpc};
 use crate::util::{PerSock, SendBuf};
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
-use tas_sim::{impl_as_any, Histogram, SimTime};
+use tas_sim::impl_as_any;
 
 /// What the echo server does with a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,57 +139,19 @@ impl App for EchoServer {
     impl_as_any!();
 }
 
-/// Connection lifetime policy for [`RpcClient`].
-#[derive(Clone, Copy, Debug)]
-pub enum Lifetime {
-    /// Keep connections open for the whole run.
-    Persistent,
-    /// Close and re-establish each connection after `msgs_per_conn`
-    /// request/response exchanges (Fig. 5).
-    ShortLived {
-        /// RPCs per connection before teardown.
-        msgs_per_conn: u32,
-    },
-}
-
-struct ClientConn {
-    sock: SockId,
-    pending: usize,
-    outstanding: u32,
-    sent_at: Vec<SimTime>,
-    msgs_on_conn: u32,
-    connected: bool,
-}
-
 /// Closed-loop RPC client: `conns` connections, each keeping `pipeline`
-/// requests in flight (Fig. 4 uses pipeline 1; Fig. 6 deep pipelines).
+/// requests of fixed bytes in flight (Fig. 4 uses pipeline 1; Fig. 6 deep
+/// pipelines), over the request engine. Its accounting (`done`, `sent`,
+/// `latency`, `measure_from`, `conns_completed`) is the engine's.
 pub struct RpcClient {
-    server: Ipv4Addr,
-    port: u16,
-    req_size: usize,
+    rpc: Rpc,
     /// Responses are expected (false = Fig. 6 RX-only streaming toward
     /// the server).
     pub expect_reply: bool,
-    conns: Vec<ClientConn>,
-    n_conns: u32,
     pipeline: u32,
-    lifetime: Lifetime,
-    /// Completed request/response exchanges.
-    pub done: u64,
-    /// Requests sent.
-    pub sent: u64,
-    /// End-to-end RPC latency histogram (nanoseconds).
-    pub latency: Histogram,
-    /// Connections fully closed (short-lived mode).
-    pub conns_completed: u64,
-    out: SendBuf,
-    /// Measurement gate: RPCs completing before this instant are not
-    /// recorded (warmup).
-    pub measure_from: SimTime,
     /// Stop issuing new requests after this many have been sent
     /// (0 = unlimited).
     pub max_requests: u64,
-    sock_index: PerSock<Option<usize>>,
     /// The request every connection sends.
     req: Vec<u8>,
 }
@@ -205,154 +169,64 @@ impl RpcClient {
         lifetime: Lifetime,
     ) -> Self {
         RpcClient {
-            server,
-            port,
-            req_size,
+            rpc: Rpc::new(server, port, conns, req_size, lifetime),
             expect_reply: true,
-            conns: Vec::new(),
-            n_conns: conns,
             pipeline,
-            lifetime,
-            done: 0,
-            sent: 0,
-            latency: Histogram::new(),
-            conns_completed: 0,
-            out: SendBuf::default(),
-            measure_from: SimTime::ZERO,
             max_requests: 0,
-            sock_index: PerSock::default(),
             req: vec![0xab; req_size],
         }
     }
 
-    fn open_conn(&mut self, api: &mut dyn StackApi) {
-        let sock = api.connect(self.server, self.port);
-        let idx = self.conns.len();
-        self.conns.push(ClientConn {
-            sock,
-            pending: 0,
-            outstanding: 0,
-            sent_at: Vec::new(),
-            msgs_on_conn: 0,
-            connected: false,
-        });
-        *self.sock_index.slot(sock) = Some(idx);
-    }
-
-    fn fire(&mut self, idx: usize, api: &mut dyn StackApi) {
-        if self.max_requests > 0 && self.sent >= self.max_requests {
-            return;
+    /// Issues one request on connection `idx`; returns whether it went
+    /// out. Does not check that the connection is established.
+    fn fire(&mut self, idx: usize, api: &mut dyn StackApi) -> bool {
+        if self.max_requests > 0 && self.rpc.sent >= self.max_requests {
+            return false;
         }
-        let now = api.now();
-        let sock = self.conns[idx].sock;
-        // Don't launch a request if a previous one is still carried — the
-        // frame must complete first.
-        if self.out.pending(sock) > 4 * self.req_size {
-            return;
-        }
-        self.out.send(api, sock, &self.req);
-        let c = &mut self.conns[idx];
-        c.outstanding += 1;
-        c.sent_at.push(now);
-        self.sent += 1;
+        self.rpc.send(idx, &self.req, self.expect_reply, api)
     }
 }
 
+deref_to_engine!(RpcClient);
+
 impl App for RpcClient {
     fn on_start(&mut self, api: &mut dyn StackApi) {
-        for _ in 0..self.n_conns {
-            self.open_conn(api);
-        }
+        self.rpc.start(api);
     }
 
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
             AppEvent::Connected { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
+                let Some(idx) = self.rpc.on_connected(sock) else {
                     return;
                 };
-                self.conns[idx].connected = true;
                 let burst = if self.expect_reply {
                     self.pipeline
                 } else {
                     u32::MAX
                 };
-                let mut fired = 0;
-                while fired < burst {
-                    let before = self.sent;
-                    self.fire(idx, api);
-                    if self.sent == before {
+                for _ in 0..burst {
+                    if !self.fire(idx, api) {
                         break; // Send buffer full.
                     }
-                    fired += 1;
                 }
             }
             AppEvent::Writable { sock } => {
-                self.out.on_writable(api, sock);
+                let idx = self.rpc.on_writable(sock, api);
                 // RX-only streaming mode: keep the pipe full.
-                if !self.expect_reply {
-                    if let Some(&Some(idx)) = self.sock_index.get(sock) {
-                        loop {
-                            let before = self.sent;
-                            self.fire(idx, api);
-                            if self.sent == before {
-                                break;
-                            }
-                        }
-                    }
+                if let (false, Some(idx)) = (self.expect_reply, idx) {
+                    while self.fire(idx, api) {}
                 }
             }
             AppEvent::Readable { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
+                let Some(idx) = self.rpc.recv(sock, api) else {
                     return;
                 };
-                let len = api.recv_with(sock, usize::MAX, &mut |data| data.len());
-                let now = api.now();
-                self.conns[idx].pending += len;
-                while self.conns[idx].pending >= self.req_size {
-                    self.conns[idx].pending -= self.req_size;
-                    self.done += 1;
-                    let c = &mut self.conns[idx];
-                    c.outstanding = c.outstanding.saturating_sub(1);
-                    c.msgs_on_conn += 1;
-                    if !c.sent_at.is_empty() {
-                        let t0 = c.sent_at.remove(0);
-                        if now >= self.measure_from {
-                            self.latency.record_time(now - t0);
-                        }
-                    }
-                    match self.lifetime {
-                        Lifetime::Persistent => self.fire(idx, api),
-                        Lifetime::ShortLived { msgs_per_conn } => {
-                            if self.conns[idx].msgs_on_conn >= msgs_per_conn {
-                                let c = &mut self.conns[idx];
-                                c.msgs_on_conn = 0;
-                                c.connected = false;
-                                c.pending = 0;
-                                c.sent_at.clear();
-                                c.outstanding = 0;
-                                api.close(sock);
-                            } else {
-                                self.fire(idx, api);
-                            }
-                        }
-                    }
+                while self.rpc.complete(idx, api) {
+                    self.fire(idx, api);
                 }
             }
-            AppEvent::Closed { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
-                    return;
-                };
-                self.sock_index.clear(sock);
-                self.conns_completed += 1;
-                if matches!(self.lifetime, Lifetime::ShortLived { .. }) {
-                    // Re-establish (Fig. 5's connection churn).
-                    let new_sock = api.connect(self.server, self.port);
-                    let c = &mut self.conns[idx];
-                    c.sock = new_sock;
-                    *self.sock_index.slot(new_sock) = Some(idx);
-                }
-            }
+            AppEvent::Closed { sock } => self.rpc.on_closed(sock, api),
             _ => {}
         }
     }

@@ -13,12 +13,13 @@
 //! wire sizes match the paper's (request ≈ 39B + pad = 64B framing is the
 //! paper's "small requests").
 
+use crate::rpc::{deref_to_engine, Lifetime, Rpc};
 use crate::util::{PerSock, SendBuf};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::dist::Zipf;
-use tas_sim::{impl_as_any, Histogram, Rng, SimTime};
+use tas_sim::{impl_as_any, Rng, SimTime};
 
 /// Request header bytes: op + key id + val_len + key padding to 32B.
 pub const REQ_HDR: usize = 1 + 4 + 2 + 28;
@@ -197,47 +198,20 @@ pub enum KvLoad {
     Idle,
 }
 
-struct KvConn {
-    sock: SockId,
-    pending: Vec<u8>,
-    sent_at: Vec<SimTime>,
-    connected: bool,
-    msgs_on_conn: u32,
-}
+/// Fraction of requests that are SETs (paper: 10%).
+const SET_FRACTION: f64 = 0.1;
 
-/// memslap-like workload client.
+/// memslap-like workload client over the request engine: zipf GET/SET
+/// requests, closed- or open-loop. Its accounting (`done`, `sent`,
+/// `latency`, `measure_from`, `conns_completed`) is the engine's.
 pub struct KvClient {
-    server: Ipv4Addr,
-    port: u16,
-    n_conns: u32,
+    rpc: Rpc,
     keys: usize,
     zipf: Zipf,
     rng: Rng,
     load: KvLoad,
-    /// Fraction of SETs (paper: 0.1).
-    pub set_fraction: f64,
-    conns: Vec<KvConn>,
-    sock_index: PerSock<Option<usize>>,
-    /// Completed requests.
-    pub done: u64,
-    /// Issued requests.
-    pub sent: u64,
-    /// Latency histogram in nanoseconds.
-    pub latency: Histogram,
-    /// Warmup gate.
-    pub measure_from: SimTime,
-    /// Diagnostic: completions slower than this are logged (ns).
-    pub slow_log_over_ns: u64,
-    /// Diagnostic log of (completion time, latency ns, sock).
-    pub slow_log: Vec<(SimTime, u64, SockId)>,
-    /// Connections fully torn down (churn mode).
-    pub conns_completed: u64,
-    /// Requests per connection before teardown + re-establish (0 =
-    /// persistent connections).
-    msgs_per_conn: u32,
     next_conn_rr: usize,
     preloaded: bool,
-    out: SendBuf,
 }
 
 impl KvClient {
@@ -251,27 +225,13 @@ impl KvClient {
         seed: u64,
     ) -> Self {
         KvClient {
-            server,
-            port,
-            n_conns: conns,
+            rpc: Rpc::new(server, port, conns, RESP_LEN, Lifetime::Persistent),
             keys,
             zipf: Zipf::new(keys, 0.9),
             rng: Rng::new(seed),
             load,
-            set_fraction: 0.1,
-            conns: Vec::new(),
-            sock_index: PerSock::default(),
-            done: 0,
-            sent: 0,
-            latency: Histogram::new(),
-            measure_from: SimTime::ZERO,
-            slow_log_over_ns: u64::MAX,
-            slow_log: Vec::new(),
-            conns_completed: 0,
-            msgs_per_conn: 0,
             next_conn_rr: 0,
             preloaded: false,
-            out: SendBuf::default(),
         }
     }
 
@@ -280,7 +240,7 @@ impl KvClient {
     /// suite's connection-churn storm; stresses slow-path handshakes and
     /// flow-slot recycling the way Fig. 5 does for echo RPCs).
     pub fn short_lived(mut self, msgs_per_conn: u32) -> Self {
-        self.msgs_per_conn = msgs_per_conn;
+        self.rpc.lifetime = Lifetime::ShortLived { msgs_per_conn };
         self
     }
 
@@ -294,7 +254,7 @@ impl KvClient {
 
     fn build_request(&mut self) -> [u8; REQ_LEN] {
         let key = self.zipf.sample(&mut self.rng) as u32;
-        let op = if self.rng.chance(self.set_fraction) {
+        let op = if self.rng.chance(SET_FRACTION) {
             OP_SET
         } else {
             OP_GET
@@ -308,19 +268,15 @@ impl KvClient {
         req
     }
 
-    fn fire_on(&mut self, idx: usize, api: &mut dyn StackApi) {
-        if !self.conns[idx].connected {
+    /// Issues one request on connection `idx` if it is established. The
+    /// request is drawn before the engine's backlog check, so a
+    /// suppressed request still advances the RNG.
+    fn fire(&mut self, idx: usize, api: &mut dyn StackApi) {
+        if !self.rpc.connected(idx) {
             return;
         }
         let req = self.build_request();
-        let now = api.now();
-        let sock = self.conns[idx].sock;
-        if self.out.pending(sock) > 4 * req.len() {
-            return; // Backed off: the socket is badly backlogged.
-        }
-        self.out.send(api, sock, &req);
-        self.conns[idx].sent_at.push(now);
-        self.sent += 1;
+        self.rpc.send(idx, &req, true, api);
     }
 
     fn schedule_next_open(&mut self, api: &mut dyn StackApi) {
@@ -333,118 +289,54 @@ impl KvClient {
     }
 }
 
+deref_to_engine!(KvClient);
+
 impl App for KvClient {
     fn on_start(&mut self, api: &mut dyn StackApi) {
-        for _ in 0..self.n_conns {
-            let sock = api.connect(self.server, self.port);
-            let idx = self.conns.len();
-            self.conns.push(KvConn {
-                sock,
-                pending: Vec::new(),
-                sent_at: Vec::new(),
-                connected: false,
-                msgs_on_conn: 0,
-            });
-            *self.sock_index.slot(sock) = Some(idx);
-        }
+        self.rpc.start(api);
     }
 
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
             AppEvent::Connected { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
+                let Some(idx) = self.rpc.on_connected(sock) else {
                     return;
                 };
-                self.conns[idx].connected = true;
                 if !self.preloaded {
                     self.preloaded = true;
                     // Preload a few hot keys so early GETs hit.
                     for k in 0..self.keys.min(64) as u32 {
-                        self.out.send(api, sock, &request(OP_SET, k));
-                        self.conns[idx].sent_at.push(api.now());
-                        self.sent += 1;
+                        self.rpc.push(idx, &request(OP_SET, k), true, api);
                     }
-                    if let KvLoad::OpenRate { .. } = self.load {
-                        self.schedule_next_open(api);
-                    }
-                    return;
-                }
-                match self.load {
-                    KvLoad::Closed => self.fire_on(idx, api),
-                    KvLoad::OpenRate { .. } | KvLoad::Idle => {}
+                    self.schedule_next_open(api);
+                } else if let KvLoad::Closed = self.load {
+                    self.fire(idx, api);
                 }
             }
             AppEvent::Writable { sock } => {
-                self.out.on_writable(api, sock);
+                self.rpc.on_writable(sock, api);
             }
             AppEvent::Timer { .. } => {
                 // Open-loop arrival: pick the next connection round-robin.
-                if !self.conns.is_empty() {
-                    let idx = self.next_conn_rr % self.conns.len();
+                if self.rpc.conns() > 0 {
+                    let idx = self.next_conn_rr % self.rpc.conns();
                     self.next_conn_rr += 1;
-                    self.fire_on(idx, api);
+                    self.fire(idx, api);
                 }
                 self.schedule_next_open(api);
             }
             AppEvent::Readable { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
+                let Some(idx) = self.rpc.recv(sock, api) else {
                     return;
                 };
-                let pending = &mut self.conns[idx].pending;
-                api.recv_with(sock, usize::MAX, &mut |data| {
-                    pending.extend_from_slice(data);
-                    data.len()
-                });
-                let now = api.now();
-                while self.conns[idx].pending.len() >= RESP_LEN {
-                    self.conns[idx].pending.drain(..RESP_LEN);
-                    self.done += 1;
-                    let c = &mut self.conns[idx];
-                    c.msgs_on_conn += 1;
-                    if !c.sent_at.is_empty() {
-                        let t0 = c.sent_at.remove(0);
-                        if now >= self.measure_from {
-                            self.latency.record_time(now - t0);
-                            let ns = (now - t0).as_nanos();
-                            if ns > self.slow_log_over_ns && self.slow_log.len() < 64 {
-                                self.slow_log.push((now, ns, sock));
-                            }
-                        }
-                    }
-                    if self.msgs_per_conn > 0 && self.conns[idx].msgs_on_conn >= self.msgs_per_conn
-                    {
-                        // Churn: tear the connection down; Closed re-opens.
-                        let c = &mut self.conns[idx];
-                        c.connected = false;
-                        c.msgs_on_conn = 0;
-                        c.pending.clear();
-                        c.sent_at.clear();
-                        api.close(sock);
-                        break;
-                    }
-                    if matches!(self.load, KvLoad::Closed) {
-                        self.fire_on(idx, api);
+                // Preload responses refill too under `Closed`.
+                while self.rpc.complete(idx, api) {
+                    if let KvLoad::Closed = self.load {
+                        self.fire(idx, api);
                     }
                 }
             }
-            AppEvent::Closed { sock } => {
-                let Some(&Some(idx)) = self.sock_index.get(sock) else {
-                    return;
-                };
-                self.sock_index.clear(sock);
-                self.conns_completed += 1;
-                if self.msgs_per_conn > 0 {
-                    // Re-establish (the churn storm's steady connection
-                    // arrival rate).
-                    let new_sock = api.connect(self.server, self.port);
-                    let c = &mut self.conns[idx];
-                    c.sock = new_sock;
-                    c.pending.clear();
-                    c.sent_at.clear();
-                    c.connected = false;
-                    *self.sock_index.slot(new_sock) = Some(idx);
-                }
-            }
+            AppEvent::Closed { sock } => self.rpc.on_closed(sock, api),
             _ => {}
         }
     }

@@ -21,6 +21,8 @@
 //!   client, and a receive-window stuffer.
 //! * `raw` (crate-private) — the raw-TCP connection engine the load
 //!   generator and the header-level adversaries both drive.
+//! * `rpc` (crate-private) — the request/response connection engine the
+//!   echo and key-value clients both drive over the socket API.
 
 pub mod adversary;
 pub mod bulk;
@@ -30,4 +32,5 @@ pub mod flows;
 pub mod kv;
 pub mod loadgen;
 mod raw;
+mod rpc;
 pub mod util;

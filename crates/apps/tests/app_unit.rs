@@ -1,14 +1,15 @@
 //! Application-logic tests against a mock stack: framing, carry-over on
-//! short writes, FlexStorm's pipeline bookkeeping — no network involved.
+//! short writes, FlexStorm's pipeline bookkeeping, the request clients'
+//! accounting and churn — no network involved.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
-use tas_apps::echo::{EchoServer, ServerMode};
+use tas_apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 use tas_apps::flexstorm::{FlexStormNode, TUPLE_SIZE};
-use tas_apps::kv::{get_request, KvServer, OP_SET, REQ_HDR, VAL_SIZE};
+use tas_apps::kv::{get_request, KvClient, KvLoad, KvServer, OP_SET, REQ_HDR, RESP_LEN, VAL_SIZE};
 use tas_apps::util::SendBuf;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
-use tas_sim::SimTime;
+use tas_sim::{Histogram, SimTime};
 
 /// A scriptable in-memory stack.
 #[derive(Default)]
@@ -22,6 +23,7 @@ struct MockApi {
     budget: BTreeMap<SockId, usize>,
     listens: Vec<u16>,
     connects: Vec<(Ipv4Addr, u16)>,
+    closes: Vec<SockId>,
     next_sock: SockId,
     timers: Vec<(SimTime, u64)>,
     posts: Vec<(u16, u64)>,
@@ -78,7 +80,9 @@ impl StackApi for MockApi {
     fn readable(&self, sock: SockId) -> usize {
         self.rx.get(&sock).map(|q| q.len()).unwrap_or(0)
     }
-    fn close(&mut self, _sock: SockId) {}
+    fn close(&mut self, sock: SockId) {
+        self.closes.push(sock);
+    }
     fn charge_app_cycles(&mut self, cycles: u64) {
         self.charged += cycles;
     }
@@ -220,4 +224,149 @@ fn flexstorm_split_tuple_framing_survives_short_writes() {
         "framing realigned after the partial write"
     );
     assert_eq!(node.stats.tuples_out, 2);
+}
+
+const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+/// A request client's `(done, sent, latency)`.
+type Stats = fn(&dyn App) -> (u64, u64, &Histogram);
+
+fn rpc(app: &dyn App) -> (u64, u64, &Histogram) {
+    let c = app
+        .as_any()
+        .downcast_ref::<RpcClient>()
+        .expect("an RpcClient");
+    (c.done, c.sent, &c.latency)
+}
+
+fn kv(app: &dyn App) -> (u64, u64, &Histogram) {
+    let c = app.as_any().downcast_ref::<KvClient>().expect("a KvClient");
+    (c.done, c.sent, &c.latency)
+}
+
+#[test]
+fn request_client_response_split_across_reads_completes_once() {
+    let rpc_client = RpcClient::new(SERVER, 7, 1, 1, 8, Lifetime::Persistent);
+    let kv_client = KvClient::new(SERVER, 7, 1, 100, KvLoad::Closed, 7);
+    let clients: [(Box<dyn App>, usize, Stats); 2] = [
+        (Box::new(rpc_client), 8, rpc),
+        (Box::new(kv_client), RESP_LEN, kv),
+    ];
+    for (mut app, resp_len, stats) in clients {
+        let mut api = MockApi::default();
+        app.on_start(&mut api);
+        app.on_event(AppEvent::Connected { sock: 0 }, &mut api);
+        let sent = stats(&*app).1;
+        api.feed(0, &vec![0; resp_len - 1]);
+        app.on_event(AppEvent::Readable { sock: 0 }, &mut api);
+        assert_eq!(stats(&*app).0, 0, "a partial response is not a completion");
+        api.feed(0, &[0]);
+        app.on_event(AppEvent::Readable { sock: 0 }, &mut api);
+        let (done, now_sent, _) = stats(&*app);
+        assert_eq!(
+            (done, now_sent),
+            (1, sent + 1),
+            "one completion, one refill"
+        );
+    }
+}
+
+#[test]
+fn request_client_warmup_completion_counts_but_is_not_timed() {
+    let mut api = MockApi::default();
+    let mut c = RpcClient::new(SERVER, 7, 1, 1, 8, Lifetime::Persistent);
+    c.measure_from = SimTime::from_us(10);
+    c.on_start(&mut api);
+    c.on_event(AppEvent::Connected { sock: 0 }, &mut api);
+    api.now = SimTime::from_us(5);
+    api.feed(0, &[0; 8]);
+    c.on_event(AppEvent::Readable { sock: 0 }, &mut api);
+    assert_eq!(
+        (c.done, c.latency.count()),
+        (1, 0),
+        "warmup: counted, not timed"
+    );
+    api.now = SimTime::from_us(12);
+    api.feed(0, &[0; 8]);
+    c.on_event(AppEvent::Readable { sock: 0 }, &mut api);
+    assert_eq!((c.done, c.latency.count()), (2, 1));
+    assert_eq!(c.latency.max(), 7_000, "timed from the refill at 5 us");
+}
+
+/// Completes two responses (plus three stray bytes) at 10 us on a client
+/// whose connections close after two, reopens the connection at 20 us
+/// and answers its first request at 25 us.
+fn churn_reopens_with_fresh_state(mut app: Box<dyn App>, resp_len: usize, stats: Stats) {
+    let mut api = MockApi::default();
+    app.on_start(&mut api);
+    app.on_event(AppEvent::Connected { sock: 0 }, &mut api);
+    api.now = SimTime::from_us(10);
+    api.feed(0, &vec![0; 2 * resp_len + 3]);
+    app.on_event(AppEvent::Readable { sock: 0 }, &mut api);
+    assert_eq!(api.closes, vec![0], "closed after two responses");
+    assert_eq!(stats(&*app).0, 2);
+    app.on_event(AppEvent::Closed { sock: 0 }, &mut api);
+    assert_eq!(api.connects.len(), 2, "Closed reopens the connection");
+    api.now = SimTime::from_us(20);
+    app.on_event(AppEvent::Connected { sock: 1 }, &mut api);
+    api.now = SimTime::from_us(25);
+    api.feed(1, &vec![0; resp_len - 3]);
+    app.on_event(AppEvent::Readable { sock: 1 }, &mut api);
+    assert_eq!(
+        stats(&*app).0,
+        2,
+        "the stray bytes did not survive the close"
+    );
+    api.feed(1, &[0; 3]);
+    app.on_event(AppEvent::Readable { sock: 1 }, &mut api);
+    let (done, _, latency) = stats(&*app);
+    assert_eq!(done, 3);
+    assert_eq!(
+        (latency.count(), latency.max()),
+        (1, 5_000),
+        "timed from the reopened connection's send, not a stale one"
+    );
+}
+
+#[test]
+fn rpc_client_churn_reopens_with_fresh_state() {
+    let mut c = RpcClient::new(
+        SERVER,
+        7,
+        1,
+        3,
+        8,
+        Lifetime::ShortLived { msgs_per_conn: 2 },
+    );
+    c.measure_from = SimTime::from_us(15);
+    churn_reopens_with_fresh_state(Box::new(c), 8, rpc);
+}
+
+#[test]
+fn kv_client_churn_reopens_with_fresh_state() {
+    let mut c = KvClient::new(SERVER, 7, 1, 100, KvLoad::Closed, 7).short_lived(2);
+    c.measure_from = SimTime::from_us(15);
+    churn_reopens_with_fresh_state(Box::new(c), RESP_LEN, kv);
+}
+
+#[test]
+fn request_client_backlog_suppresses_a_send_without_counting_it() {
+    let mut api = MockApi::default();
+    api.budget.insert(0, 0);
+    let mut c = RpcClient::new(SERVER, 7, 1, 10, 8, Lifetime::Persistent);
+    c.on_start(&mut api);
+    c.on_event(AppEvent::Connected { sock: 0 }, &mut api);
+    // Five 8-byte requests carried (40 B > 4 x 8 B): the sixth waits.
+    assert_eq!(c.sent, 5);
+    assert!(api.sent(0).is_empty());
+    // A KvClient's 64-SET preload ignores the backlog; its first
+    // open-loop arrival is suppressed behind it.
+    let mut api = MockApi::default();
+    api.budget.insert(0, 0);
+    let mut c = KvClient::new(SERVER, 7, 1, 100, KvLoad::OpenRate { per_sec: 1_000 }, 7);
+    c.on_start(&mut api);
+    c.on_event(AppEvent::Connected { sock: 0 }, &mut api);
+    assert_eq!(c.sent, 64);
+    c.on_event(AppEvent::Timer { token: 1 }, &mut api);
+    assert_eq!(c.sent, 64);
 }

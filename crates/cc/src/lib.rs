@@ -5,7 +5,7 @@
 //! * [`CongCtrl`] is the **window algorithm** (`on_ack` / `on_timeout` /
 //!   `on_fast_retransmit` / `cwnd`) the reference TCP engine (`tas-tcp`)
 //!   and the baseline stacks run per connection; its state lives inside
-//!   the boxed object. [`NewReno`], [`Dctcp`] and [`Timely`] implement it.
+//!   the boxed object. [`NewReno`] and [`Dctcp`] implement it.
 //! * [`dctcp_rate`] and [`timely_rate`] are the **rate laws** the TAS slow
 //!   path runs once per flow per control interval. They are plain
 //!   functions over a [`CcState`] the slow path keeps per flow, fed the
@@ -38,7 +38,7 @@ mod timely;
 
 pub use dctcp::{dctcp_rate, Dctcp, DctcpRateParams};
 pub use newreno::NewReno;
-pub use timely::{timely_rate, Timely, TimelyParams};
+pub use timely::{timely_rate, TimelyParams};
 
 /// Which congestion-control algorithm a connection runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +47,6 @@ pub enum CcKind {
     NewReno,
     /// DCTCP (ECN-proportional backoff; window- or rate-mode).
     Dctcp,
-    /// TIMELY (RTT-gradient control; window- or rate-mode).
-    Timely,
 }
 
 /// Feedback for one ACK arrival (window algorithm).
@@ -134,7 +132,6 @@ pub fn make_cc(kind: CcKind, mss: u32) -> Box<dyn CongCtrl> {
     match kind {
         CcKind::NewReno => Box::new(NewReno::new(mss)),
         CcKind::Dctcp => Box::new(Dctcp::new(mss)),
-        CcKind::Timely => Box::new(Timely::new(mss)),
     }
 }
 
@@ -411,52 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn timely_window_gradient_responds() {
-        let mut cc = Timely::new(MSS);
-        // RTT above t_high: multiplicative decrease out of slow start.
-        cc.on_ack(AckInfo {
-            acked: MSS,
-            ece: false,
-            now: SimTime::from_us(100),
-            srtt: Some(SimTime::from_us(1000)),
-        });
-        let w = cc.cwnd();
-        assert!(w < INIT_WINDOW_SEGS * MSS, "high RTT must shrink: {w}");
-        // RTT below t_low: additive growth.
-        cc.on_ack(AckInfo {
-            acked: MSS,
-            ece: false,
-            now: SimTime::from_us(200),
-            srtt: Some(SimTime::from_us(30)),
-        });
-        assert!(cc.cwnd() > w);
-        cc.on_timeout();
-        assert_eq!(cc.cwnd(), MSS);
-    }
-
-    #[test]
-    fn timely_window_trajectory_is_deterministic() {
-        let drive = || {
-            let mut cc = Timely::new(MSS);
-            let mut traj = Vec::new();
-            for i in 0u64..50 {
-                cc.on_ack(AckInfo {
-                    acked: MSS,
-                    ece: false,
-                    now: SimTime::from_us(i * 100),
-                    srtt: Some(SimTime::from_us(40 + (i * 37) % 600)),
-                });
-                traj.push(cc.cwnd());
-            }
-            traj
-        };
-        assert_eq!(drive(), drive());
-    }
-
-    #[test]
     fn factory_dispatches() {
         assert_eq!(make_cc(CcKind::NewReno, MSS).name(), "newreno");
         assert_eq!(make_cc(CcKind::Dctcp, MSS).name(), "dctcp");
-        assert_eq!(make_cc(CcKind::Timely, MSS).name(), "timely");
     }
 }

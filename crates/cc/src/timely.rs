@@ -1,11 +1,10 @@
 //! TIMELY (Mittal et al., SIGCOMM 2015): RTT-gradient congestion control,
 //! adapted for TCP by adding slow start. [`timely_rate`] is the TAS
-//! slow-path rate law; the window algorithm applies the same
-//! thresholds/gradient rules to a congestion window.
+//! slow-path rate law.
 
-use crate::{AckInfo, CcState, CongCtrl, RateFeedback, INIT_WINDOW_SEGS};
+use crate::{CcState, RateFeedback};
 
-/// Parameters for TIMELY, shared by the window algorithm and the rate law.
+/// Parameters of the TIMELY rate law.
 #[derive(Clone, Copy, Debug)]
 pub struct TimelyParams {
     /// Low RTT threshold: below it, increase additively.
@@ -14,7 +13,7 @@ pub struct TimelyParams {
     pub t_high_us: u32,
     /// Multiplicative decrease factor β.
     pub beta: f64,
-    /// Additive increase step in bits/second (rate mode).
+    /// Additive increase step in bits/second.
     pub delta_bps: u64,
     /// Minimum RTT for gradient normalization.
     pub min_rtt_us: u32,
@@ -35,107 +34,6 @@ impl Default for TimelyParams {
             min_bps: 1_000_000,
             max_bps: 10_000_000_000,
         }
-    }
-}
-
-/// Delay-gradient congestion control. The window facet mirrors the rate
-/// law: slow-start doubling while the RTT stays under `t_low`, additive
-/// increase below `t_low`, multiplicative decrease above `t_high`, and
-/// the normalized-gradient rule in between. ECN echoes are ignored —
-/// TIMELY is purely delay-based.
-#[derive(Debug)]
-pub struct Timely {
-    mss: u32,
-    cwnd: u32,
-    ssthresh: u32,
-    slow_start: bool,
-    /// Previous RTT sample in µs for the gradient (0 = none yet).
-    prev_rtt_us: u32,
-    params: TimelyParams,
-}
-
-impl Timely {
-    pub fn new(mss: u32) -> Self {
-        Timely::with_params(mss, TimelyParams::default())
-    }
-
-    /// Creates TIMELY with custom thresholds.
-    pub fn with_params(mss: u32, params: TimelyParams) -> Self {
-        Timely {
-            mss,
-            cwnd: INIT_WINDOW_SEGS * mss,
-            ssthresh: u32::MAX,
-            slow_start: true,
-            prev_rtt_us: 0,
-            params,
-        }
-    }
-
-    fn floor(&self) -> u32 {
-        2 * self.mss
-    }
-}
-
-impl CongCtrl for Timely {
-    fn on_ack(&mut self, info: AckInfo) {
-        let p = self.params;
-        // No RTT sample yet: grow like slow start / CA would.
-        let rtt = match info.srtt {
-            Some(s) => (s.as_micros().max(1)) as u32,
-            None => {
-                self.cwnd = self.cwnd.saturating_add(info.acked.min(self.mss));
-                return;
-            }
-        };
-        let prev = if self.prev_rtt_us == 0 { rtt } else { self.prev_rtt_us };
-        self.prev_rtt_us = rtt;
-        if self.slow_start {
-            if rtt > p.t_low_us {
-                self.slow_start = false;
-                self.ssthresh = self.cwnd;
-            } else {
-                self.cwnd = self.cwnd.saturating_add(info.acked.min(self.mss));
-                return;
-            }
-        }
-        if rtt < p.t_low_us {
-            self.cwnd = self.cwnd.saturating_add(self.mss);
-        } else if rtt > p.t_high_us {
-            let factor = 1.0 - p.beta * (1.0 - p.t_high_us as f64 / rtt as f64);
-            self.cwnd = ((self.cwnd as f64 * factor) as u32).max(self.floor());
-        } else {
-            let gradient = (rtt as f64 - prev as f64) / p.min_rtt_us as f64;
-            if gradient <= 0.0 {
-                self.cwnd = self.cwnd.saturating_add(self.mss);
-            } else {
-                let factor = 1.0 - p.beta * gradient.min(1.0);
-                self.cwnd = ((self.cwnd as f64 * factor) as u32).max(self.floor());
-            }
-        }
-    }
-
-    fn on_timeout(&mut self) {
-        self.ssthresh = (self.cwnd / 2).max(self.floor());
-        self.cwnd = self.mss;
-        self.slow_start = false;
-    }
-
-    fn on_fast_retransmit(&mut self) {
-        self.ssthresh = (self.cwnd / 2).max(self.floor());
-        self.cwnd = self.ssthresh;
-        self.slow_start = false;
-    }
-
-    fn cwnd(&self) -> u32 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> u32 {
-        self.ssthresh
-    }
-
-    fn name(&self) -> &'static str {
-        "timely"
     }
 }
 

@@ -105,7 +105,7 @@ impl CongCtrl {
         p
     }
 
-    /// Classic (NewReno/TIMELY) once-per-RTT ECE gate: passes the echo
+    /// Classic (NewReno) once-per-RTT ECE gate: passes the echo
     /// through only when `una_off` has cleared the guard, then re-arms
     /// the guard at `nxt_off` and schedules a CWR.
     pub(crate) fn classic_ece_gate(&mut self, ece: bool, una_off: u64, nxt_off: u64) -> bool {

@@ -618,8 +618,8 @@ impl TcpConn {
         match self.cfg.cc {
             // DCTCP: accurate per-packet echo.
             CcKind::Dctcp => self.cc.last_seg_ce(),
-            // Classic (and delay-based TIMELY): latched until CWR.
-            CcKind::NewReno | CcKind::Timely => self.cc.ece_latched(),
+            // Classic: latched until CWR.
+            CcKind::NewReno => self.cc.ece_latched(),
         }
     }
 
@@ -983,7 +983,7 @@ impl TcpConn {
             // in flight; DCTCP consumes every echo for its mark fraction.
             let cc_ece = match self.cfg.cc {
                 CcKind::Dctcp => ece,
-                CcKind::NewReno | CcKind::Timely => {
+                CcKind::NewReno => {
                     self.cc
                         .classic_ece_gate(ece, self.snd.una_off(), self.snd.nxt_off())
                 }
