@@ -720,7 +720,6 @@ impl StackHost {
     fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
         let now = ctx.now();
         self.sample_series(now);
-        self.inner.nic.rx_steer(&seg);
         let key = seg.flow_key();
         let is_data = !seg.payload.is_empty();
         if let Some(slot) = self.inner.by_key.get(&key) {

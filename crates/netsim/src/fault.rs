@@ -78,7 +78,9 @@ pub struct FaultSpec {
     /// nanosecond after the original).
     pub dup_prob: f64,
     /// Probability a delivered packet is held back and released only
-    /// after `reorder_window` subsequent deliveries overtake it.
+    /// after `reorder_window` subsequent deliveries overtake it. There is
+    /// no end-of-run release: a held packet waits for later traffic on
+    /// its link (at a quiet flow's tail, the peer's retransmission).
     pub reorder_prob: f64,
     /// How many subsequent packets overtake a held packet (minimum 1).
     pub reorder_window: u32,
@@ -148,9 +150,9 @@ pub struct FaultInjector {
     in_bad: bool,
     /// A packet held for reordering: (segment, deliveries still to pass).
     held: Option<(Segment, u32)>,
-    /// Owning device identity (NIC MAC bits / switch port), reported in
-    /// trace events.
-    device_id: u64,
+    /// Owning device identity (NIC MAC bits / switch port); only the
+    /// trace probe reads it.
+    _device_id: u64,
     /// Registry-backed counters (source of truth).
     reg: Registry,
     c_seen: CounterId,
@@ -185,7 +187,7 @@ impl FaultInjector {
             rng: Rng::new(seed),
             in_bad: false,
             held: None,
-            device_id,
+            _device_id: device_id,
             reg,
             c_seen,
             c_delivered,
@@ -202,7 +204,7 @@ impl FaultInjector {
         &self.spec
     }
 
-    /// Packets dropped so far (hot-path read for owner accounting).
+    /// Packets dropped so far.
     pub fn dropped(&self) -> u64 {
         self.reg.get(self.c_dropped)
     }
@@ -221,7 +223,7 @@ impl FaultInjector {
                 verdict,
                 flow: seg.flow_key(),
                 seq: seg.tcp.seq,
-                dev: self.device_id,
+                dev: self._device_id,
             }
         );
     }
@@ -229,11 +231,6 @@ impl FaultInjector {
     /// True when the injector can perturb traffic at all.
     pub fn is_active(&self) -> bool {
         self.spec.is_active()
-    }
-
-    /// The owning device identity this injector reports in trace events.
-    pub fn device_id(&self) -> u64 {
-        self.device_id
     }
 
     fn should_drop(&mut self) -> bool {
@@ -349,18 +346,6 @@ impl FaultInjector {
             }
         }
     }
-
-    /// Releases a still-held packet at `now` (end-of-run flush; without
-    /// this, a reordered packet at the tail of a quiet flow relies on the
-    /// peer's retransmission instead).
-    pub fn flush(&mut self, now: SimTime, out: &mut Vec<(SimTime, Segment)>) {
-        if let Some((seg, _)) = self.held.take() {
-            self.reg.inc(self.c_reordered);
-            self.reg.inc(self.c_delivered);
-            probe! { self.trace_verdict("reorder", now, &seg); }
-            out.push((now, seg));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,14 +373,14 @@ mod tests {
     }
 
     /// Runs `n` packets through an injector, returning the delivery trace
-    /// as (arrival, original sequence number) pairs.
+    /// as (arrival, original sequence number) pairs. A packet still held
+    /// for reordering at the end is not in it.
     fn trace(spec: FaultSpec, n: u32) -> (Vec<(SimTime, u32)>, Snapshot) {
         let mut inj = FaultInjector::new(spec, 7);
         let mut out = Vec::new();
         for i in 0..n {
             inj.apply(SimTime::from_us(i as u64), seg(i), &mut out);
         }
-        inj.flush(SimTime::from_us(n as u64), &mut out);
         (
             out.into_iter().map(|(t, s)| (t, s.tcp.seq.0)).collect(),
             inj.snapshot(),
@@ -602,20 +587,24 @@ mod tests {
     }
 
     #[test]
-    fn flush_releases_held_packet() {
+    fn held_packet_waits_for_later_traffic() {
         let spec = FaultSpec {
             seed: 2,
             reorder_prob: 1.0,
-            reorder_window: 100,
+            reorder_window: 3,
             ..FaultSpec::default()
         };
         let mut inj = FaultInjector::new(spec, 7);
         let mut out = Vec::new();
         inj.apply(SimTime::from_us(1), seg(1), &mut out);
         assert!(out.is_empty(), "packet held");
-        inj.flush(SimTime::from_us(9), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].0, SimTime::from_us(9));
+        for i in 2..=4 {
+            inj.apply(SimTime::from_us(i), seg(i as u32), &mut out);
+        }
+        let order: Vec<_> = out.iter().map(|(t, s)| (*t, s.tcp.seq.0)).collect();
+        let us = SimTime::from_us;
+        let after_last = us(4) + SimTime::from_ns(1);
+        assert_eq!(order, [(us(2), 2), (us(3), 3), (us(4), 4), (after_last, 1)]);
         assert_eq!(c(&inj.snapshot(), "fault.reordered"), 1);
     }
 

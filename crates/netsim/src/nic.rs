@@ -64,14 +64,6 @@ pub struct HostNic {
     fault: FaultInjector,
     /// Scratch buffer for injector output (avoids per-packet allocation).
     fault_out: Vec<(SimTime, Segment)>,
-    /// Packets dropped by loss injection.
-    pub tx_dropped: u64,
-    /// Packets transmitted.
-    pub tx_count: u64,
-    /// Bytes transmitted (wire bytes).
-    pub tx_bytes: u64,
-    /// Packets received.
-    pub rx_count: u64,
 }
 
 impl HostNic {
@@ -94,10 +86,6 @@ impl HostNic {
             tx_busy_until: SimTime::ZERO,
             fault,
             fault_out: Vec::new(),
-            tx_dropped: 0,
-            tx_count: 0,
-            tx_bytes: 0,
-            rx_count: 0,
         }
     }
 
@@ -117,10 +105,8 @@ impl HostNic {
         &mut self.rss
     }
 
-    /// Counts an arriving packet and returns the receive queue RSS steers
-    /// it to.
-    pub fn rx_steer(&mut self, seg: &Segment) -> usize {
-        self.rx_count += 1;
+    /// The receive queue RSS steers an arriving packet to.
+    pub fn rx_steer(&self, seg: &Segment) -> usize {
         self.rss.queue_for_hash(hash_tuple(
             seg.ip.src,
             seg.ip.dst,
@@ -139,8 +125,6 @@ impl HostNic {
         let start = ready.max(self.tx_busy_until);
         let depart = start + transmission_time(seg.wire_len() as u64, self.cfg.rate_bps);
         self.tx_busy_until = depart;
-        self.tx_count += 1;
-        self.tx_bytes += seg.wire_len() as u64;
         let arrival = depart + self.cfg.prop_delay;
         // Span stamp at serialization completion: even a packet the wire
         // then corrupts did occupy the TX queue and the link.
@@ -163,9 +147,7 @@ impl HostNic {
         // flight recorder: post-fault, so the trace (and a pcap built from
         // it) shows what actually went out.
         if self.fault.is_active() {
-            let before = self.fault.dropped();
             self.fault.apply(arrival, seg, &mut self.fault_out);
-            self.tx_dropped += self.fault.dropped() - before;
             for (t, s) in self.fault_out.drain(..) {
                 trace!("nic", t, SegTx(s));
                 ctx.send_at(self.uplink, t, NetMsg::Packet(s));
@@ -204,7 +186,7 @@ mod tests {
 
     #[test]
     fn rss_steers_flows_stably() {
-        let mut nic = HostNic::new(MacAddr::for_host(2), NicConfig::server_40g(4), 0);
+        let nic = HostNic::new(MacAddr::for_host(2), NicConfig::server_40g(4), 0);
         let q1 = nic.rx_steer(&seg(1000));
         let q2 = nic.rx_steer(&seg(1000));
         assert_eq!(q1, q2, "same flow must hit the same queue");
@@ -214,7 +196,6 @@ mod tests {
             used.insert(nic.rx_steer(&seg(2000 + p)));
         }
         assert!(used.len() >= 3, "flows should spread: {used:?}");
-        assert_eq!(nic.rx_count, 66);
     }
 
     /// A sink agent recording packet arrival times.
@@ -308,7 +289,8 @@ mod tests {
         sim.inject_timer(SimTime::ZERO, blaster, 0, 0);
         sim.run_until(SimTime::from_secs(1));
         let delivered = sim.agent::<Sink>(sink).arrivals.len();
-        let dropped = sim.agent::<Blaster>(blaster).nic.tx_dropped;
+        let snap = sim.agent::<Blaster>(blaster).nic.tx_fault_snapshot();
+        let dropped = snap.counter("fault.dropped", tas_sim::Scope::Global);
         assert_eq!(delivered as u64 + dropped, 10_000);
         assert!((400..600).contains(&dropped), "~5% of 10k, got {dropped}");
     }

@@ -59,14 +59,8 @@ struct Port {
     fault: FaultInjector,
     /// Packets dropped at a full queue.
     pub drops: u64,
-    /// Packets dropped by loss injection.
-    pub loss_drops: u64,
     /// Packets CE-marked.
     pub marked: u64,
-    /// Packets forwarded.
-    pub forwarded: u64,
-    /// Wire bytes forwarded.
-    pub bytes: u64,
 }
 
 impl Port {
@@ -143,10 +137,7 @@ impl Switch {
             departures: VecDeque::new(),
             fault: FaultInjector::new(spec, dev),
             drops: 0,
-            loss_drops: 0,
             marked: 0,
-            forwarded: 0,
-            bytes: 0,
         });
         self.ports.len() - 1
     }
@@ -266,8 +257,6 @@ impl Switch {
         let depart = start + transmission_time(seg.wire_len() as u64, port.cfg.rate_bps);
         port.busy_until = depart;
         port.departures.push_back(depart);
-        port.forwarded += 1;
-        port.bytes += seg.wire_len() as u64;
         let arrival = depart + port.cfg.prop_delay;
         probe! {
             if !seg.payload.is_empty() {
@@ -287,9 +276,7 @@ impl Switch {
         if port.fault.is_active() {
             // Wire faults strike after serialization, like the NIC's: a
             // dropped packet still occupied the queue and the wire.
-            let before = port.fault.dropped();
             port.fault.apply(arrival, seg, &mut self.fault_out);
-            port.loss_drops += port.fault.dropped() - before;
             for (t, s) in self.fault_out.drain(..) {
                 ctx.send_at(port.peer, t, NetMsg::Packet(s));
             }

@@ -19,6 +19,7 @@
 
 use crate::config::{ApiKind, TasConfig};
 use crate::fastpath::{FastPath, RxNotice};
+use crate::flow::FlowTable;
 use crate::slowpath::{SlowPath, SpAppEvent};
 use std::net::Ipv4Addr;
 use std::ops::{Deref, DerefMut};
@@ -117,32 +118,9 @@ struct Inner {
     /// id. Cancelled on detach so a torn-down (possibly recycled) flow id
     /// leaves no ghost FP_TX timer in the event queue.
     fp_tx_timers: Vec<Option<TimerId>>,
-    /// Recycled flush buffers: capacity survives across flushes so the
-    /// steady-state drain path never allocates.
-    scratch: FlushScratch,
 }
 
 impl Inner {
-    /// Records `id` as flow `fid`'s armed pacing timer.
-    fn set_tx_timer(&mut self, fid: u32, id: TimerId) {
-        let i = fid as usize;
-        if self.fp_tx_timers.len() <= i {
-            self.fp_tx_timers.resize(i + 1, None);
-        }
-        self.fp_tx_timers[i] = Some(id);
-    }
-
-    /// Forgets (and returns) flow `fid`'s armed pacing timer, if any.
-    fn take_tx_timer(&mut self, fid: u32) -> Option<TimerId> {
-        self.fp_tx_timers.get_mut(fid as usize)?.take()
-    }
-
-    /// Queues slow-path work for its core at `t`.
-    fn defer_sp(&mut self, t: SimTime, work: SpWork, ctx: &mut Ctx<'_, NetMsg>) {
-        self.sp_q.push_back(work);
-        ctx.timer_at(t, timers::SP_RUN, 0);
-    }
-
     /// Opens a socket on the next app context, round robin.
     fn alloc_sock(&mut self) -> (SockId, u16) {
         let context = self.next_context % self.cfg.app_cores.max(1) as u16;
@@ -161,24 +139,6 @@ impl Inner {
             ApiKind::LowLevel => self.cfg.costs.ll_op,
         }
     }
-}
-
-#[derive(Default)]
-struct FlushScratch {
-    fp_packets: Vec<Segment>,
-    fp_notices: Vec<(u16, RxNotice)>,
-    fp_exceptions: Vec<Segment>,
-    fp_tx_timers: Vec<(u32, SimTime)>,
-    sp_packets: Vec<Segment>,
-    sp_events: Vec<SpAppEvent>,
-}
-
-/// Moves `src`'s contents into the recycled buffer `scratch` (which must
-/// be empty), leaving `src` empty but with its capacity intact.
-fn take_recycled<T>(src: &mut Vec<T>, scratch: &mut Vec<T>) -> Vec<T> {
-    debug_assert!(scratch.is_empty(), "scratch must be drained before reuse");
-    std::mem::swap(src, scratch);
-    std::mem::take(scratch)
 }
 
 enum SpWork {
@@ -264,7 +224,6 @@ impl TasHost {
                 c_scale_events,
                 c_app_bytes,
                 fp_tx_timers: Vec::new(),
-                scratch: FlushScratch::default(),
                 fp_q: std::collections::VecDeque::new(),
                 sp_q: std::collections::VecDeque::new(),
             },
@@ -436,7 +395,7 @@ impl TasHost {
         prof_charge!(extra_cycles, "cache_stall");
         prof_charge!(wake_extra, "wake");
         let (_, end) = inner.fp_cores.core(core_idx).run(t_eff, cycles);
-        self.flush_fp(end, start.saturating_sub(t), ctx);
+        self.flush(end, start.saturating_sub(t), ctx);
         (start, end)
     }
 
@@ -457,23 +416,155 @@ impl TasHost {
         model.stall_cycles(64 * inner.cfg.cache_lines_per_req, per_core) as u64
     }
 
-    /// Drains staged fast-path effects at completion time `end`. `_wait` is
-    /// how long the triggering work queued for its core (zero for untimed
-    /// flushes); only the span probe reads it, to attribute the fp_tx hop.
-    fn flush_fp(&mut self, end: SimTime, _wait: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let mut packets =
-            take_recycled(&mut self.inner.fp.out.packets, &mut self.inner.scratch.fp_packets);
-        let mut notices =
-            take_recycled(&mut self.inner.fp.out.notices, &mut self.inner.scratch.fp_notices);
-        let mut exceptions = take_recycled(
-            &mut self.inner.fp.out.exceptions,
-            &mut self.inner.scratch.fp_exceptions,
+    // ------------------------------------------------------------------
+    // Slow-path execution.
+
+    fn run_sp_exception(&mut self, t: SimTime, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
+        // Pre-create a socket for a potential incoming connection.
+        let is_syn =
+            seg.tcp.flags.contains(TcpFlags::SYN) && !seg.tcp.flags.contains(TcpFlags::ACK);
+        let (fresh, accept_ctx) = if is_syn {
+            self.inner.alloc_sock()
+        } else {
+            (0, 0)
+        };
+        let iss = ctx.rng().next_u32();
+        probe! {
+            let (flow, seq, len) =
+                (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
+        }
+        let mut accept = None;
+        let (_start, end) = self.run_sp(t, |sp, fp, start, acct| {
+            let (cycles, key) =
+                sp.on_exception(start, seg, fp, iss, fresh as u64, accept_ctx, acct);
+            accept = key;
+            cycles
+        });
+        trace!(
+            "sp",
+            end,
+            Stage {
+                stage: tas_telemetry::Stage::SpRx,
+                flow,
+                seq,
+                len,
+                wait_ns: _start.saturating_sub(t).as_nanos(),
+            }
         );
-        let mut tx_timers = take_recycled(
-            &mut self.inner.fp.out.tx_timers,
-            &mut self.inner.scratch.fp_tx_timers,
-        );
-        for pkt in packets.drain(..) {
+        // A new incoming connection: the application's accept path runs on
+        // its app core, then the slow path answers with SYN-ACK.
+        if let Some(key) = accept {
+            let inner = &mut self.inner;
+            let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
+            // Re-arming onto the app core also discards the charges the
+            // handshake-ACK's discarded fast-path estimate staged above.
+            probe! { self.rt.hosted.prof_arm("app", accept_ctx as u32); }
+            prof_charge!(app_cost, "accept");
+            let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
+            inner.acct.charge(Module::Api, app_cost, app_cost);
+            let cost = inner.cfg.costs.sp_conn_op;
+            self.run_sp(app_end, |sp, _fp, t, acct| {
+                sp.accept(t, key, acct);
+                cost
+            });
+        }
+        self.flush(end, SimTime::ZERO, ctx);
+    }
+
+    /// Runs slow-path work arriving at `t` on its core and returns when
+    /// it started and finished; the caller flushes at the finish.
+    fn run_sp(
+        &mut self,
+        t: SimTime,
+        f: impl FnOnce(&mut SlowPath, &mut FastPath, SimTime, &mut CycleAccount) -> u64,
+    ) -> (SimTime, SimTime) {
+        let start = t.max(self.inner.sp_core.busy_until());
+        let inner = &mut self.inner;
+        probe! { self.rt.hosted.prof_arm("sp", 0); }
+        let cycles = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
+        #[cfg(any(test, debug_assertions))]
+        crate::audit::check_fastpath(&inner.fp, start);
+        let (_, end) = inner.sp_core.run(t, cycles);
+        (start, end)
+    }
+
+    /// Drains staged effects at completion time `end`: the slow path's,
+    /// then the fast path's, in place. A fast-path run stages nothing on
+    /// the slow path, and slow-path work may stage fast-path output (a
+    /// rate update that transmits, data on a handshake's final ACK), so
+    /// one drain serves both. `_wait` is how long the triggering work
+    /// queued for its core (zero after slow-path work); only the span
+    /// probe reads it, to attribute the fp_tx hop.
+    fn flush(&mut self, end: SimTime, _wait: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+        let Self { inner, rt } = self;
+        let Inner {
+            nic,
+            fp,
+            sp,
+            socks,
+            sp_q,
+            fp_tx_timers,
+            ..
+        } = inner;
+        for pkt in sp.out.packets.drain(..) {
+            trace!("sp", end, SegTx(pkt));
+            trace!(
+                "sp",
+                end,
+                Stage {
+                    stage: tas_telemetry::Stage::SpTx,
+                    flow: pkt.flow_key().reversed(),
+                    seq: pkt.tcp.seq,
+                    len: pkt.payload.len() as u32,
+                    wait_ns: 0,
+                }
+            );
+            nic.tx(end, pkt, ctx);
+        }
+        for ev in sp.out.events.drain(..) {
+            // The socket each event concerns and what its context hears.
+            let (sock, app_ev) = match ev {
+                SpAppEvent::ConnectDone { opaque, fid } => {
+                    let sock = opaque as SockId;
+                    socks[sock as usize].fid = Some(fid);
+                    (sock, AppEvent::Connected { sock })
+                }
+                SpAppEvent::AcceptDone {
+                    opaque, fid, port, ..
+                } => {
+                    let sock = opaque as SockId;
+                    socks[sock as usize].fid = Some(fid);
+                    (sock, AppEvent::Accepted { sock, port })
+                }
+                SpAppEvent::ConnectFailed { opaque } | SpAppEvent::PeerClosed { opaque, .. } => {
+                    let sock = opaque as SockId;
+                    (sock, AppEvent::Closed { sock })
+                }
+                SpAppEvent::CloseDone { opaque } => {
+                    let sock = opaque as SockId;
+                    match socks.get(sock as usize) {
+                        Some(s) if !s.closed_evt_sent => (sock, AppEvent::Closed { sock }),
+                        _ => continue,
+                    }
+                }
+                SpAppEvent::Detached { opaque, fid } => {
+                    // Reclaim any armed pacing timer: the fid may be
+                    // recycled for a new flow before the timer would fire.
+                    let armed = fp_tx_timers.get_mut(fid as usize).and_then(Option::take);
+                    if let Some(id) = armed {
+                        ctx.cancel_timer(id);
+                    }
+                    if let Some(s) = socks.get_mut(opaque as usize) {
+                        s.fid = None;
+                    }
+                    continue;
+                }
+            };
+            let s = &mut socks[sock as usize];
+            s.closed_evt_sent |= matches!(app_ev, AppEvent::Closed { .. });
+            rt.defer(end, s.context, app_ev, ctx);
+        }
+        for pkt in fp.out.packets.drain(..) {
             trace!("fp", end, SegTx(pkt));
             probe! {
                 if !pkt.payload.is_empty() {
@@ -490,175 +581,22 @@ impl TasHost {
                     );
                 }
             }
-            self.inner.nic.tx(end, pkt, ctx);
+            nic.tx(end, pkt, ctx);
         }
-        for (fid, at) in tx_timers.drain(..) {
+        for (fid, at) in fp.out.tx_timers.drain(..) {
             let id = ctx.timer_at(at.max(end), timers::FP_TX, fid as u64);
-            self.inner.set_tx_timer(fid, id);
-        }
-        for (context, notice) in notices.drain(..) {
-            self.deliver_notice(end, context, notice, ctx);
-        }
-        for seg in exceptions.drain(..) {
-            self.inner.defer_sp(end, SpWork::Exception(seg), ctx);
-        }
-        self.inner.scratch.fp_packets = packets;
-        self.inner.scratch.fp_notices = notices;
-        self.inner.scratch.fp_exceptions = exceptions;
-        self.inner.scratch.fp_tx_timers = tx_timers;
-    }
-
-    // ------------------------------------------------------------------
-    // Slow-path execution.
-
-    fn run_sp_exception(&mut self, t: SimTime, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
-        // Pre-create a socket for a potential incoming connection.
-        let is_syn =
-            seg.tcp.flags.contains(TcpFlags::SYN) && !seg.tcp.flags.contains(TcpFlags::ACK);
-        let (fresh, accept_ctx) = if is_syn {
-            self.inner.alloc_sock()
-        } else {
-            (0, 0)
-        };
-        let iss = ctx.rng().next_u32();
-        let start = t.max(self.inner.sp_core.busy_until());
-        probe! {
-            let (flow, seq, len) =
-                (seg.flow_key().reversed(), seg.tcp.seq, seg.payload.len() as u32);
-        }
-        let inner = &mut self.inner;
-        probe! { self.rt.hosted.prof_arm("sp", 0); }
-        let cycles = inner.sp.on_exception(
-            start,
-            seg,
-            &mut inner.fp,
-            iss,
-            fresh as u64,
-            accept_ctx,
-            &mut inner.acct,
-        );
-        #[cfg(any(test, debug_assertions))]
-        crate::audit::check_fastpath(&inner.fp, start);
-        let (_, end) = inner.sp_core.run(t, cycles);
-        trace!(
-            "sp",
-            end,
-            Stage {
-                stage: tas_telemetry::Stage::SpRx,
-                flow,
-                seq,
-                len,
-                wait_ns: start.saturating_sub(t).as_nanos(),
+            let i = fid as usize;
+            if fp_tx_timers.len() <= i {
+                fp_tx_timers.resize(i + 1, None);
             }
-        );
-        // Pending incoming connections: the application's accept path runs
-        // on its app core, then the slow path answers with SYN-ACK.
-        if inner.sp.has_pending_accepts() {
-            let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
-            // Re-arming onto the app core also discards the charges the
-            // handshake-ACK's discarded fast-path estimate staged above.
-            probe! { self.rt.hosted.prof_arm("app", accept_ctx as u32); }
-            prof_charge!(app_cost, "accept");
-            let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
-            inner.acct.charge(Module::Api, app_cost, app_cost);
-            let start2 = app_end.max(inner.sp_core.busy_until());
-            probe! { self.rt.hosted.prof_arm("sp", 0); }
-            inner.sp.accept_pending(start2, &mut inner.acct);
-            let cost2 = inner.cfg.costs.sp_conn_op;
-            inner.sp_core.run(app_end, cost2);
+            fp_tx_timers[i] = Some(id);
         }
-        self.flush_sp(end, ctx);
-    }
-
-    fn run_sp(
-        &mut self,
-        t: SimTime,
-        ctx: &mut Ctx<'_, NetMsg>,
-        f: impl FnOnce(&mut SlowPath, &mut FastPath, SimTime, &mut CycleAccount) -> u64,
-    ) {
-        let start = t.max(self.inner.sp_core.busy_until());
-        let inner = &mut self.inner;
-        probe! { self.rt.hosted.prof_arm("sp", 0); }
-        let cycles = f(&mut inner.sp, &mut inner.fp, start, &mut inner.acct);
-        #[cfg(any(test, debug_assertions))]
-        crate::audit::check_fastpath(&inner.fp, start);
-        let (_, end) = inner.sp_core.run(t, cycles);
-        self.flush_sp(end, ctx);
-    }
-
-    fn flush_sp(&mut self, end: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        let mut packets =
-            take_recycled(&mut self.inner.sp.out.packets, &mut self.inner.scratch.sp_packets);
-        let mut events =
-            take_recycled(&mut self.inner.sp.out.events, &mut self.inner.scratch.sp_events);
-        for pkt in packets.drain(..) {
-            trace!("sp", end, SegTx(pkt));
-            trace!(
-                "sp",
-                end,
-                Stage {
-                    stage: tas_telemetry::Stage::SpTx,
-                    flow: pkt.flow_key().reversed(),
-                    seq: pkt.tcp.seq,
-                    len: pkt.payload.len() as u32,
-                    wait_ns: 0,
-                }
-            );
-            self.inner.nic.tx(end, pkt, ctx);
+        for (context, notice) in fp.out.notices.drain(..) {
+            Self::deliver_notice(socks, &fp.flows, rt, end, context, notice, ctx);
         }
-        for ev in events.drain(..) {
-            // The socket each event concerns and what its context hears.
-            let (sock, app_ev) = match ev {
-                SpAppEvent::ConnectDone { opaque, fid } => {
-                    let sock = opaque as SockId;
-                    self.inner.socks[sock as usize].fid = Some(fid);
-                    (sock, AppEvent::Connected { sock })
-                }
-                SpAppEvent::AcceptDone {
-                    opaque, fid, port, ..
-                } => {
-                    let sock = opaque as SockId;
-                    self.inner.socks[sock as usize].fid = Some(fid);
-                    (sock, AppEvent::Accepted { sock, port })
-                }
-                SpAppEvent::ConnectFailed { opaque } | SpAppEvent::PeerClosed { opaque, .. } => {
-                    let sock = opaque as SockId;
-                    (sock, AppEvent::Closed { sock })
-                }
-                SpAppEvent::CloseDone { opaque } => {
-                    let sock = opaque as SockId;
-                    match self.inner.socks.get(sock as usize) {
-                        Some(s) if !s.closed_evt_sent => (sock, AppEvent::Closed { sock }),
-                        _ => continue,
-                    }
-                }
-                SpAppEvent::Detached { opaque, fid } => {
-                    // Reclaim any armed pacing timer: the fid may be
-                    // recycled for a new flow before the timer would fire.
-                    if let Some(id) = self.inner.take_tx_timer(fid) {
-                        ctx.cancel_timer(id);
-                    }
-                    if let Some(s) = self.inner.socks.get_mut(opaque as usize) {
-                        s.fid = None;
-                    }
-                    continue;
-                }
-            };
-            let s = &mut self.inner.socks[sock as usize];
-            s.closed_evt_sent |= matches!(app_ev, AppEvent::Closed { .. });
-            let context = s.context;
-            self.rt.defer(end, context, app_ev, ctx);
-        }
-        self.inner.scratch.sp_packets = packets;
-        self.inner.scratch.sp_events = events;
-        // Slow-path work may have staged fast-path output (rate updates
-        // triggering transmissions).
-        if !self.inner.fp.out.packets.is_empty()
-            || !self.inner.fp.out.notices.is_empty()
-            || !self.inner.fp.out.tx_timers.is_empty()
-            || !self.inner.fp.out.exceptions.is_empty()
-        {
-            self.flush_fp(end, SimTime::ZERO, ctx);
+        for seg in fp.out.exceptions.drain(..) {
+            sp_q.push_back(SpWork::Exception(seg));
+            ctx.timer_at(end, timers::SP_RUN, 0);
         }
     }
 
@@ -666,22 +604,21 @@ impl TasHost {
     // Application delivery.
 
     fn deliver_notice(
-        &mut self,
+        socks: &mut [SockState],
+        flows: &FlowTable,
+        rt: &mut AppRuntime<Inner>,
         t: SimTime,
         context: u16,
         notice: RxNotice,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
         let sock = notice.opaque as SockId;
-        if (sock as usize) >= self.inner.socks.len() {
+        let Some(s) = socks.get_mut(sock as usize) else {
             return;
-        }
+        };
         if notice.rx_bytes > 0 {
             probe! {
-                if let Some(flow) = self.inner.socks[sock as usize]
-                    .fid
-                    .and_then(|fid| self.inner.fp.flows.get(fid))
-                {
+                if let Some(flow) = s.fid.and_then(|fid| flows.get(fid)) {
                     // First newly readable byte: the RX ring already holds
                     // the payload this notice announces.
                     let off0 = flow.rcv.rx.end_offset().saturating_sub(notice.rx_bytes as u64);
@@ -698,40 +635,42 @@ impl TasHost {
                     );
                 }
             }
-            self.rt.defer(t, context, AppEvent::Readable { sock }, ctx);
+            rt.defer(t, context, AppEvent::Readable { sock }, ctx);
         }
-        if notice.tx_acked > 0 && self.inner.socks[sock as usize].want_write {
+        if notice.tx_acked > 0 && s.want_write {
             // Wake the writer once useful buffer space exists (libTAS's
             // epoll emulation coalesces exactly like kernel EPOLLOUT).
-            let space = self.inner.socks[sock as usize]
+            let space = s
                 .fid
-                .and_then(|fid| self.inner.fp.flows.get(fid))
+                .and_then(|fid| flows.get(fid))
                 .map(|f| (f.snd.tx.free(), f.snd.tx.capacity()))
                 .unwrap_or((usize::MAX, 0));
             if space.0 >= (space.1 / 4).max(8 * 1024).min(space.1) {
-                self.inner.socks[sock as usize].want_write = false;
-                self.rt.defer(t, context, AppEvent::Writable { sock }, ctx);
+                s.want_write = false;
+                rt.defer(t, context, AppEvent::Writable { sock }, ctx);
             }
         }
     }
 
     fn run_sp_work(&mut self, work: SpWork, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-        match work {
-            SpWork::Exception(seg) => self.run_sp_exception(now, seg, ctx),
+        let (_, end) = match work {
+            SpWork::Exception(seg) => return self.run_sp_exception(now, seg, ctx),
             SpWork::Connect { sock, ip, port } => {
                 let iss = ctx.rng().next_u32();
                 let context = self.inner.socks[sock as usize].context;
                 let peer_mac = mac_for_ip(ip);
-                self.run_sp(now, ctx, |sp, _fp, t, acct| {
+                self.run_sp(now, |sp, _fp, t, acct| {
                     sp.connect(t, ip, port, peer_mac, sock as u64, context, iss, acct)
-                });
+                })
             }
             SpWork::Close { sock } => {
-                if let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) {
-                    self.run_sp(now, ctx, |sp, fp, t, acct| sp.close(t, fid, fp, acct));
-                }
+                let Some(fid) = self.inner.socks.get(sock as usize).and_then(|s| s.fid) else {
+                    return;
+                };
+                self.run_sp(now, |sp, fp, t, acct| sp.close(t, fid, fp, acct))
             }
-        }
+        };
+        self.flush(end, SimTime::ZERO, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -934,7 +873,10 @@ impl AppStack for Inner {
                 self.fp_q.push_back(cmd);
                 ctx.timer_at(end, timers::FP_CMD, 0);
             }
-            Cmd::Sp(work) => self.defer_sp(end, work, ctx),
+            Cmd::Sp(work) => {
+                self.sp_q.push_back(work);
+                ctx.timer_at(end, timers::SP_RUN, 0);
+            }
         }
     }
 }
@@ -1033,13 +975,18 @@ impl Agent<NetMsg> for TasHost {
                     timers::INIT => {}
                     timers::FP_TX => {
                         let fid = data as u32;
-                        self.inner.take_tx_timer(fid);
+                        // The timer that fired is no longer armed.
+                        if let Some(slot) = self.inner.fp_tx_timers.get_mut(fid as usize) {
+                            *slot = None;
+                        }
                         let core = Self::fp_core_for(&self.inner, fid);
                         self.run_fp(core, now, ctx, 0, |fp, t, acct| fp.tx_poll(t, fid, acct));
                     }
                     timers::SP_CTRL => {
                         self.sample_series(now);
-                        self.run_sp(now, ctx, |sp, fp, t, acct| sp.control_loop(t, fp, acct));
+                        let (_, end) =
+                            self.run_sp(now, |sp, fp, t, acct| sp.control_loop(t, fp, acct));
+                        self.flush(end, SimTime::ZERO, ctx);
                         // Self-pacing: the next iteration starts when this
                         // one finishes or after the nominal interval,
                         // whichever is later.

@@ -12,6 +12,21 @@
 //! Like the fast path, the slow path is sans-IO: it stages packets and
 //! application events into [`SpOut`]; the host charges the returned cycle
 //! costs to the slow-path core and moves staged items.
+//!
+//! Connection control decides each thing once: one retry rule, one
+//! close-out, one header builder, so the control loop resends as it walks.
+#![cfg_attr(
+    not(test),
+    deny(
+        unsafe_code,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use crate::config::{CcAlgo, TasConfig};
 use crate::fastpath::FastPath;
@@ -101,19 +116,55 @@ pub struct SpStats {
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // TCP state names are canonical.
 enum HsState {
     /// SYN sent, awaiting SYN-ACK (local connect).
     SynSent,
-    /// SYN received; waiting for the application's accept decision
-    /// (modelled as the app-core charge before `accept` is called).
-    SynPending,
-    /// SYN-ACK sent, awaiting the final ACK (remote connect).
+    /// SYN-ACK sent, awaiting the final ACK (remote connect). The host
+    /// accepts a new passive handshake before anything else runs, so its
+    /// SYN-ACK is staged before any other code can see the record.
     SynAckSent,
 }
 
+/// The one retry rule of connection control: an unanswered SYN, SYN-ACK
+/// or FIN is resent every [`RETRY_AFTER`], and its record gives up after
+/// [`MAX_ATTEMPTS`] resends.
+#[derive(Clone, Copy, Debug)]
+struct Retry {
+    deadline: SimTime,
+    attempts: u32,
+}
+
+/// What one control-loop pass does with a record's [`Retry`].
+enum Due {
+    Wait,
+    Resend,
+    GiveUp,
+}
+
+impl Retry {
+    fn new(now: SimTime) -> Retry {
+        Retry {
+            deadline: now + RETRY_AFTER,
+            attempts: 0,
+        }
+    }
+
+    /// Counts one attempt once the deadline has passed; a resend re-arms.
+    fn due(&mut self, now: SimTime) -> Due {
+        if now < self.deadline {
+            return Due::Wait;
+        }
+        self.attempts += 1;
+        if self.attempts > MAX_ATTEMPTS {
+            return Due::GiveUp;
+        }
+        self.deadline = now + RETRY_AFTER;
+        Due::Resend
+    }
+}
+
 /// A connection the slow path is establishing.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Handshake {
     state: HsState,
     key: FlowKey,
@@ -125,14 +176,29 @@ struct Handshake {
     peer_wscale: u8,
     peer_win: u64,
     ts_recent: u32,
-    listen_port: u16,
-    deadline: SimTime,
-    attempts: u32,
+    retry: Retry,
+}
+
+impl Handshake {
+    /// Stages this handshake's SYN (active) or SYN-ACK (passive).
+    fn send(&self, hdr: &CtrlHeader, now: SimTime, packets: &mut Vec<Segment>) {
+        let (flags, ack, ts_ecr) = match self.state {
+            // ECN negotiation (TAS runs DCTCP).
+            HsState::SynSent => (TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR, Seq(0), 0),
+            // Accept ECN.
+            HsState::SynAckSent => (
+                TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE,
+                self.irs + 1,
+                self.ts_recent,
+            ),
+        };
+        hdr.send_ctrl(packets, now, self.key, self.peer_mac, flags, self.iss, ack, ts_ecr);
+    }
 }
 
 /// A connection the slow path is tearing down (already removed from the
 /// fast path, or peer-initiated).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Teardown {
     key: FlowKey,
     peer_mac: MacAddr,
@@ -144,8 +210,81 @@ struct Teardown {
     ts_recent: u32,
     fin_acked: bool,
     peer_fin: bool,
-    deadline: SimTime,
-    attempts: u32,
+    /// Our FIN's retry; `None` for a peer-FIN record, which has nothing
+    /// to resend.
+    retry: Option<Retry>,
+}
+
+impl Teardown {
+    fn send_fin(&self, hdr: &CtrlHeader, now: SimTime, packets: &mut Vec<Segment>) {
+        let flags = TcpFlags::FIN | TcpFlags::ACK;
+        let (seq_no, ack) = (self.fin_seq, self.rcv_ack);
+        hdr.send_ctrl(packets, now, self.key, self.peer_mac, flags, seq_no, ack, self.ts_recent);
+    }
+
+    /// The one close-out, for a teardown its caller is removing: the
+    /// connection counts as closed and the host hears `CloseDone`.
+    /// `_now` is read only by the trace probe.
+    fn close_out(&self, _now: SimTime, stats: &mut SpStats, events: &mut Vec<SpAppEvent>) {
+        stats.closed += 1;
+        trace!(
+            "sp",
+            _now,
+            State {
+                flow: self.key,
+                from: "closing",
+                to: "closed",
+            }
+        );
+        events.push(SpAppEvent::CloseDone {
+            opaque: self.opaque,
+        });
+    }
+}
+
+/// What every control segment of this host carries.
+#[derive(Debug)]
+struct CtrlHeader {
+    ip: Ipv4Addr,
+    mac: MacAddr,
+    mss: u32,
+    rx_buf: usize,
+}
+
+impl CtrlHeader {
+    /// Stages one payload-free control segment — the one place the slow
+    /// path assembles a header. Every such segment advertises the whole
+    /// receive buffer and echoes `ts_ecr`; one that carries SYN also
+    /// offers the MSS and window-scale options.
+    #[allow(clippy::too_many_arguments)]
+    fn send_ctrl(
+        &self,
+        packets: &mut Vec<Segment>,
+        now: SimTime,
+        key: FlowKey,
+        peer_mac: MacAddr,
+        flags: TcpFlags,
+        seq_no: Seq,
+        ack: Seq,
+        ts_ecr: u32,
+    ) {
+        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no.0, ack.0, flags);
+        if flags.contains(TcpFlags::SYN) {
+            h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
+            h.options.wscale = Some(TAS_WSCALE);
+        }
+        h.options.timestamp = Some((now.as_micros() as u32, ts_ecr));
+        h.window = self.rx_buf.min(u16::MAX as usize) as u16;
+        packets.push(Segment::tcp(
+            self.mac,
+            peer_mac,
+            self.ip,
+            key.remote_ip,
+            h,
+            Vec::new(),
+            false,
+        ));
+    }
 }
 
 /// The slow path's own per-flow state: the rate law's [`CcState`] and
@@ -175,18 +314,16 @@ impl SpFlow {
 /// The slow path.
 #[derive(Debug)]
 pub struct SlowPath {
-    local_ip: Ipv4Addr,
-    local_mac: MacAddr,
-    mss: u32,
-    rx_buf: usize,
+    hdr: CtrlHeader,
     tx_buf: usize,
     cc: CcAlgo,
     control_interval: SimTime,
     stall_intervals_for_rexmit: u32,
     initial_rate_bps: u64,
-    // BTreeMap, not HashMap: the control loop iterates these to build
-    // retry batches, and packet emission order must not depend on the
-    // process's hash seed (runs must reproduce bit-for-bit across runs).
+    // BTreeMap, not HashMap: the control loop resends as it walks these,
+    // and packet emission order must not depend on the process's hash
+    // seed (runs must reproduce bit-for-bit across runs). One 4-tuple can
+    // sit in both: a new SYN may reuse a tuple whose teardown lingers.
     listeners: BTreeMap<u16, ()>,
     handshakes: BTreeMap<FlowKey, Handshake>,
     teardowns: BTreeMap<FlowKey, Teardown>,
@@ -216,10 +353,12 @@ impl SlowPath {
     /// Creates a slow path for a host.
     pub fn new(local_ip: Ipv4Addr, local_mac: MacAddr, cfg: &TasConfig) -> Self {
         SlowPath {
-            local_ip,
-            local_mac,
-            mss: cfg.mss,
-            rx_buf: cfg.rx_buf,
+            hdr: CtrlHeader {
+                ip: local_ip,
+                mac: local_mac,
+                mss: cfg.mss,
+                rx_buf: cfg.rx_buf,
+            },
             tx_buf: cfg.tx_buf,
             cc: cfg.cc,
             control_interval: cfg.control_interval,
@@ -277,7 +416,7 @@ impl SlowPath {
         prof_scope!("connect");
         let cycles = self.charge(acct, 900);
         let local_port = self.alloc_port();
-        let key = FlowKey::new(self.local_ip, local_port, peer_ip, peer_port);
+        let key = FlowKey::new(self.hdr.ip, local_port, peer_ip, peer_port);
         let hs = Handshake {
             state: HsState::SynSent,
             key,
@@ -289,25 +428,11 @@ impl SlowPath {
             peer_wscale: 0,
             peer_win: 0,
             ts_recent: 0,
-            listen_port: 0,
-            deadline: now + RETRY_AFTER,
-            attempts: 0,
+            retry: Retry::new(now),
         };
-        self.send_syn(now, &hs);
+        hs.send(&self.hdr, now, &mut self.out.packets);
         self.handshakes.insert(key, hs);
         cycles
-    }
-
-    fn send_syn(&mut self, now: SimTime, hs: &Handshake) {
-        // ECN negotiation (TAS runs DCTCP).
-        let flags = TcpFlags::SYN | TcpFlags::ECE | TcpFlags::CWR;
-        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, Seq(0), 0);
-    }
-
-    fn send_synack(&mut self, now: SimTime, hs: &Handshake) {
-        let flags = TcpFlags::SYN | TcpFlags::ACK | TcpFlags::ECE; // Accept ECN.
-        let ack = hs.irs + 1;
-        self.send_ctrl(now, hs.key, hs.peer_mac, flags, hs.iss, ack, hs.ts_recent);
     }
 
     /// Builds the established flow state and installs it in the fast path.
@@ -323,7 +448,7 @@ impl SlowPath {
         let flow = FlowState {
             conn: FpConnMgmt::new(hs.opaque, hs.context, hs.key, hs.peer_mac, hs.ts_recent),
             snd: FpSendRel::new(ByteRing::new(self.tx_buf), hs.iss.0),
-            rcv: FpRecvRel::new(ByteRing::new(self.rx_buf), hs.irs.0),
+            rcv: FpRecvRel::new(ByteRing::new(self.hdr.rx_buf), hs.irs.0),
             fc: FpFlowCtrl::new(hs.peer_win, hs.peer_wscale),
             cc: FpCongCtrl::new(bucket),
         };
@@ -335,7 +460,7 @@ impl SlowPath {
                 flow: hs.key,
                 from: match hs.state {
                     HsState::SynSent => "syn_sent",
-                    _ => "syn_rcvd",
+                    HsState::SynAckSent => "syn_rcvd",
                 },
                 to: "established",
             }
@@ -350,7 +475,7 @@ impl SlowPath {
         let per_interval = (rate_bps as u128 * self.control_interval.as_ps() as u128
             / 8
             / 1_000_000_000_000) as u64;
-        per_interval.max(2 * self.mss as u64)
+        per_interval.max(2 * self.hdr.mss as u64)
     }
 
     /// Application closes a connection. If the flow has drained, teardown
@@ -365,14 +490,11 @@ impl SlowPath {
     ) -> u64 {
         prof_scope!("close");
         let cycles = self.charge(acct, 700);
-        let drained = {
-            let Some(flow) = fp.flows.get_mut(fid) else {
-                return cycles;
-            };
-            flow.conn.mark_closing();
-            flow.snd.tx.is_empty()
+        let Some(flow) = fp.flows.get_mut(fid) else {
+            return cycles;
         };
-        if drained {
+        flow.conn.mark_closing();
+        if flow.snd.tx.is_empty() {
             self.start_teardown(now, fid, fp);
         }
         cycles
@@ -389,19 +511,13 @@ impl SlowPath {
             opaque: flow.conn.opaque(),
             fid,
         });
-        // Existing peer-FIN state (remote closed first)?
-        let peer_fin = self
-            .teardowns
-            .get(&flow.conn.key())
-            .map(|t| t.peer_fin)
-            .unwrap_or(false);
+        // Existing peer-FIN state (remote closed first): ACK their FIN too.
+        let key = flow.conn.key();
+        let peer_fin = self.teardowns.get(&key).is_some_and(|t| t.peer_fin);
         let fin_seq = flow.seq_of(flow.nxt_off());
-        let mut rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset());
-        if peer_fin {
-            rcv_ack = rcv_ack + 1;
-        }
+        let rcv_ack = flow.rcv_seq_of(flow.rcv.rx.end_offset()) + u32::from(peer_fin);
         let td = Teardown {
-            key: flow.conn.key(),
+            key,
             peer_mac: flow.conn.peer_mac(),
             opaque: flow.conn.opaque(),
             fin_seq,
@@ -409,57 +525,10 @@ impl SlowPath {
             ts_recent: flow.conn.ts_recent(),
             fin_acked: false,
             peer_fin,
-            deadline: now + RETRY_AFTER,
-            attempts: 0,
+            retry: Some(Retry::new(now)),
         };
-        self.send_fin(now, &td);
-        self.teardowns.insert(flow.conn.key(), td);
-    }
-
-    fn send_fin(&mut self, now: SimTime, td: &Teardown) {
-        let flags = TcpFlags::FIN | TcpFlags::ACK;
-        self.send_ctrl(
-            now,
-            td.key,
-            td.peer_mac,
-            flags,
-            td.fin_seq,
-            td.rcv_ack,
-            td.ts_recent,
-        );
-    }
-
-    /// Stages one payload-free control segment — the one place the slow
-    /// path assembles a header. Every such segment advertises the whole
-    /// receive buffer and echoes `ts_ecr`; one that carries SYN also
-    /// offers the MSS and window-scale options.
-    #[allow(clippy::too_many_arguments)]
-    fn send_ctrl(
-        &mut self,
-        now: SimTime,
-        key: FlowKey,
-        peer_mac: MacAddr,
-        flags: TcpFlags,
-        seq_no: Seq,
-        ack: Seq,
-        ts_ecr: u32,
-    ) {
-        let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no.0, ack.0, flags);
-        if flags.contains(TcpFlags::SYN) {
-            h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
-            h.options.wscale = Some(TAS_WSCALE);
-        }
-        h.options.timestamp = Some((now.as_micros() as u32, ts_ecr));
-        h.window = self.rx_buf.min(u16::MAX as usize) as u16;
-        self.out.packets.push(Segment::tcp(
-            self.local_mac,
-            peer_mac,
-            self.local_ip,
-            key.remote_ip,
-            h,
-            Vec::new(),
-            false,
-        ));
+        td.send_fin(&self.hdr, now, &mut self.out.packets);
+        self.teardowns.insert(key, td);
     }
 
     // ------------------------------------------------------------------
@@ -467,6 +536,8 @@ impl SlowPath {
 
     /// Processes one exception packet forwarded by the fast path.
     /// `fresh_iss` seeds a new ISN when a connection must be created.
+    /// Returns the cycle cost and, for a SYN that opened a passive
+    /// handshake, the key the host must [`accept`](Self::accept).
     #[allow(clippy::too_many_arguments)] // The handshake tuple is irreducible.
     pub fn on_exception(
         &mut self,
@@ -477,7 +548,7 @@ impl SlowPath {
         fresh_opaque: u64,
         context_for_accept: u16,
         acct: &mut CycleAccount,
-    ) -> u64 {
+    ) -> (u64, Option<FlowKey>) {
         prof_scope!("exception");
         self.stats.exceptions += 1;
         let cycles = self.charge(acct, 900);
@@ -499,24 +570,23 @@ impl SlowPath {
                 }
             }
             self.teardowns.remove(&key);
-            return cycles;
+            return (cycles, None);
         }
         if f.contains(TcpFlags::SYN) && !f.contains(TcpFlags::ACK) {
             // Incoming connection request.
             if let Some(hs) = self.handshakes.get(&key) {
                 // Duplicate SYN: if we already answered, answer again.
                 if hs.state == HsState::SynAckSent {
-                    let copy = hs.clone();
-                    self.send_synack(now, &copy);
+                    hs.send(&self.hdr, now, &mut self.out.packets);
                 }
-                return cycles;
+                return (cycles, None);
             }
             if !self.listeners.contains_key(&key.local_port) {
                 self.stats.dropped += 1;
-                return cycles;
+                return (cycles, None);
             }
             let hs = Handshake {
-                state: HsState::SynPending,
+                state: HsState::SynAckSent,
                 key,
                 peer_mac: seg.eth.src,
                 opaque: fresh_opaque,
@@ -526,31 +596,30 @@ impl SlowPath {
                 peer_wscale: seg.tcp.options.wscale.unwrap_or(0),
                 peer_win: seg.tcp.window as u64,
                 ts_recent: ts,
-                listen_port: key.local_port,
-                deadline: now + RETRY_AFTER,
-                attempts: 0,
+                retry: Retry::new(now),
             };
             self.handshakes.insert(key, hs);
             // The host relays the accept decision through `accept()`
             // (charging the application's side of the handshake).
-            return cycles;
+            return (cycles, Some(key));
         }
         if f.contains(TcpFlags::SYN | TcpFlags::ACK) {
             // SYN-ACK for one of our connects.
             let Some(mut hs) = self.handshakes.remove(&key) else {
                 self.stats.dropped += 1;
-                return cycles;
+                return (cycles, None);
             };
             if hs.state != HsState::SynSent || seg.tcp.ack != hs.iss + 1 {
                 self.handshakes.insert(key, hs);
-                return cycles;
+                return (cycles, None);
             }
             hs.irs = seg.tcp.seq;
             hs.peer_wscale = seg.tcp.options.wscale.unwrap_or(0);
             hs.peer_win = seg.tcp.window as u64; // SYN windows unscaled.
             hs.ts_recent = ts;
             // Final ACK of the handshake.
-            self.send_ctrl(
+            self.hdr.send_ctrl(
+                &mut self.out.packets,
                 now,
                 key,
                 hs.peer_mac,
@@ -564,10 +633,11 @@ impl SlowPath {
                 opaque: hs.opaque,
                 fid,
             });
-            return cycles;
+            return (cycles, None);
         }
         if f.contains(TcpFlags::FIN) {
-            return cycles + self.on_fin(now, seg, fp, acct);
+            self.on_fin(now, seg, fp);
+            return (cycles, None);
         }
         // Plain ACK exceptions: final handshake ACK or teardown ACK.
         if f.contains(TcpFlags::ACK) {
@@ -575,72 +645,46 @@ impl SlowPath {
                 .handshakes
                 .get(&key)
                 .is_some_and(|hs| hs.state == HsState::SynAckSent && seg.tcp.ack == hs.iss + 1);
-            if hs_done {
-                if let Some(mut hs) = self.handshakes.remove(&key) {
-                    hs.ts_recent = ts;
-                    hs.peer_win = (seg.tcp.window as u64) << hs.peer_wscale;
-                    let fid = self.install(fp, &hs, now);
-                    self.out.events.push(SpAppEvent::AcceptDone {
-                        opaque: hs.opaque,
-                        fid,
-                        port: hs.listen_port,
-                        key,
-                    });
-                    // Data may ride on the handshake-completing ACK; now
-                    // that the flow is installed, the fast path takes it.
-                    if !seg.payload.is_empty() {
-                        fp.rx_segment(now, seg, acct);
-                    }
-                    return cycles;
+            if let Some(mut hs) = hs_done.then(|| self.handshakes.remove(&key)).flatten() {
+                hs.ts_recent = ts;
+                hs.peer_win = (seg.tcp.window as u64) << hs.peer_wscale;
+                let fid = self.install(fp, &hs, now);
+                self.out.events.push(SpAppEvent::AcceptDone {
+                    opaque: hs.opaque,
+                    fid,
+                    port: key.local_port,
+                    key,
+                });
+                // Data may ride on the handshake-completing ACK; now that
+                // the flow is installed, the fast path takes it.
+                if !seg.payload.is_empty() {
+                    fp.rx_segment(now, seg, acct);
                 }
+                return (cycles, None);
             }
             if let Some(td) = self.teardowns.get_mut(&key) {
                 if seg.tcp.ack == td.fin_seq + 1 {
                     td.fin_acked = true;
                     if td.peer_fin {
-                        let Some(td) = self.teardowns.remove(&key) else {
-                            debug_assert!(false, "teardown vanished mid-ack");
-                            return cycles;
-                        };
-                        self.stats.closed += 1;
-                        trace!(
-                            "sp",
-                            now,
-                            State {
-                                flow: key,
-                                from: "closing",
-                                to: "closed",
-                            }
-                        );
-                        self.out
-                            .events
-                            .push(SpAppEvent::CloseDone { opaque: td.opaque });
+                        td.close_out(now, &mut self.stats, &mut self.out.events);
+                        self.teardowns.remove(&key);
                     }
-                    return cycles;
+                    return (cycles, None);
                 }
             }
             self.stats.dropped += 1;
-            return cycles;
+            return (cycles, None);
         }
         self.stats.dropped += 1;
-        cycles
+        (cycles, None)
     }
 
-    fn on_fin(
-        &mut self,
-        now: SimTime,
-        seg: Segment,
-        fp: &mut FastPath,
-        _acct: &mut CycleAccount,
-    ) -> u64 {
+    fn on_fin(&mut self, now: SimTime, seg: Segment, fp: &mut FastPath) {
         let key = seg.flow_key();
         let ts = seg.tcp.options.timestamp.map(|(v, _)| v).unwrap_or(0);
         // Case 1: flow still installed — peer closed first.
-        if let Some(fid) = fp.flows.lookup(&key) {
-            let Some(flow) = fp.flows.get_mut(fid) else {
-                debug_assert!(false, "flow table lookup returned fid {fid} without an entry");
-                return 0;
-            };
+        let installed = fp.flows.lookup(&key);
+        if let Some((fid, flow)) = installed.and_then(|fid| Some((fid, fp.flows.get_mut(fid)?))) {
             let expected = flow.rcv_seq_of(flow.rcv.rx.end_offset());
             // Deliver any payload carried with the FIN (rare; peers here
             // send pure FINs, but be liberal).
@@ -665,13 +709,13 @@ impl SlowPath {
                 ts_recent: ts,
                 fin_acked: false,
                 peer_fin: true,
-                deadline: SimTime::MAX,
-                attempts: 0,
+                retry: None,
             };
-            self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, rcv_ack, ts);
+            let packets = &mut self.out.packets;
+            self.hdr.send_ctrl(packets, now, key, peer_mac, TcpFlags::ACK, seq_no, rcv_ack, ts);
             self.teardowns.insert(key, td);
             self.out.events.push(SpAppEvent::PeerClosed { opaque, fid });
-            return 0;
+            return;
         }
         // Case 2: we closed first; peer's FIN completes the teardown.
         if let Some(td) = self.teardowns.get_mut(&key) {
@@ -679,33 +723,18 @@ impl SlowPath {
             td.ts_recent = ts;
             let ack = seg.tcp.seq + seg.payload.len() as u32 + 1;
             td.rcv_ack = ack;
-            let (peer_mac, fin_seq, fin_acked) = (td.peer_mac, td.fin_seq, td.fin_acked);
             // ACK their FIN; our seq is past our FIN.
-            let seq_no = fin_seq + 1;
-            self.send_ctrl(now, key, peer_mac, TcpFlags::ACK, seq_no, ack, ts);
-            if fin_acked || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == fin_seq + 1 {
-                let Some(td) = self.teardowns.remove(&key) else {
-                    debug_assert!(false, "teardown vanished mid-fin");
-                    return 0;
-                };
-                self.stats.closed += 1;
-                trace!(
-                    "sp",
-                    now,
-                    State {
-                        flow: key,
-                        from: "closing",
-                        to: "closed",
-                    }
-                );
-                self.out
-                    .events
-                    .push(SpAppEvent::CloseDone { opaque: td.opaque });
+            let (packets, seq_no) = (&mut self.out.packets, td.fin_seq + 1);
+            self.hdr.send_ctrl(packets, now, key, td.peer_mac, TcpFlags::ACK, seq_no, ack, ts);
+            if td.fin_acked || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == seq_no {
+                td.close_out(now, &mut self.stats, &mut self.out.events);
+                self.teardowns.remove(&key);
             }
-            return 0;
+            return;
         }
         // Stray FIN (state already gone): ACK it so the peer stops.
-        self.send_ctrl(
+        self.hdr.send_ctrl(
+            &mut self.out.packets,
             now,
             key,
             seg.eth.src,
@@ -714,39 +743,18 @@ impl SlowPath {
             seg.tcp.seq + seg.payload.len() as u32 + 1,
             ts,
         );
-        0
     }
 
-    /// The host relays the application's accept for a pending incoming
-    /// connection (identified by listen port). Returns the number of
-    /// handshakes answered.
-    pub fn accept_pending(&mut self, now: SimTime, acct: &mut CycleAccount) -> usize {
+    /// The host relays the application's accept of the passive handshake
+    /// `key`, named by the [`on_exception`](Self::on_exception) that
+    /// opened it; the slow path answers the SYN with a SYN-ACK.
+    pub fn accept(&mut self, now: SimTime, key: FlowKey, acct: &mut CycleAccount) {
         prof_scope!("accept");
         self.charge(acct, 900);
-        let keys: Vec<FlowKey> = self
-            .handshakes
-            .iter()
-            .filter(|(_, h)| h.state == HsState::SynPending)
-            .map(|(k, _)| *k)
-            .collect();
-        for k in &keys {
-            let Some(hs) = self.handshakes.get_mut(k) else {
-                debug_assert!(false, "pending handshake vanished within accept_pending");
-                continue;
-            };
-            hs.state = HsState::SynAckSent;
-            hs.deadline = now + RETRY_AFTER;
-            let snapshot = hs.clone();
-            self.send_synack(now, &snapshot);
+        if let Some(hs) = self.handshakes.get_mut(&key) {
+            hs.retry = Retry::new(now);
+            hs.send(&self.hdr, now, &mut self.out.packets);
         }
-        keys.len()
-    }
-
-    /// True when incoming handshakes await an application accept.
-    pub fn has_pending_accepts(&self) -> bool {
-        self.handshakes
-            .values()
-            .any(|h| h.state == HsState::SynPending)
     }
 
     // ------------------------------------------------------------------
@@ -806,7 +814,7 @@ impl SlowPath {
                     sf.stall_intervals = 0;
                 }
             } else if flow.snd.tx.len() > flow.snd.tx_sent() as usize
-                && flow.fc.snd_wnd() < self.mss as u64
+                && flow.fc.snd_wnd() < self.hdr.mss as u64
             {
                 // Zero-window persist: pending data, nothing in flight,
                 // shut window — probe so a lost window update cannot
@@ -873,111 +881,58 @@ impl SlowPath {
         for fid in to_close {
             self.start_teardown(now, fid, fp);
         }
-        // Handshake and teardown retries.
-        let mut give_up_hs: Vec<FlowKey> = Vec::new();
-        let mut resend_syn: Vec<FlowKey> = Vec::new();
-        let mut resend_synack: Vec<FlowKey> = Vec::new();
-        for (k, hs) in self.handshakes.iter_mut() {
-            if hs.state == HsState::SynPending || now < hs.deadline {
-                continue;
-            }
-            hs.attempts += 1;
-            if hs.attempts > MAX_ATTEMPTS {
-                give_up_hs.push(*k);
-                continue;
-            }
-            hs.deadline = now + RETRY_AFTER;
-            match hs.state {
-                HsState::SynSent => resend_syn.push(*k),
-                HsState::SynAckSent => resend_synack.push(*k),
-                HsState::SynPending => {}
-            }
-        }
-        for k in resend_syn {
-            self.stats.handshake_rexmits += 1;
-            let Some(hs) = self.snapshot_hs(&k) else {
-                debug_assert!(false, "handshake vanished before SYN resend");
-                continue;
-            };
-            trace!(
-                "sp",
-                now,
-                Retransmit {
-                    flow: k,
-                    kind: "handshake",
-                    seq: hs.iss,
+        // Handshake and teardown retries, resent as the maps are walked:
+        // SYNs, then SYN-ACKs, then FINs, each in key order.
+        let (hdr, out, stats) = (&self.hdr, &mut self.out, &mut self.stats);
+        for state in [HsState::SynSent, HsState::SynAckSent] {
+            self.handshakes.retain(|_, hs| {
+                if hs.state != state {
+                    return true;
                 }
-            );
-            self.send_syn(now, &hs);
-        }
-        for k in resend_synack {
-            self.stats.handshake_rexmits += 1;
-            let Some(hs) = self.snapshot_hs(&k) else {
-                debug_assert!(false, "handshake vanished before SYN-ACK resend");
-                continue;
-            };
-            trace!(
-                "sp",
-                now,
-                Retransmit {
-                    flow: k,
-                    kind: "handshake",
-                    seq: hs.iss,
+                match hs.retry.due(now) {
+                    Due::Wait => true,
+                    Due::Resend => {
+                        stats.handshake_rexmits += 1;
+                        trace!(
+                            "sp",
+                            now,
+                            Retransmit {
+                                flow: hs.key,
+                                kind: "handshake",
+                                seq: hs.iss,
+                            }
+                        );
+                        hs.send(hdr, now, &mut out.packets);
+                        true
+                    }
+                    Due::GiveUp => {
+                        // The application never saw a passive handshake.
+                        if state == HsState::SynSent {
+                            let opaque = hs.opaque;
+                            out.events.push(SpAppEvent::ConnectFailed { opaque });
+                        }
+                        false
+                    }
                 }
-            );
-            self.send_synack(now, &hs);
+            });
         }
-        for k in give_up_hs {
-            let Some(hs) = self.handshakes.remove(&k) else {
-                debug_assert!(false, "expired handshake vanished before removal");
-                continue;
+        self.teardowns.retain(|_, td| {
+            let due = match td.retry.as_mut() {
+                Some(retry) if !td.fin_acked => retry.due(now),
+                _ => Due::Wait,
             };
-            if hs.state == HsState::SynSent {
-                self.out
-                    .events
-                    .push(SpAppEvent::ConnectFailed { opaque: hs.opaque });
-            }
-        }
-        let mut resend_fin: Vec<FlowKey> = Vec::new();
-        let mut drop_td: Vec<FlowKey> = Vec::new();
-        for (k, td) in self.teardowns.iter_mut() {
-            if td.fin_acked || td.deadline == SimTime::MAX || now < td.deadline {
-                continue;
-            }
-            td.attempts += 1;
-            if td.attempts > MAX_ATTEMPTS {
-                drop_td.push(*k);
-                continue;
-            }
-            td.deadline = now + RETRY_AFTER;
-            resend_fin.push(*k);
-        }
-        for k in resend_fin {
-            let Some(snapshot) = self.teardowns.get(&k).cloned() else {
-                debug_assert!(false, "teardown vanished before FIN resend");
-                continue;
-            };
-            self.send_fin(now, &snapshot);
-        }
-        for k in drop_td {
-            let Some(td) = self.teardowns.remove(&k) else {
-                debug_assert!(false, "expired teardown vanished before removal");
-                continue;
-            };
-            self.stats.closed += 1;
-            trace!(
-                "sp",
-                now,
-                State {
-                    flow: k,
-                    from: "closing",
-                    to: "closed",
+            match due {
+                Due::Wait => true,
+                Due::Resend => {
+                    td.send_fin(hdr, now, &mut out.packets);
+                    true
                 }
-            );
-            self.out
-                .events
-                .push(SpAppEvent::CloseDone { opaque: td.opaque });
-        }
+                Due::GiveUp => {
+                    td.close_out(now, stats, &mut out.events);
+                    false
+                }
+            }
+        });
         // The bulk charge keeps the historical account total (which
         // double-bills fp-driven work into "Other"); the profiler sees
         // only the loop's own cycles — the fp portion already queued
@@ -989,15 +944,6 @@ impl SlowPath {
         );
         prof_charge!(cycles.saturating_sub(300).saturating_sub(fp_cycles));
         cycles
-    }
-
-    fn snapshot_hs(&self, k: &FlowKey) -> Option<Handshake> {
-        self.handshakes.get(k).cloned()
-    }
-
-    /// The control-loop interval τ.
-    pub fn control_interval(&self) -> SimTime {
-        self.control_interval
     }
 }
 
@@ -1034,9 +980,7 @@ mod tests {
             peer_wscale: 0,
             peer_win: 65_535,
             ts_recent: 0,
-            listen_port: 80,
-            deadline: SimTime::MAX,
-            attempts: 0,
+            retry: Retry::new(SimTime::ZERO),
         };
         let fid = sp.install(&mut fp, &hs, SimTime::ZERO);
         fp.flows

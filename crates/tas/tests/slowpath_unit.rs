@@ -61,9 +61,9 @@ fn establish(sp: &mut SlowPath, fp: &mut FastPath, sport: u16) -> u32 {
     let mut acct = CycleAccount::new();
     let t = SimTime::from_us(10);
     sp.listen(80);
-    sp.on_exception(t, syn(sport, 5000), fp, 9000, 77, 0, &mut acct);
-    assert!(sp.has_pending_accepts());
-    sp.accept_pending(t, &mut acct);
+    let (_, accept) = sp.on_exception(t, syn(sport, 5000), fp, 9000, 77, 0, &mut acct);
+    let key = accept.expect("the SYN names the handshake awaiting accept");
+    sp.accept(t, key, &mut acct);
     let synack = sp.out.packets.pop().expect("SYN-ACK staged");
     assert!(synack.tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
     assert!(synack.tcp.flags.contains(TcpFlags::ECE), "ECN accepted");
@@ -106,11 +106,11 @@ fn duplicate_syn_reanswers_synack() {
     let mut acct = CycleAccount::new();
     let t = SimTime::from_us(10);
     sp.listen(80);
-    sp.on_exception(t, syn(4000, 5000), fp_mut(&mut fp), 9000, 1, 0, &mut acct);
-    sp.accept_pending(t, &mut acct);
+    let (_, accept) = sp.on_exception(t, syn(4000, 5000), &mut fp, 9000, 1, 0, &mut acct);
+    sp.accept(t, accept.expect("passive handshake"), &mut acct);
     assert_eq!(sp.out.packets.len(), 1);
     // The client's SYN retransmission must elicit another SYN-ACK.
-    sp.on_exception(
+    let (_, accept) = sp.on_exception(
         t + SimTime::from_ms(1),
         syn(4000, 5000),
         &mut fp,
@@ -119,15 +119,12 @@ fn duplicate_syn_reanswers_synack() {
         0,
         &mut acct,
     );
+    assert_eq!(accept, None, "a duplicate SYN opens nothing new");
     assert_eq!(sp.out.packets.len(), 2);
     assert!(sp.out.packets[1]
         .tcp
         .flags
         .contains(TcpFlags::SYN | TcpFlags::ACK));
-}
-
-fn fp_mut(fp: &mut FastPath) -> &mut FastPath {
-    fp
 }
 
 #[test]
@@ -340,4 +337,176 @@ fn handshake_retry_and_give_up() {
     }
     assert!(gave_up, "retries must be bounded");
     assert!(sp.stats.handshake_rexmits >= 3, "SYN retransmitted first");
+}
+
+// The retry rule: an unanswered SYN, SYN-ACK or FIN is resent every
+// `RETRY_AFTER` (2 ms) and its record gives up after `MAX_ATTEMPTS` (8)
+// resends, on the ninth visit after the deadline.
+const RETRY_MS: u64 = 2;
+const MAX_ATTEMPTS: usize = 8;
+
+/// Takes what the slow path has staged so far.
+fn staged(sp: &mut SlowPath) -> (Vec<Segment>, Vec<SpAppEvent>) {
+    (
+        std::mem::take(&mut sp.out.packets),
+        std::mem::take(&mut sp.out.events),
+    )
+}
+
+/// Establishes a flow from port `sport` and closes it at `t`: the flow is
+/// drained, so teardown starts at once and our FIN is staged.
+fn closed_at(sp: &mut SlowPath, fp: &mut FastPath, sport: u16, t: SimTime) -> Segment {
+    let fid = establish(sp, fp, sport);
+    sp.out.packets.clear();
+    sp.close(t, fid, fp, &mut CycleAccount::new());
+    let (mut packets, _) = staged(sp);
+    let fin = packets.pop().expect("our FIN staged");
+    assert!(fin.tcp.flags.contains(TcpFlags::FIN) && packets.is_empty());
+    fin
+}
+
+#[test]
+fn unacked_fin_is_resent_every_retry_interval() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let t0 = SimTime::from_ms(1);
+    let fin = closed_at(&mut sp, &mut fp, 4000, t0);
+    for ms in 1..=4 * RETRY_MS {
+        sp.control_loop(t0 + SimTime::from_ms(ms), &mut fp, &mut acct);
+        let (packets, events) = staged(&mut sp);
+        assert!(events.is_empty(), "{ms} ms: {events:?}");
+        if ms % RETRY_MS != 0 {
+            assert!(packets.is_empty(), "{ms} ms: not due yet");
+            continue;
+        }
+        assert_eq!(packets.len(), 1, "{ms} ms: one FIN resend");
+        let again = &packets[0];
+        assert!(again.tcp.flags.contains(TcpFlags::FIN | TcpFlags::ACK));
+        assert_eq!((again.tcp.seq, again.tcp.ack), (fin.tcp.seq, fin.tcp.ack));
+    }
+    assert_eq!(sp.stats.handshake_rexmits, 0, "a FIN is no handshake");
+}
+
+#[test]
+fn unacked_teardown_gives_up_with_one_close_done() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let t0 = SimTime::from_ms(1);
+    closed_at(&mut sp, &mut fp, 4000, t0);
+    let (mut resends, mut close_done) = (0, Vec::new());
+    for visit in 1..=MAX_ATTEMPTS + 4 {
+        let t = t0 + SimTime::from_ms(RETRY_MS * visit as u64);
+        sp.control_loop(t, &mut fp, &mut acct);
+        let (packets, events) = staged(&mut sp);
+        resends += packets.len();
+        close_done.extend(events.into_iter().map(|e| (visit, e)));
+    }
+    assert_eq!(resends, MAX_ATTEMPTS, "resent until the bound, then quiet");
+    assert_eq!(
+        close_done,
+        vec![(MAX_ATTEMPTS + 1, SpAppEvent::CloseDone { opaque: 77 })]
+    );
+    assert_eq!(sp.stats.closed, 1);
+}
+
+/// A listening slow path that answered a SYN from `sport` at `t`.
+fn accepted_at(sp: &mut SlowPath, fp: &mut FastPath, sport: u16, t: SimTime) {
+    let mut acct = CycleAccount::new();
+    sp.listen(80);
+    let (_, accept) = sp.on_exception(t, syn(sport, 5000), fp, 9000, 3, 0, &mut acct);
+    sp.accept(t, accept.expect("passive handshake"), &mut acct);
+}
+
+#[test]
+fn unanswered_synack_is_resent() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let t0 = SimTime::from_ms(1);
+    accepted_at(&mut sp, &mut fp, 4000, t0);
+    let (first, _) = staged(&mut sp);
+    sp.control_loop(t0 + SimTime::from_ms(1), &mut fp, &mut acct);
+    assert!(sp.out.packets.is_empty(), "not due before RETRY_AFTER");
+    sp.control_loop(t0 + SimTime::from_ms(RETRY_MS), &mut fp, &mut acct);
+    let (packets, events) = staged(&mut sp);
+    assert!(events.is_empty());
+    assert_eq!(packets.len(), 1);
+    assert!(packets[0].tcp.flags.contains(TcpFlags::SYN | TcpFlags::ACK));
+    assert_eq!(
+        (packets[0].tcp.seq, packets[0].tcp.ack),
+        (first[0].tcp.seq, Seq(5001))
+    );
+    assert_eq!(sp.stats.handshake_rexmits, 1);
+}
+
+#[test]
+fn passive_handshake_gives_up_without_connect_failed() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let t0 = SimTime::from_ms(1);
+    accepted_at(&mut sp, &mut fp, 4000, t0);
+    let (first, _) = staged(&mut sp);
+    let mut resends = 0;
+    for visit in 1..=MAX_ATTEMPTS as u64 + 4 {
+        sp.control_loop(t0 + SimTime::from_ms(RETRY_MS * visit), &mut fp, &mut acct);
+        let (packets, events) = staged(&mut sp);
+        assert!(events.is_empty(), "visit {visit}: {events:?}");
+        resends += packets.len();
+    }
+    assert_eq!(resends, MAX_ATTEMPTS);
+    assert_eq!(sp.stats.handshake_rexmits, MAX_ATTEMPTS as u64);
+    // The record is gone: a late final ACK matches nothing.
+    let late = plain_ack(4000, 5001, (first[0].tcp.seq + 1).0);
+    sp.on_exception(SimTime::from_ms(100), late, &mut fp, 0, 0, 0, &mut acct);
+    assert_eq!((sp.stats.dropped, sp.stats.established), (1, 0));
+}
+
+#[test]
+fn peer_fin_record_is_never_retried() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let fid = establish(&mut sp, &mut fp, 4000);
+    let mut acct = CycleAccount::new();
+    let mut fin = plain_ack(4000, 5001, 1);
+    fin.tcp.flags = TcpFlags::FIN | TcpFlags::ACK;
+    fin.tcp.ack = fp.flows.get(fid).expect("flow").snd.iss() + 1;
+    sp.on_exception(SimTime::from_ms(1), fin, &mut fp, 0, 0, 0, &mut acct);
+    let (packets, events) = staged(&mut sp);
+    assert_eq!(packets.len(), 1, "the FIN is ACKed once");
+    assert_eq!(events, vec![SpAppEvent::PeerClosed { opaque: 77, fid }]);
+    for ms in 2..=40 {
+        sp.control_loop(SimTime::from_ms(ms), &mut fp, &mut acct);
+        let (packets, events) = staged(&mut sp);
+        assert!(packets.is_empty() && events.is_empty(), "{ms} ms");
+    }
+    assert_eq!(sp.stats.closed, 0);
+}
+
+#[test]
+fn one_pass_stages_syn_then_synack_then_fin() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let t0 = SimTime::from_ms(1);
+    closed_at(&mut sp, &mut fp, 4001, t0);
+    // The passive handshake's key (local port 80) sorts before the active
+    // one's (an ephemeral port), so state order is not key order here.
+    accepted_at(&mut sp, &mut fp, 4000, t0);
+    let peer = Ipv4Addr::new(10, 0, 0, 9);
+    sp.connect(t0, peer, 80, MacAddr::for_host(9), 55, 0, 1234, &mut acct);
+    staged(&mut sp);
+    sp.control_loop(t0 + SimTime::from_ms(RETRY_MS), &mut fp, &mut acct);
+    let (packets, events) = staged(&mut sp);
+    assert!(events.is_empty());
+    let kinds: Vec<_> = packets
+        .iter()
+        .map(|p| {
+            let f = p.tcp.flags;
+            match (f.contains(TcpFlags::SYN), f.contains(TcpFlags::FIN)) {
+                (true, _) if f.contains(TcpFlags::ACK) => "syn-ack",
+                (true, _) => "syn",
+                (_, true) => "fin",
+                _ => "other",
+            }
+        })
+        .collect();
+    assert_eq!(kinds, ["syn", "syn-ack", "fin"]);
+    assert_eq!(sp.stats.handshake_rexmits, 2);
 }

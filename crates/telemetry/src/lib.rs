@@ -6,8 +6,8 @@
 //! [`tas_sim::metrics`]): a bounded ring of structured flow events —
 //! segment rx/tx, state transitions, congestion-control rate updates,
 //! retransmits, out-of-order placements, controller core add/remove, and
-//! fault-injector verdicts — plus deterministic text and JSONL renderers
-//! and a pcap exporter that replays traced segments through
+//! fault-injector verdicts — plus a deterministic JSONL renderer and a
+//! pcap exporter that replays traced segments through
 //! [`tas_proto::wire`] into a standard capture Wireshark opens directly.
 //!
 //! # Zero cost when disabled
@@ -169,7 +169,6 @@ struct Tracer {
     ring: VecDeque<TraceRecord>,
     /// Oldest records evicted when the bounded ring wrapped.
     evicted: u64,
-    filter: Option<FlowKey>,
 }
 
 impl Tracer {
@@ -179,7 +178,6 @@ impl Tracer {
             cap: 0,
             ring: VecDeque::new(),
             evicted: 0,
-            filter: None,
         }
     }
 }
@@ -198,7 +196,6 @@ pub fn start(cap: usize) {
         t.cap = cap.max(1);
         t.ring.clear();
         t.evicted = 0;
-        t.filter = None;
     });
 }
 
@@ -212,13 +209,6 @@ pub fn is_enabled() -> bool {
     TRACER.with(|t| t.borrow().enabled)
 }
 
-/// Restricts recording to one flow (matched in either orientation), or
-/// clears the restriction with `None`. Non-flow events (core scaling) are
-/// always kept.
-pub fn set_flow_filter(flow: Option<FlowKey>) {
-    TRACER.with(|t| t.borrow_mut().filter = flow);
-}
-
 /// Number of records evicted since [`start`] because the ring was full.
 pub fn evicted() -> u64 {
     TRACER.with(|t| t.borrow().evicted)
@@ -227,21 +217,6 @@ pub fn evicted() -> u64 {
 /// Drains and returns the recorded events in emission order.
 pub fn take() -> Vec<TraceRecord> {
     TRACER.with(|t| t.borrow_mut().ring.drain(..).collect())
-}
-
-/// The flow a record pertains to, if any.
-pub fn flow_of(rec: &TraceRecord) -> Option<FlowKey> {
-    match &rec.ev {
-        TraceEvent::SegRx { seg } | TraceEvent::SegTx { seg } => Some(seg.flow_key()),
-        TraceEvent::State { flow, .. }
-        | TraceEvent::CcRate { flow, .. }
-        | TraceEvent::Retransmit { flow, .. }
-        | TraceEvent::OooPlace { flow, .. }
-        | TraceEvent::Fault { flow, .. }
-        | TraceEvent::EcnMark { flow, .. }
-        | TraceEvent::Stage { flow, .. } => Some(*flow),
-        TraceEvent::CoreScale { .. } => None,
-    }
 }
 
 /// Records an event. The closure runs only while recording is enabled, so
@@ -254,11 +229,6 @@ pub fn emit(f: impl FnOnce() -> TraceRecord) {
             return;
         }
         let rec = f();
-        if let (Some(want), Some(flow)) = (t.filter, flow_of(&rec)) {
-            if flow != want && flow != want.reversed() {
-                return;
-            }
-        }
         if t.ring.len() == t.cap {
             t.ring.pop_front();
             t.evicted += 1;
@@ -292,79 +262,11 @@ fn flags_str(f: TcpFlags) -> String {
     s
 }
 
-fn seg_fields(seg: &Segment) -> String {
-    format!(
-        "{}:{}>{}:{} flags={} seq={} ack={} len={} ecn={}",
-        seg.ip.src,
-        seg.tcp.src_port,
-        seg.ip.dst,
-        seg.tcp.dst_port,
-        flags_str(seg.tcp.flags),
-        seg.tcp.seq,
-        seg.tcp.ack,
-        seg.payload.len(),
-        seg.ip.ecn.bits(),
-    )
-}
-
 fn flow_str(flow: &FlowKey) -> String {
     format!(
         "{}:{}<>{}:{}",
         flow.local_ip, flow.local_port, flow.remote_ip, flow.remote_port
     )
-}
-
-/// Renders records as human-readable text, one event per line.
-pub fn render_text(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let _ = write!(out, "[{:>12}ns] {:<6} ", r.t.as_nanos(), r.site);
-        let _ = match &r.ev {
-            TraceEvent::SegRx { seg } => writeln!(out, "seg_rx {}", seg_fields(seg)),
-            TraceEvent::SegTx { seg } => writeln!(out, "seg_tx {}", seg_fields(seg)),
-            TraceEvent::State { flow, from, to } => {
-                writeln!(out, "state {} {from}->{to}", flow_str(flow))
-            }
-            TraceEvent::CcRate { flow, rate } => {
-                writeln!(out, "cc_rate {} rate={rate}", flow_str(flow))
-            }
-            TraceEvent::Retransmit { flow, kind, seq } => {
-                writeln!(out, "rexmit {} kind={kind} seq={seq}", flow_str(flow))
-            }
-            TraceEvent::OooPlace { flow, start, len } => {
-                writeln!(out, "ooo_place {} start={start} len={len}", flow_str(flow))
-            }
-            TraceEvent::CoreScale { active, delta } => {
-                writeln!(out, "core_scale active={active} delta={delta:+}")
-            }
-            TraceEvent::Fault {
-                verdict,
-                flow,
-                seq,
-                dev,
-            } => writeln!(
-                out,
-                "fault {} verdict={verdict} seq={seq} dev={dev}",
-                flow_str(flow)
-            ),
-            TraceEvent::EcnMark { flow, seq } => {
-                writeln!(out, "ecn_mark {} seq={seq}", flow_str(flow))
-            }
-            TraceEvent::Stage {
-                stage,
-                flow,
-                seq,
-                len,
-                wait_ns,
-            } => writeln!(
-                out,
-                "stage {} {} seq={seq} len={len} wait_ns={wait_ns}",
-                stage.name(),
-                flow_str(flow)
-            ),
-        };
-    }
-    out
 }
 
 /// Renders records as JSONL — one JSON object per line, fixed key order,
@@ -505,43 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_filter_matches_both_orientations() {
-        start(64);
-        let keep = seg(1, 8).flow_key();
-        set_flow_filter(Some(keep));
-        emit(|| rx(1, 1)); // Matches (receiver perspective).
-        emit(|| TraceRecord {
-            t: SimTime::from_us(2),
-            site: "conn",
-            ev: TraceEvent::State {
-                flow: keep.reversed(),
-                from: "syn_sent",
-                to: "established",
-            },
-        }); // Matches reversed.
-        emit(|| TraceRecord {
-            t: SimTime::from_us(3),
-            site: "sp",
-            ev: TraceEvent::CcRate {
-                flow: FlowKey::new(Ipv4Addr::new(9, 9, 9, 9), 1, Ipv4Addr::new(8, 8, 8, 8), 2),
-                rate: 100,
-            },
-        }); // Different flow: filtered out.
-        emit(|| TraceRecord {
-            t: SimTime::from_us(4),
-            site: "host",
-            ev: TraceEvent::CoreScale {
-                active: 2,
-                delta: 1,
-            },
-        }); // Flow-less: kept.
-        let recs = take();
-        assert_eq!(recs.len(), 3);
-        stop();
-    }
-
-    #[test]
-    fn renderers_are_deterministic_and_cover_all_events() {
+    fn jsonl_is_deterministic_and_covers_all_events() {
         let flow = FlowKey::new(Ipv4Addr::new(10, 0, 0, 2), 80, Ipv4Addr::new(10, 0, 0, 1), 5000);
         let records = vec![
             rx(1, 42),
@@ -613,9 +479,7 @@ mod tests {
         for line in a.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        let text = render_text(&records);
-        assert_eq!(text.lines().count(), records.len());
-        assert!(text.contains("state 10.0.0.2:80<>10.0.0.1:5000 established->fin_wait1"));
+        assert!(a.contains("\"flow\":\"10.0.0.2:80<>10.0.0.1:5000\",\"from\":\"established\""));
         assert!(a.contains("\"ev\":\"ecn_mark\""));
     }
 }

@@ -6,9 +6,8 @@
 //! frames ([`guard`]) and routes cycle charges through [`charge`]; the
 //! core model calls [`on_core_run`] when work is actually scheduled,
 //! draining pending charges FIFO into a per-core profile tree. The tree
-//! exports as Brendan-Gregg collapsed ("folded") stacks — which
-//! `flamegraph.pl` and speedscope render directly — and as a
-//! deterministic JSON tree.
+//! exports as Brendan-Gregg collapsed ("folded") stacks, which
+//! `flamegraph.pl` and speedscope render directly.
 //!
 //! # Attribution model
 //!
@@ -57,26 +56,14 @@ fn core_label((group, idx): CoreId) -> String {
     format!("{group}{idx}")
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Node {
-    name: &'static str,
     children: BTreeMap<&'static str, usize>,
     /// Self cycles attributed to this frame, per core.
     cycles: BTreeMap<CoreId, u64>,
-    /// Times this frame was entered.
-    calls: u64,
 }
 
 impl Node {
-    fn new(name: &'static str) -> Node {
-        Node {
-            name,
-            children: BTreeMap::new(),
-            cycles: BTreeMap::new(),
-            calls: 0,
-        }
-    }
-
     fn self_total(&self) -> u64 {
         self.cycles.values().sum()
     }
@@ -110,7 +97,7 @@ impl Prof {
 
     fn reset_tree(&mut self) {
         self.nodes.clear();
-        self.nodes.push(Node::new("(root)"));
+        self.nodes.push(Node::default());
         self.stack.clear();
         self.fifo.clear();
     }
@@ -205,7 +192,7 @@ impl Drop for Guard {
 }
 
 /// Pushes frame `name` under the current frame and returns the guard
-/// that pops it. Counts a call on the frame node.
+/// that pops it.
 pub fn guard(name: &'static str) -> Guard {
     PROF.with(|p| {
         let mut p = p.borrow_mut();
@@ -225,16 +212,13 @@ pub fn guard(name: &'static str) -> Guard {
             Some(i) => i,
             None => {
                 let i = p.nodes.len();
-                p.nodes.push(Node::new(name));
+                p.nodes.push(Node::default());
                 if let Some(par) = p.nodes.get_mut(parent) {
                     par.children.insert(name, i);
                 }
                 i
             }
         };
-        if let Some(n) = p.nodes.get_mut(idx) {
-            n.calls += 1;
-        }
         p.stack.push(idx);
         Guard {
             active: true,
@@ -342,20 +326,6 @@ impl Profile {
         self.nodes.iter().map(Node::self_total).sum()
     }
 
-    /// Total attributed cycles for one core.
-    pub fn core_cycles(&self, group: &str, idx: u32) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.cycles
-                    .iter()
-                    .filter(|((g, i), _)| *g == group && *i == idx)
-                    .map(|(_, c)| c)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     /// Every core that received cycles, in deterministic order.
     pub fn cores(&self) -> Vec<CoreId> {
         let mut set = BTreeSet::new();
@@ -432,16 +402,6 @@ impl Profile {
                 .sum::<u64>()
     }
 
-    /// Call count for the depth-1 frame `name` (0 when absent).
-    pub fn calls_depth1(&self, name: &str) -> u64 {
-        self.nodes
-            .first()
-            .and_then(|root| root.children.get(name))
-            .and_then(|&i| self.nodes.get(i))
-            .map(|n| n.calls)
-            .unwrap_or(0)
-    }
-
     /// Brendan-Gregg collapsed stacks: one line per `(core, frame path)`
     /// with self cycles > 0, `label;frame;frame cycles`, sorted
     /// lexicographically. `flamegraph.pl` and speedscope ingest this
@@ -481,58 +441,6 @@ impl Profile {
             path.pop();
         }
     }
-
-    /// Deterministic JSON tree (`tas-profile-v1`): per-core totals plus
-    /// the frame tree with self cycles, call counts, and children in
-    /// name order.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"schema\":\"tas-profile-v1\",\"total_cycles\":");
-        let _ = write!(s, "{}", self.total_cycles());
-        s.push_str(",\"cores\":{");
-        let mut first = true;
-        for (label, total) in self.per_core_totals() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{label}\":{total}");
-        }
-        s.push_str("},\"root\":");
-        self.node_json(0, &mut s);
-        s.push('}');
-        s
-    }
-
-    fn node_json(&self, idx: usize, s: &mut String) {
-        let Some(n) = self.nodes.get(idx) else {
-            s.push_str("null");
-            return;
-        };
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"calls\":{},\"self_cycles\":{{",
-            n.name, n.calls
-        );
-        let mut first = true;
-        for (core, c) in &n.cycles {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            let _ = write!(s, "\"{}\":{}", core_label(*core), c);
-        }
-        s.push_str("},\"children\":[");
-        let mut first = true;
-        for &child in n.children.values() {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            self.node_json(child, s);
-        }
-        s.push_str("]}");
-    }
 }
 
 #[cfg(test)]
@@ -571,9 +479,9 @@ mod tests {
         let p = take();
         stop();
         assert_eq!(p.total_cycles(), 200);
-        assert_eq!(p.core_cycles("fp", 0), 120);
-        assert_eq!(p.core_cycles("fp", 1), 30);
-        assert_eq!(p.core_cycles("sp", 0), 50);
+        let totals: Vec<_> = p.per_core_totals().into_iter().collect();
+        let core = |label: &str, c| (label.to_string(), c);
+        assert_eq!(totals, [core("fp0", 120), core("fp1", 30), core("sp0", 50)]);
         let folded = p.folded();
         assert_eq!(folded, "fp0;rx;ack 120\nfp1;rx 30\nsp0;control 50\n");
         assert_eq!(p.flat_self().get("rx/ack"), Some(&120));
@@ -668,34 +576,5 @@ mod tests {
         stop();
         assert_eq!(p.total_cycles(), 5);
         assert_eq!(p2.folded(), "fp0;tx 7\n");
-    }
-
-    #[test]
-    fn structural_frames_count_calls_without_cycles() {
-        start();
-        set_core("fp", 0);
-        for _ in 0..3 {
-            let _g = guard("cc_newreno");
-        }
-        let p = take();
-        stop();
-        assert_eq!(p.calls_depth1("cc_newreno"), 3);
-        assert_eq!(p.folded(), "", "zero-cycle frames stay out of folded");
-        assert!(p.to_json().contains("\"name\":\"cc_newreno\",\"calls\":3"));
-    }
-
-    #[test]
-    fn json_and_folded_are_deterministic() {
-        let mk = || {
-            start();
-            run_region(("fp", 0), &["rx"], 11);
-            run_region(("app", 3), &["app", "work"], 22);
-            let p = take();
-            stop();
-            (p.folded(), p.to_json())
-        };
-        assert_eq!(mk(), mk());
-        let (_, json) = mk();
-        assert!(json.starts_with("{\"schema\":\"tas-profile-v1\""), "{json}");
     }
 }
