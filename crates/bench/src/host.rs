@@ -5,17 +5,15 @@
 //! [`host_mut`], [`app`] and [`app_mut`] find the concrete type behind
 //! an agent id themselves (the app side is one [`HostedApp`] on both).
 //! Harness code therefore never needs to know which stack a host runs:
-//! [`crate::Kind`] only decides what [`crate::make_server`] constructs.
+//! [`crate::Kind`] only decides what [`crate::HostCfg::new`] configures.
 
 use std::ops::DerefMut;
-use tas::{TasConfig, TasHost};
-use tas_baselines::{StackHost, StackHostConfig, StackProfile};
+use tas::TasHost;
+use tas_baselines::StackHost;
 use tas_cpusim::{CoreClass, CycleAccount};
-use tas_netsim::app::App;
 use tas_netsim::runtime::HostedApp;
-use tas_netsim::topo::{build_star, HostFactory, HostSpec, StarTopo};
-use tas_netsim::{NetMsg, NicConfig, PortConfig};
-use tas_sim::{AgentId, Registry, Scope, Sim, SimTime, Snapshot};
+use tas_netsim::NetMsg;
+use tas_sim::{AgentId, Registry, Scope, Sim, Snapshot};
 
 /// What the harnesses read from (and switch on in) a host, whichever
 /// stack it runs; it dereferences to its application ([`HostedApp`]).
@@ -144,82 +142,4 @@ pub fn app<T: 'static>(sim: &Sim<NetMsg>, id: AgentId) -> &T {
 /// Mutable form of [`app`].
 pub fn app_mut<T: 'static>(sim: &mut Sim<NetMsg>, id: AgentId) -> &mut T {
     host_mut(sim, id).app_as_mut()
-}
-
-/// A fully configured stack, ready to be placed on a [`HostSpec`].
-pub enum HostCfg {
-    /// A TAS host.
-    Tas(TasConfig),
-    /// One of the baseline stack models.
-    Model(StackProfile, StackHostConfig),
-}
-
-/// Adds a host running `app` on the stack `cfg` describes.
-pub fn add_host(sim: &mut Sim<NetMsg>, spec: HostSpec, cfg: HostCfg, app: Box<dyn App>) -> AgentId {
-    match cfg {
-        HostCfg::Tas(cfg) => sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            cfg,
-            spec.uplink,
-            app,
-        ))),
-        HostCfg::Model(profile, cfg) => sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profile,
-            cfg,
-            spec.uplink,
-            app,
-        ))),
-    }
-}
-
-/// The paper's testbed star: host 0 (the server) behind a 40G port and
-/// NIC, every other host on 10G.
-pub fn testbed_star(sim: &mut Sim<NetMsg>, n: usize, make_host: &mut HostFactory<'_>) -> StarTopo {
-    build_star(
-        sim,
-        n,
-        |i| {
-            if i == 0 {
-                PortConfig::fortygig()
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        make_host,
-    )
-}
-
-/// A star of `n` 10G hosts behind switch ports that all share `port`.
-pub fn uniform_star(
-    sim: &mut Sim<NetMsg>,
-    n: usize,
-    port: PortConfig,
-    make_host: &mut HostFactory<'_>,
-) -> StarTopo {
-    build_star(
-        sim,
-        n,
-        move |_| port,
-        |_| NicConfig::client_10g(1),
-        make_host,
-    )
-}
-
-/// Starts every host at t = 0 (timer kind 0 is INIT for all host types).
-pub fn start_all(sim: &mut Sim<NetMsg>, hosts: &[AgentId]) {
-    for &h in hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
 }

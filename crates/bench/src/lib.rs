@@ -4,24 +4,25 @@
 //! report catalogue ([`scenarios::catalogue`]): one module with one
 //! `report()` that holds every cell the artefact measures. The
 //! `bench-report` binary ([`gate`]) simulates, renders ([`report`]) and
-//! gates them. This root provides the common scenario builders: a server
-//! of any stack kind behind a bank of client machines, with
-//! warmup/measure windows.
+//! gates them. Every simulation a cell runs is a [`testbed::Testbed`]
+//! value — a seed, a fabric and one node per machine — that the one
+//! builder [`testbed::build`] wires; the cell adds only its metric
+//! extraction. This root holds the stack kinds, the buffer presets and
+//! the RPC scenario shared by the throughput and cycle-accounting cells.
 //!
 //! Scale: by default every experiment runs a reduced-but-faithful
 //! configuration sized to finish in seconds; setting `TAS_FULL=1` selects
 //! the paper-scale parameters (more connections, longer windows).
 
-use tas::{ApiKind, CcAlgo, TasConfig};
 use tas_apps::echo::{EchoServer, ServerMode};
 use tas_apps::kv::KvServer;
 use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
-use tas_baselines::{profiles, StackHostConfig};
 use tas_cpusim::{CycleAccount, Module, MODULE_COUNT};
 use tas_netsim::app::App;
-use tas_netsim::topo::{host_ip, HostSpec};
+use tas_netsim::topo::host_ip;
 use tas_netsim::NetMsg;
-use tas_sim::{AgentId, Sim, SimTime};
+use tas_sim::{Sim, SimTime};
+use testbed::{build, Agent, Net, Testbed};
 
 pub use tas_sim::Histogram;
 
@@ -30,10 +31,10 @@ mod host;
 pub mod report;
 pub mod scenario;
 pub mod scenarios;
+pub mod testbed;
 
-pub use host::{
-    add_host, app, app_mut, host, host_mut, start_all, testbed_star, uniform_star, Host, HostCfg,
-};
+pub use host::{app, app_mut, host, host_mut, Host};
+pub use testbed::HostCfg;
 
 /// True when `TAS_FULL=1` requests paper-scale runs.
 fn full_scale() -> bool {
@@ -83,140 +84,19 @@ impl Kind {
     }
 }
 
-/// Per-flow buffer sizing for server scenarios (small for RPC echo, larger
-/// for KV / bulk workloads).
-#[derive(Clone, Copy, Debug)]
-pub struct Bufs {
-    /// Receive buffer bytes per connection.
-    pub rx: usize,
-    /// Transmit buffer bytes per connection.
-    pub tx: usize,
-}
+/// Receive and transmit buffer bytes per connection for 64-byte echo at
+/// huge connection counts.
+pub const ECHO_BUF: usize = 1024;
 
-impl Bufs {
-    /// Small buffers for 64-byte echo at huge connection counts.
-    pub fn tiny() -> Bufs {
-        Bufs { rx: 1024, tx: 1024 }
-    }
-
-    /// Medium buffers for KV-sized messages.
-    pub fn small() -> Bufs {
-        Bufs { rx: 4096, tx: 4096 }
-    }
-}
-
-/// Optional TAS configuration overrides for ablation studies. `None`
-/// fields keep the [`make_server`] defaults, so the overridden run is
-/// comparable to the corresponding paper experiment.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TasOverrides {
-    /// Cache lines of flow state touched per request (ablates the
-    /// 102-byte compact state of Table 3).
-    pub cache_lines_per_req: Option<u64>,
-    /// Congestion-control policy (ablates fast-path rate enforcement).
-    pub cc: Option<CcAlgo>,
-    /// Stalled control intervals before a slow-path retransmission.
-    pub stall_intervals_for_rexmit: Option<u32>,
-    /// Control-loop interval τ.
-    pub control_interval: Option<SimTime>,
-}
-
-impl TasOverrides {
-    fn apply(&self, cfg: &mut TasConfig) {
-        if let Some(v) = self.cache_lines_per_req {
-            cfg.cache_lines_per_req = v;
-        }
-        if let Some(v) = self.cc {
-            cfg.cc = v;
-        }
-        if let Some(v) = self.stall_intervals_for_rexmit {
-            cfg.stall_intervals_for_rexmit = v;
-        }
-        if let Some(v) = self.control_interval {
-            cfg.control_interval = v;
-        }
-    }
-}
-
-/// Builds a server host of the given kind.
-///
-/// `cores` means: for TAS kinds `(fast-path cores, app cores)`; for the
-/// baselines the total core count (mTCP reserves ceil(total/3) of them for
-/// its stack threads).
-pub fn make_server(
-    sim: &mut Sim<NetMsg>,
-    spec: HostSpec,
-    kind: Kind,
-    cores: (usize, usize),
-    bufs: Bufs,
-    app: Box<dyn App>,
-) -> AgentId {
-    make_server_with(sim, spec, kind, cores, bufs, app, TasOverrides::default())
-}
-
-/// [`make_server`] with TAS ablation overrides (ignored for baselines).
-#[allow(clippy::too_many_arguments)]
-pub fn make_server_with(
-    sim: &mut Sim<NetMsg>,
-    spec: HostSpec,
-    kind: Kind,
-    cores: (usize, usize),
-    bufs: Bufs,
-    app: Box<dyn App>,
-    overrides: TasOverrides,
-) -> AgentId {
-    let total = cores.0 + cores.1;
-    let (profile, mut cfg) = match kind {
-        Kind::TasSockets | Kind::TasLowLevel => {
-            let mut cfg = TasConfig::rpc_bench(cores.0, cores.1);
-            cfg.api = if kind == Kind::TasLowLevel {
-                ApiKind::LowLevel
-            } else {
-                ApiKind::Sockets
-            };
-            cfg.rx_buf = bufs.rx;
-            cfg.tx_buf = bufs.tx;
-            // The paper's testbed runs DCTCP everywhere; without
-            // congestion control, bulk/pipelined scenarios collapse the
-            // shared switch queue.
-            cfg.cc = CcAlgo::DctcpRate;
-            cfg.initial_rate_bps = 1_000_000_000;
-            cfg.control_interval = SimTime::from_us(200);
-            // Closed-loop macrobenchmarks keep up to one request per
-            // connection outstanding; deep rings absorb them (the paper's
-            // clients "wait in a closed loop" with up to 96k in flight).
-            cfg.max_core_backlog = SimTime::from_ms(50);
-            overrides.apply(&mut cfg);
-            return add_host(sim, spec, HostCfg::Tas(cfg), app);
-        }
-        Kind::Linux => (profiles::linux(), StackHostConfig::linux(total)),
-        Kind::Ix => (profiles::ix(), StackHostConfig::ix(total)),
-        Kind::Mtcp => {
-            let stack = (total / 3).max(1).min(total.saturating_sub(1)).max(1);
-            (profiles::mtcp(), StackHostConfig::mtcp(total.max(2), stack))
-        }
-        Kind::Mpk => (profiles::mpk(), StackHostConfig::mpk(total)),
-        Kind::Pno => {
-            // cores.0 maps to the on-NIC stack cores, cores.1 to host
-            // app cores (mirroring TAS's fastpath/app split).
-            let (host, nic) = (cores.1.max(1), cores.0.max(1));
-            (profiles::pno(), StackHostConfig::pno(host, nic))
-        }
-    };
-    cfg.tcp.recv_buf = bufs.rx;
-    cfg.tcp.send_buf = bufs.tx;
-    cfg.max_core_backlog = SimTime::from_ms(50);
-    add_host(sim, spec, HostCfg::Model(profile, cfg), app)
-}
+/// Receive and transmit buffer bytes per connection for KV-sized messages.
+pub const KV_BUF: usize = 4096;
 
 /// An RPC-echo throughput scenario: one server, a bank of load-generator
 /// clients, closed loop with one request in flight per connection.
 #[derive(Clone, Debug)]
 pub struct RpcScenario {
     /// Server stack.
-    pub kind: Kind,
-    /// Server cores (see [`make_server`]).
-    pub cores: (usize, usize),
+    pub server: HostCfg,
     /// Total client connections.
     pub conns: u32,
     /// Client machines to spread them over.
@@ -233,15 +113,12 @@ pub struct RpcScenario {
     pub measure: SimTime,
     /// Request template (None = echo filler).
     pub req_template: Option<Vec<u8>>,
-    /// Buffers.
-    pub bufs: Bufs,
     /// Which server application runs.
     pub server_app: ServerApp,
-    /// Extra lock-contention cycles per op per extra app core (Table 7's
-    /// non-scalable KV workload); 0 normally.
-    pub kv_contention: u64,
-    /// TAS ablation overrides (no effect on baseline kinds).
-    pub tas_overrides: TasOverrides,
+    /// Table 7's non-scalable KV workload: the server's app cores and the
+    /// extra lock-contention cycles per op per extra app core; `None`
+    /// normally.
+    pub kv_contention: Option<(u32, u64)>,
     /// RNG seed.
     pub seed: u64,
     /// Capture a cycle-attribution profile over the measurement window
@@ -263,8 +140,7 @@ impl RpcScenario {
     /// A default echo scenario.
     pub fn echo(kind: Kind, cores: (usize, usize), conns: u32) -> RpcScenario {
         RpcScenario {
-            kind,
-            cores,
+            server: HostCfg::new(kind, cores, ECHO_BUF),
             conns,
             client_hosts: 6,
             req_size: 64,
@@ -273,10 +149,8 @@ impl RpcScenario {
             warmup: SimTime::from_ms(30),
             measure: SimTime::from_ms(20),
             req_template: None,
-            bufs: Bufs::tiny(),
             server_app: ServerApp::Echo,
-            kv_contention: 0,
-            tas_overrides: TasOverrides::default(),
+            kv_contention: None,
             seed: 42,
             #[cfg(feature = "telemetry")]
             profile: false,
@@ -291,7 +165,7 @@ impl RpcScenario {
             resp_size: Some(tas_apps::kv::RESP_LEN),
             req_template: Some(template),
             server_app: ServerApp::Kv,
-            bufs: Bufs::small(),
+            server: HostCfg::new(kind, cores, KV_BUF),
             ..RpcScenario::echo(kind, cores, conns)
         }
     }
@@ -421,63 +295,48 @@ impl ProfileCapture {
     }
 }
 
+impl RpcScenario {
+    /// The scenario's testbed: the server behind the 40G port, then
+    /// `client_hosts` load generators sharing the connections.
+    fn testbed(&self) -> Testbed {
+        let app: Box<dyn App> = match self.server_app {
+            ServerApp::Echo => Box::new(EchoServer::new(
+                7,
+                self.req_size,
+                ServerMode::Echo,
+                self.app_cycles,
+            )),
+            ServerApp::Kv => {
+                let kv = KvServer::new(7);
+                match self.kv_contention {
+                    Some((cores, cycles)) => Box::new(kv.non_scalable(cores, cycles)),
+                    None => Box::new(kv),
+                }
+            }
+        };
+        let hosts = self.client_hosts as u32;
+        let (per_client, remainder) = (self.conns / hosts, self.conns % hosts);
+        let client = |i: u32| {
+            Agent::LoadGen(LoadGenConfig {
+                server: host_ip(0),
+                port: 7,
+                conns: per_client + u32::from(i < remainder),
+                req_size: self.req_size,
+                resp_size: self.resp_size.unwrap_or(self.req_size),
+                connects_per_ms: 400,
+                req_template: self.req_template.clone(),
+                ..LoadGenConfig::default()
+            })
+        };
+        let server = Agent::stack(self.server.clone(), app);
+        Testbed::paper(self.seed, server, (0..hosts).map(client))
+    }
+}
+
 /// Runs an RPC scenario and returns throughput/latency.
 pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
-    let mut sim: Sim<NetMsg> = Sim::new(sc.seed);
-    let server_ip = host_ip(0);
-    let resp = sc.resp_size.unwrap_or(sc.req_size);
-    let per_client = sc.conns / sc.client_hosts as u32;
-    let remainder = sc.conns % sc.client_hosts as u32;
-    let sc2 = sc.clone();
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 0 {
-            let app: Box<dyn App> = match sc2.server_app {
-                ServerApp::Echo => Box::new(EchoServer::new(
-                    7,
-                    sc2.req_size,
-                    ServerMode::Echo,
-                    sc2.app_cycles,
-                )),
-                ServerApp::Kv => {
-                    let mut kv = KvServer::new(7);
-                    if sc2.kv_contention > 0 {
-                        kv = kv.non_scalable(sc2.cores.1.max(1) as u32, sc2.kv_contention);
-                    }
-                    Box::new(kv)
-                }
-            };
-            make_server_with(
-                sim,
-                spec,
-                sc2.kind,
-                sc2.cores,
-                sc2.bufs,
-                app,
-                sc2.tas_overrides,
-            )
-        } else {
-            let cfg = LoadGenConfig {
-                server: server_ip,
-                port: 7,
-                conns: per_client + u32::from(spec.index <= remainder),
-                req_size: sc2.req_size,
-                resp_size: resp,
-                connects_per_ms: 400,
-                req_template: sc2.req_template.clone(),
-                ..LoadGenConfig::default()
-            };
-            sim.add_agent(Box::new(LoadGenHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                spec.uplink,
-                cfg,
-            )))
-        }
-    };
-    let topo = testbed_star(&mut sim, 1 + sc.client_hosts, &mut factory);
-    start_all(&mut sim, &topo.hosts);
-    let server = topo.hosts[0];
+    let Net { mut sim, hosts, .. } = build(sc.testbed());
+    let server = hosts[0];
     let messages = |sim: &Sim<NetMsg>| match sc.server_app {
         ServerApp::Echo => app::<EchoServer>(sim, server).messages,
         ServerApp::Kv => {
@@ -502,7 +361,7 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
         let srv = host(&sim, server);
         (srv.busy(), srv.packets())
     });
-    for &h in &topo.hosts[1..] {
+    for &h in &hosts[1..] {
         sim.agent_mut::<LoadGenHost>(h).measure_from = t0;
     }
     sim.run_until(t0 + sc.measure);
@@ -527,7 +386,7 @@ pub fn run_rpc(sc: &RpcScenario) -> RpcResult {
         }
     });
     let mut latency = Histogram::new();
-    for &h in &topo.hosts[1..] {
+    for &h in &hosts[1..] {
         latency.merge(&sim.agent::<LoadGenHost>(h).latency);
     }
     RpcResult {

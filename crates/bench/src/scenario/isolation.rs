@@ -17,7 +17,7 @@
 //! trips).
 
 use super::{runner, Role, ScenarioSpec};
-use crate::{Kind, TasOverrides};
+use crate::{HostCfg, Kind};
 use tas::CcAlgo;
 
 /// Bounds a victim tenant is held to while aggressors run.
@@ -43,8 +43,8 @@ impl Default for IsolationBounds {
 pub struct Verdict {
     /// Scenario name.
     pub scenario: &'static str,
-    /// Stack the scenario ran on.
-    pub stack: Kind,
+    /// Stack the scenario ran on ([`HostCfg::name`]).
+    pub stack: &'static str,
     /// Victim tenant id.
     pub victim: u32,
     /// Victim tenant name.
@@ -78,7 +78,7 @@ impl Verdict {
         let mut s = format!(
             "{:<14} {:<8} {:<10} p99 {:>9} -> {:>9} ns ({:>5.2}x <= {:.2}x)  ops {:>7} -> {:>7} ({:>4.2} >= {:.2})  {}",
             self.scenario,
-            self.stack.label(),
+            self.stack,
             self.victim_name,
             self.base_p99_ns,
             self.cont_p99_ns,
@@ -108,22 +108,24 @@ pub fn baseline_spec(spec: &ScenarioSpec) -> ScenarioSpec {
 }
 
 /// Evaluates the isolation contract for every victim tenant of `spec`
-/// on `kind`, with TAS server overrides (the unfair fixture).
-pub fn evaluate_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Vec<Verdict> {
+/// against the server stack `server` ([`runner::server`] is the canonical
+/// one; the unfair fixture is another), held to the bounds of its family.
+pub fn evaluate(spec: &ScenarioSpec, server: HostCfg) -> Vec<Verdict> {
+    let (stack, bounds) = (server.name(), spec.bounds_for(&server));
+    let base_spec = baseline_spec(spec);
     #[cfg(feature = "telemetry")]
     let (base, cont, note) = {
-        let (base, base_prof) = runner::run_with_profile(&baseline_spec(spec), kind, overrides);
-        let (cont, cont_prof) = runner::run_with_profile(spec, kind, overrides);
+        let (base, base_prof) = runner::run_with_profile(&base_spec, server.clone());
+        let (cont, cont_prof) = runner::run_with_profile(spec, server);
         let note = cycles_note(&base_prof, &cont_prof);
         (base, cont, note)
     };
     #[cfg(not(feature = "telemetry"))]
     let (base, cont, note) = (
-        runner::run_with(&baseline_spec(spec), kind, overrides),
-        runner::run_with(spec, kind, overrides),
+        runner::run_with(&base_spec, server.clone()),
+        runner::run_with(spec, server),
         None::<String>,
     );
-    let bounds = spec.bounds_for(kind);
     let mut out = Vec::new();
     for t in spec.victims() {
         let b = runner::tenant_metrics(&base, t);
@@ -145,7 +147,7 @@ pub fn evaluate_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -
         let pass = p99_ratio <= bounds.p99_ratio_max && goodput_frac >= bounds.goodput_frac_min;
         out.push(Verdict {
             scenario: spec.name,
-            stack: kind,
+            stack,
             victim: t.id,
             victim_name: t.name,
             base_p99_ns: b.p99_ns,
@@ -198,19 +200,16 @@ fn cycles_note(
     }
 }
 
-/// Evaluates the isolation contract with the canonical server config.
-pub fn evaluate(spec: &ScenarioSpec, kind: Kind) -> Vec<Verdict> {
-    evaluate_with(spec, kind, TasOverrides::default())
-}
-
-/// A deliberately unfair TAS server configuration: fast-path rate
-/// enforcement disabled (no congestion control), so aggressor floods
-/// collapse the shared switch queue and the victim's tail inflates past
-/// any reasonable bound. `crates/bench/tests/isolation_gate.rs` proves
-/// the gate trips on this config and passes on the canonical one.
-pub fn unfair_overrides() -> TasOverrides {
-    TasOverrides {
-        cc: Some(CcAlgo::None),
-        ..TasOverrides::default()
+/// A deliberately unfair TAS server for `spec`: the canonical one with
+/// fast-path rate enforcement disabled (no congestion control), so
+/// aggressor floods collapse the shared switch queue and the victim's
+/// tail inflates past any reasonable bound.
+/// `crates/bench/tests/isolation_gate.rs` proves the gate trips on this
+/// config and passes on the canonical one.
+pub fn unfair_server(spec: &ScenarioSpec) -> HostCfg {
+    let mut cfg = runner::server(spec, Kind::TasSockets);
+    if let HostCfg::Tas(tas) = &mut cfg {
+        tas.cc = CcAlgo::None;
     }
+    cfg
 }

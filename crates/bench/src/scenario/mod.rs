@@ -49,7 +49,7 @@
 
 use crate::report::{Metric, MetricData, Report};
 use crate::scenarios::Check;
-use crate::{scaled, Kind};
+use crate::{scaled, HostCfg, Kind};
 use tas_sim::SimTime;
 
 pub mod generators;
@@ -107,17 +107,6 @@ pub enum TrafficShape {
         /// Advertised-window cycle (raw 16-bit values).
         pattern: Vec<u16>,
     },
-}
-
-impl TrafficShape {
-    /// True for shapes run as raw header-level hosts (no stack, no
-    /// tenant-tagged registry — the attack is below the socket API).
-    pub fn is_raw(&self) -> bool {
-        matches!(
-            self,
-            TrafficShape::AckDivision { .. } | TrafficShape::WindowStuff { .. }
-        )
-    }
 }
 
 /// A tenant's part in the isolation contract.
@@ -292,11 +281,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Bounds applicable to `kind`.
-    pub fn bounds_for(&self, kind: Kind) -> IsolationBounds {
-        match kind {
-            Kind::TasSockets | Kind::TasLowLevel => self.tas_bounds,
-            _ => self.linux_bounds,
+    /// Bounds applicable to a server on the stack `server`.
+    pub fn bounds_for(&self, server: &HostCfg) -> IsolationBounds {
+        match server {
+            HostCfg::Tas(_) => self.tas_bounds,
+            HostCfg::Model(..) => self.linux_bounds,
         }
     }
 
@@ -344,7 +333,7 @@ pub fn run_suite() -> SuiteOutcome {
     r.param("stacks", names.join(","));
     for spec in &specs {
         for &(sname, kind) in &stacks {
-            let vs = isolation::evaluate(spec, kind);
+            let vs = isolation::evaluate(spec, runner::server(spec, kind));
             for v in &vs {
                 let prefix = format!("{}_{}_{}", spec.name, sname, v.victim_name);
                 r.push(

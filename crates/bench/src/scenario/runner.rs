@@ -1,17 +1,17 @@
-//! Executes a [`ScenarioSpec`] on one stack: builds the tenant-tagged
-//! star, injects per-tenant start phases, applies stop/flash phase
-//! mutations at their instants, and collects per-tenant metrics over the
-//! measurement window.
+//! Executes a [`ScenarioSpec`] on one stack: describes the star as a
+//! [`Testbed`] (one node per client host, with its tenant, start phase
+//! and WAN port), applies stop/flash phase mutations at their instants,
+//! and collects per-tenant metrics over the measurement window.
 
 use super::{ScenarioSpec, Tenant, TrafficShape};
-use crate::{app, app_mut, host, make_server, make_server_with, Bufs, Kind, TasOverrides};
+use crate::testbed::{build, Agent, Net, Testbed};
+use crate::{app, app_mut, host, HostCfg, Kind, KV_BUF};
 use std::collections::BTreeMap;
-use tas::TasHost;
 use tas_apps::adversary::{AdvMode, AdversaryConfig, AdversaryHost, SlowReader};
 use tas_apps::kv::{KvClient, KvLoad, KvServer};
 use tas_netsim::app::App;
-use tas_netsim::topo::{build_star_tenants, host_ip, HostSpec};
-use tas_netsim::{DropModel, FaultSpec, NetMsg, NicConfig, PortConfig};
+use tas_netsim::topo::host_ip;
+use tas_netsim::{DropModel, FaultSpec, NetMsg, PortConfig};
 use tas_sim::{AgentId, Sim, SimTime};
 
 /// What one tenant did over the measurement window.
@@ -96,120 +96,57 @@ fn phase_schedule(spec: &ScenarioSpec) -> BTreeMap<SimTime, Vec<Phase>> {
     sched
 }
 
-/// A built scenario ready to run.
-struct Built {
-    sim: Sim<NetMsg>,
-    server: AgentId,
-    /// (tenant id, shape, host agent) per client host, in host order.
-    clients: Vec<(u32, TrafficShape, AgentId)>,
+/// The scenario's server on `kind`: the KV store on the spec's cores.
+pub fn server(spec: &ScenarioSpec, kind: Kind) -> HostCfg {
+    HostCfg::new(kind, spec.server_cores, KV_BUF)
 }
 
-fn build(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Built {
-    let mut sim: Sim<NetMsg> = Sim::new(spec.seed);
-    let server_ip = host_ip(0);
-    let hosts = plans(spec);
-    let n = 1 + hosts.len();
-    let seed = spec.seed;
-    let cores = spec.server_cores;
-    let hosts_f = hosts.clone();
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec_h: HostSpec| -> AgentId {
-        if spec_h.index == 0 {
-            let app: Box<dyn App> = Box::new(KvServer::new(7));
-            return make_server_with(sim, spec_h, kind, cores, Bufs::small(), app, overrides);
-        }
-        let Some(plan) = hosts_f.get(spec_h.index as usize - 1) else {
-            // Unreachable by construction (n = 1 + hosts.len()); a
-            // degenerate host keeps the factory total without panicking.
-            let app: Box<dyn App> = Box::new(KvServer::new(9));
-            return make_server(sim, spec_h, Kind::TasSockets, (1, 1), Bufs::tiny(), app);
-        };
-        let host_seed = seed + spec_h.index as u64;
-        let kv = |conns, load| KvClient::new(server_ip, 7, conns, 100_000, load, host_seed);
-        // Raw header-level adversaries: no stack underneath.
-        let raw = |sim: &mut Sim<NetMsg>, h: HostSpec, conns, mode| {
-            let cfg = AdversaryConfig::kv(server_ip, 7, conns, mode);
-            sim.add_agent(Box::new(AdversaryHost::new(
-                h.ip, h.mac, h.nic, h.uplink, cfg,
-            )))
-        };
+/// The scenario's star: the `server` stack behind the 40G port (with
+/// the spec's ECN threshold), then one node per client host. Client `i`
+/// starts at its tenant's start plus `i` µs (a stagger against
+/// synchronized handshakes); raw shapes run as header-level hosts with
+/// no stack underneath.
+fn testbed(spec: &ScenarioSpec, server: HostCfg) -> Testbed {
+    let kv = |conns, load, seed| KvClient::new(host_ip(0), 7, conns, 100_000, load, seed);
+    let raw = |conns, mode| Agent::Adversary(AdversaryConfig::kv(host_ip(0), 7, conns, mode));
+    let client = |(i, plan): (u64, &Tenant)| {
+        let seed = spec.seed + i;
         let app: Box<dyn App> = match &plan.shape {
             TrafficShape::KvOpen { per_sec, conns } => {
-                Box::new(kv(*conns, KvLoad::OpenRate { per_sec: *per_sec }))
+                Box::new(kv(*conns, KvLoad::OpenRate { per_sec: *per_sec }, seed))
             }
-            TrafficShape::KvClosed { conns } => Box::new(kv(*conns, KvLoad::Closed)),
+            TrafficShape::KvClosed { conns } => Box::new(kv(*conns, KvLoad::Closed, seed)),
             TrafficShape::KvChurn {
                 conns,
                 msgs_per_conn,
-            } => Box::new(kv(*conns, KvLoad::Closed).short_lived(*msgs_per_conn)),
+            } => Box::new(kv(*conns, KvLoad::Closed, seed).short_lived(*msgs_per_conn)),
             TrafficShape::SlowRead { conns, burst } => {
-                Box::new(SlowReader::new(server_ip, 7, *conns, *burst))
+                Box::new(SlowReader::new(host_ip(0), 7, *conns, *burst))
             }
             TrafficShape::AckDivision { conns, chunk } => {
-                return raw(sim, spec_h, *conns, AdvMode::AckDivision { chunk: *chunk });
+                return raw(*conns, AdvMode::AckDivision { chunk: *chunk });
             }
             TrafficShape::WindowStuff { conns, pattern } => {
                 let pattern = pattern.clone();
-                return raw(sim, spec_h, *conns, AdvMode::WindowStuff { pattern });
+                return raw(*conns, AdvMode::WindowStuff { pattern });
             }
         };
-        make_server(sim, spec_h, Kind::TasSockets, (2, 2), Bufs::small(), app)
+        Agent::stack(HostCfg::new(Kind::TasSockets, (2, 2), KV_BUF), app)
     };
-    let hosts_p = hosts.clone();
-    let ecn = spec.ecn_threshold_pkts;
-    let seed_p = spec.seed;
-    let topo = build_star_tenants(
-        &mut sim,
-        n,
-        |i| {
-            if i == 0 {
-                0
-            } else {
-                hosts_p.get(i as usize - 1).map(|p| p.id).unwrap_or(0)
-            }
-        },
-        |i| {
-            if i == 0 {
-                let mut p = PortConfig::fortygig();
-                if let Some(e) = ecn {
-                    p.ecn_threshold_pkts = Some(e);
-                }
-                p
-            } else {
-                match hosts_p.get(i as usize - 1).and_then(|p| p.wan.as_ref()) {
-                    Some(w) => wan_port(w, seed_p ^ (0x5ce0 + i as u64)),
-                    None => PortConfig::tengig(),
-                }
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        &mut factory,
-    );
-    // Start phases: the server at t=0, each client host at its tenant's
-    // start instant (plus a 1 µs per-host stagger to avoid synchronized
-    // handshake artifacts). Timer kind 0 is INIT for every host type.
-    sim.inject_timer(SimTime::ZERO, topo.hosts[0], 0, 0);
-    let mut clients = Vec::new();
-    for (i, plan) in hosts.iter().enumerate() {
-        let h = topo.hosts[i + 1];
-        sim.inject_timer(plan.start + SimTime::from_us(i as u64), h, 0, 0);
-        // Tag stack-backed client hosts with their tenant so registry
-        // snapshots and spans carry the tenant dimension.
-        if !plan.shape.is_raw() {
-            sim.agent_mut::<TasHost>(h).set_tenant(plan.id);
+    let plans = plans(spec);
+    let server = Agent::stack(server, Box::new(KvServer::new(7)));
+    let mut tb = Testbed::paper(spec.seed, server, (1..).zip(&plans).map(client));
+    if let Some(e) = spec.ecn_threshold_pkts {
+        tb.nodes[0].port.ecn_threshold_pkts = Some(e);
+    }
+    for ((i, plan), node) in (1u64..).zip(&plans).zip(&mut tb.nodes[1..]) {
+        if let Some(w) = &plan.wan {
+            node.port = wan_port(w, spec.seed ^ (0x5ce0 + i));
         }
-        clients.push((plan.id, plan.shape.clone(), h));
+        node.start = plan.start + SimTime::from_us(i - 1);
+        node.tenant = Some(plan.id);
     }
-    Built {
-        sim,
-        server: topo.hosts[0],
-        clients,
-    }
+    tb
 }
 
 fn is_kv(shape: &TrafficShape) -> bool {
@@ -248,17 +185,20 @@ fn apply_phase(sim: &mut Sim<NetMsg>, clients: &[(u32, TrafficShape, AgentId)], 
     }
 }
 
-/// Runs a scenario on `kind` with TAS server overrides (used by the
-/// isolation self-test's deliberately unfair configuration).
+/// Runs a scenario against the `server` stack (the isolation
+/// self-test's deliberately unfair configuration is one).
 ///
 /// Under the `telemetry` feature the server's cycles over the measurement
 /// window are attributed; [`run_with_profile`] harvests the tree.
-pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Outcome {
-    let Built {
-        mut sim,
-        server,
-        clients,
-    } = build(spec, kind, overrides);
+pub fn run_with(spec: &ScenarioSpec, server: HostCfg) -> Outcome {
+    let Net { mut sim, hosts, .. } = build(testbed(spec, server));
+    let server = hosts[0];
+    // (tenant id, shape, host agent) per client host, in host order.
+    let clients: Vec<(u32, TrafficShape, AgentId)> = plans(spec)
+        .into_iter()
+        .zip(&hosts[1..])
+        .map(|(plan, &h)| (plan.id, plan.shape, h))
+        .collect();
     let end = spec.end();
     // Phase boundaries between warmup and end, in order.
     let sched = phase_schedule(spec);
@@ -320,20 +260,14 @@ pub fn run_with(spec: &ScenarioSpec, kind: Kind, overrides: TasOverrides) -> Out
     out
 }
 
-/// Runs a scenario on `kind` with the canonical server configuration.
-pub fn run(spec: &ScenarioSpec, kind: Kind) -> Outcome {
-    run_with(spec, kind, TasOverrides::default())
-}
-
 /// [`run_with`] plus the server's cycle-attribution tree over the
 /// measurement window (profiling is left disabled afterwards).
 #[cfg(feature = "telemetry")]
 pub fn run_with_profile(
     spec: &ScenarioSpec,
-    kind: Kind,
-    overrides: TasOverrides,
+    server: HostCfg,
 ) -> (Outcome, tas_telemetry::profile::Profile) {
-    let out = run_with(spec, kind, overrides);
+    let out = run_with(spec, server);
     let prof = tas_telemetry::profile::take();
     tas_telemetry::profile::stop();
     (out, prof)

@@ -11,66 +11,25 @@
 //! bytes CI compares come from the same sweep.
 
 use crate::report::{Metric, MetricData, Report};
-use crate::{
-    add_host, app, app_mut, host, make_server, scaled, start_all, testbed_star, uniform_star, Bufs,
-    HostCfg, Kind, RpcScenario,
-};
+use crate::testbed::{build, Agent, Fabric, Net, Node, Testbed};
+use crate::{app, app_mut, host, scaled, HostCfg, Kind, RpcScenario, ECHO_BUF, KV_BUF};
 use tas::{CcAlgo, TasConfig, TasHost};
 use tas_apps::bulk::{BulkReceiver, BulkSender};
 use tas_baselines::{profiles, StackHostConfig};
 use tas_netsim::app::App;
-use tas_netsim::topo::{host_ip, HostSpec};
+use tas_netsim::topo::host_ip;
 use tas_netsim::{NetMsg, PortConfig};
 use tas_sim::{AgentId, Histogram, Sim, SimTime};
 
-/// TAS as the paper's testbed runs bulk transfers: DCTCP rate control at
-/// τ = 200 µs over `buf`-byte socket buffers, 2 fast-path + 2 app cores.
-fn bulk_tas(buf: usize, initial_rate_bps: u64) -> TasConfig {
-    let mut cfg = TasConfig::rpc_bench(2, 2);
-    cfg.rx_buf = buf;
-    cfg.tx_buf = buf;
-    cfg.cc = CcAlgo::DctcpRate;
-    cfg.initial_rate_bps = initial_rate_bps;
-    cfg.control_interval = SimTime::from_us(200);
-    cfg.max_core_backlog = SimTime::from_ms(50);
-    cfg
-}
-
-/// The 4-core Linux model with `buf`-byte socket buffers.
-fn bulk_linux(buf: usize) -> StackHostConfig {
-    let mut cfg = StackHostConfig::linux(4);
-    cfg.tcp.recv_buf = buf;
-    cfg.tcp.send_buf = buf;
-    cfg.max_core_backlog = SimTime::from_ms(50);
-    cfg
-}
-
-/// The stack a bulk-transfer host runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BulkStack {
-    /// Linux model (full SACK-style out-of-order buffering).
-    Linux,
-    /// TAS; `ooo: false` selects simple go-back-N recovery.
-    Tas {
-        /// Whether the single out-of-order interval is enabled.
-        ooo: bool,
-    },
-}
-
-impl BulkStack {
-    /// TAS as deployed (out-of-order interval on).
-    const TAS: BulkStack = BulkStack::Tas { ooo: true };
-
-    fn cfg(self, buf: usize, tas_initial_rate_bps: u64) -> HostCfg {
-        match self {
-            BulkStack::Linux => HostCfg::Model(profiles::linux(), bulk_linux(buf)),
-            BulkStack::Tas { ooo } => {
-                let mut cfg = bulk_tas(buf, tas_initial_rate_bps);
-                cfg.ooo_rx = ooo;
-                HostCfg::Tas(cfg)
-            }
-        }
+/// A bulk-transfer host as the paper's testbed runs it: `kind` on 2 + 2
+/// cores with `buf`-byte socket buffers, TAS pacing new flows at
+/// `tas_rate_bps`.
+fn bulk_host(kind: Kind, buf: usize, tas_rate_bps: u64) -> HostCfg {
+    let mut cfg = HostCfg::new(kind, (2, 2), buf);
+    if let HostCfg::Tas(tas) = &mut cfg {
+        tas.initial_rate_bps = tas_rate_bps;
     }
+    cfg
 }
 
 /// A 10G port whose fault injector drops a seeded uniform `loss`
@@ -83,34 +42,42 @@ fn lossy_tengig(loss: f64, seed: u64) -> PortConfig {
     port
 }
 
-/// The bulk-transfer application of host `index`: host 0 receives on
-/// port 9, every other host sends `flows` flows at it.
-fn bulk_app(index: u32, flows: u32) -> Box<dyn App> {
-    if index == 0 {
-        Box::new(BulkReceiver::new(9))
-    } else {
-        Box::new(BulkSender::new(host_ip(0), 9, flows))
-    }
+/// A bulk-transfer star behind ports that all copy `port`: node 0
+/// receives on port 9, every other node sends `flows` flows at it, each
+/// on its stack of `stacks`.
+fn bulk_star(
+    seed: u64,
+    port: PortConfig,
+    stacks: impl IntoIterator<Item = HostCfg>,
+    flows: u32,
+) -> Testbed {
+    let app = |i: usize| -> Box<dyn App> {
+        if i == 0 {
+            Box::new(BulkReceiver::new(9))
+        } else {
+            Box::new(BulkSender::new(host_ip(0), 9, flows))
+        }
+    };
+    let agents = stacks.into_iter().enumerate();
+    Testbed::uniform(seed, port, agents.map(|(i, cfg)| Agent::stack(cfg, app(i))))
 }
 
-/// Bytes the bulk receiver on host `recv` takes in over `window` after
-/// `warmup`.
-fn bulk_bytes(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> u64 {
+/// How much `count` grows over `window` after `warmup`.
+fn grown(
+    sim: &mut Sim<NetMsg>,
+    warmup: SimTime,
+    window: SimTime,
+    count: impl Fn(&Sim<NetMsg>) -> u64,
+) -> u64 {
     sim.run_until(warmup);
-    let b0 = app::<BulkReceiver>(sim, recv).total;
+    let c0 = count(sim);
     sim.run_until(warmup + window);
-    app::<BulkReceiver>(sim, recv).total - b0
+    count(sim) - c0
 }
 
 /// `bytes` delivered over `window` as goodput in bits/s.
 fn bits_per_sec(bytes: u64, window: SimTime) -> f64 {
     bytes as f64 * 8.0 / window.as_secs_f64()
-}
-
-/// Goodput (bits/s) of the bulk receiver on host `recv` over `window`
-/// after `warmup`.
-fn bulk_goodput(sim: &mut Sim<NetMsg>, recv: AgentId, warmup: SimTime, window: SimTime) -> f64 {
-    bits_per_sec(bulk_bytes(sim, recv, warmup, window), window)
 }
 
 /// The sample key of a time series at `t`: zero-padded so keys sort in
@@ -144,63 +111,48 @@ pub mod fig6 {
         Tx,
     }
 
-    /// Builds the fig6 star: one single-threaded server, 4 client hosts
-    /// with 25 connections each.
-    fn build(
-        kind: Kind,
-        dir: Dir,
-        size: usize,
-        delay_cycles: u64,
-        seed: u64,
-    ) -> (Sim<NetMsg>, Vec<AgentId>) {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip = host_ip(0);
-        let clients = 4usize;
+    /// The fig6 star: one single-threaded server, 4 client hosts with
+    /// 25 connections each.
+    fn testbed(kind: Kind, dir: Dir, size: usize, delay_cycles: u64, seed: u64) -> Testbed {
         let conns_per_client = 25u32; // 100 connections total, as the paper.
-        let bufs = Bufs {
-            rx: (size * 16).max(8192),
-            tx: (size * 16).max(8192),
+        let buf = (size * 16).max(8192);
+        let mode = match dir {
+            Dir::Rx => ServerMode::Consume,
+            Dir::Tx => ServerMode::Stream { size },
         };
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                let mode = match dir {
-                    Dir::Rx => ServerMode::Consume,
-                    Dir::Tx => ServerMode::Stream { size },
-                };
-                let app: Box<dyn App> = Box::new(EchoServer::new(7, size, mode, delay_cycles));
-                // Single-threaded server: exactly one application core. TAS
-                // adds fast-path cores beside it; mTCP adds a dedicated stack
-                // core (as the paper observes it must); Linux runs stack and
-                // app on the single core.
-                let cores = match kind {
-                    Kind::TasSockets | Kind::TasLowLevel => (2, 1),
-                    Kind::Mtcp => (1, 1), // 2 total: 1 stack + 1 app.
-                    _ => (1, 0),          // 1 total.
-                };
-                make_server(sim, spec, kind, cores, bufs, app)
-            } else {
-                let app: Box<dyn App> = match dir {
-                    Dir::Rx => {
-                        let mut c = RpcClient::new(
-                            server_ip,
-                            7,
-                            conns_per_client,
-                            16,
-                            size,
-                            tas_apps::echo::Lifetime::Persistent,
-                        );
-                        c.expect_reply = false; // Stream requests at the server.
-                        Box::new(c)
-                    }
-                    Dir::Tx => Box::new(SinkClient::new(server_ip, 7, conns_per_client)),
-                };
-                // Clients always run on TAS (never the bottleneck).
-                make_server(sim, spec, Kind::TasSockets, (2, 2), bufs, app)
-            }
+        // Single-threaded server: exactly one application core. TAS adds
+        // fast-path cores beside it; mTCP adds a dedicated stack core (as
+        // the paper observes it must); Linux runs stack and app on the
+        // single core.
+        let cores = match kind {
+            Kind::TasSockets | Kind::TasLowLevel => (2, 1),
+            Kind::Mtcp => (1, 1), // 2 total: 1 stack + 1 app.
+            _ => (1, 0),          // 1 total.
         };
-        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
-        start_all(&mut sim, &topo.hosts);
-        (sim, topo.hosts)
+        let server = Agent::stack(
+            HostCfg::new(kind, cores, buf),
+            Box::new(EchoServer::new(7, size, mode, delay_cycles)),
+        );
+        let client = |_| {
+            let app: Box<dyn App> = match dir {
+                Dir::Rx => {
+                    let mut c = RpcClient::new(
+                        host_ip(0),
+                        7,
+                        conns_per_client,
+                        16,
+                        size,
+                        tas_apps::echo::Lifetime::Persistent,
+                    );
+                    c.expect_reply = false; // Stream requests at the server.
+                    Box::new(c)
+                }
+                Dir::Tx => Box::new(SinkClient::new(host_ip(0), 7, conns_per_client)),
+            };
+            // Clients always run on TAS (never the bottleneck).
+            Agent::stack(HostCfg::new(Kind::TasSockets, (2, 2), buf), app)
+        };
+        Testbed::paper(seed, server, (0..4).map(client))
     }
 
     fn server_bytes(sim: &Sim<NetMsg>, id: AgentId, dir: Dir) -> u64 {
@@ -214,14 +166,10 @@ pub mod fig6 {
 
     /// Runs the scenario; returns server-side goodput in Gbps.
     fn run(kind: Kind, dir: Dir, size: usize, delay_cycles: u64, seed: u64) -> f64 {
-        let (mut sim, hosts) = build(kind, dir, size, delay_cycles, seed);
-        let warmup = SimTime::from_ms(20);
+        let Net { mut sim, hosts, .. } = build(testbed(kind, dir, size, delay_cycles, seed));
         let window = scaled(SimTime::from_ms(15), SimTime::from_ms(60));
-        sim.run_until(warmup);
-        let b0 = server_bytes(&sim, hosts[0], dir);
-        sim.run_until(warmup + window);
-        let b1 = server_bytes(&sim, hosts[0], dir);
-        (b1 - b0) as f64 * 8.0 / window.as_secs_f64() / 1e9
+        let count = |sim: &Sim<NetMsg>| server_bytes(sim, hosts[0], dir);
+        bits_per_sec(grown(&mut sim, SimTime::from_ms(20), window, count), window) / 1e9
     }
 
     /// The gated report: TAS, mTCP and Linux goodput per direction and
@@ -264,7 +212,7 @@ pub mod fig6 {
     /// steady-state slice after warmup and assembles app-to-app spans.
     #[cfg(feature = "telemetry")]
     pub fn span_analysis(cap: usize) -> SpanAnalysis {
-        let (mut sim, _hosts) = build(Kind::TasSockets, Dir::Rx, 64, 250, 1);
+        let mut sim = build(testbed(Kind::TasSockets, Dir::Rx, 64, 250, 1)).sim;
         sim.run_until(SimTime::from_ms(20));
         tas_telemetry::start(cap);
         sim.run_until(SimTime::from_ms(25));
@@ -316,29 +264,27 @@ pub mod fig6 {
 
 /// Figure 7: throughput penalty under induced packet loss.
 pub mod fig7 {
-    use super::BulkStack as Stack;
     use super::*;
 
     fn window() -> SimTime {
         scaled(SimTime::from_ms(100), SimTime::from_ms(300))
     }
 
-    /// Runs 100 bulk flows over a lossy 10G link; returns the bytes the
-    /// receiver took in over the measurement window.
-    fn delivered(stack: Stack, loss: f64, seed: u64) -> u64 {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let flows = 100; // The paper's flow count (loss dynamics depend on it).
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let mut cfg = stack.cfg(128 * 1024, 500_000_000);
-            if let HostCfg::Model(_, linux) = &mut cfg {
-                linux.tcp.rto_min = SimTime::from_ms(2);
-            }
-            let app = bulk_app(spec.index, flows);
-            add_host(sim, spec, cfg, app)
-        };
-        let topo = uniform_star(&mut sim, 2, lossy_tengig(loss, seed), &mut factory);
-        start_all(&mut sim, &topo.hosts);
-        bulk_bytes(&mut sim, topo.hosts[0], SimTime::from_ms(50), window())
+    /// Runs 100 bulk flows from `kind` to `kind` over a lossy 10G link
+    /// (TAS recovering with the out-of-order interval when `ooo`);
+    /// returns the bytes the receiver took in over the measurement window.
+    fn delivered(kind: Kind, ooo: bool, loss: f64, seed: u64) -> u64 {
+        let mut cfg = bulk_host(kind, 128 * 1024, 500_000_000);
+        match &mut cfg {
+            HostCfg::Tas(tas) => tas.ooo_rx = ooo,
+            HostCfg::Model(_, linux) => linux.tcp.rto_min = SimTime::from_ms(2),
+        }
+        let stacks = [cfg.clone(), cfg];
+        // 100 flows: the paper's count (loss dynamics depend on it).
+        let tb = bulk_star(seed, lossy_tengig(loss, seed), stacks, 100);
+        let Net { mut sim, hosts, .. } = build(tb);
+        let received = |sim: &Sim<NetMsg>| app::<BulkReceiver>(sim, hosts[0]).total;
+        grown(&mut sim, SimTime::from_ms(50), window(), received)
     }
 
     /// The gated report: per stack (Linux and both TAS recovery modes),
@@ -352,13 +298,13 @@ pub mod fig7 {
         r.param("flows", 100);
         let permille = scaled(vec![1, 10, 50], vec![1, 2, 5, 10, 20, 50]);
         let runs = [
-            ("linux", Stack::Linux, 100u64),
-            ("tas", Stack::Tas { ooo: true }, 101),
-            ("tas_simple", Stack::Tas { ooo: false }, 102),
+            ("linux", Kind::Linux, true, 100u64),
+            ("tas", Kind::TasSockets, true, 101),
+            ("tas_simple", Kind::TasSockets, false, 102),
         ];
         let mut other_rates = Vec::new();
-        for (name, stack, seed) in runs {
-            let bytes = delivered(stack, 0.0, seed);
+        for (name, kind, ooo, seed) in runs {
+            let bytes = delivered(kind, ooo, 0.0, seed);
             let base = bits_per_sec(bytes, window());
             r.push(Metric::value(
                 &format!("bytes_{name}"),
@@ -371,7 +317,7 @@ pub mod fig7 {
                 base / 1e9,
             ));
             for &pm in &permille {
-                let bytes_lossy = delivered(stack, pm as f64 / 1000.0, seed);
+                let bytes_lossy = delivered(kind, ooo, pm as f64 / 1000.0, seed);
                 let lossy = bits_per_sec(bytes_lossy, window());
                 let penalty = |name: &str| {
                     Metric::value(
@@ -403,54 +349,33 @@ pub mod fig9 {
     /// Runs the KV latency scenario; returns the merged client latency
     /// histogram (ns).
     pub(super) fn run(server: Kind, client: Kind, seed: u64) -> Histogram {
-        run_on(
-            |sim, spec, app| make_server(sim, spec, server, (1, 1), Bufs::small(), app),
-            client,
-            seed,
-        )
+        run_on(HostCfg::new(server, (1, 1), KV_BUF), client, seed)
     }
 
-    /// [`run`] with the server host built by `add_server` (the
+    /// [`run`] against a server running the stack `server` (the
     /// design-space sweeps place hand-configured stacks there).
-    pub(super) fn run_on(
-        mut add_server: impl FnMut(&mut Sim<NetMsg>, HostSpec, Box<dyn App>) -> AgentId,
-        client: Kind,
-        seed: u64,
-    ) -> Histogram {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip = host_ip(0);
-        let clients = 2usize;
+    pub(super) fn run_on(server: HostCfg, client: Kind, seed: u64) -> Histogram {
         // 15% of the ~1.5 mOps single-app-core capacity.
         let rate_per_client = scaled(60_000, 110_000);
         let conns_per_client = scaled(32, 128);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                add_server(sim, spec, Box::new(KvServer::new(7)))
-            } else {
-                let app: Box<dyn App> = Box::new(KvClient::new(
-                    server_ip,
-                    7,
-                    conns_per_client,
-                    100_000,
-                    KvLoad::OpenRate {
-                        per_sec: rate_per_client,
-                    },
-                    seed + spec.index as u64,
-                ));
-                make_server(sim, spec, client, (2, 2), Bufs::small(), app)
-            }
+        let client = |i: u64| {
+            let load = KvLoad::OpenRate {
+                per_sec: rate_per_client,
+            };
+            let kv = KvClient::new(host_ip(0), 7, conns_per_client, 100_000, load, seed + i);
+            Agent::stack(HostCfg::new(client, (2, 2), KV_BUF), Box::new(kv))
         };
-        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
-        start_all(&mut sim, &topo.hosts);
+        let server = Agent::stack(server, Box::new(KvServer::new(7)));
+        let Net { mut sim, hosts, .. } = build(Testbed::paper(seed, server, (1..=2).map(client)));
         let warmup = SimTime::from_ms(20);
         let window = scaled(SimTime::from_ms(60), SimTime::from_ms(300));
         sim.run_until(warmup);
-        for &h in &topo.hosts[1..] {
+        for &h in &hosts[1..] {
             app_mut::<KvClient>(&mut sim, h).measure_from = warmup;
         }
         sim.run_until(warmup + window);
         let mut hist = Histogram::new();
-        for &h in &topo.hosts[1..] {
+        for &h in &hosts[1..] {
             hist.merge(&app::<KvClient>(&sim, h).latency);
         }
         hist
@@ -497,70 +422,49 @@ pub mod fig9 {
 /// Figure 14: workload proportionality under stepped load.
 pub mod fig14 {
     use super::*;
-    use tas::host::timers as tas_timers;
     use tas::ApiKind;
     use tas_apps::kv::KvServer;
-    use tas_apps::loadgen::{timers as lg_timers, LoadGenConfig, LoadGenHost};
+    use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
 
-    /// Builds the proportionality scenario; returns (sim, server, clients).
-    pub(super) fn build(
-        seed: u64,
-        step: SimTime,
-        clients: usize,
-    ) -> (Sim<NetMsg>, AgentId, Vec<AgentId>) {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip = host_ip(0);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                // Reduced clock so modest load exercises many cores.
-                let cfg = TasConfig {
-                    freq_hz: 50_000_000,
-                    max_fp_cores: 10,
-                    initial_fp_cores: 1,
-                    app_cores: 10,
-                    api: ApiKind::Sockets,
-                    cc: CcAlgo::None,
-                    rx_buf: 4096,
-                    tx_buf: 4096,
-                    proportional: true,
-                    max_core_backlog: SimTime::from_ms(50),
-                    ..TasConfig::default()
-                };
-                add_host(sim, spec, HostCfg::Tas(cfg), Box::new(KvServer::new(7)))
-            } else {
-                let template = tas_apps::kv::get_request(1);
-                let cfg = LoadGenConfig {
-                    server: server_ip,
-                    port: 7,
-                    conns: 80,
-                    think: SimTime::from_ms(1),
-                    req_size: template.len(),
-                    resp_size: tas_apps::kv::RESP_LEN,
-                    req_template: Some(template),
-                    // Each client stops issuing when its down-step arrives.
-                    stop_at: SimTime::ZERO,
-                    ..LoadGenConfig::default()
-                };
-                sim.add_agent(Box::new(LoadGenHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    spec.uplink,
-                    cfg,
-                )))
-            }
+    /// The proportionality staircase: a reduced-clock proportional KV
+    /// server and `clients` load generators, client `i` arriving at
+    /// `i` steps and leaving in mirrored order.
+    pub(super) fn testbed(seed: u64, step: SimTime, clients: usize) -> Testbed {
+        // Reduced clock so modest load exercises many cores.
+        let cfg = TasConfig {
+            freq_hz: 50_000_000,
+            max_fp_cores: 10,
+            initial_fp_cores: 1,
+            app_cores: 10,
+            api: ApiKind::Sockets,
+            cc: CcAlgo::None,
+            rx_buf: 4096,
+            tx_buf: 4096,
+            proportional: true,
+            max_core_backlog: SimTime::from_ms(50),
+            ..TasConfig::default()
         };
-        let topo = testbed_star(&mut sim, 1 + clients, &mut factory);
-        sim.inject_timer(SimTime::ZERO, topo.hosts[0], tas_timers::INIT, 0);
-        // Staggered starts; mirrored stops.
+        let server = Agent::stack(HostCfg::Tas(cfg), Box::new(KvServer::new(7)));
         let total = step * (2 * clients as u64 + 1);
-        for (i, &h) in topo.hosts[1..].iter().enumerate() {
-            let start = step * i as u64;
-            let stop = total - step * (i as u64 + 1);
-            sim.inject_timer(start, h, lg_timers::INIT, 0);
-            sim.agent_mut::<LoadGenHost>(h).set_stop_at(stop);
+        let template = tas_apps::kv::get_request(1);
+        let client = |i: u64| {
+            Agent::LoadGen(LoadGenConfig {
+                server: host_ip(0),
+                port: 7,
+                conns: 80,
+                think: SimTime::from_ms(1),
+                req_size: template.len(),
+                resp_size: tas_apps::kv::RESP_LEN,
+                req_template: Some(template.clone()),
+                stop_at: total - step * (i + 1),
+                ..LoadGenConfig::default()
+            })
+        };
+        let mut tb = Testbed::paper(seed, server, (0..clients as u64).map(client));
+        for (i, node) in (0u64..).zip(&mut tb.nodes[1..]) {
+            node.start = step * i;
         }
-        (sim, topo.hosts[0], topo.hosts[1..].to_vec())
+        tb
     }
 
     /// The gated report for the canonical staircase (seed 42, 5 clients):
@@ -570,7 +474,8 @@ pub mod fig14 {
         let step = scaled(SimTime::from_ms(400), SimTime::from_secs(2));
         let sample = SimTime::from_ms(scaled(100, 500));
         let clients = 5usize;
-        let (mut sim, server, client_ids) = build(42, step, clients);
+        let Net { mut sim, hosts, .. } = build(testbed(42, step, clients));
+        let (server, client_ids) = (hosts[0], &hosts[1..]);
         let total = step * (2 * clients as u64 + 1);
         let (mut cores, mut kops, mut active) = (Vec::new(), Vec::new(), Vec::new());
         let mut t = SimTime::ZERO;
@@ -645,14 +550,18 @@ pub mod fig15 {
         let (clients, step) = (3usize, SimTime::from_ms(300));
         let sample = SimTime::from_ms(scaled(10, 5));
         // Same reduced-clock proportional server as fig14, but clients
-        // only arrive (no down-steps): fig14::build staggers stops; clear
-        // them (ZERO = never stop) so the load only steps up, as the
-        // paper's fig15 does.
-        let (mut sim, server, client_ids) = super::fig14::build(7, step, clients);
-        let total = step * (clients as u64 + 1);
-        for &h in &client_ids {
-            sim.agent_mut::<LoadGenHost>(h).set_stop_at(SimTime::ZERO);
+        // only arrive (no down-steps): fig14 staggers stops; clear them
+        // (ZERO = never stop) so the load only steps up, as the paper's
+        // fig15 does.
+        let mut tb = super::fig14::testbed(7, step, clients);
+        for node in &mut tb.nodes {
+            if let Agent::LoadGen(cfg) = &mut node.agent {
+                cfg.stop_at = SimTime::ZERO;
+            }
         }
+        let Net { mut sim, hosts, .. } = build(tb);
+        let (server, client_ids) = (hosts[0], &hosts[1..]);
+        let total = step * (clients as u64 + 1);
         let (mut cores, mut lat_us) = (Vec::new(), Vec::new());
         let mut t = SimTime::ZERO;
         // Transient spikes: samples whose mean latency jumped >25% over
@@ -667,7 +576,7 @@ pub mod fig15 {
             sim.run_until(t);
             let mut lat = 0.0;
             let mut n = 0u64;
-            for &c in &client_ids {
+            for &c in client_ids {
                 let lg = sim.agent_mut::<LoadGenHost>(c);
                 if lg.window_lat_us.count() > 0 {
                     lat += lg.window_lat_us.mean() * lg.window_lat_us.count() as f64;
@@ -838,27 +747,20 @@ pub mod fig13 {
 
     /// One sweep point: (median, p99, fair share) of per-connection
     /// bytes received per sampling interval.
-    fn run(stack: BulkStack, conns_total: u32, seed: u64) -> (f64, f64, f64) {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
+    fn run(kind: Kind, conns_total: u32, seed: u64) -> (f64, f64, f64) {
         let per_sender = conns_total / SENDERS as u32;
-        let recv_ip = host_ip(0);
         let interval = SimTime::from_ms(scaled(20, 100));
         let warmup = SimTime::from_ms(40);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let app: Box<dyn App> = if spec.index == 0 {
-                Box::new(BulkReceiver::new(9).sampling(interval, warmup))
-            } else {
-                Box::new(BulkSender::new(recv_ip, 9, per_sender))
-            };
-            add_host(sim, spec, stack.cfg(64 * 1024, 200_000_000), app)
-        };
-        let topo = uniform_star(&mut sim, 1 + SENDERS, PortConfig::tengig(), &mut factory);
-        start_all(&mut sim, &topo.hosts);
+        let host = |app: Box<dyn App>| Agent::stack(bulk_host(kind, 64 * 1024, 200_000_000), app);
+        let recv = host(Box::new(BulkReceiver::new(9).sampling(interval, warmup)));
+        let senders =
+            (0..SENDERS).map(|_| host(Box::new(BulkSender::new(host_ip(0), 9, per_sender))));
+        let agents = std::iter::once(recv).chain(senders);
+        let tb = Testbed::uniform(seed, PortConfig::tengig(), agents);
+        let Net { mut sim, hosts, .. } = build(tb);
         let window = scaled(SimTime::from_ms(200), SimTime::from_secs(1));
         sim.run_until(warmup + window);
-        let mut samples = app::<BulkReceiver>(&sim, topo.hosts[0])
-            .interval_samples
-            .clone();
+        let mut samples = app::<BulkReceiver>(&sim, hosts[0]).interval_samples.clone();
         samples.sort_unstable();
         if samples.is_empty() {
             return (0.0, 0.0, 0.0);
@@ -878,7 +780,7 @@ pub mod fig13 {
         r.param("senders", SENDERS);
         let conn_counts = scaled(vec![50, 200, 1000], vec![50, 100, 200, 500, 1000, 2000]);
         for &n in &conn_counts {
-            let (median, p99, fair) = run(BulkStack::TAS, n, TAS_SEED);
+            let (median, p99, fair) = run(Kind::TasSockets, n, TAS_SEED);
             r.push(
                 Metric::value(&format!("tas_{n}c_median"), "bytes", median)
                     .with_component("fair_share", fair)
@@ -886,7 +788,7 @@ pub mod fig13 {
             );
         }
         for &n in &conn_counts {
-            let (median, _, _) = run(BulkStack::Linux, n, LINUX_SEED);
+            let (median, _, _) = run(Kind::Linux, n, LINUX_SEED);
             r.push(Metric::value(
                 &format!("linux_{n}c_median"),
                 "bytes",
@@ -1035,8 +937,8 @@ pub mod table4 {
     use super::*;
 
     /// The four sender/receiver cells with their pinned seeds.
-    fn cells() -> [(&'static str, BulkStack, &'static str, BulkStack, u64); 4] {
-        let (l, t) = (BulkStack::Linux, BulkStack::TAS);
+    fn cells() -> [(&'static str, Kind, &'static str, Kind, u64); 4] {
+        let (l, t) = (Kind::Linux, Kind::TasSockets);
         [
             ("linux", l, "linux", l, 1),
             ("linux", l, "tas", t, 2),
@@ -1047,20 +949,15 @@ pub mod table4 {
 
     /// Goodput of the bulk-transfer scenario: `scaled(50,100)` flows from
     /// one sending machine to one receiving machine, both on 10G.
-    fn goodput_gbps(sender: BulkStack, receiver: BulkStack, seed: u64) -> f64 {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let flows = scaled(50, 100);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let stack = if spec.index == 0 { receiver } else { sender };
-            // Both stacks run DCTCP, as the paper's testbed does.
-            let cfg = stack.cfg(256 * 1024, 500_000_000);
-            let app = bulk_app(spec.index, flows);
-            add_host(sim, spec, cfg, app)
-        };
-        let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
-        start_all(&mut sim, &topo.hosts);
+    fn goodput_gbps(sender: Kind, receiver: Kind, seed: u64) -> f64 {
+        // Both stacks run DCTCP, as the paper's testbed does.
+        let stacks = [receiver, sender].map(|k| bulk_host(k, 256 * 1024, 500_000_000));
+        let tb = bulk_star(seed, PortConfig::tengig(), stacks, scaled(50, 100));
+        let Net { mut sim, hosts, .. } = build(tb);
         let window = scaled(SimTime::from_ms(30), SimTime::from_ms(100));
-        bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(20), window)
+        let received = |sim: &Sim<NetMsg>| app::<BulkReceiver>(sim, hosts[0]).total;
+        let bytes = grown(&mut sim, SimTime::from_ms(20), window, received);
+        bits_per_sec(bytes, window)
     }
 
     /// The gated report: goodput for all four cells.
@@ -1099,7 +996,7 @@ pub mod table4 {
 /// latency).
 pub mod designspace {
     use super::*;
-    use tas_baselines::{StackProfile, ThreadModel};
+    use tas_baselines::ThreadModel;
     use tas_cpusim::{Crossing, CrossingKind};
 
     /// Seed shared by every per-stack run, so cross-stack differences
@@ -1127,51 +1024,37 @@ pub mod designspace {
         ]
     }
 
-    /// Fig. 9-shape latency distribution for one stack (ns), same seed
-    /// and same TAS clients for every server stack.
-    pub fn latency(kind: Kind) -> Histogram {
-        fig9::run(kind, Kind::TasSockets, SEED)
-    }
-
-    /// Table 1-shape cycle accounting for one stack.
-    pub fn cycles(kind: Kind) -> crate::RpcResult {
-        table1::measure(kind)
-    }
-
     /// An MPK-dataplane server with an explicit crossing cost (sweep
     /// point). Cores match the Fig. 9 server shape.
-    pub fn mpk_host(crossing_cycles: u64) -> (StackProfile, StackHostConfig) {
+    pub fn mpk_host(crossing_cycles: u64) -> HostCfg {
         let mut cfg = StackHostConfig::mpk(2);
         cfg.model = ThreadModel::MpkDataplane {
             crossing: Crossing::new(CrossingKind::Wrpkru, crossing_cycles),
         };
-        (profiles::mpk(), cfg)
+        HostCfg::Model(profiles::mpk(), cfg)
     }
 
     /// An off-path-NIC server with an explicit PCIe one-way latency
     /// (sweep point).
-    pub fn pno_host(latency: SimTime) -> (StackProfile, StackHostConfig) {
+    pub fn pno_host(latency: SimTime) -> HostCfg {
         let mut cfg = StackHostConfig::pno(1, 1);
         if let ThreadModel::OffPathNic { pcie, .. } = &mut cfg.model {
             *pcie = pcie.with_latency(latency);
         }
-        (profiles::pno(), cfg)
+        HostCfg::Model(profiles::pno(), cfg)
     }
 
-    /// Runs the Fig. 9-shape KV latency scenario against a custom-built
-    /// [`StackHost`] server. This is the sweep entry point and the
-    /// determinism probe used by `tests/designspace.rs`.
-    pub fn run_custom(profile: StackProfile, cfg: StackHostConfig, seed: u64) -> Histogram {
-        fig9::run_on(
-            |sim, spec, app| add_host(sim, spec, HostCfg::Model(profile, cfg.clone()), app),
-            Kind::TasSockets,
-            seed,
-        )
+    /// Runs the Fig. 9-shape KV latency scenario against a server on the
+    /// hand-configured stack `server`. This is the sweep entry point and
+    /// the determinism probe used by `tests/designspace.rs`.
+    pub fn run_custom(server: HostCfg, seed: u64) -> Histogram {
+        fig9::run_on(server, Kind::TasSockets, seed)
     }
 
-    /// The gated report: per-stack latency quantiles (Fig. 9 shape),
-    /// per-stack cycles/request with module breakdown and the host-core
-    /// share (Table 1 shape), and the two boundary-cost sweeps.
+    /// The gated report: per-stack latency quantiles (Fig. 9 shape, same
+    /// seed and same TAS clients for every server stack), per-stack
+    /// cycles/request with module breakdown and the host-core share
+    /// (Table 1 shape), and the two boundary-cost sweeps.
     pub fn report() -> Report {
         let mut r = Report::new(
             "designspace",
@@ -1182,11 +1065,11 @@ pub mod designspace {
             .param("mpk_sweep", format!("{MPK_SWEEP:?}"))
             .param("pno_sweep_ns", format!("{PNO_SWEEP:?}"));
         for (name, kind) in stacks() {
-            let hist = latency(kind);
+            let hist = fig9::run(kind, Kind::TasSockets, SEED);
             r.push(Metric::quantiles(&format!("lat_{name}"), "ns", &hist));
         }
         for (name, kind) in stacks() {
-            let res = cycles(kind);
+            let res = table1::measure(kind);
             let p = &res.per_request;
             r.push(
                 table1::cycles_metric(&format!("cycles_{name}"), p).with_component(
@@ -1196,16 +1079,14 @@ pub mod designspace {
             );
         }
         for c in MPK_SWEEP {
-            let (p, cfg) = mpk_host(c);
-            let h = run_custom(p, cfg, SEED);
+            let h = run_custom(mpk_host(c), SEED);
             r.push(
                 Metric::value(&format!("mpk_xcost_{c}"), "ns", h.quantile(0.5) as f64)
                     .with_component("p99", h.quantile(0.99) as f64),
             );
         }
         for l in PNO_SWEEP {
-            let (p, cfg) = pno_host(SimTime::from_ns(l));
-            let h = run_custom(p, cfg, SEED);
+            let h = run_custom(pno_host(SimTime::from_ns(l)), SEED);
             r.push(
                 Metric::value(&format!("pno_pcie_{l}ns"), "ns", h.quantile(0.5) as f64)
                     .with_component("p99", h.quantile(0.99) as f64),
@@ -1258,34 +1139,27 @@ pub mod fig5 {
     /// Runs short-lived echo with `msgs_per_conn` requests per connection
     /// (`u32::MAX` = persistent connections); returns server mOps.
     fn run(kind: Kind, msgs_per_conn: u32, conns: u32, measure: SimTime) -> f64 {
-        let mut sim: Sim<NetMsg> = Sim::new(7 + msgs_per_conn as u64);
-        let server_ip = host_ip(0);
-        let client_hosts = 4usize;
-        let per_client = conns / client_hosts as u32;
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300));
-                make_server(sim, spec, kind, (2, 1), Bufs::tiny(), app)
-            } else {
-                let lifetime = if msgs_per_conn == u32::MAX {
-                    Lifetime::Persistent
-                } else {
-                    Lifetime::ShortLived { msgs_per_conn }
-                };
-                let app: Box<dyn App> =
-                    Box::new(RpcClient::new(server_ip, 7, per_client, 1, 64, lifetime));
-                // Clients run on TAS so they are never the bottleneck.
-                make_server(sim, spec, Kind::TasSockets, (2, 2), Bufs::tiny(), app)
-            }
+        let per_client = conns / 4;
+        let lifetime = if msgs_per_conn == u32::MAX {
+            Lifetime::Persistent
+        } else {
+            Lifetime::ShortLived { msgs_per_conn }
         };
-        let topo = testbed_star(&mut sim, 1 + client_hosts, &mut factory);
-        start_all(&mut sim, &topo.hosts);
-        let warmup = SimTime::from_ms(30);
-        sim.run_until(warmup);
-        let m0 = app::<EchoServer>(&sim, topo.hosts[0]).messages;
-        sim.run_until(warmup + measure);
-        let m1 = app::<EchoServer>(&sim, topo.hosts[0]).messages;
-        (m1 - m0) as f64 / measure.as_secs_f64() / 1e6
+        let server = Agent::stack(
+            HostCfg::new(kind, (2, 1), ECHO_BUF),
+            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300)),
+        );
+        let client = |_| {
+            let app = RpcClient::new(host_ip(0), 7, per_client, 1, 64, lifetime);
+            // Clients run on TAS so they are never the bottleneck.
+            let cfg = HostCfg::new(Kind::TasSockets, (2, 2), ECHO_BUF);
+            Agent::stack(cfg, Box::new(app))
+        };
+        let tb = Testbed::paper(7 + msgs_per_conn as u64, server, (0..4).map(client));
+        let Net { mut sim, hosts, .. } = build(tb);
+        let messages = |sim: &Sim<NetMsg>| app::<EchoServer>(sim, hosts[0]).messages;
+        let done = grown(&mut sim, SimTime::from_ms(30), measure, messages);
+        done as f64 / measure.as_secs_f64() / 1e6
     }
 
     /// The gated report: TAS and Linux throughput per messages/connection
@@ -1396,7 +1270,7 @@ pub mod table7 {
         let mut sc = RpcScenario::kv(kind, cores, 256);
         // Single hot key: every operation contends on the update lock. The
         // contention charge scales with the number of app cores.
-        sc.kv_contention = 1_200;
+        sc.kv_contention = Some((cores.1 as u32, 1_200));
         sc.warmup = SimTime::from_ms(15);
         sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
         sc.client_hosts = 4;
@@ -1447,43 +1321,29 @@ pub mod fig10 {
     /// Runs the chain on `kind`; returns the sink's million tuples/s with
     /// the middle node's mean per-tuple delays (Table 8) as components.
     fn run(name: &str, kind: Kind, spout_rate: u64, seed: u64) -> Metric {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let nodes = 3usize;
-        let workers = 2u16;
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let next = if (spec.index as usize) < nodes - 1 {
-                Some((host_ip(spec.index + 1), 7_000))
-            } else {
-                None
-            };
-            let mut node = FlexStormNode::new(7_000, workers, next);
-            if spec.index == 0 {
+        let nodes = 3u32;
+        let node = |i: u32| {
+            let next = (i < nodes - 1).then(|| (host_ip(i + 1), 7_000));
+            let mut node = FlexStormNode::new(7_000, 2, next);
+            if i == 0 {
                 node.spout_rate = spout_rate;
             }
             // Cores: demux + workers + mux = 4 contexts.
-            let bufs = Bufs {
-                rx: 256 * 1024,
-                tx: 256 * 1024,
-            };
-            make_server(sim, spec, kind, (2, 4), bufs, Box::new(node))
+            Agent::stack(HostCfg::new(kind, (2, 4), 256 * 1024), Box::new(node))
         };
-        let topo = uniform_star(&mut sim, nodes, PortConfig::tengig(), &mut factory);
-        start_all(&mut sim, &topo.hosts);
+        let tb = Testbed::uniform(seed, PortConfig::tengig(), (0..nodes).map(node));
+        let Net { mut sim, hosts, .. } = build(tb);
         let warmup = SimTime::from_ms(100);
         let window = scaled(SimTime::from_ms(300), SimTime::from_secs(2));
         sim.run_until(warmup);
-        let p0 = app::<FlexStormNode>(&sim, topo.hosts[2])
-            .stats
-            .tuples_processed;
-        for &h in &topo.hosts {
+        let p0 = app::<FlexStormNode>(&sim, hosts[2]).stats.tuples_processed;
+        for &h in &hosts {
             app_mut::<FlexStormNode>(&mut sim, h).measure_from = warmup;
         }
         sim.run_until(warmup + window);
-        let p1 = app::<FlexStormNode>(&sim, topo.hosts[2])
-            .stats
-            .tuples_processed;
+        let p1 = app::<FlexStormNode>(&sim, hosts[2]).stats.tuples_processed;
         // Table 8 measures the middle node (fully loaded in and out).
-        let mid = app::<FlexStormNode>(&sim, topo.hosts[1]);
+        let mid = app::<FlexStormNode>(&sim, hosts[1]);
         let mtps = (p1 - p0) as f64 / window.as_secs_f64() / 1e6;
         Metric::value(name, "mops", mtps)
             .with_component("input_us", mid.input_delay_us.mean())
@@ -1559,14 +1419,13 @@ pub mod fig11 {
                 return HostCfg::Model(profiles::ix(), cfg);
             }
         };
-        HostCfg::Tas(TasConfig {
-            max_fp_cores: cores,
-            initial_fp_cores: cores,
-            app_cores: cores,
-            cc: algo,
-            control_interval: SimTime::from_us(tau_us),
-            ..bulk_tas(buf, 500_000_000)
-        })
+        let mut cfg = HostCfg::new(Kind::TasSockets, (cores, cores), buf);
+        if let HostCfg::Tas(tas) = &mut cfg {
+            tas.cc = algo;
+            tas.control_interval = SimTime::from_us(tau_us);
+            tas.initial_rate_bps = 500_000_000;
+        }
+        cfg
     }
 
     /// A generator of bounded-Pareto-sized flows toward `dests` offering
@@ -1587,41 +1446,40 @@ pub mod fig11 {
     /// Runs the single-link experiment; returns (mean FCT ms, mean
     /// bottleneck queue pkts).
     fn run(cc: Cc, seed: u64) -> (f64, f64) {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let senders = 8usize;
-        let sink_ip = host_ip(0);
+        let senders = 8u64;
         // 75% of 10G split over the senders.
         let per_sender_bps = 0.75 * 10e9 / senders as f64;
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let app: Box<dyn App> = if spec.index == 0 {
+        let node = |i: u64| {
+            let app: Box<dyn App> = if i == 0 {
                 Box::new(FlowSink::new(5001))
             } else {
-                Box::new(flow_gen(
-                    vec![(sink_ip, 5001)],
-                    per_sender_bps,
-                    seed + spec.index as u64,
-                ))
+                let sink = vec![(host_ip(0), 5001)];
+                Box::new(flow_gen(sink, per_sender_bps, seed + i))
             };
-            add_host(sim, spec, node_cfg(cc, 2, 256 * 1024), app)
+            Agent::stack(node_cfg(cc, 2, 256 * 1024), app)
         };
         // RTT 100us: 25us one-way on every port.
         let port = PortConfig {
             prop_delay: SimTime::from_us(25),
             ..PortConfig::tengig()
         };
-        let topo = uniform_star(&mut sim, 1 + senders, port, &mut factory);
-        start_all(&mut sim, &topo.hosts);
+        let Net {
+            mut sim,
+            switches,
+            hosts,
+        } = build(Testbed::uniform(seed, port, (0..=senders).map(node)));
+        let (switch, sink) = (switches[0], hosts[0]);
         // Monitor the bottleneck (switch port 0 toward the sink).
-        sim.agent_mut::<Switch>(topo.switch)
+        sim.agent_mut::<Switch>(switch)
             .monitor_port(0, SimTime::from_us(20));
         let warmup = SimTime::from_ms(30);
-        sim.inject_timer(warmup, topo.switch, TIMER_SAMPLE_QUEUE, 0);
+        sim.inject_timer(warmup, switch, TIMER_SAMPLE_QUEUE, 0);
         sim.run_until(warmup);
-        app_mut::<FlowSink>(&mut sim, topo.hosts[0]).measure_from = warmup;
+        app_mut::<FlowSink>(&mut sim, sink).measure_from = warmup;
         let window = scaled(SimTime::from_ms(150), SimTime::from_ms(500));
         sim.run_until(warmup + window);
-        let fct_ms = app::<FlowSink>(&sim, topo.hosts[0]).fct_all.mean() / 1e6;
-        (fct_ms, sim.agent::<Switch>(topo.switch).mean_queue_depth())
+        let fct_ms = app::<FlowSink>(&sim, sink).fct_all.mean() / 1e6;
+        (fct_ms, sim.agent::<Switch>(switch).mean_queue_depth())
     }
 
     /// The gated report: mean FCT and bottleneck queue for the TCP and
@@ -1664,7 +1522,7 @@ pub mod fig12 {
     use super::fig11::{flow_gen, node_cfg, Cc};
     use super::*;
     use tas_apps::flows::FlowSink;
-    use tas_netsim::topo::{build_fattree, FatTreeConfig};
+    use tas_netsim::topo::FatTreeConfig;
 
     /// FatTree arity.
     fn k() -> usize {
@@ -1673,36 +1531,39 @@ pub mod fig12 {
 
     /// Returns (short-flow FCT histogram, long-flow FCT histogram) in ns.
     fn run(cc: Cc, seed: u64) -> (Histogram, Histogram) {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
         let n_hosts = k() * k() * k() / 4;
         let all_dests: Vec<(std::net::Ipv4Addr, u16)> =
             (0..n_hosts as u32).map(|i| (host_ip(i), 5001)).collect();
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            // One app per host: even hosts generate toward the odd hosts,
-            // which sink (documented scale-down). With the 1:4
-            // oversubscribed core, ~0.5 of the host link loads the core
-            // to ~30%+.
-            let app: Box<dyn App> = if spec.index.is_multiple_of(2) {
+        // One app per host: even hosts generate toward the odd hosts, which
+        // sink (documented scale-down). With the 1:4 oversubscribed core,
+        // ~0.5 of the host link loads the core to ~30%+.
+        let node = |i: usize| {
+            let app: Box<dyn App> = if i.is_multiple_of(2) {
                 let dests = all_dests
                     .iter()
                     .copied()
                     .enumerate()
-                    .filter(|(i, _)| i % 2 == 1 && *i as u32 != spec.index)
+                    .filter(|&(j, _)| j % 2 == 1 && j != i)
                     .map(|(_, d)| d)
                     .collect();
-                Box::new(flow_gen(dests, 0.5 * 10e9, seed + spec.index as u64))
+                Box::new(flow_gen(dests, 0.5 * 10e9, seed + i as u64))
             } else {
                 Box::new(FlowSink::new(5001))
             };
-            add_host(sim, spec, node_cfg(cc, 1, 128 * 1024), app)
+            Node::new(Agent::stack(node_cfg(cc, 1, 128 * 1024), app))
         };
-        let cfg = FatTreeConfig {
+        let fabric = Fabric::FatTree(FatTreeConfig {
             k: k(),
             ..FatTreeConfig::paper_scaled()
+        });
+        let nodes = (0..n_hosts).map(node).collect();
+        let tb = Testbed {
+            seed,
+            fabric,
+            nodes,
         };
-        let topo = build_fattree(&mut sim, cfg, &mut factory);
-        start_all(&mut sim, &topo.hosts);
-        let sinks: Vec<AgentId> = topo.hosts.iter().copied().skip(1).step_by(2).collect();
+        let Net { mut sim, hosts, .. } = build(tb);
+        let sinks: Vec<AgentId> = hosts.iter().copied().skip(1).step_by(2).collect();
         let warmup = SimTime::from_ms(30);
         sim.run_until(warmup);
         for &h in &sinks {
@@ -1753,7 +1614,6 @@ pub mod fig12 {
 /// argues for and measures the cost of losing it.
 pub mod ablations {
     use super::*;
-    use crate::TasOverrides;
 
     /// Ablation A: echo mOps at each connection count for three per-flow
     /// state footprints, as cache lines touched per request: 2 = TAS's
@@ -1767,10 +1627,9 @@ pub mod ablations {
                 sc.warmup = scaled(SimTime::from_ms(15), SimTime::from_ms(50));
                 sc.measure = scaled(SimTime::from_ms(10), SimTime::from_ms(50));
                 sc.seed = 7_000 + conns as u64;
-                sc.tas_overrides = TasOverrides {
-                    cache_lines_per_req: Some(lines),
-                    ..TasOverrides::default()
-                };
+                if let HostCfg::Tas(tas) = &mut sc.server {
+                    tas.cache_lines_per_req = lines;
+                }
                 let at_max = Some(&conns) == conn_counts.last();
                 let name = cell(variant, format_args!("{conns}c"), at_max);
                 r.push(Metric::value(&name, "mops", crate::run_rpc(&sc).mops));
@@ -1789,24 +1648,21 @@ pub mod ablations {
         senders: usize,
         seed: u64,
     ) -> Metric {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let cfg = TasConfig {
-                cc,
-                stall_intervals_for_rexmit: stall_intervals,
-                ..bulk_tas(128 * 1024, 500_000_000)
-            };
-            let app = bulk_app(spec.index, 25);
-            add_host(sim, spec, HostCfg::Tas(cfg), app)
-        };
-        let port = lossy_tengig(loss, seed);
-        let topo = uniform_star(&mut sim, 1 + senders, port, &mut factory);
-        start_all(&mut sim, &topo.hosts);
+        let mut cfg = bulk_host(Kind::TasSockets, 128 * 1024, 500_000_000);
+        if let HostCfg::Tas(tas) = &mut cfg {
+            tas.cc = cc;
+            tas.stall_intervals_for_rexmit = stall_intervals;
+        }
+        let stacks = vec![cfg; 1 + senders];
+        let tb = bulk_star(seed, lossy_tengig(loss, seed), stacks, 25);
+        let Net { mut sim, hosts, .. } = build(tb);
         let window = scaled(SimTime::from_ms(100), SimTime::from_ms(300));
-        let bps = bulk_goodput(&mut sim, topo.hosts[0], SimTime::from_ms(50), window);
-        let hosts = || topo.hosts[1..].iter().map(|&h| sim.agent::<TasHost>(h));
-        let fast: u64 = hosts().map(|s| s.fp_stats().fast_rexmits).sum();
-        let timeout: u64 = hosts().map(|s| s.sp_stats().timeout_rexmits).sum();
+        let received = |sim: &Sim<NetMsg>| app::<BulkReceiver>(sim, hosts[0]).total;
+        let bytes = grown(&mut sim, SimTime::from_ms(50), window, received);
+        let bps = bits_per_sec(bytes, window);
+        let senders = || hosts[1..].iter().map(|&h| sim.agent::<TasHost>(h));
+        let fast: u64 = senders().map(|s| s.fp_stats().fast_rexmits).sum();
+        let timeout: u64 = senders().map(|s| s.sp_stats().timeout_rexmits).sum();
         Metric::value(name, "gbps", bps / 1e9)
             .with_component("fast_rexmits", fast as f64)
             .with_component("timeout_rexmits", timeout as f64)

@@ -6,8 +6,9 @@
 //! bound that is accidentally vacuous (e.g. infinite) would pass CI
 //! forever.
 
-use tas_bench::scenario::{generators, isolation, ScenarioSpec};
-use tas_bench::{Kind, TasOverrides};
+use tas::CcAlgo;
+use tas_bench::scenario::{generators, isolation, runner, ScenarioSpec};
+use tas_bench::{HostCfg, Kind};
 use tas_sim::SimTime;
 
 /// The incast spec with a shortened measurement window: debug-mode test
@@ -23,7 +24,7 @@ fn short_incast() -> ScenarioSpec {
 #[test]
 fn clean_config_passes_the_incast_isolation_bound() {
     let spec = short_incast();
-    let verdicts = isolation::evaluate(&spec, Kind::TasSockets);
+    let verdicts = isolation::evaluate(&spec, runner::server(&spec, Kind::TasSockets));
     assert!(!verdicts.is_empty(), "incast has a victim tenant");
     for v in &verdicts {
         assert!(
@@ -39,7 +40,8 @@ fn clean_config_passes_the_incast_isolation_bound() {
 #[test]
 fn unfair_config_trips_the_incast_isolation_bound() {
     let spec = short_incast();
-    let verdicts = isolation::evaluate_with(&spec, Kind::TasSockets, isolation::unfair_overrides());
+    let unfair = isolation::unfair_server(&spec);
+    let verdicts = isolation::evaluate(&spec, unfair);
     assert!(!verdicts.is_empty());
     assert!(
         verdicts.iter().any(|v| !v.pass),
@@ -70,13 +72,18 @@ fn baseline_spec_strips_aggressors_only() {
 }
 
 #[test]
-fn unfair_overrides_only_touch_congestion_control() {
-    let ov = isolation::unfair_overrides();
-    let clean = TasOverrides::default();
-    assert!(ov.cc.is_some());
-    assert_eq!(ov.cache_lines_per_req, clean.cache_lines_per_req);
-    assert_eq!(ov.stall_intervals_for_rexmit, clean.stall_intervals_for_rexmit);
-    assert_eq!(ov.control_interval, clean.control_interval);
+fn unfair_server_only_touches_congestion_control() {
+    let spec = short_incast();
+    let (HostCfg::Tas(mut unfair), HostCfg::Tas(clean)) = (
+        isolation::unfair_server(&spec),
+        runner::server(&spec, Kind::TasSockets),
+    ) else {
+        panic!("both servers run TAS");
+    };
+    assert_eq!(unfair.cc, CcAlgo::None);
+    assert_ne!(clean.cc, CcAlgo::None);
+    unfair.cc = clean.cc;
+    assert_eq!(format!("{unfair:?}"), format!("{clean:?}"));
 }
 
 /// Acceptance for the design-space models: both new stacks run the
@@ -91,7 +98,7 @@ fn design_space_stacks_run_the_suite() {
             // Debug builds arm the auditors; cap the windows so the
             // whole suite stays inside tier-1 test time.
             spec.measure = spec.measure.min(SimTime::from_ms(10));
-            let verdicts = isolation::evaluate(&spec, kind);
+            let verdicts = isolation::evaluate(&spec, runner::server(&spec, kind));
             assert!(
                 !verdicts.is_empty(),
                 "{}: {spec:?} has a victim tenant",

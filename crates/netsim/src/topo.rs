@@ -25,9 +25,9 @@ pub struct HostSpec {
     pub uplink: AgentId,
     /// NIC configuration for the host's uplink.
     pub nic: NicConfig,
-    /// Tenant identity for multi-tenant scenarios (0 = untagged/default).
-    /// [`build_star_tenants`] assigns it; factories propagate it to the
-    /// host they build (e.g. `TasHost::set_tenant`).
+    /// Tenant identity (0 = untagged). The builders here always leave it
+    /// 0: a host carries its tenant in its `HostedApp`, tagged with
+    /// `set_tenant` after it is built.
     pub tenant: u32,
 }
 
@@ -57,10 +57,8 @@ pub fn mac_for_ip(ip: Ipv4Addr) -> MacAddr {
 pub struct StarTopo {
     /// The switch agent.
     pub switch: AgentId,
-    /// Host agents in index order.
+    /// Host agents in index order (host `i`'s IP is [`host_ip`]`(i)`).
     pub hosts: Vec<AgentId>,
-    /// Host IPs in index order.
-    pub ips: Vec<Ipv4Addr>,
 }
 
 /// Builds a star of `n` hosts. `port_cfg_for(i)` gives the switch port
@@ -69,27 +67,12 @@ pub struct StarTopo {
 pub fn build_star(
     sim: &mut Sim<NetMsg>,
     n: usize,
-    port_cfg_for: impl FnMut(u32) -> PortConfig,
-    nic_for: impl FnMut(u32) -> NicConfig,
-    make_host: &mut HostFactory<'_>,
-) -> StarTopo {
-    build_star_tenants(sim, n, |_| 0, port_cfg_for, nic_for, make_host)
-}
-
-/// [`build_star`] with per-host tenant tags: `tenant_for(i)` labels host
-/// `i` so the factory can propagate the tenant identity into the host it
-/// builds (the multi-tenant scenario suite's attribution path).
-pub fn build_star_tenants(
-    sim: &mut Sim<NetMsg>,
-    n: usize,
-    mut tenant_for: impl FnMut(u32) -> u32,
     mut port_cfg_for: impl FnMut(u32) -> PortConfig,
     mut nic_for: impl FnMut(u32) -> NicConfig,
     make_host: &mut HostFactory<'_>,
 ) -> StarTopo {
     let switch = sim.add_agent(Box::new(Switch::new("star")));
     let mut hosts = Vec::with_capacity(n);
-    let mut ips = Vec::with_capacity(n);
     for i in 0..n as u32 {
         let ip = host_ip(i);
         let spec = HostSpec {
@@ -98,16 +81,15 @@ pub fn build_star_tenants(
             mac: host_mac(i),
             uplink: switch,
             nic: nic_for(i),
-            tenant: tenant_for(i),
+            tenant: 0,
         };
         let host = make_host(sim, spec);
         let sw = sim.agent_mut::<Switch>(switch);
         let port = sw.add_port(host, port_cfg_for(i));
         sw.set_route(ip, vec![port]);
         hosts.push(host);
-        ips.push(ip);
     }
-    StarTopo { switch, hosts, ips }
+    StarTopo { switch, hosts }
 }
 
 /// Link-rate configuration of a FatTree (allows modelling the paper's 1:4
@@ -354,7 +336,7 @@ mod tests {
         );
         // Host 0 pings host 3 "from the wire": inject at host 0's NIC agent
         // by sending from host 0 through the switch.
-        let seg = ping(topo.ips[0], topo.ips[3], 999);
+        let seg = ping(host_ip(0), host_ip(3), 999);
         sim.inject_msg(
             SimTime::ZERO,
             topo.hosts[0],

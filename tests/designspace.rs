@@ -14,14 +14,13 @@ use tas_sim::{Histogram, Rng, SimTime};
 
 /// Runs the MPK sweep point and returns the latency histogram.
 fn mpk_hist(crossing_cycles: u64, seed: u64) -> Histogram {
-    let (p, cfg) = designspace::mpk_host(crossing_cycles);
-    designspace::run_custom(p, cfg, seed)
+    designspace::run_custom(designspace::mpk_host(crossing_cycles), seed)
 }
 
 /// Runs the PnO sweep point and returns the latency histogram.
 fn pno_hist(latency_ns: u64, seed: u64) -> Histogram {
-    let (p, cfg) = designspace::pno_host(SimTime::from_ns(latency_ns));
-    designspace::run_custom(p, cfg, seed)
+    let server = designspace::pno_host(SimTime::from_ns(latency_ns));
+    designspace::run_custom(server, seed)
 }
 
 /// The report fragment the cross-process property byte-compares: both

@@ -168,31 +168,32 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
 /// diffable and the CI regression gate meaningful.
 fn run_artifacts(seed: u64, reference: bool) -> String {
     use tas_bench::report::{Metric, Report};
-    use tas_bench::{add_host, app, host, start_all, uniform_star, HostCfg};
+    use tas_bench::testbed::{build, Agent, Testbed};
+    use tas_bench::{app, host, HostCfg};
     use tas_repro::apps::echo::{EchoServer, ServerMode};
     use tas_repro::baselines::{profiles, StackHostConfig};
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
     let server_ip: Ipv4Addr = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 2, 1, 64, Lifetime::Persistent);
-            c.max_requests = 400;
-            Box::new(c)
-        };
-        let cfg = if reference {
+    let cfg = || {
+        if reference {
             HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
         } else {
             HostCfg::Tas(TasConfig::rpc_bench(1, 1))
-        };
-        add_host(sim, spec, cfg, app)
+        }
     };
-    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
-    start_all(&mut sim, &topo.hosts);
+    let mut c = RpcClient::new(server_ip, 7, 2, 1, 64, Lifetime::Persistent);
+    c.max_requests = 400;
+    let agents = [
+        Agent::stack(
+            cfg(),
+            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300)),
+        ),
+        Agent::stack(cfg(), Box::new(c)),
+    ];
+    let net = build(Testbed::uniform(seed, PortConfig::tengig(), agents));
+    let (mut sim, hosts) = (net.sim, net.hosts);
     sim.run_until(SimTime::from_ms(80));
-    let series = host(&sim, topo.hosts[0]).registry().render_series();
-    let client = app::<RpcClient>(&sim, topo.hosts[1]);
+    let series = host(&sim, hosts[0]).registry().render_series();
+    let client = app::<RpcClient>(&sim, hosts[1]);
     let (latency, done) = (&client.latency, client.done);
     assert!(done > 0, "the echo workload must actually run");
     let mut rep = Report::new("determinism-probe", "Echo RPC determinism probe", seed);
@@ -231,10 +232,7 @@ fn fault_injection_is_deterministic_end_to_end() {
     let a = faulty_fingerprint(77, 900);
     let b = faulty_fingerprint(77, 900);
     assert_eq!(a, b, "same seeds must reproduce the faulty run exactly");
-    assert!(
-        a[6] + a[11] > 0,
-        "faults must actually have fired: {a:?}"
-    );
+    assert!(a[6] + a[11] > 0, "faults must actually have fired: {a:?}");
     assert_eq!(a[4], 100, "the workload must complete under faults: {a:?}");
     // Different fault seed, same sim seed: the fault schedule (and thus
     // the run) must actually change.

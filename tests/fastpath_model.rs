@@ -10,14 +10,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
-use tas_bench::{add_host, start_all, uniform_star, HostCfg};
+use tas_bench::testbed::{build, Agent, Testbed};
+use tas_bench::HostCfg;
 use tas_repro::apps::bulk::{BulkReceiver, BulkSender};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 use tas_repro::apps::kv::{KvClient, KvLoad, KvServer};
 use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
 use tas_repro::cpusim::CycleAccount;
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{host_ip, HostSpec};
+use tas_repro::netsim::topo::host_ip;
 use tas_repro::netsim::{FaultSpec, NetMsg, PortConfig};
 use tas_repro::proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_repro::shm::ByteRing;
@@ -584,21 +584,16 @@ fn tas_segments(sim: &Sim<NetMsg>, hosts: &[AgentId]) -> u64 {
 /// `KvServer` and `KvClient` on both ends of a switch.
 #[test]
 fn linux_kv_pair_steady_state_does_not_allocate() {
-    let mut sim: Sim<NetMsg> = Sim::new(5);
-    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(KvServer::new(7))
-        } else {
-            // The client preloads all 64 keys, so no SET in the window
-            // adds one to the store.
-            Box::new(KvClient::new(host_ip(0), 7, 32, 64, KvLoad::Closed, 5))
-        };
-        let linux = HostCfg::Model(profiles::linux(), StackHostConfig::linux(2));
-        add_host(sim, spec, linux, app)
-    };
-    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
-    start_all(&mut sim, &topo.hosts);
-    let hosts = topo.hosts.clone();
+    let linux = || HostCfg::Model(profiles::linux(), StackHostConfig::linux(2));
+    // The client preloads all 64 keys, so no SET in the window adds one
+    // to the store.
+    let client = KvClient::new(host_ip(0), 7, 32, 64, KvLoad::Closed, 5);
+    let agents = [
+        Agent::stack(linux(), Box::new(KvServer::new(7))),
+        Agent::stack(linux(), Box::new(client)),
+    ];
+    let net = build(Testbed::uniform(5, PortConfig::tengig(), agents));
+    let (mut sim, hosts) = (net.sim, net.hosts);
     let segments = |sim: &Sim<NetMsg>| -> u64 {
         let tcp = |&h: &AgentId| sim.agent::<StackHost>(h).tcp_stats();
         hosts.iter().map(tcp).map(|t| t.segs_in + t.segs_out).sum()
@@ -619,25 +614,17 @@ fn linux_kv_pair_steady_state_does_not_allocate() {
 /// closed-loop `RpcClient`.
 #[test]
 fn tas_echo_pair_steady_state_does_not_allocate() {
-    let mut sim: Sim<NetMsg> = Sim::new(6);
-    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
-        } else {
-            Box::new(RpcClient::new(
-                host_ip(0),
-                7,
-                16,
-                1,
-                64,
-                Lifetime::Persistent,
-            ))
-        };
-        add_host(sim, spec, HostCfg::Tas(TasConfig::rpc_bench(1, 1)), app)
-    };
-    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
-    start_all(&mut sim, &topo.hosts);
-    let hosts = topo.hosts.clone();
+    let tas = || HostCfg::Tas(TasConfig::rpc_bench(1, 1));
+    let client = RpcClient::new(host_ip(0), 7, 16, 1, 64, Lifetime::Persistent);
+    let agents = [
+        Agent::stack(
+            tas(),
+            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300)),
+        ),
+        Agent::stack(tas(), Box::new(client)),
+    ];
+    let net = build(Testbed::uniform(6, PortConfig::tengig(), agents));
+    let (mut sim, hosts) = (net.sim, net.hosts);
     let per_seg = allocs_per_segment(
         &mut sim,
         SimTime::from_ms(10),
@@ -652,7 +639,6 @@ fn tas_echo_pair_steady_state_does_not_allocate() {
 /// window.
 #[test]
 fn tas_bulk_pair_through_lossy_port_steady_state_does_not_allocate() {
-    let mut sim: Sim<NetMsg> = Sim::new(7);
     let port = PortConfig {
         fault: FaultSpec::uniform_loss(0.01, 7),
         ..PortConfig::tengig()
@@ -666,17 +652,15 @@ fn tas_bulk_pair_through_lossy_port_steady_state_does_not_allocate() {
         control_interval: SimTime::from_us(200),
         ..TasConfig::rpc_bench(2, 2)
     };
-    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(BulkReceiver::new(9))
-        } else {
-            Box::new(BulkSender::new(host_ip(0), 9, 8))
-        };
-        add_host(sim, spec, HostCfg::Tas(cfg.clone()), app)
-    };
-    let topo = uniform_star(&mut sim, 2, port, &mut factory);
-    start_all(&mut sim, &topo.hosts);
-    let hosts = topo.hosts.clone();
+    let agents = [
+        Agent::stack(HostCfg::Tas(cfg.clone()), Box::new(BulkReceiver::new(9))),
+        Agent::stack(
+            HostCfg::Tas(cfg),
+            Box::new(BulkSender::new(host_ip(0), 9, 8)),
+        ),
+    ];
+    let net = build(Testbed::uniform(7, port, agents));
+    let (mut sim, hosts) = (net.sim, net.hosts);
     let per_seg = allocs_per_segment(
         &mut sim,
         SimTime::from_ms(40),

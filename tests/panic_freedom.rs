@@ -7,7 +7,8 @@ use std::path::{Path, PathBuf};
 
 const SCOPES: &str = "crates/cc/src crates/shm/src crates/tas/src/fastpath.rs \
     crates/tas/src/slowpath.rs crates/tas/src/flow crates/proto/src/slab.rs crates/proto/src/payload.rs \
-    crates/proto/src/flow_index.rs crates/bench/src/scenario crates/apps/src/adversary.rs \
+    crates/proto/src/flow_index.rs crates/bench/src/scenario crates/bench/src/testbed.rs \
+    crates/apps/src/adversary.rs \
     crates/apps/src/raw.rs crates/telemetry/src/profile.rs crates/cpusim/src/boundary.rs";
 
 fn sources(path: &Path) -> Vec<PathBuf> {

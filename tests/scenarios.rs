@@ -95,8 +95,8 @@ fn same_seed_scenarios_are_byte_deterministic() {
     for case in 0..4 {
         let spec = tiny_spec(&mut Rng::new(case));
         for kind in [Kind::TasSockets, Kind::Linux] {
-            let a = runner::run(&spec, kind);
-            let b = runner::run(&spec, kind);
+            let a = runner::run_with(&spec, runner::server(&spec, kind));
+            let b = runner::run_with(&spec, runner::server(&spec, kind));
             assert_eq!(a, b, "case {case}: outcome mismatch on {kind:?}");
             assert_eq!(
                 fragment(&spec, kind, &a),

@@ -4,11 +4,11 @@
 //! interleaving, and — when the `telemetry` feature is on — enabling the
 //! flight recorder never perturbs the simulation it observes.
 
-use tas_bench::{add_host, host, start_all, uniform_star, HostCfg};
+use tas_bench::testbed::{build, Agent, Testbed};
+use tas_bench::{host, HostCfg};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 use tas_repro::baselines::{profiles, StackHostConfig};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{host_ip, HostSpec};
+use tas_repro::netsim::topo::host_ip;
 use tas_repro::netsim::{FaultSpec, NetMsg, PortConfig};
 use tas_repro::sim::{AgentId, Registry, Rng, Scope, Sim, SimTime};
 use tas_repro::tas::TasConfig;
@@ -28,24 +28,21 @@ fn reference() -> HostCfg {
 /// stack `cfg` makes, optionally with a lossy client NIC, and returns
 /// (sim, server, client).
 fn build_pair(seed: u64, cfg: fn() -> HostCfg, faulty: bool) -> (Sim<NetMsg>, AgentId, AgentId) {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, mut spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300))
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
-            c.max_requests = 200;
-            Box::new(c)
-        };
-        if faulty && spec.index == 1 {
-            spec.nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED);
-        }
-        add_host(sim, spec, cfg(), app)
-    };
-    let topo = uniform_star(&mut sim, 2, PortConfig::tengig(), &mut factory);
-    start_all(&mut sim, &topo.hosts);
-    (sim, topo.hosts[0], topo.hosts[1])
+    let mut client = RpcClient::new(host_ip(0), 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
+    client.max_requests = 200;
+    let agents = [
+        Agent::stack(
+            cfg(),
+            Box::new(EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300)),
+        ),
+        Agent::stack(cfg(), Box::new(client)),
+    ];
+    let mut tb = Testbed::uniform(seed, PortConfig::tengig(), agents);
+    if faulty {
+        tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED);
+    }
+    let net = build(tb);
+    (net.sim, net.hosts[0], net.hosts[1])
 }
 
 /// Runs the workload for 150 ms; returns the events processed and both
