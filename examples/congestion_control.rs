@@ -8,60 +8,45 @@
 //!
 //! Run with: `cargo run --release --example congestion_control`
 
+use std::iter;
+use tas_bench::testbed::{build, Agent, Net, Testbed};
+use tas_bench::{app, HostCfg};
 use tas_repro::apps::bulk::{BulkReceiver, BulkSender};
-use tas_repro::netsim::app::App;
 use tas_repro::netsim::switch::TIMER_SAMPLE_QUEUE;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig, Switch};
-use tas_repro::sim::{AgentId, Sim, SimTime};
-use tas_repro::tas::{CcAlgo, TasConfig, TasHost};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::netsim::{PortConfig, Switch};
+use tas_repro::sim::SimTime;
+use tas_repro::tas::{CcAlgo, TasConfig};
 
 fn main() {
-    let mut sim: Sim<NetMsg> = Sim::new(99);
-    let recv_ip = host_ip(0);
     let senders = 4usize;
     let conns_per_sender = 8u32;
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let mut cfg = TasConfig::rpc_bench(2, 2);
-        cfg.cc = CcAlgo::DctcpRate; // The paper's default policy.
-        cfg.initial_rate_bps = 200_000_000;
-        cfg.control_interval = SimTime::from_us(200); // ~2 RTTs.
-        cfg.rx_buf = 128 * 1024;
-        cfg.tx_buf = 128 * 1024;
-        cfg.max_core_backlog = SimTime::from_ms(50);
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(BulkReceiver::new(9).sampling(SimTime::from_ms(20), SimTime::from_ms(40)))
-        } else {
-            Box::new(BulkSender::new(recv_ip, 9, conns_per_sender))
-        };
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            cfg,
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        1 + senders,
-        |_| PortConfig::tengig(), // ECN marking threshold: 65 packets.
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    sim.agent_mut::<Switch>(topo.switch)
+    let mut cfg = TasConfig::rpc_bench(2, 2);
+    cfg.cc = CcAlgo::DctcpRate; // The paper's default policy.
+    cfg.initial_rate_bps = 200_000_000;
+    cfg.control_interval = SimTime::from_us(200); // ~2 RTTs.
+    cfg.rx_buf = 128 * 1024;
+    cfg.tx_buf = 128 * 1024;
+    cfg.max_core_backlog = SimTime::from_ms(50);
+    let host = |app| Agent::stack(HostCfg::Tas(cfg.clone()), app);
+    let receiver = BulkReceiver::new(9).sampling(SimTime::from_ms(20), SimTime::from_ms(40));
+    let sender = || host(Box::new(BulkSender::new(host_ip(0), 9, conns_per_sender)));
+    let agents = iter::once(host(Box::new(receiver))).chain((0..senders).map(|_| sender()));
+    // ECN marking threshold: 65 packets.
+    let Net {
+        mut sim,
+        switches,
+        hosts,
+    } = build(Testbed::uniform(99, PortConfig::tengig(), agents));
+    let switch = switches[0];
+    sim.agent_mut::<Switch>(switch)
         .monitor_port(0, SimTime::from_us(50));
-    sim.inject_timer(SimTime::from_ms(40), topo.switch, TIMER_SAMPLE_QUEUE, 0);
+    sim.inject_timer(SimTime::from_ms(40), switch, TIMER_SAMPLE_QUEUE, 0);
 
     sim.run_until(SimTime::from_ms(240));
 
-    let recv = sim.agent::<TasHost>(topo.hosts[0]);
-    let app = recv.app_as::<BulkReceiver>();
-    let sw = sim.agent::<Switch>(topo.switch);
+    let app = app::<BulkReceiver>(&sim, hosts[0]);
+    let sw = sim.agent::<Switch>(switch);
     let total_conns = senders as u32 * conns_per_sender;
     println!("incast: {senders} senders x {conns_per_sender} conns -> one 10G receiver");
     println!(

@@ -4,110 +4,41 @@
 //!
 //! Run with: `cargo run --release --example kv_store`
 
+use tas_bench::testbed::{build, Agent, Net, Testbed};
+use tas_bench::{app, app_mut, HostCfg};
 use tas_repro::apps::kv::{KvClient, KvLoad, KvServer};
-use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Sim, SimTime};
-use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::baselines::{profiles, StackHostConfig};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::sim::SimTime;
+use tas_repro::tas::TasConfig;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Stack {
-    Tas,
-    Linux,
-}
-
-fn run(stack: Stack) -> (f64, f64, f64) {
-    let mut sim: Sim<NetMsg> = Sim::new(7);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 0 {
-            // The server: 100k keys, zipf(0.9), 90% GETs — once clients
-            // populate it.
-            let app: Box<dyn App> = Box::new(KvServer::new(11211));
-            match stack {
-                Stack::Tas => {
-                    let cfg = TasConfig::rpc_bench(2, 2);
-                    sim.add_agent(Box::new(TasHost::new(
-                        spec.ip,
-                        spec.mac,
-                        spec.nic,
-                        cfg,
-                        spec.uplink,
-                        app,
-                    )))
-                }
-                Stack::Linux => sim.add_agent(Box::new(StackHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    profiles::linux(),
-                    StackHostConfig::linux(4),
-                    spec.uplink,
-                    app,
-                ))),
-            }
-        } else {
-            // Clients always run on TAS (they are not under test).
-            let app: Box<dyn App> = Box::new(KvClient::new(
-                server_ip,
-                11211,
-                64,
-                100_000,
-                KvLoad::Closed,
-                spec.index as u64,
-            ));
-            let cfg = TasConfig::rpc_bench(2, 2);
-            sim.add_agent(Box::new(TasHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                cfg,
-                spec.uplink,
-                app,
-            )))
-        }
-    };
-    let topo = build_star(
-        &mut sim,
-        3,
-        |i| {
-            if i == 0 {
-                PortConfig::fortygig()
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+/// Runs the KV workload against a server on `server` and returns its
+/// throughput and latency.
+fn run(server: HostCfg) -> (f64, f64, f64) {
+    // The server: 100k keys, zipf(0.9), 90% GETs — once clients populate
+    // it.
+    let server = Agent::stack(server, Box::new(KvServer::new(11211)));
+    // Clients always run on TAS (they are not under test).
+    let clients = (1..=2).map(|i| {
+        let app = KvClient::new(host_ip(0), 11211, 64, 100_000, KvLoad::Closed, i);
+        Agent::stack(HostCfg::Tas(TasConfig::rpc_bench(2, 2)), Box::new(app))
+    });
+    let Net { mut sim, hosts, .. } = build(Testbed::paper(7, server, clients));
     let warmup = SimTime::from_ms(20);
     let window = SimTime::from_ms(30);
     sim.run_until(warmup);
-    let done0: u64 = topo.hosts[1..]
+    let done0: u64 = hosts[1..]
         .iter()
-        .map(|&h| sim.agent::<TasHost>(h).app_as::<KvClient>().done)
+        .map(|&h| app::<KvClient>(&sim, h).done)
         .sum();
-    for &h in &topo.hosts[1..] {
-        sim.agent_mut::<TasHost>(h)
-            .app_as_mut::<KvClient>()
-            .measure_from = warmup;
+    for &h in &hosts[1..] {
+        app_mut::<KvClient>(&mut sim, h).measure_from = warmup;
     }
     sim.run_until(warmup + window);
     let mut hist = tas_repro::sim::Histogram::new();
     let mut done1 = 0;
-    for &h in &topo.hosts[1..] {
-        let c = sim.agent::<TasHost>(h).app_as::<KvClient>();
+    for &h in &hosts[1..] {
+        let c = app::<KvClient>(&sim, h);
         done1 += c.done;
         hist.merge(&c.latency);
     }
@@ -125,9 +56,10 @@ fn main() {
         "{:<8} {:>10} {:>12} {:>12}",
         "stack", "mOps/s", "p50 [us]", "p99 [us]"
     );
-    let (tm, tp50, tp99) = run(Stack::Tas);
+    let (tm, tp50, tp99) = run(HostCfg::Tas(TasConfig::rpc_bench(2, 2)));
     println!("{:<8} {tm:>10.2} {tp50:>12.1} {tp99:>12.1}", "TAS");
-    let (lm, lp50, lp99) = run(Stack::Linux);
+    let linux = HostCfg::Model(profiles::linux(), StackHostConfig::linux(4));
+    let (lm, lp50, lp99) = run(linux);
     println!("{:<8} {lm:>10.2} {lp50:>12.1} {lp99:>12.1}", "Linux");
     println!();
     println!(

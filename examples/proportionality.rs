@@ -9,97 +9,56 @@
 //!
 //! Run with: `cargo run --release --example proportionality`
 
+use tas_bench::testbed::{build, Agent, Net, Testbed};
+use tas_bench::HostCfg;
 use tas_repro::apps::kv::{self, KvServer};
-use tas_repro::apps::loadgen::{timers as lg_timers, LoadGenConfig, LoadGenHost};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Sim, SimTime};
-use tas_repro::tas::host::timers as tas_timers;
+use tas_repro::apps::loadgen::{LoadGenConfig, LoadGenHost};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::sim::SimTime;
 use tas_repro::tas::{ApiKind, CcAlgo, TasConfig, TasHost};
 
 fn main() {
-    let mut sim: Sim<NetMsg> = Sim::new(7);
-    let server_ip = host_ip(0);
     let clients = 4usize;
     let step = SimTime::from_ms(300);
     let total = step * (2 * clients as u64 + 1);
 
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 0 {
-            // A reduced server clock lets a handful of load generators
-            // exercise several cores; the controller and its thresholds
-            // are exactly the paper's.
-            let cfg = TasConfig {
-                freq_hz: 50_000_000,
-                max_fp_cores: 8,
-                initial_fp_cores: 1,
-                app_cores: 8,
-                api: ApiKind::Sockets,
-                cc: CcAlgo::None,
-                rx_buf: 4096,
-                tx_buf: 4096,
-                proportional: true,
-                max_core_backlog: SimTime::from_ms(50),
-                ..TasConfig::default()
-            };
-            let app: Box<dyn App> = Box::new(KvServer::new(7));
-            sim.add_agent(Box::new(TasHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                cfg,
-                spec.uplink,
-                app,
-            )))
-        } else {
-            let template = kv::get_request(1);
-            let cfg = LoadGenConfig {
-                server: server_ip,
-                port: 7,
-                conns: 80,
-                think: SimTime::from_ms(1),
-                req_size: template.len(),
-                resp_size: kv::RESP_LEN,
-                req_template: Some(template),
-                stop_at: SimTime::ZERO,
-                ..LoadGenConfig::default()
-            };
-            sim.add_agent(Box::new(LoadGenHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                spec.uplink,
-                cfg,
-            )))
-        }
+    // A reduced server clock lets a handful of load generators exercise
+    // several cores; the controller and its thresholds are exactly the
+    // paper's.
+    let cfg = TasConfig {
+        freq_hz: 50_000_000,
+        max_fp_cores: 8,
+        initial_fp_cores: 1,
+        app_cores: 8,
+        api: ApiKind::Sockets,
+        cc: CcAlgo::None,
+        rx_buf: 4096,
+        tx_buf: 4096,
+        proportional: true,
+        max_core_backlog: SimTime::from_ms(50),
+        ..TasConfig::default()
     };
-    let topo = build_star(
-        &mut sim,
-        1 + clients,
-        |i| {
-            if i == 0 {
-                PortConfig::fortygig()
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |i| {
-            if i == 0 {
-                NicConfig::server_40g(1)
-            } else {
-                NicConfig::client_10g(1)
-            }
-        },
-        &mut factory,
-    );
-    sim.inject_timer(SimTime::ZERO, topo.hosts[0], tas_timers::INIT, 0);
+    let server = Agent::stack(HostCfg::Tas(cfg), Box::new(KvServer::new(7)));
     // Clients arrive one per step and depart in reverse order.
-    for (i, &h) in topo.hosts[1..].iter().enumerate() {
-        sim.inject_timer(step * i as u64, h, lg_timers::INIT, 0);
-        sim.agent_mut::<LoadGenHost>(h)
-            .set_stop_at(total - step * (i as u64 + 1));
+    let loadgen = |i: u64| {
+        let template = kv::get_request(1);
+        Agent::LoadGen(LoadGenConfig {
+            server: host_ip(0),
+            port: 7,
+            conns: 80,
+            think: SimTime::from_ms(1),
+            req_size: template.len(),
+            resp_size: kv::RESP_LEN,
+            req_template: Some(template),
+            stop_at: total - step * (i + 1),
+            ..LoadGenConfig::default()
+        })
+    };
+    let mut tb = Testbed::paper(7, server, (0..clients as u64).map(loadgen));
+    for (i, node) in tb.nodes[1..].iter_mut().enumerate() {
+        node.start = step * i as u64;
     }
+    let Net { mut sim, hosts, .. } = build(tb);
 
     println!("stepped KV load against one TAS server (paper Fig. 14):");
     println!("{:<9} {:>7} {:>12}", "t [ms]", "cores", "kOps/s");
@@ -110,18 +69,18 @@ fn main() {
     while t < total {
         t += sample;
         sim.run_until(t);
-        let done: u64 = topo.hosts[1..]
+        let done: u64 = hosts[1..]
             .iter()
             .map(|&c| sim.agent::<LoadGenHost>(c).done)
             .sum();
-        let cores = sim.agent::<TasHost>(topo.hosts[0]).active_fp_cores();
+        let cores = sim.agent::<TasHost>(hosts[0]).active_fp_cores();
         peak_cores = peak_cores.max(cores);
         let kops = (done - prev_done) as f64 / sample.as_secs_f64() / 1e3;
         println!("{:<9} {cores:>7} {kops:>12.1}", t.as_millis());
         prev_done = done;
     }
 
-    let server = sim.agent::<TasHost>(topo.hosts[0]);
+    let server = sim.agent::<TasHost>(hosts[0]);
     let final_cores = server.active_fp_cores();
     let scale_events = server
         .registry()

@@ -3,56 +3,33 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::net::Ipv4Addr;
+use tas_bench::testbed::{build, Agent, Net, Testbed};
+use tas_bench::{app, HostCfg};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Sim, SimTime};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::netsim::PortConfig;
+use tas_repro::sim::SimTime;
 use tas_repro::tas::{TasConfig, TasHost};
 
 fn main() {
-    // A deterministic simulation: same seed, same run, every time.
-    let mut sim: Sim<NetMsg> = Sim::new(42);
-    let server_ip: Ipv4Addr = host_ip(0);
-
     // Host 0: echo server on TAS (2 fast-path cores, 1 app core).
     // Host 1: client opening 4 connections, 1000 RPCs of 64 bytes.
-    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
-        } else {
-            let mut client = RpcClient::new(server_ip, 7, 4, 1, 64, Lifetime::Persistent);
-            client.max_requests = 1000;
-            Box::new(client)
-        };
-        let cores = if spec.index == 0 { (2, 1) } else { (1, 1) };
-        let cfg = TasConfig::rpc_bench(cores.0, cores.1);
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            cfg,
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    // Kick both hosts off (INIT timers start apps and control loops).
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let server = EchoServer::new(7, 64, ServerMode::Echo, 300);
+    let mut client = RpcClient::new(host_ip(0), 7, 4, 1, 64, Lifetime::Persistent);
+    client.max_requests = 1000;
+    let agents = [
+        Agent::stack(HostCfg::Tas(TasConfig::rpc_bench(2, 1)), Box::new(server)),
+        Agent::stack(HostCfg::Tas(TasConfig::rpc_bench(1, 1)), Box::new(client)),
+    ];
+    // A deterministic simulation: same seed, same run, every time. Both
+    // hosts sit on one 10G switch and start at t = 0 (INIT timers start
+    // apps and control loops).
+    let Net { mut sim, hosts, .. } = build(Testbed::uniform(42, PortConfig::tengig(), agents));
 
     sim.run_until(SimTime::from_ms(100));
 
-    let client = sim.agent::<TasHost>(topo.hosts[1]).app_as::<RpcClient>();
-    let server = sim.agent::<TasHost>(topo.hosts[0]);
+    let client = app::<RpcClient>(&sim, hosts[1]);
+    let server = sim.agent::<TasHost>(hosts[0]);
     println!("RPCs completed : {}", client.done);
     println!(
         "median latency : {:.1} us",

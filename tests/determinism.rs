@@ -2,58 +2,40 @@
 //! runs bit-for-bit, and different seeds must actually differ — the
 //! property every regenerated figure depends on.
 
-use std::net::Ipv4Addr;
-use tas_repro::apps::echo::{Lifetime, RpcClient};
+mod common;
+
+use common::{linux, pair, tas};
+use tas_bench::report::{Metric, Report};
+use tas_bench::testbed::{build, Agent, Net, Testbed};
+use tas_bench::{app, host, HostCfg};
+use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
 use tas_repro::apps::kv::{KvClient, KvLoad, KvServer};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Sim, SimTime};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::netsim::{FaultSpec, PortConfig, Switch};
+use tas_repro::sim::{Scope, SimTime};
 use tas_repro::tas::{TasConfig, TasHost};
 
 /// Runs a mixed workload (echo + KV clients against one TAS server) and
 /// returns a fingerprint of everything observable.
 fn fingerprint(seed: u64) -> Vec<u64> {
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip: Ipv4Addr = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = match spec.index {
-            0 => Box::new(KvServer::new(7)),
-            1 => Box::new(KvClient::new(server_ip, 7, 16, 1_000, KvLoad::Closed, seed)),
-            _ => {
-                let mut c = RpcClient::new(server_ip, 9, 4, 1, 64, Lifetime::Persistent);
-                c.max_requests = 100;
-                Box::new(c)
-            }
-        };
-        let mut cfg = TasConfig::rpc_bench(2, 2);
-        if spec.index == 0 {
-            cfg = TasConfig::rpc_bench(2, 2);
-        }
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            cfg,
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        3,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
+    let server_ip = host_ip(0);
+    let mut c = RpcClient::new(server_ip, 9, 4, 1, 64, Lifetime::Persistent);
+    c.max_requests = 100;
+    let cfg = TasConfig::rpc_bench(2, 2);
+    let agents = [
+        tas(cfg.clone(), KvServer::new(7)),
+        tas(
+            cfg.clone(),
+            KvClient::new(server_ip, 7, 16, 1_000, KvLoad::Closed, seed),
+        ),
+        tas(cfg, c),
+    ];
     // The echo clients target port 9 which nobody serves: their SYNs are
     // dropped at the server — exercising the give-up path deterministically.
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let Net { mut sim, hosts, .. } = build(Testbed::uniform(seed, PortConfig::tengig(), agents));
     sim.run_until(SimTime::from_ms(60));
-    let server = sim.agent::<TasHost>(topo.hosts[0]);
-    let kv = sim.agent::<TasHost>(topo.hosts[1]).app_as::<KvClient>();
+    let server = sim.agent::<TasHost>(hosts[0]);
+    let kv = app::<KvClient>(&sim, hosts[1]);
     vec![
         sim.events_processed(),
         server.fp_stats().pkts_rx,
@@ -86,62 +68,23 @@ fn different_seeds_differ() {
 /// Runs an echo workload through fault injectors on both directions and
 /// returns a fingerprint including the injectors' own decision counters.
 fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
-    use tas_repro::netsim::{FaultSpec, Switch};
-    let mut sim: Sim<NetMsg> = Sim::new(sim_seed);
-    let server_ip: Ipv4Addr = host_ip(0);
-    let nic_fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed);
-    let port_fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed ^ 0xABCD);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(tas_repro::apps::echo::EchoServer::new(
-                7,
-                64,
-                tas_repro::apps::echo::ServerMode::Echo,
-                300,
-            ))
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 1, 1, 64, Lifetime::Persistent);
-            c.max_requests = 100;
-            Box::new(c)
-        };
-        let mut nic = spec.nic;
-        if spec.index == 1 {
-            nic.tx_fault = nic_fault;
-        }
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            nic,
-            TasConfig::rpc_bench(1, 1),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        move |i| {
-            if i == 1 {
-                PortConfig {
-                    fault: port_fault,
-                    ..PortConfig::tengig()
-                }
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let echo = EchoServer::new(7, 64, ServerMode::Echo, 300);
+    let mut c = RpcClient::new(host_ip(0), 7, 1, 1, 64, Lifetime::Persistent);
+    c.max_requests = 100;
+    let cfg = TasConfig::rpc_bench(1, 1);
+    let mut tb = pair(sim_seed, tas(cfg.clone(), echo), tas(cfg, c));
+    tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed);
+    tb.nodes[1].port.fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed ^ 0xABCD);
+    let Net {
+        mut sim,
+        switches,
+        hosts,
+    } = build(tb);
     sim.run_until(SimTime::from_secs(2));
-    let client = sim.agent::<TasHost>(topo.hosts[1]);
+    let client = sim.agent::<TasHost>(hosts[1]);
     let nic_snap = client.nic().tx_fault_snapshot();
-    let port_snap = sim.agent::<Switch>(topo.switch).port_fault_snapshot(1);
-    let server = sim.agent::<TasHost>(topo.hosts[0]);
-    use tas_repro::sim::Scope;
+    let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
+    let server = sim.agent::<TasHost>(hosts[0]);
     vec![
         sim.events_processed(),
         server.fp_stats().pkts_rx,
@@ -167,30 +110,22 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
 /// agree byte for byte — this is what makes `BENCH_*.json` files
 /// diffable and the CI regression gate meaningful.
 fn run_artifacts(seed: u64, reference: bool) -> String {
-    use tas_bench::report::{Metric, Report};
-    use tas_bench::testbed::{build, Agent, Testbed};
-    use tas_bench::{app, host, HostCfg};
-    use tas_repro::apps::echo::{EchoServer, ServerMode};
-    use tas_repro::baselines::{profiles, StackHostConfig};
-    let server_ip: Ipv4Addr = host_ip(0);
     let cfg = || {
         if reference {
-            HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
+            linux()
         } else {
             HostCfg::Tas(TasConfig::rpc_bench(1, 1))
         }
     };
-    let mut c = RpcClient::new(server_ip, 7, 2, 1, 64, Lifetime::Persistent);
+    let mut c = RpcClient::new(host_ip(0), 7, 2, 1, 64, Lifetime::Persistent);
     c.max_requests = 400;
-    let agents = [
-        Agent::stack(
-            cfg(),
-            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300)),
-        ),
+    let echo = EchoServer::new(7, 64, ServerMode::Echo, 300);
+    let tb = pair(
+        seed,
+        Agent::stack(cfg(), Box::new(echo)),
         Agent::stack(cfg(), Box::new(c)),
-    ];
-    let net = build(Testbed::uniform(seed, PortConfig::tengig(), agents));
-    let (mut sim, hosts) = (net.sim, net.hosts);
+    );
+    let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_ms(80));
     let series = host(&sim, hosts[0]).registry().render_series();
     let client = app::<RpcClient>(&sim, hosts[1]);

@@ -11,14 +11,16 @@
 //! perturbing the frontier), and on the final flow state (the persistent
 //! connection is still established on both sides, nothing leaked).
 
-use std::net::Ipv4Addr;
+mod common;
+
+use common::{linux, pair};
+use tas_bench::testbed::{build, Agent, Net};
+use tas_bench::{app, host, HostCfg};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{DropModel, FaultSpec, NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Scope, Sim, SimTime};
-use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::netsim::{DropModel, FaultSpec, Switch};
+use tas_repro::sim::{Scope, SimTime};
+use tas_repro::tas::TasConfig;
 
 const REQS: u64 = 100;
 const REQ_SIZE: usize = 64;
@@ -69,140 +71,61 @@ fn scenario_faults(which: &str, seed: u64) -> (FaultSpec, FaultSpec) {
     }
 }
 
-fn apps(spec_index: u32, server_ip: Ipv4Addr) -> Box<dyn App> {
-    if spec_index == 0 {
-        Box::new(EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300))
+/// Runs the echo workload on a pair of `stack` hosts under the `which`
+/// fault schedule: the client's NIC and the switch port toward the client
+/// inject.
+fn run(which: &str, seed: u64, stack: HostCfg) -> Outcome {
+    let tas = matches!(stack, HostCfg::Tas(_));
+    let echo = EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300);
+    let mut c = RpcClient::new(host_ip(0), 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
+    c.max_requests = REQS;
+    let server = Agent::stack(stack.clone(), Box::new(echo));
+    let mut tb = pair(seed, server, Agent::stack(stack, Box::new(c)));
+    (tb.nodes[1].nic.tx_fault, tb.nodes[1].port.fault) = scenario_faults(which, seed);
+    let Net {
+        mut sim,
+        switches,
+        hosts,
+    } = build(tb);
+    sim.run_until(SimTime::from_secs(3));
+    let ssnap = host(&sim, hosts[0]).telemetry_snapshot();
+    let csnap = host(&sim, hosts[1]).telemetry_snapshot();
+    // The two stacks name the same quantities differently.
+    let (rexmits, live, established): (&[&str], _, _) = if tas {
+        let rexmits = &[
+            "fp.fast_rexmits",
+            "sp.timeout_rexmits",
+            "sp.handshake_rexmits",
+        ];
+        (rexmits, "flows.live", "sp.established")
     } else {
-        let mut c = RpcClient::new(server_ip, 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
-        c.max_requests = REQS;
-        Box::new(c)
+        (&["tcp.retransmits"], "conns.live", "host.established")
+    };
+    let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
+    Outcome {
+        done: app::<RpcClient>(&sim, hosts[1]).done,
+        server_bytes: ssnap.counter("app.bytes_delivered", Scope::Global),
+        client_bytes: csnap.counter("app.bytes_delivered", Scope::Global),
+        retransmits: rexmits
+            .iter()
+            .map(|n| csnap.counter(n, Scope::Global) + ssnap.counter(n, Scope::Global))
+            .sum(),
+        faults_dropped: csnap.counter("fault.dropped", Scope::Global)
+            + port_snap.counter("fault.dropped", Scope::Global),
+        live: ssnap.gauge(live, Scope::Global),
+        established: ssnap.counter(established, Scope::Global),
     }
 }
 
 /// Runs the echo workload on a pair of TAS hosts.
 fn run_tas(which: &str, seed: u64) -> Outcome {
-    let (nic_fault, port_fault) = scenario_faults(which, seed);
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app = apps(spec.index, server_ip);
-        let mut nic = spec.nic;
-        if spec.index == 1 {
-            nic.tx_fault = nic_fault;
-        }
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            nic,
-            TasConfig::rpc_bench(1, 1),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        move |i| {
-            if i == 1 {
-                PortConfig {
-                    fault: port_fault,
-                    ..PortConfig::tengig()
-                }
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    sim.run_until(SimTime::from_secs(3));
-    let server = sim.agent::<TasHost>(topo.hosts[0]);
-    let client = sim.agent::<TasHost>(topo.hosts[1]);
-    let ssnap = server.telemetry_snapshot();
-    let csnap = client.telemetry_snapshot();
-    Outcome {
-        done: client.app_as::<RpcClient>().done,
-        server_bytes: ssnap.counter("app.bytes_delivered", Scope::Global),
-        client_bytes: csnap.counter("app.bytes_delivered", Scope::Global),
-        retransmits: csnap.counter("fp.fast_rexmits", Scope::Global)
-            + csnap.counter("sp.timeout_rexmits", Scope::Global)
-            + csnap.counter("sp.handshake_rexmits", Scope::Global)
-            + ssnap.counter("fp.fast_rexmits", Scope::Global)
-            + ssnap.counter("sp.timeout_rexmits", Scope::Global)
-            + ssnap.counter("sp.handshake_rexmits", Scope::Global),
-        faults_dropped: csnap.counter("fault.dropped", Scope::Global)
-            + sim
-                .agent::<tas_repro::netsim::Switch>(topo.switch)
-                .port_fault_snapshot(1)
-                .counter("fault.dropped", Scope::Global),
-        live: ssnap.gauge("flows.live", Scope::Global),
-        established: ssnap.counter("sp.established", Scope::Global),
-    }
+    run(which, seed, HostCfg::Tas(TasConfig::rpc_bench(1, 1)))
 }
 
 /// Runs the identical workload and fault schedule on the reference
 /// stack: `tas-tcp` connection engine inside the Linux-model host.
 fn run_reference(which: &str, seed: u64) -> Outcome {
-    let (nic_fault, port_fault) = scenario_faults(which, seed);
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app = apps(spec.index, server_ip);
-        let mut nic = spec.nic;
-        if spec.index == 1 {
-            nic.tx_fault = nic_fault;
-        }
-        sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            nic,
-            profiles::linux(),
-            StackHostConfig::linux(2),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        move |i| {
-            if i == 1 {
-                PortConfig {
-                    fault: port_fault,
-                    ..PortConfig::tengig()
-                }
-            } else {
-                PortConfig::tengig()
-            }
-        },
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
-    sim.run_until(SimTime::from_secs(3));
-    let server = sim.agent::<StackHost>(topo.hosts[0]);
-    let client = sim.agent::<StackHost>(topo.hosts[1]);
-    let ssnap = server.telemetry_snapshot();
-    let csnap = client.telemetry_snapshot();
-    Outcome {
-        done: client.app_as::<RpcClient>().done,
-        server_bytes: ssnap.counter("app.bytes_delivered", Scope::Global),
-        client_bytes: csnap.counter("app.bytes_delivered", Scope::Global),
-        retransmits: csnap.counter("tcp.retransmits", Scope::Global)
-            + ssnap.counter("tcp.retransmits", Scope::Global),
-        faults_dropped: csnap.counter("fault.dropped", Scope::Global)
-            + sim
-                .agent::<tas_repro::netsim::Switch>(topo.switch)
-                .port_fault_snapshot(1)
-                .counter("fault.dropped", Scope::Global),
-        live: ssnap.gauge("conns.live", Scope::Global),
-        established: ssnap.counter("host.established", Scope::Global),
-    }
+    run(which, seed, linux())
 }
 
 fn check_agreement(which: &str, tas: &Outcome, reference: &Outcome) {

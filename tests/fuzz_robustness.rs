@@ -2,8 +2,13 @@
 //! live hosts and connections must never panic or corrupt state. A
 //! network stack's first property is surviving hostile input.
 
+mod common;
+
+use common::{linux, pair, tas};
 use std::net::Ipv4Addr;
-use tas_repro::apps::echo::{EchoServer, ServerMode};
+use tas_bench::testbed::{self, build, Net, Testbed};
+use tas_bench::{app, HostCfg};
+use tas_repro::apps::echo::{EchoServer, ServerMode, SinkClient};
 use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
 use tas_repro::netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
@@ -98,42 +103,17 @@ fn endpoints() -> (EndpointInfo, EndpointInfo) {
 /// A TAS echo server with one established flow from a Linux-model client
 /// that connects and then stays silent.
 fn build_tas() -> (Sim<NetMsg>, AgentId) {
-    use tas_repro::apps::echo::SinkClient;
-    let mut sim: Sim<NetMsg> = Sim::new(11);
-    let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 1 {
-            return sim.add_agent(Box::new(StackHost::new(
-                spec.ip,
-                spec.mac,
-                spec.nic,
-                profiles::linux(),
-                StackHostConfig::linux(1),
-                spec.uplink,
-                Box::new(SinkClient::new(host_ip(0), 7, 1)),
-            )));
-        }
-        let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 100));
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            TasConfig::rpc_bench(2, 2),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
+    let echo = EchoServer::new(7, 64, ServerMode::Echo, 100);
+    let sink = SinkClient::new(host_ip(0), 7, 1);
+    let linux1 = HostCfg::Model(profiles::linux(), StackHostConfig::linux(1));
+    let tb = pair(
+        11,
+        tas(TasConfig::rpc_bench(2, 2), echo),
+        testbed::Agent::stack(linux1, Box::new(sink)),
     );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_us(500));
-    (sim, topo.hosts[0])
+    (sim, hosts[0])
 }
 
 /// Records what the host under test sends it, so a test can aim ACKs at
@@ -255,48 +235,17 @@ impl App for UnknownSockets {
 #[test]
 fn unknown_socket_ids_are_empty_on_both_hosts() {
     for tas in [true, false] {
-        let mut sim: Sim<NetMsg> = Sim::new(14);
-        let mut factory = |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            let app: Box<dyn App> = Box::new(UnknownSockets::default());
-            if tas {
-                let cfg = TasConfig::rpc_bench(1, 1);
-                sim.add_agent(Box::new(TasHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            } else {
-                let cfg = StackHostConfig::linux(1);
-                sim.add_agent(Box::new(StackHost::new(
-                    spec.ip,
-                    spec.mac,
-                    spec.nic,
-                    profiles::linux(),
-                    cfg,
-                    spec.uplink,
-                    app,
-                )))
-            }
+        let cfg = if tas {
+            HostCfg::Tas(TasConfig::rpc_bench(1, 1))
+        } else {
+            HostCfg::Model(profiles::linux(), StackHostConfig::linux(1))
         };
-        let topo = build_star(
-            &mut sim,
-            1,
-            |_| PortConfig::tengig(),
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        let host = topo.hosts[0];
-        sim.inject_timer(SimTime::ZERO, host, 0, 0);
+        let agent = testbed::Agent::stack(cfg, Box::new(UnknownSockets::default()));
+        let Net { mut sim, hosts, .. } = build(Testbed::uniform(14, PortConfig::tengig(), [agent]));
+        let host = hosts[0];
         // Past the deferred close work both hosts queue.
         sim.run_until(SimTime::from_ms(5));
-        let app: &UnknownSockets = if tas {
-            sim.agent::<TasHost>(host).app_as()
-        } else {
-            sim.agent::<StackHost>(host).app_as()
-        };
+        let app = app::<UnknownSockets>(&sim, host);
         assert_eq!(app.returns, [0; 8], "tas {tas}");
         assert!(!app.offered, "tas {tas}: nothing to offer");
     }
@@ -565,59 +514,23 @@ fn stacks_survive_corrupting_fault_injector() {
             corrupt_prob: corrupt_pm as f64 / 1000.0,
             corrupt_payload: true,
         };
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip = host_ip(0);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec_h: HostSpec| -> AgentId {
-            let app: Box<dyn App> = if spec_h.index == 0 {
-                Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
-            } else {
-                let mut c = RpcClient::new(server_ip, 7, 1, 1, 64, Lifetime::Persistent);
-                c.max_requests = 50;
-                Box::new(c)
-            };
-            let mut nic = spec_h.nic;
-            if spec_h.index == 1 {
-                nic.tx_fault = spec;
-            }
-            sim.add_agent(Box::new(StackHost::new(
-                spec_h.ip,
-                spec_h.mac,
-                nic,
-                profiles::linux(),
-                StackHostConfig::linux(2),
-                spec_h.uplink,
-                app,
-            )))
-        };
-        let port = |i| match i {
-            0 => PortConfig {
-                fault: spec,
-                ..PortConfig::tengig()
-            },
-            _ => PortConfig::tengig(),
-        };
-        let topo = build_star(
-            &mut sim,
-            2,
-            port,
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
+        let echo = EchoServer::new(7, 64, ServerMode::Echo, 300);
+        let mut c = RpcClient::new(host_ip(0), 7, 1, 1, 64, Lifetime::Persistent);
+        c.max_requests = 50;
+        let stack = |app: Box<dyn App>| testbed::Agent::stack(linux(), app);
+        let mut tb = pair(seed, stack(Box::new(echo)), stack(Box::new(c)));
+        tb.nodes[1].nic.tx_fault = spec;
+        tb.nodes[0].port.fault = spec;
+        let Net { mut sim, hosts, .. } = build(tb);
         sim.run_until(SimTime::from_ms(100));
         // Survival is the property; also confirm the injector was live and
         // the hosts are still coherent enough to report state.
-        let nic_snap = sim
-            .agent::<StackHost>(topo.hosts[1])
-            .nic()
-            .tx_fault_snapshot();
+        let nic_snap = sim.agent::<StackHost>(hosts[1]).nic().tx_fault_snapshot();
         assert!(
             nic_snap.counter("fault.seen", tas_repro::sim::Scope::Global) > 0,
             "case {case}: injector must have seen traffic"
         );
-        let _ = sim.agent::<StackHost>(topo.hosts[0]).telemetry_snapshot();
-        let _ = sim.agent::<StackHost>(topo.hosts[1]).telemetry_snapshot();
+        let _ = sim.agent::<StackHost>(hosts[0]).telemetry_snapshot();
+        let _ = sim.agent::<StackHost>(hosts[1]).telemetry_snapshot();
     }
 }

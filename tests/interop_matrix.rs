@@ -1,119 +1,54 @@
 //! Cross-stack interoperation matrix: every stack pair must complete the
 //! echo workload with intact payloads — the strong form of the paper's
 //! Table 4 claim ("TAS is fully compatible with existing TCP peers").
+//! The matrix cells run the checking client, which compares every echoed
+//! byte with the byte it sent.
 
-use std::net::Ipv4Addr;
+mod common;
+
+use common::{ix, linux, mpk, mtcp, pair, CheckingClient};
+use tas_bench::testbed::{build, Agent, Net};
+use tas_bench::{app, HostCfg};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
-use tas_repro::sim::{AgentId, Sim, SimTime};
-use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::netsim::topo::host_ip;
+use tas_repro::netsim::FaultSpec;
+use tas_repro::sim::SimTime;
+use tas_repro::tas::TasConfig;
 
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum Kind {
-    Tas,
-    Linux,
-    Ix,
-    Mtcp,
-    /// MPK dataplane (design-space baseline, DESIGN.md §15): exercised
-    /// as a smoke cell against TAS, not in the full 16-pair sweep.
-    Mpk,
+/// TAS as the matrix runs it: two fast-path cores, two app cores.
+fn tas2() -> HostCfg {
+    HostCfg::Tas(TasConfig::rpc_bench(2, 2))
 }
 
-const ALL: [Kind; 4] = [Kind::Tas, Kind::Linux, Kind::Ix, Kind::Mtcp];
-
-fn make(sim: &mut Sim<NetMsg>, spec: HostSpec, kind: Kind, app: Box<dyn App>) -> AgentId {
-    match kind {
-        Kind::Tas => sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            TasConfig::rpc_bench(2, 2),
-            spec.uplink,
-            app,
-        ))),
-        Kind::Linux => sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profiles::linux(),
-            StackHostConfig::linux(2),
-            spec.uplink,
-            app,
-        ))),
-        Kind::Ix => sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profiles::ix(),
-            StackHostConfig::ix(2),
-            spec.uplink,
-            app,
-        ))),
-        Kind::Mtcp => sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profiles::mtcp(),
-            StackHostConfig::mtcp(3, 1),
-            spec.uplink,
-            app,
-        ))),
-        Kind::Mpk => sim.add_agent(Box::new(StackHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            profiles::mpk(),
-            StackHostConfig::mpk(2),
-            spec.uplink,
-            app,
-        ))),
-    }
-}
-
-fn client_done(sim: &Sim<NetMsg>, id: AgentId, kind: Kind) -> u64 {
-    match kind {
-        Kind::Tas => sim.agent::<TasHost>(id).app_as::<RpcClient>().done,
-        _ => sim.agent::<StackHost>(id).app_as::<RpcClient>().done,
-    }
+/// Runs one cell: a 128-byte echo server on `server`, and a checking
+/// client on `client` sending 60 requests; asserts all 60 came back
+/// intact and the connection closed within one second.
+fn cell(seed: u64, server: HostCfg, client: HostCfg) {
+    let label = format!(
+        "{} server with {} client failed",
+        server.name(),
+        client.name()
+    );
+    let echo = EchoServer::new(7, 128, ServerMode::Echo, 200);
+    let checker = CheckingClient::new(host_ip(0), 7, 128, 60);
+    let tb = pair(
+        seed,
+        Agent::stack(server, Box::new(echo)),
+        Agent::stack(client, Box::new(checker)),
+    );
+    let Net { mut sim, hosts, .. } = build(tb);
+    sim.run_until(SimTime::from_secs(1));
+    let client = app::<CheckingClient>(&sim, hosts[1]);
+    assert_eq!(client.done, 60, "{label}");
+    assert!(client.finished, "{label} to close");
 }
 
 #[test]
 fn all_sixteen_stack_pairs_interoperate() {
-    for (si, server) in ALL.into_iter().enumerate() {
-        for (ci, client) in ALL.into_iter().enumerate() {
-            let seed = (si * 4 + ci) as u64 + 1;
-            let mut sim: Sim<NetMsg> = Sim::new(seed);
-            let server_ip: Ipv4Addr = host_ip(0);
-            let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-                if spec.index == 0 {
-                    let app: Box<dyn App> =
-                        Box::new(EchoServer::new(7, 128, ServerMode::Echo, 200));
-                    make(sim, spec, server, app)
-                } else {
-                    let mut c = RpcClient::new(server_ip, 7, 2, 1, 128, Lifetime::Persistent);
-                    c.max_requests = 60;
-                    make(sim, spec, client, Box::new(c))
-                }
-            };
-            let topo = build_star(
-                &mut sim,
-                2,
-                |_| PortConfig::tengig(),
-                |_| NicConfig::client_10g(1),
-                &mut factory,
-            );
-            for &h in &topo.hosts {
-                sim.inject_timer(SimTime::ZERO, h, 0, 0);
-            }
-            sim.run_until(SimTime::from_secs(1));
-            assert_eq!(
-                client_done(&sim, topo.hosts[1], client),
-                60,
-                "{server:?} server with {client:?} client failed"
-            );
+    let all = [tas2, linux, ix, mtcp];
+    for (si, server) in all.iter().enumerate() {
+        for (ci, client) in all.iter().enumerate() {
+            cell((si * 4 + ci) as u64 + 1, server(), client());
         }
     }
 }
@@ -122,36 +57,21 @@ fn all_sixteen_stack_pairs_interoperate() {
 fn interop_survives_loss() {
     // TAS server, Linux client, 1% loss on the client NIC: recovery paths
     // of both stacks must cooperate.
-    let mut sim: Sim<NetMsg> = Sim::new(77);
-    let server_ip: Ipv4Addr = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        if spec.index == 0 {
-            let app: Box<dyn App> = Box::new(EchoServer::new(7, 64, ServerMode::Echo, 200));
-            make(sim, spec, Kind::Tas, app)
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 4, 1, 64, Lifetime::Persistent);
-            c.max_requests = 200;
-            let mut nic = spec.nic.clone();
-            // Seed 0 derives the stream from the device id — the exact
-            // schedule the legacy `tx_loss` shim produced.
-            nic.tx_fault = tas_repro::netsim::FaultSpec::uniform_loss(0.01, 0);
-            let spec = HostSpec { nic, ..spec };
-            make(sim, spec, Kind::Linux, Box::new(c))
-        }
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
+    let echo = EchoServer::new(7, 64, ServerMode::Echo, 200);
+    let mut c = RpcClient::new(host_ip(0), 7, 4, 1, 64, Lifetime::Persistent);
+    c.max_requests = 200;
+    let mut tb = pair(
+        77,
+        Agent::stack(tas2(), Box::new(echo)),
+        Agent::stack(linux(), Box::new(c)),
     );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    // Seed 0 derives the stream from the device id — the exact schedule
+    // the legacy `tx_loss` shim produced.
+    tb.nodes[1].nic.tx_fault = FaultSpec::uniform_loss(0.01, 0);
+    let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_secs(10));
     assert_eq!(
-        client_done(&sim, topo.hosts[1], Kind::Linux),
+        app::<RpcClient>(&sim, hosts[1]).done,
         200,
         "lossy interop must still complete all RPCs"
     );
@@ -163,34 +83,6 @@ fn mpk_and_tas_smoke_cell_interoperates_both_directions() {
     // format; a smoke cell in each direction keeps the design-space
     // models honest against the real stack without quintupling the
     // full matrix sweep.
-    for (seed, server, client) in [(21u64, Kind::Mpk, Kind::Tas), (22, Kind::Tas, Kind::Mpk)] {
-        let mut sim: Sim<NetMsg> = Sim::new(seed);
-        let server_ip: Ipv4Addr = host_ip(0);
-        let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-            if spec.index == 0 {
-                let app: Box<dyn App> = Box::new(EchoServer::new(7, 128, ServerMode::Echo, 200));
-                make(sim, spec, server, app)
-            } else {
-                let mut c = RpcClient::new(server_ip, 7, 2, 1, 128, Lifetime::Persistent);
-                c.max_requests = 60;
-                make(sim, spec, client, Box::new(c))
-            }
-        };
-        let topo = build_star(
-            &mut sim,
-            2,
-            |_| PortConfig::tengig(),
-            |_| NicConfig::client_10g(1),
-            &mut factory,
-        );
-        for &h in &topo.hosts {
-            sim.inject_timer(SimTime::ZERO, h, 0, 0);
-        }
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(
-            client_done(&sim, topo.hosts[1], client),
-            60,
-            "{server:?} server with {client:?} client failed"
-        );
-    }
+    cell(21, mpk(), tas2());
+    cell(22, tas2(), mpk());
 }

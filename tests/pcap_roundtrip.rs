@@ -5,53 +5,32 @@
 //! is byte-exact Wireshark-readable output of what crossed the wire.
 #![cfg(feature = "telemetry")]
 
+mod common;
+
+use common::{pair, tas};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use tas_bench::app;
+use tas_bench::testbed::{build, Net};
 use tas_repro::apps::echo::{EchoServer, Lifetime, RpcClient, ServerMode};
-use tas_repro::netsim::app::App;
-use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
+use tas_repro::netsim::topo::host_ip;
 use tas_repro::proto::{wire, Segment, Seq, TcpFlags};
-use tas_repro::sim::{AgentId, Sim, SimTime};
-use tas_repro::tas::{TasConfig, TasHost};
+use tas_repro::sim::SimTime;
+use tas_repro::tas::TasConfig;
 use tas_repro::telemetry::{self, pcap, TraceEvent, TraceRecord};
 
 /// Runs a clean seeded echo workload with the recorder on and returns
 /// the trace.
 fn traced_run(seed: u64) -> Vec<TraceRecord> {
     telemetry::start(1 << 16);
-    let mut sim: Sim<NetMsg> = Sim::new(seed);
-    let server_ip = host_ip(0);
-    let mut factory = move |sim: &mut Sim<NetMsg>, spec: HostSpec| -> AgentId {
-        let app: Box<dyn App> = if spec.index == 0 {
-            Box::new(EchoServer::new(7, 64, ServerMode::Echo, 300))
-        } else {
-            let mut c = RpcClient::new(server_ip, 7, 1, 1, 64, Lifetime::Persistent);
-            c.max_requests = 50;
-            Box::new(c)
-        };
-        sim.add_agent(Box::new(TasHost::new(
-            spec.ip,
-            spec.mac,
-            spec.nic,
-            TasConfig::rpc_bench(1, 1),
-            spec.uplink,
-            app,
-        )))
-    };
-    let topo = build_star(
-        &mut sim,
-        2,
-        |_| PortConfig::tengig(),
-        |_| NicConfig::client_10g(1),
-        &mut factory,
-    );
-    for &h in &topo.hosts {
-        sim.inject_timer(SimTime::ZERO, h, 0, 0);
-    }
+    let echo = EchoServer::new(7, 64, ServerMode::Echo, 300);
+    let mut c = RpcClient::new(host_ip(0), 7, 1, 1, 64, Lifetime::Persistent);
+    c.max_requests = 50;
+    let cfg = TasConfig::rpc_bench(1, 1);
+    let Net { mut sim, hosts, .. } = build(pair(seed, tas(cfg.clone(), echo), tas(cfg, c)));
     sim.run_until(SimTime::from_ms(100));
     assert_eq!(
-        sim.agent::<TasHost>(topo.hosts[1]).app_as::<RpcClient>().done,
+        app::<RpcClient>(&sim, hosts[1]).done,
         50,
         "workload must complete"
     );
