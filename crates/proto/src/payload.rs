@@ -10,8 +10,9 @@
 //!   data segment touches the allocator zero times;
 //! * cloning a segment bumps a reference count instead of copying bytes
 //!   (NICs, switches, and the pcap exporter all forward the same buffer);
-//! * empty payloads (pure ACKs, control segments) share one static buffer
-//!   and never allocate.
+//! * empty payloads (pure ACKs, control segments) hold no buffer at all:
+//!   building, cloning or dropping one touches neither the pool nor a
+//!   reference count.
 //!
 //! Ownership rules: a `PayloadBuf` is immutable while shared. The one
 //! mutation point, [`PayloadBuf::make_mut`], is copy-on-write — the fault
@@ -48,8 +49,6 @@ const POOL_MAX_FREE: usize = 4096;
 thread_local! {
     /// Free list of unique-owner pooled buffers awaiting reuse.
     static POOL: RefCell<Vec<Rc<[u8]>>> = const { RefCell::new(Vec::new()) };
-    /// The shared zero-length buffer backing all empty payloads.
-    static EMPTY: Rc<[u8]> = Rc::from(&[][..]);
 }
 
 /// A reference-counted payload buffer with pooled backing storage.
@@ -68,9 +67,14 @@ thread_local! {
 /// ```
 #[derive(Clone)]
 pub struct PayloadBuf {
-    buf: Rc<[u8]>,
+    /// The backing storage; `None` exactly when `len` is zero.
+    buf: Option<Rc<[u8]>>,
     len: u32,
 }
+
+// A segment carries one by value: the `Option` costs no space (the
+// pointer's niche), so `Segment` stays 112 bytes.
+const _: () = assert!(std::mem::size_of::<PayloadBuf>() == 24);
 
 /// A unique `Rc<[u8]>` of at least `len` bytes: pooled capacity when it
 /// fits, an exact-size one-off otherwise.
@@ -79,20 +83,15 @@ fn alloc_raw(len: usize) -> Rc<[u8]> {
         if let Some(rc) = POOL.with(|p| p.borrow_mut().pop()) {
             return rc;
         }
-        Rc::from(vec![0u8; POOL_BUF_CAP])
-    } else {
-        Rc::from(vec![0u8; len])
     }
+    Rc::from(vec![0u8; len.max(POOL_BUF_CAP)])
 }
 
 impl PayloadBuf {
-    /// The empty payload. Never allocates: all empties share one buffer.
+    /// The empty payload. Holds no buffer, so it never allocates.
     #[inline]
     pub fn empty() -> PayloadBuf {
-        PayloadBuf {
-            buf: EMPTY.with(Rc::clone),
-            len: 0,
-        }
+        PayloadBuf { buf: None, len: 0 }
     }
 
     /// Copies `bytes` into a (pooled, when it fits) buffer.
@@ -117,7 +116,7 @@ impl PayloadBuf {
             fill(&mut dst[..len]);
         }
         PayloadBuf {
-            buf,
+            buf: Some(buf),
             len: len as u32,
         }
     }
@@ -134,21 +133,27 @@ impl PayloadBuf {
 
     /// The payload bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[..self.len as usize]
+        match &self.buf {
+            Some(buf) => &buf[..self.len as usize],
+            None => &[],
+        }
     }
 
     /// Mutable access, copy-on-write: a shared buffer is first copied into
     /// a unique one so other references keep their original bytes.
     pub fn make_mut(&mut self) -> &mut [u8] {
         let len = self.len as usize;
-        if Rc::get_mut(&mut self.buf).is_none() {
+        let Some(buf) = &mut self.buf else {
+            return &mut [];
+        };
+        if Rc::get_mut(buf).is_none() {
             let mut fresh = alloc_raw(len);
             if let Some(dst) = Rc::get_mut(&mut fresh) {
-                dst[..len].copy_from_slice(&self.buf[..len]);
+                dst[..len].copy_from_slice(&buf[..len]);
             }
-            self.buf = fresh;
+            *buf = fresh;
         }
-        match Rc::get_mut(&mut self.buf) {
+        match Rc::get_mut(buf) {
             Some(s) => &mut s[..len],
             // Unreachable: the buffer above is unique. Degrade gracefully
             // rather than panic (this module is in R4 scope).
@@ -158,18 +163,26 @@ impl PayloadBuf {
 }
 
 impl Drop for PayloadBuf {
+    // Inline, so dropping an empty payload (every pure ACK) is one test
+    // in the caller; only a real buffer takes the call.
+    #[inline]
     fn drop(&mut self) {
-        // Park the buffer for reuse when this was the last reference and
-        // the backing storage has the standard pooled capacity.
-        if self.buf.len() == POOL_BUF_CAP && Rc::strong_count(&self.buf) == 1 {
-            let rc = std::mem::replace(&mut self.buf, EMPTY.with(Rc::clone));
-            POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.len() < POOL_MAX_FREE {
-                    pool.push(rc);
-                }
-            });
+        if let Some(rc) = self.buf.take() {
+            park(rc);
         }
+    }
+}
+
+/// Parks `rc` for reuse when it was the last reference and has the
+/// standard pooled capacity; otherwise just drops it.
+fn park(rc: Rc<[u8]>) {
+    if rc.len() == POOL_BUF_CAP && Rc::strong_count(&rc) == 1 {
+        POOL.with(|p| {
+            let mut pool = p.borrow_mut();
+            if pool.len() < POOL_MAX_FREE {
+                pool.push(rc);
+            }
+        });
     }
 }
 
@@ -261,22 +274,65 @@ mod tests {
         assert_eq!(p, vec![1, 2, 3, 4]);
     }
 
+    fn pool_len() -> usize {
+        POOL.with(|p| p.borrow().len())
+    }
+
     #[test]
-    fn empty_shares_one_buffer() {
-        let a = PayloadBuf::empty();
-        let b = PayloadBuf::from_slice(&[]);
-        assert!(a.is_empty() && b.is_empty());
-        assert!(Rc::ptr_eq(&a.buf, &b.buf));
+    fn empty_holds_no_buffer() {
+        let empties = [
+            PayloadBuf::empty(),
+            PayloadBuf::from_slice(&[]),
+            PayloadBuf::with(0, |_| {}),
+            PayloadBuf::default(),
+            PayloadBuf::from(Vec::new()),
+        ];
+        for p in &empties {
+            assert!(p.is_empty() && p.buf.is_none(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn empties_leave_the_pool_alone() {
+        // Park one buffer so a stray take would show as well as a give.
+        drop(PayloadBuf::from_slice(&[1; 8]));
+        let before = pool_len();
+        assert!(before > 0);
+        for _ in 0..1000 {
+            let a = PayloadBuf::empty();
+            let b = a.clone();
+            drop((a, b, PayloadBuf::from_slice(&[])));
+        }
+        assert_eq!(pool_len(), before);
+    }
+
+    #[test]
+    fn empty_clone_eq_debug_and_make_mut() {
+        let mut a = PayloadBuf::empty();
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(a, Vec::<u8>::new());
+        assert_eq!(a, &[][..]);
+        assert_ne!(a, PayloadBuf::from_slice(&[0]));
+        assert_eq!(format!("{a:?}"), "PayloadBuf([])");
+        let m = a.make_mut();
+        assert!(m.is_empty());
+        assert_eq!(m, &mut [] as &mut [u8]);
+        assert!(
+            a.is_empty() && a.buf.is_none(),
+            "make_mut allocates nothing"
+        );
+        assert_eq!(&b[..], &[] as &[u8]);
     }
 
     #[test]
     fn pool_recycles_buffers() {
         let p = PayloadBuf::from_slice(&[7u8; 100]);
-        let ptr = p.buf.as_ptr();
+        let ptr = p.as_ptr();
         drop(p);
         // The next pooled allocation must reuse the parked buffer.
         let q = PayloadBuf::from_slice(&[9u8; 50]);
-        assert_eq!(q.buf.as_ptr(), ptr);
+        assert_eq!(q.as_ptr(), ptr);
         assert_eq!(&q[..], &[9u8; 50]);
     }
 
@@ -284,7 +340,7 @@ mod tests {
     fn jumbo_buffers_are_exact_and_unpooled() {
         let big = vec![3u8; POOL_BUF_CAP + 1];
         let p = PayloadBuf::from_slice(&big);
-        assert_eq!(p.buf.len(), POOL_BUF_CAP + 1);
+        assert_eq!(p.buf.as_ref().map(|b| b.len()), Some(POOL_BUF_CAP + 1));
         assert_eq!(p, big);
     }
 
@@ -296,9 +352,9 @@ mod tests {
         assert_eq!(&a[..], &[99, 2, 3]);
         assert_eq!(&b[..], &[1, 2, 3], "shared view must keep its bytes");
         // Unique buffers mutate in place without a copy.
-        let ptr = a.buf.as_ptr();
+        let ptr = a.as_ptr();
         a.make_mut()[1] = 42;
-        assert_eq!(a.buf.as_ptr(), ptr);
+        assert_eq!(a.as_ptr(), ptr);
         assert_eq!(&a[..], &[99, 42, 3]);
     }
 

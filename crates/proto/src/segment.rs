@@ -24,6 +24,10 @@ pub struct Segment {
     pub payload: PayloadBuf,
 }
 
+// Every staged packet is moved by value through the fast path's output
+// vectors; a field that grows it is a per-segment cost.
+const _: () = assert!(std::mem::size_of::<Segment>() == 112);
+
 impl Segment {
     /// Builds a TCP segment between two simulated hosts, filling the IP
     /// total-length field and datacenter defaults (DF, TTL 64).

@@ -186,7 +186,7 @@ impl FlowState {
 /// [`FlowIndex`] 4-tuple index.
 ///
 /// Flow ids are dense slab slot indices — the per-packet path resolves a
-/// 4-tuple to an id once (FNV-1a open addressing, no SipHash) and all
+/// 4-tuple to an id once (word-wise hash, open addressing) and all
 /// further state access is a direct slot dereference. Freed slots recycle
 /// LIFO, so id assignment is deterministic run-to-run.
 #[derive(Debug, Default)]

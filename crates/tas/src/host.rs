@@ -659,8 +659,8 @@ impl TasHost {
                 let iss = ctx.rng().next_u32();
                 let context = self.inner.socks[sock as usize].context;
                 let peer_mac = mac_for_ip(ip);
-                self.run_sp(now, |sp, _fp, t, acct| {
-                    sp.connect(t, ip, port, peer_mac, sock as u64, context, iss, acct)
+                self.run_sp(now, |sp, fp, t, acct| {
+                    sp.connect(t, ip, port, peer_mac, sock as u64, context, iss, fp, acct)
                 })
             }
             SpWork::Close { sock } => {

@@ -51,7 +51,8 @@ pub enum SpAppEvent {
         /// Fast-path flow id.
         fid: u32,
     },
-    /// An outgoing connection failed (retries exhausted or RST).
+    /// An outgoing connection failed (retries exhausted, RST, or no
+    /// ephemeral port left toward the peer).
     ConnectFailed {
         /// The opaque value given at `connect`.
         opaque: u64,
@@ -348,6 +349,9 @@ pub struct SlowPath {
 const RETRY_AFTER: SimTime = SimTime::from_ms(2);
 /// Retry attempts before giving up.
 const MAX_ATTEMPTS: u32 = 8;
+/// The ephemeral port range is `EPHEMERAL_FIRST..=u16::MAX`.
+const EPHEMERAL_FIRST: u16 = 32_768;
+const EPHEMERAL_PORTS: u32 = u16::MAX as u32 - EPHEMERAL_FIRST as u32 + 1;
 
 impl SlowPath {
     /// Creates a slow path for a host.
@@ -367,7 +371,7 @@ impl SlowPath {
             listeners: BTreeMap::new(),
             handshakes: BTreeMap::new(),
             teardowns: BTreeMap::new(),
-            next_port: 32_768,
+            next_port: EPHEMERAL_FIRST,
             flows: Vec::new(),
             last_loop: SimTime::ZERO,
             rate_updates: Vec::new(),
@@ -389,18 +393,32 @@ impl SlowPath {
         self.listeners.insert(port, ());
     }
 
-    /// Allocates an ephemeral local port.
-    pub fn alloc_port(&mut self) -> u16 {
-        let p = self.next_port;
-        self.next_port = self.next_port.checked_add(1).unwrap_or(32_768);
-        p
+    /// Allocates an ephemeral local port toward `peer_ip:peer_port`,
+    /// round-robin, skipping every port whose 4-tuple is still live: in a
+    /// handshake, in a teardown, or installed in the fast path. `None`
+    /// when all of them are.
+    fn alloc_port(&mut self, fp: &FastPath, peer_ip: Ipv4Addr, peer_port: u16) -> Option<u16> {
+        for _ in 0..EPHEMERAL_PORTS {
+            let p = self.next_port;
+            self.next_port = self.next_port.checked_add(1).unwrap_or(EPHEMERAL_FIRST);
+            let key = FlowKey::new(self.hdr.ip, p, peer_ip, peer_port);
+            let live = self.handshakes.contains_key(&key)
+                || self.teardowns.contains_key(&key)
+                || fp.flows.lookup(&key).is_some();
+            if !live {
+                return Some(p);
+            }
+        }
+        None
     }
 
     // ------------------------------------------------------------------
     // Application commands.
 
-    /// Starts an outgoing connection; stages a SYN. `opaque` identifies
-    /// the socket; `context` is the app context for the future flow.
+    /// Starts an outgoing connection; stages a SYN, or `ConnectFailed`
+    /// when every ephemeral port toward the peer is in use. `opaque`
+    /// identifies the socket; `context` is the app context for the future
+    /// flow.
     #[allow(clippy::too_many_arguments)] // The handshake tuple is irreducible.
     pub fn connect(
         &mut self,
@@ -411,11 +429,15 @@ impl SlowPath {
         opaque: u64,
         context: u16,
         iss: u32,
+        fp: &FastPath,
         acct: &mut CycleAccount,
     ) -> u64 {
         prof_scope!("connect");
         let cycles = self.charge(acct, 900);
-        let local_port = self.alloc_port();
+        let Some(local_port) = self.alloc_port(fp, peer_ip, peer_port) else {
+            self.out.events.push(SpAppEvent::ConnectFailed { opaque });
+            return cycles;
+        };
         let key = FlowKey::new(self.hdr.ip, local_port, peer_ip, peer_port);
         let hs = Handshake {
             state: HsState::SynSent,

@@ -317,6 +317,7 @@ fn handshake_retry_and_give_up() {
         55,
         0,
         1234,
+        &fp,
         &mut acct,
     );
     assert_eq!(sp.out.packets.len(), 1, "SYN staged");
@@ -490,7 +491,17 @@ fn one_pass_stages_syn_then_synack_then_fin() {
     // one's (an ephemeral port), so state order is not key order here.
     accepted_at(&mut sp, &mut fp, 4000, t0);
     let peer = Ipv4Addr::new(10, 0, 0, 9);
-    sp.connect(t0, peer, 80, MacAddr::for_host(9), 55, 0, 1234, &mut acct);
+    sp.connect(
+        t0,
+        peer,
+        80,
+        MacAddr::for_host(9),
+        55,
+        0,
+        1234,
+        &fp,
+        &mut acct,
+    );
     staged(&mut sp);
     sp.control_loop(t0 + SimTime::from_ms(RETRY_MS), &mut fp, &mut acct);
     let (packets, events) = staged(&mut sp);
@@ -509,4 +520,89 @@ fn one_pass_stages_syn_then_synack_then_fin() {
         .collect();
     assert_eq!(kinds, ["syn", "syn-ack", "fin"]);
     assert_eq!(sp.stats.handshake_rexmits, 2);
+}
+
+/// Connects to `peer:80` and returns the local port its SYN left from,
+/// or `None` when the slow path staged no SYN.
+fn connect_from(sp: &mut SlowPath, fp: &FastPath, peer: Ipv4Addr, opaque: u64) -> Option<u16> {
+    let mut acct = CycleAccount::new();
+    let t = SimTime::from_us(1);
+    sp.connect(
+        t,
+        peer,
+        80,
+        MacAddr::for_host(9),
+        opaque,
+        0,
+        1234,
+        fp,
+        &mut acct,
+    );
+    let syn = sp.out.packets.pop()?;
+    assert!(syn.tcp.flags.contains(TcpFlags::SYN));
+    Some(syn.tcp.src_port)
+}
+
+/// Answers the SYN of the connect that left `port` toward `peer:80`,
+/// installing the flow in the fast path.
+fn complete_connect(sp: &mut SlowPath, fp: &mut FastPath, peer: Ipv4Addr, port: u16) -> u32 {
+    let mut acct = CycleAccount::new();
+    let mut h = TcpHeader::new(80, port, 7000, 1235, TcpFlags::SYN | TcpFlags::ACK);
+    h.window = 8192;
+    let synack = Segment::tcp(
+        MacAddr::for_host(9),
+        MacAddr::for_host(1),
+        peer,
+        Ipv4Addr::new(10, 0, 0, 1),
+        h,
+        Vec::new(),
+        false,
+    );
+    sp.on_exception(SimTime::from_us(20), synack, fp, 0, 0, 0, &mut acct);
+    let (_, events) = staged(sp);
+    match events.as_slice() {
+        [SpAppEvent::ConnectDone { fid, .. }] => *fid,
+        other => panic!("ConnectDone expected, got {other:?}"),
+    }
+}
+
+#[test]
+fn port_allocation_skips_live_tuples_after_wrapping() {
+    let (mut sp, mut fp) = server_pair(CcAlgo::None);
+    let mut acct = CycleAccount::new();
+    let (a, b) = (Ipv4Addr::new(10, 0, 0, 9), Ipv4Addr::new(10, 0, 0, 10));
+    // Toward `a`: 32768 mid-handshake, 32769 installed in the fast path,
+    // 32770 tearing down.
+    assert_eq!(connect_from(&mut sp, &fp, a, 1), Some(32_768));
+    assert_eq!(connect_from(&mut sp, &fp, a, 2), Some(32_769));
+    complete_connect(&mut sp, &mut fp, a, 32_769);
+    assert_eq!(connect_from(&mut sp, &fp, a, 3), Some(32_770));
+    let fid = complete_connect(&mut sp, &mut fp, a, 32_770);
+    sp.close(SimTime::from_us(30), fid, &mut fp, &mut acct);
+    staged(&mut sp);
+    // Toward `b`, the rest of the range, so the next port wraps.
+    for (i, port) in (32_771..=u16::MAX).enumerate() {
+        assert_eq!(connect_from(&mut sp, &fp, b, 100 + i as u64), Some(port));
+    }
+    // Back at the start, the three live tuples toward `a` are skipped; a
+    // port only `b` uses is free toward `a`.
+    assert_eq!(connect_from(&mut sp, &fp, a, 4), Some(32_771));
+    // Toward `b`, the search passes every port `b` holds and wraps to
+    // the first, which only `a` uses.
+    assert_eq!(connect_from(&mut sp, &fp, b, 5), Some(32_768));
+}
+
+#[test]
+fn connect_fails_when_every_port_to_the_peer_is_live() {
+    let (mut sp, fp) = server_pair(CcAlgo::None);
+    let (a, b) = (Ipv4Addr::new(10, 0, 0, 9), Ipv4Addr::new(10, 0, 0, 10));
+    for port in 32_768..=u16::MAX {
+        assert_eq!(connect_from(&mut sp, &fp, a, 1), Some(port));
+    }
+    assert_eq!(connect_from(&mut sp, &fp, a, 77), None, "no SYN staged");
+    let (packets, events) = staged(&mut sp);
+    assert!(packets.is_empty());
+    assert_eq!(events, vec![SpAppEvent::ConnectFailed { opaque: 77 }]);
+    // Another peer still gets a port.
+    assert_eq!(connect_from(&mut sp, &fp, b, 78), Some(32_768));
 }

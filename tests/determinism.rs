@@ -103,12 +103,13 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
     ]
 }
 
-/// Runs the standard echo pair on either stack and returns every
-/// machine-readable artifact the observability layer derives from the
-/// run: the server registry's fixed-cadence series (queue depths and
-/// utilization), and a bench report rendered to JSON. Two same-seed runs must
-/// agree byte for byte — this is what makes `BENCH_*.json` files
-/// diffable and the CI regression gate meaningful.
+/// Runs a key-value pair on either stack, its client's zipf keys and
+/// GET/SET mix drawn from `seed`, and returns every machine-readable
+/// artifact the observability layer derives from the run: the server
+/// registry's fixed-cadence series (queue depths and utilization), and a
+/// bench report rendered to JSON. Two same-seed runs must agree byte for
+/// byte — this is what makes `BENCH_*.json` files diffable and the CI
+/// regression gate meaningful.
 fn run_artifacts(seed: u64, reference: bool) -> String {
     let cfg = || {
         if reference {
@@ -117,21 +118,19 @@ fn run_artifacts(seed: u64, reference: bool) -> String {
             HostCfg::Tas(TasConfig::rpc_bench(1, 1))
         }
     };
-    let mut c = RpcClient::new(host_ip(0), 7, 2, 1, 64, Lifetime::Persistent);
-    c.max_requests = 400;
-    let echo = EchoServer::new(7, 64, ServerMode::Echo, 300);
+    let c = KvClient::new(host_ip(0), 7, 2, 1_000, KvLoad::Closed, seed);
     let tb = pair(
         seed,
-        Agent::stack(cfg(), Box::new(echo)),
+        Agent::stack(cfg(), Box::new(KvServer::new(7))),
         Agent::stack(cfg(), Box::new(c)),
     );
     let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_ms(80));
     let series = host(&sim, hosts[0]).registry().render_series();
-    let client = app::<RpcClient>(&sim, hosts[1]);
+    let client = app::<KvClient>(&sim, hosts[1]);
     let (latency, done) = (&client.latency, client.done);
-    assert!(done > 0, "the echo workload must actually run");
-    let mut rep = Report::new("determinism-probe", "Echo RPC determinism probe", seed);
+    assert!(done > 0, "the key-value workload must actually run");
+    let mut rep = Report::new("determinism-probe", "KV RPC determinism probe", seed);
     rep.param("reference", u64::from(reference));
     rep.push(Metric::quantiles("rpc_latency", "ns", latency));
     rep.push(Metric::value("requests", "count", done as f64));
@@ -153,10 +152,19 @@ fn same_seed_series_and_bench_reports_are_byte_identical() {
             "per-core series present"
         );
     }
-    assert_ne!(
-        run_artifacts(4321, false),
-        run_artifacts(4322, false),
-        "a different seed must actually change the artifacts"
+    // The report names its seed, so two seeds' artifacts always differ
+    // there; compare what the runs did, not what they were told.
+    let behaviour = |seed| {
+        let artifacts = run_artifacts(seed, false);
+        let lines: Vec<&str> = artifacts
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("\"seed\":"))
+            .collect();
+        lines.join("\n")
+    };
+    assert!(
+        behaviour(4321) != behaviour(4322),
+        "a different seed must actually change the run"
     );
 }
 
