@@ -229,15 +229,27 @@ pub fn pno() -> StackProfile {
         name: "pno",
         // Slightly above mTCP's TCP costs: the offload firmware carries
         // extra descriptor/DMA bookkeeping per segment.
-        rx_data: PktCost { tcp: 620, ..m.rx_data },
-        rx_ack: PktCost { tcp: 270, ..m.rx_ack },
-        tx_data: PktCost { tcp: 560, ..m.tx_data },
-        tx_ack: PktCost { tcp: 290, ..m.tx_ack },
+        rx_data: PktCost {
+            tcp: 620,
+            ..m.rx_data
+        },
+        rx_ack: PktCost {
+            tcp: 270,
+            ..m.rx_ack
+        },
+        tx_data: PktCost {
+            tcp: 560,
+            ..m.tx_data
+        },
+        tx_ack: PktCost {
+            tcp: 290,
+            ..m.tx_ack
+        },
         api_poll: 150,
         api_recv: 250,
         api_send: 300,
         api_conn: 1200,
-        ipc_times_100: 95, // in-order-ish ARM cores.
+        ipc_times_100: 95,   // in-order-ish ARM cores.
         miss_penalty: 300.0, // NIC DRAM is slower than host DDR.
         partitioned_state: true,
         contention: ContentionModel::none(),

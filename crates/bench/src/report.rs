@@ -324,7 +324,9 @@ impl Report {
             for (k, v) in p {
                 r.params.push((
                     k.clone(),
-                    v.as_str().ok_or("param value must be a string")?.to_string(),
+                    v.as_str()
+                        .ok_or("param value must be a string")?
+                        .to_string(),
                 ));
             }
         }
@@ -621,8 +623,7 @@ impl Parser<'_> {
                 }
                 Some(&c) => {
                     // Multi-byte UTF-8: copy the whole scalar.
-                    let s = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| "invalid utf-8")?;
+                    let s = std::str::from_utf8(&self.b[self.i..]).map_err(|_| "invalid utf-8")?;
                     let ch = s.chars().next().ok_or("unterminated string")?;
                     let _ = c;
                     out.push(ch);

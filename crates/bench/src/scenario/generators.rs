@@ -93,31 +93,27 @@ pub fn incast_ecn() -> ScenarioSpec {
 /// Its retransmission storms and long-RTT flows must not bleed into the
 /// victim's tail.
 pub fn wan_loss() -> ScenarioSpec {
-    ScenarioSpec::new(
-        "wan",
-        "Bursty-loss WAN tenant beside a LAN tenant",
-        9003,
-    )
-    .tenant(victim())
-    .tenant(
-        Tenant::new(
-            "wan_tenant",
-            Role::Aggressor,
-            TrafficShape::KvClosed { conns: 8 },
-            2,
+    ScenarioSpec::new("wan", "Bursty-loss WAN tenant beside a LAN tenant", 9003)
+        .tenant(victim())
+        .tenant(
+            Tenant::new(
+                "wan_tenant",
+                Role::Aggressor,
+                TrafficShape::KvClosed { conns: 8 },
+                2,
+            )
+            .over_wan(WanProfile::lossy_wan()),
         )
-        .over_wan(WanProfile::lossy_wan()),
-    )
-    .bounds(
-        IsolationBounds {
-            p99_ratio_max: 2.5,
-            goodput_frac_min: 0.8,
-        },
-        IsolationBounds {
-            p99_ratio_max: 6.0,
-            goodput_frac_min: 0.5,
-        },
-    )
+        .bounds(
+            IsolationBounds {
+                p99_ratio_max: 2.5,
+                goodput_frac_min: 0.8,
+            },
+            IsolationBounds {
+                p99_ratio_max: 6.0,
+                goodput_frac_min: 0.5,
+            },
+        )
 }
 
 /// Zipf flash crowd: a second open-loop tenant surges to 10x its rate
@@ -189,7 +185,10 @@ pub fn ack_division() -> ScenarioSpec {
         .tenant(Tenant::new(
             "ackdivider",
             Role::Aggressor,
-            TrafficShape::AckDivision { conns: 4, chunk: 16 },
+            TrafficShape::AckDivision {
+                conns: 4,
+                chunk: 16,
+            },
             1,
         ))
         .bounds(

@@ -240,10 +240,18 @@ pub mod fig6 {
     pub fn spans_report() -> Report {
         let a = span_analysis(1 << 20);
         let b = &a.breakdown;
-        let mut r = Report::new("fig6spans", "Per-stage latency spans, fig6 RX canonical run", 1);
+        let mut r = Report::new(
+            "fig6spans",
+            "Per-stage latency spans, fig6 RX canonical run",
+            1,
+        );
         r.param("dir", "rx").param("size", 64).param("window_ms", 5);
         r.push(Metric::value("spans_complete", "count", b.complete as f64));
-        r.push(Metric::value("spans_truncated", "count", b.truncated as f64));
+        r.push(Metric::value(
+            "spans_truncated",
+            "count",
+            b.truncated as f64,
+        ));
         r.push(Metric::quantiles("e2e", "ns", &b.e2e));
         for q in [0.5f64, 0.99] {
             if let Some(cp) = tas_telemetry::spans::critical_path(&a.spans, q) {
@@ -908,8 +916,7 @@ pub mod cpuprof {
             let mut flat: Vec<(String, u64)> = cap.profile.flat_self().into_iter().collect();
             flat.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             for (frame, cycles) in flat.iter().take(6) {
-                per_pkt =
-                    per_pkt.with_component(frame, *cycles as f64 / cap.packets.max(1) as f64);
+                per_pkt = per_pkt.with_component(frame, *cycles as f64 / cap.packets.max(1) as f64);
             }
             r.push(per_pkt);
             for (label, samples) in &cap.core_util {

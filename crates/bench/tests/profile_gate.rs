@@ -71,7 +71,10 @@ fn capturing_a_profile_does_not_perturb_the_run() {
             "{kind:?}: profiling must not change throughput"
         );
         assert_eq!(plain.latency.count(), profiled.latency.count());
-        assert_eq!(plain.latency.quantile(0.99), profiled.latency.quantile(0.99));
+        assert_eq!(
+            plain.latency.quantile(0.99),
+            profiled.latency.quantile(0.99)
+        );
         assert_eq!(plain.established, profiled.established);
         assert_eq!(plain.drops, profiled.drops);
     }

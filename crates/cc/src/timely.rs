@@ -45,7 +45,11 @@ pub fn timely_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64, p: &Tim
         return current_bps;
     }
     let rtt = fb.rtt_est_us.max(1);
-    let prev = if st.prev_rtt_us == 0 { rtt } else { st.prev_rtt_us };
+    let prev = if st.prev_rtt_us == 0 {
+        rtt
+    } else {
+        st.prev_rtt_us
+    };
     st.prev_rtt_us = rtt;
     let mut rate = current_bps as f64;
     if st.slow_start {

@@ -124,7 +124,11 @@ fn account_fractional_charges_round_per_call() {
     a.charge_f64(Module::Other, 749.6, 10);
     assert_eq!(a.cycles(Module::Other), 750);
     a.charge_f64(Module::Other, -3.0, 0);
-    assert_eq!(a.cycles(Module::Other), 750, "negative charges clamp to zero");
+    assert_eq!(
+        a.cycles(Module::Other),
+        750,
+        "negative charges clamp to zero"
+    );
 }
 
 // ----------------------------------------------- core classes + boundary
@@ -163,7 +167,10 @@ fn nic_core_is_slower_per_cycle() {
     ]);
     let (_, nic_end) = p.core(0).run(SimTime::ZERO, 10_000);
     let (_, host_end) = p.core(1).run(SimTime::ZERO, 10_000);
-    assert!(nic_end > host_end, "same work takes longer on the wimpy core");
+    assert!(
+        nic_end > host_end,
+        "same work takes longer on the wimpy core"
+    );
 }
 
 #[test]

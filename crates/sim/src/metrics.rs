@@ -425,10 +425,13 @@ impl Registry {
     /// Registers (or finds) a counter, returning its handle.
     pub fn counter(&mut self, name: &'static str, scope: Scope) -> CounterId {
         let counters = &mut self.counters;
-        let slot = self.index.entry(MetricKey { name, scope }).or_insert_with(|| {
-            counters.push(0);
-            counters.len() - 1
-        });
+        let slot = self
+            .index
+            .entry(MetricKey { name, scope })
+            .or_insert_with(|| {
+                counters.push(0);
+                counters.len() - 1
+            });
         CounterId(*slot)
     }
 
@@ -735,10 +738,7 @@ mod tests {
         for v in 1..=100_000u64 {
             h.record(v);
         }
-        for (got, want) in [
-            (h.p90() as f64, 90_000.0),
-            (h.p999() as f64, 99_900.0),
-        ] {
+        for (got, want) in [(h.p90() as f64, 90_000.0), (h.p999() as f64, 99_900.0)] {
             assert!((got - want).abs() / want < 0.04, "got {got}, want {want}");
         }
         // Two samples: p50 hits the first, high quantiles the second.

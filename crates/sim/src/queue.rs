@@ -785,7 +785,9 @@ mod tests {
         let mut q = EventQueue::new();
         // One event per decade from 1 ns to 10^4 s: the sub-tick ready
         // run, all four levels, and (past ~1126 s) the overflow heap.
-        let times: Vec<SimTime> = (0..14).map(|d| SimTime::from_ps(10u64.pow(d + 3))).collect();
+        let times: Vec<SimTime> = (0..14)
+            .map(|d| SimTime::from_ps(10u64.pow(d + 3)))
+            .collect();
         for (i, &t) in times.iter().enumerate().rev() {
             q.push(t, i);
         }
@@ -997,10 +999,7 @@ mod tests {
                 6 => {
                     if !wheel_ids.is_empty() {
                         let i = (rng.next_u64() as usize) % wheel_ids.len();
-                        assert_eq!(
-                            wheel.cancel(wheel_ids[i]),
-                            heap.cancel(heap_ids[i]),
-                        );
+                        assert_eq!(wheel.cancel(wheel_ids[i]), heap.cancel(heap_ids[i]),);
                     }
                 }
                 _ => {

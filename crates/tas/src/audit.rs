@@ -85,7 +85,12 @@ pub fn check_flow(fid: u32, f: &FlowState) {
     );
     // Duplicate-ACK counter: fast recovery resets at 3, so the counter
     // can never be observed above it between operations.
-    audit_assert!(f.snd.dupack_cnt() <= 3, fid, "dupack_cnt {} ran away", f.snd.dupack_cnt());
+    audit_assert!(
+        f.snd.dupack_cnt() <= 3,
+        fid,
+        "dupack_cnt {} ran away",
+        f.snd.dupack_cnt()
+    );
     // Single out-of-order interval: when tracked, it must sit strictly
     // beyond the in-order frontier (a closed gap merges immediately) and
     // within the receive-buffer horizon.
@@ -98,7 +103,8 @@ pub fn check_flow(fid: u32, f: &FlowState) {
             f.rcv.rx.end_offset()
         );
         audit_assert!(
-            f.rcv.ooo_start() + f.rcv.ooo_len() as u64 <= f.rcv.rx.start_offset() + f.rcv.rx.capacity() as u64,
+            f.rcv.ooo_start() + f.rcv.ooo_len() as u64
+                <= f.rcv.rx.start_offset() + f.rcv.rx.capacity() as u64,
             fid,
             "ooo interval [{}, {}) exceeds rx horizon {}",
             f.rcv.ooo_start(),

@@ -193,7 +193,16 @@ impl Handshake {
                 self.ts_recent,
             ),
         };
-        hdr.send_ctrl(packets, now, self.key, self.peer_mac, flags, self.iss, ack, ts_ecr);
+        hdr.send_ctrl(
+            packets,
+            now,
+            self.key,
+            self.peer_mac,
+            flags,
+            self.iss,
+            ack,
+            ts_ecr,
+        );
     }
 }
 
@@ -220,7 +229,16 @@ impl Teardown {
     fn send_fin(&self, hdr: &CtrlHeader, now: SimTime, packets: &mut Vec<Segment>) {
         let flags = TcpFlags::FIN | TcpFlags::ACK;
         let (seq_no, ack) = (self.fin_seq, self.rcv_ack);
-        hdr.send_ctrl(packets, now, self.key, self.peer_mac, flags, seq_no, ack, self.ts_recent);
+        hdr.send_ctrl(
+            packets,
+            now,
+            self.key,
+            self.peer_mac,
+            flags,
+            seq_no,
+            ack,
+            self.ts_recent,
+        );
     }
 
     /// The one close-out, for a teardown its caller is removing: the
@@ -734,7 +752,16 @@ impl SlowPath {
                 retry: None,
             };
             let packets = &mut self.out.packets;
-            self.hdr.send_ctrl(packets, now, key, peer_mac, TcpFlags::ACK, seq_no, rcv_ack, ts);
+            self.hdr.send_ctrl(
+                packets,
+                now,
+                key,
+                peer_mac,
+                TcpFlags::ACK,
+                seq_no,
+                rcv_ack,
+                ts,
+            );
             self.teardowns.insert(key, td);
             self.out.events.push(SpAppEvent::PeerClosed { opaque, fid });
             return;
@@ -747,7 +774,16 @@ impl SlowPath {
             td.rcv_ack = ack;
             // ACK their FIN; our seq is past our FIN.
             let (packets, seq_no) = (&mut self.out.packets, td.fin_seq + 1);
-            self.hdr.send_ctrl(packets, now, key, td.peer_mac, TcpFlags::ACK, seq_no, ack, ts);
+            self.hdr.send_ctrl(
+                packets,
+                now,
+                key,
+                td.peer_mac,
+                TcpFlags::ACK,
+                seq_no,
+                ack,
+                ts,
+            );
             if td.fin_acked || seg.tcp.flags.contains(TcpFlags::ACK) && seg.tcp.ack == seq_no {
                 td.close_out(now, &mut self.stats, &mut self.out.events);
                 self.teardowns.remove(&key);

@@ -30,8 +30,8 @@ pub use mgmt::ConnMgmt;
 pub use recv::RecvRel;
 pub use send::SendRel;
 
-use tas_cc::{AckInfo, CcKind};
 use std::net::Ipv4Addr;
+use tas_cc::{AckInfo, CcKind};
 use tas_proto::{Ecn, FlowKey, MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{probe, prof_scope, trace, SimTime};
 
@@ -671,7 +671,11 @@ impl TcpConn {
             wnd = wnd.saturating_add(self.snd.dupacks() as u64 * self.cfg.mss as u64);
         }
         loop {
-            let avail = self.snd.tx().end_offset().saturating_sub(self.snd.nxt_off());
+            let avail = self
+                .snd
+                .tx()
+                .end_offset()
+                .saturating_sub(self.snd.nxt_off());
             let in_flight = self.snd.nxt_off() - self.snd.una_off();
             let budget = wnd.saturating_sub(in_flight);
             let n = avail
@@ -754,7 +758,11 @@ impl TcpConn {
     /// Retransmits one segment from the left window edge (fast retransmit
     /// or RTO-driven go-back-N start).
     fn retransmit_head(&mut self, now: SimTime) {
-        let avail = self.snd.tx().end_offset().saturating_sub(self.snd.una_off());
+        let avail = self
+            .snd
+            .tx()
+            .end_offset()
+            .saturating_sub(self.snd.una_off());
         let n = avail.min(self.fc.peer_mss().min(self.cfg.mss) as u64);
         if n > 0 {
             let Some(payload) = self.tx_payload(self.snd.una_off(), n) else {

@@ -408,7 +408,12 @@ mod tests {
 
     #[test]
     fn jsonl_is_deterministic_and_covers_all_events() {
-        let flow = FlowKey::new(Ipv4Addr::new(10, 0, 0, 2), 80, Ipv4Addr::new(10, 0, 0, 1), 5000);
+        let flow = FlowKey::new(
+            Ipv4Addr::new(10, 0, 0, 2),
+            80,
+            Ipv4Addr::new(10, 0, 0, 1),
+            5000,
+        );
         let records = vec![
             rx(1, 42),
             TraceRecord {
@@ -428,7 +433,10 @@ mod tests {
             TraceRecord {
                 t: SimTime::from_us(4),
                 site: "sp",
-                ev: TraceEvent::CcRate { flow, rate: 12_500_000 },
+                ev: TraceEvent::CcRate {
+                    flow,
+                    rate: 12_500_000,
+                },
             },
             TraceRecord {
                 t: SimTime::from_us(5),

@@ -243,9 +243,9 @@ pub fn assemble(records: &[TraceRecord], evicted: u64) -> Vec<Span> {
             let mut t_prev = 0u64;
             let mut complete = true;
             for s in Stage::DATA_PATH {
-                let found = idx.get(&s).and_then(|v| {
-                    find_covering(v, b, t_prev, *max_len.get(&s).unwrap_or(&0))
-                });
+                let found = idx
+                    .get(&s)
+                    .and_then(|v| find_covering(v, b, t_prev, *max_len.get(&s).unwrap_or(&0)));
                 match found {
                     Some((t, wait)) => {
                         stamps.push((s, t, wait));
@@ -379,7 +379,12 @@ mod tests {
     use tas_sim::SimTime;
 
     fn flow() -> FlowKey {
-        FlowKey::new(Ipv4Addr::new(10, 0, 0, 1), 5000, Ipv4Addr::new(10, 0, 0, 2), 7)
+        FlowKey::new(
+            Ipv4Addr::new(10, 0, 0, 1),
+            5000,
+            Ipv4Addr::new(10, 0, 0, 2),
+            7,
+        )
     }
 
     fn rec(t_us: u64, stage: Stage, seq: u32, len: u32, wait_ns: u64) -> TraceRecord {
@@ -402,7 +407,15 @@ mod tests {
         Stage::DATA_PATH
             .iter()
             .enumerate()
-            .map(|(i, &s)| rec(t0_us + i as u64, s, seq, len, if s == Stage::FpRx { 300 } else { 0 }))
+            .map(|(i, &s)| {
+                rec(
+                    t0_us + i as u64,
+                    s,
+                    seq,
+                    len,
+                    if s == Stage::FpRx { 300 } else { 0 },
+                )
+            })
             .collect()
     }
 
@@ -494,7 +507,10 @@ mod tests {
                         }
                     }
                 }
-                if let TraceEvent::Stage { ref mut wait_ns, .. } = c[5].ev {
+                if let TraceEvent::Stage {
+                    ref mut wait_ns, ..
+                } = c[5].ev
+                {
                     *wait_ns = 40_000 + 300;
                 }
             }

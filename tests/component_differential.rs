@@ -198,7 +198,11 @@ fn transfer(w: &mut Wire, seed: u64, len: usize) -> Vec<u8> {
         w.pump();
         received.extend(w.b.recv(usize::MAX));
         w.b.poll(w.now);
-        assert!(w.now < deadline, "transfer stalled at {}/{len}", received.len());
+        assert!(
+            w.now < deadline,
+            "transfer stalled at {}/{len}",
+            received.len()
+        );
     }
     received
 }
@@ -308,7 +312,11 @@ fn lossy_run(seed: u64, len: usize, iss: (u32, u32)) -> SendSchedule {
         false
     });
     let got = transfer(&mut w, seed, len);
-    assert_eq!(got, oracle_stream(seed, len), "loss must not corrupt the frontier");
+    assert_eq!(
+        got,
+        oracle_stream(seed, len),
+        "loss must not corrupt the frontier"
+    );
     SendSchedule {
         segs_out: w.a.stats.segs_out,
         retransmits: w.a.stats.retransmits,

@@ -127,7 +127,7 @@ fn run_fast_retransmit() -> Vec<telemetry::TraceRecord> {
         server.on_segment(t, s);
     }
     drop(dropped); // Never delivered: the wire ate it.
-    // The dupacks flow back and trigger the fast retransmit.
+                   // The dupacks flow back and trigger the fast retransmit.
     exchange(&mut t, &mut client, &mut server);
     assert_eq!(server.recv(4_096).len(), 2560, "hole must be repaired");
     assert!(
@@ -180,20 +180,22 @@ fn check_golden(name: &str, got: &str) {
 fn canonical_exchange_trace_is_pinned() {
     let records = run_canonical();
     assert!(!records.is_empty());
-    check_golden("canonical_exchange.jsonl", &telemetry::render_jsonl(&records));
+    check_golden(
+        "canonical_exchange.jsonl",
+        &telemetry::render_jsonl(&records),
+    );
 }
 
 #[test]
 fn fast_retransmit_trace_is_pinned() {
     let records = run_fast_retransmit();
-    assert!(records
-        .iter()
-        .any(|r| matches!(&r.ev, telemetry::TraceEvent::Retransmit { kind, .. } if *kind == "fast")),
-        "trace must contain the fast retransmit");
-    check_golden(
-        "fast_retransmit.jsonl",
-        &telemetry::render_jsonl(&records),
+    assert!(
+        records.iter().any(
+            |r| matches!(&r.ev, telemetry::TraceEvent::Retransmit { kind, .. } if *kind == "fast")
+        ),
+        "trace must contain the fast retransmit"
     );
+    check_golden("fast_retransmit.jsonl", &telemetry::render_jsonl(&records));
 }
 
 #[test]
