@@ -136,14 +136,3 @@ fn a_port_fault_spec_drops_packets() {
     assert!(dropped(0) > 0, "the receiver's port drops");
     assert_eq!(dropped(1), 0, "the sender's port is clean");
 }
-
-#[test]
-fn a_nic_tx_fault_drops_packets() {
-    let net = bulk_pair(|tb| tb.nodes[1].nic.tx_fault = FaultSpec::uniform_loss(0.1, 9));
-    let dropped = |i: usize| {
-        let snap = host(&net.sim, net.hosts[i]).telemetry_snapshot();
-        snap.counter("fault.dropped", Scope::Global)
-    };
-    assert!(dropped(1) > 0, "the sender's NIC drops");
-    assert_eq!(dropped(0), 0, "the receiver's NIC is clean");
-}

@@ -1,6 +1,9 @@
 //! Host NIC model: multi-queue receive with RSS, serialized transmit.
+//!
+//! A NIC injects no faults: the switch port toward a host carries all it
+//! receives and the ports toward its peers all it sends, so wire faults
+//! live on switch ports (`PortConfig::fault`).
 
-use crate::fault::{FaultInjector, FaultSpec};
 use crate::rss::{hash_tuple, RssTable};
 use crate::NetMsg;
 use tas_proto::{MacAddr, Segment};
@@ -16,9 +19,6 @@ pub struct NicConfig {
     pub prop_delay: SimTime,
     /// Number of receive queues (= maximum fast-path cores).
     pub rx_queues: usize,
-    /// Fault schedule for the transmit (host → network) direction.
-    /// Fig. 7's induced loss is `FaultSpec::uniform_loss(p, seed)`.
-    pub tx_fault: FaultSpec,
 }
 
 impl NicConfig {
@@ -28,7 +28,6 @@ impl NicConfig {
             rate_bps: 40_000_000_000,
             prop_delay: SimTime::from_us(1),
             rx_queues,
-            tx_fault: FaultSpec::none(),
         }
     }
 
@@ -38,7 +37,6 @@ impl NicConfig {
             rate_bps: 10_000_000_000,
             prop_delay: SimTime::from_us(1),
             rx_queues,
-            tx_fault: FaultSpec::none(),
         }
     }
 }
@@ -60,10 +58,6 @@ pub struct HostNic {
     uplink: AgentId,
     rss: RssTable,
     tx_busy_until: SimTime,
-    /// Transmit-direction fault injector (inert unless configured).
-    fault: FaultInjector,
-    /// Scratch buffer for injector output (avoids per-packet allocation).
-    fault_out: Vec<(SimTime, Segment)>,
 }
 
 impl HostNic {
@@ -71,27 +65,13 @@ impl HostNic {
     /// or peer host).
     pub fn new(mac: MacAddr, cfg: NicConfig, uplink: AgentId) -> Self {
         let rss = RssTable::new(cfg.rx_queues);
-        // Derive the default injector stream from the MAC so distinct
-        // NICs never share a fault schedule.
-        let mut dev = 0u64;
-        for b in mac.0 {
-            dev = dev << 8 | b as u64;
-        }
-        let fault = FaultInjector::new(cfg.tx_fault, dev);
         HostNic {
             mac,
             cfg,
             uplink,
             rss,
             tx_busy_until: SimTime::ZERO,
-            fault,
-            fault_out: Vec::new(),
         }
-    }
-
-    /// The NIC configuration.
-    pub fn config(&self) -> &NicConfig {
-        &self.cfg
     }
 
     /// Read access to the RSS redirection table.
@@ -117,17 +97,13 @@ impl HostNic {
 
     /// Transmits a packet onto the uplink no earlier than `ready` (when the
     /// producing core finished building it). Returns the departure time.
-    ///
-    /// Fault injection perturbs the packet *after* charging wire time:
-    /// a dropped packet models corruption on the wire, and a duplicate or
-    /// reordered copy costs no extra serialization.
     pub fn tx(&mut self, ready: SimTime, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) -> SimTime {
         let start = ready.max(self.tx_busy_until);
         let depart = start + transmission_time(seg.wire_len() as u64, self.cfg.rate_bps);
         self.tx_busy_until = depart;
         let arrival = depart + self.cfg.prop_delay;
-        // Span stamp at serialization completion: even a packet the wire
-        // then corrupts did occupy the TX queue and the link.
+        // Span stamp at serialization completion: even a packet a switch
+        // port then corrupts did occupy the TX queue and the link.
         probe! {
             if !seg.payload.is_empty() {
                 trace!(
@@ -143,25 +119,11 @@ impl HostNic {
                 );
             }
         }
-        // Site `"nic"` is the canonical on-the-wire capture point of the
-        // flight recorder: post-fault, so the trace (and a pcap built from
-        // it) shows what actually went out.
-        if self.fault.is_active() {
-            self.fault.apply(arrival, seg, &mut self.fault_out);
-            for (t, s) in self.fault_out.drain(..) {
-                trace!("nic", t, SegTx(s));
-                ctx.send_at(self.uplink, t, NetMsg::Packet(s));
-            }
-        } else {
-            trace!("nic", arrival, SegTx(seg));
-            ctx.send_at(self.uplink, arrival, NetMsg::Packet(seg));
-        }
+        // Site `"nic"` is the flight recorder's capture of what the host
+        // sent: pre-fault, since faults strike later, at switch ports.
+        trace!("nic", arrival, SegTx(seg));
+        ctx.send_at(self.uplink, arrival, NetMsg::Packet(seg));
         depart
-    }
-
-    /// Deterministic ordered dump of the transmit injector's metrics.
-    pub fn tx_fault_snapshot(&self) -> tas_sim::Snapshot {
-        self.fault.snapshot()
     }
 }
 
@@ -240,7 +202,6 @@ mod tests {
             rate_bps: 10_000_000_000,
             prop_delay: SimTime::from_us(1),
             rx_queues: 1,
-            tx_fault: FaultSpec::none(),
         };
         let nic = HostNic::new(MacAddr::for_host(1), cfg, sink);
         let driver = sim.add_agent(Box::new(Driver { nic }));
@@ -255,43 +216,5 @@ mod tests {
             SimTime::from_us(1) + wire * 2,
             "second packet queues behind first"
         );
-    }
-
-    #[test]
-    fn loss_injection_drops_proportionally() {
-        struct Blaster {
-            nic: HostNic,
-        }
-        impl Agent<NetMsg> for Blaster {
-            fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut tas_sim::Ctx<'_, NetMsg>) {
-                if let Event::Timer { .. } = ev {
-                    for _ in 0..10_000 {
-                        self.nic.tx(ctx.now(), seg(9), ctx);
-                    }
-                }
-            }
-            impl_as_any!();
-        }
-        let mut sim: Sim<NetMsg> = Sim::new(2);
-        let sink = sim.add_agent(Box::new(Sink {
-            arrivals: Vec::new(),
-        }));
-        let cfg = NicConfig {
-            rate_bps: 40_000_000_000,
-            prop_delay: SimTime::from_us(1),
-            rx_queues: 1,
-            // seed 0 derives the stream from the device identity, the
-            // same schedule the removed `tx_loss` fold produced.
-            tx_fault: FaultSpec::uniform_loss(0.05, 0),
-        };
-        let nic = HostNic::new(MacAddr::for_host(1), cfg, sink);
-        let blaster = sim.add_agent(Box::new(Blaster { nic }));
-        sim.inject_timer(SimTime::ZERO, blaster, 0, 0);
-        sim.run_until(SimTime::from_secs(1));
-        let delivered = sim.agent::<Sink>(sink).arrivals.len();
-        let snap = sim.agent::<Blaster>(blaster).nic.tx_fault_snapshot();
-        let dropped = snap.counter("fault.dropped", tas_sim::Scope::Global);
-        assert_eq!(delivered as u64 + dropped, 10_000);
-        assert!((400..600).contains(&dropped), "~5% of 10k, got {dropped}");
     }
 }

@@ -4,8 +4,8 @@
 //! Linux sockets API (§3), so what an application sees of its host does
 //! not depend on the stack underneath. [`AppRuntime`] is that half: the
 //! [`HostedApp`], one recycled handler [`Frame`] that splits API cycles
-//! from the application's own, per-context deferred-event queues, app
-//! timers and posts. A host keeps only its stack, an [`AppStack`].
+//! from the application's own, app timers and posts, and both [`Handoff`]s
+//! between app and stack. A host keeps only its stack, an [`AppStack`].
 //!
 //! **Order.** A frame's follow-ups — app timers, posts and the stack's
 //! own ops — are scheduled in call order, all at the end time the host's
@@ -18,15 +18,58 @@ use crate::NetMsg;
 use std::any::type_name;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
-use tas_sim::{probe, Ctx, Rng, SimTime};
+use tas_sim::{probe, Ctx, Event, Rng, SimTime};
+
+/// Every deferred hop inside a host: FIFO lanes, each item woken by a
+/// timer whose data word names its lane. A hop must not run its handler
+/// at a future time (that would reserve the core ahead of earlier
+/// arrivals), so it waits here for its due time. [`Handoff::pop`] takes
+/// the lane's *oldest* item, not the one the timer was armed for: with
+/// `due₁ > due₂` on one lane, the timer at `due₂` runs item 1 early and
+/// item 2 late. That is ROADMAP item 1's hazard; this is its one place.
+pub struct Handoff<T> {
+    lanes: Vec<VecDeque<T>>,
+}
+
+impl<T> Handoff<T> {
+    pub fn new(lanes: usize) -> Self {
+        Handoff {
+            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+        }
+    }
+
+    /// Queues `item` on `lane` and arms a `kind` timer at `at` for it.
+    pub fn push(
+        &mut self,
+        at: SimTime,
+        kind: u32,
+        lane: usize,
+        item: T,
+        ctx: &mut Ctx<'_, NetMsg>,
+    ) {
+        self.lanes[lane].push_back(item);
+        ctx.timer_at(at, kind, lane as u64);
+    }
+
+    /// Takes the oldest item of `lane`; a timer's data word names it.
+    pub fn pop(&mut self, lane: usize) -> Option<T> {
+        self.lanes.get_mut(lane)?.pop_front()
+    }
+
+    /// Items waiting on `lane`.
+    pub fn len(&self, lane: usize) -> usize {
+        self.lanes.get(lane).map_or(0, VecDeque::len)
+    }
+}
 
 /// The stack under an [`AppRuntime`]: the socket calls of [`StackApi`]
 /// plus the host's core model for a finished frame.
 ///
 /// Each socket call is the [`StackApi`] method of the same name. It may
 /// add to the frame's `api_cycles` and push the stack's own follow-up
-/// ([`Frame::push`]), which [`AppStack::submit`] receives once the frame's
-/// core has finished it.
+/// ([`Frame::push`]). Once the frame's core has finished, the runtime
+/// queues each follow-up on [`AppRuntime::ops`] where [`AppStack::route`]
+/// says; the host runs it when that lane's timer pops it.
 pub trait AppStack {
     /// The stack's own follow-up of a socket call.
     type Op;
@@ -34,6 +77,8 @@ pub trait AppStack {
     const APP_TIMER: u32;
     /// Timer kind that delivers a context's next deferred event.
     const APP_RUN_TIMER: u32;
+    /// Lanes of [`AppRuntime::ops`] that [`AppStack::route`] names.
+    const OP_LANES: usize;
     /// Profiler group name of the cores app frames run on.
     const APP_CORE_GROUP: &'static str;
 
@@ -77,8 +122,10 @@ pub trait AppStack {
     /// context's core from `frame.now`; returns when the core ends it.
     fn run_frame(&mut self, frame: &Frame<Self::Op>) -> SimTime;
 
-    /// Submits one follow-up the frame pushed; `end` is the frame's end.
-    fn submit(&mut self, op: Self::Op, end: SimTime, ctx: &mut Ctx<'_, NetMsg>);
+    /// Where a follow-up of a frame that ended at `end` waits: its due
+    /// time, the timer kind that wakes it and its lane of
+    /// [`AppRuntime::ops`].
+    fn route(&self, op: &Self::Op, end: SimTime) -> (SimTime, u32, usize);
 }
 
 /// One handler invocation and its follow-ups in call order. The runtime
@@ -188,11 +235,12 @@ pub struct AppRuntime<S: AppStack> {
     pub hosted: HostedApp,
     started: bool,
     frame: Frame<S::Op>,
-    /// Deferred events per context, each drained by an
-    /// [`AppStack::APP_RUN_TIMER`]. A cross-component hop must not run a
-    /// handler at a future time — that would reserve the core ahead of
-    /// earlier arrivals — so every hop waits here for its ready time.
-    queues: Vec<VecDeque<AppEvent>>,
+    /// Stack → app: deferred events, one lane per context.
+    events: Handoff<AppEvent>,
+    /// App → stack: the frames' follow-ups where [`AppStack::route`] puts
+    /// them, popped by the host's own timer arms (TAS queues its
+    /// fast-path exceptions here too).
+    pub ops: Handoff<S::Op>,
 }
 
 impl<S: AppStack> AppRuntime<S> {
@@ -212,13 +260,45 @@ impl<S: AppStack> AppRuntime<S> {
                 app_cycles: 0,
                 ops: Vec::new(),
             },
-            queues: (0..contexts.max(1)).map(|_| VecDeque::new()).collect(),
+            events: Handoff::new(contexts.max(1)),
+            ops: Handoff::new(S::OP_LANES),
         }
+    }
+
+    /// The app half of a host's `Agent::on_event`: starts the host on its
+    /// first event, delivers `Ctl` to `context`, runs app timers and
+    /// deferred events, and hands every other event back untouched.
+    pub fn on_event(
+        &mut self,
+        stack: &mut S,
+        context: u16,
+        ev: Event<NetMsg>,
+        ctx: &mut Ctx<'_, NetMsg>,
+    ) -> Option<Event<NetMsg>> {
+        self.ensure_started(stack, context, ctx);
+        let now = ctx.now();
+        match ev {
+            Event::Msg {
+                msg: NetMsg::Ctl { kind, a, b },
+                ..
+            } => self.deliver(stack, now, context, AppEvent::Ctl { kind, a, b }, ctx),
+            Event::Timer { kind, data } if kind == S::APP_TIMER => {
+                let (context, token) = unpack_app_timer(data);
+                self.deliver(stack, now, context, AppEvent::Timer { token }, ctx);
+            }
+            Event::Timer { kind, data } if kind == S::APP_RUN_TIMER => {
+                if let Some(ev) = self.events.pop(data as usize) {
+                    self.deliver(stack, now, data as u16, ev, ctx);
+                }
+            }
+            ev => return Some(ev),
+        }
+        None
     }
 
     /// On the host's first event: the stack's start work, then the app's
     /// `on_start` in a frame on `context` with no poll charged.
-    pub fn ensure_started(&mut self, stack: &mut S, context: u16, ctx: &mut Ctx<'_, NetMsg>) {
+    fn ensure_started(&mut self, stack: &mut S, context: u16, ctx: &mut Ctx<'_, NetMsg>) {
         if std::mem::replace(&mut self.started, true) {
             return;
         }
@@ -243,28 +323,16 @@ impl<S: AppStack> AppRuntime<S> {
         });
     }
 
-    /// Queues `ev` for `context` and wakes it at `t`; a context's
-    /// deferred events are delivered first in, first out.
+    /// Queues `ev` on `context`'s lane and wakes it at `t`; the lane pops
+    /// in [`Handoff`] order.
     pub fn defer(&mut self, t: SimTime, context: u16, ev: AppEvent, ctx: &mut Ctx<'_, NetMsg>) {
         let context = self.wrap(context);
-        self.queues[context as usize].push_back(ev);
-        ctx.timer_at(t, S::APP_RUN_TIMER, context as u64);
-    }
-
-    /// Handles an [`AppStack::APP_TIMER`]; any other kind is taken for an
-    /// [`AppStack::APP_RUN_TIMER`].
-    pub fn on_timer(&mut self, stack: &mut S, kind: u32, data: u64, ctx: &mut Ctx<'_, NetMsg>) {
-        let now = ctx.now();
-        if kind == S::APP_TIMER {
-            let (context, token) = unpack_app_timer(data);
-            self.deliver(stack, now, context, AppEvent::Timer { token }, ctx);
-        } else if let Some(ev) = self.queues[data as usize].pop_front() {
-            self.deliver(stack, now, data as u16, ev, ctx);
-        }
+        self.events
+            .push(t, S::APP_RUN_TIMER, context as usize, ev, ctx);
     }
 
     fn wrap(&self, context: u16) -> u16 {
-        (context as usize % self.queues.len()) as u16
+        (context as usize % self.events.lanes.len()) as u16
     }
 
     /// Runs one frame: the handler, then the stack's core model, then
@@ -305,7 +373,10 @@ impl<S: AppStack> AppRuntime<S> {
                 FollowUp::Post { context, token } => {
                     ctx.timer_at(end, S::APP_TIMER, pack_app_timer(context, token));
                 }
-                FollowUp::Stack(op) => stack.submit(op, end, ctx),
+                FollowUp::Stack(op) => {
+                    let (at, kind, lane) = stack.route(&op, end);
+                    self.ops.push(at, kind, lane, op, ctx);
+                }
             }
         }
     }
@@ -365,12 +436,15 @@ impl<S: AppStack> StackApi for Api<'_, '_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tas_sim::{impl_as_any, Agent, Event, Sim};
+    use tas_proto::{MacAddr, Segment, TcpFlags, TcpHeader};
+    use tas_sim::{impl_as_any, Agent, Sim};
 
     const APP: u32 = 1;
     const APP_RUN: u32 = 2;
-    /// The mock stack's own follow-up, submitted as a timer of this kind.
+    /// The timer kind the mock stack routes its follow-ups to.
     const OP: u32 = 3;
+    /// A harness timer the mock host answers with its scripted defers.
+    const DEFER: u32 = 4;
     /// Every frame takes this long on its core.
     const FRAME_TIME: SimTime = SimTime::from_us(1);
 
@@ -380,6 +454,7 @@ mod tests {
         type Op = SockId;
         const APP_TIMER: u32 = APP;
         const APP_RUN_TIMER: u32 = APP_RUN;
+        const OP_LANES: usize = 1;
         const APP_CORE_GROUP: &'static str = "app";
 
         fn activate(&mut self, _context: u16, t: SimTime) -> (SimTime, u64) {
@@ -412,22 +487,23 @@ mod tests {
         fn run_frame(&mut self, frame: &Frame<SockId>) -> SimTime {
             frame.now + FRAME_TIME
         }
-        fn submit(&mut self, op: SockId, end: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
-            ctx.timer_at(end, OP, op as u64);
+        fn route(&self, _op: &SockId, end: SimTime) -> (SimTime, u32, usize) {
+            (end, OP, 0)
         }
     }
 
-    /// On `Ctl { kind: 0 }` sends on socket 7, posts token 11 to context
-    /// 1 and sets a zero-delay timer with token 22, in that order.
+    /// Logs every event with its handler's start time. On `Ctl { kind: 0
+    /// }` sends on socket 7, posts token 11 to context 1 and sets a
+    /// zero-delay timer with token 22, in that order.
     #[derive(Default)]
     struct Script {
-        seen: Vec<AppEvent>,
+        seen: Vec<(SimTime, AppEvent)>,
     }
 
     impl App for Script {
         fn on_start(&mut self, _api: &mut dyn StackApi) {}
         fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
-            self.seen.push(ev);
+            self.seen.push((api.now(), ev));
             if let AppEvent::Ctl { kind: 0, .. } = ev {
                 api.send(7, b"x");
                 api.post(1, 11);
@@ -437,83 +513,157 @@ mod tests {
         impl_as_any!();
     }
 
-    /// A host with no stack: logs every timer it gets, hands `Ctl 0` to
-    /// the app and answers `Ctl 1` by deferring two events to context 0.
+    /// A host with no stack of its own: logs every timer, passes every
+    /// event through the runtime's prologue and logs what comes back. It
+    /// answers `DEFER` with its scripted `(due, context, event)` defers
+    /// and `OP` by popping the runtime's op lane.
+    #[derive(Default)]
     struct MockHost {
-        rt: AppRuntime<MockStack>,
-        stack: MockStack,
+        rt: Option<AppRuntime<MockStack>>,
+        defers: Vec<(SimTime, u16, AppEvent)>,
         timers: Vec<(SimTime, u32, u64)>,
+        handed_back: Vec<String>,
+        ops: Vec<SockId>,
     }
 
     impl Agent<NetMsg> for MockHost {
         fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut Ctx<'_, NetMsg>) {
-            self.rt.ensure_started(&mut self.stack, 0, ctx);
-            let now = ctx.now();
+            let rt = self.rt.as_mut().expect("runtime");
+            if let Event::Timer { kind, data } = ev {
+                self.timers.push((ctx.now(), kind, data));
+            }
+            let Some(ev) = rt.on_event(&mut MockStack, 0, ev, ctx) else {
+                return;
+            };
+            self.handed_back.push(format!("{ev:?}"));
             match ev {
-                Event::Msg {
-                    msg: NetMsg::Ctl { kind: 1, .. },
-                    ..
-                } => {
-                    for sock in [1, 2] {
-                        self.rt.defer(now, 0, AppEvent::Readable { sock }, ctx);
+                Event::Timer { kind: DEFER, .. } => {
+                    for (due, context, ev) in self.defers.drain(..) {
+                        rt.defer(due, context, ev, ctx);
                     }
                 }
-                Event::Msg {
-                    msg: NetMsg::Ctl { kind, a, b },
-                    ..
-                } => {
-                    let ev = AppEvent::Ctl { kind, a, b };
-                    self.rt.deliver(&mut self.stack, now, 0, ev, ctx);
-                }
-                Event::Msg { .. } => {}
-                Event::Timer { kind, data } => {
-                    self.timers.push((now, kind, data));
-                    if kind != OP {
-                        self.rt.on_timer(&mut self.stack, kind, data, ctx);
-                    }
-                }
+                Event::Timer { kind: OP, data } => self.ops.extend(rt.ops.pop(data as usize)),
+                _ => {}
             }
         }
         impl_as_any!();
     }
 
-    fn run(ctl: u32) -> (Vec<(SimTime, u32, u64)>, Vec<AppEvent>) {
+    /// Runs a two-context mock host that defers `defers` on a `DEFER`
+    /// timer at 0 and gets `msgs` at their times.
+    fn run(defers: &[(SimTime, u16, AppEvent)], msgs: Vec<(SimTime, NetMsg)>) -> MockHost {
         let mut sim = Sim::new(1);
         let id = sim.add_agent(Box::new(MockHost {
-            rt: AppRuntime::new(Box::<Script>::default(), 2),
-            stack: MockStack,
-            timers: Vec::new(),
+            rt: Some(AppRuntime::new(Box::<Script>::default(), 2)),
+            defers: defers.to_vec(),
+            ..MockHost::default()
         }));
-        sim.inject_msg(SimTime::from_us(5), id, id, NetMsg::ctl(ctl, 0, 0));
+        sim.inject_timer(SimTime::ZERO, id, DEFER, 0);
+        for (t, msg) in msgs {
+            sim.inject_msg(t, id, id, msg);
+        }
         sim.run_to_completion(1_000);
-        let host = sim.agent::<MockHost>(id);
-        let seen = host.rt.hosted.app_as::<Script>().seen.clone();
-        (host.timers.clone(), seen)
+        std::mem::take(sim.agent_mut::<MockHost>(id))
+    }
+
+    fn seen(host: &MockHost) -> &[(SimTime, AppEvent)] {
+        let rt = host.rt.as_ref().expect("runtime");
+        &rt.hosted.app_as::<Script>().seen
+    }
+
+    const fn us(n: u64) -> SimTime {
+        SimTime::from_us(n)
     }
 
     #[test]
     fn a_frames_follow_ups_are_handed_out_in_call_order_at_one_end() {
-        let (timers, _) = run(0);
-        let end = SimTime::from_us(5) + FRAME_TIME;
+        let host = run(&[], vec![(us(5), NetMsg::ctl(0, 0, 0))]);
+        let end = us(5) + FRAME_TIME;
+        // The op waits on the mock stack's one lane (data 0), and the OP
+        // timer pops socket 7 from it.
         assert_eq!(
-            timers,
+            host.timers[1..],
             [
-                (end, OP, 7),
+                (end, OP, 0),
                 (end, APP, pack_app_timer(1, 11)),
                 (end, APP, pack_app_timer(0, 22)),
             ]
         );
+        assert_eq!(host.ops, [7]);
     }
 
     #[test]
     fn events_deferred_to_one_context_are_delivered_fifo() {
-        let (_, seen) = run(1);
-        assert_eq!(
-            seen,
-            [
-                AppEvent::Readable { sock: 1 },
-                AppEvent::Readable { sock: 2 }
-            ]
+        let (r1, r2) = (
+            AppEvent::Readable { sock: 1 },
+            AppEvent::Readable { sock: 2 },
         );
+        let host = run(&[(us(5), 0, r1), (us(5), 0, r2)], vec![]);
+        assert_eq!(seen(&host), [(us(5), r1), (us(5), r2)]);
+    }
+
+    /// ROADMAP item 1's hazard, pinned: with `due₁ > due₂` on one lane,
+    /// the timer at `due₂` gets item 1. Popping the item that is due
+    /// flips this test.
+    #[test]
+    fn a_lanes_timer_pops_the_oldest_item_not_the_one_it_was_armed_for() {
+        let (r1, r2) = (
+            AppEvent::Readable { sock: 1 },
+            AppEvent::Readable { sock: 2 },
+        );
+        let host = run(&[(us(10), 0, r1), (us(5), 0, r2)], vec![]);
+        assert_eq!(seen(&host), [(us(5), r1), (us(10), r2)]);
+    }
+
+    #[test]
+    fn a_lanes_timer_never_pops_another_lane() {
+        let (r1, r2) = (
+            AppEvent::Readable { sock: 1 },
+            AppEvent::Readable { sock: 2 },
+        );
+        let host = run(&[(us(10), 0, r1), (us(5), 1, r2)], vec![]);
+        assert_eq!(seen(&host), [(us(5), r2), (us(10), r1)]);
+        let app_runs: Vec<_> = host.timers.iter().filter(|t| t.1 == APP_RUN).collect();
+        assert_eq!(app_runs, [&(us(5), APP_RUN, 1), &(us(10), APP_RUN, 0)]);
+    }
+
+    #[test]
+    fn on_event_consumes_ctl_app_and_app_run_and_hands_back_the_rest() {
+        let seg = Segment::tcp(
+            MacAddr::for_host(1),
+            MacAddr::for_host(2),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            TcpHeader::new(1000, 80, 0, 0, TcpFlags::ACK),
+            vec![0; 8],
+            true,
+        );
+        let packet = format!("{:?}", NetMsg::Packet(seg.clone()));
+        let r1 = AppEvent::Readable { sock: 1 };
+        let msgs = vec![(us(1), NetMsg::Packet(seg)), (us(3), NetMsg::ctl(0, 0, 0))];
+        let host = run(&[(us(2), 0, r1)], msgs);
+        // The deferred event, the Ctl, its post and its app timer reached
+        // the app; the harness timer, the packet and the stack's OP timer
+        // came back unchanged, and nothing else did.
+        let ctl = AppEvent::Ctl {
+            kind: 0,
+            a: 0,
+            b: 0,
+        };
+        let end = us(3) + FRAME_TIME;
+        let (post, timer) = (AppEvent::Timer { token: 11 }, AppEvent::Timer { token: 22 });
+        assert_eq!(
+            seen(&host),
+            [(us(2), r1), (us(3), ctl), (end, post), (end, timer)]
+        );
+        let back = &host.handed_back;
+        assert_eq!(back.len(), 3, "{back:?}");
+        assert_eq!(back[0], format!("Timer {{ kind: {DEFER}, data: 0 }}"));
+        assert!(
+            back[1].ends_with(&format!("msg: {packet} }}")),
+            "{}",
+            back[1]
+        );
+        assert_eq!(back[2], format!("Timer {{ kind: {OP}, data: 0 }}"));
     }
 }

@@ -274,8 +274,8 @@ impl Switch {
             }
         }
         if port.fault.is_active() {
-            // Wire faults strike after serialization, like the NIC's: a
-            // dropped packet still occupied the queue and the wire.
+            // Wire faults strike after serialization: a dropped packet
+            // still occupied the queue and the wire.
             port.fault.apply(arrival, seg, &mut self.fault_out);
             for (t, s) in self.fault_out.drain(..) {
                 ctx.send_at(port.peer, t, NetMsg::Packet(s));

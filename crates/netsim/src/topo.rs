@@ -198,7 +198,6 @@ pub fn build_fattree(
                 rate_bps: cfg.host_rate,
                 prop_delay: cfg.prop_delay,
                 rx_queues: 1,
-                ..NicConfig::client_10g(1)
             },
             tenant: 0,
         };

@@ -73,7 +73,7 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
     c.max_requests = 100;
     let cfg = TasConfig::rpc_bench(1, 1);
     let mut tb = pair(sim_seed, tas(cfg.clone(), echo), tas(cfg, c));
-    tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed);
+    tb.nodes[0].port.fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed);
     tb.nodes[1].port.fault = FaultSpec::lossy(0.02, 0.01, 0.02, fault_seed ^ 0xABCD);
     let Net {
         mut sim,
@@ -82,7 +82,7 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
     } = build(tb);
     sim.run_until(SimTime::from_secs(2));
     let client = sim.agent::<TasHost>(hosts[1]);
-    let nic_snap = client.nic().tx_fault_snapshot();
+    let to_server = sim.agent::<Switch>(switches[0]).port_fault_snapshot(0);
     let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
     let server = sim.agent::<TasHost>(hosts[0]);
     vec![
@@ -91,11 +91,11 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
         server.fp_stats().bytes_rx,
         server.account().total_cycles(),
         client.app_as::<RpcClient>().done,
-        nic_snap.counter("fault.seen", Scope::Global),
-        nic_snap.counter("fault.dropped", Scope::Global),
-        nic_snap.counter("fault.duplicated", Scope::Global),
-        nic_snap.counter("fault.reordered", Scope::Global),
-        nic_snap.counter("fault.jittered", Scope::Global),
+        to_server.counter("fault.seen", Scope::Global),
+        to_server.counter("fault.dropped", Scope::Global),
+        to_server.counter("fault.duplicated", Scope::Global),
+        to_server.counter("fault.reordered", Scope::Global),
+        to_server.counter("fault.jittered", Scope::Global),
         port_snap.counter("fault.seen", Scope::Global),
         port_snap.counter("fault.dropped", Scope::Global),
         port_snap.counter("fault.duplicated", Scope::Global),

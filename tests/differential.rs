@@ -72,8 +72,8 @@ fn scenario_faults(which: &str, seed: u64) -> (FaultSpec, FaultSpec) {
 }
 
 /// Runs the echo workload on a pair of `stack` hosts under the `which`
-/// fault schedule: the client's NIC and the switch port toward the client
-/// inject.
+/// fault schedule: the switch ports toward the server (port 0) and toward
+/// the client (port 1) inject.
 fn run(which: &str, seed: u64, stack: HostCfg) -> Outcome {
     let tas = matches!(stack, HostCfg::Tas(_));
     let echo = EchoServer::new(7, REQ_SIZE, ServerMode::Echo, 300);
@@ -81,7 +81,7 @@ fn run(which: &str, seed: u64, stack: HostCfg) -> Outcome {
     c.max_requests = REQS;
     let server = Agent::stack(stack.clone(), Box::new(echo));
     let mut tb = pair(seed, server, Agent::stack(stack, Box::new(c)));
-    (tb.nodes[1].nic.tx_fault, tb.nodes[1].port.fault) = scenario_faults(which, seed);
+    (tb.nodes[0].port.fault, tb.nodes[1].port.fault) = scenario_faults(which, seed);
     let Net {
         mut sim,
         switches,
@@ -101,7 +101,7 @@ fn run(which: &str, seed: u64, stack: HostCfg) -> Outcome {
     } else {
         (&["tcp.retransmits"], "conns.live", "host.established")
     };
-    let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
+    let port_snap = |p| sim.agent::<Switch>(switches[0]).port_fault_snapshot(p);
     Outcome {
         done: app::<RpcClient>(&sim, hosts[1]).done,
         server_bytes: ssnap.counter("app.bytes_delivered", Scope::Global),
@@ -110,8 +110,8 @@ fn run(which: &str, seed: u64, stack: HostCfg) -> Outcome {
             .iter()
             .map(|n| csnap.counter(n, Scope::Global) + ssnap.counter(n, Scope::Global))
             .sum(),
-        faults_dropped: csnap.counter("fault.dropped", Scope::Global)
-            + port_snap.counter("fault.dropped", Scope::Global),
+        faults_dropped: port_snap(0).counter("fault.dropped", Scope::Global)
+            + port_snap(1).counter("fault.dropped", Scope::Global),
         live: ssnap.gauge(live, Scope::Global),
         established: ssnap.counter(established, Scope::Global),
     }

@@ -151,14 +151,14 @@ fn rate_controlled_config_still_completes() {
 
 #[test]
 fn loss_recovery_via_slow_path_timeout() {
-    // 2% packet loss on the client NIC: lost requests/responses must be
-    // recovered by dupack fast-retransmit or the slow-path stall detector.
+    // 2% packet loss on the client's requests (the switch port toward the
+    // server): lost requests must be recovered by dupack fast-retransmit
+    // or the slow-path stall detector.
     let mut cfg = TasConfig::rpc_bench(1, 1);
     cfg.control_interval = SimTime::from_us(200);
     let mut tb = echo_pair(5, cfg);
-    // Seed 0 derives the stream from the device id — the exact schedule
-    // the legacy `tx_loss` shim produced.
-    tb.nodes[1].nic.tx_fault = FaultSpec::uniform_loss(0.02, 0);
+    // Seed 0 derives the stream from the port.
+    tb.nodes[0].port.fault = FaultSpec::uniform_loss(0.02, 0);
     let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_secs(5));
     let client = app::<CheckingClient>(&sim, hosts[1]);
@@ -176,8 +176,8 @@ fn loss_recovery_via_slow_path_timeout() {
 #[test]
 fn fault_schedule_with_auditor_all_rpcs_complete() {
     // Deterministic fault schedule on both directions — drops, duplicates,
-    // and reordering on the client NIC (client->network) and on the switch
-    // port toward the client (network->client) — with the per-flow
+    // and reordering on the switch port toward the server (client->server)
+    // and on the one toward the client (server->client) — with the per-flow
     // invariant auditor live on every fast-/slow-path operation. All RPCs
     // must still complete and round-trip intact.
     assert!(
@@ -187,8 +187,8 @@ fn fault_schedule_with_auditor_all_rpcs_complete() {
     let mut cfg = TasConfig::rpc_bench(1, 1);
     cfg.control_interval = SimTime::from_us(200);
     let mut tb = echo_pair(7, cfg);
-    tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.01, 0.01, 0.02, 42);
-    // Port 1 faces the client: faults on the return direction.
+    // Port 0 faces the server, port 1 the client.
+    tb.nodes[0].port.fault = FaultSpec::lossy(0.01, 0.01, 0.02, 42);
     tb.nodes[1].port.fault = FaultSpec::lossy(0.01, 0.01, 0.02, 43);
     let Net {
         mut sim,
@@ -218,12 +218,12 @@ fn fault_schedule_with_auditor_all_rpcs_complete() {
         .sum::<u64>()
             > 0
     };
-    let nic_snap = sim.agent::<TasHost>(hosts[1]).nic().tx_fault_snapshot();
+    let to_server = sim.agent::<Switch>(switches[0]).port_fault_snapshot(0);
     assert!(
-        nic_snap.counter("fault.seen", Scope::Global) > 300,
-        "client NIC injector saw traffic"
+        to_server.counter("fault.seen", Scope::Global) > 300,
+        "server port injector saw traffic"
     );
-    assert!(fired(&nic_snap), "client NIC injector injected faults");
+    assert!(fired(&to_server), "server port injector injected faults");
     let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
     assert!(
         port_snap.counter("fault.seen", Scope::Global) > 300,

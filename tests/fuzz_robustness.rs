@@ -12,7 +12,7 @@ use tas_repro::apps::echo::{EchoServer, ServerMode, SinkClient};
 use tas_repro::baselines::{profiles, StackHost, StackHostConfig};
 use tas_repro::netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_repro::netsim::topo::{build_star, host_ip, HostSpec};
-use tas_repro::netsim::{NetMsg, NicConfig, PortConfig};
+use tas_repro::netsim::{NetMsg, NicConfig, PortConfig, Switch};
 use tas_repro::proto::{Ecn, MacAddr, Segment, TcpFlags, TcpHeader};
 use tas_repro::sim::{impl_as_any, Agent, AgentId, Ctx, Event, Rng, Sim, SimTime};
 use tas_repro::tas::{TasConfig, TasHost};
@@ -519,15 +519,19 @@ fn stacks_survive_corrupting_fault_injector() {
         c.max_requests = 50;
         let stack = |app: Box<dyn App>| testbed::Agent::stack(linux(), app);
         let mut tb = pair(seed, stack(Box::new(echo)), stack(Box::new(c)));
-        tb.nodes[1].nic.tx_fault = spec;
         tb.nodes[0].port.fault = spec;
-        let Net { mut sim, hosts, .. } = build(tb);
+        tb.nodes[1].port.fault = spec;
+        let Net {
+            mut sim,
+            switches,
+            hosts,
+        } = build(tb);
         sim.run_until(SimTime::from_ms(100));
         // Survival is the property; also confirm the injector was live and
         // the hosts are still coherent enough to report state.
-        let nic_snap = sim.agent::<StackHost>(hosts[1]).nic().tx_fault_snapshot();
+        let to_client = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
         assert!(
-            nic_snap.counter("fault.seen", tas_repro::sim::Scope::Global) > 0,
+            to_client.counter("fault.seen", tas_repro::sim::Scope::Global) > 0,
             "case {case}: injector must have seen traffic"
         );
         let _ = sim.agent::<StackHost>(hosts[0]).telemetry_snapshot();

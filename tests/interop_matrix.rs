@@ -55,8 +55,9 @@ fn all_sixteen_stack_pairs_interoperate() {
 
 #[test]
 fn interop_survives_loss() {
-    // TAS server, Linux client, 1% loss on the client NIC: recovery paths
-    // of both stacks must cooperate.
+    // TAS server, Linux client, 1% loss on the client's requests (the
+    // switch port toward the server): recovery paths of both stacks must
+    // cooperate.
     let echo = EchoServer::new(7, 64, ServerMode::Echo, 200);
     let mut c = RpcClient::new(host_ip(0), 7, 4, 1, 64, Lifetime::Persistent);
     c.max_requests = 200;
@@ -65,9 +66,8 @@ fn interop_survives_loss() {
         Agent::stack(tas2(), Box::new(echo)),
         Agent::stack(linux(), Box::new(c)),
     );
-    // Seed 0 derives the stream from the device id — the exact schedule
-    // the legacy `tx_loss` shim produced.
-    tb.nodes[1].nic.tx_fault = FaultSpec::uniform_loss(0.01, 0);
+    // Seed 0 derives the stream from the port.
+    tb.nodes[0].port.fault = FaultSpec::uniform_loss(0.01, 0);
     let Net { mut sim, hosts, .. } = build(tb);
     sim.run_until(SimTime::from_secs(10));
     assert_eq!(

@@ -185,9 +185,10 @@ fn fault_schedule_linux_tas_interop_with_auditors() {
     // inside every TcpConn) are live; all RPCs must complete.
     assert!(tas_tcp::audit::enabled() && tas::audit::enabled());
     let mut tb = echo_pair(linux(), tas1(), 200, Lifetime::Persistent, 60);
-    tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.01, 0.01, 0.02, 61);
-    // Faults toward the server, so the reference TcpConn's reassembler
-    // sees drops, duplicates, and reordering.
+    // Faults toward the client (port 1) and toward the server (port 0),
+    // so the reference TcpConn's reassembler sees drops, duplicates, and
+    // reordering.
+    tb.nodes[1].port.fault = FaultSpec::lossy(0.01, 0.01, 0.02, 61);
     tb.nodes[0].port.fault = FaultSpec::lossy(0.01, 0.01, 0.02, 62);
     let Net {
         mut sim,
@@ -215,8 +216,8 @@ fn fault_schedule_linux_tas_interop_with_auditors() {
         .sum::<u64>()
             > 0
     };
-    let nic_snap = sim.agent::<TasHost>(hosts[1]).nic().tx_fault_snapshot();
-    assert!(nic_snap.counter("fault.seen", Scope::Global) > 200 && fired(&nic_snap));
+    let to_client = sim.agent::<Switch>(switches[0]).port_fault_snapshot(1);
+    assert!(to_client.counter("fault.seen", Scope::Global) > 200 && fired(&to_client));
     let port_snap = sim.agent::<Switch>(switches[0]).port_fault_snapshot(0);
     assert!(port_snap.counter("fault.seen", Scope::Global) > 200 && fired(&port_snap));
     assert!(tas_tcp::audit::checks_performed() > tcp_audits);

@@ -25,8 +25,8 @@ fn reference() -> HostCfg {
 }
 
 /// Builds the standard two-host echo topology with both hosts on the
-/// stack `cfg` makes, optionally with a lossy client NIC, and returns
-/// (sim, server, client).
+/// stack `cfg` makes, optionally with a lossy switch port toward the
+/// server, and returns (sim, server, client).
 fn build_pair(seed: u64, cfg: fn() -> HostCfg, faulty: bool) -> (Sim<NetMsg>, AgentId, AgentId) {
     let mut client = RpcClient::new(host_ip(0), 7, 1, 1, REQ_SIZE, Lifetime::Persistent);
     client.max_requests = 200;
@@ -39,7 +39,7 @@ fn build_pair(seed: u64, cfg: fn() -> HostCfg, faulty: bool) -> (Sim<NetMsg>, Ag
     ];
     let mut tb = Testbed::uniform(seed, PortConfig::tengig(), agents);
     if faulty {
-        tb.nodes[1].nic.tx_fault = FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED);
+        tb.nodes[0].port.fault = FaultSpec::lossy(0.02, 0.01, 0.02, seed ^ 0x5EED);
     }
     let net = build(tb);
     (net.sim, net.hosts[0], net.hosts[1])
