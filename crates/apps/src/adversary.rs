@@ -34,7 +34,7 @@
 )]
 
 use crate::kv;
-use crate::raw::{Profile, RawClient, Rx};
+use crate::raw::{Profile, RawClient, Rx, WATCHDOG};
 use crate::util::SendBuf;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
@@ -197,8 +197,6 @@ pub struct AdversaryConfig {
     pub resp_size: usize,
     /// The attack.
     pub mode: AdvMode,
-    /// Watchdog interval for stalled-request retransmission.
-    pub watchdog: SimTime,
 }
 
 impl AdversaryConfig {
@@ -211,7 +209,6 @@ impl AdversaryConfig {
             req_template: kv::get_request(1),
             resp_size: kv::RESP_LEN,
             mode,
-            watchdog: SimTime::from_ms(50),
         }
     }
 }
@@ -352,7 +349,7 @@ impl Agent<NetMsg> for AdversaryHost {
                 for _ in 0..self.cfg.conns {
                     self.raw.open(ctx);
                 }
-                ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
+                ctx.timer(WATCHDOG, timers::WATCHDOG, 0);
             }
             Event::Timer {
                 kind: timers::WATCHDOG,
@@ -360,9 +357,8 @@ impl Agent<NetMsg> for AdversaryHost {
             } => {
                 let (mode, cursor, log) =
                     (&self.cfg.mode, &mut self.win_cursor, &mut self.adv_history);
-                self.raw
-                    .watchdog(self.cfg.watchdog, ctx, || next_window(mode, cursor, log));
-                ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
+                self.raw.watchdog(ctx, || next_window(mode, cursor, log));
+                ctx.timer(WATCHDOG, timers::WATCHDOG, 0);
             }
             _ => {}
         }

@@ -6,17 +6,13 @@ use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
 use tas_sim::{impl_as_any, SimTime};
 
-/// Streams data on `conns` connections for the whole run (or until
-/// `bytes_per_conn` when nonzero).
+/// Streams data on `conns` connections for the whole run.
 pub struct BulkSender {
     server: Ipv4Addr,
     port: u16,
     n_conns: u32,
-    /// Per-connection byte budget (0 = unlimited).
-    pub bytes_per_conn: u64,
     /// Write chunk size.
     pub chunk: usize,
-    sent: BTreeMap<SockId, u64>,
     /// Total payload bytes accepted by the stack.
     pub total_sent: u64,
     /// The bytes every write sends; grown to the largest chunk asked for.
@@ -24,37 +20,25 @@ pub struct BulkSender {
 }
 
 impl BulkSender {
-    /// Creates a sender with unlimited per-connection budget.
+    /// Creates a sender that writes 8 KiB chunks.
     pub fn new(server: Ipv4Addr, port: u16, conns: u32) -> Self {
         BulkSender {
             server,
             port,
             n_conns: conns,
-            bytes_per_conn: 0,
             chunk: 8192,
-            sent: BTreeMap::new(),
             total_sent: 0,
             fill: Vec::new(),
         }
     }
 
     fn pump(&mut self, sock: SockId, api: &mut dyn StackApi) {
+        let want = self.chunk;
+        if self.fill.len() < want {
+            self.fill.resize(want, 0x6b);
+        }
         loop {
-            let already = *self.sent.get(&sock).unwrap_or(&0);
-            let mut want = self.chunk;
-            if self.bytes_per_conn > 0 {
-                let left = self.bytes_per_conn.saturating_sub(already);
-                if left == 0 {
-                    api.close(sock);
-                    return;
-                }
-                want = want.min(left as usize);
-            }
-            if self.fill.len() < want {
-                self.fill.resize(want, 0x6b);
-            }
             let n = api.send(sock, &self.fill[..want]);
-            *self.sent.entry(sock).or_insert(0) += n as u64;
             self.total_sent += n as u64;
             if n < want {
                 break;

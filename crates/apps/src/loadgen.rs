@@ -10,7 +10,7 @@
 //! client consumes no modeled CPU — exactly like the paper's assumption
 //! that clients are never the bottleneck.
 
-use crate::raw::{Profile, RawClient, RawConn, Rx};
+use crate::raw::{Profile, RawClient, RawConn, Rx, WATCHDOG};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{MacAddr, PayloadBuf, Segment};
@@ -43,10 +43,6 @@ pub struct LoadGenConfig {
     pub resp_size: usize,
     /// Connections opened per millisecond during ramp-up.
     pub connects_per_ms: u32,
-    /// Watchdog interval for stalled-request retransmission.
-    pub watchdog: SimTime,
-    /// Advertised receive window (bytes).
-    pub adv_window: u32,
     /// Request payload template; when `None`, requests are 0x42 filler.
     /// When set, its length overrides `req_size`.
     pub req_template: Option<Vec<u8>>,
@@ -67,8 +63,6 @@ impl Default for LoadGenConfig {
             req_size: 64,
             resp_size: 64,
             connects_per_ms: 400,
-            watchdog: SimTime::from_ms(50),
-            adv_window: 256 * 1024,
             req_template: None,
             stop_at: SimTime::ZERO,
             think: SimTime::ZERO,
@@ -78,6 +72,9 @@ impl Default for LoadGenConfig {
 
 /// The window-scale shift the generator's SYNs offer.
 const WSCALE: u8 = 7;
+
+/// The advertised receive window, 256 KiB scaled by [`WSCALE`].
+const WINDOW: u16 = ((256 * 1024) >> WSCALE) as u16;
 
 /// Local ports 1024 onwards, wrapping after 64,000.
 const PROFILE: Profile = Profile {
@@ -90,8 +87,6 @@ const PROFILE: Profile = Profile {
 pub struct LoadGenHost {
     cfg: LoadGenConfig,
     raw: RawClient,
-    /// The advertised window, scaled by [`WSCALE`].
-    window: u16,
     /// Completed request/response exchanges.
     pub done: u64,
     /// Requests sent (first transmissions).
@@ -126,7 +121,6 @@ impl LoadGenHost {
         let server = SocketAddrV4::new(cfg.server, cfg.port);
         let raw = RawClient::new(ip, mac, nic, server, PROFILE, req, cfg.resp_size);
         LoadGenHost {
-            window: ((cfg.adv_window >> WSCALE) as u16).max(1),
             cfg,
             raw,
             done: 0,
@@ -155,13 +149,13 @@ impl LoadGenHost {
     }
 
     fn fire_request(&mut self, idx: u32, ctx: &mut Ctx<'_, NetMsg>) {
-        self.raw.request(idx, self.window, ctx);
+        self.raw.request(idx, WINDOW, ctx);
         self.sent += 1;
     }
 
     fn ack(&mut self, idx: u32, ctx: &mut Ctx<'_, NetMsg>) {
         let ack = self.raw.cum_ack(idx);
-        self.raw.ack(idx, ack, self.window, ctx);
+        self.raw.ack(idx, ack, WINDOW, ctx);
     }
 
     fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
@@ -218,7 +212,7 @@ impl Agent<NetMsg> for LoadGenHost {
                 kind: timers::INIT, ..
             } => {
                 ctx.timer(SimTime::ZERO, timers::CONNECT, 0);
-                ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
+                ctx.timer(WATCHDOG, timers::WATCHDOG, 0);
             }
             Event::Timer {
                 kind: timers::CONNECT,
@@ -237,9 +231,8 @@ impl Agent<NetMsg> for LoadGenHost {
                 kind: timers::WATCHDOG,
                 ..
             } => {
-                let window = self.window;
-                self.rexmits += self.raw.watchdog(self.cfg.watchdog, ctx, || window);
-                ctx.timer(self.cfg.watchdog, timers::WATCHDOG, 0);
+                self.rexmits += self.raw.watchdog(ctx, || WINDOW);
+                ctx.timer(WATCHDOG, timers::WATCHDOG, 0);
             }
             Event::Timer {
                 kind: timers::FIRE,

@@ -24,6 +24,10 @@ use tas_netsim::{HostNic, NetMsg};
 use tas_proto::{MacAddr, PayloadBuf, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::{Ctx, SimTime};
 
+/// The watchdog period, and how long a request or handshake may make no
+/// progress before the sweep resends it.
+pub(crate) const WATCHDOG: SimTime = SimTime::from_ms(50);
+
 /// How an agent's connections differ on the wire. Connection `i` binds
 /// local port `base + i % ports` (a port reused by a later connection
 /// maps to that one), and its SYN offers window scale `wscale`.
@@ -225,21 +229,16 @@ impl RawClient {
         Rx::Span { idx, seq, len, got }
     }
 
-    /// The watchdog sweep. Each established connection whose request has
-    /// made no progress for longer than `stall` resends it from its first
-    /// byte, with the cumulative ACK and the advertised window `window`
-    /// returns; then each handshake stalled as long resends its SYN.
-    /// Returns the number of requests resent.
-    pub fn watchdog(
-        &mut self,
-        stall: SimTime,
-        ctx: &mut Ctx<'_, NetMsg>,
-        mut window: impl FnMut() -> u16,
-    ) -> u64 {
+    /// The watchdog sweep, run every [`WATCHDOG`]. Each established
+    /// connection whose request has made no progress for longer than that
+    /// resends it from its first byte, with the cumulative ACK and the
+    /// advertised window `window` returns; then each handshake stalled as
+    /// long resends its SYN. Returns the number of requests resent.
+    pub fn watchdog(&mut self, ctx: &mut Ctx<'_, NetMsg>, mut window: impl FnMut() -> u16) -> u64 {
         let (now, mut resent) = (ctx.now(), 0);
         for i in 0..self.conns.len() {
             let c = &mut self.conns[i];
-            if c.established && c.awaiting > 0 && now - c.last_progress > stall {
+            if c.established && c.awaiting > 0 && now - c.last_progress > WATCHDOG {
                 c.last_progress = now;
                 let ack = c.cum_ack();
                 self.send(i, ack, window(), self.req.clone(), ctx);
@@ -248,7 +247,7 @@ impl RawClient {
         }
         for i in 0..self.conns.len() {
             let c = &mut self.conns[i];
-            if !c.established && now - c.last_progress > stall {
+            if !c.established && now - c.last_progress > WATCHDOG {
                 c.last_progress = now;
                 self.syn(i, ctx);
             }

@@ -53,10 +53,6 @@ pub enum ThreadModel {
     SplitBatched {
         /// Cores reserved for the stack (out of the host total).
         stack_cores: usize,
-        /// Events per batch before an eager flush.
-        batch: usize,
-        /// Maximum time events wait before a flush.
-        flush: SimTime,
     },
     /// Intra-process MPK-protected dataplane: run-to-completion on app
     /// cores with per-core partitioned state, but every app↔stack
@@ -75,23 +71,28 @@ pub enum ThreadModel {
     OffPathNic {
         /// Cores dedicated to the on-NIC stack (out of the host total).
         nic_cores: usize,
-        /// NIC core clock; host cores keep the config's `freq_hz`.
-        nic_freq_hz: u64,
         /// The modeled PCIe/DMA boundary.
         pcie: PcieModel,
     },
 }
 
+/// Core clock of every host-class core (the paper's server: 2.1 GHz).
+const FREQ_HZ: u64 = 2_100_000_000;
+/// Clock of the off-path model's wimpy NIC cores.
+const NIC_FREQ_HZ: u64 = 800_000_000;
+/// mTCP: events per batch before an eager flush.
+const MTCP_BATCH: usize = 32;
+/// mTCP: longest time an event waits for its batch to flush.
+const MTCP_FLUSH: SimTime = SimTime::from_us(100);
+
 /// Configuration of a baseline host.
 #[derive(Clone, Debug)]
 pub struct StackHostConfig {
-    /// Core clock.
-    pub freq_hz: u64,
     /// Total cores.
     pub cores: usize,
     /// Threading model.
     pub model: ThreadModel,
-    /// TCP parameters (congestion control, buffers, recovery mode).
+    /// TCP parameters (congestion control, ECN, buffers, RTO bounds).
     pub tcp: TcpConfig,
     /// Effective cache available for connection state: machine-wide for
     /// shared-state stacks, divided per core for partitioned ones.
@@ -106,7 +107,6 @@ impl StackHostConfig {
     /// 33 MB aggregate cache).
     pub fn linux(cores: usize) -> Self {
         StackHostConfig {
-            freq_hz: 2_100_000_000,
             cores,
             model: ThreadModel::InKernel,
             tcp: TcpConfig {
@@ -135,11 +135,7 @@ impl StackHostConfig {
     /// stack.
     pub fn mtcp(cores: usize, stack_cores: usize) -> Self {
         let mut cfg = StackHostConfig::linux(cores);
-        cfg.model = ThreadModel::SplitBatched {
-            stack_cores,
-            batch: 32,
-            flush: SimTime::from_us(100),
-        };
+        cfg.model = ThreadModel::SplitBatched { stack_cores };
         cfg.tcp.rto_min = SimTime::from_ms(10);
         cfg
     }
@@ -163,7 +159,6 @@ impl StackHostConfig {
         let mut cfg = StackHostConfig::linux(host_cores + nic_cores);
         cfg.model = ThreadModel::OffPathNic {
             nic_cores,
-            nic_freq_hz: 800_000_000,
             pcie: PcieModel::gen3_x8(),
         };
         cfg.cache_bytes = 6 << 20;
@@ -308,15 +303,11 @@ impl StackHost {
         nic_cfg.rx_queues = cfg.cores;
         let nic = HostNic::new(mac, nic_cfg, uplink);
         let cores = match cfg.model {
-            ThreadModel::OffPathNic {
-                nic_cores,
-                nic_freq_hz,
-                ..
-            } => CorePool::heterogeneous(&[
-                (CoreClass::Nic, nic_cores, nic_freq_hz),
-                (CoreClass::Host, cfg.cores - nic_cores, cfg.freq_hz),
+            ThreadModel::OffPathNic { nic_cores, .. } => CorePool::heterogeneous(&[
+                (CoreClass::Nic, nic_cores, NIC_FREQ_HZ),
+                (CoreClass::Host, cfg.cores - nic_cores, FREQ_HZ),
             ]),
-            _ => CorePool::new(cfg.cores, cfg.freq_hz),
+            _ => CorePool::new(cfg.cores, FREQ_HZ),
         };
         let app_core_count = cfg.cores;
         let rt = AppRuntime::new(app, app_core_count);
@@ -646,14 +637,14 @@ impl StackHost {
 
     fn route_app_event(&mut self, slot: u32, ev: AppEvent, t: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         match self.inner.cfg.model {
-            ThreadModel::SplitBatched { batch, flush, .. } => {
+            ThreadModel::SplitBatched { .. } => {
                 let app_core = Self::app_core_of(&self.inner, slot);
                 self.inner.batches[app_core].push(ev);
-                if self.inner.batches[app_core].len() >= batch {
+                if self.inner.batches[app_core].len() >= MTCP_BATCH {
                     self.flush_batch(app_core, t, ctx);
                 } else if !self.inner.batch_armed[app_core] {
                     self.inner.batch_armed[app_core] = true;
-                    ctx.timer_at(t + flush, timers::BATCH, app_core as u64);
+                    ctx.timer_at(t + MTCP_FLUSH, timers::BATCH, app_core as u64);
                 }
             }
             model => {

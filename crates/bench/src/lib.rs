@@ -323,7 +323,6 @@ impl RpcScenario {
                 conns: per_client + u32::from(i < remainder),
                 req_size: self.req_size,
                 resp_size: self.resp_size.unwrap_or(self.req_size),
-                connects_per_ms: 400,
                 req_template: self.req_template.clone(),
                 ..LoadGenConfig::default()
             })

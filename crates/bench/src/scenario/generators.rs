@@ -5,7 +5,7 @@
 //! (same shape, rate, and host count) so the per-scenario bounds are
 //! comparable: what changes is only who else is on the server.
 
-use super::{Flash, IsolationBounds, Role, ScenarioSpec, Tenant, TrafficShape, WanProfile};
+use super::{Flash, IsolationBounds, Role, ScenarioSpec, Tenant, TrafficShape};
 use tas_sim::SimTime;
 
 /// The standard victim: one host of open-loop zipf KV load at a rate the
@@ -102,7 +102,7 @@ pub fn wan_loss() -> ScenarioSpec {
                 TrafficShape::KvClosed { conns: 8 },
                 2,
             )
-            .over_wan(WanProfile::lossy_wan()),
+            .over_wan(),
         )
         .bounds(
             IsolationBounds {

@@ -130,36 +130,6 @@ pub struct Flash {
     pub rate_mult: u64,
 }
 
-/// Per-tenant WAN emulation on the tenant's access links: a
-/// Gilbert–Elliott loss process plus extra propagation delay and jitter.
-#[derive(Clone, Copy, Debug)]
-pub struct WanProfile {
-    /// P(good → bad) per packet.
-    pub p_enter_bad: f64,
-    /// P(bad → good) per packet.
-    pub p_exit_bad: f64,
-    /// Loss probability while in the bad state.
-    pub bad_loss: f64,
-    /// One-way propagation delay of the tenant's access link.
-    pub prop_delay: SimTime,
-    /// Uniform extra delivery jitter in `[0, jitter]`.
-    pub jitter: SimTime,
-}
-
-impl WanProfile {
-    /// A moderately bursty continental WAN path: ~0.3% average loss
-    /// concentrated in bursts, 2 ms one-way delay, 50 µs jitter.
-    pub fn lossy_wan() -> WanProfile {
-        WanProfile {
-            p_enter_bad: 0.002,
-            p_exit_bad: 0.2,
-            bad_loss: 0.3,
-            prop_delay: SimTime::from_ms(2),
-            jitter: SimTime::from_us(50),
-        }
-    }
-}
-
 /// One tenant of a scenario.
 #[derive(Clone, Debug)]
 pub struct Tenant {
@@ -181,8 +151,9 @@ pub struct Tenant {
     pub stop: Option<SimTime>,
     /// Optional flash crowd (KvOpen only).
     pub flash: Option<Flash>,
-    /// Optional WAN profile on this tenant's access links.
-    pub wan: Option<WanProfile>,
+    /// This tenant's access links emulate a bursty-loss WAN path
+    /// (`runner::wan_port`).
+    pub wan: bool,
 }
 
 impl Tenant {
@@ -198,7 +169,7 @@ impl Tenant {
             start: SimTime::ZERO,
             stop: None,
             flash: None,
-            wan: None,
+            wan: false,
         }
     }
 
@@ -214,9 +185,9 @@ impl Tenant {
         self
     }
 
-    /// Puts this tenant behind a WAN profile.
-    pub fn over_wan(mut self, w: WanProfile) -> Tenant {
-        self.wan = Some(w);
+    /// Puts this tenant behind the bursty-loss WAN path.
+    pub fn over_wan(mut self) -> Tenant {
+        self.wan = true;
         self
     }
 }

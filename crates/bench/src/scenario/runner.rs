@@ -47,18 +47,21 @@ fn plans(spec: &ScenarioSpec) -> Vec<Tenant> {
     spec.tenants.iter().flat_map(per_tenant).collect()
 }
 
-fn wan_port(w: &super::WanProfile, seed: u64) -> PortConfig {
+/// A WAN tenant's access port: a moderately bursty continental path with
+/// ~0.3 % average loss concentrated in Gilbert–Elliott bursts, 2 ms
+/// one-way delay and up to 50 µs of uniform extra jitter.
+fn wan_port(seed: u64) -> PortConfig {
     let mut p = PortConfig::tengig();
-    p.prop_delay = w.prop_delay;
+    p.prop_delay = SimTime::from_ms(2);
     p.fault = FaultSpec {
         seed,
         drop: DropModel::GilbertElliott {
-            p_enter_bad: w.p_enter_bad,
-            p_exit_bad: w.p_exit_bad,
+            p_enter_bad: 0.002,
+            p_exit_bad: 0.2,
             good_loss: 0.0,
-            bad_loss: w.bad_loss,
+            bad_loss: 0.3,
         },
-        jitter: w.jitter,
+        jitter: SimTime::from_us(50),
         ..FaultSpec::none()
     };
     p
@@ -140,8 +143,8 @@ fn testbed(spec: &ScenarioSpec, server: HostCfg) -> Testbed {
         tb.nodes[0].port.ecn_threshold_pkts = Some(e);
     }
     for ((i, plan), node) in (1u64..).zip(&plans).zip(&mut tb.nodes[1..]) {
-        if let Some(w) = &plan.wan {
-            node.port = wan_port(w, spec.seed ^ (0x5ce0 + i));
+        if plan.wan {
+            node.port = wan_port(spec.seed ^ (0x5ce0 + i));
         }
         node.start = plan.start + SimTime::from_us(i - 1);
         node.tenant = Some(plan.id);

@@ -1038,7 +1038,7 @@ pub mod designspace {
         cfg.model = ThreadModel::MpkDataplane {
             crossing: Crossing::new(CrossingKind::Wrpkru, crossing_cycles),
         };
-        HostCfg::Model(profiles::mpk(), cfg)
+        HostCfg::Model(Box::new(profiles::mpk()), cfg)
     }
 
     /// An off-path-NIC server with an explicit PCIe one-way latency
@@ -1048,7 +1048,7 @@ pub mod designspace {
         if let ThreadModel::OffPathNic { pcie, .. } = &mut cfg.model {
             *pcie = pcie.with_latency(latency);
         }
-        HostCfg::Model(profiles::pno(), cfg)
+        HostCfg::Model(Box::new(profiles::pno()), cfg)
     }
 
     /// Runs the Fig. 9-shape KV latency scenario against a server on the
@@ -1423,7 +1423,7 @@ pub mod fig11 {
                     ..TcpConfig::default()
                 };
                 cfg.max_core_backlog = SimTime::from_ms(50);
-                return HostCfg::Model(profiles::ix(), cfg);
+                return HostCfg::Model(Box::new(profiles::ix()), cfg);
             }
         };
         let mut cfg = HostCfg::new(Kind::TasSockets, (cores, cores), buf);
@@ -1529,7 +1529,6 @@ pub mod fig12 {
     use super::fig11::{flow_gen, node_cfg, Cc};
     use super::*;
     use tas_apps::flows::FlowSink;
-    use tas_netsim::topo::FatTreeConfig;
 
     /// FatTree arity.
     fn k() -> usize {
@@ -1559,10 +1558,7 @@ pub mod fig12 {
             };
             Node::new(Agent::stack(node_cfg(cc, 1, 128 * 1024), app))
         };
-        let fabric = Fabric::FatTree(FatTreeConfig {
-            k: k(),
-            ..FatTreeConfig::paper_scaled()
-        });
+        let fabric = Fabric::FatTree(k());
         let nodes = (0..n_hosts).map(node).collect();
         let tb = Testbed {
             seed,

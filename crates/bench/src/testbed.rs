@@ -30,7 +30,7 @@ use tas_apps::adversary::{AdversaryConfig, AdversaryHost};
 use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
 use tas_baselines::{profiles, StackHost, StackHostConfig, StackProfile};
 use tas_netsim::app::App;
-use tas_netsim::topo::{build_fattree, build_star, FatTreeConfig, HostSpec};
+use tas_netsim::topo::{build_fattree, build_star, HostSpec};
 use tas_netsim::{NetMsg, NicConfig, PortConfig, Switch};
 use tas_sim::{AgentId, Sim, SimTime};
 
@@ -40,7 +40,7 @@ pub enum HostCfg {
     /// A TAS host.
     Tas(TasConfig),
     /// One of the baseline stack models.
-    Model(StackProfile, StackHostConfig),
+    Model(Box<StackProfile>, StackHostConfig),
 }
 
 impl HostCfg {
@@ -66,8 +66,6 @@ impl HostCfg {
                 // congestion control, bulk/pipelined scenarios collapse the
                 // shared switch queue.
                 cfg.cc = CcAlgo::DctcpRate;
-                cfg.initial_rate_bps = 1_000_000_000;
-                cfg.control_interval = SimTime::from_us(200);
                 // Closed-loop macrobenchmarks keep up to one request per
                 // connection outstanding; deep rings absorb them (the paper's
                 // clients "wait in a closed loop" with up to 96k in flight).
@@ -90,7 +88,7 @@ impl HostCfg {
         };
         (cfg.tcp.recv_buf, cfg.tcp.send_buf) = (buf, buf);
         cfg.max_core_backlog = SimTime::from_ms(50);
-        HostCfg::Model(profile, cfg)
+        HostCfg::Model(Box::new(profile), cfg)
     }
 
     /// The stack's family name: `tas`, or the baseline profile's name.
@@ -152,9 +150,9 @@ impl Node {
 pub enum Fabric {
     /// One switch; each node brings its own port and NIC.
     Star,
-    /// A k-ary FatTree with one node per host slot, in the tree's host
-    /// order.
-    FatTree(FatTreeConfig),
+    /// A k-ary FatTree (`topo::build_fattree`) with one node per host
+    /// slot, in the tree's host order.
+    FatTree(usize),
 }
 
 /// A simulation described as data.
@@ -220,7 +218,7 @@ fn add_host(sim: &mut Sim<NetMsg>, spec: HostSpec, agent: Agent, tenant: Option<
                 sim.add_agent(Box::new(TasHost::new(ip, mac, nic, cfg, uplink, app)))
             }
             HostCfg::Model(profile, cfg) => {
-                let host = StackHost::new(ip, mac, nic, profile, cfg, uplink, app);
+                let host = StackHost::new(ip, mac, nic, *profile, cfg, uplink, app);
                 sim.add_agent(Box::new(host))
             }
         },
@@ -262,9 +260,9 @@ pub fn build(tb: Testbed) -> Net {
             let topo = build_star(&mut sim, n, port, nic, &mut place);
             (vec![topo.switch], topo.hosts)
         }
-        Fabric::FatTree(cfg) => {
-            debug_assert_eq!(n, cfg.k.pow(3) / 4, "one node per FatTree host slot");
-            let topo = build_fattree(&mut sim, cfg, &mut place);
+        Fabric::FatTree(k) => {
+            debug_assert_eq!(n, k.pow(3) / 4, "one node per FatTree host slot");
+            let topo = build_fattree(&mut sim, k, &mut place);
             ([topo.edges, topo.aggs, topo.cores].concat(), topo.hosts)
         }
     };

@@ -10,7 +10,7 @@ use tas_apps::echo::{EchoServer, ServerMode};
 use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
 use tas_bench::testbed::{build, Agent, Fabric, Node, Testbed};
 use tas_bench::{host, HostCfg, Kind, ECHO_BUF, KV_BUF};
-use tas_netsim::topo::{host_ip, FatTreeConfig};
+use tas_netsim::topo::host_ip;
 use tas_netsim::{FaultSpec, PortConfig, Switch};
 use tas_sim::{Scope, SimTime};
 
@@ -52,15 +52,11 @@ fn star_switch_comes_first_then_one_agent_per_node_in_order() {
 
 #[test]
 fn fattree_hosts_follow_the_switches_in_node_order() {
-    let cfg = FatTreeConfig {
-        k: 4,
-        ..FatTreeConfig::paper_scaled()
-    };
     let mut nodes: Vec<Node> = (0..16).map(|_| Node::new(load_gen())).collect();
     nodes[5] = Node::new(echo_server());
     let tb = Testbed {
         seed: 2,
-        fabric: Fabric::FatTree(cfg),
+        fabric: Fabric::FatTree(4),
         nodes,
     };
     let net = build(tb);

@@ -143,15 +143,6 @@ impl CycleAccount {
         }
     }
 
-    /// Average instructions per completed request.
-    pub fn instructions_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_instructions() as f64 / self.requests as f64
-        }
-    }
-
     /// Cycles per instruction over everything charged.
     pub fn cpi(&self) -> f64 {
         let i = self.total_instructions();
@@ -196,7 +187,6 @@ mod tests {
             a.add_request();
         }
         assert!((a.cycles_per_request() - 100.0).abs() < 1e-9);
-        assert!((a.instructions_per_request() - 50.0).abs() < 1e-9);
         assert!((a.cpi() - 2.0).abs() < 1e-9);
     }
 

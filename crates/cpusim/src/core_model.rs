@@ -97,11 +97,6 @@ impl Core {
         SimTime::from_ps(mul_div(cycles, 1_000_000_000_000, self.freq_hz))
     }
 
-    /// Converts wall time to cycles on this core.
-    pub fn time_to_cycles(&self, t: SimTime) -> u64 {
-        mul_div(t.as_ps(), self.freq_hz, 1_000_000_000_000)
-    }
-
     /// Schedules `cycles` of work arriving at `now`; returns the start and
     /// completion instants.
     pub fn run(&mut self, now: SimTime, cycles: u64) -> (SimTime, SimTime) {
@@ -262,16 +257,6 @@ mod tests {
         // Arrives after idle gap: starts immediately.
         let (s3, _) = c.run(SimTime::from_ns(500), 10);
         assert_eq!(s3, SimTime::from_ns(500));
-    }
-
-    #[test]
-    fn cycle_time_conversions_invert() {
-        let c = Core::new(2_100_000_000);
-        for cycles in [1u64, 100, 2_100, 1_000_000] {
-            let t = c.cycles_to_time(cycles);
-            let back = c.time_to_cycles(t);
-            assert!(back.abs_diff(cycles) <= 1, "{cycles} -> {t} -> {back}");
-        }
     }
 
     #[test]

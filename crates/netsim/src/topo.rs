@@ -92,41 +92,14 @@ pub fn build_star(
     StarTopo { switch, hosts }
 }
 
-/// Link-rate configuration of a FatTree (allows modelling the paper's 1:4
-/// oversubscription by reducing `agg_core_rate`).
-#[derive(Clone, Copy, Debug)]
-pub struct FatTreeConfig {
-    /// Tree arity `k` (hosts = k³/4). Must be even and ≥ 2.
-    pub k: usize,
-    /// Host ↔ edge link rate (bps).
-    pub host_rate: u64,
-    /// Edge ↔ aggregation link rate (bps).
-    pub edge_agg_rate: u64,
-    /// Aggregation ↔ core link rate (bps); reduce for oversubscription.
-    pub agg_core_rate: u64,
-    /// Per-hop propagation delay.
-    pub prop_delay: SimTime,
-    /// Queue capacity per port in packets.
-    pub queue_cap_pkts: usize,
-    /// ECN threshold in packets.
-    pub ecn_threshold_pkts: Option<usize>,
-}
-
-impl FatTreeConfig {
-    /// The scaled-down stand-in for the paper's 2560-host cluster: k = 8
-    /// (128 hosts, 80 switches), 10G host links, 1:4 oversubscribed core.
-    pub fn paper_scaled() -> FatTreeConfig {
-        FatTreeConfig {
-            k: 8,
-            host_rate: 10_000_000_000,
-            edge_agg_rate: 10_000_000_000,
-            agg_core_rate: 10_000_000_000 / 4,
-            prop_delay: SimTime::from_us(2),
-            queue_cap_pkts: 256,
-            ecn_threshold_pkts: Some(65),
-        }
-    }
-}
+/// FatTree host and edge ↔ aggregation link rate (10G).
+const FATTREE_RATE: u64 = 10_000_000_000;
+/// Aggregation ↔ core link rate: the paper's 1:4 oversubscribed core.
+const FATTREE_CORE_RATE: u64 = FATTREE_RATE / 4;
+/// Per-hop propagation delay inside a FatTree.
+const FATTREE_PROP_DELAY: SimTime = SimTime::from_us(2);
+/// Queue capacity of every FatTree switch port, in packets.
+const FATTREE_QUEUE_PKTS: usize = 256;
 
 /// A k-ary FatTree.
 #[derive(Debug)]
@@ -143,26 +116,22 @@ pub struct FatTreeTopo {
     pub cores: Vec<AgentId>,
 }
 
-/// Builds a k-ary FatTree with standard two-level ECMP routing:
-/// edge → all aggs (up-default), agg → all cores (up-default), and exact
-/// down-routes for every host IP.
+/// Builds a k-ary FatTree (hosts = k³/4; `k` even and ≥ 2) with 10G
+/// host and edge links, a 1:4 oversubscribed core, and standard
+/// two-level ECMP routing: edge → all aggs (up-default), agg → all cores
+/// (up-default), and exact down-routes for every host IP.
 pub fn build_fattree(
     sim: &mut Sim<NetMsg>,
-    cfg: FatTreeConfig,
+    k: usize,
     make_host: &mut HostFactory<'_>,
 ) -> FatTreeTopo {
-    assert!(
-        cfg.k >= 2 && cfg.k.is_multiple_of(2),
-        "k must be even and >= 2"
-    );
-    let k = cfg.k;
+    assert!(k >= 2 && k.is_multiple_of(2), "k must be even and >= 2");
     let half = k / 2;
     let n_hosts = k * k * k / 4;
     let port = |rate: u64| PortConfig {
         rate_bps: rate,
-        prop_delay: cfg.prop_delay,
-        queue_cap_pkts: cfg.queue_cap_pkts,
-        ecn_threshold_pkts: cfg.ecn_threshold_pkts,
+        prop_delay: FATTREE_PROP_DELAY,
+        queue_cap_pkts: FATTREE_QUEUE_PKTS,
         ..PortConfig::tengig()
     };
 
@@ -195,15 +164,15 @@ pub fn build_fattree(
             mac: host_mac(idx),
             uplink: edge,
             nic: NicConfig {
-                rate_bps: cfg.host_rate,
-                prop_delay: cfg.prop_delay,
+                rate_bps: FATTREE_RATE,
+                prop_delay: FATTREE_PROP_DELAY,
                 rx_queues: 1,
             },
             tenant: 0,
         };
         let host = make_host(sim, spec);
         let sw = sim.agent_mut::<Switch>(edge);
-        let p = sw.add_port(host, port(cfg.host_rate));
+        let p = sw.add_port(host, port(FATTREE_RATE));
         sw.set_route(ip, vec![p]);
         hosts.push(host);
         ips.push(ip);
@@ -218,11 +187,11 @@ pub fn build_fattree(
                 let agg = aggs[pod * half + a];
                 let pe = sim
                     .agent_mut::<Switch>(edge)
-                    .add_port(agg, port(cfg.edge_agg_rate));
+                    .add_port(agg, port(FATTREE_RATE));
                 up.push(pe);
                 let pa = sim
                     .agent_mut::<Switch>(agg)
-                    .add_port(edge, port(cfg.edge_agg_rate));
+                    .add_port(edge, port(FATTREE_RATE));
                 // Agg's down-routes: all hosts under this edge.
                 for h in 0..half {
                     let idx = pod * half * half + e * half + h;
@@ -243,11 +212,11 @@ pub fn build_fattree(
                 let core = cores[a * half + c];
                 let pa = sim
                     .agent_mut::<Switch>(agg)
-                    .add_port(core, port(cfg.agg_core_rate));
+                    .add_port(core, port(FATTREE_CORE_RATE));
                 up.push(pa);
                 let pc = sim
                     .agent_mut::<Switch>(core)
-                    .add_port(agg, port(cfg.agg_core_rate));
+                    .add_port(agg, port(FATTREE_CORE_RATE));
                 // Core's down-routes: every host in this pod via this agg.
                 for ip in &ips[pod * half * half..(pod + 1) * half * half] {
                     sim.agent_mut::<Switch>(core).set_route(*ip, vec![pc]);
@@ -354,11 +323,7 @@ mod tests {
     fn fattree_k4_all_pairs_reachable() {
         let mut sim: Sim<NetMsg> = Sim::new(3);
         let mut f = echo_factory();
-        let cfg = FatTreeConfig {
-            k: 4,
-            ..FatTreeConfig::paper_scaled()
-        };
-        let topo = build_fattree(&mut sim, cfg, &mut f);
+        let topo = build_fattree(&mut sim, 4, &mut f);
         assert_eq!(topo.hosts.len(), 16);
         assert_eq!(topo.edges.len(), 8);
         assert_eq!(topo.aggs.len(), 8);
@@ -394,7 +359,7 @@ mod tests {
     fn fattree_k8_scaled_sizes_match_design() {
         let mut sim: Sim<NetMsg> = Sim::new(4);
         let mut f = echo_factory();
-        let topo = build_fattree(&mut sim, FatTreeConfig::paper_scaled(), &mut f);
+        let topo = build_fattree(&mut sim, 8, &mut f);
         assert_eq!(topo.hosts.len(), 128);
         assert_eq!(topo.edges.len() + topo.aggs.len() + topo.cores.len(), 80);
     }

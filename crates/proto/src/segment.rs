@@ -3,7 +3,7 @@
 use crate::eth::{EthHeader, MacAddr};
 use crate::ipv4::{Ecn, Ipv4Header};
 use crate::payload::PayloadBuf;
-use crate::tcp::{TcpFlags, TcpHeader};
+use crate::tcp::TcpHeader;
 use std::net::Ipv4Addr;
 
 /// A full Ethernet/IPv4/TCP packet in structured form.
@@ -63,19 +63,6 @@ impl Segment {
     /// Bytes this packet occupies on the wire.
     pub fn wire_len(&self) -> usize {
         EthHeader::LEN + Ipv4Header::LEN + self.tcp.wire_len() + self.payload.len()
-    }
-
-    /// Length the segment occupies in sequence space (payload plus one for
-    /// each of SYN and FIN).
-    pub fn seq_space_len(&self) -> u32 {
-        let mut n = self.payload_len();
-        if self.tcp.flags.contains(TcpFlags::SYN) {
-            n += 1;
-        }
-        if self.tcp.flags.contains(TcpFlags::FIN) {
-            n += 1;
-        }
-        n
     }
 
     /// The flow key from the receiver's perspective.
@@ -157,7 +144,7 @@ impl std::fmt::Display for FlowKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::TcpHeader;
+    use crate::tcp::TcpFlags;
 
     fn sample(flags: TcpFlags, payload: usize) -> Segment {
         Segment::tcp(
@@ -176,13 +163,6 @@ mod tests {
         let s = sample(TcpFlags::ACK, 64);
         assert_eq!(s.wire_len(), 14 + 20 + 20 + 64);
         assert_eq!(s.ip.total_len, 20 + 20 + 64);
-    }
-
-    #[test]
-    fn seq_space_len_counts_syn_fin() {
-        assert_eq!(sample(TcpFlags::ACK, 10).seq_space_len(), 10);
-        assert_eq!(sample(TcpFlags::SYN, 0).seq_space_len(), 1);
-        assert_eq!(sample(TcpFlags::FIN | TcpFlags::ACK, 5).seq_space_len(), 6);
     }
 
     #[test]

@@ -166,11 +166,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile (0 when empty).
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.counts.len() > self.counts.len() {
@@ -716,7 +711,7 @@ mod tests {
         // An empty distribution has no quantiles, and the named accessors
         // all agree on the 0 fallback.
         assert_eq!(h.try_quantile(0.5), None);
-        assert_eq!((h.p50(), h.p90(), h.p99(), h.p999()), (0, 0, 0, 0));
+        assert_eq!((h.p50(), h.p90(), h.p99(), h.quantile(0.999)), (0, 0, 0, 0));
     }
 
     #[test]
@@ -728,7 +723,7 @@ mod tests {
                 assert_eq!(h.quantile(q), v, "q={q} v={v}");
             }
             assert_eq!(h.try_quantile(0.5), Some(v));
-            assert_eq!((h.p50(), h.p90(), h.p99(), h.p999()), (v, v, v, v));
+            assert_eq!((h.p50(), h.p90(), h.p99(), h.quantile(0.999)), (v, v, v, v));
         }
     }
 
@@ -738,7 +733,10 @@ mod tests {
         for v in 1..=100_000u64 {
             h.record(v);
         }
-        for (got, want) in [(h.p90() as f64, 90_000.0), (h.p999() as f64, 99_900.0)] {
+        for (got, want) in [
+            (h.p90() as f64, 90_000.0),
+            (h.quantile(0.999) as f64, 99_900.0),
+        ] {
             assert!((got - want).abs() / want < 0.04, "got {got}, want {want}");
         }
         // Two samples: p50 hits the first, high quantiles the second.
@@ -746,7 +744,7 @@ mod tests {
         h2.record(10);
         h2.record(1_000_000);
         assert_eq!(h2.p50(), 10);
-        assert_eq!(h2.p999(), 1_000_000);
+        assert_eq!(h2.quantile(0.999), 1_000_000);
     }
 
     #[test]

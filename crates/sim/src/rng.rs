@@ -41,12 +41,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent child generator (stable function of this
-    /// generator's next output); used to give each agent its own stream.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -186,14 +180,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_differ() {
-        let mut r = Rng::new(5);
-        let mut f1 = r.fork();
-        let mut f2 = r.fork();
-        assert_ne!(f1.next_u64(), f2.next_u64());
     }
 
     #[test]

@@ -124,17 +124,6 @@ impl SimTime {
             rhs
         }
     }
-
-    /// Multiplies a duration by a floating point factor (used by jittered
-    /// timers and rate computations). Result saturates at [`SimTime::MAX`].
-    pub fn mul_f64(self, f: f64) -> SimTime {
-        let v = self.0 as f64 * f;
-        if v >= u64::MAX as f64 {
-            SimTime::MAX
-        } else {
-            SimTime(v.max(0.0) as u64)
-        }
-    }
 }
 
 impl Add for SimTime {
@@ -255,13 +244,6 @@ mod tests {
         assert_eq!(a / 2, SimTime::from_us(5));
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
-    }
-
-    #[test]
-    fn mul_f64_saturates() {
-        assert_eq!(SimTime::MAX.mul_f64(2.0), SimTime::MAX);
-        assert_eq!(SimTime::from_us(10).mul_f64(0.5), SimTime::from_us(5));
-        assert_eq!(SimTime::from_us(10).mul_f64(-1.0), SimTime::ZERO);
     }
 
     #[test]

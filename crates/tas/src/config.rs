@@ -67,28 +67,34 @@ pub struct TasCosts {
     pub wake_cycles: u64,
 }
 
+/// The calibrated fast-path and libTAS costs every TAS host charges.
+pub const COSTS: TasCosts = TasCosts {
+    drv_rx: 35,
+    drv_tx: 28,
+    tcp_rx_data: 255,
+    tcp_rx_ack: 150,
+    tcp_ack_gen: 95,
+    tcp_tx_seg: 225,
+    tcp_tx_cmd: 85,
+    so_poll: 150,
+    so_recv: 200,
+    so_send: 270,
+    ll_op: 56,
+    sp_conn_op: 900,
+    so_conn_op: 450,
+    rx_bump: 40,
+    ipc_times_100: 152,
+    wake_cycles: 6_000,
+};
+
 impl Default for TasCosts {
     fn default() -> Self {
-        TasCosts {
-            drv_rx: 35,
-            drv_tx: 28,
-            tcp_rx_data: 255,
-            tcp_rx_ack: 150,
-            tcp_ack_gen: 95,
-            tcp_tx_seg: 225,
-            tcp_tx_cmd: 85,
-            so_poll: 150,
-            so_recv: 200,
-            so_send: 270,
-            ll_op: 56,
-            sp_conn_op: 900,
-            so_conn_op: 450,
-            rx_bump: 40,
-            ipc_times_100: 152,
-            wake_cycles: 6_000,
-        }
+        COSTS
     }
 }
+
+/// MSS for segmentation (1500 MTU − 40 TCP/IP − 12 timestamps).
+pub const MSS: u32 = 1448;
 
 /// Configuration of a TAS host.
 #[derive(Clone, Debug)]
@@ -109,8 +115,6 @@ pub struct TasConfig {
     pub rx_buf: usize,
     /// Per-flow transmit payload buffer size.
     pub tx_buf: usize,
-    /// MSS for segmentation.
-    pub mss: u32,
     /// Congestion-control policy.
     pub cc: CcAlgo,
     /// Slow-path control-loop interval τ (the paper defaults to 2 RTTs;
@@ -131,8 +135,6 @@ pub struct TasConfig {
     /// Track one out-of-order interval in the fast path (§3.1). Disabled
     /// = pure go-back-N ("TAS simple recovery" in Fig. 7).
     pub ooo_rx: bool,
-    /// Cost constants.
-    pub costs: TasCosts,
     /// Cache lines of flow state touched per request (102-byte state = 2).
     pub cache_lines_per_req: u64,
 }
@@ -147,7 +149,6 @@ impl Default for TasConfig {
             api: ApiKind::Sockets,
             rx_buf: 16 * 1024,
             tx_buf: 16 * 1024,
-            mss: 1448,
             cc: CcAlgo::DctcpRate,
             control_interval: SimTime::from_us(200),
             stall_intervals_for_rexmit: 2,
@@ -155,7 +156,6 @@ impl Default for TasConfig {
             initial_rate_bps: 1_000_000_000,
             max_core_backlog: SimTime::from_us(500),
             ooo_rx: true,
-            costs: TasCosts::default(),
             cache_lines_per_req: 2,
         }
     }

@@ -17,7 +17,7 @@
 //! (see `tas-cpusim`); effects — packets, context-queue notices, app
 //! handler invocations — materialize when the charging core finishes them.
 
-use crate::config::{ApiKind, TasConfig};
+use crate::config::{ApiKind, TasConfig, COSTS, MSS};
 use crate::fastpath::{FastPath, RxNotice};
 use crate::flow::FlowTable;
 use crate::slowpath::{SlowPath, SpAppEvent};
@@ -137,7 +137,7 @@ impl Inner {
     fn api_cost(&self, sockets_cost: u64) -> u64 {
         match self.cfg.api {
             ApiKind::Sockets => sockets_cost,
-            ApiKind::LowLevel => self.cfg.costs.ll_op,
+            ApiKind::LowLevel => COSTS.ll_op,
         }
     }
 }
@@ -193,7 +193,7 @@ impl TasHost {
         );
         nic_cfg.rx_queues = cfg.max_fp_cores;
         let nic = HostNic::new(mac, nic_cfg, uplink);
-        let mut fp = FastPath::new(ip, mac, cfg.mss, cfg.costs);
+        let mut fp = FastPath::new(ip, mac, MSS, COSTS);
         fp.ooo_rx = cfg.ooo_rx;
         let sp = SlowPath::new(ip, mac, &cfg);
         let fp_cores = CorePool::new(cfg.max_fp_cores, cfg.freq_hz);
@@ -368,7 +368,7 @@ impl TasHost {
             // Blocked-core wake (§3.4): no packets for `BLOCK_AFTER`.
             if core.is_idle(t) && t.saturating_sub(core.last_work_end()) > BLOCK_AFTER {
                 t_eff = t + FP_WAKE_LATENCY;
-                wake_extra = inner.cfg.costs.wake_cycles;
+                wake_extra = COSTS.wake_cycles;
                 inner.reg.inc(inner.c_fp_wakes);
                 let per_core = inner
                     .reg
@@ -450,14 +450,14 @@ impl TasHost {
         // its app core, then the slow path answers with SYN-ACK.
         if let Some(key) = accept {
             let inner = &mut self.inner;
-            let app_cost = inner.cfg.costs.so_conn_op + inner.cfg.costs.so_poll;
+            let app_cost = COSTS.so_conn_op + COSTS.so_poll;
             // Re-arming onto the app core also discards the charges the
             // handshake-ACK's discarded fast-path estimate staged above.
             probe! { self.rt.hosted.prof_arm("app", accept_ctx as u32); }
             prof_charge!(app_cost, "accept");
             let (_, app_end) = inner.app_cores.core(accept_ctx as usize).run(end, app_cost);
             inner.acct.charge(Module::Api, app_cost, app_cost);
-            let cost = inner.cfg.costs.sp_conn_op;
+            let cost = COSTS.sp_conn_op;
             self.run_sp(app_end, |sp, _fp, t, acct| {
                 sp.accept(t, key, acct);
                 cost
@@ -750,23 +750,23 @@ impl AppStack for Inner {
         let core = self.app_cores.core(context as usize);
         let asleep = core.is_idle(t) && t.saturating_sub(core.last_work_end()) > APP_IDLE_SLEEP;
         let start = if asleep { t + APP_WAKE_LATENCY } else { t };
-        (start, self.api_cost(self.cfg.costs.so_poll))
+        (start, self.api_cost(COSTS.so_poll))
     }
 
     fn listen(&mut self, frame: &mut Frame<Cmd>, port: u16) {
-        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        frame.api_cycles += self.api_cost(COSTS.so_conn_op);
         self.sp.listen(port);
     }
 
     fn connect(&mut self, frame: &mut Frame<Cmd>, ip: Ipv4Addr, port: u16, _: &mut Rng) -> SockId {
-        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        frame.api_cycles += self.api_cost(COSTS.so_conn_op);
         let (sock, _) = self.alloc_sock();
         frame.push(Cmd::Sp(SpWork::Connect { sock, ip, port }));
         sock
     }
 
     fn send(&mut self, frame: &mut Frame<Cmd>, sock: SockId, data: &[u8]) -> usize {
-        frame.api_cycles += self.api_cost(self.cfg.costs.so_send);
+        frame.api_cycles += self.api_cost(COSTS.so_send);
         let Some(s) = self.socks.get_mut(sock as usize) else {
             return 0;
         };
@@ -806,7 +806,7 @@ impl AppStack for Inner {
         max: usize,
         f: &mut dyn FnMut(&[u8]) -> usize,
     ) -> usize {
-        frame.api_cycles += self.api_cost(self.cfg.costs.so_recv);
+        frame.api_cycles += self.api_cost(COSTS.so_recv);
         let Some(fid) = self.socks.get(sock as usize).and_then(|s| s.fid) else {
             return 0;
         };
@@ -843,19 +843,18 @@ impl AppStack for Inner {
     }
 
     fn close(&mut self, frame: &mut Frame<Cmd>, sock: SockId) {
-        frame.api_cycles += self.api_cost(self.cfg.costs.so_conn_op);
+        frame.api_cycles += self.api_cost(COSTS.so_conn_op);
         frame.push(Cmd::Sp(SpWork::Close { sock }));
     }
 
     /// A context-queue hop costs roughly one low-level queue operation.
     fn post(&self, context: u16) -> (u64, u16) {
-        (self.cfg.costs.ll_op, context)
+        (COSTS.ll_op, context)
     }
 
     fn run_frame(&mut self, frame: &Frame<Cmd>) -> SimTime {
         let (api, app) = (frame.api_cycles, frame.app_cycles);
-        self.acct
-            .charge_app_frame(api, app, self.cfg.costs.ipc_times_100);
+        self.acct.charge_app_frame(api, app, COSTS.ipc_times_100);
         let core = self.app_cores.core(frame.context as usize);
         core.run(frame.now, api + app).1
     }

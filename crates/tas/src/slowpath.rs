@@ -28,7 +28,7 @@
     )
 )]
 
-use crate::config::{CcAlgo, TasConfig};
+use crate::config::{CcAlgo, TasConfig, MSS};
 use crate::fastpath::FastPath;
 use crate::flow::{
     FlowState, FpCongCtrl, FpConnMgmt, FpFlowCtrl, FpRecvRel, FpSendRel, RateBucket, TAS_WSCALE,
@@ -266,7 +266,6 @@ impl Teardown {
 struct CtrlHeader {
     ip: Ipv4Addr,
     mac: MacAddr,
-    mss: u32,
     rx_buf: usize,
 }
 
@@ -289,7 +288,7 @@ impl CtrlHeader {
     ) {
         let mut h = TcpHeader::new(key.local_port, key.remote_port, seq_no.0, ack.0, flags);
         if flags.contains(TcpFlags::SYN) {
-            h.options.mss = Some(self.mss.min(u16::MAX as u32) as u16);
+            h.options.mss = Some(MSS as u16);
             h.options.wscale = Some(TAS_WSCALE);
         }
         h.options.timestamp = Some((now.as_micros() as u32, ts_ecr));
@@ -378,7 +377,6 @@ impl SlowPath {
             hdr: CtrlHeader {
                 ip: local_ip,
                 mac: local_mac,
-                mss: cfg.mss,
                 rx_buf: cfg.rx_buf,
             },
             tx_buf: cfg.tx_buf,
@@ -515,7 +513,7 @@ impl SlowPath {
         let per_interval = (rate_bps as u128 * self.control_interval.as_ps() as u128
             / 8
             / 1_000_000_000_000) as u64;
-        per_interval.max(2 * self.hdr.mss as u64)
+        per_interval.max(2 * MSS as u64)
     }
 
     /// Application closes a connection. If the flow has drained, teardown
@@ -872,7 +870,7 @@ impl SlowPath {
                     sf.stall_intervals = 0;
                 }
             } else if flow.snd.tx.len() > flow.snd.tx_sent() as usize
-                && flow.fc.snd_wnd() < self.hdr.mss as u64
+                && flow.fc.snd_wnd() < MSS as u64
             {
                 // Zero-window persist: pending data, nothing in flight,
                 // shut window — probe so a lost window update cannot
@@ -1008,7 +1006,7 @@ impl SlowPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TasCosts;
+    use crate::config::COSTS;
 
     // The rate laws are tested beside their code in `tas-cc`; these cover
     // the control loop's drain — a flow's fast-path counters and RTT
@@ -1026,7 +1024,7 @@ mod tests {
             ..TasConfig::default()
         };
         let mut sp = SlowPath::new(ip, mac, &cfg);
-        let mut fp = FastPath::new(ip, mac, cfg.mss, TasCosts::default());
+        let mut fp = FastPath::new(ip, mac, MSS, COSTS);
         let hs = Handshake {
             state: HsState::SynAckSent,
             key: FlowKey::new(ip, 80, Ipv4Addr::new(10, 0, 0, 2), 4000),

@@ -3,9 +3,10 @@
 //! feeding segments straight between a slow path/fast path pair.
 
 use std::net::Ipv4Addr;
+use tas::config::{COSTS, MSS};
 use tas::fastpath::FastPath;
 use tas::slowpath::{SlowPath, SpAppEvent};
-use tas::{CcAlgo, TasConfig, TasCosts};
+use tas::{CcAlgo, TasConfig};
 use tas_cpusim::CycleAccount;
 use tas_proto::{MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_sim::SimTime;
@@ -19,7 +20,7 @@ fn server_pair(cc: CcAlgo) -> (SlowPath, FastPath) {
     };
     (
         SlowPath::new(ip, mac, &cfg),
-        FastPath::new(ip, mac, cfg.mss, TasCosts::default()),
+        FastPath::new(ip, mac, MSS, COSTS),
     )
 }
 

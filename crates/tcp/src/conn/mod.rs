@@ -107,24 +107,18 @@ pub struct TcpConfig {
     pub recv_buf: usize,
     /// Negotiate and use ECN.
     pub ecn: bool,
-    /// Use the timestamp option (RTT samples; always recommended).
-    pub timestamps: bool,
-    /// Our receive window scale shift.
-    pub window_scale: u8,
     /// Congestion control algorithm.
     pub cc: CcKind,
     /// Minimum retransmission timeout (datacenter configs use 1–10 ms).
     pub rto_min: SimTime,
     /// Maximum retransmission timeout.
     pub rto_max: SimTime,
-    /// TIME_WAIT duration (kept short; the simulator never reuses tuples).
-    pub time_wait: SimTime,
-    /// Keep out-of-order data at the receiver (SACK-style). When false the
-    /// receiver drops everything past a hole (pure go-back-N, the "TAS
-    /// simple recovery" line of Fig. 7 — TAS proper keeps one interval and
-    /// is implemented in the `tas` crate).
-    pub keep_ooo: bool,
 }
+
+/// Our receive window scale shift, offered on every SYN.
+const WINDOW_SCALE: u8 = 7;
+/// TIME_WAIT duration (kept short; the simulator never reuses tuples).
+const TIME_WAIT: SimTime = SimTime::from_ms(1);
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -133,13 +127,9 @@ impl Default for TcpConfig {
             send_buf: 128 * 1024,
             recv_buf: 128 * 1024,
             ecn: true,
-            timestamps: true,
-            window_scale: 7,
             cc: CcKind::Dctcp,
             rto_min: SimTime::from_ms(1),
             rto_max: SimTime::from_secs(1),
-            time_wait: SimTime::from_ms(1),
-            keep_ooo: true,
         }
     }
 }
@@ -295,7 +285,7 @@ impl TcpConn {
         TcpConn {
             mgmt: ConnMgmt::new(local, remote),
             snd: SendRel::new(Seq(iss), cfg.send_buf, cfg.rto_min, cfg.rto_max),
-            rcv: RecvRel::new(cfg.recv_buf, cfg.keep_ooo),
+            rcv: RecvRel::new(cfg.recv_buf),
             fc: FlowCtrl::new(cfg.mss, cfg.recv_buf),
             cc: CongCtrl::new(cfg.cc, cfg.mss),
             out: Vec::new(),
@@ -527,11 +517,9 @@ impl TcpConn {
 
     fn header(&self, flags: TcpFlags, now: SimTime) -> TcpHeader {
         let mut h = TcpHeader::new(self.mgmt.local().port, self.mgmt.remote().port, 0, 0, flags);
-        if self.cfg.timestamps {
-            h.options.timestamp = Some((now.as_micros() as u32, self.mgmt.ts_recent()));
-        }
+        h.options.timestamp = Some((now.as_micros() as u32, self.mgmt.ts_recent()));
         let adv = self.adv_window();
-        h.window = (adv >> self.cfg.window_scale).min(u16::MAX as u64) as u16;
+        h.window = (adv >> WINDOW_SCALE).min(u16::MAX as u64) as u16;
         h
     }
 
@@ -542,8 +530,8 @@ impl TcpConn {
 
     fn set_syn_options(&self, h: &mut TcpHeader) {
         h.options.mss = Some(self.cfg.mss.min(u16::MAX as u32) as u16);
-        h.options.wscale = Some(self.cfg.window_scale);
-        h.options.sack_permitted = self.cfg.keep_ooo;
+        h.options.wscale = Some(WINDOW_SCALE);
+        h.options.sack_permitted = true;
         // SYN windows are never scaled.
         h.window = self.adv_window().min(u16::MAX as u64) as u16;
     }
@@ -594,10 +582,8 @@ impl TcpConn {
         let mut h = self.header(TcpFlags::ACK, now);
         h.seq = self.seq_of(self.snd.nxt_off().min(self.fin_off_or_max()));
         h.ack = self.ack_value();
-        if self.cfg.keep_ooo {
-            if let Some((off, len)) = self.rcv.reasm().first_range() {
-                h.options.sack_block = Some((self.rcv_seq_of(off).0, self.rcv_seq_of(off + len).0));
-            }
+        if let Some((off, len)) = self.rcv.reasm().first_range() {
+            h.options.sack_block = Some((self.rcv_seq_of(off).0, self.rcv_seq_of(off + len).0));
         }
         if self.echo_ece() {
             h.flags |= TcpFlags::ECE;
@@ -1044,7 +1030,7 @@ impl TcpConn {
                 probe! { self.trace_rexmit("fast", self.seq_of(self.snd.una_off())); }
                 self.cc.on_fast_retransmit();
                 self.retransmit_head(now);
-            } else if self.snd.in_recovery() && dups > 3 && self.cfg.keep_ooo {
+            } else if self.snd.in_recovery() && dups > 3 {
                 // SACK-guided recovery: retransmit only the hole between
                 // the cumulative ACK and the receiver's first held block.
                 let hole_end = match seg.tcp.options.sack_block {
@@ -1098,23 +1084,21 @@ impl TcpConn {
         } else {
             // Out of order: ahead of rcv_nxt.
             let off = self.rcv.rcv_off() + (seg_seq - rcv_nxt) as u64;
-            if self.cfg.keep_ooo {
-                // Bound by the receive window horizon.
-                let horizon = self.rcv.rcv_off() + self.rcv.rx().free() as u64;
-                if off < horizon {
-                    let room = (horizon - off) as usize;
-                    let d = data[..data.len().min(room)].to_vec();
-                    trace!(
-                        "conn",
-                        self.trace_now,
-                        OooPlace {
-                            flow: self.flow_key(),
-                            start: off,
-                            len: d.len() as u64,
-                        }
-                    );
-                    self.rcv.insert_ooo(off, d);
-                }
+            // Bound by the receive window horizon.
+            let horizon = self.rcv.rcv_off() + self.rcv.rx().free() as u64;
+            if off < horizon {
+                let room = (horizon - off) as usize;
+                let d = data[..data.len().min(room)].to_vec();
+                trace!(
+                    "conn",
+                    self.trace_now,
+                    OooPlace {
+                        flow: self.flow_key(),
+                        start: off,
+                        len: d.len() as u64,
+                    }
+                );
+                self.rcv.insert_ooo(off, d);
             }
             // Duplicate ACK to trigger peer fast retransmit.
         }
@@ -1173,7 +1157,7 @@ impl TcpConn {
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
-        self.mgmt.arm_time_wait(now + self.cfg.time_wait);
+        self.mgmt.arm_time_wait(now + TIME_WAIT);
         self.snd.disarm_rto();
     }
 

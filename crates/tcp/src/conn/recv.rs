@@ -23,12 +23,12 @@ pub struct RecvRel {
 }
 
 impl RecvRel {
-    pub(crate) fn new(recv_buf: usize, keep_ooo: bool) -> RecvRel {
+    pub(crate) fn new(recv_buf: usize) -> RecvRel {
         RecvRel {
             irs: Seq(0),
             rcv_off: 0,
             rx: ByteRing::new(recv_buf),
-            reasm: Reassembler::new(if keep_ooo { recv_buf } else { 0 }),
+            reasm: Reassembler::new(recv_buf),
         }
     }
 

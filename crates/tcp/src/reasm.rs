@@ -55,6 +55,7 @@ impl Reassembler {
     }
 
     /// Number of discontiguous chunks held.
+    #[cfg(test)]
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
@@ -202,6 +203,7 @@ impl Reassembler {
 
     /// Offset just past the highest buffered byte, if any (for SACK-style
     /// diagnostics).
+    #[cfg(test)]
     pub fn max_offset(&self) -> Option<u64> {
         self.chunks
             .iter()

@@ -312,52 +312,42 @@ fn heavy_loss_still_completes_with_timeouts() {
 }
 
 #[test]
-fn go_back_n_retransmits_more_than_sack_style() {
+fn syns_offer_fixed_options_and_time_wait_lasts_one_ms() {
     for iss in ISS_PAIRS {
-        // Compares total segments on the wire: go-back-N re-sends data the
-        // receiver discarded (counted as fresh sends), so wasted bandwidth is
-        // what distinguishes the modes.
-        let run = |keep_ooo: bool| -> u64 {
-            let cfg = TcpConfig {
-                keep_ooo,
-                ..TcpConfig::default()
-            };
-            let mut w = Wire::connect_pair(cfg.clone(), cfg, iss);
-            w.pump();
-            // Pseudorandomly drop ~3% of to-b data segments (hash-based, so
-            // the pattern cannot phase-lock with retransmission cycles).
-            let mut data_idx = 0u64;
-            w.filter = Box::new(move |seg, to_b, _| {
-                if to_b && !seg.payload.is_empty() {
-                    data_idx += 1;
-                    return (data_idx.wrapping_mul(2_654_435_761) >> 16) % 1000 < 30;
-                }
-                false
-            });
-            let data: Vec<u8> = vec![7; 300_000];
-            let mut sent = 0;
-            let mut got = 0;
-            while got < data.len() {
-                if sent < data.len() {
-                    sent += w.a.send(&data[sent..]);
-                    w.a.poll(w.now);
-                }
-                w.pump();
-                got += w.b.recv(usize::MAX).len();
-                w.b.poll(w.now);
-                assert!(
-                    w.now < SimTime::from_secs(60),
-                    "stalled (keep_ooo={keep_ooo})"
-                );
-            }
-            w.a.stats.segs_out
-        };
-        let with_sack = run(true);
-        let gbn = run(false);
-        assert!(
-            gbn > with_sack,
-            "go-back-N ({gbn} segs) must send more than SACK-style ({with_sack} segs)"
-        );
+        let cfg = TcpConfig::default;
+        let (ea, eb, now) = (ep(1, 4000), ep(2, 80), SimTime::from_us(10));
+        let mut a = TcpConn::connect(now, cfg(), ea, eb, iss.0);
+        let syn = a.take_outgoing().remove(0);
+        let mut b = TcpConn::accept(now, cfg(), eb, ea, &syn, iss.1);
+        let syn_ack = b.take_outgoing().remove(0);
+        for seg in [&syn, &syn_ack] {
+            let o = &seg.tcp.options;
+            assert!(seg.tcp.flags.contains(TcpFlags::SYN));
+            assert_eq!(o.mss, Some(1448));
+            assert_eq!(o.wscale, Some(7));
+            assert!(o.sack_permitted);
+            assert!(o.timestamp.is_some());
+        }
+
+        // `a` closes first; once `b`'s FIN reaches it, it waits 1 ms in
+        // TIME_WAIT and then closes.
+        let mut w = established_pair(iss);
+        w.a.close();
+        w.a.poll(w.now);
+        w.pump();
+        assert_eq!(w.a.state(), TcpState::FinWait2);
+        w.b.close();
+        w.b.poll(w.now);
+        let fin = w.b.take_outgoing().remove(0);
+        assert!(fin.tcp.flags.contains(TcpFlags::FIN));
+        let t = w.now + SimTime::from_us(25);
+        w.a.on_segment(t, fin);
+        assert_eq!(w.a.state(), TcpState::TimeWait);
+        assert_eq!(w.a.next_timer(), Some(t + SimTime::from_ms(1)));
+        w.a.on_timer(t + SimTime::from_us(999));
+        assert_eq!(w.a.state(), TcpState::TimeWait);
+        w.a.on_timer(t + SimTime::from_ms(1));
+        assert_eq!(w.a.state(), TcpState::Closed);
     }
 }
 

@@ -58,7 +58,7 @@ fn main() {
     );
     let (tm, tp50, tp99) = run(HostCfg::Tas(TasConfig::rpc_bench(2, 2)));
     println!("{:<8} {tm:>10.2} {tp50:>12.1} {tp99:>12.1}", "TAS");
-    let linux = HostCfg::Model(profiles::linux(), StackHostConfig::linux(4));
+    let linux = HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(4));
     let (lm, lp50, lp99) = run(linux);
     println!("{:<8} {lm:>10.2} {lp50:>12.1} {lp99:>12.1}", "Linux");
     println!();

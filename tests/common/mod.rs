@@ -19,22 +19,22 @@ pub fn tas(cfg: TasConfig, app: impl App) -> Agent {
 
 /// The Linux model on two cores.
 pub fn linux() -> HostCfg {
-    HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
+    HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(2))
 }
 
 /// The IX model on two cores.
 pub fn ix() -> HostCfg {
-    HostCfg::Model(profiles::ix(), StackHostConfig::ix(2))
+    HostCfg::Model(Box::new(profiles::ix()), StackHostConfig::ix(2))
 }
 
 /// The mTCP model: three cores, one of them the stack thread.
 pub fn mtcp() -> HostCfg {
-    HostCfg::Model(profiles::mtcp(), StackHostConfig::mtcp(3, 1))
+    HostCfg::Model(Box::new(profiles::mtcp()), StackHostConfig::mtcp(3, 1))
 }
 
 /// The MPK dataplane model on two cores.
 pub fn mpk() -> HostCfg {
-    HostCfg::Model(profiles::mpk(), StackHostConfig::mpk(2))
+    HostCfg::Model(Box::new(profiles::mpk()), StackHostConfig::mpk(2))
 }
 
 /// Two 10G machines on one switch, both started at t = 0: node 0 is the

@@ -584,7 +584,7 @@ fn tas_segments(sim: &Sim<NetMsg>, hosts: &[AgentId]) -> u64 {
 /// `KvServer` and `KvClient` on both ends of a switch.
 #[test]
 fn linux_kv_pair_steady_state_does_not_allocate() {
-    let linux = || HostCfg::Model(profiles::linux(), StackHostConfig::linux(2));
+    let linux = || HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(2));
     // The client preloads all 64 keys, so no SET in the window adds one
     // to the store.
     let client = KvClient::new(host_ip(0), 7, 32, 64, KvLoad::Closed, 5);

@@ -105,7 +105,7 @@ fn endpoints() -> (EndpointInfo, EndpointInfo) {
 fn build_tas() -> (Sim<NetMsg>, AgentId) {
     let echo = EchoServer::new(7, 64, ServerMode::Echo, 100);
     let sink = SinkClient::new(host_ip(0), 7, 1);
-    let linux1 = HostCfg::Model(profiles::linux(), StackHostConfig::linux(1));
+    let linux1 = HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(1));
     let tb = pair(
         11,
         tas(TasConfig::rpc_bench(2, 2), echo),
@@ -238,7 +238,7 @@ fn unknown_socket_ids_are_empty_on_both_hosts() {
         let cfg = if tas {
             HostCfg::Tas(TasConfig::rpc_bench(1, 1))
         } else {
-            HostCfg::Model(profiles::linux(), StackHostConfig::linux(1))
+            HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(1))
         };
         let agent = testbed::Agent::stack(cfg, Box::new(UnknownSockets::default()));
         let Net { mut sim, hosts, .. } = build(Testbed::uniform(14, PortConfig::tengig(), [agent]));

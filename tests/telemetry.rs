@@ -21,7 +21,7 @@ fn tas() -> HostCfg {
 
 /// The reference Linux-model stack.
 fn reference() -> HostCfg {
-    HostCfg::Model(profiles::linux(), StackHostConfig::linux(2))
+    HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(2))
 }
 
 /// Builds the standard two-host echo topology with both hosts on the
