@@ -188,13 +188,6 @@ pub struct AdversaryConfig {
     pub port: u16,
     /// Connections to open.
     pub conns: u32,
-    /// Request payload ([`kv::get_request`] for key 1 in
-    /// [`AdversaryConfig::kv`]): a well-formed request, so the server's
-    /// normal response path produces the payload the attack then
-    /// mishandles.
-    pub req_template: Vec<u8>,
-    /// Expected response payload bytes per request.
-    pub resp_size: usize,
     /// The attack.
     pub mode: AdvMode,
 }
@@ -206,12 +199,17 @@ impl AdversaryConfig {
             server,
             port,
             conns,
-            req_template: kv::get_request(1),
-            resp_size: kv::RESP_LEN,
             mode,
         }
     }
 }
+
+/// The key every adversary request GETs ([`kv::get_request`]): a
+/// well-formed request, so the server's normal response path produces
+/// the payload the attack then mishandles.
+const REQ_KEY: u32 = 1;
+/// Expected response payload bytes per request.
+const RESP_SIZE: usize = kv::RESP_LEN;
 
 /// Local ports 2048 onwards, wrapping after 60,000; no window scaling,
 /// so the advertised patterns are the raw 16-bit windows.
@@ -274,9 +272,9 @@ impl AdversaryHost {
     ) -> Self {
         let nic = HostNic::new(mac, nic_cfg, uplink);
         let server = SocketAddrV4::new(cfg.server, cfg.port);
-        let req = PayloadBuf::from_slice(&cfg.req_template);
+        let req = PayloadBuf::from_slice(&kv::get_request(REQ_KEY));
         AdversaryHost {
-            raw: RawClient::new(ip, mac, nic, server, PROFILE, req, cfg.resp_size),
+            raw: RawClient::new(ip, mac, nic, server, PROFILE, req, RESP_SIZE),
             cfg,
             done: 0,
             sent: 0,

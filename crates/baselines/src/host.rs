@@ -32,7 +32,7 @@ use tas_cpusim::{
 };
 use tas_netsim::app::{App, AppEvent, SockId};
 use tas_netsim::rss::hash_tuple;
-use tas_netsim::runtime::{AppRuntime, AppStack, Frame, HostedApp};
+use tas_netsim::runtime::{unpack_wake, AppRuntime, AppStack, Frame, HostedApp};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{FlowIndex, FlowKey, MacAddr, Segment, Slab, TcpFlags};
@@ -957,9 +957,9 @@ impl AppStack for Inner {
 impl Agent<NetMsg> for StackHost {
     fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut Ctx<'_, NetMsg>) {
         let first_app_core = Self::first_app_core(&self.inner) as u16;
-        let Some(ev) = self.rt.on_event(&mut self.inner, first_app_core, ev, ctx) else {
+        if self.rt.on_event(&mut self.inner, first_app_core, &ev, ctx) {
             return;
-        };
+        }
         match ev {
             Event::Msg {
                 msg: NetMsg::Packet(seg),
@@ -996,14 +996,17 @@ impl Agent<NetMsg> for StackHost {
                         // Poll the connection for output the API call
                         // produced (sends, window updates); a connect
                         // also pays the connect path.
-                        let (label, slot, cost) = match self.rt.ops.pop(data as usize) {
-                            Some(ConnCmd::Touch(slot)) => ("cmd", slot, 0),
-                            Some(ConnCmd::Connect(slot)) => {
-                                ("connect", slot, self.inner.profile.api_conn)
-                            }
-                            None => return,
-                        };
-                        self.run_conn(label, slot, now, cost, 0, ctx, |_c, _t| {});
+                        let (lane, n) = unpack_wake(data);
+                        for _ in 0..n {
+                            let (label, slot, cost) = match self.rt.ops.pop(lane) {
+                                Some(ConnCmd::Touch(slot)) => ("cmd", slot, 0),
+                                Some(ConnCmd::Connect(slot)) => {
+                                    ("connect", slot, self.inner.profile.api_conn)
+                                }
+                                None => break,
+                            };
+                            self.run_conn(label, slot, now, cost, 0, ctx, |_c, _t| {});
+                        }
                     }
                     _ => {}
                 }

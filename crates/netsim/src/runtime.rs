@@ -20,15 +20,28 @@ use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use tas_sim::{probe, Ctx, Event, Rng, SimTime};
 
-/// Every deferred hop inside a host: FIFO lanes, each item woken by a
-/// timer whose data word names its lane. A hop must not run its handler
-/// at a future time (that would reserve the core ahead of earlier
-/// arrivals), so it waits here for its due time. [`Handoff::pop`] takes
-/// the lane's *oldest* item, not the one the timer was armed for: with
-/// `due₁ > due₂` on one lane, the timer at `due₂` runs item 1 early and
-/// item 2 late. That is ROADMAP item 1's hazard; this is its one place.
+/// Every deferred hop inside a host: FIFO lanes, each run of items woken
+/// by one timer whose data word names its lane and its length
+/// ([`unpack_wake`]). A hop must not run its handler at a future time
+/// (that would reserve the core ahead of earlier arrivals), so it waits
+/// here for its due time. [`Handoff::pop`] takes the lane's *oldest*
+/// item, not the one the timer was armed for: with `due₁ > due₂` on one
+/// lane, the timer at `due₂` runs item 1 early and item 2 late. That is
+/// ROADMAP item 1's hazard; this is its one place.
 pub struct Handoff<T> {
     lanes: Vec<VecDeque<T>>,
+}
+
+/// A wake's timer data word: the lane in the low half, the items after
+/// the first in the high half, so a one-item wake's word is its lane.
+fn pack_wake(lane: usize, n: usize) -> u64 {
+    debug_assert!(n >= 1 && lane <= u32::MAX as usize);
+    ((n as u64 - 1) << 32) | lane as u64
+}
+
+/// The lane and the number of items a [`Handoff`] wake's data word names.
+pub fn unpack_wake(data: u64) -> (usize, usize) {
+    (data as u32 as usize, (data >> 32) as usize + 1)
 }
 
 impl<T> Handoff<T> {
@@ -47,11 +60,34 @@ impl<T> Handoff<T> {
         item: T,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
-        self.lanes[lane].push_back(item);
-        ctx.timer_at(at, kind, lane as u64);
+        self.push_run(at, kind, lane, [item], ctx);
     }
 
-    /// Takes the oldest item of `lane`; a timer's data word names it.
+    /// Queues `items` on `lane` in order and arms one `kind` timer at
+    /// `at` that wakes them all. A timer per item would have had
+    /// consecutive sequence numbers at one instant, so nothing could
+    /// dispatch between them: the run changes no order.
+    pub fn push_run(
+        &mut self,
+        at: SimTime,
+        kind: u32,
+        lane: usize,
+        items: impl IntoIterator<Item = T>,
+        ctx: &mut Ctx<'_, NetMsg>,
+    ) {
+        let queue = &mut self.lanes[lane];
+        let mut n = 0;
+        for item in items {
+            queue.push_back(item);
+            n += 1;
+        }
+        if n > 0 {
+            ctx.timer_at(at, kind, pack_wake(lane, n));
+        }
+    }
+
+    /// Takes the oldest item of `lane`; a wake takes as many as its data
+    /// word names ([`unpack_wake`]).
     pub fn pop(&mut self, lane: usize) -> Option<T> {
         self.lanes.get_mut(lane)?.pop_front()
     }
@@ -69,7 +105,9 @@ impl<T> Handoff<T> {
 /// add to the frame's `api_cycles` and push the stack's own follow-up
 /// ([`Frame::push`]). Once the frame's core has finished, the runtime
 /// queues each follow-up on [`AppRuntime::ops`] where [`AppStack::route`]
-/// says; the host runs it when that lane's timer pops it.
+/// says; the host runs it when that lane's timer pops it. Consecutive
+/// follow-ups that `route` sends to one (due time, kind, lane) share one
+/// wake ([`Handoff::push_run`]).
 pub trait AppStack {
     /// The stack's own follow-up of a socket call.
     type Op;
@@ -247,6 +285,12 @@ impl<S: AppStack> AppRuntime<S> {
     /// A runtime for `app` over `contexts` application contexts (one per
     /// app core); context numbers wrap modulo `contexts`.
     pub fn new(app: Box<dyn App>, contexts: usize) -> Self {
+        // A frame moves each follow-up twice (into the frame, then onto
+        // its lane), so an op stays small: a stack boxes its rare large
+        // variants.
+        const {
+            assert!(std::mem::size_of::<FollowUp<S::Op>>() <= 24);
+        }
         AppRuntime {
             hosted: HostedApp {
                 app: Some(app),
@@ -266,18 +310,20 @@ impl<S: AppStack> AppRuntime<S> {
     }
 
     /// The app half of a host's `Agent::on_event`: starts the host on its
-    /// first event, delivers `Ctl` to `context`, runs app timers and
-    /// deferred events, and hands every other event back untouched.
+    /// first event, delivers `Ctl` to `context` and runs app timers and
+    /// deferred events. Returns whether it consumed `ev`; every other
+    /// event is the host's, untouched (the runtime only reads the plain
+    /// fields of the events it consumes, so a packet is never moved here).
     pub fn on_event(
         &mut self,
         stack: &mut S,
         context: u16,
-        ev: Event<NetMsg>,
+        ev: &Event<NetMsg>,
         ctx: &mut Ctx<'_, NetMsg>,
-    ) -> Option<Event<NetMsg>> {
+    ) -> bool {
         self.ensure_started(stack, context, ctx);
         let now = ctx.now();
-        match ev {
+        match *ev {
             Event::Msg {
                 msg: NetMsg::Ctl { kind, a, b },
                 ..
@@ -287,13 +333,17 @@ impl<S: AppStack> AppRuntime<S> {
                 self.deliver(stack, now, context, AppEvent::Timer { token }, ctx);
             }
             Event::Timer { kind, data } if kind == S::APP_RUN_TIMER => {
-                if let Some(ev) = self.events.pop(data as usize) {
-                    self.deliver(stack, now, data as u16, ev, ctx);
+                let (lane, n) = unpack_wake(data);
+                for _ in 0..n {
+                    let Some(ev) = self.events.pop(lane) else {
+                        break;
+                    };
+                    self.deliver(stack, now, lane as u16, ev, ctx);
                 }
             }
-            ev => return Some(ev),
+            _ => return false,
         }
-        None
+        true
     }
 
     /// On the host's first event: the stack's start work, then the app's
@@ -365,7 +415,8 @@ impl<S: AppStack> AppRuntime<S> {
         self.hosted.app = Some(app);
         probe! { self.hosted.prof_arm(S::APP_CORE_GROUP, context as u32); }
         let end = stack.run_frame(&self.frame);
-        for op in self.frame.ops.drain(..) {
+        let mut ops = self.frame.ops.drain(..).peekable();
+        while let Some(op) = ops.next() {
             match op {
                 FollowUp::Timer { delay, token } => {
                     ctx.timer_at(end + delay, S::APP_TIMER, pack_app_timer(context, token));
@@ -374,8 +425,20 @@ impl<S: AppStack> AppRuntime<S> {
                     ctx.timer_at(end, S::APP_TIMER, pack_app_timer(context, token));
                 }
                 FollowUp::Stack(op) => {
-                    let (at, kind, lane) = stack.route(&op, end);
-                    self.ops.push(at, kind, lane, op, ctx);
+                    // The ops right behind it that wait for the same wake
+                    // join its run.
+                    let wake = stack.route(&op, end);
+                    let same = |next: &FollowUp<S::Op>| match next {
+                        FollowUp::Stack(next) => stack.route(next, end) == wake,
+                        _ => false,
+                    };
+                    let rest = std::iter::from_fn(|| match ops.next_if(same)? {
+                        FollowUp::Stack(next) => Some(next),
+                        _ => None,
+                    });
+                    let (at, kind, lane) = wake;
+                    self.ops
+                        .push_run(at, kind, lane, std::iter::once(op).chain(rest), ctx);
                 }
             }
         }
@@ -494,7 +557,9 @@ mod tests {
 
     /// Logs every event with its handler's start time. On `Ctl { kind: 0
     /// }` sends on socket 7, posts token 11 to context 1 and sets a
-    /// zero-delay timer with token 22, in that order.
+    /// zero-delay timer with token 22, in that order; on `Ctl { kind: 1
+    /// }` sends on sockets 7 and 8; on `Ctl { kind: 2 }` sends on socket
+    /// 7, sets a zero-delay timer with token 33 and sends on socket 8.
     #[derive(Default)]
     struct Script {
         seen: Vec<(SimTime, AppEvent)>,
@@ -504,10 +569,22 @@ mod tests {
         fn on_start(&mut self, _api: &mut dyn StackApi) {}
         fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
             self.seen.push((api.now(), ev));
-            if let AppEvent::Ctl { kind: 0, .. } = ev {
-                api.send(7, b"x");
-                api.post(1, 11);
-                api.set_app_timer(SimTime::ZERO, 22);
+            match ev {
+                AppEvent::Ctl { kind: 0, .. } => {
+                    api.send(7, b"x");
+                    api.post(1, 11);
+                    api.set_app_timer(SimTime::ZERO, 22);
+                }
+                AppEvent::Ctl { kind: 1, .. } => {
+                    api.send(7, b"x");
+                    api.send(8, b"x");
+                }
+                AppEvent::Ctl { kind: 2, .. } => {
+                    api.send(7, b"x");
+                    api.set_app_timer(SimTime::ZERO, 33);
+                    api.send(8, b"x");
+                }
+                _ => {}
             }
         }
         impl_as_any!();
@@ -532,9 +609,9 @@ mod tests {
             if let Event::Timer { kind, data } = ev {
                 self.timers.push((ctx.now(), kind, data));
             }
-            let Some(ev) = rt.on_event(&mut MockStack, 0, ev, ctx) else {
+            if rt.on_event(&mut MockStack, 0, &ev, ctx) {
                 return;
-            };
+            }
             self.handed_back.push(format!("{ev:?}"));
             match ev {
                 Event::Timer { kind: DEFER, .. } => {
@@ -542,7 +619,10 @@ mod tests {
                         rt.defer(due, context, ev, ctx);
                     }
                 }
-                Event::Timer { kind: OP, data } => self.ops.extend(rt.ops.pop(data as usize)),
+                Event::Timer { kind: OP, data } => {
+                    let (lane, n) = unpack_wake(data);
+                    self.ops.extend((0..n).map_while(|_| rt.ops.pop(lane)));
+                }
                 _ => {}
             }
         }
@@ -590,6 +670,36 @@ mod tests {
             ]
         );
         assert_eq!(host.ops, [7]);
+    }
+
+    #[test]
+    fn consecutive_stack_ops_share_one_wake_and_leave_in_call_order() {
+        let host = run(&[], vec![(us(5), NetMsg::ctl(1, 0, 0))]);
+        let end = us(5) + FRAME_TIME;
+        // One OP timer whose data word names lane 0 and a run of two.
+        assert_eq!(host.timers[1..], [(end, OP, pack_wake(0, 2))]);
+        assert_eq!(unpack_wake(host.timers[1].2), (0, 2));
+        assert_eq!(host.ops, [7, 8]);
+    }
+
+    /// An app timer between two ops ends the first op's run: the second
+    /// op still leaves after the timer, as the `recv_with` → `post`
+    /// order of a FlexStorm handler needs (DESIGN.md §14).
+    #[test]
+    fn an_app_timer_between_stack_ops_splits_their_wakes() {
+        let host = run(&[], vec![(us(5), NetMsg::ctl(2, 0, 0))]);
+        let end = us(5) + FRAME_TIME;
+        assert_eq!(
+            host.timers[1..],
+            [
+                (end, OP, pack_wake(0, 1)),
+                (end, APP, pack_app_timer(0, 33)),
+                (end, OP, pack_wake(0, 1)),
+            ]
+        );
+        assert_eq!(host.ops, [7, 8]);
+        let timer = AppEvent::Timer { token: 33 };
+        assert_eq!(seen(&host).last(), Some(&(end, timer)));
     }
 
     #[test]

@@ -88,9 +88,11 @@ pub const TIMER_SAMPLE_QUEUE: u32 = 0;
 pub struct Switch {
     label: String,
     ports: Vec<Port>,
-    /// Route table: point lookups on forwarding; BTreeMap so any future
-    /// iteration (debug dumps, route listings) is deterministic.
-    routes: BTreeMap<Ipv4Addr, Vec<usize>>,
+    /// Route table keyed by destination address bits
+    /// (`Ipv4Addr::to_bits`, one integer compare per probe step): point
+    /// lookups on forwarding; BTreeMap so any future iteration (debug
+    /// dumps, route listings) is deterministic, in address order.
+    routes: BTreeMap<u32, Vec<usize>>,
     default_route: Vec<usize>,
     /// Packets with no route (dropped, counted).
     pub unroutable: u64,
@@ -163,7 +165,7 @@ impl Switch {
             ports.iter().all(|&p| p < self.ports.len()),
             "route references unknown port"
         );
-        self.routes.insert(dst, ports);
+        self.routes.insert(dst.to_bits(), ports);
     }
 
     /// Sets the equal-cost ports used when no per-destination route matches
@@ -217,7 +219,7 @@ impl Switch {
     }
 
     fn forward(&mut self, now: SimTime, mut seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {
-        let ports = match self.routes.get(&seg.ip.dst) {
+        let ports = match self.routes.get(&seg.ip.dst.to_bits()) {
             Some(p) => p,
             None if !self.default_route.is_empty() => &self.default_route,
             None => {

@@ -26,7 +26,7 @@ use std::ops::{Deref, DerefMut};
 use tas_cpusim::{Core, CorePool, CycleAccount, Module};
 use tas_netsim::app::{App, AppEvent, SockId};
 use tas_netsim::rss::hash_tuple;
-use tas_netsim::runtime::{AppRuntime, AppStack, Frame, HostedApp};
+use tas_netsim::runtime::{unpack_wake, AppRuntime, AppStack, Frame, HostedApp};
 use tas_netsim::topo::mac_for_ip;
 use tas_netsim::{HostNic, NetMsg, NicConfig};
 use tas_proto::{MacAddr, Segment, TcpFlags};
@@ -143,7 +143,9 @@ impl Inner {
 }
 
 enum SpWork {
-    Exception(Segment),
+    /// Boxed: exceptions are rare, and every `Cmd` is as large as its
+    /// largest variant.
+    Exception(Box<Segment>),
     Connect {
         sock: SockId,
         ip: Ipv4Addr,
@@ -589,7 +591,7 @@ impl TasHost {
             Self::deliver_notice(socks, &fp.flows, rt, end, context, notice, ctx);
         }
         for seg in fp.out.exceptions.drain(..) {
-            let work = Cmd::Sp(SpWork::Exception(seg));
+            let work = Cmd::Sp(SpWork::Exception(Box::new(seg)));
             rt.ops.push(end, timers::SP_RUN, SP_LANE, work, ctx);
         }
     }
@@ -648,7 +650,7 @@ impl TasHost {
 
     fn run_sp_work(&mut self, work: SpWork, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
         let (_, end) = match work {
-            SpWork::Exception(seg) => return self.run_sp_exception(now, seg, ctx),
+            SpWork::Exception(seg) => return self.run_sp_exception(now, *seg, ctx),
             SpWork::Connect { sock, ip, port } => {
                 let iss = ctx.rng().next_u32();
                 let context = self.inner.socks[sock as usize].context;
@@ -874,9 +876,9 @@ impl AppStack for Inner {
 
 impl Agent<NetMsg> for TasHost {
     fn on_event(&mut self, ev: Event<NetMsg>, ctx: &mut Ctx<'_, NetMsg>) {
-        let Some(ev) = self.rt.on_event(&mut self.inner, 0, ev, ctx) else {
+        if self.rt.on_event(&mut self.inner, 0, &ev, ctx) {
             return;
-        };
+        }
         match ev {
             Event::Msg {
                 msg: NetMsg::Packet(seg),
@@ -982,18 +984,23 @@ impl Agent<NetMsg> for TasHost {
                         self.prop_tick(now);
                         ctx.timer(SimTime::from_ms(1), timers::PROP, 0);
                     }
-                    timers::FP_CMD | timers::SP_RUN => match self.rt.ops.pop(data as usize) {
-                        Some(Cmd::Fp(cmd)) => {
-                            let (FpCmd::Tx(fid) | FpCmd::RxBump(fid)) = cmd;
-                            let core = Self::fp_core_for(&self.inner, fid);
-                            self.run_fp(core, now, ctx, 0, |fp, t, acct| match cmd {
-                                FpCmd::Tx(_) => fp.tx_command(t, fid, acct),
-                                FpCmd::RxBump(_) => fp.rx_bump(t, fid, acct),
-                            });
+                    timers::FP_CMD | timers::SP_RUN => {
+                        let (lane, n) = unpack_wake(data);
+                        for _ in 0..n {
+                            match self.rt.ops.pop(lane) {
+                                Some(Cmd::Fp(cmd)) => {
+                                    let (FpCmd::Tx(fid) | FpCmd::RxBump(fid)) = cmd;
+                                    let core = Self::fp_core_for(&self.inner, fid);
+                                    self.run_fp(core, now, ctx, 0, |fp, t, acct| match cmd {
+                                        FpCmd::Tx(_) => fp.tx_command(t, fid, acct),
+                                        FpCmd::RxBump(_) => fp.rx_bump(t, fid, acct),
+                                    });
+                                }
+                                Some(Cmd::Sp(work)) => self.run_sp_work(work, now, ctx),
+                                None => break,
+                            }
                         }
-                        Some(Cmd::Sp(work)) => self.run_sp_work(work, now, ctx),
-                        None => {}
-                    },
+                    }
                     _ => {}
                 }
             }

@@ -551,23 +551,43 @@ fn steady_state_rx_does_not_allocate() {
     );
 }
 
-/// Runs `sim` to `warm`, then `window` further with the allocation count
-/// open, and returns allocations per segment over the window; `segs`
-/// reads how many segments the hosts under test have handled so far.
-/// Warm-up lets every buffer reach its working capacity, the payload pool
-/// fill and every connection open.
-fn allocs_per_segment(
+/// Ceilings on engine events per segment in the steady-state windows
+/// below, just over what each pair reads with one wake per run of a
+/// frame's stack ops (1.501, 1.468 and 1.774). With a wake per op the
+/// echo pair read 1.751, the KV pair 1.898 and the bulk pair 1.817.
+const ECHO_EVENTS: f64 = 1.51;
+const KV_EVENTS: f64 = 1.48;
+const BULK_EVENTS: f64 = 1.78;
+
+/// Heap allocations and engine events per segment over a window.
+struct PerSegment {
+    allocs: f64,
+    events: f64,
+}
+
+/// Runs `sim` to `warm`, then `window` further with the allocation and
+/// event counts open, and returns both per segment over the window;
+/// `segs` reads how many segments the hosts under test have handled so
+/// far. Warm-up lets every buffer reach its working capacity, the payload
+/// pool fill and every connection open. Both counts repeat exactly, so a
+/// ceiling on either cannot flake.
+fn per_segment(
     sim: &mut Sim<NetMsg>,
     warm: SimTime,
     window: SimTime,
     segs: impl Fn(&Sim<NetMsg>) -> u64,
-) -> f64 {
+) -> PerSegment {
     sim.run_until(warm);
-    let (allocs, seen) = (thread_allocs(), segs(sim));
+    let (allocs, events, seen) = (thread_allocs(), sim.events_processed(), segs(sim));
     sim.run_until(warm + window);
-    let (allocs, seen) = (thread_allocs() - allocs, segs(sim) - seen);
+    let allocs = thread_allocs() - allocs;
+    let events = sim.events_processed() - events;
+    let seen = segs(sim) - seen;
     assert!(seen >= 10_000, "only {seen} segments in the window");
-    allocs as f64 / seen as f64
+    PerSegment {
+        allocs: allocs as f64 / seen as f64,
+        events: events as f64 / seen as f64,
+    }
 }
 
 /// Segments the fast paths of `hosts` received, sent and acknowledged.
@@ -581,7 +601,8 @@ fn tas_segments(sim: &Sim<NetMsg>, hosts: &[AgentId]) -> u64 {
 }
 
 /// The Linux-model key-value pair: reference TCP engine, `StackHost`,
-/// `KvServer` and `KvClient` on both ends of a switch.
+/// `KvServer` and `KvClient` on both ends of a switch. A frame's
+/// connection commands share one `CONN_CMD` wake.
 #[test]
 fn linux_kv_pair_steady_state_does_not_allocate() {
     let linux = || HostCfg::Model(Box::new(profiles::linux()), StackHostConfig::linux(2));
@@ -601,17 +622,27 @@ fn linux_kv_pair_steady_state_does_not_allocate() {
     // The long warm-up is for the event queue: its timing-wheel slots
     // reach their working capacity only once the coarser levels have
     // turned over.
-    let per_seg = allocs_per_segment(
+    let per_seg = per_segment(
         &mut sim,
         SimTime::from_ms(100),
         SimTime::from_ms(20),
         segments,
     );
-    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
+    assert!(
+        per_seg.allocs < 0.01,
+        "{} allocations per segment",
+        per_seg.allocs
+    );
+    assert!(
+        per_seg.events < KV_EVENTS,
+        "{} events per segment",
+        per_seg.events
+    );
 }
 
 /// The TAS echo pair: fast path, slow path, libTAS, `EchoServer` and a
-/// closed-loop `RpcClient`.
+/// closed-loop `RpcClient`. An echo frame's receive bump and send share
+/// one `FP_CMD` wake.
 #[test]
 fn tas_echo_pair_steady_state_does_not_allocate() {
     let tas = || HostCfg::Tas(TasConfig::rpc_bench(1, 1));
@@ -625,13 +656,22 @@ fn tas_echo_pair_steady_state_does_not_allocate() {
     ];
     let net = build(Testbed::uniform(6, PortConfig::tengig(), agents));
     let (mut sim, hosts) = (net.sim, net.hosts);
-    let per_seg = allocs_per_segment(
+    let per_seg = per_segment(
         &mut sim,
         SimTime::from_ms(10),
         SimTime::from_ms(10),
         |sim| tas_segments(sim, &hosts),
     );
-    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
+    assert!(
+        per_seg.allocs < 0.01,
+        "{} allocations per segment",
+        per_seg.allocs
+    );
+    assert!(
+        per_seg.events < ECHO_EVENTS,
+        "{} events per segment",
+        per_seg.events
+    );
 }
 
 /// A TAS bulk pair through switch ports that drop 1 % of packets: the
@@ -661,7 +701,7 @@ fn tas_bulk_pair_through_lossy_port_steady_state_does_not_allocate() {
     ];
     let net = build(Testbed::uniform(7, port, agents));
     let (mut sim, hosts) = (net.sim, net.hosts);
-    let per_seg = allocs_per_segment(
+    let per_seg = per_segment(
         &mut sim,
         SimTime::from_ms(40),
         SimTime::from_ms(20),
@@ -669,5 +709,14 @@ fn tas_bulk_pair_through_lossy_port_steady_state_does_not_allocate() {
     );
     let sender = sim.agent::<TasHost>(hosts[1]).fp_stats();
     assert!(sender.fast_rexmits > 0, "the loss was felt");
-    assert!(per_seg < 0.01, "{per_seg} allocations per segment");
+    assert!(
+        per_seg.allocs < 0.01,
+        "{} allocations per segment",
+        per_seg.allocs
+    );
+    assert!(
+        per_seg.events < BULK_EVENTS,
+        "{} events per segment",
+        per_seg.events
+    );
 }
