@@ -2,14 +2,15 @@
 //! (Fig. 11: single bottleneck, Fig. 12: FatTree).
 //!
 //! A [`FlowGen`] opens a new connection per flow (Poisson arrivals,
-//! Pareto-ish sizes chosen by the harness), streams the flow's bytes, and
-//! closes. The first 16 payload bytes carry the flow's start time and
-//! size, so the [`FlowSink`] can compute the flow completion time the way
-//! ns-3 scripts do (arrival of the last byte minus flow start).
+//! bounded-Pareto sizes), streams the flow's bytes, and closes. The first
+//! 16 payload bytes carry the flow's start time and size, so the
+//! [`FlowSink`] can compute the flow completion time the way ns-3 scripts
+//! do (arrival of the last byte minus flow start).
 
 use crate::util::PerSock;
 use std::net::Ipv4Addr;
 use tas_netsim::app::{App, AppEvent, SockId, StackApi};
+use tas_sim::dist::BoundedPareto;
 use tas_sim::{impl_as_any, Histogram, Rng, SimTime};
 
 /// Flow header: start time (ps) and flow size (bytes).
@@ -18,20 +19,18 @@ pub const FLOW_HDR: usize = 16;
 /// Sizes in packets for the short/long split of Fig. 12 (50 packets).
 pub const SHORT_FLOW_PKTS: u64 = 50;
 
+/// The flow-size law: bounded Pareto between 2 and 500 full segments,
+/// shape 1.2.
+fn flow_sizes() -> BoundedPareto {
+    BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, 1.2)
+}
+
 /// Generates flows toward a set of destinations.
 pub struct FlowGen {
     /// Destination choices (ip, port).
     pub dests: Vec<(Ipv4Addr, u16)>,
     /// Mean inter-arrival time.
-    pub mean_gap: SimTime,
-    /// Flow size sampler parameters (bounded Pareto).
-    pub size_min: f64,
-    /// Maximum flow size.
-    pub size_max: f64,
-    /// Pareto shape.
-    pub size_alpha: f64,
-    /// Stop generating new flows after this time (0 = never).
-    pub stop_at: SimTime,
+    mean_gap: SimTime,
     rng: Rng,
     /// Flows still sending: (size, sent, start).
     active: PerSock<Option<(u64, u64, SimTime)>>,
@@ -42,15 +41,13 @@ pub struct FlowGen {
 }
 
 impl FlowGen {
-    /// Creates a generator; `mean_size`/`alpha` define the Pareto sizes.
-    pub fn new(dests: Vec<(Ipv4Addr, u16)>, mean_gap: SimTime, seed: u64) -> Self {
+    /// Creates a generator offering `load_bps` toward `dests`: the mean
+    /// gap between flow arrivals is the size law's analytic mean size
+    /// over that rate, so the offered load is exact.
+    pub fn new(dests: Vec<(Ipv4Addr, u16)>, load_bps: f64, seed: u64) -> Self {
         FlowGen {
             dests,
-            mean_gap,
-            size_min: 2.0 * 1448.0,
-            size_max: 500.0 * 1448.0,
-            size_alpha: 1.2,
-            stop_at: SimTime::ZERO,
+            mean_gap: SimTime::from_secs_f64(flow_sizes().mean() * 8.0 / load_bps),
             rng: Rng::new(seed),
             active: PerSock::default(),
             started: 0,
@@ -66,9 +63,7 @@ impl FlowGen {
 
     fn start_flow(&mut self, api: &mut dyn StackApi) {
         let (ip, port) = *self.rng.choose(&self.dests);
-        let size = tas_sim::dist::BoundedPareto::new(self.size_min, self.size_max, self.size_alpha)
-            .sample(&mut self.rng)
-            .round() as u64;
+        let size = flow_sizes().sample(&mut self.rng).round() as u64;
         let size = size.max(FLOW_HDR as u64);
         let sock = api.connect(ip, port);
         *self.active.slot(sock) = Some((size, 0, api.now()));
@@ -113,9 +108,7 @@ impl App for FlowGen {
 
     fn on_event(&mut self, ev: AppEvent, api: &mut dyn StackApi) {
         match ev {
-            AppEvent::Timer { .. }
-                if (self.stop_at == SimTime::ZERO || api.now() < self.stop_at) =>
-            {
+            AppEvent::Timer { .. } => {
                 self.start_flow(api);
                 self.schedule_next(api);
             }
@@ -237,4 +230,19 @@ impl App for FlowSink {
     }
 
     impl_as_any!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mean_gap_offers_the_requested_load() {
+        let dests = vec![(Ipv4Addr::new(10, 0, 0, 1), 5001)];
+        let mean = BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, 1.2).mean();
+        for load_bps in [0.75 * 10e9 / 8.0, 0.5 * 10e9] {
+            let g = FlowGen::new(dests.clone(), load_bps, 1);
+            assert_eq!(g.mean_gap, SimTime::from_secs_f64(mean * 8.0 / load_bps));
+        }
+    }
 }

@@ -41,6 +41,11 @@ const REQ_LEN: usize = REQ_HDR + VAL_SIZE;
 /// Response bytes.
 pub const RESP_LEN: usize = RESP_HDR + VAL_SIZE;
 
+/// Base application cycles per GET (hash + lookup + response build).
+const GET_CYCLES: u64 = 650;
+/// Base application cycles per SET.
+const SET_CYCLES: u64 = 900;
+
 /// A request of `op` for `key` with a zero value.
 fn request(op: u8, key: u32) -> [u8; REQ_LEN] {
     let mut req = [0u8; REQ_LEN];
@@ -63,10 +68,6 @@ pub struct KvServer {
     /// cannot size an allocation. Values are fixed-size, so a SET of a
     /// stored key overwrites it in place.
     store: BTreeMap<u32, [u8; VAL_SIZE]>,
-    /// Base application cycles per GET (hash + lookup + response build).
-    pub get_cycles: u64,
-    /// Base application cycles per SET.
-    pub set_cycles: u64,
     /// Extra cycles per operation per *additional* app core, modeling the
     /// lock serializing updates of a contended key (Table 7's
     /// non-scalable workload); 0 for the scalable workload.
@@ -91,8 +92,6 @@ impl KvServer {
         KvServer {
             port,
             store: BTreeMap::new(),
-            get_cycles: 650,
-            set_cycles: 900,
             lock_contention_cycles: 0,
             app_cores: 1,
             gets: 0,
@@ -121,11 +120,7 @@ impl KvServer {
         for req in buf[..whole].chunks_exact(REQ_LEN) {
             let op = req[0];
             let key = u32::from_be_bytes([req[1], req[2], req[3], req[4]]);
-            let mut cost = if op == OP_SET {
-                self.set_cycles
-            } else {
-                self.get_cycles
-            };
+            let mut cost = if op == OP_SET { SET_CYCLES } else { GET_CYCLES };
             if self.lock_contention_cycles > 0 && self.app_cores > 1 {
                 cost += self.lock_contention_cycles * (self.app_cores as u64 - 1);
             }
@@ -192,10 +187,6 @@ pub enum KvLoad {
         /// Aggregate request rate.
         per_sec: u64,
     },
-    /// Issue nothing (a stopped phase in the scenario suite). Switching
-    /// to `Idle` lets the open-loop timer chain lapse; the client keeps
-    /// draining responses already in flight.
-    Idle,
 }
 
 /// Fraction of requests that are SETs (paper: 10%).
@@ -245,9 +236,7 @@ impl KvClient {
     }
 
     /// Replaces the load pattern mid-run (the flash-crowd phase change).
-    /// Takes effect at the next open-loop arrival; switching from
-    /// [`KvLoad::Idle`] to an active pattern does not restart a lapsed
-    /// timer chain, so only use that transition before start-up.
+    /// Takes effect at the next open-loop arrival.
     pub fn set_load(&mut self, load: KvLoad) {
         self.load = load;
     }

@@ -15,7 +15,7 @@
 //! the paper-scale parameters (more connections, longer windows).
 
 use tas_apps::echo::{EchoServer, ServerMode};
-use tas_apps::kv::KvServer;
+use tas_apps::kv::{self, KvServer};
 use tas_apps::loadgen::{LoadGenConfig, LoadGenHost};
 use tas_cpusim::{CycleAccount, Module, MODULE_COUNT};
 use tas_netsim::app::App;
@@ -91,6 +91,12 @@ pub const ECHO_BUF: usize = 1024;
 /// Receive and transmit buffer bytes per connection for KV-sized messages.
 pub const KV_BUF: usize = 4096;
 
+/// Request and response bytes of [`ServerApp::Echo`].
+const ECHO_SIZE: usize = 64;
+
+/// Application cycles [`ServerApp::Echo`] spends per request.
+const ECHO_APP_CYCLES: u64 = 300;
+
 /// An RPC-echo throughput scenario: one server, a bank of load-generator
 /// clients, closed loop with one request in flight per connection.
 #[derive(Clone, Debug)]
@@ -101,19 +107,12 @@ pub struct RpcScenario {
     pub conns: u32,
     /// Client machines to spread them over.
     pub client_hosts: usize,
-    /// Request/response payload bytes.
-    pub req_size: usize,
-    /// Response size (defaults to `req_size` when `None` — echo).
-    pub resp_size: Option<usize>,
-    /// Per-request server app cycles.
-    pub app_cycles: u64,
     /// Warmup before measurement.
     pub warmup: SimTime,
     /// Measurement window.
     pub measure: SimTime,
-    /// Request template (None = echo filler).
-    pub req_template: Option<Vec<u8>>,
-    /// Which server application runs.
+    /// Which server application runs; it fixes the request and response
+    /// the load generators exchange with it.
     pub server_app: ServerApp,
     /// Table 7's non-scalable KV workload: the server's app cores and the
     /// extra lock-contention cycles per op per extra app core; `None`
@@ -130,9 +129,9 @@ pub struct RpcScenario {
 /// Server application selection for [`RpcScenario`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerApp {
-    /// Byte echo.
+    /// Byte echo of 64-byte requests.
     Echo,
-    /// The key-value store with the paper's GET-heavy workload.
+    /// The key-value store, sent GETs of key 1.
     Kv,
 }
 
@@ -143,12 +142,8 @@ impl RpcScenario {
             server: HostCfg::new(kind, cores, ECHO_BUF),
             conns,
             client_hosts: 6,
-            req_size: 64,
-            resp_size: None,
-            app_cycles: 300,
             warmup: SimTime::from_ms(30),
             measure: SimTime::from_ms(20),
-            req_template: None,
             server_app: ServerApp::Echo,
             kv_contention: None,
             seed: 42,
@@ -159,11 +154,7 @@ impl RpcScenario {
 
     /// A key-value store scenario: GET requests via the load generators.
     pub fn kv(kind: Kind, cores: (usize, usize), conns: u32) -> RpcScenario {
-        let template = tas_apps::kv::get_request(1);
         RpcScenario {
-            req_size: template.len(),
-            resp_size: Some(tas_apps::kv::RESP_LEN),
-            req_template: Some(template),
             server_app: ServerApp::Kv,
             server: HostCfg::new(kind, cores, KV_BUF),
             ..RpcScenario::echo(kind, cores, conns)
@@ -297,23 +288,24 @@ impl ProfileCapture {
 
 impl RpcScenario {
     /// The scenario's testbed: the server behind the 40G port, then
-    /// `client_hosts` load generators sharing the connections.
+    /// `client_hosts` load generators sharing the connections, sending
+    /// the server app's request and expecting its response.
     fn testbed(&self) -> Testbed {
-        let app: Box<dyn App> = match self.server_app {
-            ServerApp::Echo => Box::new(EchoServer::new(
-                7,
-                self.req_size,
-                ServerMode::Echo,
-                self.app_cycles,
-            )),
+        let (app, req_template, resp_size): (Box<dyn App>, _, _) = match self.server_app {
+            ServerApp::Echo => {
+                let echo = EchoServer::new(7, ECHO_SIZE, ServerMode::Echo, ECHO_APP_CYCLES);
+                (Box::new(echo), None, ECHO_SIZE)
+            }
             ServerApp::Kv => {
-                let kv = KvServer::new(7);
-                match self.kv_contention {
-                    Some((cores, cycles)) => Box::new(kv.non_scalable(cores, cycles)),
-                    None => Box::new(kv),
-                }
+                let server = KvServer::new(7);
+                let server: Box<dyn App> = match self.kv_contention {
+                    Some((cores, cycles)) => Box::new(server.non_scalable(cores, cycles)),
+                    None => Box::new(server),
+                };
+                (server, Some(kv::get_request(1)), kv::RESP_LEN)
             }
         };
+        let req_size = req_template.as_ref().map_or(ECHO_SIZE, Vec::len);
         let hosts = self.client_hosts as u32;
         let (per_client, remainder) = (self.conns / hosts, self.conns % hosts);
         let client = |i: u32| {
@@ -321,9 +313,9 @@ impl RpcScenario {
                 server: host_ip(0),
                 port: 7,
                 conns: per_client + u32::from(i < remainder),
-                req_size: self.req_size,
-                resp_size: self.resp_size.unwrap_or(self.req_size),
-                req_template: self.req_template.clone(),
+                req_size,
+                resp_size,
+                req_template: req_template.clone(),
                 ..LoadGenConfig::default()
             })
         };

@@ -6,7 +6,7 @@
 //! per-flow state, per-flow queueing, fast-path rate enforcement) only
 //! matters under that composition. This module is a small declarative
 //! DSL for such days: a [`ScenarioSpec`] composes tenants (application
-//! kind, traffic shape, start/stop phases, per-tenant WAN profile) over
+//! kind, traffic shape, start and flash phases, per-tenant WAN profile) over
 //! the canonical star topology, runs the composition on both the TAS
 //! stack and the reference stack, and holds a designated *victim* tenant
 //! to per-scenario isolation bounds — its p99 latency and goodput under
@@ -27,7 +27,7 @@
 //! ```text
 //! scenario  := name title seed warmup measure server tenants bounds
 //! server    := cores ecn_threshold?
-//! tenant    := name role shape hosts start stop? flash? wan?
+//! tenant    := name role shape hosts start flash? wan?
 //! shape     := KvOpen(rate, conns) | KvClosed(conns)
 //!            | KvChurn(conns, msgs_per_conn)
 //!            | SlowRead(conns, burst) | AckDivision(conns, chunk)
@@ -146,9 +146,6 @@ pub struct Tenant {
     pub hosts: usize,
     /// Start phase: hosts stay silent until this instant.
     pub start: SimTime,
-    /// Stop phase: KV shapes switch to idle load here (`None` = run to
-    /// the end). Ignored by raw/slow-reader shapes.
-    pub stop: Option<SimTime>,
     /// Optional flash crowd (KvOpen only).
     pub flash: Option<Flash>,
     /// This tenant's access links emulate a bursty-loss WAN path
@@ -167,7 +164,6 @@ impl Tenant {
             shape,
             hosts,
             start: SimTime::ZERO,
-            stop: None,
             flash: None,
             wan: false,
         }

@@ -1,6 +1,6 @@
 //! Executes a [`ScenarioSpec`] on one stack: describes the star as a
 //! [`Testbed`] (one node per client host, with its tenant, start phase
-//! and WAN port), applies stop/flash phase mutations at their instants,
+//! and WAN port), applies flash-crowd rate changes at their instants,
 //! and collects per-tenant metrics over the measurement window.
 
 use super::{ScenarioSpec, Tenant, TrafficShape};
@@ -67,30 +67,23 @@ fn wan_port(seed: u64) -> PortConfig {
     p
 }
 
-/// Phase mutations applied mid-run, keyed by instant.
+/// A phase mutation applied mid-run: a KvOpen tenant's rate becomes
+/// `per_sec`.
 #[derive(Clone, Copy, Debug)]
-enum Phase {
-    /// KV tenant goes idle.
-    Stop { tenant: u32 },
-    /// KvOpen tenant's rate becomes `per_sec`.
-    SetRate { tenant: u32, per_sec: u64 },
+struct Phase {
+    tenant: u32,
+    per_sec: u64,
 }
 
 fn phase_schedule(spec: &ScenarioSpec) -> BTreeMap<SimTime, Vec<Phase>> {
     let mut sched: BTreeMap<SimTime, Vec<Phase>> = BTreeMap::new();
     for t in &spec.tenants {
-        if let Some(stop) = t.stop {
-            sched
-                .entry(stop)
-                .or_default()
-                .push(Phase::Stop { tenant: t.id });
-        }
         if let (Some(f), TrafficShape::KvOpen { per_sec, .. }) = (t.flash, &t.shape) {
-            sched.entry(f.at).or_default().push(Phase::SetRate {
+            sched.entry(f.at).or_default().push(Phase {
                 tenant: t.id,
                 per_sec: per_sec * f.rate_mult,
             });
-            sched.entry(f.until).or_default().push(Phase::SetRate {
+            sched.entry(f.until).or_default().push(Phase {
                 tenant: t.id,
                 per_sec: *per_sec,
             });
@@ -177,12 +170,11 @@ fn host_sent(sim: &Sim<NetMsg>, shape: &TrafficShape, h: AgentId) -> u64 {
 }
 
 fn apply_phase(sim: &mut Sim<NetMsg>, clients: &[(u32, TrafficShape, AgentId)], ph: Phase) {
-    let (tenant, load) = match ph {
-        Phase::Stop { tenant } => (tenant, KvLoad::Idle),
-        Phase::SetRate { tenant, per_sec } => (tenant, KvLoad::OpenRate { per_sec }),
+    let load = KvLoad::OpenRate {
+        per_sec: ph.per_sec,
     };
     for (tid, shape, h) in clients {
-        if *tid == tenant && is_kv(shape) {
+        if *tid == ph.tenant && is_kv(shape) {
             app_mut::<KvClient>(sim, *h).set_load(load);
         }
     }

@@ -1435,21 +1435,6 @@ pub mod fig11 {
         cfg
     }
 
-    /// A generator of bounded-Pareto-sized flows toward `dests` offering
-    /// `load_bps` (the analytic mean size makes the offered load exact).
-    pub(super) fn flow_gen(
-        dests: Vec<(std::net::Ipv4Addr, u16)>,
-        load_bps: f64,
-        seed: u64,
-    ) -> FlowGen {
-        let alpha = 1.2;
-        let mean = tas_sim::dist::BoundedPareto::new(2.0 * 1448.0, 500.0 * 1448.0, alpha).mean();
-        let gap = SimTime::from_secs_f64(mean * 8.0 / load_bps);
-        let mut g = FlowGen::new(dests, gap, seed);
-        g.size_alpha = alpha;
-        g
-    }
-
     /// Runs the single-link experiment; returns (mean FCT ms, mean
     /// bottleneck queue pkts).
     fn run(cc: Cc, seed: u64) -> (f64, f64) {
@@ -1461,7 +1446,7 @@ pub mod fig11 {
                 Box::new(FlowSink::new(5001))
             } else {
                 let sink = vec![(host_ip(0), 5001)];
-                Box::new(flow_gen(sink, per_sender_bps, seed + i))
+                Box::new(FlowGen::new(sink, per_sender_bps, seed + i))
             };
             Agent::stack(node_cfg(cc, 2, 256 * 1024), app)
         };
@@ -1526,9 +1511,9 @@ pub mod fig11 {
 /// 100 µs), on a scaled-down k = 4 (quick) / k = 8 (full) tree with the
 /// paper's 1:4 core oversubscription.
 pub mod fig12 {
-    use super::fig11::{flow_gen, node_cfg, Cc};
+    use super::fig11::{node_cfg, Cc};
     use super::*;
-    use tas_apps::flows::FlowSink;
+    use tas_apps::flows::{FlowGen, FlowSink};
 
     /// FatTree arity.
     fn k() -> usize {
@@ -1552,7 +1537,7 @@ pub mod fig12 {
                     .filter(|&(j, _)| j % 2 == 1 && j != i)
                     .map(|(_, d)| d)
                     .collect();
-                Box::new(flow_gen(dests, 0.5 * 10e9, seed + i as u64))
+                Box::new(FlowGen::new(dests, 0.5 * 10e9, seed + i as u64))
             } else {
                 Box::new(FlowSink::new(5001))
             };

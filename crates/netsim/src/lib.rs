@@ -54,6 +54,10 @@ pub enum NetMsg {
     },
 }
 
+// Every queued event of a network simulation is an `Event<NetMsg>`, so
+// a byte added here is a byte added to each of them (DESIGN.md §12).
+const _: () = assert!(std::mem::size_of::<tas_sim::Event<NetMsg>>() <= 112);
+
 impl NetMsg {
     /// Convenience constructor for control messages.
     pub fn ctl(kind: u32, a: u64, b: u64) -> NetMsg {

@@ -640,7 +640,7 @@ mod tests {
         }));
         sim.inject_timer(SimTime::ZERO, id, DEFER, 0);
         for (t, msg) in msgs {
-            sim.inject_msg(t, id, id, msg);
+            sim.inject_msg(t, id, msg);
         }
         sim.run_to_completion(1_000);
         std::mem::take(sim.agent_mut::<MockHost>(id))

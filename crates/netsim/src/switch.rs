@@ -361,12 +361,7 @@ mod tests {
     fn forwards_by_route_and_charges_serialization() {
         let (mut sim, sw, sink) = setup(PortConfig::tengig());
         let dst = Ipv4Addr::new(10, 0, 0, 2);
-        sim.inject_msg(
-            SimTime::ZERO,
-            99,
-            sw,
-            NetMsg::Packet(seg(dst, 5, 1000, true)),
-        );
+        sim.inject_msg(SimTime::ZERO, sw, NetMsg::Packet(seg(dst, 5, 1000, true)));
         sim.run_until(SimTime::from_ms(1));
         let pkts = &sim.agent::<Sink>(sink).pkts;
         assert_eq!(pkts.len(), 1);
@@ -380,7 +375,6 @@ mod tests {
         let (mut sim, sw, sink) = setup(PortConfig::tengig());
         sim.inject_msg(
             SimTime::ZERO,
-            99,
             sw,
             NetMsg::Packet(seg(Ipv4Addr::new(9, 9, 9, 9), 5, 10, true)),
         );
@@ -398,12 +392,7 @@ mod tests {
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         // Burst of 10 back-to-back packets; only 4 fit.
         for _ in 0..10 {
-            sim.inject_msg(
-                SimTime::ZERO,
-                99,
-                sw,
-                NetMsg::Packet(seg(dst, 5, 1400, true)),
-            );
+            sim.inject_msg(SimTime::ZERO, sw, NetMsg::Packet(seg(dst, 5, 1400, true)));
         }
         sim.run_until(SimTime::from_ms(10));
         assert_eq!(sim.agent::<Sink>(sink).pkts.len(), 4);
@@ -421,7 +410,6 @@ mod tests {
             // Alternate ECN-capable and not.
             sim.inject_msg(
                 SimTime::ZERO,
-                99,
                 sw,
                 NetMsg::Packet(seg(dst, 5, 1400, i % 2 == 0)),
             );
@@ -454,7 +442,6 @@ mod tests {
             for _ in 0..2 {
                 sim.inject_msg(
                     SimTime::ZERO,
-                    99,
                     sw_id,
                     NetMsg::Packet(seg(dst, sport, 10, true)),
                 );
@@ -487,12 +474,7 @@ mod tests {
         sim.inject_timer(SimTime::ZERO, sw, TIMER_SAMPLE_QUEUE, 0);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         for _ in 0..100 {
-            sim.inject_msg(
-                SimTime::ZERO,
-                99,
-                sw,
-                NetMsg::Packet(seg(dst, 5, 1400, true)),
-            );
+            sim.inject_msg(SimTime::ZERO, sw, NetMsg::Packet(seg(dst, 5, 1400, true)));
         }
         sim.run_until(SimTime::from_us(50));
         let sw = sim.agent::<Switch>(sw);

@@ -305,12 +305,7 @@ mod tests {
         // Host 0 pings host 3 "from the wire": inject at host 0's NIC agent
         // by sending from host 0 through the switch.
         let seg = ping(host_ip(0), host_ip(3), 999);
-        sim.inject_msg(
-            SimTime::ZERO,
-            topo.hosts[0],
-            topo.switch,
-            NetMsg::Packet(seg),
-        );
+        sim.inject_msg(SimTime::ZERO, topo.switch, NetMsg::Packet(seg));
         sim.run_until(SimTime::from_ms(2));
         // Host 3 got the ping, host 0 got the pong.
         assert_eq!(sim.agent::<EchoHost>(topo.hosts[3]).got.len(), 1);
@@ -334,12 +329,7 @@ mod tests {
             let j = (i + 5) % 16;
             let seg = ping(topo.ips[i as usize], topo.ips[j as usize], 1000 + i as u16);
             let edge = topo.edges[i as usize / 2 / 2 * 2 + (i as usize / 2) % 2];
-            sim.inject_msg(
-                SimTime::ZERO,
-                topo.hosts[i as usize],
-                edge,
-                NetMsg::Packet(seg),
-            );
+            sim.inject_msg(SimTime::ZERO, edge, NetMsg::Packet(seg));
         }
         sim.run_until(SimTime::from_ms(5));
         for i in 0..16usize {

@@ -38,8 +38,6 @@ pub enum Event<M> {
     },
     /// A message from another agent (or from the harness).
     Msg {
-        /// The sending agent.
-        from: AgentId,
         /// The message body.
         msg: M,
     },
@@ -115,12 +113,11 @@ impl<M> Ctx<'_, M> {
     ///
     /// `at` earlier than now is clamped to now.
     pub fn send_at(&mut self, to: AgentId, at: SimTime, msg: M) {
-        let from = self.self_id;
         self.queue.push(
             at.max(self.now),
             Scheduled {
                 to,
-                ev: Event::Msg { from, msg },
+                ev: Event::Msg { msg },
             },
         );
     }
@@ -180,7 +177,7 @@ impl<M> Ctx<'_, M> {
 ///
 /// let mut sim = Sim::new(42);
 /// let id = sim.add_agent(Box::new(Pinger { got: 0 }));
-/// sim.inject_msg(SimTime::from_us(1), id, id, 7);
+/// sim.inject_msg(SimTime::from_us(1), id, 7);
 /// sim.run_until(SimTime::from_us(2));
 /// assert_eq!(sim.agent::<Pinger>(id).got, 7);
 /// ```
@@ -233,13 +230,13 @@ impl<M: 'static> Sim<M> {
         &mut self.rng
     }
 
-    /// Injects a message from `from` to `to` at absolute time `at`.
-    pub fn inject_msg(&mut self, at: SimTime, from: AgentId, to: AgentId, msg: M) {
+    /// Injects a message to `to` at absolute time `at`.
+    pub fn inject_msg(&mut self, at: SimTime, to: AgentId, msg: M) {
         self.queue.push(
             at,
             Scheduled {
                 to,
-                ev: Event::Msg { from, msg },
+                ev: Event::Msg { msg },
             },
         );
     }
@@ -416,15 +413,13 @@ mod tests {
         impl_as_any!();
     }
 
-    struct Pong;
+    struct Pong {
+        peer: AgentId,
+    }
     impl Agent<Msg> for Pong {
         fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Ctx<'_, Msg>) {
-            if let Event::Msg {
-                from,
-                msg: Msg::Ping(v),
-            } = ev
-            {
-                ctx.send(from, SimTime::from_us(10), Msg::Pong(v + 1));
+            if let Event::Msg { msg: Msg::Ping(v) } = ev {
+                ctx.send(self.peer, SimTime::from_us(10), Msg::Pong(v + 1));
             }
         }
         impl_as_any!();
@@ -432,11 +427,12 @@ mod tests {
 
     fn build() -> (Sim<Msg>, AgentId) {
         let mut sim = Sim::new(1);
-        let pong = sim.add_agent(Box::new(Pong));
+        let pong = sim.add_agent(Box::new(Pong { peer: 0 }));
         let ping = sim.add_agent(Box::new(Ping {
             peer: pong,
             pongs: Vec::new(),
         }));
+        sim.agent_mut::<Pong>(pong).peer = ping;
         (sim, ping)
     }
 
@@ -628,7 +624,7 @@ mod tests {
     #[test]
     fn events_to_unknown_agents_are_dropped() {
         let mut sim: Sim<Msg> = Sim::new(3);
-        sim.inject_msg(SimTime::from_us(1), 0, 99, Msg::Ping(1));
+        sim.inject_msg(SimTime::from_us(1), 99, Msg::Ping(1));
         assert_eq!(sim.run_to_completion(10), 1);
     }
 }

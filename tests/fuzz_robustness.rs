@@ -143,7 +143,7 @@ fn build_linux_with_flow() -> (Sim<NetMsg>, AgentId, u32) {
     let (server, tap) = (hosts[0], hosts[1]);
     sim.run_until(SimTime::from_us(100));
     let syn = on_flow(500, 0, TcpFlags::SYN, 0, &[]);
-    sim.inject_msg(SimTime::from_us(100), 0, server, NetMsg::Packet(syn));
+    sim.inject_msg(SimTime::from_us(100), server, NetMsg::Packet(syn));
     sim.run_until(SimTime::from_us(200));
     let iss = sim.agent::<Tap>(tap).0[0].tcp.seq.0;
     let req = on_flow(
@@ -153,7 +153,7 @@ fn build_linux_with_flow() -> (Sim<NetMsg>, AgentId, u32) {
         0,
         &[7; 64],
     );
-    sim.inject_msg(SimTime::from_us(200), 0, server, NetMsg::Packet(req));
+    sim.inject_msg(SimTime::from_us(200), server, NetMsg::Packet(req));
     sim.run_until(SimTime::from_us(300));
     assert_eq!(
         sim.agent::<Tap>(tap).0.last().map(|s| s.payload.len()),
@@ -318,7 +318,7 @@ fn closing_a_reset_socket_leaves_the_recycled_flow_alone() {
     let mut send = |sim: &mut Sim<NetMsg>, sport: u16, seq: u32, ack: u32, flags, data: &[u8]| {
         let mut seg = on_flow(seq, ack, flags, 0, data);
         seg.tcp.src_port = sport;
-        sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+        sim.inject_msg(t, host, NetMsg::Packet(seg));
         t += SimTime::from_us(200);
         sim.run_until(t);
     };
@@ -377,7 +377,7 @@ fn tas_host_survives_garbage() {
         let on_flow_count = acks.len() as u64;
         let mut t = SimTime::from_us(600);
         for seg in segs.into_iter().chain(acks) {
-            sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+            sim.inject_msg(t, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
         // Let retries, control loops, and teardowns churn.
@@ -400,7 +400,7 @@ fn linux_host_survives_garbage() {
         let (mut sim, host) = build_linux();
         let mut t = SimTime::from_us(200);
         for seg in segs {
-            sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+            sim.inject_msg(t, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
         sim.run_until(t + SimTime::from_ms(50));
@@ -428,7 +428,7 @@ fn linux_host_survives_hostile_tsecr_on_flow() {
                 tsecr,
                 &[],
             );
-            sim.inject_msg(t, 0, host, NetMsg::Packet(seg));
+            sim.inject_msg(t, host, NetMsg::Packet(seg));
             t += SimTime::from_us(3);
         }
         sim.run_until(t + SimTime::from_ms(50));
