@@ -82,7 +82,6 @@ pub struct BulkReceiver {
     /// Measurement gate.
     pub measure_from: SimTime,
     sockets: Vec<SockId>,
-    armed: bool,
 }
 
 impl BulkReceiver {
@@ -96,7 +95,6 @@ impl BulkReceiver {
             sample_every: SimTime::ZERO,
             measure_from: SimTime::ZERO,
             sockets: Vec::new(),
-            armed: false,
         }
     }
 
@@ -112,7 +110,6 @@ impl App for BulkReceiver {
     fn on_start(&mut self, api: &mut dyn StackApi) {
         api.listen(self.port);
         if self.sample_every > SimTime::ZERO {
-            self.armed = true;
             api.set_app_timer(self.sample_every, 1);
         }
     }

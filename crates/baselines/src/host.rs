@@ -281,7 +281,7 @@ impl StackHost {
     pub fn new(
         ip: Ipv4Addr,
         mac: MacAddr,
-        mut nic_cfg: NicConfig,
+        nic_cfg: NicConfig,
         profile: StackProfile,
         cfg: StackHostConfig,
         uplink: tas_sim::AgentId,
@@ -300,7 +300,6 @@ impl StackHost {
                 "off-path model needs 1..cores NIC cores"
             );
         }
-        nic_cfg.rx_queues = cfg.cores;
         let nic = HostNic::new(mac, nic_cfg, uplink);
         let cores = match cfg.model {
             ThreadModel::OffPathNic { nic_cores, .. } => CorePool::heterogeneous(&[
@@ -373,9 +372,9 @@ impl StackHost {
         self.inner.cores.busy_cycles_by_class(class)
     }
 
-    /// The host's metric registry: host counters plus the 1 ms series —
-    /// `conns.live`, `tcp.tx_buffered`, `tcp.rx_readable`,
-    /// `app.batched_events` and per-core `core.util{core=i}`.
+    /// The host's metric registry: host counters plus the one 1 ms
+    /// series, per-core `core.util{core=i}` (the cycle profiler's
+    /// utilization window).
     pub fn registry(&self) -> &Registry {
         &self.inner.reg
     }
@@ -677,26 +676,13 @@ impl StackHost {
     // ------------------------------------------------------------------
     // Packet receive.
 
-    /// Samples the queue-depth gauges and per-core utilization into the
-    /// registry's fixed sim-clock grid (which dedupes re-entries within
-    /// one interval).
+    /// Samples per-core utilization into the registry's fixed sim-clock
+    /// grid (which dedupes re-entries within one interval).
     fn sample_series(&mut self, now: SimTime) {
-        let inner = &mut self.inner;
-        let reg = &mut inner.reg;
-        if !reg.begin_sample(now) {
-            return;
+        let reg = &mut self.inner.reg;
+        if reg.begin_sample(now) {
+            reg.record_util("core.util", self.inner.cores.iter().map(Core::busy_total));
         }
-        reg.record("conns.live", Scope::Global, inner.by_key.len() as f64);
-        let (mut tx_buf, mut rx_ready) = (0u64, 0u64);
-        for (_, slot) in inner.slots.iter() {
-            tx_buf += slot.conn.send_buffered() as u64;
-            rx_ready += slot.conn.readable() as u64;
-        }
-        reg.record("tcp.tx_buffered", Scope::Global, tx_buf as f64);
-        reg.record("tcp.rx_readable", Scope::Global, rx_ready as f64);
-        let batched: usize = inner.batches.iter().map(Vec::len).sum();
-        reg.record("app.batched_events", Scope::Global, batched as f64);
-        reg.record_util("core.util", inner.cores.iter().map(Core::busy_total));
     }
 
     fn on_packet(&mut self, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) {

@@ -4,34 +4,17 @@
 
 use tas_sim::SimTime;
 
-use crate::{AckInfo, CcState, CongCtrl, RateFeedback, INIT_WINDOW_SEGS};
+use crate::{
+    AckInfo, CcState, CongCtrl, RateFeedback, INIT_WINDOW_SEGS, MAX_RATE_BPS, MIN_RATE_BPS,
+};
 
-/// Tuning knobs for DCTCP rate mode.
-#[derive(Clone, Copy, Debug)]
-pub struct DctcpRateParams {
-    /// EWMA gain g for the alpha estimate.
-    pub gain: f64,
-    /// Additive increase per control interval, bits/sec.
-    pub ai_bps: u64,
-    /// Rate floor, bits/sec.
-    pub min_bps: u64,
-    /// Rate ceiling, bits/sec.
-    pub max_bps: u64,
-    /// Cap: rate may not exceed measured achieved rate times this.
-    pub cap_factor: f64,
-}
-
-impl Default for DctcpRateParams {
-    fn default() -> Self {
-        DctcpRateParams {
-            gain: 1.0 / 16.0,
-            ai_bps: 10_000_000,
-            min_bps: 1_000_000,
-            max_bps: 10_000_000_000,
-            cap_factor: 1.2,
-        }
-    }
-}
+/// EWMA gain g of the alpha estimate, in both modes.
+const GAIN: f64 = 1.0 / 16.0;
+/// Rate mode: additive increase per control interval, bits/second.
+const RATE_AI_BPS: u64 = 10_000_000;
+/// Rate mode: the rate may not exceed the measured achieved rate times
+/// this.
+const RATE_CAP_FACTOR: f64 = 1.2;
 
 /// Window-mode DCTCP with per-RTT mark-fraction estimation.
 #[derive(Debug)]
@@ -42,8 +25,6 @@ pub struct Dctcp {
     acked_accum: u32,
     /// EWMA of the fraction of marked bytes.
     alpha: f64,
-    /// EWMA gain g.
-    gain: f64,
     /// Bytes acked in the current observation window.
     bytes_acked_win: u64,
     /// Of those, bytes whose ACKs carried ECE.
@@ -63,7 +44,6 @@ impl Dctcp {
             acked_accum: 0,
             // Start at 1.0: react strongly to early marks (standard).
             alpha: 1.0,
-            gain: 1.0 / 16.0,
             bytes_acked_win: 0,
             bytes_marked_win: 0,
             window_end: None,
@@ -85,7 +65,7 @@ impl Dctcp {
             _ => {
                 if self.bytes_acked_win > 0 {
                     let f = self.bytes_marked_win as f64 / self.bytes_acked_win as f64;
-                    self.alpha = (1.0 - self.gain) * self.alpha + self.gain * f;
+                    self.alpha = (1.0 - GAIN) * self.alpha + GAIN * f;
                 }
                 self.bytes_acked_win = 0;
                 self.bytes_marked_win = 0;
@@ -153,13 +133,7 @@ impl CongCtrl for Dctcp {
 /// One DCTCP rate-law iteration (paper §3.2 and §5.5): folds one control
 /// interval's feedback into the flow's `st` and returns its new rate in
 /// bits/second.
-pub fn dctcp_rate(
-    st: &mut CcState,
-    fb: RateFeedback,
-    current_bps: u64,
-    interval_secs: f64,
-    p: &DctcpRateParams,
-) -> u64 {
+pub fn dctcp_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64, interval_secs: f64) -> u64 {
     let mut rate = current_bps as f64;
 
     // Track the achieved rate so the target can't run away from
@@ -171,10 +145,10 @@ pub fn dctcp_rate(
         } else {
             0.8 * st.rate_ewma + 0.2 * measured
         };
-        rate = rate.min(st.rate_ewma.max(measured) * p.cap_factor);
+        rate = rate.min(st.rate_ewma.max(measured) * RATE_CAP_FACTOR);
         // alpha <- (1-g)*alpha + g*F, F = marked fraction this interval.
         let f = (fb.ecnb as f64 / fb.ackb as f64).min(1.0);
-        st.alpha = (1.0 - p.gain) * st.alpha + p.gain * f;
+        st.alpha = (1.0 - GAIN) * st.alpha + GAIN * f;
     }
 
     let congested = fb.ecnb > 0 || fb.frexmits > 0;
@@ -191,8 +165,8 @@ pub fn dctcp_rate(
     } else if st.slow_start {
         rate *= 2.0;
     } else if fb.ackb > 0 {
-        rate += p.ai_bps as f64;
+        rate += RATE_AI_BPS as f64;
     }
 
-    (rate as u64).clamp(p.min_bps, p.max_bps)
+    (rate as u64).clamp(MIN_RATE_BPS, MAX_RATE_BPS)
 }

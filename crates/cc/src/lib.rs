@@ -36,9 +36,14 @@ mod dctcp;
 mod newreno;
 mod timely;
 
-pub use dctcp::{dctcp_rate, Dctcp, DctcpRateParams};
+pub use dctcp::{dctcp_rate, Dctcp};
 pub use newreno::NewReno;
-pub use timely::{timely_rate, TimelyParams};
+pub use timely::timely_rate;
+
+/// Rate floor of both rate laws, bits/second.
+const MIN_RATE_BPS: u64 = 1_000_000;
+/// Rate ceiling of both rate laws, bits/second.
+const MAX_RATE_BPS: u64 = 10_000_000_000;
 
 /// Which congestion-control algorithm a connection runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -228,12 +233,12 @@ mod tests {
     }
 
     fn dctcp(st: &mut CcState, f: RateFeedback, current_bps: u64) -> u64 {
-        dctcp_rate(st, f, current_bps, INTERVAL, &DctcpRateParams::default())
+        dctcp_rate(st, f, current_bps, INTERVAL)
     }
 
     fn timely(st: &mut CcState, rtt_est_us: u32, current_bps: u64) -> u64 {
         let f = fb(1000, 0, 0, rtt_est_us);
-        timely_rate(st, f, current_bps, &TimelyParams::default())
+        timely_rate(st, f, current_bps)
     }
 
     #[test]

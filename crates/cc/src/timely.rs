@@ -2,44 +2,22 @@
 //! adapted for TCP by adding slow start. [`timely_rate`] is the TAS
 //! slow-path rate law.
 
-use crate::{CcState, RateFeedback};
+use crate::{CcState, RateFeedback, MAX_RATE_BPS, MIN_RATE_BPS};
 
-/// Parameters of the TIMELY rate law.
-#[derive(Clone, Copy, Debug)]
-pub struct TimelyParams {
-    /// Low RTT threshold: below it, increase additively.
-    pub t_low_us: u32,
-    /// High RTT threshold: above it, decrease multiplicatively.
-    pub t_high_us: u32,
-    /// Multiplicative decrease factor β.
-    pub beta: f64,
-    /// Additive increase step in bits/second.
-    pub delta_bps: u64,
-    /// Minimum RTT for gradient normalization.
-    pub min_rtt_us: u32,
-    /// Rate floor.
-    pub min_bps: u64,
-    /// Rate ceiling.
-    pub max_bps: u64,
-}
-
-impl Default for TimelyParams {
-    fn default() -> Self {
-        TimelyParams {
-            t_low_us: 50,
-            t_high_us: 500,
-            beta: 0.8,
-            delta_bps: 10_000_000,
-            min_rtt_us: 20,
-            min_bps: 1_000_000,
-            max_bps: 10_000_000_000,
-        }
-    }
-}
+/// Low RTT threshold in µs: below it, increase additively.
+const T_LOW_US: u32 = 50;
+/// High RTT threshold in µs: above it, decrease multiplicatively.
+const T_HIGH_US: u32 = 500;
+/// Multiplicative decrease factor β.
+const BETA: f64 = 0.8;
+/// Additive increase step in bits/second.
+const DELTA_BPS: u64 = 10_000_000;
+/// Minimum RTT in µs, the gradient's normalizer.
+const MIN_RTT_US: u32 = 20;
 
 /// One TIMELY rate-law iteration over the flow's `st`; returns the new
 /// rate in bits/second. Interval-free: the gradient normalizes by RTT.
-pub fn timely_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64, p: &TimelyParams) -> u64 {
+pub fn timely_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64) -> u64 {
     if fb.ackb == 0 {
         // No feedback this interval: hold.
         return current_bps;
@@ -53,23 +31,23 @@ pub fn timely_rate(st: &mut CcState, fb: RateFeedback, current_bps: u64, p: &Tim
     st.prev_rtt_us = rtt;
     let mut rate = current_bps as f64;
     if st.slow_start {
-        if rtt > p.t_low_us {
+        if rtt > T_LOW_US {
             st.slow_start = false;
         } else {
-            return ((rate * 2.0) as u64).clamp(p.min_bps, p.max_bps);
+            return ((rate * 2.0) as u64).clamp(MIN_RATE_BPS, MAX_RATE_BPS);
         }
     }
-    if rtt < p.t_low_us {
-        rate += p.delta_bps as f64;
-    } else if rtt > p.t_high_us {
-        rate *= 1.0 - p.beta * (1.0 - p.t_high_us as f64 / rtt as f64);
+    if rtt < T_LOW_US {
+        rate += DELTA_BPS as f64;
+    } else if rtt > T_HIGH_US {
+        rate *= 1.0 - BETA * (1.0 - T_HIGH_US as f64 / rtt as f64);
     } else {
-        let gradient = (rtt as f64 - prev as f64) / p.min_rtt_us as f64;
+        let gradient = (rtt as f64 - prev as f64) / MIN_RTT_US as f64;
         if gradient <= 0.0 {
-            rate += p.delta_bps as f64;
+            rate += DELTA_BPS as f64;
         } else {
-            rate *= 1.0 - p.beta * gradient.min(1.0);
+            rate *= 1.0 - BETA * gradient.min(1.0);
         }
     }
-    (rate as u64).clamp(p.min_bps, p.max_bps)
+    (rate as u64).clamp(MIN_RATE_BPS, MAX_RATE_BPS)
 }

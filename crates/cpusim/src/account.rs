@@ -47,10 +47,11 @@ impl Module {
     }
 }
 
-/// Accumulated cycles and instructions per module, plus request count.
+/// Accumulated cycles and instructions per module.
 ///
-/// Stacks charge into this as they process; the Table 1/2 harnesses divide
-/// by `requests` to print per-request columns.
+/// Stacks charge into this as they process. The account counts no
+/// requests: the Table 1/2 harnesses divide its cycles by the server
+/// application's completed messages (`tas_bench::per_request`).
 ///
 /// # Examples
 ///
@@ -58,15 +59,13 @@ impl Module {
 /// use tas_cpusim::{CycleAccount, Module};
 /// let mut acc = CycleAccount::new();
 /// acc.charge(Module::Tcp, 810, 1200);
-/// acc.add_request();
 /// assert_eq!(acc.cycles(Module::Tcp), 810);
-/// assert!((acc.cycles_per_request() - 810.0).abs() < 1e-9);
+/// assert_eq!(acc.stack_cycles(), 810);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct CycleAccount {
     cycles: [u64; MODULE_COUNT],
     instructions: [u64; MODULE_COUNT],
-    requests: u64,
 }
 
 impl CycleAccount {
@@ -81,11 +80,6 @@ impl CycleAccount {
         self.instructions[module as usize] += instructions;
     }
 
-    /// Charges a fractional cycle cost (rounded to nearest).
-    pub fn charge_f64(&mut self, module: Module, cycles: f64, instructions: u64) {
-        self.charge(module, cycles.max(0.0).round() as u64, instructions);
-    }
-
     /// Charges one application frame: `api_cycles` of API-layer work (at
     /// the stack's `ipc_times_100`) and `app_cycles` of handler work (at
     /// IPC 1.2). Frames charge through the account rather than a profiled
@@ -97,16 +91,6 @@ impl CycleAccount {
         prof_charge!(api_cycles, "api");
         self.charge(Module::App, app_cycles, app_cycles * 120 / 100);
         prof_charge!(app_cycles, "work");
-    }
-
-    /// Counts one completed request.
-    pub fn add_request(&mut self) {
-        self.requests += 1;
-    }
-
-    /// Total completed requests.
-    pub fn requests(&self) -> u64 {
-        self.requests
     }
 
     /// Cycles charged to a module.
@@ -134,15 +118,6 @@ impl CycleAccount {
         self.total_cycles() - self.cycles(Module::App)
     }
 
-    /// Average cycles per completed request (0 when no requests).
-    pub fn cycles_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.total_cycles() as f64 / self.requests as f64
-        }
-    }
-
     /// Cycles per instruction over everything charged.
     pub fn cpi(&self) -> f64 {
         let i = self.total_instructions();
@@ -159,7 +134,6 @@ impl CycleAccount {
             self.cycles[i] += other.cycles[i];
             self.instructions[i] += other.instructions[i];
         }
-        self.requests += other.requests;
     }
 }
 
@@ -180,20 +154,17 @@ mod tests {
     }
 
     #[test]
-    fn per_request_averages() {
+    fn cpi_over_everything_charged() {
         let mut a = CycleAccount::new();
         for _ in 0..4 {
             a.charge(Module::Tcp, 100, 50);
-            a.add_request();
         }
-        assert!((a.cycles_per_request() - 100.0).abs() < 1e-9);
         assert!((a.cpi() - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_account_is_zero_not_nan() {
         let a = CycleAccount::new();
-        assert_eq!(a.cycles_per_request(), 0.0);
         assert_eq!(a.cpi(), 0.0);
     }
 
@@ -201,13 +172,11 @@ mod tests {
     fn merge_combines() {
         let mut a = CycleAccount::new();
         a.charge(Module::Ip, 10, 10);
-        a.add_request();
         let mut b = CycleAccount::new();
         b.charge(Module::Ip, 30, 20);
-        b.add_request();
         a.merge(&b);
         assert_eq!(a.cycles(Module::Ip), 40);
-        assert_eq!(a.requests(), 2);
+        assert_eq!(a.instructions(Module::Ip), 30);
     }
 
     #[test]

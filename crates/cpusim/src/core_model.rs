@@ -50,7 +50,6 @@ pub struct Core {
     busy_until: SimTime,
     busy_total: SimTime,
     busy_cycles: u64,
-    last_work: SimTime,
 }
 
 impl Core {
@@ -77,7 +76,6 @@ impl Core {
             busy_until: SimTime::ZERO,
             busy_total: SimTime::ZERO,
             busy_cycles: 0,
-            last_work: SimTime::ZERO,
         }
     }
 
@@ -106,31 +104,15 @@ impl Core {
         self.busy_until = end;
         self.busy_total += dur;
         self.busy_cycles += cycles;
-        self.last_work = end;
         probe! { tas_telemetry::profile::on_core_run(cycles); }
         (start, end)
     }
 
-    /// Schedules fractional-cycle work (cost models frequently produce
-    /// non-integral cycle counts); rounds to the nearest cycle.
-    pub fn run_f64(&mut self, now: SimTime, cycles: f64) -> (SimTime, SimTime) {
-        self.run(now, cycles.max(0.0).round() as u64)
-    }
-
-    /// The instant this core next becomes free.
+    /// The instant this core next becomes free: the completion time of
+    /// its most recent work item (the idle clock of the fast-path
+    /// blocking and app-sleep policies).
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// True when the core has no scheduled work at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
-    /// Completion time of the most recent work item (used for the 10 ms
-    /// blocking policy of fast-path threads).
-    pub fn last_work_end(&self) -> SimTime {
-        self.last_work
     }
 
     /// Total busy time accumulated since creation.
@@ -262,11 +244,10 @@ mod tests {
     #[test]
     fn idle_detection() {
         let mut c = Core::new(1_000_000_000);
-        assert!(c.is_idle(SimTime::ZERO));
+        assert_eq!(c.busy_until(), SimTime::ZERO);
         c.run(SimTime::ZERO, 1000);
-        assert!(!c.is_idle(SimTime::from_ns(500)));
-        assert!(c.is_idle(SimTime::from_us(1)));
-        assert_eq!(c.last_work_end(), SimTime::from_us(1));
+        assert!(c.busy_until() > SimTime::from_ns(500));
+        assert_eq!(c.busy_until(), SimTime::from_us(1));
     }
 
     #[test]
@@ -286,14 +267,5 @@ mod tests {
     fn zero_window_sample_is_zero() {
         let mut p = CorePool::new(1, 1_000_000_000);
         assert_eq!(p.sample_utilization(SimTime::ZERO), vec![0.0]);
-    }
-
-    #[test]
-    fn run_f64_rounds() {
-        let mut c = Core::new(1_000_000_000);
-        let (_, e) = c.run_f64(SimTime::ZERO, 99.6);
-        assert_eq!(e, SimTime::from_ns(100));
-        let (_, e2) = c.run_f64(e, -5.0);
-        assert_eq!(e2, e, "negative cost clamps to zero");
     }
 }

@@ -82,13 +82,10 @@ fn account_charges_attribute_to_modules() {
     a.charge(Module::Driver, 100, 80);
     a.charge(Module::Tcp, 300, 200);
     a.charge(Module::Tcp, 50, 25);
-    a.add_request();
     assert_eq!(a.cycles(Module::Driver), 100);
     assert_eq!(a.cycles(Module::Tcp), 350);
     assert_eq!(a.instructions(Module::Tcp), 225);
     assert_eq!(a.total_cycles(), 450);
-    assert_eq!(a.requests(), 1);
-    assert_eq!(a.cycles_per_request(), 450.0);
 }
 
 #[test]
@@ -108,27 +105,11 @@ fn account_merge_sums_every_module() {
         a.charge(m, 10, 5);
         b.charge(m, 7, 3);
     }
-    a.add_request();
-    b.add_request();
     a.merge(&b);
     for m in Module::ALL {
         assert_eq!(a.cycles(m), 17);
         assert_eq!(a.instructions(m), 8);
     }
-    assert_eq!(a.requests(), 2);
-}
-
-#[test]
-fn account_fractional_charges_round_per_call() {
-    let mut a = CycleAccount::default();
-    a.charge_f64(Module::Other, 749.6, 10);
-    assert_eq!(a.cycles(Module::Other), 750);
-    a.charge_f64(Module::Other, -3.0, 0);
-    assert_eq!(
-        a.cycles(Module::Other),
-        750,
-        "negative charges clamp to zero"
-    );
 }
 
 // ----------------------------------------------- core classes + boundary

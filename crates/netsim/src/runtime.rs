@@ -91,11 +91,6 @@ impl<T> Handoff<T> {
     pub fn pop(&mut self, lane: usize) -> Option<T> {
         self.lanes.get_mut(lane)?.pop_front()
     }
-
-    /// Items waiting on `lane`.
-    pub fn len(&self, lane: usize) -> usize {
-        self.lanes.get(lane).map_or(0, VecDeque::len)
-    }
 }
 
 /// The stack under an [`AppRuntime`]: the socket calls of [`StackApi`]

@@ -3,7 +3,7 @@
 //! The paper reports medians, high percentiles (90th/99th/max), means, and
 //! time series (e.g. cores and throughput over time in Fig. 14). This module
 //! provides an HDR-style log-linear histogram with bounded relative error,
-//! a Welford mean/variance accumulator, a sampled time series, and a
+//! a Welford running-mean accumulator, a sampled time series, and a
 //! registry of scoped counters with a deterministic snapshot that is also
 //! each host's fixed-cadence series sampler.
 
@@ -208,12 +208,11 @@ impl Default for Histogram {
     }
 }
 
-/// Welford online mean/variance accumulator.
+/// Welford online mean accumulator.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MeanVar {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl MeanVar {
@@ -227,7 +226,6 @@ impl MeanVar {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
     }
 
     /// Number of samples.
@@ -238,15 +236,6 @@ impl MeanVar {
     /// Sample mean (0 when empty).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Sample variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
     }
 }
 
@@ -292,23 +281,12 @@ impl TimeSeries {
         }
         mv.mean()
     }
-
-    /// Renders the series as text, one `t_ns value` line per sample, in
-    /// insertion order. Values print via Rust's shortest-roundtrip float
-    /// formatting, so two same-seed runs render byte-identically.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for &(t, v) in &self.samples {
-            writeln!(out, "{} {}", t.as_nanos(), v).expect("string write");
-        }
-        out
-    }
 }
 
 // ----------------------------------------------------------------------
 // Metric registry.
 
-/// Scope of a registered metric: machine-wide, per-core, or per-flow.
+/// Scope of a registered metric: machine-wide, per-core, or per-tenant.
 ///
 /// Scopes order after their name in the registry's deterministic dump, so
 /// `fp.pkts_rx`, `fp.pkts_rx{core=0}`, `fp.pkts_rx{core=1}` always render
@@ -319,9 +297,6 @@ pub enum Scope {
     Global,
     /// One value per core index.
     Core(u32),
-    /// One value per flow identifier (fast-path flow id or connection
-    /// slot; the owner defines the id space).
-    Flow(u64),
     /// One value per tenant: a harness-assigned application/workload
     /// identity sharing the host's stack (the multi-tenant scenario
     /// suite's isolation accounting).
@@ -333,7 +308,6 @@ impl std::fmt::Display for Scope {
         match self {
             Scope::Global => Ok(()),
             Scope::Core(c) => write!(f, "{{core={c}}}"),
-            Scope::Flow(id) => write!(f, "{{flow={id}}}"),
             Scope::Tenant(t) => write!(f, "{{tenant={t}}}"),
         }
     }
@@ -370,7 +344,7 @@ pub struct CounterId(usize);
 /// Simulated time between two ticks of the [`Registry`] sampling grid.
 pub const SAMPLE_INTERVAL: SimTime = SimTime::from_ms(1);
 
-/// A registry of named counters with per-core and per-flow scoping and a
+/// A registry of named counters with per-core and per-tenant scoping and a
 /// deterministic, ordered [`Registry::snapshot`]. (Current levels
 /// are not registered: a host inserts them into the [`Snapshot`] from
 /// live state with [`Snapshot::insert_gauge`].)
@@ -781,7 +755,7 @@ mod tests {
             mv.add(x);
         }
         assert!((mv.mean() - 5.0).abs() < 1e-12);
-        assert!((mv.variance() - 32.0 / 7.0).abs() < 1e-12);
+        assert_eq!(mv.count(), 8);
     }
 
     #[test]
@@ -849,14 +823,6 @@ mod tests {
         assert_eq!(r.series_iter().count(), 2);
         assert_eq!(r.snapshot().render_text(), before);
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn timeseries_render_text_is_deterministic() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_us(1), 1.5);
-        ts.push(SimTime::from_us(2), 2.0);
-        assert_eq!(ts.render_text(), "1000 1.5\n2000 2\n");
     }
 
     #[test]
@@ -929,8 +895,8 @@ mod tests {
     fn snapshot_insert_and_render() {
         let mut s = Snapshot::default();
         s.insert_counter("z", Scope::Global, 9);
-        s.insert_gauge("a", Scope::Flow(2), -3);
-        assert_eq!(s.render_text(), "a{flow=2} -3\nz 9\n");
+        s.insert_gauge("a", Scope::Core(2), -3);
+        assert_eq!(s.render_text(), "a{core=2} -3\nz 9\n");
         assert_eq!(s.counter("z", Scope::Global), 9);
         assert_eq!(s.len(), 2);
     }

@@ -251,8 +251,8 @@ impl TasHost {
     }
 
     /// The host's metric registry: host counters plus the 1 ms series —
-    /// `cores.active_fp`, `shm.tx_bytes`, `shm.rx_bytes`,
-    /// `sp.queue_depth`, per-core `fp.util{core=i}` and, under the
+    /// `cores.active_fp` and per-core `fp.util{core=i}` (Fig. 14 and the
+    /// cycle profiler's utilization window) and, under the
     /// proportionality controller, `fp.util_mean`.
     pub fn registry(&self) -> &Registry {
         &self.inner.reg
@@ -368,7 +368,7 @@ impl TasHost {
         {
             let core = inner.fp_cores.core(core_idx);
             // Blocked-core wake (§3.4): no packets for `BLOCK_AFTER`.
-            if core.is_idle(t) && t.saturating_sub(core.last_work_end()) > BLOCK_AFTER {
+            if t.saturating_sub(core.busy_until()) > BLOCK_AFTER {
                 t_eff = t + FP_WAKE_LATENCY;
                 wake_extra = COSTS.wake_cycles;
                 inner.reg.inc(inner.c_fp_wakes);
@@ -702,28 +702,19 @@ impl TasHost {
         }
     }
 
-    /// Samples the queue-depth gauges and per-core utilization into the
-    /// registry. Called from packet arrival and the periodic timers;
+    /// Samples the active fast-path core count and per-core utilization
+    /// into the registry. Called from packet arrival and the periodic timers;
     /// [`Registry::begin_sample`] floors each sample onto the fixed grid
     /// and drops re-entries within one interval, so the output is a
     /// deterministic fixed-cadence series regardless of which event
     /// happened to drive it.
     fn sample_series(&mut self, now: SimTime) {
-        let sp_depth = self.rt.ops.len(SP_LANE);
         let inner = &mut self.inner;
         let reg = &mut inner.reg;
         if !reg.begin_sample(now) {
             return;
         }
         reg.record("cores.active_fp", Scope::Global, inner.active_fp as f64);
-        let (mut tx_bytes, mut rx_bytes) = (0u64, 0u64);
-        for (_, f) in inner.fp.flows.iter() {
-            tx_bytes += f.snd.tx.len() as u64;
-            rx_bytes += f.rcv.rx.len() as u64;
-        }
-        reg.record("shm.tx_bytes", Scope::Global, tx_bytes as f64);
-        reg.record("shm.rx_bytes", Scope::Global, rx_bytes as f64);
-        reg.record("sp.queue_depth", Scope::Global, sp_depth as f64);
         reg.record_util("fp.util", inner.fp_cores.iter().map(Core::busy_total));
     }
 }
@@ -750,7 +741,7 @@ impl AppStack for Inner {
     /// and pay a wake before the handler runs.
     fn activate(&mut self, context: u16, t: SimTime) -> (SimTime, u64) {
         let core = self.app_cores.core(context as usize);
-        let asleep = core.is_idle(t) && t.saturating_sub(core.last_work_end()) > APP_IDLE_SLEEP;
+        let asleep = t.saturating_sub(core.busy_until()) > APP_IDLE_SLEEP;
         let start = if asleep { t + APP_WAKE_LATENCY } else { t };
         (start, self.api_cost(COSTS.so_poll))
     }

@@ -35,7 +35,7 @@ use crate::flow::{
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use tas_cc::{dctcp_rate, timely_rate, CcState, DctcpRateParams, TimelyParams};
+use tas_cc::{dctcp_rate, timely_rate, CcState};
 use tas_cpusim::{CycleAccount, Module};
 use tas_proto::{FlowKey, MacAddr, Segment, Seq, TcpFlags, TcpHeader};
 use tas_shm::ByteRing;
@@ -892,12 +892,11 @@ impl SlowPath {
                 CcAlgo::None => cur,
                 CcAlgo::DctcpRate => {
                     let fb = flow.cc.take_feedback(rtt);
-                    let p = DctcpRateParams::default();
-                    dctcp_rate(&mut sf.law, fb, cur, interval_secs, &p)
+                    dctcp_rate(&mut sf.law, fb, cur, interval_secs)
                 }
                 CcAlgo::Timely => {
                     let fb = flow.cc.take_feedback(rtt);
-                    timely_rate(&mut sf.law, fb, cur, &TimelyParams::default())
+                    timely_rate(&mut sf.law, fb, cur)
                 }
             };
             if newr != cur {

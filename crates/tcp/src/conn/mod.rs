@@ -377,8 +377,7 @@ impl TcpConn {
         self.snd.tx().free()
     }
 
-    /// Occupied bytes in the send buffer (queued + unacknowledged). The
-    /// queue-depth time series samples this per connection.
+    /// Occupied bytes in the send buffer (queued + unacknowledged).
     pub fn send_buffered(&self) -> usize {
         self.snd.tx().len()
     }

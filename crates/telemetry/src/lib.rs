@@ -204,11 +204,6 @@ pub fn stop() {
     TRACER.with(|t| t.borrow_mut().enabled = false);
 }
 
-/// True while recording.
-pub fn is_enabled() -> bool {
-    TRACER.with(|t| t.borrow().enabled)
-}
-
 /// Number of records evicted since [`start`] because the ring was full.
 pub fn evicted() -> u64 {
     TRACER.with(|t| t.borrow().evicted)

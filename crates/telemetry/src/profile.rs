@@ -141,11 +141,6 @@ pub fn stop() {
     });
 }
 
-/// True when profiling is enabled on this thread.
-pub fn is_enabled() -> bool {
-    PROF.with(|p| p.borrow().enabled)
-}
-
 /// Arms attribution: subsequent charges and core runs belong to this
 /// core. Clears pending charges (cycles charged but never run belong to
 /// no core). No-op while disabled.
@@ -241,12 +236,6 @@ pub fn charge(cycles: u64) {
         let node = p.top();
         p.fifo.push_back((node, cycles));
     });
-}
-
-/// [`charge`] for fractional cycle costs; rounds exactly as
-/// `Core::run_f64` does so charges line up with what the core runs.
-pub fn charge_f64(cycles: f64) {
-    charge(cycles.max(0.0).round() as u64);
 }
 
 /// Attribution drain, called by `Core::run` (under the cpusim `telemetry`

@@ -10,9 +10,7 @@
 //! at the bit level — proving no arithmetic step changed.
 
 use std::net::Ipv4Addr;
-use tas_repro::cc::{
-    dctcp_rate, make_cc, timely_rate, AckInfo, CcKind, CcState, DctcpRateParams, TimelyParams,
-};
+use tas_repro::cc::{dctcp_rate, make_cc, timely_rate, AckInfo, CcKind, CcState};
 use tas_repro::proto::{FlowKey, MacAddr};
 use tas_repro::shm::ByteRing;
 use tas_repro::sim::SimTime;
@@ -250,7 +248,6 @@ fn dctcp_rate_trajectory_is_bit_identical() {
         44793171, 39247873, 49247873, 59247873, 69247873, 61102962, 71102962, 81102962, 40551481,
         50551481, 60551481, 70551481,
     ];
-    let p = DctcpRateParams::default();
     let mut f = flow();
     let mut st = CcState::new();
     let mut lcg = Lcg(0x5eed_0002);
@@ -269,7 +266,7 @@ fn dctcp_rate_trajectory_is_bit_identical() {
             f.cc.count_fast_rexmit();
         }
         let fb = f.cc.take_feedback(f.conn.rtt_est_us());
-        rate = dctcp_rate(&mut st, fb, rate, 0.0005, &p);
+        rate = dctcp_rate(&mut st, fb, rate, 0.0005);
         out.push(rate);
     }
     assert_eq!(out, golden);
@@ -289,7 +286,6 @@ fn timely_rate_trajectory_is_bit_identical() {
         14779182, 24779182, 19661582, 29661582, 39661582, 7932316, 1586463, 11586463, 2317292,
         12317292, 22317292, 32317292,
     ];
-    let p = TimelyParams::default();
     let mut f = flow();
     let mut st = CcState::new();
     let mut lcg = Lcg(0x5eed_0003);
@@ -299,7 +295,7 @@ fn timely_rate_trajectory_is_bit_identical() {
         f.cc.count_acked(lcg.next() % 200_000, false);
         f.conn = conn_with_rtt((20 + lcg.next() % 700) as u32);
         let fb = f.cc.take_feedback(f.conn.rtt_est_us());
-        rate = timely_rate(&mut st, fb, rate, &p);
+        rate = timely_rate(&mut st, fb, rate);
         out.push(rate);
     }
     assert_eq!(out, golden);

@@ -103,14 +103,10 @@ fn faulty_fingerprint(sim_seed: u64, fault_seed: u64) -> Vec<u64> {
     ]
 }
 
-/// Runs a key-value pair on either stack, its client's zipf keys and
-/// GET/SET mix drawn from `seed`, and returns every machine-readable
-/// artifact the observability layer derives from the run: the server
-/// registry's fixed-cadence series (queue depths and utilization), and a
-/// bench report rendered to JSON. Two same-seed runs must agree byte for
-/// byte — this is what makes `BENCH_*.json` files diffable and the CI
-/// regression gate meaningful.
-fn run_artifacts(seed: u64, reference: bool) -> String {
+/// Runs a key-value pair for 80 ms on either stack (TAS `rpc_bench(1, 1)`
+/// or the two-core Linux model), its client's zipf keys and GET/SET mix
+/// drawn from `seed`; host 0 is the server.
+fn kv_pair(seed: u64, reference: bool) -> Net {
     let cfg = || {
         if reference {
             linux()
@@ -124,8 +120,19 @@ fn run_artifacts(seed: u64, reference: bool) -> String {
         Agent::stack(cfg(), Box::new(KvServer::new(7))),
         Agent::stack(cfg(), Box::new(c)),
     );
-    let Net { mut sim, hosts, .. } = build(tb);
-    sim.run_until(SimTime::from_ms(80));
+    let mut net = build(tb);
+    net.sim.run_until(SimTime::from_ms(80));
+    net
+}
+
+/// Returns every machine-readable artifact the observability layer
+/// derives from a [`kv_pair`] run: the server registry's fixed-cadence
+/// series (per-core utilization, and on TAS the active fast-path core
+/// count), and a bench report rendered to JSON. Two same-seed runs must
+/// agree byte for byte — this is what makes `BENCH_*.json` files
+/// diffable and the CI regression gate meaningful.
+fn run_artifacts(seed: u64, reference: bool) -> String {
+    let Net { sim, hosts, .. } = kv_pair(seed, reference);
     let series = host(&sim, hosts[0]).registry().render_series();
     let client = app::<KvClient>(&sim, hosts[1]);
     let (latency, done) = (&client.latency, client.done);
@@ -166,6 +173,26 @@ fn same_seed_series_and_bench_reports_are_byte_identical() {
         behaviour(4321) != behaviour(4322),
         "a different seed must actually change the run"
     );
+}
+
+/// A host samples exactly the series something reads: Fig. 14 reads
+/// `cores.active_fp` (and, under the proportionality controller,
+/// `fp.util_mean`), and the cycle profiler's utilization window reads
+/// every per-core `*.util` series.
+#[test]
+fn every_sampled_series_has_a_reader() {
+    for (reference, want) in [
+        (false, &["cores.active_fp", "fp.util{core=0}"][..]),
+        (true, &["core.util{core=0}", "core.util{core=1}"][..]),
+    ] {
+        let Net { sim, hosts, .. } = kv_pair(4321, reference);
+        let keys: Vec<String> = host(&sim, hosts[0])
+            .registry()
+            .series_iter()
+            .map(|(key, _)| key.to_string())
+            .collect();
+        assert_eq!(keys, want, "sampled series (reference={reference})");
+    }
 }
 
 #[test]
