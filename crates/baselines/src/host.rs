@@ -188,6 +188,10 @@ const EVENT_DESC_BYTES: u64 = 64;
 
 struct Slot {
     conn: TcpConn,
+    /// The stack core RSS steers this connection to: its 4-tuple and the
+    /// host's stack-core count never change, so it is hashed once, at
+    /// install.
+    stack_core: usize,
     accepted: bool,
     want_write: bool,
     connected_sent: bool,
@@ -456,8 +460,18 @@ impl StackHost {
         let Some(s) = inner.slots.get(slot) else {
             return 0;
         };
-        let k = s.conn.remote();
-        let l = s.conn.local();
+        debug_assert_eq!(
+            s.stack_core,
+            Self::rss_core(inner, &s.conn),
+            "a connection's stored stack core is its RSS route"
+        );
+        s.stack_core
+    }
+
+    /// The stack core RSS steers `conn`'s 4-tuple to.
+    fn rss_core(inner: &Inner, conn: &TcpConn) -> usize {
+        let k = conn.remote();
+        let l = conn.local();
         let h = hash_tuple(k.ip, l.ip, k.port, l.port);
         h as usize % Self::stack_core_count(inner)
     }
@@ -753,6 +767,7 @@ impl StackHost {
 
     fn install(inner: &mut Inner, key: FlowKey, conn: TcpConn, accepted: bool) -> u32 {
         let slot = Slot {
+            stack_core: Self::rss_core(inner, &conn),
             conn,
             accepted,
             want_write: false,

@@ -7,7 +7,7 @@
 use crate::rss::{hash_tuple, RssTable};
 use crate::NetMsg;
 use tas_proto::{MacAddr, Segment};
-use tas_sim::time::transmission_time;
+use tas_sim::time::LinkRate;
 use tas_sim::{probe, trace, AgentId, Ctx, SimTime};
 
 /// Static configuration of a host NIC and its uplink.
@@ -55,6 +55,8 @@ pub struct HostNic {
     /// This NIC's MAC address.
     pub mac: MacAddr,
     cfg: NicConfig,
+    /// `cfg.rate_bps` as a per-byte multiply.
+    link: LinkRate,
     uplink: AgentId,
     rss: RssTable,
     tx_busy_until: SimTime,
@@ -67,6 +69,7 @@ impl HostNic {
         let rss = RssTable::new(cfg.rx_queues);
         HostNic {
             mac,
+            link: LinkRate::new(cfg.rate_bps),
             cfg,
             uplink,
             rss,
@@ -99,7 +102,7 @@ impl HostNic {
     /// producing core finished building it). Returns the departure time.
     pub fn tx(&mut self, ready: SimTime, seg: Segment, ctx: &mut Ctx<'_, NetMsg>) -> SimTime {
         let start = ready.max(self.tx_busy_until);
-        let depart = start + transmission_time(seg.wire_len() as u64, self.cfg.rate_bps);
+        let depart = start + self.link.tx_time(seg.wire_len() as u64);
         self.tx_busy_until = depart;
         let arrival = depart + self.cfg.prop_delay;
         // Span stamp at serialization completion: even a packet a switch

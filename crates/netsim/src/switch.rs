@@ -6,7 +6,7 @@ use crate::NetMsg;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 use tas_proto::{Ecn, Segment};
-use tas_sim::time::transmission_time;
+use tas_sim::time::LinkRate;
 use tas_sim::{impl_as_any, probe, trace, Agent, AgentId, Ctx, Event, SimTime, TimeSeries};
 
 /// Static configuration of one switch output port.
@@ -50,6 +50,8 @@ impl PortConfig {
 #[derive(Debug)]
 struct Port {
     cfg: PortConfig,
+    /// `cfg.rate_bps` as a per-byte multiply.
+    link: LinkRate,
     peer: AgentId,
     busy_until: SimTime,
     /// Departure times of packets currently queued or in serialization;
@@ -133,6 +135,7 @@ impl Switch {
         let spec = cfg.fault;
         let dev = (peer as u64) << 16 | self.ports.len() as u64;
         self.ports.push(Port {
+            link: LinkRate::new(cfg.rate_bps),
             cfg,
             peer,
             busy_until: SimTime::ZERO,
@@ -256,7 +259,7 @@ impl Switch {
             }
         }
         let start = now.max(port.busy_until);
-        let depart = start + transmission_time(seg.wire_len() as u64, port.cfg.rate_bps);
+        let depart = start + port.link.tx_time(seg.wire_len() as u64);
         port.busy_until = depart;
         port.departures.push_back(depart);
         let arrival = depart + port.cfg.prop_delay;

@@ -5,9 +5,11 @@
 //! engine is single-threaded and deterministic: effects requested while
 //! handling an event enqueue in call order (and are never observable by the
 //! requesting handler), and ties on timestamps dispatch in insertion order.
-//! Dispatch is one bounded pop per event ([`EventQueue::pop_due`]): an
+//! Dispatch is one bounded pop per event (the crate-private half of
+//! [`EventQueue::pop_due`] that leaves the payload in its slab entry): an
 //! event lives in the queue until the moment its handler is called, so it
-//! can be cancelled until then — same-instant timers included.
+//! can be cancelled until then — same-instant timers included — and it is
+//! moved once, from the entry into the handler's argument.
 
 use crate::queue::{EventId, EventQueue, QueueStats};
 use crate::rng::Rng;
@@ -72,11 +74,6 @@ macro_rules! impl_as_any {
     };
 }
 
-struct Scheduled<M> {
-    to: AgentId,
-    ev: Event<M>,
-}
-
 /// Handle through which an agent interacts with the engine while handling
 /// an event: read the clock, draw randomness, send messages, set timers,
 /// or stop the run.
@@ -84,7 +81,7 @@ pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: AgentId,
     rng: &'a mut Rng,
-    queue: &'a mut EventQueue<Scheduled<M>>,
+    queue: &'a mut EventQueue<Event<M>>,
     stop: &'a mut bool,
 }
 
@@ -113,13 +110,7 @@ impl<M> Ctx<'_, M> {
     ///
     /// `at` earlier than now is clamped to now.
     pub fn send_at(&mut self, to: AgentId, at: SimTime, msg: M) {
-        self.queue.push(
-            at.max(self.now),
-            Scheduled {
-                to,
-                ev: Event::Msg { msg },
-            },
-        );
+        self.queue.push_to(at.max(self.now), to, Event::Msg { msg });
     }
 
     /// Sets a timer on the handling agent, firing `delay` after now.
@@ -129,14 +120,8 @@ impl<M> Ctx<'_, M> {
 
     /// Sets a timer on the handling agent at absolute time `at`.
     pub fn timer_at(&mut self, at: SimTime, kind: u32, data: u64) -> TimerId {
-        let to = self.self_id;
-        self.queue.push(
-            at.max(self.now),
-            Scheduled {
-                to,
-                ev: Event::Timer { kind, data },
-            },
-        )
+        self.queue
+            .push_to(at.max(self.now), self.self_id, Event::Timer { kind, data })
     }
 
     /// Cancels a pending timer: it is reclaimed without dispatching.
@@ -183,7 +168,7 @@ impl<M> Ctx<'_, M> {
 /// ```
 pub struct Sim<M> {
     now: SimTime,
-    queue: EventQueue<Scheduled<M>>,
+    queue: EventQueue<Event<M>>,
     agents: Vec<Option<Box<dyn Agent<M>>>>,
     rng: Rng,
     events_processed: u64,
@@ -232,24 +217,12 @@ impl<M: 'static> Sim<M> {
 
     /// Injects a message to `to` at absolute time `at`.
     pub fn inject_msg(&mut self, at: SimTime, to: AgentId, msg: M) {
-        self.queue.push(
-            at,
-            Scheduled {
-                to,
-                ev: Event::Msg { msg },
-            },
-        );
+        self.queue.push_to(at, to, Event::Msg { msg });
     }
 
     /// Injects a timer event on agent `to` at absolute time `at`.
     pub fn inject_timer(&mut self, at: SimTime, to: AgentId, kind: u32, data: u64) -> TimerId {
-        self.queue.push(
-            at,
-            Scheduled {
-                to,
-                ev: Event::Timer { kind, data },
-            },
-        )
+        self.queue.push_to(at, to, Event::Timer { kind, data })
     }
 
     /// Cancels a pending event from harness code (see [`Ctx::cancel_timer`]).
@@ -318,28 +291,30 @@ impl<M: 'static> Sim<M> {
         if self.stopped {
             return false;
         }
-        let Some((t, sch)) = self.queue.pop_due(deadline) else {
+        // The target is read beside the entry; the event itself moves
+        // once, from its slab entry into the handler's argument.
+        let Some((t, slot)) = self.queue.pop_due_slot(deadline) else {
             return false;
         };
         debug_assert!(t >= self.now, "time must be monotonic");
         self.now = t;
         self.events_processed += 1;
-        let idx = sch.to as usize;
+        let to = self.queue.target_of(slot);
+        let idx = to as usize;
         let Some(mut agent) = self.agents.get_mut(idx).and_then(Option::take) else {
             // Unknown/checked-out target: drop the event.
+            drop(self.queue.take(slot));
             return true;
         };
         let mut stop = false;
-        {
-            let mut ctx = Ctx {
-                now: t,
-                self_id: sch.to,
-                rng: &mut self.rng,
-                queue: &mut self.queue,
-                stop: &mut stop,
-            };
-            agent.on_event(sch.ev, &mut ctx);
-        }
+        let mut ctx = Ctx {
+            now: t,
+            self_id: to,
+            rng: &mut self.rng,
+            queue: &mut self.queue,
+            stop: &mut stop,
+        };
+        agent.on_event(ctx.queue.take(slot), &mut ctx);
         self.agents[idx] = Some(agent);
         if stop {
             self.stopped = true;

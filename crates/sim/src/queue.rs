@@ -29,6 +29,31 @@
 //! merged into that sorted run directly. [`EventQueue::stats`] counts
 //! each of these steps.
 //!
+//! # Refill
+//!
+//! When the ready run is empty, the next window is the earliest occupied
+//! slot over all levels and the overflow head; on equal starts a coarser
+//! slot wins, so it cascades before a fine slot at the same boundary
+//! drains. A refill first tries the shortcut that decides this from
+//! level 0 alone: if no coarse level holds an entry in the cursor's own
+//! window, the overflow head is later, and the first occupied level-0
+//! window starts before the next level-1 boundary, that level-0 slot
+//! wins, since every other coarse slot starts at or after its level's
+//! next boundary. The first condition is not implied by placement: an
+//! entry is placed at least one coarse tick ahead, but the cursor later
+//! enters its window. Only when the shortcut fails does the refill scan
+//! every level's occupancy bitmap.
+//!
+//! # Dispatch
+//!
+//! The engine pushes each event with its target agent, which the entry
+//! keeps beside the payload, and pops in two crate-private steps: one
+//! takes the front of the ready run and returns the entry's time and slab
+//! index, the other moves the payload out of its slab entry and frees the
+//! entry. Between them the engine reads the target from the entry, so the
+//! payload is moved once, from the slab into the handler's argument.
+//! [`EventQueue::pop_due`] is the two steps in one.
+//!
 //! # Memory layout
 //!
 //! Every pending event is one [`Entry`] in a slab — key, generation,
@@ -141,6 +166,10 @@ struct Entry<E> {
     seq: u64,
     /// Bumped each time the entry is freed, so old handles miss.
     gen: u32,
+    /// The agent the engine dispatches the event to (see
+    /// [`EventQueue::push_to`]); 0 through the public [`EventQueue::push`],
+    /// whose callers never read it. It sits in what would be padding.
+    target: u32,
     /// Cancelled but not yet freed: the wheel frees it when it next meets
     /// the entry's cell.
     cancelled: bool,
@@ -199,6 +228,10 @@ impl Level {
 
     fn clear(&mut self, idx: usize) {
         self.occ[idx >> 6] &= !(1u64 << (idx & 63));
+    }
+
+    fn is_marked(&self, idx: usize) -> bool {
+        self.occ[idx >> 6] & (1u64 << (idx & 63)) != 0
     }
 
     /// First occupied slot index in circular order starting at `start`.
@@ -274,12 +307,20 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at absolute time `at`, returning a cancel handle.
     pub fn push(&mut self, at: SimTime, event: E) -> EventId {
+        self.push_to(at, 0, event)
+    }
+
+    /// [`Self::push`] with the engine's dispatch target stored beside the
+    /// payload, where [`Self::target_of`] reads it without moving the
+    /// payload.
+    pub(crate) fn push_to(&mut self, at: SimTime, target: u32, event: E) -> EventId {
         let (at, seq) = (at.as_ps(), self.seq);
         self.seq += 1;
         let id = if let Some(slot) = self.free.pop() {
             let e = &mut self.entries[slot as usize];
             e.at = at;
             e.seq = seq;
+            e.target = target;
             e.cancelled = false;
             e.event = Some(event);
             EventId { slot, gen: e.gen }
@@ -289,6 +330,7 @@ impl<E> EventQueue<E> {
                 at,
                 seq,
                 gen: 0,
+                target,
                 cancelled: false,
                 event: Some(event),
             });
@@ -333,10 +375,18 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest live event if it is due at or
-    /// before `deadline`; a later one stays queued. This is the engine's
-    /// whole dispatch step: one look at the front, and the payload moves
-    /// from its slab entry to the caller.
+    /// before `deadline`; a later one stays queued.
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let (t, idx) = self.pop_due_slot(deadline)?;
+        Some((t, self.take(idx)))
+    }
+
+    /// The engine's dispatch step, first half: takes the earliest live
+    /// entry off the ready run if it is due at or before `deadline` and
+    /// returns its time and slab index. The payload stays in the entry,
+    /// beside the target [`Self::target_of`] reads, until [`Self::take`]
+    /// moves it out once, straight to its consumer.
+    pub(crate) fn pop_due_slot(&mut self, deadline: SimTime) -> Option<(SimTime, u32)> {
         if !self.prepare_front() {
             return None;
         }
@@ -346,10 +396,23 @@ impl<E> EventQueue<E> {
         }
         self.ready.pop_front();
         self.stats.pops += 1;
-        let event = self.entries[r.idx as usize].event.take();
-        self.release(r.idx);
-        debug_assert!(event.is_some(), "live ready entry has a payload");
-        event.map(|e| (SimTime::from_ps(r.at), e))
+        Some((SimTime::from_ps(r.at), r.idx))
+    }
+
+    /// The dispatch target of an entry [`Self::pop_due_slot`] returned.
+    pub(crate) fn target_of(&self, idx: u32) -> u32 {
+        self.entries[idx as usize].target
+    }
+
+    /// Moves the payload out of an entry [`Self::pop_due_slot`] returned
+    /// and frees the entry. Always inlined: out of line, the payload makes
+    /// one more stop, in this function's return slot, on its way to the
+    /// handler.
+    #[inline(always)]
+    pub(crate) fn take(&mut self, idx: u32) -> E {
+        let event = self.entries[idx as usize].event.take();
+        self.release(idx);
+        event.expect("a popped entry keeps its payload until taken")
     }
 
     /// Timestamp of the earliest live event.
@@ -462,6 +525,10 @@ impl<E> EventQueue<E> {
     /// the ready run. Returns false if the wheel and overflow are empty.
     fn refill_ready(&mut self) -> bool {
         loop {
+            if let Some((bs, s)) = self.level0_wins() {
+                self.drain_level0(bs, s);
+                return true;
+            }
             // Earliest candidate window per level: (window start ps, level,
             // slot idx). On equal starts prefer the highest level so coarse
             // slots cascade before a fine slot at the same boundary drains.
@@ -483,37 +550,7 @@ impl<E> EventQueue<E> {
                 (Some((bs, _, _)), Some(ov)) if ov <= bs => self.pull_overflow(),
                 (None, Some(_)) => self.pull_overflow(),
                 (Some((bs, 0, s)), _) => {
-                    // Drain the level-0 slot onto the ready run (empty
-                    // here: refill happens only then), freeing cancelled
-                    // entries, and sort what was added by (at, seq) to
-                    // restore global dispatch order within its window.
-                    debug_assert!(self.ready.is_empty(), "refill only runs dry");
-                    let mut v = std::mem::take(&mut self.levels[0].slots[s]);
-                    self.levels[0].clear(s);
-                    for idx in v.drain(..) {
-                        let e = &self.entries[idx as usize];
-                        if e.cancelled {
-                            self.release(idx);
-                        } else {
-                            self.ready.push_back(Keyed {
-                                at: e.at,
-                                seq: e.seq,
-                                idx,
-                            });
-                        }
-                    }
-                    self.levels[0].slots[s] = v;
-                    self.ready
-                        .make_contiguous()
-                        .sort_unstable_by_key(|r| (r.at, r.seq));
-                    self.stats.drains += 1;
-                    self.stats.drained += self.ready.len() as u64;
-                    self.cursor = bs + (1u64 << G0_SHIFT);
-                    // Overflow entries may have drifted inside this window.
-                    while self.overflow.peek().is_some_and(|e| e.0.at < self.cursor) {
-                        let e = self.overflow.pop().expect("peek checked");
-                        self.move_down(e.0.idx);
-                    }
+                    self.drain_level0(bs, s);
                     return true;
                 }
                 (Some((bs, k, s)), _) => {
@@ -529,6 +566,64 @@ impl<E> EventQueue<E> {
                     self.levels[k].slots[s] = v;
                 }
             }
+        }
+    }
+
+    /// The first occupied level-0 window `(start ps, slot)`, when it is
+    /// sure to win `refill_ready`'s comparison without looking at the
+    /// coarse levels: no coarse level holds an entry in the cursor's own
+    /// window (such a slot's start is at or below the cursor, so it would
+    /// win), the overflow head is later than the window, and the window
+    /// starts before the next level-1 boundary (every other coarse slot
+    /// starts at or after its level's next boundary, which is no earlier).
+    /// `None` leaves the decision to the full scan.
+    fn level0_wins(&self) -> Option<(u64, usize)> {
+        let base = self.cursor >> G0_SHIFT;
+        let start = (base as usize) & (SLOTS - 1);
+        let s = self.levels[0].first_occupied_from(start)?;
+        let window = (base + ((s + SLOTS - start) & (SLOTS - 1)) as u64) << G0_SHIFT;
+        let next_l1 = ((self.cursor >> level_shift(1)) + 1) << level_shift(1);
+        let coarse_idle = (1..LEVELS).all(|k| {
+            let cur = ((self.cursor >> level_shift(k)) as usize) & (SLOTS - 1);
+            !self.levels[k].is_marked(cur)
+        });
+        let overflow_later = self.overflow.peek().is_none_or(|e| e.0.at > window);
+        (window < next_l1 && coarse_idle && overflow_later).then_some((window, s))
+    }
+
+    /// Drains level-0 slot `s`, whose window starts at `bs`, onto the ready
+    /// run (empty here: refill happens only then), freeing cancelled
+    /// entries, and sorts what was added by (at, seq) to restore global
+    /// dispatch order within its window.
+    fn drain_level0(&mut self, bs: u64, s: usize) {
+        debug_assert!(self.ready.is_empty(), "refill only runs dry");
+        let mut v = std::mem::take(&mut self.levels[0].slots[s]);
+        self.levels[0].clear(s);
+        for idx in v.drain(..) {
+            let e = &self.entries[idx as usize];
+            if e.cancelled {
+                self.release(idx);
+            } else {
+                self.ready.push_back(Keyed {
+                    at: e.at,
+                    seq: e.seq,
+                    idx,
+                });
+            }
+        }
+        self.levels[0].slots[s] = v;
+        if self.ready.len() > 1 {
+            self.ready
+                .make_contiguous()
+                .sort_unstable_by_key(|r| (r.at, r.seq));
+        }
+        self.stats.drains += 1;
+        self.stats.drained += self.ready.len() as u64;
+        self.cursor = bs + (1u64 << G0_SHIFT);
+        // Overflow entries may have drifted inside this window.
+        while self.overflow.peek().is_some_and(|e| e.0.at < self.cursor) {
+            let e = self.overflow.pop().expect("peek checked");
+            self.move_down(e.0.idx);
         }
     }
 
@@ -618,6 +713,16 @@ mod tests {
                 .cmp(&self.at)
                 .then_with(|| other.seq.cmp(&self.seq))
         }
+    }
+
+    /// A delay a few level-0 ticks either side of the level-0 horizon
+    /// (`SLOTS` ticks, ~67.1 us): such an entry lands on level 1 just past
+    /// the cursor's window, which the cursor then enters before the
+    /// entry's slot is cascaded, the case the refill's level-0 shortcut
+    /// must hand to the full scan.
+    fn near_level0_horizon(rng: &mut Rng) -> u64 {
+        const BAND: u64 = 4 << G0_SHIFT;
+        (1u64 << level_shift(1)) - BAND + rng.below(2 * BAND)
     }
 
     /// Generation-checked liveness slab for [`HeapQueue`].
@@ -886,6 +991,30 @@ mod tests {
     }
 
     #[test]
+    fn refill_cascades_a_coarse_entry_the_cursor_has_entered() {
+        // With the cursor at 0, `late` (tick 266) is past level 0's
+        // 256-tick reach and goes on level 1; `early` and `edge` go on
+        // level 0. Popping `early` moves the cursor to tick 51, so `after`
+        // (tick 300) lands on level 0, in `late`'s level-1 window but
+        // later. Draining `edge` moves the cursor onto tick 256, into that
+        // window. The next refill must cascade `late` before it drains
+        // `after`'s slot, although that slot starts before the next
+        // level-1 boundary: the refill shortcut's current-window check.
+        let tick = |n: u64| SimTime::from_ps(n << G0_SHIFT);
+        let mut q = EventQueue::new();
+        q.push(tick(50), "early");
+        q.push(tick(255), "edge");
+        q.push(tick(266), "late");
+        assert_eq!(q.pop(), Some((tick(50), "early")));
+        q.push(tick(300), "after");
+        assert_eq!(q.stats().placed_level, [3, 1, 0, 0]);
+        assert_eq!(q.pop(), Some((tick(255), "edge")));
+        assert_eq!(q.pop(), Some((tick(266), "late")));
+        assert_eq!(q.pop(), Some((tick(300), "after")));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn pop_due_stops_at_the_deadline() {
         let mut q = EventQueue::new();
         let t = SimTime::from_us(7);
@@ -982,14 +1111,16 @@ mod tests {
             match rng.next_u64() % 10 {
                 0..=5 => {
                     // Mixed horizons: same-instant ties, inside the level-0
-                    // tick, each wheel level, and past the top horizon
-                    // (~1126 s) into the overflow heap.
-                    let d = match rng.next_u64() % 6 {
+                    // tick, each wheel level, astride the level-0 horizon,
+                    // and past the top horizon (~1126 s) into the overflow
+                    // heap.
+                    let d = match rng.next_u64() % 7 {
                         0 => 0,
                         1 => rng.next_u64() % 200_000,
                         2 => rng.next_u64() % 50_000_000,
                         3 => rng.next_u64() % 10_000_000_000,
                         4 => rng.next_u64() % 3_000_000_000_000,
+                        5 => near_level0_horizon(&mut rng),
                         _ => rng.next_u64() % 4_000_000_000_000_000,
                     };
                     let at = SimTime::from_ps(now + d);
@@ -1117,12 +1248,18 @@ mod tests {
             let mut last_at = 0u64;
             for i in 0..rng.range_inclusive(1, 399) {
                 match rng.below(5) {
-                    // Push at `now + delay`, delays drawn from every horizon;
-                    // or at exactly the previous push's timestamp: a tie that
+                    // Push at `now + delay`, delays drawn from every horizon
+                    // and from the band astride the level-0 horizon; or at
+                    // exactly the previous push's timestamp: a tie that
                     // must break by insertion order in both engines.
                     op @ (0 | 1) => {
                         if op == 0 {
-                            last_at = now + rng.next_u64() % *rng.choose(&DELAY_CAPS);
+                            let k = rng.below(DELAY_CAPS.len() as u64 + 1) as usize;
+                            last_at = now
+                                + match DELAY_CAPS.get(k) {
+                                    Some(cap) => rng.next_u64() % cap,
+                                    None => near_level0_horizon(&mut rng),
+                                };
                         }
                         let at = SimTime::from_ps(last_at.max(now));
                         handles.push((wheel.push(at, i), heap.push(at, i)));

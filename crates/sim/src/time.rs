@@ -190,9 +190,11 @@ impl fmt::Display for SimTime {
 }
 
 /// `a * b / c`, truncated to `u64`: the per-packet unit conversions
-/// (cycles ↔ time, bytes ↔ time). Divides in `u64` when the product fits —
-/// it does for every per-packet operand — and in `u128` otherwise, so the
-/// result is the `u128` expression's for all inputs.
+/// (cycles ↔ time, token-bucket bytes ↔ time). Divides in `u64` when the
+/// product fits — it does for every per-packet operand — and in `u128`
+/// otherwise, so the result is the `u128` expression's for all inputs.
+/// Link serialization (bytes → time at a link rate) is a multiply instead,
+/// through [`LinkRate`]; there this is only the fallback.
 ///
 /// # Panics
 ///
@@ -217,7 +219,56 @@ pub fn mul_div(a: u64, b: u64, c: u64) -> u64 {
 pub fn transmission_time(bytes: u64, bits_per_sec: u64) -> SimTime {
     debug_assert!(bits_per_sec > 0, "link rate must be positive");
     // ps = bits * 1e12 / bps.
-    SimTime(mul_div(bytes, 8 * 1_000_000_000_000, bits_per_sec))
+    SimTime(mul_div(bytes, BIT_PS_PER_BYTE, bits_per_sec))
+}
+
+/// Bits per byte times picoseconds per second: `bytes * BIT_PS_PER_BYTE /
+/// bits_per_sec` is a serialization time in ps.
+const BIT_PS_PER_BYTE: u64 = 8 * 1_000_000_000_000;
+
+/// A link rate with its serialization time per byte worked out once, when
+/// the link is built.
+///
+/// Every rate the simulated networks configure divides 8·10¹² bit-ps per
+/// byte exactly (10 Gbps is 800 ps per byte, 40 Gbps 200, 2.5 Gbps 3200),
+/// so a packet's serialization time is one multiply. A rate that does not,
+/// and a product past `u64::MAX`, take [`transmission_time`]'s divide
+/// instead; both paths return its value for every size.
+///
+/// # Examples
+///
+/// ```
+/// use tas_sim::time::{transmission_time, LinkRate};
+/// let link = LinkRate::new(40_000_000_000);
+/// assert_eq!(link.tx_time(1500), transmission_time(1500, 40_000_000_000));
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct LinkRate {
+    bits_per_sec: u64,
+    /// Exact ps per byte, when `bits_per_sec` divides 8·10¹².
+    ps_per_byte: Option<u64>,
+}
+
+impl LinkRate {
+    /// The serializer of a link running at `bits_per_sec`.
+    pub fn new(bits_per_sec: u64) -> Self {
+        // False for a zero rate, which keeps the divide and its panic.
+        let exact = BIT_PS_PER_BYTE.is_multiple_of(bits_per_sec);
+        LinkRate {
+            bits_per_sec,
+            ps_per_byte: exact.then(|| BIT_PS_PER_BYTE / bits_per_sec),
+        }
+    }
+
+    /// Serialization time of `bytes` on this link:
+    /// `transmission_time(bytes, bits_per_sec)`.
+    #[inline]
+    pub fn tx_time(self, bytes: u64) -> SimTime {
+        match self.ps_per_byte.and_then(|p| bytes.checked_mul(p)) {
+            Some(ps) => SimTime(ps),
+            None => transmission_time(bytes, self.bits_per_sec),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +303,33 @@ mod tests {
         assert_eq!(transmission_time(64, 40_000_000_000).as_ps(), 12_800);
         // 1500B at 10 Gbps = 1.2 us.
         assert_eq!(transmission_time(1500, 10_000_000_000).as_nanos(), 1_200);
+    }
+
+    #[test]
+    fn link_rate_multiply_equals_the_divide() {
+        // The rates the topologies configure, and 100 Gbps: every size up
+        // to a 9000 B jumbo frame's wire length, and the products either
+        // side of `u64::MAX`, where the multiply hands over to the divide.
+        for (rate, ps) in [
+            (10_000_000_000, 800),
+            (40_000_000_000, 200),
+            (2_500_000_000, 3_200),
+            (100_000_000_000, 80),
+        ] {
+            let link = LinkRate::new(rate);
+            assert_eq!(link.ps_per_byte, Some(ps), "{rate} bps");
+            for bytes in (0..=9018).chain([u64::MAX / ps, u64::MAX / ps + 1, u64::MAX]) {
+                let want = mul_div(bytes, 8 * 1_000_000_000_000, rate);
+                assert_eq!(link.tx_time(bytes).as_ps(), want, "{bytes} B at {rate} bps");
+            }
+        }
+        // 3 Gbps does not divide 8·10¹² bit-ps: every size takes the divide.
+        let link = LinkRate::new(3_000_000_000);
+        assert_eq!(link.ps_per_byte, None);
+        for bytes in 0..=9018 {
+            let want = mul_div(bytes, 8 * 1_000_000_000_000, 3_000_000_000);
+            assert_eq!(link.tx_time(bytes).as_ps(), want, "{bytes} B at 3 Gbps");
+        }
     }
 
     #[test]
